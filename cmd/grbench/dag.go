@@ -53,12 +53,12 @@ type dagReport struct {
 	Generated string `json:"generated"`
 	Command   string `json:"command"`
 	benchEnv
-	Scale     int      `json:"scale"`
-	EdgeFac   int      `json:"edge_factor"`
-	Chains    int      `json:"chains"`
-	OpsChain  int      `json:"ops_per_chain"`
-	Note      string   `json:"note"`
-	Results   []dagRow `json:"results"`
+	Scale    int      `json:"scale"`
+	EdgeFac  int      `json:"edge_factor"`
+	Chains   int      `json:"chains"`
+	OpsChain int      `json:"ops_per_chain"`
+	Note     string   `json:"note"`
+	Results  []dagRow `json:"results"`
 }
 
 // dagWorkload owns the objects of one sweep: per-chain adjacency matrices

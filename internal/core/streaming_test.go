@@ -95,8 +95,8 @@ func TestStreamPendingOrder(t *testing.T) {
 		if err := m.ApplyUpdateBatch(streamBatch([3]int{0, 0, 2}, [3]int{1, 1, 3})); err != nil {
 			t.Fatal(err)
 		}
-		_ = m.SetElement(4, 1, 1)  // point update after the batch wins
-		_ = m.RemoveElement(0, 0)  // and a point delete of a batch insert
+		_ = m.SetElement(4, 1, 1) // point update after the batch wins
+		_ = m.RemoveElement(0, 0) // and a point delete of a batch insert
 		if err := Wait(); err != nil {
 			t.Fatalf("Wait: %v", err)
 		}

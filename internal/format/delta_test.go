@@ -16,10 +16,10 @@ func TestDeltaFromTuplesLastWins(t *testing.T) {
 	d := deltaOf(t, 4, 4,
 		sparse.Tuple[float64]{I: 2, J: 1, V: 1},
 		sparse.Tuple[float64]{I: 0, J: 3, V: 5},
-		sparse.Tuple[float64]{I: 2, J: 1, V: 7},          // overwrite
-		sparse.Tuple[float64]{I: 0, J: 3, Del: true},     // delete wins over insert
-		sparse.Tuple[float64]{I: 3, J: 0, Del: true},     // tombstone for unseen element
-		sparse.Tuple[float64]{I: 3, J: 0, V: 9},          // then re-insert
+		sparse.Tuple[float64]{I: 2, J: 1, V: 7},      // overwrite
+		sparse.Tuple[float64]{I: 0, J: 3, Del: true}, // delete wins over insert
+		sparse.Tuple[float64]{I: 3, J: 0, Del: true}, // tombstone for unseen element
+		sparse.Tuple[float64]{I: 3, J: 0, V: 9},      // then re-insert
 	)
 	if d.NNZ() != 3 {
 		t.Fatalf("NNZ = %d, want 3 after dedup", d.NNZ())

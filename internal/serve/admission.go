@@ -26,12 +26,12 @@ var (
 // alternative, an unbounded queue, converts overload into uniformly missed
 // deadlines.
 type Admission struct {
-	slots    chan struct{} // buffered; a held token = one executing request
-	draining chan struct{} // closed by Close; gates new admissions
+	slots     chan struct{} // buffered; a held token = one executing request
+	draining  chan struct{} // closed by Close; gates new admissions
 	drainOnce sync.Once
-	maxQueue int64
-	waiting  atomic.Int64
-	inflight atomic.Int64
+	maxQueue  int64
+	waiting   atomic.Int64
+	inflight  atomic.Int64
 }
 
 // NewAdmission builds an admission gate allowing maxConcurrent simultaneous

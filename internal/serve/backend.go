@@ -11,9 +11,9 @@ import (
 // exist: the single-engine path (NewEngineBackend, wrapping *Engine) and the
 // horizontally sharded path (NewShardedBackend, wrapping a *shard.Store whose
 // every shard owns an independent engine instance). The handler spine —
-// admission, deadlines, retries, degradation — is backend-agnostic: a sharded
-// deployment inherits the whole resilience ladder, with the scatter-gather
-// fan-out hidden behind View.
+// admission, deadlines, retries, degradation — and the queries themselves are
+// backend-agnostic: a sharded deployment inherits the whole resilience
+// ladder, with the scatter-gather fan-out hidden behind the view's VxM.
 type Backend interface {
 	// View pins one consistent read view. The bool reports staleness — the
 	// backend degraded to its last good view instead of failing.
@@ -32,57 +32,29 @@ type Backend interface {
 	Drain(ctx context.Context) error
 }
 
-// View is one pinned, immutable read view: every query a request can ask,
-// answered at a single epoch. The single-engine view is *Snapshot; the
-// sharded view composes per-shard pinned epochs at one acknowledged version.
-type View interface {
+// pinned is the little a query needs from a pinned store state. *Snapshot
+// answers from one engine; *shard.Snapshot differs only in VxM, which it
+// answers by scatter-gather over its shards' engines.
+type pinned interface {
 	// Epoch is the consistency token responses carry in X-Graphblas-Epoch.
 	Epoch() uint64
-	KHop(ctx context.Context, src, k int) ([]int, error)
-	PPRTopK(ctx context.Context, src, k int, damping, tol float64, maxIter int) ([]Ranked, int, error)
-	Stats(ctx context.Context) (GraphStats, error)
-	Degree(ctx context.Context, v int) (int, error)
+	// Dims reports the vertex-space dimension and the stored-edge count.
+	Dims() (n, nvals int)
+	// VxM returns inᵀA as a new vector in the coordinator's context.
+	VxM(ctx context.Context, in *core.Vector[float64]) (*core.Vector[float64], error)
+	// OutDegrees returns the out-degree vector, built once per pinned state.
+	OutDegrees(ctx context.Context) (*core.Vector[float64], error)
+	// Sym returns the symmetrized, loop-free boolean pattern, built once per
+	// pinned state.
+	Sym(ctx context.Context) (*core.Matrix[bool], error)
 }
 
-// Epoch implements View: the pinned epoch is the single-engine token.
-func (s *Snapshot) Epoch() uint64 { return s.EpochID }
+// View is one pinned, immutable read view: every query a request can ask
+// (KHop, PPRTopK, Stats, Degree — query.go), answered at a single epoch.
+type View struct{ g pinned }
 
-// KHop implements View.
-func (s *Snapshot) KHop(ctx context.Context, src, k int) ([]int, error) {
-	return KHop(ctx, s, src, k)
-}
-
-// PPRTopK implements View.
-func (s *Snapshot) PPRTopK(ctx context.Context, src, k int, damping, tol float64, maxIter int) ([]Ranked, int, error) {
-	return PPRTopK(ctx, s, src, k, damping, tol, maxIter)
-}
-
-// Stats implements View.
-func (s *Snapshot) Stats(ctx context.Context) (GraphStats, error) {
-	return Stats(ctx, s)
-}
-
-// Degree implements View: vertex v's out-degree at the pinned epoch,
-// gathered once per snapshot from the stored pattern.
-func (s *Snapshot) Degree(ctx context.Context, v int) (int, error) {
-	if ctx != nil && ctx.Err() != nil {
-		return 0, errCanceledBefore(ctx)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.deg == nil {
-		rows, _, _, err := s.Mat.ExtractTuples()
-		if err != nil {
-			return 0, err
-		}
-		deg := make([]int, s.N)
-		for _, r := range rows {
-			deg[r]++
-		}
-		s.deg = deg
-	}
-	return s.deg[v], nil
-}
+// Epoch is the consistency token of the pinned state.
+func (v View) Epoch() uint64 { return v.g.Epoch() }
 
 // engineBackend adapts the single-engine store to the Backend interface.
 type engineBackend struct {
@@ -95,9 +67,9 @@ func NewEngineBackend(eng *Engine) Backend { return engineBackend{eng: eng} }
 func (b engineBackend) View(ctx context.Context) (View, bool, error) {
 	snap, stale, err := b.eng.Snapshot(ctx)
 	if snap == nil {
-		return nil, false, err
+		return View{}, false, err
 	}
-	return snap, stale, err
+	return View{snap}, stale, err
 }
 
 func (b engineBackend) Ingest(batch *stream.Batch[float64]) error { return b.eng.Ingest(batch) }

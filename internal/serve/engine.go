@@ -71,9 +71,62 @@ type Snapshot struct {
 	// Mat is the adjacency at the pinned epoch, weights preserved.
 	Mat *core.Matrix[float64]
 
-	mu  sync.Mutex
-	sym *core.Matrix[bool] // lazily built symmetrized pattern for stats
-	deg []int              // lazily counted out-degrees for /query/degree
+	mu     sync.Mutex
+	sym    *core.Matrix[bool]    // lazily built symmetrized pattern for stats
+	outdeg *core.Vector[float64] // lazily reduced out-degrees for degree and PPR
+}
+
+// Epoch implements pinned: the pinned epoch is the single-engine token.
+func (s *Snapshot) Epoch() uint64 { return s.EpochID }
+
+// Dims implements pinned.
+func (s *Snapshot) Dims() (n, nvals int) { return s.N, s.NVals }
+
+// VxM implements pinned with the engine's own deferred VxM: it runs at the
+// caller's next flush, fused with whatever the query chains onto it.
+func (s *Snapshot) VxM(_ context.Context, in *core.Vector[float64]) (*core.Vector[float64], error) {
+	out, err := core.NewVector[float64](s.N)
+	if err != nil {
+		return nil, err
+	}
+	if err := core.VxM(out, core.NoMaskV, core.NoAccum[float64](), builtins.PlusTimes[float64](), in, s.Mat, nil); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// OutDegrees implements pinned: ⟨+,0⟩ row counts over the stored pattern,
+// reduced on first use. The two ops ride the queue every request shares, so
+// another request's flush may have run — and failed — them: the vector is
+// cached only once its own validity says so, like Sym's transient failures.
+func (s *Snapshot) OutDegrees(ctx context.Context) (*core.Vector[float64], error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.outdeg != nil {
+		return s.outdeg, nil
+	}
+	ones, err := core.NewMatrix[float64](s.N, s.N)
+	if err != nil {
+		return nil, err
+	}
+	if err := core.ApplyM(ones, core.NoMask, core.NoAccum[float64](), builtins.One[float64](), s.Mat, nil); err != nil {
+		return nil, err
+	}
+	outdeg, err := core.NewVector[float64](s.N)
+	if err != nil {
+		return nil, err
+	}
+	if err := core.ReduceMatrixToVector(outdeg, core.NoMaskV, core.NoAccum[float64](), builtins.PlusMonoid[float64](), ones, nil); err != nil {
+		return nil, err
+	}
+	if err := core.WaitContext(ctx); err != nil {
+		return nil, err
+	}
+	if err := outdeg.Wait(); err != nil {
+		return nil, err
+	}
+	s.outdeg = outdeg
+	return outdeg, nil
 }
 
 // Sym returns the snapshot's symmetrized, loop-free boolean pattern —
@@ -355,7 +408,6 @@ func (e *Engine) fallback(err error) (*Snapshot, bool, error) {
 	last := e.last
 	e.mu.Unlock()
 	if last != nil {
-		StaleServed.Inc()
 		return last, true, nil
 	}
 	return nil, false, err

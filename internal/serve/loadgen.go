@@ -38,20 +38,20 @@ type LoadSpec struct {
 // (status codes and resilience headers), so the result is self-contained
 // even when several runs share the process-global metrics registry.
 type LoadResult struct {
-	Requests int     `json:"requests"`
-	OK       int     `json:"ok"`
-	Shed     int     `json:"shed"`     // 503: admission/backpressure/drain
-	Timeout  int     `json:"timeout"`  // 504: deadline crossed mid-query
-	Errors   int     `json:"errors"`   // anything else non-2xx
-	Stale    int     `json:"stale"`    // 200s served from a prior epoch
-	Degraded int     `json:"degraded"` // 200s with reduced quality
-	Retried  int     `json:"retried"`  // 200s that needed >1 attempt
-	Ingested int     `json:"ingested"` // write batches accepted
-	Throttled int    `json:"throttled"` // write batches rejected by backpressure
-	P50Ms    float64 `json:"p50_ms"`
-	P99Ms    float64 `json:"p99_ms"`
-	QPS      float64 `json:"qps"`
-	Seconds  float64 `json:"seconds"`
+	Requests  int     `json:"requests"`
+	OK        int     `json:"ok"`
+	Shed      int     `json:"shed"`      // 503: admission/backpressure/drain
+	Timeout   int     `json:"timeout"`   // 504: deadline crossed mid-query
+	Errors    int     `json:"errors"`    // anything else non-2xx
+	Stale     int     `json:"stale"`     // 200s served from a prior epoch
+	Degraded  int     `json:"degraded"`  // 200s with reduced quality
+	Retried   int     `json:"retried"`   // 200s that needed >1 attempt
+	Ingested  int     `json:"ingested"`  // write batches accepted
+	Throttled int     `json:"throttled"` // write batches rejected by backpressure
+	P50Ms     float64 `json:"p50_ms"`
+	P99Ms     float64 `json:"p99_ms"`
+	QPS       float64 `json:"qps"`
+	Seconds   float64 `json:"seconds"`
 }
 
 // RunLoad drives the server in-process (no sockets: requests go straight

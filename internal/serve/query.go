@@ -10,19 +10,21 @@ import (
 	"graphblas/internal/core"
 )
 
-// The query routines run against an immutable Snapshot and thread the
-// request context through every flush: each frontier expansion / power-
-// iteration sweep ends in WaitContext(ctx), so an expired deadline stops the
-// DAG scheduler from dispatching further kernels instead of letting the
-// request burn engine time it can no longer use. Cancellation surfaces as a
-// Canceled-class error, which the retry layer classifies as transient.
+// The query routines are written once against the pinned interface — the
+// single engine and the sharded store differ only in how they answer VxM —
+// and thread the request context through every flush: each frontier
+// expansion / power-iteration sweep ends in WaitContext(ctx), so an expired
+// deadline stops the DAG scheduler from dispatching further kernels instead
+// of letting the request burn engine time it can no longer use. Cancellation
+// surfaces as a Canceled-class error, which the retry layer classifies as
+// transient.
 
 // KHop returns every vertex reachable from src within at most k hops
 // (including src), ascending. It is the BFS frontier loop of the paper's
 // Figure 3 with a hop budget: frontier ← frontierᵀA per sweep, reached mass
 // accumulated across sweeps.
-func KHop(ctx context.Context, snap *Snapshot, src, k int) ([]int, error) {
-	n := snap.N
+func (v View) KHop(ctx context.Context, src, k int) ([]int, error) {
+	n, _ := v.g.Dims()
 	frontier, err := core.NewVector[float64](n)
 	if err != nil {
 		return nil, err
@@ -39,18 +41,15 @@ func KHop(ctx context.Context, snap *Snapshot, src, k int) ([]int, error) {
 	}
 	one := builtins.One[float64]()
 	first := builtins.First[float64]()
-	plusTimes := builtins.PlusTimes[float64]()
+	reached := 1
 	for hop := 0; hop < k; hop++ {
 		// Non-opaque reads inside the loop force flushes with no context of
 		// their own, so the deadline is also checked explicitly per hop.
 		if ctx != nil && ctx.Err() != nil {
 			return nil, errCanceledBefore(ctx)
 		}
-		next, err := core.NewVector[float64](n)
+		next, err := v.g.VxM(ctx, frontier)
 		if err != nil {
-			return nil, err
-		}
-		if err := core.VxM(next, core.NoMaskV, core.NoAccum[float64](), plusTimes, frontier, snap.Mat, nil); err != nil {
 			return nil, err
 		}
 		// Clamp accumulated path counts back to presence so weights and path
@@ -65,13 +64,16 @@ func KHop(ctx context.Context, snap *Snapshot, src, k int) ([]int, error) {
 			return nil, err
 		}
 		frontier = next
-		nv, err := frontier.NVals()
+		// A frontier inside visited only re-expands into visited, so a hop
+		// that reaches nothing new is closure: the answer for every larger k.
+		nv, err := visited.NVals()
 		if err != nil {
 			return nil, err
 		}
-		if nv == 0 {
+		if nv == reached {
 			break
 		}
+		reached = nv
 	}
 	idx, _, err := visited.ExtractTuples()
 	if err != nil {
@@ -92,21 +94,10 @@ type Ranked struct {
 // degradation ladder passes a reduced bound under load, trading rank
 // precision for latency. The achieved sweep count is returned so responses
 // can report how degraded they are.
-func PPRTopK(ctx context.Context, snap *Snapshot, src, k int, damping, tol float64, maxIter int) ([]Ranked, int, error) {
-	n := snap.N
-	// Out-degrees of the snapshot, as ⟨+,0⟩ counts over the pattern.
-	ones, err := core.NewMatrix[float64](n, n)
+func (v View) PPRTopK(ctx context.Context, src, k int, damping, tol float64, maxIter int) ([]Ranked, int, error) {
+	n, _ := v.g.Dims()
+	outdeg, err := v.g.OutDegrees(ctx)
 	if err != nil {
-		return nil, 0, err
-	}
-	if err := core.ApplyM(ones, core.NoMask, core.NoAccum[float64](), builtins.One[float64](), snap.Mat, nil); err != nil {
-		return nil, 0, err
-	}
-	outdeg, err := core.NewVector[float64](n)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := core.ReduceMatrixToVector(outdeg, core.NoMaskV, core.NoAccum[float64](), builtins.PlusMonoid[float64](), ones, nil); err != nil {
 		return nil, 0, err
 	}
 
@@ -118,7 +109,6 @@ func PPRTopK(ctx context.Context, snap *Snapshot, src, k int, damping, tol float
 		return nil, 0, err
 	}
 
-	plusTimes := builtins.PlusTimes[float64]()
 	plusMonoid := builtins.PlusMonoid[float64]()
 	div := builtins.Div[float64]()
 	damp := core.UnaryOp[float64, float64]{Name: "damp", F: func(x float64) float64 { return damping * x }}
@@ -158,11 +148,8 @@ func PPRTopK(ctx context.Context, snap *Snapshot, src, k int, damping, tol float
 		}
 		dangling := total - linked
 
-		next, err := core.NewVector[float64](n)
+		next, err := v.g.VxM(ctx, share)
 		if err != nil {
-			return nil, 0, err
-		}
-		if err := core.VxM(next, core.NoMaskV, core.NoAccum[float64](), plusTimes, share, snap.Mat, nil); err != nil {
 			return nil, 0, err
 		}
 		if err := core.ApplyV(next, core.NoMaskV, core.NoAccum[float64](), damp, next, nil); err != nil {
@@ -216,7 +203,7 @@ func PPRTopK(ctx context.Context, snap *Snapshot, src, k int, damping, tol float
 	return ranked, iters, nil
 }
 
-// GraphStats summarizes the structure of one snapshot.
+// GraphStats summarizes the structure of one pinned view.
 type GraphStats struct {
 	Nodes      int     `json:"nodes"`
 	Edges      int     `json:"edges"`
@@ -224,16 +211,17 @@ type GraphStats struct {
 	Clustering float64 `json:"clustering"`
 }
 
-// Stats computes triangle and clustering statistics on the snapshot's
+// Stats computes triangle and clustering statistics on the view's
 // symmetrized pattern. The triangle kernel is one masked MxM — cancellation
 // is coarse here (checked before and at the closing flush), matching the C
 // API's rule that a method already executing runs to completion.
-func Stats(ctx context.Context, snap *Snapshot) (GraphStats, error) {
-	st := GraphStats{Nodes: snap.N, Edges: snap.NVals}
+func (v View) Stats(ctx context.Context) (GraphStats, error) {
+	n, nvals := v.g.Dims()
+	st := GraphStats{Nodes: n, Edges: nvals}
 	if ctx != nil && ctx.Err() != nil {
 		return st, errCanceledBefore(ctx)
 	}
-	sym, err := snap.Sym(ctx)
+	sym, err := v.g.Sym(ctx)
 	if err != nil {
 		return st, err
 	}
@@ -243,7 +231,6 @@ func Stats(ctx context.Context, snap *Snapshot) (GraphStats, error) {
 	}
 	st.Triangles = tri
 	// Wedges from undirected degrees: lift the pattern to ones, reduce rows.
-	n := snap.N
 	lifted, err := core.NewMatrix[float64](n, n)
 	if err != nil {
 		return st, err
@@ -273,6 +260,23 @@ func Stats(ctx context.Context, snap *Snapshot) (GraphStats, error) {
 		st.Clustering = 3 * float64(tri) / wedges
 	}
 	return st, nil
+}
+
+// Degree reports vertex's out-degree at the pinned epoch, read off the
+// view's cached out-degree vector.
+func (v View) Degree(ctx context.Context, vertex int) (int, error) {
+	if ctx != nil && ctx.Err() != nil {
+		return 0, errCanceledBefore(ctx)
+	}
+	outdeg, err := v.g.OutDegrees(ctx)
+	if err != nil {
+		return 0, err
+	}
+	d, err := outdeg.ExtractElement(vertex)
+	if core.InfoOf(err) == core.NoValue {
+		return 0, nil
+	}
+	return int(d), err
 }
 
 // errCanceledBefore wraps a pre-execution context error in the engine's

@@ -309,6 +309,7 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, route string,
 	sp.Finish(obs.OutcomeOK, nil)
 	w.Header().Set("X-Graphblas-Epoch", strconv.FormatUint(epoch, 10))
 	if stale {
+		StaleServed.Inc()
 		w.Header().Set("X-Graphblas-Stale", "true")
 	}
 	if degraded {

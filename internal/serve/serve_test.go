@@ -320,7 +320,7 @@ func TestQueryDeadlineCancelsSweeps(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	// tol < 0 never converges, so only the deadline can end the loop.
-	_, _, err = PPRTopK(ctx, snap, 0, 10, 0.85, -1, 1<<30)
+	_, _, err = View{snap}.PPRTopK(ctx, 0, 10, 0.85, -1, 1<<30)
 	if core.InfoOf(err) != core.Canceled {
 		t.Fatalf("deadline mid-iteration: got %v want Canceled-class error", err)
 	}

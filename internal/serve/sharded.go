@@ -32,9 +32,9 @@ func NewShardedBackend(st *shard.Store) Backend { return shardedBackend{st: st} 
 func (b shardedBackend) View(ctx context.Context) (View, bool, error) {
 	snap, stale, err := b.st.Snapshot(ctx)
 	if snap == nil {
-		return nil, false, err
+		return View{}, false, err
 	}
-	return shardedView{snap: snap}, stale, err
+	return View{snap}, stale, err
 }
 
 // Ingest routes the batch through the all-shards-or-none commit, translating
@@ -69,42 +69,3 @@ func (b shardedBackend) Health() map[string]any {
 }
 
 func (b shardedBackend) Drain(ctx context.Context) error { return b.st.Drain(ctx) }
-
-// shardedView adapts one composed snapshot to the View interface, converting
-// the shard layer's result types to the serving wire types (identical field
-// sets; separate types keep the packages dependency-clean).
-type shardedView struct {
-	snap *shard.Snapshot
-}
-
-func (v shardedView) Epoch() uint64 { return v.snap.Epoch() }
-
-func (v shardedView) KHop(ctx context.Context, src, k int) ([]int, error) {
-	return shard.KHop(ctx, v.snap, src, k)
-}
-
-func (v shardedView) PPRTopK(ctx context.Context, src, k int, damping, tol float64, maxIter int) ([]Ranked, int, error) {
-	ranks, iters, err := shard.PPRTopK(ctx, v.snap, src, k, damping, tol, maxIter)
-	if err != nil {
-		return nil, iters, err
-	}
-	out := make([]Ranked, len(ranks))
-	for i, r := range ranks {
-		out[i] = Ranked{Vertex: r.Vertex, Score: r.Score}
-	}
-	return out, iters, nil
-}
-
-func (v shardedView) Stats(ctx context.Context) (GraphStats, error) {
-	st, err := shard.Stats(ctx, v.snap)
-	return GraphStats{
-		Nodes:      st.Nodes,
-		Edges:      st.Edges,
-		Triangles:  st.Triangles,
-		Clustering: st.Clustering,
-	}, err
-}
-
-func (v shardedView) Degree(ctx context.Context, vertex int) (int, error) {
-	return shard.Degree(ctx, v.snap, vertex)
-}

@@ -146,13 +146,19 @@ func TestShardedIngestRoundTrip(t *testing.T) {
 }
 
 // TestShardedIngestIndeterminateHeader: a commit that fails on shards is not
-// acknowledged — 500 with X-Graphblas-Indeterminate — and the store recovers
-// by redo on the next clean write, after which the batch IS visible: exactly
-// the "may appear in a later epoch" contract the header advertises.
+// acknowledged — 500 with X-Graphblas-Indeterminate — the frozen store serves
+// reads from its last acknowledged snapshot, stamped and counted as stale,
+// and it recovers by redo on the next clean write, after which the batch IS
+// visible: exactly the "may appear in a later epoch" contract the header
+// advertises.
 func TestShardedIngestIndeterminateHeader(t *testing.T) {
 	resetCore(t)
 	g := &generate.Graph{N: 16}
 	s, st := newShardedServer(t, g, 4, Options{})
+	// A read before the failure leaves a last good snapshot to fall back on.
+	if code, _, _ := get(t, s, "/query/khop?src=0&k=1"); code != http.StatusOK {
+		t.Fatalf("warm query: %d", code)
+	}
 
 	// Every absorb attempt fails: all owning shards exhaust their at-least-
 	// once retries, the batch queues for redo.
@@ -167,6 +173,14 @@ func TestShardedIngestIndeterminateHeader(t *testing.T) {
 	}
 	if !st.Frozen() {
 		t.Fatal("store not frozen after unacknowledged ingest")
+	}
+	staleBefore := StaleServed.Value()
+	code, h, _ = get(t, s, "/query/khop?src=0&k=1")
+	if code != http.StatusOK || h.Get("X-Graphblas-Stale") != "true" {
+		t.Fatalf("frozen read: status %d, stale=%q", code, h.Get("X-Graphblas-Stale"))
+	}
+	if got := StaleServed.Value() - staleBefore; got != 1 {
+		t.Fatalf("frozen read counted %d stale responses, want 1", got)
 	}
 
 	// Next clean write drains the redo queue; both batches become visible.

@@ -1,17 +1,22 @@
 // Differential tests: the sharded store must be indistinguishable from a
 // single engine. Tuple-level state, k-hop sets, stats, degrees, and NVals
-// are required to be exactly equal at every shard count; PPR scores may
-// differ only by cross-shard float regrouping (1e-9) with equal sweep
-// counts. The external test package lets the single-engine serving layer be
-// the oracle without an import cycle.
+// are required to be exactly equal at every shard count and strategy; PPR
+// scores may differ only by cross-shard float regrouping (1e-9) with equal
+// sweep counts. Both sides answer through serve.Backend.View — the one query
+// path — so what is compared is the scatter-gather VxM against the engine's.
+// The external test package lets the serving layer in without an import
+// cycle.
 package shard_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"testing"
+	"time"
 
 	"graphblas/internal/core"
 	"graphblas/internal/generate"
@@ -78,6 +83,28 @@ func newSharded(t *testing.T, n, shards int, st shard.Strategy, batches ...*stre
 	return store
 }
 
+// viewOf pins a fresh view through a serving backend.
+func viewOf(t *testing.T, be serve.Backend) serve.View {
+	t.Helper()
+	v, stale, err := be.View(context.Background())
+	if err != nil || stale {
+		t.Fatalf("view: stale=%v err=%v", stale, err)
+	}
+	return v
+}
+
+// eachSharding runs f against a view of the graph at every shard count and
+// strategy of the equivalence matrix.
+func eachSharding(t *testing.T, g *generate.Graph, f func(name string, v serve.View)) {
+	t.Helper()
+	for _, strat := range strategies {
+		for _, sc := range shardCounts {
+			store := newSharded(t, g.N, sc, strat, edgeBatch(g))
+			f(fmt.Sprintf("%v/%d shards", strat, sc), viewOf(t, serve.NewShardedBackend(store)))
+		}
+	}
+}
+
 // TestShardedIngestTupleEquivalence: after the same streamed batch sequence —
 // inserts, overwrites, deletes, never compacted — the composed sharded state
 // is tuple-identical to the single engine at shard counts 1, 2, 4 under both
@@ -141,40 +168,53 @@ func TestShardedIngestTupleEquivalence(t *testing.T) {
 // single-engine BFS for a sweep of sources and hop budgets.
 func TestShardedKHopEquivalence(t *testing.T) {
 	g := testGraph()
-	b := edgeBatch(g)
-	oracle := newOracle(t, g.N, b)
-	osnap, _, err := oracle.Snapshot(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle := viewOf(t, serve.NewEngineBackend(newOracle(t, g.N, edgeBatch(g))))
+	ctx := context.Background()
 
 	srcs := []int{0, 1, 17, g.N / 2, g.N - 1}
 	hops := []int{0, 1, 2, 3}
-	for _, sc := range shardCounts {
-		store := newSharded(t, g.N, sc, shard.Block, edgeBatch(g))
-		snap, _, err := store.Snapshot(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+	eachSharding(t, g, func(name string, v serve.View) {
 		for _, src := range srcs {
 			for _, k := range hops {
-				want, err := serve.KHop(context.Background(), osnap, src, k)
+				want, err := oracle.KHop(ctx, src, k)
 				if err != nil {
 					t.Fatalf("oracle KHop(%d,%d): %v", src, k, err)
 				}
-				got, err := shard.KHop(context.Background(), snap, src, k)
+				got, err := v.KHop(ctx, src, k)
 				if err != nil {
-					t.Fatalf("%d shards KHop(%d,%d): %v", sc, src, k, err)
+					t.Fatalf("%s KHop(%d,%d): %v", name, src, k, err)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("%d shards KHop(%d,%d): %d vertices, want %d", sc, src, k, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%d shards KHop(%d,%d)[%d] = %d, want %d", sc, src, k, i, got[i], want[i])
-					}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s KHop(%d,%d) = %v, want %v", name, src, k, got, want)
 				}
 			}
+		}
+	})
+}
+
+// TestKHopStopsAtClosure: on a graph whose reachable set holds a cycle the
+// frontier never empties, so the hop loop must end when the visited set stops
+// growing — an absurd hop budget answers as k = n does, on both backends,
+// well inside the serving default timeout.
+func TestKHopStopsAtClosure(t *testing.T) {
+	g := generate.Cycle(48)
+	views := map[string]serve.View{
+		"engine":   viewOf(t, serve.NewEngineBackend(newOracle(t, g.N, edgeBatch(g)))),
+		"2 shards": viewOf(t, serve.NewShardedBackend(newSharded(t, g.N, 2, shard.Block, edgeBatch(g)))),
+	}
+	for name, v := range views {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		want, err := v.KHop(ctx, 5, g.N)
+		if err != nil {
+			t.Fatalf("%s KHop(k=n): %v", name, err)
+		}
+		got, err := v.KHop(ctx, 5, 1<<30)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s KHop(k=1<<30): %v", name, err)
+		}
+		if len(want) != g.N || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s KHop(k=1<<30) = %v, want all %d vertices like k=n: %v", name, got, g.N, want)
 		}
 	}
 }
@@ -183,46 +223,38 @@ func TestShardedKHopEquivalence(t *testing.T) {
 // per-vertex degrees are exact at every shard count.
 func TestShardedStatsAndDegreeEquivalence(t *testing.T) {
 	g := testGraph()
-	oracle := newOracle(t, g.N, edgeBatch(g))
-	osnap, _, err := oracle.Snapshot(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := serve.Stats(context.Background(), osnap)
+	oracle := viewOf(t, serve.NewEngineBackend(newOracle(t, g.N, edgeBatch(g))))
+	ctx := context.Background()
+	want, err := oracle.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, sc := range shardCounts {
-		store := newSharded(t, g.N, sc, shard.Block, edgeBatch(g))
-		snap, _, err := store.Snapshot(context.Background())
+	eachSharding(t, g, func(name string, v serve.View) {
+		got, err := v.Stats(ctx)
 		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := shard.Stats(context.Background(), snap)
-		if err != nil {
-			t.Fatalf("%d shards Stats: %v", sc, err)
+			t.Fatalf("%s Stats: %v", name, err)
 		}
 		if got.Nodes != want.Nodes || got.Edges != want.Edges || got.Triangles != want.Triangles {
-			t.Fatalf("%d shards: stats %+v, want %+v", sc, got, want)
+			t.Fatalf("%s: stats %+v, want %+v", name, got, want)
 		}
 		if math.Abs(got.Clustering-want.Clustering) > 1e-12 {
-			t.Fatalf("%d shards: clustering %g, want %g", sc, got.Clustering, want.Clustering)
+			t.Fatalf("%s: clustering %g, want %g", name, got.Clustering, want.Clustering)
 		}
-		for _, v := range []int{0, 5, g.N / 3, g.N - 1} {
-			wd, err := osnap.Degree(context.Background(), v)
+		for _, vertex := range []int{0, 5, g.N / 3, g.N - 1} {
+			wd, err := oracle.Degree(ctx, vertex)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gd, err := shard.Degree(context.Background(), snap, v)
+			gd, err := v.Degree(ctx, vertex)
 			if err != nil {
-				t.Fatalf("%d shards Degree(%d): %v", sc, v, err)
+				t.Fatalf("%s Degree(%d): %v", name, vertex, err)
 			}
 			if gd != wd {
-				t.Fatalf("%d shards Degree(%d) = %d, want %d", sc, v, gd, wd)
+				t.Fatalf("%s Degree(%d) = %d, want %d", name, vertex, gd, wd)
 			}
 		}
-	}
+	})
 }
 
 // TestShardedPPREquivalence: personalized PageRank agrees with the single
@@ -231,14 +263,11 @@ func TestShardedStatsAndDegreeEquivalence(t *testing.T) {
 // because the coordinator's gather regroups cross-shard float additions.
 func TestShardedPPREquivalence(t *testing.T) {
 	g := testGraph()
-	oracle := newOracle(t, g.N, edgeBatch(g))
-	osnap, _, err := oracle.Snapshot(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle := viewOf(t, serve.NewEngineBackend(newOracle(t, g.N, edgeBatch(g))))
+	ctx := context.Background()
 
 	for _, src := range []int{0, 3, g.N / 2} {
-		want, wantIters, err := serve.PPRTopK(context.Background(), osnap, src, 0, 0.85, 1e-6, 50)
+		want, wantIters, err := oracle.PPRTopK(ctx, src, 0, 0.85, 1e-6, 50)
 		if err != nil {
 			t.Fatalf("oracle PPR(%d): %v", src, err)
 		}
@@ -246,33 +275,47 @@ func TestShardedPPREquivalence(t *testing.T) {
 		for _, r := range want {
 			wantScores[r.Vertex] = r.Score
 		}
-		for _, sc := range shardCounts {
-			store := newSharded(t, g.N, sc, shard.Block, edgeBatch(g))
-			snap, _, err := store.Snapshot(context.Background())
+		eachSharding(t, g, func(name string, v serve.View) {
+			got, iters, err := v.PPRTopK(ctx, src, 0, 0.85, 1e-6, 50)
 			if err != nil {
-				t.Fatal(err)
-			}
-			got, iters, err := shard.PPRTopK(context.Background(), snap, src, 0, 0.85, 1e-6, 50)
-			if err != nil {
-				t.Fatalf("%d shards PPR(%d): %v", sc, src, err)
+				t.Fatalf("%s PPR(%d): %v", name, src, err)
 			}
 			if iters != wantIters {
-				t.Fatalf("%d shards PPR(%d): %d sweeps, oracle %d", sc, src, iters, wantIters)
+				t.Fatalf("%s PPR(%d): %d sweeps, oracle %d", name, src, iters, wantIters)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("%d shards PPR(%d): %d ranked, oracle %d", sc, src, len(got), len(want))
+				t.Fatalf("%s PPR(%d): %d ranked, oracle %d", name, src, len(got), len(want))
 			}
 			for _, r := range got {
 				w, ok := wantScores[r.Vertex]
 				if !ok {
-					t.Fatalf("%d shards PPR(%d): vertex %d not in oracle support", sc, src, r.Vertex)
+					t.Fatalf("%s PPR(%d): vertex %d not in oracle support", name, src, r.Vertex)
 				}
 				if math.Abs(r.Score-w) > 1e-9 {
-					t.Fatalf("%d shards PPR(%d): score[%d] = %.15g, oracle %.15g (|Δ| > 1e-9)",
-						sc, src, r.Vertex, r.Score, w)
+					t.Fatalf("%s PPR(%d): score[%d] = %.15g, oracle %.15g (|Δ| > 1e-9)",
+						name, src, r.Vertex, r.Score, w)
 				}
 			}
-		}
+		})
+	}
+}
+
+// TestShardedPPROpsPerSweepBounded: a sharded sweep hands each owning shard
+// its slice of the share vector as one Build, so the ops a PPR defers grow
+// with sweeps × shards and not with the vector's entries (hundreds per sweep
+// when the slice went in one SetElement per entry).
+func TestShardedPPROpsPerSweepBounded(t *testing.T) {
+	g := testGraph()
+	const shards = 2
+	v := viewOf(t, serve.NewShardedBackend(newSharded(t, g.N, shards, shard.Block, edgeBatch(g))))
+	before := core.StatsSnapshot().OpsEnqueued
+	_, sweeps, err := v.PPRTopK(context.Background(), 0, 0, 0.85, 1e-6, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := core.StatsSnapshot().OpsEnqueued - before
+	if limit := int64(8 * sweeps * shards); sweeps < 5 || ops > limit {
+		t.Fatalf("%d-shard PPR enqueued %d ops over %d sweeps, want at most %d", shards, ops, sweeps, limit)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"graphblas/internal/core"
 	"graphblas/internal/faults"
+	"graphblas/internal/serve"
 	"graphblas/internal/shard"
 	"graphblas/internal/stream"
 )
@@ -66,21 +67,17 @@ func TestShardGatherFaultTransient(t *testing.T) {
 	b.Insert(0, 1, 1)
 	b.Insert(1, 2, 1)
 	b.Insert(2, 3, 1)
-	store := newSharded(t, 16, 4, shard.Block, b)
-	snap, _, err := store.Snapshot(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := viewOf(t, serve.NewShardedBackend(newSharded(t, 16, 4, shard.Block, b)))
 
 	faults.Configure(2, faults.Rule{Site: "shard.kernel.gather", Kind: faults.KernelErr, Times: 1})
 	defer faults.Disable()
 
-	if _, err := shard.KHop(context.Background(), snap, 0, 3); err == nil {
+	if _, err := v.KHop(context.Background(), 0, 3); err == nil {
 		t.Fatal("faulted gather did not error")
 	} else if core.InfoOf(err) != core.PanicInfo {
 		t.Fatalf("gather fault class = %v, want PanicInfo", core.InfoOf(err))
 	}
-	got, err := shard.KHop(context.Background(), snap, 0, 3)
+	got, err := v.KHop(context.Background(), 0, 3)
 	if err != nil {
 		t.Fatalf("KHop after fault window: %v", err)
 	}
@@ -97,16 +94,12 @@ func TestShardGatherGovernorOOM(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		b.Insert(i, i+1, 1)
 	}
-	store := newSharded(t, 16, 2, shard.Block, b)
-	snap, _, err := store.Snapshot(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := viewOf(t, serve.NewShardedBackend(newSharded(t, 16, 2, shard.Block, b)))
 
 	prev := faults.SetAllocBudget(8)
 	defer faults.SetAllocBudget(prev)
 
-	_, err = shard.KHop(context.Background(), snap, 0, 15)
+	_, err := v.KHop(context.Background(), 0, 15)
 	if err == nil {
 		t.Fatal("governed gather did not error")
 	}

@@ -3,10 +3,11 @@ package shard
 import (
 	"graphblas/internal/core"
 	"graphblas/internal/faults"
+	"graphblas/internal/sparse"
 	"graphblas/internal/stream"
 )
 
-// The coordination kernels — batch routing, frontier scatter, partial-result
+// The coordination kernels — batch routing, vector scatter, partial-result
 // gather — run on the sharding coordinator, outside any instance's executor,
 // so they contain their own injected faults: runKernel recovers the *Fault
 // panic raised by faults.Step / faults.GovernAlloc and surfaces it as the
@@ -57,34 +58,38 @@ func routeBatch(p Plan, b *stream.Batch[float64]) []*stream.Batch[float64] {
 	return subs
 }
 
-// scatterRows deals a global row-index set to its owning shards as local row
-// indices — the scatter half of every sharded query (k-hop frontiers, PPR
-// rank support).
-func scatterRows(p Plan, rows []int) [][]int {
+// scatterTuples deals a global vector's tuples to the owning shards, indices
+// translated to shard-local rows (both strategies keep them ascending) — the
+// scatter half of the sharded VxM.
+func scatterTuples(p Plan, idx []int, vals []float64) []*sparse.Vec[float64] {
 	faults.Step("shard.kernel.scatter")
-	parts := make([][]int, p.Shards)
-	for _, v := range rows {
-		s := p.Owner(v)
-		parts[s] = append(parts[s], p.Local(v))
+	parts := make([]*sparse.Vec[float64], p.Shards)
+	for s := range parts {
+		parts[s] = sparse.NewVec[float64](p.LocalRows(s))
+	}
+	for t, v := range idx {
+		part := parts[p.Owner(v)]
+		part.Idx = append(part.Idx, p.Local(v))
+		part.Val = append(part.Val, vals[t])
 	}
 	return parts
 }
 
-// gatherMerge accumulates per-shard partial result vectors into the dense
-// global accumulator, in ascending shard order — the fixed combine order that
-// makes cross-shard float summation deterministic run to run. The governor is
-// charged for the partials being folded, so an oversized gather fails with
-// OOM before the accumulation, like any engine allocation.
-func gatherMerge(dst []float64, idx [][]int, vals [][]float64) {
+// gatherMerge adds per-shard partial result vectors, in ascending shard order
+// — the fixed combine order that makes cross-shard float summation
+// deterministic run to run. The governor is charged for the partials being
+// folded, so an oversized gather fails with OOM before the accumulation, like
+// any engine allocation.
+func gatherMerge(parts []*sparse.Vec[float64]) *sparse.Vec[float64] {
 	faults.Step("shard.kernel.gather")
 	var bytes int64
-	for s := range idx {
-		bytes += int64(len(idx[s])) * 16
+	for _, p := range parts {
+		bytes += int64(p.NVals()) * 16
 	}
 	faults.GovernAlloc("shard.alloc.partial", bytes)
-	for s := 0; s < len(idx); s++ {
-		for t, v := range idx[s] {
-			dst[v] += vals[s][t]
-		}
+	sum := parts[0]
+	for _, p := range parts[1:] {
+		sum = sparse.VecUnion(sum, p, func(x, y float64) float64 { return x + y })
 	}
+	return sum
 }

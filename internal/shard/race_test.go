@@ -8,13 +8,14 @@ import (
 	"testing"
 
 	"graphblas/internal/core"
+	"graphblas/internal/serve"
 	"graphblas/internal/shard"
 	"graphblas/internal/stream"
 )
 
 // TestShardedIngestDuringQueryRace hammers one sharded store from a writer
 // goroutine (streamed batches through the all-shards-or-none commit) while
-// reader goroutines compose snapshots and run scatter-gather queries — the
+// reader goroutines pin views and run the scatter-gather queries — the
 // coordinator-level interleavings (wseq seqlock, snapshot cache, per-shard
 // engine queues) the race detector must find clean. Runs at GOMAXPROCS 1
 // and 4 under both flush schedulers; shard engines inherit the scheduler
@@ -47,7 +48,8 @@ func TestShardedIngestDuringQueryRace(t *testing.T) {
 			// Prime the composed-snapshot cache: with a last-good snapshot in
 			// place, a composition torn by the concurrent writer degrades to
 			// the stale fallback instead of erroring out.
-			if _, _, err := store.Snapshot(context.Background()); err != nil {
+			be := serve.NewShardedBackend(store)
+			if _, _, err := be.View(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 
@@ -92,16 +94,21 @@ func TestShardedIngestDuringQueryRace(t *testing.T) {
 							return
 						default:
 						}
-						snap, _, err := store.Snapshot(context.Background())
+						v, _, err := be.View(context.Background())
 						if err != nil {
 							errCh <- err
 							return
 						}
-						if _, err := shard.KHop(context.Background(), snap, src, 2); err != nil {
+						if _, err := v.KHop(context.Background(), src, 2); err != nil {
 							errCh <- err
 							return
 						}
-						if _, err := shard.Degree(context.Background(), snap, src); err != nil {
+						if _, err := v.Degree(context.Background(), src); err != nil {
+							errCh <- err
+							return
+						}
+						snap, _, err := store.Snapshot(context.Background())
+						if err != nil {
 							errCh <- err
 							return
 						}

@@ -7,6 +7,7 @@ import (
 
 	"graphblas/internal/builtins"
 	"graphblas/internal/core"
+	"graphblas/internal/sparse"
 )
 
 // Snapshot is one consistent composed read view: every shard's epoch pinned
@@ -32,15 +33,36 @@ type Snapshot struct {
 	insts []*core.Instance        // the owning engines, for query-side objects
 
 	mu     sync.Mutex
-	sym    *core.Matrix[bool] // lazily gathered global symmetrized pattern
-	outdeg []float64          // lazily gathered global out-degrees
+	sym    *core.Matrix[bool]    // lazily gathered global symmetrized pattern
+	outdeg *core.Vector[float64] // lazily gathered global out-degrees
 }
 
 // Epoch returns the token a response names its consistent state by.
 func (snap *Snapshot) Epoch() uint64 { return snap.Version }
 
-// ShardCount reports the composition width.
-func (snap *Snapshot) ShardCount() int { return len(snap.mats) }
+// Dims reports the global vertex-space dimension and stored-edge count.
+func (snap *Snapshot) Dims() (n, nvals int) { return snap.N, snap.NVals }
+
+// eachShard runs f once per shard, concurrently, and returns the first error
+// in shard order.
+func eachShard(shards int, f func(s int) error) error {
+	errs := make([]error, shards)
+	var wg sync.WaitGroup
+	for s := 0; s < shards; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			errs[s] = f(s)
+		}(s)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Snapshot returns a composed snapshot of the current acknowledged state.
 // The second result reports staleness: when the store is frozen by a partial
@@ -106,43 +128,32 @@ func (st *Store) materialize(ctx context.Context) (*Snapshot, error) {
 		mats:   make([]*core.Matrix[float64], k),
 		insts:  make([]*core.Instance, k),
 	}
-	errs := make([]error, k)
 	nvals := make([]int, k)
-	var wg sync.WaitGroup
-	for i, sh := range st.shards {
-		wg.Add(1)
-		go func(i int, sh *engineShard) {
-			defer wg.Done()
-			ep, err := sh.m.PinEpoch()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rows, cols, vals := ep.Tuples()
-			mat, err := core.NewMatrixIn[float64](sh.inst, st.plan.LocalRows(sh.id), st.cfg.N)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if err := mat.Build(rows, cols, vals, core.NoAccum[float64]()); err != nil {
-				errs[i] = err
-				return
-			}
-			if err := sh.inst.WaitContext(ctx); err != nil {
-				errs[i] = err
-				return
-			}
-			snap.Epochs[i] = ep.ID()
-			nvals[i] = ep.NVals()
-			snap.mats[i] = mat
-			snap.insts[i] = sh.inst
-		}(i, sh)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := eachShard(k, func(i int) error {
+		sh := st.shards[i]
+		ep, err := sh.m.PinEpoch()
 		if err != nil {
-			return nil, err
+			return err
 		}
+		rows, cols, vals := ep.Tuples()
+		mat, err := core.NewMatrixIn[float64](sh.inst, st.plan.LocalRows(sh.id), st.cfg.N)
+		if err != nil {
+			return err
+		}
+		if err := mat.Build(rows, cols, vals, core.NoAccum[float64]()); err != nil {
+			return err
+		}
+		if err := sh.inst.WaitContext(ctx); err != nil {
+			return err
+		}
+		snap.Epochs[i] = ep.ID()
+		nvals[i] = ep.NVals()
+		snap.mats[i] = mat
+		snap.insts[i] = sh.inst
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for _, nv := range nvals {
 		snap.NVals += nv
@@ -161,23 +172,31 @@ func (st *Store) fallback(err error) (*Snapshot, bool, error) {
 	return nil, false, err
 }
 
-// Tuples gathers the composed snapshot's global (row, col, value) triples in
-// row-major order — the sharded analogue of Matrix.ExtractTuples. The
-// differential suite uses it to hold the sharded store to tuple-level
-// equivalence with a single engine.
-func (snap *Snapshot) Tuples() ([]int, []int, []float64, error) {
-	var ri, ci []int
-	var vv []float64
+// globalTuples gathers every shard's pinned tuples in shard order, rows
+// translated to global indices.
+func (snap *Snapshot) globalTuples() (ri, ci []int, vv []float64, err error) {
 	for s, mat := range snap.mats {
 		rows, cols, vals, err := mat.ExtractTuples()
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		for t := range rows {
-			ri = append(ri, snap.plan.Global(s, rows[t]))
-			ci = append(ci, cols[t])
-			vv = append(vv, vals[t])
+		for _, lr := range rows {
+			ri = append(ri, snap.plan.Global(s, lr))
 		}
+		ci = append(ci, cols...)
+		vv = append(vv, vals...)
+	}
+	return ri, ci, vv, nil
+}
+
+// Tuples gathers the composed snapshot's global (row, col, value) triples in
+// row-major order — the sharded analogue of Matrix.ExtractTuples. The
+// differential suite uses it to hold the sharded store to tuple-level
+// equivalence with a single engine.
+func (snap *Snapshot) Tuples() ([]int, []int, []float64, error) {
+	ri, ci, vv, err := snap.globalTuples()
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	ord := make([]int, len(ri))
 	for i := range ord {
@@ -209,22 +228,19 @@ func (snap *Snapshot) Sym(ctx context.Context) (*core.Matrix[bool], error) {
 	if snap.sym != nil {
 		return snap.sym, nil
 	}
+	rows, cols, _, err := snap.globalTuples()
+	if err != nil {
+		return nil, err
+	}
 	var si, sj []int
 	var sv []bool
-	for s, mat := range snap.mats {
-		rows, cols, _, err := mat.ExtractTuples()
-		if err != nil {
-			return nil, err
+	for t, g := range rows {
+		if g == cols[t] {
+			continue
 		}
-		for t := range rows {
-			g := snap.plan.Global(s, rows[t])
-			if g == cols[t] {
-				continue
-			}
-			si = append(si, g, cols[t])
-			sj = append(sj, cols[t], g)
-			sv = append(sv, true, true)
-		}
+		si = append(si, g, cols[t])
+		sj = append(sj, cols[t], g)
+		sv = append(sv, true, true)
 	}
 	sym, err := core.NewMatrix[bool](snap.N, snap.N)
 	if err != nil {
@@ -240,71 +256,101 @@ func (snap *Snapshot) Sym(ctx context.Context) (*core.Matrix[bool], error) {
 	return sym, nil
 }
 
-// outdegrees returns the global out-degree vector, computed shard-parallel
-// (each shard reduces its own row block inside its engine) and gathered once
-// per snapshot. Out-degrees are whole counts, so the float64 values are
-// exact at any shard count.
-func (snap *Snapshot) outdegrees(ctx context.Context) ([]float64, error) {
-	snap.mu.Lock()
-	defer snap.mu.Unlock()
-	if snap.outdeg != nil {
-		return snap.outdeg, nil
+// VxM returns inᵀA over the composed snapshot, as a new vector in the
+// coordinator's context — the one step of a query that is shard-specific.
+// The input's tuples scatter to their owning shards, each owner runs its
+// slice of the product inside its own engine with the request deadline
+// threaded into that engine's flush, and the partials fold in fixed shard
+// order. Row partitioning never splits a per-row product, so a structural
+// query is tuple-exact against a single engine; only the cross-shard float
+// additions of the fold are regrouped.
+func (snap *Snapshot) VxM(ctx context.Context, in *core.Vector[float64]) (*core.Vector[float64], error) {
+	// Flush the coordinator under the deadline, so the non-opaque read below
+	// has nothing left to force.
+	if err := core.WaitContext(ctx); err != nil {
+		return nil, err
 	}
-	deg := make([]float64, snap.N)
-	errs := make([]error, len(snap.mats))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for s := range snap.mats {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			idx, vals, err := snap.shardOutdeg(ctx, s)
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			mu.Lock()
-			for t := range idx {
-				deg[snap.plan.Global(s, idx[t])] = vals[t]
-			}
-			mu.Unlock()
-		}(s)
+	idx, vals, err := in.ExtractTuples()
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	var parts []*sparse.Vec[float64]
+	if err := runKernel("shard.VxM", func() { parts = scatterTuples(snap.plan, idx, vals) }); err != nil {
+		return nil, err
+	}
+	partials := make([]*sparse.Vec[float64], len(parts))
+	err = eachShard(len(parts), func(s int) (err error) {
+		partials[s] = sparse.NewVec[float64](snap.N)
+		if parts[s].NVals() > 0 {
+			partials[s].Idx, partials[s].Val, err = snap.shardVxM(ctx, s, parts[s])
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	snap.outdeg = deg
-	return deg, nil
+	var sum *sparse.Vec[float64]
+	if err := runKernel("shard.VxM", func() { sum = gatherMerge(partials) }); err != nil {
+		return nil, err
+	}
+	out, err := core.NewVector[float64](snap.N)
+	if err != nil {
+		return nil, err
+	}
+	if err := out.Build(sum.Idx, sum.Val, core.NoAccum[float64]()); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// shardOutdeg reduces one shard's row block to its local out-degree vector,
-// inside that shard's engine.
-func (snap *Snapshot) shardOutdeg(ctx context.Context, s int) ([]int, []float64, error) {
+// shardVxM runs one shard's slice of inᵀA inside that shard's engine: one
+// Build of the scattered tuples, one VxM, one flush.
+func (snap *Snapshot) shardVxM(ctx context.Context, s int, in *sparse.Vec[float64]) ([]int, []float64, error) {
 	inst := snap.insts[s]
-	rows := snap.plan.LocalRows(s)
-	ones, err := core.NewMatrixIn[float64](inst, rows, snap.N)
+	f, err := core.NewVectorIn[float64](inst, in.N)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := core.ApplyM(ones, core.NoMask, core.NoAccum[float64](), builtins.One[float64](), snap.mats[s], nil); err != nil {
+	if err := f.Build(in.Idx, in.Val, core.NoAccum[float64]()); err != nil {
 		return nil, nil, err
 	}
-	od, err := core.NewVectorIn[float64](inst, rows)
+	part, err := core.NewVectorIn[float64](inst, snap.N)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := core.ReduceMatrixToVector(od, core.NoMaskV, core.NoAccum[float64](), builtins.PlusMonoid[float64](), ones, nil); err != nil {
+	if err := core.VxM(part, core.NoMaskV, core.NoAccum[float64](), builtins.PlusTimes[float64](), f, snap.mats[s], nil); err != nil {
 		return nil, nil, err
 	}
 	if err := inst.WaitContext(ctx); err != nil {
 		return nil, nil, err
 	}
-	idx, vals, err := od.ExtractTuples()
-	if err != nil {
-		return nil, nil, err
+	return part.ExtractTuples()
+}
+
+// OutDegrees returns the global out-degree vector in the coordinator's
+// context, counted off the gathered tuples once per snapshot.
+func (snap *Snapshot) OutDegrees(_ context.Context) (*core.Vector[float64], error) {
+	snap.mu.Lock()
+	defer snap.mu.Unlock()
+	if snap.outdeg != nil {
+		return snap.outdeg, nil
 	}
-	return idx, vals, nil
+	rows, _, _, err := snap.globalTuples()
+	if err != nil {
+		return nil, err
+	}
+	// One 1 per stored entry at its row; Build's dup adds them up.
+	ones := make([]float64, len(rows))
+	for t := range ones {
+		ones[t] = 1
+	}
+	outdeg, err := core.NewVector[float64](snap.N)
+	if err != nil {
+		return nil, err
+	}
+	if err := outdeg.Build(rows, ones, builtins.Plus[float64]()); err != nil {
+		return nil, err
+	}
+	snap.outdeg = outdeg
+	return outdeg, nil
 }

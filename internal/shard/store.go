@@ -94,9 +94,9 @@ type Store struct {
 	wseq atomic.Uint64
 
 	mu     sync.Mutex
-	cur    *Snapshot // composed snapshot of the newest acknowledged version
-	last   *Snapshot // last good composed snapshot (stale fallback)
-	frozen bool      // a partial failure is outstanding; compose nothing new
+	cur    *Snapshot                // composed snapshot of the newest acknowledged version
+	last   *Snapshot                // last good composed snapshot (stale fallback)
+	frozen bool                     // a partial failure is outstanding; compose nothing new
 	redo   []*stream.Batch[float64] // per-shard failed sub-batches awaiting redo
 }
 
