@@ -18,7 +18,6 @@ import (
 	"graphblas/internal/faults"
 	"graphblas/internal/generate"
 	"graphblas/internal/serve"
-	"graphblas/internal/stream"
 )
 
 type serveRow struct {
@@ -39,25 +38,11 @@ type serveReport struct {
 	Rows     []serveRow `json:"rows"`
 }
 
-// serveStack builds a fresh engine+server seeded with the workload graph, so
-// every row starts from an identical store.
+// serveStack builds a fresh one-shard store and server seeded with the
+// workload graph, so every row starts from an identical store.
 func serveStack(g *generate.Graph, seed uint64) *serve.Server {
-	eng, err := serve.NewEngine(serve.Config{N: g.N})
-	if err != nil {
-		log.Fatal(err)
-	}
-	b := stream.NewBatch[float64]()
-	for _, e := range g.Edges {
-		b.Insert(e.Src, e.Dst, 1)
-	}
-	if err := eng.Ingest(b); err != nil {
-		log.Fatal(err)
-	}
-	if err := eng.Compact(); err != nil {
-		log.Fatal(err)
-	}
 	return serve.NewServer(serve.Options{
-		Engine:        eng,
+		Backend:       shardBackend(g, 1),
 		MaxConcurrent: 4,
 		RetrySeed:     seed,
 	})
@@ -77,7 +62,7 @@ func runServe(scale, ef int, seed uint64) {
 		EdgeFac:   ef,
 		Seed:      seed,
 		Requests:  requests,
-		Note: "in-process drive (httptest, no sockets); each row uses a fresh engine " +
+		Note: "in-process drive (httptest, no sockets); each row uses a fresh one-shard store " +
 			"seeded with the same graph; counts are from response status codes and " +
 			"resilience headers, so shed/degraded/stale/retried are seed-deterministic " +
 			"up to goroutine interleaving while latencies are machine-dependent; the " +

@@ -2,15 +2,15 @@ package main
 
 // The sharding sweep (EXPERIMENTS.md E12, BENCH_sharding.json): the same
 // seeded serving load driven against the row-partitioned multi-engine store
-// at 1, 2, 4, and 8 shards. Shard count 1 is the single-engine backend — the
-// oracle the differential tests prove the sharded paths tuple-identical to —
-// so its row is the baseline every other row is judged against. Each row
-// also times sharded streaming ingest directly (ns/edge through the
-// all-shards-or-none commit, bypassing HTTP) since the serving mix only
-// exercises writes incidentally. Scatter-gather fan-out and per-shard flush
-// run on goroutines, so QPS/latency scaling is parallelism-sensitive:
-// benchEnv stamps the hardware and warnIfSerial flags single-core runs where
-// scaling cannot physically appear.
+// at 1, 2, 4, and 8 shards. Shard count 1 is the same store with nothing to
+// exchange — its VxM is the engine's own, and the differential tests prove
+// the scatter-gather rows tuple-identical to it — so its row is the baseline
+// every other row is judged against. Each row also times sharded streaming
+// ingest directly (ns/edge through the all-shards-or-none commit, bypassing
+// HTTP) since the serving mix only exercises writes incidentally.
+// Scatter-gather fan-out and per-shard flush run on goroutines, so QPS/latency
+// scaling is parallelism-sensitive: benchEnv stamps the hardware and
+// warnIfSerial flags single-core runs where scaling cannot physically appear.
 
 import (
 	"encoding/json"
@@ -27,7 +27,6 @@ import (
 
 type shardRow struct {
 	Shards        int     `json:"shards"`
-	Backend       string  `json:"backend"`
 	IngestNsEdge  float64 `json:"ingest_ns_per_edge"`
 	IngestBatches int     `json:"ingest_batches"`
 	serve.LoadResult
@@ -45,25 +44,11 @@ type shardReport struct {
 	Rows     []shardRow `json:"rows"`
 }
 
-// shardBackend builds a fresh backend preloaded with the workload graph:
-// the single engine at shards=1, the row-partitioned store above that.
+// shardBackend builds a fresh backend preloaded with the workload graph.
 func shardBackend(g *generate.Graph, shards int) serve.Backend {
 	b := stream.NewBatch[float64]()
 	for _, e := range g.Edges {
 		b.Insert(e.Src, e.Dst, 1)
-	}
-	if shards <= 1 {
-		eng, err := serve.NewEngine(serve.Config{N: g.N})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := eng.Ingest(b); err != nil {
-			log.Fatal(err)
-		}
-		if err := eng.Compact(); err != nil {
-			log.Fatal(err)
-		}
-		return serve.NewEngineBackend(eng)
 	}
 	st, err := shard.NewStore(shard.Config{N: g.N, Shards: shards})
 	if err != nil {
@@ -119,9 +104,9 @@ func runShard(scale, ef int, seed uint64) {
 		EdgeFac:   ef,
 		Seed:      seed,
 		Requests:  requests,
-		Note: "in-process drive (httptest, no sockets); shards=1 is the single-engine " +
-			"backend, every other row the row-partitioned store behind the same serve.Backend " +
-			"interface; the query mix and ingest batches are seed-deterministic, and the " +
+		Note: "in-process drive (httptest, no sockets); every row is the same store, " +
+			"shards=1 with the engine's own VxM and the others with the scatter-gather; " +
+			"the query mix and ingest batches are seed-deterministic, and the " +
 			"differential suite proves every row returns tuple-identical results, so only " +
 			"latency/QPS/ns-per-edge columns vary; scatter-gather scaling requires real cores " +
 			"(see benchEnv) — on a serial host the fan-out rows measure coordination overhead only",
@@ -138,8 +123,8 @@ func runShard(scale, ef int, seed uint64) {
 		BatchSize:   16,
 	}
 
-	fmt.Printf("  %-8s %-8s %8s %8s %6s %9s %9s %9s %12s\n",
-		"shards", "backend", "ok", "shed", "err", "p50", "p99", "qps", "ns/edge")
+	fmt.Printf("  %-8s %8s %8s %6s %9s %9s %9s %12s\n",
+		"shards", "ok", "shed", "err", "p50", "p99", "qps", "ns/edge")
 	for _, shards := range []int{1, 2, 4, 8} {
 		be := shardBackend(g, shards)
 		s := serve.NewServer(serve.Options{
@@ -149,19 +134,14 @@ func runShard(scale, ef int, seed uint64) {
 		})
 		res := serve.RunLoad(s, spec)
 		nsEdge := timeShardedIngest(g, shards, seed, ingestBatches, batchSize)
-		name := "sharded"
-		if shards == 1 {
-			name = "engine"
-		}
 		report.Rows = append(report.Rows, shardRow{
 			Shards:        shards,
-			Backend:       name,
 			IngestNsEdge:  nsEdge,
 			IngestBatches: ingestBatches,
 			LoadResult:    res,
 		})
-		fmt.Printf("  %-8d %-8s %8d %8d %6d %8.2fms %8.2fms %9.0f %12.0f\n",
-			shards, name, res.OK, res.Shed, res.Errors, res.P50Ms, res.P99Ms, res.QPS, nsEdge)
+		fmt.Printf("  %-8d %8d %8d %6d %8.2fms %8.2fms %9.0f %12.0f\n",
+			shards, res.OK, res.Shed, res.Errors, res.P50Ms, res.P99Ms, res.QPS, nsEdge)
 	}
 
 	data, err := json.MarshalIndent(report, "", "  ")

@@ -1,14 +1,15 @@
 // Command grbserve is the fault-tolerant graph query server: HTTP endpoints
 // for k-hop, personalized PageRank, and triangle statistics over a live
-// streaming GraphBLAS matrix, with per-request deadlines threaded into the
+// streaming GraphBLAS store, with per-request deadlines threaded into the
 // engine's flush scheduler, admission control with load shedding, seeded
 // retry of transient faults, a circuit breaker around compaction, and
 // graceful drain on SIGINT/SIGTERM.
 //
-// With -shards=N the store is row-partitioned across N independent engine
-// instances (one nonblocking queue, scheduler, and flush lock each); queries
-// run scatter-gather across the shards and ingest commits all-shards-or-none,
-// behind the same endpoints and resilience ladder.
+// The store is row-partitioned across -shards independent engine instances
+// (one nonblocking queue, scheduler, and flush lock each; default 1). With
+// more than one, queries run scatter-gather across the shards; ingest commits
+// all-shards-or-none at any count, behind the same endpoints and resilience
+// ladder.
 //
 //	grbserve -addr :8080 -scale 11
 //	grbserve -addr :8080 -scale 11 -shards 4
@@ -17,7 +18,7 @@
 //	curl 'localhost:8080/query/degree?v=0'
 //	curl 'localhost:8080/stats'
 //	curl -XPOST -d '{"inserts":[[1,2,1]],"deletes":[[3,4]]}' localhost:8080/ingest
-//	curl 'localhost:8080/healthz'   # liveness: breaker state, epoch, queue
+//	curl 'localhost:8080/healthz'   # liveness: shards, version, breaker, queue
 //	curl 'localhost:8080/readyz'    # readiness: 503 while draining
 //	curl 'localhost:8080/metrics'   # Prometheus text exposition
 package main
@@ -57,7 +58,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer graphblas.Finalize()
-	graphblas.SetScheduler(graphblas.SchedDag)
 
 	g := generate.RMAT(*scale, *ef, *seed).Dedup(true)
 	var preload *stream.Batch[float64]
@@ -68,43 +68,23 @@ func main() {
 		}
 	}
 
-	var backend serve.Backend
-	if *shards > 1 {
-		st, err := shard.NewStore(shard.Config{N: g.N, Shards: *shards})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if preload != nil {
-			if err := st.Ingest(preload); err != nil {
-				log.Fatal(err)
-			}
-			if err := st.Compact(); err != nil {
-				log.Fatal(err)
-			}
-		}
-		backend = serve.NewShardedBackend(st)
-		log.Printf("sharded store: %d shards (%s partition)", st.ShardCount(), st.Plan().Strategy)
-	} else {
-		eng, err := serve.NewEngine(serve.Config{N: g.N})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if preload != nil {
-			if err := eng.Ingest(preload); err != nil {
-				log.Fatal(err)
-			}
-			if err := eng.Compact(); err != nil {
-				log.Fatal(err)
-			}
-		}
-		backend = serve.NewEngineBackend(eng)
+	st, err := shard.NewStore(shard.Config{N: g.N, Shards: *shards})
+	if err != nil {
+		log.Fatal(err)
 	}
+	log.Printf("store: %d shards (%s partition)", st.ShardCount(), st.Plan().Strategy)
 	if preload != nil {
+		if err := st.Ingest(preload); err != nil {
+			log.Fatal(err)
+		}
+		if err := st.Compact(); err != nil {
+			log.Fatal(err)
+		}
 		log.Printf("preloaded RMAT scale %d: %d vertices, %d edges", *scale, g.N, len(g.Edges))
 	}
 
 	s := serve.NewServer(serve.Options{
-		Backend:        backend,
+		Backend:        serve.NewShardedBackend(st),
 		MaxConcurrent:  *maxConc,
 		MaxQueue:       *maxQueue,
 		DefaultTimeout: *timeout,

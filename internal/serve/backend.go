@@ -2,93 +2,96 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"fmt"
 
-	"graphblas/internal/core"
+	"graphblas/internal/shard"
 	"graphblas/internal/stream"
 )
 
-// Backend is the graph store behind the HTTP layer. Two implementations
-// exist: the single-engine path (NewEngineBackend, wrapping *Engine) and the
-// horizontally sharded path (NewShardedBackend, wrapping a *shard.Store whose
-// every shard owns an independent engine instance). The handler spine —
-// admission, deadlines, retries, degradation — and the queries themselves are
-// backend-agnostic: a sharded deployment inherits the whole resilience
-// ladder, with the scatter-gather fan-out hidden behind the view's VxM.
-type Backend interface {
-	// View pins one consistent read view. The bool reports staleness — the
-	// backend degraded to its last good view instead of failing.
-	View(ctx context.Context) (View, bool, error)
-	// Ingest applies one sealed update batch atomically (all-shards-or-none
-	// on the sharded path).
-	Ingest(b *stream.Batch[float64]) error
-	// N is the vertex-space dimension.
-	N() int
-	// Shards is the partition width (1 for the single-engine path) — the
-	// fan-out stamped on request spans.
-	Shards() int
-	// Health reports backend-specific liveness fields for /healthz.
-	Health() map[string]any
-	// Drain flushes pending engine work at shutdown.
-	Drain(ctx context.Context) error
+// The serving layer's ingest taxonomy is the store's own. ErrBackpressure is
+// a clean reject — no shard absorbed anything, the writer should back off —
+// mapped to 503 with Retry-After. ErrIndeterminate is a partial apply
+// converging via redo, mapped to 500 with X-Graphblas-Indeterminate so a
+// client (and the chaos oracle) models the batch as "may appear in a later
+// epoch" rather than "never happened".
+var (
+	ErrBackpressure  = shard.ErrBackpressure
+	ErrIndeterminate = shard.ErrIndeterminate
+)
+
+// Backend adapts the graph store to the HTTP layer. The handler spine —
+// admission, deadlines, retries, degradation — and the queries themselves do
+// not know the shard count: any deployment inherits the whole resilience
+// ladder, with the scatter-gather fan-out (when there is more than one shard)
+// hidden behind the view's VxM.
+type Backend struct {
+	st *shard.Store
 }
 
-// pinned is the little a query needs from a pinned store state. *Snapshot
-// answers from one engine; *shard.Snapshot differs only in VxM, which it
-// answers by scatter-gather over its shards' engines.
-type pinned interface {
-	// Epoch is the consistency token responses carry in X-Graphblas-Epoch.
-	Epoch() uint64
-	// Dims reports the vertex-space dimension and the stored-edge count.
-	Dims() (n, nvals int)
-	// VxM returns inᵀA as a new vector in the coordinator's context.
-	VxM(ctx context.Context, in *core.Vector[float64]) (*core.Vector[float64], error)
-	// OutDegrees returns the out-degree vector, built once per pinned state.
-	OutDegrees(ctx context.Context) (*core.Vector[float64], error)
-	// Sym returns the symmetrized, loop-free boolean pattern, built once per
-	// pinned state.
-	Sym(ctx context.Context) (*core.Matrix[bool], error)
+// NewShardedBackend wraps a store as the serving backend.
+func NewShardedBackend(st *shard.Store) Backend { return Backend{st: st} }
+
+// Config, NewEngine and NewEngineBackend are the one-shard spelling of
+// shard.Config, shard.NewStore and NewShardedBackend, kept because the
+// benchmark of record builds its serve-read workload through these names; a
+// later benchmark PR may drop them.
+type Config = shard.Config
+
+// NewEngine builds a one-shard store (see Config).
+func NewEngine(cfg Config) (*shard.Store, error) {
+	cfg.Shards = 1
+	return shard.NewStore(cfg)
 }
+
+// NewEngineBackend is NewShardedBackend (see Config).
+func NewEngineBackend(st *shard.Store) Backend { return NewShardedBackend(st) }
 
 // View is one pinned, immutable read view: every query a request can ask
-// (KHop, PPRTopK, Stats, Degree — query.go), answered at a single epoch.
-type View struct{ g pinned }
+// (KHop, PPRTopK, Stats, Degree — query.go), answered at a single
+// acknowledged version of the store.
+type View struct{ g *shard.Snapshot }
 
-// Epoch is the consistency token of the pinned state.
+// Epoch is the consistency token responses carry in X-Graphblas-Epoch.
 func (v View) Epoch() uint64 { return v.g.Epoch() }
 
-// engineBackend adapts the single-engine store to the Backend interface.
-type engineBackend struct {
-	eng *Engine
-}
-
-// NewEngineBackend wraps an Engine as a serving backend.
-func NewEngineBackend(eng *Engine) Backend { return engineBackend{eng: eng} }
-
-func (b engineBackend) View(ctx context.Context) (View, bool, error) {
-	snap, stale, err := b.eng.Snapshot(ctx)
+// View pins one consistent read view. The bool reports staleness — the store
+// degraded to its last good snapshot instead of failing.
+func (b Backend) View(ctx context.Context) (View, bool, error) {
+	snap, stale, err := b.st.Snapshot(ctx)
 	if snap == nil {
 		return View{}, false, err
 	}
 	return View{snap}, stale, err
 }
 
-func (b engineBackend) Ingest(batch *stream.Batch[float64]) error { return b.eng.Ingest(batch) }
+// Ingest applies one sealed update batch through the all-shards-or-none
+// commit. A writer blocked behind a draining redo backlog is, like
+// backpressure, a clean reject to retry later (503).
+func (b Backend) Ingest(batch *stream.Batch[float64]) error {
+	err := b.st.Ingest(batch)
+	if errors.Is(err, shard.ErrRedoBlocked) {
+		return fmt.Errorf("%w: %v", ErrBackpressure, err)
+	}
+	return err
+}
 
-func (b engineBackend) N() int { return b.eng.cfg.N }
+// N is the vertex-space dimension.
+func (b Backend) N() int { return b.st.N() }
 
-func (b engineBackend) Shards() int { return 1 }
+// Shards is the partition width — the fan-out stamped on request spans.
+func (b Backend) Shards() int { return b.st.ShardCount() }
 
-func (b engineBackend) Health() map[string]any {
-	//grblint:ignore swallowederr liveness must answer even over a poisoned store; zero values are the honest degraded report
-	epoch, _ := b.eng.Matrix().EpochID()
-	//grblint:ignore swallowederr liveness must answer even over a poisoned store; zero values are the honest degraded report
-	delta, _ := b.eng.Matrix().DeltaNVals()
+// Health reports the store's liveness fields for /healthz.
+func (b Backend) Health() map[string]any {
 	return map[string]any{
-		"backend": "engine",
-		"breaker": b.eng.Breaker().State(),
-		"epoch":   epoch,
-		"delta":   delta,
+		"shards":  b.st.Status(),
+		"version": b.st.Version(),
+		"frozen":  b.st.Frozen(),
+		"redo":    b.st.RedoDepth(),
+		"breaker": b.st.BreakerState(),
 	}
 }
 
-func (b engineBackend) Drain(ctx context.Context) error { return core.WaitContext(ctx) }
+// Drain flushes pending engine work at shutdown.
+func (b Backend) Drain(ctx context.Context) error { return b.st.Drain(ctx) }

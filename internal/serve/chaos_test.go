@@ -15,6 +15,7 @@ import (
 	"graphblas/internal/faults"
 	"graphblas/internal/generate"
 	"graphblas/internal/refalgo"
+	"graphblas/internal/shard"
 )
 
 // The chaos harness: injected kernel faults on the query sites plus tight
@@ -109,12 +110,12 @@ func TestChaosNeverWrong(t *testing.T) {
 		numWorkers = 6
 		perWorker  = 50
 	)
-	eng, err := NewEngine(Config{N: n, CompactAfter: 120, ShedDelta: 2048})
+	st, err := shard.NewStore(shard.Config{N: n, Shards: 1, CompactAfter: 120, ShedDelta: 2048})
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("NewStore: %v", err)
 	}
 	s := NewServer(Options{
-		Engine:        eng,
+		Backend:       NewShardedBackend(st),
 		MaxConcurrent: 3,
 		MaxQueue:      4,
 		RetrySeed:     0xC4A05,
@@ -325,5 +326,5 @@ func TestChaosNeverWrong(t *testing.T) {
 	t.Logf("chaos: %d recorded 200s over %d acknowledged prefixes; status counts %v; stale=%d retried=%d shed=%d recovered=%d breakerOpens=%d",
 		len(responses), len(history), status,
 		int(StaleServed.Value()), int(Retried.Value()), int(Shed.Value()),
-		int(StoreRecovered.Value()), int(BreakerOpens.Value()))
+		int(shard.StoreRecovered.Value()), int(shard.BreakerOpens.Value()))
 }

@@ -30,10 +30,4 @@ var (
 		"Responses served with reduced quality (capped iterations) under load.")
 	StaleServed = obs.NewCounter("graphblas_serve_stale_total",
 		"Responses served from a previously pinned epoch because a fresh pin was unavailable.")
-	BreakerOpens = obs.NewCounter("graphblas_serve_breaker_opens_total",
-		"Circuit-breaker transitions into the open state.")
-	IngestThrottled = obs.NewCounter("graphblas_serve_ingest_throttled_total",
-		"Ingest batches rejected by delta-overlay backpressure.")
-	StoreRecovered = obs.NewCounter("graphblas_serve_store_recovered_total",
-		"Writer revalidations of the streaming store after an abandoned or failed absorb.")
 )

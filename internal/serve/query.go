@@ -10,21 +10,20 @@ import (
 	"graphblas/internal/core"
 )
 
-// The query routines are written once against the pinned interface — the
-// single engine and the sharded store differ only in how they answer VxM —
-// and thread the request context through every flush: each frontier
-// expansion / power-iteration sweep ends in WaitContext(ctx), so an expired
-// deadline stops the DAG scheduler from dispatching further kernels instead
-// of letting the request burn engine time it can no longer use. Cancellation
-// surfaces as a Canceled-class error, which the retry layer classifies as
-// transient.
+// The query routines are written once against the store's snapshot — shard
+// counts differ only in how the snapshot answers VxM — and thread the request
+// context through every flush: each frontier expansion / power-iteration
+// sweep ends in WaitContext(ctx), so an expired deadline stops the DAG
+// scheduler from dispatching further kernels instead of letting the request
+// burn engine time it can no longer use. Cancellation surfaces as a
+// Canceled-class error, which the retry layer classifies as transient.
 
 // KHop returns every vertex reachable from src within at most k hops
 // (including src), ascending. It is the BFS frontier loop of the paper's
 // Figure 3 with a hop budget: frontier ← frontierᵀA per sweep, reached mass
 // accumulated across sweeps.
 func (v View) KHop(ctx context.Context, src, k int) ([]int, error) {
-	n, _ := v.g.Dims()
+	n := v.g.N
 	frontier, err := core.NewVector[float64](n)
 	if err != nil {
 		return nil, err
@@ -95,7 +94,7 @@ type Ranked struct {
 // precision for latency. The achieved sweep count is returned so responses
 // can report how degraded they are.
 func (v View) PPRTopK(ctx context.Context, src, k int, damping, tol float64, maxIter int) ([]Ranked, int, error) {
-	n, _ := v.g.Dims()
+	n := v.g.N
 	outdeg, err := v.g.OutDegrees(ctx)
 	if err != nil {
 		return nil, 0, err
@@ -216,8 +215,8 @@ type GraphStats struct {
 // is coarse here (checked before and at the closing flush), matching the C
 // API's rule that a method already executing runs to completion.
 func (v View) Stats(ctx context.Context) (GraphStats, error) {
-	n, nvals := v.g.Dims()
-	st := GraphStats{Nodes: n, Edges: nvals}
+	n := v.g.N
+	st := GraphStats{Nodes: n, Edges: v.g.NVals}
 	if ctx != nil && ctx.Err() != nil {
 		return st, errCanceledBefore(ctx)
 	}

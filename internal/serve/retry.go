@@ -6,36 +6,13 @@ import (
 	"sync"
 	"time"
 
-	"graphblas/internal/core"
+	"graphblas/internal/shard"
 )
 
-// IsTransient classifies an engine error as worth retrying. The taxonomy
-// follows the engine's own recovery model: execution-class failures leave the
-// output invalid but the system healthy — a fresh attempt against fresh
-// output objects can succeed — while API-class errors (dimension mismatch,
-// bad index, …) are deterministic and retrying them only burns the deadline.
-//
-//   - Canceled: a shared-queue flush was abandoned by some request's
-//     deadline; the abandoned work may belong to a different request than
-//     the one that timed out, so retrying is the designed recovery.
-//   - InvalidObject: an input was poisoned by a concurrent failure; rebuilt
-//     inputs on the next attempt are clean.
-//   - OutOfMemory / Panic: the engine rolled the output back to its prior
-//     committed state (PR 2's fault model); transient by construction.
-func IsTransient(err error) bool {
-	if err == nil {
-		return false
-	}
-	switch core.InfoOf(err) {
-	case core.Canceled, core.InvalidObject, core.OutOfMemory, core.PanicInfo:
-		return true
-	}
-	return false
-}
-
-// Retrier re-runs transient-failing work with jittered exponential backoff.
-// The jitter source is seeded, so a load test replays the same backoff
-// schedule run to run.
+// Retrier re-runs transient-failing work (shard.IsTransient, the taxonomy the
+// store's own writer uses) with jittered exponential backoff. The jitter
+// source is seeded, so a load test replays the same backoff schedule run to
+// run.
 type Retrier struct {
 	Attempts int           // total tries, including the first
 	Base     time.Duration // first backoff; doubles per retry
@@ -80,7 +57,7 @@ func (r *Retrier) Do(ctx context.Context, f func(context.Context) error) (int, e
 	var err error
 	for attempt := 1; ; attempt++ {
 		err = f(ctx)
-		if err == nil || !IsTransient(err) || attempt >= r.Attempts {
+		if err == nil || !shard.IsTransient(err) || attempt >= r.Attempts {
 			return attempt, err
 		}
 		if ctx != nil && ctx.Err() != nil {

@@ -43,12 +43,7 @@ import (
 
 // Options configures a Server. Zero values get serving-sensible defaults.
 type Options struct {
-	// Engine is the single-engine store; it is wrapped in NewEngineBackend
-	// when Backend is nil.
-	Engine *Engine
-	// Backend, when set, overrides Engine — the sharded path passes
-	// NewShardedBackend here and the whole resilience ladder applies
-	// unchanged to scatter-gather execution.
+	// Backend is the graph store the server answers from (required).
 	Backend Backend
 
 	// MaxConcurrent bounds simultaneously executing requests (default 4).
@@ -117,17 +112,12 @@ type Server struct {
 	ready   atomic.Bool
 }
 
-// NewServer assembles the server around a Backend (or an Engine, wrapped as
-// the single-engine backend).
+// NewServer assembles the server around opt.Backend.
 func NewServer(opt Options) *Server {
 	opt = opt.withDefaults()
-	be := opt.Backend
-	if be == nil {
-		be = NewEngineBackend(opt.Engine)
-	}
 	s := &Server{
 		opt:     opt,
-		be:      be,
+		be:      opt.Backend,
 		adm:     NewAdmission(opt.MaxConcurrent, opt.MaxQueue),
 		retrier: NewRetrier(opt.RetrySeed, opt.RetryAttempts, opt.RetryBase, opt.RetryMax),
 		mux:     http.NewServeMux(),

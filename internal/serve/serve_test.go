@@ -17,6 +17,7 @@ import (
 	"graphblas/internal/faults"
 	"graphblas/internal/generate"
 	"graphblas/internal/refalgo"
+	"graphblas/internal/shard"
 	"graphblas/internal/stream"
 )
 
@@ -45,27 +46,15 @@ func resetCore(t *testing.T) {
 	})
 }
 
-// newTestServer builds an engine over the RMAT graph and ingests every edge
-// through the streaming path, compacted at the end so queries start from a
-// clean epoch.
-func newTestServer(t *testing.T, g *generate.Graph, opt Options) (*Server, *Engine) {
+// newTestServer builds a server over a one-shard store holding the graph,
+// compacted so queries start from a clean epoch.
+func newTestServer(t *testing.T, g *generate.Graph, opt Options) (*Server, *shard.Store) {
 	t.Helper()
-	eng, err := NewEngine(Config{N: g.N})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	b := stream.NewBatch[float64]()
-	for _, e := range g.Edges {
-		b.Insert(e.Src, e.Dst, 1)
-	}
-	if err := eng.Ingest(b); err != nil {
-		t.Fatalf("Ingest: %v", err)
-	}
-	if err := eng.Compact(); err != nil {
+	s, st := newShardedServer(t, g, 1, opt)
+	if err := st.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	opt.Engine = eng
-	return NewServer(opt), eng
+	return s, st
 }
 
 // get performs one in-process request and decodes the JSON body.
@@ -144,56 +133,20 @@ func TestAdmissionShedAndDrain(t *testing.T) {
 	}
 }
 
-func TestBreakerAutomaton(t *testing.T) {
-	b := NewBreaker(2, time.Minute)
-	clock := time.Unix(0, 0)
-	b.now = func() time.Time { return clock }
-
-	if !b.Allow() || b.State() != "closed" {
-		t.Fatal("new breaker must be closed")
-	}
-	boom := errors.New("boom")
-	b.Record(boom)
-	if !b.Allow() {
-		t.Fatal("one failure under threshold must not trip")
-	}
-	b.Record(boom)
-	if b.Allow() || b.State() != "open" {
-		t.Fatal("threshold failures must open the breaker")
-	}
-	// Cooldown elapses: one probe allowed (half-open); failure re-opens.
-	clock = clock.Add(2 * time.Minute)
-	if !b.Allow() || b.State() != "half-open" {
-		t.Fatal("cooldown must allow a probe")
-	}
-	b.Record(boom)
-	if b.Allow() {
-		t.Fatal("failed probe must re-open immediately")
-	}
-	clock = clock.Add(2 * time.Minute)
-	if !b.Allow() {
-		t.Fatal("second cooldown must allow another probe")
-	}
-	b.Record(nil)
-	if !b.Allow() || b.State() != "closed" {
-		t.Fatal("successful probe must close the breaker")
-	}
-}
-
 func TestRetrierTransientClassification(t *testing.T) {
 	transient := []core.Info{core.Canceled, core.InvalidObject, core.OutOfMemory, core.PanicInfo}
 	for _, info := range transient {
-		if !IsTransient(&core.Error{Info: info, Op: "x"}) {
+		if !shard.IsTransient(&core.Error{Info: info, Op: "x"}) {
 			t.Errorf("%v must be transient", info)
 		}
 	}
 	permanent := []core.Info{core.DimensionMismatch, core.InvalidIndex, core.DomainMismatch, core.InvalidValue}
 	for _, info := range permanent {
-		if IsTransient(&core.Error{Info: info, Op: "x"}) {
+		if shard.IsTransient(&core.Error{Info: info, Op: "x"}) {
 			t.Errorf("%v must not be transient", info)
 		}
 	}
-	if IsTransient(nil) {
+	if shard.IsTransient(nil) {
 		t.Error("nil error must not be transient")
 	}
 }
@@ -312,8 +265,8 @@ func TestServerPPRRanksRestartVertexFirst(t *testing.T) {
 func TestQueryDeadlineCancelsSweeps(t *testing.T) {
 	resetCore(t)
 	g := generate.RMAT(7, 8, 5).Dedup(true)
-	_, eng := newTestServer(t, g, Options{})
-	snap, stale, err := eng.Snapshot(context.Background())
+	_, st := newTestServer(t, g, Options{})
+	snap, stale, err := st.Snapshot(context.Background())
 	if err != nil || stale {
 		t.Fatalf("snapshot: stale=%v err=%v", stale, err)
 	}
@@ -328,66 +281,82 @@ func TestQueryDeadlineCancelsSweeps(t *testing.T) {
 
 // --- degradation ladder ---
 
+// TestIngestBackpressure: with the compactor jammed — every compaction
+// faults, so after three in a row the breaker opens and skips the rest — the
+// delta overlay only grows, and past the shed watermark ingest answers 503 +
+// Retry-After and counts the rejection, at any shard count.
 func TestIngestBackpressure(t *testing.T) {
-	resetCore(t)
-	eng, err := NewEngine(Config{N: 32, CompactAfter: 4, ShedDelta: 8})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	// Jam the compactor: an open breaker skips every compaction attempt, so
-	// the delta overlay can only grow.
-	for i := 0; i < 3; i++ {
-		eng.breaker.Record(errors.New("jammed"))
-	}
-	if eng.breaker.State() != "open" {
-		t.Fatal("breaker must be open")
-	}
-	s := NewServer(Options{Engine: eng})
-	var saw503 bool
-	for i := 0; i < 8 && !saw503; i++ {
-		b := `{"inserts":[`
-		for e := 0; e < 4; e++ {
-			if e > 0 {
-				b += ","
-			}
-			b += "[" + itoa((i*4+e)%32) + "," + itoa((i*7+e+1)%32) + ",1]"
+	for _, shards := range []int{1, 2} {
+		resetCore(t)
+		st, err := shard.NewStore(shard.Config{N: 32, Shards: shards, CompactAfter: 4, ShedDelta: 8})
+		if err != nil {
+			t.Fatalf("NewStore: %v", err)
 		}
-		b += `]}`
-		code, hdr := post(t, s, "/ingest", b)
-		switch code {
-		case http.StatusOK:
-		case http.StatusServiceUnavailable:
-			saw503 = true
-			if hdr.Get("Retry-After") == "" {
-				t.Fatal("backpressure 503 missing Retry-After")
+		s := NewServer(Options{Backend: NewShardedBackend(st)})
+		faults.Configure(1, faults.Rule{Site: "Matrix.Compact", Kind: faults.KernelErr})
+		throttled, opens := shard.IngestThrottled.Value(), shard.BreakerOpens.Value()
+		var shed int64
+		for i := 0; i < 12; i++ {
+			b := `{"inserts":[`
+			for e := 0; e < 4; e++ {
+				if e > 0 {
+					b += ","
+				}
+				b += "[" + itoa((i*4+e)%32) + "," + itoa((i*7+e+1)%32) + ",1]"
 			}
-		default:
-			t.Fatalf("ingest: unexpected status %d", code)
+			b += `]}`
+			code, hdr := post(t, s, "/ingest", b)
+			switch code {
+			case http.StatusOK:
+			case http.StatusServiceUnavailable:
+				shed++
+				if hdr.Get("Retry-After") == "" {
+					t.Fatal("backpressure 503 missing Retry-After")
+				}
+			default:
+				t.Fatalf("%d shards: ingest: unexpected status %d", shards, code)
+			}
 		}
-	}
-	if !saw503 {
-		t.Fatal("overlay never hit the shed watermark")
+		faults.Disable()
+		if shed == 0 {
+			t.Fatalf("%d shards: overlay never hit the shed watermark", shards)
+		}
+		if got := shard.IngestThrottled.Value() - throttled; got != shed {
+			t.Fatalf("%d shards: throttled counter moved by %v over %v 503s", shards, got, shed)
+		}
+		if shard.BreakerOpens.Value() <= opens {
+			t.Fatalf("%d shards: jammed compactor never opened the breaker", shards)
+		}
+		if _, _, hz := get(t, s, "/healthz"); hz["breaker"] != "open" {
+			t.Fatalf("%d shards: healthz breaker = %v, want open", shards, hz["breaker"])
+		}
 	}
 }
 
-// TestStaleFallback: when the writer store is poisoned (injected fault on
-// the absorb path), pinning fails — the server degrades to the last good
-// snapshot and stamps the staleness header instead of failing reads.
+// TestStaleFallback: when the writer's store is poisoned (an injected fault
+// fails every attempt of an absorb, so the batch is cleanly rejected and the
+// shard left invalid), pinning a newer version fails — the server degrades
+// to the last good snapshot and stamps the staleness header instead of
+// failing reads.
 func TestStaleFallback(t *testing.T) {
 	resetCore(t)
 	g := generate.RMAT(5, 4, 7).Dedup(true)
-	s, eng := newTestServer(t, g, Options{})
-	// Warm the snapshot cache with a healthy read.
+	s, st := newTestServer(t, g, Options{})
+	// Warm the snapshot cache with a healthy read, then move the store past
+	// it so the next read has to pin afresh.
 	if code, _, _ := get(t, s, "/query/khop?src=0&k=1"); code != http.StatusOK {
 		t.Fatalf("warm query failed: %d", code)
 	}
-	faults.Configure(3, faults.Rule{Site: "Matrix.ApplyUpdateBatch", Kind: faults.OOM, Times: 1})
-	defer faults.Disable()
 	b := stream.NewBatch[float64]()
 	b.Insert(1, 2, 1)
-	// The enqueue succeeds; the fault fires when the flush absorbs it.
-	if err := eng.Matrix().ApplyUpdateBatch(b); err != nil {
-		t.Fatalf("enqueue batch: %v", err)
+	if err := st.Ingest(b); err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	faults.Configure(3, faults.Rule{Site: "Matrix.ApplyUpdateBatch", Kind: faults.OOM})
+	err := st.Ingest(b)
+	faults.Disable()
+	if err == nil || errors.Is(err, ErrIndeterminate) || st.Frozen() {
+		t.Fatalf("faulted ingest: err=%v frozen=%v, want a clean reject", err, st.Frozen())
 	}
 	code, hdr, _ := get(t, s, "/query/khop?src=0&k=1")
 	if code != http.StatusOK {
@@ -399,13 +368,11 @@ func TestStaleFallback(t *testing.T) {
 	// Reads never clear the invalid mark — only the writer may, because only
 	// it knows which batch the rollback dropped. Its next ingest revalidates
 	// the store, re-applies, and fresh reads resume.
-	recovered := StoreRecovered.Value()
-	b2 := stream.NewBatch[float64]()
-	b2.Insert(1, 2, 1)
-	if err := eng.Ingest(b2); err != nil {
+	recovered := shard.StoreRecovered.Value()
+	if err := st.Ingest(b); err != nil {
 		t.Fatalf("recovery ingest: %v", err)
 	}
-	if StoreRecovered.Value() <= recovered {
+	if shard.StoreRecovered.Value() <= recovered {
 		t.Fatal("recovery ingest did not revalidate the store")
 	}
 	code, hdr, _ = get(t, s, "/query/khop?src=1&k=1")

@@ -39,7 +39,8 @@ func newShardedServer(t *testing.T, g *generate.Graph, shards int, opt Options) 
 }
 
 // TestShardedServerMatchesSingleEngine: the same endpoints over the same
-// graph answer identically whether the backend is one engine or four — the
+// graph answer identically whether the store has one shard (the engine's own
+// VxM, itself held to refalgo by TestServer*MatchesOracle) or four — the
 // HTTP-level differential for the whole scatter-gather stack.
 func TestShardedServerMatchesSingleEngine(t *testing.T) {
 	resetCore(t)
@@ -59,7 +60,8 @@ func TestShardedServerMatchesSingleEngine(t *testing.T) {
 		if c1 != http.StatusOK || c2 != http.StatusOK {
 			t.Fatalf("%s: single %d, sharded %d", url, c1, c2)
 		}
-		// Epoch tokens are backend-specific; everything else must agree.
+		// Epoch tokens count each store's own commits (single compacted once
+		// more); everything else must agree.
 		delete(b1, "epoch")
 		delete(b2, "epoch")
 		j1, _ := json.Marshal(b1)
@@ -99,22 +101,31 @@ func TestShardedServerMatchesSingleEngine(t *testing.T) {
 		}
 	}
 
-	// Sharded health reports the partition.
-	_, _, hz := get(t, sharded, "/healthz")
-	if hz["backend"] != "sharded" {
-		t.Fatalf("healthz backend = %v", hz["backend"])
-	}
-	if shardsAny, ok := hz["shards"].([]any); !ok || len(shardsAny) != 4 {
-		t.Fatalf("healthz shards = %v, want 4 entries", hz["shards"])
+	// Health has one shape at every shard count, and reports the partition.
+	for srv, want := range map[*Server]int{single: 1, sharded: 4} {
+		_, _, hz := get(t, srv, "/healthz")
+		if shardsAny, ok := hz["shards"].([]any); !ok || len(shardsAny) != want {
+			t.Fatalf("healthz shards = %v, want %d entries", hz["shards"], want)
+		}
+		if hz["breaker"] != "closed" || hz["frozen"] != false {
+			t.Fatalf("healthz breaker = %v frozen = %v on a healthy store", hz["breaker"], hz["frozen"])
+		}
 	}
 }
 
-// TestShardedIngestRoundTrip: writes through the sharded /ingest land in
-// subsequent reads, and the epoch token advances.
+// TestShardedIngestRoundTrip: writes through /ingest land in subsequent
+// reads, and the epoch token advances with every acknowledged write —
+// compacted or not, at any shard count.
 func TestShardedIngestRoundTrip(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		testIngestRoundTrip(t, shards)
+	}
+}
+
+func testIngestRoundTrip(t *testing.T, shards int) {
 	resetCore(t)
 	g := &generate.Graph{N: 32}
-	s, _ := newShardedServer(t, g, 4, Options{})
+	s, _ := newShardedServer(t, g, shards, Options{})
 
 	code, _ := post(t, s, "/ingest", `{"inserts":[[0,1,1],[1,2,1],[31,3,1]]}`)
 	if code != http.StatusOK {
@@ -145,10 +156,10 @@ func TestShardedIngestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardedIngestIndeterminateHeader: a commit that fails on shards is not
-// acknowledged — 500 with X-Graphblas-Indeterminate — the frozen store serves
-// reads from its last acknowledged snapshot, stamped and counted as stale,
-// and it recovers by redo on the next clean write, after which the batch IS
+// TestShardedIngestIndeterminateHeader: a commit that fails on some of its
+// shards is not acknowledged — 500 with X-Graphblas-Indeterminate — the
+// frozen store serves reads from its last acknowledged snapshot, stamped and
+// counted as stale, and it recovers by redo on the next clean write, after which the batch IS
 // visible: exactly the "may appear in a later epoch" contract the header
 // advertises.
 func TestShardedIngestIndeterminateHeader(t *testing.T) {
@@ -160,9 +171,11 @@ func TestShardedIngestIndeterminateHeader(t *testing.T) {
 		t.Fatalf("warm query: %d", code)
 	}
 
-	// Every absorb attempt fails: all owning shards exhaust their at-least-
-	// once retries, the batch queues for redo.
-	faults.Configure(5, faults.Rule{Site: "stream.kernel.absorb", Kind: faults.KernelErr})
+	// The batch has two owning shards of three attempts each, and the first
+	// five absorbs fail: however the two interleave, one exhausts its
+	// at-least-once retries and queues for redo, the other commits on its
+	// third.
+	faults.Configure(5, faults.Rule{Site: "stream.kernel.absorb", Kind: faults.KernelErr, Times: 5})
 	code, h := post(t, s, "/ingest", `{"inserts":[[0,1,1],[15,2,1]]}`)
 	faults.Disable()
 	if code != http.StatusInternalServerError {

@@ -1,4 +1,4 @@
-package serve
+package shard
 
 import (
 	"sync"

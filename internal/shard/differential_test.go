@@ -1,11 +1,12 @@
-// Differential tests: the sharded store must be indistinguishable from a
-// single engine. Tuple-level state, k-hop sets, stats, degrees, and NVals
-// are required to be exactly equal at every shard count and strategy; PPR
-// scores may differ only by cross-shard float regrouping (1e-9) with equal
-// sweep counts. Both sides answer through serve.Backend.View — the one query
-// path — so what is compared is the scatter-gather VxM against the engine's.
-// The external test package lets the serving layer in without an import
-// cycle.
+// Differential tests: the store must be indistinguishable across shard
+// counts. The one-shard store — whose VxM is the engine's own, and which the
+// serving tests hold to refalgo — is the oracle; tuple-level state, k-hop
+// sets, stats, degrees, and NVals are required to be exactly equal to it at
+// shards {2,4} under both strategies; PPR scores may differ only by
+// cross-shard float regrouping (1e-9) with equal sweep counts. Both sides
+// answer through serve.Backend.View — the one query path — so what is
+// compared is the scatter-gather VxM against the engine's. The external test
+// package lets the serving layer in without an import cycle.
 package shard_test
 
 import (
@@ -15,10 +16,12 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"graphblas/internal/core"
+	"graphblas/internal/faults"
 	"graphblas/internal/generate"
 	"graphblas/internal/serve"
 	"graphblas/internal/shard"
@@ -33,8 +36,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// shardCounts is the equivalence matrix every differential test sweeps.
-var shardCounts = []int{1, 2, 4}
+// shardCounts is the equivalence matrix every differential test sweeps
+// against the one-shard oracle.
+var shardCounts = []int{2, 4}
 
 // strategies under test; Block is the deployment default.
 var strategies = []shard.Strategy{shard.Block, shard.Hash}
@@ -53,22 +57,27 @@ func edgeBatch(g *generate.Graph) *stream.Batch[float64] {
 	return b
 }
 
-// newOracle builds the single-engine reference store.
-func newOracle(t *testing.T, n int, batches ...*stream.Batch[float64]) *serve.Engine {
+// newOracle builds the one-shard reference store.
+func newOracle(t *testing.T, n int, batches ...*stream.Batch[float64]) *shard.Store {
 	t.Helper()
-	eng, err := serve.NewEngine(serve.Config{N: n})
-	if err != nil {
-		t.Fatalf("oracle engine: %v", err)
-	}
-	for _, b := range batches {
-		if err := eng.Ingest(b); err != nil {
-			t.Fatalf("oracle ingest: %v", err)
-		}
-	}
-	return eng
+	return newSharded(t, n, 1, shard.Block, batches...)
 }
 
-// newSharded builds the sharded store with the same batches.
+// snapshotTuples pins a fresh snapshot and gathers its row-major tuples.
+func snapshotTuples(t *testing.T, store *shard.Store) (*shard.Snapshot, []int, []int, []float64) {
+	t.Helper()
+	snap, stale, err := store.Snapshot(context.Background())
+	if err != nil || stale {
+		t.Fatalf("snapshot: stale=%v err=%v", stale, err)
+	}
+	r, c, v, err := snap.Tuples()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap, r, c, v
+}
+
+// newSharded builds a store of the given width with the same batches.
 func newSharded(t *testing.T, n, shards int, st shard.Strategy, batches ...*stream.Batch[float64]) *shard.Store {
 	t.Helper()
 	store, err := shard.NewStore(shard.Config{N: n, Shards: shards, Strategy: st})
@@ -106,13 +115,14 @@ func eachSharding(t *testing.T, g *generate.Graph, f func(name string, v serve.V
 }
 
 // TestShardedIngestTupleEquivalence: after the same streamed batch sequence —
-// inserts, overwrites, deletes, never compacted — the composed sharded state
-// is tuple-identical to the single engine at shard counts 1, 2, 4 under both
-// partition strategies.
+// inserts, overwrites, deletes, never compacted — the composed state at shard
+// counts 1, 2, 4 under both partition strategies is tuple-identical to what
+// the update stream itself defines: the last write per edge wins.
 func TestShardedIngestTupleEquivalence(t *testing.T) {
 	const n = 96
 	rng := rand.New(rand.NewSource(7))
 	var batches []*stream.Batch[float64]
+	model := map[[2]int]float64{}
 	for bi := 0; bi < 6; bi++ {
 		b := stream.NewBatch[float64]()
 		for k := 0; k < 200; k++ {
@@ -120,44 +130,36 @@ func TestShardedIngestTupleEquivalence(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0:
 				b.Delete(i, j)
+				delete(model, [2]int{i, j})
 			default:
-				b.Insert(i, j, float64(rng.Intn(9)+1))
+				w := float64(rng.Intn(9) + 1)
+				b.Insert(i, j, w)
+				model[[2]int{i, j}] = w
 			}
 		}
 		batches = append(batches, b)
 	}
-
-	oracle := newOracle(t, n, batches...)
-	osnap, stale, err := oracle.Snapshot(context.Background())
-	if err != nil || stale {
-		t.Fatalf("oracle snapshot: stale=%v err=%v", stale, err)
+	want := make([][2]int, 0, len(model))
+	for e := range model {
+		want = append(want, e)
 	}
-	or, oc, ov, err := osnap.Mat.ExtractTuples()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sort.Slice(want, func(a, b int) bool {
+		if want[a][0] != want[b][0] {
+			return want[a][0] < want[b][0]
+		}
+		return want[a][1] < want[b][1]
+	})
 
 	for _, strat := range strategies {
-		for _, sc := range shardCounts {
-			store := newSharded(t, n, sc, strat, batches...)
-			snap, stale, err := store.Snapshot(context.Background())
-			if err != nil || stale {
-				t.Fatalf("%v/%d: snapshot stale=%v err=%v", strat, sc, stale, err)
+		for _, sc := range []int{1, 2, 4} {
+			snap, sr, scc, sv := snapshotTuples(t, newSharded(t, n, sc, strat, batches...))
+			if len(sr) != len(want) || snap.NVals != len(want) {
+				t.Fatalf("%v/%d shards: %d tuples, NVals %d, model has %d", strat, sc, len(sr), snap.NVals, len(want))
 			}
-			sr, scc, sv, err := snap.Tuples()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(sr) != len(or) {
-				t.Fatalf("%v/%d shards: %d tuples, oracle has %d", strat, sc, len(sr), len(or))
-			}
-			if snap.NVals != len(or) {
-				t.Fatalf("%v/%d shards: NVals %d, want %d", strat, sc, snap.NVals, len(or))
-			}
-			for k := range sr {
-				if sr[k] != or[k] || scc[k] != oc[k] || sv[k] != ov[k] {
-					t.Fatalf("%v/%d shards: tuple %d = (%d,%d,%g), oracle (%d,%d,%g)",
-						strat, sc, k, sr[k], scc[k], sv[k], or[k], oc[k], ov[k])
+			for k, e := range want {
+				if sr[k] != e[0] || scc[k] != e[1] || sv[k] != model[e] {
+					t.Fatalf("%v/%d shards: tuple %d = (%d,%d,%g), model (%d,%d,%g)",
+						strat, sc, k, sr[k], scc[k], sv[k], e[0], e[1], model[e])
 				}
 			}
 		}
@@ -165,10 +167,10 @@ func TestShardedIngestTupleEquivalence(t *testing.T) {
 }
 
 // TestShardedKHopEquivalence: k-hop vertex sets are tuple-exact against the
-// single-engine BFS for a sweep of sources and hop budgets.
+// one-shard BFS for a sweep of sources and hop budgets.
 func TestShardedKHopEquivalence(t *testing.T) {
 	g := testGraph()
-	oracle := viewOf(t, serve.NewEngineBackend(newOracle(t, g.N, edgeBatch(g))))
+	oracle := viewOf(t, serve.NewShardedBackend(newOracle(t, g.N, edgeBatch(g))))
 	ctx := context.Background()
 
 	srcs := []int{0, 1, 17, g.N / 2, g.N - 1}
@@ -194,12 +196,12 @@ func TestShardedKHopEquivalence(t *testing.T) {
 
 // TestKHopStopsAtClosure: on a graph whose reachable set holds a cycle the
 // frontier never empties, so the hop loop must end when the visited set stops
-// growing — an absurd hop budget answers as k = n does, on both backends,
+// growing — an absurd hop budget answers as k = n does, on both VxM paths,
 // well inside the serving default timeout.
 func TestKHopStopsAtClosure(t *testing.T) {
 	g := generate.Cycle(48)
 	views := map[string]serve.View{
-		"engine":   viewOf(t, serve.NewEngineBackend(newOracle(t, g.N, edgeBatch(g)))),
+		"1 shard":  viewOf(t, serve.NewShardedBackend(newOracle(t, g.N, edgeBatch(g)))),
 		"2 shards": viewOf(t, serve.NewShardedBackend(newSharded(t, g.N, 2, shard.Block, edgeBatch(g)))),
 	}
 	for name, v := range views {
@@ -223,7 +225,7 @@ func TestKHopStopsAtClosure(t *testing.T) {
 // per-vertex degrees are exact at every shard count.
 func TestShardedStatsAndDegreeEquivalence(t *testing.T) {
 	g := testGraph()
-	oracle := viewOf(t, serve.NewEngineBackend(newOracle(t, g.N, edgeBatch(g))))
+	oracle := viewOf(t, serve.NewShardedBackend(newOracle(t, g.N, edgeBatch(g))))
 	ctx := context.Background()
 	want, err := oracle.Stats(ctx)
 	if err != nil {
@@ -257,13 +259,13 @@ func TestShardedStatsAndDegreeEquivalence(t *testing.T) {
 	})
 }
 
-// TestShardedPPREquivalence: personalized PageRank agrees with the single
-// engine to summation tolerance (1e-9 per score) with identical sweep
+// TestShardedPPREquivalence: personalized PageRank agrees with one shard
+// to summation tolerance (1e-9 per score) with identical sweep
 // counts — the only sharded query where exactness is relaxed, and only
 // because the coordinator's gather regroups cross-shard float additions.
 func TestShardedPPREquivalence(t *testing.T) {
 	g := testGraph()
-	oracle := viewOf(t, serve.NewEngineBackend(newOracle(t, g.N, edgeBatch(g))))
+	oracle := viewOf(t, serve.NewShardedBackend(newOracle(t, g.N, edgeBatch(g))))
 	ctx := context.Background()
 
 	for _, src := range []int{0, 3, g.N / 2} {
@@ -303,19 +305,32 @@ func TestShardedPPREquivalence(t *testing.T) {
 // TestShardedPPROpsPerSweepBounded: a sharded sweep hands each owning shard
 // its slice of the share vector as one Build, so the ops a PPR defers grow
 // with sweeps × shards and not with the vector's entries (hundreds per sweep
-// when the slice went in one SetElement per entry).
+// when the slice went in one SetElement per entry). One shard takes the
+// direct path: the whole PPR runs under a plan faulting every draw of the
+// coordination kernels without one being drawn.
 func TestShardedPPROpsPerSweepBounded(t *testing.T) {
 	g := testGraph()
-	const shards = 2
-	v := viewOf(t, serve.NewShardedBackend(newSharded(t, g.N, shards, shard.Block, edgeBatch(g))))
-	before := core.StatsSnapshot().OpsEnqueued
-	_, sweeps, err := v.PPRTopK(context.Background(), 0, 0, 0.85, 1e-6, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := core.StatsSnapshot().OpsEnqueued - before
-	if limit := int64(8 * sweeps * shards); sweeps < 5 || ops > limit {
-		t.Fatalf("%d-shard PPR enqueued %d ops over %d sweeps, want at most %d", shards, ops, sweeps, limit)
+	for _, shards := range []int{1, 2} {
+		v := viewOf(t, serve.NewShardedBackend(newSharded(t, g.N, shards, shard.Block, edgeBatch(g))))
+		if shards == 1 {
+			faults.Configure(1, faults.Rule{Site: "shard.kernel.*", Kind: faults.KernelErr})
+		}
+		before := core.StatsSnapshot().OpsEnqueued
+		_, sweeps, err := v.PPRTopK(context.Background(), 0, 0, 0.85, 1e-6, 50)
+		if err != nil {
+			t.Fatalf("%d-shard PPR: %v", shards, err)
+		}
+		if shards == 1 {
+			draws := faults.InjectedCount()
+			faults.Disable()
+			if draws != 0 {
+				t.Fatalf("one-shard PPR drew %d scatter/gather steps, want none", draws)
+			}
+		}
+		ops := core.StatsSnapshot().OpsEnqueued - before
+		if limit := int64(8 * sweeps * shards); sweeps < 5 || ops > limit {
+			t.Fatalf("%d-shard PPR enqueued %d ops over %d sweeps, want at most %d", shards, ops, sweeps, limit)
+		}
 	}
 }
 

@@ -3,7 +3,8 @@
 // error on the read path), and a partial per-shard commit failure must leave
 // the store frozen-but-convergent — the redo queue replays the missing
 // sub-batches before anything newer is acknowledged, and the final state is
-// what a single engine would hold after the same acknowledged sequence.
+// what one shard would hold after the same acknowledged sequence — while a
+// commit that failed on every shard it touched leaves nothing behind at all.
 package shard_test
 
 import (
@@ -108,12 +109,44 @@ func TestShardGatherGovernorOOM(t *testing.T) {
 	}
 }
 
+// TestShardTotalFailureCleanReject: when every shard a batch touches rolls it
+// back — with one shard, every failure — no shard holds any of it, so the
+// store rejects it like a routing fault: the cause surfaces unwrapped, reads
+// are not frozen, nothing queues for redo, the version stands, and the same
+// batch applies once the fault passes.
+func TestShardTotalFailureCleanReject(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		store := newSharded(t, 32, shards, shard.Block)
+		v0 := store.Version()
+		b := stream.NewBatch[float64]()
+		b.Insert(1, 2, 1)
+		b.Insert(30, 3, 1)
+
+		faults.Configure(1, faults.Rule{Site: "stream.kernel.absorb", Kind: faults.KernelErr})
+		err := store.Ingest(b)
+		faults.Disable()
+		if core.InfoOf(err) != core.PanicInfo || errors.Is(err, shard.ErrIndeterminate) {
+			t.Fatalf("%d shards: total failure = %v, want the bare kernel error", shards, err)
+		}
+		if store.Version() != v0 || store.Frozen() || store.RedoDepth() != 0 {
+			t.Fatalf("%d shards: clean reject left state: version %d→%d frozen=%v redo=%d",
+				shards, v0, store.Version(), store.Frozen(), store.RedoDepth())
+		}
+		if err := store.Ingest(b); err != nil {
+			t.Fatalf("%d shards: retry after fault window: %v", shards, err)
+		}
+		if snap, _, _, _ := snapshotTuples(t, store); snap.NVals != 2 {
+			t.Fatalf("%d shards: NVals = %d after clean retry, want 2", shards, snap.NVals)
+		}
+	}
+}
+
 // TestShardPartialFailureRedoConvergence drives randomized absorb faults
 // through the all-shards-or-none commit: unacknowledged batches freeze the
 // store (reads stay pinned to the last acknowledged composed snapshot) and
 // queue their failed sub-batches for redo; once faults stop, the next write
 // drains the redo queue first, and the final state is tuple-identical to a
-// single engine that applied every batch that entered the store, in order.
+// one-shard store that applied every batch that entered the store, in order.
 func TestShardPartialFailureRedoConvergence(t *testing.T) {
 	const n = 48
 	store := newSharded(t, n, 4, shard.Block)
@@ -170,9 +203,10 @@ func TestShardPartialFailureRedoConvergence(t *testing.T) {
 			if snap.Epoch() < base.Epoch() {
 				t.Fatalf("stale fallback went backwards: %d < %d", snap.Epoch(), base.Epoch())
 			}
-		case errors.Is(err, shard.ErrRedoBlocked):
+		case errors.Is(err, shard.ErrRedoBlocked), core.InfoOf(err) == core.PanicInfo:
 			// Clean reject: the redo drain itself faulted before this batch
-			// was routed anywhere. Not part of the oracle sequence.
+			// was routed anywhere, or every owning shard rolled it back. Not
+			// part of the oracle sequence.
 		default:
 			t.Fatalf("unexpected ingest error: %v", err)
 		}
@@ -193,23 +227,8 @@ func TestShardPartialFailureRedoConvergence(t *testing.T) {
 		t.Fatalf("store did not converge: frozen=%v redo=%d", store.Frozen(), store.RedoDepth())
 	}
 
-	oracle := newOracle(t, n, entered...)
-	osnap, stale, err := oracle.Snapshot(context.Background())
-	if err != nil || stale {
-		t.Fatalf("oracle snapshot: stale=%v err=%v", stale, err)
-	}
-	or, oc, ov, err := osnap.Mat.ExtractTuples()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, stale, err := store.Snapshot(context.Background())
-	if err != nil || stale {
-		t.Fatalf("converged snapshot: stale=%v err=%v", stale, err)
-	}
-	sr, sc, sv, err := snap.Tuples()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, or, oc, ov := snapshotTuples(t, newOracle(t, n, entered...))
+	_, sr, sc, sv := snapshotTuples(t, store)
 	if len(sr) != len(or) {
 		t.Fatalf("converged store holds %d tuples, oracle %d", len(sr), len(or))
 	}

@@ -11,15 +11,18 @@ import (
 )
 
 // Snapshot is one consistent composed read view: every shard's epoch pinned
-// at a single acknowledged version. Queries run against the snapshot's
-// per-shard matrices (each immutable, each bound to its shard's engine), so
-// a request observes one atomic prefix of the acknowledged update stream no
-// matter how the writer churns.
+// at a single acknowledged version. Queries never touch the live streaming
+// matrices — they run against the snapshot's per-shard matrices, each
+// immutable and shared read-only by every query on it, so a request observes
+// one atomic prefix of the acknowledged update stream no matter how the
+// writer churns.
 type Snapshot struct {
 	// Version is the acknowledged store version the composition is keyed by —
-	// also the epoch token served to clients (Epoch), since per-shard epoch
-	// counters advance independently and no single one names the composed
-	// state.
+	// also the epoch token served to clients (Epoch): a streaming epoch
+	// advances only on compaction and per shard, so no epoch counter names
+	// the composed state, and equal-sized overlays can differ in content
+	// (insert then delete of the same edge), which a size fingerprint would
+	// alias.
 	Version uint64
 	// Epochs records each shard's streaming epoch at pin time.
 	Epochs []uint64
@@ -28,9 +31,13 @@ type Snapshot struct {
 	N     int
 	NVals int
 
-	plan  Plan
-	mats  []*core.Matrix[float64] // per-shard pinned LocalRows(s)×N adjacency
-	insts []*core.Instance        // the owning engines, for query-side objects
+	plan Plan
+	// mats are the per-shard pinned LocalRows(s)×N adjacencies, each bound to
+	// its shard's engine (insts) — except that a one-shard snapshot exchanges
+	// nothing between engines, so its one N×N matrix lives in the
+	// coordinator's context, where the query's own vectors are.
+	mats  []*core.Matrix[float64]
+	insts []*core.Instance
 
 	mu     sync.Mutex
 	sym    *core.Matrix[bool]    // lazily gathered global symmetrized pattern
@@ -39,9 +46,6 @@ type Snapshot struct {
 
 // Epoch returns the token a response names its consistent state by.
 func (snap *Snapshot) Epoch() uint64 { return snap.Version }
-
-// Dims reports the global vertex-space dimension and stored-edge count.
-func (snap *Snapshot) Dims() (n, nvals int) { return snap.N, snap.NVals }
 
 // eachShard runs f once per shard, concurrently, and returns the first error
 // in shard order.
@@ -118,7 +122,8 @@ func errTorn(msg string) error {
 }
 
 // materialize pins every shard's epoch concurrently and builds the per-shard
-// snapshot matrices, each inside its own engine.
+// snapshot matrices, each inside its own engine (the coordinator's, with one
+// shard).
 func (st *Store) materialize(ctx context.Context) (*Snapshot, error) {
 	k := len(st.shards)
 	snap := &Snapshot{
@@ -136,14 +141,21 @@ func (st *Store) materialize(ctx context.Context) (*Snapshot, error) {
 			return err
 		}
 		rows, cols, vals := ep.Tuples()
-		mat, err := core.NewMatrixIn[float64](sh.inst, st.plan.LocalRows(sh.id), st.cfg.N)
+		var mat *core.Matrix[float64]
+		wait := sh.inst.WaitContext
+		if k == 1 {
+			mat, err = core.NewMatrix[float64](st.cfg.N, st.cfg.N)
+			wait = core.WaitContext
+		} else {
+			mat, err = core.NewMatrixIn[float64](sh.inst, st.plan.LocalRows(sh.id), st.cfg.N)
+		}
 		if err != nil {
 			return err
 		}
 		if err := mat.Build(rows, cols, vals, core.NoAccum[float64]()); err != nil {
 			return err
 		}
-		if err := sh.inst.WaitContext(ctx); err != nil {
+		if err := wait(ctx); err != nil {
 			return err
 		}
 		snap.Epochs[i] = ep.ID()
@@ -172,29 +184,35 @@ func (st *Store) fallback(err error) (*Snapshot, bool, error) {
 	return nil, false, err
 }
 
-// globalTuples gathers every shard's pinned tuples in shard order, rows
-// translated to global indices.
-func (snap *Snapshot) globalTuples() (ri, ci []int, vv []float64, err error) {
+// eachShardTuples hands f every shard's pinned tuples in shard order, rows
+// translated to global indices (in place: ExtractTuples returns copies).
+func (snap *Snapshot) eachShardTuples(f func(rows, cols []int, vals []float64)) error {
 	for s, mat := range snap.mats {
 		rows, cols, vals, err := mat.ExtractTuples()
 		if err != nil {
-			return nil, nil, nil, err
+			return err
 		}
-		for _, lr := range rows {
-			ri = append(ri, snap.plan.Global(s, lr))
+		for t, lr := range rows {
+			rows[t] = snap.plan.Global(s, lr)
 		}
-		ci = append(ci, cols...)
-		vv = append(vv, vals...)
+		f(rows, cols, vals)
 	}
-	return ri, ci, vv, nil
+	return nil
 }
 
 // Tuples gathers the composed snapshot's global (row, col, value) triples in
-// row-major order — the sharded analogue of Matrix.ExtractTuples. The
-// differential suite uses it to hold the sharded store to tuple-level
-// equivalence with a single engine.
+// row-major order — the store's analogue of Matrix.ExtractTuples. The
+// differential suite uses it to hold every shard count to tuple-level
+// equivalence with one shard.
 func (snap *Snapshot) Tuples() ([]int, []int, []float64, error) {
-	ri, ci, vv, err := snap.globalTuples()
+	ri := make([]int, 0, snap.NVals)
+	ci := make([]int, 0, snap.NVals)
+	vv := make([]float64, 0, snap.NVals)
+	err := snap.eachShardTuples(func(rows, cols []int, vals []float64) {
+		ri = append(ri, rows...)
+		ci = append(ci, cols...)
+		vv = append(vv, vals...)
+	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -219,28 +237,29 @@ func (snap *Snapshot) Tuples() ([]int, []int, []float64, error) {
 
 // Sym returns the snapshot's global symmetrized, loop-free boolean pattern,
 // gathering every shard's pinned tuples (rows translated to global indices)
-// and building the pattern in the coordinator's context — the reduction
-// pattern sharded stats uses so the triangle kernel consumes exactly the
-// matrix a single engine would. Built once per snapshot.
+// and building the pattern in the coordinator's context, so the triangle
+// kernel consumes the same matrix at every shard count. Built once per
+// snapshot; transient build failures are not cached, the next caller retries.
 func (snap *Snapshot) Sym(ctx context.Context) (*core.Matrix[bool], error) {
 	snap.mu.Lock()
 	defer snap.mu.Unlock()
 	if snap.sym != nil {
 		return snap.sym, nil
 	}
-	rows, cols, _, err := snap.globalTuples()
-	if err != nil {
-		return nil, err
-	}
 	var si, sj []int
 	var sv []bool
-	for t, g := range rows {
-		if g == cols[t] {
-			continue
+	err := snap.eachShardTuples(func(rows, cols []int, _ []float64) {
+		for t, g := range rows {
+			if g == cols[t] {
+				continue
+			}
+			si = append(si, g, cols[t])
+			sj = append(sj, cols[t], g)
+			sv = append(sv, true, true)
 		}
-		si = append(si, g, cols[t])
-		sj = append(sj, cols[t], g)
-		sv = append(sv, true, true)
+	})
+	if err != nil {
+		return nil, err
 	}
 	sym, err := core.NewMatrix[bool](snap.N, snap.N)
 	if err != nil {
@@ -257,14 +276,27 @@ func (snap *Snapshot) Sym(ctx context.Context) (*core.Matrix[bool], error) {
 }
 
 // VxM returns inᵀA over the composed snapshot, as a new vector in the
-// coordinator's context — the one step of a query that is shard-specific.
-// The input's tuples scatter to their owning shards, each owner runs its
-// slice of the product inside its own engine with the request deadline
-// threaded into that engine's flush, and the partials fold in fixed shard
-// order. Row partitioning never splits a per-row product, so a structural
-// query is tuple-exact against a single engine; only the cross-shard float
-// additions of the fold are regrouped.
+// coordinator's context — the one step of a query that depends on the shard
+// count, and on nothing else. With one shard nothing crosses engines: the
+// product is the engine's own deferred VxM, run at the caller's next flush
+// and fused with whatever the query chains onto it. With more, the input's
+// tuples scatter to their owning shards, each owner runs its slice of the
+// product inside its own engine with the request deadline threaded into that
+// engine's flush, and the partials fold in fixed shard order. Row
+// partitioning never splits a per-row product, so a structural query is
+// tuple-exact against one shard; only the cross-shard float additions of the
+// fold are regrouped.
 func (snap *Snapshot) VxM(ctx context.Context, in *core.Vector[float64]) (*core.Vector[float64], error) {
+	if len(snap.mats) == 1 {
+		out, err := core.NewVector[float64](snap.N)
+		if err != nil {
+			return nil, err
+		}
+		if err := core.VxM(out, core.NoMaskV, core.NoAccum[float64](), builtins.PlusTimes[float64](), in, snap.mats[0], nil); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
 	// Flush the coordinator under the deadline, so the non-opaque read below
 	// has nothing left to force.
 	if err := core.WaitContext(ctx); err != nil {
@@ -328,27 +360,35 @@ func (snap *Snapshot) shardVxM(ctx context.Context, s int, in *sparse.Vec[float6
 }
 
 // OutDegrees returns the global out-degree vector in the coordinator's
-// context, counted off the gathered tuples once per snapshot.
+// context, counted off the shards' pinned rows once per snapshot.
 func (snap *Snapshot) OutDegrees(_ context.Context) (*core.Vector[float64], error) {
 	snap.mu.Lock()
 	defer snap.mu.Unlock()
 	if snap.outdeg != nil {
 		return snap.outdeg, nil
 	}
-	rows, _, _, err := snap.globalTuples()
+	counts := make([]float64, snap.N)
+	err := snap.eachShardTuples(func(rows, _ []int, _ []float64) {
+		for _, g := range rows {
+			counts[g]++
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	// One 1 per stored entry at its row; Build's dup adds them up.
-	ones := make([]float64, len(rows))
-	for t := range ones {
-		ones[t] = 1
+	var idx []int
+	var deg []float64
+	for g, d := range counts {
+		if d > 0 {
+			idx = append(idx, g)
+			deg = append(deg, d)
+		}
 	}
 	outdeg, err := core.NewVector[float64](snap.N)
 	if err != nil {
 		return nil, err
 	}
-	if err := outdeg.Build(rows, ones, builtins.Plus[float64]()); err != nil {
+	if err := outdeg.Build(idx, deg, core.NoAccum[float64]()); err != nil {
 		return nil, err
 	}
 	snap.outdeg = outdeg

@@ -6,9 +6,23 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"graphblas/internal/core"
+	"graphblas/internal/obs"
 	"graphblas/internal/stream"
+)
+
+// Store-health counters. The names keep the serve prefix operators already
+// scrape; the store counts them because it is where ingest sheds, the writer
+// revalidates and the breaker trips, at any shard count.
+var (
+	IngestThrottled = obs.NewCounter("graphblas_serve_ingest_throttled_total",
+		"Ingest batches rejected by delta-overlay backpressure.")
+	StoreRecovered = obs.NewCounter("graphblas_serve_store_recovered_total",
+		"Writer revalidations of the streaming store after an abandoned or failed absorb.")
+	BreakerOpens = obs.NewCounter("graphblas_serve_breaker_opens_total",
+		"Circuit-breaker transitions into the open state.")
 )
 
 // ErrBackpressure: some shard's delta overlay is over the shed watermark and
@@ -54,11 +68,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ingestAttempts bounds the per-shard at-least-once re-apply loop.
-const ingestAttempts = 3
-
-// snapshotAttempts bounds the optimistic torn-composition retry loop.
-const snapshotAttempts = 3
+const (
+	// ingestAttempts bounds the per-shard at-least-once re-apply loop.
+	ingestAttempts = 3
+	// snapshotAttempts bounds the optimistic torn-composition retry loop.
+	snapshotAttempts = 3
+	// breakerThreshold consecutive compaction failures open the compaction
+	// breaker; it probes again after breakerCooldown.
+	breakerThreshold = 3
+	breakerCooldown  = 250 * time.Millisecond
+)
 
 // engineShard is one shard: an isolated execution engine owning the
 // localRows×N slice of the adjacency whose global rows the plan assigns it.
@@ -68,20 +87,28 @@ type engineShard struct {
 	m    *core.Matrix[float64]
 }
 
-// Store is the row-partitioned multi-engine graph store. One coordinator
-// (this type) routes writes and composes snapshots; each shard's engine
-// schedules and flushes independently, so shard-level work is genuinely
-// parallel and a deadline expiring inside one shard's flush cancels only
-// that shard's pending operations.
+// Store is the graph store: a row-partitioned set of streaming matrices, one
+// engine instance each, of which the single engine is the one-shard case. One
+// coordinator (this type) routes writes and composes snapshots; each shard's
+// engine schedules and flushes independently, so shard-level work is
+// genuinely parallel and a deadline expiring inside one shard's flush cancels
+// only that shard's pending operations. The merge policy is manual:
+// compaction is an explicit, breaker-supervised act of the coordinator, not a
+// side effect buried in the ingest path.
 type Store struct {
 	plan Plan
 	cfg  Config
 
-	shards []*engineShard
+	shards  []*engineShard
+	breaker *Breaker
 
-	// wmu serializes writers (ingest, redo drain, compaction), exactly the
-	// single-writer discipline that makes per-shard at-least-once re-apply
-	// idempotent (see serve.Engine.wmu).
+	// wmu serializes writers (ingest, redo drain, compaction). Single-writer
+	// discipline is what makes the per-shard at-least-once recovery in apply
+	// sound: between an absorb attempt and its acknowledgement no other batch
+	// can interleave, so re-applying the same last-wins batch is idempotent.
+	// It also makes recovery writer-exclusive — only the goroutine that knows
+	// which batch may have been dropped may Revalidate a shard; a reader
+	// clearing the mark could let the writer acknowledge a lost write.
 	wmu sync.Mutex
 	// version counts acknowledged commits: a version advances only when every
 	// owning shard has committed, so a composed snapshot keyed by version is
@@ -100,9 +127,8 @@ type Store struct {
 	redo   []*stream.Batch[float64] // per-shard failed sub-batches awaiting redo
 }
 
-// NewStore builds a sharded store: cfg.Shards independent engine instances,
-// each holding a LocalRows(s)×N streaming matrix with a manual merge policy
-// (compaction is an explicit act of the coordinator, as in serve.Engine).
+// NewStore builds a store of cfg.Shards independent engine instances, each
+// holding a LocalRows(s)×N streaming matrix with a manual merge policy.
 func NewStore(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Shards == 0 {
@@ -112,7 +138,12 @@ func NewStore(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Store{plan: plan, cfg: cfg, redo: make([]*stream.Batch[float64], cfg.Shards)}
+	st := &Store{
+		plan:    plan,
+		cfg:     cfg,
+		breaker: NewBreaker(breakerThreshold, breakerCooldown),
+		redo:    make([]*stream.Batch[float64], cfg.Shards),
+	}
 	for s := 0; s < cfg.Shards; s++ {
 		inst, err := core.NewInstance(core.NonBlocking)
 		if err != nil {
@@ -149,6 +180,10 @@ func (st *Store) Frozen() bool {
 	defer st.mu.Unlock()
 	return st.frozen
 }
+
+// BreakerState names the compaction breaker's state ("closed", "open",
+// "half-open") for health reporting.
+func (st *Store) BreakerState() string { return st.breaker.State() }
 
 // RedoDepth reports the number of shards with failed sub-batches queued.
 func (st *Store) RedoDepth() int {
@@ -188,10 +223,21 @@ func (st *Store) Status() []ShardStatus {
 	return out
 }
 
-// transient mirrors the serving layer's retry taxonomy: execution-class
-// failures (abandoned flush, poisoned input, OOM, kernel panic) are worth a
-// fresh attempt; API-class errors are deterministic.
-func transient(err error) bool {
+// IsTransient classifies an engine error as worth retrying — the one taxonomy
+// the writer's re-apply loop and the serving layer's Retrier share. It
+// follows the engine's own recovery model: execution-class failures leave the
+// output invalid but the system healthy — a fresh attempt against fresh
+// output objects can succeed — while API-class errors (dimension mismatch,
+// bad index, …) are deterministic and retrying them only burns the deadline.
+//
+//   - Canceled: a shared-queue flush was abandoned by some request's
+//     deadline; the abandoned work may belong to a different request than
+//     the one that timed out, so retrying is the designed recovery.
+//   - InvalidObject: an input was poisoned by a concurrent failure; rebuilt
+//     inputs on the next attempt are clean.
+//   - OutOfMemory / Panic: the engine rolled the output back to its prior
+//     committed state (PR 2's fault model); transient by construction.
+func IsTransient(err error) bool {
 	if err == nil {
 		return false
 	}
@@ -207,7 +253,11 @@ func transient(err error) bool {
 // error means the batch was NOT acknowledged — wrapped in ErrIndeterminate
 // when some shards committed (the rest queue for redo and the batch will
 // converge in), or a clean-reject error (ErrBackpressure, ErrRedoBlocked,
-// routing failure) when no shard was touched.
+// routing failure, every owning shard rolled back) when no shard holds any
+// of it. A shard whose delta overlay is past the compaction watermark first
+// gets a breaker-guarded compaction; past the shed watermark — the overlay
+// has grown unmergeable faster than compaction can drain it — the batch is
+// rejected so the writer throttles instead of burying the store.
 func (st *Store) Ingest(b *stream.Batch[float64]) error {
 	st.wmu.Lock()
 	defer st.wmu.Unlock()
@@ -226,11 +276,14 @@ func (st *Store) Ingest(b *stream.Batch[float64]) error {
 			return err
 		}
 		if delta >= st.cfg.ShedDelta {
+			// One last attempt before rejecting: the breaker may have cooled
+			// down since the overlay crossed the lower watermark.
 			st.compactShardLocked(sh)
 			if delta, err = sh.deltaNVals(); err != nil {
 				return err
 			}
 			if delta >= st.cfg.ShedDelta {
+				IngestThrottled.Inc()
 				return ErrBackpressure
 			}
 		} else if delta >= st.cfg.CompactAfter {
@@ -255,11 +308,13 @@ func (st *Store) commitLocked(subs []*stream.Batch[float64]) error {
 	defer st.wseq.Add(1)
 
 	errs := make([]error, len(st.shards))
+	touched := 0
 	var wg sync.WaitGroup
 	for s, sub := range subs {
 		if sub == nil || sub.Len() == 0 {
 			continue
 		}
+		touched++
 		wg.Add(1)
 		go func(sh *engineShard, sub *stream.Batch[float64]) {
 			defer wg.Done()
@@ -280,6 +335,12 @@ func (st *Store) commitLocked(subs []*stream.Batch[float64]) error {
 		st.mu.Unlock()
 		st.version.Add(1)
 		return nil
+	}
+	if len(failed) == touched {
+		// Every owning shard rolled back to its prior committed content, so
+		// no shard holds any of the batch: there is nothing to converge, and
+		// the store is exactly as the last acknowledged version left it.
+		return fmt.Errorf("shard %d: %w", failed[0], errs[failed[0]])
 	}
 
 	// Partial failure: freeze reads at the last acknowledged snapshot and
@@ -334,10 +395,14 @@ func (st *Store) drainRedoLocked() error {
 	return firstErr
 }
 
-// apply commits one sub-batch to the shard with at-least-once semantics:
-// a rolled-back absorb (abandoned flush, injected fault) is revalidated and
-// the same last-wins batch re-applied. Mirrors serve.Engine.apply, scoped to
-// this shard's engine.
+// apply commits one sub-batch to the shard with at-least-once semantics. A
+// query's expired deadline can abandon the absorb (Canceled) or an injected
+// fault can fail it — either way the shard rolls back to its prior committed
+// content and is marked invalid. Batches are last-wins per edge, hence
+// idempotent, so the writer revalidates the rolled-back shard and re-applies
+// the same batch instead of losing a write it is about to acknowledge.
+// Success is judged object-scoped (m.Wait), not by a sequence-wide flush
+// error, which may belong to some query's op. Caller holds wmu.
 func (sh *engineShard) apply(b *stream.Batch[float64]) error {
 	var last error
 	for attempt := 0; attempt < ingestAttempts; attempt++ {
@@ -345,6 +410,7 @@ func (sh *engineShard) apply(b *stream.Batch[float64]) error {
 			if rerr := sh.m.Revalidate(); rerr != nil {
 				return last
 			}
+			StoreRecovered.Inc()
 		}
 		err := sh.m.ApplyUpdateBatch(b)
 		if err == nil {
@@ -354,7 +420,7 @@ func (sh *engineShard) apply(b *stream.Batch[float64]) error {
 			return nil
 		}
 		last = err
-		if !transient(err) {
+		if !IsTransient(err) {
 			return err
 		}
 	}
@@ -368,29 +434,39 @@ func (sh *engineShard) deltaNVals() (int, error) {
 	delta, err := sh.m.DeltaNVals()
 	if core.InfoOf(err) == core.InvalidObject {
 		if rerr := sh.m.Revalidate(); rerr == nil {
+			StoreRecovered.Inc()
 			delta, err = sh.m.DeltaNVals()
 		}
 	}
 	return delta, err
 }
 
-// compactShardLocked merges one shard's overlay into its main store,
-// best-effort: a failed compaction leaves the overlay in place and the next
-// watermark crossing retries. Caller holds wmu.
+// compactShardLocked merges one shard's overlay into its main store under
+// the breaker, best-effort: a failed compaction leaves the overlay in place
+// and the next watermark crossing retries, unless enough of them failed in a
+// row to open the breaker. A flush abandoned by some request's deadline
+// (Canceled) is not evidence the compactor is broken, so only real execution
+// failures feed the breaker. Caller holds wmu.
 func (st *Store) compactShardLocked(sh *engineShard) {
+	if !st.breaker.Allow() {
+		return
+	}
 	st.wseq.Add(1)
 	defer st.wseq.Add(1)
-	if err := sh.m.Compact(); err != nil {
+	err := sh.m.Compact()
+	if err == nil {
+		err = sh.m.Wait()
+	}
+	if core.InfoOf(err) == core.Canceled {
 		return
 	}
-	if err := sh.m.Wait(); err != nil {
-		if core.InfoOf(err) != core.Canceled {
-			//grblint:ignore swallowederr best-effort watermark compaction: the store is still valid with the overlay live, and the next crossing retries
-			_ = sh.m.Revalidate()
-		}
-		return
+	if err == nil {
+		st.version.Add(1)
+	} else {
+		//grblint:ignore swallowederr best-effort watermark compaction: the store is still valid with the overlay live, and the next crossing retries
+		_ = sh.m.Revalidate()
 	}
-	st.version.Add(1)
+	st.breaker.Record(err)
 }
 
 // Compact forces every shard's overlay into its main store and publishes a
@@ -437,10 +513,10 @@ func appendBatch(dst, src *stream.Batch[float64]) *stream.Batch[float64] {
 	return dst
 }
 
-// Drain flushes every shard's pending work, bounded by ctx — the sharded
-// half of graceful shutdown.
+// Drain flushes the coordinator's and every shard's pending work, bounded by
+// ctx — the store's half of graceful shutdown.
 func (st *Store) Drain(ctx context.Context) error {
-	var firstErr error
+	firstErr := core.WaitContext(ctx)
 	for _, sh := range st.shards {
 		if err := sh.inst.WaitContext(ctx); err != nil && firstErr == nil {
 			firstErr = err
