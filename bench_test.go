@@ -585,6 +585,58 @@ func BenchmarkAblation_MaskFusion_PostHoc(b *testing.B) {
 	}
 }
 
+// BenchmarkAblation_MaskedSpGEMM times the triangle kernel C⟨L⟩ = L ⊕.⊗ Lᵀ
+// (L the strict lower triangle of the symmetrized RMAT graph) three ways:
+// "slots" is sparse.SpGEMM on a prebuilt Lᵀ (the mask-shaped kernel alone),
+// "transpose+slots" adds the transpose MxM pays when none is cached, "dot" is
+// sparse.SpGEMMDotMasked on L as stored. Each reports the two sides of
+// sparse.DotMaskedWins: Gustavson's flops and the dot kernel's steps.
+func BenchmarkAblation_MaskedSpGEMM(b *testing.B) {
+	mul := func(x, y float64) float64 { return x * y }
+	add := func(x, y float64) float64 { return x + y }
+	for _, scale := range []int{10, 12} {
+		sym := generate.RMAT(scale, benchEF, benchSeed).Symmetrize().Dedup(true)
+		var li, lj []int
+		for _, e := range sym.Edges {
+			if e.Dst < e.Src {
+				li, lj = append(li, e.Src), append(lj, e.Dst)
+			}
+		}
+		unit := make([]float64, len(li))
+		for i := range unit {
+			unit[i] = 1
+		}
+		l, ok := sparse.BuildCSR(sym.N, sym.N, li, lj, unit, nil)
+		if !ok {
+			b.Fatal("BuildCSR")
+		}
+		u := l.Transpose()
+		mask := &sparse.MatMask{NCols: sym.N, EffPtr: l.Ptr, EffIdx: l.ColIdx, StrPtr: l.Ptr, StrIdx: l.ColIdx}
+		flops, steps := 0, 0
+		for _, k := range l.ColIdx {
+			flops += u.Ptr[k+1] - u.Ptr[k]
+			steps += l.Ptr[k+1] - l.Ptr[k]
+		}
+		for _, v := range []struct {
+			name string
+			run  func()
+		}{
+			{"slots", func() { _ = sparse.SpGEMM(l, u, mul, add, mask) }},
+			{"transpose+slots", func() { _ = sparse.SpGEMM(l, l.Transpose(), mul, add, mask) }},
+			{"dot", func() { _ = sparse.SpGEMMDotMasked(l, l, mul, add, mask) }},
+		} {
+			b.Run(fmt.Sprintf("scale=%d/%s", scale, v.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					v.run()
+				}
+				b.ReportMetric(float64(flops), "gustavson-flops")
+				b.ReportMetric(float64(steps), "dot-steps")
+			})
+		}
+	}
+}
+
 func BenchmarkAblation_Partition_NNZBalanced(b *testing.B) {
 	w := benchWorkload(b)
 	work := func(lo, hi int) {

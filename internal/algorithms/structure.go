@@ -10,9 +10,11 @@ import (
 // masked-multiply formulation (Sandia variant): with L the strictly lower
 // triangle, every triangle i>j>k is counted exactly once by
 //
-//	C⟨L⟩ = L +.∧ Lᵀ ;  count = Σ C.
+//	C⟨L⟩ = L +.pair Lᵀ ;  count = Σ C,   pair(x, y) = 1.
 //
-// The write mask confining the product to L's structure is the same pruning
+// The semiring is mixed-domain (bool ⊗ bool → int64), so L stays the boolean
+// pattern it is selected as and only the wedge counts are integers. The
+// write mask confining the product to L's structure is the same pruning
 // idiom the paper's BC example builds on — the kernel never materializes
 // the full wedge count matrix.
 func TriangleCount(a *core.Matrix[bool]) (int64, error) {
@@ -20,30 +22,26 @@ func TriangleCount(a *core.Matrix[bool]) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Lift pattern to int64 ones so the + monoid counts wedges.
-	ones, err := core.NewMatrix[int64](n, n)
+	tril := core.IndexUnaryOp[bool, bool]{Name: "tril", F: func(_ bool, i, j int) bool { return j < i }}
+	l, err := core.NewMatrix[bool](n, n)
 	if err != nil {
 		return 0, err
 	}
-	lift := builtins.CastBoolTo[int64]()
-	if err := core.ApplyM(ones, core.NoMask, core.NoAccum[int64](), lift, a, nil); err != nil {
+	if err := core.SelectM(l, core.NoMask, core.NoAccum[bool](), tril, a, nil); err != nil {
 		return 0, err
 	}
-	tril := core.IndexUnaryOp[int64, bool]{Name: "tril", F: func(_ int64, i, j int) bool { return j < i }}
-	l, err := core.NewMatrix[int64](n, n)
+	pair := core.BinaryOp[bool, bool, int64]{Name: "pair", F: func(bool, bool) int64 { return 1 }}
+	plusPair, err := core.NewSemiring(builtins.PlusMonoid[int64](), pair)
 	if err != nil {
-		return 0, err
-	}
-	if err := core.SelectM(l, core.NoMask, core.NoAccum[int64](), tril, ones, nil); err != nil {
 		return 0, err
 	}
 	c, err := core.NewMatrix[int64](n, n)
 	if err != nil {
 		return 0, err
 	}
-	// C⟨L⟩ = L +.× Lᵀ : wedges i–k, j–k with k < j < i, closed by the mask
-	// requiring edge (i, j).
-	if err := core.MxM(c, l, core.NoAccum[int64](), builtins.PlusTimes[int64](), l, l, core.Desc().Transpose1().ReplaceOutput()); err != nil {
+	// C⟨L⟩ = L +.pair Lᵀ : wedges i–k, j–k with k < j < i, closed by the
+	// mask requiring edge (i, j).
+	if err := core.MxM(c, l, core.NoAccum[int64](), plusPair, l, l, core.Desc().Transpose1().ReplaceOutput()); err != nil {
 		return 0, err
 	}
 	return core.ReduceMatrixToScalar(0, core.NoAccum[int64](), builtins.PlusMonoid[int64](), c)

@@ -254,8 +254,8 @@ func TestFaults_KernelFallbackMxV(t *testing.T) {
 	})
 }
 
-// TestFaults_KernelFallbackMxM is the MxM counterpart, covering both the
-// ⟨+,×⟩ fast path and the generic bitmap SpGEMM site.
+// TestFaults_KernelFallbackMxM is the MxM counterpart, covering the ⟨+,×⟩
+// fast path, the generic bitmap SpGEMM site and the masked dot kernel.
 func TestFaults_KernelFallbackMxM(t *testing.T) {
 	withMode(t, Blocking, func() {
 		rng := rand.New(rand.NewSource(11))
@@ -281,6 +281,60 @@ func TestFaults_KernelFallbackMxM(t *testing.T) {
 		if st := StatsSnapshot(); st.KernelRetries == base {
 			t.Fatalf("retry not counted: %+v", st)
 		}
+	})
+	// The transpose-free dot kernel: C⟨L⟩ = L ⊕.⊗ Lᵀ over a full strict
+	// lower triangle, where DotMaskedWins selects it (a rule on its site
+	// firing proves that). A recoverable fault falls through to transpose +
+	// sparse.SpGEMM with the same answer; a panic-kind fault fails the
+	// operation and rolls C back untouched.
+	withMode(t, Blocking, func() {
+		s := plusTimesF64(t)
+		desc := Desc().Transpose1().ReplaceOutput()
+		var is, js []int
+		var vs []float64
+		for i := 0; i < 12; i++ {
+			for j := 0; j < i; j++ {
+				is, js, vs = append(is, i), append(js, j), append(vs, float64(1+(i*7+j*3)%5))
+			}
+		}
+		l, _ := NewMatrix[float64](12, 12)
+		if err := l.Build(is, js, vs, NoAccum[float64]()); err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		wantC, _ := NewMatrix[float64](12, 12)
+		if err := MxM(wantC, l, NoAccum[float64](), s, l, l, desc); err != nil {
+			t.Fatalf("reference MxM: %v", err)
+		}
+		want := denseOf(t, wantC)
+
+		withFaults(t, 1, faults.Rule{Site: "sparse.kernel.spgemm.dot", Kind: faults.KernelErr})
+		base := StatsSnapshot().KernelRetries
+		c, _ := NewMatrix[float64](12, 12)
+		if err := c.Build([]int{0, 5}, []int{3, 2}, []float64{7, 9}, NoAccum[float64]()); err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		before := committedTuples(c)
+		if err := MxM(c, l, NoAccum[float64](), s, l, l, desc); err != nil {
+			t.Fatalf("MxM under injection not recovered: %v", err)
+		}
+		equalDense(t, denseOf(t, c), want, "dot-kernel fallback MxM")
+		if st := StatsSnapshot(); st.KernelRetries != base+1 {
+			t.Fatalf("dot-kernel retry not counted once: %d → %d", base, st.KernelRetries)
+		}
+
+		withFaults(t, 1, faults.Rule{Site: "sparse.kernel.spgemm.dot", Kind: faults.PanicFault})
+		base = StatsSnapshot().KernelRetries
+		c2, _ := NewMatrix[float64](12, 12)
+		if err := c2.Build([]int{0, 5}, []int{3, 2}, []float64{7, 9}, NoAccum[float64]()); err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		if err := MxM(c2, l, NoAccum[float64](), s, l, l, desc); InfoOf(err) != PanicInfo {
+			t.Fatalf("Panic-kind fault surfaced as %v", err)
+		}
+		if st := StatsSnapshot(); st.KernelRetries != base {
+			t.Fatalf("panic fault was retried: %+v", st)
+		}
+		equalDense(t, committedTuples(c2), before, "rolled-back contents")
 	})
 }
 

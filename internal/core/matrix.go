@@ -220,6 +220,15 @@ func (m *Matrix[D]) transposed() *sparse.CSR[D] {
 	return m.tcache
 }
 
+// cachedTranspose returns the transpose of the content mdat last returned if
+// an earlier transposed read left it cached, nil otherwise; it never builds
+// one. Every mutation drops the cache, so a non-nil result is current.
+func (m *Matrix[D]) cachedTranspose() *sparse.CSR[D] {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.tcache
+}
+
 // bitmapForRead returns the bitmap form of the matrix when the storage
 // engine selects it for an operation described by hint — because the layout
 // was forced with SetFormat or because the adaptive policy picked it — and

@@ -178,6 +178,70 @@ func TestMxMAliasing(t *testing.T) {
 	equalDense(t, denseOf(t, a), want, "aliased square")
 }
 
+// TestMxMMaskedTransposeWriteBack covers the two write-backs of the
+// mask-consuming kernels on C⟨L⟩ = L ⊕.⊗ Lᵀ, the triangle-counting shape the
+// dot kernel is selected for. (1) Everything aliased — C, mask, A and B are
+// one object, Transpose1 + Replace, no accumulator: the kernel's T ⊆ M is
+// adopted as C, so T must be fresh storage and not a view of the operand it
+// replaces. (2) With an accumulator and without Replace the result is not
+// T: entries of C outside the mask survive and those inside accumulate, so
+// the write-back must still run the accumulate/mask-merge pipeline.
+func TestMxMMaskedTransposeWriteBack(t *testing.T) {
+	s := plusTimesF64(t)
+	const n = 9
+	ld := dmat{}
+	var is, js []int
+	var vs []float64
+	for i := 0; i < n; i++ {
+		for j := 0; j < i; j++ {
+			if (i+2*j)%4 == 3 {
+				continue
+			}
+			v := float64(1 + (i*5+j*3)%7)
+			is, js, vs = append(is, i), append(js, j), append(vs, v)
+			ld[key{i, j}] = v
+		}
+	}
+	stored := map[key]bool{}
+	for k := range ld {
+		stored[k] = true
+	}
+	newL := func() *Matrix[float64] {
+		l, _ := NewMatrix[float64](n, n)
+		if err := l.Build(is, js, vs, NoAccum[float64]()); err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		return l
+	}
+	t.Run("aliased/replace", func(t *testing.T) {
+		l := newL()
+		if err := MxM(l, l, NoAccum[float64](), s, l, l, Desc().Transpose1().ReplaceOutput()); err != nil {
+			t.Fatalf("MxM: %v", err)
+		}
+		want := oracleMxMWrite(ld, ld, n, n, ld, n, false, true, stored, stored, true, false, false, true)
+		equalDense(t, denseOf(t, l), want, "aliased masked A·Aᵀ")
+	})
+	t.Run("accum/no-replace", func(t *testing.T) {
+		l := newL()
+		rng := rand.New(rand.NewSource(7))
+		c, cd := newTestMatrix(t, rng, n, n, 0.4)
+		if err := MxM(c, l, plusF64(), s, l, l, Desc().Transpose1()); err != nil {
+			t.Fatalf("MxM: %v", err)
+		}
+		want := oracleMxMWrite(cd, ld, n, n, ld, n, false, true, stored, stored, true, false, true, false)
+		equalDense(t, denseOf(t, c), want, "accumulated masked A·Aᵀ")
+		outside := 0
+		for k := range cd {
+			if !stored[k] {
+				outside++
+			}
+		}
+		if outside == 0 {
+			t.Fatal("fixture has no C entry outside the mask; the case checks nothing")
+		}
+	})
+}
+
 // TestMxVAgainstMxM cross-checks MxV and VxM (both kernel paths) against
 // MxM on a 1-column / 1-row reshape.
 func TestMxVAgainstMxM(t *testing.T) {

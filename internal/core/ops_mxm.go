@@ -1,6 +1,7 @@
 package core
 
 import (
+	"graphblas/internal/faults"
 	"graphblas/internal/format"
 	"graphblas/internal/obs"
 	"graphblas/internal/sparse"
@@ -80,13 +81,34 @@ func MxM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC,
 		if accum.Defined() {
 			accumF = accum.F
 		}
-		// The B operand benefits from the bitmap layout (Gustavson selects B
-		// rows by A's column indices, and the bitmap gives O(1) row access
-		// with word-level scans). A is consumed row-sequentially, so its CSR
-		// form is already the right shape. A bitmap kernel that fails with a
-		// recoverable fault falls through to the generic CSR path below.
+		// Every kernel below applies mm itself — a non-complemented mask
+		// confines its result T to M's effective pattern, a complemented one
+		// keeps T off M's structure — so T never holds a position the mask
+		// denies. When the operation overwrites C (no accumulator, and no
+		// mask or REPLACE) nothing of the old C survives either, so the
+		// masked write of T into C is T: the write-back adopts it and skips
+		// the accumulate/mask-merge pass over C, T and M.
+		commit := func(t *sparse.CSR[DC]) {
+			sp.AddBytes(t.ApproxBytes())
+			if overwrites {
+				c.setData(t)
+				return
+			}
+			c.setData(sparse.WriteCSR(c.mdat(), t, mm, accumF, replace))
+		}
+		// Two kernels may run ahead of the generic CSR one, each chosen from
+		// the operands alone. Without INP1 transposition B benefits from the
+		// bitmap layout (Gustavson selects B rows by A's column indices, and
+		// the bitmap gives O(1) row access with word-level scans; A is
+		// consumed row-sequentially, so its CSR form is already the right
+		// shape). With it, under a non-complemented mask, the dot kernel
+		// computes A·Bᵀ from B as stored when sparse.DotMaskedWins says its
+		// work is below Gustavson's plus the transpose. Either one failing
+		// with a recoverable fault falls through to the generic path.
+		var handled bool
+		var fault *faults.Fault
 		if !tran1 {
-			_, handled, fault := runFallible(func() (struct{}, bool) {
+			_, handled, fault = runFallible(func() (struct{}, bool) {
 				bm := b.bitmapForRead(format.HintMxM)
 				if bm == nil {
 					return struct{}{}, false
@@ -116,27 +138,29 @@ func MxM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC,
 					}
 				}
 				sp.NoteLayout("bitmap")
-				t := format.SpGEMMBitmap(ad, bm, op.Mul.F, op.Add.Op.F, mm)
-				sp.AddBytes(t.ApproxBytes())
-				c.setData(sparse.WriteCSR(c.mdat(), t, mm, accumF, replace))
+				commit(format.SpGEMMBitmap(ad, bm, op.Mul.F, op.Add.Op.F, mm))
 				return struct{}{}, true
 			})
-			if handled {
-				return nil
-			}
-			if fault != nil {
-				execRetries.Add(1)
-				sp.NoteRetry()
-			}
+		} else if bd := b.mdat(); mm != nil && !mm.Comp && sparse.DotMaskedWins(ad, bd, b.cachedTranspose(), mm) {
+			_, handled, fault = runFallible(func() (struct{}, bool) {
+				sp.NoteLayout("csr-dot")
+				commit(sparse.SpGEMMDotMasked(ad, bd, op.Mul.F, op.Add.Op.F, mm))
+				return struct{}{}, true
+			})
+		}
+		if handled {
+			return nil
+		}
+		if fault != nil {
+			execRetries.Add(1)
+			sp.NoteRetry()
 		}
 		bd := b.mdat()
 		if tran1 {
 			bd = b.transposed()
 		}
 		sp.NoteLayout("csr")
-		t := sparse.SpGEMM(ad, bd, op.Mul.F, op.Add.Op.F, mm)
-		sp.AddBytes(t.ApproxBytes())
-		c.setData(sparse.WriteCSR(c.mdat(), t, mm, accumF, replace))
+		commit(sparse.SpGEMM(ad, bd, op.Mul.F, op.Add.Op.F, mm))
 		return nil
 	})
 }

@@ -16,6 +16,9 @@ var KernelSites = []string{
 	"sparse.kernel.reduce.rows",
 	"sparse.kernel.reduce.all",
 	"sparse.kernel.reduce.vec",
+	"sparse.kernel.spgemm",
+	"sparse.kernel.spgemm.masked",
+	"sparse.kernel.spgemm.dot",
 
 	// internal/format layout kernels.
 	"format.kernel.bitmap.mxv",

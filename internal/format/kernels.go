@@ -276,52 +276,72 @@ func PushMxVHyper[DA, DU, DC any](a *Hyper[DA], u *sparse.Vec[DU], mul func(DA, 
 // row algorithm where each selected B row is scanned by bitset words rather
 // than through an index array, with the same in-kernel mask pruning as
 // sparse.SpGEMM. Output is CSR (the product of sparse A and anything has
-// sparse rows wherever A does).
+// sparse rows wherever A does). The mask picks the loop once per chunk —
+// unmasked, or one stamp compare per set bit that serves both mask senses —
+// never a predicate call per flop.
+//
+//grblint:hotpath
 func SpGEMMBitmap[DA, DB, DC any](a *sparse.CSR[DA], b *Bitmap[DB], mul func(DA, DB) DC, add func(DC, DC) DC, mask *sparse.MatMask) *sparse.CSR[DC] {
 	faults.Step("format.kernel.bitmap.mxm")
 	ri := make([][]int, a.NRows)
 	rv := make([][]DC, a.NRows)
 	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
 		spa := sparse.NewSPA[DC](b.NCols)
-		var allowed *sparse.BitSPA
-		if mask != nil {
-			allowed = sparse.NewBitSPA(b.NCols)
-		}
 		var idxArena []int
 		var valArena []DC
 		offs := make([]int, 0, hi-lo+1)
 		offs = append(offs, 0)
-		for i := lo; i < hi; i++ {
-			spa.Reset()
-			maskCol := func(int) bool { return true }
-			if mask != nil {
-				allowed.Reset()
-				if mask.Comp {
-					allowed.MarkAll(mask.StrRow(i))
-					maskCol = func(j int) bool { return !allowed.Has(j) }
-				} else {
-					allowed.MarkAll(mask.EffRow(i))
-					maskCol = allowed.Has
-				}
-			}
-			for pa := a.Ptr[i]; pa < a.Ptr[i+1]; pa++ {
-				k := a.ColIdx[pa]
-				av := a.Val[pa]
-				bv := b.RowVals(k)
-				for wi, w := range b.RowBits(k) {
-					base := wi << 6
-					for w != 0 {
-						j := base + bits.TrailingZeros64(w)
-						w &= w - 1
-						if !maskCol(j) {
-							continue
+		if mask == nil {
+			for i := lo; i < hi; i++ {
+				spa.Reset()
+				for pa := a.Ptr[i]; pa < a.Ptr[i+1]; pa++ {
+					k := a.ColIdx[pa]
+					av := a.Val[pa]
+					bv := b.RowVals(k)
+					for wi, w := range b.RowBits(k) {
+						base := wi << 6
+						for w != 0 {
+							j := base + bits.TrailingZeros64(w)
+							w &= w - 1
+							spa.Accumulate(j, mul(av, bv[j]), add)
 						}
-						spa.Accumulate(j, mul(av, bv[j]), add)
 					}
 				}
+				idxArena, valArena = spa.Gather(idxArena, valArena)
+				offs = append(offs, len(idxArena))
 			}
-			idxArena, valArena = spa.Gather(idxArena, valArena)
-			offs = append(offs, len(idxArena))
+		} else {
+			// marked holds the mask row the sense refers to: the stored
+			// structure under a complemented mask (a marked column is
+			// dropped), the effective pattern otherwise (an unmarked one is).
+			marked := sparse.NewBitSPA(b.NCols)
+			for i := lo; i < hi; i++ {
+				spa.Reset()
+				marked.Reset()
+				if mask.Comp {
+					marked.MarkAll(mask.StrRow(i))
+				} else {
+					marked.MarkAll(mask.EffRow(i))
+				}
+				for pa := a.Ptr[i]; pa < a.Ptr[i+1]; pa++ {
+					k := a.ColIdx[pa]
+					av := a.Val[pa]
+					bv := b.RowVals(k)
+					for wi, w := range b.RowBits(k) {
+						base := wi << 6
+						for w != 0 {
+							j := base + bits.TrailingZeros64(w)
+							w &= w - 1
+							if marked.Has(j) == mask.Comp {
+								continue
+							}
+							spa.Accumulate(j, mul(av, bv[j]), add)
+						}
+					}
+				}
+				idxArena, valArena = spa.Gather(idxArena, valArena)
+				offs = append(offs, len(idxArena))
+			}
 		}
 		for i := lo; i < hi; i++ {
 			k := i - lo

@@ -94,9 +94,9 @@ type Span struct {
 	// Pos is the operation's zero-based program-order position in its
 	// sequence, or -1 if it was never assigned one.
 	Pos int
-	// Layout names the storage layout the kernel consumed ("csr", "bitmap",
-	// "bitmap-fast", "hyper"); empty when the operation has no format-engine
-	// dispatch.
+	// Layout names the storage layout the kernel consumed ("csr", "csr-dot"
+	// for MxM's transpose-free masked kernel, "bitmap", "bitmap-fast",
+	// "hyper"); empty when the operation has no format-engine dispatch.
 	Layout string
 	// Bytes is an estimate of the bytes the kernel touched (derived from the
 	// result's stored-element count), 0 when unknown.

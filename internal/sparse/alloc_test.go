@@ -23,23 +23,7 @@ func TestFusedKernelsDisabledPathAllocFree(t *testing.T) {
 	defer obs.SetTracer(prev)
 
 	const n = 64
-	// Deterministic fixtures: a fixed ~30%-dense matrix and ~50%-dense
-	// vectors, built once so AllocsPerRun measures only the kernels.
-	var is, js []int
-	var vs []float64
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if (i*31+j*17)%10 < 3 {
-				is = append(is, i)
-				js = append(js, j)
-				vs = append(vs, float64(i-j)+0.5)
-			}
-		}
-	}
-	a, ok := BuildCSR(n, n, is, js, vs, nil)
-	if !ok {
-		t.Fatal("BuildCSR failed")
-	}
+	a := allocFixture(t, n)
 	u := NewVec[float64](n)
 	for i := 0; i < n; i++ {
 		if (i*13)%2 == 0 {
@@ -73,6 +57,62 @@ func TestFusedKernelsDisabledPathAllocFree(t *testing.T) {
 		{"FusedPushMxV", 6, func() { FusedPushMxV(a, u.Idx, get, mulF, addF, nil) }},
 		// out Vec + exact-length Idx + Val on the no-accum path.
 		{"FusedAssignAccum", 3, func() { FusedAssignAccum(c, u.Idx, get, nil) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.run() // warm the pool shelves so steady state is measured
+			if allocs := testing.AllocsPerRun(100, tc.run); allocs != tc.budget {
+				t.Errorf("%s allocates %.1f per call, budget %.0f — a new hot-path allocation needs pooling or a reviewed budget bump", tc.name, allocs, tc.budget)
+			}
+		})
+	}
+}
+
+// allocFixture is the deterministic ~30%-dense n×n matrix both budget tests
+// run on, built once so AllocsPerRun measures only the kernels.
+func allocFixture(t *testing.T, n int) *CSR[float64] {
+	t.Helper()
+	var is, js []int
+	var vs []float64
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if (i*31+j*17)%10 < 3 {
+				is = append(is, i)
+				js = append(js, j)
+				vs = append(vs, float64(i-j)+0.5)
+			}
+		}
+	}
+	a, ok := BuildCSR(n, n, is, js, vs, nil)
+	if !ok {
+		t.Fatal("BuildCSR failed")
+	}
+	return a
+}
+
+// TestMaskedSpGEMMAllocBudget pins the two mask-shaped SpGEMM kernels the
+// same way: one worker, tracer off, warm pool. What remains is the
+// intrinsic output — the CSR header, Ptr, ColIdx, Val — the nnz(M)-long
+// value slab (domain-generic, so it cannot be pooled) and the two
+// ForWeighted body closures (kernel loop, compaction). The slot and
+// position tables, the presence flags and DotMaskedWins' column counts come
+// from internal/pool and must not show.
+func TestMaskedSpGEMMAllocBudget(t *testing.T) {
+	parallel.SetMaxWorkersForTest(t, 1)
+	prev := obs.SetTracer(nil)
+	defer obs.SetTracer(prev)
+
+	a := allocFixture(t, 64)
+	at := a.Transpose()
+	mask := &MatMask{NCols: a.NCols, EffPtr: a.Ptr, EffIdx: a.ColIdx, StrPtr: a.Ptr, StrIdx: a.ColIdx}
+	cases := []struct {
+		name   string
+		budget float64
+		run    func()
+	}{
+		{"SpGEMM/mask-shaped", 7, func() { SpGEMM(a, at, mulF, addF, mask) }},
+		{"SpGEMMDotMasked", 7, func() { SpGEMMDotMasked(a, a, mulF, addF, mask) }},
+		{"DotMaskedWins", 0, func() { DotMaskedWins(a, a, nil, mask) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

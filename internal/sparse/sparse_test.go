@@ -1,11 +1,15 @@
 package sparse
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"graphblas/internal/parallel"
 )
 
 func addF(x, y float64) float64 { return x + y }
@@ -273,40 +277,161 @@ func TestQuickSpGEMMAgainstDense(t *testing.T) {
 	}
 }
 
-// Property: masked SpGEMM equals unmasked SpGEMM filtered by the mask.
-func TestQuickSpGEMMMaskedEqualsFiltered(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(12)
-		a, _ := randCSR(rng, n, n, 0.3)
-		b, _ := randCSR(rng, n, n, 0.3)
-		mp, _ := randCSR(rng, n, n, 0.4)
-		for _, comp := range []bool{false, true} {
-			mask := &MatMask{NCols: n, EffPtr: mp.Ptr, EffIdx: mp.ColIdx, StrPtr: mp.Ptr, StrIdx: mp.ColIdx, Comp: comp}
-			got := SpGEMM(a, b, mulF, addF, mask)
-			full := SpGEMM(a, b, mulF, addF, nil)
-			want := map[[2]int]float64{}
-			is, js, vs := full.Tuples()
-			for k := range is {
-				member := mp.Has(is[k], js[k])
-				if member != comp {
-					want[[2]int{is[k], js[k]}] = vs[k]
-				}
+// maskedCase is one random input of TestQuickSpGEMMMaskedEqualsFiltered:
+// A (m×k), B (n×k) and a valued mask (m×n) whose zero values are stored but
+// not effective.
+type maskedCase struct {
+	a, b, mp *CSR[float64]
+}
+
+// randMaskedCase draws the shapes the masked kernels must agree on. One
+// draw in four is large enough (nnz(A), nnz(M) ≥ 2048) for ForWeighted to
+// split it across workers; the rest are tiny and hit the degenerate rows.
+func randMaskedCase(rng *rand.Rand) maskedCase {
+	m, k, n := 1+rng.Intn(12), 1+rng.Intn(12), 1+rng.Intn(12)
+	pa, pb, pm := 0.35, 0.35, 0.4
+	if rng.Intn(4) == 0 {
+		m, k, n = 128+rng.Intn(32), 64+rng.Intn(16), 96+rng.Intn(32)
+		pa, pb, pm = 0.45, 0.3, 0.5
+	}
+	if rng.Intn(8) == 0 {
+		pm = 0 // empty mask
+	}
+	// Values spread over sixteen decades, so the order a sum is folded in
+	// shows in its low bits.
+	build := func(nr, nc int, p float64, zeroes bool) *CSR[float64] {
+		var is, js []int
+		var vs []float64
+		for i := 0; i < nr; i++ {
+			if rng.Intn(5) == 0 {
+				continue // an empty row
 			}
-			if got.NNZ() != len(want) {
-				return false
-			}
-			gi, gj, gv := got.Tuples()
-			for k := range gi {
-				if want[[2]int{gi[k], gj[k]}] != gv[k] {
-					return false
+			for j := 0; j < nc; j++ {
+				if rng.Float64() >= p {
+					continue
 				}
+				x := (rng.Float64() + 0.5) * math.Pow(10, float64(rng.Intn(17)-8))
+				if zeroes && rng.Intn(3) == 0 {
+					x = 0
+				}
+				is, js, vs = append(is, i), append(js, j), append(vs, x)
 			}
 		}
-		return true
+		c, ok := BuildCSR(nr, nc, is, js, vs, nil)
+		if !ok {
+			panic("BuildCSR failed")
+		}
+		return c
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+	return maskedCase{a: build(m, k, pa, false), b: build(n, k, pb, false), mp: build(m, n, pm, true)}
+}
+
+// resolve builds the kernel mask the way core.resolveMatMask does: the
+// structure aliases the mask matrix, the effective pattern keeps the
+// positions whose stored value is nonzero.
+func (mc maskedCase) resolve(comp bool) *MatMask {
+	mp := mc.mp
+	mask := &MatMask{NCols: mp.NCols, StrPtr: mp.Ptr, StrIdx: mp.ColIdx, Comp: comp, EffPtr: make([]int, mp.NRows+1)}
+	for i := 0; i < mp.NRows; i++ {
+		for p := mp.Ptr[i]; p < mp.Ptr[i+1]; p++ {
+			if mp.Val[p] != 0 {
+				mask.EffIdx = append(mask.EffIdx, mp.ColIdx[p])
+			}
+		}
+		mask.EffPtr[i+1] = len(mask.EffIdx)
+	}
+	return mask
+}
+
+// filtered keeps the entries of full the mask admits.
+func (mc maskedCase) filtered(full *CSR[float64], comp bool) *CSR[float64] {
+	out := NewCSR[float64](full.NRows, full.NCols)
+	for i := 0; i < full.NRows; i++ {
+		for p := full.Ptr[i]; p < full.Ptr[i+1]; p++ {
+			j := full.ColIdx[p]
+			v, stored := mc.mp.Get(i, j)
+			if (comp && !stored) || (!comp && stored && v != 0) {
+				out.ColIdx = append(out.ColIdx, j)
+				out.Val = append(out.Val, full.Val[p])
+			}
+		}
+		out.Ptr[i+1] = len(out.ColIdx)
+	}
+	return out
+}
+
+// sameCSR compares structure, row pointer and value bits.
+func sameCSR(x, y *CSR[float64]) bool {
+	if x.NRows != y.NRows || x.NCols != y.NCols || x.NNZ() != y.NNZ() || !reflect.DeepEqual(x.Ptr, y.Ptr) {
+		return false
+	}
+	for p := 0; p < x.NNZ(); p++ {
+		if x.ColIdx[p] != y.ColIdx[p] || math.Float64bits(x.Val[p]) != math.Float64bits(y.Val[p]) {
+			return false
+		}
+	}
+	return len(x.ColIdx) == x.NNZ() && len(x.Val) == x.NNZ()
+}
+
+// Property: under a mask, the slot kernel (SpGEMM on Bᵀ), the dot kernel
+// (SpGEMMDotMasked on B as stored) and "unmasked product, then filter" agree
+// byte for byte — structure, row pointer, value bits — and so does the
+// complemented branch, at every worker count. ⊗ is not commutative and the
+// values make ⊕'s order visible, so a kernel that swaps operands or folds an
+// entry's terms out of ascending-k order fails.
+func TestQuickSpGEMMMaskedEqualsFiltered(t *testing.T) {
+	mul := func(x, y float64) float64 { return x - 3*y }
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			parallel.SetMaxWorkersForTest(t, workers)
+			f := func(seed int64) bool {
+				mc := randMaskedCase(rand.New(rand.NewSource(seed)))
+				bt := mc.b.Transpose()
+				full := SpGEMM(mc.a, bt, mul, addF, nil)
+				for _, comp := range []bool{false, true} {
+					mask := mc.resolve(comp)
+					want := mc.filtered(full, comp)
+					if !sameCSR(SpGEMM(mc.a, bt, mul, addF, mask), want) {
+						t.Logf("seed %d comp=%v: SpGEMM differs from the filtered product", seed, comp)
+						return false
+					}
+					if !comp && !sameCSR(SpGEMMDotMasked(mc.a, mc.b, mul, addF, mask), want) {
+						t.Logf("seed %d: SpGEMMDotMasked differs from the filtered product", seed)
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestDotMaskedWins pins the selection inequality on a case small enough to
+// count by hand, with and without a transpose already in hand.
+func TestDotMaskedWins(t *testing.T) {
+	// A = B = the full strict lower triangle of order 4, mask = A.
+	var is, js []int
+	var vs []float64
+	for i := 0; i < 4; i++ {
+		for j := 0; j < i; j++ {
+			is, js, vs = append(is, i), append(js, j), append(vs, 1)
+		}
+	}
+	l, _ := BuildCSR(4, 4, is, js, vs, nil)
+	mask := &MatMask{NCols: 4, EffPtr: l.Ptr, EffIdx: l.ColIdx, StrPtr: l.Ptr, StrIdx: l.ColIdx}
+	// dot work Σ_{(i,j)} |L(j)| = 0+0+1+0+1+2 = 4; Gustavson flops
+	// Σ_{(i,k)} |Lᵀ(k)| = 3+3+2+3+2+1 = 14; nnz(L) = 6.
+	if !DotMaskedWins(l, l, nil, mask) || !DotMaskedWins(l, l, l.Transpose(), mask) {
+		t.Fatal("dot kernel should win on the lower triangle (4 ≤ 14)")
+	}
+	// With B = U = Lᵀ (the product L·L under mask L) the two counts swap:
+	// 14 dot steps against 4 flops, + 6 only while Uᵀ is still to be built.
+	u := l.Transpose()
+	if DotMaskedWins(l, u, nil, mask) || DotMaskedWins(l, u, l, mask) {
+		t.Fatal("Gustavson should win on L·L (14 > 4 + 6)")
 	}
 }
 

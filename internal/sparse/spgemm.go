@@ -1,41 +1,36 @@
 package sparse
 
 import (
+	"graphblas/internal/faults"
 	"graphblas/internal/obs"
 	"graphblas/internal/parallel"
+	"graphblas/internal/pool"
 )
 
 // SpGEMM computes the semiring matrix product C = A ⊕.⊗ B using Gustavson's
-// row-by-row algorithm with a sparse accumulator, parallel over nnz-balanced
-// row ranges of A.
+// row-by-row algorithm, parallel over nnz-balanced row ranges of A.
 //
 // When mask is non-nil the mask is applied *inside* the kernel: positions the
 // mask disallows are never accumulated, which is the pruning the paper's
 // betweenness-centrality example relies on (Section VII-C: the structural
 // complement of numsp prunes already-discovered vertices during frontier
-// expansion).
+// expansion). The mask also picks the loop, once per chunk and never per
+// flop: no mask and a complemented mask accumulate into a sparse accumulator
+// (the output's structure is unknown until the row is done), a
+// non-complemented mask *is* the output's structure and takes the
+// slot-accumulating kernel below.
 //
 //grblint:hotpath
 func SpGEMM[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC, add func(DC, DC) DC, mask *MatMask) *CSR[DC] {
+	if mask != nil && !mask.Comp {
+		return spgemmMaskShaped(a, b, mul, add, mask)
+	}
+	faults.Step("sparse.kernel.spgemm")
 	done := obs.KernelStart("spgemm")
 	ri := make([][]int, a.NRows)
 	rv := make([][]DC, a.NRows)
 	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
 		spa := NewSPA[DC](b.NCols)
-		// The row-mask predicate closures are built once per chunk (they
-		// read the generation-stamped allowed set, which each row re-marks),
-		// not once per row — a per-row closure is a heap allocation per row
-		// and pins its captures (the hotalloc analyzer's loop-closure class).
-		var allowed *BitSPA
-		maskRow := func(int) bool { return true }
-		if mask != nil {
-			allowed = NewBitSPA(b.NCols)
-			if mask.Comp {
-				maskRow = func(j int) bool { return !allowed.Has(j) }
-			} else {
-				maskRow = func(j int) bool { return allowed.Has(j) }
-			}
-		}
 		// Chunk-local arena: every row of this chunk gathers into one pair
 		// of growing slices, so allocation count is O(log total) per chunk
 		// rather than O(rows). The published row slices alias the arena,
@@ -44,29 +39,46 @@ func SpGEMM[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC, add fun
 		var valArena []DC
 		offs := make([]int, 0, hi-lo+1)
 		offs = append(offs, 0)
-		for i := lo; i < hi; i++ {
-			spa.Reset()
-			if mask != nil {
-				allowed.Reset()
-				if mask.Comp {
-					allowed.MarkAll(mask.StrRow(i))
-				} else {
-					allowed.MarkAll(mask.EffRow(i))
-				}
-			}
-			for pa := a.Ptr[i]; pa < a.Ptr[i+1]; pa++ {
-				k := a.ColIdx[pa]
-				av := a.Val[pa]
-				for pb := b.Ptr[k]; pb < b.Ptr[k+1]; pb++ {
-					j := b.ColIdx[pb]
-					if !maskRow(j) {
-						continue
+		if mask == nil {
+			for i := lo; i < hi; i++ {
+				spa.Reset()
+				for pa := a.Ptr[i]; pa < a.Ptr[i+1]; pa++ {
+					k := a.ColIdx[pa]
+					av := a.Val[pa]
+					for pb := b.Ptr[k]; pb < b.Ptr[k+1]; pb++ {
+						spa.Accumulate(b.ColIdx[pb], mul(av, b.Val[pb]), add)
 					}
-					spa.Accumulate(j, mul(av, b.Val[pb]), add)
 				}
+				idxArena, valArena = spa.Gather(idxArena, valArena)
+				offs = append(offs, len(idxArena))
 			}
-			idxArena, valArena = spa.Gather(idxArena, valArena)
-			offs = append(offs, len(idxArena))
+		} else {
+			// Complemented mask: row i's stored mask columns are stamped
+			// with i+1 (the buffer arrives zeroed and rows ascend, so an
+			// older stamp never equals the current one) and a flop landing
+			// on a stamped column is dropped before ⊗ runs.
+			stamp := pool.GetInts(b.NCols)
+			defer pool.PutInts(stamp)
+			for i := lo; i < hi; i++ {
+				spa.Reset()
+				cur := i + 1
+				for _, j := range mask.StrRow(i) {
+					stamp[j] = cur
+				}
+				for pa := a.Ptr[i]; pa < a.Ptr[i+1]; pa++ {
+					k := a.ColIdx[pa]
+					av := a.Val[pa]
+					for pb := b.Ptr[k]; pb < b.Ptr[k+1]; pb++ {
+						j := b.ColIdx[pb]
+						if stamp[j] == cur {
+							continue
+						}
+						spa.Accumulate(j, mul(av, b.Val[pb]), add)
+					}
+				}
+				idxArena, valArena = spa.Gather(idxArena, valArena)
+				offs = append(offs, len(idxArena))
+			}
 		}
 		for i := lo; i < hi; i++ {
 			k := i - lo
@@ -76,6 +88,185 @@ func SpGEMM[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC, add fun
 	})
 	c := assemble(a.NRows, b.NCols, ri, rv)
 	done(c.NNZ())
+	return c
+}
+
+// spgemmMaskShaped is SpGEMM under a non-complemented mask. The product is a
+// subset of the mask's effective pattern, so the output is laid out before a
+// single flop runs: entry p of mask.EffIdx owns slot p of an nnz(M)-long
+// value/presence pair. Per row the mask row's columns are stamped with their
+// slot, each admitted flop folds straight into its slot, and one pass at the
+// end compacts the filled slots into the result — no accumulator values, no
+// touched-index list, no per-row sort or gather, no assembly from row
+// slices. An output entry receives its terms in ascending k, the order the
+// sparse accumulator folds them in, so floating-point sums are
+// bit-identical to the unmasked product filtered by the mask.
+//
+//grblint:hotpath
+func spgemmMaskShaped[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC, add func(DC, DC) DC, mask *MatMask) *CSR[DC] {
+	faults.Step("sparse.kernel.spgemm.masked")
+	done := obs.KernelStart("spgemm.masked")
+	nm := mask.EffPtr[a.NRows]
+	val := make([]DC, nm)
+	has := pool.GetBools(nm)
+	defer pool.PutBools(has)
+	ptr := make([]int, a.NRows+1)
+	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
+		// slot[j] is 1 + the position of column j in mask.EffIdx. Positions
+		// only grow along the rows of a chunk, so "stamped by the current
+		// row" is one compare against the row's first position and the
+		// table is never cleared.
+		slot := pool.GetInts(b.NCols)
+		defer pool.PutInts(slot)
+		for i := lo; i < hi; i++ {
+			base, end := mask.EffPtr[i], mask.EffPtr[i+1]
+			if base == end || a.Ptr[i] == a.Ptr[i+1] {
+				continue
+			}
+			for p := base; p < end; p++ {
+				slot[mask.EffIdx[p]] = p + 1
+			}
+			filled := 0
+			for pa := a.Ptr[i]; pa < a.Ptr[i+1]; pa++ {
+				k := a.ColIdx[pa]
+				av := a.Val[pa]
+				for pb := b.Ptr[k]; pb < b.Ptr[k+1]; pb++ {
+					s := slot[b.ColIdx[pb]]
+					if s <= base {
+						continue
+					}
+					s--
+					x := mul(av, b.Val[pb])
+					if has[s] {
+						val[s] = add(val[s], x)
+					} else {
+						val[s], has[s] = x, true
+						filled++
+					}
+				}
+			}
+			ptr[i+1] = filled
+		}
+	})
+	c := compactSlots(a.NRows, b.NCols, mask, ptr, val, has)
+	done(c.NNZ())
+	return c
+}
+
+// SpGEMMDotMasked computes C⟨M⟩ = A ⊕.⊗ Bᵀ under a non-complemented mask
+// from B as stored (n×k against A's m×k) — the transpose is never formed.
+// Row i of A is scattered into a position table once; every mask entry
+// (i, j) then walks row j of B and folds the products at the columns the two
+// rows share into slot p of the same nnz(M)-long layout spgemmMaskShaped
+// fills. B's rows are sorted, so an entry's terms arrive in ascending k with
+// ⊗'s operands in A-then-B order: the result is bit-identical to
+// SpGEMM(a, b.Transpose(), …, mask). Work is Σ_{(i,j)∈M} |B(j)| against
+// Gustavson's Σ_{(i,k)∈A} |Bᵀ(k)| plus the transpose; DotMaskedWins compares
+// the two. Rows are partitioned by mask entries, which is where the work is.
+//
+//grblint:hotpath
+func SpGEMMDotMasked[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC, add func(DC, DC) DC, mask *MatMask) *CSR[DC] {
+	faults.Step("sparse.kernel.spgemm.dot")
+	done := obs.KernelStart("spgemm.dot")
+	nm := mask.EffPtr[a.NRows]
+	val := make([]DC, nm)
+	has := pool.GetBools(nm)
+	defer pool.PutBools(has)
+	ptr := make([]int, a.NRows+1)
+	parallel.ForWeighted(a.NRows, mask.EffPtr, func(lo, hi int) {
+		// pos[k] is 1 + the storage position of A(i, k); as with the slot
+		// table, positions grow along the rows of a chunk and the row's
+		// first position tells current from stale.
+		pos := pool.GetInts(a.NCols)
+		defer pool.PutInts(pos)
+		for i := lo; i < hi; i++ {
+			base := a.Ptr[i]
+			if mask.EffPtr[i] == mask.EffPtr[i+1] || base == a.Ptr[i+1] {
+				continue
+			}
+			for pa := base; pa < a.Ptr[i+1]; pa++ {
+				pos[a.ColIdx[pa]] = pa + 1
+			}
+			filled := 0
+			for p := mask.EffPtr[i]; p < mask.EffPtr[i+1]; p++ {
+				j := mask.EffIdx[p]
+				var acc DC
+				hit := false
+				for pb := b.Ptr[j]; pb < b.Ptr[j+1]; pb++ {
+					s := pos[b.ColIdx[pb]]
+					if s <= base {
+						continue
+					}
+					x := mul(a.Val[s-1], b.Val[pb])
+					if hit {
+						acc = add(acc, x)
+					} else {
+						acc, hit = x, true
+					}
+				}
+				if hit {
+					val[p], has[p] = acc, true
+					filled++
+				}
+			}
+			ptr[i+1] = filled
+		}
+	})
+	c := compactSlots(a.NRows, b.NRows, mask, ptr, val, has)
+	done(c.NNZ())
+	return c
+}
+
+// DotMaskedWins is the selection rule between the two ways to compute
+// C⟨M⟩ = A ⊕.⊗ Bᵀ under a non-complemented mask: it reports whether
+// SpGEMMDotMasked's inner-loop steps, Σ_{(i,j)∈M} |B(j)|, are no more than
+// what transposing B and running SpGEMM costs — Gustavson's flops
+// Σ_{(i,k)∈A} |Bᵀ(k)| plus nnz(B) to build Bᵀ. bt is B's transpose when the
+// caller already holds one (its row pointer gives the column counts and the
+// transpose is then free), nil otherwise. Three O(nnz) passes, read from the
+// operands alone.
+func DotMaskedWins[DA, DB any](a *CSR[DA], b, bt *CSR[DB], mask *MatMask) bool {
+	dot := 0
+	for _, j := range mask.EffIdx[:mask.EffPtr[a.NRows]] {
+		dot += b.Ptr[j+1] - b.Ptr[j]
+	}
+	gustavson := 0
+	if bt != nil {
+		for _, k := range a.ColIdx[:a.NNZ()] {
+			gustavson += bt.Ptr[k+1] - bt.Ptr[k]
+		}
+		return dot <= gustavson
+	}
+	colCount := pool.GetInts(b.NCols)
+	for _, k := range b.ColIdx[:b.NNZ()] {
+		colCount[k]++
+	}
+	for _, k := range a.ColIdx[:a.NNZ()] {
+		gustavson += colCount[k]
+	}
+	pool.PutInts(colCount)
+	return dot <= gustavson+b.NNZ()
+}
+
+// compactSlots turns the slot form the mask-shaped kernels fill — val[p] and
+// has[p] for entry p of mask.EffIdx, ptr[i+1] the number of filled slots of
+// row i — into the CSR result, taking ownership of ptr.
+func compactSlots[DC any](nrows, ncols int, mask *MatMask, ptr []int, val []DC, has []bool) *CSR[DC] {
+	for i := 0; i < nrows; i++ {
+		ptr[i+1] += ptr[i]
+	}
+	c := &CSR[DC]{NRows: nrows, NCols: ncols, Ptr: ptr}
+	c.ColIdx = make([]int, ptr[nrows])
+	c.Val = make([]DC, ptr[nrows])
+	parallel.ForWeighted(nrows, mask.EffPtr, func(lo, hi int) {
+		q := ptr[lo]
+		for p := mask.EffPtr[lo]; p < mask.EffPtr[hi]; p++ {
+			if has[p] {
+				c.ColIdx[q], c.Val[q] = mask.EffIdx[p], val[p]
+				q++
+			}
+		}
+	})
 	return c
 }
 
