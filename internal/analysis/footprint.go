@@ -4,223 +4,306 @@ package analysis
 // rests on: the hazard DAG sees exactly the objects an operation's deferred
 // closures will actually touch. PR 9's mask-aliasing fusion bug was this
 // class — a kernel consulted an object's store in a way the declared
-// Reads/Writes footprint could not express, and the scheduler fused a pair it
-// should not have. The analyzer makes the contract checkable at the enqueue
-// sites themselves:
+// footprint could not express, and the scheduler fused a pair it should not
+// have.
 //
-//   - Every *Matrix/*Vector variable captured by an op's run closure (or by
-//     its fuseInfo producer/consume payloads) must be covered by the op's
-//     declared footprint: the out argument, an element of the reads list, or
-//     the mask operand passed through maskReadsV/maskReadsM. A captured
-//     object outside that set is a read or write the DAG builder never hears
-//     about — exactly the shape that turns into a flush-worker race or an
-//     illegal fusion.
-//   - The mask operand must enter the footprint through maskReadsV/M, never
-//     folded into the data-operand literal: downstream passes (fusion's
-//     alias veto) need mask and data operands distinguishable, which the
-//     flat []uint64 read set cannot express on its own.
-//   - No store dereference (vdat()/mdat() calls) may happen in the enqueue
-//     path outside the deferred closures: a store read at enqueue time sees
-//     pre-hazard content and silently bypasses the DAG's ordering.
+// The engine has one entry point, enqueue(opSpec, run), and the footprint is
+// derived from the spec (opSpec.footprint: the inputs the operation handed
+// the skeleton, then the mask through maskReads). So the contract has two
+// halves, and the analyzer checks both:
 //
-// The analysis is structural over the engine's own idioms: enqueue-family
-// calls are recognized by callee name and signature (a *obj out, a []*obj
-// reads, a trailing func() error run), the reads argument is resolved back
-// through the local `reads := maskReadsV([]*obj{...}, mask)` assignment, and
+//   - At every enqueue site, every *Matrix/*Vector variable captured by the
+//     run closure (or by the fuseInfo producer/consume payloads attached to
+//     the spec) must be one the skeleton was handed: the output and mask
+//     given to the typed constructor (matOp/vecOp, or opSpec.begin), an
+//     input passed through opSpec.input, or — for the object methods that
+//     enqueue without Figure 2's pipeline — the out and src arguments of
+//     methodSpec. A captured object outside that set is a read or write the
+//     DAG builder never hears about.
+//   - The mask operand must be handed over in the mask position, never as a
+//     data input: downstream passes (fusion's alias veto) need mask and data
+//     operands distinguishable.
+//   - No store dereference (vdat()/mdat()/oriented()/transposed() calls) may
+//     happen in the enqueue path outside the deferred closures: a store read
+//     at enqueue time sees pre-hazard content and silently bypasses the
+//     DAG's ordering.
+//   - In the skeleton itself, enqueue must take the pending operation's
+//     reads from opSpec.footprint, and footprint must cover every input
+//     (the in[:nin] slice) and pass the mask through maskReads.
+//
+// The analysis is structural over the skeleton's own vocabulary: the entry
+// point is recognized by name and signature shape (an opSpec value and a
+// trailing func() error), the spec variable is traced through the calls in
+// the enclosing function that take its address or have it as receiver, and
 // the closures are walked for free-variable uses of object-typed vars.
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
-// enqueueFuncs are the enqueue-family entry points, by name. The analyzer
-// additionally verifies the signature shape before treating a call as an
-// enqueue site, so a same-named helper elsewhere cannot confuse it.
-var enqueueFuncs = map[string]bool{
-	"enqueue":        true,
-	"enqueueHinted":  true,
-	"enqueueSpanned": true,
-	"enqueueFusable": true,
-}
+// The skeleton's vocabulary. enqueueName and specType identify the entry
+// point; the rest name the hand-over points whose arguments make up the
+// footprint.
+const (
+	enqueueName    = "enqueue"
+	specType       = "opSpec"
+	operandType    = "operand"
+	methodSpecName = "methodSpec"
+	beginMethod    = "begin"
+	inputMethod    = "input"
+	footprintName  = "footprint"
+	maskReadsName  = "maskReads"
+)
 
-// maskReadsFuncs are the helpers that fold the mask operand into the reads
-// list while keeping it distinguishable for later passes.
-var maskReadsFuncs = map[string]bool{
-	"maskReadsV": true,
-	"maskReadsM": true,
-}
+// storeReaders are the accessors that dereference an object's committed
+// store.
+var storeReaders = map[string]bool{"vdat": true, "mdat": true, "oriented": true, "transposed": true}
 
 // NewFootprint returns a fresh footprint analyzer.
 func NewFootprint() *Analyzer {
 	a := &Analyzer{
 		Name: "footprint",
-		Doc:  "flags enqueued kernel closures touching objects outside the op's declared Reads/Writes footprint",
+		Doc:  "flags enqueued kernel closures touching objects the operation skeleton was not handed, and a skeleton whose derived footprint drops an operand",
 	}
 	a.Run = func(pass *Pass) error {
 		if !engineScope(pass.Pkg) {
 			return nil
 		}
-		// The analyzer engages only in packages that define the enqueue
-		// family (internal/core and the golden mock).
-		if pass.Pkg.Scope().Lookup("enqueue") == nil && pass.Pkg.Scope().Lookup("enqueueFusable") == nil {
+		// The analyzer engages only in packages that define the entry point
+		// (internal/core and the golden mocks).
+		if pass.Pkg.Scope().Lookup(enqueueName) == nil {
 			return nil
 		}
 		for _, f := range pass.Files {
 			checkEnqueueSites(pass, f)
+			checkSkeleton(pass, f)
 		}
 		return nil
 	}
 	return a
 }
 
-// checkEnqueueSites finds every enqueue-family call in f and verifies each
-// site's closures against its declared footprint.
-func checkEnqueueSites(pass *Pass, f *ast.File) {
-	eagerChecked := map[ast.Node]bool{}
+// forEachEnqueueSite resolves every enqueue call in f that carries a run
+// closure and hands it to visit.
+func forEachEnqueueSite(pass *Pass, f *ast.File, visit func(*enqueueSite)) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
+		if !ok || !isEnqueueCall(pass, call) {
 			return true
 		}
-		callee, ok := unparen(call.Fun).(*ast.Ident)
-		if !ok || !enqueueFuncs[callee.Name] {
-			return true
-		}
-		fn, ok := pass.TypesInfo.Uses[callee].(*types.Func)
-		if !ok || fn.Pkg() != pass.Pkg {
-			return true
-		}
-		site := resolveEnqueueSite(pass, f, call, fn)
-		if site == nil {
-			return true
-		}
-		site.check(pass)
-		if !eagerChecked[site.enclosing] {
-			eagerChecked[site.enclosing] = true
-			site.checkEagerStoreReads(pass)
+		if site := resolveEnqueueSite(pass, f, call); site != nil {
+			visit(site)
 		}
 		return true
 	})
 }
 
-// enqueueSite is one resolved enqueue-family call: the declared footprint and
+// checkEnqueueSites verifies each site's closures against what the skeleton
+// was handed.
+func checkEnqueueSites(pass *Pass, f *ast.File) {
+	eagerChecked := map[ast.Node]bool{}
+	forEachEnqueueSite(pass, f, func(site *enqueueSite) {
+		site.check(pass)
+		if !eagerChecked[site.enclosing] {
+			eagerChecked[site.enclosing] = true
+			site.checkEagerStoreReads(pass)
+		}
+	})
+}
+
+// isEnqueueCall reports whether call is the package's own
+// enqueue(opSpec, func() error): the name alone is not trusted, so a
+// same-named helper elsewhere cannot confuse the analyzer.
+func isEnqueueCall(pass *Pass, call *ast.CallExpr) bool {
+	callee, ok := unparen(call.Fun).(*ast.Ident)
+	if !ok || callee.Name != enqueueName || len(call.Args) != 2 {
+		return false
+	}
+	fn, ok := pass.TypesInfo.Uses[callee].(*types.Func)
+	if !ok || fn.Pkg() != pass.Pkg {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	if sig.Params().Len() != 2 || !isNamed(sig.Params().At(0).Type(), specType) {
+		return false
+	}
+	run, ok := sig.Params().At(1).Type().(*types.Signature)
+	return ok && run.Params().Len() == 0 && run.Results().Len() == 1 && isErrorType(run.Results().At(0).Type())
+}
+
+// enqueueSite is one resolved enqueue call: what the skeleton was handed and
 // the closures that will execute against it at flush time.
 type enqueueSite struct {
 	call *ast.CallExpr
-	// outVar is the object written (the base variable of the &x.obj out
-	// argument); nil when the out argument is not that shape.
+	// outVar is the object written; nil when the output was not handed over
+	// as a plain variable.
 	outVar types.Object
-	// readVars are the base variables of the declared read operands.
+	// readVars are the objects handed over as inputs.
 	readVars map[types.Object]bool
-	// maskVar is the mask operand threaded through maskReadsV/M, nil when
-	// the site declares no mask.
+	// maskVar is the object handed over in the mask position, nil when the
+	// site has none.
 	maskVar types.Object
-	// maskDeclared reports whether the reads list was built by maskReadsV/M
-	// at all (even with a nil mask argument).
-	maskDeclared bool
 	// closures are the deferred regions to scan: the run closure plus any
 	// fuseInfo payload expressions assigned in the enclosing function.
 	closures []ast.Node
+	// fuse is the expression assigned to the spec's fuse field, nil when the
+	// site attaches no fusion capability.
+	fuse ast.Expr
 	// enclosing is the op function containing the call.
 	enclosing ast.Node
 }
 
-// resolveEnqueueSite decodes one call's footprint declaration. Returns nil
-// when the call is a forwarding shape (run argument is not a function
-// literal), which the enqueue family uses internally.
-func resolveEnqueueSite(pass *Pass, f *ast.File, call *ast.CallExpr, fn *types.Func) *enqueueSite {
-	sig := fn.Type().(*types.Signature)
-	if sig.Params().Len() != len(call.Args) {
-		return nil // variadic or mismatched shapes are not enqueue sites
-	}
-	site := &enqueueSite{call: call, readVars: map[types.Object]bool{}}
-	var readsArg, fiArg ast.Expr
-	for i := 0; i < sig.Params().Len(); i++ {
-		p := sig.Params().At(i)
-		switch {
-		case isPtrToNamed(p.Type(), "obj"):
-			site.outVar = objBaseVar(pass, call.Args[i])
-		case isSliceOfPtrNamed(p.Type(), "obj"):
-			readsArg = call.Args[i]
-		case isPtrToNamed(p.Type(), "fuseInfo"):
-			fiArg = call.Args[i]
-		case i == sig.Params().Len()-1:
-			if lit, ok := unparen(call.Args[i]).(*ast.FuncLit); ok {
-				site.closures = append(site.closures, lit)
-			}
-		}
-	}
-	if len(site.closures) == 0 {
-		return nil // forwarding call: the run closure lives at the outer site
+// resolveEnqueueSite decodes what one call's spec was handed. Returns nil
+// when the run argument is not a function literal (a forwarding shape).
+func resolveEnqueueSite(pass *Pass, f *ast.File, call *ast.CallExpr) *enqueueSite {
+	lit, ok := unparen(call.Args[1]).(*ast.FuncLit)
+	if !ok {
+		return nil
 	}
 	funcs := enclosingFuncs(f, call.Pos())
 	if len(funcs) == 0 {
 		return nil
 	}
-	site.enclosing = funcs[0]
-	if readsArg != nil {
-		site.resolveReads(pass, readsArg, 0)
+	site := &enqueueSite{call: call, readVars: map[types.Object]bool{}, closures: []ast.Node{lit}, enclosing: funcs[0]}
+	switch spec := unparen(call.Args[0]).(type) {
+	case *ast.CallExpr:
+		// enqueue(methodSpec(name, &out.obj, &src.obj, keeps), run)
+		if callee, ok := unparen(spec.Fun).(*ast.Ident); ok && callee.Name == methodSpecName && len(spec.Args) >= 3 {
+			site.outVar = objBaseVar(pass, spec.Args[1])
+			if v := objBaseVar(pass, spec.Args[2]); v != nil {
+				site.readVars[v] = true
+			}
+		}
+	case *ast.Ident:
+		if specVar := pass.TypesInfo.Uses[spec]; specVar != nil {
+			site.traceSpec(pass, specVar)
+		}
 	}
-	if fiArg != nil {
-		site.collectFuseClosures(pass, fiArg)
+	if site.fuse != nil {
+		site.collectFuseClosures(pass, site.fuse)
 	}
 	return site
 }
 
-// resolveReads decodes the reads argument: nil, a []*obj literal, a
-// maskReadsV/M call, or a local variable traced to its assignment(s) in the
-// enclosing function. depth bounds indirection so aliasing chains terminate.
-func (s *enqueueSite) resolveReads(pass *Pass, e ast.Expr, depth int) {
+// traceSpec walks the enclosing function for every hand-over to the spec
+// variable: a typed constructor taking its address (the object arguments
+// are the output, then the mask), its begin method (the operand arguments
+// are the output, then the mask), its input method, and the assignment of
+// its fuse field.
+func (s *enqueueSite) traceSpec(pass *Pass, specVar types.Object) {
+	isSpec := func(e ast.Expr) bool {
+		id, ok := unparen(e).(*ast.Ident)
+		return ok && pass.TypesInfo.Uses[id] == specVar
+	}
+	ast.Inspect(funcBody(s.enclosing), func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			if len(x.Lhs) == 1 && len(x.Rhs) == 1 {
+				if sel, ok := x.Lhs[0].(*ast.SelectorExpr); ok && sel.Sel.Name == "fuse" && isSpec(sel.X) {
+					s.fuse = x.Rhs[0]
+				}
+			}
+		case *ast.CallExpr:
+			if sel, ok := unparen(x.Fun).(*ast.SelectorExpr); ok && isSpec(sel.X) {
+				switch sel.Sel.Name {
+				case beginMethod:
+					s.handOutAndMask(pass, x.Args, func(e ast.Expr) types.Object { return s.operandBaseVar(pass, e, 0) })
+				case inputMethod:
+					if len(x.Args) == 1 {
+						if v := s.operandBaseVar(pass, x.Args[0], 0); v != nil {
+							s.readVars[v] = true
+						}
+					}
+				}
+				return true
+			}
+			if len(x.Args) > 0 {
+				if un, ok := unparen(x.Args[0]).(*ast.UnaryExpr); ok && un.Op == token.AND && isSpec(un.X) {
+					s.handOutAndMask(pass, x.Args[1:], func(e ast.Expr) types.Object { return objectVar(pass, e) })
+				}
+			}
+		}
+		return true
+	})
+}
+
+// handOutAndMask records the first argument that resolves to an object as
+// the output and the second as the mask.
+func (s *enqueueSite) handOutAndMask(pass *Pass, args []ast.Expr, resolve func(ast.Expr) types.Object) {
+	seen := 0
+	for _, arg := range args {
+		v := resolve(arg)
+		if v == nil {
+			continue
+		}
+		switch seen {
+		case 0:
+			s.outVar = v
+		case 1:
+			s.maskVar = v
+		}
+		seen++
+	}
+}
+
+// objectVar resolves a plain identifier of object type to its variable.
+func objectVar(pass *Pass, e ast.Expr) types.Object {
+	id, ok := unparen(e).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	if v, ok := pass.TypesInfo.Uses[id].(*types.Var); ok && isObjectVar(pass, v) {
+		return v
+	}
+	return nil
+}
+
+// operandBaseVar resolves an operand expression to the object it describes:
+// a call returning the skeleton's operand type with an object argument
+// (matArg(a, tran), vecArg(u)), or a local traced to such a call. depth
+// bounds indirection so aliasing chains terminate.
+func (s *enqueueSite) operandBaseVar(pass *Pass, e ast.Expr, depth int) types.Object {
 	if depth > 4 {
-		return
+		return nil
 	}
 	switch x := unparen(e).(type) {
-	case *ast.Ident:
-		if x.Name == "nil" {
-			return
+	case *ast.CallExpr:
+		if tv, ok := pass.TypesInfo.Types[x]; !ok || !isNamed(tv.Type, operandType) {
+			return nil
 		}
+		for _, arg := range x.Args {
+			if v := objectVar(pass, arg); v != nil {
+				return v
+			}
+		}
+	case *ast.Ident:
 		obj := pass.TypesInfo.Uses[x]
 		if obj == nil {
-			return
+			return nil
 		}
-		// Trace the local back through every assignment in the enclosing
-		// function; multiple assignments union conservatively.
+		var found types.Object
 		ast.Inspect(funcBody(s.enclosing), func(n ast.Node) bool {
 			as, ok := n.(*ast.AssignStmt)
 			if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
 				return true
 			}
 			lhs, ok := as.Lhs[0].(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if pass.TypesInfo.Defs[lhs] == obj || pass.TypesInfo.Uses[lhs] == obj {
-				s.resolveReads(pass, as.Rhs[0], depth+1)
+			if ok && (pass.TypesInfo.Defs[lhs] == obj || pass.TypesInfo.Uses[lhs] == obj) {
+				if v := s.operandBaseVar(pass, as.Rhs[0], depth+1); v != nil {
+					found = v
+				}
 			}
 			return true
 		})
-	case *ast.CompositeLit:
-		for _, el := range x.Elts {
-			if v := objBaseVar(pass, el); v != nil {
-				s.readVars[v] = true
-			}
-		}
-	case *ast.CallExpr:
-		callee, ok := unparen(x.Fun).(*ast.Ident)
-		if !ok || !maskReadsFuncs[callee.Name] || len(x.Args) != 2 {
-			return
-		}
-		s.maskDeclared = true
-		s.resolveReads(pass, x.Args[0], depth+1)
-		if id, ok := unparen(x.Args[1]).(*ast.Ident); ok && id.Name != "nil" {
-			s.maskVar = pass.TypesInfo.Uses[id]
-		}
+		return found
 	}
+	return nil
 }
 
 // collectFuseClosures gathers the fusion-payload expressions attached to the
-// fuseInfo argument: the composite literal it was built from and every
+// spec's fuse field: the composite literal it was built from and every
 // assignment to it or its fields in the enclosing function. Their closures
 // run at flush time exactly like the run closure and meet the same footprint
 // bar.
@@ -250,12 +333,12 @@ func (s *enqueueSite) collectFuseClosures(pass *Pass, fiArg ast.Expr) {
 		})
 		return
 	}
-	// Inline &fuseInfo{...} argument.
+	// Inline &fuseInfo{...} value.
 	s.closures = append(s.closures, fiExpr)
 }
 
-// check walks the site's closures and reports captured object variables
-// outside the declared footprint.
+// check walks the site's closures and reports captured object variables the
+// skeleton was not handed.
 func (s *enqueueSite) check(pass *Pass) {
 	reported := map[types.Object]bool{}
 	for _, region := range s.closures {
@@ -272,15 +355,15 @@ func (s *enqueueSite) check(pass *Pass) {
 				return true
 			}
 			if v.Name() == "mask" && v != s.maskVar {
-				// The mask operand must enter the footprint through
-				// maskReadsV/M specifically; folding &mask.obj into the data
-				// literal hides the mask/data distinction from fusion
-				// legality (the PR 9 alias class).
+				// The mask operand must enter the footprint through the mask
+				// position specifically; handing it over as a data input
+				// hides the mask/data distinction from fusion legality (the
+				// PR 9 alias class).
 				reported[v] = true
-				if s.maskDeclared {
-					pass.Reportf(id.Pos(), "kernel closure captures mask operand %s that is not the mask declared via maskReadsV/maskReadsM; the scheduler cannot distinguish it from data operands", v.Name())
+				if s.readVars[v] {
+					pass.Reportf(id.Pos(), "mask operand %s was handed to the skeleton as a data input; pass it in the mask position so it enters the footprint through maskReads and stays distinguishable for fusion legality", v.Name())
 				} else {
-					pass.Reportf(id.Pos(), "mask operand %s is captured by the kernel closure but the reads list is not built with maskReadsV/maskReadsM; mask and data operands must stay distinguishable for fusion legality", v.Name())
+					pass.Reportf(id.Pos(), "mask operand %s is captured by the kernel closure but was never handed to the skeleton as the mask; mask and data operands must stay distinguishable for fusion legality", v.Name())
 				}
 				return true
 			}
@@ -288,16 +371,16 @@ func (s *enqueueSite) check(pass *Pass) {
 				return true
 			}
 			reported[v] = true
-			pass.Reportf(id.Pos(), "kernel closure captures %s outside the op's declared footprint: add &%s.obj to the reads list (or make it the out argument) so the hazard DAG orders this access", v.Name(), v.Name())
+			pass.Reportf(id.Pos(), "kernel closure captures %s, which the skeleton was not handed: pass it through opSpec.input (or make it the output) so the derived footprint lets the hazard DAG order this access", v.Name())
 			return true
 		})
 	}
 }
 
-// checkEagerStoreReads flags vdat()/mdat() store dereferences in the op
-// function outside any function literal: the enqueue path runs at program
-// order, before the hazard DAG has ordered this op against the operands'
-// writers, so a store read there observes pre-hazard content.
+// checkEagerStoreReads flags store dereferences in the op function outside
+// any function literal: the enqueue path runs at program order, before the
+// hazard DAG has ordered this op against the operands' writers, so a store
+// read there observes pre-hazard content.
 func (s *enqueueSite) checkEagerStoreReads(pass *Pass) {
 	body := funcBody(s.enclosing)
 	if body == nil {
@@ -312,7 +395,7 @@ func (s *enqueueSite) checkEagerStoreReads(pass *Pass) {
 			return true
 		}
 		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "vdat" && sel.Sel.Name != "mdat") {
+		if !ok || !storeReaders[sel.Sel.Name] {
 			return true
 		}
 		if base := baseIdent(sel.X); base != nil {
@@ -334,6 +417,73 @@ func (s *enqueueSite) freeIn(v *types.Var, region ast.Node) bool {
 	return v.Pos() >= encl.Pos() && v.Pos() < encl.End()
 }
 
+// checkSkeleton verifies the derivation the sites above rely on, where it
+// now lives: enqueue builds the pending operation's reads from
+// opSpec.footprint, and footprint covers every input and sends the mask
+// through maskReads.
+func checkSkeleton(pass *Pass, f *ast.File) {
+	for _, decl := range f.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Body == nil {
+			continue
+		}
+		switch {
+		case fd.Recv == nil && fd.Name.Name == enqueueName:
+			if !readsFromFootprint(fd.Body) {
+				pass.Reportf(fd.Pos(), "enqueue does not take the pending operation's reads from opSpec.footprint(): the hazard DAG would see a read set the skeleton did not derive")
+			}
+		case fd.Recv != nil && fd.Name.Name == footprintName:
+			inputs, mask := false, false
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.SliceExpr:
+					// <recv>.in[:<recv>.nin]
+					if sel, ok := unparen(x.X).(*ast.SelectorExpr); ok && sel.Sel.Name == "in" && x.Low == nil {
+						if hi, ok := x.High.(*ast.SelectorExpr); ok && hi.Sel.Name == "nin" {
+							inputs = true
+						}
+					}
+				case *ast.CallExpr:
+					if callee, ok := unparen(x.Fun).(*ast.Ident); ok && callee.Name == maskReadsName && len(x.Args) == 2 {
+						if sel, ok := unparen(x.Args[1]).(*ast.SelectorExpr); ok && sel.Sel.Name == "mask" {
+							mask = true
+						}
+					}
+				}
+				return true
+			})
+			if !inputs {
+				pass.Reportf(fd.Pos(), "opSpec.footprint does not cover every input handed to the skeleton (expected the in[:nin] slice): a dropped operand is a read the hazard DAG never orders")
+			}
+			if !mask {
+				pass.Reportf(fd.Pos(), "opSpec.footprint does not pass the mask through maskReads: a masked operation would run unordered against its mask's writers")
+			}
+		}
+	}
+}
+
+// readsFromFootprint reports whether body contains a composite literal whose
+// reads field is a <spec>.footprint() call.
+func readsFromFootprint(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		kv, ok := n.(*ast.KeyValueExpr)
+		if !ok {
+			return true
+		}
+		if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "reads" {
+			return true
+		}
+		if call, ok := unparen(kv.Value).(*ast.CallExpr); ok {
+			if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == footprintName {
+				found = true
+			}
+		}
+		return true
+	})
+	return found
+}
+
 // isObjectVar reports whether v is a pointer to the engine's Matrix or
 // Vector type declared in the package under analysis.
 func isObjectVar(pass *Pass, v *types.Var) bool {
@@ -352,8 +502,8 @@ func isObjectVar(pass *Pass, v *types.Var) bool {
 	return named.Obj().Pkg() == pass.Pkg
 }
 
-// objBaseVar extracts the base variable of an `&x.obj` (or `&x.obj`-shaped)
-// operand expression, nil for other shapes.
+// objBaseVar extracts the base variable of an `&x.obj` operand expression,
+// nil for other shapes.
 func objBaseVar(pass *Pass, e ast.Expr) types.Object {
 	un, ok := unparen(e).(*ast.UnaryExpr)
 	if !ok {
@@ -370,21 +520,8 @@ func objBaseVar(pass *Pass, e ast.Expr) types.Object {
 	return pass.TypesInfo.Uses[base]
 }
 
-// isPtrToNamed reports whether t is *T for a named type T called name.
-func isPtrToNamed(t types.Type, name string) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
+// isNamed reports whether t is a named type called name.
+func isNamed(t types.Type, name string) bool {
+	named, ok := t.(*types.Named)
 	return ok && named.Obj().Name() == name
-}
-
-// isSliceOfPtrNamed reports whether t is []*T for a named type T called name.
-func isSliceOfPtrNamed(t types.Type, name string) bool {
-	sl, ok := t.(*types.Slice)
-	if !ok {
-		return false
-	}
-	return isPtrToNamed(sl.Elem(), name)
 }

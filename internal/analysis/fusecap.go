@@ -1,14 +1,15 @@
 package analysis
 
-// fusecap verifies the fusion-capability declarations at enqueueFusable
-// sites against the op's declared footprint. Fusion stubs the producer and
-// lets the consumer evaluate the producer's computation inline, so three
-// structural invariants must hold at every site that attaches a fuseInfo:
+// fusecap verifies the fusion-capability declarations attached to an
+// operation's spec (opSpec.fuse) against what the skeleton was handed.
+// Fusion stubs the producer and lets the consumer evaluate the producer's
+// computation inline, so three structural invariants must hold at every
+// enqueue site that attaches a fuseInfo:
 //
 //   - The fusion source (the operand named by srcID) must be one of the
-//     op's declared reads — dataflow.FuseLegal reasons entirely from the
-//     declared footprints, so a srcID outside them would let fusion elide a
-//     store the hazard DAG never proved dead.
+//     inputs the op handed the skeleton — dataflow.FuseLegal reasons
+//     entirely from the derived footprints, so a srcID outside them would
+//     let fusion elide a store the hazard DAG never proved dead.
 //   - When the op takes a mask, the consume capability must be withheld
 //     whenever the mask aliases the fusion source: a fused kernel resolves
 //     the mask from the source's committed store while streaming the
@@ -36,44 +37,25 @@ import (
 func NewFuseCap() *Analyzer {
 	a := &Analyzer{
 		Name: "fusecap",
-		Doc:  "verifies enqueueFusable capability declarations: source in reads, mask-alias veto, no stale source reads in consume",
+		Doc:  "verifies opSpec.fuse capability declarations: source among the handed inputs, mask-alias veto, no stale source reads in consume",
 	}
 	a.Run = func(pass *Pass) error {
 		if !engineScope(pass.Pkg) {
 			return nil
 		}
-		if pass.Pkg.Scope().Lookup("enqueueFusable") == nil {
+		if pass.Pkg.Scope().Lookup(enqueueName) == nil {
 			return nil
 		}
 		for _, f := range pass.Files {
-			checkFusableSites(pass, f)
+			forEachEnqueueSite(pass, f, func(site *enqueueSite) {
+				if site.fuse != nil {
+					checkFuseCapability(pass, site)
+				}
+			})
 		}
 		return nil
 	}
 	return a
-}
-
-func checkFusableSites(pass *Pass, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee, ok := unparen(call.Fun).(*ast.Ident)
-		if !ok || callee.Name != "enqueueFusable" {
-			return true
-		}
-		fn, ok := pass.TypesInfo.Uses[callee].(*types.Func)
-		if !ok || fn.Pkg() != pass.Pkg {
-			return true
-		}
-		site := resolveEnqueueSite(pass, f, call, fn)
-		if site == nil {
-			return true
-		}
-		checkFuseCapability(pass, f, site, call, fn)
-		return true
-	})
 }
 
 // consumeAssign is one attachment of the consume capability: the syntactic
@@ -84,19 +66,10 @@ type consumeAssign struct {
 	expr ast.Expr
 }
 
-// checkFuseCapability decodes the fuseInfo argument of one enqueueFusable
-// call and applies the three capability rules.
-func checkFuseCapability(pass *Pass, f *ast.File, site *enqueueSite, call *ast.CallExpr, fn *types.Func) {
-	sig := fn.Type().(*types.Signature)
-	var fiExpr ast.Expr
-	for i := 0; i < sig.Params().Len() && i < len(call.Args); i++ {
-		if isPtrToNamed(sig.Params().At(i).Type(), "fuseInfo") {
-			fiExpr = unparen(call.Args[i])
-		}
-	}
-	if fiExpr == nil {
-		return
-	}
+// checkFuseCapability decodes the fuseInfo value one site assigns to its
+// spec's fuse field and applies the three capability rules.
+func checkFuseCapability(pass *Pass, site *enqueueSite) {
+	fiExpr := unparen(site.fuse)
 	if id, ok := fiExpr.(*ast.Ident); ok && id.Name == "nil" {
 		return
 	}
@@ -161,7 +134,7 @@ func checkFuseCapability(pass *Pass, f *ast.File, site *enqueueSite, call *ast.C
 			return true
 		})
 	} else if lit := stripLit(fiExpr); lit != nil {
-		collectField(lit, call.Pos())
+		collectField(lit, site.call.Pos())
 	}
 
 	if srcExpr == nil {
@@ -176,7 +149,7 @@ func checkFuseCapability(pass *Pass, f *ast.File, site *enqueueSite, call *ast.C
 		return
 	}
 	if srcVar != site.outVar && !site.readVars[srcVar] && srcVar != site.maskVar {
-		pass.Reportf(srcExpr.Pos(), "fusion source %s is not in the op's declared reads: dataflow.FuseLegal proves elision from declared footprints only", srcVar.Name())
+		pass.Reportf(srcExpr.Pos(), "fusion source %s is not among the inputs the skeleton was handed: dataflow.FuseLegal proves elision from derived footprints only", srcVar.Name())
 	}
 
 	maskVar := site.maskVar
@@ -220,7 +193,7 @@ func objIDBaseVar(pass *Pass, e ast.Expr) types.Object {
 }
 
 // maskParam finds an object-typed parameter named mask on the enclosing op
-// function, for sites whose reads list was not built through maskReadsV/M.
+// function, for sites that did not hand one over in the mask position.
 func maskParam(pass *Pass, fn ast.Node) types.Object {
 	fd, ok := fn.(*ast.FuncDecl)
 	if !ok || fd.Type.Params == nil {

@@ -35,6 +35,12 @@ func TestFootprintGolden(t *testing.T) {
 	RunGolden(t, "footprint", NewFootprint())
 }
 
+// TestFootprintSkeletonGolden: the same analyzer over a package whose sites
+// are sound but whose enqueue and opSpec.footprint drop operands.
+func TestFootprintSkeletonGolden(t *testing.T) {
+	RunGolden(t, "footprintskel", NewFootprint())
+}
+
 func TestFuseCapGolden(t *testing.T) {
 	RunGolden(t, "fusecap", NewFuseCap())
 }

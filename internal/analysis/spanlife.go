@@ -15,7 +15,7 @@ package analysis
 //     is staging, not retirement — Finish explicitly documents "Emit must
 //     still be called";
 //   - any other use — sp as a call argument (obs.Emit(sp), or the
-//     enqueueSpanned handoff), sp inside a composite literal or assignment
+//     hand-over to a callee), sp inside a composite literal or assignment
 //     RHS, sp returned — retires it;
 //   - a defer whose body (or arguments) retires sp pins it retired for every
 //     later return, the runScalarReduce shape;
@@ -25,8 +25,8 @@ package analysis
 // branch only when both arms retire it on their fall-through paths; loop and
 // switch bodies are checked internally but never credit the code after them.
 // A Begin result that is never bound (`obs.Begin(name)` as a statement) is
-// flagged outright unless it is itself an argument (the enqueueHinted
-// shape).
+// flagged outright unless it is itself an argument or an assigned value
+// (enqueue's `op.span = obs.Begin(name)`).
 
 import (
 	"go/ast"

@@ -14,9 +14,9 @@ type queued struct {
 	sp *obs.Span
 }
 
-// enqueueSpanned is the engine's handoff shape: ownership of the span moves
-// to the queue.
-func enqueueSpanned(sp *obs.Span, run func() error) error {
+// handOff is the engine's handoff shape: ownership of the span moves to the
+// queue.
+func handOff(sp *obs.Span, run func() error) error {
 	defer obs.Emit(sp)
 	return run()
 }
@@ -45,7 +45,7 @@ func deferEmitGood(n int) error {
 // nothing further.
 func handoffGood(n int) error {
 	sp := obs.Begin("mxm")
-	return enqueueSpanned(sp, func() error { return validate(n) })
+	return handOff(sp, func() error { return validate(n) })
 }
 
 // storeGood parks the span in a record — ownership moved to the record.

@@ -733,59 +733,36 @@ func runGuardedAt(op *pendingOp, gate *faults.Sequencer, idx int, serialBody boo
 }
 
 // enqueue is the single entry point operations use after passing their API
-// checks. In blocking mode the operation runs immediately; in nonblocking
-// mode it is appended to the sequence queue. name is the method name for
-// diagnostics; overwrites declares that the operation fully determines the
-// output's content without consulting its prior content.
-func enqueue(name string, out *obj, reads []*obj, overwrites bool, run func() error) error {
-	return enqueueHinted(name, out, reads, overwrites, format.HintNone, run)
-}
-
-// enqueueHinted is enqueue for operations participating in the adaptive
-// storage engine: hint describes how the operation consumes its matrix
-// operands. In nonblocking mode the hint rides on the queued op so
-// flushLocked can propagate it backward to the producers of those operands.
-func enqueueHinted(name string, out *obj, reads []*obj, overwrites bool, hint format.OpHint, run func() error) error {
-	return enqueueSpanned(name, out, reads, overwrites, hint, obs.Begin(name), run)
-}
-
-// enqueueSpanned is the full-argument enqueue for operations without fusion
-// capabilities: operations that thread their observability span into kernel
-// dispatch (the multiply family) open it themselves with obs.Begin and pass
-// it in; everything else arrives here via enqueueHinted. sp is nil whenever
-// tracing is disabled.
-func enqueueSpanned(name string, out *obj, reads []*obj, overwrites bool, hint format.OpHint, sp *obs.Span, run func() error) error {
-	return enqueueFusable(name, out, reads, overwrites, hint, sp, nil, run)
-}
-
-// enqueueFusable is enqueueSpanned for operations that additionally declare
-// how the flush-time fusion pass may combine them with a neighbor (fi; see
-// fusion.go). Blocking mode runs the unfused closure immediately — fusion is
-// a deferral optimization and there is nothing deferred to pair with.
-func enqueueFusable(name string, out *obj, reads []*obj, overwrites bool, hint format.OpHint, sp *obs.Span, fi *fuseInfo, run func() error) error {
-	c := out.engine()
-	for _, r := range reads {
-		if r.engine() != c {
-			return errf(InvalidValue, name, "operands are bound to different engine instances")
-		}
+// checks (opSpec.check, or an object method's own). In blocking mode the
+// operation runs immediately; in nonblocking mode it is appended to the
+// sequence queue. Everything the scheduler needs — the read footprint, the
+// overwrite flag, the format hint that flushLocked propagates backward to the
+// producers of the operands, the span, and the fusion capability — derives
+// from the spec; run is the one closure the operation supplies. Blocking
+// mode ignores the fusion capability: fusion is a deferral optimization and
+// there is nothing deferred to pair with.
+func enqueue(s opSpec, run func() error) error {
+	op := &pendingOp{out: s.out, reads: s.footprint(), overwrites: s.overwrites(), run: run, name: s.name, hint: s.hint, span: s.span}
+	if op.span == nil {
+		op.span = obs.Begin(s.name)
 	}
+	c := op.out.engine()
 	c.mu.Lock()
 	if c.state != stateActive {
 		c.mu.Unlock()
-		return errf(UninitializedContext, name, "call Init before any GraphBLAS method")
+		return errf(UninitializedContext, s.name, "call Init before any GraphBLAS method")
 	}
+	op.pos = c.beginOpLocked()
+	op.span.SetPos(op.pos)
 	if c.mode == Blocking {
 		// Run outside the context lock: the paper permits concurrent
 		// sequences in distinct threads (sharing only read-only objects),
 		// and blocking-mode execution must not serialize them globally.
-		pos := c.beginOpLocked()
 		c.mu.Unlock()
-		sp.SetPos(pos)
-		op := &pendingOp{out: out, reads: reads, overwrites: overwrites, run: run, name: name, pos: pos, hint: hint, span: sp}
 		err := runOp(op)
 		c.mu.Lock()
 		if err != nil {
-			c.errLog = append(c.errLog, SequenceError{Pos: pos, Op: name, Err: err})
+			c.errLog = append(c.errLog, SequenceError{Pos: op.pos, Op: s.name, Err: err})
 			c.lastMsg = err.Error()
 		} else {
 			// A successful operation supersedes the previous error: the
@@ -795,10 +772,9 @@ func enqueueFusable(name string, out *obj, reads []*obj, overwrites bool, hint f
 		c.mu.Unlock()
 		return err
 	}
-	pos := c.beginOpLocked()
-	sp.SetPos(pos)
-	c.queue = append(c.queue, &pendingOp{out: out, reads: reads, overwrites: overwrites, run: run, name: name, pos: pos, hint: hint, span: sp, fuse: fi})
-	obs.OpsEnqueued.With(name).Inc()
+	op.fuse = s.fuse
+	c.queue = append(c.queue, op)
+	obs.OpsEnqueued.With(s.name).Inc()
 	obs.QueueDepth.Set(int64(len(c.queue)))
 	c.mu.Unlock()
 	return nil

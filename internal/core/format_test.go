@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"graphblas/internal/format"
+	"graphblas/internal/sparse"
+	"graphblas/internal/stream"
 )
 
 // TestFormatForcedEquivalence runs the multiply family with each storage
@@ -386,4 +388,152 @@ func TestPointUpdatesInvalidateFormatCaches(t *testing.T) {
 	if !seen {
 		t.Fatal("row 3 missing from result")
 	}
+}
+
+// TestMutatorsDropDerivedStores walks every way the primary store of a
+// matrix (data, delta, pending) can change and requires that nothing derived
+// from the old content survives it: no cached transpose, and bitmap and
+// hypersparse forms that are built afresh — and from the new content — on
+// the next read. A second pass starts from a bitmap-resident product (the
+// kernel's bitmap is the content and data is nil, so there is nothing
+// derived to prime), where dropping the derived stores must not drop the
+// content with them.
+func TestMutatorsDropDerivedStores(t *testing.T) {
+	const n = 8
+	mutators := []struct {
+		name   string
+		mutate func(m *Matrix[float64]) error
+	}{
+		{"SetElement", func(m *Matrix[float64]) error { return m.SetElement(99, 2, 5) }},
+		{"RemoveElement", func(m *Matrix[float64]) error { return m.RemoveElement(1, 1) }},
+		{"Clear", func(m *Matrix[float64]) error { return m.Clear() }},
+		{"Resize", func(m *Matrix[float64]) error { return m.Resize(n, n) }},
+		{"ApplyUpdateBatch", func(m *Matrix[float64]) error {
+			return m.ApplyUpdateBatch(streamBatch([3]int{0, 1, 9}, [3]int{1, 1, -1}))
+		}},
+		{"ApplyUpdateBatch+Compact", func(m *Matrix[float64]) error {
+			if err := m.ApplyUpdateBatch(streamBatch([3]int{0, 1, 9})); err != nil {
+				return err
+			}
+			// A read between the batch and the compaction rebuilds the caches
+			// over the merged view; the compaction must drop those too.
+			m.transposed()
+			return m.Compact()
+		}},
+		{"operation output", func(m *Matrix[float64]) error {
+			double := UnaryOp[float64, float64]{Name: "double", F: func(x float64) float64 { return 2 * x }}
+			return ApplyM(m, NoMask, NoAccum[float64](), double, m, nil)
+		}},
+		{"assign output", func(m *Matrix[float64]) error {
+			return AssignMatrixScalar(m, NoMask, NoAccum[float64](), 7, []int{0}, []int{0, 3}, nil)
+		}},
+	}
+	csr := func(t *testing.T) *Matrix[float64] {
+		m, _ := newTestMatrix(t, rand.New(rand.NewSource(61)), n, n, 0.5)
+		return m
+	}
+	bitmapResident := func(t *testing.T) *Matrix[float64] {
+		rng := rand.New(rand.NewSource(62))
+		a, _ := newTestMatrix(t, rng, n, n, 0.6)
+		b, _ := newTestMatrix(t, rng, n, n, 0.6)
+		if err := b.SetFormat(format.BitmapKind); err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewMatrix[float64](n, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.noteHint(format.HintMxV) // the product's consumer wants the bitmap
+		if err := MxM(c, NoMask, NoAccum[float64](), plusTimesF64(t), a, b, nil); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	isBitmapResident := func(m *Matrix[float64]) bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.data == nil && m.bcache != nil
+	}
+	// expected applies the mutator to a second, identically built matrix
+	// whose derived stores were never touched.
+	expected := func(t *testing.T, build func(*testing.T) *Matrix[float64], mutate func(*Matrix[float64]) error) dmat {
+		ref := build(t)
+		if _, err := ref.SetMergePolicy(stream.Manual()); err != nil {
+			t.Fatal(err)
+		}
+		ref.mdat() // a plain CSR store, whatever the kernel left
+		if err := mutate(ref); err != nil {
+			t.Fatal(err)
+		}
+		return denseOf(t, ref)
+	}
+	for _, mu := range mutators {
+		t.Run("csr/"+mu.name, func(t *testing.T) {
+			withMode(t, Blocking, func() {
+				want := expected(t, csr, mu.mutate)
+				m := csr(t)
+				if _, err := m.SetMergePolicy(stream.Manual()); err != nil {
+					t.Fatal(err)
+				}
+				m.transposed()
+				if err := m.SetFormat(format.BitmapKind); err != nil {
+					t.Fatal(err)
+				}
+				oldB := m.bitmapForRead(format.HintMxV)
+				if err := m.SetFormat(format.HyperKind); err != nil {
+					t.Fatal(err)
+				}
+				oldH := m.hyperForRead(format.HintMxV)
+				if oldB == nil || oldH == nil || m.cachedTranspose() == nil {
+					t.Fatal("set-up: derived stores were not built")
+				}
+
+				if err := mu.mutate(m); err != nil {
+					t.Fatal(err)
+				}
+				if m.cachedTranspose() != nil {
+					t.Error("the cached transpose survived the mutation")
+				}
+				if h := m.hyperForRead(format.HintMxV); h == oldH {
+					t.Error("the hypersparse form survived the mutation")
+				} else {
+					equalDense(t, denseOfCSR(h.ToCSR()), want, "hypersparse form after the mutation")
+				}
+				if err := m.SetFormat(format.BitmapKind); err != nil {
+					t.Fatal(err)
+				}
+				if b := m.bitmapForRead(format.HintMxV); b == oldB {
+					t.Error("the bitmap form survived the mutation")
+				} else {
+					equalDense(t, denseOfCSR(b.ToCSR()), want, "bitmap form after the mutation")
+				}
+				equalDense(t, denseOf(t, m), want, "content after the mutation")
+			})
+		})
+		t.Run("bitmap-resident/"+mu.name, func(t *testing.T) {
+			withMode(t, Blocking, func() {
+				want := expected(t, bitmapResident, mu.mutate)
+				m := bitmapResident(t)
+				if _, err := m.SetMergePolicy(stream.Manual()); err != nil {
+					t.Fatal(err)
+				}
+				if !isBitmapResident(m) {
+					t.Fatal("set-up: the plus-times product was not adopted bitmap-resident")
+				}
+				if err := mu.mutate(m); err != nil {
+					t.Fatal(err)
+				}
+				equalDense(t, denseOf(t, m), want, "content after the mutation")
+			})
+		})
+	}
+}
+
+func denseOfCSR(c *sparse.CSR[float64]) dmat {
+	is, js, vs := c.Tuples()
+	d := dmat{}
+	for k := range is {
+		d[key{is[k], js[k]}] = vs[k]
+	}
+	return d
 }

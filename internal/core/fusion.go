@@ -106,7 +106,7 @@ func (s mxvSource[DC]) vecElems() (int, []int, func(p int) DC) {
 }
 
 // fuseInfo is the fusion capability descriptor an operation attaches at
-// enqueue time (enqueueFusable). All fields are optional: an op may be only
+// enqueue time (opSpec.fuse). All fields are optional: an op may be only
 // a producer, only a consumer, or neither under its current arguments.
 type fuseInfo struct {
 	// producer is the virtual-vector payload this op offers a downstream

@@ -183,18 +183,11 @@ func resolveMatMask[DM any](mask *Matrix[DM], comp bool) *sparse.MatMask {
 }
 
 // maskReads appends the mask object to an operation's read set when a mask
-// is present; obj handles of differing generic instantiations share the
-// non-generic base.
-func maskReadsV[DM any](reads []*obj, mask *Vector[DM]) []*obj {
+// is present. The mask enters the footprint here and nowhere else, after the
+// data operands, so it stays distinguishable from them.
+func maskReads(reads []*obj, mask *obj) []*obj {
 	if mask != nil {
-		reads = append(reads, &mask.obj)
-	}
-	return reads
-}
-
-func maskReadsM[DM any](reads []*obj, mask *Matrix[DM]) []*obj {
-	if mask != nil {
-		reads = append(reads, &mask.obj)
+		reads = append(reads, mask)
 	}
 	return reads
 }

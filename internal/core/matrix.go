@@ -96,21 +96,30 @@ func (m *Matrix[D]) snapshotState() func() {
 	}
 }
 
-// setData replaces the storage, drops buffered updates, and invalidates the
-// transpose and format caches. All whole-object mutation paths funnel
-// through here.
+// dropDerivedLocked forgets every store derived from the primary one — the
+// transpose, the bitmap and hypersparse forms, the merged delta view. The
+// primary store is data, delta and pending; whatever changes any of them
+// calls this after the change, so no mutator has to know which caches exist.
+// While data is nil the bitmap is not derived: a kernel installed it as the
+// content itself (setDataBitmap), and it stays. The caller holds m.mu.
+func (m *Matrix[D]) dropDerivedLocked() {
+	m.tcache, m.hcache, m.mcache = nil, nil, nil
+	if m.data != nil {
+		m.bcache = nil
+	}
+}
+
+// setData replaces the storage and drops buffered updates. All whole-object
+// mutation paths funnel through here.
 func (m *Matrix[D]) setData(d *sparse.CSR[D]) {
 	m.mu.Lock()
 	m.data = d
 	m.pending = nil
-	m.tcache = nil
-	m.bcache = nil
-	m.hcache = nil
 	// A whole-object overwrite supersedes any streamed-but-uncompacted
 	// updates; keeping the overlay would double-apply them to the new store.
 	m.delta = nil
-	m.mcache = nil
 	m.deltaAge = 0
+	m.dropDerivedLocked()
 	m.mu.Unlock()
 }
 
@@ -123,11 +132,9 @@ func (m *Matrix[D]) setDataBitmap(b *format.Bitmap[D]) {
 	m.data = nil
 	m.bcache = b
 	m.pending = nil
-	m.tcache = nil
-	m.hcache = nil
 	m.delta = nil
-	m.mcache = nil
 	m.deltaAge = 0
+	m.dropDerivedLocked()
 	m.mu.Unlock()
 }
 
@@ -151,19 +158,12 @@ func (m *Matrix[D]) flushPendingLocked() {
 	}
 	if m.delta != nil {
 		m.delta = format.MergeDeltas(m.delta, format.DeltaFromTuples(m.nr, m.nc, m.pending))
-		m.pending = nil
-		m.mcache = nil
-		m.tcache = nil
-		m.bcache = nil
-		m.hcache = nil
-		return
+	} else {
+		m.materializeLocked()
+		m.data = sparse.ApplyTuples(m.data, m.pending)
 	}
-	m.materializeLocked()
-	m.data = sparse.ApplyTuples(m.data, m.pending)
 	m.pending = nil
-	m.tcache = nil
-	m.bcache = nil
-	m.hcache = nil
+	m.dropDerivedLocked()
 }
 
 // viewLocked returns the CSR content readers must see: the main store
@@ -373,7 +373,7 @@ func (m *Matrix[D]) Clear() error {
 	if err := objOK(&m.obj, "Matrix.Clear", "m"); err != nil {
 		return err
 	}
-	return enqueue("Matrix.Clear", &m.obj, nil, true, func() error {
+	return enqueue(methodSpec("Matrix.Clear", &m.obj, nil, false), func() error {
 		// Executes on a flush worker; read the dimensions under the lock in
 		// case the user goroutine Resizes while the flush is in flight.
 		nr, nc := m.dims()
@@ -394,7 +394,7 @@ func (m *Matrix[D]) Dup() (*Matrix[D], error) {
 	m.mu.Lock()
 	w.spolicy = m.spolicy
 	m.mu.Unlock()
-	err := enqueue("Matrix.Dup", &w.obj, []*obj{&m.obj}, true, func() error {
+	err := enqueue(methodSpec("Matrix.Dup", &w.obj, &m.obj, false), func() error {
 		w.setData(m.mdat().Clone())
 		return nil
 	})
@@ -421,7 +421,7 @@ func (m *Matrix[D]) Resize(nrows, ncols int) error {
 	m.mu.Lock()
 	m.nr, m.nc = nrows, ncols
 	m.mu.Unlock()
-	return enqueue("Matrix.Resize", &m.obj, nil, false, func() error {
+	return enqueue(methodSpec("Matrix.Resize", &m.obj, nil, true), func() error {
 		// Clone before trimming: the committed CSR must stay intact so the
 		// executor's rollback restores the pre-Resize content on failure.
 		d := m.mdat().Clone()
@@ -480,10 +480,10 @@ func (m *Matrix[D]) SetElement(x D, i, j int) error {
 	if i < 0 || i >= m.nr || j < 0 || j >= m.nc {
 		return errf(InvalidIndex, "Matrix.SetElement", "(%d,%d) out of range %dx%d", i, j, m.nr, m.nc)
 	}
-	return enqueue("Matrix.SetElement", &m.obj, nil, false, func() error {
+	return enqueue(methodSpec("Matrix.SetElement", &m.obj, nil, true), func() error {
 		m.mu.Lock()
 		m.pending = append(m.pending, sparse.Tuple[D]{I: i, J: j, V: x})
-		m.tcache = nil
+		m.dropDerivedLocked()
 		m.mu.Unlock()
 		return nil
 	})
@@ -498,10 +498,10 @@ func (m *Matrix[D]) RemoveElement(i, j int) error {
 	if i < 0 || i >= m.nr || j < 0 || j >= m.nc {
 		return errf(InvalidIndex, "Matrix.RemoveElement", "(%d,%d) out of range %dx%d", i, j, m.nr, m.nc)
 	}
-	return enqueue("Matrix.RemoveElement", &m.obj, nil, false, func() error {
+	return enqueue(methodSpec("Matrix.RemoveElement", &m.obj, nil, true), func() error {
 		m.mu.Lock()
 		m.pending = append(m.pending, sparse.Tuple[D]{I: i, J: j, Del: true})
-		m.tcache = nil
+		m.dropDerivedLocked()
 		m.mu.Unlock()
 		return nil
 	})
@@ -558,11 +558,9 @@ func (m *Matrix[D]) Free() error {
 		return err
 	}
 	m.initialized = false
-	m.data = nil
-	m.tcache = nil
-	m.bcache = nil
-	m.hcache = nil
-	m.delta = nil
-	m.mcache = nil
+	m.mu.Lock()
+	m.data, m.delta, m.bcache = nil, nil, nil
+	m.dropDerivedLocked()
+	m.mu.Unlock()
 	return nil
 }

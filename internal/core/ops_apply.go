@@ -1,10 +1,6 @@
 package core
 
-import (
-	"graphblas/internal/format"
-	"graphblas/internal/obs"
-	"graphblas/internal/sparse"
-)
+import "graphblas/internal/sparse"
 
 // apply (Table II): C ⊙= F_u(A) and w ⊙= F_u(u) — a unary function mapped
 // over the stored values, preserving structure. The C API uses apply both
@@ -14,91 +10,26 @@ import (
 
 // ApplyM computes C ⊙= f(A) for matrices (GrB_Matrix_apply).
 func ApplyM[DC, DA, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC, DC], f UnaryOp[DA, DC], a *Matrix[DA], desc *Descriptor) error {
-	const name = "ApplyM"
-	if err := checkActive(name); err != nil {
+	tran0 := desc.tran0()
+	var s opSpec
+	wb := matOp(&s, "ApplyM", c, mask, accum, desc, writeT)
+	s.yields(s.input(matArg(a, tran0)))
+	if err := s.check(f.Defined(), "unary operator"); err != nil {
 		return err
 	}
-	if c == nil || a == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&c.obj, name, "C"); err != nil {
-		return err
-	}
-	if err := objOK(&a.obj, name, "A"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	if !f.Defined() {
-		return errf(UninitializedObject, name, "unary operator not initialized")
-	}
-	an, am := a.nr, a.nc
-	if desc.tran0() {
-		an, am = am, an
-	}
-	if c.nr != an || c.nc != am {
-		return errf(DimensionMismatch, name, "output is %dx%d, result is %dx%d", c.nr, c.nc, an, am)
-	}
-	if mask != nil && (mask.nr != c.nr || mask.nc != c.nc) {
-		return errf(DimensionMismatch, name, "mask is %dx%d, output is %dx%d", mask.nr, mask.nc, c.nr, c.nc)
-	}
-	reads := maskReadsM([]*obj{&a.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	tran0, scmp, replace := desc.tran0(), desc.scmp(), desc.replace()
-	return enqueue(name, &c.obj, reads, overwrites, func() error {
-		ad := a.mdat()
-		if tran0 {
-			ad = a.transposed()
-		}
-		t := sparse.ApplyCSR(ad, f.F)
-		mm := resolveMatMask(mask, scmp)
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		c.setData(sparse.WriteCSR(c.mdat(), t, mm, accumF, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.ApplyCSR(a.oriented(tran0), f.F))
 		return nil
 	})
 }
 
 // ApplyV computes w ⊙= f(u) for vectors (GrB_Vector_apply).
 func ApplyV[DC, DA, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], f UnaryOp[DA, DC], u *Vector[DA], desc *Descriptor) error {
-	const name = "ApplyV"
-	if err := checkActive(name); err != nil {
+	var s opSpec
+	wb := vecOp(&s, "ApplyV", w, mask, accum, desc, writeT)
+	s.yields(s.input(vecArg(u)))
+	if err := s.check(f.Defined(), "unary operator"); err != nil {
 		return err
-	}
-	if w == nil || u == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&w.obj, name, "w"); err != nil {
-		return err
-	}
-	if err := objOK(&u.obj, name, "u"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	if !f.Defined() {
-		return errf(UninitializedObject, name, "unary operator not initialized")
-	}
-	if w.n != u.n {
-		return errf(DimensionMismatch, name, "output has size %d, input has size %d", w.n, u.n)
-	}
-	if mask != nil && mask.n != w.n {
-		return errf(DimensionMismatch, name, "mask has size %d, output has size %d", mask.n, w.n)
-	}
-	reads := maskReadsV([]*obj{&u.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	scmp, replace := desc.scmp(), desc.replace()
-	var accumF func(DC, DC) DC
-	if accum.Defined() {
-		accumF = accum.F
 	}
 	// Fusion capabilities (fusion.go). Producer: with no mask and no
 	// accumulator the output is exactly f mapped over u, expressible as a
@@ -122,9 +53,8 @@ func ApplyV[DC, DA, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, 
 			}
 			run := func() error {
 				n, idx, get := vs.vecElems()
-				vm := resolveVecMask(mask, scmp)
-				t := sparse.FusedVecMap(n, idx, get, f.F, vm)
-				w.setVData(sparse.WriteVec(w.vdat(), t, vm, accumF, replace))
+				vm := wb.maskNow()
+				wb.write(sparse.FusedVecMap(n, idx, get, f.F, vm), vm)
 				return nil
 			}
 			var chained any
@@ -134,50 +64,50 @@ func ApplyV[DC, DA, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, 
 			return run, chained, true
 		}
 	}
-	return enqueueFusable(name, &w.obj, reads, overwrites, format.HintNone, obs.Begin(name), fi, func() error {
-		t := sparse.VecApply(u.vdat(), f.F)
-		vm := resolveVecMask(mask, scmp)
-		w.setVData(sparse.WriteVec(w.vdat(), t, vm, accumF, replace))
+	s.fuse = fi
+	return enqueue(s, func() error {
+		wb.commit(sparse.VecApply(u.vdat(), f.F))
 		return nil
 	})
 }
 
 // ApplyBindFirstM computes C ⊙= f(x, A): the binary operator f applied with
 // a bound first scalar argument (a later-revision extension used to scale a
-// matrix by a constant).
+// matrix by a constant). An undefined f binds to the undefined unary
+// operator, which ApplyM reports at its place in the error precedence.
 func ApplyBindFirstM[DC, DX, DA, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC, DC], f BinaryOp[DX, DA, DC], x DX, a *Matrix[DA], desc *Descriptor) error {
-	if !f.Defined() {
-		return errf(UninitializedObject, "ApplyBindFirstM", "binary operator not initialized")
+	var bound UnaryOp[DA, DC]
+	if f.Defined() {
+		bound = UnaryOp[DA, DC]{Name: f.Name + "_bind1st", F: func(v DA) DC { return f.F(x, v) }}
 	}
-	bound := UnaryOp[DA, DC]{Name: f.Name + "_bind1st", F: func(v DA) DC { return f.F(x, v) }}
 	return ApplyM(c, mask, accum, bound, a, desc)
 }
 
 // ApplyBindSecondM computes C ⊙= f(A, y): the binary operator f applied
 // with a bound second scalar argument.
 func ApplyBindSecondM[DC, DA, DY, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC, DC], f BinaryOp[DA, DY, DC], a *Matrix[DA], y DY, desc *Descriptor) error {
-	if !f.Defined() {
-		return errf(UninitializedObject, "ApplyBindSecondM", "binary operator not initialized")
+	var bound UnaryOp[DA, DC]
+	if f.Defined() {
+		bound = UnaryOp[DA, DC]{Name: f.Name + "_bind2nd", F: func(v DA) DC { return f.F(v, y) }}
 	}
-	bound := UnaryOp[DA, DC]{Name: f.Name + "_bind2nd", F: func(v DA) DC { return f.F(v, y) }}
 	return ApplyM(c, mask, accum, bound, a, desc)
 }
 
 // ApplyBindFirstV computes w ⊙= f(x, u) for vectors.
 func ApplyBindFirstV[DC, DX, DU, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], f BinaryOp[DX, DU, DC], x DX, u *Vector[DU], desc *Descriptor) error {
-	if !f.Defined() {
-		return errf(UninitializedObject, "ApplyBindFirstV", "binary operator not initialized")
+	var bound UnaryOp[DU, DC]
+	if f.Defined() {
+		bound = UnaryOp[DU, DC]{Name: f.Name + "_bind1st", F: func(v DU) DC { return f.F(x, v) }}
 	}
-	bound := UnaryOp[DU, DC]{Name: f.Name + "_bind1st", F: func(v DU) DC { return f.F(x, v) }}
 	return ApplyV(w, mask, accum, bound, u, desc)
 }
 
 // ApplyBindSecondV computes w ⊙= f(u, y) for vectors.
 func ApplyBindSecondV[DC, DU, DY, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], f BinaryOp[DU, DY, DC], u *Vector[DU], y DY, desc *Descriptor) error {
-	if !f.Defined() {
-		return errf(UninitializedObject, "ApplyBindSecondV", "binary operator not initialized")
+	var bound UnaryOp[DU, DC]
+	if f.Defined() {
+		bound = UnaryOp[DU, DC]{Name: f.Name + "_bind2nd", F: func(v DU) DC { return f.F(v, y) }}
 	}
-	bound := UnaryOp[DU, DC]{Name: f.Name + "_bind2nd", F: func(v DU) DC { return f.F(v, y) }}
 	return ApplyV(w, mask, accum, bound, u, desc)
 }
 
@@ -185,96 +115,29 @@ func ApplyBindSecondV[DC, DU, DY, DM any](w *Vector[DC], mask *Vector[DM], accum
 // extension. Structure is preserved; the operator sees each entry's
 // coordinates.
 func ApplyIndexOpM[DC, DA, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC, DC], f IndexUnaryOp[DA, DC], a *Matrix[DA], desc *Descriptor) error {
-	const name = "ApplyIndexOpM"
-	if err := checkActive(name); err != nil {
+	tran0 := desc.tran0()
+	var s opSpec
+	wb := matOp(&s, "ApplyIndexOpM", c, mask, accum, desc, writeT)
+	s.yields(s.input(matArg(a, tran0)))
+	if err := s.check(f.Defined(), "index operator"); err != nil {
 		return err
 	}
-	if c == nil || a == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&c.obj, name, "C"); err != nil {
-		return err
-	}
-	if err := objOK(&a.obj, name, "A"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	if !f.Defined() {
-		return errf(UninitializedObject, name, "index operator not initialized")
-	}
-	an, am := a.nr, a.nc
-	if desc.tran0() {
-		an, am = am, an
-	}
-	if c.nr != an || c.nc != am {
-		return errf(DimensionMismatch, name, "output is %dx%d, result is %dx%d", c.nr, c.nc, an, am)
-	}
-	if mask != nil && (mask.nr != c.nr || mask.nc != c.nc) {
-		return errf(DimensionMismatch, name, "mask is %dx%d, output is %dx%d", mask.nr, mask.nc, c.nr, c.nc)
-	}
-	reads := maskReadsM([]*obj{&a.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	tran0, scmp, replace := desc.tran0(), desc.scmp(), desc.replace()
-	return enqueue(name, &c.obj, reads, overwrites, func() error {
-		ad := a.mdat()
-		if tran0 {
-			ad = a.transposed()
-		}
-		t := sparse.ApplyIndexCSR(ad, f.F)
-		mm := resolveMatMask(mask, scmp)
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		c.setData(sparse.WriteCSR(c.mdat(), t, mm, accumF, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.ApplyIndexCSR(a.oriented(tran0), f.F))
 		return nil
 	})
 }
 
 // ApplyIndexOpV computes w ⊙= f(u_i, i, 0) for vectors.
 func ApplyIndexOpV[DC, DU, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], f IndexUnaryOp[DU, DC], u *Vector[DU], desc *Descriptor) error {
-	const name = "ApplyIndexOpV"
-	if !f.Defined() {
-		return errf(UninitializedObject, name, "index operator not initialized")
-	}
-	if err := checkActive(name); err != nil {
+	var s opSpec
+	wb := vecOp(&s, "ApplyIndexOpV", w, mask, accum, desc, writeT)
+	s.yields(s.input(vecArg(u)))
+	if err := s.check(f.Defined(), "index operator"); err != nil {
 		return err
 	}
-	if w == nil || u == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&w.obj, name, "w"); err != nil {
-		return err
-	}
-	if err := objOK(&u.obj, name, "u"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	if w.n != u.n {
-		return errf(DimensionMismatch, name, "output has size %d, input has size %d", w.n, u.n)
-	}
-	if mask != nil && mask.n != w.n {
-		return errf(DimensionMismatch, name, "mask has size %d, output has size %d", mask.n, w.n)
-	}
-	reads := maskReadsV([]*obj{&u.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	scmp, replace := desc.scmp(), desc.replace()
-	return enqueue(name, &w.obj, reads, overwrites, func() error {
-		t := sparse.VecApplyIndex(u.vdat(), func(v DU, i int) DC { return f.F(v, i, 0) })
-		vm := resolveVecMask(mask, scmp)
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		w.setVData(sparse.WriteVec(w.vdat(), t, vm, accumF, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.VecApplyIndex(u.vdat(), func(v DU, i int) DC { return f.F(v, i, 0) }))
 		return nil
 	})
 }

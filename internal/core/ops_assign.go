@@ -2,7 +2,6 @@ package core
 
 import (
 	"graphblas/internal/format"
-	"graphblas/internal/obs"
 	"graphblas/internal/sparse"
 )
 
@@ -12,49 +11,21 @@ import (
 // output object for the matrix/vector variants; for the row/column variants
 // their effect is confined to the assigned row or column. Assign target
 // index lists must be duplicate-free.
+//
+// Every variant builds Z — C with the region accumulated — from C's prior
+// content and hands it to commit for the mask merge alone (mergeZ); what
+// that means for the overwrite flag is opSpec.assigns.
 
 // AssignVector computes w(indices) ⊙= u (GrB_assign, vector variant).
 func AssignVector[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], u *Vector[DC], indices []int, desc *Descriptor) error {
-	const name = "AssignVector"
-	if err := checkActive(name); err != nil {
+	var s opSpec
+	wb := vecOp(&s, "AssignVector", w, mask, accum, desc, mergeZ)
+	U := s.input(vecArg(u))
+	idx := s.indices("element", indices, s.outShape.nr, true)
+	s.conform(U.nr == len(idx), U, vecShape(len(idx)))
+	s.assigns(indices == nil)
+	if err := s.check(true, ""); err != nil {
 		return err
-	}
-	if w == nil || u == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&w.obj, name, "w"); err != nil {
-		return err
-	}
-	if err := objOK(&u.obj, name, "u"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	idx, err := resolveIndices(name, indices, w.n)
-	if err != nil {
-		return err
-	}
-	if err := checkNoDuplicates(name, indices, w.n); err != nil {
-		return err
-	}
-	if u.n != len(idx) {
-		return errf(DimensionMismatch, name, "input has size %d, index list has length %d", u.n, len(idx))
-	}
-	if mask != nil && mask.n != w.n {
-		return errf(DimensionMismatch, name, "mask has size %d, output has size %d", mask.n, w.n)
-	}
-	reads := maskReadsV([]*obj{&u.obj}, mask)
-	scmp, replace := desc.scmp(), desc.replace()
-	// Assign reads the prior content of w outside the assigned region, so it
-	// never fully overwrites unless the region is everything and there is no
-	// mask or accumulator.
-	overwrites := !accum.Defined() && mask == nil && indices == nil
-	var accumF func(DC, DC) DC
-	if accum.Defined() {
-		accumF = accum.F
 	}
 	// Fusion capability (fusion.go): the full-width form w(:) ⊙= u consumes
 	// a fused upstream of u directly — FusedAssignAccum computes the same
@@ -65,9 +36,8 @@ func AssignVector[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC
 	// so it never acts as a producer. A mask aliasing u vetoes consumption
 	// (see fuseInfo.consume): the fused kernel would resolve the mask from
 	// u's stale committed store while streaming u's fresh values.
-	var fi *fuseInfo
 	if indices == nil && (mask == nil || mask.obj.id != u.obj.id) {
-		fi = &fuseInfo{srcID: u.obj.id}
+		fi := &fuseInfo{srcID: u.obj.id}
 		fi.consume = func(src any) (func() error, any, bool) {
 			vs, ok := src.(vecSource[DC])
 			if !ok {
@@ -75,18 +45,15 @@ func AssignVector[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC
 			}
 			run := func() error {
 				_, sidx, get := vs.vecElems()
-				z := sparse.FusedAssignAccum(w.vdat(), sidx, get, accumF)
-				vm := resolveVecMask(mask, scmp)
-				w.setVData(sparse.MaskMergeVec(w.vdat(), z, vm, replace))
+				wb.commit(sparse.FusedAssignAccum(w.vdat(), sidx, get, wb.accumF))
 				return nil
 			}
 			return run, nil, true
 		}
+		s.fuse = fi
 	}
-	return enqueueFusable(name, &w.obj, reads, overwrites, format.HintNone, obs.Begin(name), fi, func() error {
-		z := sparse.AssignExpandVec(w.vdat(), u.vdat(), idx, accumF)
-		vm := resolveVecMask(mask, scmp)
-		w.setVData(sparse.MaskMergeVec(w.vdat(), z, vm, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.AssignExpandVec(w.vdat(), u.vdat(), idx, wb.accumF))
 		return nil
 	})
 }
@@ -94,98 +61,35 @@ func AssignVector[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC
 // AssignVectorScalar computes w(indices) ⊙= x: the scalar fill Figure 3
 // line 77 uses to initialize delta with -nsver.
 func AssignVectorScalar[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], x DC, indices []int, desc *Descriptor) error {
-	const name = "AssignVectorScalar"
-	if err := checkActive(name); err != nil {
+	var s opSpec
+	wb := vecOp(&s, "AssignVectorScalar", w, mask, accum, desc, mergeZ)
+	idx := s.indices("element", indices, s.outShape.nr, true)
+	s.assigns(indices == nil)
+	if err := s.check(true, ""); err != nil {
 		return err
 	}
-	if w == nil {
-		return errf(UninitializedObject, name, "nil output")
-	}
-	if err := objOK(&w.obj, name, "w"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	idx, err := resolveIndices(name, indices, w.n)
-	if err != nil {
-		return err
-	}
-	if err := checkNoDuplicates(name, indices, w.n); err != nil {
-		return err
-	}
-	if mask != nil && mask.n != w.n {
-		return errf(DimensionMismatch, name, "mask has size %d, output has size %d", mask.n, w.n)
-	}
-	reads := maskReadsV(nil, mask)
-	scmp, replace := desc.scmp(), desc.replace()
-	overwrites := !accum.Defined() && mask == nil && indices == nil
-	return enqueue(name, &w.obj, reads, overwrites, func() error {
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		z := sparse.AssignScalarExpandVec(w.vdat(), x, idx, accumF)
-		vm := resolveVecMask(mask, scmp)
-		w.setVData(sparse.MaskMergeVec(w.vdat(), z, vm, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.AssignScalarExpandVec(w.vdat(), x, idx, wb.accumF))
 		return nil
 	})
 }
 
 // AssignMatrix computes C(rows, cols) ⊙= A (GrB_assign, matrix variant).
 func AssignMatrix[DC, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC, DC], a *Matrix[DC], rows, cols []int, desc *Descriptor) error {
-	const name = "AssignMatrix"
-	if err := checkActive(name); err != nil {
+	var s opSpec
+	wb := matOp(&s, "AssignMatrix", c, mask, accum, desc, mergeZ)
+	A := s.input(matArg(a, false))
+	rIdx, cIdx := s.indices("row", rows, s.outShape.nr, true), s.indices("column", cols, s.outShape.nc, true)
+	region := shape{nr: len(rIdx), nc: len(cIdx)}
+	s.conform(A == region, A, region)
+	s.assigns(rows == nil && cols == nil)
+	s.hint = format.HintAssign
+	if err := s.check(true, ""); err != nil {
 		return err
 	}
-	if c == nil || a == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&c.obj, name, "C"); err != nil {
-		return err
-	}
-	if err := objOK(&a.obj, name, "A"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	rIdx, err := resolveIndices(name, rows, c.nr)
-	if err != nil {
-		return err
-	}
-	if err := checkNoDuplicates(name, rows, c.nr); err != nil {
-		return err
-	}
-	cIdx, err := resolveIndices(name, cols, c.nc)
-	if err != nil {
-		return err
-	}
-	if err := checkNoDuplicates(name, cols, c.nc); err != nil {
-		return err
-	}
-	if a.nr != len(rIdx) || a.nc != len(cIdx) {
-		return errf(DimensionMismatch, name, "input is %dx%d, index lists are %dx%d", a.nr, a.nc, len(rIdx), len(cIdx))
-	}
-	if mask != nil && (mask.nr != c.nr || mask.nc != c.nc) {
-		return errf(DimensionMismatch, name, "mask is %dx%d, output is %dx%d", mask.nr, mask.nc, c.nr, c.nc)
-	}
-	reads := maskReadsM([]*obj{&a.obj}, mask)
-	scmp, replace := desc.scmp(), desc.replace()
-	overwrites := !accum.Defined() && mask == nil && rows == nil && cols == nil
 	c.noteHint(format.HintAssign)
-	return enqueueHinted(name, &c.obj, reads, overwrites, format.HintAssign, func() error {
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		z := sparse.AssignExpandCSR(c.mdat(), a.mdat(), rIdx, cIdx, accumF)
-		mm := resolveMatMask(mask, scmp)
-		c.setData(sparse.MaskMergeCSR(c.mdat(), z, mm, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.AssignExpandCSR(c.mdat(), a.mdat(), rIdx, cIdx, wb.accumF))
 		return nil
 	})
 }
@@ -193,102 +97,42 @@ func AssignMatrix[DC, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC
 // AssignMatrixScalar computes C(rows, cols) ⊙= x: the scalar fill Figure 3
 // line 61 uses to initialize bcu with 1.0 over GrB_ALL × GrB_ALL.
 func AssignMatrixScalar[DC, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC, DC], x DC, rows, cols []int, desc *Descriptor) error {
-	const name = "AssignMatrixScalar"
-	if err := checkActive(name); err != nil {
+	var s opSpec
+	wb := matOp(&s, "AssignMatrixScalar", c, mask, accum, desc, mergeZ)
+	rIdx, cIdx := s.indices("row", rows, s.outShape.nr, true), s.indices("column", cols, s.outShape.nc, true)
+	s.assigns(rows == nil && cols == nil)
+	s.hint = format.HintAssign
+	if err := s.check(true, ""); err != nil {
 		return err
 	}
-	if c == nil {
-		return errf(UninitializedObject, name, "nil output")
-	}
-	if err := objOK(&c.obj, name, "C"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	rIdx, err := resolveIndices(name, rows, c.nr)
-	if err != nil {
-		return err
-	}
-	if err := checkNoDuplicates(name, rows, c.nr); err != nil {
-		return err
-	}
-	cIdx, err := resolveIndices(name, cols, c.nc)
-	if err != nil {
-		return err
-	}
-	if err := checkNoDuplicates(name, cols, c.nc); err != nil {
-		return err
-	}
-	if mask != nil && (mask.nr != c.nr || mask.nc != c.nc) {
-		return errf(DimensionMismatch, name, "mask is %dx%d, output is %dx%d", mask.nr, mask.nc, c.nr, c.nc)
-	}
-	reads := maskReadsM(nil, mask)
-	scmp, replace := desc.scmp(), desc.replace()
-	overwrites := !accum.Defined() && mask == nil && rows == nil && cols == nil
 	c.noteHint(format.HintAssign)
-	return enqueueHinted(name, &c.obj, reads, overwrites, format.HintAssign, func() error {
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		z := sparse.AssignScalarExpandCSR(c.mdat(), x, rIdx, cIdx, accumF)
-		mm := resolveMatMask(mask, scmp)
-		c.setData(sparse.MaskMergeCSR(c.mdat(), z, mm, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.AssignScalarExpandCSR(c.mdat(), x, rIdx, cIdx, wb.accumF))
 		return nil
 	})
 }
 
 // AssignRow computes C(i, cols) ⊙= u (GrB_Row_assign). The mask is a
-// vector over the column extent and, with GrB_REPLACE, affects only row i.
+// vector over the column extent and, with GrB_REPLACE, affects only row i —
+// the one output/mask pairing the typed commit steps do not cover, so the
+// row and column assigns merge their line themselves.
 func AssignRow[DC, DM any](c *Matrix[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], u *Vector[DC], i int, cols []int, desc *Descriptor) error {
-	const name = "AssignRow"
-	if err := checkActive(name); err != nil {
+	var s opSpec
+	out := matArg(c, false)
+	s.begin("AssignRow", out, vecArg(mask), vecShape(out.nc), accum.Defined(), desc)
+	U := s.input(vecArg(u))
+	s.position("row", i, s.outShape.nr)
+	cIdx := s.indices("column", cols, s.outShape.nc, true)
+	s.conform(U.nr == len(cIdx), U, vecShape(len(cIdx)))
+	s.keeps, s.hint = true, format.HintAssign
+	if err := s.check(true, ""); err != nil {
 		return err
 	}
-	if c == nil || u == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&c.obj, name, "C"); err != nil {
-		return err
-	}
-	if err := objOK(&u.obj, name, "u"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	if i < 0 || i >= c.nr {
-		return errf(InvalidIndex, name, "row %d out of range [0,%d)", i, c.nr)
-	}
-	cIdx, err := resolveIndices(name, cols, c.nc)
-	if err != nil {
-		return err
-	}
-	if err := checkNoDuplicates(name, cols, c.nc); err != nil {
-		return err
-	}
-	if u.n != len(cIdx) {
-		return errf(DimensionMismatch, name, "input has size %d, index list has length %d", u.n, len(cIdx))
-	}
-	if mask != nil && mask.n != c.nc {
-		return errf(DimensionMismatch, name, "mask has size %d, row extent is %d", mask.n, c.nc)
-	}
-	reads := maskReadsV([]*obj{&u.obj}, mask)
-	scmp, replace := desc.scmp(), desc.replace()
 	c.noteHint(format.HintAssign)
-	return enqueueHinted(name, &c.obj, reads, false, format.HintAssign, func() error {
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		z := sparse.AssignRowExpandCSR(c.mdat(), u.vdat(), i, cIdx, accumF)
-		vm := resolveVecMask(mask, scmp)
-		c.setData(sparse.MergeRow(c.mdat(), z, i, vm, replace))
+	scmp, replace := desc.scmp(), desc.replace()
+	return enqueue(s, func() error {
+		z := sparse.AssignRowExpandCSR(c.mdat(), u.vdat(), i, cIdx, accum.F)
+		c.setData(sparse.MergeRow(c.mdat(), z, i, resolveVecMask(mask, scmp), replace))
 		return nil
 	})
 }
@@ -296,51 +140,22 @@ func AssignRow[DC, DM any](c *Matrix[DC], mask *Vector[DM], accum BinaryOp[DC, D
 // AssignCol computes C(rows, j) ⊙= u (GrB_Col_assign). The mask is a
 // vector over the row extent and, with GrB_REPLACE, affects only column j.
 func AssignCol[DC, DM any](c *Matrix[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], u *Vector[DC], rows []int, j int, desc *Descriptor) error {
-	const name = "AssignCol"
-	if err := checkActive(name); err != nil {
+	var s opSpec
+	out := matArg(c, false)
+	s.begin("AssignCol", out, vecArg(mask), vecShape(out.nr), accum.Defined(), desc)
+	U := s.input(vecArg(u))
+	s.position("column", j, s.outShape.nc)
+	rIdx := s.indices("row", rows, s.outShape.nr, true)
+	s.conform(U.nr == len(rIdx), U, vecShape(len(rIdx)))
+	s.keeps, s.hint = true, format.HintAssign
+	if err := s.check(true, ""); err != nil {
 		return err
 	}
-	if c == nil || u == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&c.obj, name, "C"); err != nil {
-		return err
-	}
-	if err := objOK(&u.obj, name, "u"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	if j < 0 || j >= c.nc {
-		return errf(InvalidIndex, name, "column %d out of range [0,%d)", j, c.nc)
-	}
-	rIdx, err := resolveIndices(name, rows, c.nr)
-	if err != nil {
-		return err
-	}
-	if err := checkNoDuplicates(name, rows, c.nr); err != nil {
-		return err
-	}
-	if u.n != len(rIdx) {
-		return errf(DimensionMismatch, name, "input has size %d, index list has length %d", u.n, len(rIdx))
-	}
-	if mask != nil && mask.n != c.nr {
-		return errf(DimensionMismatch, name, "mask has size %d, column extent is %d", mask.n, c.nr)
-	}
-	reads := maskReadsV([]*obj{&u.obj}, mask)
-	scmp, replace := desc.scmp(), desc.replace()
 	c.noteHint(format.HintAssign)
-	return enqueueHinted(name, &c.obj, reads, false, format.HintAssign, func() error {
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		z := sparse.AssignColExpandCSR(c.mdat(), u.vdat(), rIdx, j, accumF)
-		vm := resolveVecMask(mask, scmp)
-		c.setData(sparse.MergeColumn(c.mdat(), z, j, vm, replace))
+	scmp, replace := desc.scmp(), desc.replace()
+	return enqueue(s, func() error {
+		z := sparse.AssignColExpandCSR(c.mdat(), u.vdat(), rIdx, j, accum.F)
+		c.setData(sparse.MergeColumn(c.mdat(), z, j, resolveVecMask(mask, scmp), replace))
 		return nil
 	})
 }

@@ -18,93 +18,46 @@ import "graphblas/internal/sparse"
 // applied where both inputs have entries; elsewhere the single entry is
 // copied.
 func EWiseAddM[DC, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC, DC], add BinaryOp[DC, DC, DC], a, b *Matrix[DC], desc *Descriptor) error {
-	const name = "EWiseAddM"
-	if err := ewiseChecksM(name, c, mask, a, b, add.Defined()); err != nil {
+	tran0, tran1 := desc.tran0(), desc.tran1()
+	var s opSpec
+	wb := matOp(&s, "EWiseAddM", c, mask, accum, desc, writeT)
+	A, B := s.input(matArg(a, tran0)), s.input(matArg(b, tran1))
+	s.conform(A == B, A, B)
+	s.yields(A)
+	if err := s.check(add.Defined(), "operator"); err != nil {
 		return err
 	}
-	an, am, bn, bm := a.nr, a.nc, b.nr, b.nc
-	if desc.tran0() {
-		an, am = am, an
-	}
-	if desc.tran1() {
-		bn, bm = bm, bn
-	}
-	if an != bn || am != bm {
-		return errf(DimensionMismatch, name, "inputs are %dx%d and %dx%d", an, am, bn, bm)
-	}
-	if c.nr != an || c.nc != am {
-		return errf(DimensionMismatch, name, "output is %dx%d, result is %dx%d", c.nr, c.nc, an, am)
-	}
-	if mask != nil && (mask.nr != c.nr || mask.nc != c.nc) {
-		return errf(DimensionMismatch, name, "mask is %dx%d, output is %dx%d", mask.nr, mask.nc, c.nr, c.nc)
-	}
-	reads := maskReadsM([]*obj{&a.obj, &b.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	tran0, tran1, scmp, replace := desc.tran0(), desc.tran1(), desc.scmp(), desc.replace()
-	return enqueue(name, &c.obj, reads, overwrites, func() error {
-		ad := a.mdat()
-		if tran0 {
-			ad = a.transposed()
-		}
-		bd := b.mdat()
-		if tran1 {
-			bd = b.transposed()
-		}
-		t := sparse.UnionCSR(ad, bd, add.F)
-		mm := resolveMatMask(mask, scmp)
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		c.setData(sparse.WriteCSR(c.mdat(), t, mm, accumF, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.UnionCSR(a.oriented(tran0), b.oriented(tran1), add.F))
 		return nil
 	})
 }
 
 // EWiseAddMonoidM is EWiseAddM with the operator taken from a monoid, the
-// form Figure 3 line 42 uses (GrB_eWiseAdd with a GrB_Monoid).
+// form Figure 3 line 42 uses (GrB_eWiseAdd with a GrB_Monoid). A monoid is
+// defined exactly when its operator is, so EWiseAddM's test covers it.
 func EWiseAddMonoidM[DC, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC, DC], m Monoid[DC], a, b *Matrix[DC], desc *Descriptor) error {
-	if !m.Defined() {
-		return errf(UninitializedObject, "EWiseAddMonoidM", "monoid not initialized")
-	}
 	return EWiseAddM(c, mask, accum, m.Op, a, b, desc)
 }
 
 // EWiseAddV computes w ⊙= u ⊕ v for vectors.
 func EWiseAddV[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], add BinaryOp[DC, DC, DC], u, v *Vector[DC], desc *Descriptor) error {
-	const name = "EWiseAddV"
-	if err := ewiseChecksV(name, w, mask, u, v, add.Defined()); err != nil {
+	var s opSpec
+	wb := vecOp(&s, "EWiseAddV", w, mask, accum, desc, writeT)
+	U, V := s.input(vecArg(u)), s.input(vecArg(v))
+	s.conform(U == V, U, V)
+	s.yields(U)
+	if err := s.check(add.Defined(), "operator"); err != nil {
 		return err
 	}
-	if u.n != v.n {
-		return errf(DimensionMismatch, name, "inputs have sizes %d and %d", u.n, v.n)
-	}
-	if w.n != u.n {
-		return errf(DimensionMismatch, name, "output has size %d, inputs have size %d", w.n, u.n)
-	}
-	if mask != nil && mask.n != w.n {
-		return errf(DimensionMismatch, name, "mask has size %d, output has size %d", mask.n, w.n)
-	}
-	reads := maskReadsV([]*obj{&u.obj, &v.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	scmp, replace := desc.scmp(), desc.replace()
-	return enqueue(name, &w.obj, reads, overwrites, func() error {
-		t := sparse.VecUnion(u.vdat(), v.vdat(), add.F)
-		vm := resolveVecMask(mask, scmp)
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		w.setVData(sparse.WriteVec(w.vdat(), t, vm, accumF, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.VecUnion(u.vdat(), v.vdat(), add.F))
 		return nil
 	})
 }
 
 // EWiseAddMonoidV is EWiseAddV with the operator taken from a monoid.
 func EWiseAddMonoidV[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], m Monoid[DC], u, v *Vector[DC], desc *Descriptor) error {
-	if !m.Defined() {
-		return errf(UninitializedObject, "EWiseAddMonoidV", "monoid not initialized")
-	}
 	return EWiseAddV(w, mask, accum, m.Op, u, v, desc)
 }
 
@@ -112,182 +65,45 @@ func EWiseAddMonoidV[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp
 // on the intersection of the stored structures, with the full three-domain
 // generality of the paper's binary operators.
 func EWiseMultM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC, DC], mul BinaryOp[DA, DB, DC], a *Matrix[DA], b *Matrix[DB], desc *Descriptor) error {
-	const name = "EWiseMultM"
-	if err := checkActive(name); err != nil {
+	tran0, tran1 := desc.tran0(), desc.tran1()
+	var s opSpec
+	wb := matOp(&s, "EWiseMultM", c, mask, accum, desc, writeT)
+	A, B := s.input(matArg(a, tran0)), s.input(matArg(b, tran1))
+	s.conform(A == B, A, B)
+	s.yields(A)
+	if err := s.check(mul.Defined(), "operator"); err != nil {
 		return err
 	}
-	if c == nil || a == nil || b == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&c.obj, name, "C"); err != nil {
-		return err
-	}
-	if err := objOK(&a.obj, name, "A"); err != nil {
-		return err
-	}
-	if err := objOK(&b.obj, name, "B"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	if !mul.Defined() {
-		return errf(UninitializedObject, name, "operator not initialized")
-	}
-	an, am, bn, bm := a.nr, a.nc, b.nr, b.nc
-	if desc.tran0() {
-		an, am = am, an
-	}
-	if desc.tran1() {
-		bn, bm = bm, bn
-	}
-	if an != bn || am != bm {
-		return errf(DimensionMismatch, name, "inputs are %dx%d and %dx%d", an, am, bn, bm)
-	}
-	if c.nr != an || c.nc != am {
-		return errf(DimensionMismatch, name, "output is %dx%d, result is %dx%d", c.nr, c.nc, an, am)
-	}
-	if mask != nil && (mask.nr != c.nr || mask.nc != c.nc) {
-		return errf(DimensionMismatch, name, "mask is %dx%d, output is %dx%d", mask.nr, mask.nc, c.nr, c.nc)
-	}
-	reads := maskReadsM([]*obj{&a.obj, &b.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	tran0, tran1, scmp, replace := desc.tran0(), desc.tran1(), desc.scmp(), desc.replace()
-	return enqueue(name, &c.obj, reads, overwrites, func() error {
-		ad := a.mdat()
-		if tran0 {
-			ad = a.transposed()
-		}
-		bd := b.mdat()
-		if tran1 {
-			bd = b.transposed()
-		}
-		t := sparse.IntersectCSR(ad, bd, mul.F)
-		mm := resolveMatMask(mask, scmp)
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		c.setData(sparse.WriteCSR(c.mdat(), t, mm, accumF, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.IntersectCSR(a.oriented(tran0), b.oriented(tran1), mul.F))
 		return nil
 	})
 }
 
 // EWiseMultV computes w ⊙= u ⊗ v for vectors.
 func EWiseMultV[DC, DA, DB, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], mul BinaryOp[DA, DB, DC], u *Vector[DA], v *Vector[DB], desc *Descriptor) error {
-	const name = "EWiseMultV"
-	if err := checkActive(name); err != nil {
+	var s opSpec
+	wb := vecOp(&s, "EWiseMultV", w, mask, accum, desc, writeT)
+	U, V := s.input(vecArg(u)), s.input(vecArg(v))
+	s.conform(U == V, U, V)
+	s.yields(U)
+	if err := s.check(mul.Defined(), "operator"); err != nil {
 		return err
 	}
-	if w == nil || u == nil || v == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&w.obj, name, "w"); err != nil {
-		return err
-	}
-	if err := objOK(&u.obj, name, "u"); err != nil {
-		return err
-	}
-	if err := objOK(&v.obj, name, "v"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	if !mul.Defined() {
-		return errf(UninitializedObject, name, "operator not initialized")
-	}
-	if u.n != v.n {
-		return errf(DimensionMismatch, name, "inputs have sizes %d and %d", u.n, v.n)
-	}
-	if w.n != u.n {
-		return errf(DimensionMismatch, name, "output has size %d, inputs have size %d", w.n, u.n)
-	}
-	if mask != nil && mask.n != w.n {
-		return errf(DimensionMismatch, name, "mask has size %d, output has size %d", mask.n, w.n)
-	}
-	reads := maskReadsV([]*obj{&u.obj, &v.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	scmp, replace := desc.scmp(), desc.replace()
-	return enqueue(name, &w.obj, reads, overwrites, func() error {
-		t := sparse.VecIntersect(u.vdat(), v.vdat(), mul.F)
-		vm := resolveVecMask(mask, scmp)
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		w.setVData(sparse.WriteVec(w.vdat(), t, vm, accumF, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.VecIntersect(u.vdat(), v.vdat(), mul.F))
 		return nil
 	})
 }
 
 // EWiseMultSemiringM is EWiseMultM with the multiplicative operator of a
-// semiring, the form Figure 3 lines 70 and 74 use.
+// semiring, the form Figure 3 lines 70 and 74 use. A semiring missing
+// either component multiplies with the undefined operator, which EWiseMultM
+// reports at its place in the error precedence.
 func EWiseMultSemiringM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC, DC], s Semiring[DA, DB, DC], a *Matrix[DA], b *Matrix[DB], desc *Descriptor) error {
-	if !s.Defined() {
-		return errf(UninitializedObject, "EWiseMultSemiringM", "semiring not initialized")
+	var mul BinaryOp[DA, DB, DC]
+	if s.Defined() {
+		mul = s.Mul
 	}
-	return EWiseMultM(c, mask, accum, s.Mul, a, b, desc)
-}
-
-// ewiseChecksM performs the shared argument validation for the
-// matrix element-wise operations.
-func ewiseChecksM[DC, DM any](name string, c *Matrix[DC], mask *Matrix[DM], a, b *Matrix[DC], opDefined bool) error {
-	if err := checkActive(name); err != nil {
-		return err
-	}
-	if c == nil || a == nil || b == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&c.obj, name, "C"); err != nil {
-		return err
-	}
-	if err := objOK(&a.obj, name, "A"); err != nil {
-		return err
-	}
-	if err := objOK(&b.obj, name, "B"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	if !opDefined {
-		return errf(UninitializedObject, name, "operator not initialized")
-	}
-	return nil
-}
-
-// ewiseChecksV performs the shared argument validation for the vector
-// element-wise operations.
-func ewiseChecksV[DC, DM any](name string, w *Vector[DC], mask *Vector[DM], u, v *Vector[DC], opDefined bool) error {
-	if err := checkActive(name); err != nil {
-		return err
-	}
-	if w == nil || u == nil || v == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&w.obj, name, "w"); err != nil {
-		return err
-	}
-	if err := objOK(&u.obj, name, "u"); err != nil {
-		return err
-	}
-	if err := objOK(&v.obj, name, "v"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	if !opDefined {
-		return errf(UninitializedObject, name, "operator not initialized")
-	}
-	return nil
+	return EWiseMultM(c, mask, accum, mul, a, b, desc)
 }

@@ -10,140 +10,37 @@ import "graphblas/internal/sparse"
 // selects all of the object's indices in order.
 var All []int
 
-// resolveIndices expands a possibly-nil index list against extent bound,
-// validating ranges. The returned slice must not be modified.
-func resolveIndices(op string, indices []int, bound int) ([]int, error) {
-	if indices == nil {
-		all := make([]int, bound)
-		for i := range all {
-			all[i] = i
-		}
-		return all, nil
-	}
-	for _, i := range indices {
-		if i < 0 || i >= bound {
-			return nil, errf(InvalidIndex, op, "index %d out of range [0,%d)", i, bound)
-		}
-	}
-	return indices, nil
-}
-
-// checkNoDuplicates rejects index lists with repeated targets; assign
-// results would otherwise be ill-defined.
-func checkNoDuplicates(op string, indices []int, bound int) error {
-	if indices == nil {
-		return nil
-	}
-	seen := make([]bool, bound)
-	for _, i := range indices {
-		if seen[i] {
-			return errf(InvalidValue, op, "duplicate index %d in assign index list", i)
-		}
-		seen[i] = true
-	}
-	return nil
-}
-
 // ExtractSubmatrix computes C ⊙= A(rows, cols) (GrB_extract on matrices;
 // Figure 3 line 33 uses it with a transposed input and GrB_ALL rows). The
 // descriptor's INP0 transpose applies to A before indexing.
 func ExtractSubmatrix[DC, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC, DC], a *Matrix[DC], rows, cols []int, desc *Descriptor) error {
-	const name = "ExtractSubmatrix"
-	if err := checkActive(name); err != nil {
+	tran0 := desc.tran0()
+	var s opSpec
+	wb := matOp(&s, "ExtractSubmatrix", c, mask, accum, desc, writeT)
+	A := s.input(matArg(a, tran0))
+	rIdx, cIdx := s.indices("row", rows, A.nr, false), s.indices("column", cols, A.nc, false)
+	s.yields(shape{nr: len(rIdx), nc: len(cIdx)})
+	if err := s.check(true, ""); err != nil {
 		return err
 	}
-	if c == nil || a == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&c.obj, name, "C"); err != nil {
-		return err
-	}
-	if err := objOK(&a.obj, name, "A"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	an, am := a.nr, a.nc
-	if desc.tran0() {
-		an, am = am, an
-	}
-	rIdx, err := resolveIndices(name, rows, an)
-	if err != nil {
-		return err
-	}
-	cIdx, err := resolveIndices(name, cols, am)
-	if err != nil {
-		return err
-	}
-	if c.nr != len(rIdx) || c.nc != len(cIdx) {
-		return errf(DimensionMismatch, name, "output is %dx%d, extraction is %dx%d", c.nr, c.nc, len(rIdx), len(cIdx))
-	}
-	if mask != nil && (mask.nr != c.nr || mask.nc != c.nc) {
-		return errf(DimensionMismatch, name, "mask is %dx%d, output is %dx%d", mask.nr, mask.nc, c.nr, c.nc)
-	}
-	reads := maskReadsM([]*obj{&a.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	tran0, scmp, replace := desc.tran0(), desc.scmp(), desc.replace()
-	return enqueue(name, &c.obj, reads, overwrites, func() error {
-		ad := a.mdat()
-		if tran0 {
-			ad = a.transposed()
-		}
-		t := sparse.ExtractCSR(ad, rIdx, cIdx)
-		mm := resolveMatMask(mask, scmp)
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		c.setData(sparse.WriteCSR(c.mdat(), t, mm, accumF, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.ExtractCSR(a.oriented(tran0), rIdx, cIdx))
 		return nil
 	})
 }
 
 // ExtractSubvector computes w ⊙= u(indices) (GrB_extract on vectors).
 func ExtractSubvector[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], u *Vector[DC], indices []int, desc *Descriptor) error {
-	const name = "ExtractSubvector"
-	if err := checkActive(name); err != nil {
+	var s opSpec
+	wb := vecOp(&s, "ExtractSubvector", w, mask, accum, desc, writeT)
+	U := s.input(vecArg(u))
+	idx := s.indices("element", indices, U.nr, false)
+	s.yields(vecShape(len(idx)))
+	if err := s.check(true, ""); err != nil {
 		return err
 	}
-	if w == nil || u == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&w.obj, name, "w"); err != nil {
-		return err
-	}
-	if err := objOK(&u.obj, name, "u"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	idx, err := resolveIndices(name, indices, u.n)
-	if err != nil {
-		return err
-	}
-	if w.n != len(idx) {
-		return errf(DimensionMismatch, name, "output has size %d, extraction has size %d", w.n, len(idx))
-	}
-	if mask != nil && mask.n != w.n {
-		return errf(DimensionMismatch, name, "mask has size %d, output has size %d", mask.n, w.n)
-	}
-	reads := maskReadsV([]*obj{&u.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	scmp, replace := desc.scmp(), desc.replace()
-	return enqueue(name, &w.obj, reads, overwrites, func() error {
-		t := sparse.ExtractVec(u.vdat(), idx)
-		vm := resolveVecMask(mask, scmp)
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		w.setVData(sparse.WriteVec(w.vdat(), t, vm, accumF, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.ExtractVec(u.vdat(), idx))
 		return nil
 	})
 }
@@ -152,56 +49,18 @@ func ExtractSubvector[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryO
 // row index list (GrB_Col_extract). With the descriptor's INP0 transpose it
 // extracts row j instead.
 func ExtractColVector[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], a *Matrix[DC], rows []int, j int, desc *Descriptor) error {
-	const name = "ExtractColVector"
-	if err := checkActive(name); err != nil {
+	tran0 := desc.tran0()
+	var s opSpec
+	wb := vecOp(&s, "ExtractColVector", w, mask, accum, desc, writeT)
+	A := s.input(matArg(a, tran0))
+	s.position("column", j, A.nc)
+	rIdx := s.indices("row", rows, A.nr, false)
+	s.yields(vecShape(len(rIdx)))
+	if err := s.check(true, ""); err != nil {
 		return err
 	}
-	if w == nil || a == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&w.obj, name, "w"); err != nil {
-		return err
-	}
-	if err := objOK(&a.obj, name, "A"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	an, am := a.nr, a.nc
-	if desc.tran0() {
-		an, am = am, an
-	}
-	if j < 0 || j >= am {
-		return errf(InvalidIndex, name, "column %d out of range [0,%d)", j, am)
-	}
-	rIdx, err := resolveIndices(name, rows, an)
-	if err != nil {
-		return err
-	}
-	if w.n != len(rIdx) {
-		return errf(DimensionMismatch, name, "output has size %d, extraction has size %d", w.n, len(rIdx))
-	}
-	if mask != nil && mask.n != w.n {
-		return errf(DimensionMismatch, name, "mask has size %d, output has size %d", mask.n, w.n)
-	}
-	reads := maskReadsV([]*obj{&a.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	tran0, scmp, replace := desc.tran0(), desc.scmp(), desc.replace()
-	return enqueue(name, &w.obj, reads, overwrites, func() error {
-		ad := a.mdat()
-		if tran0 {
-			ad = a.transposed()
-		}
-		t := sparse.ExtractColCSR(ad, rIdx, j)
-		vm := resolveVecMask(mask, scmp)
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		w.setVData(sparse.WriteVec(w.vdat(), t, vm, accumF, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.ExtractColCSR(a.oriented(tran0), rIdx, j))
 		return nil
 	})
 }

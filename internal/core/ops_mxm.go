@@ -24,77 +24,31 @@ import (
 // semantics; desc may be nil for defaults.
 func MxM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC, DC], op Semiring[DA, DB, DC], a *Matrix[DA], b *Matrix[DB], desc *Descriptor) error {
 	const name = "MxM"
-	if err := checkActive(name); err != nil {
+	tran0, tran1 := desc.tran0(), desc.tran1()
+	var s opSpec
+	wb := matOp(&s, name, c, mask, accum, desc, adoptT)
+	A, B := s.input(matArg(a, tran0)), s.input(matArg(b, tran1))
+	s.conform(A.nc == B.nr, A, B)
+	s.yields(shape{nr: A.nr, nc: B.nc})
+	if err := s.check(op.Defined(), "semiring"); err != nil {
 		return err
 	}
-	if c == nil || a == nil || b == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&c.obj, name, "C"); err != nil {
-		return err
-	}
-	if err := objOK(&a.obj, name, "A"); err != nil {
-		return err
-	}
-	if err := objOK(&b.obj, name, "B"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "Mask"); err != nil {
-			return err
-		}
-	}
-	if !op.Defined() {
-		return errf(UninitializedObject, name, "semiring not initialized")
-	}
-	am, an := a.nr, a.nc
-	if desc.tran0() {
-		am, an = an, am
-	}
-	bm, bn := b.nr, b.nc
-	if desc.tran1() {
-		bm, bn = bn, bm
-	}
-	if an != bm {
-		return errf(DimensionMismatch, name, "inner dimensions %d and %d differ", an, bm)
-	}
-	if c.nr != am || c.nc != bn {
-		return errf(DimensionMismatch, name, "output is %dx%d, result is %dx%d", c.nr, c.nc, am, bn)
-	}
-	if mask != nil && (mask.nr != c.nr || mask.nc != c.nc) {
-		return errf(DimensionMismatch, name, "mask is %dx%d, output is %dx%d", mask.nr, mask.nc, c.nr, c.nc)
-	}
-	reads := maskReadsM([]*obj{&a.obj, &b.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	tran0, tran1, scmp, replace := desc.tran0(), desc.tran1(), desc.scmp(), desc.replace()
 	b.noteHint(format.HintMxM)
-	// The span is opened here (rather than inside enqueueSpanned) so the
-	// closure can record which storage layout the dispatch below consumed.
+	// The span is opened here (rather than by enqueue) so the closure can
+	// record which storage layout the dispatch below consumed.
 	sp := obs.Begin(name)
-	return enqueueSpanned(name, &c.obj, reads, overwrites, format.HintMxM, sp, func() error {
-		ad := a.mdat()
-		if tran0 {
-			ad = a.transposed()
-		}
-		mm := resolveMatMask(mask, scmp)
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
+	s.hint, s.span = format.HintMxM, sp
+	return enqueue(s, func() error {
+		ad := a.oriented(tran0)
+		mm := wb.maskNow()
 		// Every kernel below applies mm itself — a non-complemented mask
 		// confines its result T to M's effective pattern, a complemented one
 		// keeps T off M's structure — so T never holds a position the mask
-		// denies. When the operation overwrites C (no accumulator, and no
-		// mask or REPLACE) nothing of the old C survives either, so the
-		// masked write of T into C is T: the write-back adopts it and skips
-		// the accumulate/mask-merge pass over C, T and M.
+		// denies, which is what lets the adoptT commit take T as C whenever
+		// the operation overwrites C.
 		commit := func(t *sparse.CSR[DC]) {
 			sp.AddBytes(t.ApproxBytes())
-			if overwrites {
-				c.setData(t)
-				return
-			}
-			c.setData(sparse.WriteCSR(c.mdat(), t, mm, accumF, replace))
+			wb.write(t, mm)
 		}
 		// Two kernels may run ahead of the generic CSR one, each chosen from
 		// the operands alone. Without INP1 transposition B benefits from the
@@ -114,7 +68,7 @@ func MxM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC,
 					return struct{}{}, false
 				}
 				fmtBitmapOps.Add(1)
-				if mask == nil && accumF == nil && plusTimesSemiring(op) {
+				if mask == nil && wb.accumF == nil && plusTimesSemiring(op) {
 					if r, ok := format.TryMxMPlusTimes(ad, bm); ok {
 						fmtFastOps.Add(1)
 						sp.NoteLayout("bitmap-fast")
@@ -155,12 +109,8 @@ func MxM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC,
 			execRetries.Add(1)
 			sp.NoteRetry()
 		}
-		bd := b.mdat()
-		if tran1 {
-			bd = b.transposed()
-		}
 		sp.NoteLayout("csr")
-		commit(sparse.SpGEMM(ad, bd, op.Mul.F, op.Add.Op.F, mm))
+		commit(sparse.SpGEMM(ad, b.oriented(tran1), op.Mul.F, op.Add.Op.F, mm))
 		return nil
 	})
 }
@@ -171,51 +121,18 @@ func MxM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC,
 // doing work proportional to the edges incident on u's structure.
 func MxV[DC, DA, DU, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], op Semiring[DA, DU, DC], a *Matrix[DA], u *Vector[DU], desc *Descriptor) error {
 	const name = "MxV"
-	if err := checkActive(name); err != nil {
+	tran0 := desc.tran0()
+	var s opSpec
+	wb := vecOp(&s, name, w, mask, accum, desc, writeT)
+	A, U := s.input(matArg(a, tran0)), s.input(vecArg(u))
+	s.conform(A.nc == U.nr, A, U)
+	s.yields(vecShape(A.nr))
+	if err := s.check(op.Defined(), "semiring"); err != nil {
 		return err
 	}
-	if w == nil || a == nil || u == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&w.obj, name, "w"); err != nil {
-		return err
-	}
-	if err := objOK(&a.obj, name, "A"); err != nil {
-		return err
-	}
-	if err := objOK(&u.obj, name, "u"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	if !op.Defined() {
-		return errf(UninitializedObject, name, "semiring not initialized")
-	}
-	am, an := a.nr, a.nc
-	if desc.tran0() {
-		am, an = an, am
-	}
-	if an != u.n {
-		return errf(DimensionMismatch, name, "matrix has %d columns, vector has size %d", an, u.n)
-	}
-	if w.n != am {
-		return errf(DimensionMismatch, name, "output has size %d, result has size %d", w.n, am)
-	}
-	if mask != nil && mask.n != w.n {
-		return errf(DimensionMismatch, name, "mask has size %d, output has size %d", mask.n, w.n)
-	}
-	reads := maskReadsV([]*obj{&a.obj, &u.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	tran0, scmp, replace := desc.tran0(), desc.scmp(), desc.replace()
 	a.noteHint(format.HintMxV)
 	sp := obs.Begin(name)
-	var accumF func(DC, DC) DC
-	if accum.Defined() {
-		accumF = accum.F
-	}
+	s.hint, s.span = format.HintMxV, sp
 	// Fusion capabilities (fusion.go). Producer: unmasked, non-accumulating
 	// mxv streams its (materialized-on-demand) product downstream. Consumer:
 	// a fused upstream of u feeds the fused mxv kernels, which run on the
@@ -247,11 +164,11 @@ func MxV[DC, DA, DU, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 				return sparse.FusedDotMxV(a.mdat(), n, idx, get, op.Mul.F, op.Add.Op.F, vm)
 			}
 			run := func() error {
-				vm := resolveVecMask(mask, scmp)
+				vm := wb.maskNow()
 				t := fusedT(vm)
 				sp.NoteLayout("csr")
 				sp.AddBytes(t.ApproxBytes())
-				w.setVData(sparse.WriteVec(w.vdat(), t, vm, accumF, replace))
+				wb.write(t, vm)
 				return nil
 			}
 			var chained any
@@ -261,8 +178,9 @@ func MxV[DC, DA, DU, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 			return run, chained, true
 		}
 	}
-	return enqueueFusable(name, &w.obj, reads, overwrites, format.HintMxV, sp, fi, func() error {
-		vm := resolveVecMask(mask, scmp)
+	s.fuse = fi
+	return enqueue(s, func() error {
+		vm := wb.maskNow()
 		var t *sparse.Vec[DC]
 		if tran0 {
 			t = pushMxVDispatch(a, u.vdat(), op.Mul.F, op.Add.Op.F, vm, sp)
@@ -270,7 +188,7 @@ func MxV[DC, DA, DU, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 			t = dotMxVDispatch(a, u.vdat(), op, vm, sp)
 		}
 		sp.AddBytes(t.ApproxBytes())
-		w.setVData(sparse.WriteVec(w.vdat(), t, vm, accumF, replace))
+		wb.write(t, vm)
 		return nil
 	})
 }
@@ -281,45 +199,15 @@ func MxV[DC, DA, DU, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 // expansion); with it, a pull-style dot kernel runs over the rows of A.
 func VxM[DC, DU, DA, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], op Semiring[DU, DA, DC], u *Vector[DU], a *Matrix[DA], desc *Descriptor) error {
 	const name = "VxM"
-	if err := checkActive(name); err != nil {
+	tran1 := desc.tran1()
+	var s opSpec
+	wb := vecOp(&s, name, w, mask, accum, desc, writeT)
+	U, A := s.input(vecArg(u)), s.input(matArg(a, tran1))
+	s.conform(U.nr == A.nr, U, A)
+	s.yields(vecShape(A.nc))
+	if err := s.check(op.Defined(), "semiring"); err != nil {
 		return err
 	}
-	if w == nil || a == nil || u == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&w.obj, name, "w"); err != nil {
-		return err
-	}
-	if err := objOK(&u.obj, name, "u"); err != nil {
-		return err
-	}
-	if err := objOK(&a.obj, name, "A"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	if !op.Defined() {
-		return errf(UninitializedObject, name, "semiring not initialized")
-	}
-	am, an := a.nr, a.nc
-	if desc.tran1() {
-		am, an = an, am
-	}
-	if u.n != am {
-		return errf(DimensionMismatch, name, "vector has size %d, matrix has %d rows", u.n, am)
-	}
-	if w.n != an {
-		return errf(DimensionMismatch, name, "output has size %d, result has size %d", w.n, an)
-	}
-	if mask != nil && mask.n != w.n {
-		return errf(DimensionMismatch, name, "mask has size %d, output has size %d", mask.n, w.n)
-	}
-	reads := maskReadsV([]*obj{&u.obj, &a.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	tran1, scmp, replace := desc.tran1(), desc.scmp(), desc.replace()
 	flip := func(av DA, uv DU) DC { return op.Mul.F(uv, av) }
 	// The flipped semiring drives the same dispatch as MxV; the builtin name
 	// survives the flip, and plusTimesSemiring sample-evaluates both operand
@@ -327,10 +215,7 @@ func VxM[DC, DU, DA, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 	flipped := Semiring[DA, DU, DC]{Add: op.Add, Mul: BinaryOp[DA, DU, DC]{Name: op.Mul.Name, F: flip}}
 	a.noteHint(format.HintMxV)
 	sp := obs.Begin(name)
-	var accumF func(DC, DC) DC
-	if accum.Defined() {
-		accumF = accum.F
-	}
+	s.hint, s.span = format.HintMxV, sp
 	// Fusion capabilities mirror MxV's, with the operand order flipped
 	// through the same flipped semiring the unfused dispatch uses.
 	fi := &fuseInfo{srcID: u.obj.id}
@@ -357,11 +242,11 @@ func VxM[DC, DU, DA, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 				return sparse.FusedPushMxV(a.mdat(), idx, get, flip, op.Add.Op.F, vm)
 			}
 			run := func() error {
-				vm := resolveVecMask(mask, scmp)
+				vm := wb.maskNow()
 				t := fusedT(vm)
 				sp.NoteLayout("csr")
 				sp.AddBytes(t.ApproxBytes())
-				w.setVData(sparse.WriteVec(w.vdat(), t, vm, accumF, replace))
+				wb.write(t, vm)
 				return nil
 			}
 			var chained any
@@ -371,8 +256,9 @@ func VxM[DC, DU, DA, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 			return run, chained, true
 		}
 	}
-	return enqueueFusable(name, &w.obj, reads, overwrites, format.HintMxV, sp, fi, func() error {
-		vm := resolveVecMask(mask, scmp)
+	s.fuse = fi
+	return enqueue(s, func() error {
+		vm := wb.maskNow()
 		var t *sparse.Vec[DC]
 		if tran1 {
 			t = dotMxVDispatch(a, u.vdat(), flipped, vm, sp)
@@ -380,7 +266,7 @@ func VxM[DC, DU, DA, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 			t = pushMxVDispatch(a, u.vdat(), flip, op.Add.Op.F, vm, sp)
 		}
 		sp.AddBytes(t.ApproxBytes())
-		w.setVData(sparse.WriteVec(w.vdat(), t, vm, accumF, replace))
+		wb.write(t, vm)
 		return nil
 	})
 }

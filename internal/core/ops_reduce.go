@@ -60,52 +60,15 @@ func recordScalarError(c *context, name string, err error) {
 // line 78 form). Rows with no stored elements produce no output entry. Use
 // the descriptor's INP0 transpose to reduce columns instead.
 func ReduceMatrixToVector[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], m Monoid[DC], a *Matrix[DC], desc *Descriptor) error {
-	const name = "ReduceMatrixToVector"
-	if err := checkActive(name); err != nil {
+	tran0 := desc.tran0()
+	var s opSpec
+	wb := vecOp(&s, "ReduceMatrixToVector", w, mask, accum, desc, writeT)
+	s.yields(vecShape(s.input(matArg(a, tran0)).nr))
+	if err := s.check(m.Defined(), "monoid"); err != nil {
 		return err
 	}
-	if w == nil || a == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&w.obj, name, "w"); err != nil {
-		return err
-	}
-	if err := objOK(&a.obj, name, "A"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	if !m.Defined() {
-		return errf(UninitializedObject, name, "monoid not initialized")
-	}
-	rows := a.nr
-	if desc.tran0() {
-		rows = a.nc
-	}
-	if w.n != rows {
-		return errf(DimensionMismatch, name, "output has size %d, matrix has %d rows (after descriptor)", w.n, rows)
-	}
-	if mask != nil && mask.n != w.n {
-		return errf(DimensionMismatch, name, "mask has size %d, output has size %d", mask.n, w.n)
-	}
-	reads := maskReadsV([]*obj{&a.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	tran0, scmp, replace := desc.tran0(), desc.scmp(), desc.replace()
-	return enqueue(name, &w.obj, reads, overwrites, func() error {
-		ad := a.mdat()
-		if tran0 {
-			ad = a.transposed()
-		}
-		t := sparse.ReduceRowsCSR(ad, m.Op.F, m.Terminal)
-		vm := resolveVecMask(mask, scmp)
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		w.setVData(sparse.WriteVec(w.vdat(), t, vm, accumF, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.ReduceRowsCSR(a.oriented(tran0), m.Op.F, m.Terminal))
 		return nil
 	})
 }
@@ -119,17 +82,8 @@ func ReduceMatrixToVector[DC, DM any](w *Vector[DC], mask *Vector[DM], accum Bin
 func ReduceMatrixToScalar[D any](val D, accum BinaryOp[D, D, D], m Monoid[D], a *Matrix[D]) (D, error) {
 	const name = "ReduceMatrixToScalar"
 	var zero D
-	if err := checkActive(name); err != nil {
+	if err := checkSource(name, matArg(a, false), m.Defined(), "monoid"); err != nil {
 		return zero, err
-	}
-	if a == nil {
-		return zero, errf(UninitializedObject, name, "nil matrix")
-	}
-	if err := objOK(&a.obj, name, "A"); err != nil {
-		return zero, err
-	}
-	if !m.Defined() {
-		return zero, errf(UninitializedObject, name, "monoid not initialized")
 	}
 	if err := a.obj.engine().force(name); err != nil {
 		return zero, err
@@ -156,17 +110,8 @@ func ReduceMatrixToScalar[D any](val D, accum BinaryOp[D, D, D], m Monoid[D], a 
 func ReduceVectorToScalar[D any](val D, accum BinaryOp[D, D, D], m Monoid[D], u *Vector[D]) (D, error) {
 	const name = "ReduceVectorToScalar"
 	var zero D
-	if err := checkActive(name); err != nil {
+	if err := checkSource(name, vecArg(u), m.Defined(), "monoid"); err != nil {
 		return zero, err
-	}
-	if u == nil {
-		return zero, errf(UninitializedObject, name, "nil vector")
-	}
-	if err := objOK(&u.obj, name, "u"); err != nil {
-		return zero, err
-	}
-	if !m.Defined() {
-		return zero, errf(UninitializedObject, name, "monoid not initialized")
 	}
 	if err := u.obj.engine().force(name); err != nil {
 		return zero, err

@@ -11,52 +11,15 @@ import "graphblas/internal/sparse"
 // pred(value, i, j) holds (extension; GrB_select in later revisions). The
 // predicate's output domain is bool by construction.
 func SelectM[DC, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC, DC], pred IndexUnaryOp[DC, bool], a *Matrix[DC], desc *Descriptor) error {
-	const name = "SelectM"
-	if err := checkActive(name); err != nil {
+	tran0 := desc.tran0()
+	var s opSpec
+	wb := matOp(&s, "SelectM", c, mask, accum, desc, writeT)
+	s.yields(s.input(matArg(a, tran0)))
+	if err := s.check(pred.Defined(), "predicate"); err != nil {
 		return err
 	}
-	if c == nil || a == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&c.obj, name, "C"); err != nil {
-		return err
-	}
-	if err := objOK(&a.obj, name, "A"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	if !pred.Defined() {
-		return errf(UninitializedObject, name, "predicate not initialized")
-	}
-	an, am := a.nr, a.nc
-	if desc.tran0() {
-		an, am = am, an
-	}
-	if c.nr != an || c.nc != am {
-		return errf(DimensionMismatch, name, "output is %dx%d, result is %dx%d", c.nr, c.nc, an, am)
-	}
-	if mask != nil && (mask.nr != c.nr || mask.nc != c.nc) {
-		return errf(DimensionMismatch, name, "mask is %dx%d, output is %dx%d", mask.nr, mask.nc, c.nr, c.nc)
-	}
-	reads := maskReadsM([]*obj{&a.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	tran0, scmp, replace := desc.tran0(), desc.scmp(), desc.replace()
-	return enqueue(name, &c.obj, reads, overwrites, func() error {
-		ad := a.mdat()
-		if tran0 {
-			ad = a.transposed()
-		}
-		t := sparse.SelectCSR(ad, func(v DC, i, j int) bool { return pred.F(v, i, j) })
-		mm := resolveMatMask(mask, scmp)
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		c.setData(sparse.WriteCSR(c.mdat(), t, mm, accumF, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.SelectCSR(a.oriented(tran0), pred.F))
 		return nil
 	})
 }
@@ -64,44 +27,14 @@ func SelectM[DC, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC,
 // SelectV computes w ⊙= select(pred, u) for vectors; the predicate's column
 // argument is always 0.
 func SelectV[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], pred IndexUnaryOp[DC, bool], u *Vector[DC], desc *Descriptor) error {
-	const name = "SelectV"
-	if err := checkActive(name); err != nil {
+	var s opSpec
+	wb := vecOp(&s, "SelectV", w, mask, accum, desc, writeT)
+	s.yields(s.input(vecArg(u)))
+	if err := s.check(pred.Defined(), "predicate"); err != nil {
 		return err
 	}
-	if w == nil || u == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&w.obj, name, "w"); err != nil {
-		return err
-	}
-	if err := objOK(&u.obj, name, "u"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	if !pred.Defined() {
-		return errf(UninitializedObject, name, "predicate not initialized")
-	}
-	if w.n != u.n {
-		return errf(DimensionMismatch, name, "output has size %d, input has size %d", w.n, u.n)
-	}
-	if mask != nil && mask.n != w.n {
-		return errf(DimensionMismatch, name, "mask has size %d, output has size %d", mask.n, w.n)
-	}
-	reads := maskReadsV([]*obj{&u.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	scmp, replace := desc.scmp(), desc.replace()
-	return enqueue(name, &w.obj, reads, overwrites, func() error {
-		t := sparse.VecSelect(u.vdat(), func(v DC, i int) bool { return pred.F(v, i, 0) })
-		vm := resolveVecMask(mask, scmp)
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		w.setVData(sparse.WriteVec(w.vdat(), t, vm, accumF, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.VecSelect(u.vdat(), func(v DC, i int) bool { return pred.F(v, i, 0) }))
 		return nil
 	})
 }
@@ -110,63 +43,16 @@ func SelectV[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC,
 // operator combining elements (extension; GrB_kronecker in later
 // revisions).
 func Kronecker[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC, DC], mul BinaryOp[DA, DB, DC], a *Matrix[DA], b *Matrix[DB], desc *Descriptor) error {
-	const name = "Kronecker"
-	if err := checkActive(name); err != nil {
+	tran0, tran1 := desc.tran0(), desc.tran1()
+	var s opSpec
+	wb := matOp(&s, "Kronecker", c, mask, accum, desc, writeT)
+	A, B := s.input(matArg(a, tran0)), s.input(matArg(b, tran1))
+	s.yields(shape{nr: A.nr * B.nr, nc: A.nc * B.nc})
+	if err := s.check(mul.Defined(), "operator"); err != nil {
 		return err
 	}
-	if c == nil || a == nil || b == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&c.obj, name, "C"); err != nil {
-		return err
-	}
-	if err := objOK(&a.obj, name, "A"); err != nil {
-		return err
-	}
-	if err := objOK(&b.obj, name, "B"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	if !mul.Defined() {
-		return errf(UninitializedObject, name, "operator not initialized")
-	}
-	an, am := a.nr, a.nc
-	if desc.tran0() {
-		an, am = am, an
-	}
-	bn, bm := b.nr, b.nc
-	if desc.tran1() {
-		bn, bm = bm, bn
-	}
-	if c.nr != an*bn || c.nc != am*bm {
-		return errf(DimensionMismatch, name, "output is %dx%d, result is %dx%d", c.nr, c.nc, an*bn, am*bm)
-	}
-	if mask != nil && (mask.nr != c.nr || mask.nc != c.nc) {
-		return errf(DimensionMismatch, name, "mask is %dx%d, output is %dx%d", mask.nr, mask.nc, c.nr, c.nc)
-	}
-	reads := maskReadsM([]*obj{&a.obj, &b.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	tran0, tran1, scmp, replace := desc.tran0(), desc.tran1(), desc.scmp(), desc.replace()
-	return enqueue(name, &c.obj, reads, overwrites, func() error {
-		ad := a.mdat()
-		if tran0 {
-			ad = a.transposed()
-		}
-		bd := b.mdat()
-		if tran1 {
-			bd = b.transposed()
-		}
-		t := sparse.KronCSR(ad, bd, mul.F)
-		mm := resolveMatMask(mask, scmp)
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		c.setData(sparse.WriteCSR(c.mdat(), t, mm, accumF, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.KronCSR(a.oriented(tran0), b.oriented(tran1), mul.F))
 		return nil
 	})
 }
@@ -176,13 +62,7 @@ func Kronecker[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum Binary
 // is v's size; it is returned as a fresh matrix.
 func Diag[D any](v *Vector[D], k int) (*Matrix[D], error) {
 	const name = "Diag"
-	if err := checkActive(name); err != nil {
-		return nil, err
-	}
-	if v == nil {
-		return nil, errf(UninitializedObject, name, "nil vector")
-	}
-	if err := objOK(&v.obj, name, "v"); err != nil {
+	if err := checkSource(name, vecArg(v), true, ""); err != nil {
 		return nil, err
 	}
 	n := v.n
@@ -194,7 +74,7 @@ func Diag[D any](v *Vector[D], k int) (*Matrix[D], error) {
 	m := &Matrix[D]{nr: n, nc: n, data: sparse.NewCSR[D](n, n)}
 	m.initMatrix()
 	m.obj.ctx = v.obj.ctx // the result lives in the source's execution context
-	err := enqueue(name, &m.obj, []*obj{&v.obj}, true, func() error {
+	err := enqueue(methodSpec(name, &m.obj, &v.obj, false), func() error {
 		is := make([]int, len(v.vdat().Idx))
 		js := make([]int, len(v.vdat().Idx))
 		for p, i := range v.vdat().Idx {

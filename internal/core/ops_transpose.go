@@ -1,64 +1,22 @@
 package core
 
-import "graphblas/internal/sparse"
-
 // Transpose computes C ⊙= Aᵀ (GrB_transpose, Table II). Combining the
 // descriptor's INP0 transpose with this operation yields a masked/
 // accumulated copy of A itself — the spec's idiom for "apply a mask to a
 // matrix", which this implementation honors without materializing a double
 // transpose.
 func Transpose[DC, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC, DC], a *Matrix[DC], desc *Descriptor) error {
-	const name = "Transpose"
-	if err := checkActive(name); err != nil {
+	// Aᵀ of an INP0-transposed A is A itself, so the operand is oriented by
+	// the negation of the descriptor bit.
+	tran := !desc.tran0()
+	var s opSpec
+	wb := matOp(&s, "Transpose", c, mask, accum, desc, cloneT)
+	s.yields(s.input(matArg(a, tran)))
+	if err := s.check(true, ""); err != nil {
 		return err
 	}
-	if c == nil || a == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&c.obj, name, "C"); err != nil {
-		return err
-	}
-	if err := objOK(&a.obj, name, "A"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	an, am := a.nc, a.nr // result dims of Aᵀ
-	if desc.tran0() {
-		an, am = am, an // transpose of transpose: A itself
-	}
-	if c.nr != an || c.nc != am {
-		return errf(DimensionMismatch, name, "output is %dx%d, result is %dx%d", c.nr, c.nc, an, am)
-	}
-	if mask != nil && (mask.nr != c.nr || mask.nc != c.nc) {
-		return errf(DimensionMismatch, name, "mask is %dx%d, output is %dx%d", mask.nr, mask.nc, c.nr, c.nc)
-	}
-	reads := maskReadsM([]*obj{&a.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	tran0, scmp, replace := desc.tran0(), desc.scmp(), desc.replace()
-	return enqueue(name, &c.obj, reads, overwrites, func() error {
-		var t *sparse.CSR[DC]
-		if tran0 {
-			t = a.mdat()
-		} else {
-			t = a.transposed()
-		}
-		mm := resolveMatMask(mask, scmp)
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		res := sparse.WriteCSR(c.mdat(), t, mm, accumF, replace)
-		if res == t {
-			// Unlike every other operation, Transpose's internal result can
-			// alias a's storage or the shared transpose cache; the unmasked
-			// write-back transfers ownership, so copy before installing.
-			res = t.Clone()
-		}
-		c.setData(res)
+	return enqueue(s, func() error {
+		wb.commit(a.oriented(tran))
 		return nil
 	})
 }

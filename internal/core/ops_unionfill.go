@@ -13,115 +13,33 @@ import "graphblas/internal/sparse"
 
 // EWiseUnionM computes C ⊙= union(A, alpha, B, beta, op) for matrices.
 func EWiseUnionM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC, DC], op BinaryOp[DA, DB, DC], a *Matrix[DA], alpha DA, b *Matrix[DB], beta DB, desc *Descriptor) error {
-	const name = "EWiseUnionM"
-	if err := checkActive(name); err != nil {
+	tran0, tran1 := desc.tran0(), desc.tran1()
+	var s opSpec
+	wb := matOp(&s, "EWiseUnionM", c, mask, accum, desc, writeT)
+	A, B := s.input(matArg(a, tran0)), s.input(matArg(b, tran1))
+	s.conform(A == B, A, B)
+	s.yields(A)
+	if err := s.check(op.Defined(), "operator"); err != nil {
 		return err
 	}
-	if c == nil || a == nil || b == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&c.obj, name, "C"); err != nil {
-		return err
-	}
-	if err := objOK(&a.obj, name, "A"); err != nil {
-		return err
-	}
-	if err := objOK(&b.obj, name, "B"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	if !op.Defined() {
-		return errf(UninitializedObject, name, "operator not initialized")
-	}
-	an, am, bn, bm := a.nr, a.nc, b.nr, b.nc
-	if desc.tran0() {
-		an, am = am, an
-	}
-	if desc.tran1() {
-		bn, bm = bm, bn
-	}
-	if an != bn || am != bm {
-		return errf(DimensionMismatch, name, "inputs are %dx%d and %dx%d", an, am, bn, bm)
-	}
-	if c.nr != an || c.nc != am {
-		return errf(DimensionMismatch, name, "output is %dx%d, result is %dx%d", c.nr, c.nc, an, am)
-	}
-	if mask != nil && (mask.nr != c.nr || mask.nc != c.nc) {
-		return errf(DimensionMismatch, name, "mask is %dx%d, output is %dx%d", mask.nr, mask.nc, c.nr, c.nc)
-	}
-	reads := maskReadsM([]*obj{&a.obj, &b.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	tran0, tran1, scmp, replace := desc.tran0(), desc.tran1(), desc.scmp(), desc.replace()
-	return enqueue(name, &c.obj, reads, overwrites, func() error {
-		ad := a.mdat()
-		if tran0 {
-			ad = a.transposed()
-		}
-		bd := b.mdat()
-		if tran1 {
-			bd = b.transposed()
-		}
-		t := sparse.UnionFillCSR(ad, bd, op.F, alpha, beta)
-		mm := resolveMatMask(mask, scmp)
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		c.setData(sparse.WriteCSR(c.mdat(), t, mm, accumF, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.UnionFillCSR(a.oriented(tran0), b.oriented(tran1), op.F, alpha, beta))
 		return nil
 	})
 }
 
 // EWiseUnionV computes w ⊙= union(u, alpha, v, beta, op) for vectors.
 func EWiseUnionV[DC, DA, DB, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], op BinaryOp[DA, DB, DC], u *Vector[DA], alpha DA, v *Vector[DB], beta DB, desc *Descriptor) error {
-	const name = "EWiseUnionV"
-	if err := checkActive(name); err != nil {
+	var s opSpec
+	wb := vecOp(&s, "EWiseUnionV", w, mask, accum, desc, writeT)
+	U, V := s.input(vecArg(u)), s.input(vecArg(v))
+	s.conform(U == V, U, V)
+	s.yields(U)
+	if err := s.check(op.Defined(), "operator"); err != nil {
 		return err
 	}
-	if w == nil || u == nil || v == nil {
-		return errf(UninitializedObject, name, "nil argument")
-	}
-	if err := objOK(&w.obj, name, "w"); err != nil {
-		return err
-	}
-	if err := objOK(&u.obj, name, "u"); err != nil {
-		return err
-	}
-	if err := objOK(&v.obj, name, "v"); err != nil {
-		return err
-	}
-	if mask != nil {
-		if err := objOK(&mask.obj, name, "mask"); err != nil {
-			return err
-		}
-	}
-	if !op.Defined() {
-		return errf(UninitializedObject, name, "operator not initialized")
-	}
-	if u.n != v.n {
-		return errf(DimensionMismatch, name, "inputs have sizes %d and %d", u.n, v.n)
-	}
-	if w.n != u.n {
-		return errf(DimensionMismatch, name, "output has size %d, inputs have size %d", w.n, u.n)
-	}
-	if mask != nil && mask.n != w.n {
-		return errf(DimensionMismatch, name, "mask has size %d, output has size %d", mask.n, w.n)
-	}
-	reads := maskReadsV([]*obj{&u.obj, &v.obj}, mask)
-	overwrites := !accum.Defined() && (mask == nil || desc.replace())
-	scmp, replace := desc.scmp(), desc.replace()
-	return enqueue(name, &w.obj, reads, overwrites, func() error {
-		t := sparse.VecUnionFill(u.vdat(), v.vdat(), op.F, alpha, beta)
-		vm := resolveVecMask(mask, scmp)
-		var accumF func(DC, DC) DC
-		if accum.Defined() {
-			accumF = accum.F
-		}
-		w.setVData(sparse.WriteVec(w.vdat(), t, vm, accumF, replace))
+	return enqueue(s, func() error {
+		wb.commit(sparse.VecUnionFill(u.vdat(), v.vdat(), op.F, alpha, beta))
 		return nil
 	})
 }

@@ -36,7 +36,7 @@ func (m *Matrix[D]) ApplyUpdateBatch(b *stream.Batch[D]) error {
 	if d.NNZ() == 0 {
 		return nil
 	}
-	return enqueue(op, &m.obj, nil, false, func() error {
+	return enqueue(methodSpec(op, &m.obj, nil, true), func() error {
 		m.absorbDelta(d)
 		return nil
 	})
@@ -59,10 +59,7 @@ func (m *Matrix[D]) absorbDelta(d *format.HyperDelta[D]) {
 	}
 	m.delta = stream.Absorb(m.delta, d)
 	m.deltaAge++
-	m.mcache = nil
-	m.tcache = nil
-	m.bcache = nil
-	m.hcache = nil
+	m.dropDerivedLocked()
 	obs.StreamBatches.Inc()
 	obs.StreamEdges.Add(int64(d.NNZ()))
 	obs.StreamDeltaNNZ.Set(int64(m.delta.NNZ()))
@@ -82,7 +79,7 @@ func (m *Matrix[D]) compactLocked() {
 	merged := stream.Compact(m.data, m.delta)
 	m.data = merged
 	m.delta = nil
-	m.mcache = nil
+	m.dropDerivedLocked()
 	m.deltaAge = 0
 	m.epochID++
 	obs.StreamMerges.Inc()
@@ -99,7 +96,7 @@ func (m *Matrix[D]) Compact() error {
 	if err := objOK(&m.obj, op, "m"); err != nil {
 		return err
 	}
-	return enqueue(op, &m.obj, nil, false, func() error {
+	return enqueue(methodSpec(op, &m.obj, nil, true), func() error {
 		m.compactNow()
 		return nil
 	})

@@ -329,3 +329,245 @@ func TestReadOnlyConcurrentSharing(t *testing.T) {
 		}
 	}
 }
+
+// The Figure 2 grid. The sweeps above each run one operation through
+// sweepCases; the operations below share one more table instead of one more
+// test each. gridCases extends sweepCases by the descriptor's input
+// transposes and by the two aliasing shapes the write-back must keep right —
+// the output doubling as the first input, and the output doubling as its own
+// mask — and every operation of the table runs the whole grid against the
+// dense model and the same oracleWrite / vecOracleWrite.
+
+type gridCase struct {
+	useMask, scmp, accum, replace bool
+	tran0, tran1                  bool
+	alias                         string // "", gridOutIsIn0 or gridMaskIsOut
+	name                          string
+}
+
+const (
+	gridOutIsIn0  = "out=in0"
+	gridMaskIsOut = "mask=out"
+)
+
+// gridCases enumerates sweepCases × the transposes the operation honours ×
+// the aliasing shapes it admits.
+func gridCases(tran0, tran1 bool, aliases []string, f func(g gridCase)) {
+	flags := func(on bool) []bool {
+		if on {
+			return []bool{false, true}
+		}
+		return []bool{false}
+	}
+	sweepCases(func(useMask, scmp, accum, replace bool, name string) {
+		for _, t0 := range flags(tran0) {
+			for _, t1 := range flags(tran1) {
+				for _, alias := range append([]string{""}, aliases...) {
+					if alias == gridMaskIsOut && !useMask {
+						continue
+					}
+					f(gridCase{useMask, scmp, accum, replace, t0, t1, alias,
+						fmt.Sprintf("%s/t0=%v/t1=%v/alias=%s", name, t0, t1, alias)})
+				}
+			}
+		}
+	})
+}
+
+func (g gridCase) desc() *Descriptor {
+	d := sweepDesc(g.scmp, g.replace)
+	if g.tran0 {
+		d.Transpose0()
+	}
+	if g.tran1 {
+		d.Transpose1()
+	}
+	return d
+}
+
+func (g gridCase) accumOp() BinaryOp[float64, float64, float64] {
+	if g.accum {
+		return plusF64()
+	}
+	return NoAccum[float64]()
+}
+
+// newValueMask builds a float64 mask whose stored values are 0 or 1 — the
+// value-mask form, cast to bool as the C API does — plus its stored and
+// effective models.
+func newValueMask(t *testing.T, rng *rand.Rand, nr, nc int) (*Matrix[float64], map[key]bool, map[key]bool) {
+	t.Helper()
+	m, err := NewMatrix[float64](nr, nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, eff := map[key]bool{}, map[key]bool{}
+	for i := 0; i < nr; i++ {
+		for j := 0; j < nc; j++ {
+			if rng.Float64() < 0.5 {
+				v := 0.0
+				if rng.Float64() < 0.7 {
+					v, eff[key{i, j}] = 1, true
+				}
+				stored[key{i, j}] = true
+				if err := m.SetElement(v, i, j); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return m, stored, eff
+}
+
+func transposeDense(a dmat) dmat {
+	t := dmat{}
+	for k, v := range a {
+		t[key{k.j, k.i}] = v
+	}
+	return t
+}
+
+// structureOf is the mask model of an object used as its own mask: every
+// stored value of the test matrices is nonzero, so pattern and structure
+// coincide.
+func structureOf(d dmat) map[key]bool {
+	s := map[key]bool{}
+	for k := range d {
+		s[k] = true
+	}
+	return s
+}
+
+// matGridOp is a matrix-output operation over square n×n inputs: result
+// models T from the operands as the operation sees them (already
+// transposed); out gives the output's side length.
+type matGridOp struct {
+	name         string
+	tran0, tran1 bool
+	aliases      []string
+	out          func(n int) int
+	result       func(a, b dmat, n int) dmat
+	call         func(c, mask *Matrix[float64], acc BinaryOp[float64, float64, float64], a, b *Matrix[float64], d *Descriptor) error
+}
+
+func sameSide(n int) int { return n }
+
+var matGridOps = []matGridOp{
+	{"EWiseMult", true, true, []string{gridOutIsIn0, gridMaskIsOut}, sameSide,
+		func(a, b dmat, n int) dmat {
+			t := dmat{}
+			for k, v := range a {
+				if bv, ok := b[k]; ok {
+					t[k] = v * bv
+				}
+			}
+			return t
+		},
+		func(c, mask *Matrix[float64], acc BinaryOp[float64, float64, float64], a, b *Matrix[float64], d *Descriptor) error {
+			times := BinaryOp[float64, float64, float64]{Name: "times", F: func(x, y float64) float64 { return x * y }}
+			return EWiseMultM(c, mask, acc, times, a, b, d)
+		}},
+	{"EWiseUnion", true, true, []string{gridOutIsIn0, gridMaskIsOut}, sameSide,
+		func(a, b dmat, n int) dmat {
+			t := dmat{}
+			for k, v := range a {
+				t[k] = v - 100 // beta stands in for an absent B
+			}
+			for k, bv := range b {
+				if av, ok := a[k]; ok {
+					t[k] = av - bv
+				} else {
+					t[k] = 50 - bv // alpha stands in for an absent A
+				}
+			}
+			return t
+		},
+		func(c, mask *Matrix[float64], acc BinaryOp[float64, float64, float64], a, b *Matrix[float64], d *Descriptor) error {
+			minus := BinaryOp[float64, float64, float64]{Name: "minus", F: func(x, y float64) float64 { return x - y }}
+			return EWiseUnionM(c, mask, acc, minus, a, 50, b, 100, d)
+		}},
+	{"Select", true, false, []string{gridOutIsIn0, gridMaskIsOut}, sameSide,
+		func(a, _ dmat, n int) dmat {
+			t := dmat{}
+			for k, v := range a {
+				if k.i <= k.j && v > 3 {
+					t[k] = v
+				}
+			}
+			return t
+		},
+		func(c, mask *Matrix[float64], acc BinaryOp[float64, float64, float64], a, _ *Matrix[float64], d *Descriptor) error {
+			upperBig := IndexUnaryOp[float64, bool]{Name: "upperBig", F: func(v float64, i, j int) bool { return i <= j && v > 3 }}
+			return SelectM(c, mask, acc, upperBig, a, d)
+		}},
+	{"ApplyIndexOp", true, false, []string{gridOutIsIn0, gridMaskIsOut}, sameSide,
+		func(a, _ dmat, n int) dmat {
+			t := dmat{}
+			for k, v := range a {
+				t[k] = v + float64(100*k.i+10*k.j)
+			}
+			return t
+		},
+		func(c, mask *Matrix[float64], acc BinaryOp[float64, float64, float64], a, _ *Matrix[float64], d *Descriptor) error {
+			place := IndexUnaryOp[float64, float64]{Name: "place", F: func(v float64, i, j int) float64 { return v + float64(100*i+10*j) }}
+			return ApplyIndexOpM(c, mask, acc, place, a, d)
+		}},
+	// The Kronecker product is n²×n², so its output cannot double as an input.
+	{"Kronecker", true, true, []string{gridMaskIsOut}, func(n int) int { return n * n },
+		func(a, b dmat, n int) dmat {
+			t := dmat{}
+			for ka, av := range a {
+				for kb, bv := range b {
+					t[key{ka.i*n + kb.i, ka.j*n + kb.j}] = av * bv
+				}
+			}
+			return t
+		},
+		func(c, mask *Matrix[float64], acc BinaryOp[float64, float64, float64], a, b *Matrix[float64], d *Descriptor) error {
+			times := BinaryOp[float64, float64, float64]{Name: "times", F: func(x, y float64) float64 { return x * y }}
+			return Kronecker(c, mask, acc, times, a, b, d)
+		}},
+}
+
+// TestSweep_Fig2GridMatrix runs every operation of matGridOps through the
+// grid.
+func TestSweep_Fig2GridMatrix(t *testing.T) {
+	const n = 4
+	for _, op := range matGridOps {
+		rng := rand.New(rand.NewSource(131))
+		side := op.out(n)
+		gridCases(op.tran0, op.tran1, op.aliases, func(g gridCase) {
+			t.Run(op.name+"/"+g.name, func(t *testing.T) {
+				a, ad := newTestMatrix(t, rng, n, n, 0.5)
+				b, bd := newTestMatrix(t, rng, n, n, 0.5)
+				c, cd := newTestMatrix(t, rng, side, side, 0.4)
+				mask, stored, eff := newValueMask(t, rng, side, side)
+				switch g.alias {
+				case gridOutIsIn0:
+					a, ad = c, cd
+				case gridMaskIsOut:
+					mask, stored, eff = c, structureOf(cd), structureOf(cd)
+				}
+				if !g.useMask {
+					mask = nil
+				}
+				seenA, seenB := ad, bd
+				if g.tran0 {
+					seenA = transposeDense(ad)
+				}
+				if g.tran1 {
+					seenB = transposeDense(bd)
+				}
+				if err := op.call(c, mask, g.accumOp(), a, b, g.desc()); err != nil {
+					t.Fatalf("%s: %v", op.name, err)
+				}
+				want := oracleWrite(cd, op.result(seenA, seenB, n), side, side, stored, eff, g.useMask, g.scmp, g.accum, g.replace)
+				equalDense(t, denseOf(t, c), want, g.name)
+				if g.alias != gridOutIsIn0 {
+					equalDense(t, denseOf(t, a), ad, g.name+"/first input intact")
+				}
+				equalDense(t, denseOf(t, b), bd, g.name+"/second input intact")
+			})
+		})
+	}
+}

@@ -234,3 +234,206 @@ func testDomain[D comparable](t *testing.T, name string, sample D, check func(*t
 		}
 	})
 }
+
+// The vector half of the Figure 2 grid (see gridCases in sweep_test.go): the
+// operations whose written line is a vector — a vector output, or one row or
+// column of a matrix output under a vector mask.
+
+// newValueMaskV is newValueMask for vectors.
+func newValueMaskV(t *testing.T, rng *rand.Rand, n int) (*Vector[float64], map[int]bool, map[int]bool) {
+	t.Helper()
+	model, stored, eff := map[int]float64{}, map[int]bool{}, map[int]bool{}
+	for i := 0; i < n; i++ {
+		if rng.Float64() < 0.5 {
+			stored[i], model[i] = true, 0
+			if rng.Float64() < 0.7 {
+				eff[i], model[i] = true, 1
+			}
+		}
+	}
+	return vecOf(t, n, model), stored, eff
+}
+
+func structureOfVec(d map[int]float64) map[int]bool {
+	s := map[int]bool{}
+	for i := range d {
+		s[i] = true
+	}
+	return s
+}
+
+// lineOf reads row (or column) at of a dense matrix model.
+func lineOf(d dmat, at int, row bool) map[int]float64 {
+	l := map[int]float64{}
+	for k, v := range d {
+		switch {
+		case row && k.i == at:
+			l[k.j] = v
+		case !row && k.j == at:
+			l[k.i] = v
+		}
+	}
+	return l
+}
+
+// assignLineModel is the Z stage of a row or column assign on the line's
+// prior content c: inside the index list the input's entry lands (summed
+// with c under the accumulator; with none, a position the input lacks is
+// deleted), outside it c stays.
+func assignLineModel(c, u map[int]float64, indices []int, accum bool) map[int]float64 {
+	z := map[int]float64{}
+	for i, v := range c {
+		z[i] = v
+	}
+	for p, target := range indices {
+		uv, has := u[p]
+		cv, had := c[target]
+		switch {
+		case has && accum && had:
+			z[target] = cv + uv
+		case has:
+			z[target] = uv
+		case !accum:
+			delete(z, target)
+		}
+	}
+	return z
+}
+
+type vecGridOp struct {
+	name    string
+	tran0   bool
+	aliases []string
+	// run makes the call for one grid case and returns the line it wrote
+	// with the dense model's prediction for that line.
+	run func(t *testing.T, rng *rand.Rand, g gridCase) (got, want map[int]float64)
+}
+
+// vectorOutput is the shared shape of the operations with a matrix input
+// and a vector output: result models T from the input as the operation sees
+// it, size is the output's size.
+func vectorOutput(size int, result func(a dmat) map[int]float64,
+	call func(w, mask *Vector[float64], acc BinaryOp[float64, float64, float64], a *Matrix[float64], d *Descriptor) error,
+) func(t *testing.T, rng *rand.Rand, g gridCase) (got, want map[int]float64) {
+	return func(t *testing.T, rng *rand.Rand, g gridCase) (got, want map[int]float64) {
+		a, ad := newTestMatrix(t, rng, gridN, gridN, 0.5)
+		w, wd := randVecModel(t, rng, size, 0.4)
+		mask, stored, eff := newValueMaskV(t, rng, size)
+		if g.alias == gridMaskIsOut {
+			mask, stored, eff = w, structureOfVec(wd), structureOfVec(wd)
+		}
+		if !g.useMask {
+			mask = nil
+		}
+		seen := ad
+		if g.tran0 {
+			seen = transposeDense(ad)
+		}
+		if err := call(w, mask, g.accumOp(), a, g.desc()); err != nil {
+			t.Fatal(err)
+		}
+		equalDense(t, denseOf(t, a), ad, g.name+"/input intact")
+		return vecModel(t, w), vecOracleWrite(wd, result(seen), size, stored, eff, g.useMask, g.scmp, g.accum, g.replace)
+	}
+}
+
+// lineAssign is the shared shape of AssignRow and AssignCol: the written
+// line is row or column gridAt of the matrix output, and the rest of the
+// matrix must come through untouched.
+func lineAssign(row bool,
+	call func(c *Matrix[float64], mask *Vector[float64], acc BinaryOp[float64, float64, float64], u *Vector[float64], indices []int, d *Descriptor) error,
+) func(t *testing.T, rng *rand.Rand, g gridCase) (got, want map[int]float64) {
+	return func(t *testing.T, rng *rand.Rand, g gridCase) (got, want map[int]float64) {
+		indices := []int{3, 0, 2}
+		c, cd := newTestMatrix(t, rng, gridN, gridN, 0.5)
+		u, ud := randVecModel(t, rng, len(indices), 0.6)
+		mask, stored, eff := newValueMaskV(t, rng, gridN)
+		if !g.useMask {
+			mask = nil
+		}
+		if err := call(c, mask, g.accumOp(), u, indices, g.desc()); err != nil {
+			t.Fatal(err)
+		}
+		after := denseOf(t, c)
+		for k, v := range cd {
+			if (row && k.i != gridAt) || (!row && k.j != gridAt) {
+				if after[k] != v {
+					t.Errorf("%s: entry (%d,%d) outside the assigned line changed: %v, was %v", g.name, k.i, k.j, after[k], v)
+				}
+			}
+		}
+		prior := lineOf(cd, gridAt, row)
+		// The accumulator is already folded into Z, so the oracle only masks.
+		z := assignLineModel(prior, ud, indices, g.accum)
+		return lineOf(after, gridAt, row), vecOracleWrite(prior, z, gridN, stored, eff, g.useMask, g.scmp, false, g.replace)
+	}
+}
+
+const (
+	gridN  = 5
+	gridAt = 1 // the column extracted, the row or column assigned
+)
+
+var gridRows = []int{4, 1, 1, 0} // extract replicates
+
+var vecGridOps = []vecGridOp{
+	{"ExtractColVector", true, []string{gridMaskIsOut}, vectorOutput(len(gridRows),
+		func(a dmat) map[int]float64 {
+			t := map[int]float64{}
+			for p, i := range gridRows {
+				if v, ok := a[key{i, gridAt}]; ok {
+					t[p] = v
+				}
+			}
+			return t
+		},
+		func(w, mask *Vector[float64], acc BinaryOp[float64, float64, float64], a *Matrix[float64], d *Descriptor) error {
+			return ExtractColVector(w, mask, acc, a, gridRows, gridAt, d)
+		})},
+	{"ReduceMatrixToVector", true, []string{gridMaskIsOut}, vectorOutput(gridN,
+		func(a dmat) map[int]float64 {
+			t := map[int]float64{}
+			for k, v := range a {
+				t[k.i] += v
+			}
+			return t
+		},
+		func(w, mask *Vector[float64], acc BinaryOp[float64, float64, float64], a *Matrix[float64], d *Descriptor) error {
+			plus, err := NewMonoid(plusF64(), 0)
+			if err != nil {
+				return err
+			}
+			return ReduceMatrixToVector(w, mask, acc, plus, a, d)
+		})},
+	// A row or column assign has no matrix input to transpose, and neither
+	// its input nor its mask can be the matrix it writes.
+	{"AssignRow", false, nil, lineAssign(true,
+		func(c *Matrix[float64], mask *Vector[float64], acc BinaryOp[float64, float64, float64], u *Vector[float64], indices []int, d *Descriptor) error {
+			return AssignRow(c, mask, acc, u, gridAt, indices, d)
+		})},
+	{"AssignCol", false, nil, lineAssign(false,
+		func(c *Matrix[float64], mask *Vector[float64], acc BinaryOp[float64, float64, float64], u *Vector[float64], indices []int, d *Descriptor) error {
+			return AssignCol(c, mask, acc, u, indices, gridAt, d)
+		})},
+}
+
+// TestSweep_Fig2GridVector runs every operation of vecGridOps through the
+// grid.
+func TestSweep_Fig2GridVector(t *testing.T) {
+	for _, op := range vecGridOps {
+		rng := rand.New(rand.NewSource(233))
+		gridCases(op.tran0, false, op.aliases, func(g gridCase) {
+			t.Run(op.name+"/"+g.name, func(t *testing.T) {
+				got, want := op.run(t, rng, g)
+				if len(got) != len(want) {
+					t.Fatalf("got %v want %v", got, want)
+				}
+				for i, v := range want {
+					if got[i] != v {
+						t.Fatalf("[%d] got %v want %v (got %v want %v)", i, got[i], v, got, want)
+					}
+				}
+			})
+		})
+	}
+}

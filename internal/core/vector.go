@@ -120,7 +120,7 @@ func (v *Vector[D]) Clear() error {
 	if err := objOK(&v.obj, "Vector.Clear", "v"); err != nil {
 		return err
 	}
-	return enqueue("Vector.Clear", &v.obj, nil, true, func() error {
+	return enqueue(methodSpec("Vector.Clear", &v.obj, nil, false), func() error {
 		// Executes on a flush worker; read the size under the lock in case
 		// the user goroutine Resizes while the flush is in flight.
 		v.setVData(sparse.NewVec[D](v.size()))
@@ -137,7 +137,7 @@ func (v *Vector[D]) Dup() (*Vector[D], error) {
 	w := &Vector[D]{n: v.n, data: sparse.NewVec[D](v.n)}
 	w.initVector()
 	w.obj.ctx = v.obj.ctx // the copy lives in the source's execution context
-	err := enqueue("Vector.Dup", &w.obj, []*obj{&v.obj}, true, func() error {
+	err := enqueue(methodSpec("Vector.Dup", &w.obj, &v.obj, false), func() error {
 		w.setVData(v.vdat().Clone())
 		return nil
 	})
@@ -164,7 +164,7 @@ func (v *Vector[D]) Resize(n int) error {
 	v.mu.Lock()
 	v.n = n
 	v.mu.Unlock()
-	return enqueue("Vector.Resize", &v.obj, nil, false, func() error {
+	return enqueue(methodSpec("Vector.Resize", &v.obj, nil, true), func() error {
 		// Clone before trimming so rollback can restore the committed store.
 		d := v.vdat().Clone()
 		d.Resize(n)
@@ -221,7 +221,7 @@ func (v *Vector[D]) SetElement(x D, i int) error {
 	if i < 0 || i >= v.n {
 		return errf(InvalidIndex, "Vector.SetElement", "index %d out of range [0,%d)", i, v.n)
 	}
-	return enqueue("Vector.SetElement", &v.obj, nil, false, func() error {
+	return enqueue(methodSpec("Vector.SetElement", &v.obj, nil, true), func() error {
 		v.mu.Lock()
 		v.pending = append(v.pending, sparse.Tuple[D]{I: i, V: x})
 		v.mu.Unlock()
@@ -238,7 +238,7 @@ func (v *Vector[D]) RemoveElement(i int) error {
 	if i < 0 || i >= v.n {
 		return errf(InvalidIndex, "Vector.RemoveElement", "index %d out of range [0,%d)", i, v.n)
 	}
-	return enqueue("Vector.RemoveElement", &v.obj, nil, false, func() error {
+	return enqueue(methodSpec("Vector.RemoveElement", &v.obj, nil, true), func() error {
 		v.mu.Lock()
 		v.pending = append(v.pending, sparse.Tuple[D]{I: i, Del: true})
 		v.mu.Unlock()
