@@ -700,13 +700,89 @@ func BenchmarkAblation_MxVDensity(b *testing.B) {
 	}
 }
 
+// BenchmarkAblation_MxVCrossover is the table behind sparse.PullWins: the
+// same product w = Aᵀ ⊕.⊗ u three ways — the scatter over A, the dot kernel
+// over an Aᵀ already built, and the dot kernel paying for the build — on
+// frontiers of random vertices whose rows hold a given share of the edges
+// ("all" is every vertex, which the dot kernel reads as a dense array; 1_1
+// is every vertex with an edge, PageRank's share vector). The m4 rows repeat
+// push and pull under a mask admitting a random quarter of the targets,
+// where the rule counts only the admitted rows of Aᵀ as pull work.
+func BenchmarkAblation_MxVCrossover(b *testing.B) {
+	w := benchWorkload(b)
+	mul := func(x, y float64) float64 { return x * y }
+	add := func(x, y float64) float64 { return x + y }
+	a := w.csr
+	at := a.Transpose()
+	rng := generate.NewRNG(benchSeed + 11)
+	order := rng.Perm(a.NRows)
+	mask := &sparse.VecMask{N: a.NCols}
+	for j := 0; j < a.NCols; j++ {
+		if rng.Intn(4) == 0 {
+			mask.Idx = append(mask.Idx, j)
+		}
+	}
+	mask.Structure = mask.Idx
+	run := func(name string, f func()) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f()
+			}
+		})
+	}
+	for _, share := range []struct{ num, den int }{{1, 16}, {1, 8}, {1, 4}, {1, 2}, {5, 8}, {3, 4}, {7, 8}, {1, 1}, {0, 0}} {
+		in := make([]bool, a.NRows)
+		for k, edges := 0, 0; k < len(order) && edges*share.den < a.NNZ()*share.num; k++ {
+			d := a.Ptr[order[k]+1] - a.Ptr[order[k]]
+			in[order[k]] = d > 0
+			edges += d
+		}
+		name := fmt.Sprintf("%d_%d", share.num, share.den)
+		if share.den == 0 {
+			name = "all"
+			for i := range in {
+				in[i] = true
+			}
+		}
+		u := sparse.FromDense(make([]float64, a.NRows), in)
+		for i := range u.Val {
+			u.Val[i] = 1 + float64(i%7)
+		}
+		b.Logf("%s: PullWins cached=%v uncached=%v masked=%v", name,
+			sparse.PullWins(a.Ptr, u.Idx, at, nil), sparse.PullWins[float64](a.Ptr, u.Idx, nil, nil), sparse.PullWins(a.Ptr, u.Idx, at, mask))
+		run("push_"+name, func() { _ = sparse.PushMxV(a, u, mul, add, nil) })
+		run("pull_"+name, func() { _ = sparse.DotMxV(at, u, mul, add, nil) })
+		run("pullbuild_"+name, func() { _ = sparse.DotMxV(a.Transpose(), u, mul, add, nil) })
+		if share.den >= 2 {
+			run("m4push_"+name, func() { _ = sparse.PushMxV(a, u, mul, add, mask) })
+			run("m4pull_"+name, func() { _ = sparse.DotMxV(at, u, mul, add, mask) })
+		}
+	}
+}
+
 // --- extended algorithm suite benches ---------------------------------------
 
+// BenchmarkE8_BFSDirectionOptimizing is BenchmarkE8_BFSGraphBLAS on a copy
+// of the matrix that a transposed read has left Aᵀ cached on: with it in
+// hand the engine pulls the dense middle levels (sparse.PullWins), where the
+// cold matrix of the other benchmark is pushed at every level.
 func BenchmarkE8_BFSDirectionOptimizing(b *testing.B) {
 	w := benchWorkload(b)
+	ab, err := w.ab.Dup()
+	if err != nil {
+		b.Fatal(err)
+	}
+	abT, _ := graphblas.NewMatrix[bool](w.g.N, w.g.N)
+	if err := graphblas.Transpose(abT, graphblas.NoMask, graphblas.NoAccum[bool](), ab, nil); err != nil {
+		b.Fatal(err)
+	}
+	if err := graphblas.Wait(); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lv, err := algorithms.BFSLevelsDO(w.ab, 0)
+		lv, err := algorithms.BFSLevels(ab, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

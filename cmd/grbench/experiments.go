@@ -408,35 +408,34 @@ func runE8(scale, ef int, seed uint64) {
 			map[bool]string{true: "✓", false: "✗"}[agree(gv, bv)])
 	}
 
-	row("BFS",
-		func() (any, error) {
-			lv, err := algorithms.BFSLevels(ab, 0)
-			if err != nil {
-				return nil, err
+	intsAgree := func(a, b any) bool {
+		x, y := a.([]int), b.([]int)
+		for i := range x {
+			if x[i] != y[i] {
+				return false
 			}
-			idx, val, err := lv.ExtractTuples()
-			if err != nil {
-				return nil, err
-			}
-			out := make([]int, g.N)
-			for i := range out {
-				out[i] = -1
-			}
-			for k := range idx {
-				out[idx[k]] = int(val[k])
-			}
-			return out, nil
-		},
-		func() any { return refalgo.BFSLevels(adj, 0) },
-		func(a, b any) bool {
-			x, y := a.([]int), b.([]int)
-			for i := range x {
-				if x[i] != y[i] {
-					return false
-				}
-			}
-			return true
-		})
+		}
+		return true
+	}
+	bfs := func() (any, error) {
+		lv, err := algorithms.BFSLevels(ab, 0)
+		if err != nil {
+			return nil, err
+		}
+		idx, val, err := lv.ExtractTuples()
+		if err != nil {
+			return nil, err
+		}
+		out := make([]int, g.N)
+		for i := range out {
+			out[i] = -1
+		}
+		for k := range idx {
+			out[idx[k]] = int(val[k])
+		}
+		return out, nil
+	}
+	row("BFS", bfs, func() any { return refalgo.BFSLevels(adj, 0) }, intsAgree)
 
 	row("SSSP",
 		func() (any, error) {
@@ -530,37 +529,20 @@ func runE8(scale, ef int, seed uint64) {
 			return true
 		})
 
-	intsAgree := func(a, b any) bool {
-		x, y := a.([]int), b.([]int)
-		for i := range x {
-			if x[i] != y[i] {
-				return false
-			}
-		}
-		return true
+	// The same BFS once a transposed read has left Aᵀ cached on the matrix:
+	// the engine then pulls the dense middle levels (sparse.PullWins) where
+	// the row above, with no transpose in hand, pushed every level.
+	abT, err := graphblas.NewMatrix[bool](g.N, g.N)
+	if err == nil {
+		err = graphblas.Transpose(abT, graphblas.NoMask, graphblas.NoAccum[bool](), ab, nil)
 	}
-
-	row("BFS (dir-opt)",
-		func() (any, error) {
-			lv, err := algorithms.BFSLevelsDO(ab, 0)
-			if err != nil {
-				return nil, err
-			}
-			idx, val, err := lv.ExtractTuples()
-			if err != nil {
-				return nil, err
-			}
-			out := make([]int, g.N)
-			for i := range out {
-				out[i] = -1
-			}
-			for k := range idx {
-				out[idx[k]] = int(val[k])
-			}
-			return out, nil
-		},
-		func() any { return refalgo.BFSLevels(adj, 0) },
-		intsAgree)
+	if err == nil {
+		err = graphblas.Wait()
+	}
+	if err != nil {
+		fmt.Printf("  transposed read of A failed, the next row runs cold: %v\n", err)
+	}
+	row("BFS (dir-opt)", bfs, func() any { return refalgo.BFSLevels(adj, 0) }, intsAgree)
 
 	row("k-core",
 		func() (any, error) {

@@ -5,73 +5,6 @@ import (
 	"graphblas/internal/core"
 )
 
-// BFSLevelsDO is direction-optimizing BFS (Beamer-style): it expands small
-// frontiers with the push kernel (vxm over the frontier's out-edges) and
-// large frontiers with the pull kernel (mxv dot products over unvisited
-// rows of Aᵀ, where the complemented mask lets the kernel skip visited rows
-// entirely). The two directions are the sparse.PushMxV / sparse.DotMxV
-// kernels the BenchmarkAblation_MxVDensity ablation measures in isolation.
-//
-// Results are identical to BFSLevels; only the traversal schedule differs.
-func BFSLevelsDO(a *core.Matrix[bool], source int) (*core.Vector[int32], error) {
-	n, err := a.NRows()
-	if err != nil {
-		return nil, err
-	}
-	// Pull needs in-edges: materialize Aᵀ once.
-	at, err := core.NewMatrix[bool](n, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := core.Transpose(at, core.NoMask, core.NoAccum[bool](), a, nil); err != nil {
-		return nil, err
-	}
-	levels, err := core.NewVector[int32](n)
-	if err != nil {
-		return nil, err
-	}
-	frontier, err := core.NewVector[bool](n)
-	if err != nil {
-		return nil, err
-	}
-	if err := frontier.SetElement(true, source); err != nil {
-		return nil, err
-	}
-	lorLand := builtins.LorLand()
-	descRC := core.Desc().ReplaceOutput().CompMask()
-	// Switch to pull when the frontier exceeds this share of the vertices
-	// (Beamer's α-heuristic, simplified to a fixed density threshold).
-	pullThreshold := n / 16
-	if pullThreshold < 1 {
-		pullThreshold = 1
-	}
-	for depth := int32(0); ; depth++ {
-		nf, err := frontier.NVals()
-		if err != nil {
-			return nil, err
-		}
-		if nf == 0 {
-			break
-		}
-		if err := core.AssignVectorScalar(levels, frontier, core.NoAccum[int32](), depth, core.All, nil); err != nil {
-			return nil, err
-		}
-		if nf > pullThreshold {
-			// Pull: frontier<!levels> = Aᵀ ∨.∧ frontier via the dot kernel
-			// (mask-skipped rows make this cheap near saturation).
-			if err := core.MxV(frontier, levels, core.NoAccum[bool](), lorLand, at, frontier, descRC); err != nil {
-				return nil, err
-			}
-		} else {
-			// Push: frontier<!levels> = frontier ∨.∧ A.
-			if err := core.VxM(frontier, levels, core.NoAccum[bool](), lorLand, frontier, a, descRC); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return levels, nil
-}
-
 // Jaccard computes the Jaccard similarity of every *adjacent* pair of
 // vertices in a symmetric simple graph:
 //

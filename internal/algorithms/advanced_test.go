@@ -4,20 +4,34 @@ import (
 	"math"
 	"testing"
 
+	"graphblas/internal/core"
 	"graphblas/internal/generate"
+	"graphblas/internal/obs"
 	"graphblas/internal/refalgo"
 )
 
+// TestBFSLevelsDO_MatchesBFSLevels keeps the name of the hand-rolled
+// direction-optimizing BFS it used to check: the direction is now the
+// engine's choice inside VxM (core.pushOrPull), so the regression is that
+// BFSLevels equals the reference whichever way each level ran. The small
+// graphs never reach the rule. The two RMAT graphs do once a transposed read
+// has left Aᵀ cached: their middle levels hold most of the edges and are
+// pulled, the first and last are pushed — asserted through the direction
+// counter — while on the cold matrix every level is pushed.
 func TestBFSLevelsDO_MatchesBFSLevels(t *testing.T) {
-	for name, g := range testGraphs() {
+	graphs := testGraphs()
+	graphs["rmat11"] = generate.RMAT(11, 8, 5).Dedup(true)
+	graphs["rmat12"] = generate.RMAT(12, 8, 6).Dedup(true)
+	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
 			adj := refalgo.NewAdjacency(g)
 			a := boolMatrix(t, g)
-			for _, src := range []int{0, g.N / 3} {
+			check := func(src int) {
+				t.Helper()
 				want := refalgo.BFSLevels(adj, src)
-				lv, err := BFSLevelsDO(a, src)
+				lv, err := BFSLevels(a, src)
 				if err != nil {
-					t.Fatalf("BFSLevelsDO: %v", err)
+					t.Fatalf("BFSLevels: %v", err)
 				}
 				idx, val, _ := lv.ExtractTuples()
 				got := make([]int, g.N)
@@ -32,6 +46,34 @@ func TestBFSLevelsDO_MatchesBFSLevels(t *testing.T) {
 						t.Errorf("src %d level[%d]: got %d want %d", src, v, got[v], want[v])
 					}
 				}
+			}
+			pulled := obs.MxVDirection.With("pull")
+			pushed := obs.MxVDirection.With("push")
+			cold := pulled.Value()
+			for _, src := range []int{0, g.N / 3} {
+				check(src)
+			}
+			if n := pulled.Value() - cold; n != 0 {
+				t.Errorf("%d levels pulled with no transpose in hand", n)
+			}
+			// A transposed read caches Aᵀ on the matrix.
+			at, err := core.NewMatrix[bool](g.N, g.N)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := core.Transpose(at, core.NoMask, core.NoAccum[bool](), a, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := core.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			pull0, push0 := pulled.Value(), pushed.Value()
+			for _, src := range []int{0, g.N / 3} {
+				check(src)
+			}
+			if len(g.Edges) > 8192 && (pulled.Value() == pull0 || pushed.Value() == push0) {
+				t.Errorf("with Aᵀ cached BFS ran %d levels pulled and %d pushed, want both",
+					pulled.Value()-pull0, pushed.Value()-push0)
 			}
 		})
 	}

@@ -69,14 +69,19 @@ func PageRankFrom(a *core.Matrix[float64], start *core.Vector[float64], damping,
 	plusMonoid := builtins.PlusMonoid[float64]()
 	div := builtins.Div[float64]()
 
-	share, err := core.NewVector[float64](n)
-	if err != nil {
-		return nil, 0, err
+	first := builtins.First[float64]()
+	plus := builtins.Plus[float64]()
+	scale := core.UnaryOp[float64, float64]{Name: "damp", F: func(x float64) float64 { return damping * x }}
+	absdiff := core.BinaryOp[float64, float64, float64]{Name: "absdiff", F: func(x, y float64) float64 { return math.Abs(x - y) }}
+
+	// The sweep's four work vectors; each is fully overwritten every sweep.
+	var work [4]*core.Vector[float64]
+	for i := range work {
+		if work[i], err = core.NewVector[float64](n); err != nil {
+			return nil, 0, err
+		}
 	}
-	next, err := core.NewVector[float64](n)
-	if err != nil {
-		return nil, 0, err
-	}
+	share, next, withEdges, diffV := work[0], work[1], work[2], work[3]
 
 	iters := 0
 	for ; iters < maxIter; iters++ {
@@ -90,11 +95,7 @@ func PageRankFrom(a *core.Matrix[float64], start *core.Vector[float64], damping,
 		if err != nil {
 			return nil, 0, err
 		}
-		withEdges, err := core.NewVector[float64](n)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := core.EWiseMultV(withEdges, core.NoMaskV, core.NoAccum[float64](), builtins.First[float64](), rank, outdeg, nil); err != nil {
+		if err := core.EWiseMultV(withEdges, core.NoMaskV, core.NoAccum[float64](), first, rank, outdeg, nil); err != nil {
 			return nil, 0, err
 		}
 		linked, err := core.ReduceVectorToScalar(0, core.NoAccum[float64](), plusMonoid, withEdges)
@@ -113,19 +114,13 @@ func PageRankFrom(a *core.Matrix[float64], start *core.Vector[float64], damping,
 		base := (1-damping)/float64(n) + damping*dangling/float64(n)
 		// next = base + damping * next over all n positions: scale then fill-
 		// accumulate so absent entries also get the base value.
-		scale := core.UnaryOp[float64, float64]{Name: "damp", F: func(x float64) float64 { return damping * x }}
 		if err := core.ApplyV(next, core.NoMaskV, core.NoAccum[float64](), scale, next, nil); err != nil {
 			return nil, 0, err
 		}
-		if err := core.AssignVectorScalar(next, core.NoMaskV, builtins.Plus[float64](), base, core.All, nil); err != nil {
+		if err := core.AssignVectorScalar(next, core.NoMaskV, plus, base, core.All, nil); err != nil {
 			return nil, 0, err
 		}
 		// L1 change.
-		diffV, err := core.NewVector[float64](n)
-		if err != nil {
-			return nil, 0, err
-		}
-		absdiff := core.BinaryOp[float64, float64, float64]{Name: "absdiff", F: func(x, y float64) float64 { return math.Abs(x - y) }}
 		if err := core.EWiseAddV(diffV, core.NoMaskV, core.NoAccum[float64](), absdiff, next, rank, nil); err != nil {
 			return nil, 0, err
 		}

@@ -23,7 +23,7 @@ func TestLargeScaleSoak(t *testing.T) {
 
 	t.Run("bfs", func(t *testing.T) {
 		want := refalgo.BFSLevels(adj, 0)
-		lv, err := BFSLevelsDO(ab, 0)
+		lv, err := BFSLevels(ab, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

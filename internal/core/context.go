@@ -114,8 +114,13 @@ var (
 	fmtHyperOps    = obs.FormatKernels.With("hyper")
 	fmtFastOps     = obs.FormatKernels.With("fast")
 	fmtConversions = obs.FormatConversions
-	execRetries    = obs.KernelRetries
-	execRollbacks  = obs.Rollbacks
+	// transposeBuilds counts cached-transpose builds apart from the layout
+	// conversions above; mxvPush and mxvPull count what pushOrPull ran.
+	transposeBuilds = obs.TransposeBuilds
+	mxvPush         = obs.MxVDirection.With("push")
+	mxvPull         = obs.MxVDirection.With("pull")
+	execRetries     = obs.KernelRetries
+	execRollbacks   = obs.Rollbacks
 	// faultBase is the faults.InjectedCount baseline at the last stats reset,
 	// so Stats.FaultsInjected counts per Init/ResetForTesting epoch even
 	// though the faults package keeps its own global counter.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -374,6 +375,102 @@ func TestFaults_AllocGovernorFallback(t *testing.T) {
 		}
 		if st := StatsSnapshot(); st.KernelRetries == base {
 			t.Fatalf("governed denial not retried: %+v", st)
+		}
+	})
+}
+
+// TestFaults_PullFallsBackToPush: the pull the direction rule chooses for a
+// dense VxM is the engine's own idea, so a recoverable fault in it — an
+// injected kernel error, or the governor refusing the transpose it would
+// have to build — must cost one retry and nothing else: the push kernel runs
+// and, the two directions being bit-identical, leaves the same tuples. A
+// panic-kind fault models a faulty operator and is not retried: the
+// operation fails and the output keeps what it held.
+func TestFaults_PullFallsBackToPush(t *testing.T) {
+	withMode(t, Blocking, func() {
+		rng := rand.New(rand.NewSource(29))
+		s := plusTimesF64(t)
+		a := buildDenseMatrix(t, 80, 0.5, rng) // about 3 200 edges
+		u := buildVector(t, 80, 1, rng)        // every row: all of them
+		vxm := func(w *Vector[float64]) error {
+			return VxM(w, NoMaskV, NoAccum[float64](), s, u, a, nil)
+		}
+		// What one call did: pulls, pushes, retries, transpose builds.
+		type counts struct{ pull, push, retries, builds int64 }
+		snap := func() counts {
+			return counts{mxvPull.Value(), mxvPush.Value(), execRetries.Value(), transposeBuilds.Value()}
+		}
+		since := func(c counts) counts {
+			n := snap()
+			return counts{n.pull - c.pull, n.push - c.push, n.retries - c.retries, n.builds - c.builds}
+		}
+		same := func(w *Vector[float64], want map[int]float64, label string) {
+			t.Helper()
+			got := vecTuples(t, w)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d entries, want %d", label, len(got), len(want))
+			}
+			for i, x := range want {
+				if got[i] != x {
+					t.Fatalf("%s: w[%d] got %v want %v", label, i, got[i], x)
+				}
+			}
+		}
+
+		// No faults: nothing cached and every edge in the frontier, so the
+		// call builds Aᵀ and pulls.
+		base := snap()
+		wantV, _ := NewVector[float64](80)
+		if err := vxm(wantV); err != nil {
+			t.Fatalf("reference VxM: %v", err)
+		}
+		if d := since(base); d != (counts{pull: 1, builds: 1}) {
+			t.Fatalf("reference VxM ran %+v, want one pull over a fresh transpose", d)
+		}
+		want := vecTuples(t, wantV)
+
+		// An injected kernel error in the pull, Aᵀ now cached.
+		withFaults(t, 1, faults.Rule{Site: "format.kernel.csr.pull", Kind: faults.KernelErr})
+		base = snap()
+		w, _ := NewVector[float64](80)
+		if err := vxm(w); err != nil {
+			t.Fatalf("VxM under injection not recovered: %v", err)
+		}
+		if d := since(base); d != (counts{push: 1, retries: 1}) {
+			t.Fatalf("faulted pull ran %+v, want one push after one retry", d)
+		}
+		same(w, want, "push after a faulted pull")
+		faults.Disable()
+
+		// The governor denies the build: drop the cached transpose by
+		// touching the matrix, then leave no room for a new one.
+		a.setData(a.mdat())
+		prev := faults.SetAllocBudget(256)
+		t.Cleanup(func() { faults.SetAllocBudget(prev) })
+		base = snap()
+		w, _ = NewVector[float64](80)
+		if err := vxm(w); err != nil {
+			t.Fatalf("VxM under the governor not recovered: %v", err)
+		}
+		if d := since(base); d != (counts{push: 1, retries: 1}) {
+			t.Fatalf("denied build ran %+v, want one push after one retry and no build", d)
+		}
+		same(w, want, "push after a denied build")
+		faults.SetAllocBudget(prev)
+
+		// A panic-kind fault is the operator's, not the kernel's.
+		withFaults(t, 1, faults.Rule{Site: "format.kernel.csr.pull", Kind: faults.PanicFault})
+		base = snap()
+		w = buildVector(t, 80, 0.3, rng)
+		before := w.vdat().Clone()
+		if err := vxm(w); InfoOf(err) != PanicInfo {
+			t.Fatalf("Panic-kind fault surfaced as %v", err)
+		}
+		if d := since(base); d.retries != 0 || d.push != 0 {
+			t.Fatalf("panic fault was retried: %+v", d)
+		}
+		if after := w.vdat(); !reflect.DeepEqual(after.Idx, before.Idx) || !reflect.DeepEqual(after.Val, before.Val) {
+			t.Fatalf("output not rolled back: %v, held %v", after.Idx, before.Idx)
 		}
 	})
 }

@@ -113,11 +113,12 @@ func dotMxVDispatch[DC, DA, DU any](a *Matrix[DA], ud *sparse.Vec[DU], op Semiri
 	return sparse.DotMxV(a.mdat(), ud, op.Mul.F, op.Add.Op.F, vm)
 }
 
-// pushMxVDispatch runs the push-style w = Aᵀ ⊕.⊗ u kernel, using the
-// hypersparse row list when the engine picks it for A: frontier expansion
-// over a nearly-empty matrix then skips the empty-row scan entirely. A
-// failed hypersparse kernel is retried once on the CSR path. sp records the
-// consumed layout and any retry, as in dotMxVDispatch.
+// pushMxVDispatch runs w = Aᵀ ⊕.⊗ u, the product MxV+TRAN0 and VxM name,
+// for a materialized u: the hypersparse scatter when the engine picks that
+// layout for A (frontier expansion over a nearly-empty matrix then skips the
+// empty-row scan entirely), otherwise whichever direction pushOrPull runs on
+// the CSR store. A failed hypersparse kernel is retried once on the CSR
+// path. sp records the consumed layout and any retry, as in dotMxVDispatch.
 func pushMxVDispatch[DC, DA, DU any](a *Matrix[DA], ud *sparse.Vec[DU], mul func(DA, DU) DC, add func(DC, DC) DC, vm *sparse.VecMask, sp *obs.Span) *sparse.Vec[DC] {
 	r, ok, fault := runFallible(func() (*sparse.Vec[DC], bool) {
 		if hy := a.hyperForRead(format.HintMxV); hy != nil {
@@ -134,6 +135,54 @@ func pushMxVDispatch[DC, DA, DU any](a *Matrix[DA], ud *sparse.Vec[DU], mul func
 		execRetries.Add(1)
 		sp.NoteRetry()
 	}
+	return pushOrPull(a, ud.Idx, vm, sp,
+		func(at *sparse.CSR[DA]) *sparse.Vec[DC] { return sparse.DotMxV(at, ud, mul, add, vm) },
+		func(ad *sparse.CSR[DA]) *sparse.Vec[DC] { return sparse.PushMxV(ad, ud, mul, add, vm) })
+}
+
+// pushOrPull is where the engine picks a direction for w = Aᵀ ⊕.⊗ u on the
+// CSR store — the one place, for the unfused dispatch above and the fused
+// consumers in ops_mxm.go alike. The descriptor says which product is meant,
+// not which kernel runs: sparse.PullWins reads the frontier's edge count,
+// the mask and whether A has a transpose cached, and the call then runs
+// pull over Aᵀ (building and caching it when the rule asked for that) or
+// push over A. The two are bit-identical, so nothing downstream can tell.
+// The pull side is the engine's own idea, so it is fallible the way the
+// bitmap and dot-SpGEMM kernels are: the build passes the allocation
+// governor first, and a recoverable fault anywhere in it falls back to push
+// with one retry counted. uIdx is u's structure, vm the resolved mask.
+func pushOrPull[DC, DA any](a *Matrix[DA], uIdx []int, vm *sparse.VecMask, sp *obs.Span,
+	pull func(at *sparse.CSR[DA]) *sparse.Vec[DC], push func(ad *sparse.CSR[DA]) *sparse.Vec[DC]) *sparse.Vec[DC] {
+	ad, at := a.mdatWithTranspose()
+	if sparse.PullWins(ad.Ptr, uIdx, at, vm) {
+		r, ok, _ := runFallible(func() (*sparse.Vec[DC], bool) {
+			faults.Step("format.kernel.csr.pull")
+			if at == nil {
+				faults.GovernAlloc("format.alloc.transpose", ad.ApproxBytes())
+				at = a.transposed()
+			}
+			return pull(at), true
+		})
+		if ok {
+			mxvPull.Add(1)
+			sp.NoteLayout("csr-pull")
+			return r
+		}
+		// Not ok is a recoverable fault (anything else has propagated).
+		execRetries.Add(1)
+		sp.NoteRetry()
+	}
+	mxvPush.Add(1)
 	sp.NoteLayout("csr")
-	return sparse.PushMxV(a.mdat(), ud, mul, add, vm)
+	return push(ad)
+}
+
+// fusedPushOrPull is pushOrPull for a fused consumer: u is the virtual
+// vector (n, idx, get) of an upstream producer and the kernels are the fused
+// pair, which run on the CSR store only (the fused path trades the
+// alternate-layout kernels for eliding the intermediate).
+func fusedPushOrPull[DC, DA, DU any](a *Matrix[DA], n int, idx []int, get func(p int) DU, mul func(DA, DU) DC, add func(DC, DC) DC, vm *sparse.VecMask, sp *obs.Span) *sparse.Vec[DC] {
+	return pushOrPull(a, idx, vm, sp,
+		func(at *sparse.CSR[DA]) *sparse.Vec[DC] { return sparse.FusedDotMxV(at, n, idx, get, mul, add, vm) },
+		func(ad *sparse.CSR[DA]) *sparse.Vec[DC] { return sparse.FusedPushMxV(ad, idx, get, mul, add, vm) })
 }

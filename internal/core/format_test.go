@@ -390,6 +390,60 @@ func TestPointUpdatesInvalidateFormatCaches(t *testing.T) {
 	}
 }
 
+// TestDenseVxMNeverPullsStaleTranspose: a dense VxM builds and caches Aᵀ and
+// pulls over it (pushOrPull), so whatever changes A between two such calls
+// must leave the second one a transpose of the new content — in blocking
+// mode and with both calls and the mutation deferred into one sequence.
+func TestDenseVxMNeverPullsStaleTranspose(t *testing.T) {
+	const n = 80
+	mutators := []struct {
+		name   string
+		nc     int // columns after the mutation
+		mutate func(m *Matrix[float64]) error
+	}{
+		{"SetElement", n, func(m *Matrix[float64]) error { return m.SetElement(99, 2, 5) }},
+		{"ApplyUpdateBatch", n, func(m *Matrix[float64]) error {
+			return m.ApplyUpdateBatch(streamBatch([3]int{0, 1, 9}, [3]int{1, 1, -1}, [3]int{7, 70, 4}))
+		}},
+		{"Resize", n - 16, func(m *Matrix[float64]) error { return m.Resize(n, n-16) }},
+	}
+	for _, mode := range []Mode{Blocking, NonBlocking} {
+		for _, mu := range mutators {
+			t.Run(mode.String()+"/"+mu.name, func(t *testing.T) {
+				withMode(t, mode, func() {
+					rng := rand.New(rand.NewSource(67))
+					a, _ := newTestMatrix(t, rng, n, n, 0.5)
+					u, ud := randVecModel(t, rng, n, 1)
+					s := plusTimesF64(t)
+					pulls, builds := mxvPull.Value(), transposeBuilds.Value()
+					w1, _ := NewVector[float64](n)
+					if err := VxM(w1, NoMaskV, NoAccum[float64](), s, u, a, nil); err != nil {
+						t.Fatal(err)
+					}
+					if err := mu.mutate(a); err != nil {
+						t.Fatal(err)
+					}
+					w2, _ := NewVector[float64](mu.nc)
+					if err := VxM(w2, NoMaskV, NoAccum[float64](), s, u, a, nil); err != nil {
+						t.Fatal(err)
+					}
+					if err := Wait(); err != nil {
+						t.Fatal(err)
+					}
+					if p, b := mxvPull.Value()-pulls, transposeBuilds.Value()-builds; p != 2 || b != 2 {
+						t.Fatalf("the two calls ran %d pulls over %d transpose builds, want 2 and 2", p, b)
+					}
+					want := map[int]float64{}
+					for k, v := range denseOf(t, a) {
+						want[k.j] += ud[k.i] * v
+					}
+					wantVec(t, w2, want, "VxM after "+mu.name)
+				})
+			})
+		}
+	}
+}
+
 // TestMutatorsDropDerivedStores walks every way the primary store of a
 // matrix (data, delta, pending) can change and requires that nothing derived
 // from the old content survives it: no cached transpose, and bitmap and
@@ -454,6 +508,13 @@ func TestMutatorsDropDerivedStores(t *testing.T) {
 		defer m.mu.Unlock()
 		return m.data == nil && m.bcache != nil
 	}
+	// cachedTranspose peeks at the transpose cache without the read (and
+	// pending-update merge) that mdatWithTranspose performs.
+	cachedTranspose := func(m *Matrix[float64]) *sparse.CSR[float64] {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.tcache
+	}
 	// expected applies the mutator to a second, identically built matrix
 	// whose derived stores were never touched.
 	expected := func(t *testing.T, build func(*testing.T) *Matrix[float64], mutate func(*Matrix[float64]) error) dmat {
@@ -484,14 +545,14 @@ func TestMutatorsDropDerivedStores(t *testing.T) {
 					t.Fatal(err)
 				}
 				oldH := m.hyperForRead(format.HintMxV)
-				if oldB == nil || oldH == nil || m.cachedTranspose() == nil {
+				if oldB == nil || oldH == nil || cachedTranspose(m) == nil {
 					t.Fatal("set-up: derived stores were not built")
 				}
 
 				if err := mu.mutate(m); err != nil {
 					t.Fatal(err)
 				}
-				if m.cachedTranspose() != nil {
+				if cachedTranspose(m) != nil {
 					t.Error("the cached transpose survived the mutation")
 				}
 				if h := m.hyperForRead(format.HintMxV); h == oldH {

@@ -216,17 +216,21 @@ func (m *Matrix[D]) transposed() *sparse.CSR[D] {
 	d := m.viewLocked()
 	if m.tcache == nil {
 		m.tcache = d.Transpose()
+		transposeBuilds.Add(1)
 	}
 	return m.tcache
 }
 
-// cachedTranspose returns the transpose of the content mdat last returned if
-// an earlier transposed read left it cached, nil otherwise; it never builds
-// one. Every mutation drops the cache, so a non-nil result is current.
-func (m *Matrix[D]) cachedTranspose() *sparse.CSR[D] {
+// mdatWithTranspose returns what mdat returns and, read under the same
+// lock, that content's transpose if an earlier transposed read left it
+// cached (nil otherwise); it never builds one. Every mutation drops the
+// cache, so a non-nil transpose is current. The selection rules
+// (sparse.PullWins, sparse.DotMaskedWins) count from it.
+func (m *Matrix[D]) mdatWithTranspose() (d, t *sparse.CSR[D]) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.tcache
+	d = m.viewLocked()
+	return d, m.tcache
 }
 
 // bitmapForRead returns the bitmap form of the matrix when the storage

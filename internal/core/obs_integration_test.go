@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -168,6 +170,78 @@ func TestObs_MetricsTracerAggregates(t *testing.T) {
 		snap := obs.Snapshot()
 		if _, ok := snap["graphblas_op_seconds"]; !ok {
 			t.Errorf("snapshot missing op duration histogram; keys=%d", len(snap))
+		}
+	})
+}
+
+// TestObs_DirectionIsVisible: which way the engine ran a scatter product is
+// the one decision a caller cannot read off the descriptor, so it has to
+// show in the engine's own output — the span's layout note (csr-pull beside
+// csr), graphblas_mxv_direction_total by direction, and the transpose build
+// a pull may cost in graphblas_transpose_builds_total, which is not a layout
+// conversion and stays out of graphblas_format_conversions_total. With no
+// tracer the accounting must not allocate.
+func TestObs_DirectionIsVisible(t *testing.T) {
+	withMode(t, NonBlocking, func() {
+		c := withTracer(t)
+		rng := rand.New(rand.NewSource(71))
+		s := plusTimesF64(t)
+		a, _ := newTestMatrix(t, rng, 80, 80, 0.5)
+		dense, _ := randVecModel(t, rng, 80, 1)
+		thin, _ := randVecModel(t, rng, 80, 0.1)
+		if err := Wait(); err != nil {
+			t.Fatal(err)
+		}
+		conversions := obs.FormatConversions.Value()
+		for _, u := range []*Vector[float64]{dense, thin} {
+			w, _ := NewVector[float64](80)
+			if err := VxM(w, NoMaskV, NoAccum[float64](), s, u, a, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		spans := c.byOp("VxM")
+		if len(spans) != 2 || spans[0].Layout != "csr-pull" || spans[1].Layout != "csr" {
+			t.Fatalf("VxM spans: %d, want layouts csr-pull then csr: %+v", len(spans), spans)
+		}
+		snap := obs.Snapshot()
+		dir, _ := snap["graphblas_mxv_direction_total"].(map[string]int64)
+		if dir["pull"] != 1 || dir["push"] != 1 {
+			t.Errorf("graphblas_mxv_direction_total = %v, want one pull and one push", snap["graphblas_mxv_direction_total"])
+		}
+		if got := snap["graphblas_transpose_builds_total"]; got != int64(1) {
+			t.Errorf("graphblas_transpose_builds_total = %v, want 1", got)
+		}
+		if got := obs.FormatConversions.Value(); got != conversions {
+			t.Errorf("the transpose build counted as %d format conversions", got-conversions)
+		}
+		var text strings.Builder
+		if err := obs.Default.WriteText(&text); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range []string{
+			`graphblas_mxv_direction_total{dir="pull"} 1`,
+			`graphblas_mxv_direction_total{dir="push"} 1`,
+			"graphblas_transpose_builds_total 1",
+		} {
+			if !strings.Contains(text.String(), line) {
+				t.Errorf("/metrics text lacks %q", line)
+			}
+		}
+
+		obs.SetTracer(nil)
+		off := obs.Begin("VxM") // nil while no tracer is set
+		if allocs := testing.AllocsPerRun(1000, func() {
+			mxvPull.Add(1)
+			off.NoteLayout("csr-pull")
+			transposeBuilds.Add(1)
+			off.NoteRetry()
+			mxvPush.Add(1)
+			off.NoteLayout("csr")
+		}); allocs != 0 {
+			t.Errorf("direction accounting allocates %.1f per call with tracing off, want 0", allocs)
 		}
 	})
 }

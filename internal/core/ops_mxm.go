@@ -95,7 +95,7 @@ func MxM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC,
 				commit(format.SpGEMMBitmap(ad, bm, op.Mul.F, op.Add.Op.F, mm))
 				return struct{}{}, true
 			})
-		} else if bd := b.mdat(); mm != nil && !mm.Comp && sparse.DotMaskedWins(ad, bd, b.cachedTranspose(), mm) {
+		} else if bd, bt := b.mdatWithTranspose(); mm != nil && !mm.Comp && sparse.DotMaskedWins(ad, bd, bt, mm) {
 			_, handled, fault = runFallible(func() (struct{}, bool) {
 				sp.NoteLayout("csr-dot")
 				commit(sparse.SpGEMMDotMasked(ad, bd, op.Mul.F, op.Add.Op.F, mm))
@@ -116,9 +116,12 @@ func MxM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC,
 }
 
 // MxV computes w ⊙= A ⊕.⊗ u (GrB_mxv). Without GrB_TRAN on INP0 a
-// pull-style dot kernel is used (the mask skips whole rows); with it, a
-// push-style kernel scatters the stored entries of u through the rows of A,
-// doing work proportional to the edges incident on u's structure.
+// pull-style dot kernel is used (the mask skips whole rows). With it the
+// product is Aᵀ ⊕.⊗ u and the engine picks the direction per call
+// (pushOrPull): a push-style kernel scatters the stored entries of u
+// through the rows of A, doing work proportional to the edges incident on
+// u's structure, unless u is dense enough that the dot kernel over A's
+// cached transpose does less.
 func MxV[DC, DA, DU, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], op Semiring[DA, DU, DC], a *Matrix[DA], u *Vector[DU], desc *Descriptor) error {
 	const name = "MxV"
 	tran0 := desc.tran0()
@@ -156,24 +159,24 @@ func MxV[DC, DA, DU, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 			if !ok {
 				return nil, nil, false
 			}
-			fusedT := func(vm *sparse.VecMask) *sparse.Vec[DC] {
+			fusedT := func(vm *sparse.VecMask, sp *obs.Span) *sparse.Vec[DC] {
 				n, idx, get := vs.vecElems()
 				if tran0 {
-					return sparse.FusedPushMxV(a.mdat(), idx, get, op.Mul.F, op.Add.Op.F, vm)
+					return fusedPushOrPull(a, n, idx, get, op.Mul.F, op.Add.Op.F, vm, sp)
 				}
+				sp.NoteLayout("csr")
 				return sparse.FusedDotMxV(a.mdat(), n, idx, get, op.Mul.F, op.Add.Op.F, vm)
 			}
 			run := func() error {
 				vm := wb.maskNow()
-				t := fusedT(vm)
-				sp.NoteLayout("csr")
+				t := fusedT(vm, sp)
 				sp.AddBytes(t.ApproxBytes())
 				wb.write(t, vm)
 				return nil
 			}
 			var chained any
 			if mask == nil && !accum.Defined() {
-				chained = mxvSource[DC]{compute: func() *sparse.Vec[DC] { return fusedT(nil) }}
+				chained = mxvSource[DC]{compute: func() *sparse.Vec[DC] { return fusedT(nil, nil) }}
 			}
 			return run, chained, true
 		}
@@ -194,9 +197,11 @@ func MxV[DC, DA, DU, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 }
 
 // VxM computes wᵀ ⊙= uᵀ ⊕.⊗ A (GrB_vxm). The descriptor's INP1 field
-// selects transposition of A. Without it, a push-style kernel walks u's
-// stored entries through the rows of A (the natural sparse-frontier
-// expansion); with it, a pull-style dot kernel runs over the rows of A.
+// selects transposition of A. Without it the engine picks the direction per
+// call as MxV+TRAN0 does: a push-style kernel walks u's stored entries
+// through the rows of A (the natural sparse-frontier expansion), or, for a
+// dense u, the dot kernel runs over A's cached transpose. With it, a
+// pull-style dot kernel runs over the rows of A.
 func VxM[DC, DU, DA, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], op Semiring[DU, DA, DC], u *Vector[DU], a *Matrix[DA], desc *Descriptor) error {
 	const name = "VxM"
 	tran1 := desc.tran1()
@@ -234,24 +239,24 @@ func VxM[DC, DU, DA, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 			if !ok {
 				return nil, nil, false
 			}
-			fusedT := func(vm *sparse.VecMask) *sparse.Vec[DC] {
+			fusedT := func(vm *sparse.VecMask, sp *obs.Span) *sparse.Vec[DC] {
 				n, idx, get := vs.vecElems()
 				if tran1 {
+					sp.NoteLayout("csr")
 					return sparse.FusedDotMxV(a.mdat(), n, idx, get, flip, op.Add.Op.F, vm)
 				}
-				return sparse.FusedPushMxV(a.mdat(), idx, get, flip, op.Add.Op.F, vm)
+				return fusedPushOrPull(a, n, idx, get, flip, op.Add.Op.F, vm, sp)
 			}
 			run := func() error {
 				vm := wb.maskNow()
-				t := fusedT(vm)
-				sp.NoteLayout("csr")
+				t := fusedT(vm, sp)
 				sp.AddBytes(t.ApproxBytes())
 				wb.write(t, vm)
 				return nil
 			}
 			var chained any
 			if mask == nil && !accum.Defined() {
-				chained = mxvSource[DC]{compute: func() *sparse.Vec[DC] { return fusedT(nil) }}
+				chained = mxvSource[DC]{compute: func() *sparse.Vec[DC] { return fusedT(nil, nil) }}
 			}
 			return run, chained, true
 		}

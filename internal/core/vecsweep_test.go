@@ -369,6 +369,55 @@ func lineAssign(row bool,
 	}
 }
 
+// scatterProduct is the shape of the two spellings of w = Aᵀ ⊕.⊗ u, VxM and
+// MxV with INP0 transposed, on a frontier the direction rule
+// (sparse.PullWins) sends one way. A is 96×64 and half full, about 3 000
+// edges; fill is the share of its rows u holds, cached says whether a
+// transposed read has left Aᵀ on the matrix, and pull is the direction that
+// must run, checked on the engine's counter: an eighth of the rows stays
+// under the rule's floor and is pushed, every row with nothing cached pays
+// for the build and is pulled, nine tenths pull over a transpose in hand.
+func scatterProduct(mxv bool, fill float64, cached, pull bool) func(t *testing.T, rng *rand.Rand, g gridCase) (got, want map[int]float64) {
+	const nr, nc = 96, 64
+	return func(t *testing.T, rng *rand.Rand, g gridCase) (got, want map[int]float64) {
+		a, ad := newTestMatrix(t, rng, nr, nc, 0.5)
+		u, ud := randVecModel(t, rng, nr, fill)
+		w, wd := randVecModel(t, rng, nc, 0.4)
+		mask, stored, eff := newValueMaskV(t, rng, nc)
+		if g.alias == gridMaskIsOut {
+			mask, stored, eff = w, structureOfVec(wd), structureOfVec(wd)
+		}
+		if !g.useMask {
+			mask = nil
+		}
+		if cached {
+			a.transposed()
+		}
+		product := map[int]float64{}
+		for k, v := range ad {
+			if uv, ok := ud[k.i]; ok {
+				product[k.j] += uv * v
+			}
+		}
+		pulled, pushed := mxvPull.Value(), mxvPush.Value()
+		var err error
+		if mxv {
+			err = MxV(w, mask, g.accumOp(), plusTimesF64(t), a, u, g.desc().Transpose0())
+		} else {
+			err = VxM(w, mask, g.accumOp(), plusTimesF64(t), u, a, g.desc())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = vecModel(t, w)
+		if dPull, dPush := mxvPull.Value()-pulled, mxvPush.Value()-pushed; (dPull == 1) != pull || dPull+dPush != 1 {
+			t.Errorf("%s: ran %d pulls and %d pushes, want one %s", g.name, dPull, dPush, map[bool]string{true: "pull", false: "push"}[pull])
+		}
+		equalDense(t, denseOf(t, a), ad, g.name+"/input intact")
+		return got, vecOracleWrite(wd, product, nc, stored, eff, g.useMask, g.scmp, g.accum, g.replace)
+	}
+}
+
 const (
 	gridN  = 5
 	gridAt = 1 // the column extracted, the row or column assigned
@@ -405,6 +454,15 @@ var vecGridOps = []vecGridOp{
 			}
 			return ReduceMatrixToVector(w, mask, acc, plus, a, d)
 		})},
+	// The scatter product on both sides of the direction rule, in both
+	// spellings; the write-back under every mask, accumulator and replace
+	// setting must not depend on the kernel that produced T.
+	{"VxM/sparse-frontier", false, []string{gridMaskIsOut}, scatterProduct(false, 0.125, false, false)},
+	{"VxM/full-frontier", false, []string{gridMaskIsOut}, scatterProduct(false, 1, false, true)},
+	{"VxM/dense-frontier-cached", false, []string{gridMaskIsOut}, scatterProduct(false, 0.9, true, true)},
+	{"MxV+Transpose0/sparse-frontier", false, []string{gridMaskIsOut}, scatterProduct(true, 0.125, true, false)},
+	{"MxV+Transpose0/full-frontier", false, []string{gridMaskIsOut}, scatterProduct(true, 1, false, true)},
+	{"MxV+Transpose0/dense-frontier-cached", false, []string{gridMaskIsOut}, scatterProduct(true, 0.9, true, true)},
 	// A row or column assign has no matrix input to transpose, and neither
 	// its input nor its mask can be the matrix it writes.
 	{"AssignRow", false, nil, lineAssign(true,

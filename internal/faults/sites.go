@@ -2,9 +2,9 @@ package faults
 
 // KernelSites is the canonical registry of every kernel-internal injection
 // site in the tree: the dotted literals drawn by faults.Step and
-// faults.GovernAlloc inside internal/sparse and internal/format. Executor
-// level faults.Check sites are operation names, dynamic by design, and are
-// not listed.
+// faults.GovernAlloc inside internal/sparse, internal/format and the format
+// glue of internal/core. Executor level faults.Check sites are operation
+// names, dynamic by design, and are not listed.
 //
 // The grblint faultsite analyzer cross-checks this list against the code in
 // both directions — a drawn-but-unlisted site (typo or unregistered kernel)
@@ -32,6 +32,12 @@ var KernelSites = []string{
 	"format.alloc.hyper",
 	"format.alloc.bitmap",
 	"format.alloc.csr",
+
+	// internal/core format glue: the pull the direction rule chose for a
+	// scatter product (pushOrPull) and the transpose build it may need. A
+	// recoverable fault at either falls back to the push kernel.
+	"format.kernel.csr.pull",
+	"format.alloc.transpose",
 
 	// internal/stream ingestion kernels and governor gate.
 	"stream.kernel.absorb",

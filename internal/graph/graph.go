@@ -182,7 +182,7 @@ func (g *Graph) BFS(src int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	lv, err := algorithms.BFSLevelsDO(a, src)
+	lv, err := algorithms.BFSLevels(a, src)
 	if err != nil {
 		return nil, err
 	}

@@ -61,6 +61,11 @@ var (
 	FormatConversions = NewCounter("graphblas_format_conversions_total",
 		"Materializations of an alternate layout from the committed CSR store.")
 
+	TransposeBuilds = NewCounter("graphblas_transpose_builds_total",
+		"Builds of a matrix's cached transpose: a transposed read, or a dense frontier pulled, with none in hand.")
+	MxVDirection = NewCounterVec("graphblas_mxv_direction_total",
+		"Scatter products (mxv with a transposed matrix, vxm without) run on the CSR store, by the direction the engine ran them in.", "dir")
+
 	// Streaming engine (internal/stream ingestion through core's queue).
 	StreamBatches = NewCounter("graphblas_stream_batches_total",
 		"Sealed update batches absorbed into a matrix's hypersparse delta overlay.")

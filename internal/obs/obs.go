@@ -95,8 +95,10 @@ type Span struct {
 	// sequence, or -1 if it was never assigned one.
 	Pos int
 	// Layout names the storage layout the kernel consumed ("csr", "csr-dot"
-	// for MxM's transpose-free masked kernel, "bitmap", "bitmap-fast",
-	// "hyper"); empty when the operation has no format-engine dispatch.
+	// for MxM's transpose-free masked kernel, "csr-pull" for a scatter
+	// product the engine ran as dot products over the cached transpose,
+	// "bitmap", "bitmap-fast", "hyper"); empty when the operation has no
+	// format-engine dispatch.
 	Layout string
 	// Bytes is an estimate of the bytes the kernel touched (derived from the
 	// result's stored-element count), 0 when unknown.

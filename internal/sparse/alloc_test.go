@@ -123,3 +123,44 @@ func TestMaskedSpGEMMAllocBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestDotMxVFullVectorAllocBudget pins DotMxV on a full input vector — what
+// the engine pulls CC's label vector and a full PageRank share through: u.Val
+// is read in place, so neither the dense value workspace nor a presence
+// array is built. What remains is dotCore's rowOut, the escaping ForWeighted
+// body closure and FromDense's Vec, Idx and Val. A partial vector adds the
+// one domain-generic workspace; its presence flags are pooled. The direction
+// rule itself allocates nothing.
+func TestDotMxVFullVectorAllocBudget(t *testing.T) {
+	parallel.SetMaxWorkersForTest(t, 1)
+	prev := obs.SetTracer(nil)
+	defer obs.SetTracer(prev)
+
+	const n = 64
+	a := allocFixture(t, n)
+	at := a.Transpose()
+	full, partial := NewVec[float64](n), NewVec[float64](n)
+	for i := 0; i < n; i++ {
+		full.Idx, full.Val = append(full.Idx, i), append(full.Val, float64(i)*0.25)
+		if i%3 != 0 {
+			partial.Idx, partial.Val = append(partial.Idx, i), append(partial.Val, float64(i))
+		}
+	}
+	cases := []struct {
+		name   string
+		budget float64
+		run    func()
+	}{
+		{"DotMxV/full", 5, func() { DotMxV(at, full, mulF, addF, nil) }},
+		{"DotMxV/partial", 6, func() { DotMxV(at, partial, mulF, addF, nil) }},
+		{"PullWins", 0, func() { PullWins(a.Ptr, full.Idx, at, nil) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.run() // warm the pool shelves so steady state is measured
+			if allocs := testing.AllocsPerRun(100, tc.run); allocs != tc.budget {
+				t.Errorf("%s allocates %.1f per call, budget %.0f — a new hot-path allocation needs pooling or a reviewed budget bump", tc.name, allocs, tc.budget)
+			}
+		})
+	}
+}

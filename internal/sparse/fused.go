@@ -46,23 +46,32 @@ func FusedVecMap[DA, DC any](n int, idx []int, get func(p int) DA, f func(DA) DC
 }
 
 // FusedDotMxV is the pull-style mxv over a virtual input vector: the stream
-// is scattered into the dense workspace (evaluating get once per position),
-// then the shared row-parallel dot loop runs. Bit-exact with
-// materialize-then-DotMxV because the scatter visits positions in the same
-// order VecApply would and the row loop is dotCore either way.
+// is scattered into the dense workspace (evaluating get once per position;
+// a full stream needs no presence flags), then the shared row-parallel dot
+// loop runs. Bit-exact with materialize-then-DotMxV because the scatter
+// visits positions in the same order VecApply would and the row loop is
+// dotCore either way.
 //
 //grblint:hotpath
 func FusedDotMxV[DA, DU, DC any](a *CSR[DA], n int, idx []int, get func(p int) DU, mul func(DA, DU) DC, add func(DC, DC) DC, mask *VecMask) *Vec[DC] {
 	faults.Step("fuse.kernel.mxv.dot")
 	done := obs.KernelStart("fuse.mxv.dot")
 	dense := make([]DU, n)
-	present := pool.GetBools(n)
-	for p, i := range idx {
-		dense[i] = get(p)
-		present[i] = true
+	var w *Vec[DC]
+	if len(idx) == n {
+		for p := range idx {
+			dense[p] = get(p)
+		}
+		w = dotCore(a, dense, nil, mul, add, mask)
+	} else {
+		present := pool.GetBools(n)
+		for p, i := range idx {
+			dense[i] = get(p)
+			present[i] = true
+		}
+		w = dotCore(a, dense, present, mul, add, mask)
+		pool.PutBools(present)
 	}
-	w := dotCore(a, dense, present, mul, add, mask)
-	pool.PutBools(present)
 	done(w.NVals())
 	return w
 }

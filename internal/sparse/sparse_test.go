@@ -435,20 +435,157 @@ func TestDotMaskedWins(t *testing.T) {
 	}
 }
 
-// Property: DotMxV and PushMxV are consistent: Dot(A, u) == Push(Aᵀ, u).
-func TestQuickDotPushConsistency(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nr, nc := 1+rng.Intn(15), 1+rng.Intn(15)
-		a, _ := randCSR(rng, nr, nc, 0.3)
-		u, _ := randVec(rng, nc, 0.5)
-		dot := DotMxV(a, u, mulF, addF, nil)
-		push := PushMxV(a.Transpose(), u, mulF, addF, nil)
-		return reflect.DeepEqual(dot.Idx, push.Idx) && reflect.DeepEqual(dot.Val, push.Val)
+// TestQuickPushPullBitIdentical: the two directions of w = Aᵀ ⊕.⊗ u —
+// PushMxV over A and DotMxV over Aᵀ — return the same structure and the same
+// value bits, which is what lets the engine pick one per call
+// (core.pushOrPull) without the choice showing. A is rectangular with empty
+// rows and columns, u runs from empty to full (the dot kernel's dense-array
+// path), the mask is absent, valued with stored falses (Idx ≠ Structure), or
+// a structural complement. ⊕ = x/2 + y is neither commutative nor
+// associative and the values span sixteen decades, so a target folded in any
+// order but ascending k fails; ⊗ = x − 3y catches swapped operands. One draw
+// in four carries more than pushParallelMinWork edges, so at 2 and 4 workers
+// the parallel scatter and the chunked row loop are what is compared.
+func TestQuickPushPullBitIdentical(t *testing.T) {
+	mul := func(x, y float64) float64 { return x - 3*y }
+	add := func(x, y float64) float64 { return x/2 + y }
+	wide := func(rng *rand.Rand) float64 {
+		return (rng.Float64() + 0.5) * math.Pow(10, float64(rng.Intn(17)-8))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			parallel.SetMaxWorkersForTest(t, workers)
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				nr, nc, p := 1+rng.Intn(15), 1+rng.Intn(15), 0.3
+				if rng.Intn(4) == 0 {
+					nr, nc, p = 128+rng.Intn(32), 96+rng.Intn(64), 0.5
+				}
+				var is, js []int
+				var vs []float64
+				for i := 0; i < nr; i++ {
+					if rng.Intn(5) == 0 {
+						continue // an empty row
+					}
+					for j := 0; j < nc; j++ {
+						if j%7 != 3 && rng.Float64() < p { // columns 3, 10, … stay empty
+							is, js, vs = append(is, i), append(js, j), append(vs, wide(rng))
+						}
+					}
+				}
+				a, ok := BuildCSR(nr, nc, is, js, vs, nil)
+				if !ok {
+					t.Fatal("BuildCSR failed")
+				}
+				at := a.Transpose()
+				fill := []float64{0, 0.1, 0.5, 0.9, 1}[rng.Intn(5)]
+				u := NewVec[float64](nr)
+				for k := 0; k < nr; k++ {
+					if rng.Float64() < fill {
+						u.Idx, u.Val = append(u.Idx, k), append(u.Val, wide(rng))
+					}
+				}
+				valued := &VecMask{N: nc}
+				for j := 0; j < nc; j++ {
+					if rng.Intn(2) == 0 {
+						valued.Structure = append(valued.Structure, j)
+						if rng.Intn(3) != 0 {
+							valued.Idx = append(valued.Idx, j)
+						}
+					}
+				}
+				comp := &VecMask{N: nc, Idx: valued.Idx, Structure: valued.Structure, Comp: true}
+				for name, mask := range map[string]*VecMask{"none": nil, "valued": valued, "complement": comp} {
+					push := PushMxV(a, u, mul, add, mask)
+					pull := DotMxV(at, u, mul, add, mask)
+					if push.N != pull.N || !reflect.DeepEqual(push.Idx, pull.Idx) {
+						t.Logf("seed %d mask %s: structures differ: push %v, pull %v", seed, name, push.Idx, pull.Idx)
+						return false
+					}
+					for k := range push.Val {
+						if math.Float64bits(push.Val[k]) != math.Float64bits(pull.Val[k]) {
+							t.Logf("seed %d mask %s: w(%d) = %x pushed, %x pulled", seed, name, push.Idx[k],
+								math.Float64bits(push.Val[k]), math.Float64bits(pull.Val[k]))
+							return false
+						}
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
+}
+
+// TestPullWins pins the direction rule on frontiers counted by hand, on
+// both sides of each constant, with and without a transpose in hand.
+func TestPullWins(t *testing.T) {
+	// A is 12×512: rows 0..7 are full (512 entries each), rows 8..11 empty.
+	// nnz(A) = 4096 and every row of Aᵀ holds 8.
+	const rows, width = 12, 512
+	var is, js []int
+	var vs []float64
+	for k := 0; k < 8; k++ {
+		for j := 0; j < width; j++ {
+			is, js, vs = append(is, k), append(js, j), append(vs, 1)
+		}
+	}
+	a, ok := BuildCSR(rows, width, is, js, vs, nil)
+	if !ok {
+		t.Fatal("BuildCSR failed")
+	}
+	at := a.Transpose()
+	half := &VecMask{N: width, Idx: seq(0, 256), Structure: seq(0, 256)}
+	notQuarter := &VecMask{N: width, Structure: seq(0, 128), Comp: true}
+	cases := []struct {
+		name   string
+		u      []int
+		cached bool
+		mask   *VecMask
+		want   bool
+	}{
+		// 1536 edges: under pushParallelMinWork, whatever else holds.
+		{"three rows, below the parallel floor", seq(0, 3), true, nil, false},
+		{"only empty rows", seq(8, 12), true, nil, false},
+		// Aᵀ in hand: 4·push ≥ 3·4096 from 3072 edges, six rows, up.
+		{"five rows, cached", seq(0, 5), true, nil, false},
+		{"six rows, cached", seq(0, 6), true, nil, true},
+		// Nothing in hand: the build adds 4096/6 = 682 pull steps, and
+		// 4·push ≥ 3·4778 from 3584 edges, seven rows, up.
+		{"six rows, nothing cached", seq(0, 6), false, nil, false},
+		{"seven rows, nothing cached", seq(0, 7), false, nil, true},
+		{"every edge and an empty row, nothing cached", seq(0, 9), false, nil, true},
+		// The mask admits columns 0..255: pull work 256·8 = 2048, reached by
+		// 4·push from 1536 edges up, so the parallel floor decides.
+		{"three rows, half the targets admitted", seq(0, 3), true, half, false},
+		{"four rows, half the targets admitted", seq(0, 4), true, half, true},
+		// The complement of a structure 0..127 leaves 384·8 = 3072:
+		// 4·push ≥ 3·3072 from 2304 edges, five rows, up.
+		{"four rows, a quarter masked out", seq(0, 4), true, notQuarter, false},
+		{"five rows, a quarter masked out", seq(0, 5), true, notQuarter, true},
+		// Without a transpose the mask's rows cannot be counted: no help.
+		{"six rows, masked, nothing cached", seq(0, 6), false, half, false},
+	}
+	for _, tc := range cases {
+		var t0 *CSR[float64]
+		if tc.cached {
+			t0 = at
+		}
+		if got := PullWins(a.Ptr, tc.u, t0, tc.mask); got != tc.want {
+			t.Errorf("%s: PullWins = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// seq returns lo, lo+1, …, hi-1.
+func seq(lo, hi int) []int {
+	s := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		s = append(s, i)
+	}
+	return s
 }
 
 // Property: WriteVec with no mask and no accumulator returns exactly t.

@@ -9,9 +9,10 @@ import (
 )
 
 // DotMxV computes w(i) = ⊕_k mul(a(i,k), u(k)) — the pull-style (dot
-// product) matrix-vector multiply w = A ⊕.⊗ u. The input vector is
-// scattered into a dense workspace once; rows are processed in parallel,
-// nnz-balanced.
+// product) matrix-vector multiply w = A ⊕.⊗ u. Rows are processed in
+// parallel, nnz-balanced. A full input vector (every position stored) is
+// read as the dense array its Val already is; a partial one is scattered
+// into a dense workspace once.
 //
 // A non-nil mask is applied inside the kernel: rows the mask disallows are
 // skipped entirely, which is the "pull with mask" optimization — the key
@@ -21,16 +22,29 @@ import (
 //grblint:hotpath
 func DotMxV[DA, DU, DC any](a *CSR[DA], u *Vec[DU], mul func(DA, DU) DC, add func(DC, DC) DC, mask *VecMask) *Vec[DC] {
 	done := obs.KernelStart("mxv.dot")
-	dense, present := u.Dense()
-	w := dotCore(a, dense, present, mul, add, mask)
+	var w *Vec[DC]
+	if len(u.Idx) == u.N {
+		w = dotCore(a, u.Val, nil, mul, add, mask)
+	} else {
+		dense := make([]DU, u.N)
+		present := pool.GetBools(u.N)
+		for p, k := range u.Idx {
+			dense[k] = u.Val[p]
+			present[k] = true
+		}
+		w = dotCore(a, dense, present, mul, add, mask)
+		pool.PutBools(present)
+	}
 	done(w.NVals())
 	return w
 }
 
-// dotCore is the row-parallel pull loop shared by DotMxV and FusedDotMxV:
-// the input vector is already scattered into dense/present. The presence
-// flags come from the pool; the value workspace is domain-generic and
-// cannot (its element type varies per instantiation).
+// dotCore is the row-parallel pull loop shared by DotMxV and FusedDotMxV
+// over an input already laid out densely: dense[k] is u(k) where present[k]
+// is set, and a nil present says every position is stored, which drops the
+// presence test from the inner loop. Each row folds its products in
+// ascending k. The presence flags come from the pool; the value workspace is
+// domain-generic and cannot (its element type varies per instantiation).
 //
 //grblint:hotpath
 func dotCore[DA, DU, DC any](a *CSR[DA], dense []DU, present []bool, mul func(DA, DU) DC, add func(DC, DC) DC, mask *VecMask) *Vec[DC] {
@@ -38,6 +52,20 @@ func dotCore[DA, DU, DC any](a *CSR[DA], dense []DU, present []bool, mul func(DA
 	rowHas := pool.GetBools(a.NRows)
 	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
 		cur := allowsCursor{mask: mask}
+		if present == nil {
+			for i := lo; i < hi; i++ {
+				p, end := a.Ptr[i], a.Ptr[i+1]
+				if p == end || !cur.allows(i) {
+					continue
+				}
+				acc := mul(a.Val[p], dense[a.ColIdx[p]])
+				for p++; p < end; p++ {
+					acc = add(acc, mul(a.Val[p], dense[a.ColIdx[p]]))
+				}
+				rowOut[i], rowHas[i] = acc, true
+			}
+			return
+		}
 		for i := lo; i < hi; i++ {
 			if !cur.allows(i) {
 				continue
@@ -88,6 +116,69 @@ func PushMxV[DA, DU, DC any](a *CSR[DA], u *Vec[DU], mul func(DA, DU) DC, add fu
 // kernel stays serial: the count/scatter/fold scheme touches every
 // contribution twice, so tiny frontiers are cheaper in the single SPA pass.
 const pushParallelMinWork = 2048
+
+// pushFlopCost and pullFlopCost price one scattered contribution of the push
+// kernel against one inner-loop step of the dot kernel, in a common unit.
+// Push touches a contribution three times (count, scatter into its slot,
+// fold) where pull reads an entry of Aᵀ once and tests u's presence flag.
+// The ratio is read off the crossover table in EXPERIMENTS.md E8b
+// (BenchmarkAblation_MxVCrossover): with Aᵀ in hand the two kernels break
+// even on a frontier holding between 5/8 and 3/4 of the edges at two
+// workers, between 3/4 and 7/8 at one.
+//
+// transposeReuse is the number of dense calls a transpose built for one of
+// them is expected to serve. A build costs about one pull over every edge
+// (same table: 215 µs against 200–283), more than any single push it
+// replaces, so it is charged as nnz(A)/transposeReuse pull steps: at six
+// the break-even moves from 3/4 of the edges to 7/8, where the third call
+// has repaid the build (327 µs pushed against 231 pulled) — and the callers
+// that send such frontiers are iterations that send them again: PageRank's
+// ten sweeps, a personalized rank's twelve, a label or distance vector on
+// its way to a fixed point. A single level of a traversal does not get there.
+const (
+	pushFlopCost   = 4
+	pullFlopCost   = 3
+	transposeReuse = 6
+)
+
+// PullWins is the direction rule of the mxv family: for w = Aᵀ ⊕.⊗ u, where
+// aPtr is A's row pointer and uIdx the stored positions of u, it reports
+// whether the dot kernel over Aᵀ (DotMxV) should run instead of the scatter
+// over A (PushMxV). Push work is the edges leaving u's structure,
+// Σ_{k∈u}|A(k,:)|; below pushParallelMinWork the scatter is one pass over a
+// handful of edges and always wins. Pull work is nnz(Aᵀ) — cut down to the
+// rows the mask admits when at, the transpose, is in the caller's hands to
+// count them from; plus the amortised build when it is not (at == nil).
+//
+// O(|u| + |mask|), read from the operands alone. The two kernels give
+// bit-identical results (row j of Aᵀ lists the contributions to w(j) in
+// ascending k, the order push folds them in), so the choice never shows in
+// a result.
+func PullWins[DA any](aPtr []int, uIdx []int, at *CSR[DA], mask *VecMask) bool {
+	push := 0
+	for _, k := range uIdx {
+		push += aPtr[k+1] - aPtr[k]
+	}
+	if push < pushParallelMinWork {
+		return false
+	}
+	pull := aPtr[len(aPtr)-1]
+	switch {
+	case at == nil:
+		pull += pull / transposeReuse
+	case mask == nil:
+	case mask.Comp:
+		for _, j := range mask.Structure {
+			pull -= at.Ptr[j+1] - at.Ptr[j]
+		}
+	default:
+		pull = 0
+		for _, j := range mask.Idx {
+			pull += at.Ptr[j+1] - at.Ptr[j]
+		}
+	}
+	return pushFlopCost*push >= pullFlopCost*pull
+}
 
 // pushCore is the push-style scatter shared by PushMxV and FusedPushMxV.
 // The frontier is (uIdx, uval): stored row indices in increasing order and
