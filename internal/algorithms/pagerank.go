@@ -11,9 +11,16 @@ import (
 // (any positive edge values; only the structure matters) by power
 // iteration expressed in GraphBLAS primitives:
 //
-//	outdeg = ⊕_j A(i, j) structure count     (reduce)
+//	outdeg = A ⟨+, pair⟩ 1                    (mxv: stored entries per row)
 //	share  = r ./ outdeg                     (eWiseMult)
-//	r'     = (1-d)/n + d·dangling/n + d·(shareᵀ A)   (vxm over +.×)
+//	r'     = (1-d)/n + d·dangling/n + d·(shareᵀ ⟨+, first⟩ A)   (vxm)
+//
+// Both products read A's structure through the semiring instead of a copy
+// of A with every value set to 1: pair(a, 1) = 1 counts an entry, and
+// first(s, a) = s is exactly the s·1.0 a 1-valued copy would multiply by,
+// so the ranks are the ones that copy gives, bit for bit — without building
+// it, or its transpose, on every call; A's own cached transpose serves every
+// call after the first that pulls.
 //
 // Dangling mass (vertices with no out-edges) is redistributed uniformly,
 // matching the classic formulation. Iteration stops when the L1 change
@@ -36,20 +43,25 @@ func PageRankFrom(a *core.Matrix[float64], start *core.Vector[float64], damping,
 	if err != nil {
 		return nil, 0, err
 	}
-	// Out-degree as a count of stored entries: reduce over ⟨+,0⟩ after
-	// mapping every entry to 1.
-	ones, err := core.NewMatrix[float64](n, n)
+	// Out-degree as a count of stored entries: A ⟨+, pair⟩ 1. A row with no
+	// entries gets no outdeg entry, as a reduce would leave it.
+	pair := core.BinaryOp[float64, float64, float64]{Name: "pair", F: func(float64, float64) float64 { return 1 }}
+	plusPair, err := core.NewSemiring(builtins.PlusMonoid[float64](), pair)
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := core.ApplyM(ones, core.NoMask, core.NoAccum[float64](), builtins.One[float64](), a, nil); err != nil {
+	ones, err := core.NewVector[float64](n)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := core.AssignVectorScalar(ones, core.NoMaskV, core.NoAccum[float64](), 1, core.All, nil); err != nil {
 		return nil, 0, err
 	}
 	outdeg, err := core.NewVector[float64](n)
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := core.ReduceMatrixToVector(outdeg, core.NoMaskV, core.NoAccum[float64](), builtins.PlusMonoid[float64](), ones, nil); err != nil {
+	if err := core.MxV(outdeg, core.NoMaskV, core.NoAccum[float64](), plusPair, a, ones, nil); err != nil {
 		return nil, 0, err
 	}
 
@@ -65,7 +77,7 @@ func PageRankFrom(a *core.Matrix[float64], start *core.Vector[float64], damping,
 		return nil, 0, err
 	}
 
-	plusTimes := builtins.PlusTimes[float64]()
+	plusFirst := builtins.PlusFirst[float64]()
 	plusMonoid := builtins.PlusMonoid[float64]()
 	div := builtins.Div[float64]()
 
@@ -104,11 +116,11 @@ func PageRankFrom(a *core.Matrix[float64], start *core.Vector[float64], damping,
 		}
 		dangling := total - linked
 
-		// next = shareᵀ A over +.× : inbound contributions.
+		// next = shareᵀ A over ⟨+, first⟩ : inbound contributions.
 		if err := next.Clear(); err != nil {
 			return nil, 0, err
 		}
-		if err := core.VxM(next, core.NoMaskV, core.NoAccum[float64](), plusTimes, share, ones, nil); err != nil {
+		if err := core.VxM(next, core.NoMaskV, core.NoAccum[float64](), plusFirst, share, a, nil); err != nil {
 			return nil, 0, err
 		}
 		base := (1-damping)/float64(n) + damping*dangling/float64(n)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -242,6 +243,85 @@ func TestObs_DirectionIsVisible(t *testing.T) {
 			off.NoteLayout("csr")
 		}); allocs != 0 {
 			t.Errorf("direction accounting allocates %.1f per call with tracing off, want 0", allocs)
+		}
+	})
+}
+
+// TestObs_FullVectorPathIsVisible: a vector operation whose kernel read a
+// full operand as an array says so — layout "full" on its span, none when
+// both operands are partial — and the vector kernels report their time
+// under vec.union, vec.intersect and vec.assign, so kernel_time_frac sees
+// them. With no tracer neither the note nor the kernel timing allocates.
+func TestObs_FullVectorPathIsVisible(t *testing.T) {
+	withMode(t, NonBlocking, func() {
+		c := withTracer(t)
+		rng := rand.New(rand.NewSource(73))
+		full, _ := randVecModel(t, rng, 32, 1)
+		part, _ := randVecModel(t, rng, 32, 0.5)
+		part2, _ := randVecModel(t, rng, 32, 0.5)
+		before := map[string]int64{}
+		kernels := []string{"vec.union", "vec.intersect", "vec.assign"}
+		for _, k := range kernels {
+			before[k] = obs.KernelSeconds.With(k).Count()
+		}
+		// Each call writes a fresh output and is flushed on its own, so
+		// nothing is elided or fused.
+		for _, call := range []func(w *Vector[float64]) error{
+			func(w *Vector[float64]) error {
+				return EWiseAddV(w, NoMaskV, NoAccum[float64](), plusF64(), full, part, nil)
+			},
+			func(w *Vector[float64]) error {
+				return EWiseAddV(w, NoMaskV, NoAccum[float64](), plusF64(), part, part2, nil)
+			},
+			func(w *Vector[float64]) error {
+				return EWiseMultV(w, NoMaskV, NoAccum[float64](), plusF64(), part, full, nil)
+			},
+			func(w *Vector[float64]) error { return AssignVector(w, NoMaskV, plusF64(), full, All, nil) },
+			func(w *Vector[float64]) error {
+				return AssignVectorScalar(w, NoMaskV, NoAccum[float64](), 1, All, nil)
+			},
+			func(w *Vector[float64]) error {
+				return AssignVectorScalar(w, NoMaskV, NoAccum[float64](), 1, []int{3, 1}, nil)
+			},
+		} {
+			w, _ := NewVector[float64](32)
+			if err := call(w); err != nil {
+				t.Fatal(err)
+			}
+			if err := Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		layouts := func(op string) []string {
+			var out []string
+			for _, sp := range c.byOp(op) {
+				out = append(out, sp.Layout)
+			}
+			return out
+		}
+		for op, want := range map[string][]string{
+			"EWiseAddV":          {"full", ""},
+			"EWiseMultV":         {"full"},
+			"AssignVector":       {"full"},
+			"AssignVectorScalar": {"full", ""},
+		} {
+			if got := layouts(op); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s span layouts = %q, want %q", op, got, want)
+			}
+		}
+		for _, k := range kernels {
+			if obs.KernelSeconds.With(k).Count() == before[k] {
+				t.Errorf("no %s kernel time recorded", k)
+			}
+		}
+
+		obs.SetTracer(nil)
+		off := obs.Begin("EWiseAddV") // nil while no tracer is set
+		if allocs := testing.AllocsPerRun(1000, func() {
+			noteFull(off, true)
+			obs.KernelStart("vec.union")(32)
+		}); allocs != 0 {
+			t.Errorf("full-path accounting allocates %.1f per call with tracing off, want 0", allocs)
 		}
 	})
 }

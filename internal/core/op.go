@@ -21,9 +21,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"graphblas/internal/format"
 	"graphblas/internal/obs"
+	"graphblas/internal/pool"
 	"graphblas/internal/sparse"
 )
 
@@ -211,7 +213,8 @@ func (s *opSpec) assigns(all bool) { s.keeps = !all || s.mask != nil }
 // validated, so what was validated is what runs however the caller reuses
 // its slice before the sequence completes (§IV). nil is GrB_ALL, the
 // identity list. unique marks an assign target, where a repeated index
-// would make the result ill-defined.
+// would make the result ill-defined; a strictly ascending list has none to
+// find.
 func (s *opSpec) indices(role string, list []int, bound int, unique bool) []int {
 	if list == nil {
 		list = make([]int, bound)
@@ -221,14 +224,18 @@ func (s *opSpec) indices(role string, list []int, bound int, unique bool) []int 
 		return list
 	}
 	list = append(make([]int, 0, len(list)), list...)
-	for _, i := range list {
+	ascending := true
+	for k, i := range list {
 		if i < 0 || i >= bound {
 			s.fail(rankIndex, InvalidIndex, "%s index %d out of range [0,%d)", role, i, bound)
 			return list
 		}
+		if k > 0 && i <= list[k-1] {
+			ascending = false
+		}
 	}
-	if unique {
-		seen := make([]bool, bound)
+	if unique && !ascending {
+		seen := pool.GetBools(bound)
 		for _, i := range list {
 			if seen[i] {
 				s.fail(rankIndex, InvalidValue, "duplicate %s index %d in assign index list", role, i)
@@ -236,6 +243,22 @@ func (s *opSpec) indices(role string, list []int, bound int, unique bool) []int 
 			}
 			seen[i] = true
 		}
+		pool.PutBools(seen)
+	}
+	return list
+}
+
+// targets is indices for the target list of a vector assign, whose kernels
+// read nil as the identity: GrB_ALL stays nil, so no n-long list is built
+// for it, and an explicit list that validates as the identity — n unique
+// targets in ascending order — becomes nil too.
+func (s *opSpec) targets(list []int, bound int) []int {
+	if list == nil {
+		return nil
+	}
+	list = s.indices("element", list, bound, true)
+	if s.err == nil && len(list) == bound && slices.IsSorted(list) {
+		return nil
 	}
 	return list
 }

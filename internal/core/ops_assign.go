@@ -2,6 +2,7 @@ package core
 
 import (
 	"graphblas/internal/format"
+	"graphblas/internal/obs"
 	"graphblas/internal/sparse"
 )
 
@@ -18,15 +19,24 @@ import (
 
 // AssignVector computes w(indices) ⊙= u (GrB_assign, vector variant).
 func AssignVector[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], u *Vector[DC], indices []int, desc *Descriptor) error {
+	const name = "AssignVector"
 	var s opSpec
-	wb := vecOp(&s, "AssignVector", w, mask, accum, desc, mergeZ)
+	wb := vecOp(&s, name, w, mask, accum, desc, mergeZ)
 	U := s.input(vecArg(u))
-	idx := s.indices("element", indices, s.outShape.nr, true)
-	s.conform(U.nr == len(idx), U, vecShape(len(idx)))
+	idx, region := s.targets(indices, s.outShape.nr), s.outShape.nr
+	if idx != nil {
+		region = len(idx)
+	}
+	s.conform(U.nr == region, U, vecShape(region))
 	s.assigns(indices == nil)
 	if err := s.check(true, ""); err != nil {
 		return err
 	}
+	// The span notes "full" when the kernel ran an array path: over the
+	// identity without an accumulator Z is a copy of u, with one it is the
+	// union of w and u, an array loop when either is full (kernels_vec.go).
+	sp := obs.Begin(name)
+	s.span = sp
 	// Fusion capability (fusion.go): the full-width form w(:) ⊙= u consumes
 	// a fused upstream of u directly — FusedAssignAccum computes the same
 	// pre-mask Z content AssignExpandVec produces over the identity index
@@ -44,8 +54,10 @@ func AssignVector[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC
 				return nil, nil, false
 			}
 			run := func() error {
-				_, sidx, get := vs.vecElems()
-				wb.commit(sparse.FusedAssignAccum(w.vdat(), sidx, get, wb.accumF))
+				n, sidx, get := vs.vecElems()
+				c := w.vdat()
+				noteFull(sp, wb.accumF == nil || c.Full() || len(sidx) == n)
+				wb.commit(sparse.FusedAssignAccum(c, sidx, get, wb.accumF))
 				return nil
 			}
 			return run, nil, true
@@ -53,22 +65,29 @@ func AssignVector[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC
 		s.fuse = fi
 	}
 	return enqueue(s, func() error {
-		wb.commit(sparse.AssignExpandVec(w.vdat(), u.vdat(), idx, wb.accumF))
+		c, uv := w.vdat(), u.vdat()
+		noteFull(sp, idx == nil && (wb.accumF == nil || c.Full() || uv.Full()))
+		wb.commit(sparse.AssignExpandVec(c, uv, idx, wb.accumF))
 		return nil
 	})
 }
 
 // AssignVectorScalar computes w(indices) ⊙= x: the scalar fill Figure 3
-// line 77 uses to initialize delta with -nsver.
+// line 77 uses to initialize delta with -nsver. Over the identity the kernel
+// fills an array, which the span notes as "full".
 func AssignVectorScalar[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], x DC, indices []int, desc *Descriptor) error {
+	const name = "AssignVectorScalar"
 	var s opSpec
-	wb := vecOp(&s, "AssignVectorScalar", w, mask, accum, desc, mergeZ)
-	idx := s.indices("element", indices, s.outShape.nr, true)
+	wb := vecOp(&s, name, w, mask, accum, desc, mergeZ)
+	idx := s.targets(indices, s.outShape.nr)
 	s.assigns(indices == nil)
 	if err := s.check(true, ""); err != nil {
 		return err
 	}
+	sp := obs.Begin(name)
+	s.span = sp
 	return enqueue(s, func() error {
+		noteFull(sp, idx == nil)
 		wb.commit(sparse.AssignScalarExpandVec(w.vdat(), x, idx, wb.accumF))
 		return nil
 	})

@@ -1,6 +1,9 @@
 package core
 
-import "graphblas/internal/sparse"
+import (
+	"graphblas/internal/obs"
+	"graphblas/internal/sparse"
+)
 
 // Element-wise operations of Table II:
 //
@@ -42,16 +45,21 @@ func EWiseAddMonoidM[DC, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp
 
 // EWiseAddV computes w ⊙= u ⊕ v for vectors.
 func EWiseAddV[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], add BinaryOp[DC, DC, DC], u, v *Vector[DC], desc *Descriptor) error {
+	const name = "EWiseAddV"
 	var s opSpec
-	wb := vecOp(&s, "EWiseAddV", w, mask, accum, desc, writeT)
+	wb := vecOp(&s, name, w, mask, accum, desc, writeT)
 	U, V := s.input(vecArg(u)), s.input(vecArg(v))
 	s.conform(U == V, U, V)
 	s.yields(U)
 	if err := s.check(add.Defined(), "operator"); err != nil {
 		return err
 	}
+	sp := obs.Begin(name)
+	s.span = sp
 	return enqueue(s, func() error {
-		wb.commit(sparse.VecUnion(u.vdat(), v.vdat(), add.F))
+		uv, vv := u.vdat(), v.vdat()
+		noteFull(sp, uv.Full() || vv.Full())
+		wb.commit(sparse.VecUnion(uv, vv, add.F))
 		return nil
 	})
 }
@@ -82,18 +90,32 @@ func EWiseMultM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum Binar
 
 // EWiseMultV computes w ⊙= u ⊗ v for vectors.
 func EWiseMultV[DC, DA, DB, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], mul BinaryOp[DA, DB, DC], u *Vector[DA], v *Vector[DB], desc *Descriptor) error {
+	const name = "EWiseMultV"
 	var s opSpec
-	wb := vecOp(&s, "EWiseMultV", w, mask, accum, desc, writeT)
+	wb := vecOp(&s, name, w, mask, accum, desc, writeT)
 	U, V := s.input(vecArg(u)), s.input(vecArg(v))
 	s.conform(U == V, U, V)
 	s.yields(U)
 	if err := s.check(mul.Defined(), "operator"); err != nil {
 		return err
 	}
+	sp := obs.Begin(name)
+	s.span = sp
 	return enqueue(s, func() error {
-		wb.commit(sparse.VecIntersect(u.vdat(), v.vdat(), mul.F))
+		uv, vv := u.vdat(), v.vdat()
+		noteFull(sp, uv.Full() || vv.Full())
+		wb.commit(sparse.VecIntersect(uv, vv, mul.F))
 		return nil
 	})
+}
+
+// noteFull records on a vector operation's span that its kernel read a full
+// operand as the dense array it is (sparse.Vec.Full) instead of merging
+// index lists.
+func noteFull(sp *obs.Span, full bool) {
+	if full {
+		sp.NoteLayout("full")
+	}
 }
 
 // EWiseMultSemiringM is EWiseMultM with the multiplicative operator of a

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -418,6 +420,108 @@ func scatterProduct(mxv bool, fill float64, cached, pull bool) func(t *testing.T
 	}
 }
 
+// fullVectors is the shape of the rows that put the vector kernels' array
+// paths (kernels_vec.go) under the grid: the inputs u and v and the output's
+// prior content w over gridN positions, each full when full names it and
+// about half full otherwise; result models T from u's and v's models. With
+// the out=in0 alias w is u, so its prior content is u's.
+func fullVectors(full string, result func(u, v map[int]float64) map[int]float64,
+	call func(w, mask *Vector[float64], acc BinaryOp[float64, float64, float64], u, v *Vector[float64], d *Descriptor) error,
+) func(t *testing.T, rng *rand.Rand, g gridCase) (got, want map[int]float64) {
+	fill := func(name string) float64 {
+		if strings.Contains(full, name) {
+			return 1
+		}
+		return 0.5
+	}
+	return func(t *testing.T, rng *rand.Rand, g gridCase) (got, want map[int]float64) {
+		u, ud := randVecModel(t, rng, gridN, fill("u"))
+		v, vd := randVecModel(t, rng, gridN, fill("v"))
+		w, wd := randVecModel(t, rng, gridN, fill("w"))
+		mask, stored, eff := newValueMaskV(t, rng, gridN)
+		switch g.alias {
+		case gridOutIsIn0:
+			w, wd = u, ud
+		case gridMaskIsOut:
+			mask, stored, eff = w, structureOfVec(wd), structureOfVec(wd)
+		}
+		if !g.useMask {
+			mask = nil
+		}
+		if err := call(w, mask, g.accumOp(), u, v, g.desc()); err != nil {
+			t.Fatal(err)
+		}
+		got = vecModel(t, w)
+		if g.alias != gridOutIsIn0 && !reflect.DeepEqual(vecModel(t, u), ud) {
+			t.Errorf("%s: input u changed", g.name)
+		}
+		if !reflect.DeepEqual(vecModel(t, v), vd) {
+			t.Errorf("%s: input v changed", g.name)
+		}
+		return got, vecOracleWrite(wd, result(ud, vd), gridN, stored, eff, g.useMask, g.scmp, g.accum, g.replace)
+	}
+}
+
+// halfPlus is x/2 + y: an eWise operator under which swapped operands show.
+func halfPlus() BinaryOp[float64, float64, float64] {
+	return BinaryOp[float64, float64, float64]{Name: "halfplus", F: func(x, y float64) float64 { return x/2 + y }}
+}
+
+// ewiseAddFull, ewiseMultFull, assignFull and assignScalarFull are the four
+// operations the full-vector rows run, with their T models.
+func ewiseAddFull(full string) func(*testing.T, *rand.Rand, gridCase) (map[int]float64, map[int]float64) {
+	return fullVectors(full, func(u, v map[int]float64) map[int]float64 {
+		t := map[int]float64{}
+		for i, x := range u {
+			t[i] = x
+		}
+		for i, y := range v {
+			if x, ok := u[i]; ok {
+				t[i] = x/2 + y
+			} else {
+				t[i] = y
+			}
+		}
+		return t
+	}, func(w, mask *Vector[float64], acc BinaryOp[float64, float64, float64], u, v *Vector[float64], d *Descriptor) error {
+		return EWiseAddV(w, mask, acc, halfPlus(), u, v, d)
+	})
+}
+
+func ewiseMultFull(full string) func(*testing.T, *rand.Rand, gridCase) (map[int]float64, map[int]float64) {
+	return fullVectors(full, func(u, v map[int]float64) map[int]float64 {
+		t := map[int]float64{}
+		for i, y := range v {
+			if x, ok := u[i]; ok {
+				t[i] = x/2 + y
+			}
+		}
+		return t
+	}, func(w, mask *Vector[float64], acc BinaryOp[float64, float64, float64], u, v *Vector[float64], d *Descriptor) error {
+		return EWiseMultV(w, mask, acc, halfPlus(), u, v, d)
+	})
+}
+
+func assignFull(full string) func(*testing.T, *rand.Rand, gridCase) (map[int]float64, map[int]float64) {
+	return fullVectors(full, func(u, _ map[int]float64) map[int]float64 { return u },
+		func(w, mask *Vector[float64], acc BinaryOp[float64, float64, float64], u, _ *Vector[float64], d *Descriptor) error {
+			return AssignVector(w, mask, acc, u, All, d)
+		})
+}
+
+func assignScalarFull(full string) func(*testing.T, *rand.Rand, gridCase) (map[int]float64, map[int]float64) {
+	const x = 2.5
+	return fullVectors(full, func(_, _ map[int]float64) map[int]float64 {
+		t := map[int]float64{}
+		for i := 0; i < gridN; i++ {
+			t[i] = x
+		}
+		return t
+	}, func(w, mask *Vector[float64], acc BinaryOp[float64, float64, float64], _, _ *Vector[float64], d *Descriptor) error {
+		return AssignVectorScalar(w, mask, acc, x, All, d)
+	})
+}
+
 const (
 	gridN  = 5
 	gridAt = 1 // the column extracted, the row or column assigned
@@ -473,6 +577,20 @@ var vecGridOps = []vecGridOp{
 		func(c *Matrix[float64], mask *Vector[float64], acc BinaryOp[float64, float64, float64], u *Vector[float64], indices []int, d *Descriptor) error {
 			return AssignCol(c, mask, acc, u, indices, gridAt, d)
 		})},
+	// Full operands on each side: the array paths of eWiseAdd, eWiseMult and
+	// the GrB_ALL assigns, under every mask, accumulator and replace setting,
+	// with the output doubling as an input or as its own mask.
+	{"EWiseAddV/u-full", false, []string{gridOutIsIn0, gridMaskIsOut}, ewiseAddFull("u")},
+	{"EWiseAddV/v-full", false, []string{gridOutIsIn0, gridMaskIsOut}, ewiseAddFull("v")},
+	{"EWiseAddV/u-v-full", false, []string{gridOutIsIn0, gridMaskIsOut}, ewiseAddFull("u v")},
+	{"EWiseMultV/u-full", false, []string{gridOutIsIn0, gridMaskIsOut}, ewiseMultFull("u")},
+	{"EWiseMultV/v-full", false, []string{gridOutIsIn0, gridMaskIsOut}, ewiseMultFull("v")},
+	{"EWiseMultV/u-v-full", false, []string{gridOutIsIn0, gridMaskIsOut}, ewiseMultFull("u v")},
+	{"AssignVector/u-full", false, []string{gridOutIsIn0, gridMaskIsOut}, assignFull("u")},
+	{"AssignVector/w-full", false, []string{gridMaskIsOut}, assignFull("w")},
+	{"AssignVector/u-w-full", false, []string{gridMaskIsOut}, assignFull("u w")},
+	{"AssignVectorScalar/w-full", false, []string{gridMaskIsOut}, assignScalarFull("w")},
+	{"AssignVectorScalar/w-partial", false, []string{gridMaskIsOut}, assignScalarFull("")},
 }
 
 // TestSweep_Fig2GridVector runs every operation of vecGridOps through the
@@ -493,5 +611,60 @@ func TestSweep_Fig2GridVector(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestFullAssignOutputNeverSharesU: over GrB_ALL the assign kernels copy u —
+// with and without an accumulator, from GrB_ALL or an explicit identity list
+// — so no later write to the output (SetElement, RemoveElement, Clear,
+// another assign) can reach u, and no write to u can reach the output, in
+// either execution mode.
+func TestFullAssignOutputNeverSharesU(t *testing.T) {
+	const n = 16
+	identity := make([]int, n)
+	for i := range identity {
+		identity[i] = i
+	}
+	for _, mode := range []Mode{Blocking, NonBlocking} {
+		for _, indices := range [][]int{All, identity} {
+			for _, accum := range []BinaryOp[float64, float64, float64]{NoAccum[float64](), plusF64()} {
+				withMode(t, mode, func() {
+					rng := rand.New(rand.NewSource(41))
+					u, ud := randVecModel(t, rng, n, 1)
+					w, _ := randVecModel(t, rng, n, 1)
+					if err := AssignVector(w, NoMaskV, accum, u, indices, nil); err != nil {
+						t.Fatal(err)
+					}
+					steps := []func() error{
+						func() error { return w.SetElement(-7, 3) },
+						func() error { return w.RemoveElement(5) },
+						func() error { return AssignVectorScalar(w, NoMaskV, plusF64(), 100, All, nil) },
+						w.Clear,
+					}
+					for k, step := range steps {
+						if err := step(); err != nil {
+							t.Fatal(err)
+						}
+						if got := vecModel(t, u); !reflect.DeepEqual(got, ud) {
+							t.Fatalf("mode %v accum %v: write %d to the output changed u: %v, was %v", mode, accum.Defined(), k, got, ud)
+						}
+					}
+					// And the other way round, from a fresh assign.
+					if err := AssignVector(w, NoMaskV, accum, u, indices, nil); err != nil {
+						t.Fatal(err)
+					}
+					wd := vecModel(t, w)
+					if err := u.SetElement(-9, 2); err != nil {
+						t.Fatal(err)
+					}
+					if err := u.RemoveElement(4); err != nil {
+						t.Fatal(err)
+					}
+					if got := vecModel(t, w); !reflect.DeepEqual(got, wd) {
+						t.Fatalf("mode %v accum %v: a write to u changed the output: %v, was %v", mode, accum.Defined(), got, wd)
+					}
+				})
+			}
+		}
 	}
 }

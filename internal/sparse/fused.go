@@ -97,42 +97,56 @@ func FusedPushMxV[DA, DU, DC any](a *CSR[DA], idx []int, get func(p int) DU, mul
 // it is the eWiseAdd union merge (positions in both combine, positions in
 // one survive — exactly what AssignExpandVec over the identity index list
 // computes); without accum the assignment replaces the content wholesale,
-// so Z is the materialized stream. The caller applies its mask merge.
+// so Z is the materialized stream. The caller applies its mask merge. A full
+// c or a full stream takes union's array path (kernels_vec.go): copy the
+// full side, fold the other in with accum(c, v) — get still runs once per
+// position, in increasing order.
 //
 //grblint:hotpath
 func FusedAssignAccum[D any](c *Vec[D], idx []int, get func(p int) D, accum func(D, D) D) *Vec[D] {
 	faults.Step("fuse.kernel.assign.accum")
 	done := obs.KernelStart("fuse.assign.accum")
 	out := &Vec[D]{N: c.N}
-	if accum == nil {
-		out.Idx = make([]int, len(idx))
+	switch {
+	case accum == nil || len(idx) == c.N:
+		out.Idx = append([]int(nil), idx...)
 		out.Val = make([]D, len(idx))
-		for p, i := range idx {
-			out.Idx[p] = i
+		for p := range out.Val {
 			out.Val[p] = get(p)
 		}
-		done(out.NVals())
-		return out
-	}
-	pc := 0
-	for p, i := range idx {
-		v := get(p)
-		for pc < len(c.Idx) && c.Idx[pc] < i {
-			out.Idx = append(out.Idx, c.Idx[pc])
-			out.Val = append(out.Val, c.Val[pc])
-			pc++
+		if accum != nil {
+			for k, i := range c.Idx {
+				out.Val[i] = accum(c.Val[k], out.Val[i])
+			}
 		}
-		if pc < len(c.Idx) && c.Idx[pc] == i {
-			out.Idx = append(out.Idx, i)
-			out.Val = append(out.Val, accum(c.Val[pc], v))
-			pc++
-		} else {
-			out.Idx = append(out.Idx, i)
-			out.Val = append(out.Val, v)
+	case c.Full():
+		out.Idx, out.Val = append([]int(nil), c.Idx...), append([]D(nil), c.Val...)
+		for p, i := range idx {
+			out.Val[i] = accum(out.Val[i], get(p))
 		}
+	default:
+		out.Idx = make([]int, 0, len(c.Idx)+len(idx))
+		out.Val = make([]D, 0, len(c.Idx)+len(idx))
+		pc := 0
+		for p, i := range idx {
+			v := get(p)
+			for pc < len(c.Idx) && c.Idx[pc] < i {
+				out.Idx = append(out.Idx, c.Idx[pc])
+				out.Val = append(out.Val, c.Val[pc])
+				pc++
+			}
+			if pc < len(c.Idx) && c.Idx[pc] == i {
+				out.Idx = append(out.Idx, i)
+				out.Val = append(out.Val, accum(c.Val[pc], v))
+				pc++
+			} else {
+				out.Idx = append(out.Idx, i)
+				out.Val = append(out.Val, v)
+			}
+		}
+		out.Idx = append(out.Idx, c.Idx[pc:]...)
+		out.Val = append(out.Val, c.Val[pc:]...)
 	}
-	out.Idx = append(out.Idx, c.Idx[pc:]...)
-	out.Val = append(out.Val, c.Val[pc:]...)
 	done(out.NVals())
 	return out
 }

@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"slices"
+
 	"graphblas/internal/faults"
 	"graphblas/internal/obs"
 )
@@ -43,12 +45,52 @@ func (a *allowsCursor) allows(i int) bool {
 	return member
 }
 
+// The full-vector rule. A vector that stores all N positions is the dense
+// array its Val already is (Vec.Full), so each kernel below checks its
+// operands once per call and, when one is full, replaces the index merge by
+// an array loop: the full side's values are copied and the other side is
+// folded in at its positions. Every operator is called on the same operands,
+// in the same argument order, as in the merge — positions in both get
+// add(a, b) or mul(a, b), positions in one keep their value — so the result
+// is the merge's, bit for bit. The output is always fresh storage, never an
+// input's slices.
+
 // VecUnion computes the eWiseAdd merge of a and b: positions in both get
 // add(a, b); positions in exactly one keep their value.
 func VecUnion[D any](a, b *Vec[D], add func(D, D) D) *Vec[D] {
-	idx, val := unionRow(a.Idx, a.Val, b.Idx, b.Val, add,
-		make([]int, 0, len(a.Idx)+len(b.Idx)), make([]D, 0, len(a.Idx)+len(b.Idx)))
-	return &Vec[D]{N: a.N, Idx: idx, Val: val}
+	done := obs.KernelStart("vec.union")
+	w := union(a, b, add)
+	done(w.NVals())
+	return w
+}
+
+// union is VecUnion's body, for the assign that runs it as one step of its
+// own kernel.
+func union[D any](a, b *Vec[D], add func(D, D) D) *Vec[D] {
+	if !a.Full() && !b.Full() {
+		idx, val := unionRow(a.Idx, a.Val, b.Idx, b.Val, add,
+			make([]int, 0, len(a.Idx)+len(b.Idx)), make([]D, 0, len(a.Idx)+len(b.Idx)))
+		return &Vec[D]{N: a.N, Idx: idx, Val: val}
+	}
+	w := &Vec[D]{N: a.N}
+	switch {
+	case a.Full() && b.Full():
+		w.Idx, w.Val = append([]int(nil), a.Idx...), append([]D(nil), a.Val...)
+		for i, bv := range b.Val[:len(w.Val)] {
+			w.Val[i] = add(w.Val[i], bv)
+		}
+	case a.Full():
+		w.Idx, w.Val = append([]int(nil), a.Idx...), append([]D(nil), a.Val...)
+		for k, i := range b.Idx {
+			w.Val[i] = add(w.Val[i], b.Val[k])
+		}
+	default:
+		w.Idx, w.Val = append([]int(nil), b.Idx...), append([]D(nil), b.Val...)
+		for k, i := range a.Idx {
+			w.Val[i] = add(a.Val[k], w.Val[i])
+		}
+	}
+	return w
 }
 
 // unionRow is the slice-level eWiseAdd merge, appending to outIdx/outVal.
@@ -80,10 +122,28 @@ func unionRow[D any](aIdx []int, aVal []D, bIdx []int, bVal []D, add func(D, D) 
 
 // VecIntersect computes the eWiseMult merge of a and b: only positions
 // present in both survive, combined with mul. The three-domain form mirrors
-// the paper's set-intersection definition of ⊗.
+// the paper's set-intersection definition of ⊗. With one side full the
+// other side's structure is the result's, so the kernel walks that side and
+// indexes the full one directly.
 func VecIntersect[DA, DB, DC any](a *Vec[DA], b *Vec[DB], mul func(DA, DB) DC) *Vec[DC] {
-	idx, val := intersectRow(a.Idx, a.Val, b.Idx, b.Val, mul, nil, nil)
-	return &Vec[DC]{N: a.N, Idx: idx, Val: val}
+	done := obs.KernelStart("vec.intersect")
+	w := &Vec[DC]{N: a.N}
+	switch {
+	case b.Full():
+		w.Idx, w.Val = append([]int(nil), a.Idx...), make([]DC, len(a.Idx))
+		for k, i := range a.Idx {
+			w.Val[k] = mul(a.Val[k], b.Val[i])
+		}
+	case a.Full():
+		w.Idx, w.Val = append([]int(nil), b.Idx...), make([]DC, len(b.Idx))
+		for k, i := range b.Idx {
+			w.Val[k] = mul(a.Val[i], b.Val[k])
+		}
+	default:
+		w.Idx, w.Val = intersectRow(a.Idx, a.Val, b.Idx, b.Val, mul, nil, nil)
+	}
+	done(w.NVals())
+	return w
 }
 
 // intersectRow is the slice-level eWiseMult merge, appending to its output
@@ -244,9 +304,14 @@ type assignEntry[D any] struct {
 }
 
 // sortAssign sorts assignment entries by target position. Target positions
-// are unique (the core layer rejects duplicate assign indices).
+// are unique (the core layer rejects duplicate assign indices). A list
+// already in order is left as it is after one pass.
 func sortAssign[D any](es []assignEntry[D]) {
-	// Insertion sort for short lists, quicksort otherwise via index perm.
+	if slices.IsSortedFunc(es, func(x, y assignEntry[D]) int { return x.target - y.target }) {
+		return
+	}
+	// Insertion sort for short lists, in-place quicksort of the entries
+	// otherwise.
 	if len(es) <= 48 {
 		for i := 1; i < len(es); i++ {
 			x := es[i]
@@ -353,35 +418,67 @@ func mergeAssign[D any](cIdx []int, cVal []D, es []assignEntry[D], accum func(D,
 // positions, entries are replaced by u's entries (deleting positions where u
 // has no entry) or, when accum is non-nil, combined with accum while keeping
 // c entries untouched where u has no entry. Target indices must be unique
-// (validated by the caller).
+// (validated by the caller); nil is GrB_ALL, the identity list.
+//
+// Over the identity every position is assigned, so Z is a copy of u without
+// an accumulator and the union of c and u with one — the merge's result,
+// run by union's array loop when either is full.
 func AssignExpandVec[D any](c, u *Vec[D], indices []int, accum func(D, D) D) *Vec[D] {
-	es := make([]assignEntry[D], len(indices))
-	pu := 0
-	for k, i := range indices {
-		es[k].target = i
-		for pu < len(u.Idx) && u.Idx[pu] < k {
-			pu++
+	done := obs.KernelStart("vec.assign")
+	var z *Vec[D]
+	switch {
+	case indices == nil && accum == nil:
+		z = &Vec[D]{N: c.N, Idx: append([]int(nil), u.Idx...), Val: append([]D(nil), u.Val...)}
+	case indices == nil:
+		z = union(c, u, accum)
+	default:
+		es := make([]assignEntry[D], len(indices))
+		pu := 0
+		for k, i := range indices {
+			es[k].target = i
+			for pu < len(u.Idx) && u.Idx[pu] < k {
+				pu++
+			}
+			if pu < len(u.Idx) && u.Idx[pu] == k {
+				es[k].val = u.Val[pu]
+				es[k].has = true
+			}
 		}
-		if pu < len(u.Idx) && u.Idx[pu] == k {
-			es[k].val = u.Val[pu]
-			es[k].has = true
-		}
+		sortAssign(es)
+		idx, val := mergeAssign(c.Idx, c.Val, es, accum)
+		z = &Vec[D]{N: c.N, Idx: idx, Val: val}
 	}
-	sortAssign(es)
-	idx, val := mergeAssign(c.Idx, c.Val, es, accum)
-	return &Vec[D]{N: c.N, Idx: idx, Val: val}
+	done(z.NVals())
+	return z
 }
 
 // AssignScalarExpandVec computes the Z content for w(indices) = scalar:
 // every assigned position receives the scalar (combined with accum when
 // present and the position already holds a value). Target indices must be
-// unique (validated by the caller).
+// unique (validated by the caller); nil is GrB_ALL. Over the identity Z is
+// full: x everywhere, or accum(c(i), x) where c holds an entry.
 func AssignScalarExpandVec[D any](c *Vec[D], x D, indices []int, accum func(D, D) D) *Vec[D] {
-	es := make([]assignEntry[D], len(indices))
-	for k, i := range indices {
-		es[k] = assignEntry[D]{target: i, val: x, has: true}
+	done := obs.KernelStart("vec.assign")
+	var z *Vec[D]
+	if indices == nil {
+		z = &Vec[D]{N: c.N, Idx: make([]int, c.N), Val: make([]D, c.N)}
+		for i := range z.Idx {
+			z.Idx[i], z.Val[i] = i, x
+		}
+		if accum != nil {
+			for k, i := range c.Idx {
+				z.Val[i] = accum(c.Val[k], x)
+			}
+		}
+	} else {
+		es := make([]assignEntry[D], len(indices))
+		for k, i := range indices {
+			es[k] = assignEntry[D]{target: i, val: x, has: true}
+		}
+		sortAssign(es)
+		idx, val := mergeAssign(c.Idx, c.Val, es, accum)
+		z = &Vec[D]{N: c.N, Idx: idx, Val: val}
 	}
-	sortAssign(es)
-	idx, val := mergeAssign(c.Idx, c.Val, es, accum)
-	return &Vec[D]{N: c.N, Idx: idx, Val: val}
+	done(z.NVals())
+	return z
 }

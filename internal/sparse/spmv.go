@@ -23,7 +23,7 @@ import (
 func DotMxV[DA, DU, DC any](a *CSR[DA], u *Vec[DU], mul func(DA, DU) DC, add func(DC, DC) DC, mask *VecMask) *Vec[DC] {
 	done := obs.KernelStart("mxv.dot")
 	var w *Vec[DC]
-	if len(u.Idx) == u.N {
+	if u.Full() {
 		w = dotCore(a, u.Val, nil, mul, add, mask)
 	} else {
 		dense := make([]DU, u.N)

@@ -31,6 +31,12 @@ func NewVec[T any](n int) *Vec[T] { return &Vec[T]{N: n} }
 // NVals reports the number of stored elements.
 func (v *Vec[T]) NVals() int { return len(v.Idx) }
 
+// Full reports whether v stores every one of its N positions. Idx is then
+// exactly 0, 1, …, N−1 (strictly increasing over [0, N)), so position i
+// sits in slot i and Val is the plain dense array: the vector kernels read
+// it as one.
+func (v *Vec[T]) Full() bool { return len(v.Idx) == v.N }
+
 // ApproxBytes estimates the heap footprint of the vector storage for the
 // observability layer's bytes-touched accounting.
 func (v *Vec[T]) ApproxBytes() int64 {
