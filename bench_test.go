@@ -623,7 +623,7 @@ func BenchmarkAblation_MaskedSpGEMM(b *testing.B) {
 		}{
 			{"slots", func() { _ = sparse.SpGEMM(l, u, mul, add, mask) }},
 			{"transpose+slots", func() { _ = sparse.SpGEMM(l, l.Transpose(), mul, add, mask) }},
-			{"dot", func() { _ = sparse.SpGEMMDotMasked(l, l, mul, add, mask) }},
+			{"dot", func() { _ = sparse.Ring[float64, float64, float64]{Mul: mul, Add: add}.SpGEMMDotMasked(l, l, mask) }},
 		} {
 			b.Run(fmt.Sprintf("scale=%d/%s", scale, v.name), func(b *testing.B) {
 				b.ReportAllocs()

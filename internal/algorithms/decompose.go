@@ -45,8 +45,7 @@ func CoreNumbers(a *core.Matrix[bool]) (*core.Vector[int64], error) {
 	}
 	toTrue := core.UnaryOp[int64, bool]{Name: "true", F: func(int64) bool { return true }}
 	toOne := core.UnaryOp[int64, int64]{Name: "one", F: func(int64) int64 { return 1 }}
-	carry := core.BinaryOp[int64, int64, int64]{Name: "carry", F: func(x int64, _ int64) int64 { return x }}
-	plusCarry, err := core.NewSemiring(builtins.PlusMonoid[int64](), carry)
+	plusCarry, err := core.NewSemiring(builtins.PlusMonoid[int64](), firstInt64)
 	if err != nil {
 		return nil, err
 	}

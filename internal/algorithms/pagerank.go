@@ -1,8 +1,6 @@
 package algorithms
 
 import (
-	"math"
-
 	"graphblas/internal/builtins"
 	"graphblas/internal/core"
 )
@@ -45,8 +43,7 @@ func PageRankFrom(a *core.Matrix[float64], start *core.Vector[float64], damping,
 	}
 	// Out-degree as a count of stored entries: A ⟨+, pair⟩ 1. A row with no
 	// entries gets no outdeg entry, as a reduce would leave it.
-	pair := core.BinaryOp[float64, float64, float64]{Name: "pair", F: func(float64, float64) float64 { return 1 }}
-	plusPair, err := core.NewSemiring(builtins.PlusMonoid[float64](), pair)
+	plusPair, err := core.NewSemiring(builtins.PlusMonoid[float64](), pairDegree)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -84,7 +81,6 @@ func PageRankFrom(a *core.Matrix[float64], start *core.Vector[float64], damping,
 	first := builtins.First[float64]()
 	plus := builtins.Plus[float64]()
 	scale := core.UnaryOp[float64, float64]{Name: "damp", F: func(x float64) float64 { return damping * x }}
-	absdiff := core.BinaryOp[float64, float64, float64]{Name: "absdiff", F: func(x, y float64) float64 { return math.Abs(x - y) }}
 
 	// The sweep's four work vectors; each is fully overwritten every sweep.
 	var work [4]*core.Vector[float64]
@@ -133,7 +129,7 @@ func PageRankFrom(a *core.Matrix[float64], start *core.Vector[float64], damping,
 			return nil, 0, err
 		}
 		// L1 change.
-		if err := core.EWiseAddV(diffV, core.NoMaskV, core.NoAccum[float64](), absdiff, next, rank, nil); err != nil {
+		if err := core.EWiseAddV(diffV, core.NoMaskV, core.NoAccum[float64](), absDiff, next, rank, nil); err != nil {
 			return nil, 0, err
 		}
 		diff, err := core.ReduceVectorToScalar(0, core.NoAccum[float64](), plusMonoid, diffV)

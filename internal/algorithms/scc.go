@@ -53,8 +53,7 @@ func SCC(a *core.Matrix[bool]) (*core.Vector[int64], error) {
 	if err := core.ApplyIndexOpV(ids, core.NoMaskV, core.NoAccum[int64](), rowid, ids, nil); err != nil {
 		return nil, err
 	}
-	carryTrue := core.BinaryOp[bool, bool, bool]{Name: "and", F: func(x, y bool) bool { return x && y }}
-	lorCarry, err := core.NewSemiring(builtins.LOrMonoid(), carryTrue)
+	lorCarry, err := core.NewSemiring(builtins.LOrMonoid(), builtins.LAnd())
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +83,7 @@ func SCC(a *core.Matrix[bool]) (*core.Vector[int64], error) {
 			if err != nil {
 				return err
 			}
-			if err := core.EWiseMultV(both, core.NoMaskV, core.NoAccum[bool](), carryTrue, outAlive, inAlive, nil); err != nil {
+			if err := core.EWiseMultV(both, core.NoMaskV, core.NoAccum[bool](), builtins.LAnd(), outAlive, inAlive, nil); err != nil {
 				return err
 			}
 			// singles = unassigned \ both.

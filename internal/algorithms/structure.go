@@ -30,8 +30,7 @@ func TriangleCount(a *core.Matrix[bool]) (int64, error) {
 	if err := core.SelectM(l, core.NoMask, core.NoAccum[bool](), tril, a, nil); err != nil {
 		return 0, err
 	}
-	pair := core.BinaryOp[bool, bool, int64]{Name: "pair", F: func(bool, bool) int64 { return 1 }}
-	plusPair, err := core.NewSemiring(builtins.PlusMonoid[int64](), pair)
+	plusPair, err := core.NewSemiring(builtins.PlusMonoid[int64](), pairCount)
 	if err != nil {
 		return 0, err
 	}
@@ -68,10 +67,9 @@ func ConnectedComponents(a *core.Matrix[bool]) (*core.Vector[int64], error) {
 	if err := core.ApplyIndexOpV(labels, core.NoMaskV, core.NoAccum[int64](), ownID, labels, nil); err != nil {
 		return nil, err
 	}
-	// l' = min(l, l min.second A): ⊗(l_k, A(k,j)) must produce l_k, so use
-	// the mixed-domain second-flipped operator ⊗(l, edge) = l.
-	carry := core.BinaryOp[int64, bool, int64]{Name: "carry", F: func(l int64, _ bool) int64 { return l }}
-	minCarry, err := core.NewSemiring(builtins.MinMonoid[int64](), carry)
+	// l' = min(l, l min.first A): ⊗(l_k, A(k,j)) must produce l_k, so ⊗ is
+	// the mixed-domain first, ⊗(l, edge) = l.
+	minCarry, err := core.NewSemiring(builtins.MinMonoid[int64](), firstLabel)
 	if err != nil {
 		return nil, err
 	}
@@ -159,10 +157,9 @@ func MIS(a *core.Matrix[bool], seed uint64) (*core.Vector[bool], error) {
 		if err := core.ApplyIndexOpV(score, cand, core.NoAccum[float64](), draw, cand, core.Desc().ReplaceOutput()); err != nil {
 			return nil, err
 		}
-		// neighborMax<cand> = score max.second A  (max over in-neighbors;
+		// neighborMax<cand> = score max.first A  (max over in-neighbors;
 		// symmetric graph makes this the neighborhood max).
-		carry := core.BinaryOp[float64, bool, float64]{Name: "carry", F: func(s float64, _ bool) float64 { return s }}
-		maxCarry, err := core.NewSemiring(maxMonoid, carry)
+		maxCarry, err := core.NewSemiring(maxMonoid, firstScore)
 		if err != nil {
 			return nil, err
 		}

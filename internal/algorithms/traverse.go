@@ -74,8 +74,7 @@ func BFSParents(a *core.Matrix[bool], source int) (*core.Vector[int64], error) {
 	}
 	// id ⊗ A: propagate the source vertex's id along edges — min.first with
 	// a mixed-domain ⊗ : int64 × bool → int64 selecting the id.
-	mul := core.BinaryOp[int64, bool, int64]{Name: "first∘cast", F: func(id int64, _ bool) int64 { return id }}
-	minFirst, err := core.NewSemiring(builtins.MinMonoid[int64](), mul)
+	minFirst, err := core.NewSemiring(builtins.MinMonoid[int64](), firstLabel)
 	if err != nil {
 		return nil, err
 	}

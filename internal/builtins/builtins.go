@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"graphblas/internal/core"
+	"graphblas/internal/sparse"
 )
 
 // Number is the constraint covering the built-in numeric GraphBLAS domains.
@@ -37,105 +38,143 @@ type Ordered = Number
 
 // --- binary operators -------------------------------------------------
 
+// Every binary operator here is made by core.PredefinedBinaryOp, which gives
+// it the opcode the kernels specialize on; its F must compute exactly what
+// that opcode names.
+
 // Plus returns the addition operator x + y (GrB_PLUS_T).
 func Plus[T Number]() core.BinaryOp[T, T, T] {
-	return core.BinaryOp[T, T, T]{Name: "plus", F: func(x, y T) T { return x + y }}
+	return core.PredefinedBinaryOp(sparse.OpPlus, "plus", func(x, y T) T { return x + y })
 }
 
 // Times returns the multiplication operator x * y (GrB_TIMES_T).
 func Times[T Number]() core.BinaryOp[T, T, T] {
-	return core.BinaryOp[T, T, T]{Name: "times", F: func(x, y T) T { return x * y }}
+	return core.PredefinedBinaryOp(sparse.OpTimes, "times", func(x, y T) T { return x * y })
 }
 
 // Minus returns the subtraction operator x - y (GrB_MINUS_T).
 func Minus[T Number]() core.BinaryOp[T, T, T] {
-	return core.BinaryOp[T, T, T]{Name: "minus", F: func(x, y T) T { return x - y }}
+	return core.PredefinedBinaryOp(sparse.OpMinus, "minus", func(x, y T) T { return x - y })
 }
 
 // Div returns the division operator x / y (GrB_DIV_T). Integer division by
 // zero follows Go semantics (panic); floating division follows IEEE-754.
 func Div[T Number]() core.BinaryOp[T, T, T] {
-	return core.BinaryOp[T, T, T]{Name: "div", F: func(x, y T) T { return x / y }}
+	return core.PredefinedBinaryOp(sparse.OpDiv, "div", func(x, y T) T { return x / y })
 }
 
 // Min returns the minimum operator (GrB_MIN_T).
 func Min[T Ordered]() core.BinaryOp[T, T, T] {
-	return core.BinaryOp[T, T, T]{Name: "min", F: func(x, y T) T {
+	return core.PredefinedBinaryOp(sparse.OpMin, "min", func(x, y T) T {
 		if y < x {
 			return y
 		}
 		return x
-	}}
+	})
 }
 
 // Max returns the maximum operator (GrB_MAX_T).
 func Max[T Ordered]() core.BinaryOp[T, T, T] {
-	return core.BinaryOp[T, T, T]{Name: "max", F: func(x, y T) T {
+	return core.PredefinedBinaryOp(sparse.OpMax, "max", func(x, y T) T {
 		if y > x {
 			return y
 		}
 		return x
-	}}
+	})
 }
 
 // First returns the operator selecting its first argument (GrB_FIRST_T).
-func First[T any]() core.BinaryOp[T, T, T] {
-	return core.BinaryOp[T, T, T]{Name: "first", F: func(x, _ T) T { return x }}
-}
+func First[T any]() core.BinaryOp[T, T, T] { return FirstOf[T, T]() }
 
 // Second returns the operator selecting its second argument (GrB_SECOND_T).
-func Second[T any]() core.BinaryOp[T, T, T] {
-	return core.BinaryOp[T, T, T]{Name: "second", F: func(_, y T) T { return y }}
+func Second[T any]() core.BinaryOp[T, T, T] { return SecondOf[T, T]() }
+
+// FirstOf returns first over mixed domains, X × Y → X (GraphBLAS 2.0's
+// GrB_FIRST_T with a typecast second operand): the value of the first
+// argument, whatever the second holds — a label carried across an edge of
+// any type.
+func FirstOf[X, Y any]() core.BinaryOp[X, Y, X] {
+	return core.PredefinedBinaryOp(sparse.OpFirst, "first", func(x X, _ Y) X { return x })
+}
+
+// SecondOf returns second over mixed domains, X × Y → Y.
+func SecondOf[X, Y any]() core.BinaryOp[X, Y, Y] {
+	return core.PredefinedBinaryOp(sparse.OpSecond, "second", func(_ X, y Y) Y { return y })
+}
+
+// Pair returns the operator that is 1 whatever its arguments hold
+// (GrB_ONEB_T): ⟨+, pair⟩ counts the entries two structures share.
+func Pair[X, Y any, Z Number]() core.BinaryOp[X, Y, Z] {
+	return core.PredefinedBinaryOp(sparse.OpPair, "pair", func(X, Y) Z { return 1 })
+}
+
+// AbsDiff returns |x − y|. For the floats it is math.Abs(x - y), bit for bit
+// (the sign of a zero or a NaN cleared); for the unsigned integers it does
+// not wrap.
+func AbsDiff[T Number]() core.BinaryOp[T, T, T] {
+	f := func(x, y T) T {
+		if x < y {
+			return y - x
+		}
+		return x - y
+	}
+	switch g := any(&f).(type) {
+	case *func(float64, float64) float64:
+		*g = func(x, y float64) float64 { return math.Abs(x - y) }
+	case *func(float32, float32) float32:
+		*g = func(x, y float32) float32 { return float32(math.Abs(float64(x - y))) }
+	}
+	return core.PredefinedBinaryOp(sparse.OpAbsDiff, "absdiff", f)
 }
 
 // --- comparison operators (result domain bool) ------------------------
 
 // Eq returns x == y (GrB_EQ_T).
 func Eq[T Number]() core.BinaryOp[T, T, bool] {
-	return core.BinaryOp[T, T, bool]{Name: "eq", F: func(x, y T) bool { return x == y }}
+	return core.PredefinedBinaryOp(sparse.OpEq, "eq", func(x, y T) bool { return x == y })
 }
 
 // Ne returns x != y (GrB_NE_T).
 func Ne[T Number]() core.BinaryOp[T, T, bool] {
-	return core.BinaryOp[T, T, bool]{Name: "ne", F: func(x, y T) bool { return x != y }}
+	return core.PredefinedBinaryOp(sparse.OpNe, "ne", func(x, y T) bool { return x != y })
 }
 
 // Lt returns x < y (GrB_LT_T).
 func Lt[T Ordered]() core.BinaryOp[T, T, bool] {
-	return core.BinaryOp[T, T, bool]{Name: "lt", F: func(x, y T) bool { return x < y }}
+	return core.PredefinedBinaryOp(sparse.OpLt, "lt", func(x, y T) bool { return x < y })
 }
 
 // Gt returns x > y (GrB_GT_T).
 func Gt[T Ordered]() core.BinaryOp[T, T, bool] {
-	return core.BinaryOp[T, T, bool]{Name: "gt", F: func(x, y T) bool { return x > y }}
+	return core.PredefinedBinaryOp(sparse.OpGt, "gt", func(x, y T) bool { return x > y })
 }
 
 // Le returns x <= y (GrB_LE_T).
 func Le[T Ordered]() core.BinaryOp[T, T, bool] {
-	return core.BinaryOp[T, T, bool]{Name: "le", F: func(x, y T) bool { return x <= y }}
+	return core.PredefinedBinaryOp(sparse.OpLe, "le", func(x, y T) bool { return x <= y })
 }
 
 // Ge returns x >= y (GrB_GE_T).
 func Ge[T Ordered]() core.BinaryOp[T, T, bool] {
-	return core.BinaryOp[T, T, bool]{Name: "ge", F: func(x, y T) bool { return x >= y }}
+	return core.PredefinedBinaryOp(sparse.OpGe, "ge", func(x, y T) bool { return x >= y })
 }
 
 // --- logical operators -------------------------------------------------
 
 // LOr returns logical or (GrB_LOR).
 func LOr() core.BinaryOp[bool, bool, bool] {
-	return core.BinaryOp[bool, bool, bool]{Name: "lor", F: func(x, y bool) bool { return x || y }}
+	return core.PredefinedBinaryOp(sparse.OpLOr, "lor", func(x, y bool) bool { return x || y })
 }
 
 // LAnd returns logical and (GrB_LAND).
 func LAnd() core.BinaryOp[bool, bool, bool] {
-	return core.BinaryOp[bool, bool, bool]{Name: "land", F: func(x, y bool) bool { return x && y }}
+	return core.PredefinedBinaryOp(sparse.OpLAnd, "land", func(x, y bool) bool { return x && y })
 }
 
 // LXor returns logical exclusive or (GrB_LXOR) — the GF(2) addition of
 // Table I.
 func LXor() core.BinaryOp[bool, bool, bool] {
-	return core.BinaryOp[bool, bool, bool]{Name: "lxor", F: func(x, y bool) bool { return x != y }}
+	return core.PredefinedBinaryOp(sparse.OpLXor, "lxor", func(x, y bool) bool { return x != y })
 }
 
 // --- unary operators ----------------------------------------------------

@@ -6,6 +6,12 @@ package core
 // parameters are the domains, so domain compatibility is checked by the Go
 // compiler rather than returned as GrB_DOMAIN_MISMATCH at run time.
 
+import (
+	"unsafe"
+
+	"graphblas/internal/sparse"
+)
+
 // UnaryOp is a GraphBLAS unary operator F_u = ⟨D1, D2, f⟩ with
 // f : D1 → D2 (Section III-B).
 type UnaryOp[D1, D2 any] struct {
@@ -27,9 +33,20 @@ func NewUnaryOp[D1, D2 any](name string, f func(D1) D2) (UnaryOp[D1, D2], error)
 
 // BinaryOp is a GraphBLAS binary operator F_b = ⟨D1, D2, D3, ⊙⟩ with
 // ⊙ : D1 × D2 → D3 (Section III-B).
+//
+// A predefined operator also carries an opcode naming it, which lets the
+// kernels compute it inline (sparse.Opcode). The opcode is set by
+// PredefinedBinaryOp alone, together with F's funcval pointer at that
+// moment, and it counts only while F is still that function: a copy whose F
+// was reassigned is a user operator. The guard compares funcvals because
+// code pointers do not identify a closure — inlining gives two Plus[float64]()
+// calls two copies of its body.
 type BinaryOp[D1, D2, D3 any] struct {
 	Name string
 	F    func(D1, D2) D3
+
+	code sparse.Opcode
+	fn   unsafe.Pointer
 }
 
 // Defined reports whether the operator has a function; the zero value plays
@@ -37,12 +54,33 @@ type BinaryOp[D1, D2, D3 any] struct {
 func (op BinaryOp[D1, D2, D3]) Defined() bool { return op.F != nil }
 
 // NewBinaryOp builds a binary operator from a function (GrB_BinaryOp_new).
+// The operator is a user's, with no opcode, whatever function it wraps.
 func NewBinaryOp[D1, D2, D3 any](name string, f func(D1, D2) D3) (BinaryOp[D1, D2, D3], error) {
 	if f == nil {
 		return BinaryOp[D1, D2, D3]{}, errf(NullPointer, "NewBinaryOp", "nil function")
 	}
 	return BinaryOp[D1, D2, D3]{Name: name, F: f}, nil
 }
+
+// PredefinedBinaryOp is the constructor of internal/builtins: the operator
+// f under name, known to the kernels as code. f must compute exactly what
+// code names over D1 × D2 → D3; the specialized loops compute that, not f.
+func PredefinedBinaryOp[D1, D2, D3 any](code sparse.Opcode, name string, f func(D1, D2) D3) BinaryOp[D1, D2, D3] {
+	return BinaryOp[D1, D2, D3]{Name: name, F: f, code: code, fn: funcval(f)}
+}
+
+// opcode is the operator's opcode for this call: OpNone unless F is still
+// the function PredefinedBinaryOp installed.
+func (op BinaryOp[D1, D2, D3]) opcode() sparse.Opcode {
+	if op.code == sparse.OpNone || funcval(op.F) != op.fn {
+		return sparse.OpNone
+	}
+	return op.code
+}
+
+// funcval is f's funcval pointer: the value a func variable holds, distinct
+// for every closure a constructor returns.
+func funcval[F any](f F) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Pointer(&f)) }
 
 // NoAccum is the explicit "do not accumulate" accumulator argument, the
 // analogue of passing GrB_NULL for accum in the C API.
@@ -123,4 +161,23 @@ func NewSemiring[D1, D2, D3 any](add Monoid[D3], mul BinaryOp[D1, D2, D3]) (Semi
 		return Semiring[D1, D2, D3]{}, errf(UninitializedObject, "NewSemiring", "multiplicative operator not initialized")
 	}
 	return Semiring[D1, D2, D3]{Add: add, Mul: mul}, nil
+}
+
+// ring is s as the kernels receive it, its opcodes read once for the call.
+func (s Semiring[D1, D2, D3]) ring() sparse.Ring[D1, D2, D3] {
+	return sparse.Ring[D1, D2, D3]{Mul: s.Mul.F, Add: s.Add.Op.F, MulOp: s.Mul.opcode(), AddOp: s.Add.Op.opcode()}
+}
+
+// flipped is ring for a caller handing the kernels ⊗'s operands swapped, as
+// VxM does: Mul is s.Mul.F with (u, a) read from the kernel's (a, u), and
+// the ring says so (Swapped), so the loops keep that order too.
+func (s Semiring[D1, D2, D3]) flipped() sparse.Ring[D2, D1, D3] {
+	f := s.Mul.F
+	return sparse.Ring[D2, D1, D3]{
+		Mul:     func(a D2, u D1) D3 { return f(u, a) },
+		Add:     s.Add.Op.F,
+		MulOp:   s.Mul.opcode(),
+		AddOp:   s.Add.Op.opcode(),
+		Swapped: true,
+	}
 }

@@ -12,37 +12,13 @@ import (
 // (internal/format): each operation asks its matrix operand which layout the
 // engine selects for the access pattern at hand and dispatches to the
 // matching kernel, with a further specialized path when the semiring is the
-// built-in arithmetic ⟨+,×⟩ over a machine-numeric domain.
+// predefined arithmetic ⟨+,×⟩ over a machine-numeric domain — known from
+// the operators' opcodes (sparse.Ring), as every specialized loop is.
 
-// plusTimesSemiring reports whether op is the built-in arithmetic ⟨+,×⟩
-// semiring over one of the domains the specialized kernels support. The
-// builtin operator names are necessary but not trusted alone — a user could
-// register an operator named "times" with different semantics — so the
-// functions are sample-evaluated (2·3 = 3·2 = 6, 2+3 = 5) before the fast
-// path is taken. The dynamic type assertion doubles as the check that all
-// three domains coincide.
-func plusTimesSemiring[DA, DB, DC any](op Semiring[DA, DB, DC]) bool {
-	if op.Mul.Name != "times" || op.Add.Op.Name != "plus" {
-		return false
-	}
-	switch mul := any(op.Mul.F).(type) {
-	case func(float64, float64) float64:
-		add, ok := any(op.Add.Op.F).(func(float64, float64) float64)
-		return ok && mul(2, 3) == 6 && mul(3, 2) == 6 && add(2, 3) == 5
-	case func(float32, float32) float32:
-		add, ok := any(op.Add.Op.F).(func(float32, float32) float32)
-		return ok && mul(2, 3) == 6 && mul(3, 2) == 6 && add(2, 3) == 5
-	case func(int, int) int:
-		add, ok := any(op.Add.Op.F).(func(int, int) int)
-		return ok && mul(2, 3) == 6 && mul(3, 2) == 6 && add(2, 3) == 5
-	case func(int32, int32) int32:
-		add, ok := any(op.Add.Op.F).(func(int32, int32) int32)
-		return ok && mul(2, 3) == 6 && mul(3, 2) == 6 && add(2, 3) == 5
-	case func(int64, int64) int64:
-		add, ok := any(op.Add.Op.F).(func(int64, int64) int64)
-		return ok && mul(2, 3) == 6 && mul(3, 2) == 6 && add(2, 3) == 5
-	}
-	return false
+// plusTimes reports whether r is the predefined ⟨+,×⟩, in either operand
+// order; the format package's arithmetic kernels check the domain.
+func plusTimes[DA, DB, DC any](r sparse.Ring[DA, DB, DC]) bool {
+	return r.MulOp == sparse.OpTimes && r.AddOp == sparse.OpPlus
 }
 
 // runFallible executes a format-engine fast path and converts a recoverable
@@ -76,41 +52,41 @@ func runFallible[T any](f func() (T, bool)) (out T, used bool, fault *faults.Fau
 
 // dotMxVDispatch runs the pull-style w = A ⊕.⊗ u kernel in the layout the
 // storage engine picks for A: the specialized bitmap arithmetic kernel when
-// the semiring is genuinely ⟨+,×⟩, the generic bitmap kernel, the
+// the semiring is the predefined ⟨+,×⟩, the generic bitmap kernel, the
 // hypersparse kernel, or the CSR reference kernel. A fast-path kernel that
 // fails with a recoverable fault (injected failure or governed allocation
 // denial) is retried once on the CSR reference path. sp (nil when tracing is
 // off) records the layout that actually produced the result and any retry.
-func dotMxVDispatch[DC, DA, DU any](a *Matrix[DA], ud *sparse.Vec[DU], op Semiring[DA, DU, DC], vm *sparse.VecMask, sp *obs.Span) *sparse.Vec[DC] {
-	r, ok, fault := runFallible(func() (*sparse.Vec[DC], bool) {
+func dotMxVDispatch[DC, DA, DU any](a *Matrix[DA], ud *sparse.Vec[DU], r sparse.Ring[DA, DU, DC], vm *sparse.VecMask, sp *obs.Span) *sparse.Vec[DC] {
+	w, ok, fault := runFallible(func() (*sparse.Vec[DC], bool) {
 		if bm := a.bitmapForRead(format.HintMxV); bm != nil {
 			fmtBitmapOps.Add(1)
-			if plusTimesSemiring(op) {
-				if r, ok := format.TryDotMxVPlusTimes(bm, ud, vm); ok {
+			if plusTimes(r) {
+				if w, ok := format.TryDotMxVPlusTimes(bm, ud, vm); ok {
 					fmtFastOps.Add(1)
 					sp.NoteLayout("bitmap-fast")
-					return r.(*sparse.Vec[DC]), true
+					return w.(*sparse.Vec[DC]), true
 				}
 			}
 			sp.NoteLayout("bitmap")
-			return format.DotMxVBitmap(bm, ud, op.Mul.F, op.Add.Op.F, vm), true
+			return format.DotMxVBitmap(bm, ud, r.Mul, r.Add, vm), true
 		}
 		if hy := a.hyperForRead(format.HintMxV); hy != nil {
 			fmtHyperOps.Add(1)
 			sp.NoteLayout("hyper")
-			return format.DotMxVHyper(hy, ud, op.Mul.F, op.Add.Op.F, vm), true
+			return format.DotMxVHyper(hy, ud, r.Mul, r.Add, vm), true
 		}
 		return nil, false
 	})
 	if ok {
-		return r
+		return w
 	}
 	if fault != nil {
 		execRetries.Add(1)
 		sp.NoteRetry()
 	}
 	sp.NoteLayout("csr")
-	return sparse.DotMxV(a.mdat(), ud, op.Mul.F, op.Add.Op.F, vm)
+	return r.DotMxV(a.mdat(), ud, vm)
 }
 
 // pushMxVDispatch runs w = Aᵀ ⊕.⊗ u, the product MxV+TRAN0 and VxM name,
@@ -119,25 +95,25 @@ func dotMxVDispatch[DC, DA, DU any](a *Matrix[DA], ud *sparse.Vec[DU], op Semiri
 // empty-row scan entirely), otherwise whichever direction pushOrPull runs on
 // the CSR store. A failed hypersparse kernel is retried once on the CSR
 // path. sp records the consumed layout and any retry, as in dotMxVDispatch.
-func pushMxVDispatch[DC, DA, DU any](a *Matrix[DA], ud *sparse.Vec[DU], mul func(DA, DU) DC, add func(DC, DC) DC, vm *sparse.VecMask, sp *obs.Span) *sparse.Vec[DC] {
-	r, ok, fault := runFallible(func() (*sparse.Vec[DC], bool) {
+func pushMxVDispatch[DC, DA, DU any](a *Matrix[DA], ud *sparse.Vec[DU], r sparse.Ring[DA, DU, DC], vm *sparse.VecMask, sp *obs.Span) *sparse.Vec[DC] {
+	w, ok, fault := runFallible(func() (*sparse.Vec[DC], bool) {
 		if hy := a.hyperForRead(format.HintMxV); hy != nil {
 			fmtHyperOps.Add(1)
 			sp.NoteLayout("hyper")
-			return format.PushMxVHyper(hy, ud, mul, add, vm), true
+			return format.PushMxVHyper(hy, ud, r.Mul, r.Add, vm), true
 		}
 		return nil, false
 	})
 	if ok {
-		return r
+		return w
 	}
 	if fault != nil {
 		execRetries.Add(1)
 		sp.NoteRetry()
 	}
 	return pushOrPull(a, ud.Idx, vm, sp,
-		func(at *sparse.CSR[DA]) *sparse.Vec[DC] { return sparse.DotMxV(at, ud, mul, add, vm) },
-		func(ad *sparse.CSR[DA]) *sparse.Vec[DC] { return sparse.PushMxV(ad, ud, mul, add, vm) })
+		func(at *sparse.CSR[DA]) *sparse.Vec[DC] { return r.DotMxV(at, ud, vm) },
+		func(ad *sparse.CSR[DA]) *sparse.Vec[DC] { return r.PushMxV(ad, ud, vm) })
 }
 
 // pushOrPull is where the engine picks a direction for w = Aᵀ ⊕.⊗ u on the
@@ -181,8 +157,8 @@ func pushOrPull[DC, DA any](a *Matrix[DA], uIdx []int, vm *sparse.VecMask, sp *o
 // vector (n, idx, get) of an upstream producer and the kernels are the fused
 // pair, which run on the CSR store only (the fused path trades the
 // alternate-layout kernels for eliding the intermediate).
-func fusedPushOrPull[DC, DA, DU any](a *Matrix[DA], n int, idx []int, get func(p int) DU, mul func(DA, DU) DC, add func(DC, DC) DC, vm *sparse.VecMask, sp *obs.Span) *sparse.Vec[DC] {
+func fusedPushOrPull[DC, DA, DU any](a *Matrix[DA], n int, idx []int, get func(p int) DU, r sparse.Ring[DA, DU, DC], vm *sparse.VecMask, sp *obs.Span) *sparse.Vec[DC] {
 	return pushOrPull(a, idx, vm, sp,
-		func(at *sparse.CSR[DA]) *sparse.Vec[DC] { return sparse.FusedDotMxV(at, n, idx, get, mul, add, vm) },
-		func(ad *sparse.CSR[DA]) *sparse.Vec[DC] { return sparse.FusedPushMxV(ad, idx, get, mul, add, vm) })
+		func(at *sparse.CSR[DA]) *sparse.Vec[DC] { return r.FusedDotMxV(at, n, idx, get, vm) },
+		func(ad *sparse.CSR[DA]) *sparse.Vec[DC] { return r.FusedPushMxV(ad, idx, get, vm) })
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -265,8 +266,9 @@ func TestUserOpNamedTimesNotFastPathed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// "times" that is actually max, "plus" that is actually min: the sample
-	// evaluation must reject these and take the generic kernel.
+	// "times" that is actually max, "plus" that is actually min: user
+	// operators carry no opcode, whatever their names, and take the generic
+	// kernel.
 	fake := Semiring[float64, float64, float64]{
 		Add: Monoid[float64]{Op: BinaryOp[float64, float64, float64]{Name: "plus", F: func(x, y float64) float64 {
 			if x < y {
@@ -323,6 +325,81 @@ func TestUserOpNamedTimesNotFastPathed(t *testing.T) {
 		}
 		if !has || vs[p] != best {
 			t.Fatalf("row %d: got %v want %v", i, vs[p], best)
+		}
+	}
+}
+
+// TestBitmapPlusTimesFoldsFromFirstProduct: the bitmap ⟨+,×⟩ fast paths
+// fold an entry from its first product, as every other layout does, so an
+// entry whose only product is −0 stays −0 (0 + −0 would be +0). Row 0 of A
+// holds −1 at column 1 and u(1) = 0; in the product A·B, B's row 1 is zeros.
+func TestBitmapPlusTimesFoldsFromFirstProduct(t *testing.T) {
+	const n = 4
+	s := plusTimesF64(t)
+	a, err := NewMatrix[float64](n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Build([]int{0, 1, 2, 3}, []int{1, 0, 2, 3}, []float64{-1, 2, 3, 4}, plusF64()); err != nil {
+		t.Fatal(err)
+	}
+	u, err := NewVector[float64](n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Build([]int{0, 1, 2, 3}, []float64{1, 0, 1, 1}, plusF64()); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SetFormat(format.BitmapKind); err != nil {
+		t.Fatal(err)
+	}
+	before := StatsSnapshot().FastKernels
+	w, err := NewVector[float64](n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := MxV(w, NoMaskV, NoAccum[float64](), s, a, u, nil); err != nil {
+		t.Fatal(err)
+	}
+	if StatsSnapshot().FastKernels == before {
+		t.Fatal("MxV did not take the bitmap ⟨+,×⟩ fast path")
+	}
+	if got, err := w.ExtractElement(0); err != nil || !math.Signbit(got) || got != 0 {
+		t.Fatalf("MxV: w(0) = %v (%v), want −0", got, err)
+	}
+
+	b, err := NewMatrix[float64](n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var is, js []int
+	var vs []float64
+	for j := 0; j < n; j++ {
+		is, js, vs = append(is, 1), append(js, j), append(vs, 0)
+	}
+	if err := b.Build(is, js, vs, plusF64()); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SetFormat(format.BitmapKind); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SetFormat(format.CSRKind); err != nil {
+		t.Fatal(err)
+	}
+	before = StatsSnapshot().FastKernels
+	c, err := NewMatrix[float64](n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := MxM(c, NoMask, NoAccum[float64](), s, a, b, nil); err != nil {
+		t.Fatal(err)
+	}
+	if StatsSnapshot().FastKernels == before {
+		t.Fatal("MxM did not take the bitmap ⟨+,×⟩ fast path")
+	}
+	for j := 0; j < n; j++ {
+		if got, err := c.ExtractElement(0, j); err != nil || !math.Signbit(got) || got != 0 {
+			t.Fatalf("MxM: C(0,%d) = %v (%v), want −0", j, got, err)
 		}
 	}
 }

@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"graphblas/internal/sparse"
 )
 
-// plusF64 / timesF64 build the arithmetic semiring pieces locally (the
+// plusF64 / plusTimesF64 build the arithmetic semiring pieces locally (the
 // builtins package depends on core, so core tests construct operators by
-// hand).
+// hand) — as predefined operators, the way builtins.PlusTimes does, so the
+// kernels see their opcodes.
 func plusF64() BinaryOp[float64, float64, float64] {
-	return BinaryOp[float64, float64, float64]{Name: "plus", F: func(x, y float64) float64 { return x + y }}
+	return PredefinedBinaryOp(sparse.OpPlus, "plus", func(x, y float64) float64 { return x + y })
 }
 
 func plusTimesF64(t *testing.T) Semiring[float64, float64, float64] {
@@ -19,7 +22,7 @@ func plusTimesF64(t *testing.T) Semiring[float64, float64, float64] {
 	if err != nil {
 		t.Fatalf("NewMonoid: %v", err)
 	}
-	mul := BinaryOp[float64, float64, float64]{Name: "times", F: func(x, y float64) float64 { return x * y }}
+	mul := PredefinedBinaryOp(sparse.OpTimes, "times", func(x, y float64) float64 { return x * y })
 	s, err := NewSemiring(add, mul)
 	if err != nil {
 		t.Fatalf("NewSemiring: %v", err)

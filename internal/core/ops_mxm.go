@@ -34,6 +34,7 @@ func MxM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC,
 		return err
 	}
 	b.noteHint(format.HintMxM)
+	r := op.ring()
 	// The span is opened here (rather than by enqueue) so the closure can
 	// record which storage layout the dispatch below consumed.
 	sp := obs.Begin(name)
@@ -68,11 +69,11 @@ func MxM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC,
 					return struct{}{}, false
 				}
 				fmtBitmapOps.Add(1)
-				if mask == nil && wb.accumF == nil && plusTimesSemiring(op) {
-					if r, ok := format.TryMxMPlusTimes(ad, bm); ok {
+				if mask == nil && wb.accumF == nil && plusTimes(r) {
+					if prod, ok := format.TryMxMPlusTimes(ad, bm); ok {
 						fmtFastOps.Add(1)
 						sp.NoteLayout("bitmap-fast")
-						out := r.(*format.Bitmap[DC])
+						out := prod.(*format.Bitmap[DC])
 						// No mask and no accumulator: the product fully
 						// overwrites C, so it can be adopted in whichever
 						// layout C's recorded consumer hint favors — the
@@ -92,13 +93,13 @@ func MxM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC,
 					}
 				}
 				sp.NoteLayout("bitmap")
-				commit(format.SpGEMMBitmap(ad, bm, op.Mul.F, op.Add.Op.F, mm))
+				commit(format.SpGEMMBitmap(ad, bm, r.Mul, r.Add, mm))
 				return struct{}{}, true
 			})
 		} else if bd, bt := b.mdatWithTranspose(); mm != nil && !mm.Comp && sparse.DotMaskedWins(ad, bd, bt, mm) {
 			_, handled, fault = runFallible(func() (struct{}, bool) {
 				sp.NoteLayout("csr-dot")
-				commit(sparse.SpGEMMDotMasked(ad, bd, op.Mul.F, op.Add.Op.F, mm))
+				commit(r.SpGEMMDotMasked(ad, bd, mm))
 				return struct{}{}, true
 			})
 		}
@@ -110,7 +111,7 @@ func MxM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC,
 			sp.NoteRetry()
 		}
 		sp.NoteLayout("csr")
-		commit(sparse.SpGEMM(ad, b.oriented(tran1), op.Mul.F, op.Add.Op.F, mm))
+		commit(r.SpGEMM(ad, b.oriented(tran1), mm))
 		return nil
 	})
 }
@@ -134,6 +135,7 @@ func MxV[DC, DA, DU, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 		return err
 	}
 	a.noteHint(format.HintMxV)
+	r := op.ring()
 	sp := obs.Begin(name)
 	s.hint, s.span = format.HintMxV, sp
 	// Fusion capabilities (fusion.go). Producer: unmasked, non-accumulating
@@ -145,9 +147,9 @@ func MxV[DC, DA, DU, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 	if mask == nil && !accum.Defined() {
 		fi.producer = mxvSource[DC]{compute: func() *sparse.Vec[DC] {
 			if tran0 {
-				return pushMxVDispatch(a, u.vdat(), op.Mul.F, op.Add.Op.F, nil, nil)
+				return pushMxVDispatch(a, u.vdat(), r, nil, nil)
 			}
-			return dotMxVDispatch(a, u.vdat(), op, nil, nil)
+			return dotMxVDispatch(a, u.vdat(), r, nil, nil)
 		}}
 	}
 	// A mask aliasing u vetoes consumption (see fuseInfo.consume): the fused
@@ -162,10 +164,10 @@ func MxV[DC, DA, DU, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 			fusedT := func(vm *sparse.VecMask, sp *obs.Span) *sparse.Vec[DC] {
 				n, idx, get := vs.vecElems()
 				if tran0 {
-					return fusedPushOrPull(a, n, idx, get, op.Mul.F, op.Add.Op.F, vm, sp)
+					return fusedPushOrPull(a, n, idx, get, r, vm, sp)
 				}
 				sp.NoteLayout("csr")
-				return sparse.FusedDotMxV(a.mdat(), n, idx, get, op.Mul.F, op.Add.Op.F, vm)
+				return r.FusedDotMxV(a.mdat(), n, idx, get, vm)
 			}
 			run := func() error {
 				vm := wb.maskNow()
@@ -186,9 +188,9 @@ func MxV[DC, DA, DU, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 		vm := wb.maskNow()
 		var t *sparse.Vec[DC]
 		if tran0 {
-			t = pushMxVDispatch(a, u.vdat(), op.Mul.F, op.Add.Op.F, vm, sp)
+			t = pushMxVDispatch(a, u.vdat(), r, vm, sp)
 		} else {
-			t = dotMxVDispatch(a, u.vdat(), op, vm, sp)
+			t = dotMxVDispatch(a, u.vdat(), r, vm, sp)
 		}
 		sp.AddBytes(t.ApproxBytes())
 		wb.write(t, vm)
@@ -213,11 +215,11 @@ func VxM[DC, DU, DA, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 	if err := s.check(op.Defined(), "semiring"); err != nil {
 		return err
 	}
-	flip := func(av DA, uv DU) DC { return op.Mul.F(uv, av) }
-	// The flipped semiring drives the same dispatch as MxV; the builtin name
-	// survives the flip, and plusTimesSemiring sample-evaluates both operand
-	// orders, so the arithmetic fast path remains reachable.
-	flipped := Semiring[DA, DU, DC]{Add: op.Add, Mul: BinaryOp[DA, DU, DC]{Name: op.Mul.Name, F: flip}}
+	// The flipped ring drives the same dispatch as MxV. It says ⊗ arrives
+	// swapped, so the specialized loops run ⟨+, first⟩ as ⟨+, second⟩ and
+	// keep min's and max's operand order, and the ⟨+,×⟩ fast paths stay
+	// reachable.
+	flipped := op.flipped()
 	a.noteHint(format.HintMxV)
 	sp := obs.Begin(name)
 	s.hint, s.span = format.HintMxV, sp
@@ -229,7 +231,7 @@ func VxM[DC, DU, DA, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 			if tran1 {
 				return dotMxVDispatch(a, u.vdat(), flipped, nil, nil)
 			}
-			return pushMxVDispatch(a, u.vdat(), flip, op.Add.Op.F, nil, nil)
+			return pushMxVDispatch(a, u.vdat(), flipped, nil, nil)
 		}}
 	}
 	// A mask aliasing u vetoes consumption, exactly as in MxV.
@@ -243,9 +245,9 @@ func VxM[DC, DU, DA, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 				n, idx, get := vs.vecElems()
 				if tran1 {
 					sp.NoteLayout("csr")
-					return sparse.FusedDotMxV(a.mdat(), n, idx, get, flip, op.Add.Op.F, vm)
+					return flipped.FusedDotMxV(a.mdat(), n, idx, get, vm)
 				}
-				return fusedPushOrPull(a, n, idx, get, flip, op.Add.Op.F, vm, sp)
+				return fusedPushOrPull(a, n, idx, get, flipped, vm, sp)
 			}
 			run := func() error {
 				vm := wb.maskNow()
@@ -268,7 +270,7 @@ func VxM[DC, DU, DA, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 		if tran1 {
 			t = dotMxVDispatch(a, u.vdat(), flipped, vm, sp)
 		} else {
-			t = pushMxVDispatch(a, u.vdat(), flip, op.Add.Op.F, vm, sp)
+			t = pushMxVDispatch(a, u.vdat(), flipped, vm, sp)
 		}
 		sp.AddBytes(t.ApproxBytes())
 		wb.write(t, vm)

@@ -115,7 +115,9 @@ type Arith interface {
 // dotMxVBitmapPlusTimes is DotMxVBitmap for the arithmetic semiring with the
 // operator calls inlined: acc += a(i,j)·u(j). This is the kernel the
 // "dense-ish mxv" benchmark point exercises; eliminating the two indirect
-// calls per entry is where the bitmap layout's speedup comes from.
+// calls per entry is where the bitmap layout's speedup comes from. The row's
+// first product starts the fold, as in every other layout: starting from 0
+// would turn a lone −0 product into +0.
 func dotMxVBitmapPlusTimes[T Arith](a *Bitmap[T], u *sparse.Vec[T], mask *sparse.VecMask) *sparse.Vec[T] {
 	faults.Step("format.kernel.bitmap.mxv.fast")
 	dense, ubits := denseWithBits(u, a.Words)
@@ -136,8 +138,14 @@ func dotMxVBitmapPlusTimes[T Arith](a *Bitmap[T], u *sparse.Vec[T], mask *sparse
 				if w == 0 {
 					continue
 				}
-				has = true
 				base := wi << 6
+				if !has {
+					j := base + bits.TrailingZeros64(w)
+					acc, has = rv[j]*dense[j], true
+					if w &= w - 1; w == 0 {
+						continue
+					}
+				}
 				if w == ^uint64(0) {
 					// Saturated word: straight-line multiply-accumulate
 					// over 64 contiguous cells, no per-bit scanning.
@@ -164,8 +172,8 @@ func dotMxVBitmapPlusTimes[T Arith](a *Bitmap[T], u *sparse.Vec[T], mask *sparse
 // TryDotMxVPlusTimes dispatches the specialized arithmetic dot kernel when
 // the any-wrapped operands are a bitmap matrix and sparse vector over a
 // supported built-in numeric domain. The caller is responsible for having
-// verified that the semiring is ⟨+,×⟩ (core checks the builtin operator
-// names and sample-evaluates the functions before calling).
+// verified that the semiring is ⟨+,×⟩ (core reads the operators' opcodes,
+// sparse.Opcode).
 func TryDotMxVPlusTimes(a, u any, mask *sparse.VecMask) (any, bool) {
 	switch am := a.(type) {
 	case *Bitmap[float64]:
@@ -357,7 +365,9 @@ func SpGEMMBitmap[DA, DB, DC any](a *sparse.CSR[DA], b *Bitmap[DB], mul func(DA,
 // word-level OR of the selected B rows and values accumulate in place in the
 // dense row, with no sparse accumulator, no per-row sort, and no final
 // assembly. This is the "materialize in the cheapest format" path for
-// near-dense products.
+// near-dense products. An output entry's first product is stored, later ones
+// added — the fold every other layout does; adding the first to the zeroed
+// cell would turn a lone −0 product into +0.
 func spGEMMBitmapPlusTimes[T Arith](a *sparse.CSR[T], b *Bitmap[T]) *Bitmap[T] {
 	faults.Step("format.kernel.bitmap.mxm.fast")
 	out := NewBitmap[T](a.NRows, b.NCols)
@@ -373,18 +383,24 @@ func spGEMMBitmapPlusTimes[T Arith](a *sparse.CSR[T], b *Bitmap[T]) *Bitmap[T] {
 					if w == 0 {
 						continue
 					}
+					old := ob[wi]
 					ob[wi] |= w
 					base := wi << 6
-					if w == ^uint64(0) {
+					if w == ^uint64(0) && old == ^uint64(0) {
 						for j := base; j < base+64; j++ {
 							ov[j] += av * bv[j]
 						}
 						continue
 					}
 					for w != 0 {
-						j := base + bits.TrailingZeros64(w)
+						bit := bits.TrailingZeros64(w)
 						w &= w - 1
-						ov[j] += av * bv[j]
+						j := base + bit
+						if old&(1<<bit) != 0 {
+							ov[j] += av * bv[j]
+						} else {
+							ov[j] = av * bv[j]
+						}
 					}
 				}
 			}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"math"
 	"sort"
 
 	"graphblas/internal/algorithms"
@@ -88,6 +87,10 @@ type Ranked struct {
 	Score  float64 `json:"score"`
 }
 
+// absDiff is PPR's |x − y|, built once: the constructor allocates its
+// closure on every call.
+var absDiff = builtins.AbsDiff[float64]()
+
 // PPRTopK runs personalized PageRank with restart vertex src and returns the
 // k highest-ranked vertices. maxIter bounds the power iteration; the
 // degradation ladder passes a reduced bound under load, trading rank
@@ -111,7 +114,6 @@ func (v View) PPRTopK(ctx context.Context, src, k int, damping, tol float64, max
 	plusMonoid := builtins.PlusMonoid[float64]()
 	div := builtins.Div[float64]()
 	damp := core.UnaryOp[float64, float64]{Name: "damp", F: func(x float64) float64 { return damping * x }}
-	absdiff := core.BinaryOp[float64, float64, float64]{Name: "absdiff", F: func(x, y float64) float64 { return math.Abs(x - y) }}
 
 	share, err := core.NewVector[float64](n)
 	if err != nil {
@@ -163,7 +165,7 @@ func (v View) PPRTopK(ctx context.Context, src, k int, damping, tol float64, max
 		if err != nil {
 			return nil, 0, err
 		}
-		if err := core.EWiseAddV(diffV, core.NoMaskV, core.NoAccum[float64](), absdiff, next, rank, nil); err != nil {
+		if err := core.EWiseAddV(diffV, core.NoMaskV, core.NoAccum[float64](), absDiff, next, rank, nil); err != nil {
 			return nil, 0, err
 		}
 		diff, err := core.ReduceVectorToScalar(0, core.NoAccum[float64](), plusMonoid, diffV)

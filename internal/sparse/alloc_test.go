@@ -51,10 +51,10 @@ func TestFusedKernelsDisabledPathAllocFree(t *testing.T) {
 		// dense scatter workspace + dotCore's rowOut + the escaping
 		// ForWeighted body closure + FromDense's Vec, Idx, Val; the presence
 		// flags (scatter and rowHas) are pooled.
-		{"FusedDotMxV", 6, func() { FusedDotMxV(a, u.N, u.Idx, get, mulF, addF, nil) }},
+		{"FusedDotMxV", 6, func() { ring(mulF, addF).FusedDotMxV(a, u.N, u.Idx, get, nil) }},
 		// Serial at one worker: SPA (struct + val + stamp) + Gather's idx and
 		// val + out Vec; pushCore's cum prefix array is pooled.
-		{"FusedPushMxV", 6, func() { FusedPushMxV(a, u.Idx, get, mulF, addF, nil) }},
+		{"FusedPushMxV", 6, func() { ring(mulF, addF).FusedPushMxV(a, u.Idx, get, nil) }},
 		// out Vec + exact-length Idx + Val on the no-accum path.
 		{"FusedAssignAccum", 3, func() { FusedAssignAccum(c, u.Idx, get, nil) }},
 	}
@@ -111,7 +111,7 @@ func TestMaskedSpGEMMAllocBudget(t *testing.T) {
 		run    func()
 	}{
 		{"SpGEMM/mask-shaped", 7, func() { SpGEMM(a, at, mulF, addF, mask) }},
-		{"SpGEMMDotMasked", 7, func() { SpGEMMDotMasked(a, a, mulF, addF, mask) }},
+		{"SpGEMMDotMasked", 7, func() { ring(mulF, addF).SpGEMMDotMasked(a, a, mask) }},
 		{"DotMaskedWins", 0, func() { DotMaskedWins(a, a, nil, mask) }},
 	}
 	for _, tc := range cases {

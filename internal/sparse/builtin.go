@@ -1,0 +1,701 @@
+package sparse
+
+import (
+	"math"
+	"math/bits"
+	"unsafe"
+)
+
+// This file holds the loops the kernels run when their semiring is
+// predefined. A kernel asks entryFor for its output domain once per call; the
+// entry views the operands as []T, looks up the loops compiled for
+// (MulOp, AddOp) over T once per chunk (lookup), and runs them. Each loop
+// folds in the order the kernel's closure loop does — the first term starts
+// the fold, terms follow in ascending position — so the results are the
+// closure loop's, bit for bit, and a (⊗, ⊕, domain) no loop covers simply
+// stays on the closure loop.
+
+// number is the set of domains the loops are compiled for. bool runs them as
+// boolean.
+type number interface {
+	int | int32 | int64 | float32 | float64 | boolean
+}
+
+// boolean is bool as the loops compute with it: a byte that is 0 or 1, on
+// which ∧ is min and ∨ is max. A bool holds the same bits, so view reads and
+// writes a []bool in place.
+type boolean uint8
+
+// The loops take ⊗ and ⊕ as type arguments, not as values. Each tag is an
+// array type of its own length, so every instantiation of a loop has a GC
+// shape of its own and is compiled on its own, and in it len of a tag — what
+// otimes and oplus switch on — is a constant the compiler folds away. What is
+// left is the operator inline as machine instructions, with no call per flop.
+type (
+	mulFirst  [1]struct{}
+	mulSecond [2]struct{}
+	mulPair   [3]struct{}
+	mulTimes  [4]struct{}
+	mulPlus   [5]struct{}
+	mulMin    [6]struct{}
+	mulMax    [7]struct{}
+	// min and max again, their operands swapped: what a Swapped ring's ⊗
+	// computes. (min(x, NaN) is x but min(NaN, x) is NaN, and ±0 tie the
+	// same way, so the order shows; × and + give the same value either way.)
+	mulMinR [8]struct{}
+	mulMaxR [9]struct{}
+
+	addPlus [1]struct{}
+	addMin  [2]struct{}
+	addMax  [3]struct{}
+)
+
+type mulTag interface {
+	mulFirst | mulSecond | mulPair | mulTimes | mulPlus | mulMin | mulMax |
+		mulMinR | mulMaxR
+}
+
+type addTag interface{ addPlus | addMin | addMax }
+
+// readsX and readsY report whether ⊗ looks at its first and its second
+// operand. The loops load an operand only when it does, so first, second and
+// pair never touch the values they ignore: ⟨+, pair⟩ counts column hits.
+func readsX[M mulTag]() bool {
+	var m M
+	return len(m) != len(mulSecond{}) && len(m) != len(mulPair{})
+}
+
+func readsY[M mulTag]() bool {
+	var m M
+	return len(m) != len(mulFirst{}) && len(m) != len(mulPair{})
+}
+
+// The three helpers below are what the loops inline per flop. Their bodies
+// call no other generic function: a nested one leaves a check of its
+// dictionary behind in the loop, which is enough to keep the compiler from
+// turning a short conditional update into a conditional move. (The loops
+// call readsX and readsY once, before they start, for the same reason.)
+
+// operands returns x[p] and y[q] for otimes, loading only those ⊗ reads —
+// readsX and readsY, spelled out.
+func operands[M mulTag, T number](x []T, p int, y []T, q int) (a, b T) {
+	var m M
+	if len(m) != len(mulSecond{}) && len(m) != len(mulPair{}) {
+		a = x[p]
+	}
+	if len(m) != len(mulFirst{}) && len(m) != len(mulPair{}) {
+		b = y[q]
+	}
+	return a, b
+}
+
+// otimes is x ⊗ y as the predefined operator computes it; min and max are
+// the predefined ones, in which the second operand wins only when it is
+// strictly less (greater), so a NaN or a tie keeps the first.
+func otimes[M mulTag, T number](x, y T) T {
+	var m M
+	switch len(m) {
+	case len(mulFirst{}):
+		return x
+	case len(mulSecond{}):
+		return y
+	case len(mulPair{}):
+		return 1
+	case len(mulTimes{}):
+		return x * y
+	case len(mulPlus{}):
+		return x + y
+	case len(mulMin{}):
+		if y < x {
+			return y
+		}
+		return x
+	case len(mulMax{}):
+		if y > x {
+			return y
+		}
+		return x
+	case len(mulMinR{}):
+		if x < y {
+			return x
+		}
+		return y
+	}
+	if x > y {
+		return x
+	}
+	return y
+}
+
+// oplus is acc ⊕ x as the predefined monoid's operator computes it.
+func oplus[A addTag, T number](acc, x T) T {
+	var a A
+	switch len(a) {
+	case len(addPlus{}):
+		return acc + x
+	case len(addMin{}):
+		if x < acc {
+			return x
+		}
+		return acc
+	}
+	if x > acc {
+		return x
+	}
+	return acc
+}
+
+// counts reports whether ⊕.⊗ is ⟨+, pair⟩, which a fold computes as a
+// count.
+func counts[M mulTag, A addTag]() bool {
+	var m M
+	var a A
+	return len(m) == len(mulPair{}) && len(a) == len(addPlus{})
+}
+
+// ones is n ones folded with +, as the closure loop adds them: T(n), except
+// where float32 stops counting at 2²⁴ (2²⁴ + 1 rounds back to 2²⁴).
+func ones[T number](n int) T {
+	if c := 1 << 24; n > c {
+		if f := T(c); f+1 == f {
+			return f
+		}
+	}
+	return T(n)
+}
+
+// saturates reports whether ⊕ has a terminal value: a value at which a fold
+// can stop, because no later term can change it, NaN included. min and max
+// (and so ∧ and ∨) have one, + has none.
+func saturates[A addTag]() bool {
+	var a A
+	return len(a) != len(addPlus{})
+}
+
+// terminal is ⊕'s terminal value over T, taken from the operator and the
+// domain, never from the monoid's user-settable Terminal: min stops at the
+// domain's least value, max at its greatest. Stopping there leaves the
+// result as it was.
+func terminal[A addTag, T number]() T {
+	var a A
+	lo, hi := bounds[T]()
+	if len(a) == len(addMin{}) {
+		return lo
+	}
+	return hi
+}
+
+// bounds returns the least and greatest values of T: ±Inf for the floats,
+// 0 and 1 (false and true) for boolean.
+func bounds[T number]() (lo, hi T) {
+	var z T
+	switch any(z).(type) {
+	case float32, float64:
+		return T(math.Inf(-1)), T(math.Inf(1))
+	case int32:
+		l, h := int32(math.MinInt32), int32(math.MaxInt32)
+		return T(l), T(h)
+	case boolean:
+		return 0, 1
+	}
+	l, h := int64(math.MinInt64), int64(math.MaxInt64)
+	return T(l), T(h)
+}
+
+// csrView is a CSR's structure with its values as []T; val is nil when the
+// matrix's domain is not T, which only a loop whose ⊗ ignores them receives.
+type csrView[T number] struct {
+	ptr, cols []int
+	val       []T
+}
+
+// loops is one (⊗, ⊕) compiled over T: the inner loop of each kernel.
+type loops[T number] interface {
+	reads() (x, y bool)
+	dot(a csrView[T], uv []T, present []bool, out []T, has []bool, lo, hi int, mask *VecMask)
+	dotMasked(a, b csrView[T], mask *MatMask, pos []int, val []T, has []bool, ptr []int, lo, hi int)
+	slot(a, b csrView[T], mask *MatMask, slot []int, val []T, has []bool, ptr []int, lo, hi int)
+	pushRow(cols []int, av []T, y T, allowed *BitSPA, comp bool, val []T, stamp []int, cur int, nz []int) []int
+	scatterRow(cols []int, av []T, y T, allowed *BitSPA, comp bool, off []int32, vals []T)
+}
+
+// ops implements loops for ⊗ = M and ⊕ = A over T. It has no fields: the
+// operators are in its type.
+type ops[T number, M mulTag, A addTag] struct{}
+
+func (*ops[T, M, A]) reads() (x, y bool) { return readsX[M](), readsY[M]() }
+
+// dot is dotCore's chunk [lo, hi): out(i) = ⊕ A(i, k) ⊗ u(k) over the
+// columns k of row i that u stores (every one when present is nil), folded in
+// ascending k from the first term and stopped once ⊕ saturates.
+//
+//grblint:hotpath
+func (*ops[T, M, A]) dot(a csrView[T], uv []T, present []bool, out []T, has []bool, lo, hi int, mask *VecMask) {
+	stop := terminal[A, T]()
+	cur := allowsCursor{mask: mask}
+	for i := lo; i < hi; i++ {
+		p, end := a.ptr[i], a.ptr[i+1]
+		if p == end || !cur.allows(i) {
+			continue
+		}
+		if present != nil {
+			for p < end && !present[a.cols[p]] {
+				p++
+			}
+			if p == end {
+				continue
+			}
+		}
+		acc := otimes[M](operands[M](a.val, p, uv, a.cols[p]))
+		if present == nil {
+			for p++; p < end && !(saturates[A]() && acc == stop); p++ {
+				acc = oplus[A](acc, otimes[M](operands[M](a.val, p, uv, a.cols[p])))
+			}
+		} else {
+			for p++; p < end && !(saturates[A]() && acc == stop); p++ {
+				if k := a.cols[p]; present[k] {
+					acc = oplus[A](acc, otimes[M](operands[M](a.val, p, uv, k)))
+				}
+			}
+		}
+		out[i], has[i] = acc, true
+	}
+}
+
+// dotMasked is SpGEMMDotMasked's chunk [lo, hi): row i of A is scattered
+// into pos, and every mask entry (i, j) folds A(i, k) ⊗ B(j, k) over the
+// columns k the two rows share, in ascending k, stopped once ⊕ saturates.
+//
+//grblint:hotpath
+func (*ops[T, M, A]) dotMasked(a, b csrView[T], mask *MatMask, pos []int, val []T, has []bool, ptr []int, lo, hi int) {
+	stop := terminal[A, T]()
+	for i := lo; i < hi; i++ {
+		base := a.ptr[i]
+		if mask.EffPtr[i] == mask.EffPtr[i+1] || base == a.ptr[i+1] {
+			continue
+		}
+		for pa := base; pa < a.ptr[i+1]; pa++ {
+			pos[a.cols[pa]] = pa + 1
+		}
+		filled := 0
+		for p := mask.EffPtr[i]; p < mask.EffPtr[i+1]; p++ {
+			j := mask.EffIdx[p]
+			if acc, ok := shared[T, M, A](a.val, pos, base, b, b.ptr[j], b.ptr[j+1], stop); ok {
+				val[p], has[p] = acc, true
+				filled++
+			}
+		}
+		ptr[i+1] = filled
+	}
+}
+
+// shared is one entry of dotMasked: A(i, k) ⊗ B(j, k) folded over the
+// columns k of B's row j — its storage [pb, end) — that A's row i holds, A's
+// entry being pos[k]−1 when pos[k] > base. ok is false when the rows share
+// no column. A function of its own so that the fold gets the registers.
+//
+//grblint:hotpath
+func shared[T number, M mulTag, A addTag](av []T, pos []int, base int, b csrView[T], pb, end int, stop T) (acc T, ok bool) {
+	if counts[M, A]() {
+		// ⟨+, pair⟩: the entry is the number of shared columns, counted
+		// without a branch: base−pos[k] is negative, its sign bit set,
+		// exactly when the column is A's.
+		n := 0
+		for _, k := range b.cols[pb:end] {
+			n += int(uint(base-pos[k]) >> (bits.UintSize - 1))
+		}
+		return ones[T](n), n > 0
+	}
+	for pb < end && pos[b.cols[pb]] <= base {
+		pb++
+	}
+	if pb == end {
+		return acc, false
+	}
+	acc = otimes[M](operands[M](av, pos[b.cols[pb]]-1, b.val, pb))
+	for pb++; pb < end && !(saturates[A]() && acc == stop); pb++ {
+		if s := pos[b.cols[pb]]; s > base {
+			acc = oplus[A](acc, otimes[M](operands[M](av, s-1, b.val, pb)))
+		}
+	}
+	return acc, true
+}
+
+// slot is spgemmMaskShaped's chunk [lo, hi): row i of the mask stamps its
+// columns with their slots, and every flop A(i, k) ⊗ B(k, j) landing on a
+// stamped column folds into its slot.
+//
+//grblint:hotpath
+func (*ops[T, M, A]) slot(a, b csrView[T], mask *MatMask, slot []int, val []T, has []bool, ptr []int, lo, hi int) {
+	rx, ry := readsX[M](), readsY[M]()
+	for i := lo; i < hi; i++ {
+		base, end := mask.EffPtr[i], mask.EffPtr[i+1]
+		if base == end || a.ptr[i] == a.ptr[i+1] {
+			continue
+		}
+		for p := base; p < end; p++ {
+			slot[mask.EffIdx[p]] = p + 1
+		}
+		filled := 0
+		for pa := a.ptr[i]; pa < a.ptr[i+1]; pa++ {
+			k := a.cols[pa]
+			var x T
+			if rx {
+				x = a.val[pa]
+			}
+			for pb := b.ptr[k]; pb < b.ptr[k+1]; pb++ {
+				s := slot[b.cols[pb]]
+				if s <= base {
+					continue
+				}
+				s--
+				var y T
+				if ry {
+					y = b.val[pb]
+				}
+				if t := otimes[M](x, y); has[s] {
+					val[s] = oplus[A](val[s], t)
+				} else {
+					val[s], has[s] = t, true
+					filled++
+				}
+			}
+		}
+		ptr[i+1] = filled
+	}
+}
+
+// pushRow is one frontier entry of pushSerial: y = u(k) scattered through
+// row k of A — its columns and, when ⊗ reads them, its values — into the
+// sparse accumulator (val, stamp, cur) past the targets the mask denies. It
+// returns the touched list with the row's new targets appended.
+//
+//grblint:hotpath
+func (*ops[T, M, A]) pushRow(cols []int, av []T, y T, allowed *BitSPA, comp bool, val []T, stamp []int, cur int, nz []int) []int {
+	rx := readsX[M]()
+	for q, i := range cols {
+		if allowed != nil && allowed.Has(i) == comp {
+			continue
+		}
+		var x T
+		if rx {
+			x = av[q]
+		}
+		if t := otimes[M](x, y); stamp[i] == cur {
+			val[i] = oplus[A](val[i], t)
+		} else {
+			stamp[i], val[i] = cur, t
+			nz = append(nz, i)
+		}
+	}
+	return nz
+}
+
+// scatterRow is one frontier entry of pushParallel's phase C: the products
+// of y = u(k) with row k of A go to the targets' next slots.
+//
+//grblint:hotpath
+func (*ops[T, M, A]) scatterRow(cols []int, av []T, y T, allowed *BitSPA, comp bool, off []int32, vals []T) {
+	rx := readsX[M]()
+	for q, i := range cols {
+		if allowed != nil && allowed.Has(i) == comp {
+			continue
+		}
+		var x T
+		if rx {
+			x = av[q]
+		}
+		vals[off[i]] = otimes[M](x, y)
+		off[i]++
+	}
+}
+
+// foldSlots is pushParallel's phase D over targets [lo, hi): each target's
+// slots folded left to right, stopped once ⊕ saturates.
+//
+//grblint:hotpath
+func foldSlots[A addTag, T number](colPtr []int, vals, out []T, has []bool, lo, hi int) {
+	stop := terminal[A, T]()
+	for i := lo; i < hi; i++ {
+		s, e := colPtr[i], colPtr[i+1]
+		if s == e {
+			continue
+		}
+		acc := vals[s]
+		for p := s + 1; p < e && !(saturates[A]() && acc == stop); p++ {
+			acc = oplus[A](acc, vals[p])
+		}
+		out[i], has[i] = acc, true
+	}
+}
+
+// loopKey is what picks a kernel's loop: its ring's opcodes, and whether ⊗
+// arrives with its operands swapped.
+type loopKey struct {
+	mul, add Opcode
+	swapped  bool
+}
+
+func (r Ring[DA, DB, DC]) key() loopKey { return loopKey{r.MulOp, r.AddOp, r.Swapped} }
+
+// lookup returns the loops for key over T, or nil when none are compiled.
+// They are compiled for the selectors first, second and pair under +, min
+// and max, and for the arithmetic semirings of the predefined set: ⟨+,×⟩,
+// ⟨min,×⟩, ⟨min,+⟩, ⟨max,+⟩, ⟨min,max⟩ and ⟨max,min⟩ — which over boolean
+// is ⟨∨,∧⟩. Swapped, first and second trade places and min and max take
+// their reversed tags; the rest give the same value in either order. hasX
+// and hasY say whether the kernel can hand ⊗'s operands over as []T; an
+// operator reading one it cannot gets none either.
+func lookup[T number](key loopKey, hasX, hasY bool) loops[T] {
+	m, a, rev := lattice(key.mul), lattice(key.add), false
+	if key.swapped {
+		switch key.mul {
+		case OpFirst:
+			m = OpSecond
+		case OpSecond:
+			m = OpFirst
+		case OpMin, OpMax:
+			rev = true
+		}
+	}
+	var l loops[T]
+	switch {
+	case m == OpFirst:
+		l = withAdd[T, mulFirst](a)
+	case m == OpSecond:
+		l = withAdd[T, mulSecond](a)
+	case m == OpPair:
+		l = withAdd[T, mulPair](a)
+	case m == OpTimes && a == OpPlus:
+		l = &ops[T, mulTimes, addPlus]{}
+	case m == OpTimes && a == OpMin:
+		l = &ops[T, mulTimes, addMin]{}
+	case m == OpPlus && a == OpMin:
+		l = &ops[T, mulPlus, addMin]{}
+	case m == OpPlus && a == OpMax:
+		l = &ops[T, mulPlus, addMax]{}
+	case m == OpMax && a == OpMin:
+		l = pick[T, mulMax, mulMaxR, addMin](rev)
+	case m == OpMin && a == OpMax:
+		l = pick[T, mulMin, mulMinR, addMax](rev)
+	}
+	if l == nil {
+		return nil
+	}
+	if x, y := l.reads(); x && !hasX || y && !hasY {
+		return nil
+	}
+	return l
+}
+
+// pick is ⟨A, M⟩'s loops, or ⟨A, R⟩'s — M with its operands swapped.
+func pick[T number, M, R mulTag, A addTag](rev bool) loops[T] {
+	if rev {
+		return &ops[T, R, A]{}
+	}
+	return &ops[T, M, A]{}
+}
+
+func withAdd[T number, M mulTag](add Opcode) loops[T] {
+	switch add {
+	case OpPlus:
+		return &ops[T, M, addPlus]{}
+	case OpMin:
+		return &ops[T, M, addMin]{}
+	case OpMax:
+		return &ops[T, M, addMax]{}
+	}
+	return nil
+}
+
+// lattice names ∧ and ∨ by what they are on boolean, min and max. Only bool
+// has them, and bool has no min or max of its own, so the two never meet.
+func lattice(c Opcode) Opcode {
+	switch c {
+	case OpLAnd:
+		return OpMin
+	case OpLOr:
+		return OpMax
+	}
+	return c
+}
+
+// holds reports whether the domain D is T's: D is T, or D is bool and T
+// boolean.
+func holds[T number, D any]() bool {
+	switch any([]D(nil)).(type) {
+	case []T:
+		return true
+	case []bool:
+		_, ok := any([]T(nil)).([]boolean)
+		return ok
+	}
+	return false
+}
+
+// view returns x, one of a kernel's []D, as []T — a []bool as its own bytes
+// seen as []boolean — and nil when D is not T's domain.
+func view[T number](x any) []T {
+	if b, ok := x.([]bool); ok {
+		x = unsafe.Slice((*boolean)(unsafe.Pointer(unsafe.SliceData(b))), len(b))
+	}
+	v, _ := x.([]T)
+	return v
+}
+
+// scalar returns x, a value of a domain T holds, as T.
+func scalar[T number, D any](x D) T {
+	switch v := any(x).(type) {
+	case T:
+		return v
+	case bool:
+		if v {
+			return 1
+		}
+	}
+	return 0
+}
+
+// entry is where a kernel meets the loops: one implementation per domain T,
+// chosen from the output domain DC by entryFor. Each method views the
+// kernel's operands as []T, looks the loops up and runs them, or reports
+// false, having done nothing, when there are none — the kernel then runs
+// its closure loop.
+type entry[DA, DB, DC any] interface {
+	dot(key loopKey, a *CSR[DA], dense []DB, present []bool, out []DC, has []bool, lo, hi int, mask *VecMask) bool
+	dotMasked(key loopKey, a *CSR[DA], b *CSR[DB], mask *MatMask, pos []int, val []DC, has []bool, ptr []int, lo, hi int) bool
+	slot(key loopKey, a *CSR[DA], b *CSR[DB], mask *MatMask, slot []int, val []DC, has []bool, ptr []int, lo, hi int) bool
+	push(key loopKey, a *CSR[DA], uIdx []int, uval func(int) DB, allowed *BitSPA, comp bool, val []DC, stamp []int, cur int, nz []int) ([]int, bool)
+	scatter(key loopKey, a *CSR[DA], uIdx []int, uval func(int) DB, allowed *BitSPA, comp bool, off []int32, vals []DC, lo, hi int) bool
+	fold(add Opcode, colPtr []int, vals, out []DC, has []bool, lo, hi int) bool
+}
+
+// entryFor returns the entry for DC, or nil when the ring's operators are
+// not both predefined or DC is a domain no loop is compiled for. It is what
+// a kernel asks once per call; a user's semiring costs it two compares.
+func entryFor[DA, DB, DC any](key loopKey) entry[DA, DB, DC] {
+	if key.mul == OpNone || key.add == OpNone {
+		return nil
+	}
+	switch any([]DC(nil)).(type) {
+	case []float64:
+		return &domain[float64, DA, DB, DC]{}
+	case []float32:
+		return &domain[float32, DA, DB, DC]{}
+	case []int64:
+		return &domain[int64, DA, DB, DC]{}
+	case []int32:
+		return &domain[int32, DA, DB, DC]{}
+	case []int:
+		return &domain[int, DA, DB, DC]{}
+	case []bool:
+		return &domain[boolean, DA, DB, DC]{}
+	}
+	return nil
+}
+
+// domain implements entry for kernels whose output domain DC is T's.
+type domain[T number, DA, DB, DC any] struct{}
+
+func viewCSR[T number, D any](m *CSR[D]) csrView[T] {
+	return csrView[T]{ptr: m.Ptr, cols: m.ColIdx, val: view[T](m.Val)}
+}
+
+// The entry methods below view the output as []T unchecked: entryFor chose T
+// from DC.
+
+func (*domain[T, DA, DB, DC]) dot(key loopKey, a *CSR[DA], dense []DB, present []bool, out []DC, has []bool, lo, hi int, mask *VecMask) bool {
+	l := lookup[T](key, holds[T, DA](), holds[T, DB]())
+	if l == nil {
+		return false
+	}
+	l.dot(viewCSR[T](a), view[T](dense), present, view[T](out), has, lo, hi, mask)
+	return true
+}
+
+func (*domain[T, DA, DB, DC]) dotMasked(key loopKey, a *CSR[DA], b *CSR[DB], mask *MatMask, pos []int, val []DC, has []bool, ptr []int, lo, hi int) bool {
+	l := lookup[T](key, holds[T, DA](), holds[T, DB]())
+	if l == nil {
+		return false
+	}
+	l.dotMasked(viewCSR[T](a), viewCSR[T](b), mask, pos, view[T](val), has, ptr, lo, hi)
+	return true
+}
+
+func (*domain[T, DA, DB, DC]) slot(key loopKey, a *CSR[DA], b *CSR[DB], mask *MatMask, slot []int, val []DC, has []bool, ptr []int, lo, hi int) bool {
+	l := lookup[T](key, holds[T, DA](), holds[T, DB]())
+	if l == nil {
+		return false
+	}
+	l.slot(viewCSR[T](a), viewCSR[T](b), mask, slot, view[T](val), has, ptr, lo, hi)
+	return true
+}
+
+// push runs pushSerial's pass into the sparse accumulator's parts (handing
+// over the accumulator itself would move it to the heap) and returns its
+// grown touched list. u's value at a frontier position is fetched only when
+// ⊗ reads it, once, in position order.
+func (*domain[T, DA, DB, DC]) push(key loopKey, a *CSR[DA], uIdx []int, uval func(int) DB, allowed *BitSPA, comp bool, val []DC, stamp []int, cur int, nz []int) ([]int, bool) {
+	okA := holds[T, DA]()
+	l := lookup[T](key, okA, holds[T, DB]())
+	if l == nil {
+		return nz, false
+	}
+	_, readsU := l.reads()
+	av, w := view[T](a.Val), view[T](val)
+	for pu, k := range uIdx {
+		var y T
+		if readsU {
+			y = scalar[T](uval(pu))
+		}
+		p, end := a.Ptr[k], a.Ptr[k+1]
+		nz = l.pushRow(a.ColIdx[p:end], rowVals(av, okA, p, end), y, allowed, comp, w, stamp, cur, nz)
+	}
+	return nz, true
+}
+
+// scatter runs pushParallel's phase C over frontier positions [lo, hi),
+// fetching u's values as push does.
+func (*domain[T, DA, DB, DC]) scatter(key loopKey, a *CSR[DA], uIdx []int, uval func(int) DB, allowed *BitSPA, comp bool, off []int32, vals []DC, lo, hi int) bool {
+	okA := holds[T, DA]()
+	l := lookup[T](key, okA, holds[T, DB]())
+	if l == nil {
+		return false
+	}
+	_, readsU := l.reads()
+	av, w := view[T](a.Val), view[T](vals)
+	for k := lo; k < hi; k++ {
+		var y T
+		if readsU {
+			y = scalar[T](uval(k))
+		}
+		p, end := a.Ptr[uIdx[k]], a.Ptr[uIdx[k]+1]
+		l.scatterRow(a.ColIdx[p:end], rowVals(av, okA, p, end), y, allowed, comp, off, w)
+	}
+	return true
+}
+
+// fold runs pushParallel's phase D over targets [lo, hi). ⊗ has run by
+// then, so only ⊕ picks the loop.
+func (*domain[T, DA, DB, DC]) fold(add Opcode, colPtr []int, vals, out []DC, has []bool, lo, hi int) bool {
+	vs, w := view[T](vals), view[T](out)
+	switch lattice(add) {
+	case OpPlus:
+		foldSlots[addPlus](colPtr, vs, w, has, lo, hi)
+	case OpMin:
+		foldSlots[addMin](colPtr, vs, w, has, lo, hi)
+	case OpMax:
+		foldSlots[addMax](colPtr, vs, w, has, lo, hi)
+	default:
+		return false
+	}
+	return true
+}
+
+// rowVals is av[p:end], or nil when A's values are not []T.
+func rowVals[T number](av []T, ok bool, p, end int) []T {
+	if !ok {
+		return nil
+	}
+	return av[p:end]
+}

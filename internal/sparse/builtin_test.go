@@ -1,0 +1,139 @@
+package sparse
+
+import (
+	"math"
+	"testing"
+
+	"graphblas/internal/obs"
+	"graphblas/internal/parallel"
+)
+
+// TestBuiltinLoopTable pins which (⊗, ⊕, domain) the kernels specialize:
+// exactly the pairs lookup documents, over every domain entryFor maps, and
+// nothing for a user operator or a domain without loops. The bit-identity of
+// each against its closure loop is builtins' TestQuickBuiltinKernelsBitIdentical,
+// which runs this same table through the operations.
+func TestBuiltinLoopTable(t *testing.T) {
+	selectors := []Opcode{OpFirst, OpSecond, OpPair}
+	var want [][2]Opcode
+	for _, m := range selectors {
+		for _, a := range []Opcode{OpPlus, OpMin, OpMax} {
+			want = append(want, [2]Opcode{m, a})
+		}
+	}
+	want = append(want,
+		[2]Opcode{OpTimes, OpPlus}, [2]Opcode{OpTimes, OpMin}, [2]Opcode{OpPlus, OpMin},
+		[2]Opcode{OpPlus, OpMax}, [2]Opcode{OpMax, OpMin}, [2]Opcode{OpMin, OpMax})
+	covered := map[[2]Opcode]bool{}
+	for _, p := range want {
+		covered[p] = true
+	}
+	// ∨ and ∧ stand for max and min (lattice); only bool has them.
+	for m := OpNone; m <= OpLXor; m++ {
+		for a := OpNone; a <= OpLXor; a++ {
+			if got := lookup[float64](loopKey{mul: m, add: a}, true, true) != nil; got != covered[[2]Opcode{lattice(m), lattice(a)}] {
+				t.Errorf("float64 %v.%v: specialized %v, want %v", a, m, got, !got)
+			}
+		}
+	}
+	// bool runs ∨ and ∧ as max and min: ⟨∨,∧⟩ is ⟨max,min⟩.
+	for _, p := range [][2]Opcode{{OpLAnd, OpLOr}, {OpFirst, OpLOr}, {OpSecond, OpLAnd}, {OpLOr, OpLAnd}} {
+		if lookup[boolean](loopKey{mul: p[0], add: p[1]}, true, true) == nil {
+			t.Errorf("bool %v.%v: not specialized", p[1], p[0])
+		}
+	}
+	if entryFor[float64, float64, float64](loopKey{mul: OpTimes}) != nil || entryFor[float64, float64, float64](loopKey{add: OpPlus}) != nil {
+		t.Error("a ring with a user operator got loops")
+	}
+	if entryFor[uint8, uint8, uint8](loopKey{mul: OpTimes, add: OpPlus}) != nil {
+		t.Error("uint8 got loops; none are compiled for it")
+	}
+	// An operand ⊗ reads but the kernel cannot hand over as []T (a mixed
+	// domain only a user's operator could have) leaves the call on closures.
+	if lookup[int64](loopKey{mul: OpFirst, add: OpPlus}, false, true) != nil || lookup[int64](loopKey{mul: OpSecond, add: OpPlus}, true, false) != nil {
+		t.Error("loops that read an operand the kernel lacks")
+	}
+	if lookup[int64](loopKey{mul: OpPair, add: OpPlus}, false, false) == nil {
+		t.Error("pair reads no operand and needs none")
+	}
+}
+
+// TestDotStopsAtTerminal proves the early exit: each row's first term is the
+// monoid's terminal value — a BFS row pulled over ⟨∨,∧⟩ whose first
+// in-neighbour is on the frontier, a min row at −Inf, a max row at +Inf —
+// and its later columns lie past the end of u, which a fold that read them
+// would index out of range. The specialized loop stops at the first term;
+// the closure loop would panic.
+func TestDotStopsAtTerminal(t *testing.T) {
+	parallel.SetMaxWorkersForTest(t, 1)
+	const n = 4
+	malformed := func(val func(p int) float64) *CSR[float64] {
+		a := &CSR[float64]{NRows: 1, NCols: n, Ptr: []int{0, 3}, ColIdx: []int{1, n + 5, n + 9}}
+		for p := range a.ColIdx {
+			a.Val = append(a.Val, val(p))
+		}
+		return a
+	}
+	u := FromDense([]float64{7, math.Inf(-1), 7, 7}, []bool{true, true, true, true})
+	min := Ring[float64, float64, float64]{MulOp: OpSecond, AddOp: OpMin}
+	if w := min.DotMxV(malformed(func(int) float64 { return 1 }), u, nil); w.NVals() != 1 || !math.IsInf(w.Val[0], -1) {
+		t.Fatalf("min row = %v, want −Inf", w.Val)
+	}
+	max := Ring[float64, float64, float64]{MulOp: OpFirst, AddOp: OpMax}
+	if w := max.DotMxV(malformed(func(int) float64 { return math.Inf(1) }), u, nil); w.NVals() != 1 || !math.IsInf(w.Val[0], 1) {
+		t.Fatalf("max row = %v, want +Inf", w.Val)
+	}
+
+	// The BFS row: Aᵀ's row for vertex 0 lists in-neighbours 1, then two
+	// past the end; the frontier holds vertex 1.
+	at := &CSR[bool]{NRows: 1, NCols: n, Ptr: []int{0, 3}, ColIdx: []int{1, n + 5, n + 9}, Val: []bool{true, true, true}}
+	frontier := FromDense([]bool{false, true, false, false}, []bool{true, true, true, true})
+	lorLand := Ring[bool, bool, bool]{MulOp: OpLAnd, AddOp: OpLOr}
+	if w := lorLand.DotMxV(at, frontier, nil); w.NVals() != 1 || !w.Val[0] {
+		t.Fatalf("BFS row = %v, want discovered", w.Val)
+	}
+}
+
+// TestBuiltinKernelsAllocBudget holds the specialized loops to the closure
+// loops' budgets (TestDotMxVFullVectorAllocBudget, TestMaskedSpGEMMAllocBudget,
+// TestFusedKernelsDisabledPathAllocFree): picking a loop — the entry, the
+// views of the operands, the loop set — allocates nothing.
+func TestBuiltinKernelsAllocBudget(t *testing.T) {
+	parallel.SetMaxWorkersForTest(t, 1)
+	prev := obs.SetTracer(nil)
+	defer obs.SetTracer(prev)
+
+	const n = 64
+	a := allocFixture(t, n)
+	at := a.Transpose()
+	full, partial := NewVec[float64](n), NewVec[float64](n)
+	for i := 0; i < n; i++ {
+		full.Idx, full.Val = append(full.Idx, i), append(full.Val, float64(i)*0.25)
+		if i%3 != 0 {
+			partial.Idx, partial.Val = append(partial.Idx, i), append(partial.Val, float64(i))
+		}
+	}
+	get := func(p int) float64 { return partial.Val[p] }
+	mask := &MatMask{NCols: a.NCols, EffPtr: a.Ptr, EffIdx: a.ColIdx, StrPtr: a.Ptr, StrIdx: a.ColIdx}
+	r := Ring[float64, float64, float64]{Mul: mulF, Add: addF, MulOp: OpTimes, AddOp: OpPlus}
+	cases := []struct {
+		name   string
+		budget float64
+		run    func()
+	}{
+		{"DotMxV/full", 5, func() { r.DotMxV(at, full, nil) }},
+		{"DotMxV/partial", 6, func() { r.DotMxV(at, partial, nil) }},
+		{"FusedDotMxV", 6, func() { r.FusedDotMxV(a, partial.N, partial.Idx, get, nil) }},
+		{"FusedPushMxV", 6, func() { r.FusedPushMxV(a, partial.Idx, get, nil) }},
+		{"SpGEMM/mask-shaped", 7, func() { r.SpGEMM(a, at, mask) }},
+		{"SpGEMMDotMasked", 7, func() { r.SpGEMMDotMasked(a, a, mask) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.run() // warm the pool shelves so steady state is measured
+			if allocs := testing.AllocsPerRun(100, tc.run); allocs != tc.budget {
+				t.Errorf("%s allocates %.1f per call, budget %.0f — a new hot-path allocation needs pooling or a reviewed budget bump", tc.name, allocs, tc.budget)
+			}
+		})
+	}
+}

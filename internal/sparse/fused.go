@@ -13,10 +13,11 @@ import (
 // producer's output is never built. Contract shared by all kernels here:
 // get is called exactly once per stream position — in increasing position
 // order on every path except pushCore's parallel scatter, which evaluates
-// contiguous position chunks concurrently — so get must be a pure function
-// of committed state (the core's sources are: closures over immutable
-// committed stores). Values, and therefore results, are identical to
-// materializing first regardless of evaluation order.
+// contiguous position chunks concurrently, and except pushCore's loops for a
+// predefined ⊗ that ignores u (first, pair), which call it not at all — so
+// get must be a pure function of committed state (the core's sources are:
+// closures over immutable committed stores). Values, and therefore results,
+// are identical to materializing first regardless of evaluation order.
 //
 // Each kernel draws its own fault site ("fuse.kernel.*", registered in
 // faults.KernelSites) and reports its own obs timing, so fused execution
@@ -53,7 +54,7 @@ func FusedVecMap[DA, DC any](n int, idx []int, get func(p int) DA, f func(DA) DC
 // dotCore either way.
 //
 //grblint:hotpath
-func FusedDotMxV[DA, DU, DC any](a *CSR[DA], n int, idx []int, get func(p int) DU, mul func(DA, DU) DC, add func(DC, DC) DC, mask *VecMask) *Vec[DC] {
+func (r Ring[DA, DU, DC]) FusedDotMxV(a *CSR[DA], n int, idx []int, get func(p int) DU, mask *VecMask) *Vec[DC] {
 	faults.Step("fuse.kernel.mxv.dot")
 	done := obs.KernelStart("fuse.mxv.dot")
 	dense := make([]DU, n)
@@ -62,14 +63,14 @@ func FusedDotMxV[DA, DU, DC any](a *CSR[DA], n int, idx []int, get func(p int) D
 		for p := range idx {
 			dense[p] = get(p)
 		}
-		w = dotCore(a, dense, nil, mul, add, mask)
+		w = dotCore(a, dense, nil, r, mask)
 	} else {
 		present := pool.GetBools(n)
 		for p, i := range idx {
 			dense[i] = get(p)
 			present[i] = true
 		}
-		w = dotCore(a, dense, present, mul, add, mask)
+		w = dotCore(a, dense, present, r, mask)
 		pool.PutBools(present)
 	}
 	done(w.NVals())
@@ -83,10 +84,10 @@ func FusedDotMxV[DA, DU, DC any](a *CSR[DA], n int, idx []int, get func(p int) D
 // Bit-exact with materialize-then-PushMxV (pushCore is shared).
 //
 //grblint:hotpath
-func FusedPushMxV[DA, DU, DC any](a *CSR[DA], idx []int, get func(p int) DU, mul func(DA, DU) DC, add func(DC, DC) DC, mask *VecMask) *Vec[DC] {
+func (r Ring[DA, DU, DC]) FusedPushMxV(a *CSR[DA], idx []int, get func(p int) DU, mask *VecMask) *Vec[DC] {
 	faults.Step("fuse.kernel.mxv.push")
 	done := obs.KernelStart("fuse.mxv.push")
-	w := pushCore(a, idx, get, mul, add, mask)
+	w := pushCore(a, idx, get, r, mask)
 	done(w.NVals())
 	return w
 }

@@ -119,13 +119,13 @@ func TestFusedKernels_MatchMaterialized(t *testing.T) {
 		})
 		t.Run("dot/"+name, func(t *testing.T) {
 			sn, sidx, get := vecStream(u)
-			got := FusedDotMxV(a, sn, sidx, get, mulF, addF, mask)
+			got := ring(mulF, addF).FusedDotMxV(a, sn, sidx, get, mask)
 			want := DotMxV(a, u, mulF, addF, mask)
 			requireBitIdentical(t, "FusedDotMxV/"+name, got, want)
 		})
 		t.Run("push/"+name, func(t *testing.T) {
 			_, sidx, get := vecStream(u)
-			got := FusedPushMxV(a, sidx, get, mulF, addF, mask)
+			got := ring(mulF, addF).FusedPushMxV(a, sidx, get, mask)
 			want := PushMxV(a, u, mulF, addF, mask)
 			requireBitIdentical(t, "FusedPushMxV/"+name, got, want)
 		})
@@ -186,7 +186,7 @@ func TestFusedKernels_GetDiscipline(t *testing.T) {
 	requireOrdered("map", *calls)
 
 	get, calls = recorded()
-	FusedDotMxV(a, u.N, u.Idx, get, mulF, addF, nil)
+	ring(mulF, addF).FusedDotMxV(a, u.N, u.Idx, get, nil)
 	requireOrdered("dot", *calls)
 
 	get, calls = recorded()
@@ -196,7 +196,7 @@ func TestFusedKernels_GetDiscipline(t *testing.T) {
 	// Below pushParallelMinWork the push kernel is the serial SPA pass and
 	// the ordered contract holds there too.
 	get, calls = recorded()
-	FusedPushMxV(a, u.Idx, get, mulF, addF, nil)
+	ring(mulF, addF).FusedPushMxV(a, u.Idx, get, nil)
 	requireOrdered("push-serial", *calls)
 }
 
@@ -250,12 +250,12 @@ func TestPushMxV_ParallelGetOnce(t *testing.T) {
 
 	var mu sync.Mutex
 	counts := make([]int, len(u.Idx))
-	got := FusedPushMxV(a, u.Idx, func(p int) float64 {
+	got := ring(mulF, addF).FusedPushMxV(a, u.Idx, func(p int) float64 {
 		mu.Lock()
 		counts[p]++
 		mu.Unlock()
 		return u.Val[p]
-	}, mulF, addF, nil)
+	}, nil)
 	for p, c := range counts {
 		if c != 1 {
 			t.Fatalf("frontier position %d evaluated %d times, want exactly once", p, c)

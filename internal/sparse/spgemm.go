@@ -20,11 +20,20 @@ import (
 // non-complemented mask *is* the output's structure and takes the
 // slot-accumulating kernel below.
 //
-//grblint:hotpath
+// This is the closure form, as DotMxV's is; Ring.SpGEMM takes a semiring.
 func SpGEMM[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC, add func(DC, DC) DC, mask *MatMask) *CSR[DC] {
+	return Ring[DA, DB, DC]{Mul: mul, Add: add}.SpGEMM(a, b, mask)
+}
+
+// SpGEMM is Gustavson's product under r; the mask-shaped kernel runs r's
+// specialized loop when there is one.
+//
+//grblint:hotpath
+func (r Ring[DA, DB, DC]) SpGEMM(a *CSR[DA], b *CSR[DB], mask *MatMask) *CSR[DC] {
 	if mask != nil && !mask.Comp {
-		return spgemmMaskShaped(a, b, mul, add, mask)
+		return spgemmMaskShaped(a, b, r, mask)
 	}
+	mul, add := r.Mul, r.Add
 	faults.Step("sparse.kernel.spgemm")
 	done := obs.KernelStart("spgemm")
 	ri := make([][]int, a.NRows)
@@ -103,7 +112,7 @@ func SpGEMM[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC, add fun
 // bit-identical to the unmasked product filtered by the mask.
 //
 //grblint:hotpath
-func spgemmMaskShaped[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC, add func(DC, DC) DC, mask *MatMask) *CSR[DC] {
+func spgemmMaskShaped[DA, DB, DC any](a *CSR[DA], b *CSR[DB], r Ring[DA, DB, DC], mask *MatMask) *CSR[DC] {
 	faults.Step("sparse.kernel.spgemm.masked")
 	done := obs.KernelStart("spgemm.masked")
 	nm := mask.EffPtr[a.NRows]
@@ -111,6 +120,9 @@ func spgemmMaskShaped[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) D
 	has := pool.GetBools(nm)
 	defer pool.PutBools(has)
 	ptr := make([]int, a.NRows+1)
+	key := r.key()
+	spec := entryFor[DA, DB, DC](key)
+	mul, add := r.Mul, r.Add
 	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
 		// slot[j] is 1 + the position of column j in mask.EffIdx. Positions
 		// only grow along the rows of a chunk, so "stamped by the current
@@ -118,6 +130,9 @@ func spgemmMaskShaped[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) D
 		// table is never cleared.
 		slot := pool.GetInts(b.NCols)
 		defer pool.PutInts(slot)
+		if spec != nil && spec.slot(key, a, b, mask, slot, val, has, ptr, lo, hi) {
+			return
+		}
 		for i := lo; i < hi; i++ {
 			base, end := mask.EffPtr[i], mask.EffPtr[i+1]
 			if base == end || a.Ptr[i] == a.Ptr[i+1] {
@@ -163,9 +178,11 @@ func spgemmMaskShaped[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) D
 // SpGEMM(a, b.Transpose(), …, mask). Work is Σ_{(i,j)∈M} |B(j)| against
 // Gustavson's Σ_{(i,k)∈A} |Bᵀ(k)| plus the transpose; DotMaskedWins compares
 // the two. Rows are partitioned by mask entries, which is where the work is.
+// Under a predefined ⟨+, pair⟩ — TriangleCount's — an entry is a count of
+// the columns the two rows share, read from their ColIdx alone.
 //
 //grblint:hotpath
-func SpGEMMDotMasked[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC, add func(DC, DC) DC, mask *MatMask) *CSR[DC] {
+func (r Ring[DA, DB, DC]) SpGEMMDotMasked(a *CSR[DA], b *CSR[DB], mask *MatMask) *CSR[DC] {
 	faults.Step("sparse.kernel.spgemm.dot")
 	done := obs.KernelStart("spgemm.dot")
 	nm := mask.EffPtr[a.NRows]
@@ -173,12 +190,18 @@ func SpGEMMDotMasked[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC
 	has := pool.GetBools(nm)
 	defer pool.PutBools(has)
 	ptr := make([]int, a.NRows+1)
+	key := r.key()
+	spec := entryFor[DA, DB, DC](key)
+	mul, add := r.Mul, r.Add
 	parallel.ForWeighted(a.NRows, mask.EffPtr, func(lo, hi int) {
 		// pos[k] is 1 + the storage position of A(i, k); as with the slot
 		// table, positions grow along the rows of a chunk and the row's
 		// first position tells current from stale.
 		pos := pool.GetInts(a.NCols)
 		defer pool.PutInts(pos)
+		if spec != nil && spec.dotMasked(key, a, b, mask, pos, val, has, ptr, lo, hi) {
+			return
+		}
 		for i := lo; i < hi; i++ {
 			base := a.Ptr[i]
 			if mask.EffPtr[i] == mask.EffPtr[i+1] || base == a.Ptr[i+1] {

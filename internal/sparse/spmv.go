@@ -19,12 +19,22 @@ import (
 // benefit of the API carrying the mask into the operation rather than
 // filtering afterwards.
 //
-//grblint:hotpath
+// This is the closure form, for callers holding plain functions: it runs the
+// closure loop. Ring.DotMxV is the same kernel for a semiring whose
+// operators may be predefined.
 func DotMxV[DA, DU, DC any](a *CSR[DA], u *Vec[DU], mul func(DA, DU) DC, add func(DC, DC) DC, mask *VecMask) *Vec[DC] {
+	return Ring[DA, DU, DC]{Mul: mul, Add: add}.DotMxV(a, u, mask)
+}
+
+// DotMxV is the pull kernel under r: a predefined (⊗, ⊕) runs its
+// specialized loop, anything else the closures.
+//
+//grblint:hotpath
+func (r Ring[DA, DU, DC]) DotMxV(a *CSR[DA], u *Vec[DU], mask *VecMask) *Vec[DC] {
 	done := obs.KernelStart("mxv.dot")
 	var w *Vec[DC]
 	if u.Full() {
-		w = dotCore(a, u.Val, nil, mul, add, mask)
+		w = dotCore(a, u.Val, nil, r, mask)
 	} else {
 		dense := make([]DU, u.N)
 		present := pool.GetBools(u.N)
@@ -32,7 +42,7 @@ func DotMxV[DA, DU, DC any](a *CSR[DA], u *Vec[DU], mul func(DA, DU) DC, add fun
 			dense[k] = u.Val[p]
 			present[k] = true
 		}
-		w = dotCore(a, dense, present, mul, add, mask)
+		w = dotCore(a, dense, present, r, mask)
 		pool.PutBools(present)
 	}
 	done(w.NVals())
@@ -45,12 +55,19 @@ func DotMxV[DA, DU, DC any](a *CSR[DA], u *Vec[DU], mul func(DA, DU) DC, add fun
 // presence test from the inner loop. Each row folds its products in
 // ascending k. The presence flags come from the pool; the value workspace is
 // domain-generic and cannot (its element type varies per instantiation).
+// Each chunk runs r's specialized loop when there is one (builtin.go).
 //
 //grblint:hotpath
-func dotCore[DA, DU, DC any](a *CSR[DA], dense []DU, present []bool, mul func(DA, DU) DC, add func(DC, DC) DC, mask *VecMask) *Vec[DC] {
+func dotCore[DA, DU, DC any](a *CSR[DA], dense []DU, present []bool, r Ring[DA, DU, DC], mask *VecMask) *Vec[DC] {
 	rowOut := make([]DC, a.NRows)
 	rowHas := pool.GetBools(a.NRows)
+	key := r.key()
+	spec := entryFor[DA, DU, DC](key)
+	mul, add := r.Mul, r.Add
 	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
+		if spec != nil && spec.dot(key, a, dense, present, rowOut, rowHas, lo, hi, mask) {
+			return
+		}
 		cur := allowsCursor{mask: mask}
 		if present == nil {
 			for i := lo; i < hi; i++ {
@@ -104,10 +121,17 @@ func dotCore[DA, DU, DC any](a *CSR[DA], dense []DU, present []bool, mul func(DA
 //
 // A non-nil mask filters target positions before accumulation.
 //
-//grblint:hotpath
+// This is the closure form, as DotMxV's is; Ring.PushMxV takes a semiring.
 func PushMxV[DA, DU, DC any](a *CSR[DA], u *Vec[DU], mul func(DA, DU) DC, add func(DC, DC) DC, mask *VecMask) *Vec[DC] {
+	return Ring[DA, DU, DC]{Mul: mul, Add: add}.PushMxV(a, u, mask)
+}
+
+// PushMxV is the scatter kernel under r.
+//
+//grblint:hotpath
+func (r Ring[DA, DU, DC]) PushMxV(a *CSR[DA], u *Vec[DU], mask *VecMask) *Vec[DC] {
 	done := obs.KernelStart("mxv.push")
-	w := pushCore(a, u.Idx, func(p int) DU { return u.Val[p] }, mul, add, mask)
+	w := pushCore(a, u.Idx, func(p int) DU { return u.Val[p] }, r, mask)
 	done(w.NVals())
 	return w
 }
@@ -191,10 +215,12 @@ func PullWins[DA any](aPtr []int, uIdx []int, at *CSR[DA], mask *VecMask) bool {
 // order (chunks are contiguous frontier ranges, slots within a target are
 // chunk-major) and folded left-to-right in that order — the same fold the
 // serial SPA performs — rather than merging per-worker partial reductions,
-// which would reassociate floating-point ⊕.
+// which would reassociate floating-point ⊕. The serial pass and phases C and
+// D run r's specialized loops when there are some (builtin.go); those fetch
+// a frontier value only when ⊗ reads it.
 //
 //grblint:hotpath
-func pushCore[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, mul func(DA, DU) DC, add func(DC, DC) DC, mask *VecMask) *Vec[DC] {
+func pushCore[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, r Ring[DA, DU, DC], mask *VecMask) *Vec[DC] {
 	var allowed *BitSPA
 	comp := false
 	if mask != nil {
@@ -218,7 +244,7 @@ func pushCore[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, mul fun
 		if total := cum[len(uIdx)]; total >= pushParallelMinWork && total <= math.MaxInt32 {
 			bounds := parallel.PartitionByWeight(len(uIdx), workers, cum)
 			if len(bounds) > 2 {
-				if w, ok := pushParallel(a, uIdx, uval, mul, add, allowed, comp, bounds); ok {
+				if w, ok := pushParallel(a, uIdx, uval, r, allowed, comp, bounds); ok {
 					pool.PutInts(cum)
 					return w
 				}
@@ -226,24 +252,31 @@ func pushCore[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, mul fun
 		}
 		pool.PutInts(cum)
 	}
-	return pushSerial(a, uIdx, uval, mul, add, allowed, comp)
+	return pushSerial(a, uIdx, uval, r, allowed, comp)
 }
 
 // pushSerial is the single SPA pass: a left fold over contributions in
 // frontier-traversal order, gathered in sorted target order.
 //
 //grblint:hotpath
-func pushSerial[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, mul func(DA, DU) DC, add func(DC, DC) DC, allowed *BitSPA, comp bool) *Vec[DC] {
+func pushSerial[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, r Ring[DA, DU, DC], allowed *BitSPA, comp bool) *Vec[DC] {
 	spa := NewSPA[DC](a.NCols)
 	spa.Reset()
-	for pu, k := range uIdx {
-		uv := uval(pu)
-		for p := a.Ptr[k]; p < a.Ptr[k+1]; p++ {
-			i := a.ColIdx[p]
-			if allowed != nil && allowed.Has(i) == comp {
-				continue
+	done := false
+	key := r.key()
+	if spec := entryFor[DA, DU, DC](key); spec != nil {
+		spa.nz, done = spec.push(key, a, uIdx, uval, allowed, comp, spa.val, spa.stamp, spa.cur, spa.nz)
+	}
+	if !done {
+		for pu, k := range uIdx {
+			uv := uval(pu)
+			for p := a.Ptr[k]; p < a.Ptr[k+1]; p++ {
+				i := a.ColIdx[p]
+				if allowed != nil && allowed.Has(i) == comp {
+					continue
+				}
+				spa.Accumulate(i, r.Mul(a.Val[p], uv), r.Add)
 			}
-			spa.Accumulate(i, mul(a.Val[p], uv), add)
 		}
 	}
 	idx, val := spa.Gather(make([]int, 0, spa.Len()), make([]DC, 0, spa.Len()))
@@ -262,9 +295,11 @@ func pushSerial[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, mul f
 // flags) is pooled; every exit returns it.
 //
 //grblint:hotpath
-func pushParallel[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, mul func(DA, DU) DC, add func(DC, DC) DC, allowed *BitSPA, comp bool, bounds []int) (*Vec[DC], bool) {
+func pushParallel[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, r Ring[DA, DU, DC], allowed *BitSPA, comp bool, bounds []int) (*Vec[DC], bool) {
 	nchunks := len(bounds) - 1
 	ncols := a.NCols
+	key := r.key()
+	spec := entryFor[DA, DU, DC](key)
 	// Phase A: each chunk counts its contributions per target column.
 	counts := make([][]int32, nchunks)
 	parallel.ForRanges(bounds, func(c, lo, hi int) {
@@ -313,15 +348,18 @@ func pushParallel[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, mul
 	vals := make([]DC, slots)
 	parallel.ForRanges(bounds, func(c, lo, hi int) {
 		off := counts[c]
+		if spec != nil && spec.scatter(key, a, uIdx, uval, allowed, comp, off, vals, lo, hi) {
+			return
+		}
 		for k := lo; k < hi; k++ {
-			r := uIdx[k]
+			row := uIdx[k]
 			uv := uval(k)
-			for p := a.Ptr[r]; p < a.Ptr[r+1]; p++ {
+			for p := a.Ptr[row]; p < a.Ptr[row+1]; p++ {
 				i := a.ColIdx[p]
 				if allowed != nil && allowed.Has(i) == comp {
 					continue
 				}
-				vals[off[i]] = mul(a.Val[p], uv)
+				vals[off[i]] = r.Mul(a.Val[p], uv)
 				off[i]++
 			}
 		}
@@ -330,6 +368,9 @@ func pushParallel[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, mul
 	rowOut := make([]DC, ncols)
 	rowHas := pool.GetBools(ncols)
 	parallel.ForWeighted(ncols, colPtr, func(lo, hi int) {
+		if spec != nil && spec.fold(r.AddOp, colPtr, vals, rowOut, rowHas, lo, hi) {
+			return
+		}
 		for i := lo; i < hi; i++ {
 			s, e := colPtr[i], colPtr[i+1]
 			if s == e {
@@ -337,7 +378,7 @@ func pushParallel[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, mul
 			}
 			acc := vals[s]
 			for p := s + 1; p < e; p++ {
-				acc = add(acc, vals[p])
+				acc = r.Add(acc, vals[p])
 			}
 			rowOut[i] = acc
 			rowHas[i] = true
