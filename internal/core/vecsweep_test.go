@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"graphblas/internal/sparse"
 )
 
 // vecOracleWrite applies the accumulate-then-mask pipeline to dense vector
@@ -614,11 +616,11 @@ func TestSweep_Fig2GridVector(t *testing.T) {
 	}
 }
 
-// TestFullAssignOutputNeverSharesU: over GrB_ALL the assign kernels copy u —
-// with and without an accumulator, from GrB_ALL or an explicit identity list
-// — so no later write to the output (SetElement, RemoveElement, Clear,
-// another assign) can reach u, and no write to u can reach the output, in
-// either execution mode.
+// TestFullAssignOutputNeverSharesU: over GrB_ALL the assign kernels take
+// u's positions but values of their own — with and without an accumulator,
+// from GrB_ALL or an explicit identity list — so no later write to the
+// output (SetElement, RemoveElement, Clear, another assign) can reach u, and
+// no write to u can reach the output, in either execution mode.
 func TestFullAssignOutputNeverSharesU(t *testing.T) {
 	const n = 16
 	identity := make([]int, n)
@@ -662,6 +664,89 @@ func TestFullAssignOutputNeverSharesU(t *testing.T) {
 					}
 					if got := vecModel(t, w); !reflect.DeepEqual(got, wd) {
 						t.Fatalf("mode %v accum %v: a write to u changed the output: %v, was %v", mode, accum.Defined(), got, wd)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSharedIdxWritesStayLocal: an output whose positions are an input's —
+// an apply, an eWiseMult against a full operand, a Dup — shares the input's
+// index list and owns its values, and no store's index list is written
+// after it is built. So SetElement, RemoveElement, Resize (down, then up,
+// then a write past the old end), Clear or Dup on the sharer leaves the
+// input as it was, and the same writes to the input leave the sharer, in
+// either execution mode.
+func TestSharedIdxWritesStayLocal(t *testing.T) {
+	const n = 16
+	neg, err := NewUnaryOp("neg", func(x float64) float64 { return -x })
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := PredefinedBinaryOp(sparse.OpTimes, "times", func(x, y float64) float64 { return x * y })
+	sharers := map[string]func(full, part *Vector[float64]) (*Vector[float64], error){
+		"ApplyV": func(full, _ *Vector[float64]) (*Vector[float64], error) {
+			w, err := NewVector[float64](n)
+			if err == nil {
+				err = ApplyV(w, NoMaskV, NoAccum[float64](), neg, full, nil)
+			}
+			return w, err
+		},
+		"EWiseMultV": func(full, part *Vector[float64]) (*Vector[float64], error) {
+			w, err := NewVector[float64](n)
+			if err == nil {
+				err = EWiseMultV(w, NoMaskV, NoAccum[float64](), times, part, full, nil)
+			}
+			return w, err
+		},
+		"Dup": func(full, _ *Vector[float64]) (*Vector[float64], error) { return full.Dup() },
+	}
+	writes := func(v *Vector[float64]) []func() error {
+		return []func() error{
+			func() error { return v.SetElement(-7, 3) },
+			func() error { return v.RemoveElement(5) },
+			func() error { return v.Resize(n / 2) },
+			func() error { return v.Resize(n) },
+			func() error { return v.SetElement(-8, n-1) },
+			func() error {
+				d, err := v.Dup()
+				if err != nil {
+					return err
+				}
+				return d.SetElement(-9, 0)
+			},
+			v.Clear,
+		}
+	}
+	for _, mode := range []Mode{Blocking, NonBlocking} {
+		for name, share := range sharers {
+			for _, sharerWrites := range []bool{true, false} {
+				withMode(t, mode, func() {
+					rng := rand.New(rand.NewSource(43))
+					full, _ := randVecModel(t, rng, n, 1)
+					part, _ := randVecModel(t, rng, n, 0.5)
+					w, err := share(full, part)
+					if err != nil {
+						t.Fatal(err)
+					}
+					writer, others := w, []*Vector[float64]{full, part}
+					if !sharerWrites {
+						writer, others = full, []*Vector[float64]{w}
+					}
+					models := make([]map[int]float64, len(others))
+					for k, o := range others {
+						models[k] = vecModel(t, o)
+					}
+					for step, write := range writes(writer) {
+						if err := write(); err != nil {
+							t.Fatal(err)
+						}
+						for k, o := range others {
+							if got := vecModel(t, o); !reflect.DeepEqual(got, models[k]) {
+								t.Fatalf("mode %v %s (sharer writes: %v): write %d changed another vector: %v, was %v", mode, name, sharerWrites, step, got, models[k])
+							}
+						}
 					}
 				})
 			}

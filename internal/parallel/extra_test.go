@@ -46,3 +46,29 @@ func TestForWeightedPanicPropagation(t *testing.T) {
 		}
 	})
 }
+
+// TestForRangesPanicWaitsForEveryRange: ForRanges runs range 0 on the
+// calling goroutine, and a panic there — or in any other range — reaches the
+// caller only once every range has run, so no worker still writes into a
+// kernel's buffers when the caller unwinds.
+func TestForRangesPanicWaitsForEveryRange(t *testing.T) {
+	for _, bad := range []int{0, 2} {
+		var done atomic.Int64
+		func() {
+			defer func() {
+				if _, ok := recover().(*Panic); !ok {
+					t.Fatalf("range %d's panic did not reach the caller as a *Panic", bad)
+				}
+			}()
+			ForRanges([]int{0, 10, 20, 30}, func(k, lo, hi int) {
+				if k == bad {
+					panic("boom")
+				}
+				done.Add(int64(hi - lo))
+			})
+		}()
+		if got := done.Load(); got != 20 {
+			t.Fatalf("range %d panicked: the other ranges covered %d items before the caller saw it, want 20", bad, got)
+		}
+	}
+}

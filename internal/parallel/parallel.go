@@ -124,6 +124,12 @@ func (p *panicBox) capture() {
 	}
 }
 
+// run calls f on the calling goroutine, capturing its panic as a worker's.
+func (p *panicBox) run(f func()) {
+	defer p.capture()
+	f()
+}
+
 func (p *panicBox) repanic() {
 	if p.set {
 		panic(p.val)
@@ -200,10 +206,12 @@ func PartitionByWeight(n, parts int, cum []int) []int {
 
 // ForRanges runs body(k, lo, hi) for each contiguous range k described by
 // bounds (the shape PartitionByWeight returns: range k is
-// [bounds[k], bounds[k+1])), one goroutine per range. Unlike ForWeighted it
-// exposes the range ordinal, which deterministic kernels use to give each
-// chunk its own scratch space and to lay results out in chunk order. A
-// single range runs inline on the calling goroutine.
+// [bounds[k], bounds[k+1])). Unlike ForWeighted it exposes the range
+// ordinal, which deterministic kernels use to give each chunk its own
+// scratch space and to lay results out in chunk order. Range 0 runs on the
+// calling goroutine, every other range on a goroutine of its own, so a
+// single range costs no goroutine at all; a panic in any of them reaches
+// the caller after every range has finished.
 func ForRanges(bounds []int, body func(k, lo, hi int)) {
 	n := len(bounds) - 1
 	if n <= 0 {
@@ -215,16 +223,34 @@ func ForRanges(bounds []int, body func(k, lo, hi int)) {
 	}
 	var wg sync.WaitGroup
 	var pan panicBox
-	wg.Add(n)
-	for k := 0; k < n; k++ {
+	wg.Add(n - 1)
+	for k := 1; k < n; k++ {
 		go func(k int) {
 			defer wg.Done()
 			defer pan.capture()
 			body(k, bounds[k], bounds[k+1])
 		}(k)
 	}
+	pan.run(func() { body(0, bounds[0], bounds[1]) })
 	wg.Wait()
 	pan.repanic()
+}
+
+// WeightedBounds returns the ranges ForWeighted splits [0, n) into by the
+// cumulative weight array cum, laid out as PartitionByWeight lays them out,
+// or nil when it runs [0, n) as one call: one worker, one item, or less
+// total weight than a second goroutine pays for. A kernel that sizes each
+// chunk's output before running it partitions with this and runs the
+// ranges with ForRanges.
+func WeightedBounds(n int, cum []int) []int {
+	workers := MaxWorkers()
+	if workers <= 1 || n <= 1 || cum[n] < 2048 {
+		return nil
+	}
+	if bounds := PartitionByWeight(n, workers, cum); len(bounds) > 2 {
+		return bounds
+	}
+	return nil
 }
 
 // ForWeighted runs body over [0, n) partitioned by the cumulative weight
@@ -234,13 +260,8 @@ func ForWeighted(n int, cum []int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	workers := MaxWorkers()
-	if workers <= 1 || n == 1 || cum[n] < 2048 {
-		body(0, n)
-		return
-	}
-	bounds := PartitionByWeight(n, workers, cum)
-	if len(bounds) <= 2 {
+	bounds := WeightedBounds(n, cum)
+	if bounds == nil {
 		body(0, n)
 		return
 	}

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 
 	"graphblas/internal/algorithms"
@@ -192,16 +194,62 @@ func (v View) PPRTopK(ctx context.Context, src, k int, damping, tol float64, max
 	for i := range idx {
 		ranked[i] = Ranked{Vertex: idx[i], Score: vals[i]}
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].Score != ranked[j].Score {
-			return ranked[i].Score > ranked[j].Score
-		}
-		return ranked[i].Vertex < ranked[j].Vertex
-	})
-	if k > 0 && len(ranked) > k {
-		ranked = ranked[:k]
+	return topK(ranked, k), iters, nil
+}
+
+// rankedBefore orders a ranking: score descending, then vertex ascending.
+// Vertices are distinct, so the order is total and every sort of a ranking
+// gives the same list.
+func rankedBefore(a, b Ranked) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
 	}
-	return ranked, iters, nil
+	return cmp.Compare(a.Vertex, b.Vertex)
+}
+
+// topK returns the first k entries of ranked in rankedBefore's order, all of
+// them when k <= 0 or k >= len(ranked), reordering ranked in place. A bounded
+// k is selected with a heap of k entries whose root is the last of them, so
+// only the k winners are sorted.
+func topK(ranked []Ranked, k int) []Ranked {
+	if k <= 0 || k >= len(ranked) {
+		slices.SortFunc(ranked, rankedBefore)
+		return ranked
+	}
+	h := ranked[:k]
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for _, r := range ranked[k:] {
+		if rankedBefore(r, h[0]) < 0 {
+			h[0] = r
+			siftDown(h, 0)
+		}
+	}
+	slices.SortFunc(h, rankedBefore)
+	return h
+}
+
+// siftDown restores the heap below i in h, a heap whose every parent comes
+// after its children in rankedBefore's order.
+func siftDown(h []Ranked, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && rankedBefore(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if rankedBefore(h[c], h[i]) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // GraphStats summarizes the structure of one pinned view.

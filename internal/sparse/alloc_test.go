@@ -12,11 +12,13 @@ import (
 // TestDisabledPathAllocFree contract: with tracing disabled and one worker,
 // each kernel's per-call allocation count is pinned exactly. The budgets
 // below are the kernels' intrinsic output allocations — the result vector
-// and its index/value storage, plus domain-generic scratch that cannot be
+// and its value storage, its index storage unless it shares an input's or
+// the identity list (emit.go), plus domain-generic scratch that cannot be
 // pooled because its element type varies per instantiation. Everything else
-// (presence flags, prefix sums, per-chunk counts) comes from internal/pool
-// and must not show up here. A budget increase in a review means a new
-// allocation crept onto the hot path; justify it or pool it.
+// (presence flags, prefix sums, per-chunk counts, scratch positions) comes
+// from internal/pool and must not show up here. A budget increase in a
+// review means a new allocation crept onto the hot path; justify it or pool
+// it.
 func TestFusedKernelsDisabledPathAllocFree(t *testing.T) {
 	parallel.SetMaxWorkersForTest(t, 1)
 	prev := obs.SetTracer(nil)
@@ -46,17 +48,18 @@ func TestFusedKernelsDisabledPathAllocFree(t *testing.T) {
 		budget float64
 		run    func()
 	}{
-		// out Vec + Idx + Val.
-		{"FusedVecMap", 3, func() { FusedVecMap(u.N, u.Idx, get, neg, nil) }},
-		// dense scatter workspace + dotCore's rowOut + the escaping
-		// ForWeighted body closure + FromDense's Vec, Idx, Val; the presence
-		// flags (scatter and rowHas) are pooled.
-		{"FusedDotMxV", 6, func() { ring(mulF, addF).FusedDotMxV(a, u.N, u.Idx, get, nil) }},
-		// Serial at one worker: SPA (struct + val + stamp) + Gather's idx and
-		// val + out Vec; pushCore's cum prefix array is pooled.
-		{"FusedPushMxV", 6, func() { ring(mulF, addF).FusedPushMxV(a, u.Idx, get, nil) }},
-		// out Vec + exact-length Idx + Val on the no-accum path.
-		{"FusedAssignAccum", 3, func() { FusedAssignAccum(c, u.Idx, get, nil) }},
+		// out Vec + Val; the stream's Idx is shared.
+		{"FusedVecMap", 2, func() { FusedVecMap(u.N, u.Idx, get, neg, nil) }},
+		// dense scatter workspace + the Vec and its Val, written in place:
+		// every row meets the stream, so the positions are the identity
+		// list; the presence flags and the scratch positions are pooled.
+		{"FusedDotMxV", 3, func() { ring(mulF, addF).FusedDotMxV(a, u.N, u.Idx, get, nil) }},
+		// Serial at one worker: the SPA's val, stamp and touched list + out
+		// Vec; every target is reached, so the SPA's values are the result's
+		// over the identity list. pushCore's cum prefix array is pooled.
+		{"FusedPushMxV", 4, func() { ring(mulF, addF).FusedPushMxV(a, u.Idx, get, nil) }},
+		// out Vec + Val on the no-accum path; the stream's Idx is shared.
+		{"FusedAssignAccum", 2, func() { FusedAssignAccum(c, u.Idx, get, nil) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,10 +130,12 @@ func TestMaskedSpGEMMAllocBudget(t *testing.T) {
 // TestDotMxVFullVectorAllocBudget pins DotMxV on a full input vector — what
 // the engine pulls CC's label vector and a full PageRank share through: u.Val
 // is read in place, so neither the dense value workspace nor a presence
-// array is built. What remains is dotCore's rowOut, the escaping ForWeighted
-// body closure and FromDense's Vec, Idx and Val. A partial vector adds the
-// one domain-generic workspace; its presence flags are pooled. The direction
-// rule itself allocates nothing.
+// array is built, and the result is counted before it is written. What
+// remains is the result's Vec and Val: every row stores an entry, so its
+// positions are the identity list. A partial vector adds the one
+// domain-generic workspace; its presence flags and the scratch positions
+// its rows are joined through are pooled. The direction rule itself
+// allocates nothing.
 func TestDotMxVFullVectorAllocBudget(t *testing.T) {
 	parallel.SetMaxWorkersForTest(t, 1)
 	prev := obs.SetTracer(nil)
@@ -151,8 +156,8 @@ func TestDotMxVFullVectorAllocBudget(t *testing.T) {
 		budget float64
 		run    func()
 	}{
-		{"DotMxV/full", 5, func() { DotMxV(at, full, mulF, addF, nil) }},
-		{"DotMxV/partial", 6, func() { DotMxV(at, partial, mulF, addF, nil) }},
+		{"DotMxV/full", 2, func() { DotMxV(at, full, mulF, addF, nil) }},
+		{"DotMxV/partial", 3, func() { DotMxV(at, partial, mulF, addF, nil) }},
 		{"PullWins", 0, func() { PullWins(a.Ptr, full.Idx, at, nil) }},
 	}
 	for _, tc := range cases {

@@ -212,7 +212,7 @@ type csrView[T number] struct {
 // loops is one (⊗, ⊕) compiled over T: the inner loop of each kernel.
 type loops[T number] interface {
 	reads() (x, y bool)
-	dot(a csrView[T], uv []T, present []bool, out []T, has []bool, lo, hi int, mask *VecMask)
+	dot(a csrView[T], uv []T, present []bool, idx []int, out []T, lo, hi int, mask *VecMask) int
 	dotMasked(a, b csrView[T], mask *MatMask, pos []int, val []T, has []bool, ptr []int, lo, hi int)
 	slot(a, b csrView[T], mask *MatMask, slot []int, val []T, has []bool, ptr []int, lo, hi int)
 	pushRow(cols []int, av []T, y T, allowed *BitSPA, comp bool, val []T, stamp []int, cur int, nz []int) []int
@@ -225,17 +225,20 @@ type ops[T number, M mulTag, A addTag] struct{}
 
 func (*ops[T, M, A]) reads() (x, y bool) { return readsX[M](), readsY[M]() }
 
-// dot is dotCore's chunk [lo, hi): out(i) = ⊕ A(i, k) ⊗ u(k) over the
-// columns k of row i that u stores (every one when present is nil), folded in
-// ascending k from the first term and stopped once ⊕ saturates.
+// dot is dotCore's chunk [lo, hi): ⊕ A(i, k) ⊗ u(k) over the columns k of
+// row i that u stores (every one when present is nil), folded in ascending k
+// from the first term and stopped once ⊕ saturates, written compactly into
+// idx and out (emitRows; a nil idx says every row emits). It returns the
+// number of rows written.
 //
 //grblint:hotpath
-func (*ops[T, M, A]) dot(a csrView[T], uv []T, present []bool, out []T, has []bool, lo, hi int, mask *VecMask) {
+func (*ops[T, M, A]) dot(a csrView[T], uv []T, present []bool, idx []int, out []T, lo, hi int, mask *VecMask) int {
 	stop := terminal[A, T]()
 	cur := allowsCursor{mask: mask}
+	n := 0
 	for i := lo; i < hi; i++ {
 		p, end := a.ptr[i], a.ptr[i+1]
-		if p == end || !cur.allows(i) {
+		if p == end || mask != nil && !cur.allows(i) {
 			continue
 		}
 		if present != nil {
@@ -258,8 +261,13 @@ func (*ops[T, M, A]) dot(a csrView[T], uv []T, present []bool, out []T, has []bo
 				}
 			}
 		}
-		out[i], has[i] = acc, true
+		if idx != nil {
+			idx[n] = i
+		}
+		out[n] = acc
+		n++
 	}
+	return n
 }
 
 // dotMasked is SpGEMMDotMasked's chunk [lo, hi): row i of A is scattered
@@ -411,11 +419,13 @@ func (*ops[T, M, A]) scatterRow(cols []int, av []T, y T, allowed *BitSPA, comp b
 }
 
 // foldSlots is pushParallel's phase D over targets [lo, hi): each target's
-// slots folded left to right, stopped once ⊕ saturates.
+// slots folded left to right, stopped once ⊕ saturates, written compactly
+// into idx and out as dot writes its rows. It returns the number written.
 //
 //grblint:hotpath
-func foldSlots[A addTag, T number](colPtr []int, vals, out []T, has []bool, lo, hi int) {
+func foldSlots[A addTag, T number](colPtr []int, vals []T, idx []int, out []T, lo, hi int) int {
 	stop := terminal[A, T]()
+	n := 0
 	for i := lo; i < hi; i++ {
 		s, e := colPtr[i], colPtr[i+1]
 		if s == e {
@@ -425,8 +435,13 @@ func foldSlots[A addTag, T number](colPtr []int, vals, out []T, has []bool, lo, 
 		for p := s + 1; p < e && !(saturates[A]() && acc == stop); p++ {
 			acc = oplus[A](acc, vals[p])
 		}
-		out[i], has[i] = acc, true
+		if idx != nil {
+			idx[n] = i
+		}
+		out[n] = acc
+		n++
 	}
+	return n
 }
 
 // loopKey is what picks a kernel's loop: its ring's opcodes, and whether ⊗
@@ -562,12 +577,12 @@ func scalar[T number, D any](x D) T {
 // false, having done nothing, when there are none — the kernel then runs
 // its closure loop.
 type entry[DA, DB, DC any] interface {
-	dot(key loopKey, a *CSR[DA], dense []DB, present []bool, out []DC, has []bool, lo, hi int, mask *VecMask) bool
+	dot(key loopKey, a *CSR[DA], dense []DB, present []bool, idx []int, out []DC, lo, hi int, mask *VecMask) (int, bool)
 	dotMasked(key loopKey, a *CSR[DA], b *CSR[DB], mask *MatMask, pos []int, val []DC, has []bool, ptr []int, lo, hi int) bool
 	slot(key loopKey, a *CSR[DA], b *CSR[DB], mask *MatMask, slot []int, val []DC, has []bool, ptr []int, lo, hi int) bool
 	push(key loopKey, a *CSR[DA], uIdx []int, uval func(int) DB, allowed *BitSPA, comp bool, val []DC, stamp []int, cur int, nz []int) ([]int, bool)
 	scatter(key loopKey, a *CSR[DA], uIdx []int, uval func(int) DB, allowed *BitSPA, comp bool, off []int32, vals []DC, lo, hi int) bool
-	fold(add Opcode, colPtr []int, vals, out []DC, has []bool, lo, hi int) bool
+	fold(add Opcode, colPtr []int, vals []DC, idx []int, out []DC, lo, hi int) (int, bool)
 }
 
 // entryFor returns the entry for DC, or nil when the ring's operators are
@@ -604,13 +619,12 @@ func viewCSR[T number, D any](m *CSR[D]) csrView[T] {
 // The entry methods below view the output as []T unchecked: entryFor chose T
 // from DC.
 
-func (*domain[T, DA, DB, DC]) dot(key loopKey, a *CSR[DA], dense []DB, present []bool, out []DC, has []bool, lo, hi int, mask *VecMask) bool {
+func (*domain[T, DA, DB, DC]) dot(key loopKey, a *CSR[DA], dense []DB, present []bool, idx []int, out []DC, lo, hi int, mask *VecMask) (int, bool) {
 	l := lookup[T](key, holds[T, DA](), holds[T, DB]())
 	if l == nil {
-		return false
+		return 0, false
 	}
-	l.dot(viewCSR[T](a), view[T](dense), present, view[T](out), has, lo, hi, mask)
-	return true
+	return l.dot(viewCSR[T](a), view[T](dense), present, idx, view[T](out), lo, hi, mask), true
 }
 
 func (*domain[T, DA, DB, DC]) dotMasked(key loopKey, a *CSR[DA], b *CSR[DB], mask *MatMask, pos []int, val []DC, has []bool, ptr []int, lo, hi int) bool {
@@ -677,19 +691,17 @@ func (*domain[T, DA, DB, DC]) scatter(key loopKey, a *CSR[DA], uIdx []int, uval 
 
 // fold runs pushParallel's phase D over targets [lo, hi). ⊗ has run by
 // then, so only ⊕ picks the loop.
-func (*domain[T, DA, DB, DC]) fold(add Opcode, colPtr []int, vals, out []DC, has []bool, lo, hi int) bool {
+func (*domain[T, DA, DB, DC]) fold(add Opcode, colPtr []int, vals []DC, idx []int, out []DC, lo, hi int) (int, bool) {
 	vs, w := view[T](vals), view[T](out)
 	switch lattice(add) {
 	case OpPlus:
-		foldSlots[addPlus](colPtr, vs, w, has, lo, hi)
+		return foldSlots[addPlus](colPtr, vs, idx, w, lo, hi), true
 	case OpMin:
-		foldSlots[addMin](colPtr, vs, w, has, lo, hi)
+		return foldSlots[addMin](colPtr, vs, idx, w, lo, hi), true
 	case OpMax:
-		foldSlots[addMax](colPtr, vs, w, has, lo, hi)
-	default:
-		return false
+		return foldSlots[addMax](colPtr, vs, idx, w, lo, hi), true
 	}
-	return true
+	return 0, false
 }
 
 // rowVals is av[p:end], or nil when A's values are not []T.

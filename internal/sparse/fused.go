@@ -27,20 +27,29 @@ import (
 // over the stream, keeping the structure. A non-nil mask is the consumer's
 // write mask pushed down into the kernel: positions the mask disallows are
 // skipped without evaluating f (the final mask merge would discard them
-// anyway; skipping the evaluation is the point of the pushdown).
+// anyway; skipping the evaluation is the point of the pushdown). Without a
+// mask the result keeps the stream's structure and shares its index list.
 //
 //grblint:hotpath
 func FusedVecMap[DA, DC any](n int, idx []int, get func(p int) DA, f func(DA) DC, mask *VecMask) *Vec[DC] {
 	faults.Step("fuse.kernel.map")
 	done := obs.KernelStart("fuse.map")
-	out := &Vec[DC]{N: n, Idx: make([]int, 0, len(idx)), Val: make([]DC, 0, len(idx))}
-	cur := allowsCursor{mask: mask}
-	for p, i := range idx {
-		if !cur.allows(i) {
-			continue
+	var out *Vec[DC]
+	if mask == nil {
+		out = &Vec[DC]{N: n, Idx: sharedIdx(idx), Val: make([]DC, len(idx))}
+		for p := range out.Val {
+			out.Val[p] = f(get(p))
 		}
-		out.Idx = append(out.Idx, i)
-		out.Val = append(out.Val, f(get(p)))
+	} else {
+		out = &Vec[DC]{N: n, Idx: make([]int, 0, len(idx)), Val: make([]DC, 0, len(idx))}
+		cur := allowsCursor{mask: mask}
+		for p, i := range idx {
+			if !cur.allows(i) {
+				continue
+			}
+			out.Idx = append(out.Idx, i)
+			out.Val = append(out.Val, f(get(p)))
+		}
 	}
 	done(out.NVals())
 	return out
@@ -101,7 +110,9 @@ func (r Ring[DA, DU, DC]) FusedPushMxV(a *CSR[DA], idx []int, get func(p int) DU
 // so Z is the materialized stream. The caller applies its mask merge. A full
 // c or a full stream takes union's array path (kernels_vec.go): copy the
 // full side, fold the other in with accum(c, v) — get still runs once per
-// position, in increasing order.
+// position, in increasing order. Where the result's positions are one
+// side's — the stream's without accum, the full side's with it — it shares
+// that side's index list.
 //
 //grblint:hotpath
 func FusedAssignAccum[D any](c *Vec[D], idx []int, get func(p int) D, accum func(D, D) D) *Vec[D] {
@@ -110,7 +121,7 @@ func FusedAssignAccum[D any](c *Vec[D], idx []int, get func(p int) D, accum func
 	out := &Vec[D]{N: c.N}
 	switch {
 	case accum == nil || len(idx) == c.N:
-		out.Idx = append([]int(nil), idx...)
+		out.Idx = sharedIdx(idx)
 		out.Val = make([]D, len(idx))
 		for p := range out.Val {
 			out.Val[p] = get(p)
@@ -121,7 +132,7 @@ func FusedAssignAccum[D any](c *Vec[D], idx []int, get func(p int) D, accum func
 			}
 		}
 	case c.Full():
-		out.Idx, out.Val = append([]int(nil), c.Idx...), append([]D(nil), c.Val...)
+		out.Idx, out.Val = sharedIdx(c.Idx), append([]D(nil), c.Val...)
 		for p, i := range idx {
 			out.Val[i] = accum(out.Val[i], get(p))
 		}

@@ -5,6 +5,7 @@ import (
 
 	"graphblas/internal/faults"
 	"graphblas/internal/obs"
+	"graphblas/internal/pool"
 )
 
 // VecMask is a pre-resolved one-dimensional mask: Idx lists, in increasing
@@ -52,8 +53,9 @@ func (a *allowsCursor) allows(i int) bool {
 // folded in at its positions. Every operator is called on the same operands,
 // in the same argument order, as in the merge — positions in both get
 // add(a, b) or mul(a, b), positions in one keep their value — so the result
-// is the merge's, bit for bit. The output is always fresh storage, never an
-// input's slices.
+// is the merge's, bit for bit. The output's positions are those of the full
+// side (the union) or of the other (the intersection), so it shares that
+// input's Idx (emit.go); its Val is always its own.
 
 // VecUnion computes the eWiseAdd merge of a and b: positions in both get
 // add(a, b); positions in exactly one keep their value.
@@ -75,17 +77,17 @@ func union[D any](a, b *Vec[D], add func(D, D) D) *Vec[D] {
 	w := &Vec[D]{N: a.N}
 	switch {
 	case a.Full() && b.Full():
-		w.Idx, w.Val = append([]int(nil), a.Idx...), append([]D(nil), a.Val...)
+		w.Idx, w.Val = sharedIdx(a.Idx), append([]D(nil), a.Val...)
 		for i, bv := range b.Val[:len(w.Val)] {
 			w.Val[i] = add(w.Val[i], bv)
 		}
 	case a.Full():
-		w.Idx, w.Val = append([]int(nil), a.Idx...), append([]D(nil), a.Val...)
+		w.Idx, w.Val = sharedIdx(a.Idx), append([]D(nil), a.Val...)
 		for k, i := range b.Idx {
 			w.Val[i] = add(w.Val[i], b.Val[k])
 		}
 	default:
-		w.Idx, w.Val = append([]int(nil), b.Idx...), append([]D(nil), b.Val...)
+		w.Idx, w.Val = sharedIdx(b.Idx), append([]D(nil), b.Val...)
 		for k, i := range a.Idx {
 			w.Val[i] = add(a.Val[k], w.Val[i])
 		}
@@ -123,24 +125,26 @@ func unionRow[D any](aIdx []int, aVal []D, bIdx []int, bVal []D, add func(D, D) 
 // VecIntersect computes the eWiseMult merge of a and b: only positions
 // present in both survive, combined with mul. The three-domain form mirrors
 // the paper's set-intersection definition of ⊗. With one side full the
-// other side's structure is the result's, so the kernel walks that side and
-// indexes the full one directly.
+// other side's structure is the result's, so the kernel walks that side,
+// indexes the full one directly and shares the walked side's Idx. Two
+// partial sides merge into storage sized for the smaller.
 func VecIntersect[DA, DB, DC any](a *Vec[DA], b *Vec[DB], mul func(DA, DB) DC) *Vec[DC] {
 	done := obs.KernelStart("vec.intersect")
 	w := &Vec[DC]{N: a.N}
 	switch {
 	case b.Full():
-		w.Idx, w.Val = append([]int(nil), a.Idx...), make([]DC, len(a.Idx))
+		w.Idx, w.Val = sharedIdx(a.Idx), make([]DC, len(a.Idx))
 		for k, i := range a.Idx {
 			w.Val[k] = mul(a.Val[k], b.Val[i])
 		}
 	case a.Full():
-		w.Idx, w.Val = append([]int(nil), b.Idx...), make([]DC, len(b.Idx))
+		w.Idx, w.Val = sharedIdx(b.Idx), make([]DC, len(b.Idx))
 		for k, i := range b.Idx {
 			w.Val[k] = mul(a.Val[i], b.Val[k])
 		}
 	default:
-		w.Idx, w.Val = intersectRow(a.Idx, a.Val, b.Idx, b.Val, mul, nil, nil)
+		m := min(len(a.Idx), len(b.Idx))
+		w.Idx, w.Val = intersectRow(a.Idx, a.Val, b.Idx, b.Val, mul, make([]int, 0, m), make([]DC, 0, m))
 	}
 	done(w.NVals())
 	return w
@@ -166,33 +170,56 @@ func intersectRow[DA, DB, DC any](aIdx []int, aVal []DA, bIdx []int, bVal []DB, 
 	return outIdx, outVal
 }
 
-// VecApply maps f over the stored values of a, keeping the structure.
+// VecApply maps f over the stored values of a, keeping — sharing — its
+// structure.
 func VecApply[DA, DC any](a *Vec[DA], f func(DA) DC) *Vec[DC] {
-	out := &Vec[DC]{N: a.N, Idx: append([]int(nil), a.Idx...), Val: make([]DC, len(a.Val))}
+	out := &Vec[DC]{N: a.N, Idx: sharedIdx(a.Idx), Val: make([]DC, len(a.Val))}
 	for k, v := range a.Val {
 		out.Val[k] = f(v)
 	}
 	return out
 }
 
-// VecApplyIndex maps f(value, index) over the stored entries of a.
+// VecApplyIndex maps f(value, index) over the stored entries of a, sharing
+// its structure.
 func VecApplyIndex[DA, DC any](a *Vec[DA], f func(DA, int) DC) *Vec[DC] {
-	out := &Vec[DC]{N: a.N, Idx: append([]int(nil), a.Idx...), Val: make([]DC, len(a.Val))}
+	out := &Vec[DC]{N: a.N, Idx: sharedIdx(a.Idx), Val: make([]DC, len(a.Val))}
 	for k, v := range a.Val {
 		out.Val[k] = f(v, a.Idx[k])
 	}
 	return out
 }
 
-// VecSelect keeps the entries of a for which pred(value, index) holds.
+// VecSelect keeps the entries of a for which pred(value, index) holds. pred
+// runs once per entry, into pooled keep flags; the survivors are counted and
+// copied into storage of their number, and when every entry survives the
+// result shares a's Idx.
+//
+//grblint:hotpath
 func VecSelect[D any](a *Vec[D], pred func(D, int) bool) *Vec[D] {
-	out := &Vec[D]{N: a.N}
+	keep := pool.GetBools(len(a.Idx))
+	kept := 0
 	for k, v := range a.Val {
 		if pred(v, a.Idx[k]) {
-			out.Idx = append(out.Idx, a.Idx[k])
-			out.Val = append(out.Val, v)
+			keep[k] = true
+			kept++
 		}
 	}
+	out := &Vec[D]{N: a.N, Val: make([]D, kept)}
+	if kept == len(a.Idx) {
+		out.Idx = sharedIdx(a.Idx)
+		copy(out.Val, a.Val)
+	} else {
+		out.Idx = make([]int, kept)
+		w := 0
+		for k, ok := range keep {
+			if ok {
+				out.Idx[w], out.Val[w] = a.Idx[k], a.Val[k]
+				w++
+			}
+		}
+	}
+	pool.PutBools(keep)
 	return out
 }
 
@@ -223,9 +250,10 @@ func VecReduce[D any](a *Vec[D], add func(D, D) D, identity D, term func(D) bool
 //	outside the mask: keep c's entry unless replace is set.
 //
 // A nil mask admits every position and returns z itself: callers transfer
-// ownership of z (every kernel in this package produces fresh storage, so
-// this avoids an O(nnz) copy on the hot unmasked path). Callers holding a
-// shared z must clone before passing it.
+// ownership of z (every kernel in this package produces a Val of its own,
+// and an Idx it shares is never written, so this avoids an O(nnz) copy on
+// the hot unmasked path). Callers holding a shared z must clone before
+// passing it.
 func MaskMergeVec[D any](c, z *Vec[D], mask *VecMask, replace bool) *Vec[D] {
 	if mask == nil {
 		return z
@@ -283,16 +311,37 @@ func WriteVec[D any](c, t *Vec[D], mask *VecMask, accum func(D, D) D, replace bo
 }
 
 // ExtractVec computes w(k) = u(indices[k]); duplicate source indices are
-// permitted. indices must be pre-validated to lie in [0, u.N).
+// permitted. indices must be pre-validated to lie in [0, u.N). Each index is
+// looked up once, into pooled slots, and the hits are counted before the
+// result is allocated.
+//
+//grblint:hotpath
 func ExtractVec[D any](u *Vec[D], indices []int) *Vec[D] {
-	out := &Vec[D]{N: len(indices)}
+	slot := pool.GetInts(len(indices))
+	hits := 0
 	for k, i := range indices {
-		if v, ok := u.Get(i); ok {
-			out.Idx = append(out.Idx, k)
-			out.Val = append(out.Val, v)
+		if p, ok := u.find(i); ok {
+			slot[k] = p + 1
+			hits++
 		}
 	}
-	return out
+	var idx []int
+	if hits < len(indices) {
+		idx = make([]int, hits)
+	}
+	val := make([]D, hits)
+	w := 0
+	for k, p := range slot {
+		if p > 0 {
+			if idx != nil {
+				idx[w] = k
+			}
+			val[w] = u.Val[p-1]
+			w++
+		}
+	}
+	pool.PutInts(slot)
+	return vecOf(len(indices), idx, val)
 }
 
 // assignEntry pairs a target position with an optional source value for the
@@ -428,7 +477,7 @@ func AssignExpandVec[D any](c, u *Vec[D], indices []int, accum func(D, D) D) *Ve
 	var z *Vec[D]
 	switch {
 	case indices == nil && accum == nil:
-		z = &Vec[D]{N: c.N, Idx: append([]int(nil), u.Idx...), Val: append([]D(nil), u.Val...)}
+		z = &Vec[D]{N: c.N, Idx: sharedIdx(u.Idx), Val: append([]D(nil), u.Val...)}
 	case indices == nil:
 		z = union(c, u, accum)
 	default:
@@ -461,9 +510,9 @@ func AssignScalarExpandVec[D any](c *Vec[D], x D, indices []int, accum func(D, D
 	done := obs.KernelStart("vec.assign")
 	var z *Vec[D]
 	if indices == nil {
-		z = &Vec[D]{N: c.N, Idx: make([]int, c.N), Val: make([]D, c.N)}
-		for i := range z.Idx {
-			z.Idx[i], z.Val[i] = i, x
+		z = vecOf(c.N, nil, make([]D, c.N))
+		for i := range z.Val {
+			z.Val[i] = x
 		}
 		if accum != nil {
 			for k, i := range c.Idx {

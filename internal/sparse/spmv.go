@@ -53,64 +53,85 @@ func (r Ring[DA, DU, DC]) DotMxV(a *CSR[DA], u *Vec[DU], mask *VecMask) *Vec[DC]
 // over an input already laid out densely: dense[k] is u(k) where present[k]
 // is set, and a nil present says every position is stored, which drops the
 // presence test from the inner loop. Each row folds its products in
-// ascending k. The presence flags come from the pool; the value workspace is
-// domain-generic and cannot (its element type varies per instantiation).
-// Each chunk runs r's specialized loop when there is one (builtin.go).
+// ascending k, and each chunk writes its rows' entries compactly
+// (emitRows). Over a full u a row emits exactly when it stores an entry
+// and the mask allows it, so the result is counted from Ptr and the mask
+// and written in place; a partial u may leave such a row empty, so its
+// chunks are joined.
 //
 //grblint:hotpath
 func dotCore[DA, DU, DC any](a *CSR[DA], dense []DU, present []bool, r Ring[DA, DU, DC], mask *VecMask) *Vec[DC] {
-	rowOut := make([]DC, a.NRows)
-	rowHas := pool.GetBools(a.NRows)
-	key := r.key()
-	spec := entryFor[DA, DU, DC](key)
-	mul, add := r.Mul, r.Add
-	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
-		if spec != nil && spec.dot(key, a, dense, present, rowOut, rowHas, lo, hi, mask) {
-			return
+	return emitRows[DC](a.NRows, a.Ptr, present == nil, dotRows[DA, DU, DC]{a, dense, present, r, mask})
+}
+
+// dotRows is dotCore's row kernel.
+type dotRows[DA, DU, DC any] struct {
+	a       *CSR[DA]
+	dense   []DU
+	present []bool
+	r       Ring[DA, DU, DC]
+	mask    *VecMask
+}
+
+func (d dotRows[DA, DU, DC]) most(lo, hi int) int { return rowsAllowed(d.a.Ptr, d.mask, lo, hi) }
+
+// emit folds rows [lo, hi) with r's specialized loop when there is one
+// (builtin.go), with the closures otherwise.
+//
+//grblint:hotpath
+func (d dotRows[DA, DU, DC]) emit(lo, hi int, idx []int, val []DC) int {
+	key := d.r.key()
+	if spec := entryFor[DA, DU, DC](key); spec != nil {
+		if n, ok := spec.dot(key, d.a, d.dense, d.present, idx, val, lo, hi, d.mask); ok {
+			return n
 		}
-		cur := allowsCursor{mask: mask}
-		if present == nil {
-			for i := lo; i < hi; i++ {
-				p, end := a.Ptr[i], a.Ptr[i+1]
-				if p == end || !cur.allows(i) {
-					continue
-				}
-				acc := mul(a.Val[p], dense[a.ColIdx[p]])
-				for p++; p < end; p++ {
-					acc = add(acc, mul(a.Val[p], dense[a.ColIdx[p]]))
-				}
-				rowOut[i], rowHas[i] = acc, true
-			}
-			return
-		}
+	}
+	a, dense, present, mul, add := d.a, d.dense, d.present, d.r.Mul, d.r.Add
+	cur := allowsCursor{mask: d.mask}
+	n := 0
+	if present == nil {
 		for i := lo; i < hi; i++ {
-			if !cur.allows(i) {
+			p, end := a.Ptr[i], a.Ptr[i+1]
+			if p == end || !cur.allows(i) {
 				continue
 			}
-			var acc DC
-			has := false
-			for p := a.Ptr[i]; p < a.Ptr[i+1]; p++ {
-				k := a.ColIdx[p]
-				if !present[k] {
-					continue
-				}
-				x := mul(a.Val[p], dense[k])
-				if has {
-					acc = add(acc, x)
-				} else {
-					acc = x
-					has = true
-				}
+			acc := mul(a.Val[p], dense[a.ColIdx[p]])
+			for p++; p < end; p++ {
+				acc = add(acc, mul(a.Val[p], dense[a.ColIdx[p]]))
 			}
+			if idx != nil {
+				idx[n] = i
+			}
+			val[n] = acc
+			n++
+		}
+		return n
+	}
+	for i := lo; i < hi; i++ {
+		if !cur.allows(i) {
+			continue
+		}
+		var acc DC
+		has := false
+		for p := a.Ptr[i]; p < a.Ptr[i+1]; p++ {
+			k := a.ColIdx[p]
+			if !present[k] {
+				continue
+			}
+			x := mul(a.Val[p], dense[k])
 			if has {
-				rowOut[i] = acc
-				rowHas[i] = true
+				acc = add(acc, x)
+			} else {
+				acc = x
+				has = true
 			}
 		}
-	})
-	w := FromDense(rowOut, rowHas)
-	pool.PutBools(rowHas)
-	return w
+		if has {
+			idx[n], val[n] = i, acc
+			n++
+		}
+	}
+	return n
 }
 
 // PushMxV computes w(i) = ⊕_k mul(a(k,i), u(k)) — i.e. w = Aᵀ ⊕.⊗ u — by
@@ -279,6 +300,11 @@ func pushSerial[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, r Rin
 			}
 		}
 	}
+	if spa.Len() == a.NCols {
+		// Every target was reached: the accumulator's values, fresh to this
+		// call, are the result's in position order.
+		return vecOf(a.NCols, nil, spa.val)
+	}
 	idx, val := spa.Gather(make([]int, 0, spa.Len()), make([]DC, 0, spa.Len()))
 	return &Vec[DC]{N: a.NCols, Idx: idx, Val: val}
 }
@@ -287,12 +313,12 @@ func pushSerial[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, r Rin
 // frontier chunks in bounds: (A) per-chunk dense contribution counts,
 // (B) serial prefix sums into per-target slot ranges and per-(chunk,target)
 // start offsets, (C) parallel scatter of mul products into globally ordered
-// slots, (D) parallel per-target left fold in slot order. Returns ok=false
-// when slot offsets would overflow the int32 count arrays (callers fall
-// back to the serial pass); pushCore's total-work bound makes this
-// unreachable today, but the check keeps pushParallel safe standalone.
-// Index scratch (per-chunk counts, the column prefix sums, the presence
-// flags) is pooled; every exit returns it.
+// slots, (D) parallel per-target left fold in slot order, written straight
+// into the exact-size result. Returns ok=false when slot offsets would
+// overflow the int32 count arrays (callers fall back to the serial pass);
+// pushCore's total-work bound makes this unreachable today, but the check
+// keeps pushParallel safe standalone. Index scratch (per-chunk counts, the
+// column prefix sums) is pooled; every exit returns it.
 //
 //grblint:hotpath
 func pushParallel[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, r Ring[DA, DU, DC], allowed *BitSPA, comp bool, bounds []int) (*Vec[DC], bool) {
@@ -365,30 +391,52 @@ func pushParallel[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, r R
 		}
 	})
 	// Phase D: left fold per target in slot order — the serial SPA's fold.
-	rowOut := make([]DC, ncols)
-	rowHas := pool.GetBools(ncols)
-	parallel.ForWeighted(ncols, colPtr, func(lo, hi int) {
-		if spec != nil && spec.fold(r.AddOp, colPtr, vals, rowOut, rowHas, lo, hi) {
-			return
-		}
-		for i := lo; i < hi; i++ {
-			s, e := colPtr[i], colPtr[i+1]
-			if s == e {
-				continue
-			}
-			acc := vals[s]
-			for p := s + 1; p < e; p++ {
-				acc = r.Add(acc, vals[p])
-			}
-			rowOut[i] = acc
-			rowHas[i] = true
-		}
-	})
-	w := FromDense(rowOut, rowHas)
+	// A target emits exactly when it has a slot, so the result is counted
+	// from colPtr and written in place.
+	w := emitRows[DC](ncols, colPtr, true, foldRows[DA, DU, DC]{colPtr, vals, r})
 	for _, cnt := range counts {
 		pool.PutInt32s(cnt)
 	}
 	pool.PutInts(colPtr)
-	pool.PutBools(rowHas)
 	return w, true
+}
+
+// foldRows is pushParallel's phase D as a row kernel: target i folds its
+// slots [colPtr[i], colPtr[i+1]) of vals left to right.
+type foldRows[DA, DU, DC any] struct {
+	colPtr []int
+	vals   []DC
+	r      Ring[DA, DU, DC]
+}
+
+func (f foldRows[DA, DU, DC]) most(lo, hi int) int { return nonEmpty(f.colPtr, lo, hi) }
+
+// emit folds targets [lo, hi) with ⊕'s specialized loop when there is one
+// (builtin.go), with the closure otherwise.
+//
+//grblint:hotpath
+func (f foldRows[DA, DU, DC]) emit(lo, hi int, idx []int, val []DC) int {
+	if spec := entryFor[DA, DU, DC](f.r.key()); spec != nil {
+		if n, ok := spec.fold(f.r.AddOp, f.colPtr, f.vals, idx, val, lo, hi); ok {
+			return n
+		}
+	}
+	colPtr, vals, add := f.colPtr, f.vals, f.r.Add
+	n := 0
+	for i := lo; i < hi; i++ {
+		s, e := colPtr[i], colPtr[i+1]
+		if s == e {
+			continue
+		}
+		acc := vals[s]
+		for p := s + 1; p < e; p++ {
+			acc = add(acc, vals[p])
+		}
+		if idx != nil {
+			idx[n] = i
+		}
+		val[n] = acc
+		n++
+	}
+	return n
 }

@@ -18,7 +18,8 @@ import (
 // Vec is a sparse vector of logical size N holding len(Idx) stored elements.
 // Invariants: Idx is strictly increasing, len(Idx) == len(Val), and every
 // index is in [0, N). Elements not stored are *undefined* (not implicit
-// zeros), per Section III-A of the paper.
+// zeros), per Section III-A of the paper. Idx is write-once and may be
+// shared with other vectors; Val is the vector's own (emit.go).
 type Vec[T any] struct {
 	N   int
 	Idx []int
@@ -34,7 +35,8 @@ func (v *Vec[T]) NVals() int { return len(v.Idx) }
 // Full reports whether v stores every one of its N positions. Idx is then
 // exactly 0, 1, …, N−1 (strictly increasing over [0, N)), so position i
 // sits in slot i and Val is the plain dense array: the vector kernels read
-// it as one.
+// it as one. The package builds every full vector's Idx as a prefix of one
+// shared identity list (emit.go).
 func (v *Vec[T]) Full() bool { return len(v.Idx) == v.N }
 
 // ApproxBytes estimates the heap footprint of the vector storage for the
@@ -45,20 +47,14 @@ func (v *Vec[T]) ApproxBytes() int64 {
 		int64(len(v.Val))*int64(unsafe.Sizeof(elem))
 }
 
-// Clone returns a deep copy of v.
+// Clone returns a copy of v: its own values over v's shared positions.
 func (v *Vec[T]) Clone() *Vec[T] {
 	w := &Vec[T]{N: v.N}
 	if len(v.Idx) > 0 {
-		w.Idx = append([]int(nil), v.Idx...)
+		w.Idx = sharedIdx(v.Idx)
 		w.Val = append([]T(nil), v.Val...)
 	}
 	return w
-}
-
-// Clear removes all stored elements, keeping the logical size.
-func (v *Vec[T]) Clear() {
-	v.Idx = v.Idx[:0]
-	v.Val = v.Val[:0]
 }
 
 // find returns the position of index i in v.Idx and whether it is present.
@@ -83,39 +79,12 @@ func (v *Vec[T]) Has(i int) bool {
 	return ok
 }
 
-// Set stores value x at index i, overwriting any existing element.
-func (v *Vec[T]) Set(i int, x T) {
-	p, ok := v.find(i)
-	if ok {
-		v.Val[p] = x
-		return
-	}
-	v.Idx = append(v.Idx, 0)
-	v.Val = append(v.Val, x)
-	copy(v.Idx[p+1:], v.Idx[p:])
-	copy(v.Val[p+1:], v.Val[p:])
-	v.Idx[p] = i
-	v.Val[p] = x
-}
-
-// Remove deletes the element at index i if present and reports whether an
-// element was removed.
-func (v *Vec[T]) Remove(i int) bool {
-	p, ok := v.find(i)
-	if !ok {
-		return false
-	}
-	v.Idx = append(v.Idx[:p], v.Idx[p+1:]...)
-	v.Val = append(v.Val[:p], v.Val[p+1:]...)
-	return true
-}
-
 // Resize changes the logical size to n, dropping stored elements at indices
-// >= n.
+// >= n. The shortened Idx is clipped to its length: its array may be shared.
 func (v *Vec[T]) Resize(n int) {
 	if n < v.N {
 		p := sort.SearchInts(v.Idx, n)
-		v.Idx = v.Idx[:p]
+		v.Idx = v.Idx[:p:p]
 		v.Val = v.Val[:p]
 	}
 	v.N = n
@@ -155,7 +124,7 @@ func BuildVec[T any](n int, idx []int, val []T, dup func(T, T) T) (v *Vec[T], ok
 		v.Idx = append(v.Idx, i)
 		v.Val = append(v.Val, val[p])
 	}
-	return v, true
+	return vecOf(n, v.Idx, v.Val), true
 }
 
 // Tuples returns copies of the stored indices and values in index order.
@@ -176,15 +145,18 @@ func (v *Vec[T]) Dense() ([]T, []bool) {
 }
 
 // FromDense gathers the marked entries of a dense slice into a sparse vector.
+// It counts first, so Idx and Val are allocated once at their exact size;
+// when every entry is marked the values are d's, copied, and the positions
+// the shared identity list.
 func FromDense[T any](d []T, present []bool) *Vec[T] {
-	// Count first so Idx/Val are allocated exactly once: the kernels that
-	// funnel through here are hot paths with pinned per-call allocation
-	// budgets, and append-growth from empty costs O(log nnz) reallocations.
 	nnz := 0
 	for _, p := range present {
 		if p {
 			nnz++
 		}
+	}
+	if nnz == len(d) {
+		return vecOf(len(d), nil, append(make([]T, 0, nnz), d...))
 	}
 	v := &Vec[T]{N: len(d), Idx: make([]int, 0, nnz), Val: make([]T, 0, nnz)}
 	for i := range d {
