@@ -21,6 +21,7 @@ import (
 
 	"graphblas"
 	"graphblas/internal/algorithms"
+	"graphblas/internal/core"
 	"graphblas/internal/generate"
 	"graphblas/internal/parallel"
 	"graphblas/internal/refalgo"
@@ -403,8 +404,8 @@ func BenchmarkFig3_BCBrandes(b *testing.B) {
 
 func benchOverwriteSequence(b *testing.B, elide bool) {
 	w := benchWorkload(b)
-	prev := graphblas.SetElision(elide)
-	defer graphblas.SetElision(prev)
+	prev := core.SetElision(elide)
+	defer core.SetElision(prev)
 	s := graphblas.PlusTimes[float64]()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,15 +1,13 @@
 package main
 
 // The flush-parallelism sweep (EXPERIMENTS.md E6b, BENCH_dataflow.json):
-// the same deferred workload is flushed under the sequential drain, the DAG
-// scheduler with fusion ablated, and the full DAG scheduler, on a workload
-// shape the DAG can exploit (independent op chains) and one it cannot (a
-// single dependent chain). The chained rows used to be the pure-overhead
-// control: hazard edges leave the DAG no width there, so before flush-time
-// fusion any gap between the schedulers on that workload was scheduling
-// overhead — and it ran below 1×. With fusion the chained pipeline's
-// intermediates are elided, so the dag row is expected at ≥1×; the
-// dag-nofuse row preserves the old overhead measurement.
+// the same deferred workload is flushed under the sequential drain and the
+// DAG scheduler, on a workload shape the DAG can exploit (independent op
+// chains) and one it cannot (a single dependent chain). The chained rows are
+// the pure-overhead control: hazard edges leave the DAG no width there, so
+// any gap between the schedulers on that workload is scheduling overhead.
+// The sequential drain is not an option of the public API; the sweep reaches
+// it through internal/core, where it is the DAG scheduler's test oracle.
 //
 // Realized speedup is bounded by min(chains, workers, cores): the JSON
 // records all three so a reader (or CI on different hardware) can judge the
@@ -26,6 +24,7 @@ import (
 	"time"
 
 	"graphblas"
+	"graphblas/internal/core"
 	"graphblas/internal/generate"
 )
 
@@ -35,18 +34,16 @@ const (
 )
 
 type dagRow struct {
-	Workload   string  `json:"workload"` // "independent" or "chained"
-	Sched      string  `json:"sched"`    // "sequential", "dag-nofuse", "dag"
-	Workers    int     `json:"workers"`
-	Ops        int     `json:"ops_per_flush"`
-	NsPerOp    float64 `json:"ns_per_flush"`
-	Speedup    float64 `json:"speedup_vs_sequential"`
-	DagNodes   int64   `json:"dag_nodes,omitempty"`
-	DagEdges   int64   `json:"dag_edges,omitempty"`
-	MaxWidth   int64   `json:"max_width,omitempty"`
-	ParFlush   int64   `json:"parallel_flushes,omitempty"`
-	FusedPairs int64   `json:"fused_pairs,omitempty"`
-	FusedOps   int64   `json:"fused_ops,omitempty"`
+	Workload string  `json:"workload"` // "independent" or "chained"
+	Sched    string  `json:"sched"`    // "sequential" or "dag"
+	Workers  int     `json:"workers"`
+	Ops      int     `json:"ops_per_flush"`
+	NsPerOp  float64 `json:"ns_per_flush"`
+	Speedup  float64 `json:"speedup_vs_sequential"`
+	DagNodes int64   `json:"dag_nodes,omitempty"`
+	DagEdges int64   `json:"dag_edges,omitempty"`
+	MaxWidth int64   `json:"max_width,omitempty"`
+	ParFlush int64   `json:"parallel_flushes,omitempty"`
 }
 
 type dagReport struct {
@@ -155,8 +152,8 @@ func (w *dagWorkload) flushChained(s graphblas.Semiring[float64, float64, float6
 
 // runDag is the flush-parallelism sweep: EXPERIMENTS.md E6b.
 func runDag(scale, ef int, seed uint64) {
-	prevSched := graphblas.CurrentScheduler()
-	defer graphblas.SetScheduler(prevSched)
+	prevSched := core.CurrentScheduler()
+	defer core.SetScheduler(prevSched)
 	workers := runtime.NumCPU()
 	if workers < 4 {
 		// Exercise the scheduler even on small hosts; extra workers beyond
@@ -184,23 +181,16 @@ func runDag(scale, ef int, seed uint64) {
 		{"independent", func() error { return w.flushIndependent(s, half) }},
 		{"chained", func() error { return w.flushChained(s, half) }},
 	}
-	// Three configurations per workload: the sequential drain (reference),
-	// the DAG scheduler with fusion ablated, and the full DAG scheduler.
-	// The nofuse row isolates what each mechanism buys: on the chained
-	// workload the DAG has no width to exploit, so any gain in the "dag" row
-	// over "dag-nofuse" is purely the fusion pass eliding intermediates.
+	// Two configurations per workload: the sequential drain (reference) and
+	// the DAG scheduler.
 	type config struct {
 		name  string
-		sched graphblas.Scheduler
-		fuse  bool
+		sched core.Scheduler
 	}
 	configs := []config{
-		{"sequential", graphblas.SchedSequential, false},
-		{"dag-nofuse", graphblas.SchedDag, false},
-		{"dag", graphblas.SchedDag, true},
+		{"sequential", core.SchedSequential},
+		{"dag", core.SchedDag},
 	}
-	prevFuse := graphblas.SetFusion(true)
-	defer graphblas.SetFusion(prevFuse)
 
 	report := dagReport{
 		Generated: time.Now().Format("2006-01-02"),
@@ -213,19 +203,15 @@ func runDag(scale, ef int, seed uint64) {
 		Note: "speedup_vs_sequential is bounded by min(chains, workers, cores); " +
 			"max_width is the process-wide high-water of realized schedule width, " +
 			"which proves overlap independently of the host's core count (the " +
-			"chained control inherits the high-water of earlier flushes); " +
-			"dag-nofuse rows ablate the flush-time fusion pass, so dag vs " +
-			"dag-nofuse on the chained workload isolates what fusion buys " +
-			"where the DAG has no width to exploit",
+			"chained control inherits the high-water of earlier flushes)",
 	}
 
-	fmt.Printf("%-12s %-11s %8s %14s %9s %6s %6s %6s %6s\n",
-		"workload", "sched", "workers", "ns/flush", "speedup", "nodes", "edges", "width", "fused")
+	fmt.Printf("%-12s %-11s %8s %14s %9s %6s %6s %6s\n",
+		"workload", "sched", "workers", "ns/flush", "speedup", "nodes", "edges", "width")
 	for _, b := range benches {
 		var seqNs float64
 		for _, cfg := range configs {
-			graphblas.SetScheduler(cfg.sched)
-			graphblas.SetFusion(cfg.fuse)
+			core.SetScheduler(cfg.sched)
 			// One untimed warm-up flush per configuration so format
 			// conversions and allocator warm-up stay out of the timing.
 			if err := b.flush(); err != nil {
@@ -242,7 +228,7 @@ func runDag(scale, ef int, seed uint64) {
 				Ops:      dagChains * dagOpsPerChain,
 				NsPerOp:  ns,
 			}
-			if cfg.sched == graphblas.SchedSequential {
+			if cfg.sched == core.SchedSequential {
 				seqNs = ns
 				row.Speedup = 1
 			} else if ns > 0 {
@@ -253,16 +239,14 @@ func runDag(scale, ef int, seed uint64) {
 				if flushes > 0 {
 					row.DagNodes = (after.DagNodes - before.DagNodes) / flushes
 					row.DagEdges = (after.DagEdges - before.DagEdges) / flushes
-					row.FusedPairs = (after.FusedPairs - before.FusedPairs) / flushes
-					row.FusedOps = (after.FusedOps - before.FusedOps) / flushes
 				}
 				row.MaxWidth = after.MaxWidth
 				row.ParFlush = flushes
 			}
 			report.Results = append(report.Results, row)
-			fmt.Printf("%-12s %-11s %8d %14.0f %8.2fx %6d %6d %6d %6d\n",
+			fmt.Printf("%-12s %-11s %8d %14.0f %8.2fx %6d %6d %6d\n",
 				b.workload, row.Sched, row.Workers, row.NsPerOp, row.Speedup,
-				row.DagNodes, row.DagEdges, row.MaxWidth, row.FusedPairs)
+				row.DagNodes, row.DagEdges, row.MaxWidth)
 		}
 	}
 

@@ -10,6 +10,7 @@ import (
 	"graphblas"
 	"graphblas/internal/algorithms"
 	"graphblas/internal/builtins"
+	"graphblas/internal/core"
 	"graphblas/internal/generate"
 	"graphblas/internal/refalgo"
 )
@@ -371,9 +372,9 @@ func runE6(scale, ef int, seed uint64) {
 		_, err = c.NVals()
 		return err
 	}
-	graphblas.SetElision(false)
+	core.SetElision(false)
 	dOff := timeIt(sequence)
-	graphblas.SetElision(true)
+	core.SetElision(true)
 	dOn := timeIt(sequence)
 	st := graphblas.StatsSnapshot()
 	fmt.Printf("  8 redundant A² overwrites, elision off: %12v\n", dOff.Round(time.Microsecond))

@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"graphblas"
+	"graphblas/internal/core"
 )
 
 // serveRequests is the -requests flag: per-row query count of the SERVE sweep.
@@ -71,9 +72,9 @@ func main() {
 
 	switch strings.ToLower(*sched) {
 	case "dag":
-		graphblas.SetScheduler(graphblas.SchedDag)
+		core.SetScheduler(core.SchedDag)
 	case "sequential", "seq":
-		graphblas.SetScheduler(graphblas.SchedSequential)
+		core.SetScheduler(core.SchedSequential)
 	default:
 		log.Fatalf("unknown scheduler %q (valid: dag, sequential)", *sched)
 	}
@@ -102,7 +103,7 @@ func main() {
 // from them are self-describing about how the engine executed.
 func header(id, title string) {
 	fmt.Printf("=== %s — %s [sched=%v workers=%d] ===\n",
-		id, title, graphblas.CurrentScheduler(), graphblas.MaxWorkers())
+		id, title, core.CurrentScheduler(), graphblas.MaxWorkers())
 }
 
 // benchEnv is embedded in every BENCH_*.json report so a reader can judge

@@ -206,20 +206,6 @@ const (
 // Stats reports execution-engine counters.
 type Stats = core.Stats
 
-// Scheduler selects how a nonblocking flush executes the deferred queue.
-type Scheduler = core.Scheduler
-
-// Flush schedulers.
-const (
-	// SchedSequential drains the queue one operation at a time in program
-	// order.
-	SchedSequential = core.SchedSequential
-	// SchedDag executes independent queued operations concurrently on the
-	// dataflow scheduler (the default), preserving observable program-order
-	// semantics.
-	SchedDag = core.SchedDag
-)
-
 // Init establishes the GraphBLAS context (GrB_init); once per program.
 func Init(mode Mode) error { return core.Init(mode) }
 
@@ -251,25 +237,6 @@ func StatsSnapshot() Stats { return core.StatsSnapshot() }
 
 // GetStats is an alias for StatsSnapshot, kept for source compatibility.
 func GetStats() Stats { return core.StatsSnapshot() }
-
-// SetElision toggles dead-store elimination in the nonblocking engine.
-func SetElision(on bool) bool { return core.SetElision(on) }
-
-// SetFusion toggles the flush-time kernel-fusion pass of the DAG scheduler
-// (on by default) and returns the previous setting. With it off — or on the
-// sequential scheduler — every operation materializes its output, the
-// unfused reference semantics.
-func SetFusion(on bool) bool { return core.SetFusion(on) }
-
-// FusionEnabled reports whether flush-time kernel fusion is enabled.
-func FusionEnabled() bool { return core.FusionEnabled() }
-
-// SetScheduler selects the nonblocking flush strategy (SchedDag by default)
-// and returns the previous one.
-func SetScheduler(s Scheduler) Scheduler { return core.SetScheduler(s) }
-
-// CurrentScheduler reports the nonblocking flush strategy.
-func CurrentScheduler() Scheduler { return core.CurrentScheduler() }
 
 // LastError returns the most recent execution-error detail (GrB_error).
 func LastError() string { return core.LastError() }

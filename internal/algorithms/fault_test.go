@@ -6,6 +6,7 @@ import (
 	"graphblas/internal/core"
 	"graphblas/internal/faults"
 	"graphblas/internal/format"
+	"graphblas/internal/leakcheck"
 	"graphblas/internal/refalgo"
 )
 
@@ -15,6 +16,7 @@ import (
 // queue-based reference — each failed fast path is transparently re-executed
 // on the CSR path — and the retries are visible in the engine stats.
 func TestBFSLevels_UnderKernelFaults(t *testing.T) {
+	leakcheck.AssertQuiescent(t)
 	t.Cleanup(faults.Disable)
 	for name, g := range testGraphs() {
 		t.Run(name, func(t *testing.T) {
@@ -63,6 +65,7 @@ func TestBFSLevels_UnderKernelFaults(t *testing.T) {
 // layout conversion itself is denied as OutOfMemory on every attempt; BFS
 // still matches the reference, running entirely on the CSR path.
 func TestBFSLevels_UnderAllocGovernor(t *testing.T) {
+	leakcheck.AssertQuiescent(t)
 	g := testGraphs()["er200"]
 	adj := refalgo.NewAdjacency(g)
 	a := boolMatrix(t, g)

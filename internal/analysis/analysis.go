@@ -121,7 +121,6 @@ func NewSuite() []*Analyzer {
 		NewAtomicMix(),
 		NewCtxFlow(),
 		NewFootprint(),
-		NewFuseCap(),
 		NewHotAlloc(),
 	}
 }

@@ -146,9 +146,17 @@ func isBoolType(t types.Type) bool {
 
 // calleePkgFunc resolves a call to (package name, function name) when the
 // callee is a package-level function accessed through a package selector
-// (`faults.Step`, `obs.Begin`). ok is false for methods, locals, builtins.
+// (`faults.Step`, `obs.Begin`), generic ones instantiated explicitly
+// included (`pool.GetVals[T]`). ok is false for methods, locals, builtins.
 func calleePkgFunc(info *types.Info, call *ast.CallExpr) (pkg, name string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	fun := call.Fun
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	sel, isSel := fun.(*ast.SelectorExpr)
 	if !isSel {
 		return "", "", false
 	}

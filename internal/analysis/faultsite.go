@@ -36,7 +36,7 @@ import (
 
 // kernelSiteNamespaces are the registered dotted prefixes for
 // kernel-internal injection sites.
-var kernelSiteNamespaces = []string{"sparse.kernel.", "format.kernel.", "format.alloc.", "stream.kernel.", "stream.alloc.", "fuse.kernel.", "shard.kernel.", "shard.alloc."}
+var kernelSiteNamespaces = []string{"sparse.kernel.", "format.kernel.", "format.alloc.", "stream.kernel.", "stream.alloc.", "shard.kernel.", "shard.alloc."}
 
 type siteUse struct {
 	pos  token.Pos

@@ -2,10 +2,9 @@ package analysis
 
 // footprint codifies the invariant the nonblocking scheduler's correctness
 // rests on: the hazard DAG sees exactly the objects an operation's deferred
-// closures will actually touch. PR 9's mask-aliasing fusion bug was this
-// class — a kernel consulted an object's store in a way the declared
-// footprint could not express, and the scheduler fused a pair it should not
-// have.
+// closures will actually touch. Store recycling leans on it too: a
+// superseded store is recycled once its replacement commits, which is safe
+// only because every reader of the old store is ordered before that write.
 //
 // The engine has one entry point, enqueue(opSpec, run), and the footprint is
 // derived from the spec (opSpec.footprint: the inputs the operation handed
@@ -13,16 +12,15 @@ package analysis
 // halves, and the analyzer checks both:
 //
 //   - At every enqueue site, every *Matrix/*Vector variable captured by the
-//     run closure (or by the fuseInfo producer/consume payloads attached to
-//     the spec) must be one the skeleton was handed: the output and mask
+//     run closure must be one the skeleton was handed: the output and mask
 //     given to the typed constructor (matOp/vecOp, or opSpec.begin), an
 //     input passed through opSpec.input, or — for the object methods that
 //     enqueue without Figure 2's pipeline — the out and src arguments of
 //     methodSpec. A captured object outside that set is a read or write the
 //     DAG builder never hears about.
 //   - The mask operand must be handed over in the mask position, never as a
-//     data input: downstream passes (fusion's alias veto) need mask and data
-//     operands distinguishable.
+//     data input: only there does the check step test it against the
+//     output's shape (opSpec.begin).
 //   - No store dereference (vdat()/mdat()/oriented()/transposed() calls) may
 //     happen in the enqueue path outside the deferred closures: a store read
 //     at enqueue time sees pre-hazard content and silently bypasses the
@@ -145,12 +143,8 @@ type enqueueSite struct {
 	// maskVar is the object handed over in the mask position, nil when the
 	// site has none.
 	maskVar types.Object
-	// closures are the deferred regions to scan: the run closure plus any
-	// fuseInfo payload expressions assigned in the enclosing function.
+	// closures are the deferred regions to scan: the run closure.
 	closures []ast.Node
-	// fuse is the expression assigned to the spec's fuse field, nil when the
-	// site attaches no fusion capability.
-	fuse ast.Expr
 	// enclosing is the op function containing the call.
 	enclosing ast.Node
 }
@@ -181,17 +175,13 @@ func resolveEnqueueSite(pass *Pass, f *ast.File, call *ast.CallExpr) *enqueueSit
 			site.traceSpec(pass, specVar)
 		}
 	}
-	if site.fuse != nil {
-		site.collectFuseClosures(pass, site.fuse)
-	}
 	return site
 }
 
 // traceSpec walks the enclosing function for every hand-over to the spec
 // variable: a typed constructor taking its address (the object arguments
 // are the output, then the mask), its begin method (the operand arguments
-// are the output, then the mask), its input method, and the assignment of
-// its fuse field.
+// are the output, then the mask), and its input method.
 func (s *enqueueSite) traceSpec(pass *Pass, specVar types.Object) {
 	isSpec := func(e ast.Expr) bool {
 		id, ok := unparen(e).(*ast.Ident)
@@ -199,12 +189,6 @@ func (s *enqueueSite) traceSpec(pass *Pass, specVar types.Object) {
 	}
 	ast.Inspect(funcBody(s.enclosing), func(n ast.Node) bool {
 		switch x := n.(type) {
-		case *ast.AssignStmt:
-			if len(x.Lhs) == 1 && len(x.Rhs) == 1 {
-				if sel, ok := x.Lhs[0].(*ast.SelectorExpr); ok && sel.Sel.Name == "fuse" && isSpec(sel.X) {
-					s.fuse = x.Rhs[0]
-				}
-			}
 		case *ast.CallExpr:
 			if sel, ok := unparen(x.Fun).(*ast.SelectorExpr); ok && isSpec(sel.X) {
 				switch sel.Sel.Name {
@@ -302,41 +286,6 @@ func (s *enqueueSite) operandBaseVar(pass *Pass, e ast.Expr, depth int) types.Ob
 	return nil
 }
 
-// collectFuseClosures gathers the fusion-payload expressions attached to the
-// spec's fuse field: the composite literal it was built from and every
-// assignment to it or its fields in the enclosing function. Their closures
-// run at flush time exactly like the run closure and meet the same footprint
-// bar.
-func (s *enqueueSite) collectFuseClosures(pass *Pass, fiArg ast.Expr) {
-	fiExpr := unparen(fiArg)
-	if id, ok := fiExpr.(*ast.Ident); ok {
-		if id.Name == "nil" {
-			return
-		}
-		fiObj := pass.TypesInfo.Uses[id]
-		if fiObj == nil {
-			return
-		}
-		ast.Inspect(funcBody(s.enclosing), func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-				return true
-			}
-			base := baseIdent(as.Lhs[0])
-			if base == nil {
-				return true
-			}
-			if pass.TypesInfo.Defs[base] == fiObj || pass.TypesInfo.Uses[base] == fiObj {
-				s.closures = append(s.closures, as.Rhs[0])
-			}
-			return true
-		})
-		return
-	}
-	// Inline &fuseInfo{...} value.
-	s.closures = append(s.closures, fiExpr)
-}
-
 // check walks the site's closures and reports captured object variables the
 // skeleton was not handed.
 func (s *enqueueSite) check(pass *Pass) {
@@ -355,15 +304,14 @@ func (s *enqueueSite) check(pass *Pass) {
 				return true
 			}
 			if v.Name() == "mask" && v != s.maskVar {
-				// The mask operand must enter the footprint through the mask
-				// position specifically; handing it over as a data input
-				// hides the mask/data distinction from fusion legality (the
-				// PR 9 alias class).
+				// The mask operand must enter the skeleton through the mask
+				// position specifically; handed over as a data input it is
+				// never tested against the output's shape.
 				reported[v] = true
 				if s.readVars[v] {
-					pass.Reportf(id.Pos(), "mask operand %s was handed to the skeleton as a data input; pass it in the mask position so it enters the footprint through maskReads and stays distinguishable for fusion legality", v.Name())
+					pass.Reportf(id.Pos(), "mask operand %s was handed to the skeleton as a data input; pass it in the mask position so the check step tests it as the mask and it enters the footprint through maskReads", v.Name())
 				} else {
-					pass.Reportf(id.Pos(), "mask operand %s is captured by the kernel closure but was never handed to the skeleton as the mask; mask and data operands must stay distinguishable for fusion legality", v.Name())
+					pass.Reportf(id.Pos(), "mask operand %s is captured by the kernel closure but was never handed to the skeleton as the mask: the hazard DAG never orders this read", v.Name())
 				}
 				return true
 			}

@@ -41,10 +41,6 @@ func TestFootprintSkeletonGolden(t *testing.T) {
 	RunGolden(t, "footprintskel", NewFootprint())
 }
 
-func TestFuseCapGolden(t *testing.T) {
-	RunGolden(t, "fusecap", NewFuseCap())
-}
-
 func TestHotAllocGolden(t *testing.T) {
 	RunGolden(t, "hotalloc", NewHotAlloc())
 }

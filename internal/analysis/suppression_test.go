@@ -47,9 +47,9 @@ func TestSuppressionStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Run only fusecap: the footprint directive in the package cannot be
+	// Run only hotalloc: the footprint directive in the package cannot be
 	// honored, so it must surface as stale.
-	_, sup, err := Run(fset, []*Package{pkg}, []*Analyzer{NewFuseCap()})
+	_, sup, err := Run(fset, []*Package{pkg}, []*Analyzer{NewHotAlloc()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ var KernelSites = []string{
 	"sparse.kernel.good",
 	"sparse.kernel.goof",
 	"sparse.kernel.dup",
-	"fuse.kernel.good",
+	"shard.kernel.good",
 	"format.kernel.unused", // want `drawn by no kernel`
 }
 
@@ -41,17 +41,17 @@ func wrongNamespace() {
 	faults.Step("wrong.namespace.site") // want `outside the registered namespaces` `not in faults.KernelSites`
 }
 
-// fusedKernel draws from the fuse.kernel. namespace the flush-time fusion
-// pass registered.
-func fusedKernel() {
-	faults.Step("fuse.kernel.good")
+// shardKernel draws from the shard.kernel. namespace the sharding
+// coordinator registered.
+func shardKernel() {
+	faults.Step("shard.kernel.good")
 }
 
-// unregisteredFusedKernel is inside the fuse.kernel. namespace but missing
-// from KernelSites — the exact hole that would make a fusion fault plan
-// silently unreachable.
-func unregisteredFusedKernel() {
-	faults.Step("fuse.kernel.rogue") // want `fault site "fuse.kernel.rogue" is not in faults.KernelSites`
+// unregisteredShardKernel is inside the shard.kernel. namespace but missing
+// from KernelSites — the exact hole that would make a fault plan written
+// against the registry silently unreachable.
+func unregisteredShardKernel() {
+	faults.Step("shard.kernel.rogue") // want `fault site "shard.kernel.rogue" is not in faults.KernelSites`
 }
 
 // dynamicSite cannot be targeted by a plan.

@@ -34,14 +34,6 @@ func (m *Matrix) mdat() *store { return m.data }
 // oriented mirrors core.Matrix.oriented: a store read under a descriptor bit.
 func (m *Matrix) oriented(tran bool) *store { return m.data }
 
-// fuseInfo mirrors core.fuseInfo: a producer payload, the source identity,
-// and the consume capability.
-type fuseInfo struct {
-	producer any
-	srcID    uint64
-	consume  func(src any) (func() error, any, bool)
-}
-
 // operand mirrors core.operand.
 type operand struct{ o *obj }
 
@@ -66,7 +58,6 @@ type opSpec struct {
 	mask *obj
 	in   [2]*obj
 	nin  int
-	fuse *fuseInfo
 }
 
 func (s *opSpec) begin(name string, out, mask operand) {
@@ -126,9 +117,6 @@ func maskReads(reads []*obj, mask *obj) []*obj {
 	}
 	return reads
 }
-
-// applySource is the producer payload shape ops hand to fusion.
-type applySource struct{ u *Vector }
 
 // applyGood is the canonical well-formed op: the run closure touches only
 // the output, the handed input, and the mask given in the mask position.
@@ -206,8 +194,8 @@ func dupDroppedSource(w, v *Vector) error {
 	})
 }
 
-// maskFolded hands the mask over as an ordinary data input; fusion legality
-// cannot tell it apart from u, which is the PR 9 alias class.
+// maskFolded hands the mask over as an ordinary data input, where the check
+// step never tests it against the output's shape as a mask.
 func maskFolded(w, u, mask *Vector) error {
 	var s opSpec
 	wb := vecOp(&s, "apply", w, nil)
@@ -253,55 +241,6 @@ func eagerOriented(c, a *Matrix) error {
 	d := a.oriented(true) // want `store read a.oriented\(\) at enqueue time`
 	return enqueue(s, func() error {
 		wb.commit(d)
-		return nil
-	})
-}
-
-// fusableGood mirrors the ApplyV shape: producer payload and consume
-// capability both stay inside what the skeleton was handed, and consume is
-// withheld when the mask aliases the source.
-func fusableGood(w, u, mask *Vector) error {
-	var s opSpec
-	wb := vecOp(&s, "apply", w, mask)
-	s.input(vecArg(u))
-	fi := &fuseInfo{srcID: u.obj.id}
-	if mask == nil {
-		fi.producer = applySource{u: u}
-	}
-	if mask == nil || mask.obj.id != u.obj.id {
-		fi.consume = func(src any) (func() error, any, bool) {
-			src2, ok := src.(applySource)
-			if !ok {
-				return nil, nil, false
-			}
-			return func() error {
-				_ = src2.u
-				if mask != nil {
-					_ = mask.vdat()
-				}
-				wb.commit(nil)
-				return nil
-			}, nil, true
-		}
-	}
-	s.fuse = fi
-	return enqueue(s, func() error {
-		wb.commit(u.vdat())
-		return nil
-	})
-}
-
-// fusablePayloadLeak smuggles an unhanded object into the producer payload:
-// a fused consumer would read aux with no hazard edge ordering it.
-func fusablePayloadLeak(w, u, aux *Vector) error {
-	var s opSpec
-	wb := vecOp(&s, "apply", w, nil)
-	s.input(vecArg(u))
-	fi := &fuseInfo{srcID: u.obj.id}
-	fi.producer = applySource{u: aux} // want `kernel closure captures aux, which the skeleton was not handed`
-	s.fuse = fi
-	return enqueue(s, func() error {
-		wb.commit(u.vdat())
 		return nil
 	})
 }

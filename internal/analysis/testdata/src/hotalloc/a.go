@@ -137,6 +137,32 @@ func parkGood(n int, sink *struct{ scratch []int }) {
 	pool.PutBools(buf)
 }
 
+// denseGood draws a typed scratch array from the value freelist and
+// returns it; the result array it hands back carries no Put obligation.
+//
+//grblint:hotpath
+func denseGood(n int) []float64 {
+	dense := pool.GetVals[float64](n)
+	out := pool.Vals[float64](n)
+	for i := range out {
+		out[i] = dense[i] + 1
+	}
+	pool.PutVals(dense)
+	return out
+}
+
+// leakyVals strands the typed scratch array on the early return.
+//
+//grblint:hotpath
+func leakyVals(n int, fail bool) []float64 {
+	dense := pool.GetVals[float64](n)
+	if fail {
+		return nil // want `pooled buffer from pool.GetVals at line \d+ may leak`
+	}
+	pool.PutVals(dense)
+	return nil
+}
+
 // discardedGet never binds the buffer at all.
 //
 //grblint:hotpath

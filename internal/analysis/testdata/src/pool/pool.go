@@ -10,3 +10,9 @@ func PutInts(s []int) { _ = s }
 func GetBools(n int) []bool { return make([]bool, n) }
 
 func PutBools(s []bool) { _ = s }
+
+func GetVals[T any](n int) []T { return make([]T, n) }
+
+func PutVals[T any](s []T) { _ = s }
+
+func Vals[T any](n int) []T { return make([]T, n) }

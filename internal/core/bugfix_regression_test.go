@@ -32,6 +32,7 @@ func seededMatrix(t *testing.T) (*Matrix[float64], float64) {
 // swallowed into a silently wrong scalar. Once the plan is exhausted the
 // same call succeeds.
 func TestScalarReduce_ExecutorFaultSurfaces(t *testing.T) {
+	assertQuiescent(t)
 	withMode(t, Blocking, func() {
 		a, sum := seededMatrix(t)
 		mon, err := NewMonoid(plusF64(), 0)
@@ -70,6 +71,7 @@ func TestScalarReduce_ExecutorFaultSurfaces(t *testing.T) {
 // recovered and surfaced as the method's error, for both the matrix and
 // vector forms.
 func TestScalarReduce_KernelFaultSurfaces(t *testing.T) {
+	assertQuiescent(t)
 	withMode(t, Blocking, func() {
 		mon, err := NewMonoid(plusF64(), 0)
 		if err != nil {
@@ -128,6 +130,7 @@ func TestScalarReduce_PanicOperatorSurfaces(t *testing.T) {
 // call instead of handing back an empty-but-valid diagonal matrix, and the
 // failure is logged; a clean retry produces the right diagonal.
 func TestDiag_FaultSurfaces(t *testing.T) {
+	assertQuiescent(t)
 	withMode(t, Blocking, func() {
 		u, err := NewVector[float64](3)
 		if err != nil {

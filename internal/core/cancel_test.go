@@ -13,6 +13,7 @@ import (
 // a later full overwrite rehabilitates the objects — identical recovery
 // semantics to a kernel failure.
 func TestWaitContext_PreCanceled(t *testing.T) {
+	assertQuiescent(t)
 	for _, sched := range []struct {
 		name string
 		s    Scheduler
@@ -73,6 +74,7 @@ func TestWaitContext_PreCanceled(t *testing.T) {
 // kernel is running lets that kernel finish (cancellation stops dispatch, it
 // never interrupts execution) and abandons the dependent operation behind it.
 func TestWaitContext_DeadlineMidFlush(t *testing.T) {
+	assertQuiescent(t)
 	for _, sched := range []struct {
 		name string
 		s    Scheduler
@@ -120,6 +122,7 @@ func TestWaitContext_DeadlineMidFlush(t *testing.T) {
 // TestWaitContext_NilAndUnexpired: WaitContext with a nil context, or one
 // whose deadline never fires, is observably identical to Wait.
 func TestWaitContext_NilAndUnexpired(t *testing.T) {
+	assertQuiescent(t)
 	withMode(t, NonBlocking, func() {
 		s := plusTimesF64(t)
 		a, _ := NewMatrix[float64](2, 2)
@@ -151,6 +154,7 @@ func TestWaitContext_NilAndUnexpired(t *testing.T) {
 // canceled context must drain a wide DAG flush without executing undispatched
 // nodes and without deadlocking the worker pool.
 func TestWaitContext_DagStopsDispatchUnderWidth(t *testing.T) {
+	assertQuiescent(t)
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs GOMAXPROCS >= 2 for a DAG flush")
 	}
@@ -188,6 +192,7 @@ func TestWaitContext_DagStopsDispatchUnderWidth(t *testing.T) {
 // content; Revalidate clears the invalid mark, the caller re-issues the
 // dropped mutation, and reads resume with no intervening overwrite.
 func TestRevalidate_AcceptsRolledBackContent(t *testing.T) {
+	assertQuiescent(t)
 	withMode(t, NonBlocking, func() {
 		s := plusTimesF64(t)
 		a, _ := NewMatrix[float64](2, 2)

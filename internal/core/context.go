@@ -96,13 +96,6 @@ type Stats struct {
 	DagNodes        int64
 	DagEdges        int64
 	MaxWidth        int64
-
-	// Fusion counters: producer operations whose computation ran inside a
-	// consumer's fused kernel instead of materializing (FusedOps), and
-	// producer-consumer pairs the flush-time fusion pass collapsed
-	// (FusedPairs; a chain of three ops counts as two pairs).
-	FusedOps   int64
-	FusedPairs int64
 }
 
 // The execution-engine counters live in the internal/obs metrics registry —
@@ -121,6 +114,7 @@ var (
 	mxvPull         = obs.MxVDirection.With("pull")
 	execRetries     = obs.KernelRetries
 	execRollbacks   = obs.Rollbacks
+	storesRecycled  = obs.StoresRecycled
 	// faultBase is the faults.InjectedCount baseline at the last stats reset,
 	// so Stats.FaultsInjected counts per Init/ResetForTesting epoch even
 	// though the faults package keeps its own global counter.
@@ -149,16 +143,6 @@ type pendingOp struct {
 	// span is the operation's observability record, nil when no tracer is
 	// registered (every obs.Span method is nil-safe).
 	span *obs.Span
-	// fuse describes how the flush-time fusion pass may combine this op with
-	// a neighbor (nil for ops that neither produce nor consume fused
-	// streams); fusedStub marks a producer whose computation was folded into
-	// its consumer's kernel — the node keeps its program position but runs
-	// nothing; fusedOuts, on a fused consumer, lists the fused-away
-	// intermediate outputs so a fused-kernel failure invalidates every
-	// logical result the kernel was computing. See fusion.go.
-	fuse      *fuseInfo
-	fusedStub bool
-	fusedOuts []*obj
 }
 
 // context is the GraphBLAS execution context. The paper defines exactly one
@@ -176,7 +160,6 @@ type context struct {
 	execErr  error
 	lastMsg  string
 	elision  bool      // dead-store elimination enabled (default true)
-	fusion   bool      // flush-time kernel fusion enabled (default true; DAG scheduler only)
 	sched    Scheduler // nonblocking flush strategy (default SchedDag)
 	reinitOK bool      // testing escape hatch
 
@@ -223,7 +206,6 @@ func Init(mode Mode) error {
 	global.execErr = nil
 	global.lastMsg = ""
 	global.elision = true
-	global.fusion = true
 	global.sched = SchedDag
 	global.errLog = nil
 	global.seqDone = nil
@@ -259,7 +241,6 @@ func ResetForTesting() {
 	global.execErr = nil
 	global.lastMsg = ""
 	global.elision = true
-	global.fusion = true
 	global.sched = SchedDag
 	global.reinitOK = true
 	global.errLog = nil
@@ -284,25 +265,6 @@ func SetElision(on bool) bool {
 	prev := global.elision
 	global.elision = on
 	return prev
-}
-
-// SetFusion toggles the flush-time kernel-fusion pass and returns the
-// previous setting. Fusion engages only on the DAG scheduler; turning it off
-// (or selecting SchedSequential) yields the unfused reference semantics the
-// differential tests compare against. Used by the E13 ablation benchmarks.
-func SetFusion(on bool) bool {
-	global.mu.Lock()
-	defer global.mu.Unlock()
-	prev := global.fusion
-	global.fusion = on
-	return prev
-}
-
-// FusionEnabled reports whether the flush-time fusion pass is enabled.
-func FusionEnabled() bool {
-	global.mu.Lock()
-	defer global.mu.Unlock()
-	return global.fusion
 }
 
 // SetScheduler selects the nonblocking flush strategy and returns the
@@ -347,8 +309,6 @@ func StatsSnapshot() Stats {
 		DagNodes:          obs.DagNodes.Value(),
 		DagEdges:          obs.DagEdges.Value(),
 		MaxWidth:          obs.DagWidth.Value(),
-		FusedOps:          obs.OpsFused.Value(),
-		FusedPairs:        obs.FusedPairs.Value(),
 	}
 	// faults.Configure/Reset zero the package counter independently of the
 	// stats epoch; a counter below the baseline means the plan was
@@ -623,7 +583,9 @@ func runOp(op *pendingOp) error {
 // the output object's committed store is snapshotted; if the kernel fails or
 // panics, the store is rolled back, so the output is *invalid but
 // restorable* — it holds exactly its prior committed contents, never a
-// half-written result, and a later full overwrite rehabilitates it.
+// half-written result, and a later full overwrite rehabilitates it. If it
+// succeeds, the snapshot is the last reference to the superseded store, and
+// dropping it recycles the store's values (Vector.snapshotState).
 //
 // gate (nil when no fault plan is installed) orders fault-plan draws from
 // concurrently executing operations by program position idx, keeping the
@@ -653,42 +615,22 @@ func runOpAt(op *pendingOp, gate *faults.Sequencer, idx int, serialBody bool) er
 		err := errf(InvalidObject, op.name, "output object invalid from a previous execution error: %v", op.out.err)
 		return failOp(op, obs.OutcomeShortCircuit, err)
 	}
-	if op.fusedStub {
-		// The operation's computation runs inside its consumer's fused kernel
-		// (fusion.go); the stub holds the program position so validity
-		// propagation, the sequence gate, and the error-log slot behave
-		// exactly as unfused. Its output is logically recomputed — it clears
-		// any prior invalidity just as the materializing op would — but its
-		// committed store is untouched: the fusion legality proof guarantees
-		// a later full overwrite refreshes it before anything reads it.
-		op.out.err = nil
-		obs.OpsExecuted.With(op.name).Inc()
-		obs.OpsFused.Inc()
-		op.span.Finish(obs.OutcomeFused, nil)
-		obs.Emit(op.span)
-		return nil
-	}
-	var restore func()
+	var settle func(bool)
 	if op.out.snapshot != nil {
-		restore = op.out.snapshot()
+		settle = op.out.snapshot()
 	}
 	op.span.MarkKernel()
 	if err := runGuardedAt(op, gate, idx, serialBody); err != nil {
-		if restore != nil {
-			restore()
+		if settle != nil {
+			settle(false)
 			execRollbacks.Add(1)
 			op.span.NoteRollback()
 		}
 		op.out.err = err
-		// A fused kernel was computing the fused-away intermediates too:
-		// invalidate them all, so both logical operations of a fused pair
-		// roll back. Their stores already hold prior committed content (the
-		// stubs never wrote), and the error carries the consumer's program
-		// position — the operation that actually ran.
-		for _, fo := range op.fusedOuts {
-			fo.err = err
-		}
 		return failOp(op, obs.OutcomeError, err)
+	}
+	if settle != nil {
+		settle(true)
 	}
 	op.out.err = nil
 	obs.OpsExecuted.With(op.name).Inc()
@@ -742,10 +684,8 @@ func runGuardedAt(op *pendingOp, gate *faults.Sequencer, idx int, serialBody boo
 // operation runs immediately; in nonblocking mode it is appended to the
 // sequence queue. Everything the scheduler needs — the read footprint, the
 // overwrite flag, the format hint that flushLocked propagates backward to the
-// producers of the operands, the span, and the fusion capability — derives
-// from the spec; run is the one closure the operation supplies. Blocking
-// mode ignores the fusion capability: fusion is a deferral optimization and
-// there is nothing deferred to pair with.
+// producers of the operands, and the span — derives from the spec; run is
+// the one closure the operation supplies.
 func enqueue(s opSpec, run func() error) error {
 	op := &pendingOp{out: s.out, reads: s.footprint(), overwrites: s.overwrites(), run: run, name: s.name, hint: s.hint, span: s.span}
 	if op.span == nil {
@@ -777,7 +717,6 @@ func enqueue(s opSpec, run func() error) error {
 		c.mu.Unlock()
 		return err
 	}
-	op.fuse = s.fuse
 	c.queue = append(c.queue, op)
 	obs.OpsEnqueued.With(s.name).Inc()
 	obs.QueueDepth.Set(int64(len(c.queue)))

@@ -180,6 +180,7 @@ func TestDagFirstErrorProgramOrder(t *testing.T) {
 // downstream dependents — they short-circuit with InvalidObject — while an
 // independent chain in the same flush runs to completion.
 func TestDagCancellationScopesToDependents(t *testing.T) {
+	assertQuiescent(t)
 	withDag(t, func() {
 		a0 := oneCell(t, 3)
 		a1, _ := NewMatrix[float64](1, 1)
@@ -288,6 +289,14 @@ func TestSchedulerSelection(t *testing.T) {
 				t.Fatalf("CurrentScheduler() = %v after Init, want dag", s)
 			}
 		})
+	})
+	t.Run("names", func(t *testing.T) {
+		if s := SchedDag.String(); s != "dag" {
+			t.Fatalf("SchedDag.String() = %q", s)
+		}
+		if s := SchedSequential.String(); s != "sequential" {
+			t.Fatalf("SchedSequential.String() = %q", s)
+		}
 	})
 	t.Run("toggle returns previous", func(t *testing.T) {
 		withMode(t, NonBlocking, func() {

@@ -158,6 +158,7 @@ func runFaultProgram(t *testing.T, mode Mode, sched Scheduler, prog []faultOp, s
 // TestFaults_DifferentialSweep: random programs under a mixed deterministic/
 // probabilistic fault plan must leave both modes in identical states.
 func TestFaults_DifferentialSweep(t *testing.T) {
+	assertQuiescent(t)
 	rules := []faults.Rule{
 		{Site: "MxM", Kind: faults.OOM, Every: 2},
 		{Site: "ApplyM", Kind: faults.KernelErr, After: 1},

@@ -39,6 +39,7 @@ func committedTuples(m *Matrix[float64]) dmat {
 // back intact — invalid but restorable — and a full overwrite rehabilitates
 // it, per Section V.
 func TestFaults_OpLevelRollback(t *testing.T) {
+	assertQuiescent(t)
 	withMode(t, NonBlocking, func() {
 		s := plusTimesF64(t)
 		a, _ := NewMatrix[float64](3, 3)
@@ -87,6 +88,7 @@ func TestFaults_OpLevelRollback(t *testing.T) {
 // successful method supersedes the previous GrB_error string in blocking
 // mode, and a clean flush does the same in nonblocking mode.
 func TestFaults_LastErrorClearedOnSuccess(t *testing.T) {
+	assertQuiescent(t)
 	withMode(t, Blocking, func() {
 		withFaults(t, 1, faults.Rule{Site: "Transpose", Kind: faults.KernelErr, Times: 1})
 		a, _ := NewMatrix[float64](2, 2)
@@ -132,6 +134,7 @@ func TestFaults_LastErrorClearedOnSuccess(t *testing.T) {
 // SequenceErrors exposes every failure with op names and program-order
 // positions, and survives the end of the sequence.
 func TestFaults_SequenceErrorLog(t *testing.T) {
+	assertQuiescent(t)
 	withMode(t, NonBlocking, func() {
 		withFaults(t, 1, faults.Rule{Site: "MxM", Kind: faults.OOM})
 		s := plusTimesF64(t)
@@ -219,6 +222,7 @@ func vecTuples(t *testing.T, v *Vector[float64]) map[int]float64 {
 // injected fault is transparently retried on the generic CSR path; the
 // result is correct and the retry is visible in StatsSnapshot.
 func TestFaults_KernelFallbackMxV(t *testing.T) {
+	assertQuiescent(t)
 	withMode(t, Blocking, func() {
 		rng := rand.New(rand.NewSource(7))
 		s := plusTimesF64(t)
@@ -258,6 +262,7 @@ func TestFaults_KernelFallbackMxV(t *testing.T) {
 // TestFaults_KernelFallbackMxM is the MxM counterpart, covering the ⟨+,×⟩
 // fast path, the generic bitmap SpGEMM site and the masked dot kernel.
 func TestFaults_KernelFallbackMxM(t *testing.T) {
+	assertQuiescent(t)
 	withMode(t, Blocking, func() {
 		rng := rand.New(rand.NewSource(11))
 		s := plusTimesF64(t)
@@ -343,6 +348,7 @@ func TestFaults_KernelFallbackMxM(t *testing.T) {
 // conversion itself is denied by the governor, and the operation still
 // completes on the CSR path.
 func TestFaults_AllocGovernorFallback(t *testing.T) {
+	assertQuiescent(t)
 	withMode(t, Blocking, func() {
 		rng := rand.New(rand.NewSource(13))
 		s := plusTimesF64(t)
@@ -387,6 +393,7 @@ func TestFaults_AllocGovernorFallback(t *testing.T) {
 // panic-kind fault models a faulty operator and is not retried: the
 // operation fails and the output keeps what it held.
 func TestFaults_PullFallsBackToPush(t *testing.T) {
+	assertQuiescent(t)
 	withMode(t, Blocking, func() {
 		rng := rand.New(rand.NewSource(29))
 		s := plusTimesF64(t)
@@ -479,6 +486,7 @@ func TestFaults_PullFallsBackToPush(t *testing.T) {
 // operators; they must take the GrB_PANIC route, not the silent kernel
 // retry.
 func TestFaults_PanicKindNotRetried(t *testing.T) {
+	assertQuiescent(t)
 	withMode(t, Blocking, func() {
 		rng := rand.New(rand.NewSource(17))
 		s := plusTimesF64(t)
@@ -503,6 +511,7 @@ func TestFaults_PanicKindNotRetried(t *testing.T) {
 // diagnostic carries a trimmed stack that names the faulty operator's frame
 // instead of just "unknown internal error".
 func TestFaults_PanicStackNamesOperator(t *testing.T) {
+	assertQuiescent(t)
 	withMode(t, Blocking, func() {
 		boom := UnaryOp[float64, float64]{Name: "boom", F: func(float64) float64 { panic("operator bug") }}
 		a, _ := NewMatrix[float64](2, 2)

@@ -111,38 +111,34 @@ func pushMxVDispatch[DC, DA, DU any](a *Matrix[DA], ud *sparse.Vec[DU], r sparse
 		execRetries.Add(1)
 		sp.NoteRetry()
 	}
-	return pushOrPull(a, ud.Idx, vm, sp,
-		func(at *sparse.CSR[DA]) *sparse.Vec[DC] { return r.DotMxV(at, ud, vm) },
-		func(ad *sparse.CSR[DA]) *sparse.Vec[DC] { return r.PushMxV(ad, ud, vm) })
+	return pushOrPull(a, ud, r, vm, sp)
 }
 
 // pushOrPull is where the engine picks a direction for w = Aᵀ ⊕.⊗ u on the
-// CSR store — the one place, for the unfused dispatch above and the fused
-// consumers in ops_mxm.go alike. The descriptor says which product is meant,
-// not which kernel runs: sparse.PullWins reads the frontier's edge count,
-// the mask and whether A has a transpose cached, and the call then runs
-// pull over Aᵀ (building and caching it when the rule asked for that) or
-// push over A. The two are bit-identical, so nothing downstream can tell.
-// The pull side is the engine's own idea, so it is fallible the way the
-// bitmap and dot-SpGEMM kernels are: the build passes the allocation
-// governor first, and a recoverable fault anywhere in it falls back to push
-// with one retry counted. uIdx is u's structure, vm the resolved mask.
-func pushOrPull[DC, DA any](a *Matrix[DA], uIdx []int, vm *sparse.VecMask, sp *obs.Span,
-	pull func(at *sparse.CSR[DA]) *sparse.Vec[DC], push func(ad *sparse.CSR[DA]) *sparse.Vec[DC]) *sparse.Vec[DC] {
+// CSR store. The descriptor says which product is meant, not which kernel
+// runs: sparse.PullWins reads the frontier's edge count, the mask and
+// whether A has a transpose cached, and the call then runs pull over Aᵀ
+// (building and caching it when the rule asked for that) or push over A.
+// The two are bit-identical, so nothing downstream can tell. The pull side
+// is the engine's own idea, so it is fallible the way the bitmap and
+// dot-SpGEMM kernels are: the build passes the allocation governor first,
+// and a recoverable fault anywhere in it falls back to push with one retry
+// counted. vm is the resolved mask.
+func pushOrPull[DC, DA, DU any](a *Matrix[DA], ud *sparse.Vec[DU], r sparse.Ring[DA, DU, DC], vm *sparse.VecMask, sp *obs.Span) *sparse.Vec[DC] {
 	ad, at := a.mdatWithTranspose()
-	if sparse.PullWins(ad.Ptr, uIdx, at, vm) {
-		r, ok, _ := runFallible(func() (*sparse.Vec[DC], bool) {
+	if sparse.PullWins(ad.Ptr, ud.Idx, at, vm) {
+		w, ok, _ := runFallible(func() (*sparse.Vec[DC], bool) {
 			faults.Step("format.kernel.csr.pull")
 			if at == nil {
 				faults.GovernAlloc("format.alloc.transpose", ad.ApproxBytes())
 				at = a.transposed()
 			}
-			return pull(at), true
+			return r.DotMxV(at, ud, vm), true
 		})
 		if ok {
 			mxvPull.Add(1)
 			sp.NoteLayout("csr-pull")
-			return r
+			return w
 		}
 		// Not ok is a recoverable fault (anything else has propagated).
 		execRetries.Add(1)
@@ -150,15 +146,5 @@ func pushOrPull[DC, DA any](a *Matrix[DA], uIdx []int, vm *sparse.VecMask, sp *o
 	}
 	mxvPush.Add(1)
 	sp.NoteLayout("csr")
-	return push(ad)
-}
-
-// fusedPushOrPull is pushOrPull for a fused consumer: u is the virtual
-// vector (n, idx, get) of an upstream producer and the kernels are the fused
-// pair, which run on the CSR store only (the fused path trades the
-// alternate-layout kernels for eliding the intermediate).
-func fusedPushOrPull[DC, DA, DU any](a *Matrix[DA], n int, idx []int, get func(p int) DU, r sparse.Ring[DA, DU, DC], vm *sparse.VecMask, sp *obs.Span) *sparse.Vec[DC] {
-	return pushOrPull(a, idx, vm, sp,
-		func(at *sparse.CSR[DA]) *sparse.Vec[DC] { return r.FusedDotMxV(at, n, idx, get, vm) },
-		func(ad *sparse.CSR[DA]) *sparse.Vec[DC] { return r.FusedPushMxV(ad, idx, get, vm) })
+	return r.PushMxV(ad, ud, vm)
 }

@@ -105,6 +105,7 @@ func TestMxMBitmapAdoptionDimsRace(t *testing.T) {
 // the other. Before the fix both kernels drew one literal and every plan hit
 // both.
 func TestHyperMxVFaultSitesDistinct(t *testing.T) {
+	assertQuiescent(t)
 	withMode(t, Blocking, func() {
 		rng := rand.New(rand.NewSource(5))
 		s := plusTimesF64(t)

@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"os"
 	"testing"
+
+	"graphblas/internal/leakcheck"
+	"graphblas/internal/pool"
 )
 
 // TestMain initializes the GraphBLAS context once for the package; tests
@@ -31,6 +34,35 @@ func withMode(t *testing.T, mode Mode, f func()) {
 		}
 	}()
 	f()
+}
+
+// assertQuiescent, called when a test starts, registers what the test must
+// leave behind when it ends: leakcheck's goroutine and pool balance, and no
+// value array of a vector handed to the returned watch function on the
+// pool's shelves — a live vector's values recycled while it still holds
+// them would be overwritten by the next kernel that draws them.
+func assertQuiescent(t *testing.T) (watch func(...shelvable)) {
+	t.Helper()
+	leakcheck.AssertQuiescent(t)
+	var live []shelvable
+	t.Cleanup(func() {
+		for k, v := range live {
+			if v.shelved() {
+				t.Errorf("leak: watched vector %d holds a value array the pool has recycled", k)
+			}
+		}
+	})
+	return func(vs ...shelvable) { live = append(live, vs...) }
+}
+
+// shelvable is a vector whose committed values can be looked for on the
+// pool's shelves.
+type shelvable interface{ shelved() bool }
+
+func (v *Vector[D]) shelved() bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.data != nil && pool.Holds(v.data.Val)
 }
 
 // key is a dense-model coordinate.

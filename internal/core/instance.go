@@ -40,7 +40,6 @@ func NewInstance(mode Mode) (*Instance, error) {
 	in.c.state = stateActive
 	in.c.mode = mode
 	in.c.elision = true
-	in.c.fusion = FusionEnabled()
 	in.c.sched = CurrentScheduler()
 	return in, nil
 }

@@ -130,6 +130,7 @@ func TestInstanceCrossMixingRejected(t *testing.T) {
 // instance's pending operations (Canceled) while a sibling instance's queue
 // flushes untouched — the shrunken blast radius sharded serving relies on.
 func TestInstanceScopedCancellation(t *testing.T) {
+	assertQuiescent(t)
 	withMode(t, NonBlocking, func() {
 		a, _ := NewInstance(NonBlocking)
 		b, _ := NewInstance(NonBlocking)

@@ -75,7 +75,7 @@ func VectorIterate[D any](v *Vector[D]) (*VectorIterator[D], error) {
 	if err := invalidMark(&v.obj, op); err != nil {
 		return nil, err
 	}
-	return &VectorIterator[D]{data: v.vdat()}, nil
+	return &VectorIterator[D]{data: v.pin()}, nil
 }
 
 // Next returns the next entry; ok is false when iteration is complete.

@@ -79,15 +79,19 @@ func (m *Matrix[D]) initMatrix() {
 
 // snapshotState captures the committed store — the pointers to the CSR,
 // buffered updates, and format caches; all immutable once installed — and
-// returns a closure restoring them. O(len(pending)) and allocation-light,
-// so taking one per operation is cheap.
-func (m *Matrix[D]) snapshotState() func() {
+// returns a closure restoring them unless the operation committed; a
+// superseded matrix store is left to the collector. O(len(pending)) and
+// allocation-light, so taking one per operation is cheap.
+func (m *Matrix[D]) snapshotState() func(bool) {
 	m.mu.Lock()
 	data, tcache, bcache, hcache := m.data, m.tcache, m.bcache, m.hcache
 	delta, mcache, deltaAge, epochID := m.delta, m.mcache, m.deltaAge, m.epochID
 	pending := append([]sparse.Tuple[D](nil), m.pending...)
 	m.mu.Unlock()
-	return func() {
+	return func(committed bool) {
+		if committed {
+			return
+		}
 		m.mu.Lock()
 		m.data, m.tcache, m.bcache, m.hcache = data, tcache, bcache, hcache
 		m.delta, m.mcache, m.deltaAge, m.epochID = delta, mcache, deltaAge, epochID

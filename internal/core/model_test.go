@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"graphblas/internal/obs"
 )
 
 // Model-based testing: long random operation sequences run both through the
@@ -240,19 +242,29 @@ func runModelSequence(t *testing.T, seed int64, steps int) {
 // TestModelBasedVectorSequences mirrors the matrix model test for the
 // vector operations, comparing only every few steps so the nonblocking
 // queue actually accumulates depth between checks.
+//
+// Every sequence overwrites its vectors over and over, so it runs on values
+// the pool recycled from the stores it superseded: the sweep requires that
+// recycling happened, and that no vector it leaves holds a recycled array.
 func TestModelBasedVectorSequences(t *testing.T) {
 	for _, mode := range []Mode{Blocking, NonBlocking} {
 		t.Run(mode.String(), func(t *testing.T) {
+			watch := assertQuiescent(t)
 			withMode(t, mode, func() {
 				for seed := int64(0); seed < 6; seed++ {
-					runVectorModelSequence(t, seed, 60)
+					for _, v := range runVectorModelSequence(t, seed, 60) {
+						watch(v)
+					}
+				}
+				if obs.StoresRecycled.Value() == 0 {
+					t.Fatal("graphblas_stores_recycled_total stayed 0 over the sweep")
 				}
 			})
 		})
 	}
 }
 
-func runVectorModelSequence(t *testing.T, seed int64, steps int) {
+func runVectorModelSequence(t *testing.T, seed int64, steps int) []*Vector[float64] {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const n = 9
@@ -397,4 +409,5 @@ func runVectorModelSequence(t *testing.T, seed int64, steps int) {
 			}
 		}
 	}
+	return vecs
 }

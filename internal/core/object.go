@@ -20,13 +20,16 @@ type obj struct {
 	// never serializes against the global queue.
 	ctx *context
 	// snapshot captures the object's committed store (pointers, not
-	// payloads — stores are immutable once committed) and returns a closure
-	// restoring it. The executor takes a snapshot before each kernel and
-	// rolls back on failure, so an output object is never observed
-	// half-written: it holds its prior committed contents (invalid but
-	// restorable, Section V) or the new result. Registered by the typed
+	// payloads — stores are immutable once committed) and returns the
+	// closure that settles the operation about to write it: settle(false)
+	// restores the captured store, settle(true) releases it. The executor
+	// takes a snapshot before each kernel and settles after it, so an output
+	// object is never observed half-written: it holds its prior committed
+	// contents (invalid but restorable, Section V) or the new result — and a
+	// vector's superseded store, which nothing reaches once the new one is
+	// in, gives its value array back to the pool. Registered by the typed
 	// constructors; nil for objects with no transactional store.
-	snapshot func() func()
+	snapshot func() (settle func(committed bool))
 	// hint records how the object was last — or, after hint propagation at
 	// flush time, will next be — consumed. The storage engine's adaptive
 	// policy reads it when deciding which layout to materialize. Atomic

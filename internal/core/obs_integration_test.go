@@ -265,7 +265,7 @@ func TestObs_FullVectorPathIsVisible(t *testing.T) {
 			before[k] = obs.KernelSeconds.With(k).Count()
 		}
 		// Each call writes a fresh output and is flushed on its own, so
-		// nothing is elided or fused.
+		// nothing is elided.
 		for _, call := range []func(w *Vector[float64]) error{
 			func(w *Vector[float64]) error {
 				return EWiseAddV(w, NoMaskV, NoAccum[float64](), plusF64(), full, part, nil)

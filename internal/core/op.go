@@ -10,8 +10,8 @@ package core
 //	check    opSpec: every argument is tested as it is handed over (handles,
 //	         engine instance, shapes, index lists) and opSpec.check reports
 //	         the failure the one precedence, errRank, puts first
-//	enqueue  enqueue(opSpec, run): the footprint, the overwrite flag, the hint,
-//	         the span and the fusion capability all derive from the spec
+//	enqueue  enqueue(opSpec, run): the footprint, the overwrite flag, the hint
+//	         and the span all derive from the spec
 //	commit   matWrite/vecWrite: resolve the mask, pick the write mode, install
 //
 // An operation keeps only what is its own: whether its operator is defined,
@@ -123,7 +123,6 @@ type opSpec struct {
 	// span is set by operations that thread their span into kernel dispatch
 	// (the multiply family); enqueue opens one for everything else.
 	span *obs.Span
-	fuse *fuseInfo
 }
 
 // begin starts the spec of a Figure 2 operation in place, on the caller's

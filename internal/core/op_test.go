@@ -11,18 +11,18 @@ import (
 // Tests of the operation skeleton (op.go): what every Table II operation
 // shares is tested here once, over a table of all of them.
 
-// engineConfig is one of the ways a program can execute.
+// engineConfig is one of the ways a program can execute: blocking, or
+// nonblocking on the DAG scheduler or on the sequential drain that is its
+// oracle.
 type engineConfig struct {
 	name  string
 	mode  Mode
 	sched Scheduler
-	fuse  bool
 }
 
 var nonblockingConfigs = []engineConfig{
-	{"sequential", NonBlocking, SchedSequential, false},
-	{"dag", NonBlocking, SchedDag, false},
-	{"dag+fusion", NonBlocking, SchedDag, true},
+	{"sequential", NonBlocking, SchedSequential},
+	{"dag", NonBlocking, SchedDag},
 }
 
 // underConfig runs f in a fresh context configured as cfg and restores the
@@ -31,7 +31,6 @@ func underConfig(t *testing.T, cfg engineConfig, f func()) {
 	t.Helper()
 	withMode(t, cfg.mode, func() {
 		SetScheduler(cfg.sched)
-		SetFusion(cfg.fuse)
 		if cfg.sched == SchedDag {
 			defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(4))
 		}
@@ -196,7 +195,7 @@ func TestIndexListsCapturedAtCall(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var want string
-			underConfig(t, engineConfig{"blocking", Blocking, SchedSequential, false}, func() { want = tc.run(t) })
+			underConfig(t, engineConfig{"blocking", Blocking, SchedSequential}, func() { want = tc.run(t) })
 			for _, cfg := range nonblockingConfigs {
 				underConfig(t, cfg, func() {
 					if got := tc.run(t); got != want {

@@ -31,40 +31,6 @@ func ApplyV[DC, DA, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, 
 	if err := s.check(f.Defined(), "unary operator"); err != nil {
 		return err
 	}
-	// Fusion capabilities (fusion.go). Producer: with no mask and no
-	// accumulator the output is exactly f mapped over u, expressible as a
-	// virtual vector. Consumer: always — a fused upstream of u feeds
-	// FusedVecMap, with this op's write mask pushed into the kernel (replace
-	// mode makes allowed positions the entire surviving structure, so the
-	// pushdown is exact; merge mode keeps old content only at disallowed
-	// positions, which the kernel skips and the mask merge restores).
-	// A mask aliasing u vetoes consumption (see fuseInfo.consume): the fused
-	// kernel would resolve the mask from u's stale committed store while
-	// streaming u's fresh values.
-	fi := &fuseInfo{srcID: u.obj.id}
-	if mask == nil && !accum.Defined() {
-		fi.producer = applySource[DA, DC]{u: u, f: f.F}
-	}
-	if mask == nil || mask.obj.id != u.obj.id {
-		fi.consume = func(src any) (func() error, any, bool) {
-			vs, ok := src.(vecSource[DA])
-			if !ok {
-				return nil, nil, false
-			}
-			run := func() error {
-				n, idx, get := vs.vecElems()
-				vm := wb.maskNow()
-				wb.write(sparse.FusedVecMap(n, idx, get, f.F, vm), vm)
-				return nil
-			}
-			var chained any
-			if mask == nil && !accum.Defined() {
-				chained = composedSource[DA, DC]{inner: vs, f: f.F}
-			}
-			return run, chained, true
-		}
-	}
-	s.fuse = fi
 	return enqueue(s, func() error {
 		wb.commit(sparse.VecApply(u.vdat(), f.F))
 		return nil

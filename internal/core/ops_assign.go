@@ -37,33 +37,6 @@ func AssignVector[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC
 	// union of w and u, an array loop when either is full (kernels_vec.go).
 	sp := obs.Begin(name)
 	s.span = sp
-	// Fusion capability (fusion.go): the full-width form w(:) ⊙= u consumes
-	// a fused upstream of u directly — FusedAssignAccum computes the same
-	// pre-mask Z content AssignExpandVec produces over the identity index
-	// list, streaming u instead of materializing it. The region-restricted
-	// form keeps the generic path (the expand/sort machinery wants a
-	// materialized source), and assign's output merges into prior content,
-	// so it never acts as a producer. A mask aliasing u vetoes consumption
-	// (see fuseInfo.consume): the fused kernel would resolve the mask from
-	// u's stale committed store while streaming u's fresh values.
-	if indices == nil && (mask == nil || mask.obj.id != u.obj.id) {
-		fi := &fuseInfo{srcID: u.obj.id}
-		fi.consume = func(src any) (func() error, any, bool) {
-			vs, ok := src.(vecSource[DC])
-			if !ok {
-				return nil, nil, false
-			}
-			run := func() error {
-				n, sidx, get := vs.vecElems()
-				c := w.vdat()
-				noteFull(sp, wb.accumF == nil || c.Full() || len(sidx) == n)
-				wb.commit(sparse.FusedAssignAccum(c, sidx, get, wb.accumF))
-				return nil
-			}
-			return run, nil, true
-		}
-		s.fuse = fi
-	}
 	return enqueue(s, func() error {
 		c, uv := w.vdat(), u.vdat()
 		noteFull(sp, idx == nil && (wb.accumF == nil || c.Full() || uv.Full()))

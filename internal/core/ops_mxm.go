@@ -138,52 +138,6 @@ func MxV[DC, DA, DU, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 	r := op.ring()
 	sp := obs.Begin(name)
 	s.hint, s.span = format.HintMxV, sp
-	// Fusion capabilities (fusion.go). Producer: unmasked, non-accumulating
-	// mxv streams its (materialized-on-demand) product downstream. Consumer:
-	// a fused upstream of u feeds the fused mxv kernels, which run on the
-	// committed CSR store directly — the fused path trades the adaptive
-	// format engine's alternate-layout kernels for eliding the intermediate.
-	fi := &fuseInfo{srcID: u.obj.id}
-	if mask == nil && !accum.Defined() {
-		fi.producer = mxvSource[DC]{compute: func() *sparse.Vec[DC] {
-			if tran0 {
-				return pushMxVDispatch(a, u.vdat(), r, nil, nil)
-			}
-			return dotMxVDispatch(a, u.vdat(), r, nil, nil)
-		}}
-	}
-	// A mask aliasing u vetoes consumption (see fuseInfo.consume): the fused
-	// kernel would resolve the mask from u's stale committed store while
-	// streaming u's fresh values.
-	if mask == nil || mask.obj.id != u.obj.id {
-		fi.consume = func(src any) (func() error, any, bool) {
-			vs, ok := src.(vecSource[DU])
-			if !ok {
-				return nil, nil, false
-			}
-			fusedT := func(vm *sparse.VecMask, sp *obs.Span) *sparse.Vec[DC] {
-				n, idx, get := vs.vecElems()
-				if tran0 {
-					return fusedPushOrPull(a, n, idx, get, r, vm, sp)
-				}
-				sp.NoteLayout("csr")
-				return r.FusedDotMxV(a.mdat(), n, idx, get, vm)
-			}
-			run := func() error {
-				vm := wb.maskNow()
-				t := fusedT(vm, sp)
-				sp.AddBytes(t.ApproxBytes())
-				wb.write(t, vm)
-				return nil
-			}
-			var chained any
-			if mask == nil && !accum.Defined() {
-				chained = mxvSource[DC]{compute: func() *sparse.Vec[DC] { return fusedT(nil, nil) }}
-			}
-			return run, chained, true
-		}
-	}
-	s.fuse = fi
 	return enqueue(s, func() error {
 		vm := wb.maskNow()
 		var t *sparse.Vec[DC]
@@ -223,47 +177,6 @@ func VxM[DC, DU, DA, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 	a.noteHint(format.HintMxV)
 	sp := obs.Begin(name)
 	s.hint, s.span = format.HintMxV, sp
-	// Fusion capabilities mirror MxV's, with the operand order flipped
-	// through the same flipped semiring the unfused dispatch uses.
-	fi := &fuseInfo{srcID: u.obj.id}
-	if mask == nil && !accum.Defined() {
-		fi.producer = mxvSource[DC]{compute: func() *sparse.Vec[DC] {
-			if tran1 {
-				return dotMxVDispatch(a, u.vdat(), flipped, nil, nil)
-			}
-			return pushMxVDispatch(a, u.vdat(), flipped, nil, nil)
-		}}
-	}
-	// A mask aliasing u vetoes consumption, exactly as in MxV.
-	if mask == nil || mask.obj.id != u.obj.id {
-		fi.consume = func(src any) (func() error, any, bool) {
-			vs, ok := src.(vecSource[DU])
-			if !ok {
-				return nil, nil, false
-			}
-			fusedT := func(vm *sparse.VecMask, sp *obs.Span) *sparse.Vec[DC] {
-				n, idx, get := vs.vecElems()
-				if tran1 {
-					sp.NoteLayout("csr")
-					return flipped.FusedDotMxV(a.mdat(), n, idx, get, vm)
-				}
-				return fusedPushOrPull(a, n, idx, get, flipped, vm, sp)
-			}
-			run := func() error {
-				vm := wb.maskNow()
-				t := fusedT(vm, sp)
-				sp.AddBytes(t.ApproxBytes())
-				wb.write(t, vm)
-				return nil
-			}
-			var chained any
-			if mask == nil && !accum.Defined() {
-				chained = mxvSource[DC]{compute: func() *sparse.Vec[DC] { return fusedT(nil, nil) }}
-			}
-			return run, chained, true
-		}
-	}
-	s.fuse = fi
 	return enqueue(s, func() error {
 		vm := wb.maskNow()
 		var t *sparse.Vec[DC]

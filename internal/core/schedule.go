@@ -50,25 +50,8 @@ func opMetas(nodes []*pendingOp) []dataflow.OpMeta {
 // stops DAG dispatch once it is canceled: undispatched nodes are abandoned
 // via cancelOp while running kernels complete. Caller guarantees
 // len(nodes) > 1.
-//
-// Before the hazard graph is built, the fusion pass (fusion.go) may collapse
-// producer-consumer pairs into fused nodes. It engages only when enabled on
-// the context and when any installed fault plan is confined to the
-// "fuse.kernel.*" sites: a plan that can fire anywhere else was written
-// against the unfused schedule — its draws key on op names and unfused
-// kernel sites — and fusing under it would change which operations fail.
-// The differential fault sweeps rely on exactly this self-disabling.
 func (c *context) runQueueDag(ctx stdctx.Context, nodes []*pendingOp) []error {
-	metas := opMetas(nodes)
-	fusedPairs := 0
-	if c.fusion && (!faults.Enabled() || !faults.PlanCoversSitesOutside("fuse.")) {
-		fusedPairs = planFusion(nodes, metas)
-	}
-	g := dataflow.Build(metas)
-	if fusedPairs > 0 {
-		g.NoteFused(fusedPairs)
-		obs.FusedPairs.Add(int64(fusedPairs))
-	}
+	g := dataflow.Build(opMetas(nodes))
 	var gate *faults.Sequencer
 	serialBody := false
 	if faults.Enabled() {
@@ -117,13 +100,6 @@ func cancelOp(op *pendingOp, gate *faults.Sequencer, idx int, cause error) error
 	gate.Release(idx)
 	err := errf(Canceled, op.name, "abandoned before execution: %v", cause)
 	op.out.err = err
-	// An abandoned fused consumer never computed its fused-away
-	// intermediates either: their stubs reported success, but the values
-	// only ever existed inside this kernel, so they are invalidated with the
-	// same restorable Canceled error.
-	for _, fo := range op.fusedOuts {
-		fo.err = err
-	}
 	obs.OpsCanceled.Inc()
 	op.span.Finish(obs.OutcomeCanceled, err)
 	obs.Emit(op.span)

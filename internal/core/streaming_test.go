@@ -232,6 +232,7 @@ func TestStreamMergePolicy(t *testing.T) {
 // the matrix back to its committed pre-batch content and invalidates it; a
 // full overwrite rehabilitates, and a re-applied batch then lands.
 func TestStreamFaultRollback(t *testing.T) {
+	assertQuiescent(t)
 	for _, site := range []string{"stream.kernel.absorb", "stream.kernel.merge", "stream.alloc.delta"} {
 		t.Run(site, func(t *testing.T) {
 			withMode(t, NonBlocking, func() {

@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 
+	"graphblas/internal/pool"
 	"graphblas/internal/sparse"
 )
 
@@ -24,7 +25,10 @@ type Vector[D any] struct {
 
 	// pending buffers single-element updates; see Matrix.pending.
 	pending []sparse.Tuple[D]
-	mu      sync.Mutex
+	// pinned is the last store handed to a reader that keeps it beyond the
+	// operation that read it (an iterator). It is never recycled.
+	pinned *sparse.Vec[D]
+	mu     sync.Mutex
 }
 
 // setVData replaces the storage and drops buffered updates.
@@ -40,11 +44,24 @@ func (v *Vector[D]) setVData(d *sparse.Vec[D]) {
 func (v *Vector[D]) vdat() *sparse.Vec[D] {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	return v.vdatLocked()
+}
+
+func (v *Vector[D]) vdatLocked() *sparse.Vec[D] {
 	if len(v.pending) > 0 {
 		v.data = sparse.ApplyVecTuples(v.data, v.pending)
 		v.pending = nil
 	}
 	return v.data
+}
+
+// pin is vdat for a reader that keeps the store past the read: the store
+// is marked so that superseding it never recycles its values.
+func (v *Vector[D]) pin() *sparse.Vec[D] {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.pinned = v.vdatLocked()
+	return v.pinned
 }
 
 // initVector stamps a fresh identity and registers the transactional
@@ -54,18 +71,32 @@ func (v *Vector[D]) initVector() {
 	v.snapshot = v.snapshotState
 }
 
-// snapshotState captures the vector's committed store and returns a closure
-// restoring it; see Matrix.snapshotState.
-func (v *Vector[D]) snapshotState() func() {
+// snapshotState captures the vector's committed store and returns the
+// closure settling the operation that writes it: a failed one gets the
+// store back (see Matrix.snapshotState); a committed one recycles it.
+//
+// Store lifetimes. When the operation has committed, the captured store is
+// unreachable unless it is still the vector's own (the operation kept it)
+// or pinned by an iterator: the rollback this closure held is the only
+// other reference the engine keeps, operations ordered after this one read
+// the new store, and every kernel writes a Val of its own — no two stores
+// share one. The Idx is never recycled: it may be shared.
+func (v *Vector[D]) snapshotState() func(bool) {
 	v.mu.Lock()
 	data := v.data
 	pending := append([]sparse.Tuple[D](nil), v.pending...)
 	v.mu.Unlock()
-	return func() {
+	return func(committed bool) {
 		v.mu.Lock()
-		v.data = data
-		v.pending = pending
-		v.mu.Unlock()
+		defer v.mu.Unlock()
+		if !committed {
+			v.data = data
+			v.pending = pending
+			return
+		}
+		if data != v.data && data != v.pinned && pool.Recycle(data.Val) {
+			storesRecycled.Inc()
+		}
 	}
 }
 

@@ -63,9 +63,6 @@ type Graph struct {
 	// Per-hazard edge counts, after deduplication assigns each edge the
 	// strongest classification in RAW > WAW > WAR order.
 	raw, waw, war int
-	// fused is the number of producer-consumer pairs the fusion pass
-	// collapsed before this graph was built (NoteFused).
-	fused int
 }
 
 // Build constructs the hazard DAG for ops. Edges are deduplicated: two
@@ -124,95 +121,6 @@ func Build(ops []OpMeta) *Graph {
 	return g
 }
 
-// NoteFused records that n producer-consumer pairs were collapsed by the
-// flush-time fusion pass before this graph was built, so the run statistics
-// expose how much of the schedule executed fused.
-func (g *Graph) NoteFused(n int) { g.fused += n }
-
-// readsObj reports whether m consults object x before writing: as a listed
-// operand/mask, or as its own output's prior content when it does not fully
-// overwrite.
-func readsObj(m *OpMeta, x uint64) bool {
-	for _, r := range m.Reads {
-		if r == x {
-			return true
-		}
-	}
-	return !m.Overwrites && m.Out == x
-}
-
-// FuseLegal reports whether the producer ops[i] and the consumer ops[j] may
-// be collapsed into one fused node executing at j's program position, with
-// the producer's output X never materialized. The predicate is purely about
-// the access pattern; operation kinds and payload compatibility are the
-// caller's business. Legality requires:
-//
-//   - the producer fully determines X from its inputs (Overwrites) — a
-//     merging producer would need X's prior content anyway;
-//   - the consumer reads X, and no operation strictly between them reads or
-//     writes X: the value flows directly from i to j;
-//   - no operation strictly between them writes any producer input — the
-//     fused kernel evaluates those inputs at j's position, so they must
-//     still hold the values the producer would have seen at i (operations
-//     before i are free to read X: they want its prior content, which the
-//     unexecuted producer leaves in place);
-//   - the consumer, if it writes X itself, fully overwrites it (a merge
-//     into its own source would consult the stale unmaterialized X);
-//   - X is dead after j: no later operation reads it before a later full
-//     overwrite, and that overwrite exists in this flush (the consumer
-//     overwriting X counts). This is exactly the condition under which the
-//     skipped materialization is a dead store — without it X's stale
-//     committed content would be visible to the program after the flush.
-func FuseLegal(ops []OpMeta, i, j int) bool {
-	if i < 0 || j <= i || j >= len(ops) {
-		return false
-	}
-	p, c := &ops[i], &ops[j]
-	if !p.Overwrites {
-		return false
-	}
-	x := p.Out
-	found := false
-	for _, r := range c.Reads {
-		if r == x {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return false
-	}
-	if c.Out == x && !c.Overwrites {
-		return false
-	}
-	for k := i + 1; k < j; k++ {
-		m := &ops[k]
-		if m.Out == x || readsObj(m, x) {
-			return false
-		}
-		for _, r := range p.Reads {
-			if m.Out == r {
-				return false
-			}
-		}
-	}
-	if c.Out == x {
-		return true // the consumer itself retires X (full overwrite, above)
-	}
-	for k := j + 1; k < len(ops); k++ {
-		m := &ops[k]
-		if readsObj(m, x) {
-			return false
-		}
-		if m.Out == x {
-			return m.Overwrites
-		}
-	}
-	// X escapes the flush without being refreshed: its stale committed
-	// content would be observable.
-	return false
-}
-
 // Nodes reports the number of operations in the graph.
 func (g *Graph) Nodes() int { return len(g.succ) }
 
@@ -234,9 +142,6 @@ type RunStats struct {
 	// MaxWidth is the high-water number of operations that were executing
 	// simultaneously — the realized parallelism of the flush.
 	MaxWidth int
-	// Fused is the number of producer-consumer pairs that executed as one
-	// fused kernel in this run (recorded via NoteFused at planning time).
-	Fused int
 }
 
 // minHeap is the ready queue: a min-heap of node indices, so the earliest
@@ -275,7 +180,7 @@ func (g *Graph) Run(workers int, exec func(node int)) RunStats {
 func (g *Graph) RunCancelable(workers int, exec func(node int), stop func() bool, skip func(node int)) RunStats {
 	n := len(g.succ)
 	if n == 0 {
-		return RunStats{Fused: g.fused}
+		return RunStats{}
 	}
 	if workers > n {
 		workers = n
@@ -361,5 +266,5 @@ func (g *Graph) RunCancelable(workers int, exec func(node int), stop func() bool
 	if pan != nil {
 		panic(pan)
 	}
-	return RunStats{MaxWidth: maxWidth, Fused: g.fused}
+	return RunStats{MaxWidth: maxWidth}
 }

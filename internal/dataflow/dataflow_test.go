@@ -285,42 +285,3 @@ func TestRunEmpty(t *testing.T) {
 		t.Fatalf("MaxWidth = %d on empty graph", rs.MaxWidth)
 	}
 }
-
-// TestFuseLegal walks the legality predicate branch by branch. Object ids:
-// X = 1 is the producer's output (the candidate dead store); the producer
-// reads U = 2; other objects are scratch. Each case is a tiny program with
-// the (i, j) pair under test.
-func TestFuseLegal(t *testing.T) {
-	w := func(out uint64, reads ...uint64) OpMeta { return OpMeta{Out: out, Reads: reads, Overwrites: true} }
-	acc := func(out uint64, reads ...uint64) OpMeta { return OpMeta{Out: out, Reads: reads, Overwrites: false} }
-	const X, U = 1, 2
-	cases := []struct {
-		name string
-		ops  []OpMeta
-		i, j int
-		want bool
-	}{
-		{"pair with later overwrite", []OpMeta{w(X, U), w(3, X), w(X, 4)}, 0, 1, true},
-		{"consumer retires X itself", []OpMeta{w(X, U), w(X, X)}, 0, 1, true},
-		{"accumulating consumer ok", []OpMeta{w(X, U), acc(3, X), w(X, 4)}, 0, 1, true},
-		{"merging producer", []OpMeta{acc(X, U), w(3, X), w(X, 4)}, 0, 1, false},
-		{"consumer does not read X", []OpMeta{w(X, U), w(3, 4), w(X, 4)}, 0, 1, false},
-		{"consumer merges into X", []OpMeta{w(X, U), acc(X, X)}, 0, 1, false},
-		{"intermediate reads X", []OpMeta{w(X, U), w(3, X), w(4, X), w(X, 5)}, 0, 2, false},
-		{"intermediate writes X", []OpMeta{w(X, U), w(X, 4), w(3, X), w(X, 5)}, 0, 2, false},
-		{"intermediate clobbers producer input", []OpMeta{w(X, U), w(U, 4), w(3, X), w(X, 5)}, 0, 2, false},
-		{"later reader before refresh", []OpMeta{w(X, U), w(3, X), w(4, X), w(X, 5)}, 0, 1, false},
-		{"later merging writer of X", []OpMeta{w(X, U), w(3, X), acc(X, 4)}, 0, 1, false},
-		{"X escapes the flush", []OpMeta{w(X, U), w(3, X)}, 0, 1, false},
-		{"clobber after consumer is fine", []OpMeta{w(X, U), w(3, X), w(U, 4), w(X, 5)}, 0, 1, true},
-		{"bad order", []OpMeta{w(X, U), w(3, X)}, 1, 0, false},
-		{"same index", []OpMeta{w(X, U), w(3, X)}, 1, 1, false},
-		{"out of range", []OpMeta{w(X, U), w(3, X)}, 0, 2, false},
-		{"negative producer", []OpMeta{w(X, U), w(3, X)}, -1, 1, false},
-	}
-	for _, tc := range cases {
-		if got := FuseLegal(tc.ops, tc.i, tc.j); got != tc.want {
-			t.Errorf("%s: FuseLegal(%d, %d) = %v, want %v", tc.name, tc.i, tc.j, got, tc.want)
-		}
-	}
-}

@@ -293,33 +293,6 @@ func PlanCoversKernelSites() bool {
 	return false
 }
 
-// PlanCoversSitesOutside reports whether any installed rule could match a
-// site outside the given dotted-prefix namespace. The fusion pass uses it
-// with prefix "fuse.": a plan confined to fused-kernel sites cannot observe
-// whether the constituent ops ran separately (their op-name and kernel-site
-// draws never match), so fusing under such a plan preserves the schedule —
-// while any broader rule (an op name, "*", another kernel namespace) could
-// fire differently once an op's kernel is replaced or its intermediate
-// elided, so fusion must stand down. Rules with Site ""/"*" match
-// everything and always count as outside.
-func PlanCoversSitesOutside(prefix string) bool {
-	if !enabled.Load() {
-		return false
-	}
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	for i := range reg.rules {
-		s := reg.rules[i].Site
-		if s == "" || s == "*" {
-			return true
-		}
-		if !strings.HasPrefix(s, prefix) {
-			return true
-		}
-	}
-	return false
-}
-
 // Sequencer orders fault-plan draws from concurrently executing operations
 // by program position: position i's Wait returns only once every position
 // j < i has released. Combined with the DAG scheduler's min-position

@@ -139,34 +139,3 @@ func TestDisabledIsFree(t *testing.T) {
 	}
 	Step("site") // must not panic
 }
-
-// TestPlanCoversSitesOutside pins the fusion pass's stand-down gate: a plan
-// is "confined" to a namespace only when every rule's site carries that
-// prefix; universal matchers and op-name rules always count as outside.
-func TestPlanCoversSitesOutside(t *testing.T) {
-	cleanup(t)
-	cases := []struct {
-		name  string
-		rules []Rule
-		want  bool
-	}{
-		{"empty site is universal", []Rule{{Site: "", Kind: OOM}}, true},
-		{"star is universal", []Rule{{Site: "*", Kind: OOM}}, true},
-		{"op-name rule", []Rule{{Site: "MxV", Kind: OOM}}, true},
-		{"other kernel namespace", []Rule{{Site: "sparse.kernel.mxm", Kind: OOM}}, true},
-		{"exact fuse site", []Rule{{Site: "fuse.kernel.map", Kind: OOM}}, false},
-		{"fuse glob", []Rule{{Site: "fuse.kernel.*", Kind: KernelErr}}, false},
-		{"fuse prefix glob", []Rule{{Site: "fuse.*", Kind: KernelErr}}, false},
-		{"mixed plan", []Rule{{Site: "fuse.kernel.map", Kind: OOM}, {Site: "ApplyV", Kind: OOM}}, true},
-	}
-	for _, tc := range cases {
-		Configure(1, tc.rules...)
-		if got := PlanCoversSitesOutside("fuse."); got != tc.want {
-			t.Errorf("%s: PlanCoversSitesOutside(fuse.) = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-	Disable()
-	if PlanCoversSitesOutside("fuse.") {
-		t.Error("no plan installed: PlanCoversSitesOutside must be false")
-	}
-}

@@ -44,14 +44,6 @@ var KernelSites = []string{
 	"stream.kernel.merge",
 	"stream.alloc.delta",
 
-	// internal/sparse fused kernels (flush-time fusion pass): each fused
-	// pair executes one of these instead of its two constituent kernels, so
-	// plans targeting them exercise the fused rollback path specifically.
-	"fuse.kernel.map",
-	"fuse.kernel.mxv.dot",
-	"fuse.kernel.mxv.push",
-	"fuse.kernel.assign.accum",
-
 	// internal/shard scatter-gather coordination kernels and governor gate.
 	// These run on the sharding coordinator, outside the per-instance
 	// executors, so the shard layer contains their fault panics itself

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"graphblas/internal/faults"
+	"graphblas/internal/leakcheck"
 	"graphblas/internal/sparse"
 )
 
@@ -12,6 +13,7 @@ import (
 // OutOfMemory fault before any allocation happens, and the default budget
 // admits it again.
 func TestGovernedBitmapAlloc(t *testing.T) {
+	leakcheck.AssertQuiescent(t)
 	prev := faults.SetAllocBudget(64)
 	t.Cleanup(func() { faults.SetAllocBudget(prev); faults.Disable() })
 	func() {
@@ -33,6 +35,7 @@ func TestGovernedBitmapAlloc(t *testing.T) {
 // TestKernelFaultSite: the bitmap MxV kernel carries a deterministic
 // injection site at its entry, before any parallel work.
 func TestKernelFaultSite(t *testing.T) {
+	leakcheck.AssertQuiescent(t)
 	t.Cleanup(faults.Disable)
 	b := NewBitmap[float64](8, 8)
 	b.Set(2, 3, 5)

@@ -30,10 +30,6 @@ var (
 		"Deferred operations pruned by dead-store elimination before scheduling.")
 	OpsCanceled = NewCounter("graphblas_ops_canceled_total",
 		"Deferred operations abandoned unexecuted because the flush context was canceled.")
-	OpsFused = NewCounter("graphblas_ops_fused_total",
-		"Deferred producers whose computation ran inside a consumer's fused kernel instead of materializing.")
-	FusedPairs = NewCounter("graphblas_fused_pairs_total",
-		"Producer-consumer pairs collapsed into one fused kernel by the flush-time fusion pass.")
 	Flushes = NewCounter("graphblas_flushes_total",
 		"Queue flushes (Wait, blocking-mode barriers, and forced materializations).")
 	ParallelFlushes = NewCounter("graphblas_parallel_flushes_total",
@@ -60,6 +56,9 @@ var (
 		"Kernel dispatches that consumed a non-CSR layout, by layout.", "layout")
 	FormatConversions = NewCounter("graphblas_format_conversions_total",
 		"Materializations of an alternate layout from the committed CSR store.")
+
+	StoresRecycled = NewCounter("graphblas_stores_recycled_total",
+		"Superseded vector stores whose value array went back to the free list once the operation that replaced them succeeded.")
 
 	TransposeBuilds = NewCounter("graphblas_transpose_builds_total",
 		"Builds of a matrix's cached transpose: a transposed read, or a dense frontier pulled, with none in hand.")

@@ -58,11 +58,6 @@ const (
 	// was dispatched; it was abandoned unexecuted and its output marked
 	// invalid (restorable by a full overwrite).
 	OutcomeCanceled
-	// OutcomeFused: the flush-time fusion pass folded this producer's
-	// computation into its consumer's fused kernel; the operation completed
-	// logically (its value flowed downstream) without materializing its
-	// output.
-	OutcomeFused
 )
 
 // String returns the outcome label used in metrics.
@@ -78,8 +73,6 @@ func (o Outcome) String() string {
 		return "elided"
 	case OutcomeCanceled:
 		return "canceled"
-	case OutcomeFused:
-		return "fused"
 	}
 	return "unknown"
 }

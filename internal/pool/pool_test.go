@@ -1,7 +1,9 @@
 package pool
 
 import (
+	"runtime"
 	"testing"
+	"weak"
 )
 
 func TestGetReturnsZeroedLengthN(t *testing.T) {
@@ -79,6 +81,83 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Get/Put allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// TestValsRecycleByDomain: a recycled value array comes back zeroed to the
+// next draw of its domain and class; a domain outside the number set is
+// never shelved.
+func TestValsRecycleByDomain(t *testing.T) {
+	a := Vals[float64](300)
+	a[0] = 7
+	Recycle(a)
+	b := Vals[float64](400) // the same class, 512
+	if &b[0] != &a[0] || b[0] != 0 {
+		t.Fatalf("Vals[float64](200) did not reuse the recycled array zeroed")
+	}
+	if Holds(b) {
+		t.Fatal("Holds reports an array that was drawn, not shelved")
+	}
+	Recycle(b)
+	if !Holds(b[10:20]) {
+		t.Fatal("Holds missed a slice of a shelved array")
+	}
+	type label struct{ s string }
+	before := Retained()
+	Recycle(Vals[label](300))
+	if got := Retained(); got != before {
+		t.Fatalf("a non-number domain was shelved: retained %d -> %d", before, got)
+	}
+}
+
+// TestRetainedBudget: whatever scratch comes back, the shelves never hold
+// more than the fixed budget.
+func TestRetainedBudget(t *testing.T) {
+	const n = 1 << 16 // 512 KiB of int per array
+	const fit = maxRetained / (8 * n)
+	for i := 0; i < 2*fit; i++ {
+		intFree.put(make([]int, n))
+	}
+	if got := Retained(); got > maxRetained {
+		t.Fatalf("retained %d bytes, budget %d", got, maxRetained)
+	}
+	for i := 0; i < fit; i++ {
+		intFree.get(n) // drain the class again for the tests after this one
+	}
+}
+
+// TestValueShelvesDoNotKeepArraysAlive: a recycled value array nothing
+// else holds is the collector's — the shelves do not make it live heap.
+func TestValueShelvesDoNotKeepArraysAlive(t *testing.T) {
+	a := make([]float64, 3000)
+	w := weak.Make(&a[0])
+	if !Recycle(a) {
+		t.Fatal("Recycle did not shelve a float64 array")
+	}
+	a = nil
+	runtime.GC()
+	runtime.GC()
+	if w.Value() != nil {
+		t.Fatal("a shelved value array survived a collection nothing else held it through")
+	}
+	if b := Vals[float64](3000); len(b) != 3000 || b[0] != 0 {
+		t.Fatal("Vals did not draw a fresh zeroed array past the collected entry")
+	}
+}
+
+// TestOutstandingCountsScratch: every scratch draw counts until its Put;
+// result arrays drawn with Vals never do.
+func TestOutstandingCountsScratch(t *testing.T) {
+	base := Outstanding()
+	i, v := GetInts(10), GetVals[float32](10)
+	if got := Outstanding() - base; got != 2 {
+		t.Fatalf("outstanding after two Gets = %d, want 2", got)
+	}
+	Recycle(Vals[float32](10))
+	PutVals(v)
+	PutInts(i)
+	if got := Outstanding() - base; got != 0 {
+		t.Fatalf("outstanding after the Puts = %d, want 0", got)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"graphblas/internal/core"
 	"graphblas/internal/faults"
 	"graphblas/internal/generate"
+	"graphblas/internal/leakcheck"
 	"graphblas/internal/refalgo"
 	"graphblas/internal/shard"
 )
@@ -100,6 +101,7 @@ func oracleStats(n int, st chaosState) (int, int64) {
 // accounting is free-form (shed/timeout/stale/degraded all legitimate); the
 // hard assertion is zero 200 responses that match no acknowledged prefix.
 func TestChaosNeverWrong(t *testing.T) {
+	leakcheck.AssertQuiescent(t)
 	resetCore(t)
 	prev := core.SetScheduler(core.SchedDag)
 	defer core.SetScheduler(prev)

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 
-	"graphblas/internal/algorithms"
 	"graphblas/internal/builtins"
 	"graphblas/internal/core"
 )
@@ -32,6 +31,12 @@ func (v View) KHop(ctx context.Context, src, k int) ([]int, error) {
 	if err := frontier.SetElement(1, src); err != nil {
 		return nil, err
 	}
+	// next is overwritten every hop, then becomes the frontier: the two
+	// handles trade places instead of a new one per hop.
+	next, err := core.NewVector[float64](n)
+	if err != nil {
+		return nil, err
+	}
 	visited, err := core.NewVector[float64](n)
 	if err != nil {
 		return nil, err
@@ -48,8 +53,7 @@ func (v View) KHop(ctx context.Context, src, k int) ([]int, error) {
 		if ctx != nil && ctx.Err() != nil {
 			return nil, errCanceledBefore(ctx)
 		}
-		next, err := v.g.VxM(ctx, frontier)
-		if err != nil {
+		if err := v.g.VxM(ctx, next, frontier); err != nil {
 			return nil, err
 		}
 		// Clamp accumulated path counts back to presence so weights and path
@@ -63,7 +67,7 @@ func (v View) KHop(ctx context.Context, src, k int) ([]int, error) {
 		if err := core.WaitContext(ctx); err != nil {
 			return nil, err
 		}
-		frontier = next
+		frontier, next = next, frontier
 		// A frontier inside visited only re-expands into visited, so a hop
 		// that reaches nothing new is closure: the answer for every larger k.
 		nv, err := visited.NVals()
@@ -115,12 +119,19 @@ func (v View) PPRTopK(ctx context.Context, src, k int, damping, tol float64, max
 
 	plusMonoid := builtins.PlusMonoid[float64]()
 	div := builtins.Div[float64]()
+	first := builtins.First[float64]()
+	plus := builtins.Plus[float64]()
 	damp := core.UnaryOp[float64, float64]{Name: "damp", F: func(x float64) float64 { return damping * x }}
 
-	share, err := core.NewVector[float64](n)
-	if err != nil {
-		return nil, 0, err
+	// The sweep's work vectors, each fully overwritten every sweep; next
+	// trades places with rank at the end of one.
+	var work [4]*core.Vector[float64]
+	for i := range work {
+		if work[i], err = core.NewVector[float64](n); err != nil {
+			return nil, 0, err
+		}
 	}
+	share, withEdges, next, diffV := work[0], work[1], work[2], work[3]
 	iters := 0
 	for ; iters < maxIter; iters++ {
 		// The scalar reductions below force flushes without a context, so
@@ -138,11 +149,7 @@ func (v View) PPRTopK(ctx context.Context, src, k int, damping, tol float64, max
 		if err != nil {
 			return nil, 0, err
 		}
-		withEdges, err := core.NewVector[float64](n)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := core.EWiseMultV(withEdges, core.NoMaskV, core.NoAccum[float64](), builtins.First[float64](), rank, outdeg, nil); err != nil {
+		if err := core.EWiseMultV(withEdges, core.NoMaskV, core.NoAccum[float64](), first, rank, outdeg, nil); err != nil {
 			return nil, 0, err
 		}
 		linked, err := core.ReduceVectorToScalar(0, core.NoAccum[float64](), plusMonoid, withEdges)
@@ -151,20 +158,14 @@ func (v View) PPRTopK(ctx context.Context, src, k int, damping, tol float64, max
 		}
 		dangling := total - linked
 
-		next, err := v.g.VxM(ctx, share)
-		if err != nil {
+		if err := v.g.VxM(ctx, next, share); err != nil {
 			return nil, 0, err
 		}
 		if err := core.ApplyV(next, core.NoMaskV, core.NoAccum[float64](), damp, next, nil); err != nil {
 			return nil, 0, err
 		}
 		restart := (1 - damping) + damping*dangling
-		if err := core.AssignVectorScalar(next, core.NoMaskV, builtins.Plus[float64](), restart, []int{src}, nil); err != nil {
-			return nil, 0, err
-		}
-
-		diffV, err := core.NewVector[float64](n)
-		if err != nil {
+		if err := core.AssignVectorScalar(next, core.NoMaskV, plus, restart, []int{src}, nil); err != nil {
 			return nil, 0, err
 		}
 		if err := core.EWiseAddV(diffV, core.NoMaskV, core.NoAccum[float64](), absDiff, next, rank, nil); err != nil {
@@ -174,7 +175,7 @@ func (v View) PPRTopK(ctx context.Context, src, k int, damping, tol float64, max
 		if err != nil {
 			return nil, 0, err
 		}
-		rank = next
+		rank, next = next, rank
 		// One flush checkpoint per sweep: the deadline is consulted between
 		// sweeps, never mid-kernel.
 		if err := core.WaitContext(ctx); err != nil {
@@ -260,55 +261,19 @@ type GraphStats struct {
 	Clustering float64 `json:"clustering"`
 }
 
-// Stats computes triangle and clustering statistics on the view's
-// symmetrized pattern. The triangle kernel is one masked MxM — cancellation
-// is coarse here (checked before and at the closing flush), matching the C
+// Stats reports the view's triangle and clustering statistics on its
+// symmetrized pattern. The snapshot derives them once (TriangleStats), so
+// only the first call on a snapshot runs the triangle kernel — cancellation
+// is coarse there (checked before and at the closing flush), matching the C
 // API's rule that a method already executing runs to completion.
 func (v View) Stats(ctx context.Context) (GraphStats, error) {
-	n := v.g.N
-	st := GraphStats{Nodes: n, Edges: v.g.NVals}
+	st := GraphStats{Nodes: v.g.N, Edges: v.g.NVals}
 	if ctx != nil && ctx.Err() != nil {
 		return st, errCanceledBefore(ctx)
 	}
-	sym, err := v.g.Sym(ctx)
-	if err != nil {
-		return st, err
-	}
-	tri, err := algorithms.TriangleCount(sym)
-	if err != nil {
-		return st, err
-	}
-	st.Triangles = tri
-	// Wedges from undirected degrees: lift the pattern to ones, reduce rows.
-	lifted, err := core.NewMatrix[float64](n, n)
-	if err != nil {
-		return st, err
-	}
-	if err := core.ApplyM(lifted, core.NoMask, core.NoAccum[float64](), builtins.CastBoolTo[float64](), sym, nil); err != nil {
-		return st, err
-	}
-	deg, err := core.NewVector[float64](n)
-	if err != nil {
-		return st, err
-	}
-	if err := core.ReduceMatrixToVector(deg, core.NoMaskV, core.NoAccum[float64](), builtins.PlusMonoid[float64](), lifted, nil); err != nil {
-		return st, err
-	}
-	if err := core.WaitContext(ctx); err != nil {
-		return st, err
-	}
-	_, degs, err := deg.ExtractTuples()
-	if err != nil {
-		return st, err
-	}
-	var wedges float64
-	for _, d := range degs {
-		wedges += d * (d - 1) / 2
-	}
-	if wedges > 0 {
-		st.Clustering = 3 * float64(tri) / wedges
-	}
-	return st, nil
+	var err error
+	st.Triangles, st.Clustering, err = v.g.TriangleStats(ctx)
+	return st, err
 }
 
 // Degree reports vertex's out-degree at the pinned epoch, read off the

@@ -16,6 +16,7 @@ import (
 	"graphblas/internal/core"
 	"graphblas/internal/faults"
 	"graphblas/internal/generate"
+	"graphblas/internal/leakcheck"
 	"graphblas/internal/refalgo"
 	"graphblas/internal/shard"
 	"graphblas/internal/stream"
@@ -263,6 +264,7 @@ func TestServerPPRRanksRestartVertexFirst(t *testing.T) {
 // surfaces as a Canceled-class engine error — the flush checkpoint inside
 // the sweep loop saw the expired context and stopped dispatch.
 func TestQueryDeadlineCancelsSweeps(t *testing.T) {
+	leakcheck.AssertQuiescent(t)
 	resetCore(t)
 	g := generate.RMAT(7, 8, 5).Dedup(true)
 	_, st := newTestServer(t, g, Options{})

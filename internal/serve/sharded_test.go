@@ -14,6 +14,7 @@ import (
 	"graphblas/internal/core"
 	"graphblas/internal/faults"
 	"graphblas/internal/generate"
+	"graphblas/internal/leakcheck"
 	"graphblas/internal/refalgo"
 	"graphblas/internal/shard"
 	"graphblas/internal/stream"
@@ -219,6 +220,7 @@ func TestShardedIngestIndeterminateHeader(t *testing.T) {
 // 200. The hard assertion is unchanged: zero 200 responses that match no
 // prefix.
 func TestShardedChaosNeverWrong(t *testing.T) {
+	leakcheck.AssertQuiescent(t)
 	resetCore(t)
 	prev := core.SetScheduler(core.SchedDag)
 	defer core.SetScheduler(prev)

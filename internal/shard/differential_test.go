@@ -259,6 +259,36 @@ func TestShardedStatsAndDegreeEquivalence(t *testing.T) {
 	})
 }
 
+// TestStatsComputedOncePerSnapshot: a snapshot derives its triangle
+// statistics once — a second Stats call on it runs no operation at all —
+// while a canceled computation is not kept: the next call computes them.
+func TestStatsComputedOncePerSnapshot(t *testing.T) {
+	g := testGraph()
+	for _, shards := range []int{1, 2} {
+		store := newSharded(t, g.N, shards, shard.Block, edgeBatch(g))
+		snap, _, _, _ := snapshotTuples(t, store)
+		canceled, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, _, err := snap.TriangleStats(canceled); core.InfoOf(err) != core.Canceled {
+			t.Fatalf("%d shards: TriangleStats under a canceled context: %v", shards, err)
+		}
+		v := viewOf(t, serve.NewShardedBackend(store))
+		first, err := v.Stats(context.Background())
+		if err != nil {
+			t.Fatalf("%d shards: Stats after a canceled computation: %v", shards, err)
+		}
+		before := core.StatsSnapshot()
+		second, err := v.Stats(context.Background())
+		after := core.StatsSnapshot()
+		if err != nil || second != first {
+			t.Fatalf("%d shards: second Stats = %+v, %v; first %+v", shards, second, err, first)
+		}
+		if ran := after.OpsEnqueued + after.OpsExecuted - before.OpsEnqueued - before.OpsExecuted; ran != 0 {
+			t.Fatalf("%d shards: second Stats on the same snapshot ran %d operations, want 0", shards, ran)
+		}
+	}
+}
+
 // TestShardedPPREquivalence: personalized PageRank agrees with one shard
 // to summation tolerance (1e-9 per score) with identical sweep
 // counts — the only sharded query where exactness is relaxed, and only

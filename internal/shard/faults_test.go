@@ -15,6 +15,7 @@ import (
 
 	"graphblas/internal/core"
 	"graphblas/internal/faults"
+	"graphblas/internal/leakcheck"
 	"graphblas/internal/serve"
 	"graphblas/internal/shard"
 	"graphblas/internal/stream"
@@ -24,6 +25,7 @@ import (
 // batch before any shard sees it — version unchanged, nothing frozen, no
 // redo debt — and the same batch applies cleanly once the fault passes.
 func TestShardRouteFaultCleanReject(t *testing.T) {
+	leakcheck.AssertQuiescent(t)
 	store := newSharded(t, 32, 4, shard.Block)
 	v0 := store.Version()
 
@@ -64,6 +66,7 @@ func TestShardRouteFaultCleanReject(t *testing.T) {
 // a transient kernel error on the query path and the same query succeeds
 // once the fault passes — the contract the serving retry ladder relies on.
 func TestShardGatherFaultTransient(t *testing.T) {
+	leakcheck.AssertQuiescent(t)
 	b := stream.NewBatch[float64]()
 	b.Insert(0, 1, 1)
 	b.Insert(1, 2, 1)
@@ -91,6 +94,7 @@ func TestShardGatherFaultTransient(t *testing.T) {
 // partial-result gather with an OutOfMemory-class error before the
 // accumulation runs.
 func TestShardGatherGovernorOOM(t *testing.T) {
+	leakcheck.AssertQuiescent(t)
 	b := stream.NewBatch[float64]()
 	for i := 0; i < 15; i++ {
 		b.Insert(i, i+1, 1)
@@ -115,6 +119,7 @@ func TestShardGatherGovernorOOM(t *testing.T) {
 // are not frozen, nothing queues for redo, the version stands, and the same
 // batch applies once the fault passes.
 func TestShardTotalFailureCleanReject(t *testing.T) {
+	leakcheck.AssertQuiescent(t)
 	for _, shards := range []int{1, 2} {
 		store := newSharded(t, 32, shards, shard.Block)
 		v0 := store.Version()
@@ -148,6 +153,7 @@ func TestShardTotalFailureCleanReject(t *testing.T) {
 // drains the redo queue first, and the final state is tuple-identical to a
 // one-shard store that applied every batch that entered the store, in order.
 func TestShardPartialFailureRedoConvergence(t *testing.T) {
+	leakcheck.AssertQuiescent(t)
 	const n = 48
 	store := newSharded(t, n, 4, shard.Block)
 

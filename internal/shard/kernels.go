@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"sort"
+
 	"graphblas/internal/core"
 	"graphblas/internal/faults"
 	"graphblas/internal/sparse"
@@ -58,14 +60,29 @@ func routeBatch(p Plan, b *stream.Batch[float64]) []*stream.Batch[float64] {
 	return subs
 }
 
-// scatterTuples deals a global vector's tuples to the owning shards, indices
-// translated to shard-local rows (both strategies keep them ascending) — the
-// scatter half of the sharded VxM.
+// scatterTuples deals a global vector's ascending tuples to the owning
+// shards, indices translated to shard-local rows (both strategies keep them
+// ascending) — the scatter half of the sharded VxM. Under a Block plan each
+// shard owns one contiguous run of the tuples, cut at its exact size; its
+// values are the run of vals itself.
 func scatterTuples(p Plan, idx []int, vals []float64) []*sparse.Vec[float64] {
 	faults.Step("shard.kernel.scatter")
 	parts := make([]*sparse.Vec[float64], p.Shards)
 	for s := range parts {
 		parts[s] = sparse.NewVec[float64](p.LocalRows(s))
+	}
+	if p.Strategy == Block {
+		lo := 0
+		for s, part := range parts {
+			hi := lo + sort.SearchInts(idx[lo:], p.bounds[s+1])
+			part.Idx = make([]int, hi-lo)
+			for t, v := range idx[lo:hi] {
+				part.Idx[t] = v - p.bounds[s]
+			}
+			part.Val = vals[lo:hi:hi]
+			lo = hi
+		}
+		return parts
 	}
 	for t, v := range idx {
 		part := parts[p.Owner(v)]

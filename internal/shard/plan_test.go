@@ -102,3 +102,41 @@ func TestPlanValidation(t *testing.T) {
 		t.Error("unknown strategy accepted")
 	}
 }
+
+// TestScatterTuplesDealsEachOwner: for both strategies, every tuple of an
+// ascending vector lands with its owner at its local row, in ascending
+// order, and a Block plan's parts are cut at their exact size.
+func TestScatterTuplesDealsEachOwner(t *testing.T) {
+	const n = 103
+	var idx []int
+	var vals []float64
+	for v := 0; v < n; v += 1 + v%4 {
+		idx, vals = append(idx, v), append(vals, float64(v)+0.5)
+	}
+	for _, st := range []Strategy{Block, Hash} {
+		p, err := NewPlan(n, 4, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts := scatterTuples(p, idx, vals)
+		got := 0
+		for s, part := range parts {
+			if part.N != p.LocalRows(s) {
+				t.Fatalf("%v shard %d: part size %d, want %d", st, s, part.N, p.LocalRows(s))
+			}
+			if st == Block && (cap(part.Idx) != len(part.Idx) || cap(part.Val) != len(part.Val)) {
+				t.Fatalf("%v shard %d: part not cut at its exact size", st, s)
+			}
+			for k, lr := range part.Idx {
+				v := p.Global(s, lr)
+				if p.Owner(v) != s || part.Val[k] != float64(v)+0.5 || k > 0 && lr <= part.Idx[k-1] {
+					t.Fatalf("%v shard %d: tuple %d (local %d, global %d) misplaced", st, s, k, lr, v)
+				}
+			}
+			got += part.NVals()
+		}
+		if got != len(idx) {
+			t.Fatalf("%v: dealt %d tuples, want %d", st, got, len(idx))
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"graphblas/internal/algorithms"
 	"graphblas/internal/builtins"
 	"graphblas/internal/core"
 	"graphblas/internal/sparse"
@@ -39,9 +40,20 @@ type Snapshot struct {
 	mats  []*core.Matrix[float64]
 	insts []*core.Instance
 
+	// Values derived from the snapshot, each computed once on first use and
+	// kept for every later query on the same snapshot; a computation that
+	// fails or is canceled leaves its field unset, and the next caller
+	// retries.
 	mu     sync.Mutex
-	sym    *core.Matrix[bool]    // lazily gathered global symmetrized pattern
-	outdeg *core.Vector[float64] // lazily gathered global out-degrees
+	sym    *core.Matrix[bool]    // global symmetrized pattern
+	outdeg *core.Vector[float64] // global out-degrees
+	tri    *triangleStats        // triangle count and clustering
+}
+
+// triangleStats is what TriangleStats derives.
+type triangleStats struct {
+	count      int64
+	clustering float64
 }
 
 // Epoch returns the token a response names its consistent state by.
@@ -243,6 +255,10 @@ func (snap *Snapshot) Tuples() ([]int, []int, []float64, error) {
 func (snap *Snapshot) Sym(ctx context.Context) (*core.Matrix[bool], error) {
 	snap.mu.Lock()
 	defer snap.mu.Unlock()
+	return snap.symLocked(ctx)
+}
+
+func (snap *Snapshot) symLocked(ctx context.Context) (*core.Matrix[bool], error) {
 	if snap.sym != nil {
 		return snap.sym, nil
 	}
@@ -275,40 +291,33 @@ func (snap *Snapshot) Sym(ctx context.Context) (*core.Matrix[bool], error) {
 	return sym, nil
 }
 
-// VxM returns inᵀA over the composed snapshot, as a new vector in the
-// coordinator's context — the one step of a query that depends on the shard
-// count, and on nothing else. With one shard nothing crosses engines: the
-// product is the engine's own deferred VxM, run at the caller's next flush
-// and fused with whatever the query chains onto it. With more, the input's
-// tuples scatter to their owning shards, each owner runs its slice of the
-// product inside its own engine with the request deadline threaded into that
-// engine's flush, and the partials fold in fixed shard order. Row
-// partitioning never splits a per-row product, so a structural query is
-// tuple-exact against one shard; only the cross-shard float additions of the
-// fold are regrouped.
-func (snap *Snapshot) VxM(ctx context.Context, in *core.Vector[float64]) (*core.Vector[float64], error) {
+// VxM computes out = inᵀA over the composed snapshot, out a vector in the
+// coordinator's context that the caller owns and reuses, so an iterative
+// query overwrites the same handles sweep after sweep. It is the one step of
+// a query that depends on the shard count, and on nothing else. With one
+// shard nothing crosses engines: the product is the engine's own deferred
+// VxM, run at the caller's next flush. With more, the input's tuples scatter
+// to their owning shards, each owner runs its slice of the product inside
+// its own engine with the request deadline threaded into that engine's
+// flush, and the partials fold in fixed shard order. Row partitioning never
+// splits a per-row product, so a structural query is tuple-exact against one
+// shard; only the cross-shard float additions of the fold are regrouped.
+func (snap *Snapshot) VxM(ctx context.Context, out, in *core.Vector[float64]) error {
 	if len(snap.mats) == 1 {
-		out, err := core.NewVector[float64](snap.N)
-		if err != nil {
-			return nil, err
-		}
-		if err := core.VxM(out, core.NoMaskV, core.NoAccum[float64](), builtins.PlusTimes[float64](), in, snap.mats[0], nil); err != nil {
-			return nil, err
-		}
-		return out, nil
+		return core.VxM(out, core.NoMaskV, core.NoAccum[float64](), builtins.PlusTimes[float64](), in, snap.mats[0], nil)
 	}
 	// Flush the coordinator under the deadline, so the non-opaque read below
 	// has nothing left to force.
 	if err := core.WaitContext(ctx); err != nil {
-		return nil, err
+		return err
 	}
 	idx, vals, err := in.ExtractTuples()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var parts []*sparse.Vec[float64]
 	if err := runKernel("shard.VxM", func() { parts = scatterTuples(snap.plan, idx, vals) }); err != nil {
-		return nil, err
+		return err
 	}
 	partials := make([]*sparse.Vec[float64], len(parts))
 	err = eachShard(len(parts), func(s int) (err error) {
@@ -319,20 +328,16 @@ func (snap *Snapshot) VxM(ctx context.Context, in *core.Vector[float64]) (*core.
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var sum *sparse.Vec[float64]
 	if err := runKernel("shard.VxM", func() { sum = gatherMerge(partials) }); err != nil {
-		return nil, err
+		return err
 	}
-	out, err := core.NewVector[float64](snap.N)
-	if err != nil {
-		return nil, err
+	if err := out.Clear(); err != nil {
+		return err
 	}
-	if err := out.Build(sum.Idx, sum.Val, core.NoAccum[float64]()); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out.Build(sum.Idx, sum.Val, core.NoAccum[float64]())
 }
 
 // shardVxM runs one shard's slice of inᵀA inside that shard's engine: one
@@ -393,4 +398,55 @@ func (snap *Snapshot) OutDegrees(_ context.Context) (*core.Vector[float64], erro
 	}
 	snap.outdeg = outdeg
 	return outdeg, nil
+}
+
+// TriangleStats returns the number of triangles in the snapshot's
+// symmetrized pattern and its global clustering coefficient (three
+// triangles per wedge), computed once per snapshot. The triangle kernel is
+// one masked MxM; the wedges come from the undirected degrees.
+func (snap *Snapshot) TriangleStats(ctx context.Context) (triangles int64, clustering float64, err error) {
+	snap.mu.Lock()
+	defer snap.mu.Unlock()
+	if snap.tri != nil {
+		return snap.tri.count, snap.tri.clustering, nil
+	}
+	sym, err := snap.symLocked(ctx)
+	if err != nil {
+		return 0, 0, err
+	}
+	tri, err := algorithms.TriangleCount(sym)
+	if err != nil {
+		return 0, 0, err
+	}
+	// Wedges from undirected degrees: lift the pattern to ones, reduce rows.
+	lifted, err := core.NewMatrix[float64](snap.N, snap.N)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := core.ApplyM(lifted, core.NoMask, core.NoAccum[float64](), builtins.CastBoolTo[float64](), sym, nil); err != nil {
+		return 0, 0, err
+	}
+	deg, err := core.NewVector[float64](snap.N)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := core.ReduceMatrixToVector(deg, core.NoMaskV, core.NoAccum[float64](), builtins.PlusMonoid[float64](), lifted, nil); err != nil {
+		return 0, 0, err
+	}
+	if err := core.WaitContext(ctx); err != nil {
+		return 0, 0, err
+	}
+	_, degs, err := deg.ExtractTuples()
+	if err != nil {
+		return 0, 0, err
+	}
+	var wedges float64
+	for _, d := range degs {
+		wedges += d * (d - 1) / 2
+	}
+	snap.tri = &triangleStats{count: tri}
+	if wedges > 0 {
+		snap.tri.clustering = 3 * float64(tri) / wedges
+	}
+	return snap.tri.count, snap.tri.clustering, nil
 }

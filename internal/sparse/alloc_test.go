@@ -5,66 +5,59 @@ import (
 
 	"graphblas/internal/obs"
 	"graphblas/internal/parallel"
+	"graphblas/internal/pool"
 )
 
-// TestFusedKernelsDisabledPathAllocFree is the allocation-regression gate
-// for the fused kernels, extending the obs package's
-// TestDisabledPathAllocFree contract: with tracing disabled and one worker,
-// each kernel's per-call allocation count is pinned exactly. The budgets
-// below are the kernels' intrinsic output allocations — the result vector
-// and its value storage, its index storage unless it shares an input's or
-// the identity list (emit.go), plus domain-generic scratch that cannot be
-// pooled because its element type varies per instantiation. Everything else
-// (presence flags, prefix sums, per-chunk counts, scratch positions) comes
-// from internal/pool and must not show up here. A budget increase in a
-// review means a new allocation crept onto the hot path; justify it or pool
-// it.
-func TestFusedKernelsDisabledPathAllocFree(t *testing.T) {
+// TestRecycledOutputsAllocBudget is the allocation-regression gate of the
+// vector kernels in the steady state store recycling gives them, extending
+// the obs package's TestDisabledPathAllocFree contract: with tracing
+// disabled, one worker, and the previous result's value array back on the
+// free list (internal/core recycles a superseded store), each kernel's
+// per-call allocation count is pinned exactly. What remains is the result
+// itself — its Vec, and its Idx unless it shares an input's or the identity
+// list (emit.go). Everything else (values, presence flags, prefix sums, the
+// push accumulator, the dot kernel's dense workspace) comes from
+// internal/pool and must not show up here. A budget increase in a review
+// means a new allocation crept onto the hot path; justify it or pool it.
+func TestRecycledOutputsAllocBudget(t *testing.T) {
 	parallel.SetMaxWorkersForTest(t, 1)
 	prev := obs.SetTracer(nil)
 	defer obs.SetTracer(prev)
 
 	const n = 64
 	a := allocFixture(t, n)
-	u := NewVec[float64](n)
+	full, part := NewVec[float64](n), NewVec[float64](n)
 	for i := 0; i < n; i++ {
-		if (i*13)%2 == 0 {
-			u.Idx = append(u.Idx, i)
-			u.Val = append(u.Val, float64(i)*0.25)
-		}
-	}
-	c := NewVec[float64](n)
-	for i := 0; i < n; i++ {
-		if (i*7)%3 == 0 {
-			c.Idx = append(c.Idx, i)
-			c.Val = append(c.Val, float64(i))
+		full.Idx, full.Val = append(full.Idx, i), append(full.Val, float64(i)*0.25)
+		if i%3 != 0 {
+			part.Idx, part.Val = append(part.Idx, i), append(part.Val, float64(i))
 		}
 	}
 	neg := func(x float64) float64 { return -x }
-	get := func(p int) float64 { return u.Val[p] }
+	r := Ring[float64, float64, float64]{Mul: mulF, Add: addF, MulOp: OpTimes, AddOp: OpPlus}
 
 	cases := []struct {
 		name   string
 		budget float64
-		run    func()
+		run    func() *Vec[float64]
 	}{
-		// out Vec + Val; the stream's Idx is shared.
-		{"FusedVecMap", 2, func() { FusedVecMap(u.N, u.Idx, get, neg, nil) }},
-		// dense scatter workspace + the Vec and its Val, written in place:
-		// every row meets the stream, so the positions are the identity
-		// list; the presence flags and the scratch positions are pooled.
-		{"FusedDotMxV", 3, func() { ring(mulF, addF).FusedDotMxV(a, u.N, u.Idx, get, nil) }},
-		// Serial at one worker: the SPA's val, stamp and touched list + out
-		// Vec; every target is reached, so the SPA's values are the result's
-		// over the identity list. pushCore's cum prefix array is pooled.
-		{"FusedPushMxV", 4, func() { ring(mulF, addF).FusedPushMxV(a, u.Idx, get, nil) }},
-		// out Vec + Val on the no-accum path; the stream's Idx is shared.
-		{"FusedAssignAccum", 2, func() { FusedAssignAccum(c, u.Idx, get, nil) }},
+		// The Vec; the input's Idx is shared.
+		{"VecApply", 1, func() *Vec[float64] { return VecApply(part, neg) }},
+		// The Vec; the walked side's Idx is shared.
+		{"VecIntersect/full", 1, func() *Vec[float64] { return VecIntersect(part, full, mulF) }},
+		// The Vec and the merged Idx.
+		{"VecUnion/partial", 2, func() *Vec[float64] { return VecUnion(part, part, addF) }},
+		// The Vec; the result is full, its positions the identity list.
+		{"AssignScalarExpandVec/all", 1, func() *Vec[float64] { return AssignScalarExpandVec(part, 2, nil, nil) }},
+		{"DotMxV/full", 1, func() *Vec[float64] { return r.DotMxV(a, full, nil) }},
+		{"DotMxV/partial", 1, func() *Vec[float64] { return r.DotMxV(a, part, nil) }},
+		{"PushMxV", 1, func() *Vec[float64] { return r.PushMxV(a, part, nil) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.run() // warm the pool shelves so steady state is measured
-			if allocs := testing.AllocsPerRun(100, tc.run); allocs != tc.budget {
+			step := func() { pool.Recycle(tc.run().Val) }
+			step() // warm the pool shelves so steady state is measured
+			if allocs := testing.AllocsPerRun(100, step); allocs != tc.budget {
 				t.Errorf("%s allocates %.1f per call, budget %.0f — a new hot-path allocation needs pooling or a reviewed budget bump", tc.name, allocs, tc.budget)
 			}
 		})
@@ -157,7 +150,7 @@ func TestDotMxVFullVectorAllocBudget(t *testing.T) {
 		run    func()
 	}{
 		{"DotMxV/full", 2, func() { DotMxV(at, full, mulF, addF, nil) }},
-		{"DotMxV/partial", 3, func() { DotMxV(at, partial, mulF, addF, nil) }},
+		{"DotMxV/partial", 2, func() { DotMxV(at, partial, mulF, addF, nil) }},
 		{"PullWins", 0, func() { PullWins(a.Ptr, full.Idx, at, nil) }},
 	}
 	for _, tc := range cases {

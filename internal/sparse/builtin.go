@@ -580,8 +580,8 @@ type entry[DA, DB, DC any] interface {
 	dot(key loopKey, a *CSR[DA], dense []DB, present []bool, idx []int, out []DC, lo, hi int, mask *VecMask) (int, bool)
 	dotMasked(key loopKey, a *CSR[DA], b *CSR[DB], mask *MatMask, pos []int, val []DC, has []bool, ptr []int, lo, hi int) bool
 	slot(key loopKey, a *CSR[DA], b *CSR[DB], mask *MatMask, slot []int, val []DC, has []bool, ptr []int, lo, hi int) bool
-	push(key loopKey, a *CSR[DA], uIdx []int, uval func(int) DB, allowed *BitSPA, comp bool, val []DC, stamp []int, cur int, nz []int) ([]int, bool)
-	scatter(key loopKey, a *CSR[DA], uIdx []int, uval func(int) DB, allowed *BitSPA, comp bool, off []int32, vals []DC, lo, hi int) bool
+	push(key loopKey, a *CSR[DA], uIdx []int, uVal []DB, allowed *BitSPA, comp bool, val []DC, stamp []int, cur int, nz []int) ([]int, bool)
+	scatter(key loopKey, a *CSR[DA], uIdx []int, uVal []DB, allowed *BitSPA, comp bool, off []int32, vals []DC, lo, hi int) bool
 	fold(add Opcode, colPtr []int, vals []DC, idx []int, out []DC, lo, hi int) (int, bool)
 }
 
@@ -647,9 +647,9 @@ func (*domain[T, DA, DB, DC]) slot(key loopKey, a *CSR[DA], b *CSR[DB], mask *Ma
 
 // push runs pushSerial's pass into the sparse accumulator's parts (handing
 // over the accumulator itself would move it to the heap) and returns its
-// grown touched list. u's value at a frontier position is fetched only when
-// ⊗ reads it, once, in position order.
-func (*domain[T, DA, DB, DC]) push(key loopKey, a *CSR[DA], uIdx []int, uval func(int) DB, allowed *BitSPA, comp bool, val []DC, stamp []int, cur int, nz []int) ([]int, bool) {
+// grown touched list. u's value at a frontier position is read only when ⊗
+// reads it.
+func (*domain[T, DA, DB, DC]) push(key loopKey, a *CSR[DA], uIdx []int, uVal []DB, allowed *BitSPA, comp bool, val []DC, stamp []int, cur int, nz []int) ([]int, bool) {
 	okA := holds[T, DA]()
 	l := lookup[T](key, okA, holds[T, DB]())
 	if l == nil {
@@ -660,7 +660,7 @@ func (*domain[T, DA, DB, DC]) push(key loopKey, a *CSR[DA], uIdx []int, uval fun
 	for pu, k := range uIdx {
 		var y T
 		if readsU {
-			y = scalar[T](uval(pu))
+			y = scalar[T](uVal[pu])
 		}
 		p, end := a.Ptr[k], a.Ptr[k+1]
 		nz = l.pushRow(a.ColIdx[p:end], rowVals(av, okA, p, end), y, allowed, comp, w, stamp, cur, nz)
@@ -669,8 +669,8 @@ func (*domain[T, DA, DB, DC]) push(key loopKey, a *CSR[DA], uIdx []int, uval fun
 }
 
 // scatter runs pushParallel's phase C over frontier positions [lo, hi),
-// fetching u's values as push does.
-func (*domain[T, DA, DB, DC]) scatter(key loopKey, a *CSR[DA], uIdx []int, uval func(int) DB, allowed *BitSPA, comp bool, off []int32, vals []DC, lo, hi int) bool {
+// reading u's values as push does.
+func (*domain[T, DA, DB, DC]) scatter(key loopKey, a *CSR[DA], uIdx []int, uVal []DB, allowed *BitSPA, comp bool, off []int32, vals []DC, lo, hi int) bool {
 	okA := holds[T, DA]()
 	l := lookup[T](key, okA, holds[T, DB]())
 	if l == nil {
@@ -681,7 +681,7 @@ func (*domain[T, DA, DB, DC]) scatter(key loopKey, a *CSR[DA], uIdx []int, uval 
 	for k := lo; k < hi; k++ {
 		var y T
 		if readsU {
-			y = scalar[T](uval(k))
+			y = scalar[T](uVal[k])
 		}
 		p, end := a.Ptr[uIdx[k]], a.Ptr[uIdx[k]+1]
 		l.scatterRow(a.ColIdx[p:end], rowVals(av, okA, p, end), y, allowed, comp, off, w)

@@ -95,9 +95,11 @@ func TestDotStopsAtTerminal(t *testing.T) {
 }
 
 // TestBuiltinKernelsAllocBudget holds the specialized loops to the closure
-// loops' budgets (TestDotMxVFullVectorAllocBudget, TestMaskedSpGEMMAllocBudget,
-// TestFusedKernelsDisabledPathAllocFree): picking a loop — the entry, the
-// views of the operands, the loop set — allocates nothing.
+// loops' budgets (TestDotMxVFullVectorAllocBudget, TestMaskedSpGEMMAllocBudget):
+// picking a loop — the entry, the views of the operands, the loop set —
+// allocates nothing. The push kernel's accumulator and the dot kernel's
+// dense workspace come from the pool, so what is left is the result's Vec
+// and Val.
 func TestBuiltinKernelsAllocBudget(t *testing.T) {
 	parallel.SetMaxWorkersForTest(t, 1)
 	prev := obs.SetTracer(nil)
@@ -113,7 +115,6 @@ func TestBuiltinKernelsAllocBudget(t *testing.T) {
 			partial.Idx, partial.Val = append(partial.Idx, i), append(partial.Val, float64(i))
 		}
 	}
-	get := func(p int) float64 { return partial.Val[p] }
 	mask := &MatMask{NCols: a.NCols, EffPtr: a.Ptr, EffIdx: a.ColIdx, StrPtr: a.Ptr, StrIdx: a.ColIdx}
 	r := Ring[float64, float64, float64]{Mul: mulF, Add: addF, MulOp: OpTimes, AddOp: OpPlus}
 	cases := []struct {
@@ -122,9 +123,8 @@ func TestBuiltinKernelsAllocBudget(t *testing.T) {
 		run    func()
 	}{
 		{"DotMxV/full", 2, func() { r.DotMxV(at, full, nil) }},
-		{"DotMxV/partial", 3, func() { r.DotMxV(at, partial, nil) }},
-		{"FusedDotMxV", 3, func() { r.FusedDotMxV(a, partial.N, partial.Idx, get, nil) }},
-		{"FusedPushMxV", 4, func() { r.FusedPushMxV(a, partial.Idx, get, nil) }},
+		{"DotMxV/partial", 2, func() { r.DotMxV(at, partial, nil) }},
+		{"PushMxV", 2, func() { r.PushMxV(a, partial, nil) }},
 		{"SpGEMM/mask-shaped", 7, func() { r.SpGEMM(a, at, mask) }},
 		{"SpGEMMDotMasked", 7, func() { r.SpGEMMDotMasked(a, a, mask) }},
 	}

@@ -11,7 +11,7 @@ import (
 
 // Results written once. The paper keeps every vector opaque (§III), so the
 // package owns the representation: a kernel writes each entry of its result
-// once, into storage of the result's exact size, and a result shares the
+// once, into storage sized for the result, and a result shares the
 // structure it has in common with an input instead of copying it.
 //
 //   - A vector's Idx is write-once. Nothing in the package writes into an
@@ -19,8 +19,10 @@ import (
 //     input's — an apply, a union or intersection against a full operand, an
 //     assign of a whole vector, a Clone — takes the input's Idx, clipped to
 //     its length (x[:n:n]) so that an append on either side reallocates.
-//   - A vector's Val is its own: every output allocates it, and no two
-//     vectors share one.
+//   - A vector's Val is its own: every output draws it from internal/pool
+//     (pool.Vals, an array of its size's class that a superseded store may
+//     have left there), and no two vectors share one — which is what lets
+//     the store that held it recycle it when it dies.
 //   - A full vector's Idx is a prefix of one process-wide identity list
 //     (identity), so no kernel writes 0…N−1 out again.
 //   - A kernel that knows its entry count before it runs allocates that
@@ -68,6 +70,14 @@ func vecOf[T any](n int, idx []int, val []T) *Vec[T] {
 // takes them: the input's array, clipped to its length.
 func sharedIdx(idx []int) []int { return idx[:len(idx):len(idx)] }
 
+// cloneVals is a copy of an input's values as an output's own, in an array
+// from the pool.
+func cloneVals[T any](val []T) []T {
+	out := pool.Vals[T](len(val))
+	copy(out, val)
+	return out
+}
+
 // rowKernel is a kernel that emits at most one entry per row, in row order:
 // dotCore's rows of A, pushParallel's fold over target columns.
 type rowKernel[T any] interface {
@@ -110,7 +120,7 @@ func emitRows[T any, K rowKernel[T]](n int, cum []int, exact bool, k K) *Vec[T] 
 		if most < n {
 			idx = make([]int, most)
 		}
-		val := make([]T, most)
+		val := pool.Vals[T](most)
 		runRows(k, n, bounds, at, idx, val)
 		w = vecOf(n, idx, val)
 	} else {
@@ -124,14 +134,14 @@ func emitRows[T any, K rowKernel[T]](n int, cum []int, exact bool, k K) *Vec[T] 
 // counts: the chunks write into a scratch index list and a value array
 // sized by most, and what they wrote is copied out, chunk after chunk, into
 // arrays of its exact size. The value array stays the result's when every
-// row that could emit did.
+// row that could emit did, and goes back to the pool otherwise.
 //
 //grblint:hotpath
 func joinRows[T any, K rowKernel[T]](k K, n int, bounds, at []int) *Vec[T] {
 	chunks := len(at) / 2
 	most := at[chunks]
 	scratch := pool.GetInts(most)
-	val := make([]T, most)
+	val := pool.Vals[T](most)
 	runRows(k, n, bounds, at, scratch, val)
 	total := 0
 	for _, got := range at[chunks+1:] {
@@ -143,7 +153,7 @@ func joinRows[T any, K rowKernel[T]](k K, n int, bounds, at []int) *Vec[T] {
 	}
 	out := val
 	if total < most {
-		out = make([]T, total)
+		out = pool.Vals[T](total)
 	}
 	d := 0
 	for c, got := range at[chunks+1:] {
@@ -156,6 +166,9 @@ func joinRows[T any, K rowKernel[T]](k K, n int, bounds, at []int) *Vec[T] {
 		d += got
 	}
 	pool.PutInts(scratch)
+	if total < most {
+		pool.Recycle(val)
+	}
 	return vecOf(n, idx, out)
 }
 

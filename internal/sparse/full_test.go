@@ -116,11 +116,6 @@ func TestQuickFullVectorPathsBitIdentical(t *testing.T) {
 							check(l+" AssignScalarExpandVec", sameBits(AssignScalarExpandVec(a, x, list, accum), n, idx, val))
 						}
 					}
-					for an, accum := range accums {
-						idx, val := assignRef(a, b, nil, identity, accum)
-						get := func(p int) float64 { return b.Val[p] }
-						check(label+" FusedAssignAccum accum="+an, sameBits(FusedAssignAccum(a, b.Idx, get, accum), n, idx, val))
-					}
 				}
 			}
 		}
@@ -132,8 +127,8 @@ func TestQuickFullVectorPathsBitIdentical(t *testing.T) {
 }
 
 // TestFullVectorKernelsAllocBudget pins the array paths the way
-// TestFusedKernelsDisabledPathAllocFree pins the fused kernels: one worker,
-// tracer off. Each makes only its output's Vec and Val, and nothing per
+// TestDotMxVFullVectorAllocBudget pins the dot kernel: one worker, tracer
+// off. Each makes only its output's Vec and Val, and nothing per
 // position: its Idx is the full operand's, or the walked side's, shared
 // (emit.go), and a full assign's is the shared identity list.
 func TestFullVectorKernelsAllocBudget(t *testing.T) {

@@ -71,23 +71,23 @@ func VecUnion[D any](a, b *Vec[D], add func(D, D) D) *Vec[D] {
 func union[D any](a, b *Vec[D], add func(D, D) D) *Vec[D] {
 	if !a.Full() && !b.Full() {
 		idx, val := unionRow(a.Idx, a.Val, b.Idx, b.Val, add,
-			make([]int, 0, len(a.Idx)+len(b.Idx)), make([]D, 0, len(a.Idx)+len(b.Idx)))
+			make([]int, 0, len(a.Idx)+len(b.Idx)), pool.Vals[D](len(a.Idx) + len(b.Idx))[:0])
 		return &Vec[D]{N: a.N, Idx: idx, Val: val}
 	}
 	w := &Vec[D]{N: a.N}
 	switch {
 	case a.Full() && b.Full():
-		w.Idx, w.Val = sharedIdx(a.Idx), append([]D(nil), a.Val...)
+		w.Idx, w.Val = sharedIdx(a.Idx), cloneVals(a.Val)
 		for i, bv := range b.Val[:len(w.Val)] {
 			w.Val[i] = add(w.Val[i], bv)
 		}
 	case a.Full():
-		w.Idx, w.Val = sharedIdx(a.Idx), append([]D(nil), a.Val...)
+		w.Idx, w.Val = sharedIdx(a.Idx), cloneVals(a.Val)
 		for k, i := range b.Idx {
 			w.Val[i] = add(w.Val[i], b.Val[k])
 		}
 	default:
-		w.Idx, w.Val = sharedIdx(b.Idx), append([]D(nil), b.Val...)
+		w.Idx, w.Val = sharedIdx(b.Idx), cloneVals(b.Val)
 		for k, i := range a.Idx {
 			w.Val[i] = add(a.Val[k], w.Val[i])
 		}
@@ -133,18 +133,18 @@ func VecIntersect[DA, DB, DC any](a *Vec[DA], b *Vec[DB], mul func(DA, DB) DC) *
 	w := &Vec[DC]{N: a.N}
 	switch {
 	case b.Full():
-		w.Idx, w.Val = sharedIdx(a.Idx), make([]DC, len(a.Idx))
+		w.Idx, w.Val = sharedIdx(a.Idx), pool.Vals[DC](len(a.Idx))
 		for k, i := range a.Idx {
 			w.Val[k] = mul(a.Val[k], b.Val[i])
 		}
 	case a.Full():
-		w.Idx, w.Val = sharedIdx(b.Idx), make([]DC, len(b.Idx))
+		w.Idx, w.Val = sharedIdx(b.Idx), pool.Vals[DC](len(b.Idx))
 		for k, i := range b.Idx {
 			w.Val[k] = mul(a.Val[i], b.Val[k])
 		}
 	default:
 		m := min(len(a.Idx), len(b.Idx))
-		w.Idx, w.Val = intersectRow(a.Idx, a.Val, b.Idx, b.Val, mul, make([]int, 0, m), make([]DC, 0, m))
+		w.Idx, w.Val = intersectRow(a.Idx, a.Val, b.Idx, b.Val, mul, make([]int, 0, m), pool.Vals[DC](m)[:0])
 	}
 	done(w.NVals())
 	return w
@@ -173,7 +173,7 @@ func intersectRow[DA, DB, DC any](aIdx []int, aVal []DA, bIdx []int, bVal []DB, 
 // VecApply maps f over the stored values of a, keeping — sharing — its
 // structure.
 func VecApply[DA, DC any](a *Vec[DA], f func(DA) DC) *Vec[DC] {
-	out := &Vec[DC]{N: a.N, Idx: sharedIdx(a.Idx), Val: make([]DC, len(a.Val))}
+	out := &Vec[DC]{N: a.N, Idx: sharedIdx(a.Idx), Val: pool.Vals[DC](len(a.Val))}
 	for k, v := range a.Val {
 		out.Val[k] = f(v)
 	}
@@ -183,7 +183,7 @@ func VecApply[DA, DC any](a *Vec[DA], f func(DA) DC) *Vec[DC] {
 // VecApplyIndex maps f(value, index) over the stored entries of a, sharing
 // its structure.
 func VecApplyIndex[DA, DC any](a *Vec[DA], f func(DA, int) DC) *Vec[DC] {
-	out := &Vec[DC]{N: a.N, Idx: sharedIdx(a.Idx), Val: make([]DC, len(a.Val))}
+	out := &Vec[DC]{N: a.N, Idx: sharedIdx(a.Idx), Val: pool.Vals[DC](len(a.Val))}
 	for k, v := range a.Val {
 		out.Val[k] = f(v, a.Idx[k])
 	}
@@ -205,7 +205,7 @@ func VecSelect[D any](a *Vec[D], pred func(D, int) bool) *Vec[D] {
 			kept++
 		}
 	}
-	out := &Vec[D]{N: a.N, Val: make([]D, kept)}
+	out := &Vec[D]{N: a.N, Val: pool.Vals[D](kept)}
 	if kept == len(a.Idx) {
 		out.Idx = sharedIdx(a.Idx)
 		copy(out.Val, a.Val)
@@ -329,7 +329,7 @@ func ExtractVec[D any](u *Vec[D], indices []int) *Vec[D] {
 	if hits < len(indices) {
 		idx = make([]int, hits)
 	}
-	val := make([]D, hits)
+	val := pool.Vals[D](hits)
 	w := 0
 	for k, p := range slot {
 		if p > 0 {
@@ -427,8 +427,19 @@ func quickSortAssign[D any](es []assignEntry[D]) {
 // entry is replaced (or deleted when the source has none and accum is nil,
 // or kept when accum is non-nil); outside them the old entry is kept.
 func mergeAssign[D any](cIdx []int, cVal []D, es []assignEntry[D], accum func(D, D) D) ([]int, []D) {
-	outIdx := make([]int, 0, len(cIdx)+len(es))
-	outVal := make([]D, 0, len(cIdx)+len(es))
+	n := len(cIdx) + len(es)
+	return mergeAssignInto(cIdx, cVal, es, accum, make([]int, 0, n), make([]D, 0, n))
+}
+
+// mergeAssignVec is mergeAssign for a vector's content, whose values go in
+// an array from the pool.
+func mergeAssignVec[D any](cIdx []int, cVal []D, es []assignEntry[D], accum func(D, D) D) ([]int, []D) {
+	n := len(cIdx) + len(es)
+	return mergeAssignInto(cIdx, cVal, es, accum, make([]int, 0, n), pool.Vals[D](n)[:0])
+}
+
+// mergeAssignInto is the merge, appending to outIdx and outVal.
+func mergeAssignInto[D any](cIdx []int, cVal []D, es []assignEntry[D], accum func(D, D) D, outIdx []int, outVal []D) ([]int, []D) {
 	pc, pe := 0, 0
 	for pc < len(cIdx) || pe < len(es) {
 		switch {
@@ -477,7 +488,7 @@ func AssignExpandVec[D any](c, u *Vec[D], indices []int, accum func(D, D) D) *Ve
 	var z *Vec[D]
 	switch {
 	case indices == nil && accum == nil:
-		z = &Vec[D]{N: c.N, Idx: sharedIdx(u.Idx), Val: append([]D(nil), u.Val...)}
+		z = &Vec[D]{N: c.N, Idx: sharedIdx(u.Idx), Val: cloneVals(u.Val)}
 	case indices == nil:
 		z = union(c, u, accum)
 	default:
@@ -494,7 +505,7 @@ func AssignExpandVec[D any](c, u *Vec[D], indices []int, accum func(D, D) D) *Ve
 			}
 		}
 		sortAssign(es)
-		idx, val := mergeAssign(c.Idx, c.Val, es, accum)
+		idx, val := mergeAssignVec(c.Idx, c.Val, es, accum)
 		z = &Vec[D]{N: c.N, Idx: idx, Val: val}
 	}
 	done(z.NVals())
@@ -510,7 +521,7 @@ func AssignScalarExpandVec[D any](c *Vec[D], x D, indices []int, accum func(D, D
 	done := obs.KernelStart("vec.assign")
 	var z *Vec[D]
 	if indices == nil {
-		z = vecOf(c.N, nil, make([]D, c.N))
+		z = vecOf(c.N, nil, pool.Vals[D](c.N))
 		for i := range z.Val {
 			z.Val[i] = x
 		}
@@ -525,7 +536,7 @@ func AssignScalarExpandVec[D any](c *Vec[D], x D, indices []int, accum func(D, D
 			es[k] = assignEntry[D]{target: i, val: x, has: true}
 		}
 		sortAssign(es)
-		idx, val := mergeAssign(c.Idx, c.Val, es, accum)
+		idx, val := mergeAssignVec(c.Idx, c.Val, es, accum)
 		z = &Vec[D]{N: c.N, Idx: idx, Val: val}
 	}
 	done(z.NVals())

@@ -78,6 +78,6 @@ func ApplyVecTuples[D any](v *Vec[D], ts []Tuple[D]) *Vec[D] {
 		}
 		es = append(es, assignEntry[D]{target: i, val: last.V, has: !last.Del})
 	}
-	idx, val := mergeAssign(v.Idx, v.Val, es, nil)
+	idx, val := mergeAssignVec(v.Idx, v.Val, es, nil)
 	return &Vec[D]{N: v.N, Idx: idx, Val: val}
 }

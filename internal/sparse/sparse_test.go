@@ -155,6 +155,46 @@ func TestQuickBuildVecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBuildVecAscendingMatchesSorted: strictly ascending input takes
+// BuildVec's one-pass path, which must build bit for bit what the sorting
+// path builds from the same tuples in reverse order, in storage of its own
+// (a full vector's positions the shared identity list), and refuse the
+// out-of-range indices the sorting path refuses. A repeated index is never
+// strictly ascending: it is sorted, then refused or combined.
+func TestBuildVecAscendingMatchesSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n = 200
+	for _, p := range []float64{0.02, 0.5, 1} {
+		v := randFloatVec(rng, n, p)
+		ri, rv := make([]int, len(v.Idx)), make([]float64, len(v.Val))
+		for k := range v.Idx {
+			ri[len(ri)-1-k], rv[len(rv)-1-k] = v.Idx[k], v.Val[k]
+		}
+		fast, ok := BuildVec(n, v.Idx, v.Val, nil)
+		sorted, ok2 := BuildVec(n, ri, rv, nil)
+		if !ok || !ok2 {
+			t.Fatalf("p=%g: build refused (ascending %v, reversed %v)", p, ok, ok2)
+		}
+		label := fmt.Sprintf("p=%g ascending vs sorted", p)
+		requireBitIdentical(t, label, fast, sorted)
+		requireExact(t, label, fast)
+		if overlaps(fast.Val, v.Val) || len(fast.Idx) < n && overlaps(fast.Idx, v.Idx) {
+			t.Fatalf("%s: the built vector shares the caller's arrays", label)
+		}
+	}
+	for _, bad := range [][]int{{-1, 3, 5}, {0, 3, n}} {
+		if _, ok := BuildVec(n, bad, []float64{1, 2, 3}, addF); ok {
+			t.Fatalf("BuildVec accepted out-of-range ascending indices %v", bad)
+		}
+	}
+	if _, ok := BuildVec(n, []int{1, 3, 3}, []float64{1, 2, 4}, nil); ok {
+		t.Fatal("BuildVec accepted a repeated index without a combiner")
+	}
+	if w, ok := BuildVec(n, []int{1, 3, 3}, []float64{1, 2, 4}, addF); !ok || w.NVals() != 2 || w.Val[1] != 6 {
+		t.Fatalf("repeated index not combined: ok=%v %v %v", ok, w.Idx, w.Val)
+	}
+}
+
 // Property: transpose is an involution and preserves content.
 func TestQuickTransposeInvolution(t *testing.T) {
 	f := func(seed int64) bool {

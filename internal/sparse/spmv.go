@@ -12,7 +12,7 @@ import (
 // product) matrix-vector multiply w = A ⊕.⊗ u. Rows are processed in
 // parallel, nnz-balanced. A full input vector (every position stored) is
 // read as the dense array its Val already is; a partial one is scattered
-// into a dense workspace once.
+// into a pooled dense workspace once.
 //
 // A non-nil mask is applied inside the kernel: rows the mask disallows are
 // skipped entirely, which is the "pull with mask" optimization — the key
@@ -36,7 +36,7 @@ func (r Ring[DA, DU, DC]) DotMxV(a *CSR[DA], u *Vec[DU], mask *VecMask) *Vec[DC]
 	if u.Full() {
 		w = dotCore(a, u.Val, nil, r, mask)
 	} else {
-		dense := make([]DU, u.N)
+		dense := pool.GetVals[DU](u.N)
 		present := pool.GetBools(u.N)
 		for p, k := range u.Idx {
 			dense[k] = u.Val[p]
@@ -44,20 +44,20 @@ func (r Ring[DA, DU, DC]) DotMxV(a *CSR[DA], u *Vec[DU], mask *VecMask) *Vec[DC]
 		}
 		w = dotCore(a, dense, present, r, mask)
 		pool.PutBools(present)
+		pool.PutVals(dense)
 	}
 	done(w.NVals())
 	return w
 }
 
-// dotCore is the row-parallel pull loop shared by DotMxV and FusedDotMxV
-// over an input already laid out densely: dense[k] is u(k) where present[k]
-// is set, and a nil present says every position is stored, which drops the
-// presence test from the inner loop. Each row folds its products in
-// ascending k, and each chunk writes its rows' entries compactly
-// (emitRows). Over a full u a row emits exactly when it stores an entry
-// and the mask allows it, so the result is counted from Ptr and the mask
-// and written in place; a partial u may leave such a row empty, so its
-// chunks are joined.
+// dotCore is DotMxV's row-parallel pull loop over an input already laid
+// out densely: dense[k] is u(k) where present[k] is set, and a nil present
+// says every position is stored, which drops the presence test from the
+// inner loop. Each row folds its products in ascending k, and each chunk
+// writes its rows' entries compactly (emitRows). Over a full u a row emits
+// exactly when it stores an entry and the mask allows it, so the result is
+// counted from Ptr and the mask and written in place; a partial u may leave
+// such a row empty, so its chunks are joined.
 //
 //grblint:hotpath
 func dotCore[DA, DU, DC any](a *CSR[DA], dense []DU, present []bool, r Ring[DA, DU, DC], mask *VecMask) *Vec[DC] {
@@ -152,7 +152,7 @@ func PushMxV[DA, DU, DC any](a *CSR[DA], u *Vec[DU], mul func(DA, DU) DC, add fu
 //grblint:hotpath
 func (r Ring[DA, DU, DC]) PushMxV(a *CSR[DA], u *Vec[DU], mask *VecMask) *Vec[DC] {
 	done := obs.KernelStart("mxv.push")
-	w := pushCore(a, u.Idx, func(p int) DU { return u.Val[p] }, r, mask)
+	w := pushCore(a, u.Idx, u.Val, r, mask)
 	done(w.NVals())
 	return w
 }
@@ -225,11 +225,8 @@ func PullWins[DA any](aPtr []int, uIdx []int, at *CSR[DA], mask *VecMask) bool {
 	return pushFlopCost*push >= pullFlopCost*pull
 }
 
-// pushCore is the push-style scatter shared by PushMxV and FusedPushMxV.
-// The frontier is (uIdx, uval): stored row indices in increasing order and
-// an accessor for the value at frontier position p (called exactly once per
-// frontier entry, in increasing position order, so fused producers observe
-// the same evaluation schedule as a materialized input).
+// pushCore is PushMxV's scatter. The frontier is (uIdx, uVal): u's stored
+// row indices in increasing order and their values.
 //
 // The parallel path is bit-exact with the serial SPA pass for any worker
 // count: contributions to each target are laid out in global traversal
@@ -237,11 +234,11 @@ func PullWins[DA any](aPtr []int, uIdx []int, at *CSR[DA], mask *VecMask) bool {
 // chunk-major) and folded left-to-right in that order — the same fold the
 // serial SPA performs — rather than merging per-worker partial reductions,
 // which would reassociate floating-point ⊕. The serial pass and phases C and
-// D run r's specialized loops when there are some (builtin.go); those fetch
-// a frontier value only when ⊗ reads it.
+// D run r's specialized loops when there are some (builtin.go); those read
+// a frontier value only when ⊗ does.
 //
 //grblint:hotpath
-func pushCore[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, r Ring[DA, DU, DC], mask *VecMask) *Vec[DC] {
+func pushCore[DA, DU, DC any](a *CSR[DA], uIdx []int, uVal []DU, r Ring[DA, DU, DC], mask *VecMask) *Vec[DC] {
 	var allowed *BitSPA
 	comp := false
 	if mask != nil {
@@ -265,7 +262,7 @@ func pushCore[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, r Ring[
 		if total := cum[len(uIdx)]; total >= pushParallelMinWork && total <= math.MaxInt32 {
 			bounds := parallel.PartitionByWeight(len(uIdx), workers, cum)
 			if len(bounds) > 2 {
-				if w, ok := pushParallel(a, uIdx, uval, r, allowed, comp, bounds); ok {
+				if w, ok := pushParallel(a, uIdx, uVal, r, allowed, comp, bounds); ok {
 					pool.PutInts(cum)
 					return w
 				}
@@ -273,24 +270,27 @@ func pushCore[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, r Ring[
 		}
 		pool.PutInts(cum)
 	}
-	return pushSerial(a, uIdx, uval, r, allowed, comp)
+	return pushSerial(a, uIdx, uVal, r, allowed, comp)
 }
 
 // pushSerial is the single SPA pass: a left fold over contributions in
-// frontier-traversal order, gathered in sorted target order.
+// frontier-traversal order, gathered in sorted target order. The
+// accumulator's three arrays come from the pool.
 //
 //grblint:hotpath
-func pushSerial[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, r Ring[DA, DU, DC], allowed *BitSPA, comp bool) *Vec[DC] {
-	spa := NewSPA[DC](a.NCols)
+func pushSerial[DA, DU, DC any](a *CSR[DA], uIdx []int, uVal []DU, r Ring[DA, DU, DC], allowed *BitSPA, comp bool) *Vec[DC] {
+	stamp := pool.GetInts(a.NCols)
+	nz := pool.GetInts(a.NCols)
+	spa := SPA[DC]{val: pool.Vals[DC](a.NCols), stamp: stamp, nz: nz[:0]}
 	spa.Reset()
 	done := false
 	key := r.key()
 	if spec := entryFor[DA, DU, DC](key); spec != nil {
-		spa.nz, done = spec.push(key, a, uIdx, uval, allowed, comp, spa.val, spa.stamp, spa.cur, spa.nz)
+		spa.nz, done = spec.push(key, a, uIdx, uVal, allowed, comp, spa.val, spa.stamp, spa.cur, spa.nz)
 	}
 	if !done {
 		for pu, k := range uIdx {
-			uv := uval(pu)
+			uv := uVal[pu]
 			for p := a.Ptr[k]; p < a.Ptr[k+1]; p++ {
 				i := a.ColIdx[p]
 				if allowed != nil && allowed.Has(i) == comp {
@@ -300,13 +300,19 @@ func pushSerial[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, r Rin
 			}
 		}
 	}
+	var w *Vec[DC]
 	if spa.Len() == a.NCols {
 		// Every target was reached: the accumulator's values, fresh to this
 		// call, are the result's in position order.
-		return vecOf(a.NCols, nil, spa.val)
+		w = vecOf(a.NCols, nil, spa.val)
+	} else {
+		idx, val := spa.Gather(make([]int, 0, spa.Len()), pool.Vals[DC](spa.Len())[:0])
+		w = &Vec[DC]{N: a.NCols, Idx: idx, Val: val}
+		pool.Recycle(spa.val)
 	}
-	idx, val := spa.Gather(make([]int, 0, spa.Len()), make([]DC, 0, spa.Len()))
-	return &Vec[DC]{N: a.NCols, Idx: idx, Val: val}
+	pool.PutInts(nz)
+	pool.PutInts(stamp)
+	return w
 }
 
 // pushParallel runs the four-phase exact-order scheme over the contiguous
@@ -321,7 +327,7 @@ func pushSerial[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, r Rin
 // column prefix sums) is pooled; every exit returns it.
 //
 //grblint:hotpath
-func pushParallel[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, r Ring[DA, DU, DC], allowed *BitSPA, comp bool, bounds []int) (*Vec[DC], bool) {
+func pushParallel[DA, DU, DC any](a *CSR[DA], uIdx []int, uVal []DU, r Ring[DA, DU, DC], allowed *BitSPA, comp bool, bounds []int) (*Vec[DC], bool) {
 	nchunks := len(bounds) - 1
 	ncols := a.NCols
 	key := r.key()
@@ -371,15 +377,15 @@ func pushParallel[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, r R
 	}
 	// Phase C: scatter products into the globally ordered slots. Chunks
 	// advance only their own offset cursors and write disjoint slot ranges.
-	vals := make([]DC, slots)
+	vals := pool.GetVals[DC](slots)
 	parallel.ForRanges(bounds, func(c, lo, hi int) {
 		off := counts[c]
-		if spec != nil && spec.scatter(key, a, uIdx, uval, allowed, comp, off, vals, lo, hi) {
+		if spec != nil && spec.scatter(key, a, uIdx, uVal, allowed, comp, off, vals, lo, hi) {
 			return
 		}
 		for k := lo; k < hi; k++ {
 			row := uIdx[k]
-			uv := uval(k)
+			uv := uVal[k]
 			for p := a.Ptr[row]; p < a.Ptr[row+1]; p++ {
 				i := a.ColIdx[p]
 				if allowed != nil && allowed.Has(i) == comp {
@@ -398,6 +404,7 @@ func pushParallel[DA, DU, DC any](a *CSR[DA], uIdx []int, uval func(int) DU, r R
 		pool.PutInt32s(cnt)
 	}
 	pool.PutInts(colPtr)
+	pool.PutVals(vals)
 	return w, true
 }
 

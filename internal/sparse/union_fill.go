@@ -1,6 +1,9 @@
 package sparse
 
-import "graphblas/internal/parallel"
+import (
+	"graphblas/internal/parallel"
+	"graphblas/internal/pool"
+)
 
 // UnionFill kernels implement the GxB_eWiseUnion-style merge: op applies on
 // the union of structures, with absent operands replaced by caller-supplied
@@ -35,7 +38,7 @@ func unionFillRow[DA, DB, DC any](aIdx []int, aVal []DA, bIdx []int, bVal []DB,
 // VecUnionFill computes the filled union of two vectors.
 func VecUnionFill[DA, DB, DC any](a *Vec[DA], b *Vec[DB], op func(DA, DB) DC, alpha DA, beta DB) *Vec[DC] {
 	idx, val := unionFillRow(a.Idx, a.Val, b.Idx, b.Val, op, alpha, beta,
-		make([]int, 0, len(a.Idx)+len(b.Idx)), make([]DC, 0, len(a.Idx)+len(b.Idx)))
+		make([]int, 0, len(a.Idx)+len(b.Idx)), pool.Vals[DC](len(a.Idx) + len(b.Idx))[:0])
 	return &Vec[DC]{N: a.N, Idx: idx, Val: val}
 }
 

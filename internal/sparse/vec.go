@@ -13,6 +13,8 @@ package sparse
 import (
 	"sort"
 	"unsafe"
+
+	"graphblas/internal/pool"
 )
 
 // Vec is a sparse vector of logical size N holding len(Idx) stored elements.
@@ -52,7 +54,7 @@ func (v *Vec[T]) Clone() *Vec[T] {
 	w := &Vec[T]{N: v.N}
 	if len(v.Idx) > 0 {
 		w.Idx = sharedIdx(v.Idx)
-		w.Val = append([]T(nil), v.Val...)
+		w.Val = cloneVals(v.Val)
 	}
 	return w
 }
@@ -94,6 +96,11 @@ func (v *Vec[T]) Resize(n int) {
 // slices. Duplicate indices are combined with dup; if dup is nil duplicates
 // are an error reported by returning ok == false. Indices out of range also
 // report ok == false. The inputs are not modified.
+//
+// Strictly ascending indices — what a caller building from another vector's
+// tuples hands over — are already in order and hold no duplicate, so one
+// pass checks that and the range and the tuples are copied as they are;
+// anything else is sorted first.
 func BuildVec[T any](n int, idx []int, val []T, dup func(T, T) T) (v *Vec[T], ok bool) {
 	v = NewVec[T](n)
 	if len(idx) != len(val) {
@@ -101,6 +108,16 @@ func BuildVec[T any](n int, idx []int, val []T, dup func(T, T) T) (v *Vec[T], ok
 	}
 	if len(idx) == 0 {
 		return v, true
+	}
+	if ascending(idx) {
+		if idx[0] < 0 || idx[len(idx)-1] >= n {
+			return nil, false
+		}
+		var own []int
+		if len(idx) < n { // otherwise idx is 0…n−1, and vecOf takes the identity list
+			own = append(make([]int, 0, len(idx)), idx...)
+		}
+		return vecOf(n, own, cloneVals(val)), true
 	}
 	perm := make([]int, len(idx))
 	for i := range perm {
@@ -125,6 +142,16 @@ func BuildVec[T any](n int, idx []int, val []T, dup func(T, T) T) (v *Vec[T], ok
 		v.Val = append(v.Val, val[p])
 	}
 	return vecOf(n, v.Idx, v.Val), true
+}
+
+// ascending reports whether idx is strictly increasing.
+func ascending(idx []int) bool {
+	for k := 1; k < len(idx); k++ {
+		if idx[k] <= idx[k-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // Tuples returns copies of the stored indices and values in index order.
@@ -156,9 +183,9 @@ func FromDense[T any](d []T, present []bool) *Vec[T] {
 		}
 	}
 	if nnz == len(d) {
-		return vecOf(len(d), nil, append(make([]T, 0, nnz), d...))
+		return vecOf(len(d), nil, cloneVals(d))
 	}
-	v := &Vec[T]{N: len(d), Idx: make([]int, 0, nnz), Val: make([]T, 0, nnz)}
+	v := &Vec[T]{N: len(d), Idx: make([]int, 0, nnz), Val: pool.Vals[T](nnz)[:0]}
 	for i := range d {
 		if present[i] {
 			v.Idx = append(v.Idx, i)

@@ -6,6 +6,7 @@ import (
 
 	"graphblas/internal/faults"
 	"graphblas/internal/format"
+	"graphblas/internal/leakcheck"
 	"graphblas/internal/sparse"
 )
 
@@ -111,6 +112,7 @@ func TestAbsorbAndCompact(t *testing.T) {
 // TestKernelFaultSites proves the registered stream.* sites are the ones the
 // kernels actually draw, in the order a fault plan would see them.
 func TestKernelFaultSites(t *testing.T) {
+	leakcheck.AssertQuiescent(t)
 	for _, site := range []string{"stream.kernel.absorb", "stream.kernel.merge"} {
 		func() {
 			faults.Configure(1, faults.Rule{Site: site, Kind: faults.KernelErr, Times: 1})

@@ -1,35 +1,14 @@
 package graphblas_test
 
-// Facade coverage for the dataflow-scheduler API: the Scheduler type and
-// its toggles forward to internal/core, StatsSnapshot exposes the DAG
-// counters, and a parallel flush through the public API behaves like the
-// sequential one.
+// Facade coverage for the dataflow scheduler: StatsSnapshot exposes the DAG
+// counters, and a parallel flush through the public API computes what the
+// operations define.
 
 import (
 	"testing"
 
 	"graphblas"
 )
-
-func TestSchedulerFacade(t *testing.T) {
-	if s := graphblas.CurrentScheduler(); s != graphblas.SchedDag {
-		t.Fatalf("CurrentScheduler() = %v, want dag (the default)", s)
-	}
-	if s := graphblas.SchedDag.String(); s != "dag" {
-		t.Fatalf("SchedDag.String() = %q", s)
-	}
-	if s := graphblas.SchedSequential.String(); s != "sequential" {
-		t.Fatalf("SchedSequential.String() = %q", s)
-	}
-	prev := graphblas.SetScheduler(graphblas.SchedSequential)
-	if prev != graphblas.SchedDag {
-		t.Fatalf("SetScheduler returned %v, want dag", prev)
-	}
-	defer graphblas.SetScheduler(prev)
-	if s := graphblas.CurrentScheduler(); s != graphblas.SchedSequential {
-		t.Fatalf("CurrentScheduler() = %v after SetScheduler(sequential)", s)
-	}
-}
 
 func TestStatsSnapshotDagCounters(t *testing.T) {
 	prevW := graphblas.SetMaxWorkers(4)
