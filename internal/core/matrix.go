@@ -80,13 +80,16 @@ func (m *Matrix[D]) initMatrix() {
 // snapshotState captures the committed store — the pointers to the CSR,
 // buffered updates, and format caches; all immutable once installed — and
 // returns a closure restoring them unless the operation committed; a
-// superseded matrix store is left to the collector. O(len(pending)) and
-// allocation-light, so taking one per operation is cheap.
+// superseded matrix store is left to the collector. The pending list is
+// kept, not copied: it is only ever appended to, and clipping it to its
+// length makes the next append after a restore reallocate, so the entries
+// it holds never change. O(1), so taking one per operation — every
+// SetElement takes one — is cheap.
 func (m *Matrix[D]) snapshotState() func(bool) {
 	m.mu.Lock()
 	data, tcache, bcache, hcache := m.data, m.tcache, m.bcache, m.hcache
 	delta, mcache, deltaAge, epochID := m.delta, m.mcache, m.deltaAge, m.epochID
-	pending := append([]sparse.Tuple[D](nil), m.pending...)
+	pending := m.pending[:len(m.pending):len(m.pending)]
 	m.mu.Unlock()
 	return func(committed bool) {
 		if committed {
@@ -164,7 +167,7 @@ func (m *Matrix[D]) flushPendingLocked() {
 		m.delta = format.MergeDeltas(m.delta, format.DeltaFromTuples(m.nr, m.nc, m.pending))
 	} else {
 		m.materializeLocked()
-		m.data = sparse.ApplyTuples(m.data, m.pending)
+		m.data = format.MergeDeltaCSR(m.data, format.DeltaFromTuples(m.nr, m.nc, m.pending))
 	}
 	m.pending = nil
 	m.dropDerivedLocked()

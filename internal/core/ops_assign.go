@@ -123,8 +123,7 @@ func AssignRow[DC, DM any](c *Matrix[DC], mask *Vector[DM], accum BinaryOp[DC, D
 	c.noteHint(format.HintAssign)
 	scmp, replace := desc.scmp(), desc.replace()
 	return enqueue(s, func() error {
-		z := sparse.AssignRowExpandCSR(c.mdat(), u.vdat(), i, cIdx, accum.F)
-		c.setData(sparse.MergeRow(c.mdat(), z, i, resolveVecMask(mask, scmp), replace))
+		c.setData(sparse.AssignRowCSR(c.mdat(), u.vdat(), i, cIdx, accum.F, resolveVecMask(mask, scmp), replace))
 		return nil
 	})
 }
@@ -146,8 +145,7 @@ func AssignCol[DC, DM any](c *Matrix[DC], mask *Vector[DM], accum BinaryOp[DC, D
 	c.noteHint(format.HintAssign)
 	scmp, replace := desc.scmp(), desc.replace()
 	return enqueue(s, func() error {
-		z := sparse.AssignColExpandCSR(c.mdat(), u.vdat(), rIdx, j, accum.F)
-		c.setData(sparse.MergeColumn(c.mdat(), z, j, resolveVecMask(mask, scmp), replace))
+		c.setData(sparse.AssignColCSR(c.mdat(), u.vdat(), rIdx, j, accum.F, resolveVecMask(mask, scmp), replace))
 		return nil
 	})
 }

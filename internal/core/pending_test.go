@@ -1,7 +1,13 @@
 package core
 
 import (
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
+
+	"graphblas/internal/faults"
+	"graphblas/internal/sparse"
 )
 
 // TestPendingTupleSemantics: buffered point updates must be invisible as an
@@ -85,4 +91,103 @@ func TestPendingTupleSemantics(t *testing.T) {
 	if err := v.Build([]int{0}, []float64{1}, NoAccum[float64]()); err != nil {
 		t.Fatalf("build after pending clear: %v", err)
 	}
+}
+
+// pendingOf is the pending list of a matrix or vector, read under its lock,
+// and the room its array has past it.
+func pendingOf[D any](mu sync.Locker, p *[]sparse.Tuple[D]) ([]sparse.Tuple[D], int) {
+	mu.Lock()
+	defer mu.Unlock()
+	return slices.Clone(*p), cap(*p) - len(*p)
+}
+
+// TestSetElementCostIndependentOfPending is the regression test for the
+// quadratic point update: each SetElement's rollback snapshot copied the
+// whole pending list, so k updates cost O(k²) time and bytes. The 20 000th
+// update must allocate no more bytes than an early one, plus a small
+// constant, on a matrix and on a vector; both are measured where the list's
+// array has room, so neither pays for its growth.
+func TestSetElementCostIndependentOfPending(t *testing.T) {
+	withMode(t, Blocking, func() {
+		m, _ := NewMatrix[float64](200, 200)
+		v, _ := NewVector[float64](200)
+		cases := []struct {
+			name  string
+			set   func(k int) error
+			spare func() int
+		}{
+			{"Matrix", func(k int) error { return m.SetElement(1, k%200, k/200%200) },
+				func() int { _, r := pendingOf(&m.mu, &m.pending); return r }},
+			{"Vector", func(k int) error { return v.SetElement(1, k%200) },
+				func() int { _, r := pendingOf(&v.mu, &v.pending); return r }},
+		}
+		for _, tc := range cases {
+			k := 0
+			// bytesAt is the fewest bytes one of three updates from the
+			// n-th on allocated, so an allocation elsewhere in the process
+			// cannot fail the test.
+			bytesAt := func(n int) uint64 {
+				least := ^uint64(0)
+				for r := 0; r < 3; r++ {
+					for ; k < n || tc.spare() < 1; k++ {
+						if err := tc.set(k); err != nil {
+							t.Fatal(err)
+						}
+					}
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					err := tc.set(k)
+					runtime.ReadMemStats(&after)
+					if err != nil {
+						t.Fatal(err)
+					}
+					k++
+					least = min(least, after.TotalAlloc-before.TotalAlloc)
+				}
+				return least
+			}
+			if early, late := bytesAt(10), bytesAt(20000); late > early+1024 {
+				t.Errorf("%s: update %d allocated %d bytes, update 10 %d: a point update costs what is pending", tc.name, k, late, early)
+			}
+		}
+	})
+}
+
+// TestFailedSetElementRestoresPending: a SetElement failed by an injected
+// fault leaves its object's pending list exactly as it was — the same tuples
+// in the same order, nothing appended — on a matrix and on a vector, and the
+// list it restores is clipped to its length, so the next append cannot
+// write into an array a snapshot still reads.
+func TestFailedSetElementRestoresPending(t *testing.T) {
+	assertQuiescent(t)
+	withMode(t, Blocking, func() {
+		m, _ := NewMatrix[float64](8, 8)
+		v, _ := NewVector[float64](8)
+		cases := []struct {
+			name    string
+			set     func(k int) error
+			pending func() ([]sparse.Tuple[float64], int)
+		}{
+			{"Matrix.SetElement", func(k int) error { return m.SetElement(float64(k), k%8, k/8%8) },
+				func() ([]sparse.Tuple[float64], int) { return pendingOf(&m.mu, &m.pending) }},
+			{"Vector.SetElement", func(k int) error { return v.SetElement(float64(k), k%8) },
+				func() ([]sparse.Tuple[float64], int) { return pendingOf(&v.mu, &v.pending) }},
+		}
+		for _, tc := range cases {
+			for k := 0; k < 5; k++ {
+				if err := tc.set(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			prior, _ := tc.pending()
+			withFaults(t, 1, faults.Rule{Site: tc.name, Kind: faults.KernelErr})
+			if err := tc.set(99); err == nil {
+				t.Fatalf("%s: the injected fault did not fail it", tc.name)
+			}
+			faults.Disable()
+			if got, room := tc.pending(); !slices.Equal(got, prior) || room != 0 {
+				t.Fatalf("%s: pending after the failure is %v (room %d), want %v (room 0)", tc.name, got, room, prior)
+			}
+		}
+	})
 }

@@ -84,7 +84,7 @@ func (v *Vector[D]) initVector() {
 func (v *Vector[D]) snapshotState() func(bool) {
 	v.mu.Lock()
 	data := v.data
-	pending := append([]sparse.Tuple[D](nil), v.pending...)
+	pending := v.pending[:len(v.pending):len(v.pending)] // kept, as Matrix.snapshotState keeps it
 	v.mu.Unlock()
 	return func(committed bool) {
 		v.mu.Lock()

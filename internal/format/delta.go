@@ -77,10 +77,11 @@ func (d *HyperDelta[T]) Lookup(i, j int) (v T, del, ok bool) {
 }
 
 // DeltaFromTuples builds an overlay from a program-ordered update stream:
-// entries are grouped by (row, col) and the last update to a position wins,
-// mirroring sparse.ApplyTuples. Tombstones (Del tuples) are kept — unlike a
-// pending-tuple flush they must survive until the overlay merges into a main
-// store whose elements they may delete. The input slice is not modified.
+// entries are grouped by (row, col) and the last update to a position wins.
+// Tombstones (Del tuples) are kept: they must survive until the overlay
+// merges into a main store whose elements they may delete. A matrix's
+// pending-tuple flush is such an overlay merged straight into its store
+// (MergeDeltaCSR). The input slice is not modified.
 func DeltaFromTuples[T any](nrows, ncols int, ts []sparse.Tuple[T]) *HyperDelta[T] {
 	d := &HyperDelta[T]{NRows: nrows, NCols: ncols}
 	if len(ts) == 0 {
@@ -187,49 +188,45 @@ func MergeDeltas[T any](old, add *HyperDelta[T]) *HyperDelta[T] {
 // two-pointer merge where overlay inserts replace main elements and
 // tombstones drop them. Updates outside the main store's current dimensions
 // are discarded — a Resize enqueued between absorption and compaction may
-// legitimately have shrunk the matrix. Returns fresh storage; neither input
-// is modified.
+// legitimately have shrunk the matrix. The rows are written through
+// sparse.EmitCSR, split by the main store's entries: each chunk copies the
+// runs of rows the overlay does not touch as they are and merges the ones it
+// does. Returns fresh storage; neither input is modified.
 func MergeDeltaCSR[T any](main *sparse.CSR[T], d *HyperDelta[T]) *sparse.CSR[T] {
 	if d == nil || d.NNZ() == 0 {
 		return main
 	}
-	out := &sparse.CSR[T]{NRows: main.NRows, NCols: main.NCols, Ptr: make([]int, main.NRows+1)}
-	k := 0
-	for i := 0; i < main.NRows; i++ {
-		for k < len(d.Rows) && d.Rows[k] < i {
-			k++ // overlay row with no main row counterpart below: skip (out of range)
-		}
-		mi, mv := main.Row(i)
-		if k == len(d.Rows) || d.Rows[k] != i {
-			out.ColIdx = append(out.ColIdx, mi...)
-			out.Val = append(out.Val, mv...)
-			out.Ptr[i+1] = len(out.ColIdx)
-			continue
-		}
-		di, dv, dd := d.RowAt(k)
-		p, q := 0, 0
-		for p < len(mi) || q < len(di) {
-			switch {
-			case q == len(di) || (p < len(mi) && mi[p] < di[q]):
-				out.ColIdx = append(out.ColIdx, mi[p])
-				out.Val = append(out.Val, mv[p])
-				p++
-			case p == len(mi) || di[q] < mi[p]:
-				if !dd[q] && di[q] < main.NCols {
-					out.ColIdx = append(out.ColIdx, di[q])
-					out.Val = append(out.Val, dv[q])
+	return sparse.EmitCSR(main.NRows, main.NCols, main.Ptr, nil, func(out *sparse.Rows[T], lo, hi int) {
+		k, end := sort.SearchInts(d.Rows, lo), sort.SearchInts(d.Rows, hi)
+		out.Reserve(main.Ptr[hi] - main.Ptr[lo] + d.Ptr[end] - d.Ptr[k])
+		next := lo // the first row not written yet
+		for ; k < end; k++ {
+			i := d.Rows[k]
+			out.Copy(main, next, i)
+			next = i + 1
+			mi, mv := main.Row(i)
+			di, dv, dd := d.RowAt(k)
+			p, q := 0, 0
+			for p < len(mi) || q < len(di) {
+				switch {
+				case q == len(di) || (p < len(mi) && mi[p] < di[q]):
+					out.Idx, out.Val = append(out.Idx, mi[p]), append(out.Val, mv[p])
+					p++
+				case p == len(mi) || di[q] < mi[p]:
+					if !dd[q] && di[q] < main.NCols {
+						out.Idx, out.Val = append(out.Idx, di[q]), append(out.Val, dv[q])
+					}
+					q++
+				default:
+					if !dd[q] {
+						out.Idx, out.Val = append(out.Idx, di[q]), append(out.Val, dv[q])
+					}
+					p++
+					q++
 				}
-				q++
-			default:
-				if !dd[q] {
-					out.ColIdx = append(out.ColIdx, di[q])
-					out.Val = append(out.Val, dv[q])
-				}
-				p++
-				q++
 			}
+			out.End(i)
 		}
-		out.Ptr[i+1] = len(out.ColIdx)
-	}
-	return out
+		out.Copy(main, next, hi)
+	})
 }

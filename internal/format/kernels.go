@@ -5,6 +5,7 @@ import (
 
 	"graphblas/internal/faults"
 	"graphblas/internal/parallel"
+	"graphblas/internal/pool"
 	"graphblas/internal/sparse"
 )
 
@@ -17,32 +18,6 @@ import (
 // dispatches to when an operand is stored as bitmap or hypersparse. They
 // mirror the contracts of sparse.DotMxV / sparse.SpGEMM: pre-resolved masks,
 // plain function operators, fresh output storage.
-
-// maskCursor tests row membership against a pre-resolved vector mask while
-// rows are visited in increasing order; amortized O(1) per query. It is the
-// counterpart of the sparse package's internal cursor.
-type maskCursor struct {
-	m *sparse.VecMask
-	p int
-}
-
-func (c *maskCursor) allows(i int) bool {
-	if c.m == nil {
-		return true
-	}
-	set := c.m.Idx
-	if c.m.Comp {
-		set = c.m.Structure
-	}
-	for c.p < len(set) && set[c.p] < i {
-		c.p++
-	}
-	member := c.p < len(set) && set[c.p] == i
-	if c.m.Comp {
-		return !member
-	}
-	return member
-}
 
 // denseWithBits scatters u into a dense value array plus a presence bitset
 // of the given word count (ceil(u.N/64), matching Bitmap row words).
@@ -67,9 +42,9 @@ func DotMxVBitmap[DA, DU, DC any](a *Bitmap[DA], u *sparse.Vec[DU], mul func(DA,
 	rowOut := make([]DC, a.NRows)
 	rowHas := make([]bool, a.NRows)
 	parallel.For(a.NRows, 8, func(lo, hi int) {
-		cur := maskCursor{m: mask}
+		cur := sparse.MaskCursor{Mask: mask}
 		for i := lo; i < hi; i++ {
-			if !cur.allows(i) {
+			if !cur.Allows(i) {
 				continue
 			}
 			rb := a.RowBits(i)
@@ -124,9 +99,9 @@ func dotMxVBitmapPlusTimes[T Arith](a *Bitmap[T], u *sparse.Vec[T], mask *sparse
 	rowOut := make([]T, a.NRows)
 	rowHas := make([]bool, a.NRows)
 	parallel.For(a.NRows, 8, func(lo, hi int) {
-		cur := maskCursor{m: mask}
+		cur := sparse.MaskCursor{Mask: mask}
 		for i := lo; i < hi; i++ {
-			if !cur.allows(i) {
+			if !cur.Allows(i) {
 				continue
 			}
 			rb := a.RowBits(i)
@@ -208,9 +183,9 @@ func DotMxVHyper[DA, DU, DC any](a *Hyper[DA], u *sparse.Vec[DU], mul func(DA, D
 	faults.Step("format.kernel.hyper.mxv")
 	dense, present := u.Dense()
 	out := &sparse.Vec[DC]{N: a.NRows}
-	cur := maskCursor{m: mask}
+	cur := sparse.MaskCursor{Mask: mask}
 	for k, i := range a.Rows {
-		if !cur.allows(i) {
+		if !cur.Allows(i) {
 			continue
 		}
 		idx, val := a.RowAt(k)
@@ -286,19 +261,24 @@ func PushMxVHyper[DA, DU, DC any](a *Hyper[DA], u *sparse.Vec[DU], mul func(DA, 
 // sparse.SpGEMM. Output is CSR (the product of sparse A and anything has
 // sparse rows wherever A does). The mask picks the loop once per chunk —
 // unmasked, or one stamp compare per set bit that serves both mask senses —
-// never a predicate call per flop.
+// never a predicate call per flop. The rows are written through
+// sparse.EmitCSR, which charges the allocation governor for the result's
+// exact size before allocating it.
 //
 //grblint:hotpath
 func SpGEMMBitmap[DA, DB, DC any](a *sparse.CSR[DA], b *Bitmap[DB], mul func(DA, DB) DC, add func(DC, DC) DC, mask *sparse.MatMask) *sparse.CSR[DC] {
 	faults.Step("format.kernel.bitmap.mxm")
-	ri := make([][]int, a.NRows)
-	rv := make([][]DC, a.NRows)
-	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
+	// bPtr is B's row pointer, counted from its presence words, for the
+	// bound each chunk reserves its arena by.
+	bPtr := pool.GetInts(b.NRows + 1)
+	defer pool.PutInts(bPtr)
+	for k := 0; k < b.NRows; k++ {
+		bPtr[k+1] = bPtr[k] + b.rowNNZ(k)
+	}
+	charge := func(nnz int) { faults.GovernAlloc("format.alloc.csr", int64(nnz)*(8+elemBytes)) }
+	return sparse.EmitCSR(a.NRows, b.NCols, a.Ptr, charge, func(out *sparse.Rows[DC], lo, hi int) {
+		out.Reserve(sparse.ProductBound(a, bPtr, b.NCols, lo, hi))
 		spa := sparse.NewSPA[DC](b.NCols)
-		var idxArena []int
-		var valArena []DC
-		offs := make([]int, 0, hi-lo+1)
-		offs = append(offs, 0)
 		if mask == nil {
 			for i := lo; i < hi; i++ {
 				spa.Reset()
@@ -315,49 +295,43 @@ func SpGEMMBitmap[DA, DB, DC any](a *sparse.CSR[DA], b *Bitmap[DB], mul func(DA,
 						}
 					}
 				}
-				idxArena, valArena = spa.Gather(idxArena, valArena)
-				offs = append(offs, len(idxArena))
+				out.Idx, out.Val = spa.Gather(out.Idx, out.Val)
+				out.End(i)
 			}
-		} else {
-			// marked holds the mask row the sense refers to: the stored
-			// structure under a complemented mask (a marked column is
-			// dropped), the effective pattern otherwise (an unmarked one is).
-			marked := sparse.NewBitSPA(b.NCols)
-			for i := lo; i < hi; i++ {
-				spa.Reset()
-				marked.Reset()
-				if mask.Comp {
-					marked.MarkAll(mask.StrRow(i))
-				} else {
-					marked.MarkAll(mask.EffRow(i))
-				}
-				for pa := a.Ptr[i]; pa < a.Ptr[i+1]; pa++ {
-					k := a.ColIdx[pa]
-					av := a.Val[pa]
-					bv := b.RowVals(k)
-					for wi, w := range b.RowBits(k) {
-						base := wi << 6
-						for w != 0 {
-							j := base + bits.TrailingZeros64(w)
-							w &= w - 1
-							if marked.Has(j) == mask.Comp {
-								continue
-							}
-							spa.Accumulate(j, mul(av, bv[j]), add)
+			return
+		}
+		// marked holds the mask row the sense refers to: the stored
+		// structure under a complemented mask (a marked column is dropped),
+		// the effective pattern otherwise (an unmarked one is).
+		marked := sparse.NewBitSPA(b.NCols)
+		for i := lo; i < hi; i++ {
+			spa.Reset()
+			marked.Reset()
+			if mask.Comp {
+				marked.MarkAll(mask.StrRow(i))
+			} else {
+				marked.MarkAll(mask.EffRow(i))
+			}
+			for pa := a.Ptr[i]; pa < a.Ptr[i+1]; pa++ {
+				k := a.ColIdx[pa]
+				av := a.Val[pa]
+				bv := b.RowVals(k)
+				for wi, w := range b.RowBits(k) {
+					base := wi << 6
+					for w != 0 {
+						j := base + bits.TrailingZeros64(w)
+						w &= w - 1
+						if marked.Has(j) == mask.Comp {
+							continue
 						}
+						spa.Accumulate(j, mul(av, bv[j]), add)
 					}
 				}
-				idxArena, valArena = spa.Gather(idxArena, valArena)
-				offs = append(offs, len(idxArena))
 			}
-		}
-		for i := lo; i < hi; i++ {
-			k := i - lo
-			ri[i] = idxArena[offs[k]:offs[k+1]]
-			rv[i] = valArena[offs[k]:offs[k+1]]
+			out.Idx, out.Val = spa.Gather(out.Idx, out.Val)
+			out.End(i)
 		}
 	})
-	return assembleCSR(a.NRows, b.NCols, ri, rv)
 }
 
 // spGEMMBitmapPlusTimes multiplies A (CSR) by B (bitmap) over ⟨+,×⟩,
@@ -438,24 +412,4 @@ func TryMxMPlusTimes(a, b any) (any, bool) {
 		}
 	}
 	return nil, false
-}
-
-// assembleCSR builds a CSR matrix from per-row slices, the local counterpart
-// of the sparse package's internal assembler.
-func assembleCSR[T any](nrows, ncols int, rowIdx [][]int, rowVal [][]T) *sparse.CSR[T] {
-	c := sparse.NewCSR[T](nrows, ncols)
-	for i := 0; i < nrows; i++ {
-		c.Ptr[i+1] = c.Ptr[i] + len(rowIdx[i])
-	}
-	nnz := c.Ptr[nrows]
-	faults.GovernAlloc("format.alloc.csr", int64(nnz)*(8+elemBytes))
-	c.ColIdx = make([]int, nnz)
-	c.Val = make([]T, nnz)
-	parallel.For(nrows, 256, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			copy(c.ColIdx[c.Ptr[i]:], rowIdx[i])
-			copy(c.Val[c.Ptr[i]:], rowVal[i])
-		}
-	})
-	return c
 }

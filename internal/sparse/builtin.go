@@ -234,11 +234,11 @@ func (*ops[T, M, A]) reads() (x, y bool) { return readsX[M](), readsY[M]() }
 //grblint:hotpath
 func (*ops[T, M, A]) dot(a csrView[T], uv []T, present []bool, idx []int, out []T, lo, hi int, mask *VecMask) int {
 	stop := terminal[A, T]()
-	cur := allowsCursor{mask: mask}
+	cur := MaskCursor{Mask: mask}
 	n := 0
 	for i := lo; i < hi; i++ {
 		p, end := a.ptr[i], a.ptr[i+1]
-		if p == end || mask != nil && !cur.allows(i) {
+		if p == end || mask != nil && !cur.Allows(i) {
 			continue
 		}
 		if present != nil {

@@ -3,8 +3,6 @@ package sparse
 import (
 	"sort"
 	"unsafe"
-
-	"graphblas/internal/parallel"
 )
 
 // CSR is a compressed-sparse-row matrix. Invariants: len(Ptr) == NRows+1,
@@ -243,23 +241,4 @@ func (m *CSR[T]) Resize(nrows, ncols int) {
 		}
 	}
 	m.NRows = nrows
-}
-
-// assemble builds a CSR from per-row index/value slices produced by a
-// row-parallel kernel. Row slices must already be sorted and deduplicated.
-func assemble[T any](nrows, ncols int, rowIdx [][]int, rowVal [][]T) *CSR[T] {
-	c := NewCSR[T](nrows, ncols)
-	for i := 0; i < nrows; i++ {
-		c.Ptr[i+1] = c.Ptr[i] + len(rowIdx[i])
-	}
-	nnz := c.Ptr[nrows]
-	c.ColIdx = make([]int, nnz)
-	c.Val = make([]T, nnz)
-	parallel.For(nrows, 256, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			copy(c.ColIdx[c.Ptr[i]:], rowIdx[i])
-			copy(c.Val[c.Ptr[i]:], rowVal[i])
-		}
-	})
-	return c
 }

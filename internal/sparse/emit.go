@@ -28,6 +28,10 @@ import (
 //   - A kernel that knows its entry count before it runs allocates that
 //     count; one that does not emits into scratch and copies out the joined
 //     chunks, so a result never keeps scratch capacity alive.
+//   - A matrix kernel that does not know its counts writes its rows through
+//     EmitCSR, the one builder of such results: each chunk appends its rows
+//     into an arena of its own, and one join copies the arenas into arrays
+//     of the result's exact size. No kernel builds per-row slice headers.
 
 // ident is the identity list 0, 1, …, k−1 every full vector the package
 // builds takes its positions from. It grows by replacement to the largest N
@@ -188,6 +192,114 @@ func runRows[T any, K rowKernel[T]](k K, n int, bounds, at []int, idx []int, val
 		}
 		got[c] = k.emit(lo, hi, ci, val[at[c]:at[c+1]])
 	})
+}
+
+// Rows is the arena one chunk of a matrix kernel writes its result rows
+// into, in row order: the kernel appends a row's entries to Idx and Val
+// (directly, or through a row merge that appends) and closes the row with
+// End. A row never closed is empty. Rows are only ever appended, so an
+// arena's contents are the chunk's rows back to back.
+type Rows[T any] struct {
+	Idx []int
+	Val []T
+
+	ptr    []int // the result's row pointer; End writes row i's count at i+1
+	closed int   // len(Idx) when the last row was closed
+	at     int   // where the chunk's entries start in the result
+	pooled bool  // Idx and Val were drawn from the pool by Reserve
+}
+
+// Reserve gives the arena room for n entries. A kernel calls it once,
+// before its first row, with a bound on what the chunk can write when it
+// has one; appending past it grows the arena as append grows a slice.
+func (r *Rows[T]) Reserve(n int) {
+	r.Idx, r.Val = pool.GetVals[int](n)[:0], pool.GetVals[T](n)[:0]
+	r.pooled = true
+}
+
+// End closes row i: the entries appended since the last row was closed are
+// its.
+func (r *Rows[T]) End(i int) {
+	r.ptr[i+1] = len(r.Idx) - r.closed
+	r.closed = len(r.Idx)
+}
+
+// Copy writes rows [lo, hi) of src, a matrix of the result's shape, as they
+// are: one copy for the whole run.
+func (r *Rows[T]) Copy(src *CSR[T], lo, hi int) {
+	r.Idx = append(r.Idx, src.ColIdx[src.Ptr[lo]:src.Ptr[hi]]...)
+	r.Val = append(r.Val, src.Val[src.Ptr[lo]:src.Ptr[hi]]...)
+	for i := lo; i < hi; i++ {
+		r.ptr[i+1] = src.Ptr[i+1] - src.Ptr[i]
+	}
+	r.closed = len(r.Idx)
+}
+
+// join copies the arena of rows [lo, hi) into c from position at, turning
+// the rows' counts into c's row pointer as it goes.
+func (r *Rows[T]) join(c *CSR[T], lo, hi int) {
+	p := r.at
+	for i := lo; i < hi; i++ {
+		p += c.Ptr[i+1]
+		c.Ptr[i+1] = p
+	}
+	copy(c.ColIdx[r.at:], r.Idx)
+	copy(c.Val[r.at:], r.Val)
+}
+
+// EmitCSR builds the nrows×ncols result of a row kernel: the rows are split
+// as parallel.ForWeighted splits them by the cumulative weights cum, and
+// fill(out, lo, hi) writes rows [lo, hi) into its chunk's arena out, the
+// chunks in parallel. One join then copies the arenas, chunk after
+// chunk, into ColIdx and Val arrays of the result's exact size — in
+// parallel, each chunk placing its own — and returns the arenas to the
+// pool, on every path, a panicking fill included. charge, when non-nil, is
+// told the result's entry count before those arrays are allocated (the
+// format package's allocation governor).
+//
+//grblint:hotpath
+func EmitCSR[T any](nrows, ncols int, cum []int, charge func(nnz int), fill func(out *Rows[T], lo, hi int)) *CSR[T] {
+	c := NewCSR[T](nrows, ncols)
+	bounds := parallel.WeightedBounds(nrows, cum)
+	chunks := 1
+	if bounds != nil {
+		chunks = len(bounds) - 1
+	}
+	arenas := make([]Rows[T], chunks)
+	defer releaseAll(arenas)
+	for k := range arenas {
+		arenas[k].ptr = c.Ptr
+	}
+	if bounds == nil {
+		fill(&arenas[0], 0, nrows)
+	} else {
+		parallel.ForRanges(bounds, func(k, lo, hi int) { fill(&arenas[k], lo, hi) })
+	}
+	nnz := 0
+	for k := range arenas {
+		arenas[k].at = nnz
+		nnz += len(arenas[k].Idx)
+	}
+	if charge != nil {
+		charge(nnz)
+	}
+	c.ColIdx, c.Val = make([]int, nnz), make([]T, nnz)
+	if bounds == nil {
+		arenas[0].join(c, 0, nrows)
+	} else {
+		parallel.ForRanges(bounds, func(k, lo, hi int) { arenas[k].join(c, lo, hi) })
+	}
+	return c
+}
+
+// releaseAll hands the arenas of an EmitCSR call back to the pool.
+func releaseAll[T any](arenas []Rows[T]) {
+	for _, r := range arenas {
+		if r.pooled {
+			pool.PutVals(r.Idx)
+			pool.PutVals(r.Val)
+		}
+	}
 }
 
 // rowsAllowed counts the rows in [lo, hi) that store an entry and that mask

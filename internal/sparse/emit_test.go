@@ -16,9 +16,9 @@ import (
 func dotRef(a *CSR[float64], u *Vec[float64], mask *VecMask) *Vec[float64] {
 	dense, present := u.Dense()
 	out, has := make([]float64, a.NRows), make([]bool, a.NRows)
-	cur := allowsCursor{mask: mask}
+	cur := MaskCursor{Mask: mask}
 	for i := 0; i < a.NRows; i++ {
-		if !cur.allows(i) {
+		if !cur.Allows(i) {
 			continue
 		}
 		for p := a.Ptr[i]; p < a.Ptr[i+1]; p++ {

@@ -4,6 +4,7 @@ import (
 	"graphblas/internal/faults"
 	"graphblas/internal/obs"
 	"graphblas/internal/parallel"
+	"graphblas/internal/pool"
 )
 
 // MatMask is a pre-resolved two-dimensional mask in CSR-pattern form (no
@@ -30,62 +31,30 @@ func (m *MatMask) rowMask(i int) VecMask {
 	return VecMask{N: m.NCols, Idx: m.EffRow(i), Structure: m.StrRow(i), Comp: m.Comp}
 }
 
-// rowsView returns per-row index/value slices aliasing m's storage.
-func rowsView[T any](m *CSR[T]) ([][]int, [][]T) {
-	ri := make([][]int, m.NRows)
-	rv := make([][]T, m.NRows)
-	for i := 0; i < m.NRows; i++ {
-		ri[i], rv[i] = m.Row(i)
-	}
-	return ri, rv
-}
-
 // UnionCSR computes the eWiseAdd merge of a and b row-parallel.
 func UnionCSR[D any](a, b *CSR[D], add func(D, D) D) *CSR[D] {
-	ri := make([][]int, a.NRows)
-	rv := make([][]D, a.NRows)
-	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
-		var idxArena []int
-		var valArena []D
-		offs := make([]int, 0, hi-lo+1)
-		offs = append(offs, 0)
+	return EmitCSR(a.NRows, a.NCols, a.Ptr, nil, func(out *Rows[D], lo, hi int) {
+		out.Reserve(a.Ptr[hi] - a.Ptr[lo] + b.Ptr[hi] - b.Ptr[lo])
 		for i := lo; i < hi; i++ {
 			aIdx, aVal := a.Row(i)
 			bIdx, bVal := b.Row(i)
-			idxArena, valArena = unionRow(aIdx, aVal, bIdx, bVal, add, idxArena, valArena)
-			offs = append(offs, len(idxArena))
-		}
-		for i := lo; i < hi; i++ {
-			k := i - lo
-			ri[i] = idxArena[offs[k]:offs[k+1]]
-			rv[i] = valArena[offs[k]:offs[k+1]]
+			out.Idx, out.Val = unionRow(aIdx, aVal, bIdx, bVal, add, out.Idx, out.Val)
+			out.End(i)
 		}
 	})
-	return assemble(a.NRows, a.NCols, ri, rv)
 }
 
 // IntersectCSR computes the eWiseMult merge of a and b row-parallel.
 func IntersectCSR[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC) *CSR[DC] {
-	ri := make([][]int, a.NRows)
-	rv := make([][]DC, a.NRows)
-	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
-		var idxArena []int
-		var valArena []DC
-		offs := make([]int, 0, hi-lo+1)
-		offs = append(offs, 0)
+	return EmitCSR(a.NRows, a.NCols, a.Ptr, nil, func(out *Rows[DC], lo, hi int) {
+		out.Reserve(min(a.Ptr[hi]-a.Ptr[lo], b.Ptr[hi]-b.Ptr[lo]))
 		for i := lo; i < hi; i++ {
 			aIdx, aVal := a.Row(i)
 			bIdx, bVal := b.Row(i)
-			idxArena, valArena = intersectRow(aIdx, aVal, bIdx, bVal, mul, idxArena, valArena)
-			offs = append(offs, len(idxArena))
-		}
-		for i := lo; i < hi; i++ {
-			k := i - lo
-			ri[i] = idxArena[offs[k]:offs[k+1]]
-			rv[i] = valArena[offs[k]:offs[k+1]]
+			out.Idx, out.Val = intersectRow(aIdx, aVal, bIdx, bVal, mul, out.Idx, out.Val)
+			out.End(i)
 		}
 	})
-	return assemble(a.NRows, a.NCols, ri, rv)
 }
 
 // ApplyCSR maps f over the stored values of a, preserving structure.
@@ -205,33 +174,26 @@ func ReduceAllCSR[D any](a *CSR[D], add func(D, D) D, identity D, term func(D) b
 
 // MaskMergeCSR applies the final mask/replace write stage row-parallel. A
 // nil mask admits every position and returns z itself (ownership transfer,
-// as in MaskMergeVec); callers holding a shared z must clone first.
+// as in MaskMergeVec); callers holding a shared z must clone first. The rows
+// are split by the larger operand's entries.
 func MaskMergeCSR[D any](c, z *CSR[D], mask *MatMask, replace bool) *CSR[D] {
 	if mask == nil {
 		return z
 	}
-	ri := make([][]int, c.NRows)
-	rv := make([][]D, c.NRows)
-	parallel.For(c.NRows, 64, func(lo, hi int) {
-		// Chunk-local arena (see SpGEMM): one allocation stream per chunk.
-		var idxArena []int
-		var valArena []D
-		offs := make([]int, 0, hi-lo+1)
-		offs = append(offs, 0)
+	cum := z.Ptr
+	if c.NNZ() > z.NNZ() {
+		cum = c.Ptr
+	}
+	return EmitCSR(c.NRows, c.NCols, cum, nil, func(out *Rows[D], lo, hi int) {
+		out.Reserve(c.Ptr[hi] - c.Ptr[lo] + z.Ptr[hi] - z.Ptr[lo])
 		for i := lo; i < hi; i++ {
 			cIdx, cVal := c.Row(i)
 			zIdx, zVal := z.Row(i)
 			rm := mask.rowMask(i)
-			idxArena, valArena = maskMergeRow(cIdx, cVal, zIdx, zVal, &rm, replace, idxArena, valArena)
-			offs = append(offs, len(idxArena))
-		}
-		for i := lo; i < hi; i++ {
-			k := i - lo
-			ri[i] = idxArena[offs[k]:offs[k+1]]
-			rv[i] = valArena[offs[k]:offs[k+1]]
+			out.Idx, out.Val = maskMergeRow(cIdx, cVal, zIdx, zVal, &rm, replace, out.Idx, out.Val)
+			out.End(i)
 		}
 	})
-	return assemble(c.NRows, c.NCols, ri, rv)
 }
 
 // WriteCSR runs the full accumulate-then-mask pipeline for matrices.
@@ -245,32 +207,51 @@ func WriteCSR[D any](c, t *CSR[D], mask *MatMask, accum func(D, D) D, replace bo
 
 // ExtractCSR computes out(r, q) = a(rows[r], cols[q]). Duplicate indices are
 // permitted in both lists (Table II "extract"); indices must be
-// pre-validated by the caller.
+// pre-validated by the caller. Each output row's entries are counted first,
+// which is what the rows are split by and each chunk reserves.
 func ExtractCSR[D any](a *CSR[D], rows, cols []int) *CSR[D] {
-	// Map each source column to the list of output columns it feeds.
-	colTargets := make([][]int, a.NCols)
-	for q, j := range cols {
-		colTargets[j] = append(colTargets[j], q)
+	// Column j of a feeds the output columns targets[tptr[j]:tptr[j+1]], in
+	// increasing order.
+	tptr := pool.GetInts(a.NCols + 1)
+	defer pool.PutInts(tptr)
+	targets := pool.GetInts(len(cols))
+	defer pool.PutInts(targets)
+	for _, j := range cols {
+		tptr[j+1]++
 	}
-	nr := len(rows)
-	ri := make([][]int, nr)
-	rv := make([][]D, nr)
-	parallel.For(nr, 32, func(lo, hi int) {
+	for j := 0; j < a.NCols; j++ {
+		tptr[j+1] += tptr[j]
+	}
+	for q, j := range cols {
+		targets[tptr[j]] = q
+		tptr[j]++
+	}
+	copy(tptr[1:], tptr[:a.NCols])
+	tptr[0] = 0
+	cum := pool.GetInts(len(rows) + 1)
+	defer pool.PutInts(cum)
+	for r, i := range rows {
+		n := 0
+		for _, j := range a.ColIdx[a.Ptr[i]:a.Ptr[i+1]] {
+			n += tptr[j+1] - tptr[j]
+		}
+		cum[r+1] = cum[r] + n
+	}
+	return EmitCSR(len(rows), len(cols), cum, nil, func(out *Rows[D], lo, hi int) {
+		out.Reserve(cum[hi] - cum[lo])
 		for r := lo; r < hi; r++ {
-			src := rows[r]
-			var idx []int
-			var val []D
-			for p := a.Ptr[src]; p < a.Ptr[src+1]; p++ {
-				for _, q := range colTargets[a.ColIdx[p]] {
-					idx = append(idx, q)
-					val = append(val, a.Val[p])
+			start := len(out.Idx)
+			for p := a.Ptr[rows[r]]; p < a.Ptr[rows[r]+1]; p++ {
+				j := a.ColIdx[p]
+				for _, q := range targets[tptr[j]:tptr[j+1]] {
+					out.Idx = append(out.Idx, q)
+					out.Val = append(out.Val, a.Val[p])
 				}
 			}
-			sortRow(idx, val)
-			ri[r], rv[r] = idx, val
+			sortRow(out.Idx[start:], out.Val[start:])
+			out.End(r)
 		}
 	})
-	return assemble(nr, len(cols), ri, rv)
 }
 
 // ExtractColCSR computes w(k) = a(rows[k], j): one column of a restricted to
@@ -301,58 +282,92 @@ func sortRow[D any](idx []int, val []D) {
 	}
 }
 
+// assignRows lays out an assign into the rows of c whose every assigned row
+// receives up to width entries: slot[i] is 1 + row i's position in rows, 0
+// for a row not assigned, and cum bounds the result's entries row by row —
+// c's, plus width in every assigned row. The rows are split by cum and each
+// chunk reserves by it. Both come from the pool.
+func assignRows[D any](c *CSR[D], rows []int, width int) (slot, cum []int) {
+	slot = pool.GetInts(c.NRows)
+	for k, i := range rows {
+		slot[i] = k + 1
+	}
+	cum = pool.GetInts(c.NRows + 1)
+	for i := 0; i < c.NRows; i++ {
+		cum[i+1] = cum[i] + c.Ptr[i+1] - c.Ptr[i]
+		if slot[i] > 0 {
+			cum[i+1] += width
+		}
+	}
+	return slot, cum
+}
+
 // AssignExpandCSR computes the Z content for c(rows, cols) = a per the
 // assign semantics: within the assigned region entries are replaced by a's
 // mapped entries (deleted where a has none, kept where accum is non-nil);
 // outside it c is untouched. rows and cols must each be duplicate-free
 // (validated by the caller).
 func AssignExpandCSR[D any](c, a *CSR[D], rows, cols []int, accum func(D, D) D) *CSR[D] {
-	ri, rv := rowsView(c)
-	parallel.For(len(rows), 16, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			target := rows[k]
-			es := make([]assignEntry[D], len(cols))
-			arow := a.RowVec(k)
+	slot, cum := assignRows(c, rows, len(cols))
+	defer pool.PutInts(slot)
+	defer pool.PutInts(cum)
+	return EmitCSR(c.NRows, c.NCols, cum, nil, func(out *Rows[D], lo, hi int) {
+		out.Reserve(cum[hi] - cum[lo])
+		es := make([]assignEntry[D], len(cols))
+		for i := lo; i < hi; i++ {
+			if slot[i] == 0 {
+				out.Copy(c, i, i+1)
+				continue
+			}
+			arow := a.RowVec(slot[i] - 1)
 			pa := 0
 			for l, j := range cols {
-				es[l].target = j
+				es[l] = assignEntry[D]{target: j}
 				for pa < len(arow.Idx) && arow.Idx[pa] < l {
 					pa++
 				}
 				if pa < len(arow.Idx) && arow.Idx[pa] == l {
-					es[l].val = arow.Val[pa]
-					es[l].has = true
+					es[l].val, es[l].has = arow.Val[pa], true
 				}
 			}
 			sortAssign(es)
-			ri[target], rv[target] = mergeAssign(ri[target], rv[target], es, accum)
+			cIdx, cVal := c.Row(i)
+			out.Idx, out.Val = mergeAssignInto(cIdx, cVal, es, accum, out.Idx, out.Val)
+			out.End(i)
 		}
 	})
-	return assemble(c.NRows, c.NCols, ri, rv)
 }
 
 // AssignScalarExpandCSR computes the Z content for c(rows, cols) = x: every
 // assigned position receives x (combined with accum where an entry exists).
 func AssignScalarExpandCSR[D any](c *CSR[D], x D, rows, cols []int, accum func(D, D) D) *CSR[D] {
-	sortedCols := append([]int(nil), cols...)
-	insertionSortInts(sortedCols)
-	es := make([]assignEntry[D], len(sortedCols))
-	for l, j := range sortedCols {
+	es := make([]assignEntry[D], len(cols))
+	for l, j := range cols {
 		es[l] = assignEntry[D]{target: j, val: x, has: true}
 	}
-	ri, rv := rowsView(c)
-	parallel.For(len(rows), 16, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			target := rows[k]
-			ri[target], rv[target] = mergeAssign(ri[target], rv[target], es, accum)
+	sortAssign(es)
+	slot, cum := assignRows(c, rows, len(cols))
+	defer pool.PutInts(slot)
+	defer pool.PutInts(cum)
+	return EmitCSR(c.NRows, c.NCols, cum, nil, func(out *Rows[D], lo, hi int) {
+		out.Reserve(cum[hi] - cum[lo])
+		for i := lo; i < hi; i++ {
+			if slot[i] == 0 {
+				out.Copy(c, i, i+1)
+				continue
+			}
+			cIdx, cVal := c.Row(i)
+			out.Idx, out.Val = mergeAssignInto(cIdx, cVal, es, accum, out.Idx, out.Val)
+			out.End(i)
 		}
 	})
-	return assemble(c.NRows, c.NCols, ri, rv)
 }
 
-// AssignRowExpandCSR computes Z for c(i, cols) = u (GrB_Row_assign).
-func AssignRowExpandCSR[D any](c *CSR[D], u *Vec[D], i int, cols []int, accum func(D, D) D) *CSR[D] {
-	ri, rv := rowsView(c)
+// AssignRowCSR computes c(i, cols) ⊙= u (GrB_Row_assign): row i becomes
+// c's row with the assigned columns replaced by u's entries (deleted where u
+// has none, kept where accum is non-nil), written under the column-extent
+// mask and replace as MaskMergeVec writes a vector; every other row is c's.
+func AssignRowCSR[D any](c *CSR[D], u *Vec[D], i int, cols []int, accum func(D, D) D, mask *VecMask, replace bool) *CSR[D] {
 	es := make([]assignEntry[D], len(cols))
 	pu := 0
 	for l, j := range cols {
@@ -366,22 +381,51 @@ func AssignRowExpandCSR[D any](c *CSR[D], u *Vec[D], i int, cols []int, accum fu
 		}
 	}
 	sortAssign(es)
-	ri[i], rv[i] = mergeAssign(ri[i], rv[i], es, accum)
-	return assemble(c.NRows, c.NCols, ri, rv)
+	cIdx, cVal := c.Row(i)
+	zIdx, zVal := mergeAssign(cIdx, cVal, es, accum)
+	return EmitCSR(c.NRows, c.NCols, c.Ptr, nil, func(out *Rows[D], lo, hi int) {
+		out.Reserve(c.Ptr[hi] - c.Ptr[lo] + len(zIdx))
+		if i < lo || i >= hi {
+			out.Copy(c, lo, hi)
+			return
+		}
+		out.Copy(c, lo, i)
+		out.Idx, out.Val = maskMergeRow(cIdx, cVal, zIdx, zVal, mask, replace, out.Idx, out.Val)
+		out.End(i)
+		out.Copy(c, i+1, hi)
+	})
 }
 
-// AssignColExpandCSR computes Z for c(rows, j) = u (GrB_Col_assign).
-func AssignColExpandCSR[D any](c *CSR[D], u *Vec[D], rows []int, j int, accum func(D, D) D) *CSR[D] {
-	ri, rv := rowsView(c)
-	parallel.For(len(rows), 64, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			target := rows[k]
-			uv, has := u.Get(k)
-			es := []assignEntry[D]{{target: j, val: uv, has: has}}
-			ri[target], rv[target] = mergeAssign(ri[target], rv[target], es, accum)
+// AssignColCSR computes c(rows, j) ⊙= u (GrB_Col_assign). The mask has the
+// row extent: in an allowed assigned row, column j takes u's entry
+// (accumulated into c's under accum) and loses c's where u has none and
+// accum is nil; in a disallowed row replace deletes column j's entry; every
+// other row is c's.
+func AssignColCSR[D any](c *CSR[D], u *Vec[D], rows []int, j int, accum func(D, D) D, mask *VecMask, replace bool) *CSR[D] {
+	slot, cum := assignRows(c, rows, 1)
+	defer pool.PutInts(slot)
+	defer pool.PutInts(cum)
+	return EmitCSR(c.NRows, c.NCols, cum, nil, func(out *Rows[D], lo, hi int) {
+		out.Reserve(cum[hi] - cum[lo])
+		cur := MaskCursor{Mask: mask}
+		var es [1]assignEntry[D]
+		for i := lo; i < hi; i++ {
+			acc := accum
+			switch allowed := cur.Allows(i); {
+			case allowed && slot[i] > 0:
+				uv, has := u.Get(slot[i] - 1)
+				es[0] = assignEntry[D]{target: j, val: uv, has: has}
+			case !allowed && replace:
+				es[0], acc = assignEntry[D]{target: j}, nil
+			default:
+				out.Copy(c, i, i+1)
+				continue
+			}
+			cIdx, cVal := c.Row(i)
+			out.Idx, out.Val = mergeAssignInto(cIdx, cVal, es[:], acc, out.Idx, out.Val)
+			out.End(i)
 		}
 	})
-	return assemble(c.NRows, c.NCols, ri, rv)
 }
 
 // KronCSR computes the Kronecker product out = a ⊗ b with element
@@ -419,63 +463,4 @@ func KronCSR[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC) *CSR[D
 		}
 	})
 	return out
-}
-
-// MergeColumn produces the final content for a column assign: out equals c
-// everywhere except column j, where positions allowed by the (row-extent)
-// mask take z's entry and disallowed positions keep c's entry unless replace
-// deletes them. z must differ from c only in column j.
-func MergeColumn[D any](c, z *CSR[D], j int, vm *VecMask, replace bool) *CSR[D] {
-	ri := make([][]int, c.NRows)
-	rv := make([][]D, c.NRows)
-	cur := allowsCursor{mask: vm}
-	for i := 0; i < c.NRows; i++ {
-		allowed := cur.allows(i)
-		cIdx, cVal := c.Row(i)
-		if !allowed && !replace {
-			ri[i], rv[i] = cIdx, cVal
-			continue
-		}
-		// Rebuild the row without its column-j entry, then reinsert z's
-		// entry when the mask admits it.
-		var idx []int
-		var val []D
-		for p, col := range cIdx {
-			if col == j {
-				continue
-			}
-			idx = append(idx, col)
-			val = append(val, cVal[p])
-		}
-		if zv, zok := z.Get(i, j); allowed && zok {
-			pos := len(idx)
-			for p, col := range idx {
-				if col > j {
-					pos = p
-					break
-				}
-			}
-			var zero D
-			idx = append(idx, 0)
-			val = append(val, zero)
-			copy(idx[pos+1:], idx[pos:])
-			copy(val[pos+1:], val[pos:])
-			idx[pos] = j
-			val[pos] = zv
-		}
-		ri[i], rv[i] = idx, val
-	}
-	return assemble(c.NRows, c.NCols, ri, rv)
-}
-
-// MergeRow produces the final content for a row assign: out equals c on all
-// rows except row i, which is MaskMergeVec(c.row, z.row, vm, replace). The
-// mask has column extent.
-func MergeRow[D any](c, z *CSR[D], i int, vm *VecMask, replace bool) *CSR[D] {
-	ri, rv := rowsView(c)
-	cv := c.RowVec(i)
-	zv := z.RowVec(i)
-	merged := MaskMergeVec(&cv, &zv, vm, replace)
-	ri[i], rv[i] = merged.Idx, merged.Val
-	return assemble(c.NRows, c.NCols, ri, rv)
 }

@@ -165,9 +165,10 @@ func TestAssignKernels(t *testing.T) {
 			t.Fatalf("(2,6) got %v %v", v, ok)
 		}
 	})
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	t.Run("row and col", func(t *testing.T) {
 		u := &Vec[float64]{N: 8, Idx: []int{0, 4}, Val: []float64{1, 2}}
-		out := AssignRowExpandCSR(c, u, 3, []int{0, 1, 2, 3, 4, 5, 6, 7}, nil)
+		out := AssignRowCSR(c, u, 3, all, nil, nil, false)
 		checkCSRInvariants(t, out, "row assign")
 		if v, ok := out.Get(3, 0); !ok || v != 1 {
 			t.Fatalf("row assign (3,0)")
@@ -175,7 +176,7 @@ func TestAssignKernels(t *testing.T) {
 		if _, ok := out.Get(3, 2); ok {
 			t.Fatalf("row assign should delete (3,2)")
 		}
-		out2 := AssignColExpandCSR(c, u, []int{0, 1, 2, 3, 4, 5, 6, 7}, 5, nil)
+		out2 := AssignColCSR(c, u, all, 5, nil, nil, false)
 		checkCSRInvariants(t, out2, "col assign")
 		if v, ok := out2.Get(0, 5); !ok || v != 1 {
 			t.Fatalf("col assign (0,5)")
@@ -188,16 +189,11 @@ func TestAssignKernels(t *testing.T) {
 		}
 	})
 	t.Run("merge column and row", func(t *testing.T) {
-		z := AssignColExpandCSR(c, &Vec[float64]{N: 8, Idx: []int{1}, Val: []float64{42}}, []int{0, 1, 2, 3, 4, 5, 6, 7}, 2, nil)
-		all := make([]int, 8)
-		for i := range all {
-			all[i] = i
-		}
 		vm := &VecMask{N: 8, Idx: []int{1}, Structure: []int{1}}
-		out := MergeColumn(c, z, 2, vm, true)
-		checkCSRInvariants(t, out, "merge column")
+		out := AssignColCSR(c, &Vec[float64]{N: 8, Idx: []int{1}, Val: []float64{42}}, all, 2, nil, vm, true)
+		checkCSRInvariants(t, out, "masked col")
 		if v, ok := out.Get(1, 2); !ok || v != 42 {
-			t.Fatalf("merge column kept %v %v", v, ok)
+			t.Fatalf("masked col kept %v %v", v, ok)
 		}
 		// replace deletes column-2 entries outside the mask...
 		for i := 0; i < 8; i++ {
@@ -205,29 +201,28 @@ func TestAssignKernels(t *testing.T) {
 				continue
 			}
 			if _, ok := out.Get(i, 2); ok {
-				t.Fatalf("merge column left (%d,2)", i)
+				t.Fatalf("masked col left (%d,2)", i)
 			}
 		}
 		// ...but other columns are untouched.
 		for k, v := range cm {
 			if k[1] != 2 {
 				if got, ok := out.Get(k[0], k[1]); !ok || got != v {
-					t.Fatalf("merge column disturbed %v", k)
+					t.Fatalf("masked col disturbed %v", k)
 				}
 			}
 		}
-		zr := AssignRowExpandCSR(c, &Vec[float64]{N: 8, Idx: []int{3}, Val: []float64{7}}, 4, all, nil)
-		rout := MergeRow(c, zr, 4, &VecMask{N: 8, Idx: []int{3}, Structure: []int{3}}, false)
-		checkCSRInvariants(t, rout, "merge row")
+		rout := AssignRowCSR(c, &Vec[float64]{N: 8, Idx: []int{3}, Val: []float64{7}}, 4, all, nil, &VecMask{N: 8, Idx: []int{3}, Structure: []int{3}}, false)
+		checkCSRInvariants(t, rout, "masked row")
 		if v, ok := rout.Get(4, 3); !ok || v != 7 {
-			t.Fatalf("merge row value %v %v", v, ok)
+			t.Fatalf("masked row value %v %v", v, ok)
 		}
 		for k, v := range cm {
 			if k[0] == 4 && k[1] == 3 {
 				continue
 			}
 			if got, ok := rout.Get(k[0], k[1]); !ok || got != v {
-				t.Fatalf("merge row disturbed %v", k)
+				t.Fatalf("masked row disturbed %v", k)
 			}
 		}
 	})

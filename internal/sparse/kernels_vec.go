@@ -21,26 +21,28 @@ type VecMask struct {
 	Comp      bool
 }
 
-// allowsCursor is a merge cursor for testing mask membership while scanning
-// indices in increasing order; amortized O(1) per query.
-type allowsCursor struct {
-	mask *VecMask
+// MaskCursor tests mask membership while indices are visited in increasing
+// order, amortized O(1) per query. A nil Mask allows every index.
+type MaskCursor struct {
+	Mask *VecMask
 	p    int
 }
 
-func (a *allowsCursor) allows(i int) bool {
-	if a.mask == nil {
+// Allows reports whether the mask admits index i, which must be no smaller
+// than the index of the previous query.
+func (a *MaskCursor) Allows(i int) bool {
+	if a.Mask == nil {
 		return true
 	}
-	set := a.mask.Idx
-	if a.mask.Comp {
-		set = a.mask.Structure
+	set := a.Mask.Idx
+	if a.Mask.Comp {
+		set = a.Mask.Structure
 	}
 	for a.p < len(set) && set[a.p] < i {
 		a.p++
 	}
 	member := a.p < len(set) && set[a.p] == i
-	if a.mask.Comp {
+	if a.Mask.Comp {
 		return !member
 	}
 	return member
@@ -265,7 +267,7 @@ func MaskMergeVec[D any](c, z *Vec[D], mask *VecMask, replace bool) *Vec[D] {
 // maskMergeRow is the slice-level mask merge shared by the vector operation
 // and the row-parallel matrix write-back; results append to outIdx/outVal.
 func maskMergeRow[D any](cIdx []int, cVal []D, zIdx []int, zVal []D, mask *VecMask, replace bool, outIdx []int, outVal []D) ([]int, []D) {
-	cur := allowsCursor{mask: mask}
+	cur := MaskCursor{Mask: mask}
 	pc, pz := 0, 0
 	for pc < len(cIdx) || pz < len(zIdx) {
 		var i int
@@ -281,7 +283,7 @@ func maskMergeRow[D any](cIdx []int, cVal []D, zIdx []int, zVal []D, mask *VecMa
 		}
 		hasC := pc < len(cIdx) && cIdx[pc] == i
 		hasZ := pz < len(zIdx) && zIdx[pz] == i
-		if cur.allows(i) {
+		if cur.Allows(i) {
 			if hasZ {
 				outIdx = append(outIdx, i)
 				outVal = append(outVal, zVal[pz])

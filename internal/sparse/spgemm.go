@@ -36,18 +36,9 @@ func (r Ring[DA, DB, DC]) SpGEMM(a *CSR[DA], b *CSR[DB], mask *MatMask) *CSR[DC]
 	mul, add := r.Mul, r.Add
 	faults.Step("sparse.kernel.spgemm")
 	done := obs.KernelStart("spgemm")
-	ri := make([][]int, a.NRows)
-	rv := make([][]DC, a.NRows)
-	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
+	c := EmitCSR(a.NRows, b.NCols, a.Ptr, nil, func(out *Rows[DC], lo, hi int) {
+		out.Reserve(ProductBound(a, b.Ptr, b.NCols, lo, hi))
 		spa := NewSPA[DC](b.NCols)
-		// Chunk-local arena: every row of this chunk gathers into one pair
-		// of growing slices, so allocation count is O(log total) per chunk
-		// rather than O(rows). The published row slices alias the arena,
-		// which assemble copies out of.
-		var idxArena []int
-		var valArena []DC
-		offs := make([]int, 0, hi-lo+1)
-		offs = append(offs, 0)
 		if mask == nil {
 			for i := lo; i < hi; i++ {
 				spa.Reset()
@@ -58,46 +49,55 @@ func (r Ring[DA, DB, DC]) SpGEMM(a *CSR[DA], b *CSR[DB], mask *MatMask) *CSR[DC]
 						spa.Accumulate(b.ColIdx[pb], mul(av, b.Val[pb]), add)
 					}
 				}
-				idxArena, valArena = spa.Gather(idxArena, valArena)
-				offs = append(offs, len(idxArena))
+				out.Idx, out.Val = spa.Gather(out.Idx, out.Val)
+				out.End(i)
 			}
-		} else {
-			// Complemented mask: row i's stored mask columns are stamped
-			// with i+1 (the buffer arrives zeroed and rows ascend, so an
-			// older stamp never equals the current one) and a flop landing
-			// on a stamped column is dropped before ⊗ runs.
-			stamp := pool.GetInts(b.NCols)
-			defer pool.PutInts(stamp)
-			for i := lo; i < hi; i++ {
-				spa.Reset()
-				cur := i + 1
-				for _, j := range mask.StrRow(i) {
-					stamp[j] = cur
-				}
-				for pa := a.Ptr[i]; pa < a.Ptr[i+1]; pa++ {
-					k := a.ColIdx[pa]
-					av := a.Val[pa]
-					for pb := b.Ptr[k]; pb < b.Ptr[k+1]; pb++ {
-						j := b.ColIdx[pb]
-						if stamp[j] == cur {
-							continue
-						}
-						spa.Accumulate(j, mul(av, b.Val[pb]), add)
-					}
-				}
-				idxArena, valArena = spa.Gather(idxArena, valArena)
-				offs = append(offs, len(idxArena))
-			}
+			return
 		}
+		// Complemented mask: row i's stored mask columns are stamped with
+		// i+1 (the buffer arrives zeroed and rows ascend, so an older stamp
+		// never equals the current one) and a flop landing on a stamped
+		// column is dropped before ⊗ runs.
+		stamp := pool.GetInts(b.NCols)
+		defer pool.PutInts(stamp)
 		for i := lo; i < hi; i++ {
-			k := i - lo
-			ri[i] = idxArena[offs[k]:offs[k+1]]
-			rv[i] = valArena[offs[k]:offs[k+1]]
+			spa.Reset()
+			cur := i + 1
+			for _, j := range mask.StrRow(i) {
+				stamp[j] = cur
+			}
+			for pa := a.Ptr[i]; pa < a.Ptr[i+1]; pa++ {
+				k := a.ColIdx[pa]
+				av := a.Val[pa]
+				for pb := b.Ptr[k]; pb < b.Ptr[k+1]; pb++ {
+					j := b.ColIdx[pb]
+					if stamp[j] == cur {
+						continue
+					}
+					spa.Accumulate(j, mul(av, b.Val[pb]), add)
+				}
+			}
+			out.Idx, out.Val = spa.Gather(out.Idx, out.Val)
+			out.End(i)
 		}
 	})
-	c := assemble(a.NRows, b.NCols, ri, rv)
 	done(c.NNZ())
 	return c
+}
+
+// ProductBound bounds the entries rows [lo, hi) of a·b can hold, b given by
+// its row pointer bPtr and its column count: each row's flops, capped at the
+// column count. It is what a product's chunk reserves its arena by.
+func ProductBound[D any](a *CSR[D], bPtr []int, ncols, lo, hi int) int {
+	n := 0
+	for i := lo; i < hi; i++ {
+		flops := 0
+		for _, k := range a.ColIdx[a.Ptr[i]:a.Ptr[i+1]] {
+			flops += bPtr[k+1] - bPtr[k]
+		}
+		n += min(flops, ncols)
+	}
+	return n
 }
 
 // spgemmMaskShaped is SpGEMM under a non-complemented mask. The product is a
@@ -298,14 +298,18 @@ func compactSlots[DC any](nrows, ncols int, mask *MatMask, ptr []int, val []DC, 
 // B rows selected by each A row. Asymptotically better for hypersparse
 // outputs, usually slower in practice — which is the point of the ablation.
 func SpGEMMHeap[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC, add func(DC, DC) DC) *CSR[DC] {
-	ri := make([][]int, a.NRows)
-	rv := make([][]DC, a.NRows)
-	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
+	return EmitCSR(a.NRows, b.NCols, a.Ptr, nil, func(out *Rows[DC], lo, hi int) {
+		out.Reserve(ProductBound(a, b.Ptr, b.NCols, lo, hi))
+		longest := 0
 		for i := lo; i < hi; i++ {
-			ri[i], rv[i] = spgemmHeapRow(a, b, i, mul, add)
+			longest = max(longest, a.Ptr[i+1]-a.Ptr[i])
+		}
+		h := make([]heapEntry[DA], 0, longest)
+		for i := lo; i < hi; i++ {
+			h = spgemmHeapRow(a, b, i, mul, add, h, out)
+			out.End(i)
 		}
 	})
-	return assemble(a.NRows, b.NCols, ri, rv)
 }
 
 // heapEntry is a cursor into one selected row of B during the k-way merge.
@@ -316,8 +320,9 @@ type heapEntry[DA any] struct {
 	aval DA  // the A value scaling this row
 }
 
-func spgemmHeapRow[DA, DB, DC any](a *CSR[DA], b *CSR[DB], i int, mul func(DA, DB) DC, add func(DC, DC) DC) ([]int, []DC) {
-	var h []heapEntry[DA]
+// spgemmHeapRow appends row i of a·b to out, merging in the empty heap h,
+// and returns h emptied again for the next row.
+func spgemmHeapRow[DA, DB, DC any](a *CSR[DA], b *CSR[DB], i int, mul func(DA, DB) DC, add func(DC, DC) DC, h []heapEntry[DA], out *Rows[DC]) []heapEntry[DA] {
 	for pa := a.Ptr[i]; pa < a.Ptr[i+1]; pa++ {
 		k := a.ColIdx[pa]
 		if b.Ptr[k] < b.Ptr[k+1] {
@@ -325,16 +330,15 @@ func spgemmHeapRow[DA, DB, DC any](a *CSR[DA], b *CSR[DB], i int, mul func(DA, D
 		}
 	}
 	heapify(h)
-	var idx []int
-	var val []DC
+	start := len(out.Idx)
 	for len(h) > 0 {
 		top := h[0]
 		x := mul(top.aval, b.Val[top.pos])
-		if n := len(idx); n > 0 && idx[n-1] == top.col {
-			val[n-1] = add(val[n-1], x)
+		if n := len(out.Idx); n > start && out.Idx[n-1] == top.col {
+			out.Val[n-1] = add(out.Val[n-1], x)
 		} else {
-			idx = append(idx, top.col)
-			val = append(val, x)
+			out.Idx = append(out.Idx, top.col)
+			out.Val = append(out.Val, x)
 		}
 		top.pos++
 		if top.pos < top.end {
@@ -349,7 +353,7 @@ func spgemmHeapRow[DA, DB, DC any](a *CSR[DA], b *CSR[DB], i int, mul func(DA, D
 			}
 		}
 	}
-	return idx, val
+	return h
 }
 
 func heapify[DA any](h []heapEntry[DA]) {

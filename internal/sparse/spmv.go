@@ -87,12 +87,12 @@ func (d dotRows[DA, DU, DC]) emit(lo, hi int, idx []int, val []DC) int {
 		}
 	}
 	a, dense, present, mul, add := d.a, d.dense, d.present, d.r.Mul, d.r.Add
-	cur := allowsCursor{mask: d.mask}
+	cur := MaskCursor{Mask: d.mask}
 	n := 0
 	if present == nil {
 		for i := lo; i < hi; i++ {
 			p, end := a.Ptr[i], a.Ptr[i+1]
-			if p == end || !cur.allows(i) {
+			if p == end || !cur.Allows(i) {
 				continue
 			}
 			acc := mul(a.Val[p], dense[a.ColIdx[p]])
@@ -108,7 +108,7 @@ func (d dotRows[DA, DU, DC]) emit(lo, hi int, idx []int, val []DC) int {
 		return n
 	}
 	for i := lo; i < hi; i++ {
-		if !cur.allows(i) {
+		if !cur.Allows(i) {
 			continue
 		}
 		var acc DC

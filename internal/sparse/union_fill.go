@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"graphblas/internal/parallel"
-	"graphblas/internal/pool"
-)
+import "graphblas/internal/pool"
 
 // UnionFill kernels implement the GxB_eWiseUnion-style merge: op applies on
 // the union of structures, with absent operands replaced by caller-supplied
@@ -44,24 +41,13 @@ func VecUnionFill[DA, DB, DC any](a *Vec[DA], b *Vec[DB], op func(DA, DB) DC, al
 
 // UnionFillCSR computes the filled union of two matrices row-parallel.
 func UnionFillCSR[DA, DB, DC any](a *CSR[DA], b *CSR[DB], op func(DA, DB) DC, alpha DA, beta DB) *CSR[DC] {
-	ri := make([][]int, a.NRows)
-	rv := make([][]DC, a.NRows)
-	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
-		var idxArena []int
-		var valArena []DC
-		offs := make([]int, 0, hi-lo+1)
-		offs = append(offs, 0)
+	return EmitCSR(a.NRows, a.NCols, a.Ptr, nil, func(out *Rows[DC], lo, hi int) {
+		out.Reserve(a.Ptr[hi] - a.Ptr[lo] + b.Ptr[hi] - b.Ptr[lo])
 		for i := lo; i < hi; i++ {
 			aIdx, aVal := a.Row(i)
 			bIdx, bVal := b.Row(i)
-			idxArena, valArena = unionFillRow(aIdx, aVal, bIdx, bVal, op, alpha, beta, idxArena, valArena)
-			offs = append(offs, len(idxArena))
-		}
-		for i := lo; i < hi; i++ {
-			k := i - lo
-			ri[i] = idxArena[offs[k]:offs[k+1]]
-			rv[i] = valArena[offs[k]:offs[k+1]]
+			out.Idx, out.Val = unionFillRow(aIdx, aVal, bIdx, bVal, op, alpha, beta, out.Idx, out.Val)
+			out.End(i)
 		}
 	})
-	return assemble(a.NRows, a.NCols, ri, rv)
 }
