@@ -901,26 +901,16 @@ func BenchmarkE8_ColoringGraphBLAS(b *testing.B) {
 	}
 }
 
-// --- Format sweep (DESIGN.md §5, BENCH_formats.json) -------------------
+// --- Fill sweep (DESIGN.md §5) ------------------------------------------
 //
 // Sweeps mxv and mxm across fill ratios from hypersparse (1e-5) to half
-// dense (0.5) with the storage format forced to CSR, forced to bitmap,
-// and left adaptive. The adaptive engine must track the better forced
-// format (within 10%), and the bitmap kernel must win clearly on the
-// dense-ish mxv points. Regenerate BENCH_formats.json with:
+// dense (0.5). A matrix is stored CSR at every fill; the sweep is the
+// standing evidence for the dense ⟨+,×⟩ product's 4 % rule: below it mxm
+// runs Gustavson's kernel, from it the dense product. Run with:
 //
-//	go test -run=NONE -bench=BenchmarkFormatSweep -benchtime=200ms .
+//	go test -run=NONE -bench=BenchmarkFillSweep -benchtime=200ms -cpu 1 .
 
-var formatSweepFills = []float64{1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.2, 0.5}
-
-var formatSweepModes = []struct {
-	name string
-	kind graphblas.Format
-}{
-	{"csr", graphblas.FormatCSR},
-	{"bitmap", graphblas.FormatBitmap},
-	{"adaptive", graphblas.FormatAuto},
-}
+var fillSweepFills = []float64{1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.2, 0.5}
 
 // sweepMatrix builds an n×n float64 matrix with each cell present
 // independently with probability fill, deterministic in (n, fill).
@@ -948,10 +938,10 @@ func sweepMatrix(b *testing.B, n int, fill float64) *graphblas.Matrix[float64] {
 	return m
 }
 
-func BenchmarkFormatSweep_MxV(b *testing.B) {
+func BenchmarkFillSweep_MxV(b *testing.B) {
 	const n = 1024
 	s := graphblas.PlusTimes[float64]()
-	for _, fill := range formatSweepFills {
+	for _, fill := range fillSweepFills {
 		a := sweepMatrix(b, n, fill)
 		u, _ := graphblas.NewVector[float64](n)
 		rng := generate.NewRNG(benchSeed + 7)
@@ -959,63 +949,35 @@ func BenchmarkFormatSweep_MxV(b *testing.B) {
 			_ = u.SetElement(1+rng.Float64(), i)
 		}
 		out, _ := graphblas.NewVector[float64](n)
-		for _, mode := range formatSweepModes {
-			b.Run(fmt.Sprintf("fill=%g/mode=%s", fill, mode.name), func(b *testing.B) {
-				if err := a.SetFormat(mode.kind); err != nil {
-					b.Fatal(err)
-				}
-				// Warm up once untimed so forced modes pay their one-off
-				// layout conversion outside the measurement.
+		b.Run(fmt.Sprintf("fill=%g", fill), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
 				if err := graphblas.MxV(out, graphblas.NoMaskV, graphblas.NoAccum[float64](), s, a, u, nil); err != nil {
 					b.Fatal(err)
 				}
 				if err := graphblas.Wait(); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := graphblas.MxV(out, graphblas.NoMaskV, graphblas.NoAccum[float64](), s, a, u, nil); err != nil {
-						b.Fatal(err)
-					}
-					if err := graphblas.Wait(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-		_ = a.SetFormat(graphblas.FormatAuto)
+			}
+		})
 	}
 }
 
-func BenchmarkFormatSweep_MxM(b *testing.B) {
+func BenchmarkFillSweep_MxM(b *testing.B) {
 	const n = 512
 	s := graphblas.PlusTimes[float64]()
-	for _, fill := range formatSweepFills {
+	for _, fill := range fillSweepFills {
 		a := sweepMatrix(b, n, fill)
 		m2 := sweepMatrix(b, n, fill)
 		out, _ := graphblas.NewMatrix[float64](n, n)
-		for _, mode := range formatSweepModes {
-			b.Run(fmt.Sprintf("fill=%g/mode=%s", fill, mode.name), func(b *testing.B) {
-				if err := m2.SetFormat(mode.kind); err != nil {
-					b.Fatal(err)
-				}
+		b.Run(fmt.Sprintf("fill=%g", fill), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
 				if err := graphblas.MxM(out, graphblas.NoMask, graphblas.NoAccum[float64](), s, a, m2, nil); err != nil {
 					b.Fatal(err)
 				}
 				if err := graphblas.Wait(); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := graphblas.MxM(out, graphblas.NoMask, graphblas.NoAccum[float64](), s, a, m2, nil); err != nil {
-						b.Fatal(err)
-					}
-					if err := graphblas.Wait(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-		_ = m2.SetFormat(graphblas.FormatAuto)
+			}
+		})
 	}
 }

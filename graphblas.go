@@ -40,7 +40,6 @@ import (
 
 	"graphblas/internal/core"
 	"graphblas/internal/faults"
-	"graphblas/internal/format"
 	"graphblas/internal/obs"
 	"graphblas/internal/parallel"
 	"graphblas/internal/setalg"
@@ -55,27 +54,6 @@ type Matrix[D any] = core.Matrix[D]
 
 // Vector is the opaque GraphBLAS vector ⟨D, N, {(i, v_i)}⟩.
 type Vector[D any] = core.Vector[D]
-
-// Format identifies a matrix storage layout of the multi-format engine
-// (extension). The opaque-object design lets the implementation adapt data
-// structures to the problem; Matrix.SetFormat pins a layout and
-// Matrix.Format reports the engine's current choice.
-type Format = format.Kind
-
-// Storage layouts.
-const (
-	// FormatAuto lets the engine choose per operation from the fill ratio
-	// and the consuming operation (the default).
-	FormatAuto = format.Auto
-	// FormatCSR forces compressed sparse row.
-	FormatCSR = format.CSRKind
-	// FormatBitmap forces the dense bitmap layout (validity bitset plus a
-	// full value array; O(1) random access).
-	FormatBitmap = format.BitmapKind
-	// FormatHyper forces the hypersparse layout (only non-empty rows are
-	// represented).
-	FormatHyper = format.HyperKind
-)
 
 // NewMatrix creates an nrows-by-ncols matrix (GrB_Matrix_new).
 func NewMatrix[D any](nrows, ncols int) (*Matrix[D], error) {
@@ -288,7 +266,7 @@ func SequenceErrors() []SequenceError { return core.SequenceErrors() }
 
 // FaultRule describes one rule of a fault-injection plan: which sites it
 // targets (an op name like "MxM", a kernel site like
-// "format.kernel.bitmap.mxv", a "format.*" glob, or "" for all), what kind
+// "format.kernel.csr.pull", a "format.*" glob, or "" for all), what kind
 // of fault to inject, and when (call-count and probability gates).
 type FaultRule = faults.Rule
 
@@ -307,8 +285,9 @@ const (
 
 // ConfigureFaults installs a deterministic fault-injection plan, replacing
 // any previous one. The engine survives what the plan injects: failed
-// operations roll their output back (invalid but restorable), failed
-// fast-path kernels retry on the generic CSR path, and every failure lands
+// operations roll their output back (invalid but restorable), a failed
+// kernel the engine chose over the reference one retries on the reference
+// kernel, and every failure lands
 // in the sequence error log.
 func ConfigureFaults(seed int64, rules ...FaultRule) { faults.Configure(seed, rules...) }
 
@@ -323,7 +302,7 @@ func ResetFaultCounters() { faults.Reset() }
 // installed or last reset.
 func InjectedFaults() int64 { return faults.InjectedCount() }
 
-// SetAllocBudget sets the storage engine's per-allocation byte cap — the
+// SetAllocBudget sets the engine's per-allocation byte cap — the
 // allocation-budget governor denies larger requests with OutOfMemory before
 // attempting them — and returns the previous cap. n <= 0 restores the
 // default (1 TiB).
@@ -332,9 +311,9 @@ func SetAllocBudget(n int64) int64 { return faults.SetAllocBudget(n) }
 // --- observability (extension) ---
 
 // Span is the record of one operation's passage through the execution
-// engine: method name, program-order position, the storage layout the kernel
-// consumed, bytes touched, stage timestamps (enqueue → schedule → kernel →
-// done), whether the op retried on the generic path or rolled back, and the
+// engine: method name, program-order position, the kernel the engine chose,
+// bytes touched, stage timestamps (enqueue → schedule → kernel →
+// done), whether the op retried on the reference kernel or rolled back, and the
 // outcome.
 type Span = obs.Span
 

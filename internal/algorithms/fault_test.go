@@ -1,103 +1,72 @@
 package algorithms
 
 import (
+	"reflect"
 	"testing"
 
 	"graphblas/internal/core"
 	"graphblas/internal/faults"
-	"graphblas/internal/format"
+	"graphblas/internal/generate"
 	"graphblas/internal/leakcheck"
-	"graphblas/internal/refalgo"
 )
 
-// TestBFSLevels_UnderKernelFaults: with the adjacency pinned to the
-// hypersparse layout and every hypersparse MxV kernel call failing by
-// injection, a whole BFS still completes with answers identical to the
-// queue-based reference — each failed fast path is transparently re-executed
-// on the CSR path — and the retries are visible in the engine stats.
-func TestBFSLevels_UnderKernelFaults(t *testing.T) {
-	leakcheck.AssertQuiescent(t)
-	t.Cleanup(faults.Disable)
-	for name, g := range testGraphs() {
-		t.Run(name, func(t *testing.T) {
-			adj := refalgo.NewAdjacency(g)
-			a := boolMatrix(t, g)
-			if err := a.SetFormat(format.HyperKind); err != nil {
-				t.Fatalf("SetFormat: %v", err)
-			}
-			// The glob covers both hypersparse MxV kernels — the dot kernel at
-			// "format.kernel.hyper.mxv" and the push kernel at
-			// "format.kernel.hyper.mxv.push" — which previously shared one
-			// site literal.
-			faults.Configure(1, faults.Rule{Site: "format.kernel.hyper.mxv*", Kind: faults.KernelErr})
-			base := core.StatsSnapshot().KernelRetries
-			want := refalgo.BFSLevels(adj, 0)
-			levels, err := BFSLevels(a, 0)
-			if err != nil {
-				t.Fatalf("BFSLevels under injection: %v", err)
-			}
-			faults.Disable()
-			idx, val, err := levels.ExtractTuples()
-			if err != nil {
-				t.Fatalf("ExtractTuples: %v", err)
-			}
-			got := make([]int, g.N)
-			for i := range got {
-				got[i] = -1
-			}
-			for k := range idx {
-				got[idx[k]] = int(val[k])
-			}
-			for v := 0; v < g.N; v++ {
-				if got[v] != want[v] {
-					t.Errorf("level[%d]: got %d want %d", v, got[v], want[v])
-				}
-			}
-			if st := core.StatsSnapshot(); st.KernelRetries == base {
-				t.Fatalf("no kernel retries recorded: %+v", st)
-			}
-		})
-	}
-}
+// pullingGraph has enough edges (about 4 000) that PageRank's sweep, a
+// VxM with a dense share vector, pulls over the adjacency's transpose.
+func pullingGraph() *generate.Graph { return generate.ErdosRenyiGnm(500, 4000, 1).Dedup(true) }
 
-// TestBFSLevels_UnderAllocGovernor: with the adjacency pinned hypersparse
-// but the allocation budget starved below even the row-index arrays, the
-// layout conversion itself is denied as OutOfMemory on every attempt; BFS
-// still matches the reference, running entirely on the CSR path.
-func TestBFSLevels_UnderAllocGovernor(t *testing.T) {
-	leakcheck.AssertQuiescent(t)
-	g := testGraphs()["er200"]
-	adj := refalgo.NewAdjacency(g)
-	a := boolMatrix(t, g)
-	if err := a.SetFormat(format.HyperKind); err != nil {
-		t.Fatalf("SetFormat: %v", err)
-	}
-	prev := faults.SetAllocBudget(512) // er200 hyper conversion wants 200*16 bytes
-	t.Cleanup(func() { faults.SetAllocBudget(prev) })
-	base := faults.InjectedCount()
-	want := refalgo.BFSLevels(adj, 0)
-	levels, err := BFSLevels(a, 0)
+// pageRankTuples runs PageRank on a fresh adjacency of g and returns the
+// rank vector's tuples.
+func pageRankTuples(t *testing.T, g *generate.Graph) ([]int, []float64) {
+	t.Helper()
+	rank, _, err := PageRank(floatMatrix(t, g), 0.85, 1e-10, 50)
 	if err != nil {
-		t.Fatalf("BFSLevels under governor: %v", err)
+		t.Fatalf("PageRank: %v", err)
 	}
-	faults.SetAllocBudget(0)
-	if faults.InjectedCount() == base {
-		t.Fatal("governor never denied the pinned hypersparse conversion")
-	}
-	idx, val, err := levels.ExtractTuples()
+	idx, val, err := rank.ExtractTuples()
 	if err != nil {
 		t.Fatalf("ExtractTuples: %v", err)
 	}
-	got := make([]int, g.N)
-	for i := range got {
-		got[i] = -1
+	return idx, val
+}
+
+// TestPageRank_UnderKernelFaults: with every pull failing by injection, a
+// whole PageRank still completes with ranks bit-identical to the fault-free
+// run — each failed pull is re-executed as a push, and the two directions
+// fold in one order — and the retries are visible in the engine stats.
+func TestPageRank_UnderKernelFaults(t *testing.T) {
+	leakcheck.AssertQuiescent(t)
+	t.Cleanup(faults.Disable)
+	g := pullingGraph()
+	wantI, wantV := pageRankTuples(t, g)
+	faults.Configure(1, faults.Rule{Site: "format.kernel.csr.pull", Kind: faults.KernelErr})
+	base := core.StatsSnapshot().KernelRetries
+	gotI, gotV := pageRankTuples(t, g)
+	faults.Disable()
+	if !reflect.DeepEqual(gotI, wantI) || !reflect.DeepEqual(gotV, wantV) {
+		t.Fatal("ranks under injected pull faults differ from the fault-free run")
 	}
-	for k := range idx {
-		got[idx[k]] = int(val[k])
+	if st := core.StatsSnapshot(); st.KernelRetries == base {
+		t.Fatalf("no kernel retries recorded: %+v", st)
 	}
-	for v := 0; v < g.N; v++ {
-		if got[v] != want[v] {
-			t.Errorf("level[%d]: got %d want %d", v, got[v], want[v])
-		}
+}
+
+// TestPageRank_UnderAllocGovernor: with the allocation budget starved below
+// the adjacency's transpose, the build every pull needs is denied as
+// OutOfMemory on every attempt; PageRank still matches the fault-free run,
+// pushing every sweep.
+func TestPageRank_UnderAllocGovernor(t *testing.T) {
+	leakcheck.AssertQuiescent(t)
+	g := pullingGraph()
+	wantI, wantV := pageRankTuples(t, g)
+	prev := faults.SetAllocBudget(512)
+	t.Cleanup(func() { faults.SetAllocBudget(prev) })
+	base := faults.InjectedCount()
+	gotI, gotV := pageRankTuples(t, g)
+	faults.SetAllocBudget(0)
+	if faults.InjectedCount() == base {
+		t.Fatal("governor never denied the transpose build")
+	}
+	if !reflect.DeepEqual(gotI, wantI) || !reflect.DeepEqual(gotV, wantV) {
+		t.Fatal("ranks under the starved governor differ from the fault-free run")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"graphblas/internal/core"
-	"graphblas/internal/format"
 	"graphblas/internal/obs"
 	"graphblas/internal/parallel"
 )
@@ -31,7 +30,8 @@ func TestMain(m *testing.M) {
 //
 // The vectors are full (the engine pulls), hold 40 % of the positions (a
 // parallel push at two workers) or 5 % (a serial push), under no mask, a
-// mask and a complemented one; the matrices are CSR and bitmap. The values
+// mask and a complemented one; unmasked, MxM under ⟨+,×⟩ runs the dense
+// product. The values
 // carry −0, two NaNs that differ in payload alone, ±Inf and the integer
 // extremes on both operands — a flipped first/second in VxM, a min or max
 // whose operands were swapped, a fold that starts from the identity instead
@@ -157,36 +157,34 @@ func checkRing[X, Y, Z any](t *testing.T, rng *rand.Rand, s core.Semiring[X, Y, 
 		{"mask", mask, core.Desc},
 		{"compmask", mask, func() *core.Descriptor { return core.Desc().CompMask() }},
 	}
-	for _, kind := range []format.Kind{format.CSRKind, format.BitmapKind} {
-		for _, mat := range []interface{ SetFormat(format.Kind) error }{ax, ay, by} {
-			if err := mat.SetFormat(kind); err != nil {
-				t.Fatal(err)
-			}
+	for k := range ux {
+		for _, mk := range masks {
+			label := fmt.Sprintf("u%d/%s", k, mk.name)
+			sameVec(t, label+"/MxV", n, func(out *core.Vector[Z], s core.Semiring[X, Y, Z]) error {
+				return core.MxV(out, mk.m, core.NoAccum[Z](), s, ax, uy[k], mk.desc())
+			}, s, w, arith)
+			sameVec(t, label+"/MxV+TRAN0", n, func(out *core.Vector[Z], s core.Semiring[X, Y, Z]) error {
+				return core.MxV(out, mk.m, core.NoAccum[Z](), s, ax, uy[k], mk.desc().Transpose0())
+			}, s, w, arith)
+			sameVec(t, label+"/VxM", n, func(out *core.Vector[Z], s core.Semiring[X, Y, Z]) error {
+				return core.VxM(out, mk.m, core.NoAccum[Z](), s, ux[k], ay, mk.desc())
+			}, s, w, arith)
+			sameVec(t, label+"/VxM+TRAN1", n, func(out *core.Vector[Z], s core.Semiring[X, Y, Z]) error {
+				return core.VxM(out, mk.m, core.NoAccum[Z](), s, ux[k], ay, mk.desc().Transpose1())
+			}, s, w, arith)
 		}
-		for k := range ux {
-			for _, mk := range masks {
-				label := fmt.Sprintf("%v/u%d/%s", kind, k, mk.name)
-				sameVec(t, label+"/MxV", n, func(out *core.Vector[Z], s core.Semiring[X, Y, Z]) error {
-					return core.MxV(out, mk.m, core.NoAccum[Z](), s, ax, uy[k], mk.desc())
-				}, s, w, arith)
-				sameVec(t, label+"/MxV+TRAN0", n, func(out *core.Vector[Z], s core.Semiring[X, Y, Z]) error {
-					return core.MxV(out, mk.m, core.NoAccum[Z](), s, ax, uy[k], mk.desc().Transpose0())
-				}, s, w, arith)
-				sameVec(t, label+"/VxM", n, func(out *core.Vector[Z], s core.Semiring[X, Y, Z]) error {
-					return core.VxM(out, mk.m, core.NoAccum[Z](), s, ux[k], ay, mk.desc())
-				}, s, w, arith)
-				sameVec(t, label+"/VxM+TRAN1", n, func(out *core.Vector[Z], s core.Semiring[X, Y, Z]) error {
-					return core.VxM(out, mk.m, core.NoAccum[Z](), s, ux[k], ay, mk.desc().Transpose1())
-				}, s, w, arith)
-			}
-		}
-		sameMat(t, fmt.Sprintf("%v/MxM<M>", kind), n, func(out *core.Matrix[Z], s core.Semiring[X, Y, Z]) error {
-			return core.MxM(out, m, core.NoAccum[Z](), s, ax, by, nil)
-		}, s, w, arith)
-		sameMat(t, fmt.Sprintf("%v/MxM<M>+TRAN1", kind), n, func(out *core.Matrix[Z], s core.Semiring[X, Y, Z]) error {
-			return core.MxM(out, m, core.NoAccum[Z](), s, ax, by, core.Desc().Transpose1())
-		}, s, w, arith)
 	}
+	// Unmasked, a predefined ⟨+,×⟩ runs the dense product (B is 15 % full)
+	// against the wrapped operators' Gustavson kernel.
+	sameMat(t, "MxM", n, func(out *core.Matrix[Z], s core.Semiring[X, Y, Z]) error {
+		return core.MxM(out, core.NoMask, core.NoAccum[Z](), s, ax, by, nil)
+	}, s, w, arith)
+	sameMat(t, "MxM<M>", n, func(out *core.Matrix[Z], s core.Semiring[X, Y, Z]) error {
+		return core.MxM(out, m, core.NoAccum[Z](), s, ax, by, nil)
+	}, s, w, arith)
+	sameMat(t, "MxM<M>+TRAN1", n, func(out *core.Matrix[Z], s core.Semiring[X, Y, Z]) error {
+		return core.MxM(out, m, core.NoAccum[Z](), s, ax, by, core.Desc().Transpose1())
+	}, s, w, arith)
 }
 
 func sameVec[X, Y, Z any](t *testing.T, label string, n int, op func(*core.Vector[Z], core.Semiring[X, Y, Z]) error, s, w core.Semiring[X, Y, Z], arith bool) {
@@ -352,7 +350,7 @@ func randVector[T any](t *testing.T, rng *rand.Rand, n int, fill float64) *core.
 // TestBuiltinOpcodeDroppedWhenFReassigned: a predefined operator whose
 // function the caller replaced is a user operator. Its opcode must not
 // select a loop — the caller's function runs — on the CSR kernels and on
-// the bitmap ⟨+,×⟩ fast path alike.
+// the dense ⟨+,×⟩ product alike.
 func TestBuiltinOpcodeDroppedWhenFReassigned(t *testing.T) {
 	const n = 40
 	rng := rand.New(rand.NewSource(3))
@@ -363,14 +361,12 @@ func TestBuiltinOpcodeDroppedWhenFReassigned(t *testing.T) {
 	s.Mul.F = minus
 	user := wrapped(t, PlusTimes[float64]())
 	user.Mul.F = minus
-	for _, kind := range []format.Kind{format.CSRKind, format.BitmapKind} {
-		if err := a.SetFormat(kind); err != nil {
-			t.Fatal(err)
-		}
-		sameVec(t, fmt.Sprintf("%v/⟨+,−⟩", kind), n, func(out *core.Vector[float64], s core.Semiring[float64, float64, float64]) error {
-			return core.MxV(out, core.NoMaskV, core.NoAccum[float64](), s, a, u, nil)
-		}, s, user, true)
-	}
+	sameVec(t, "MxV ⟨+,−⟩", n, func(out *core.Vector[float64], s core.Semiring[float64, float64, float64]) error {
+		return core.MxV(out, core.NoMaskV, core.NoAccum[float64](), s, a, u, nil)
+	}, s, user, true)
+	sameMat(t, "MxM ⟨+,−⟩", n, func(out *core.Matrix[float64], s core.Semiring[float64, float64, float64]) error {
+		return core.MxM(out, core.NoMask, core.NoAccum[float64](), s, a, a, nil)
+	}, s, user, true)
 	// And the reference itself is ⟨+,−⟩, not ⟨+,×⟩.
 	out, err := core.NewVector[float64](n)
 	if err != nil {

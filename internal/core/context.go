@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"graphblas/internal/faults"
-	"graphblas/internal/format"
 	"graphblas/internal/obs"
 	"graphblas/internal/parallel"
 )
@@ -73,17 +72,16 @@ type Stats struct {
 	OpsElided   int64 // operations skipped by dead-store elimination
 	Flushes     int64 // queue flushes (Wait or forced completion)
 
-	// Storage-engine counters: kernels dispatched on the bitmap and
-	// hypersparse layouts, specialized ⟨+,×⟩ fast-path kernels taken, and
-	// layout conversions performed.
-	BitmapKernels     int64
-	HyperKernels      int64
+	// Storage-engine counters: dense ⟨+,×⟩ products run on a transient
+	// bitmap of B (format.DenseProductWins), and merged views built over a
+	// streaming matrix's delta overlay.
 	FastKernels       int64
 	FormatConversions int64
 
-	// Recovery counters: fast-path kernel failures retried on the generic
-	// CSR path, output objects rolled back after a failed kernel, and faults
-	// injected by the internal/faults plan (including governor denials).
+	// Recovery counters: failures of a kernel the engine chose retried on
+	// the reference kernel, output objects rolled back after a failed
+	// kernel, and faults injected by the internal/faults plan (including
+	// governor denials).
 	KernelRetries  int64
 	Rollbacks      int64
 	FaultsInjected int64
@@ -103,12 +101,10 @@ type Stats struct {
 // the context lock — and are folded into the Stats snapshot on read. The
 // handles below keep the historic short names at their call sites.
 var (
-	fmtBitmapOps   = obs.FormatKernels.With("bitmap")
-	fmtHyperOps    = obs.FormatKernels.With("hyper")
 	fmtFastOps     = obs.FormatKernels.With("fast")
 	fmtConversions = obs.FormatConversions
-	// transposeBuilds counts cached-transpose builds apart from the layout
-	// conversions above; mxvPush and mxvPull count what pushOrPull ran.
+	// transposeBuilds counts cached-transpose builds apart from the merged
+	// views above; mxvPush and mxvPull count what pushOrPull ran.
 	transposeBuilds = obs.TransposeBuilds
 	mxvPush         = obs.MxVDirection.With("push")
 	mxvPull         = obs.MxVDirection.With("pull")
@@ -136,10 +132,6 @@ type pendingOp struct {
 	// pos is the operation's zero-based position in its sequence, in program
 	// order, for the per-sequence error log.
 	pos int
-	// hint describes how the operation consumes its matrix operands, so a
-	// deferred producer of one of those operands can materialize its result
-	// directly in the layout this consumer wants (see propagateHints).
-	hint format.OpHint
 	// span is the operation's observability record, nil when no tracer is
 	// registered (every obs.Span method is nil-safe).
 	span *obs.Span
@@ -299,8 +291,6 @@ func StatsSnapshot() Stats {
 		OpsExecuted:       obs.OpsExecuted.Total() + obs.OpsFailed.Total(),
 		OpsElided:         obs.OpsElided.Value(),
 		Flushes:           obs.Flushes.Value(),
-		BitmapKernels:     fmtBitmapOps.Value(),
-		HyperKernels:      fmtHyperOps.Value(),
 		FastKernels:       fmtFastOps.Value(),
 		FormatConversions: fmtConversions.Value(),
 		KernelRetries:     execRetries.Value(),
@@ -381,16 +371,15 @@ func (c *context) waitContext(ctx stdctx.Context) error {
 	return err
 }
 
-// flushLocked drains the queue, applying dead-store elimination and
-// format-hint propagation first, then executing the surviving operations —
-// on the DAG-parallel scheduler when it is selected and can pay off, else
-// strictly sequentially in program order. Either way the observable outcome
-// is identical: every failure is appended to the sequence error log in
-// program order, and only the program-order-first error becomes the flush's
-// return value and the GrB_error string, per Section V. A non-nil ctx bounds
-// the flush (WaitContext): once it is canceled, undispatched operations are
-// abandoned with a Canceled error instead of executing. Caller holds
-// c.mu.
+// flushLocked drains the queue, applying dead-store elimination first, then
+// executing the surviving operations — on the DAG-parallel scheduler when
+// it is selected and can pay off, else strictly sequentially in program
+// order. Either way the observable outcome is identical: every failure is
+// appended to the sequence error log in program order, and only the
+// program-order-first error becomes the flush's return value and the
+// GrB_error string, per Section V. A non-nil ctx bounds the flush
+// (WaitContext): once it is canceled, undispatched operations are abandoned
+// with a Canceled error instead of executing. Caller holds c.mu.
 func (c *context) flushLocked(ctx stdctx.Context) error {
 	queue := c.queue
 	c.queue = nil
@@ -401,7 +390,6 @@ func (c *context) flushLocked(ctx stdctx.Context) error {
 	}
 	obs.FlushDepth.Observe(float64(len(queue)))
 	elide := markElidable(queue, c.elision)
-	propagateHints(queue, elide)
 	nodes := queue[:0]
 	for k, op := range queue {
 		if elide[k] {
@@ -492,39 +480,6 @@ func (c *context) takeExecErrLocked() error {
 	return err
 }
 
-// scanReverse walks the queue positions len(queue)-1 … 0 — the direction
-// both pre-scheduling analysis passes need, since each decides an op's fate
-// from what *later* operations do with its output. It is the shared
-// backward-walk skeleton of markElidable and propagateHints.
-func scanReverse(n int, visit func(k int)) {
-	for k := n - 1; k >= 0; k-- {
-		visit(k)
-	}
-}
-
-// propagateHints stamps each operation's hint onto the objects it reads,
-// before any queued operation runs. Walking backward makes the *first*
-// consumer's stamp win, so when an earlier producer executes and goes to
-// materialize its result, the output object already records how the next
-// operation will consume it — and the producer can pick that layout
-// directly. This is the payoff of deferral the paper's Section IV allows:
-// only in nonblocking mode is the whole sequence visible before execution.
-// Elided consumers never read their operands, so their hints are skipped.
-// (Hint stamping happens here, before scheduling, rather than during DAG
-// execution: the stamp order is significant — first consumer wins — and a
-// hazard edge already orders every producer after this pass.)
-func propagateHints(queue []*pendingOp, elide []bool) {
-	scanReverse(len(queue), func(k int) {
-		op := queue[k]
-		if elide[k] || op.hint == format.HintNone {
-			return
-		}
-		for _, r := range op.reads {
-			r.noteHint(op.hint)
-		}
-	})
-}
-
 // markElidable performs the backward dead-store-elimination pass: an
 // operation whose output is completely overwritten by a later operation,
 // with no intervening read of that object, need not execute. This is the
@@ -532,7 +487,8 @@ func propagateHints(queue []*pendingOp, elide []bool) {
 // be placed in a queue and deferred... as long as the final result agrees
 // with the mathematical definition"). Elided operations never reach the
 // dataflow DAG: they are pruned here, so the scheduler sees only work that
-// will actually run.
+// will actually run. The walk is backward, since an op's fate depends on what
+// later operations do with its output.
 func markElidable(queue []*pendingOp, enabled bool) []bool {
 	elide := make([]bool, len(queue))
 	if !enabled {
@@ -541,11 +497,11 @@ func markElidable(queue []*pendingOp, enabled bool) []bool {
 	// deadUntilRead[id] is true when a later op fully overwrites the object
 	// and nothing in between reads it.
 	dead := make(map[uint64]bool)
-	scanReverse(len(queue), func(k int) {
+	for k := len(queue) - 1; k >= 0; k-- {
 		op := queue[k]
 		if dead[op.out.id] {
 			elide[k] = true
-			return // an elided op neither reads nor writes
+			continue // an elided op neither reads nor writes
 		}
 		readsOwnOutput := false
 		for _, r := range op.reads {
@@ -562,7 +518,7 @@ func markElidable(queue []*pendingOp, enabled bool) []bool {
 			// output — so the prior content is live.
 			dead[op.out.id] = false
 		}
-	})
+	}
 	return elide
 }
 
@@ -683,11 +639,10 @@ func runGuardedAt(op *pendingOp, gate *faults.Sequencer, idx int, serialBody boo
 // checks (opSpec.check, or an object method's own). In blocking mode the
 // operation runs immediately; in nonblocking mode it is appended to the
 // sequence queue. Everything the scheduler needs — the read footprint, the
-// overwrite flag, the format hint that flushLocked propagates backward to the
-// producers of the operands, and the span — derives from the spec; run is
-// the one closure the operation supplies.
+// overwrite flag and the span — derives from the spec; run is the one
+// closure the operation supplies.
 func enqueue(s opSpec, run func() error) error {
-	op := &pendingOp{out: s.out, reads: s.footprint(), overwrites: s.overwrites(), run: run, name: s.name, hint: s.hint, span: s.span}
+	op := &pendingOp{out: s.out, reads: s.footprint(), overwrites: s.overwrites(), run: run, name: s.name, span: s.span}
 	if op.span == nil {
 		op.span = obs.Begin(s.name)
 	}

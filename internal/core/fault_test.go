@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"graphblas/internal/faults"
-	"graphblas/internal/format"
 )
 
 // withFaults installs a fault plan for the duration of a test.
@@ -25,7 +24,6 @@ func committedTuples(m *Matrix[float64]) dmat {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.flushPendingLocked()
-	m.materializeLocked()
 	d := dmat{}
 	is, js, vs := m.data.Tuples()
 	for k := range is {
@@ -218,81 +216,89 @@ func vecTuples(t *testing.T, v *Vector[float64]) map[int]float64 {
 	return out
 }
 
-// TestFaults_KernelFallbackMxV: a bitmap MxV kernel that fails with an
-// injected fault is transparently retried on the generic CSR path; the
-// result is correct and the retry is visible in StatsSnapshot.
-func TestFaults_KernelFallbackMxV(t *testing.T) {
-	assertQuiescent(t)
-	withMode(t, Blocking, func() {
-		rng := rand.New(rand.NewSource(7))
-		s := plusTimesF64(t)
-		a := buildDenseMatrix(t, 24, 0.5, rng)
-		u := buildVector(t, 24, 0.6, rng)
-		if err := a.SetFormat(format.BitmapKind); err != nil {
-			t.Fatalf("SetFormat: %v", err)
-		}
-		// Reference result with no faults installed.
-		wantV, _ := NewVector[float64](24)
-		if err := MxV(wantV, NoMaskV, NoAccum[float64](), s, a, u, nil); err != nil {
-			t.Fatalf("reference MxV: %v", err)
-		}
-		want := vecTuples(t, wantV)
-
-		withFaults(t, 1, faults.Rule{Site: "format.kernel.bitmap.mxv*", Kind: faults.KernelErr})
-		base := StatsSnapshot().KernelRetries
-		w, _ := NewVector[float64](24)
-		if err := MxV(w, NoMaskV, NoAccum[float64](), s, a, u, nil); err != nil {
-			t.Fatalf("MxV under injection not recovered: %v", err)
-		}
-		got := vecTuples(t, w)
-		if len(got) != len(want) {
-			t.Fatalf("nvals got %d want %d", len(got), len(want))
-		}
-		for i, x := range want {
-			if got[i] != x {
-				t.Fatalf("w[%d] got %v want %v", i, got[i], x)
-			}
-		}
-		if st := StatsSnapshot(); st.KernelRetries == base {
-			t.Fatalf("retry not counted: %+v", st)
-		}
-	})
-}
-
-// TestFaults_KernelFallbackMxM is the MxM counterpart, covering the ⟨+,×⟩
-// fast path, the generic bitmap SpGEMM site and the masked dot kernel.
-func TestFaults_KernelFallbackMxM(t *testing.T) {
+// TestFaults_DenseProductFallsBackToGustavson: the dense ⟨+,×⟩ product is
+// the engine's own choice over Gustavson's kernel, so a recoverable fault in
+// it — an injected kernel error, or the governor refusing B's transient
+// bitmap — costs one retry: Gustavson runs and, folding every entry in the
+// same order, leaves the same result. A panic-kind fault models a faulty
+// operator and is not retried: the operation fails and C keeps what it held.
+func TestFaults_DenseProductFallsBackToGustavson(t *testing.T) {
 	assertQuiescent(t)
 	withMode(t, Blocking, func() {
 		rng := rand.New(rand.NewSource(11))
 		s := plusTimesF64(t)
 		a := buildDenseMatrix(t, 16, 0.4, rng)
 		b := buildDenseMatrix(t, 16, 0.6, rng)
-		if err := b.SetFormat(format.BitmapKind); err != nil {
-			t.Fatalf("SetFormat: %v", err)
+		mxm := func(c *Matrix[float64]) error {
+			return MxM(c, NoMask, NoAccum[float64](), s, a, b, nil)
 		}
+		// What one call did: dense products run, retries.
+		type counts struct{ dense, retries int64 }
+		snap := func() counts { return counts{fmtFastOps.Value(), execRetries.Value()} }
+		since := func(c counts) counts {
+			n := snap()
+			return counts{n.dense - c.dense, n.retries - c.retries}
+		}
+
+		base := snap()
 		wantC, _ := NewMatrix[float64](16, 16)
-		if err := MxM(wantC, NoMask, NoAccum[float64](), s, a, b, nil); err != nil {
+		if err := mxm(wantC); err != nil {
 			t.Fatalf("reference MxM: %v", err)
+		}
+		if d := since(base); d != (counts{dense: 1}) {
+			t.Fatalf("reference MxM ran %+v, want one dense product", d)
 		}
 		want := denseOf(t, wantC)
 
-		withFaults(t, 1, faults.Rule{Site: "format.kernel.bitmap.mxm*", Kind: faults.OOM})
-		base := StatsSnapshot().KernelRetries
+		withFaults(t, 1, faults.Rule{Site: "format.kernel.bitmap.mxm.fast", Kind: faults.KernelErr})
+		base = snap()
 		c, _ := NewMatrix[float64](16, 16)
-		if err := MxM(c, NoMask, NoAccum[float64](), s, a, b, nil); err != nil {
+		if err := mxm(c); err != nil {
 			t.Fatalf("MxM under injection not recovered: %v", err)
 		}
-		equalDense(t, denseOf(t, c), want, "fallback MxM")
-		if st := StatsSnapshot(); st.KernelRetries == base {
-			t.Fatalf("retry not counted: %+v", st)
+		if d := since(base); d != (counts{retries: 1}) {
+			t.Fatalf("faulted dense product ran %+v, want Gustavson after one retry", d)
 		}
+		equalDense(t, denseOf(t, c), want, "Gustavson after a faulted dense product")
+		faults.Disable()
+
+		prev := faults.SetAllocBudget(256) // far below B's 16×16 bitmap
+		t.Cleanup(func() { faults.SetAllocBudget(prev) })
+		base = snap()
+		c, _ = NewMatrix[float64](16, 16)
+		if err := mxm(c); err != nil {
+			t.Fatalf("MxM under the governor not recovered: %v", err)
+		}
+		if d := since(base); d != (counts{retries: 1}) {
+			t.Fatalf("denied bitmap ran %+v, want Gustavson after one retry", d)
+		}
+		equalDense(t, denseOf(t, c), want, "Gustavson after a denied bitmap")
+		faults.SetAllocBudget(prev)
+
+		withFaults(t, 1, faults.Rule{Site: "format.kernel.bitmap.mxm.fast", Kind: faults.PanicFault})
+		base = snap()
+		c, _ = NewMatrix[float64](16, 16)
+		if err := c.Build([]int{0, 5}, []int{3, 2}, []float64{7, 9}, NoAccum[float64]()); err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		before := committedTuples(c)
+		if err := mxm(c); InfoOf(err) != PanicInfo {
+			t.Fatalf("Panic-kind fault surfaced as %v", err)
+		}
+		if d := since(base); d.retries != 0 {
+			t.Fatalf("panic fault was retried: %+v", d)
+		}
+		equalDense(t, committedTuples(c), before, "rolled-back contents")
 	})
-	// The transpose-free dot kernel: C⟨L⟩ = L ⊕.⊗ Lᵀ over a full strict
-	// lower triangle, where DotMaskedWins selects it (a rule on its site
-	// firing proves that). A recoverable fault falls through to transpose +
-	// sparse.SpGEMM with the same answer; a panic-kind fault fails the
-	// operation and rolls C back untouched.
+}
+
+// TestFaults_DotProductFallsBackToGustavson: the transpose-free dot kernel,
+// C⟨L⟩ = L ⊕.⊗ Lᵀ over a full strict lower triangle, where DotMaskedWins
+// selects it (a rule on its site firing proves that). A recoverable fault
+// falls through to transpose + sparse.SpGEMM with the same answer; a
+// panic-kind fault fails the operation and rolls C back untouched.
+func TestFaults_DotProductFallsBackToGustavson(t *testing.T) {
+	assertQuiescent(t)
 	withMode(t, Blocking, func() {
 		s := plusTimesF64(t)
 		desc := Desc().Transpose1().ReplaceOutput()
@@ -341,47 +347,6 @@ func TestFaults_KernelFallbackMxM(t *testing.T) {
 			t.Fatalf("panic fault was retried: %+v", st)
 		}
 		equalDense(t, committedTuples(c2), before, "rolled-back contents")
-	})
-}
-
-// TestFaults_AllocGovernorFallback: with a tiny allocation budget the bitmap
-// conversion itself is denied by the governor, and the operation still
-// completes on the CSR path.
-func TestFaults_AllocGovernorFallback(t *testing.T) {
-	assertQuiescent(t)
-	withMode(t, Blocking, func() {
-		rng := rand.New(rand.NewSource(13))
-		s := plusTimesF64(t)
-		a := buildDenseMatrix(t, 32, 0.5, rng)
-		u := buildVector(t, 32, 0.6, rng)
-		if err := a.SetFormat(format.BitmapKind); err != nil {
-			t.Fatalf("SetFormat: %v", err)
-		}
-		wantV, _ := NewVector[float64](32)
-		if err := MxV(wantV, NoMaskV, NoAccum[float64](), s, a, u, nil); err != nil {
-			t.Fatalf("reference MxV: %v", err)
-		}
-		want := vecTuples(t, wantV)
-
-		prev := faults.SetAllocBudget(256) // far below the 32×32 dense form
-		t.Cleanup(func() { faults.SetAllocBudget(prev) })
-		// The cached bitmap from the reference run must not mask the governed
-		// conversion; drop it by touching the matrix.
-		a.setData(a.mdat())
-		base := StatsSnapshot().KernelRetries
-		w, _ := NewVector[float64](32)
-		if err := MxV(w, NoMaskV, NoAccum[float64](), s, a, u, nil); err != nil {
-			t.Fatalf("MxV under governor not recovered: %v", err)
-		}
-		got := vecTuples(t, w)
-		for i, x := range want {
-			if got[i] != x {
-				t.Fatalf("w[%d] got %v want %v", i, got[i], x)
-			}
-		}
-		if st := StatsSnapshot(); st.KernelRetries == base {
-			t.Fatalf("governed denial not retried: %+v", st)
-		}
 	})
 }
 
@@ -478,31 +443,6 @@ func TestFaults_PullFallsBackToPush(t *testing.T) {
 		}
 		if after := w.vdat(); !reflect.DeepEqual(after.Idx, before.Idx) || !reflect.DeepEqual(after.Val, before.Val) {
 			t.Fatalf("output not rolled back: %v, held %v", after.Idx, before.Idx)
-		}
-	})
-}
-
-// TestFaults_PanicKindNotRetried: Panic-kind faults model faulty user
-// operators; they must take the GrB_PANIC route, not the silent kernel
-// retry.
-func TestFaults_PanicKindNotRetried(t *testing.T) {
-	assertQuiescent(t)
-	withMode(t, Blocking, func() {
-		rng := rand.New(rand.NewSource(17))
-		s := plusTimesF64(t)
-		a := buildDenseMatrix(t, 16, 0.5, rng)
-		u := buildVector(t, 16, 0.6, rng)
-		if err := a.SetFormat(format.BitmapKind); err != nil {
-			t.Fatalf("SetFormat: %v", err)
-		}
-		withFaults(t, 1, faults.Rule{Site: "format.kernel.bitmap.mxv*", Kind: faults.PanicFault, Times: 1})
-		base := StatsSnapshot().KernelRetries
-		w, _ := NewVector[float64](16)
-		if err := MxV(w, NoMaskV, NoAccum[float64](), s, a, u, nil); InfoOf(err) != PanicInfo {
-			t.Fatalf("Panic-kind fault surfaced as %v", err)
-		}
-		if st := StatsSnapshot(); st.KernelRetries != base {
-			t.Fatalf("panic fault was retried: %+v", st)
 		}
 	})
 }

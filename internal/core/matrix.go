@@ -9,9 +9,10 @@ import (
 )
 
 // Matrix is the opaque GraphBLAS matrix A = ⟨D, M, N, {(i, j, A_ij)}⟩ of
-// Section III-A. Storage is compressed sparse row; a transposed copy is
-// cached lazily because the descriptor's GrB_TRAN setting (Figure 2) makes
-// transposed reads common, and invalidated on any mutation.
+// Section III-A. Storage is compressed sparse row, the one layout a matrix
+// holds; a transposed copy is cached lazily because the descriptor's
+// GrB_TRAN setting (Figure 2) makes transposed reads common, and
+// invalidated on any mutation.
 type Matrix[D any] struct {
 	obj
 	// nr, nc are the logical dimensions. Resize rewrites them while enqueued
@@ -28,16 +29,6 @@ type Matrix[D any] struct {
 	pending []sparse.Tuple[D]
 	mu      sync.Mutex
 	tcache  *sparse.CSR[D]
-
-	// Multi-format storage engine state. forced pins the layout chosen by
-	// SetFormat (Auto = adaptive); bcache and hcache hold the bitmap and
-	// hypersparse forms of the content, built lazily and invalidated on any
-	// mutation. When a kernel materializes its result directly as bitmap,
-	// data is nil and bcache is primary until a CSR consumer forces the
-	// conversion back.
-	forced format.Kind
-	bcache *format.Bitmap[D]
-	hcache *format.Hyper[D]
 
 	// Streaming engine state. delta is the hypersparse overlay of absorbed
 	// update batches layered over data; mcache is the lazily built merged
@@ -78,7 +69,7 @@ func (m *Matrix[D]) initMatrix() {
 }
 
 // snapshotState captures the committed store — the pointers to the CSR,
-// buffered updates, and format caches; all immutable once installed — and
+// buffered updates, and derived stores; all immutable once installed — and
 // returns a closure restoring them unless the operation committed; a
 // superseded matrix store is left to the collector. The pending list is
 // kept, not copied: it is only ever appended to, and clipping it to its
@@ -87,7 +78,7 @@ func (m *Matrix[D]) initMatrix() {
 // SetElement takes one — is cheap.
 func (m *Matrix[D]) snapshotState() func(bool) {
 	m.mu.Lock()
-	data, tcache, bcache, hcache := m.data, m.tcache, m.bcache, m.hcache
+	data, tcache := m.data, m.tcache
 	delta, mcache, deltaAge, epochID := m.delta, m.mcache, m.deltaAge, m.epochID
 	pending := m.pending[:len(m.pending):len(m.pending)]
 	m.mu.Unlock()
@@ -96,7 +87,7 @@ func (m *Matrix[D]) snapshotState() func(bool) {
 			return
 		}
 		m.mu.Lock()
-		m.data, m.tcache, m.bcache, m.hcache = data, tcache, bcache, hcache
+		m.data, m.tcache = data, tcache
 		m.delta, m.mcache, m.deltaAge, m.epochID = delta, mcache, deltaAge, epochID
 		m.pending = pending
 		m.mu.Unlock()
@@ -104,16 +95,11 @@ func (m *Matrix[D]) snapshotState() func(bool) {
 }
 
 // dropDerivedLocked forgets every store derived from the primary one — the
-// transpose, the bitmap and hypersparse forms, the merged delta view. The
-// primary store is data, delta and pending; whatever changes any of them
-// calls this after the change, so no mutator has to know which caches exist.
-// While data is nil the bitmap is not derived: a kernel installed it as the
-// content itself (setDataBitmap), and it stays. The caller holds m.mu.
+// transpose and the merged delta view. The primary store is data, delta and
+// pending; whatever changes any of them calls this after the change, so no
+// mutator has to know which caches exist. The caller holds m.mu.
 func (m *Matrix[D]) dropDerivedLocked() {
-	m.tcache, m.hcache, m.mcache = nil, nil, nil
-	if m.data != nil {
-		m.bcache = nil
-	}
+	m.tcache, m.mcache = nil, nil
 }
 
 // setData replaces the storage and drops buffered updates. All whole-object
@@ -130,30 +116,6 @@ func (m *Matrix[D]) setData(d *sparse.CSR[D]) {
 	m.mu.Unlock()
 }
 
-// setDataBitmap installs a bitmap-resident result as the matrix content;
-// the CSR form is materialized lazily only if a CSR consumer asks for it.
-// This is how deferred multiply results land directly in the cheapest
-// format.
-func (m *Matrix[D]) setDataBitmap(b *format.Bitmap[D]) {
-	m.mu.Lock()
-	m.data = nil
-	m.bcache = b
-	m.pending = nil
-	m.delta = nil
-	m.deltaAge = 0
-	m.dropDerivedLocked()
-	m.mu.Unlock()
-}
-
-// materializeLocked ensures the CSR form exists when the bitmap form is
-// primary; the caller holds m.mu.
-func (m *Matrix[D]) materializeLocked() {
-	if m.data == nil && m.bcache != nil {
-		m.data = m.bcache.ToCSR()
-		fmtConversions.Add(1)
-	}
-}
-
 // flushPendingLocked merges buffered point updates into the storage; the
 // caller holds m.mu. While a streaming overlay is live the updates fold into
 // it instead of the main store — they were enqueued after the batches that
@@ -166,7 +128,6 @@ func (m *Matrix[D]) flushPendingLocked() {
 	if m.delta != nil {
 		m.delta = format.MergeDeltas(m.delta, format.DeltaFromTuples(m.nr, m.nc, m.pending))
 	} else {
-		m.materializeLocked()
 		m.data = format.MergeDeltaCSR(m.data, format.DeltaFromTuples(m.nr, m.nc, m.pending))
 	}
 	m.pending = nil
@@ -180,7 +141,6 @@ func (m *Matrix[D]) flushPendingLocked() {
 // protocol. The caller holds m.mu.
 func (m *Matrix[D]) viewLocked() *sparse.CSR[D] {
 	m.flushPendingLocked()
-	m.materializeLocked()
 	if m.delta == nil {
 		return m.data
 	}
@@ -191,24 +151,8 @@ func (m *Matrix[D]) viewLocked() *sparse.CSR[D] {
 	return m.mcache
 }
 
-// nnzLocked reports the stored-element count from whichever form is
-// resident; the caller holds m.mu with pending already flushed.
-func (m *Matrix[D]) nnzLocked() int {
-	if m.delta != nil {
-		return m.viewLocked().NNZ()
-	}
-	if m.data != nil {
-		return m.data.NNZ()
-	}
-	if m.bcache != nil {
-		return m.bcache.NNZ()
-	}
-	return 0
-}
-
-// mdat returns the up-to-date CSR view, merging any buffered point updates,
-// converting out of a bitmap-primary state, and overlaying the streaming
-// delta. Safe for concurrent readers.
+// mdat returns the up-to-date CSR view, merging any buffered point updates
+// and overlaying the streaming delta. Safe for concurrent readers.
 func (m *Matrix[D]) mdat() *sparse.CSR[D] {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -238,95 +182,6 @@ func (m *Matrix[D]) mdatWithTranspose() (d, t *sparse.CSR[D]) {
 	defer m.mu.Unlock()
 	d = m.viewLocked()
 	return d, m.tcache
-}
-
-// bitmapForRead returns the bitmap form of the matrix when the storage
-// engine selects it for an operation described by hint — because the layout
-// was forced with SetFormat or because the adaptive policy picked it — and
-// nil when the caller should use another layout. The conversion is cached
-// until the next mutation.
-func (m *Matrix[D]) bitmapForRead(hint format.OpHint) *format.Bitmap[D] {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.flushPendingLocked()
-	if !format.BitmapFeasible(m.nr, m.nc) {
-		return nil
-	}
-	kind := m.forced
-	if kind == format.Auto {
-		kind = format.Choose(m.nr, m.nc, m.nnzLocked(), hint)
-	}
-	if kind != format.BitmapKind {
-		return nil
-	}
-	if m.bcache == nil {
-		m.bcache = format.BitmapFromCSR(m.viewLocked())
-		fmtConversions.Add(1)
-	}
-	return m.bcache
-}
-
-// hyperForRead is bitmapForRead's hypersparse counterpart.
-func (m *Matrix[D]) hyperForRead(hint format.OpHint) *format.Hyper[D] {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.flushPendingLocked()
-	kind := m.forced
-	if kind == format.Auto {
-		kind = format.Choose(m.nr, m.nc, m.nnzLocked(), hint)
-	}
-	if kind != format.HyperKind {
-		return nil
-	}
-	if m.hcache == nil {
-		m.hcache = format.HyperFromCSR(m.viewLocked())
-		fmtConversions.Add(1)
-	}
-	return m.hcache
-}
-
-// SetFormat pins the storage layout the engine uses for this matrix (in the
-// spirit of SuiteSparse's GxB format controls): format.Auto restores
-// adaptive selection; CSRKind, BitmapKind, or HyperKind force one layout
-// for every subsequent operation. Forcing BitmapKind on a matrix whose
-// dense form would exceed the engine's allocation cap is rejected.
-func (m *Matrix[D]) SetFormat(k format.Kind) error {
-	if err := objOK(&m.obj, "Matrix.SetFormat", "m"); err != nil {
-		return err
-	}
-	switch k {
-	case format.Auto, format.CSRKind, format.BitmapKind, format.HyperKind:
-	default:
-		return errf(InvalidValue, "Matrix.SetFormat", "unknown format kind %d", int(k))
-	}
-	nr, nc := m.dims()
-	if k == format.BitmapKind && !format.BitmapFeasible(nr, nc) {
-		return errf(InvalidValue, "Matrix.SetFormat", "%dx%d dense form exceeds the bitmap cell cap", nr, nc)
-	}
-	m.mu.Lock()
-	m.forced = k
-	m.mu.Unlock()
-	return nil
-}
-
-// Format reports the layout the engine would use for the matrix's next
-// multiply-style read: the forced layout if one is set, otherwise the
-// adaptive policy's choice under the most recently recorded consumer hint.
-// Forces completion so the decision reflects final content.
-func (m *Matrix[D]) Format() (format.Kind, error) {
-	if err := objOK(&m.obj, "Matrix.Format", "m"); err != nil {
-		return format.Auto, err
-	}
-	if err := m.obj.engine().force("Matrix.Format"); err != nil {
-		return format.Auto, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.flushPendingLocked()
-	if m.forced != format.Auto {
-		return m.forced, nil
-	}
-	return format.Choose(m.nr, m.nc, m.nnzLocked(), m.lastHint()), nil
 }
 
 // dims returns the logical dimensions under the object lock. Resize updates
@@ -370,13 +225,7 @@ func (m *Matrix[D]) NVals() (int, error) {
 	if err := invalidMark(&m.obj, "Matrix.NVals"); err != nil {
 		return 0, err
 	}
-	// Count from whichever form is resident rather than via mdat, so a
-	// bitmap-primary matrix is not converted just to be counted.
-	m.mu.Lock()
-	m.flushPendingLocked()
-	n := m.nnzLocked()
-	m.mu.Unlock()
-	return n, nil
+	return m.mdat().NNZ(), nil
 }
 
 // Clear removes all stored elements (GrB_Matrix_clear). May defer.
@@ -399,7 +248,7 @@ func (m *Matrix[D]) Dup() (*Matrix[D], error) {
 	if err := objOK(&m.obj, "Matrix.Dup", "m"); err != nil {
 		return nil, err
 	}
-	w := &Matrix[D]{nr: m.nr, nc: m.nc, data: sparse.NewCSR[D](m.nr, m.nc), forced: m.forced}
+	w := &Matrix[D]{nr: m.nr, nc: m.nc, data: sparse.NewCSR[D](m.nr, m.nc)}
 	w.initMatrix()
 	w.obj.ctx = m.obj.ctx // the copy lives in the source's execution context
 	m.mu.Lock()
@@ -553,9 +402,6 @@ func (m *Matrix[D]) ExtractTuples() ([]int, []int, []D, error) {
 	if err := invalidMark(&m.obj, "Matrix.ExtractTuples"); err != nil {
 		return nil, nil, nil, err
 	}
-	// Record that this matrix feeds row-major iteration, biasing the
-	// adaptive policy toward CSR on subsequent reads.
-	m.noteHint(format.HintIterate)
 	is, js, vals := m.mdat().Tuples()
 	return is, js, vals, nil
 }
@@ -570,7 +416,7 @@ func (m *Matrix[D]) Free() error {
 	}
 	m.initialized = false
 	m.mu.Lock()
-	m.data, m.delta, m.bcache = nil, nil, nil
+	m.data, m.delta = nil, nil
 	m.dropDerivedLocked()
 	m.mu.Unlock()
 	return nil

@@ -1,11 +1,5 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"graphblas/internal/format"
-)
-
 // obj is the non-generic base embedded in every opaque GraphBLAS object. It
 // carries the identity used by the nonblocking engine's dependence tracking
 // and the invalid-object state of the error model (Section V).
@@ -30,11 +24,6 @@ type obj struct {
 	// in, gives its value array back to the pool. Registered by the typed
 	// constructors; nil for objects with no transactional store.
 	snapshot func() (settle func(committed bool))
-	// hint records how the object was last — or, after hint propagation at
-	// flush time, will next be — consumed. The storage engine's adaptive
-	// policy reads it when deciding which layout to materialize. Atomic
-	// because the flushing goroutine stamps it while kernels may read it.
-	hint atomic.Uint32
 }
 
 // engine returns the execution context the object is bound to.
@@ -44,12 +33,6 @@ func (o *obj) engine() *context {
 	}
 	return o.ctx
 }
-
-// noteHint records a consumer hint on the object.
-func (o *obj) noteHint(h format.OpHint) { o.hint.Store(uint32(h)) }
-
-// lastHint returns the most recently recorded consumer hint.
-func (o *obj) lastHint() format.OpHint { return format.OpHint(o.hint.Load()) }
 
 // initObj stamps a fresh identity.
 func (o *obj) initObj() {

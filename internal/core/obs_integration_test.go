@@ -46,7 +46,7 @@ func withTracer(t *testing.T) *spanCollector {
 
 // TestObs_SpansFollowTheLifecycle: every deferred operation of a nonblocking
 // sequence emits exactly one span carrying the method name, its program
-// position, the consumed layout for format-dispatched kernels, and ordered
+// position, the kernel the engine chose for the multiply family, and ordered
 // stage timestamps.
 func TestObs_SpansFollowTheLifecycle(t *testing.T) {
 	withMode(t, NonBlocking, func() {

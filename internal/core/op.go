@@ -10,8 +10,8 @@ package core
 //	check    opSpec: every argument is tested as it is handed over (handles,
 //	         engine instance, shapes, index lists) and opSpec.check reports
 //	         the failure the one precedence, errRank, puts first
-//	enqueue  enqueue(opSpec, run): the footprint, the overwrite flag, the hint
-//	         and the span all derive from the spec
+//	enqueue  enqueue(opSpec, run): the footprint, the overwrite flag and the
+//	         span all derive from the spec
 //	commit   matWrite/vecWrite: resolve the mask, pick the write mode, install
 //
 // An operation keeps only what is its own: whether its operator is defined,
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"slices"
 
-	"graphblas/internal/format"
 	"graphblas/internal/obs"
 	"graphblas/internal/pool"
 	"graphblas/internal/sparse"
@@ -119,7 +118,6 @@ type opSpec struct {
 	// keeps says the run closure reads the output's prior content whatever
 	// the mask and accumulator are: a region assign, a point update, a trim.
 	keeps bool
-	hint  format.OpHint
 	// span is set by operations that thread their span into kernel dispatch
 	// (the multiply family); enqueue opens one for everything else.
 	span *obs.Span

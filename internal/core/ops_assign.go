@@ -1,7 +1,6 @@
 package core
 
 import (
-	"graphblas/internal/format"
 	"graphblas/internal/obs"
 	"graphblas/internal/sparse"
 )
@@ -75,11 +74,9 @@ func AssignMatrix[DC, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC
 	region := shape{nr: len(rIdx), nc: len(cIdx)}
 	s.conform(A == region, A, region)
 	s.assigns(rows == nil && cols == nil)
-	s.hint = format.HintAssign
 	if err := s.check(true, ""); err != nil {
 		return err
 	}
-	c.noteHint(format.HintAssign)
 	return enqueue(s, func() error {
 		wb.commit(sparse.AssignExpandCSR(c.mdat(), a.mdat(), rIdx, cIdx, wb.accumF))
 		return nil
@@ -93,11 +90,9 @@ func AssignMatrixScalar[DC, DM any](c *Matrix[DC], mask *Matrix[DM], accum Binar
 	wb := matOp(&s, "AssignMatrixScalar", c, mask, accum, desc, mergeZ)
 	rIdx, cIdx := s.indices("row", rows, s.outShape.nr, true), s.indices("column", cols, s.outShape.nc, true)
 	s.assigns(rows == nil && cols == nil)
-	s.hint = format.HintAssign
 	if err := s.check(true, ""); err != nil {
 		return err
 	}
-	c.noteHint(format.HintAssign)
 	return enqueue(s, func() error {
 		wb.commit(sparse.AssignScalarExpandCSR(c.mdat(), x, rIdx, cIdx, wb.accumF))
 		return nil
@@ -116,11 +111,10 @@ func AssignRow[DC, DM any](c *Matrix[DC], mask *Vector[DM], accum BinaryOp[DC, D
 	s.position("row", i, s.outShape.nr)
 	cIdx := s.indices("column", cols, s.outShape.nc, true)
 	s.conform(U.nr == len(cIdx), U, vecShape(len(cIdx)))
-	s.keeps, s.hint = true, format.HintAssign
+	s.keeps = true
 	if err := s.check(true, ""); err != nil {
 		return err
 	}
-	c.noteHint(format.HintAssign)
 	scmp, replace := desc.scmp(), desc.replace()
 	return enqueue(s, func() error {
 		c.setData(sparse.AssignRowCSR(c.mdat(), u.vdat(), i, cIdx, accum.F, resolveVecMask(mask, scmp), replace))
@@ -138,11 +132,10 @@ func AssignCol[DC, DM any](c *Matrix[DC], mask *Vector[DM], accum BinaryOp[DC, D
 	s.position("column", j, s.outShape.nc)
 	rIdx := s.indices("row", rows, s.outShape.nr, true)
 	s.conform(U.nr == len(rIdx), U, vecShape(len(rIdx)))
-	s.keeps, s.hint = true, format.HintAssign
+	s.keeps = true
 	if err := s.check(true, ""); err != nil {
 		return err
 	}
-	c.noteHint(format.HintAssign)
 	scmp, replace := desc.scmp(), desc.replace()
 	return enqueue(s, func() error {
 		c.setData(sparse.AssignColCSR(c.mdat(), u.vdat(), rIdx, j, accum.F, resolveVecMask(mask, scmp), replace))

@@ -33,12 +33,20 @@ func MxM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC,
 	if err := s.check(op.Defined(), "semiring"); err != nil {
 		return err
 	}
-	b.noteHint(format.HintMxM)
 	r := op.ring()
 	// The span is opened here (rather than by enqueue) so the closure can
-	// record which storage layout the dispatch below consumed.
+	// record which kernel ran.
 	sp := obs.Begin(name)
-	s.hint, s.span = format.HintMxM, sp
+	s.span = sp
+	// Two kernels may run ahead of Gustavson's, each chosen per call from
+	// the operands alone, and each falls through to Gustavson with one retry
+	// counted when it fails with a recoverable fault. An unmasked,
+	// unaccumulated ⟨+,×⟩ product over a B at least 4 % full multiplies
+	// into dense rows (format.DenseProductWins). With INP1 transposition,
+	// under a non-complemented mask, the dot kernel computes A·Bᵀ from B as
+	// stored when sparse.DotMaskedWins says its work is below Gustavson's
+	// plus the transpose.
+	dense := mask == nil && wb.accumF == nil && !tran1 && plusTimes(r)
 	return enqueue(s, func() error {
 		ad := a.oriented(tran0)
 		mm := wb.maskNow()
@@ -51,52 +59,20 @@ func MxM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC,
 			sp.AddBytes(t.ApproxBytes())
 			wb.write(t, mm)
 		}
-		// Two kernels may run ahead of the generic CSR one, each chosen from
-		// the operands alone. Without INP1 transposition B benefits from the
-		// bitmap layout (Gustavson selects B rows by A's column indices, and
-		// the bitmap gives O(1) row access with word-level scans; A is
-		// consumed row-sequentially, so its CSR form is already the right
-		// shape). With it, under a non-complemented mask, the dot kernel
-		// computes A·Bᵀ from B as stored when sparse.DotMaskedWins says its
-		// work is below Gustavson's plus the transpose. Either one failing
-		// with a recoverable fault falls through to the generic path.
 		var handled bool
 		var fault *faults.Fault
-		if !tran1 {
+		if bd, bt := b.mdatWithTranspose(); dense && format.DenseProductWins(ad.NRows, bd.NRows, bd.NCols, bd.NNZ()) {
 			_, handled, fault = runFallible(func() (struct{}, bool) {
-				bm := b.bitmapForRead(format.HintMxM)
-				if bm == nil {
+				prod, ok := format.TryMxMPlusTimes(ad, bd)
+				if !ok {
 					return struct{}{}, false
 				}
-				fmtBitmapOps.Add(1)
-				if mask == nil && wb.accumF == nil && plusTimes(r) {
-					if prod, ok := format.TryMxMPlusTimes(ad, bm); ok {
-						fmtFastOps.Add(1)
-						sp.NoteLayout("bitmap-fast")
-						out := prod.(*format.Bitmap[DC])
-						// No mask and no accumulator: the product fully
-						// overwrites C, so it can be adopted in whichever
-						// layout C's recorded consumer hint favors — the
-						// "materialize directly in the cheapest format"
-						// payoff of the deferred queue. This closure runs on
-						// a flush worker, so C's dimensions must come from
-						// the lock-held accessor: a concurrent Resize
-						// rewrites nr/nc eagerly.
-						cnr, cnc := c.dims()
-						if format.Choose(cnr, cnc, out.NNZ(), c.lastHint()) == format.BitmapKind {
-							c.setDataBitmap(out)
-						} else {
-							c.setData(out.ToCSR())
-							fmtConversions.Add(1)
-						}
-						return struct{}{}, true
-					}
-				}
-				sp.NoteLayout("bitmap")
-				commit(format.SpGEMMBitmap(ad, bm, r.Mul, r.Add, mm))
+				fmtFastOps.Add(1)
+				sp.NoteLayout("dense")
+				commit(prod.(*sparse.CSR[DC]))
 				return struct{}{}, true
 			})
-		} else if bd, bt := b.mdatWithTranspose(); mm != nil && !mm.Comp && sparse.DotMaskedWins(ad, bd, bt, mm) {
+		} else if tran1 && mm != nil && !mm.Comp && sparse.DotMaskedWins(ad, bd, bt, mm) {
 			_, handled, fault = runFallible(func() (struct{}, bool) {
 				sp.NoteLayout("csr-dot")
 				commit(r.SpGEMMDotMasked(ad, bd, mm))
@@ -134,17 +110,17 @@ func MxV[DC, DA, DU, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 	if err := s.check(op.Defined(), "semiring"); err != nil {
 		return err
 	}
-	a.noteHint(format.HintMxV)
 	r := op.ring()
 	sp := obs.Begin(name)
-	s.hint, s.span = format.HintMxV, sp
+	s.span = sp
 	return enqueue(s, func() error {
 		vm := wb.maskNow()
 		var t *sparse.Vec[DC]
 		if tran0 {
-			t = pushMxVDispatch(a, u.vdat(), r, vm, sp)
+			t = pushOrPull(a, u.vdat(), r, vm, sp)
 		} else {
-			t = dotMxVDispatch(a, u.vdat(), r, vm, sp)
+			sp.NoteLayout("csr")
+			t = r.DotMxV(a.mdat(), u.vdat(), vm)
 		}
 		sp.AddBytes(t.ApproxBytes())
 		wb.write(t, vm)
@@ -169,21 +145,20 @@ func VxM[DC, DU, DA, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 	if err := s.check(op.Defined(), "semiring"); err != nil {
 		return err
 	}
-	// The flipped ring drives the same dispatch as MxV. It says ⊗ arrives
+	// The flipped ring drives the same kernels as MxV. It says ⊗ arrives
 	// swapped, so the specialized loops run ⟨+, first⟩ as ⟨+, second⟩ and
-	// keep min's and max's operand order, and the ⟨+,×⟩ fast paths stay
-	// reachable.
+	// keep min's and max's operand order.
 	flipped := op.flipped()
-	a.noteHint(format.HintMxV)
 	sp := obs.Begin(name)
-	s.hint, s.span = format.HintMxV, sp
+	s.span = sp
 	return enqueue(s, func() error {
 		vm := wb.maskNow()
 		var t *sparse.Vec[DC]
 		if tran1 {
-			t = dotMxVDispatch(a, u.vdat(), flipped, vm, sp)
+			sp.NoteLayout("csr")
+			t = flipped.DotMxV(a.mdat(), u.vdat(), vm)
 		} else {
-			t = pushMxVDispatch(a, u.vdat(), flipped, vm, sp)
+			t = pushOrPull(a, u.vdat(), flipped, vm, sp)
 		}
 		sp.AddBytes(t.ApproxBytes())
 		wb.write(t, vm)

@@ -64,14 +64,13 @@ func (m *Matrix[D]) absorbDelta(d *format.HyperDelta[D]) {
 	obs.StreamEdges.Add(int64(d.NNZ()))
 	obs.StreamDeltaNNZ.Set(int64(m.delta.NNZ()))
 	if m.spolicy.Due(m.delta.NNZ(), m.deltaAge) {
-		m.materializeLocked()
 		m.compactLocked()
 	}
 }
 
 // compactLocked publishes a new epoch: the overlay merges into the main
-// store and the overlay empties. The caller holds m.mu with data
-// materialized. No-op when no overlay is live.
+// store and the overlay empties. The caller holds m.mu. No-op when no
+// overlay is live.
 func (m *Matrix[D]) compactLocked() {
 	if m.delta == nil {
 		return
@@ -107,7 +106,6 @@ func (m *Matrix[D]) compactNow() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.flushPendingLocked()
-	m.materializeLocked()
 	m.compactLocked()
 }
 
@@ -144,7 +142,6 @@ func (m *Matrix[D]) PinEpoch() (*stream.Epoch[D], error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.flushPendingLocked()
-	m.materializeLocked()
 	return stream.NewEpoch(m.epochID, m.data, m.delta), nil
 }
 

@@ -10,17 +10,17 @@
 // Three fault kinds are injectable:
 //
 //   - OOM — an allocation failure (GrB_OUT_OF_MEMORY). Recoverable: the
-//     format dispatch retries the generic CSR path once before surfacing it.
+//     engine retries the reference kernel once before surfacing it.
 //   - KernelErr — an unspecified kernel failure (surfaces as GrB_PANIC,
 //     "unknown internal error"). Recoverable like OOM.
 //   - PanicFault — a fault in a user-operator path (GrB_PANIC). Not eligible
 //     for kernel fallback: it takes the genuine panic-recovery route.
 //
 // The package also hosts the allocation-budget governor: GovernAlloc makes
-// oversized bitmap/CSR/hypersparse allocations fail with OOM *before* they
-// are attempted (Go cannot recover a real out-of-memory condition), which is
-// how SuiteSparse:GraphBLAS treats allocation failure — a first-class,
-// testable outcome rather than an abort.
+// oversized bitmap, transpose, hypersparse and delta allocations fail with
+// OOM *before* they are attempted (Go cannot recover a real out-of-memory
+// condition), which is how SuiteSparse:GraphBLAS treats allocation failure —
+// a first-class, testable outcome rather than an abort.
 //
 // Everything is deterministic: rules fire on per-site call counts and a
 // seeded RNG, so a schedule replays identically across runs and across

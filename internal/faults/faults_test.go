@@ -42,7 +42,7 @@ func TestSiteMatching(t *testing.T) {
 	if Check("MxM") != nil {
 		t.Fatal("glob matched unrelated site")
 	}
-	if f := Check("format.kernel.bitmap.mxv"); f == nil || f.Kind != KernelErr {
+	if f := Check("format.kernel.csr.pull"); f == nil || f.Kind != KernelErr {
 		t.Fatalf("glob missed prefixed site: %v", f)
 	}
 	Configure(1, Rule{Site: "", Kind: OOM})

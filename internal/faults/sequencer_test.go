@@ -73,13 +73,13 @@ func TestPlanCoversKernelSites(t *testing.T) {
 		site string
 		want bool
 	}{
-		{"MxM", false},                     // exact op name: op-level draw only
-		{"Transpose", false},               // exact op name
-		{"format.kernel.bitmap.mxv", true}, // kernel-internal dotted site
-		{"format.*", true},                 // glob can reach kernel sites
-		{"MxM*", true},                     // glob, conservatively kernel-capable
-		{"", true},                         // matches every site
-		{"*", true},                        // matches every site
+		{"MxM", false},                   // exact op name: op-level draw only
+		{"Transpose", false},             // exact op name
+		{"format.kernel.csr.pull", true}, // kernel-internal dotted site
+		{"format.*", true},               // glob can reach kernel sites
+		{"MxM*", true},                   // glob, conservatively kernel-capable
+		{"", true},                       // matches every site
+		{"*", true},                      // matches every site
 	}
 	for _, tc := range cases {
 		Configure(1, Rule{Site: tc.site, Kind: KernelErr})

@@ -20,18 +20,14 @@ var KernelSites = []string{
 	"sparse.kernel.spgemm.masked",
 	"sparse.kernel.spgemm.dot",
 
-	// internal/format layout kernels.
+	// internal/format bitmap kernels: the dense ⟨+,×⟩ product MxM runs,
+	// and the dot kernel the benchmark probes time.
 	"format.kernel.bitmap.mxv",
-	"format.kernel.bitmap.mxv.fast",
-	"format.kernel.bitmap.mxm",
 	"format.kernel.bitmap.mxm.fast",
-	"format.kernel.hyper.mxv",
-	"format.kernel.hyper.mxv.push",
 
 	// internal/format allocation-governor gates.
 	"format.alloc.hyper",
 	"format.alloc.bitmap",
-	"format.alloc.csr",
 
 	// internal/core format glue: the pull the direction rule chose for a
 	// scatter product (pushOrPull) and the transpose build it may need. A

@@ -60,45 +60,6 @@ func (b *Bitmap[T]) RowBits(i int) []uint64 { return b.Bits[i*b.Words : (i+1)*b.
 // RowVals returns row i's dense value slice.
 func (b *Bitmap[T]) RowVals(i int) []T { return b.Val[i*b.NCols : (i+1)*b.NCols] }
 
-// Has reports whether cell (i, j) is stored.
-func (b *Bitmap[T]) Has(i, j int) bool {
-	return b.Bits[i*b.Words+j>>6]&(1<<(uint(j)&63)) != 0
-}
-
-// Get returns the element at (i, j) and whether it is stored.
-func (b *Bitmap[T]) Get(i, j int) (T, bool) {
-	if b.Has(i, j) {
-		return b.Val[i*b.NCols+j], true
-	}
-	var zero T
-	return zero, false
-}
-
-// Set stores x at (i, j), in O(1) — the point of the dense layout.
-func (b *Bitmap[T]) Set(i, j int, x T) {
-	w := i*b.Words + j>>6
-	mask := uint64(1) << (uint(j) & 63)
-	if b.Bits[w]&mask == 0 {
-		b.Bits[w] |= mask
-		b.nvals++
-	}
-	b.Val[i*b.NCols+j] = x
-}
-
-// Remove deletes the element at (i, j), reporting whether it existed.
-func (b *Bitmap[T]) Remove(i, j int) bool {
-	w := i*b.Words + j>>6
-	mask := uint64(1) << (uint(j) & 63)
-	if b.Bits[w]&mask == 0 {
-		return false
-	}
-	b.Bits[w] &^= mask
-	var zero T
-	b.Val[i*b.NCols+j] = zero
-	b.nvals--
-	return true
-}
-
 // rowNNZ counts the stored elements of row i by popcount.
 func (b *Bitmap[T]) rowNNZ(i int) int {
 	n := 0
@@ -163,25 +124,4 @@ func (b *Bitmap[T]) ToCSR() *sparse.CSR[T] {
 		}
 	})
 	return c
-}
-
-// Tuples returns copies of the stored triples in row-major order.
-func (b *Bitmap[T]) Tuples() (is, js []int, vals []T) {
-	is = make([]int, 0, b.nvals)
-	js = make([]int, 0, b.nvals)
-	vals = make([]T, 0, b.nvals)
-	for i := 0; i < b.NRows; i++ {
-		rv := b.RowVals(i)
-		for wi, w := range b.RowBits(i) {
-			base := wi << 6
-			for w != 0 {
-				j := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				is = append(is, i)
-				js = append(js, j)
-				vals = append(vals, rv[j])
-			}
-		}
-	}
-	return is, js, vals
 }

@@ -196,7 +196,7 @@ func MergeDeltaCSR[T any](main *sparse.CSR[T], d *HyperDelta[T]) *sparse.CSR[T] 
 	if d == nil || d.NNZ() == 0 {
 		return main
 	}
-	return sparse.EmitCSR(main.NRows, main.NCols, main.Ptr, nil, func(out *sparse.Rows[T], lo, hi int) {
+	return sparse.EmitCSR(main.NRows, main.NCols, main.Ptr, func(out *sparse.Rows[T], lo, hi int) {
 		k, end := sort.SearchInts(d.Rows, lo), sort.SearchInts(d.Rows, hi)
 		out.Reserve(main.Ptr[hi] - main.Ptr[lo] + d.Ptr[end] - d.Ptr[k])
 		next := lo // the first row not written yet

@@ -8,8 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"graphblas/internal/faults"
-	"graphblas/internal/leakcheck"
 	"graphblas/internal/obs"
 	"graphblas/internal/parallel"
 	"graphblas/internal/sparse"
@@ -67,24 +65,11 @@ func requireModel(t *testing.T, label string, m *sparse.CSR[float64], model map[
 }
 
 // productModel folds each entry of a·b in ascending k, the first term
-// stored and the others added, over the cells mask allows.
-func productModel(a, b *sparse.CSR[float64], mask *sparse.MatMask) map[[2]int]float64 {
+// stored and the others added.
+func productModel(a, b *sparse.CSR[float64]) map[[2]int]float64 {
 	model := map[[2]int]float64{}
 	for i := 0; i < a.NRows; i++ {
 		for j := 0; j < b.NCols; j++ {
-			if mask != nil {
-				row := mask.EffRow(i)
-				if mask.Comp {
-					row = mask.StrRow(i)
-				}
-				in := false
-				for _, c := range row {
-					in = in || c == j
-				}
-				if in == mask.Comp {
-					continue
-				}
-			}
 			var acc float64
 			hit := false
 			for p := a.Ptr[i]; p < a.Ptr[i+1]; p++ {
@@ -106,12 +91,12 @@ func productModel(a, b *sparse.CSR[float64], mask *sparse.MatMask) map[[2]int]fl
 	return model
 }
 
-// TestQuickCSRKernelsBitIdentical holds the format package's kernels on
-// sparse.EmitCSR — the bitmap product under no mask, a mask and its
-// complement, and the delta merge — to a dense model, structure and value
-// bits, at one, two and four workers, on a matrix that splits into chunks,
-// a single row and a matrix with no entries, with empty and full rows and
-// signed-zero/NaN payloads.
+// TestQuickCSRKernelsBitIdentical holds the format package's CSR results —
+// the dense ⟨+,×⟩ product through its bitmaps and the delta merge on
+// sparse.EmitCSR — to a dense model, structure and value bits, at one, two
+// and four workers, on a matrix that splits into chunks, a single row and a
+// matrix with no entries, with empty and full rows and signed-zero/NaN
+// payloads.
 func TestQuickCSRKernelsBitIdentical(t *testing.T) {
 	parallel.SetMaxWorkersForTest(t, 1)
 	f := func(seed int64) bool {
@@ -121,11 +106,7 @@ func TestQuickCSRKernelsBitIdentical(t *testing.T) {
 			nr, nc int
 			p      float64
 		}{{"chunked", 100, 70, 0.35}, {"single-row", 1, 300, 0.5}, {"no-entries", 40, 30, 0}} {
-			a, bc := payloadCSR(rng, sh.nr, sh.nc, sh.p), payloadCSR(rng, sh.nc, sh.nc, sh.p)
-			b := BitmapFromCSR(bc)
-			mask := matMaskFor(rng, sh.nr, sh.nc, false)
-			comp := *mask
-			comp.Comp = true
+			a, b := payloadCSR(rng, sh.nr, sh.nc, sh.p), payloadCSR(rng, sh.nc, sh.nc, sh.p)
 			main := payloadCSR(rng, sh.nr, sh.nc, sh.p)
 			var ts []sparse.Tuple[float64]
 			model := map[[2]int]float64{}
@@ -155,9 +136,7 @@ func TestQuickCSRKernelsBitIdentical(t *testing.T) {
 				run  func() *sparse.CSR[float64]
 				want map[[2]int]float64
 			}{
-				{"SpGEMMBitmap", func() *sparse.CSR[float64] { return SpGEMMBitmap(a, b, timesF, plusF, nil) }, productModel(a, bc, nil)},
-				{"SpGEMMBitmap/mask", func() *sparse.CSR[float64] { return SpGEMMBitmap(a, b, timesF, plusF, mask) }, productModel(a, bc, mask)},
-				{"SpGEMMBitmap/comp", func() *sparse.CSR[float64] { return SpGEMMBitmap(a, b, timesF, plusF, &comp) }, productModel(a, bc, &comp)},
+				{"denseProduct", func() *sparse.CSR[float64] { return denseProduct(a, b) }, productModel(a, b)},
 				{"MergeDeltaCSR", func() *sparse.CSR[float64] { return MergeDeltaCSR(main, d) }, model},
 			}
 			for _, tc := range cases {
@@ -175,37 +154,9 @@ func TestQuickCSRKernelsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestGovernedCSRAlloc: the bitmap product charges the allocation governor
-// for its result's exact size — nnz column indices and values — before
-// allocating it, and a denied charge returns every arena it drew.
-func TestGovernedCSRAlloc(t *testing.T) {
-	leakcheck.AssertQuiescent(t)
-	rng := rand.New(rand.NewSource(3))
-	a, bc := payloadCSR(rng, 30, 30, 0.3), payloadCSR(rng, 30, 30, 0.3)
-	b := BitmapFromCSR(bc)
-	want := SpGEMMBitmap(a, b, timesF, plusF, nil)
-	exact := int64(want.NNZ()) * (8 + elemBytes)
-	prev := faults.SetAllocBudget(exact - 1)
-	t.Cleanup(func() { faults.SetAllocBudget(prev) })
-	func() {
-		defer func() {
-			f, ok := recover().(*faults.Fault)
-			if !ok || f.Kind != faults.OOM || f.Site != "format.alloc.csr" || f.Bytes != exact {
-				t.Fatalf("recovered %v, want a format.alloc.csr OOM of %d bytes", f, exact)
-			}
-		}()
-		SpGEMMBitmap(a, b, timesF, plusF, nil)
-		t.Fatal("product over the budget not denied")
-	}()
-	faults.SetAllocBudget(exact)
-	requireModel(t, "at the exact budget", SpGEMMBitmap(a, b, timesF, plusF, nil), productModel(a, bc, nil))
-}
-
-// TestCSRKernelsAllocBudget pins the format package's kernels on
+// TestCSRKernelsAllocBudget pins the format package's kernel on
 // sparse.EmitCSR at one worker, tracing off and the pool warm: the same
-// count on a 64-row and a 256-row matrix. The bitmap product adds to the
-// builder's six the sparse accumulator and the presence marks; the delta
-// merge nothing.
+// count on a 64-row and a 256-row matrix, the builder's six.
 func TestCSRKernelsAllocBudget(t *testing.T) {
 	parallel.SetMaxWorkersForTest(t, 1)
 	prev := obs.SetTracer(nil)
@@ -215,8 +166,6 @@ func TestCSRKernelsAllocBudget(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	type fixture struct {
 		a *sparse.CSR[float64]
-		b *Bitmap[float64]
-		m *sparse.MatMask
 		d *HyperDelta[float64]
 	}
 	fixtureOf := func(n int) fixture {
@@ -225,16 +174,13 @@ func TestCSRKernelsAllocBudget(t *testing.T) {
 		for k := 0; k < n; k++ {
 			ts = append(ts, sparse.Tuple[float64]{I: rng.Intn(n), J: rng.Intn(n), V: 1, Del: k%4 == 0})
 		}
-		return fixture{a: randCSR(rng, n, n, 0.1), b: BitmapFromCSR(randCSR(rng, n, n, 0.3)),
-			m: matMaskFor(rng, n, n, true), d: DeltaFromTuples(n, n, ts)}
+		return fixture{a: randCSR(rng, n, n, 0.1), d: DeltaFromTuples(n, n, ts)}
 	}
 	cases := []struct {
 		name   string
 		budget float64
 		run    func(f fixture)
 	}{
-		{"SpGEMMBitmap", 9, func(f fixture) { SpGEMMBitmap(f.a, f.b, timesF, plusF, nil) }},
-		{"SpGEMMBitmap/comp", 10, func(f fixture) { SpGEMMBitmap(f.a, f.b, timesF, plusF, f.m) }},
 		{"MergeDeltaCSR", 6, func(f fixture) { MergeDeltaCSR(f.a, f.d) }},
 	}
 	small, large := fixtureOf(64), fixtureOf(256)

@@ -32,23 +32,19 @@ func TestGovernedBitmapAlloc(t *testing.T) {
 	}
 }
 
-// TestKernelFaultSite: the bitmap MxV kernel carries a deterministic
+// TestKernelFaultSite: the dense ⟨+,×⟩ product carries a deterministic
 // injection site at its entry, before any parallel work.
 func TestKernelFaultSite(t *testing.T) {
 	leakcheck.AssertQuiescent(t)
 	t.Cleanup(faults.Disable)
-	b := NewBitmap[float64](8, 8)
-	b.Set(2, 3, 5)
-	faults.Configure(1, faults.Rule{Site: "format.kernel.bitmap.mxv", Kind: faults.KernelErr})
+	a, _ := sparse.BuildCSR(8, 8, []int{0, 2}, []int{2, 3}, []float64{1, 5}, nil)
+	faults.Configure(1, faults.Rule{Site: "format.kernel.bitmap.mxm.fast", Kind: faults.KernelErr})
 	defer func() {
 		f, ok := recover().(*faults.Fault)
 		if !ok || f.Kind != faults.KernelErr {
 			t.Fatalf("recovered %v, want KernelErr fault", f)
 		}
 	}()
-	u, _ := sparse.BuildVec(8, []int{0, 3, 5}, []float64{1, 1, 1}, nil)
-	DotMxVBitmap(b, u,
-		func(x, y float64) float64 { return x * y },
-		func(x, y float64) float64 { return x + y }, nil)
+	TryMxMPlusTimes(a, a)
 	t.Fatal("kernel site did not fire")
 }

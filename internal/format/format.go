@@ -1,23 +1,19 @@
-// Package format is the multi-format sparse storage engine beneath the
-// opaque GraphBLAS matrix. The paper's second design goal — opaque objects
-// exist so "the implementation can adapt data structures to the hardware and
-// the problem" — is realized here: alongside the CSR layout of package
-// sparse, this package provides a bitmap/dense layout for saturated operands
-// and a hypersparse layout for nearly-empty ones, conversions between every
-// pair, and an adaptive policy (Choose) that picks a layout from the fill
-// ratio and the operation about to consume the matrix.
+// Package format holds the matrix layouts other than CSR and the one kernel
+// that pays for one. A Matrix stores CSR and nothing else; the bitmap
+// layout lives here as the transient operand of the dense ⟨+,×⟩ product
+// (DenseProductWins, TryMxMPlusTimes), and the hypersparse layout as the
+// streaming delta overlay (HyperDelta). Hyper, Convert and DotMxVBitmap
+// remain as converters and a kernel the benchmark probes time.
 //
 // The package deliberately contains no GraphBLAS semantics: like package
-// sparse, it sees pre-resolved masks and plain Go functions. The core
-// package owns the decision of when to convert (it caches converted forms on
-// the opaque Matrix) and which kernel to dispatch.
+// sparse, it sees pre-resolved masks and plain Go functions.
 package format
 
 // Kind identifies a storage layout for matrix content.
 type Kind uint8
 
 const (
-	// Auto lets Choose pick a layout per operation.
+	// Auto asks Convert to keep the layout a store already has.
 	Auto Kind = iota
 	// CSRKind is the compressed-sparse-row layout of sparse.CSR.
 	CSRKind
@@ -43,107 +39,4 @@ func (k Kind) String() string {
 		return "hypersparse"
 	}
 	return "unknown"
-}
-
-// OpHint tells Choose which operation is about to consume (or just produced)
-// the matrix, biasing the layout decision. Descriptor settings and the
-// nonblocking queue record hints so deferred results can be materialized
-// directly in the cheapest format.
-type OpHint uint8
-
-const (
-	// HintNone applies the default thresholds.
-	HintNone OpHint = iota
-	// HintMxV marks a matrix-vector multiply operand; the bitmap dot kernel
-	// wins earliest here, so the bitmap threshold is lowered.
-	HintMxV
-	// HintMxM marks a matrix-matrix multiply operand (the B side benefits
-	// from O(1) row access); bitmap threshold is lowered.
-	HintMxM
-	// HintEWise marks an element-wise merge operand; merges stream CSR rows
-	// well, so the default thresholds apply.
-	HintEWise
-	// HintAssign marks an assign/extract target, which rewrites row
-	// structure; CSR is preferred (bitmap threshold is raised).
-	HintAssign
-	// HintIterate marks extraction/iteration consumers that want tuples in
-	// row-major order; CSR is preferred.
-	HintIterate
-)
-
-// String returns the hint name.
-func (h OpHint) String() string {
-	switch h {
-	case HintNone:
-		return "none"
-	case HintMxV:
-		return "mxv"
-	case HintMxM:
-		return "mxm"
-	case HintEWise:
-		return "ewise"
-	case HintAssign:
-		return "assign"
-	case HintIterate:
-		return "iterate"
-	}
-	return "unknown"
-}
-
-// Threshold constants of the adaptive policy. Fill ratio is nvals/(nrows·
-// ncols); row fill is nvals/nrows (average stored entries per row).
-const (
-	// bitmapFill is the default fill ratio at which the bitmap layout is
-	// chosen: above it, the bitset+dense layout touches less memory per
-	// stored entry than CSR's 16 bytes (index+value) and gains O(1) access.
-	bitmapFill = 0.10
-	// bitmapFillMul is the lowered threshold under HintMxV/HintMxM.
-	bitmapFillMul = 0.04
-	// bitmapFillAssign is the raised threshold under HintAssign/HintIterate.
-	bitmapFillAssign = 0.25
-	// maxBitmapCells caps the dense allocation a conversion may create
-	// (cells = nrows·ncols); above it bitmap is never chosen, matching the
-	// "adapt to the hardware" goal — a dense layout that cannot fit in
-	// memory is no adaptation. 1<<27 cells is 1 GiB of float64 values.
-	maxBitmapCells = 1 << 27
-	// hyperRowFill is the average entries-per-row below which the
-	// hypersparse layout is chosen: when most rows are empty, CSR's
-	// nrows+1 row-pointer array dominates both space and scan cost.
-	hyperRowFill = 0.125
-	// hyperMinRows keeps tiny matrices in CSR, where the constant factors
-	// of an extra indirection are not worth saving a few pointers.
-	hyperMinRows = 1024
-)
-
-// BitmapFeasible reports whether an nrows×ncols dense allocation stays
-// within the engine's bitmap cell cap; Choose never selects the bitmap
-// layout beyond it, and forcing the layout past it is rejected.
-func BitmapFeasible(nrows, ncols int) bool {
-	return nrows > 0 && ncols > 0 && uint64(nrows)*uint64(ncols) <= maxBitmapCells
-}
-
-// Choose picks a storage layout for an nrows×ncols matrix holding nvals
-// stored elements, to be consumed by the operation described by hint. It is
-// the adaptive-selection policy of the storage engine; callers pass the
-// result to the conversion routines or use it to pick a kernel.
-func Choose(nrows, ncols, nvals int, hint OpHint) Kind {
-	if nrows <= 0 || ncols <= 0 {
-		return CSRKind
-	}
-	cells := uint64(nrows) * uint64(ncols)
-	fill := float64(nvals) / float64(cells)
-	threshold := bitmapFill
-	switch hint {
-	case HintMxV, HintMxM:
-		threshold = bitmapFillMul
-	case HintAssign, HintIterate:
-		threshold = bitmapFillAssign
-	}
-	if cells <= maxBitmapCells && fill >= threshold {
-		return BitmapKind
-	}
-	if nrows >= hyperMinRows && float64(nvals) < hyperRowFill*float64(nrows) {
-		return HyperKind
-	}
-	return CSRKind
 }

@@ -39,51 +39,9 @@ func randVec(rng *rand.Rand, n int, fill float64) *sparse.Vec[float64] {
 	return v
 }
 
-func tuplesOf[T any](t *testing.T, s Store[T]) ([]int, []int, []T) {
-	t.Helper()
-	is, js, vs := s.Tuples()
-	return is, js, vs
-}
-
-func TestChoosePolicy(t *testing.T) {
-	cases := []struct {
-		name          string
-		nr, nc, nvals int
-		hint          OpHint
-		want          Kind
-	}{
-		{"empty-dims", 0, 0, 0, HintNone, CSRKind},
-		{"dense-default", 100, 100, 2000, HintNone, BitmapKind},            // fill 0.2 ≥ 0.10
-		{"mid-default", 100, 100, 500, HintNone, CSRKind},                  // fill 0.05 < 0.10
-		{"mid-mul-hint", 100, 100, 500, HintMxV, BitmapKind},               // fill 0.05 ≥ 0.04
-		{"mid-assign-hint", 100, 100, 2000, HintAssign, CSRKind},           // fill 0.2 < 0.25
-		{"dense-assign-hint", 100, 100, 3000, HintAssign, BitmapKind},      // fill 0.3 ≥ 0.25
-		{"huge-dense-capped", 1 << 16, 1 << 16, 1 << 30, HintMxV, CSRKind}, // cells > cap
-		{"hypersparse", 1 << 20, 1 << 20, 1000, HintNone, HyperKind},       // avg row fill ≪ 0.125
-		{"small-sparse-stays-csr", 512, 512, 10, HintNone, CSRKind},        // below hyperMinRows
-	}
-	for _, c := range cases {
-		if got := Choose(c.nr, c.nc, c.nvals, c.hint); got != c.want {
-			t.Errorf("%s: Choose(%d,%d,%d,%v) = %v, want %v", c.name, c.nr, c.nc, c.nvals, c.hint, got, c.want)
-		}
-	}
-}
-
-func TestBitmapFeasible(t *testing.T) {
-	if !BitmapFeasible(1024, 1024) {
-		t.Error("1024x1024 should be feasible")
-	}
-	if BitmapFeasible(1<<16, 1<<16) {
-		t.Error("2^32 cells should exceed the cap")
-	}
-	if BitmapFeasible(0, 10) || BitmapFeasible(10, -1) {
-		t.Error("non-positive dimensions are never feasible")
-	}
-}
-
-// TestRoundTripAllPairs is the property test of the conversion graph: for
-// random matrices across fill ratios, every conversion chain must preserve
-// the extracted tuples exactly.
+// TestRoundTripAllPairs is the property test of the conversions: for
+// random matrices across fill ratios, every ordered pair of layouts must
+// preserve the stored tuples exactly.
 func TestRoundTripAllPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, fill := range []float64{0, 0.001, 0.01, 0.1, 0.5, 0.95} {
@@ -92,22 +50,11 @@ func TestRoundTripAllPairs(t *testing.T) {
 			nc := 1 + rng.Intn(130)
 			m := randCSR(rng, nr, nc, fill)
 			wantI, wantJ, wantV := m.Tuples()
-
-			// CSR → bitmap → hypersparse → CSR, the chain named in the issue.
-			b := BitmapFromCSR(m)
-			h := HyperFromBitmap(b)
-			back := h.ToCSR()
-			gotI, gotJ, gotV := back.Tuples()
-			if !sameTuples(wantI, wantJ, wantV, gotI, gotJ, gotV) {
-				t.Fatalf("fill %v %dx%d: csr→bitmap→hyper→csr changed tuples", fill, nr, nc)
-			}
-
-			// Every ordered pair via Convert on the Store interface.
-			kinds := []Kind{CSRKind, BitmapKind, HyperKind}
+			kinds := []Kind{Auto, CSRKind, BitmapKind, HyperKind}
 			for _, k1 := range kinds {
 				for _, k2 := range kinds {
 					s := Convert(Convert[float64](Wrap(m), k1), k2)
-					gi, gj, gv := tuplesOf(t, s)
+					gi, gj, gv := s.ToCSR().Tuples()
 					if !sameTuples(wantI, wantJ, wantV, gi, gj, gv) {
 						t.Fatalf("fill %v %dx%d: convert %v→%v changed tuples", fill, nr, nc, k1, k2)
 					}
@@ -130,67 +77,6 @@ func sameTuples[T comparable](ai, aj []int, av []T, bi, bj []int, bv []T) bool {
 		}
 	}
 	return true
-}
-
-func TestConvertAutoUsesChoose(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	dense := randCSR(rng, 64, 64, 0.5)
-	if got := Convert[float64](Wrap(dense), Auto).Kind(); got != BitmapKind {
-		t.Errorf("dense auto-convert: got %v, want bitmap", got)
-	}
-	sparse64 := randCSR(rng, 2048, 2048, 0.00001)
-	if got := Convert[float64](Wrap(sparse64), Auto).Kind(); got != HyperKind {
-		t.Errorf("hypersparse auto-convert: got %v, want hypersparse", got)
-	}
-}
-
-func TestBitmapPointOps(t *testing.T) {
-	b := NewBitmap[float64](3, 130) // >2 words per row
-	if b.Words != 3 {
-		t.Fatalf("Words = %d, want 3", b.Words)
-	}
-	b.Set(1, 0, 2.5)
-	b.Set(1, 64, -1)
-	b.Set(1, 129, 7)
-	b.Set(1, 129, 8) // overwrite must not double-count
-	if b.NNZ() != 3 {
-		t.Fatalf("NNZ = %d, want 3", b.NNZ())
-	}
-	if v, ok := b.Get(1, 129); !ok || v != 8 {
-		t.Fatalf("Get(1,129) = %v,%v", v, ok)
-	}
-	if _, ok := b.Get(0, 0); ok {
-		t.Fatal("Get(0,0) should be absent")
-	}
-	if !b.Remove(1, 64) || b.Remove(1, 64) {
-		t.Fatal("Remove semantics wrong")
-	}
-	if b.NNZ() != 2 {
-		t.Fatalf("NNZ after remove = %d, want 2", b.NNZ())
-	}
-	if b.Has(1, 64) {
-		t.Fatal("removed cell still present")
-	}
-}
-
-func TestStoreGetAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	m := randCSR(rng, 40, 60, 0.15)
-	stores := []Store[float64]{Wrap(m), BitmapFromCSR(m), HyperFromCSR(m)}
-	for i := 0; i < 40; i++ {
-		for j := 0; j < 60; j++ {
-			wantV, wantOK := m.Get(i, j)
-			for _, s := range stores {
-				gotV, gotOK := s.Get(i, j)
-				if gotOK != wantOK || gotV != wantV {
-					t.Fatalf("%v: Get(%d,%d) = %v,%v want %v,%v", s.Kind(), i, j, gotV, gotOK, wantV, wantOK)
-				}
-				if s.Has(i, j) != wantOK {
-					t.Fatalf("%v: Has(%d,%d) disagrees", s.Kind(), i, j)
-				}
-			}
-		}
-	}
 }
 
 func plusF(a, b float64) float64  { return a + b }
@@ -223,8 +109,8 @@ func masksFor(rng *rand.Rand, n int) []*sparse.VecMask {
 	}
 }
 
-// TestKernelEquivalence checks every format kernel against the CSR reference
-// kernel on random operands, with and without masks.
+// TestKernelEquivalence checks the bitmap dot kernel against the CSR
+// reference kernel on random operands, with and without masks.
 func TestKernelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 8; trial++ {
@@ -233,102 +119,52 @@ func TestKernelEquivalence(t *testing.T) {
 		fill := []float64{0.02, 0.2, 0.7}[trial%3]
 		a := randCSR(rng, nr, nc, fill)
 		u := randVec(rng, nc, 0.5)
-		ut := randVec(rng, nr, 0.5)
 		b := BitmapFromCSR(a)
-		h := HyperFromCSR(a)
 
 		for _, vm := range masksFor(rng, nr) {
 			want := sparse.DotMxV(a, u, timesF, plusF, vm)
 			if got := DotMxVBitmap(b, u, timesF, plusF, vm); !vecEqual(got, want) {
 				t.Fatalf("trial %d: DotMxVBitmap disagrees with DotMxV", trial)
 			}
-			if got := DotMxVHyper(h, u, timesF, plusF, vm); !vecEqual(got, want) {
-				t.Fatalf("trial %d: DotMxVHyper disagrees with DotMxV", trial)
-			}
-			r, ok := TryDotMxVPlusTimes(b, u, vm)
-			if !ok {
-				t.Fatal("TryDotMxVPlusTimes refused float64 operands")
-			}
-			if got := r.(*sparse.Vec[float64]); !vecEqual(got, want) {
-				t.Fatalf("trial %d: plus-times dot kernel disagrees with DotMxV", trial)
-			}
-		}
-
-		for _, vm := range masksFor(rng, nc) {
-			want := sparse.PushMxV(a, ut, timesF, plusF, vm)
-			if got := PushMxVHyper(h, ut, timesF, plusF, vm); !vecEqual(got, want) {
-				t.Fatalf("trial %d: PushMxVHyper disagrees with PushMxV", trial)
-			}
 		}
 	}
 }
 
-// matMaskFor builds a random matrix mask over nr×nc.
-func matMaskFor(rng *rand.Rand, nr, nc int, comp bool) *sparse.MatMask {
-	m := randCSR(rng, nr, nc, 0.3)
-	return &sparse.MatMask{
-		NCols:  nc,
-		EffPtr: m.Ptr, EffIdx: m.ColIdx,
-		StrPtr: m.Ptr, StrIdx: m.ColIdx,
-		Comp: comp,
+// TestDenseProductWins pins the dense product's rule at its edges: the
+// fill threshold and the cell cap on B and on the product.
+func TestDenseProductWins(t *testing.T) {
+	cases := []struct {
+		name    string
+		m, k, n int
+		nnzB    int
+		want    bool
+	}{
+		{"empty-dims", 0, 100, 100, 0, false},
+		{"below-fill", 100, 100, 100, 399, false},
+		{"at-fill", 100, 100, 100, 400, true},
+		{"full", 100, 100, 100, 10000, true},
+		{"B-over-cap", 1, 1 << 14, 1<<13 + 1, 1 << 27, false},
+		{"C-over-cap", 1 << 20, 64, 1 << 8, 1 << 14, false},
 	}
-}
-
-func csrEqual(t *testing.T, got, want *sparse.CSR[float64], what string) {
-	t.Helper()
-	gi, gj, gv := got.Tuples()
-	wi, wj, wv := want.Tuples()
-	if !sameTuples(wi, wj, wv, gi, gj, gv) {
-		t.Fatalf("%s disagrees with reference SpGEMM", what)
-	}
-}
-
-func TestSpGEMMBitmapEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 6; trial++ {
-		m := 1 + rng.Intn(50)
-		k := 1 + rng.Intn(50)
-		n := 1 + rng.Intn(50)
-		a := randCSR(rng, m, k, 0.15)
-		bcsr := randCSR(rng, k, n, 0.4)
-		b := BitmapFromCSR(bcsr)
-
-		want := sparse.SpGEMM(a, bcsr, timesF, plusF, nil)
-		csrEqual(t, SpGEMMBitmap(a, b, timesF, plusF, nil), want, "SpGEMMBitmap (no mask)")
-
-		r, ok := TryMxMPlusTimes(a, b)
-		if !ok {
-			t.Fatal("TryMxMPlusTimes refused float64 operands")
-		}
-		out := r.(*Bitmap[float64])
-		csrEqual(t, out.ToCSR(), want, "plus-times bitmap SpGEMM")
-		if out.NNZ() != want.NNZ() {
-			t.Fatalf("plus-times bitmap SpGEMM nnz = %d, want %d", out.NNZ(), want.NNZ())
-		}
-
-		for _, comp := range []bool{false, true} {
-			mm := matMaskFor(rng, m, n, comp)
-			wantMasked := sparse.SpGEMM(a, bcsr, timesF, plusF, mm)
-			csrEqual(t, SpGEMMBitmap(a, b, timesF, plusF, mm), wantMasked, "SpGEMMBitmap (masked)")
+	for _, c := range cases {
+		if got := DenseProductWins(c.m, c.k, c.n, c.nnzB); got != c.want {
+			t.Errorf("%s: DenseProductWins(%d,%d,%d,%d) = %v, want %v", c.name, c.m, c.k, c.n, c.nnzB, got, c.want)
 		}
 	}
 }
 
-// TestTryDispatchRefusals pins down that the any-based dispatchers refuse
+// TestTryDispatchRefusals pins down that the any-based dispatcher refuses
 // mismatched or unsupported domains instead of mis-typing.
 func TestTryDispatchRefusals(t *testing.T) {
-	b64 := NewBitmap[float64](4, 4)
-	u32 := &sparse.Vec[float32]{N: 4}
-	if _, ok := TryDotMxVPlusTimes(b64, u32, nil); ok {
-		t.Error("mixed float64/float32 dot dispatch should refuse")
-	}
-	bc := NewBitmap[complex128](4, 4)
-	uc := &sparse.Vec[complex128]{N: 4}
-	if _, ok := TryDotMxVPlusTimes(bc, uc, nil); ok {
-		t.Error("complex128 dot dispatch should refuse")
-	}
-	ai := sparse.NewCSR[int](4, 4)
-	if _, ok := TryMxMPlusTimes(ai, b64); ok {
+	a64 := sparse.NewCSR[float64](4, 4)
+	if _, ok := TryMxMPlusTimes(sparse.NewCSR[int](4, 4), a64); ok {
 		t.Error("mixed int/float64 mxm dispatch should refuse")
+	}
+	ac := sparse.NewCSR[complex128](4, 4)
+	if _, ok := TryMxMPlusTimes(ac, ac); ok {
+		t.Error("complex128 mxm dispatch should refuse")
+	}
+	if got, ok := TryMxMPlusTimes(a64, a64); !ok || got.(*sparse.CSR[float64]).NNZ() != 0 {
+		t.Error("float64 mxm dispatch refused or not empty")
 	}
 }

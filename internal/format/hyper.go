@@ -1,8 +1,6 @@
 package format
 
 import (
-	"sort"
-
 	"graphblas/internal/faults"
 	"graphblas/internal/sparse"
 )
@@ -29,40 +27,6 @@ func (h *Hyper[T]) NNZ() int { return h.Ptr[len(h.Rows)] }
 
 // Kind reports HyperKind.
 func (h *Hyper[T]) Kind() Kind { return HyperKind }
-
-// RowAt returns the column indices and values of the k-th non-empty row.
-func (h *Hyper[T]) RowAt(k int) ([]int, []T) {
-	lo, hi := h.Ptr[k], h.Ptr[k+1]
-	return h.ColIdx[lo:hi], h.Val[lo:hi]
-}
-
-// findRow locates logical row i in Rows.
-func (h *Hyper[T]) findRow(i int) (int, bool) {
-	k := sort.SearchInts(h.Rows, i)
-	return k, k < len(h.Rows) && h.Rows[k] == i
-}
-
-// Get returns the element at (i, j) and whether it is stored: a binary
-// search over the non-empty rows, then one over the row's columns.
-func (h *Hyper[T]) Get(i, j int) (T, bool) {
-	var zero T
-	k, ok := h.findRow(i)
-	if !ok {
-		return zero, false
-	}
-	idx, val := h.RowAt(k)
-	p := sort.SearchInts(idx, j)
-	if p < len(idx) && idx[p] == j {
-		return val[p], true
-	}
-	return zero, false
-}
-
-// Has reports whether (i, j) is stored.
-func (h *Hyper[T]) Has(i, j int) bool {
-	_, ok := h.Get(i, j)
-	return ok
-}
 
 // HyperFromCSR converts a CSR matrix to the hypersparse layout. The payload
 // arrays are shared with m (CSR stores them contiguously already); only the
@@ -97,18 +61,4 @@ func (h *Hyper[T]) ToCSR() *sparse.CSR[T] {
 		}
 	}
 	return c
-}
-
-// Tuples returns copies of the stored triples in row-major order.
-func (h *Hyper[T]) Tuples() (is, js []int, vals []T) {
-	nnz := h.NNZ()
-	is = make([]int, 0, nnz)
-	js = append([]int(nil), h.ColIdx[:nnz]...)
-	vals = append([]T(nil), h.Val[:nnz]...)
-	for k, i := range h.Rows {
-		for p := h.Ptr[k]; p < h.Ptr[k+1]; p++ {
-			is = append(is, i)
-		}
-	}
-	return is, js, vals
 }

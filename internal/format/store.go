@@ -1,24 +1,14 @@
 package format
 
-import (
-	"math/bits"
+import "graphblas/internal/sparse"
 
-	"graphblas/internal/sparse"
-)
-
-// Store is the common surface of the three matrix layouts. The core package
-// keeps CSR as the canonical mutation target and caches the alternative
-// layouts on the opaque Matrix; kernels dispatch on the concrete types, so
-// Store exists for the format-agnostic paths (inspection, extraction,
-// conversion) and for tests that treat layouts uniformly.
+// Store is the common surface of the three matrix layouts, for code that
+// converts between them.
 type Store[T any] interface {
 	Kind() Kind
 	Dims() (nrows, ncols int)
 	NNZ() int
-	Get(i, j int) (T, bool)
-	Has(i, j int) bool
 	ToCSR() *sparse.CSR[T]
-	Tuples() (is, js []int, vals []T)
 }
 
 // CSRStore adapts sparse.CSR to the Store interface.
@@ -33,90 +23,24 @@ func (s CSRStore[T]) Dims() (int, int) { return s.M.NRows, s.M.NCols }
 // NNZ reports the number of stored elements.
 func (s CSRStore[T]) NNZ() int { return s.M.NNZ() }
 
-// Get returns the element at (i, j) and whether it is stored.
-func (s CSRStore[T]) Get(i, j int) (T, bool) { return s.M.Get(i, j) }
-
-// Has reports whether (i, j) is stored.
-func (s CSRStore[T]) Has(i, j int) bool { return s.M.Has(i, j) }
-
 // ToCSR returns the wrapped matrix itself.
 func (s CSRStore[T]) ToCSR() *sparse.CSR[T] { return s.M }
-
-// Tuples returns copies of the stored triples in row-major order.
-func (s CSRStore[T]) Tuples() ([]int, []int, []T) { return s.M.Tuples() }
 
 // Wrap presents a CSR matrix as a Store.
 func Wrap[T any](m *sparse.CSR[T]) Store[T] { return CSRStore[T]{M: m} }
 
-// Convert re-materializes s in the layout k (Auto consults Choose with
-// HintNone). Converting to the layout s already has returns s unchanged;
-// every ordered pair of distinct layouts is reachable, with the
-// bitmap↔hypersparse pairs taking the direct routines below rather than
-// bouncing through CSR.
+// Convert re-materializes s in the layout k, through its CSR form.
+// Converting to the layout s already has, or to Auto, returns s unchanged.
 func Convert[T any](s Store[T], k Kind) Store[T] {
-	if k == Auto {
-		nr, nc := s.Dims()
-		k = Choose(nr, nc, s.NNZ(), HintNone)
-	}
-	if k == s.Kind() {
+	if k == Auto || k == s.Kind() {
 		return s
 	}
 	switch k {
 	case BitmapKind:
-		if h, ok := s.(*Hyper[T]); ok {
-			return BitmapFromHyper(h)
-		}
 		return BitmapFromCSR(s.ToCSR())
 	case HyperKind:
-		if b, ok := s.(*Bitmap[T]); ok {
-			return HyperFromBitmap(b)
-		}
 		return HyperFromCSR(s.ToCSR())
 	default:
 		return Wrap(s.ToCSR())
 	}
-}
-
-// BitmapFromHyper converts hypersparse content to the bitmap layout without
-// materializing the intermediate CSR row pointers.
-func BitmapFromHyper[T any](h *Hyper[T]) *Bitmap[T] {
-	b := NewBitmap[T](h.NRows, h.NCols)
-	for k := range h.Rows {
-		i := h.Rows[k]
-		idx, val := h.RowAt(k)
-		rb := b.RowBits(i)
-		rv := b.RowVals(i)
-		for p, j := range idx {
-			rb[j>>6] |= 1 << (uint(j) & 63)
-			rv[j] = val[p]
-		}
-	}
-	b.nvals = h.NNZ()
-	return b
-}
-
-// HyperFromBitmap converts bitmap content to the hypersparse layout,
-// visiting only the non-empty rows' payload.
-func HyperFromBitmap[T any](b *Bitmap[T]) *Hyper[T] {
-	h := &Hyper[T]{NRows: b.NRows, NCols: b.NCols}
-	h.Ptr = append(h.Ptr, 0)
-	for i := 0; i < b.NRows; i++ {
-		n := b.rowNNZ(i)
-		if n == 0 {
-			continue
-		}
-		h.Rows = append(h.Rows, i)
-		rv := b.RowVals(i)
-		for wi, w := range b.RowBits(i) {
-			base := wi << 6
-			for w != 0 {
-				j := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				h.ColIdx = append(h.ColIdx, j)
-				h.Val = append(h.Val, rv[j])
-			}
-		}
-		h.Ptr = append(h.Ptr, len(h.ColIdx))
-	}
-	return h
 }

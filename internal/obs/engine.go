@@ -51,11 +51,11 @@ var (
 	DagEdges = NewCounter("graphblas_dag_edges_total",
 		"Hazard edges (RAW/WAW/WAR) across all DAG-scheduled flushes.")
 
-	// Format engine.
+	// Layouts beside the CSR store.
 	FormatKernels = NewCounterVec("graphblas_format_kernels_total",
-		"Kernel dispatches that consumed a non-CSR layout, by layout.", "layout")
+		"Kernel runs on a layout other than CSR; the one label is fast, the dense plus-times MxM over a transient bitmap of B.", "layout")
 	FormatConversions = NewCounter("graphblas_format_conversions_total",
-		"Materializations of an alternate layout from the committed CSR store.")
+		"Builds of the merged main-plus-delta CSR view a streaming matrix's readers consume.")
 
 	StoresRecycled = NewCounter("graphblas_stores_recycled_total",
 		"Superseded vector stores whose value array went back to the free list once the operation that replaced them succeeded.")
@@ -81,7 +81,7 @@ var (
 
 	// Fault recovery.
 	KernelRetries = NewCounter("graphblas_kernel_retries_total",
-		"Fast-path kernel failures recovered by re-running on the generic CSR path.")
+		"Failures of a kernel the engine chose (dense product, masked dot, pull) recovered by re-running the reference kernel.")
 	Rollbacks = NewCounter("graphblas_rollbacks_total",
 		"Transactional restores of an output's committed store after kernel failure.")
 	FaultsInjected = NewCounter("graphblas_faults_injected_total",

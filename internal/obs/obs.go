@@ -8,7 +8,7 @@
 //
 //   - Per-operation spans. A Span follows one operation through the engine's
 //     lifecycle — enqueue → schedule → kernel → commit/rollback — recording
-//     the method name, program position, storage layout the kernel consumed,
+//     the method name, program position, the kernel the engine chose,
 //     an estimate of bytes touched, stage timestamps, and the outcome
 //     (success, failure with rollback, short-circuit cancellation, retry on
 //     the generic path, or elision). Spans exist only while a Tracer is
@@ -87,17 +87,17 @@ type Span struct {
 	// Pos is the operation's zero-based program-order position in its
 	// sequence, or -1 if it was never assigned one.
 	Pos int
-	// Layout names the storage layout the kernel consumed ("csr", "csr-dot"
-	// for MxM's transpose-free masked kernel, "csr-pull" for a scatter
-	// product the engine ran as dot products over the cached transpose,
-	// "bitmap", "bitmap-fast", "hyper"); empty when the operation has no
-	// format-engine dispatch.
+	// Layout names the kernel the engine chose ("csr", "csr-dot" for MxM's
+	// transpose-free masked kernel, "csr-pull" for a scatter product the
+	// engine ran as dot products over the cached transpose, "dense" for
+	// MxM's ⟨+,×⟩ product over a transient bitmap of B, "full" for a vector
+	// operation's array path); empty when the operation has no choice.
 	Layout string
 	// Bytes is an estimate of the bytes the kernel touched (derived from the
 	// result's stored-element count), 0 when unknown.
 	Bytes int64
-	// Retried reports that a fast-path kernel failed recoverably and the
-	// operation re-ran on the generic CSR path.
+	// Retried reports that a kernel the engine chose failed recoverably and
+	// the operation re-ran on the reference kernel.
 	Retried bool
 	// Fanout is the number of shard sub-engines a serving-layer request span
 	// covered; 0 for engine-operation spans and unsharded request spans.
@@ -140,9 +140,9 @@ func (s *Span) MarkKernel() {
 	}
 }
 
-// NoteLayout records the storage layout the kernel consumed. The last call
-// wins, so a retried operation reports the layout that actually produced the
-// committed result.
+// NoteLayout records the kernel the engine chose. The last call wins, so a
+// retried operation reports the kernel that actually produced the committed
+// result.
 func (s *Span) NoteLayout(layout string) {
 	if s != nil {
 		s.Layout = layout
@@ -164,8 +164,8 @@ func (s *Span) NoteFanout(n int) {
 	}
 }
 
-// NoteRetry records that a fast-path kernel failed recoverably and the
-// operation fell back to the generic path.
+// NoteRetry records that a kernel the engine chose failed recoverably and
+// the operation fell back to the reference kernel.
 func (s *Span) NoteRetry() {
 	if s != nil {
 		s.Retried = true

@@ -253,12 +253,10 @@ func (r *Rows[T]) join(c *CSR[T], lo, hi int) {
 // chunks in parallel. One join then copies the arenas, chunk after
 // chunk, into ColIdx and Val arrays of the result's exact size — in
 // parallel, each chunk placing its own — and returns the arenas to the
-// pool, on every path, a panicking fill included. charge, when non-nil, is
-// told the result's entry count before those arrays are allocated (the
-// format package's allocation governor).
+// pool, on every path, a panicking fill included.
 //
 //grblint:hotpath
-func EmitCSR[T any](nrows, ncols int, cum []int, charge func(nnz int), fill func(out *Rows[T], lo, hi int)) *CSR[T] {
+func EmitCSR[T any](nrows, ncols int, cum []int, fill func(out *Rows[T], lo, hi int)) *CSR[T] {
 	c := NewCSR[T](nrows, ncols)
 	bounds := parallel.WeightedBounds(nrows, cum)
 	chunks := 1
@@ -279,9 +277,6 @@ func EmitCSR[T any](nrows, ncols int, cum []int, charge func(nnz int), fill func
 	for k := range arenas {
 		arenas[k].at = nnz
 		nnz += len(arenas[k].Idx)
-	}
-	if charge != nil {
-		charge(nnz)
 	}
 	c.ColIdx, c.Val = make([]int, nnz), make([]T, nnz)
 	if bounds == nil {

@@ -33,7 +33,7 @@ func (m *MatMask) rowMask(i int) VecMask {
 
 // UnionCSR computes the eWiseAdd merge of a and b row-parallel.
 func UnionCSR[D any](a, b *CSR[D], add func(D, D) D) *CSR[D] {
-	return EmitCSR(a.NRows, a.NCols, a.Ptr, nil, func(out *Rows[D], lo, hi int) {
+	return EmitCSR(a.NRows, a.NCols, a.Ptr, func(out *Rows[D], lo, hi int) {
 		out.Reserve(a.Ptr[hi] - a.Ptr[lo] + b.Ptr[hi] - b.Ptr[lo])
 		for i := lo; i < hi; i++ {
 			aIdx, aVal := a.Row(i)
@@ -46,7 +46,7 @@ func UnionCSR[D any](a, b *CSR[D], add func(D, D) D) *CSR[D] {
 
 // IntersectCSR computes the eWiseMult merge of a and b row-parallel.
 func IntersectCSR[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC) *CSR[DC] {
-	return EmitCSR(a.NRows, a.NCols, a.Ptr, nil, func(out *Rows[DC], lo, hi int) {
+	return EmitCSR(a.NRows, a.NCols, a.Ptr, func(out *Rows[DC], lo, hi int) {
 		out.Reserve(min(a.Ptr[hi]-a.Ptr[lo], b.Ptr[hi]-b.Ptr[lo]))
 		for i := lo; i < hi; i++ {
 			aIdx, aVal := a.Row(i)
@@ -184,7 +184,7 @@ func MaskMergeCSR[D any](c, z *CSR[D], mask *MatMask, replace bool) *CSR[D] {
 	if c.NNZ() > z.NNZ() {
 		cum = c.Ptr
 	}
-	return EmitCSR(c.NRows, c.NCols, cum, nil, func(out *Rows[D], lo, hi int) {
+	return EmitCSR(c.NRows, c.NCols, cum, func(out *Rows[D], lo, hi int) {
 		out.Reserve(c.Ptr[hi] - c.Ptr[lo] + z.Ptr[hi] - z.Ptr[lo])
 		for i := lo; i < hi; i++ {
 			cIdx, cVal := c.Row(i)
@@ -237,7 +237,7 @@ func ExtractCSR[D any](a *CSR[D], rows, cols []int) *CSR[D] {
 		}
 		cum[r+1] = cum[r] + n
 	}
-	return EmitCSR(len(rows), len(cols), cum, nil, func(out *Rows[D], lo, hi int) {
+	return EmitCSR(len(rows), len(cols), cum, func(out *Rows[D], lo, hi int) {
 		out.Reserve(cum[hi] - cum[lo])
 		for r := lo; r < hi; r++ {
 			start := len(out.Idx)
@@ -311,7 +311,7 @@ func AssignExpandCSR[D any](c, a *CSR[D], rows, cols []int, accum func(D, D) D) 
 	slot, cum := assignRows(c, rows, len(cols))
 	defer pool.PutInts(slot)
 	defer pool.PutInts(cum)
-	return EmitCSR(c.NRows, c.NCols, cum, nil, func(out *Rows[D], lo, hi int) {
+	return EmitCSR(c.NRows, c.NCols, cum, func(out *Rows[D], lo, hi int) {
 		out.Reserve(cum[hi] - cum[lo])
 		es := make([]assignEntry[D], len(cols))
 		for i := lo; i < hi; i++ {
@@ -349,7 +349,7 @@ func AssignScalarExpandCSR[D any](c *CSR[D], x D, rows, cols []int, accum func(D
 	slot, cum := assignRows(c, rows, len(cols))
 	defer pool.PutInts(slot)
 	defer pool.PutInts(cum)
-	return EmitCSR(c.NRows, c.NCols, cum, nil, func(out *Rows[D], lo, hi int) {
+	return EmitCSR(c.NRows, c.NCols, cum, func(out *Rows[D], lo, hi int) {
 		out.Reserve(cum[hi] - cum[lo])
 		for i := lo; i < hi; i++ {
 			if slot[i] == 0 {
@@ -383,7 +383,7 @@ func AssignRowCSR[D any](c *CSR[D], u *Vec[D], i int, cols []int, accum func(D, 
 	sortAssign(es)
 	cIdx, cVal := c.Row(i)
 	zIdx, zVal := mergeAssign(cIdx, cVal, es, accum)
-	return EmitCSR(c.NRows, c.NCols, c.Ptr, nil, func(out *Rows[D], lo, hi int) {
+	return EmitCSR(c.NRows, c.NCols, c.Ptr, func(out *Rows[D], lo, hi int) {
 		out.Reserve(c.Ptr[hi] - c.Ptr[lo] + len(zIdx))
 		if i < lo || i >= hi {
 			out.Copy(c, lo, hi)
@@ -405,7 +405,7 @@ func AssignColCSR[D any](c *CSR[D], u *Vec[D], rows []int, j int, accum func(D, 
 	slot, cum := assignRows(c, rows, 1)
 	defer pool.PutInts(slot)
 	defer pool.PutInts(cum)
-	return EmitCSR(c.NRows, c.NCols, cum, nil, func(out *Rows[D], lo, hi int) {
+	return EmitCSR(c.NRows, c.NCols, cum, func(out *Rows[D], lo, hi int) {
 		out.Reserve(cum[hi] - cum[lo])
 		cur := MaskCursor{Mask: mask}
 		var es [1]assignEntry[D]

@@ -36,7 +36,7 @@ func (r Ring[DA, DB, DC]) SpGEMM(a *CSR[DA], b *CSR[DB], mask *MatMask) *CSR[DC]
 	mul, add := r.Mul, r.Add
 	faults.Step("sparse.kernel.spgemm")
 	done := obs.KernelStart("spgemm")
-	c := EmitCSR(a.NRows, b.NCols, a.Ptr, nil, func(out *Rows[DC], lo, hi int) {
+	c := EmitCSR(a.NRows, b.NCols, a.Ptr, func(out *Rows[DC], lo, hi int) {
 		out.Reserve(ProductBound(a, b.Ptr, b.NCols, lo, hi))
 		spa := NewSPA[DC](b.NCols)
 		if mask == nil {
@@ -298,7 +298,7 @@ func compactSlots[DC any](nrows, ncols int, mask *MatMask, ptr []int, val []DC, 
 // B rows selected by each A row. Asymptotically better for hypersparse
 // outputs, usually slower in practice — which is the point of the ablation.
 func SpGEMMHeap[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC, add func(DC, DC) DC) *CSR[DC] {
-	return EmitCSR(a.NRows, b.NCols, a.Ptr, nil, func(out *Rows[DC], lo, hi int) {
+	return EmitCSR(a.NRows, b.NCols, a.Ptr, func(out *Rows[DC], lo, hi int) {
 		out.Reserve(ProductBound(a, b.Ptr, b.NCols, lo, hi))
 		longest := 0
 		for i := lo; i < hi; i++ {

@@ -41,7 +41,7 @@ func VecUnionFill[DA, DB, DC any](a *Vec[DA], b *Vec[DB], op func(DA, DB) DC, al
 
 // UnionFillCSR computes the filled union of two matrices row-parallel.
 func UnionFillCSR[DA, DB, DC any](a *CSR[DA], b *CSR[DB], op func(DA, DB) DC, alpha DA, beta DB) *CSR[DC] {
-	return EmitCSR(a.NRows, a.NCols, a.Ptr, nil, func(out *Rows[DC], lo, hi int) {
+	return EmitCSR(a.NRows, a.NCols, a.Ptr, func(out *Rows[DC], lo, hi int) {
 		out.Reserve(a.Ptr[hi] - a.Ptr[lo] + b.Ptr[hi] - b.Ptr[lo])
 		for i := lo; i < hi; i++ {
 			aIdx, aVal := a.Row(i)
