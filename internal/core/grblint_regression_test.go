@@ -2,13 +2,102 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"graphblas/internal/faults"
 )
 
-// Regression test for a defect surfaced by the grblint static-analysis
-// suite: two kernels sharing one fault-injection site literal (faultsite).
+// Regression tests for defects surfaced by the grblint static-analysis
+// suite: a deferred MxM closure reading C's dimensions bare on a flush
+// worker (lockedmeta), and two kernels sharing one fault-injection site
+// literal (faultsite).
+
+// TestMxMDenseProductDimsRace: the dense ⟨+,×⟩ MxM runs inside the
+// deferred closure, on a flush worker, and commits its product into C there.
+// One goroutine keeps flushing enqueued MxMs while the test goroutine
+// Resizes C (to its own size, so validation keeps passing); a closure that
+// read c.nr/c.nc bare against Resize's eager metadata write — as the bitmap
+// adoption this path replaced once did — is flagged by the race detector.
+// Mirrors TestResizeDuringFlushRace.
+func TestMxMDenseProductDimsRace(t *testing.T) {
+	cases := []struct {
+		name  string
+		sched Scheduler
+	}{
+		{"Sequential", SchedSequential},
+		{"Dag", SchedDag},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+			withMode(t, NonBlocking, func() {
+				prevSched := SetScheduler(tc.sched)
+				defer SetScheduler(prevSched)
+				// Keep every deferred MxM alive: with elision on,
+				// back-to-back full-overwrite products are dead stores and
+				// their closures — the racing readers — would never run.
+				prevElide := SetElision(false)
+				defer SetElision(prevElide)
+				rng := rand.New(rand.NewSource(3))
+				s := plusTimesF64(t)
+				const n = 16
+				a := buildDenseMatrix(t, n, 0.4, rng)
+				b := buildDenseMatrix(t, n, 0.6, rng)
+				c, err := NewMatrix[float64](n, n)
+				if err != nil {
+					t.Fatalf("NewMatrix: %v", err)
+				}
+				want := func() dmat {
+					ref, _ := NewMatrix[float64](n, n)
+					if err := MxM(ref, NoMask, NoAccum[float64](), s, a, b, nil); err != nil {
+						t.Fatalf("reference MxM: %v", err)
+					}
+					if err := Wait(); err != nil {
+						t.Fatalf("reference Wait: %v", err)
+					}
+					return denseOf(t, ref)
+				}()
+				before := fmtFastOps.Value()
+				var wg sync.WaitGroup
+				wg.Add(1)
+				done := make(chan struct{})
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						_ = Wait()
+					}
+				}()
+				// Same-size Resize: the eager metadata write still happens
+				// (and would race with an unlocked closure read), while MxM's
+				// dimension validation keeps passing.
+				for i := 0; i < 400; i++ {
+					if err := MxM(c, NoMask, NoAccum[float64](), s, a, b, nil); err != nil {
+						t.Errorf("MxM: %v", err)
+					}
+					if err := c.Resize(n, n); err != nil {
+						t.Errorf("Resize: %v", err)
+					}
+				}
+				close(done)
+				wg.Wait()
+				if err := Wait(); err != nil {
+					t.Fatalf("final Wait: %v", err)
+				}
+				if fmtFastOps.Value() == before {
+					t.Fatal("no MxM took the dense product")
+				}
+				equalDense(t, denseOf(t, c), want, "MxM under concurrent flush")
+			})
+		})
+	}
+}
 
 // TestFallbackSitesDistinct: the two kernels the engine picks over a
 // reference one on the multiply paths — the pull of a scatter product and

@@ -67,6 +67,19 @@ func TestRoundTripAllPairs(t *testing.T) {
 	}
 }
 
+// TestConvertAutoKeepsLayout: with no policy choosing a layout, converting
+// to Auto hands back the store it was given, whatever its layout or fill.
+func TestConvertAutoKeepsLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	dense := randCSR(rng, 64, 64, 0.5)
+	hypersparse := randCSR(rng, 2048, 2048, 0.00001)
+	for _, s := range []Store[float64]{Wrap(dense), Wrap(hypersparse), BitmapFromCSR(dense), HyperFromCSR(hypersparse)} {
+		if got := Convert(s, Auto); got != s {
+			t.Errorf("auto-convert of a %v store returned a %v store", s.Kind(), got.Kind())
+		}
+	}
+}
+
 func sameTuples[T comparable](ai, aj []int, av []T, bi, bj []int, bv []T) bool {
 	if len(ai) != len(bi) {
 		return false
@@ -149,6 +162,39 @@ func TestDenseProductWins(t *testing.T) {
 	for _, c := range cases {
 		if got := DenseProductWins(c.m, c.k, c.n, c.nnzB); got != c.want {
 			t.Errorf("%s: DenseProductWins(%d,%d,%d,%d) = %v, want %v", c.name, c.m, c.k, c.n, c.nnzB, got, c.want)
+		}
+	}
+}
+
+// TestSpGEMMBitmapEquivalence checks the dense ⟨+,×⟩ product — B as a
+// bitmap, the product folded in dense rows — against the reference SpGEMM
+// on random shapes: the same tuples, the same count from the bitmap's
+// popcount, and an exact-size CSR result.
+func TestSpGEMMBitmapEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 6; trial++ {
+		m := 1 + rng.Intn(50)
+		k := 1 + rng.Intn(50)
+		n := 1 + rng.Intn(50)
+		a := randCSR(rng, m, k, 0.15)
+		b := randCSR(rng, k, n, 0.4)
+		want := sparse.SpGEMM(a, b, timesF, plusF, nil)
+		wi, wj, wv := want.Tuples()
+
+		if bm := spGEMMBitmapPlusTimes(a, BitmapFromCSR(b)); bm.NNZ() != want.NNZ() {
+			t.Fatalf("trial %d: bitmap product nnz = %d, want %d", trial, bm.NNZ(), want.NNZ())
+		}
+		r, ok := TryMxMPlusTimes(a, b)
+		if !ok {
+			t.Fatal("TryMxMPlusTimes refused float64 operands")
+		}
+		got := r.(*sparse.CSR[float64])
+		gi, gj, gv := got.Tuples()
+		if !sameTuples(wi, wj, wv, gi, gj, gv) {
+			t.Fatalf("trial %d: dense product disagrees with SpGEMM", trial)
+		}
+		if cap(got.ColIdx) != len(got.ColIdx) || cap(got.Val) != len(got.Val) {
+			t.Fatalf("trial %d: dense product's arrays are not exact-size", trial)
 		}
 	}
 }
