@@ -29,12 +29,14 @@ func BFSLevels(a *core.Matrix[bool], source int) (*core.Vector[int32], error) {
 	lorLand := builtins.LorLand()
 	descRC := core.Desc().ReplaceOutput().CompMask()
 	for depth := int32(0); ; depth++ {
-		// levels<frontier> = depth (merge mode: earlier levels kept).
-		fIdx, _, err := frontier.ExtractTuples()
+		// levels<frontier> = depth (merge mode: earlier levels kept). An
+		// empty frontier ends the search; reading its count forces the
+		// sequence as a copy of its tuples would, without the copy.
+		nv, err := frontier.NVals()
 		if err != nil {
 			return nil, err
 		}
-		if len(fIdx) == 0 {
+		if nv == 0 {
 			break
 		}
 		if err := core.AssignVectorScalar(levels, frontier, core.NoAccum[int32](), depth, core.All, nil); err != nil {

@@ -1,7 +1,7 @@
 // Package analysis is the engine's static-analysis suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
 // surface (Analyzer, Pass, Diagnostic, an analysistest-style golden runner)
-// plus five project-specific analyzers that codify invariants the execution
+// plus project-specific analyzers that codify invariants the execution
 // engine relies on but the compiler cannot check:
 //
 //   - swallowederr — no discarded error or trailing failure-flag returns in
@@ -16,6 +16,8 @@
 //     handoff on every return path.
 //   - atomicmix — no field is accessed both through sync/atomic calls and
 //     plain loads/stores.
+//   - idxshare — inside the sparse package, one vector takes another's
+//     index list only through the helper that counts its holders.
 //
 // The paper's Section V demands every method report a defined GrB_Info
 // outcome; Section VIII validates the design against a reference
@@ -122,6 +124,7 @@ func NewSuite() []*Analyzer {
 		NewCtxFlow(),
 		NewFootprint(),
 		NewHotAlloc(),
+		NewIdxShare(),
 	}
 }
 

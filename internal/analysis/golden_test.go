@@ -44,3 +44,7 @@ func TestFootprintSkeletonGolden(t *testing.T) {
 func TestHotAllocGolden(t *testing.T) {
 	RunGolden(t, "hotalloc", NewHotAlloc())
 }
+
+func TestIdxShareGolden(t *testing.T) {
+	RunGolden(t, "idxshare", NewIdxShare())
+}

@@ -5,9 +5,11 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"graphblas/internal/dataflow"
 	"graphblas/internal/faults"
 	"graphblas/internal/obs"
 	"graphblas/internal/parallel"
+	"graphblas/internal/pool"
 )
 
 // Mode selects the execution mode of the GraphBLAS context (Section IV).
@@ -389,7 +391,10 @@ func (c *context) flushLocked(ctx stdctx.Context) error {
 		return c.takeExecErrLocked()
 	}
 	obs.FlushDepth.Observe(float64(len(queue)))
-	elide := markElidable(queue, c.elision)
+	objs := numberObjects(queue)
+	elide := markElidable(queue, objs, c.elision)
+	// from[i] is the queue position of node i.
+	from := pool.GetInts(len(queue))[:0]
 	nodes := queue[:0]
 	for k, op := range queue {
 		if elide[k] {
@@ -399,10 +404,19 @@ func (c *context) flushLocked(ctx stdctx.Context) error {
 			continue
 		}
 		nodes = append(nodes, op)
+		from = append(from, k)
 	}
+	pool.PutBools(elide)
+	var metas []dataflow.OpMeta
+	dag := c.sched == SchedDag && len(nodes) > 1 && parallel.MaxWorkers() > 1
+	if dag {
+		metas = opMetas(nodes, from, objs)
+	}
+	pool.PutInts(from)
+	objs.release()
 	var results []error
-	if c.sched == SchedDag && len(nodes) > 1 && parallel.MaxWorkers() > 1 {
-		results = c.runQueueDag(ctx, nodes)
+	if dag {
+		results = c.runQueueDag(ctx, nodes, metas)
 	} else {
 		results = make([]error, len(nodes))
 		for i, op := range nodes {
@@ -488,37 +502,37 @@ func (c *context) takeExecErrLocked() error {
 // with the mathematical definition"). Elided operations never reach the
 // dataflow DAG: they are pruned here, so the scheduler sees only work that
 // will actually run. The walk is backward, since an op's fate depends on what
-// later operations do with its output.
-func markElidable(queue []*pendingOp, enabled bool) []bool {
-	elide := make([]bool, len(queue))
+// later operations do with its output. objs numbers the queue's objects;
+// the returned flags, one per queue position, come from the pool and the
+// caller puts them back.
+func markElidable(queue []*pendingOp, objs flushObjects, enabled bool) []bool {
+	elide := pool.GetBools(len(queue))
 	if !enabled {
 		return elide
 	}
-	// deadUntilRead[id] is true when a later op fully overwrites the object
-	// and nothing in between reads it.
-	dead := make(map[uint64]bool)
+	// dead[x] is true when a later op fully overwrites object x and nothing
+	// in between reads it.
+	dead := pool.GetBools(objs.count)
 	for k := len(queue) - 1; k >= 0; k-- {
 		op := queue[k]
-		if dead[op.out.id] {
+		out, reads := objs.ids[objs.at[k]], objs.ids[objs.at[k]+1:objs.at[k+1]]
+		if dead[out] {
 			elide[k] = true
 			continue // an elided op neither reads nor writes
 		}
 		readsOwnOutput := false
-		for _, r := range op.reads {
-			dead[r.id] = false
-			if r == op.out {
+		for _, r := range reads {
+			dead[r] = false
+			if r == out {
 				readsOwnOutput = true
 			}
 		}
-		if op.overwrites && !readsOwnOutput {
-			dead[op.out.id] = true
-		} else {
-			// The op reads its own output — either through an accumulator/
-			// merge-mode mask or because an input argument aliases the
-			// output — so the prior content is live.
-			dead[op.out.id] = false
-		}
+		// An op that reads its own output — through an accumulator or a
+		// merge-mode mask, or because an input argument aliases the output —
+		// keeps the prior content live.
+		dead[out] = op.overwrites && !readsOwnOutput
 	}
+	pool.PutBools(dead)
 	return elide
 }
 

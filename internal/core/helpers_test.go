@@ -38,9 +38,10 @@ func withMode(t *testing.T, mode Mode, f func()) {
 
 // assertQuiescent, called when a test starts, registers what the test must
 // leave behind when it ends: leakcheck's goroutine and pool balance, and no
-// value array of a vector handed to the returned watch function on the
-// pool's shelves — a live vector's values recycled while it still holds
-// them would be overwritten by the next kernel that draws them.
+// value array or index list of a vector handed to the returned watch
+// function on the pool's shelves — a live vector's values or positions
+// recycled while it still holds them would be overwritten by the next
+// kernel that draws them.
 func assertQuiescent(t *testing.T) (watch func(...shelvable)) {
 	t.Helper()
 	leakcheck.AssertQuiescent(t)
@@ -48,21 +49,42 @@ func assertQuiescent(t *testing.T) (watch func(...shelvable)) {
 	t.Cleanup(func() {
 		for k, v := range live {
 			if v.shelved() {
-				t.Errorf("leak: watched vector %d holds a value array the pool has recycled", k)
+				t.Errorf("leak: watched vector %d holds a value array or index list the pool has recycled", k)
 			}
 		}
 	})
 	return func(vs ...shelvable) { live = append(live, vs...) }
 }
 
-// shelvable is a vector whose committed values can be looked for on the
-// pool's shelves.
+// shelvable is a vector whose committed values and positions can be looked
+// for on the pool's shelves.
 type shelvable interface{ shelved() bool }
 
 func (v *Vector[D]) shelved() bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.data != nil && pool.Holds(v.data.Val)
+	return v.data != nil && (pool.Holds(v.data.Val) || pool.Holds(v.data.Idx))
+}
+
+// churnIdx draws index lists of every size class a test vector's positions
+// occupy, the shelved ones included, writes -1 over each and shelves them
+// again: a list the pool took back while a vector still held it now holds a
+// position no vector stores, and the model comparison that follows shows
+// it. Call it between flushes only.
+func churnIdx() {
+	for class := 0; class <= 8; class++ {
+		drawn := make([][]int, 0, 16)
+		for k := 0; k < cap(drawn); k++ {
+			s := pool.Vals[int](1 << class)
+			for i := range s {
+				s[i] = -1
+			}
+			drawn = append(drawn, s)
+		}
+		for _, s := range drawn {
+			pool.Recycle(s)
+		}
+	}
 }
 
 // key is a dense-model coordinate.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"graphblas/internal/obs"
+	"graphblas/internal/parallel"
 )
 
 // Model-based testing: long random operation sequences run both through the
@@ -244,23 +245,28 @@ func runModelSequence(t *testing.T, seed int64, steps int) {
 // queue actually accumulates depth between checks.
 //
 // Every sequence overwrites its vectors over and over, so it runs on values
-// the pool recycled from the stores it superseded: the sweep requires that
-// recycling happened, and that no vector it leaves holds a recycled array.
+// and index lists the pool recycled from the stores it superseded: the
+// sweep requires that recycling happened, and — after every operation, at
+// one, two and four workers — that no live vector holds an array on the
+// pool's shelves.
 func TestModelBasedVectorSequences(t *testing.T) {
-	for _, mode := range []Mode{Blocking, NonBlocking} {
-		t.Run(mode.String(), func(t *testing.T) {
-			watch := assertQuiescent(t)
-			withMode(t, mode, func() {
-				for seed := int64(0); seed < 6; seed++ {
-					for _, v := range runVectorModelSequence(t, seed, 60) {
-						watch(v)
+	for _, workers := range []int{1, 2, 4} {
+		for _, mode := range []Mode{Blocking, NonBlocking} {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, mode), func(t *testing.T) {
+				parallel.SetMaxWorkersForTest(t, workers)
+				watch := assertQuiescent(t)
+				withMode(t, mode, func() {
+					for seed := int64(0); seed < 6; seed++ {
+						for _, v := range runVectorModelSequence(t, seed, 60) {
+							watch(v)
+						}
 					}
-				}
-				if obs.StoresRecycled.Value() == 0 {
-					t.Fatal("graphblas_stores_recycled_total stayed 0 over the sweep")
-				}
+					if obs.StoresRecycled.Value() == 0 {
+						t.Fatal("graphblas_stores_recycled_total stayed 0 over the sweep")
+					}
+				})
 			})
-		})
+		}
 	}
 }
 
@@ -392,6 +398,11 @@ func runVectorModelSequence(t *testing.T, seed int64, steps int) []*Vector[float
 			models[wi] = vecOracleWrite(models[wi], tm, n, stored, eff, useMask, scmp, accum, replace)
 		}
 
+		for k, v := range vecs {
+			if v.shelved() {
+				t.Fatalf("%s: vec %d holds an array on the pool's shelves", label, k)
+			}
+		}
 		// Compare only every 7th step so the nonblocking queue runs deep.
 		if step%7 != 6 && step != steps-1 {
 			continue

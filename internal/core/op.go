@@ -390,12 +390,20 @@ func vecOp[DC, DM any](s *opSpec, name string, w *Vector[DC], mask *Vector[DM], 
 
 func (b vecWrite[DC, DM]) maskNow() *sparse.VecMask { return resolveVecMask(b.mask, b.scmp) }
 
+// write installs t under an already-resolved mask. A kernel's result that
+// a mask or an accumulator merged into a new store is dead once the merge
+// is in, and nothing else holds it: it is released at once.
 func (b vecWrite[DC, DM]) write(t *sparse.Vec[DC], vm *sparse.VecMask) {
+	var res *sparse.Vec[DC]
 	if b.mode == mergeZ {
-		b.w.setVData(sparse.MaskMergeVec(b.w.vdat(), t, vm, b.replace))
-		return
+		res = sparse.MaskMergeVec(b.w.vdat(), t, vm, b.replace)
+	} else {
+		res = sparse.WriteVec(b.w.vdat(), t, vm, b.accumF, b.replace)
 	}
-	b.w.setVData(sparse.WriteVec(b.w.vdat(), t, vm, b.accumF, b.replace))
+	b.w.setVData(res)
+	if res != t {
+		t.Release()
+	}
 }
 
 func (b vecWrite[DC, DM]) commit(t *sparse.Vec[DC]) { b.write(t, b.maskNow()) }

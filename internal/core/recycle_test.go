@@ -171,7 +171,8 @@ func (env *recycleEnv) setElement(dst *Vector[float64], x float64, i int) {
 
 // churner draws recycled arrays of every size class a size-recycleDim
 // vector's values can occupy: it holds one source per stored-entry count
-// 1..recycleDim and applies each into scratch.
+// 1..recycleDim and applies each into scratch. It then churns the index
+// lists (churnIdx).
 type churner struct {
 	srcs    []*Vector[float64]
 	scratch *Vector[float64]
@@ -209,6 +210,7 @@ func (c *churner) run(t *testing.T) {
 	if err := Wait(); err != nil {
 		t.Fatalf("churn Wait: %v", err)
 	}
+	churnIdx()
 }
 
 // vectors lists every vector the churner holds.

@@ -26,18 +26,61 @@ import (
 	"graphblas/internal/faults"
 	"graphblas/internal/obs"
 	"graphblas/internal/parallel"
+	"graphblas/internal/pool"
 )
 
-// opMetas projects the runnable queue onto the dataflow package's semantics-
-// free footprint triples, preserving order (node i = nodes[i]).
-func opMetas(nodes []*pendingOp) []dataflow.OpMeta {
-	metas := make([]dataflow.OpMeta, len(nodes))
-	for i, op := range nodes {
-		reads := make([]uint64, len(op.reads))
+// flushObjects numbers the objects one flush refers to densely, once: op
+// k of the queue writes object ids[at[k]] and reads ids[at[k]+1:at[k+1]],
+// numbers below count. Elision and the DAG build index slices by these
+// numbers instead of hashing object identities. Both lists come from the
+// pool; release returns them.
+type flushObjects struct {
+	ids, at []int
+	count   int
+}
+
+func numberObjects(queue []*pendingOp) flushObjects {
+	refs := 0
+	for _, op := range queue {
+		refs += 1 + len(op.reads)
+	}
+	f := flushObjects{ids: pool.GetInts(refs), at: pool.GetInts(len(queue) + 1)}
+	for k, op := range queue {
+		p := f.at[k]
+		f.ids[p] = int(op.out.id)
 		for j, r := range op.reads {
-			reads[j] = r.id
+			f.ids[p+1+j] = int(r.id)
 		}
-		metas[i] = dataflow.OpMeta{Out: op.out.id, Reads: reads, Overwrites: op.overwrites}
+		f.at[k+1] = p + 1 + len(op.reads)
+	}
+	f.count = dataflow.Number(f.ids)
+	return f
+}
+
+func (f flushObjects) release() {
+	pool.PutInts(f.at)
+	pool.PutInts(f.ids)
+}
+
+// opMetas projects the runnable operations onto the dataflow package's
+// semantics-free footprint triples, preserving order: node i is nodes[i],
+// queue position from[i] in the numbering objs. Every node's reads share
+// one backing array.
+func opMetas(nodes []*pendingOp, from []int, objs flushObjects) []dataflow.OpMeta {
+	reads := 0
+	for _, k := range from {
+		reads += objs.at[k+1] - objs.at[k] - 1
+	}
+	metas := make([]dataflow.OpMeta, len(nodes))
+	backing := make([]uint64, reads)
+	for i, op := range nodes {
+		ids := objs.ids[objs.at[from[i]]:objs.at[from[i]+1]]
+		r := backing[: len(ids)-1 : len(ids)-1]
+		backing = backing[len(ids)-1:]
+		for j, id := range ids[1:] {
+			r[j] = uint64(id)
+		}
+		metas[i] = dataflow.OpMeta{Out: uint64(ids[0]), Reads: r, Overwrites: op.overwrites}
 	}
 	return metas
 }
@@ -50,8 +93,9 @@ func opMetas(nodes []*pendingOp) []dataflow.OpMeta {
 // stops DAG dispatch once it is canceled: undispatched nodes are abandoned
 // via cancelOp while running kernels complete. Caller guarantees
 // len(nodes) > 1.
-func (c *context) runQueueDag(ctx stdctx.Context, nodes []*pendingOp) []error {
-	g := dataflow.Build(opMetas(nodes))
+func (c *context) runQueueDag(ctx stdctx.Context, nodes []*pendingOp, metas []dataflow.OpMeta) []error {
+	g := dataflow.Build(metas)
+	defer g.Release()
 	var gate *faults.Sequencer
 	serialBody := false
 	if faults.Enabled() {

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"graphblas/internal/pool"
 	"graphblas/internal/sparse"
 )
 
@@ -80,7 +79,10 @@ func (v *Vector[D]) initVector() {
 // or pinned by an iterator: the rollback this closure held is the only
 // other reference the engine keeps, operations ordered after this one read
 // the new store, and every kernel writes a Val of its own — no two stores
-// share one. The Idx is never recycled: it may be shared.
+// share one. Such a dead store is released: its Val goes back to the pool,
+// and its hold on its Idx, which other stores may share, is dropped — the
+// list goes back once the last store holding it is released (sparse
+// emit.go).
 func (v *Vector[D]) snapshotState() func(bool) {
 	v.mu.Lock()
 	data := v.data
@@ -94,7 +96,7 @@ func (v *Vector[D]) snapshotState() func(bool) {
 			v.pending = pending
 			return
 		}
-		if data != v.data && data != v.pinned && pool.Recycle(data.Val) {
+		if data != v.data && data != v.pinned && data.Release() {
 			storesRecycled.Inc()
 		}
 	}
@@ -316,7 +318,9 @@ func (v *Vector[D]) ExtractTuples() ([]int, []D, error) {
 }
 
 // Free destroys the vector (GrB_free). Pending operations involving it
-// complete first; afterwards any use returns UninitializedObject.
+// complete first; afterwards any use returns UninitializedObject. Its store
+// is released like a superseded one (snapshotState) unless an iterator
+// pinned it.
 func (v *Vector[D]) Free() error {
 	if v == nil || !v.initialized {
 		return nil // freeing an uninitialized object is a no-op, as in C
@@ -325,6 +329,11 @@ func (v *Vector[D]) Free() error {
 		return err
 	}
 	v.initialized = false
-	v.data = nil
+	v.mu.Lock()
+	if v.data != v.pinned && v.data.Release() {
+		storesRecycled.Inc()
+	}
+	v.data, v.pending = nil, nil
+	v.mu.Unlock()
 	return nil
 }

@@ -36,11 +36,12 @@
 package dataflow
 
 import (
-	"container/heap"
+	"slices"
 	"sync"
 
 	"graphblas/internal/obs"
 	"graphblas/internal/parallel"
+	"graphblas/internal/pool"
 )
 
 // OpMeta is one deferred operation's data-access footprint, in program
@@ -57,82 +58,177 @@ type OpMeta struct {
 // Graph is the immutable dependency DAG built over one flushed queue. Node i
 // is the i-th schedulable operation in program order.
 type Graph struct {
-	succ  [][]int32 // successors (dependents) of each node
-	indeg []int32   // incoming-edge count of each node
-	edges int
+	// off and succ are the successor lists in compressed form: node i's
+	// dependents are succ[off[i]:off[i+1]], ascending. indeg is each node's
+	// incoming-edge count. The three share one array from the pool.
+	off, succ, indeg []int32
+	store            []int32
 	// Per-hazard edge counts, after deduplication assigns each edge the
 	// strongest classification in RAW > WAW > WAR order.
 	raw, waw, war int
 }
 
+// Number rewrites ids — the object identities a flush refers to, in any
+// order — into dense numbers 0, 1, …, k−1, equal ids to equal numbers, and
+// returns k. Its scratch comes from the pool, so numbering a flush
+// allocates nothing.
+func Number(ids []int) int {
+	keys := pool.GetInts(len(ids))
+	copy(keys, ids)
+	slices.Sort(keys)
+	uniq := slices.Compact(keys)
+	for k, id := range ids {
+		//grblint:ignore swallowederr every id is in uniq, which holds them all
+		ids[k], _ = slices.BinarySearch(uniq, id)
+	}
+	pool.PutInts(keys)
+	return len(uniq)
+}
+
 // Build constructs the hazard DAG for ops. Edges are deduplicated: two
 // operations sharing several objects (or several hazards on one object) are
-// connected once. O(total reads + writes) expected time.
+// connected once. Object ids may be anything; ids already numbered densely
+// (Number) are used as they are. O(total reads + writes) time, plus a sort
+// of the ids when they are not dense; the bookkeeping is drawn from the
+// pool, and the graph's arrays too (Release hands them back).
 func Build(ops []OpMeta) *Graph {
+	refs, maxID := 0, uint64(0)
+	for k := range ops {
+		refs += 1 + len(ops[k].Reads)
+		maxID = max(maxID, ops[k].Out)
+		for _, r := range ops[k].Reads {
+			maxID = max(maxID, r)
+		}
+	}
+	// ids[at[k]] is op k's output's number, ids[at[k]+1:at[k+1]] its reads'.
+	ids := pool.GetInts(refs)
+	at := pool.GetInts(len(ops) + 1)
+	for k := range ops {
+		p := at[k]
+		ids[p] = int(ops[k].Out)
+		for j, r := range ops[k].Reads {
+			ids[p+1+j] = int(r)
+		}
+		at[k+1] = p + 1 + len(ops[k].Reads)
+	}
+	objects := int(maxID) + 1
+	if refs == 0 {
+		objects = 0
+	} else if maxID >= uint64(2*refs) {
+		objects = Number(ids)
+	}
+	g := build(ops, ids, at, objects)
+	pool.PutInts(at)
+	pool.PutInts(ids)
+	return g
+}
+
+// build is Build over numbered objects.
+func build(ops []OpMeta, ids, at []int, objects int) *Graph {
 	n := len(ops)
-	g := &Graph{succ: make([][]int32, n), indeg: make([]int32, n)}
-	// lastWriter[x] is the index of the most recent op writing object x;
-	// readers[x] collects ops that read x since that write.
-	lastWriter := make(map[uint64]int, n)
-	readers := make(map[uint64][]int32)
-	deps := make(map[int32]struct{}, 8) // dep set of the current node, reused
+	// lastWriter[x] is 1 + the most recent op writing object x, 0 for none;
+	// the ops that read x since that write are a list: head[x] is 1 + its
+	// latest entry, an entry e names its reader rd[e] and links to
+	// next[e] (1 + the entry before, 0 at the end).
+	lastWriter := pool.GetInts(objects)
+	head := pool.GetInts(objects)
+	rd := pool.GetInts(len(ids) + n)[:0]
+	next := pool.GetInts(len(ids) + n)[:0]
+	// seen[j] == k+1 marks j as a dependency of op k already.
+	seen := pool.GetInts(n)
+	from := pool.GetInt32s(len(ids) + n)[:0] // the edges, in insertion order
+	to := pool.GetInt32s(len(ids) + n)[:0]
+	g := &Graph{}
 	for k := 0; k < n; k++ {
 		op := &ops[k]
-		for d := range deps {
-			delete(deps, d)
-		}
-		addDep := func(j int32, kind *int) {
-			if _, dup := deps[j]; dup {
+		addDep := func(j int, kind *int) {
+			if seen[j] == k+1 {
 				return
 			}
-			deps[j] = struct{}{}
-			g.succ[j] = append(g.succ[j], int32(k))
-			g.indeg[k]++
-			g.edges++
+			seen[j] = k + 1
+			from, to = append(from, int32(j)), append(to, int32(k))
 			*kind++
 		}
-		reads := op.Reads
+		out := ids[at[k]]
+		reads := ids[at[k]+1 : at[k+1]]
+		read := func(r int) {
+			if w := lastWriter[r]; w > 0 {
+				addDep(w-1, &g.raw)
+			}
+			rd, next = append(rd, k), append(next, head[r])
+			head[r] = len(rd)
+		}
+		for _, r := range reads {
+			read(r)
+		}
 		if !op.Overwrites {
 			// A merging/accumulating op consults its output's prior content:
 			// model it as a read so the RAW edge to the previous writer (and
 			// the WAR edges from it to later writers) materialize.
-			reads = append(append(make([]uint64, 0, len(op.Reads)+1), op.Reads...), op.Out)
+			read(out)
 		}
-		for _, r := range reads {
-			if w, ok := lastWriter[r]; ok {
-				addDep(int32(w), &g.raw)
-			}
-			readers[r] = append(readers[r], int32(k))
+		if w := lastWriter[out]; w > 0 {
+			addDep(w-1, &g.waw)
 		}
-		if w, ok := lastWriter[op.Out]; ok {
-			addDep(int32(w), &g.waw)
-		}
-		for _, rd := range readers[op.Out] {
-			if int(rd) != k {
-				addDep(rd, &g.war)
+		for e := head[out]; e > 0; e = next[e-1] {
+			if rd[e-1] != k {
+				addDep(rd[e-1], &g.war)
 			}
 		}
-		lastWriter[op.Out] = k
+		lastWriter[out] = k + 1
 		// The write retires all recorded readers of Out: later writers need
 		// only the WAW edge to this op, which transitively orders them after
 		// those readers.
-		delete(readers, op.Out)
+		head[out] = 0
 	}
+	// Lay the edges out by source, each source's targets ascending as they
+	// were added.
+	g.store = pool.Vals[int32](2*n + 1 + len(from))
+	g.off, g.indeg, g.succ = g.store[:n+1], g.store[n+1:2*n+1], g.store[2*n+1:]
+	for k, j := range from {
+		g.off[j+1]++
+		g.indeg[to[k]]++
+	}
+	for i := 0; i < n; i++ {
+		g.off[i+1] += g.off[i]
+	}
+	fill := seen[:n] // reused: the next free slot of each source
+	for i := 0; i < n; i++ {
+		fill[i] = int(g.off[i])
+	}
+	for k, j := range from {
+		g.succ[fill[j]] = to[k]
+		fill[j]++
+	}
+	pool.PutInt32s(to)
+	pool.PutInt32s(from)
+	pool.PutInts(seen)
+	pool.PutInts(next)
+	pool.PutInts(rd)
+	pool.PutInts(head)
+	pool.PutInts(lastWriter)
 	return g
 }
 
+// Release hands the graph's arrays back to the pool; the graph must not be
+// used afterwards.
+func (g *Graph) Release() {
+	pool.Recycle(g.store)
+	*g = Graph{}
+}
+
 // Nodes reports the number of operations in the graph.
-func (g *Graph) Nodes() int { return len(g.succ) }
+func (g *Graph) Nodes() int { return len(g.indeg) }
 
 // Edges reports the number of (deduplicated) hazard edges.
-func (g *Graph) Edges() int { return g.edges }
+func (g *Graph) Edges() int { return len(g.succ) }
 
 // EdgeKinds reports the per-hazard edge counts (RAW, WAW, WAR). A deduped
 // edge carrying several hazards is counted once, under the strongest kind.
 func (g *Graph) EdgeKinds() (raw, waw, war int) { return g.raw, g.waw, g.war }
 
 // Succ exposes node i's dependents (shared slice; callers must not mutate).
-func (g *Graph) Succ(i int) []int32 { return g.succ[i] }
+func (g *Graph) Succ(i int) []int32 { return g.succ[g.off[i]:g.off[i+1]] }
 
 // Indeg reports node i's dependency count.
 func (g *Graph) Indeg(i int) int { return int(g.indeg[i]) }
@@ -144,15 +240,46 @@ type RunStats struct {
 	MaxWidth int
 }
 
-// minHeap is the ready queue: a min-heap of node indices, so the earliest
-// ready operation in program order is always dispatched first.
-type minHeap []int32
+// readyQueue is the ready queue: a binary min-heap of node indices, so the
+// earliest ready operation in program order is always dispatched first.
+type readyQueue []int32
 
-func (h minHeap) Len() int           { return len(h) }
-func (h minHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h minHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *minHeap) Push(x any)        { *h = append(*h, x.(int32)) }
-func (h *minHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+func (h *readyQueue) push(x int32) {
+	q := append(*h, x)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q[p] <= q[i] {
+			break
+		}
+		q[p], q[i] = q[i], q[p]
+		i = p
+	}
+	*h = q
+}
+
+func (h *readyQueue) pop() int32 {
+	q := *h
+	x := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if c+1 < len(q) && q[c+1] < q[c] {
+			c++
+		}
+		if q[i] <= q[c] {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return x
+}
 
 // Run executes every node on a pool of at most workers goroutines,
 // dispatching a node only after all of its dependencies completed, earliest
@@ -178,7 +305,7 @@ func (g *Graph) Run(workers int, exec func(node int)) RunStats {
 // A nil stop (or one that never fires) makes this identical to Run. skip must
 // not panic; exec panics are captured per node as in Run.
 func (g *Graph) RunCancelable(workers int, exec func(node int), stop func() bool, skip func(node int)) RunStats {
-	n := len(g.succ)
+	n := g.Nodes()
 	if n == 0 {
 		return RunStats{}
 	}
@@ -191,17 +318,17 @@ func (g *Graph) RunCancelable(workers int, exec func(node int), stop func() bool
 	var (
 		mu        sync.Mutex
 		cond      = sync.NewCond(&mu)
-		ready     minHeap
-		indeg     = append([]int32(nil), g.indeg...)
+		ready     = readyQueue(pool.GetInt32s(n)[:0])
+		indeg     = pool.GetInt32s(n)
 		remaining = n
 		running   int
 		maxWidth  int
 		pan       *parallel.Panic
 	)
-	heap.Init(&ready)
+	copy(indeg, g.indeg)
 	for i := int32(0); i < int32(n); i++ {
 		if indeg[i] == 0 {
-			heap.Push(&ready, i)
+			ready.push(i)
 		}
 	}
 	var wg sync.WaitGroup
@@ -218,7 +345,7 @@ func (g *Graph) RunCancelable(workers int, exec func(node int), stop func() bool
 					mu.Unlock()
 					return
 				}
-				node := int(heap.Pop(&ready).(int32))
+				node := int(ready.pop())
 				canceled := stop != nil && stop()
 				if !canceled {
 					running++
@@ -249,10 +376,10 @@ func (g *Graph) RunCancelable(workers int, exec func(node int), stop func() bool
 				if p != nil {
 					obs.DagPoisoned.Inc()
 				}
-				for _, s := range g.succ[node] {
+				for _, s := range g.Succ(node) {
 					indeg[s]--
 					if indeg[s] == 0 {
-						heap.Push(&ready, s)
+						ready.push(s)
 					}
 				}
 				remaining--
@@ -263,6 +390,8 @@ func (g *Graph) RunCancelable(workers int, exec func(node int), stop func() bool
 		}()
 	}
 	wg.Wait()
+	pool.PutInt32s(indeg)
+	pool.PutInt32s(ready)
 	if pan != nil {
 		panic(pan)
 	}

@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -283,5 +285,143 @@ func TestRunEmpty(t *testing.T) {
 	rs := Build(nil).Run(4, func(int) { t.Fatal("exec called on empty graph") })
 	if rs.MaxWidth != 0 {
 		t.Fatalf("MaxWidth = %d on empty graph", rs.MaxWidth)
+	}
+}
+
+// refBuild is the hazard DAG the way Build computed it with maps before it
+// numbered its objects: the oracle for the slice-indexed build.
+func refBuild(ops []OpMeta) (succ [][]int32, raw, waw, war int) {
+	succ = make([][]int32, len(ops))
+	lastWriter := map[uint64]int{}
+	readers := map[uint64][]int32{}
+	for k := range ops {
+		op := &ops[k]
+		deps := map[int32]bool{}
+		addDep := func(j int32, kind *int) {
+			if deps[j] {
+				return
+			}
+			deps[j] = true
+			succ[j] = append(succ[j], int32(k))
+			*kind++
+		}
+		reads := op.Reads
+		if !op.Overwrites {
+			reads = append(append([]uint64(nil), op.Reads...), op.Out)
+		}
+		for _, r := range reads {
+			if w, ok := lastWriter[r]; ok {
+				addDep(int32(w), &raw)
+			}
+			readers[r] = append(readers[r], int32(k))
+		}
+		if w, ok := lastWriter[op.Out]; ok {
+			addDep(int32(w), &waw)
+		}
+		for _, rd := range readers[op.Out] {
+			if int(rd) != k {
+				addDep(rd, &war)
+			}
+		}
+		lastWriter[op.Out] = k
+		delete(readers, op.Out)
+	}
+	return succ, raw, waw, war
+}
+
+// TestBuildMatchesMapReference: over random programs — object ids dense,
+// sparse or huge, reads repeated, accumulating ops, outputs read by their
+// own op — Build yields the map-based build's successor lists in the same
+// order, the same edge kinds and the same in-degrees, and a numbered copy of
+// the program (Number) the same graph again.
+func TestBuildMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 400; trial++ {
+		nobj := 1 + rng.Intn(8)
+		base := []uint64{0, 1 << 20, 1 << 62}[trial%3]
+		ops := make([]OpMeta, rng.Intn(30))
+		for k := range ops {
+			ops[k].Out = base + uint64(rng.Intn(nobj))*uint64(1+trial%5)
+			for r := rng.Intn(4); r > 0; r-- {
+				ops[k].Reads = append(ops[k].Reads, base+uint64(rng.Intn(nobj))*uint64(1+trial%5))
+			}
+			ops[k].Overwrites = rng.Intn(3) > 0
+		}
+		wantSucc, raw, waw, war := refBuild(ops)
+		ids := []int{}
+		for _, op := range ops {
+			ids = append(ids, int(op.Out))
+			for _, r := range op.Reads {
+				ids = append(ids, int(r))
+			}
+		}
+		Number(ids)
+		numbered := make([]OpMeta, len(ops))
+		for k, op := range ops {
+			numbered[k] = OpMeta{Out: uint64(ids[0]), Reads: make([]uint64, len(op.Reads)), Overwrites: op.Overwrites}
+			for j := range op.Reads {
+				numbered[k].Reads[j] = uint64(ids[1+j])
+			}
+			ids = ids[1+len(op.Reads):]
+		}
+		for _, prog := range [][]OpMeta{ops, numbered} {
+			g := Build(prog)
+			if g.Nodes() != len(ops) {
+				t.Fatalf("trial %d: %d nodes, want %d", trial, g.Nodes(), len(ops))
+			}
+			edges := 0
+			indeg := make([]int, len(ops))
+			for i := range ops {
+				if fmt.Sprint(g.Succ(i)) != fmt.Sprint(append([]int32{}, wantSucc[i]...)) {
+					t.Fatalf("trial %d: node %d successors %v, want %v (ops %+v)", trial, i, g.Succ(i), wantSucc[i], prog)
+				}
+				edges += len(wantSucc[i])
+				for _, s := range wantSucc[i] {
+					indeg[s]++
+				}
+			}
+			for i := range ops {
+				if g.Indeg(i) != indeg[i] {
+					t.Fatalf("trial %d: node %d in-degree %d, want %d", trial, i, g.Indeg(i), indeg[i])
+				}
+			}
+			r, w, a := g.EdgeKinds()
+			if g.Edges() != edges || r != raw || w != waw || a != war {
+				t.Fatalf("trial %d: %d edges (%d/%d/%d), want %d (%d/%d/%d)", trial, g.Edges(), r, w, a, edges, raw, waw, war)
+			}
+			g.Release()
+		}
+	}
+}
+
+// TestBuildAndRunAllocations: a flush's graph over numbered objects costs
+// the Graph header, and its bookkeeping, arrays and ready queue come from
+// the pool. Building and releasing a 24-op line allocates only the header,
+// and running a graph allocates the scheduler's own synchronization and its
+// one worker — nine objects, as many for a 600-op line as for a 24-op one.
+func TestBuildAndRunAllocations(t *testing.T) {
+	line := func(n int) []OpMeta {
+		var ops []OpMeta
+		for k := 0; k < n; k++ {
+			ops = append(ops, OpMeta{Out: uint64(k%2 + 1), Reads: []uint64{uint64((k + 1) % 2), 2}, Overwrites: true})
+		}
+		return ops
+	}
+	short, long := line(24), line(600)
+	build := func() { Build(short).Release() }
+	build()
+	if allocs := testing.AllocsPerRun(50, build); allocs > 1 {
+		t.Errorf("Build+Release allocates %.1f per call, want the Graph alone", allocs)
+	}
+	runAllocs := func(ops []OpMeta) float64 {
+		g := Build(ops)
+		defer g.Release()
+		run := func() { g.Run(1, func(int) {}) }
+		run()
+		return testing.AllocsPerRun(20, run)
+	}
+	const runBudget = 9 // the scheduler's synchronization and its one worker
+	if a, b := runAllocs(short), runAllocs(long); a != runBudget || b != runBudget {
+		t.Errorf("Run allocates %.1f per call on 24 nodes and %.1f on 600, budget %d: the in-degree copy or the ready queue is no longer pooled", a, b, runBudget)
 	}
 }

@@ -8,11 +8,14 @@
 //     returns itself. Allocating these per operation turns kernel
 //     throughput into GC pressure proportional to matrix dimension; drawing
 //     them from a freelist makes the steady state allocation-free.
-//   - Value arrays (Vals): the Val of a vector a kernel produces. It leaves
-//     the kernel inside its result, and comes back through Recycle when the
-//     store holding it is superseded and nothing can reach it any more
-//     (internal/core decides that). An operation that overwrites a vector
-//     therefore computes into the array of a vector that died before it.
+//   - Value arrays (Vals): the Val of a vector a kernel produces, and — from
+//     the int shelves — the index list of one. It leaves the kernel inside
+//     its result, and comes back through Recycle when the store holding it
+//     is superseded and nothing can reach it any more (internal/core
+//     decides that; an index list several stores share comes back with the
+//     last of them, internal/sparse counts them). An operation that
+//     overwrites a vector therefore computes into the arrays of a vector
+//     that died before it.
 //
 // The implementation is deliberately a mutex-guarded freelist rather than
 // sync.Pool: Put'ing a slice into a sync.Pool boxes the slice header into an
@@ -323,29 +326,60 @@ func Recycle[T any](s []T) bool {
 	return false
 }
 
-// Holds reports whether the array under s overlaps one on T's value
-// shelves — which a store's values must never do while anything can still
-// reach the store. For tests of the recycling discipline.
+// Holds reports whether the array under s overlaps one on T's shelves —
+// the value shelves, which vector values and pooled index lists go back
+// to, and for int, int32 and bool the scratch freelist too. A store's
+// values and positions must never do so while anything can still reach the
+// store. For tests of the recycling discipline.
 func Holds[T any](s []T) bool {
-	f := valsFor[T]()
-	if f == nil || cap(s) == 0 {
+	if cap(s) == 0 {
 		return false
 	}
 	lo := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
 	hi := lo + uintptr(bytesOf[T](cap(s)))
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, shelf := range f.classes {
-		for _, e := range shelf {
-			if b := e.array(); b != nil {
-				blo := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
-				if blo < hi && lo < blo+uintptr(bytesOf[T](cap(b))) {
+	overlaps := func(b []T) bool {
+		blo := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+		return cap(b) > 0 && blo < hi && lo < blo+uintptr(bytesOf[T](cap(b)))
+	}
+	if f := valsFor[T](); f != nil {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		for _, shelf := range f.classes {
+			for _, e := range shelf {
+				if b := e.array(); b != nil && overlaps(b) {
+					return true
+				}
+			}
+		}
+	}
+	if f := scratchFor[T](); f != nil {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		for _, shelf := range f.classes {
+			for _, b := range shelf {
+				if overlaps(b[:cap(b)]) {
 					return true
 				}
 			}
 		}
 	}
 	return false
+}
+
+// scratchFor returns the scratch freelist of T, nil for a type with none.
+func scratchFor[T any]() *freelist[T] {
+	var f any
+	switch any((*T)(nil)).(type) {
+	case *int:
+		f = &intFree
+	case *int32:
+		f = &int32Free
+	case *bool:
+		f = &boolFree
+	default:
+		return nil
+	}
+	return f.(*freelist[T])
 }
 
 // Outstanding reports how many Get* and GetVals draws have not been matched

@@ -102,6 +102,18 @@ func TestValsRecycleByDomain(t *testing.T) {
 	if !Holds(b[10:20]) {
 		t.Fatal("Holds missed a slice of a shelved array")
 	}
+	// An index list goes back to the int value shelves; a scratch int
+	// buffer to the int freelist. Holds looks on both.
+	list := Vals[int](100)
+	Recycle(list)
+	if !Holds(list[:3:3]) {
+		t.Fatal("Holds missed a length-clipped prefix of a shelved index list")
+	}
+	scratch := GetInts(100)
+	PutInts(scratch)
+	if !Holds(scratch[:1]) {
+		t.Fatal("Holds missed an array on the int scratch freelist")
+	}
 	type label struct{ s string }
 	before := Retained()
 	Recycle(Vals[label](300))

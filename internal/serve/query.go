@@ -83,8 +83,22 @@ func (v View) KHop(ctx context.Context, src, k int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := free(frontier, next, visited); err != nil {
+		return nil, err
+	}
 	sort.Ints(idx)
 	return idx, nil
+}
+
+// free hands a query's work vectors back once its answer is out of them:
+// their storage goes to the next query instead of to the collector.
+func free(vs ...*core.Vector[float64]) error {
+	for _, v := range vs {
+		if err := v.Free(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Ranked is one entry of a top-k ranking.
@@ -189,6 +203,9 @@ func (v View) PPRTopK(ctx context.Context, src, k int, damping, tol float64, max
 
 	idx, vals, err := rank.ExtractTuples()
 	if err != nil {
+		return nil, 0, err
+	}
+	if err := free(rank, share, withEdges, next, diffV); err != nil {
 		return nil, 0, err
 	}
 	ranked := make([]Ranked, len(idx))

@@ -337,7 +337,13 @@ func (snap *Snapshot) VxM(ctx context.Context, out, in *core.Vector[float64]) er
 	if err := out.Clear(); err != nil {
 		return err
 	}
-	return out.Build(sum.Idx, sum.Val, core.NoAccum[float64]())
+	if err := out.Build(sum.Idx, sum.Val, core.NoAccum[float64]()); err != nil {
+		return err
+	}
+	if sum != partials[0] { // a fold's own result, copied into out
+		sum.Release()
+	}
+	return nil
 }
 
 // shardVxM runs one shard's slice of inᵀA inside that shard's engine: one
@@ -361,7 +367,16 @@ func (snap *Snapshot) shardVxM(ctx context.Context, s int, in *sparse.Vec[float6
 	if err := inst.WaitContext(ctx); err != nil {
 		return nil, nil, err
 	}
-	return part.ExtractTuples()
+	idx, vals, err := part.ExtractTuples()
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, v := range []*core.Vector[float64]{f, part} {
+		if err := v.Free(); err != nil {
+			return nil, nil, err
+		}
+	}
+	return idx, vals, nil
 }
 
 // OutDegrees returns the global out-degree vector in the coordinator's

@@ -5,20 +5,20 @@ import (
 
 	"graphblas/internal/obs"
 	"graphblas/internal/parallel"
-	"graphblas/internal/pool"
 )
 
 // TestRecycledOutputsAllocBudget is the allocation-regression gate of the
 // vector kernels in the steady state store recycling gives them, extending
 // the obs package's TestDisabledPathAllocFree contract: with tracing
-// disabled, one worker, and the previous result's value array back on the
-// free list (internal/core recycles a superseded store), each kernel's
-// per-call allocation count is pinned exactly. What remains is the result
-// itself — its Vec, and its Idx unless it shares an input's or the identity
-// list (emit.go). Everything else (values, presence flags, prefix sums, the
-// push accumulator, the dot kernel's dense workspace) comes from
-// internal/pool and must not show up here. A budget increase in a review
-// means a new allocation crept onto the hot path; justify it or pool it.
+// disabled, one worker, and the previous result released the way
+// internal/core releases a superseded store (Vec.Release: its values back
+// on the free list, its hold on its positions dropped, so a list it drew
+// goes back too), each kernel's per-call allocation count is pinned
+// exactly. What remains is the result's Vec. Everything else (values,
+// index lists, presence flags, prefix sums, the push accumulator, the dot
+// kernel's dense workspace) comes from internal/pool and must not show up
+// here. A budget increase in a review means a new allocation crept onto the
+// hot path; justify it or pool it.
 func TestRecycledOutputsAllocBudget(t *testing.T) {
 	parallel.SetMaxWorkersForTest(t, 1)
 	prev := obs.SetTracer(nil)
@@ -26,6 +26,7 @@ func TestRecycledOutputsAllocBudget(t *testing.T) {
 
 	const n = 64
 	a := allocFixture(t, n)
+	holed := allocFixtureRows(t, n, func(i int) bool { return i%4 != 0 }) // a partial dot result
 	full, part := NewVec[float64](n), NewVec[float64](n)
 	for i := 0; i < n; i++ {
 		full.Idx, full.Val = append(full.Idx, i), append(full.Val, float64(i)*0.25)
@@ -45,17 +46,19 @@ func TestRecycledOutputsAllocBudget(t *testing.T) {
 		{"VecApply", 1, func() *Vec[float64] { return VecApply(part, neg) }},
 		// The Vec; the walked side's Idx is shared.
 		{"VecIntersect/full", 1, func() *Vec[float64] { return VecIntersect(part, full, mulF) }},
-		// The Vec and the merged Idx.
-		{"VecUnion/partial", 2, func() *Vec[float64] { return VecUnion(part, part, addF) }},
+		// The Vec; the merged Idx is drawn from the pool.
+		{"VecUnion/partial", 1, func() *Vec[float64] { return VecUnion(part, part, addF) }},
 		// The Vec; the result is full, its positions the identity list.
 		{"AssignScalarExpandVec/all", 1, func() *Vec[float64] { return AssignScalarExpandVec(part, 2, nil, nil) }},
 		{"DotMxV/full", 1, func() *Vec[float64] { return r.DotMxV(a, full, nil) }},
 		{"DotMxV/partial", 1, func() *Vec[float64] { return r.DotMxV(a, part, nil) }},
+		// The Vec; the rows that emit are written into a pooled list.
+		{"DotMxV/empty-rows", 1, func() *Vec[float64] { return r.DotMxV(holed, full, nil) }},
 		{"PushMxV", 1, func() *Vec[float64] { return r.PushMxV(a, part, nil) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			step := func() { pool.Recycle(tc.run().Val) }
+			step := func() { tc.run().Release() }
 			step() // warm the pool shelves so steady state is measured
 			if allocs := testing.AllocsPerRun(100, step); allocs != tc.budget {
 				t.Errorf("%s allocates %.1f per call, budget %.0f — a new hot-path allocation needs pooling or a reviewed budget bump", tc.name, allocs, tc.budget)
@@ -68,9 +71,18 @@ func TestRecycledOutputsAllocBudget(t *testing.T) {
 // run on, built once so AllocsPerRun measures only the kernels.
 func allocFixture(t *testing.T, n int) *CSR[float64] {
 	t.Helper()
+	return allocFixtureRows(t, n, func(int) bool { return true })
+}
+
+// allocFixtureRows is allocFixture with only the rows keep admits stored.
+func allocFixtureRows(t *testing.T, n int, keep func(i int) bool) *CSR[float64] {
+	t.Helper()
 	var is, js []int
 	var vs []float64
 	for i := 0; i < n; i++ {
+		if !keep(i) {
+			continue
+		}
 		for j := 0; j < n; j++ {
 			if (i*31+j*17)%10 < 3 {
 				is = append(is, i)

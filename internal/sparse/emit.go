@@ -1,9 +1,11 @@
 package sparse
 
 import (
+	"math"
 	"math/bits"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"graphblas/internal/parallel"
 	"graphblas/internal/pool"
@@ -14,11 +16,20 @@ import (
 // once, into storage sized for the result, and a result shares the
 // structure it has in common with an input instead of copying it.
 //
-//   - A vector's Idx is write-once. Nothing in the package writes into an
-//     Idx it did not just allocate, so an output whose positions are an
-//     input's — an apply, a union or intersection against a full operand, an
-//     assign of a whole vector, a Clone — takes the input's Idx, clipped to
-//     its length (x[:n:n]) so that an append on either side reallocates.
+//   - A vector's Idx is write-once. A kernel that writes fresh positions
+//     draws their list from internal/pool (pooledVec), and nothing in the
+//     package writes into an Idx it did not just draw. An output whose
+//     positions are an input's — an apply, a union or intersection against
+//     a full operand, an assign of a whole vector, a select that keeps
+//     everything, a Clone — takes the input's list through shareIdx,
+//     clipped to its length (x[:n:n]) so that an append on either side
+//     reallocates. A pooled list carries a hold count, kept in the vector
+//     that drew it, where every sharer points: shareIdx adds one, and
+//     Vec.Release, called by internal/core on a store nothing can reach any
+//     more, drops one; the last store to let go returns the list to the
+//     pool. A list the pool did not supply — the identity list, a matrix
+//     row, an imported or deserialized array — carries no count and is
+//     left to the collector.
 //   - A vector's Val is its own: every output draws it from internal/pool
 //     (pool.Vals, an array of its size's class that a superseded store may
 //     have left there), and no two vectors share one — which is what lets
@@ -70,9 +81,81 @@ func vecOf[T any](n int, idx []int, val []T) *Vec[T] {
 	return &Vec[T]{N: n, Idx: idx, Val: val}
 }
 
-// sharedIdx is an input's positions as an output with the same positions
-// takes them: the input's array, clipped to its length.
-func sharedIdx(idx []int) []int { return idx[:len(idx):len(idx)] }
+// idxHold is the hold count of one pooled index list: how many stores hold
+// it. It lives in the vector that drew the list, and every vector sharing
+// the list points at it, so counting adds no allocation; the list is
+// recorded to its capacity, so that the last release shelves all of it.
+type idxHold struct {
+	n     atomic.Int32
+	cap   int32
+	first *int
+}
+
+// pooledVec returns the vector of size n storing val at the positions
+// list[:len(val)], where list and val were drawn from the pool for it — at
+// a bound on the count when the kernel did not know it: the vector owns the
+// list, clipped to its length, and holds it once. A result with no entry or
+// with every position keeps no list — the drawn one goes straight back — and
+// a full one's positions are the identity list. An array drawn at a bound
+// twice the count or more is copied into one of the count's class and goes
+// back, so a result never keeps its bound's capacity alive.
+func pooledVec[T any](n int, list []int, val []T) *Vec[T] {
+	k := len(val)
+	if k == 0 || k == n {
+		pool.Recycle(list)
+		return vecOf(n, nil, compact(val))
+	}
+	list = compact(list[:k])
+	w := &Vec[T]{N: n, Idx: list[:k:k], Val: compact(val)}
+	if cap(list) <= math.MaxInt32 { // a larger list is beyond every shelf
+		w.own.n.Store(1)
+		w.own.cap, w.own.first = int32(cap(list)), unsafe.SliceData(list)
+		w.hold = &w.own
+	}
+	return w
+}
+
+// compact returns s in an array of its length's pool class: s itself when
+// its capacity is below twice its length, a copy otherwise, s going back
+// to the pool.
+func compact[T any](s []T) []T {
+	if cap(s) < 2*len(s) || cap(s) <= 1 {
+		return s
+	}
+	c := pool.Vals[T](len(s))
+	copy(c, s)
+	pool.Recycle(s)
+	return c
+}
+
+// shareIdx gives w the positions of src, an input with the same positions:
+// src's list clipped to its length, with one more hold on it when it came
+// from the pool. It is the only way one vector takes another's Idx — the
+// idxshare check of cmd/grblint holds the package to it — so every store
+// holding a pooled list is counted.
+func shareIdx[T, S any](w *Vec[T], src *Vec[S]) {
+	w.Idx = src.Idx[:len(src.Idx):len(src.Idx)]
+	if h := src.hold; h != nil {
+		h.n.Add(1)
+		w.hold = h
+	}
+}
+
+// Release gives back what v holds, once nothing can reach v any more: its
+// values go to the pool, and its hold on its positions is dropped — the
+// last store to let go of a pooled list shelves the list too. It reports
+// whether the values were shelved. The caller must be v's last holder and
+// release it once.
+func (v *Vec[T]) Release() bool {
+	if h := v.hold; h != nil {
+		v.hold = nil
+		if h.n.Add(-1) == 0 {
+			pool.Recycle(unsafe.Slice(h.first, h.cap))
+			h.first = nil
+		}
+	}
+	return pool.Recycle(v.Val)
+}
 
 // cloneVals is a copy of an input's values as an output's own, in an array
 // from the pool.
@@ -122,11 +205,11 @@ func emitRows[T any, K rowKernel[T]](n int, cum []int, exact bool, k K) *Vec[T] 
 		most := at[chunks]
 		var idx []int
 		if most < n {
-			idx = make([]int, most)
+			idx = pool.Vals[int](most)
 		}
 		val := pool.Vals[T](most)
 		runRows(k, n, bounds, at, idx, val)
-		w = vecOf(n, idx, val)
+		w = pooledVec(n, idx, val)
 	} else {
 		w = joinRows(k, n, bounds, at)
 	}
@@ -153,7 +236,7 @@ func joinRows[T any, K rowKernel[T]](k K, n int, bounds, at []int) *Vec[T] {
 	}
 	var idx []int
 	if total < n {
-		idx = make([]int, total)
+		idx = pool.Vals[int](total)
 	}
 	out := val
 	if total < most {
@@ -173,7 +256,7 @@ func joinRows[T any, K rowKernel[T]](k K, n int, bounds, at []int) *Vec[T] {
 	if total < most {
 		pool.Recycle(val)
 	}
-	return vecOf(n, idx, out)
+	return pooledVec(n, idx, out)
 }
 
 // runRows runs k's chunks, chunk c writing into idx and val from at[c] and

@@ -72,24 +72,27 @@ func VecUnion[D any](a, b *Vec[D], add func(D, D) D) *Vec[D] {
 // own kernel.
 func union[D any](a, b *Vec[D], add func(D, D) D) *Vec[D] {
 	if !a.Full() && !b.Full() {
-		idx, val := unionRow(a.Idx, a.Val, b.Idx, b.Val, add,
-			make([]int, 0, len(a.Idx)+len(b.Idx)), pool.Vals[D](len(a.Idx) + len(b.Idx))[:0])
-		return &Vec[D]{N: a.N, Idx: idx, Val: val}
+		m := len(a.Idx) + len(b.Idx)
+		idx, val := unionRow(a.Idx, a.Val, b.Idx, b.Val, add, pool.Vals[int](m)[:0], pool.Vals[D](m)[:0])
+		return pooledVec(a.N, idx, val)
 	}
 	w := &Vec[D]{N: a.N}
 	switch {
 	case a.Full() && b.Full():
-		w.Idx, w.Val = sharedIdx(a.Idx), cloneVals(a.Val)
+		shareIdx(w, a)
+		w.Val = cloneVals(a.Val)
 		for i, bv := range b.Val[:len(w.Val)] {
 			w.Val[i] = add(w.Val[i], bv)
 		}
 	case a.Full():
-		w.Idx, w.Val = sharedIdx(a.Idx), cloneVals(a.Val)
+		shareIdx(w, a)
+		w.Val = cloneVals(a.Val)
 		for k, i := range b.Idx {
 			w.Val[i] = add(w.Val[i], b.Val[k])
 		}
 	default:
-		w.Idx, w.Val = sharedIdx(b.Idx), cloneVals(b.Val)
+		shareIdx(w, b)
+		w.Val = cloneVals(b.Val)
 		for k, i := range a.Idx {
 			w.Val[i] = add(a.Val[k], w.Val[i])
 		}
@@ -132,21 +135,24 @@ func unionRow[D any](aIdx []int, aVal []D, bIdx []int, bVal []D, add func(D, D) 
 // partial sides merge into storage sized for the smaller.
 func VecIntersect[DA, DB, DC any](a *Vec[DA], b *Vec[DB], mul func(DA, DB) DC) *Vec[DC] {
 	done := obs.KernelStart("vec.intersect")
-	w := &Vec[DC]{N: a.N}
+	var w *Vec[DC]
 	switch {
 	case b.Full():
-		w.Idx, w.Val = sharedIdx(a.Idx), pool.Vals[DC](len(a.Idx))
+		w = &Vec[DC]{N: a.N, Val: pool.Vals[DC](len(a.Idx))}
+		shareIdx(w, a)
 		for k, i := range a.Idx {
 			w.Val[k] = mul(a.Val[k], b.Val[i])
 		}
 	case a.Full():
-		w.Idx, w.Val = sharedIdx(b.Idx), pool.Vals[DC](len(b.Idx))
+		w = &Vec[DC]{N: a.N, Val: pool.Vals[DC](len(b.Idx))}
+		shareIdx(w, b)
 		for k, i := range b.Idx {
 			w.Val[k] = mul(a.Val[i], b.Val[k])
 		}
 	default:
 		m := min(len(a.Idx), len(b.Idx))
-		w.Idx, w.Val = intersectRow(a.Idx, a.Val, b.Idx, b.Val, mul, make([]int, 0, m), pool.Vals[DC](m)[:0])
+		idx, val := intersectRow(a.Idx, a.Val, b.Idx, b.Val, mul, pool.Vals[int](m)[:0], pool.Vals[DC](m)[:0])
+		w = pooledVec(a.N, idx, val)
 	}
 	done(w.NVals())
 	return w
@@ -175,7 +181,8 @@ func intersectRow[DA, DB, DC any](aIdx []int, aVal []DA, bIdx []int, bVal []DB, 
 // VecApply maps f over the stored values of a, keeping — sharing — its
 // structure.
 func VecApply[DA, DC any](a *Vec[DA], f func(DA) DC) *Vec[DC] {
-	out := &Vec[DC]{N: a.N, Idx: sharedIdx(a.Idx), Val: pool.Vals[DC](len(a.Val))}
+	out := &Vec[DC]{N: a.N, Val: pool.Vals[DC](len(a.Val))}
+	shareIdx(out, a)
 	for k, v := range a.Val {
 		out.Val[k] = f(v)
 	}
@@ -185,7 +192,8 @@ func VecApply[DA, DC any](a *Vec[DA], f func(DA) DC) *Vec[DC] {
 // VecApplyIndex maps f(value, index) over the stored entries of a, sharing
 // its structure.
 func VecApplyIndex[DA, DC any](a *Vec[DA], f func(DA, int) DC) *Vec[DC] {
-	out := &Vec[DC]{N: a.N, Idx: sharedIdx(a.Idx), Val: pool.Vals[DC](len(a.Val))}
+	out := &Vec[DC]{N: a.N, Val: pool.Vals[DC](len(a.Val))}
+	shareIdx(out, a)
 	for k, v := range a.Val {
 		out.Val[k] = f(v, a.Idx[k])
 	}
@@ -207,19 +215,22 @@ func VecSelect[D any](a *Vec[D], pred func(D, int) bool) *Vec[D] {
 			kept++
 		}
 	}
-	out := &Vec[D]{N: a.N, Val: pool.Vals[D](kept)}
+	val := pool.Vals[D](kept)
+	var out *Vec[D]
 	if kept == len(a.Idx) {
-		out.Idx = sharedIdx(a.Idx)
+		out = &Vec[D]{N: a.N, Val: val}
+		shareIdx(out, a)
 		copy(out.Val, a.Val)
 	} else {
-		out.Idx = make([]int, kept)
+		idx := pool.Vals[int](kept)
 		w := 0
 		for k, ok := range keep {
 			if ok {
-				out.Idx[w], out.Val[w] = a.Idx[k], a.Val[k]
+				idx[w], val[w] = a.Idx[k], a.Val[k]
 				w++
 			}
 		}
+		out = pooledVec(a.N, idx, val)
 	}
 	pool.PutBools(keep)
 	return out
@@ -260,8 +271,9 @@ func MaskMergeVec[D any](c, z *Vec[D], mask *VecMask, replace bool) *Vec[D] {
 	if mask == nil {
 		return z
 	}
-	idx, val := maskMergeRow(c.Idx, c.Val, z.Idx, z.Val, mask, replace, nil, nil)
-	return &Vec[D]{N: c.N, Idx: idx, Val: val}
+	m := len(c.Idx) + len(z.Idx)
+	idx, val := maskMergeRow(c.Idx, c.Val, z.Idx, z.Val, mask, replace, pool.Vals[int](m)[:0], pool.Vals[D](m)[:0])
+	return pooledVec(c.N, idx, val)
 }
 
 // maskMergeRow is the slice-level mask merge shared by the vector operation
@@ -304,12 +316,17 @@ func maskMergeRow[D any](cIdx []int, cVal []D, zIdx []int, zVal []D, mask *VecMa
 
 // WriteVec runs the full accumulate-then-mask write pipeline: z is
 // accum==nil ? t : union(c, t, accum), then MaskMergeVec(c, z, mask, replace).
+// An accumulated z the mask merge copies is released on the way.
 func WriteVec[D any](c, t *Vec[D], mask *VecMask, accum func(D, D) D, replace bool) *Vec[D] {
-	z := t
-	if accum != nil {
-		z = VecUnion(c, t, accum)
+	if accum == nil {
+		return MaskMergeVec(c, t, mask, replace)
 	}
-	return MaskMergeVec(c, z, mask, replace)
+	z := VecUnion(c, t, accum)
+	w := MaskMergeVec(c, z, mask, replace)
+	if w != z {
+		z.Release()
+	}
+	return w
 }
 
 // ExtractVec computes w(k) = u(indices[k]); duplicate source indices are
@@ -329,7 +346,7 @@ func ExtractVec[D any](u *Vec[D], indices []int) *Vec[D] {
 	}
 	var idx []int
 	if hits < len(indices) {
-		idx = make([]int, hits)
+		idx = pool.Vals[int](hits)
 	}
 	val := pool.Vals[D](hits)
 	w := 0
@@ -343,7 +360,7 @@ func ExtractVec[D any](u *Vec[D], indices []int) *Vec[D] {
 		}
 	}
 	pool.PutInts(slot)
-	return vecOf(len(indices), idx, val)
+	return pooledVec(len(indices), idx, val)
 }
 
 // assignEntry pairs a target position with an optional source value for the
@@ -433,11 +450,12 @@ func mergeAssign[D any](cIdx []int, cVal []D, es []assignEntry[D], accum func(D,
 	return mergeAssignInto(cIdx, cVal, es, accum, make([]int, 0, n), make([]D, 0, n))
 }
 
-// mergeAssignVec is mergeAssign for a vector's content, whose values go in
-// an array from the pool.
-func mergeAssignVec[D any](cIdx []int, cVal []D, es []assignEntry[D], accum func(D, D) D) ([]int, []D) {
-	n := len(cIdx) + len(es)
-	return mergeAssignInto(cIdx, cVal, es, accum, make([]int, 0, n), pool.Vals[D](n)[:0])
+// mergeAssignVec is mergeAssign for the content of a vector of size n,
+// whose positions and values go in arrays from the pool.
+func mergeAssignVec[D any](n int, cIdx []int, cVal []D, es []assignEntry[D], accum func(D, D) D) *Vec[D] {
+	m := len(cIdx) + len(es)
+	idx, val := mergeAssignInto(cIdx, cVal, es, accum, pool.Vals[int](m)[:0], pool.Vals[D](m)[:0])
+	return pooledVec(n, idx, val)
 }
 
 // mergeAssignInto is the merge, appending to outIdx and outVal.
@@ -490,7 +508,8 @@ func AssignExpandVec[D any](c, u *Vec[D], indices []int, accum func(D, D) D) *Ve
 	var z *Vec[D]
 	switch {
 	case indices == nil && accum == nil:
-		z = &Vec[D]{N: c.N, Idx: sharedIdx(u.Idx), Val: cloneVals(u.Val)}
+		z = &Vec[D]{N: c.N, Val: cloneVals(u.Val)}
+		shareIdx(z, u)
 	case indices == nil:
 		z = union(c, u, accum)
 	default:
@@ -507,8 +526,7 @@ func AssignExpandVec[D any](c, u *Vec[D], indices []int, accum func(D, D) D) *Ve
 			}
 		}
 		sortAssign(es)
-		idx, val := mergeAssignVec(c.Idx, c.Val, es, accum)
-		z = &Vec[D]{N: c.N, Idx: idx, Val: val}
+		z = mergeAssignVec(c.N, c.Idx, c.Val, es, accum)
 	}
 	done(z.NVals())
 	return z
@@ -538,8 +556,7 @@ func AssignScalarExpandVec[D any](c *Vec[D], x D, indices []int, accum func(D, D
 			es[k] = assignEntry[D]{target: i, val: x, has: true}
 		}
 		sortAssign(es)
-		idx, val := mergeAssignVec(c.Idx, c.Val, es, accum)
-		z = &Vec[D]{N: c.N, Idx: idx, Val: val}
+		z = mergeAssignVec(c.N, c.Idx, c.Val, es, accum)
 	}
 	done(z.NVals())
 	return z

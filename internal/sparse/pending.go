@@ -39,6 +39,5 @@ func ApplyVecTuples[D any](v *Vec[D], ts []Tuple[D]) *Vec[D] {
 		}
 		es = append(es, assignEntry[D]{target: i, val: last.V, has: !last.Del})
 	}
-	idx, val := mergeAssignVec(v.Idx, v.Val, es, nil)
-	return &Vec[D]{N: v.N, Idx: idx, Val: val}
+	return mergeAssignVec(v.N, v.Idx, v.Val, es, nil)
 }

@@ -306,8 +306,8 @@ func pushSerial[DA, DU, DC any](a *CSR[DA], uIdx []int, uVal []DU, r Ring[DA, DU
 		// call, are the result's in position order.
 		w = vecOf(a.NCols, nil, spa.val)
 	} else {
-		idx, val := spa.Gather(make([]int, 0, spa.Len()), pool.Vals[DC](spa.Len())[:0])
-		w = &Vec[DC]{N: a.NCols, Idx: idx, Val: val}
+		idx, val := spa.Gather(pool.Vals[int](spa.Len())[:0], pool.Vals[DC](spa.Len())[:0])
+		w = pooledVec(a.NCols, idx, val)
 		pool.Recycle(spa.val)
 	}
 	pool.PutInts(nz)

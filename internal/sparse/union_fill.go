@@ -34,9 +34,9 @@ func unionFillRow[DA, DB, DC any](aIdx []int, aVal []DA, bIdx []int, bVal []DB,
 
 // VecUnionFill computes the filled union of two vectors.
 func VecUnionFill[DA, DB, DC any](a *Vec[DA], b *Vec[DB], op func(DA, DB) DC, alpha DA, beta DB) *Vec[DC] {
-	idx, val := unionFillRow(a.Idx, a.Val, b.Idx, b.Val, op, alpha, beta,
-		make([]int, 0, len(a.Idx)+len(b.Idx)), pool.Vals[DC](len(a.Idx) + len(b.Idx))[:0])
-	return &Vec[DC]{N: a.N, Idx: idx, Val: val}
+	m := len(a.Idx) + len(b.Idx)
+	idx, val := unionFillRow(a.Idx, a.Val, b.Idx, b.Val, op, alpha, beta, pool.Vals[int](m)[:0], pool.Vals[DC](m)[:0])
+	return pooledVec(a.N, idx, val)
 }
 
 // UnionFillCSR computes the filled union of two matrices row-parallel.

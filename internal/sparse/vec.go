@@ -21,11 +21,19 @@ import (
 // Invariants: Idx is strictly increasing, len(Idx) == len(Val), and every
 // index is in [0, N). Elements not stored are *undefined* (not implicit
 // zeros), per Section III-A of the paper. Idx is write-once and may be
-// shared with other vectors; Val is the vector's own (emit.go).
+// shared with other vectors — a list from the pool counts the vectors
+// holding it and goes back when the last is released; Val is the vector's
+// own (emit.go).
 type Vec[T any] struct {
 	N   int
 	Idx []int
 	Val []T
+
+	// hold counts the stores holding Idx when the list came from the pool:
+	// &own when this vector drew it, the source's when it shares it, nil
+	// for a list nobody recycles (emit.go).
+	hold *idxHold
+	own  idxHold
 }
 
 // NewVec returns an empty sparse vector of logical size n.
@@ -53,7 +61,7 @@ func (v *Vec[T]) ApproxBytes() int64 {
 func (v *Vec[T]) Clone() *Vec[T] {
 	w := &Vec[T]{N: v.N}
 	if len(v.Idx) > 0 {
-		w.Idx = sharedIdx(v.Idx)
+		shareIdx(w, v)
 		w.Val = cloneVals(v.Val)
 	}
 	return w
@@ -114,10 +122,11 @@ func BuildVec[T any](n int, idx []int, val []T, dup func(T, T) T) (v *Vec[T], ok
 			return nil, false
 		}
 		var own []int
-		if len(idx) < n { // otherwise idx is 0…n−1, and vecOf takes the identity list
-			own = append(make([]int, 0, len(idx)), idx...)
+		if len(idx) < n { // otherwise idx is 0…n−1, and the result takes the identity list
+			own = pool.Vals[int](len(idx))
+			copy(own, idx)
 		}
-		return vecOf(n, own, cloneVals(val)), true
+		return pooledVec(n, own, cloneVals(val)), true
 	}
 	perm := make([]int, len(idx))
 	for i := range perm {
@@ -185,12 +194,13 @@ func FromDense[T any](d []T, present []bool) *Vec[T] {
 	if nnz == len(d) {
 		return vecOf(len(d), nil, cloneVals(d))
 	}
-	v := &Vec[T]{N: len(d), Idx: make([]int, 0, nnz), Val: pool.Vals[T](nnz)[:0]}
+	idx, val := pool.Vals[int](nnz), pool.Vals[T](nnz)
+	k := 0
 	for i := range d {
 		if present[i] {
-			v.Idx = append(v.Idx, i)
-			v.Val = append(v.Val, d[i])
+			idx[k], val[k] = i, d[i]
+			k++
 		}
 	}
-	return v
+	return pooledVec(len(d), idx, val)
 }
