@@ -1,6 +1,10 @@
 package algorithms
 
-import "graphblas/internal/builtins"
+import (
+	"graphblas/internal/builtins"
+	"graphblas/internal/core"
+	"graphblas/internal/setalg"
+)
 
 // The predefined operators the algorithms use in place of hand-written
 // literals, built once: a generic constructor allocates its closure on every
@@ -12,4 +16,21 @@ var (
 	pairCount  = builtins.Pair[bool, bool, int64]()         // 1 per shared edge
 	pairDegree = builtins.Pair[float64, float64, float64]() // 1 per stored entry
 	absDiff    = builtins.AbsDiff[float64]()
+	neFloat64  = builtins.Ne[float64]()
+	anyTrue    = builtins.LOrMonoid()
+	sumInt64   = builtins.PlusMonoid[int64]()
+	setSize    = core.UnaryOp[setalg.Set, int64]{Name: "card", F: func(s setalg.Set) int64 { return int64(s.Len()) }} // a label set's size
 )
+
+// freeAll frees an algorithm's work objects before it returns, so their
+// vectors' stores go back to the pool instead of to the collector. Free
+// forces pending work: call it after the last forced read, where it adds no
+// flush.
+func freeAll(vs ...interface{ Free() error }) error {
+	for _, v := range vs {
+		if err := v.Free(); err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -83,6 +83,7 @@ func PageRankFrom(a *core.Matrix[float64], start *core.Vector[float64], damping,
 	scale := core.UnaryOp[float64, float64]{Name: "damp", F: func(x float64) float64 { return damping * x }}
 
 	// The sweep's four work vectors; each is fully overwritten every sweep.
+	// next and rank trade places at the end of every sweep.
 	var work [4]*core.Vector[float64]
 	for i := range work {
 		if work[i], err = core.NewVector[float64](n); err != nil {
@@ -136,14 +137,17 @@ func PageRankFrom(a *core.Matrix[float64], start *core.Vector[float64], damping,
 		if err != nil {
 			return nil, 0, err
 		}
-		// rank = next (swap by assign).
-		if err := core.AssignVector(rank, core.NoMaskV, core.NoAccum[float64](), next, core.All, nil); err != nil {
-			return nil, 0, err
-		}
+		// rank = next: the vectors trade places, and the old ranks are the
+		// next sweep's output.
+		rank, next = next, rank
 		if diff < tol {
 			iters++
 			break
 		}
+	}
+	// The loop ended on a forced read, so freeing forces nothing.
+	if err := freeAll(ones, outdeg, share, next, withEdges, diffV); err != nil {
+		return nil, 0, err
 	}
 	return rank, iters, nil
 }

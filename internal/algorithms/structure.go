@@ -74,35 +74,28 @@ func ConnectedComponents(a *core.Matrix[bool]) (*core.Vector[int64], error) {
 		return nil, err
 	}
 	minOp := builtins.Min[int64]()
+	// Every label is stored and the min accumulator can only lower one, so
+	// the labels' sum falls if and only if some label changed. The fixed
+	// point is tested with one reduce per sweep, and only its scalar leaves
+	// the engine.
+	sum, err := core.ReduceVectorToScalar(0, core.NoAccum[int64](), sumInt64, labels)
+	if err != nil {
+		return nil, err
+	}
 	for iter := 0; iter < n; iter++ {
-		before, beforeVals, err := labels.ExtractTuples()
-		if err != nil {
-			return nil, err
-		}
 		if err := core.VxM(labels, core.NoMaskV, minOp, minCarry, labels, a, nil); err != nil {
 			return nil, err
 		}
-		after, afterVals, err := labels.ExtractTuples()
+		next, err := core.ReduceVectorToScalar(0, core.NoAccum[int64](), sumInt64, labels)
 		if err != nil {
 			return nil, err
 		}
-		if equalTuplesI64(before, beforeVals, after, afterVals) {
+		if next == sum {
 			break
 		}
+		sum = next
 	}
 	return labels, nil
-}
-
-func equalTuplesI64(ai []int, av []int64, bi []int, bv []int64) bool {
-	if len(ai) != len(bi) {
-		return false
-	}
-	for k := range ai {
-		if ai[k] != bi[k] || av[k] != bv[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // MIS computes a maximal independent set of a symmetric simple graph by

@@ -47,6 +47,10 @@ func BFSLevels(a *core.Matrix[bool], source int) (*core.Vector[int32], error) {
 			return nil, err
 		}
 	}
+	// The loop ended on a forced read, so freeing forces nothing.
+	if err := frontier.Free(); err != nil {
+		return nil, err
+	}
 	return levels, nil
 }
 
@@ -117,6 +121,13 @@ func BFSParents(a *core.Matrix[bool], source int) (*core.Vector[int64], error) {
 // (tropical) semiring of Table I by Bellman-Ford iteration:
 // d ⊙min= d min.+ A until a fixed point. Unreachable vertices have no
 // entry. Weights must be nonnegative.
+//
+// Each sweep relaxes into a candidate vector c = d ⊕min (d min.+ A), which
+// stores every position d stores. So the sweep changed d if and only if c
+// stores more entries or some entry of c differs from d's. The difference
+// is tested with ≠, reduced with ∨, inside the engine: only the entry count
+// and one flag leave it. ≠ rather than < keeps a NaN distance, which never
+// equals itself, sweeping, as a comparison of the two copies would.
 func SSSP(a *core.Matrix[float64], source int) (*core.Vector[float64], error) {
 	n, err := a.NRows()
 	if err != nil {
@@ -129,38 +140,50 @@ func SSSP(a *core.Matrix[float64], source int) (*core.Vector[float64], error) {
 	if err := dist.SetElement(0, source); err != nil {
 		return nil, err
 	}
+	cand, err := core.NewVector[float64](n)
+	if err != nil {
+		return nil, err
+	}
+	changed, err := core.NewVector[bool](n)
+	if err != nil {
+		return nil, err
+	}
 	minPlus := builtins.MinPlus[float64]()
 	minOp := builtins.Min[float64]()
+	stored := 1 // dist's entry count: the source's alone
 	for iter := 0; iter < n; iter++ {
-		before, beforeVals, err := dist.ExtractTuples()
+		// cand = dist ⊕min (dist min.+ A): relax every edge out of the
+		// reached set.
+		if err := core.VxM(cand, core.NoMaskV, core.NoAccum[float64](), minPlus, dist, a, nil); err != nil {
+			return nil, err
+		}
+		if err := core.EWiseAddV(cand, core.NoMaskV, core.NoAccum[float64](), minOp, dist, cand, nil); err != nil {
+			return nil, err
+		}
+		// changed = cand ≠ dist on dist's positions.
+		if err := core.EWiseMultV(changed, core.NoMaskV, core.NoAccum[bool](), neFloat64, cand, dist, nil); err != nil {
+			return nil, err
+		}
+		nv, err := cand.NVals()
 		if err != nil {
 			return nil, err
 		}
-		// dist ⊙min= dist min.+ A (relax every edge out of the reached set).
-		if err := core.VxM(dist, core.NoMaskV, minOp, minPlus, dist, a, nil); err != nil {
-			return nil, err
-		}
-		after, afterVals, err := dist.ExtractTuples()
+		differs, err := core.ReduceVectorToScalar(false, core.NoAccum[bool](), anyTrue, changed)
 		if err != nil {
 			return nil, err
 		}
-		if equalTuples(before, beforeVals, after, afterVals) {
+		// The relaxed vector is the distances from here on, also when it
+		// equals them: == holds between 0 and -0.
+		dist, cand = cand, dist
+		if nv == stored && !differs {
 			break
 		}
+		stored = nv
+	}
+	if err := freeAll(cand, changed); err != nil {
+		return nil, err
 	}
 	return dist, nil
-}
-
-func equalTuples(ai []int, av []float64, bi []int, bv []float64) bool {
-	if len(ai) != len(bi) {
-		return false
-	}
-	for k := range ai {
-		if ai[k] != bi[k] || av[k] != bv[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // Reach computes, for every vertex, the set of the given source vertices
@@ -169,7 +192,8 @@ func equalTuples(ai []int, av []float64, bi []int, bv []float64) bool {
 // over the universe [0, len(sources)); the adjacency entries carry the full
 // universe U (the ∩ identity), so l ∪.∩ A propagates each vertex's label
 // set unchanged to its out-neighbors, and ∪ merges labels arriving over
-// different edges. Iteration stops at the fixed point (≤ n sweeps).
+// different edges. Iteration stops at the fixed point (≤ n sweeps), tested by
+// labelMass.
 func Reach(a *core.Matrix[bool], sources []int) (*core.Vector[setalg.Set], error) {
 	n, err := a.NRows()
 	if err != nil {
@@ -206,34 +230,41 @@ func Reach(a *core.Matrix[bool], sources []int) (*core.Vector[setalg.Set], error
 	}
 	unionIntersect := setalg.UnionIntersect(uni)
 	unionOp := setalg.UnionOp(uni)
+	sizes, err := core.NewVector[int64](n)
+	if err != nil {
+		return nil, err
+	}
+	mass, err := labelMass(sizes, labels)
+	if err != nil {
+		return nil, err
+	}
 	for iter := 0; iter < n; iter++ {
-		beforeIdx, beforeVals, err := labels.ExtractTuples()
-		if err != nil {
-			return nil, err
-		}
 		// labels ⊙∪= labels ∪.∩ A.
 		if err := core.VxM(labels, core.NoMaskV, unionOp, unionIntersect, labels, setA, nil); err != nil {
 			return nil, err
 		}
-		afterIdx, afterVals, err := labels.ExtractTuples()
+		next, err := labelMass(sizes, labels)
 		if err != nil {
 			return nil, err
 		}
-		if equalSetTuples(beforeIdx, beforeVals, afterIdx, afterVals) {
+		if next == mass {
 			break
 		}
+		mass = next
+	}
+	if err := freeAll(sizes, setA); err != nil {
+		return nil, err
 	}
 	return labels, nil
 }
 
-func equalSetTuples(ai []int, av []setalg.Set, bi []int, bv []setalg.Set) bool {
-	if len(ai) != len(bi) {
-		return false
+// labelMass returns the total size of the label sets, computed through
+// sizes. The ∪ accumulator only grows a label, and a new label is never
+// empty, so the total rises if and only if some label changed: Reach's
+// fixed-point test, with one scalar leaving the engine per sweep.
+func labelMass(sizes *core.Vector[int64], labels *core.Vector[setalg.Set]) (int64, error) {
+	if err := core.ApplyV(sizes, core.NoMaskV, core.NoAccum[int64](), setSize, labels, nil); err != nil {
+		return 0, err
 	}
-	for k := range ai {
-		if ai[k] != bi[k] || !av[k].Equal(bv[k]) {
-			return false
-		}
-	}
-	return true
+	return core.ReduceVectorToScalar(0, core.NoAccum[int64](), sumInt64, sizes)
 }

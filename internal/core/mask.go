@@ -56,9 +56,9 @@ func truthy[T any](v T) bool {
 	}
 }
 
-// truthyIdx returns the indices (positions into idx) whose values are
-// truthy, with fast paths for common mask domains. It returns idx itself
-// when every value is truthy.
+// truthyIdx returns the stored indices idx[k] whose values val[k] are
+// truthy, in order, with fast paths for common mask domains. It returns idx
+// itself when every value is truthy.
 func truthyIdx[T any](idx []int, val []T) []int {
 	switch vs := any(val).(type) {
 	case []bool:
@@ -129,18 +129,19 @@ func truthyIdxNum[T int32 | int64 | float32 | float64](idx []int, val []T) []int
 
 // resolveVecMask converts a vector mask object into the kernel form. Must
 // run at operation-execution time so the mask content is current. A nil
-// mask returns nil.
+// mask returns nil. A complemented mask is structural (SCMP): every kernel
+// reads only its Structure, so its Idx, the truthy positions, is left nil
+// rather than built for nobody.
 func resolveVecMask[DM any](mask *Vector[DM], comp bool) *sparse.VecMask {
 	if mask == nil {
 		return nil
 	}
 	d := mask.vdat()
-	return &sparse.VecMask{
-		N:         d.N,
-		Idx:       truthyIdx(d.Idx, d.Val),
-		Structure: d.Idx,
-		Comp:      comp,
+	vm := &sparse.VecMask{N: d.N, Structure: d.Idx, Comp: comp}
+	if !comp {
+		vm.Idx = truthyIdx(d.Idx, d.Val)
 	}
+	return vm
 }
 
 // resolveMatMask converts a matrix mask object into the kernel pattern

@@ -16,7 +16,7 @@ import (
 // value truthiness before kernels run.
 type VecMask struct {
 	N         int
-	Idx       []int // effective positions: stored-and-true
+	Idx       []int // effective positions: stored-and-true; unread when Comp
 	Structure []int // all stored positions (basis of the structural complement)
 	Comp      bool
 }

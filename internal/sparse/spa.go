@@ -136,14 +136,13 @@ func insertionSortSmall(a []int) {
 }
 
 // BitSPA is a presence-only sparse accumulator used for boolean-structure
-// kernels (e.g. masked pruning) where values are irrelevant.
+// kernels (e.g. masked pruning) where values are irrelevant. Its stamp
+// array is pool scratch: pushCore, its one user, draws it zeroed and puts it
+// back when the kernel returns.
 type BitSPA struct {
 	stamp []int
 	cur   int
 }
-
-// NewBitSPA returns a presence accumulator over [0, n).
-func NewBitSPA(n int) *BitSPA { return &BitSPA{stamp: make([]int, n)} }
 
 // Reset begins a new generation.
 func (s *BitSPA) Reset() { s.cur++ }

@@ -242,7 +242,8 @@ func pushCore[DA, DU, DC any](a *CSR[DA], uIdx []int, uVal []DU, r Ring[DA, DU, 
 	var allowed *BitSPA
 	comp := false
 	if mask != nil {
-		allowed = NewBitSPA(a.NCols)
+		allowed = &BitSPA{stamp: pool.GetInts(a.NCols)}
+		defer pool.PutInts(allowed.stamp)
 		allowed.Reset()
 		comp = mask.Comp
 		if comp {
