@@ -52,6 +52,10 @@ func Jaccard(a *core.Matrix[bool]) (*core.Matrix[float64], error) {
 	if err != nil {
 		return nil, err
 	}
+	// The extract forced the sequence: freeing ones adds no flush.
+	if err := freeAll(ones, deg); err != nil {
+		return nil, err
+	}
 	dense := make([]float64, n)
 	for k := range degIdx {
 		dense[degIdx[k]] = degVal[k]
@@ -64,6 +68,11 @@ func Jaccard(a *core.Matrix[bool]) (*core.Matrix[float64], error) {
 		return nil, err
 	}
 	if err := core.ApplyIndexOpM(out, core.NoMask, core.NoAccum[float64](), jacc, common, nil); err != nil {
+		return nil, err
+	}
+	// Free completes the sequence, out's apply included, and gives common's
+	// store back to the pool.
+	if err := common.Free(); err != nil {
 		return nil, err
 	}
 	return out, nil

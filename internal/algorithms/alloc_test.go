@@ -33,11 +33,11 @@ func bytesPerCall(t *testing.T, run func() error) float64 {
 }
 
 // TestAlgorithmsAllocBudget pins the bytes one call of BFSLevels, SSSP,
-// PageRank and ConnectedComponents allocates on a fixed RMAT-10 graph in
-// blocking mode at one worker, with about 10 % headroom. A fixed-point test
-// that copies the state out of the engine, or a work vector dropped instead
-// of freed, shows here as a budget overrun. Results are kept, not freed, as
-// a caller keeps them.
+// PageRank, ConnectedComponents and TriangleCount allocates on a fixed
+// RMAT-10 graph in blocking mode at one worker, with about 10 % headroom. A
+// fixed-point test that copies the state out of the engine, or a work
+// vector or matrix dropped instead of freed, shows here as a budget
+// overrun. Results are kept, not freed, as a caller keeps them.
 func TestAlgorithmsAllocBudget(t *testing.T) {
 	prev := obs.SetTracer(nil)
 	defer obs.SetTracer(prev)
@@ -55,11 +55,15 @@ func TestAlgorithmsAllocBudget(t *testing.T) {
 		}{
 			// Measured: BFSLevels 17.2 kB, SSSP 21.8 kB, PageRank 34.0 kB,
 			// CC 10.9 kB; the extract-and-compare loops and dropped work
-			// vectors cost 64.1, 88.3, 94.6 and 142.0 kB.
+			// vectors cost 64.1, 88.3, 94.6 and 142.0 kB. TriangleCount
+			// 1.9 kB: its L and C freed, their arrays come back to the
+			// next call's select and masked product; dropped, they cost
+			// 238.4 kB.
 			{"BFSLevels", 19000, func() error { _, err := BFSLevels(pattern, 1); return err }},
 			{"SSSP", 24000, func() error { _, err := SSSP(weighted, 1); return err }},
 			{"PageRank", 37500, func() error { _, _, err := PageRank(weighted, 0.85, 0, 10); return err }},
 			{"CC", 12000, func() error { _, err := ConnectedComponents(undirected); return err }},
+			{"TriangleCount", 2100, func() error { _, err := TriangleCount(undirected); return err }},
 		}
 		for _, tc := range cases {
 			got := bytesPerCall(t, tc.run)

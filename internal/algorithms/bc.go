@@ -180,8 +180,17 @@ func BCUpdate(a *core.Matrix[int32], s []int) (*core.Vector[float32], error) {
 		return nil, err
 	}
 
-	// lines 80-82: resource cleanup is the garbage collector's job in Go;
-	// the opaque objects simply go out of scope.
+	// lines 80-82: free the work matrices (GrB_free), so their stores go
+	// back to the pool. Free completes the pending sequence first, delta's
+	// reduce included.
+	for _, sigma := range sigmas {
+		if err := sigma.Free(); err != nil {
+			return nil, err
+		}
+	}
+	if err := freeAll(numsp, frontier, nspinv, bcu, w); err != nil {
+		return nil, err
+	}
 	return delta, nil
 }
 

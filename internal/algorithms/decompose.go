@@ -120,6 +120,10 @@ func CoreNumbers(a *core.Matrix[bool]) (*core.Vector[int64], error) {
 			}
 		}
 	}
+	// deg.NVals forced the sequence: freeing ones adds no flush.
+	if err := ones.Free(); err != nil {
+		return nil, err
+	}
 	return coreness, nil
 }
 
@@ -147,6 +151,9 @@ func KTruss(a *core.Matrix[bool], k int) (*core.Matrix[int64], error) {
 	if err != nil {
 		return nil, err
 	}
+	// prev is the last round's keep, which c was made from. Each round's
+	// keep.NVals forces the sequence, so the frees below add no flush.
+	var prev *core.Matrix[int64]
 	for iter := 0; iter <= n*n; iter++ {
 		// s⟨C⟩ = C +.× C — per-edge wedge (triangle) counts.
 		s, err := core.NewMatrix[int64](n, n)
@@ -168,17 +175,24 @@ func KTruss(a *core.Matrix[bool], k int) (*core.Matrix[int64], error) {
 		if err != nil {
 			return nil, err
 		}
-		if nv == last {
+		if err := freeAll(s, prev); err != nil {
+			return nil, err
+		}
+		if nv == last || nv == 0 {
+			if err := c.Free(); err != nil {
+				return nil, err
+			}
 			return keep, nil
 		}
 		last = nv
-		if nv == 0 {
-			return keep, nil
-		}
 		// c = pattern(keep) as ones for the next round.
 		if err := core.ApplyM(c, core.NoMask, core.NoAccum[int64](), toOne, keep, nil); err != nil {
 			return nil, err
 		}
+		prev = keep
+	}
+	if err := prev.Free(); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -251,6 +265,11 @@ func ClusteringCoefficients(a *core.Matrix[bool]) (*core.Vector[float64], error)
 	// if tri2 is 0, which cannot be stored (reduce of positive counts), so
 	// truthiness is safe here.
 	if err := core.AssignVector(cc, frac, core.NoAccum[float64](), frac, core.All, nil); err != nil {
+		return nil, err
+	}
+	// Free completes the sequence, cc's assign included, and gives the two
+	// matrices' stores back to the pool.
+	if err := freeAll(ones, wedges); err != nil {
 		return nil, err
 	}
 	return cc, nil

@@ -13,21 +13,23 @@ import (
 )
 
 // churnShelves draws every array the pool's value shelves hold, in every
-// number domain and every size class a test vector of up to 1024 entries
-// occupies, fills it with junk and shelves it again: an array the pool took
-// back while a returned vector still holds it now holds values and
-// positions no algorithm computed, and the comparison that follows shows it.
+// number domain and every size class a test vector or matrix store of up
+// to 4096 entries occupies, fills it with junk and shelves it again: an
+// array the pool took back while a returned vector still holds it now holds
+// values and positions no algorithm computed, and the comparison that
+// follows shows it.
 func churnShelves() {
 	churn(func(s []int) { fill(s, -1) })
 	churn(func(s []int32) { fill(s, -7) })
 	churn(func(s []int64) { fill(s, -7) })
+	churn(func(s []float32) { fill(s, float32(math.NaN())) })
 	churn(func(s []float64) { fill(s, math.NaN()) })
 	churn(func(s []bool) { fill(s, true) })
 }
 
 func churn[T any](junk func([]T)) {
 	const shelf = 64 // at least the pool's per-class shelf capacity
-	for class := 0; class <= 10; class++ {
+	for class := 0; class <= 12; class++ {
 		drawn := make([][]T, 0, shelf)
 		for k := 0; k < shelf; k++ {
 			s := pool.Vals[T](1 << class)
@@ -59,18 +61,19 @@ func later[T any](t *testing.T, v *core.Vector[T], err error) func() (any, error
 	}
 }
 
-// TestAlgorithmResultsOutliveTheirWorkVectors: every algorithm of the suite
-// frees its work vectors before it returns, and none of them leaves a pool
-// draw or a goroutine behind. Whatever it shelved, the vector it returns
-// keeps its values and positions: after every shelved array is overwritten,
-// the result still equals a reference run's.
+// TestAlgorithmResultsOutliveTheirWorkVectors: every algorithm of the suite,
+// and BCUpdate, frees its work vectors and matrices before it returns, and
+// none of them leaves a pool draw or a goroutine behind. Whatever it
+// shelved, the vector it returns keeps its values and positions: after
+// every shelved array is overwritten, the result still equals a reference
+// run's.
 func TestAlgorithmResultsOutliveTheirWorkVectors(t *testing.T) {
 	g := generate.RMAT(8, 4, 3).Dedup(true)
 	sym := g.Symmetrize().Dedup(true)
 	for _, mode := range []core.Mode{core.Blocking, core.NonBlocking} {
 		t.Run(fmt.Sprint(mode), func(t *testing.T) {
 			inMode(t, mode, 2, func() {
-				pattern, weighted, undirected := boolMatrix(t, g), floatMatrix(t, g), boolMatrix(t, sym)
+				pattern, weighted, undirected, counts := boolMatrix(t, g), floatMatrix(t, g), boolMatrix(t, sym), int32Matrix(t, g)
 				runs := []struct {
 					name string
 					run  func(t *testing.T) func() (any, error)
@@ -94,6 +97,10 @@ func TestAlgorithmResultsOutliveTheirWorkVectors(t *testing.T) {
 					}},
 					{"Reach", func(t *testing.T) func() (any, error) {
 						v, err := Reach(pattern, []int{0, 5, 77})
+						return later(t, v, err)
+					}},
+					{"BCUpdate", func(t *testing.T) func() (any, error) {
+						v, err := BCUpdate(counts, []int{0, 3, 17, 42})
 						return later(t, v, err)
 					}},
 				}

@@ -23,9 +23,9 @@ var (
 )
 
 // freeAll frees an algorithm's work objects before it returns, so their
-// vectors' stores go back to the pool instead of to the collector. Free
-// forces pending work: call it after the last forced read, where it adds no
-// flush.
+// stores — vectors' and matrices' — go back to the pool instead of to the
+// collector. Free forces pending work: call it after the last forced read,
+// where it adds no flush. A nil object is skipped.
 func freeAll(vs ...interface{ Free() error }) error {
 	for _, v := range vs {
 		if err := v.Free(); err != nil {

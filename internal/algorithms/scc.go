@@ -156,6 +156,11 @@ func SCC(a *core.Matrix[bool]) (*core.Vector[int64], error) {
 			return nil, err
 		}
 	}
+	// The extract that ended the loop forced the sequence: freeing the
+	// transpose adds no flush.
+	if err := at.Free(); err != nil {
+		return nil, err
+	}
 	return labels, nil
 }
 
@@ -243,6 +248,11 @@ func APSP(a *core.Matrix[float64]) (*core.Matrix[float64], error) {
 		if err := core.MxM(d, core.NoMask, minOp, minPlus, d, d, nil); err != nil {
 			return nil, err
 		}
+	}
+	// Free completes the sequence, the squarings included, and gives the
+	// diagonal's store and the zero vector's back to the pool.
+	if err := freeAll(diag, zeros); err != nil {
+		return nil, err
 	}
 	return d, nil
 }

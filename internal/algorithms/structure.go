@@ -43,7 +43,16 @@ func TriangleCount(a *core.Matrix[bool]) (int64, error) {
 	if err := core.MxM(c, l, core.NoAccum[int64](), plusPair, l, l, core.Desc().Transpose1().ReplaceOutput()); err != nil {
 		return 0, err
 	}
-	return core.ReduceMatrixToScalar(0, core.NoAccum[int64](), builtins.PlusMonoid[int64](), c)
+	count, err := core.ReduceMatrixToScalar(0, core.NoAccum[int64](), builtins.PlusMonoid[int64](), c)
+	if err != nil {
+		return 0, err
+	}
+	// The reduce forced the sequence, so freeing adds no flush: L and C go
+	// back to the pool for the next count's select and product.
+	if err := freeAll(l, c); err != nil {
+		return 0, err
+	}
+	return count, nil
 }
 
 // ConnectedComponents labels the weakly connected components of a symmetric
@@ -257,9 +266,16 @@ func GreedyColor(a *core.Matrix[bool], seed uint64) (*core.Vector[int64], int, e
 	}
 	compReplace := core.Desc().CompMask().ReplaceOutput()
 	color := int64(0)
+	// dropped holds the last round's work graph and its copy, which the
+	// select that made the new work graph read. The NVals at the top of
+	// each round forces the sequence, so freeing them there adds no flush.
+	var dropped [2]*core.Matrix[bool]
 	for ; ; color++ {
 		nr, err := remaining.NVals()
 		if err != nil {
+			return nil, 0, err
+		}
+		if err := freeAll(dropped[0], dropped[1]); err != nil {
 			return nil, 0, err
 		}
 		if nr == 0 {
@@ -316,6 +332,9 @@ func GreedyColor(a *core.Matrix[bool], seed uint64) (*core.Vector[int64], int, e
 			return nil, 0, err
 		}
 		if len(remIdx) == 0 {
+			if err := pruned.Free(); err != nil {
+				return nil, 0, err
+			}
 			color++
 			break
 		}
@@ -329,7 +348,11 @@ func GreedyColor(a *core.Matrix[bool], seed uint64) (*core.Vector[int64], int, e
 		if err := core.SelectM(pruned, core.NoMask, core.NoAccum[bool](), keepEdge, wd, nil); err != nil {
 			return nil, 0, err
 		}
+		dropped = [2]*core.Matrix[bool]{work, wd}
 		work = pruned
+	}
+	if err := work.Free(); err != nil {
+		return nil, 0, err
 	}
 	return colors, int(color), nil
 }

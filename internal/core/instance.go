@@ -97,6 +97,35 @@ func NewMatrixIn[D any](in *Instance, nrows, ncols int) (*Matrix[D], error) {
 	return m, nil
 }
 
+// BuildMatrixIn creates an nrows-by-ncols matrix holding the given tuples,
+// duplicates combined with dup — NewMatrixIn followed by Build — bound to
+// in, or to the program's context when in is nil. Unlike Build on a matrix
+// made beforehand it forces nothing: no pending operation can involve an
+// object that does not exist yet, so other callers' work stays queued, and
+// keeps its errors, until they complete it themselves.
+func BuildMatrixIn[D any](in *Instance, nrows, ncols int, rows, cols []int, values []D, dup BinaryOp[D, D, D]) (*Matrix[D], error) {
+	const op = "BuildMatrixIn"
+	if err := checkActive(op); err != nil {
+		return nil, err
+	}
+	if nrows <= 0 || ncols <= 0 {
+		return nil, errf(InvalidValue, op, "dimensions must be positive, got %dx%d", nrows, ncols)
+	}
+	if err := checkTuples(op, nrows, ncols, rows, cols, values); err != nil {
+		return nil, err
+	}
+	built, err := buildTuples(op, nrows, ncols, rows, cols, values, dup)
+	if err != nil {
+		return nil, err
+	}
+	m := &Matrix[D]{nr: nrows, nc: ncols, data: built}
+	m.initMatrix()
+	if in != nil {
+		m.obj.ctx = &in.c
+	}
+	return m, nil
+}
+
 // NewVectorIn creates a size-n vector bound to the instance; see NewMatrixIn.
 func NewVectorIn[D any](in *Instance, n int) (*Vector[D], error) {
 	if in == nil {

@@ -28,7 +28,7 @@ func MatrixIterate[D any](m *Matrix[D]) (*MatrixIterator[D], error) {
 	if err := invalidMark(&m.obj, op); err != nil {
 		return nil, err
 	}
-	return &MatrixIterator[D]{data: m.mdat()}, nil
+	return &MatrixIterator[D]{data: m.pin()}, nil
 }
 
 // Next returns the next entry; ok is false when iteration is complete.

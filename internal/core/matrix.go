@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"graphblas/internal/format"
@@ -54,7 +55,7 @@ func NewMatrix[D any](nrows, ncols int) (*Matrix[D], error) {
 	if nrows <= 0 || ncols <= 0 {
 		return nil, errf(InvalidValue, "NewMatrix", "dimensions must be positive, got %dx%d", nrows, ncols)
 	}
-	m := &Matrix[D]{nr: nrows, nc: ncols, data: sparse.NewCSR[D](nrows, ncols)}
+	m := &Matrix[D]{nr: nrows, nc: ncols, data: sparse.EmptyCSR[D](nrows, ncols)}
 	m.initMatrix()
 	return m, nil
 }
@@ -70,12 +71,22 @@ func (m *Matrix[D]) initMatrix() {
 
 // snapshotState captures the committed store — the pointers to the CSR,
 // buffered updates, and derived stores; all immutable once installed — and
-// returns a closure restoring them unless the operation committed; a
-// superseded matrix store is left to the collector. The pending list is
-// kept, not copied: it is only ever appended to, and clipping it to its
-// length makes the next append after a restore reallocate, so the entries
-// it holds never change. O(1), so taking one per operation — every
-// SetElement takes one — is cheap.
+// returns the closure settling the operation that writes it: a failed one
+// gets the stores back, a committed one releases those it superseded
+// (releaseLocked). The pending list is kept, not copied: it is only ever
+// appended to, and clipping it to its length makes the next append after a
+// restore reallocate, so the entries it holds never change. O(1), so taking
+// one per operation — every SetElement takes one — is cheap.
+//
+// Store lifetimes. Once the operation has committed, a captured CSR — the
+// main store, the transpose, the merged view — is unreachable unless the
+// matrix still holds it or a reader pinned it (PinEpoch, MatrixIterate):
+// the rollback this closure held is the only other reference the engine
+// keeps, operations ordered after this one read the new stores, an
+// operation's mask view of the store ends with that operation, and no two
+// stores share a matrix array (every kernel writes arrays of its own, and
+// Transpose clones an input's store before C takes it). Such a dead store's
+// Ptr, ColIdx and Val go back to the pool.
 func (m *Matrix[D]) snapshotState() func(bool) {
 	m.mu.Lock()
 	data, tcache := m.data, m.tcache
@@ -83,14 +94,30 @@ func (m *Matrix[D]) snapshotState() func(bool) {
 	pending := m.pending[:len(m.pending):len(m.pending)]
 	m.mu.Unlock()
 	return func(committed bool) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
 		if committed {
+			m.releaseLocked(data, tcache, mcache)
 			return
 		}
-		m.mu.Lock()
 		m.data, m.tcache = data, tcache
 		m.delta, m.mcache, m.deltaAge, m.epochID = delta, mcache, deltaAge, epochID
 		m.pending = pending
-		m.mu.Unlock()
+	}
+}
+
+// releaseLocked releases each of the stores old that the matrix no longer
+// holds, once: the merged view is the main store itself when the overlay
+// is empty. A pinned store gives nothing back (sparse.CSR.Release). The
+// caller holds m.mu.
+func (m *Matrix[D]) releaseLocked(old ...*sparse.CSR[D]) {
+	for k, d := range old {
+		if d == nil || d == m.data || d == m.tcache || d == m.mcache || slices.Contains(old[:k], d) {
+			continue
+		}
+		if d.Release() {
+			storesRecycled.Inc()
+		}
 	}
 }
 
@@ -157,6 +184,16 @@ func (m *Matrix[D]) mdat() *sparse.CSR[D] {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.viewLocked()
+}
+
+// pin is mdat for a reader that keeps the store past the read: the store
+// is marked so that neither superseding nor freeing the matrix releases it.
+func (m *Matrix[D]) pin() *sparse.CSR[D] {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	d := m.viewLocked()
+	d.Pin()
+	return d
 }
 
 // transposed returns (computing and caching on first use) the CSR form of
@@ -237,7 +274,7 @@ func (m *Matrix[D]) Clear() error {
 		// Executes on a flush worker; read the dimensions under the lock in
 		// case the user goroutine Resizes while the flush is in flight.
 		nr, nc := m.dims()
-		m.setData(sparse.NewCSR[D](nr, nc))
+		m.setData(sparse.EmptyCSR[D](nr, nc))
 		return nil
 	})
 }
@@ -248,7 +285,7 @@ func (m *Matrix[D]) Dup() (*Matrix[D], error) {
 	if err := objOK(&m.obj, "Matrix.Dup", "m"); err != nil {
 		return nil, err
 	}
-	w := &Matrix[D]{nr: m.nr, nc: m.nc, data: sparse.NewCSR[D](m.nr, m.nc)}
+	w := &Matrix[D]{nr: m.nr, nc: m.nc, data: sparse.EmptyCSR[D](m.nr, m.nc)}
 	w.initMatrix()
 	w.obj.ctx = m.obj.ctx // the copy lives in the source's execution context
 	m.mu.Lock()
@@ -300,16 +337,8 @@ func (m *Matrix[D]) Build(rows, cols []int, values []D, dup BinaryOp[D, D, D]) e
 	if err := objOK(&m.obj, op, "m"); err != nil {
 		return err
 	}
-	if len(rows) != len(cols) || len(rows) != len(values) {
-		return errf(InvalidValue, op, "tuple arrays have unequal lengths %d/%d/%d", len(rows), len(cols), len(values))
-	}
-	for k := range rows {
-		if rows[k] < 0 || rows[k] >= m.nr {
-			return errf(InvalidIndex, op, "row index %d out of range [0,%d)", rows[k], m.nr)
-		}
-		if cols[k] < 0 || cols[k] >= m.nc {
-			return errf(InvalidIndex, op, "column index %d out of range [0,%d)", cols[k], m.nc)
-		}
+	if err := checkTuples(op, m.nr, m.nc, rows, cols, values); err != nil {
+		return err
 	}
 	if err := m.obj.engine().force(op); err != nil {
 		return err
@@ -320,16 +349,42 @@ func (m *Matrix[D]) Build(rows, cols []int, values []D, dup BinaryOp[D, D, D]) e
 	if nnz := m.mdat().NNZ(); nnz != 0 {
 		return errf(OutputNotEmpty, op, "matrix already has %d stored elements", nnz)
 	}
+	built, err := buildTuples(op, m.nr, m.nc, rows, cols, values, dup)
+	if err != nil {
+		return err
+	}
+	m.setData(built)
+	return nil
+}
+
+// checkTuples validates Build's coordinate arrays against an nr×nc shape.
+func checkTuples[D any](op string, nr, nc int, rows, cols []int, values []D) error {
+	if len(rows) != len(cols) || len(rows) != len(values) {
+		return errf(InvalidValue, op, "tuple arrays have unequal lengths %d/%d/%d", len(rows), len(cols), len(values))
+	}
+	for k := range rows {
+		if rows[k] < 0 || rows[k] >= nr {
+			return errf(InvalidIndex, op, "row index %d out of range [0,%d)", rows[k], nr)
+		}
+		if cols[k] < 0 || cols[k] >= nc {
+			return errf(InvalidIndex, op, "column index %d out of range [0,%d)", cols[k], nc)
+		}
+	}
+	return nil
+}
+
+// buildTuples is Build's kernel: the CSR of checked coordinate arrays,
+// duplicates combined with dup.
+func buildTuples[D any](op string, nr, nc int, rows, cols []int, values []D, dup BinaryOp[D, D, D]) (*sparse.CSR[D], error) {
 	var dupF func(D, D) D
 	if dup.Defined() {
 		dupF = dup.F
 	}
-	built, ok := sparse.BuildCSR(m.nr, m.nc, rows, cols, values, dupF)
+	built, ok := sparse.BuildCSR(nr, nc, rows, cols, values, dupF)
 	if !ok {
-		return errf(InvalidValue, op, "duplicate index with no dup operator")
+		return nil, errf(InvalidValue, op, "duplicate index with no dup operator")
 	}
-	m.setData(built)
-	return nil
+	return built, nil
 }
 
 // SetElement stores x at (i, j) (GrB_Matrix_setElement). May defer.
@@ -407,6 +462,8 @@ func (m *Matrix[D]) ExtractTuples() ([]int, []int, []D, error) {
 }
 
 // Free destroys the matrix (GrB_free). Pending operations complete first.
+// Its stores are released like superseded ones (snapshotState), except
+// those a reader pinned.
 func (m *Matrix[D]) Free() error {
 	if m == nil || !m.initialized {
 		return nil
@@ -416,8 +473,10 @@ func (m *Matrix[D]) Free() error {
 	}
 	m.initialized = false
 	m.mu.Lock()
-	m.data, m.delta = nil, nil
+	data, tcache, mcache := m.data, m.tcache, m.mcache
+	m.data, m.delta, m.pending = nil, nil, nil
 	m.dropDerivedLocked()
+	m.releaseLocked(data, tcache, mcache)
 	m.mu.Unlock()
 	return nil
 }

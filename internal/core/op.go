@@ -351,7 +351,10 @@ func matOp[DC, DM any](s *opSpec, name string, c *Matrix[DC], mask *Matrix[DM], 
 // maskNow resolves the mask from its committed store; run-time only.
 func (b matWrite[DC, DM]) maskNow() *sparse.MatMask { return resolveMatMask(b.mask, b.scmp) }
 
-// write installs t under an already-resolved mask.
+// write installs t under an already-resolved mask. A kernel's result that
+// a mask or an accumulator merged into a new store is dead once the merge
+// is in, and nothing else holds it: it is released at once — unless it is
+// an input's own store (cloneT).
 func (b matWrite[DC, DM]) write(t *sparse.CSR[DC], mm *sparse.MatMask) {
 	if b.adopt {
 		b.c.setData(t)
@@ -363,8 +366,11 @@ func (b matWrite[DC, DM]) write(t *sparse.CSR[DC], mm *sparse.MatMask) {
 	} else {
 		res = sparse.WriteCSR(b.c.mdat(), t, mm, b.accumF, b.replace)
 	}
-	if b.mode == cloneT && res == t {
+	switch {
+	case b.mode == cloneT && res == t:
 		res = t.Clone()
+	case b.mode != cloneT && res != t:
+		t.Release()
 	}
 	b.c.setData(res)
 }

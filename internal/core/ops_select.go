@@ -71,7 +71,7 @@ func Diag[D any](v *Vector[D], k int) (*Matrix[D], error) {
 	} else {
 		n += k
 	}
-	m := &Matrix[D]{nr: n, nc: n, data: sparse.NewCSR[D](n, n)}
+	m := &Matrix[D]{nr: n, nc: n, data: sparse.EmptyCSR[D](n, n)}
 	m.initMatrix()
 	m.obj.ctx = v.obj.ctx // the result lives in the source's execution context
 	err := enqueue(methodSpec(name, &m.obj, &v.obj, false), func() error {

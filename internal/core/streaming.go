@@ -126,8 +126,9 @@ func (m *Matrix[D]) SetMergePolicy(p stream.Policy) (stream.Policy, error) {
 // PinEpoch returns a snapshot-isolated read view of the matrix: the current
 // (main, delta) pair, pinned. Later batches, merges, and point updates
 // publish fresh stores and never mutate pinned ones, so the epoch keeps
-// serving exactly this content without copying. Forces completion so the
-// snapshot reflects the whole enqueued sequence.
+// serving exactly this content without copying; the main store is marked
+// so that superseding it never releases its arrays (snapshotState). Forces
+// completion so the snapshot reflects the whole enqueued sequence.
 func (m *Matrix[D]) PinEpoch() (*stream.Epoch[D], error) {
 	const op = "Matrix.PinEpoch"
 	if err := objOK(&m.obj, op, "m"); err != nil {
@@ -142,6 +143,7 @@ func (m *Matrix[D]) PinEpoch() (*stream.Epoch[D], error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.flushPendingLocked()
+	m.data.Pin()
 	return stream.NewEpoch(m.epochID, m.data, m.delta), nil
 }
 

@@ -109,7 +109,7 @@ func (st *Store) Snapshot(ctx context.Context) (*Snapshot, bool, error) {
 		if cur != nil && cur.Version == v {
 			return cur, false, nil
 		}
-		snap, err := st.materialize(ctx)
+		snap, err := st.materialize()
 		if err != nil {
 			return st.fallback(err)
 		}
@@ -134,9 +134,10 @@ func errTorn(msg string) error {
 }
 
 // materialize pins every shard's epoch concurrently and builds the per-shard
-// snapshot matrices, each inside its own engine (the coordinator's, with one
-// shard).
-func (st *Store) materialize(ctx context.Context) (*Snapshot, error) {
+// snapshot matrices, each bound to its own engine (the coordinator's, with
+// one shard). The builds force no engine, so a snapshot never completes —
+// or takes the errors of — work other requests left pending.
+func (st *Store) materialize() (*Snapshot, error) {
 	k := len(st.shards)
 	snap := &Snapshot{
 		N:      st.cfg.N,
@@ -153,21 +154,12 @@ func (st *Store) materialize(ctx context.Context) (*Snapshot, error) {
 			return err
 		}
 		rows, cols, vals := ep.Tuples()
-		var mat *core.Matrix[float64]
-		wait := sh.inst.WaitContext
+		inst, nrows := sh.inst, st.plan.LocalRows(sh.id)
 		if k == 1 {
-			mat, err = core.NewMatrix[float64](st.cfg.N, st.cfg.N)
-			wait = core.WaitContext
-		} else {
-			mat, err = core.NewMatrixIn[float64](sh.inst, st.plan.LocalRows(sh.id), st.cfg.N)
+			inst, nrows = nil, st.cfg.N
 		}
+		mat, err := core.BuildMatrixIn(inst, nrows, st.cfg.N, rows, cols, vals, core.NoAccum[float64]())
 		if err != nil {
-			return err
-		}
-		if err := mat.Build(rows, cols, vals, core.NoAccum[float64]()); err != nil {
-			return err
-		}
-		if err := wait(ctx); err != nil {
 			return err
 		}
 		snap.Epochs[i] = ep.ID()

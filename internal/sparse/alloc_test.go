@@ -100,11 +100,13 @@ func allocFixtureRows(t *testing.T, n int, keep func(i int) bool) *CSR[float64] 
 
 // TestMaskedSpGEMMAllocBudget pins the two mask-shaped SpGEMM kernels the
 // same way: one worker, tracer off, warm pool. What remains is the
-// intrinsic output — the CSR header, Ptr, ColIdx, Val — the nnz(M)-long
-// value slab (domain-generic, so it cannot be pooled) and the two
+// intrinsic output — the CSR header, Ptr, ColIdx, Val — and the two
 // ForWeighted body closures (kernel loop, compaction). The slot and
-// position tables, the presence flags and DotMaskedWins' column counts come
-// from internal/pool and must not show.
+// position tables, the presence flags, the nnz(M)-long value slab and
+// DotMaskedWins' column counts come from internal/pool and must not show.
+// A result released before the next call (as a freed or overwritten
+// matrix's store is) gives the next one its Ptr, ColIdx and Val, which
+// leaves the header and the closures.
 func TestMaskedSpGEMMAllocBudget(t *testing.T) {
 	parallel.SetMaxWorkersForTest(t, 1)
 	prev := obs.SetTracer(nil)
@@ -118,8 +120,10 @@ func TestMaskedSpGEMMAllocBudget(t *testing.T) {
 		budget float64
 		run    func()
 	}{
-		{"SpGEMM/mask-shaped", 7, func() { SpGEMM(a, at, mulF, addF, mask) }},
-		{"SpGEMMDotMasked", 7, func() { ring(mulF, addF).SpGEMMDotMasked(a, a, mask) }},
+		{"SpGEMM/mask-shaped", 6, func() { SpGEMM(a, at, mulF, addF, mask) }},
+		{"SpGEMMDotMasked", 6, func() { ring(mulF, addF).SpGEMMDotMasked(a, a, mask) }},
+		{"SpGEMM/mask-shaped/released", 3, func() { SpGEMM(a, at, mulF, addF, mask).Release() }},
+		{"SpGEMMDotMasked/released", 3, func() { ring(mulF, addF).SpGEMMDotMasked(a, a, mask).Release() }},
 		{"DotMaskedWins", 0, func() { DotMaskedWins(a, a, nil, mask) }},
 	}
 	for _, tc := range cases {

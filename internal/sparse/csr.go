@@ -2,7 +2,10 @@ package sparse
 
 import (
 	"sort"
+	"sync/atomic"
 	"unsafe"
+
+	"graphblas/internal/pool"
 )
 
 // CSR is a compressed-sparse-row matrix. Invariants: len(Ptr) == NRows+1,
@@ -14,11 +17,49 @@ type CSR[T any] struct {
 	Ptr          []int
 	ColIdx       []int
 	Val          []T
+
+	// keep marks a store whose arrays never go back to the pool: one a
+	// reader holds beyond the operation that read it (Pin), or an empty
+	// store whose Ptr is a prefix of the shared zero list (EmptyCSR).
+	keep bool
 }
 
-// NewCSR returns an empty nrows-by-ncols matrix.
+// NewCSR returns an empty nrows-by-ncols matrix with a row pointer of its
+// own, for a kernel to fill.
 func NewCSR[T any](nrows, ncols int) *CSR[T] {
 	return &CSR[T]{NRows: nrows, NCols: ncols, Ptr: make([]int, nrows+1)}
+}
+
+// zeros is the zero list every EmptyCSR takes its row pointer from
+// (sharedPrefix).
+var zeros atomic.Pointer[[]int]
+
+// EmptyCSR returns an empty nrows-by-ncols matrix whose row pointer is a
+// prefix of the shared zero list, so that it allocates none. Nothing may
+// write into its Ptr: a kernel that fills rows starts from NewCSR. The
+// store is never released.
+func EmptyCSR[T any](nrows, ncols int) *CSR[T] {
+	ptr := sharedPrefix(&zeros, nrows+1, func([]int) {})
+	return &CSR[T]{NRows: nrows, NCols: ncols, Ptr: ptr, keep: true}
+}
+
+// Pin marks m as held beyond the operation that read it — by an iterator
+// or a pinned epoch — so that Release never gives its arrays back. The
+// caller holds the lock of the object m belongs to.
+func (m *CSR[T]) Pin() { m.keep = true }
+
+// Release gives m's Ptr, ColIdx and Val back to the pool once nothing can
+// reach m any more, and reports whether its values were shelved. A pinned
+// or empty-shared store (keep) gives nothing back. No two stores share a
+// matrix array, so unlike a vector's index list none is counted. The
+// caller must be m's last holder and release it once.
+func (m *CSR[T]) Release() bool {
+	if m.keep {
+		return false
+	}
+	pool.Recycle(m.Ptr)
+	pool.Recycle(m.ColIdx)
+	return pool.Recycle(m.Val)
 }
 
 // NNZ reports the number of stored elements.
@@ -55,15 +96,6 @@ func (m *CSR[T]) Clone() *CSR[T] {
 	return c
 }
 
-// Clear removes all stored elements, keeping dimensions.
-func (m *CSR[T]) Clear() {
-	for i := range m.Ptr {
-		m.Ptr[i] = 0
-	}
-	m.ColIdx = m.ColIdx[:0]
-	m.Val = m.Val[:0]
-}
-
 // find locates (i, j) and returns the storage position and presence.
 func (m *CSR[T]) find(i, j int) (int, bool) {
 	lo, hi := m.Ptr[i], m.Ptr[i+1]
@@ -87,7 +119,8 @@ func (m *CSR[T]) Has(i, j int) bool {
 }
 
 // Set stores value x at (i, j). Insertion shifts trailing storage and is
-// O(nnz); Build is the bulk path.
+// O(nnz); Build is the bulk path. Set and Remove edit m in place, so m
+// must own its row pointer: never an EmptyCSR, whose Ptr is shared.
 func (m *CSR[T]) Set(i, j int, x T) {
 	p, ok := m.find(i, j)
 	if ok {

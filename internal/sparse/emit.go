@@ -43,11 +43,18 @@ import (
 //     EmitCSR, the one builder of such results: each chunk appends its rows
 //     into an arena of its own, and one join copies the arenas into arrays
 //     of the result's exact size. No kernel builds per-row slice headers.
+//   - A matrix's Ptr, ColIdx and Val are its own: no two stores share one,
+//     so a store nothing can reach any more gives all three back
+//     (CSR.Release) without a count. The mask-shaped kernels — SelectCSR
+//     and the masked products — draw theirs from the pool, where a freed or
+//     overwritten result of the same shape left them. EmitCSR's results
+//     stay exact-size: many are dropped, not released (a pinned epoch's
+//     merged view), and a pooled array left to the collector costs up to
+//     twice its length. An empty matrix's Ptr is a prefix of one shared
+//     zero list (EmptyCSR), which nothing writes or releases.
 
 // ident is the identity list 0, 1, …, k−1 every full vector the package
-// builds takes its positions from. It grows by replacement to the largest N
-// asked for; a published list is never written again, so the vectors
-// holding a prefix of an older one keep it intact.
+// builds takes its positions from (sharedPrefix).
 var ident atomic.Pointer[[]int]
 
 // identity returns 0, 1, …, n−1 as a prefix of the shared identity list,
@@ -56,16 +63,26 @@ func identity(n int) []int {
 	if n == 0 {
 		return nil
 	}
+	return sharedPrefix(&ident, n, func(s []int) {
+		for i := range s {
+			s[i] = i
+		}
+	})
+}
+
+// sharedPrefix returns the first n entries of the process-wide list *p,
+// clipped to their length. A list shorter than n is replaced by a longer
+// one that fill writes; a published list is never written again, so the
+// stores holding a prefix of an older one keep it intact.
+func sharedPrefix(p *atomic.Pointer[[]int], n int, fill func([]int)) []int {
 	for {
-		cur := ident.Load()
+		cur := p.Load()
 		if cur != nil && len(*cur) >= n {
 			return (*cur)[:n:n]
 		}
 		grown := make([]int, n)
-		for i := range grown {
-			grown[i] = i
-		}
-		if ident.CompareAndSwap(cur, &grown) {
+		fill(grown)
+		if p.CompareAndSwap(cur, &grown) {
 			return grown
 		}
 	}

@@ -158,8 +158,11 @@ func TestFullVectorKernelsAllocBudget(t *testing.T) {
 }
 
 // TestSelectCSRAllocBudget pins SelectCSR to its result — the CSR header,
-// Ptr, ColIdx, Val — plus the keep flags and the two ForWeighted body
-// closures, whatever the row count: no row owns a slice of its own.
+// Ptr, ColIdx, Val — plus the two ForWeighted body closures, whatever the
+// row count: no row owns a slice of its own, and the keep flags come from
+// the pool. A result released before the next call (as a freed or
+// overwritten matrix's store is) gives the next one its Ptr, ColIdx and
+// Val, which leaves the header and the closures.
 func TestSelectCSRAllocBudget(t *testing.T) {
 	parallel.SetMaxWorkersForTest(t, 1)
 	prev := obs.SetTracer(nil)
@@ -168,8 +171,11 @@ func TestSelectCSRAllocBudget(t *testing.T) {
 	tril := func(_ float64, i, j int) bool { return j < i }
 	for _, n := range []int{8, 64, 512} {
 		a := allocFixture(t, n)
-		if allocs := testing.AllocsPerRun(20, func() { SelectCSR(a, tril) }); allocs != 7 {
-			t.Errorf("SelectCSR on %d rows allocates %.1f per call, budget 7 — a new hot-path allocation needs pooling or a reviewed budget bump", n, allocs)
+		if allocs := testing.AllocsPerRun(20, func() { SelectCSR(a, tril) }); allocs != 6 {
+			t.Errorf("SelectCSR on %d rows allocates %.1f per call, budget 6 — a new hot-path allocation needs pooling or a reviewed budget bump", n, allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { SelectCSR(a, tril).Release() }); allocs != 3 {
+			t.Errorf("SelectCSR on %d rows, its result released, allocates %.1f per call, budget 3 — the result's arrays did not come back from the pool", n, allocs)
 		}
 	}
 }

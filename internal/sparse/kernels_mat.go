@@ -90,16 +90,20 @@ func ApplyIndexCSR[DA, DC any](a *CSR[DA], f func(DA, int, int) DC) *CSR[DC] {
 // SelectCSR keeps the entries of a for which pred(value, row, col) holds.
 // Two row-parallel passes and no per-row storage: the first evaluates pred
 // once per entry into keep flags and counts each row's survivors into the
-// result's Ptr, the second copies the kept entries into the exactly sized
-// ColIdx/Val. The flags are the one byte per entry it allocates besides the
-// result; they are not pooled, because a select is often a one-off (a
-// triangle count's tril) and a shelved nnz-long buffer would stay resident
-// after it — 2.2 MB of peak RSS on shard2-read, measured.
+// result's Ptr, the second copies the kept entries into ColIdx/Val of the
+// survivors' count. The result's arrays come from the pool (pool.Vals), as
+// a vector kernel's do, so a select whose result is freed or overwritten —
+// a triangle count's tril — computes into the arrays of the last one. The
+// flags are scratch drawn from the value shelves (pool.GetVals), which
+// hold nothing across a collection: a select is often a one-off, and a
+// flag buffer held strongly after it stayed resident — 2.2 MB of peak RSS
+// on shard2-read, measured.
 //
 //grblint:hotpath
 func SelectCSR[D any](a *CSR[D], pred func(D, int, int) bool) *CSR[D] {
-	out := NewCSR[D](a.NRows, a.NCols)
-	keep := make([]bool, a.NNZ())
+	out := &CSR[D]{NRows: a.NRows, NCols: a.NCols, Ptr: pool.Vals[int](a.NRows + 1)}
+	keep := pool.GetVals[bool](a.NNZ())
+	defer pool.PutVals(keep)
 	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			kept := 0
@@ -115,8 +119,8 @@ func SelectCSR[D any](a *CSR[D], pred func(D, int, int) bool) *CSR[D] {
 	for i := 0; i < a.NRows; i++ {
 		out.Ptr[i+1] += out.Ptr[i]
 	}
-	out.ColIdx = make([]int, out.NNZ())
-	out.Val = make([]D, out.NNZ())
+	out.ColIdx = pool.Vals[int](out.NNZ())
+	out.Val = pool.Vals[D](out.NNZ())
 	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
 		w := out.Ptr[lo]
 		for p := a.Ptr[lo]; p < a.Ptr[hi]; p++ {

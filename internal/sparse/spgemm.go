@@ -116,10 +116,11 @@ func spgemmMaskShaped[DA, DB, DC any](a *CSR[DA], b *CSR[DB], r Ring[DA, DB, DC]
 	faults.Step("sparse.kernel.spgemm.masked")
 	done := obs.KernelStart("spgemm.masked")
 	nm := mask.EffPtr[a.NRows]
-	val := make([]DC, nm)
+	val := pool.GetVals[DC](nm)
+	defer pool.PutVals(val)
 	has := pool.GetBools(nm)
 	defer pool.PutBools(has)
-	ptr := make([]int, a.NRows+1)
+	ptr := pool.Vals[int](a.NRows + 1)
 	key := r.key()
 	spec := entryFor[DA, DB, DC](key)
 	mul, add := r.Mul, r.Add
@@ -186,10 +187,11 @@ func (r Ring[DA, DB, DC]) SpGEMMDotMasked(a *CSR[DA], b *CSR[DB], mask *MatMask)
 	faults.Step("sparse.kernel.spgemm.dot")
 	done := obs.KernelStart("spgemm.dot")
 	nm := mask.EffPtr[a.NRows]
-	val := make([]DC, nm)
+	val := pool.GetVals[DC](nm)
+	defer pool.PutVals(val)
 	has := pool.GetBools(nm)
 	defer pool.PutBools(has)
-	ptr := make([]int, a.NRows+1)
+	ptr := pool.Vals[int](a.NRows + 1)
 	key := r.key()
 	spec := entryFor[DA, DB, DC](key)
 	mul, add := r.Mul, r.Add
@@ -273,14 +275,17 @@ func DotMaskedWins[DA, DB any](a *CSR[DA], b, bt *CSR[DB], mask *MatMask) bool {
 
 // compactSlots turns the slot form the mask-shaped kernels fill — val[p] and
 // has[p] for entry p of mask.EffIdx, ptr[i+1] the number of filled slots of
-// row i — into the CSR result, taking ownership of ptr.
+// row i — into the CSR result, taking ownership of ptr. The slots are the
+// caller's scratch; the result's ColIdx and Val come from the pool, like
+// ptr, so a product whose result is freed or overwritten — a triangle
+// count's C — computes into the arrays of the last one.
 func compactSlots[DC any](nrows, ncols int, mask *MatMask, ptr []int, val []DC, has []bool) *CSR[DC] {
 	for i := 0; i < nrows; i++ {
 		ptr[i+1] += ptr[i]
 	}
 	c := &CSR[DC]{NRows: nrows, NCols: ncols, Ptr: ptr}
-	c.ColIdx = make([]int, ptr[nrows])
-	c.Val = make([]DC, ptr[nrows])
+	c.ColIdx = pool.Vals[int](ptr[nrows])
+	c.Val = pool.Vals[DC](ptr[nrows])
 	parallel.ForWeighted(nrows, mask.EffPtr, func(lo, hi int) {
 		q := ptr[lo]
 		for p := mask.EffPtr[lo]; p < mask.EffPtr[hi]; p++ {
