@@ -16,10 +16,16 @@ var (
 	pairCount  = builtins.Pair[bool, bool, int64]()         // 1 per shared edge
 	pairDegree = builtins.Pair[float64, float64, float64]() // 1 per stored entry
 	absDiff    = builtins.AbsDiff[float64]()
-	neFloat64  = builtins.Ne[float64]()
-	anyTrue    = builtins.LOrMonoid()
 	sumInt64   = builtins.PlusMonoid[int64]()
 	setSize    = core.UnaryOp[setalg.Set, int64]{Name: "card", F: func(s setalg.Set) int64 { return int64(s.Len()) }} // a label set's size
+
+	// strictLower keeps the entries with j < i, selected by position.
+	strictLower = builtins.Tril[bool](-1)
+	// relaxes(r, d) says whether d ⊕min r differs from d (≠): SSSP's test
+	// of a changed distance. The predefined min keeps d unless r < d, so
+	// the result differs exactly when r < d, or when d is NaN, which
+	// differs from itself.
+	relaxes = core.BinaryOp[float64, float64, bool]{Name: "relaxes", F: func(r, d float64) bool { return r < d || d != d }}
 )
 
 // freeAll frees an algorithm's work objects before it returns, so their

@@ -23,7 +23,8 @@ import (
 // Dangling mass (vertices with no out-edges) is redistributed uniformly,
 // matching the classic formulation. Iteration stops when the L1 change
 // drops below tol or after maxIter sweeps; the achieved sweep count is
-// returned.
+// returned. At tol ≤ 0 only maxIter can stop it, and the L1 change is not
+// computed.
 func PageRank(a *core.Matrix[float64], damping, tol float64, maxIter int) (*core.Vector[float64], int, error) {
 	return PageRankFrom(a, nil, damping, tol, maxIter)
 }
@@ -129,23 +130,30 @@ func PageRankFrom(a *core.Matrix[float64], start *core.Vector[float64], damping,
 		if err := core.AssignVectorScalar(next, core.NoMaskV, plus, base, core.All, nil); err != nil {
 			return nil, 0, err
 		}
-		// L1 change.
-		if err := core.EWiseAddV(diffV, core.NoMaskV, core.NoAccum[float64](), absDiff, next, rank, nil); err != nil {
-			return nil, 0, err
-		}
-		diff, err := core.ReduceVectorToScalar(0, core.NoAccum[float64](), plusMonoid, diffV)
-		if err != nil {
-			return nil, 0, err
+		// L1 change. It is never negative, so at tol ≤ 0 it cannot end the
+		// loop, and it is not computed: it would cost an eWiseAdd, a reduce
+		// and the flush the reduce forces, every sweep.
+		converged := false
+		if tol > 0 {
+			if err := core.EWiseAddV(diffV, core.NoMaskV, core.NoAccum[float64](), absDiff, next, rank, nil); err != nil {
+				return nil, 0, err
+			}
+			diff, err := core.ReduceVectorToScalar(0, core.NoAccum[float64](), plusMonoid, diffV)
+			if err != nil {
+				return nil, 0, err
+			}
+			converged = diff < tol
 		}
 		// rank = next: the vectors trade places, and the old ranks are the
 		// next sweep's output.
 		rank, next = next, rank
-		if diff < tol {
+		if converged {
 			iters++
 			break
 		}
 	}
-	// The loop ended on a forced read, so freeing forces nothing.
+	// Freeing forces the last sweep's pending ops, unless the loop ended on
+	// the L1 test's forced read.
 	if err := freeAll(ones, outdeg, share, next, withEdges, diffV); err != nil {
 		return nil, 0, err
 	}

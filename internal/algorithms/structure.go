@@ -22,12 +22,11 @@ func TriangleCount(a *core.Matrix[bool]) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	tril := core.IndexUnaryOp[bool, bool]{Name: "tril", F: func(_ bool, i, j int) bool { return j < i }}
 	l, err := core.NewMatrix[bool](n, n)
 	if err != nil {
 		return 0, err
 	}
-	if err := core.SelectM(l, core.NoMask, core.NoAccum[bool](), tril, a, nil); err != nil {
+	if err := core.SelectM(l, core.NoMask, core.NoAccum[bool](), strictLower, a, nil); err != nil {
 		return 0, err
 	}
 	plusPair, err := core.NewSemiring(builtins.PlusMonoid[int64](), pairCount)

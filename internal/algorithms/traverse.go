@@ -1,6 +1,8 @@
 package algorithms
 
 import (
+	"math"
+
 	"graphblas/internal/builtins"
 	"graphblas/internal/core"
 	"graphblas/internal/setalg"
@@ -122,26 +124,43 @@ func BFSParents(a *core.Matrix[bool], source int) (*core.Vector[int64], error) {
 // d ⊙min= d min.+ A until a fixed point. Unreachable vertices have no
 // entry. Weights must be nonnegative.
 //
-// Each sweep relaxes into a candidate vector c = d ⊕min (d min.+ A), which
-// stores every position d stores. So the sweep changed d if and only if c
-// stores more entries or some entry of c differs from d's. The difference
-// is tested with ≠, reduced with ∨, inside the engine: only the entry count
-// and one flag leave it. ≠ rather than < keeps a NaN distance, which never
-// equals itself, sweeping, as a comparison of the two copies would.
+// A sweep relaxes only out of the frontier f, the entries the last sweep
+// changed — the frontier form of Bellman-Ford that delta-stepping starts
+// from. An edge out of a vertex whose distance did not change offers what
+// it offered before, which d already holds, so relaxing it again changes
+// nothing; and a small frontier lets the engine push instead of pull. A
+// sweep computes
+//
+//	r = f min.+ A
+//	changed = (d ⊕min r) ≠ d    over the union, true where d stores nothing
+//	d = d ⊕min r
+//	f⟨changed⟩ = d
+//
+// and the iteration stops when f is empty: only f's entry count leaves the
+// engine. The difference is tested with ≠, not <, so a NaN distance, which
+// never equals itself, stays in the frontier and keeps the iteration
+// sweeping; and d ⊕min r keeps d's value where the two tie, as relaxing
+// every edge every sweep does. The distances and the sweep count are that
+// iteration's, bit for bit, over nonnegative weights. (A NaN weight out of
+// a vertex that did not change is not relaxed again here; relaxed every
+// sweep, a NaN term that comes first in a min fold hides the terms after it,
+// so there the two can differ.)
 func SSSP(a *core.Matrix[float64], source int) (*core.Vector[float64], error) {
 	n, err := a.NRows()
 	if err != nil {
 		return nil, err
 	}
-	dist, err := core.NewVector[float64](n)
-	if err != nil {
-		return nil, err
+	var work [3]*core.Vector[float64]
+	for i := range work {
+		if work[i], err = core.NewVector[float64](n); err != nil {
+			return nil, err
+		}
 	}
+	dist, frontier, relaxed := work[0], work[1], work[2]
 	if err := dist.SetElement(0, source); err != nil {
 		return nil, err
 	}
-	cand, err := core.NewVector[float64](n)
-	if err != nil {
+	if err := frontier.SetElement(0, source); err != nil {
 		return nil, err
 	}
 	changed, err := core.NewVector[bool](n)
@@ -150,37 +169,37 @@ func SSSP(a *core.Matrix[float64], source int) (*core.Vector[float64], error) {
 	}
 	minPlus := builtins.MinPlus[float64]()
 	minOp := builtins.Min[float64]()
-	stored := 1 // dist's entry count: the source's alone
+	replace := core.Desc().ReplaceOutput()
 	for iter := 0; iter < n; iter++ {
-		// cand = dist ⊕min (dist min.+ A): relax every edge out of the
-		// reached set.
-		if err := core.VxM(cand, core.NoMaskV, core.NoAccum[float64](), minPlus, dist, a, nil); err != nil {
+		// relaxed = frontier min.+ A: every edge out of what changed.
+		if err := core.VxM(relaxed, core.NoMaskV, core.NoAccum[float64](), minPlus, frontier, a, nil); err != nil {
 			return nil, err
 		}
-		if err := core.EWiseAddV(cand, core.NoMaskV, core.NoAccum[float64](), minOp, dist, cand, nil); err != nil {
+		// changed = (dist ⊕min relaxed) ≠ dist. A position relaxed alone
+		// stores meets NaN, which min keeps and ≠ tells from everything; one
+		// dist alone stores meets +Inf, which min drops.
+		if err := core.EWiseUnionV(changed, core.NoMaskV, core.NoAccum[bool](), relaxes, relaxed, math.Inf(1), dist, math.NaN(), nil); err != nil {
 			return nil, err
 		}
-		// changed = cand ≠ dist on dist's positions.
-		if err := core.EWiseMultV(changed, core.NoMaskV, core.NoAccum[bool](), neFloat64, cand, dist, nil); err != nil {
+		// dist = dist ⊕min relaxed.
+		if err := core.EWiseAddV(dist, core.NoMaskV, core.NoAccum[float64](), minOp, dist, relaxed, nil); err != nil {
 			return nil, err
 		}
-		nv, err := cand.NVals()
+		// The next frontier: frontier⟨changed⟩ = dist, written into the
+		// vector this sweep relaxed out of.
+		frontier, relaxed = relaxed, frontier
+		if err := core.AssignVector(frontier, changed, core.NoAccum[float64](), dist, core.All, replace); err != nil {
+			return nil, err
+		}
+		nv, err := frontier.NVals()
 		if err != nil {
 			return nil, err
 		}
-		differs, err := core.ReduceVectorToScalar(false, core.NoAccum[bool](), anyTrue, changed)
-		if err != nil {
-			return nil, err
-		}
-		// The relaxed vector is the distances from here on, also when it
-		// equals them: == holds between 0 and -0.
-		dist, cand = cand, dist
-		if nv == stored && !differs {
+		if nv == 0 {
 			break
 		}
-		stored = nv
 	}
-	if err := freeAll(cand, changed); err != nil {
+	if err := freeAll(frontier, relaxed, changed); err != nil {
 		return nil, err
 	}
 	return dist, nil

@@ -1,30 +1,35 @@
 package builtins
 
-import "graphblas/internal/core"
+import (
+	"graphblas/internal/core"
+	"graphblas/internal/sparse"
+)
 
 // Predefined index-unary (select) operators, mirroring the GrB_IndexUnaryOp
 // catalog of later spec revisions: structural predicates over positions and
 // value predicates over thresholds, for use with SelectM/SelectV and
-// ApplyIndexOp*.
+// ApplyIndexOp*. The four positional ones — Tril, Triu, DiagSel, OffDiag —
+// are known to SelectM by position (core.PositionalSelect), which selects a
+// matrix's entries without calling the predicate.
 
 // Tril keeps entries on or below the k-th diagonal (j - i <= k).
 func Tril[D any](k int) core.IndexUnaryOp[D, bool] {
-	return core.IndexUnaryOp[D, bool]{Name: "tril", F: func(_ D, i, j int) bool { return j-i <= k }}
+	return core.PositionalSelect(sparse.BandTril, k, "tril", func(_ D, i, j int) bool { return j-i <= k })
 }
 
 // Triu keeps entries on or above the k-th diagonal (j - i >= k).
 func Triu[D any](k int) core.IndexUnaryOp[D, bool] {
-	return core.IndexUnaryOp[D, bool]{Name: "triu", F: func(_ D, i, j int) bool { return j-i >= k }}
+	return core.PositionalSelect(sparse.BandTriu, k, "triu", func(_ D, i, j int) bool { return j-i >= k })
 }
 
 // DiagSel keeps entries on the k-th diagonal.
 func DiagSel[D any](k int) core.IndexUnaryOp[D, bool] {
-	return core.IndexUnaryOp[D, bool]{Name: "diag", F: func(_ D, i, j int) bool { return j-i == k }}
+	return core.PositionalSelect(sparse.BandDiag, k, "diag", func(_ D, i, j int) bool { return j-i == k })
 }
 
 // OffDiag keeps entries off the k-th diagonal.
 func OffDiag[D any](k int) core.IndexUnaryOp[D, bool] {
-	return core.IndexUnaryOp[D, bool]{Name: "offdiag", F: func(_ D, i, j int) bool { return j-i != k }}
+	return core.PositionalSelect(sparse.BandOffDiag, k, "offdiag", func(_ D, i, j int) bool { return j-i != k })
 }
 
 // ValueEQ keeps entries equal to x.

@@ -91,13 +91,41 @@ func NoAccum[D any]() BinaryOp[D, D, D] { return BinaryOp[D, D, D]{} }
 // as a documented extension because the algorithm suite needs structural
 // selections (e.g. the lower triangle for triangle counting). For vectors
 // the column argument is always 0.
+//
+// A predefined positional select operator (Tril, Triu, DiagSel, OffDiag)
+// also carries the band and bound it keeps, which lets SelectM select a
+// matrix's entries by position instead of calling F on each
+// (sparse.SelectBandCSR). As with BinaryOp's opcode, PositionalSelect alone
+// sets them, and they count only while F is still the function it
+// installed.
 type IndexUnaryOp[D1, D2 any] struct {
 	Name string
 	F    func(v D1, i, j int) D2
+
+	band sparse.Band
+	k    int
+	fn   unsafe.Pointer
 }
 
 // Defined reports whether the operator has a function.
 func (op IndexUnaryOp[D1, D2]) Defined() bool { return op.F != nil }
+
+// PositionalSelect is the constructor of internal/builtins' positional
+// select operators: the predicate f under name, known to SelectM as the band
+// and bound k. f must keep exactly what band and k name; the positional
+// select computes that, not f.
+func PositionalSelect[D any](band sparse.Band, k int, name string, f func(D, int, int) bool) IndexUnaryOp[D, bool] {
+	return IndexUnaryOp[D, bool]{Name: name, F: f, band: band, k: k, fn: funcval(f)}
+}
+
+// position is the operator's band and bound for this call: BandNone unless
+// F is still the function PositionalSelect installed.
+func (op IndexUnaryOp[D1, D2]) position() (sparse.Band, int) {
+	if op.band == sparse.BandNone || funcval(op.F) != op.fn {
+		return sparse.BandNone, 0
+	}
+	return op.band, op.k
+}
 
 // Monoid is a GraphBLAS monoid M = ⟨D1, ⊙, 0⟩: an associative operator on a
 // single domain with an identity element (Section III-B). Terminal, when

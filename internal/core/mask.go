@@ -1,6 +1,12 @@
 package core
 
-import "graphblas/internal/sparse"
+import (
+	"sync"
+	"unsafe"
+
+	"graphblas/internal/pool"
+	"graphblas/internal/sparse"
+)
 
 // Mask semantics (Sections III-C and VI): a write mask is any GraphBLAS
 // vector or matrix; the positions that "exist and are true" control which
@@ -58,7 +64,11 @@ func truthy[T any](v T) bool {
 
 // truthyIdx returns the stored indices idx[k] whose values val[k] are
 // truthy, in order, with fast paths for common mask domains. It returns idx
-// itself when every value is truthy.
+// itself when every value is truthy, and otherwise a list drawn from the
+// pool (pool.Vals), which the operation gives back once its write-back is
+// in (releaseVecMask, releaseMatMask): a value mask with a false entry is
+// resolved on every operation that reads it, an SSSP frontier's every
+// sweep.
 func truthyIdx[T any](idx []int, val []T) []int {
 	switch vs := any(val).(type) {
 	case []bool:
@@ -72,7 +82,7 @@ func truthyIdx[T any](idx []int, val []T) []int {
 		if all {
 			return idx
 		}
-		eff := make([]int, 0, len(idx))
+		eff := pool.Vals[int](len(idx))[:0]
 		for k, b := range vs {
 			if b {
 				eff = append(eff, idx[k])
@@ -98,7 +108,7 @@ func truthyIdx[T any](idx []int, val []T) []int {
 	if all {
 		return idx
 	}
-	eff := make([]int, 0, len(idx))
+	eff := pool.Vals[int](len(idx))[:0]
 	for k, v := range val {
 		if truthy(v) {
 			eff = append(eff, idx[k])
@@ -118,7 +128,7 @@ func truthyIdxNum[T int32 | int64 | float32 | float64](idx []int, val []T) []int
 	if all {
 		return idx
 	}
-	eff := make([]int, 0, len(idx))
+	eff := pool.Vals[int](len(idx))[:0]
 	for k, v := range val {
 		if v != 0 {
 			eff = append(eff, idx[k])
@@ -137,7 +147,8 @@ func resolveVecMask[DM any](mask *Vector[DM], comp bool) *sparse.VecMask {
 		return nil
 	}
 	d := mask.vdat()
-	vm := &sparse.VecMask{N: d.N, Structure: d.Idx, Comp: comp}
+	vm := vecMasks.get()
+	*vm = sparse.VecMask{N: d.N, Structure: d.Idx, Comp: comp}
 	if !comp {
 		vm.Idx = truthyIdx(d.Idx, d.Val)
 	}
@@ -145,7 +156,9 @@ func resolveVecMask[DM any](mask *Vector[DM], comp bool) *sparse.VecMask {
 }
 
 // resolveMatMask converts a matrix mask object into the kernel pattern
-// form. Rows whose values are all truthy alias the mask storage directly.
+// form. When every value is truthy the pattern is the mask's storage;
+// otherwise its row pointer and columns are drawn from the pool, as
+// truthyIdx draws a vector mask's list.
 func resolveMatMask[DM any](mask *Matrix[DM], comp bool) *sparse.MatMask {
 	if mask == nil {
 		return nil
@@ -166,7 +179,7 @@ func resolveMatMask[DM any](mask *Matrix[DM], comp bool) *sparse.MatMask {
 	// Rebuild a row pointer for the filtered pattern. Walk rows and count
 	// how many of each row's entries survived; the filtered indices remain
 	// in row-major order because truthyIdx preserves order.
-	effPtr := make([]int, d.NRows+1)
+	effPtr := pool.Vals[int](d.NRows + 1)
 	pos := 0
 	for i := 0; i < d.NRows; i++ {
 		// Count survivors of row i by walking its value range again.
@@ -181,6 +194,68 @@ func resolveMatMask[DM any](mask *Matrix[DM], comp bool) *sparse.MatMask {
 	}
 	mm.EffPtr, mm.EffIdx = effPtr, eff
 	return mm
+}
+
+// vecMasks holds the resolved vector masks releaseVecMask gave back, for
+// the next operation under a mask to resolve its own into. A mask is given
+// back by the operation that resolved it, so the list holds about one per
+// engine worker; it keeps at most maxFreeMasks.
+var vecMasks maskFreelist
+
+const maxFreeMasks = 64
+
+type maskFreelist struct {
+	mu   sync.Mutex
+	free []*sparse.VecMask
+}
+
+func (f *maskFreelist) get() *sparse.VecMask {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.free); n > 0 {
+		vm := f.free[n-1]
+		f.free = f.free[:n-1]
+		return vm
+	}
+	return new(sparse.VecMask)
+}
+
+func (f *maskFreelist) put(vm *sparse.VecMask) {
+	*vm = sparse.VecMask{}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.free) < maxFreeMasks {
+		f.free = append(f.free, vm)
+	}
+}
+
+// releaseVecMask gives back vm and the list of truthy positions
+// resolveVecMask drew for it, if it drew one. The operation's write-back
+// must be in: no kernel result keeps a mask or its list, so nothing reaches
+// them after that.
+func releaseVecMask(vm *sparse.VecMask) {
+	if vm == nil {
+		return
+	}
+	if drawn(vm.Idx, vm.Structure) {
+		pool.Recycle(vm.Idx)
+	}
+	vecMasks.put(vm)
+}
+
+// releaseMatMask is releaseVecMask for a matrix mask: its effective
+// pattern's row pointer and columns, when it has a pattern of its own.
+func releaseMatMask(mm *sparse.MatMask) {
+	if mm != nil && drawn(mm.EffIdx, mm.StrIdx) {
+		pool.Recycle(mm.EffIdx)
+		pool.Recycle(mm.EffPtr)
+	}
+}
+
+// drawn reports whether a mask's effective list eff was drawn for it: it is
+// not its structure, the mask's own storage.
+func drawn(eff, structure []int) bool {
+	return cap(eff) > 0 && unsafe.SliceData(eff) != unsafe.SliceData(structure)
 }
 
 // maskReads appends the mask object to an operation's read set when a mask

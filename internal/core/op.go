@@ -375,8 +375,12 @@ func (b matWrite[DC, DM]) write(t *sparse.CSR[DC], mm *sparse.MatMask) {
 	b.c.setData(res)
 }
 
-// commit resolves the mask and installs t.
-func (b matWrite[DC, DM]) commit(t *sparse.CSR[DC]) { b.write(t, b.maskNow()) }
+// commit resolves the mask, installs t and gives back what resolving drew.
+func (b matWrite[DC, DM]) commit(t *sparse.CSR[DC]) {
+	mm := b.maskNow()
+	b.write(t, mm)
+	releaseMatMask(mm)
+}
 
 // vecWrite is matWrite for a vector output.
 type vecWrite[DC, DM any] struct {
@@ -412,4 +416,16 @@ func (b vecWrite[DC, DM]) write(t *sparse.Vec[DC], vm *sparse.VecMask) {
 	}
 }
 
-func (b vecWrite[DC, DM]) commit(t *sparse.Vec[DC]) { b.write(t, b.maskNow()) }
+// mergeInput is the mergeZ commit of an input's own store z under a mask:
+// the merge builds a new store from it, and z stays the input's.
+func (b vecWrite[DC, DM]) mergeInput(z *sparse.Vec[DC]) {
+	vm := b.maskNow()
+	b.w.setVData(sparse.MaskMergeVec(b.w.vdat(), z, vm, b.replace))
+	releaseVecMask(vm)
+}
+
+func (b vecWrite[DC, DM]) commit(t *sparse.Vec[DC]) {
+	vm := b.maskNow()
+	b.write(t, vm)
+	releaseVecMask(vm)
+}

@@ -34,11 +34,20 @@ func AssignVector[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC
 	// The span notes "full" when the kernel ran an array path: over the
 	// identity without an accumulator Z is a copy of u, with one it is the
 	// union of w and u, an array loop when either is full (kernels_vec.go).
+	//
+	// Over the identity without an accumulator under a mask, Z is u itself:
+	// the mask merge builds the result from it and leaves it to u, so u is
+	// not copied first.
 	sp := obs.Begin(name)
 	s.span = sp
+	zIsU := idx == nil && wb.accumF == nil && mask != nil
 	return enqueue(s, func() error {
 		c, uv := w.vdat(), u.vdat()
 		noteFull(sp, idx == nil && (wb.accumF == nil || c.Full() || uv.Full()))
+		if zIsU {
+			wb.mergeInput(uv)
+			return nil
+		}
 		wb.commit(sparse.AssignExpandVec(c, uv, idx, wb.accumF))
 		return nil
 	})
@@ -117,7 +126,9 @@ func AssignRow[DC, DM any](c *Matrix[DC], mask *Vector[DM], accum BinaryOp[DC, D
 	}
 	scmp, replace := desc.scmp(), desc.replace()
 	return enqueue(s, func() error {
-		c.setData(sparse.AssignRowCSR(c.mdat(), u.vdat(), i, cIdx, accum.F, resolveVecMask(mask, scmp), replace))
+		vm := resolveVecMask(mask, scmp)
+		c.setData(sparse.AssignRowCSR(c.mdat(), u.vdat(), i, cIdx, accum.F, vm, replace))
+		releaseVecMask(vm)
 		return nil
 	})
 }
@@ -138,7 +149,9 @@ func AssignCol[DC, DM any](c *Matrix[DC], mask *Vector[DM], accum BinaryOp[DC, D
 	}
 	scmp, replace := desc.scmp(), desc.replace()
 	return enqueue(s, func() error {
-		c.setData(sparse.AssignColCSR(c.mdat(), u.vdat(), rIdx, j, accum.F, resolveVecMask(mask, scmp), replace))
+		vm := resolveVecMask(mask, scmp)
+		c.setData(sparse.AssignColCSR(c.mdat(), u.vdat(), rIdx, j, accum.F, vm, replace))
+		releaseVecMask(vm)
 		return nil
 	})
 }

@@ -50,6 +50,7 @@ func MxM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC,
 	return enqueue(s, func() error {
 		ad := a.oriented(tran0)
 		mm := wb.maskNow()
+		defer releaseMatMask(mm)
 		// Every kernel below applies mm itself — a non-complemented mask
 		// confines its result T to M's effective pattern, a complemented one
 		// keeps T off M's structure — so T never holds a position the mask
@@ -124,6 +125,7 @@ func MxV[DC, DA, DU, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 		}
 		sp.AddBytes(t.ApproxBytes())
 		wb.write(t, vm)
+		releaseVecMask(vm)
 		return nil
 	})
 }
@@ -162,6 +164,7 @@ func VxM[DC, DU, DA, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC,
 		}
 		sp.AddBytes(t.ApproxBytes())
 		wb.write(t, vm)
+		releaseVecMask(vm)
 		return nil
 	})
 }

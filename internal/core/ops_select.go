@@ -9,7 +9,9 @@ import "graphblas/internal/sparse"
 
 // SelectM computes C ⊙= select(pred, A): the entries of A for which
 // pred(value, i, j) holds (extension; GrB_select in later revisions). The
-// predicate's output domain is bool by construction.
+// predicate's output domain is bool by construction. A predefined
+// positional predicate selects each row's kept run by binary search
+// (sparse.SelectBandCSR); any other is called once per entry.
 func SelectM[DC, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC, DC], pred IndexUnaryOp[DC, bool], a *Matrix[DC], desc *Descriptor) error {
 	tran0 := desc.tran0()
 	var s opSpec
@@ -18,8 +20,13 @@ func SelectM[DC, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC,
 	if err := s.check(pred.Defined(), "predicate"); err != nil {
 		return err
 	}
+	band, k := pred.position()
 	return enqueue(s, func() error {
-		wb.commit(sparse.SelectCSR(a.oriented(tran0), pred.F))
+		if band != sparse.BandNone {
+			wb.commit(sparse.SelectBandCSR(a.oriented(tran0), band, k))
+		} else {
+			wb.commit(sparse.SelectCSR(a.oriented(tran0), pred.F))
+		}
 		return nil
 	})
 }

@@ -231,9 +231,16 @@ func (*ops[T, M, A]) reads() (x, y bool) { return readsX[M](), readsY[M]() }
 // idx and out (emitRows; a nil idx says every row emits). It returns the
 // number of rows written.
 //
+// A fold that can stop runs in a function of its own, foldDense or
+// foldPresent, as shared does for dotMasked: inlined here, its saturation
+// test lost its register to the row loop and was stored and reloaded on
+// every term. A ⊕ without a terminal value has no test, and its fold stays
+// inline: the call would cost every row more than it saves.
+//
 //grblint:hotpath
 func (*ops[T, M, A]) dot(a csrView[T], uv []T, present []bool, idx []int, out []T, lo, hi int, mask *VecMask) int {
 	stop := terminal[A, T]()
+	rx := readsX[M]()
 	cur := MaskCursor{Mask: mask}
 	n := 0
 	for i := lo; i < hi; i++ {
@@ -250,12 +257,20 @@ func (*ops[T, M, A]) dot(a csrView[T], uv []T, present []bool, idx []int, out []
 			}
 		}
 		acc := otimes[M](operands[M](a.val, p, uv, a.cols[p]))
-		if present == nil {
-			for p++; p < end && !(saturates[A]() && acc == stop); p++ {
+		switch p++; {
+		case saturates[A]():
+			cols, av := a.cols[p:end], rowVals(a.val, rx, p, end)
+			if present == nil {
+				acc = foldDense[T, M, A](acc, cols, av, uv, stop)
+			} else {
+				acc = foldPresent[T, M, A](acc, cols, av, uv, present, stop)
+			}
+		case present == nil:
+			for ; p < end; p++ {
 				acc = oplus[A](acc, otimes[M](operands[M](a.val, p, uv, a.cols[p])))
 			}
-		} else {
-			for p++; p < end && !(saturates[A]() && acc == stop); p++ {
+		default:
+			for ; p < end; p++ {
 				if k := a.cols[p]; present[k] {
 					acc = oplus[A](acc, otimes[M](operands[M](a.val, p, uv, k)))
 				}
@@ -268,6 +283,33 @@ func (*ops[T, M, A]) dot(a csrView[T], uv []T, present []bool, idx []int, out []
 		n++
 	}
 	return n
+}
+
+// foldDense is the rest of a row of dot over a u that stores every
+// position: the fold acc of its first term continued over the terms of the
+// columns cols and values av that follow, stopped once acc reaches ⊕'s
+// terminal value stop — tested before the next term is read. The row comes
+// as slices so that the call passes its arguments in registers.
+//
+//grblint:hotpath
+func foldDense[T number, M mulTag, A addTag](acc T, cols []int, av, uv []T, stop T) T {
+	for p := 0; p < len(cols) && acc != stop; p++ {
+		acc = oplus[A](acc, otimes[M](operands[M](av, p, uv, cols[p])))
+	}
+	return acc
+}
+
+// foldPresent is foldDense over a partial u: the terms that follow are
+// those whose column u stores.
+//
+//grblint:hotpath
+func foldPresent[T number, M mulTag, A addTag](acc T, cols []int, av, uv []T, present []bool, stop T) T {
+	for p := 0; p < len(cols) && acc != stop; p++ {
+		if k := cols[p]; present[k] {
+			acc = oplus[A](acc, otimes[M](operands[M](av, p, uv, k)))
+		}
+	}
+	return acc
 }
 
 // dotMasked is SpGEMMDotMasked's chunk [lo, hi): row i of A is scattered
@@ -420,7 +462,9 @@ func (*ops[T, M, A]) scatterRow(cols []int, av []T, y T, allowed *BitSPA, comp b
 
 // foldSlots is pushParallel's phase D over targets [lo, hi): each target's
 // slots folded left to right, stopped once ⊕ saturates, written compactly
-// into idx and out as dot writes its rows. It returns the number written.
+// into idx and out as dot writes its rows. As in dot, a fold that can stop
+// runs in a function of its own (foldRun), one that cannot stays inline.
+// It returns the number written.
 //
 //grblint:hotpath
 func foldSlots[A addTag, T number](colPtr []int, vals []T, idx []int, out []T, lo, hi int) int {
@@ -431,9 +475,14 @@ func foldSlots[A addTag, T number](colPtr []int, vals []T, idx []int, out []T, l
 		if s == e {
 			continue
 		}
-		acc := vals[s]
-		for p := s + 1; p < e && !(saturates[A]() && acc == stop); p++ {
-			acc = oplus[A](acc, vals[p])
+		var acc T
+		if saturates[A]() {
+			acc = foldRun[A](vals[s:e], stop)
+		} else {
+			acc = vals[s]
+			for _, v := range vals[s+1 : e] {
+				acc = oplus[A](acc, v)
+			}
 		}
 		if idx != nil {
 			idx[n] = i
@@ -442,6 +491,18 @@ func foldSlots[A addTag, T number](colPtr []int, vals []T, idx []int, out []T, l
 		n++
 	}
 	return n
+}
+
+// foldRun is one target of foldSlots: its nonempty run of slots folded
+// from the first and stopped at ⊕'s terminal value stop.
+//
+//grblint:hotpath
+func foldRun[A addTag, T number](vals []T, stop T) T {
+	acc := vals[0]
+	for p := 1; p < len(vals) && acc != stop; p++ {
+		acc = oplus[A](acc, vals[p])
+	}
+	return acc
 }
 
 // loopKey is what picks a kernel's loop: its ring's opcodes, and whether ⊗

@@ -92,6 +92,29 @@ func TestDotStopsAtTerminal(t *testing.T) {
 	if w := lorLand.DotMxV(at, frontier, nil); w.NVals() != 1 || !w.Val[0] {
 		t.Fatalf("BFS row = %v, want discovered", w.Val)
 	}
+
+	// The dense fold (foldDense, u stores every position) and the partial
+	// fold (foldPresent, it does not) over int64 ⟨min, second⟩ — CC's pull —
+	// and bool ⟨∨, ∧⟩. The row starts at column 0, which the partial u does
+	// not store, then column 1, whose term is terminal; its later columns lie
+	// past the end of u and of the partial fold's presence flags.
+	all, partial := []bool{true, true, true, true}, []bool{false, true, false, true}
+	cols := []int{0, 1, n + 5, n + 9}
+	ai := &CSR[int64]{NRows: 1, NCols: n, Ptr: []int{0, 4}, ColIdx: cols, Val: []int64{1, 1, 1, 1}}
+	minI := Ring[int64, int64, int64]{MulOp: OpSecond, AddOp: OpMin}
+	for _, present := range [][]bool{all, partial} {
+		u := FromDense([]int64{7, math.MinInt64, 7, 7}, present)
+		if w := minI.DotMxV(ai, u, nil); w.NVals() != 1 || w.Val[0] != math.MinInt64 {
+			t.Fatalf("int64 min row over u %v = %v, want MinInt64", present, w.Val)
+		}
+	}
+	ab := &CSR[bool]{NRows: 1, NCols: n, Ptr: []int{0, 4}, ColIdx: cols, Val: []bool{true, true, true, true}}
+	for _, present := range [][]bool{all, partial} {
+		u := FromDense([]bool{false, true, false, false}, present)
+		if w := lorLand.DotMxV(ab, u, nil); w.NVals() != 1 || !w.Val[0] {
+			t.Fatalf("bool lor row over u %v = %v, want true", present, w.Val)
+		}
+	}
 }
 
 // TestBuiltinKernelsAllocBudget holds the specialized loops to the closure

@@ -162,7 +162,8 @@ func TestFullVectorKernelsAllocBudget(t *testing.T) {
 // row count: no row owns a slice of its own, and the keep flags come from
 // the pool. A result released before the next call (as a freed or
 // overwritten matrix's store is) gives the next one its Ptr, ColIdx and
-// Val, which leaves the header and the closures.
+// Val, which leaves the header and the closures. SelectBandCSR, the
+// positional select, is held to the same counts.
 func TestSelectCSRAllocBudget(t *testing.T) {
 	parallel.SetMaxWorkersForTest(t, 1)
 	prev := obs.SetTracer(nil)
@@ -176,6 +177,12 @@ func TestSelectCSRAllocBudget(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(20, func() { SelectCSR(a, tril).Release() }); allocs != 3 {
 			t.Errorf("SelectCSR on %d rows, its result released, allocates %.1f per call, budget 3 — the result's arrays did not come back from the pool", n, allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { SelectBandCSR(a, BandTril, -1) }); allocs != 6 {
+			t.Errorf("SelectBandCSR on %d rows allocates %.1f per call, budget 6 — a new hot-path allocation needs pooling or a reviewed budget bump", n, allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { SelectBandCSR(a, BandTril, -1).Release() }); allocs != 3 {
+			t.Errorf("SelectBandCSR on %d rows, its result released, allocates %.1f per call, budget 3 — the result's arrays did not come back from the pool", n, allocs)
 		}
 	}
 }

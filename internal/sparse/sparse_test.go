@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"graphblas/internal/parallel"
 )
@@ -738,6 +739,54 @@ func TestExtractCSRDuplicateIndices(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestExtractCSRLongRowSort: a column list that reverses or shuffles a
+// long row leaves the whole row out of order for sortRow. Extracted, a
+// reversed and a shuffled 4 000-entry row equal the reference CSR built from
+// the model, and a reversed 64 000-entry row extracts within a bound an
+// insertion sort (about 1.6 s, quadratic from 6.45 ms at 4 000) misses by
+// far and an O(d log d) sort (a few ms) meets with room under -race.
+func TestExtractCSRLongRowSort(t *testing.T) {
+	row := func(n int) *CSR[float64] {
+		a := &CSR[float64]{NRows: 1, NCols: n, Ptr: []int{0, n}}
+		for j := 0; j < n; j++ {
+			a.ColIdx = append(a.ColIdx, j)
+			a.Val = append(a.Val, float64(j)*0.5+1)
+		}
+		return a
+	}
+	reversed := func(n int) []int {
+		cols := make([]int, n)
+		for q := range cols {
+			cols[q] = n - 1 - q
+		}
+		return cols
+	}
+	const n = 4000
+	a := row(n)
+	shuffled := rand.New(rand.NewSource(3)).Perm(n)
+	for name, cols := range map[string][]int{"reversed": reversed(n), "shuffled": shuffled} {
+		got := ExtractCSR(a, []int{0}, cols)
+		checkCSRInvariants(t, got, "extract/"+name)
+		// out(0, q) = a(0, cols[q]) at every q, in ascending q.
+		want := &CSR[float64]{NRows: 1, NCols: n, Ptr: []int{0, n}}
+		for q, j := range cols {
+			want.ColIdx = append(want.ColIdx, q)
+			want.Val = append(want.Val, a.Val[j])
+		}
+		if !reflect.DeepEqual(got.Ptr, want.Ptr) || !reflect.DeepEqual(got.ColIdx[:got.NNZ()], want.ColIdx) || !reflect.DeepEqual(got.Val[:got.NNZ()], want.Val) {
+			t.Fatalf("%s: extract differs from the reference", name)
+		}
+	}
+	const long = 64000
+	la, lcols := row(long), reversed(long)
+	start := time.Now()
+	got := ExtractCSR(la, []int{0}, lcols)
+	if el := time.Since(start); el > 500*time.Millisecond {
+		t.Fatalf("a reversed %d-entry row took %v to extract, bound 500ms: the row sort is not O(d log d)", long, el)
+	}
+	checkCSRInvariants(t, got, "extract/long")
 }
 
 func TestKron(t *testing.T) {
