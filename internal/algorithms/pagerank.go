@@ -1,6 +1,8 @@
 package algorithms
 
 import (
+	"context"
+
 	"graphblas/internal/builtins"
 	"graphblas/internal/core"
 )
@@ -9,22 +11,20 @@ import (
 // (any positive edge values; only the structure matters) by power
 // iteration expressed in GraphBLAS primitives:
 //
-//	outdeg = A ⟨+, pair⟩ 1                    (mxv: stored entries per row)
+//	outdeg = A ⟨+, pair⟩ 1/n                  (mxv: stored entries per row)
 //	share  = r ./ outdeg                     (eWiseMult)
 //	r'     = (1-d)/n + d·dangling/n + d·(shareᵀ ⟨+, first⟩ A)   (vxm)
 //
 // Both products read A's structure through the semiring instead of a copy
-// of A with every value set to 1: pair(a, 1) = 1 counts an entry, and
+// of A with every value set to 1: pair(a, x) = 1 counts an entry, and
 // first(s, a) = s is exactly the s·1.0 a 1-valued copy would multiply by,
 // so the ranks are the ones that copy gives, bit for bit — without building
 // it, or its transpose, on every call; A's own cached transpose serves every
 // call after the first that pulls.
 //
 // Dangling mass (vertices with no out-edges) is redistributed uniformly,
-// matching the classic formulation. Iteration stops when the L1 change
-// drops below tol or after maxIter sweeps; the achieved sweep count is
-// returned. At tol ≤ 0 only maxIter can stop it, and the L1 change is not
-// computed.
+// matching the classic formulation. PowerIterate runs the sweeps and
+// returns their count.
 func PageRank(a *core.Matrix[float64], damping, tol float64, maxIter int) (*core.Vector[float64], int, error) {
 	return PageRankFrom(a, nil, damping, tol, maxIter)
 }
@@ -42,49 +42,79 @@ func PageRankFrom(a *core.Matrix[float64], start *core.Vector[float64], damping,
 	if err != nil {
 		return nil, 0, err
 	}
-	// Out-degree as a count of stored entries: A ⟨+, pair⟩ 1. A row with no
-	// entries gets no outdeg entry, as a reduce would leave it.
 	plusPair, err := core.NewSemiring(builtins.PlusMonoid[float64](), pairDegree)
 	if err != nil {
 		return nil, 0, err
 	}
-	ones, err := core.NewVector[float64](n)
+	rank, err := core.NewVector[float64](n)
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := core.AssignVectorScalar(ones, core.NoMaskV, core.NoAccum[float64](), 1, core.All, nil); err != nil {
+	if err := core.AssignVectorScalar(rank, core.NoMaskV, core.NoAccum[float64](), 1/float64(n), core.All, nil); err != nil {
 		return nil, 0, err
 	}
+	// Out-degree as a count of stored entries: A ⟨+, pair⟩ over the uniform
+	// start, dense, whose values pair ignores. A row with no entries gets no
+	// outdeg entry, as a reduce would leave it.
 	outdeg, err := core.NewVector[float64](n)
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := core.MxV(outdeg, core.NoMaskV, core.NoAccum[float64](), plusPair, a, ones, nil); err != nil {
-		return nil, 0, err
-	}
-
-	rank, err := core.NewVector[float64](n)
-	if err != nil {
+	if err := core.MxV(outdeg, core.NoMaskV, core.NoAccum[float64](), plusPair, a, rank, nil); err != nil {
 		return nil, 0, err
 	}
 	if start != nil {
 		if err := core.AssignVector(rank, core.NoMaskV, core.NoAccum[float64](), start, core.All, nil); err != nil {
 			return nil, 0, err
 		}
-	} else if err := core.AssignVectorScalar(rank, core.NoMaskV, core.NoAccum[float64](), 1/float64(n), core.All, nil); err != nil {
-		return nil, 0, err
 	}
 
 	plusFirst := builtins.PlusFirst[float64]()
+	product := func(out, in *core.Vector[float64]) error {
+		return core.VxM(out, core.NoMaskV, core.NoAccum[float64](), plusFirst, in, a, nil)
+	}
+	rank, iters, err := PowerIterate(context.TODO(), rank, outdeg, core.All, product, damping, tol, maxIter)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := outdeg.Free(); err != nil {
+		return nil, 0, err
+	}
+	return rank, iters, nil
+}
+
+// PowerIterate is the one sweep body of PageRank and personalized PageRank:
+// damped power iteration from rank until a sweep's L1 change drops below tol
+// or maxIter sweeps have run, returning the ranks and the sweep count. A
+// sweep computes share = r ./ outdeg and
+//
+//	r' = d·product(share), plus (1-d)/|T| + d·dangling/|T| on T
+//
+// where outdeg has no entry for a dangling vertex (no out-edges), T is the
+// teleport set — core.All for PageRank, {src} for personalized PageRank —
+// and product(out, in) replaces out with inᵀA under ⟨+, first⟩. It takes
+// over rank: it returns rank or one of its own work vectors and frees the
+// other. A sweep's one deadline point is WaitContext(ctx) just before its
+// first reduce, after the product is enqueued, so ctx bounds the flush that
+// runs the product. At tol ≤ 0 only maxIter can end the loop, and the L1
+// change is not computed.
+func PowerIterate(ctx context.Context, rank, outdeg *core.Vector[float64], teleport []int, product func(out, in *core.Vector[float64]) error, damping, tol float64, maxIter int) (*core.Vector[float64], int, error) {
+	n, err := rank.Size()
+	if err != nil {
+		return nil, 0, err
+	}
+	t := float64(len(teleport))
+	if teleport == nil {
+		t = float64(n)
+	}
 	plusMonoid := builtins.PlusMonoid[float64]()
 	div := builtins.Div[float64]()
-
 	first := builtins.First[float64]()
 	plus := builtins.Plus[float64]()
 	scale := core.UnaryOp[float64, float64]{Name: "damp", F: func(x float64) float64 { return damping * x }}
 
-	// The sweep's four work vectors; each is fully overwritten every sweep.
-	// next and rank trade places at the end of every sweep.
+	// Work vectors, fully overwritten every sweep; next and rank trade places
+	// at the end of one.
 	var work [4]*core.Vector[float64]
 	for i := range work {
 		if work[i], err = core.NewVector[float64](n); err != nil {
@@ -95,9 +125,18 @@ func PageRankFrom(a *core.Matrix[float64], start *core.Vector[float64], damping,
 
 	iters := 0
 	for ; iters < maxIter; iters++ {
-		// share = rank ./ outdeg — intersection semantics drop dangling
-		// vertices (no outdeg entry), which is exactly what we want.
+		// The intersections with outdeg drop dangling vertices: share is
+		// what each linked vertex sends, withEdges the rank it holds.
 		if err := core.EWiseMultV(share, core.NoMaskV, core.NoAccum[float64](), div, rank, outdeg, core.Desc().ReplaceOutput()); err != nil {
+			return nil, 0, err
+		}
+		if err := core.EWiseMultV(withEdges, core.NoMaskV, core.NoAccum[float64](), first, rank, outdeg, nil); err != nil {
+			return nil, 0, err
+		}
+		if err := product(next, share); err != nil {
+			return nil, 0, err
+		}
+		if err := core.WaitContext(ctx); err != nil {
 			return nil, 0, err
 		}
 		// Dangling mass: total rank minus mass that has out-edges.
@@ -105,34 +144,20 @@ func PageRankFrom(a *core.Matrix[float64], start *core.Vector[float64], damping,
 		if err != nil {
 			return nil, 0, err
 		}
-		if err := core.EWiseMultV(withEdges, core.NoMaskV, core.NoAccum[float64](), first, rank, outdeg, nil); err != nil {
-			return nil, 0, err
-		}
 		linked, err := core.ReduceVectorToScalar(0, core.NoAccum[float64](), plusMonoid, withEdges)
 		if err != nil {
 			return nil, 0, err
 		}
 		dangling := total - linked
-
-		// next = shareᵀ A over ⟨+, first⟩ : inbound contributions.
-		if err := next.Clear(); err != nil {
-			return nil, 0, err
-		}
-		if err := core.VxM(next, core.NoMaskV, core.NoAccum[float64](), plusFirst, share, a, nil); err != nil {
-			return nil, 0, err
-		}
-		base := (1-damping)/float64(n) + damping*dangling/float64(n)
-		// next = base + damping * next over all n positions: scale then fill-
-		// accumulate so absent entries also get the base value.
+		// The teleport term is accumulated over T, so absent entries get it.
 		if err := core.ApplyV(next, core.NoMaskV, core.NoAccum[float64](), scale, next, nil); err != nil {
 			return nil, 0, err
 		}
-		if err := core.AssignVectorScalar(next, core.NoMaskV, plus, base, core.All, nil); err != nil {
+		base := (1-damping)/t + damping*dangling/t
+		if err := core.AssignVectorScalar(next, core.NoMaskV, plus, base, teleport, nil); err != nil {
 			return nil, 0, err
 		}
-		// L1 change. It is never negative, so at tol ≤ 0 it cannot end the
-		// loop, and it is not computed: it would cost an eWiseAdd, a reduce
-		// and the flush the reduce forces, every sweep.
+		// The L1 change is never negative: at tol ≤ 0 it cannot end the loop.
 		converged := false
 		if tol > 0 {
 			if err := core.EWiseAddV(diffV, core.NoMaskV, core.NoAccum[float64](), absDiff, next, rank, nil); err != nil {
@@ -144,8 +169,6 @@ func PageRankFrom(a *core.Matrix[float64], start *core.Vector[float64], damping,
 			}
 			converged = diff < tol
 		}
-		// rank = next: the vectors trade places, and the old ranks are the
-		// next sweep's output.
 		rank, next = next, rank
 		if converged {
 			iters++
@@ -154,7 +177,7 @@ func PageRankFrom(a *core.Matrix[float64], start *core.Vector[float64], damping,
 	}
 	// Freeing forces the last sweep's pending ops, unless the loop ended on
 	// the L1 test's forced read.
-	if err := freeAll(ones, outdeg, share, next, withEdges, diffV); err != nil {
+	if err := freeAll(share, next, withEdges, diffV); err != nil {
 		return nil, 0, err
 	}
 	return rank, iters, nil

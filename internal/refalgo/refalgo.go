@@ -295,6 +295,54 @@ func PageRank(a *Adjacency, d float64, tol float64, maxIter int) ([]float64, int
 	return rank, iters
 }
 
+// PersonalizedPageRank runs power iteration with damping d and restart
+// vertex src until the L1 change is below tol or maxIter sweeps: the
+// restart mass (1-d) and the dangling mass return to src, and edges count
+// once whatever their weight. It returns the rank vector (sums to 1) and
+// the sweep count.
+func PersonalizedPageRank(a *Adjacency, src int, d, tol float64, maxIter int) ([]float64, int) {
+	n := a.N
+	rank := make([]float64, n)
+	next := make([]float64, n)
+	rank[src] = 1
+	iters := 0
+	for ; iters < maxIter; iters++ {
+		for v := range next {
+			next[v] = 0
+		}
+		var total, linked float64
+		for v := 0; v < n; v++ {
+			if rank[v] == 0 {
+				continue
+			}
+			total += rank[v]
+			nb := a.Neighbors(v)
+			if len(nb) == 0 {
+				continue
+			}
+			linked += rank[v]
+			share := rank[v] / float64(len(nb))
+			for _, u := range nb {
+				next[u] += share
+			}
+		}
+		for v := range next {
+			next[v] *= d
+		}
+		next[src] += (1 - d) + d*(total-linked)
+		diff := 0.0
+		for v := range next {
+			diff += math.Abs(next[v] - rank[v])
+		}
+		rank, next = next, rank
+		if diff < tol {
+			iters++
+			break
+		}
+	}
+	return rank, iters
+}
+
 // TriangleCount counts triangles in an undirected simple graph (adjacency
 // must be symmetric, loop-free, deduplicated) via sorted neighbor-list
 // intersections over the ordered wedge v < u < w.

@@ -109,6 +109,32 @@ func TestBrandesKnown(t *testing.T) {
 	}
 }
 
+func TestPersonalizedPageRankProperties(t *testing.T) {
+	a := NewAdjacency(generate.RMAT(7, 6, 3).Dedup(true))
+	rank, iters := PersonalizedPageRank(a, 5, 0.85, 1e-10, 500)
+	if iters == 0 || iters == 500 {
+		t.Fatalf("%d sweeps, want convergence before the bound", iters)
+	}
+	sum := 0.0
+	for _, r := range rank {
+		if r < 0 {
+			t.Fatal("negative rank")
+		}
+		sum += r
+	}
+	if math.Abs(sum-1) > 1e-8 {
+		t.Fatalf("ranks sum %v", sum)
+	}
+	// Cycle: the restart vertex ranks first, and the rank decays by d per
+	// hop away from it.
+	crank, _ := PersonalizedPageRank(NewAdjacency(generate.Cycle(10)), 3, 0.85, 1e-14, 1000)
+	for h := 1; h < 10; h++ {
+		if got, want := crank[(3+h)%10], crank[(3+h-1)%10]*0.85; math.Abs(got-want) > 1e-12 {
+			t.Fatalf("cycle rank %d hops from the restart: %v, want %v", h, got, want)
+		}
+	}
+}
+
 func TestPageRankProperties(t *testing.T) {
 	g := generate.RMAT(7, 6, 3).Dedup(true)
 	a := NewAdjacency(g)

@@ -6,17 +6,20 @@ import (
 	"slices"
 	"sort"
 
+	"graphblas/internal/algorithms"
 	"graphblas/internal/builtins"
 	"graphblas/internal/core"
 )
 
 // The query routines are written once against the store's snapshot — shard
 // counts differ only in how the snapshot answers VxM — and thread the request
-// context through every flush: each frontier expansion / power-iteration
-// sweep ends in WaitContext(ctx), so an expired deadline stops the DAG
-// scheduler from dispatching further kernels instead of letting the request
-// burn engine time it can no longer use. Cancellation surfaces as a
-// Canceled-class error, which the retry layer classifies as transient.
+// context through the flush that runs each product: a frontier expansion
+// ends in WaitContext(ctx), and a power-iteration sweep
+// (algorithms.PowerIterate) runs its product under WaitContext(ctx) before
+// its first reduce. An expired deadline stops the DAG scheduler from
+// dispatching further kernels instead of letting the request burn engine
+// time it can no longer use. Cancellation surfaces as a Canceled-class
+// error, which the retry layer classifies as transient.
 
 // KHop returns every vertex reachable from src within at most k hops
 // (including src), ascending. It is the BFS frontier loop of the paper's
@@ -107,105 +110,34 @@ type Ranked struct {
 	Score  float64 `json:"score"`
 }
 
-// absDiff is PPR's |x − y|, built once: the constructor allocates its
-// closure on every call.
-var absDiff = builtins.AbsDiff[float64]()
-
-// PPRTopK runs personalized PageRank with restart vertex src and returns the
-// k highest-ranked vertices. maxIter bounds the power iteration; the
-// degradation ladder passes a reduced bound under load, trading rank
-// precision for latency. The achieved sweep count is returned so responses
-// can report how degraded they are.
+// PPRTopK runs personalized PageRank — PageRank's PowerIterate over the
+// snapshot's VxM, teleporting to src — and returns the k highest-ranked
+// vertices. maxIter bounds the power iteration; the degradation ladder
+// passes a reduced bound under load, trading rank precision for latency.
+// The achieved sweep count is returned so responses can report how degraded
+// they are.
 func (v View) PPRTopK(ctx context.Context, src, k int, damping, tol float64, maxIter int) ([]Ranked, int, error) {
-	n := v.g.N
 	outdeg, err := v.g.OutDegrees(ctx)
 	if err != nil {
 		return nil, 0, err
 	}
-
-	rank, err := core.NewVector[float64](n)
+	rank, err := core.NewVector[float64](v.g.N)
 	if err != nil {
 		return nil, 0, err
 	}
 	if err := rank.SetElement(1, src); err != nil {
 		return nil, 0, err
 	}
-
-	plusMonoid := builtins.PlusMonoid[float64]()
-	div := builtins.Div[float64]()
-	first := builtins.First[float64]()
-	plus := builtins.Plus[float64]()
-	damp := core.UnaryOp[float64, float64]{Name: "damp", F: func(x float64) float64 { return damping * x }}
-
-	// The sweep's work vectors, each fully overwritten every sweep; next
-	// trades places with rank at the end of one.
-	var work [4]*core.Vector[float64]
-	for i := range work {
-		if work[i], err = core.NewVector[float64](n); err != nil {
-			return nil, 0, err
-		}
+	product := func(out, in *core.Vector[float64]) error { return v.g.VxM(ctx, out, in) }
+	rank, iters, err := algorithms.PowerIterate(ctx, rank, outdeg, []int{src}, product, damping, tol, maxIter)
+	if err != nil {
+		return nil, 0, err
 	}
-	share, withEdges, next, diffV := work[0], work[1], work[2], work[3]
-	iters := 0
-	for ; iters < maxIter; iters++ {
-		// The scalar reductions below force flushes without a context, so
-		// the deadline is also checked explicitly at each sweep boundary.
-		if ctx != nil && ctx.Err() != nil {
-			return nil, iters, errCanceledBefore(ctx)
-		}
-		// share = rank ./ outdeg; intersection drops dangling vertices.
-		if err := core.EWiseMultV(share, core.NoMaskV, core.NoAccum[float64](), div, rank, outdeg, core.Desc().ReplaceOutput()); err != nil {
-			return nil, 0, err
-		}
-		// Dangling and restart mass both return to src in the personalized
-		// formulation: next = (1-d)·e_src + d·dangling·e_src + d·shareᵀA.
-		total, err := core.ReduceVectorToScalar(0, core.NoAccum[float64](), plusMonoid, rank)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := core.EWiseMultV(withEdges, core.NoMaskV, core.NoAccum[float64](), first, rank, outdeg, nil); err != nil {
-			return nil, 0, err
-		}
-		linked, err := core.ReduceVectorToScalar(0, core.NoAccum[float64](), plusMonoid, withEdges)
-		if err != nil {
-			return nil, 0, err
-		}
-		dangling := total - linked
-
-		if err := v.g.VxM(ctx, next, share); err != nil {
-			return nil, 0, err
-		}
-		if err := core.ApplyV(next, core.NoMaskV, core.NoAccum[float64](), damp, next, nil); err != nil {
-			return nil, 0, err
-		}
-		restart := (1 - damping) + damping*dangling
-		if err := core.AssignVectorScalar(next, core.NoMaskV, plus, restart, []int{src}, nil); err != nil {
-			return nil, 0, err
-		}
-		if err := core.EWiseAddV(diffV, core.NoMaskV, core.NoAccum[float64](), absDiff, next, rank, nil); err != nil {
-			return nil, 0, err
-		}
-		diff, err := core.ReduceVectorToScalar(0, core.NoAccum[float64](), plusMonoid, diffV)
-		if err != nil {
-			return nil, 0, err
-		}
-		rank, next = next, rank
-		// One flush checkpoint per sweep: the deadline is consulted between
-		// sweeps, never mid-kernel.
-		if err := core.WaitContext(ctx); err != nil {
-			return nil, 0, err
-		}
-		if diff < tol {
-			iters++
-			break
-		}
-	}
-
 	idx, vals, err := rank.ExtractTuples()
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := free(rank, share, withEdges, next, diffV); err != nil {
+	if err := rank.Free(); err != nil {
 		return nil, 0, err
 	}
 	ranked := make([]Ranked, len(idx))

@@ -395,7 +395,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ingestBody is the wire form of one update batch.
+// ingestBody is the wire form of one update batch. The store keeps each
+// edge's weight, but the queries read structure only: k-hop and PPR answer
+// the same at any stored weight.
 type ingestBody struct {
 	// Inserts are [i, j, weight] triples (weight defaults to 1 when the
 	// inner array has two elements).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -262,22 +263,107 @@ func TestServerPPRRanksRestartVertexFirst(t *testing.T) {
 
 // TestQueryDeadlineCancelsSweeps: a deadline expiring mid-power-iteration
 // surfaces as a Canceled-class engine error — the flush checkpoint inside
-// the sweep loop saw the expired context and stopped dispatch.
+// the sweep loop saw the expired context and stopped dispatch — at one
+// shard, where the checkpoint runs the product, and at two, where the
+// scatter-gather flushes under the same deadline.
 func TestQueryDeadlineCancelsSweeps(t *testing.T) {
 	leakcheck.AssertQuiescent(t)
+	g := generate.RMAT(7, 8, 5).Dedup(true)
+	for _, shards := range []int{1, 2} {
+		resetCore(t)
+		_, st := newShardedServer(t, g, shards, Options{})
+		snap, stale, err := st.Snapshot(context.Background())
+		if err != nil || stale {
+			t.Fatalf("%d shards: snapshot: stale=%v err=%v", shards, stale, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		// tol < 0 never converges, so only the deadline can end the loop.
+		_, _, err = View{snap}.PPRTopK(ctx, 0, 10, 0.85, -1, 1<<30)
+		cancel()
+		if core.InfoOf(err) != core.Canceled {
+			t.Fatalf("%d shards: deadline mid-iteration: got %v want Canceled-class error", shards, err)
+		}
+	}
+}
+
+// TestServerPPRMatchesOracle: /query/ppr's scores agree with the dense
+// power iteration of refalgo to 1e-9 per score, over the same support and
+// in the same number of sweeps, at every shard count.
+func TestServerPPRMatchesOracle(t *testing.T) {
 	resetCore(t)
 	g := generate.RMAT(7, 8, 5).Dedup(true)
-	_, st := newTestServer(t, g, Options{})
-	snap, stale, err := st.Snapshot(context.Background())
-	if err != nil || stale {
-		t.Fatalf("snapshot: stale=%v err=%v", stale, err)
+	adj := refalgo.NewAdjacency(g)
+	for _, shards := range []int{1, 2, 4} {
+		s, _ := newShardedServer(t, g, shards, Options{})
+		for _, src := range []int{0, 3, g.N / 2} {
+			want, wantIters := refalgo.PersonalizedPageRank(adj, src, 0.85, 1e-6, s.opt.PPRMaxIter)
+			code, _, body := get(t, s, "/query/ppr?k=0&src="+itoa(src))
+			if code != http.StatusOK {
+				t.Fatalf("%d shards: ppr(%d): status %d body %v", shards, src, code, body)
+			}
+			if iters := int(body["iterations"].(float64)); iters != wantIters {
+				t.Fatalf("%d shards: ppr(%d): %d sweeps, oracle %d", shards, src, iters, wantIters)
+			}
+			support := 0
+			for _, w := range want {
+				if w != 0 {
+					support++
+				}
+			}
+			ranks := body["ranks"].([]any)
+			if len(ranks) != support {
+				t.Fatalf("%d shards: ppr(%d): %d ranked, oracle support %d", shards, src, len(ranks), support)
+			}
+			for _, r := range ranks {
+				e := r.(map[string]any)
+				v, score := int(e["vertex"].(float64)), e["score"].(float64)
+				if math.Abs(score-want[v]) > 1e-9 {
+					t.Fatalf("%d shards: ppr(%d): score[%d] = %.15g, oracle %.15g (|Δ| > 1e-9)", shards, src, v, score, want[v])
+				}
+			}
+		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	// tol < 0 never converges, so only the deadline can end the loop.
-	_, _, err = View{snap}.PPRTopK(ctx, 0, 10, 0.85, -1, 1<<30)
-	if core.InfoOf(err) != core.Canceled {
-		t.Fatalf("deadline mid-iteration: got %v want Canceled-class error", err)
+}
+
+// TestPPRIgnoresEdgeWeights: PPR divides each rank by a count of out-edges,
+// so the product must carry the shares unweighted — a graph ingested at
+// weight 5 ranks exactly as at weight 1, bit for bit and in as many sweeps,
+// at one shard and at two. Under ⟨+, ×⟩ the weight-5 scores grow by up to
+// d·5 = 4.25× a sweep and never converge.
+func TestPPRIgnoresEdgeWeights(t *testing.T) {
+	g := generate.RMAT(7, 8, 5).Dedup(true)
+	for _, shards := range []int{1, 2} {
+		resetCore(t)
+		var answers [2]string
+		for i, w := range []string{"1", "5"} {
+			st, err := shard.NewStore(shard.Config{N: g.N, Shards: shards})
+			if err != nil {
+				t.Fatalf("NewStore: %v", err)
+			}
+			s := NewServer(Options{Backend: NewShardedBackend(st)})
+			var b strings.Builder
+			b.WriteString(`{"inserts":[`)
+			for k, e := range g.Edges {
+				if k > 0 {
+					b.WriteByte(',')
+				}
+				b.WriteString("[" + itoa(e.Src) + "," + itoa(e.Dst) + "," + w + "]")
+			}
+			b.WriteString(`]}`)
+			if code, _ := post(t, s, "/ingest", b.String()); code != http.StatusOK {
+				t.Fatalf("%d shards: ingest at weight %s: status %d", shards, w, code)
+			}
+			code, _, body := get(t, s, "/query/ppr?src=0&k=0")
+			if code != http.StatusOK {
+				t.Fatalf("%d shards: ppr at weight %s: status %d body %v", shards, w, code, body)
+			}
+			delete(body, "epoch")
+			j, _ := json.Marshal(body)
+			answers[i] = string(j)
+		}
+		if answers[0] != answers[1] {
+			t.Fatalf("%d shards: PPR depends on edge weights:\n  weight 1: %s\n  weight 5: %s", shards, answers[0], answers[1])
+		}
 	}
 }
 

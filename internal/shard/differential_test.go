@@ -337,7 +337,9 @@ func TestShardedPPREquivalence(t *testing.T) {
 // with sweeps × shards and not with the vector's entries (hundreds per sweep
 // when the slice went in one SetElement per entry). One shard takes the
 // direct path: the whole PPR runs under a plan faulting every draw of the
-// coordination kernels without one being drawn.
+// coordination kernels without one being drawn, and a sweep flushes twice —
+// at its deadline point, which runs the product, and at the L1 test's
+// reduce.
 func TestShardedPPROpsPerSweepBounded(t *testing.T) {
 	g := testGraph()
 	for _, shards := range []int{1, 2} {
@@ -345,10 +347,14 @@ func TestShardedPPROpsPerSweepBounded(t *testing.T) {
 		if shards == 1 {
 			faults.Configure(1, faults.Rule{Site: "shard.kernel.*", Kind: faults.KernelErr})
 		}
-		before := core.StatsSnapshot().OpsEnqueued
+		before := core.StatsSnapshot()
 		_, sweeps, err := v.PPRTopK(context.Background(), 0, 0, 0.85, 1e-6, 50)
 		if err != nil {
 			t.Fatalf("%d-shard PPR: %v", shards, err)
+		}
+		after := core.StatsSnapshot()
+		if flushes := after.Flushes - before.Flushes; shards == 1 && flushes > int64(2*sweeps) {
+			t.Fatalf("one-shard PPR flushed %d times over %d sweeps, want at most %d", flushes, sweeps, 2*sweeps)
 		}
 		if shards == 1 {
 			draws := faults.InjectedCount()
@@ -357,7 +363,7 @@ func TestShardedPPROpsPerSweepBounded(t *testing.T) {
 				t.Fatalf("one-shard PPR drew %d scatter/gather steps, want none", draws)
 			}
 		}
-		ops := core.StatsSnapshot().OpsEnqueued - before
+		ops := after.OpsEnqueued - before.OpsEnqueued
 		if limit := int64(8 * sweeps * shards); sweeps < 5 || ops > limit {
 			t.Fatalf("%d-shard PPR enqueued %d ops over %d sweeps, want at most %d", shards, ops, sweeps, limit)
 		}

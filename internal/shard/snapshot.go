@@ -285,8 +285,9 @@ func (snap *Snapshot) symLocked(ctx context.Context) (*core.Matrix[bool], error)
 
 // VxM computes out = inᵀA over the composed snapshot, out a vector in the
 // coordinator's context that the caller owns and reuses, so an iterative
-// query overwrites the same handles sweep after sweep. It is the one step of
-// a query that depends on the shard count, and on nothing else. With one
+// query overwrites the same handles sweep after sweep. The product is
+// structural, ⟨+, first⟩: stored weights do not scale it. It is the one step
+// of a query that depends on the shard count, and on nothing else. With one
 // shard nothing crosses engines: the product is the engine's own deferred
 // VxM, run at the caller's next flush. With more, the input's tuples scatter
 // to their owning shards, each owner runs its slice of the product inside
@@ -296,7 +297,7 @@ func (snap *Snapshot) symLocked(ctx context.Context) (*core.Matrix[bool], error)
 // shard; only the cross-shard float additions of the fold are regrouped.
 func (snap *Snapshot) VxM(ctx context.Context, out, in *core.Vector[float64]) error {
 	if len(snap.mats) == 1 {
-		return core.VxM(out, core.NoMaskV, core.NoAccum[float64](), builtins.PlusTimes[float64](), in, snap.mats[0], nil)
+		return core.VxM(out, core.NoMaskV, core.NoAccum[float64](), builtins.PlusFirst[float64](), in, snap.mats[0], nil)
 	}
 	// Flush the coordinator under the deadline, so the non-opaque read below
 	// has nothing left to force.
@@ -353,7 +354,7 @@ func (snap *Snapshot) shardVxM(ctx context.Context, s int, in *sparse.Vec[float6
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := core.VxM(part, core.NoMaskV, core.NoAccum[float64](), builtins.PlusTimes[float64](), f, snap.mats[s], nil); err != nil {
+	if err := core.VxM(part, core.NoMaskV, core.NoAccum[float64](), builtins.PlusFirst[float64](), f, snap.mats[s], nil); err != nil {
 		return nil, nil, err
 	}
 	if err := inst.WaitContext(ctx); err != nil {
