@@ -382,11 +382,14 @@ func (b matWrite[DC, DM]) commit(t *sparse.CSR[DC]) {
 	releaseMatMask(mm)
 }
 
-// vecWrite is matWrite for a vector output.
+// vecWrite is matWrite for a vector output. accumOp is the accumulator's
+// opcode, read once when the operation is enqueued, so that a predefined
+// accumulator runs its compiled loop (sparse.Opcode).
 type vecWrite[DC, DM any] struct {
 	w             *Vector[DC]
 	mask          *Vector[DM]
 	accumF        func(DC, DC) DC
+	accumOp       sparse.Opcode
 	scmp, replace bool
 	mode          writeMode
 }
@@ -395,7 +398,7 @@ type vecWrite[DC, DM any] struct {
 func vecOp[DC, DM any](s *opSpec, name string, w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], desc *Descriptor, mode writeMode) vecWrite[DC, DM] {
 	out := vecArg(w)
 	s.begin(name, out, vecArg(mask), out.shape, accum.Defined(), desc)
-	return vecWrite[DC, DM]{w: w, mask: mask, accumF: accum.F, scmp: desc.scmp(), replace: s.replace, mode: mode}
+	return vecWrite[DC, DM]{w: w, mask: mask, accumF: accum.F, accumOp: accum.opcode(), scmp: desc.scmp(), replace: s.replace, mode: mode}
 }
 
 func (b vecWrite[DC, DM]) maskNow() *sparse.VecMask { return resolveVecMask(b.mask, b.scmp) }
@@ -408,7 +411,7 @@ func (b vecWrite[DC, DM]) write(t *sparse.Vec[DC], vm *sparse.VecMask) {
 	if b.mode == mergeZ {
 		res = sparse.MaskMergeVec(b.w.vdat(), t, vm, b.replace)
 	} else {
-		res = sparse.WriteVec(b.w.vdat(), t, vm, b.accumF, b.replace)
+		res = sparse.WriteVec(b.w.vdat(), t, vm, b.accumF, b.accumOp, b.replace)
 	}
 	b.w.setVData(res)
 	if res != t {

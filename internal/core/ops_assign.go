@@ -48,7 +48,7 @@ func AssignVector[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC
 			wb.mergeInput(uv)
 			return nil
 		}
-		wb.commit(sparse.AssignExpandVec(c, uv, idx, wb.accumF))
+		wb.commit(sparse.AssignExpandVec(c, uv, idx, wb.accumF, wb.accumOp))
 		return nil
 	})
 }
@@ -56,6 +56,11 @@ func AssignVector[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC
 // AssignVectorScalar computes w(indices) ⊙= x: the scalar fill Figure 3
 // line 77 uses to initialize delta with -nsver. Over the identity the kernel
 // fills an array, which the span notes as "full".
+//
+// Over the identity without an accumulator under a mask that is not
+// complemented — BFS's levels⟨frontier⟩ = depth — the mask merge takes Z
+// only at the mask's true positions, so Z is x there alone (sparse.FillVec)
+// instead of a full array the merge would mostly drop.
 func AssignVectorScalar[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, DC, DC], x DC, indices []int, desc *Descriptor) error {
 	const name = "AssignVectorScalar"
 	var s opSpec
@@ -67,9 +72,16 @@ func AssignVectorScalar[DC, DM any](w *Vector[DC], mask *Vector[DM], accum Binar
 	}
 	sp := obs.Begin(name)
 	s.span = sp
+	atMask := idx == nil && wb.accumF == nil && mask != nil && !wb.scmp
 	return enqueue(s, func() error {
+		if atMask {
+			vm := wb.maskNow()
+			wb.write(sparse.FillVec(vm.N, x, vm.Idx), vm)
+			releaseVecMask(vm)
+			return nil
+		}
 		noteFull(sp, idx == nil)
-		wb.commit(sparse.AssignScalarExpandVec(w.vdat(), x, idx, wb.accumF))
+		wb.commit(sparse.AssignScalarExpandVec(w.vdat(), x, idx, wb.accumF, wb.accumOp))
 		return nil
 	})
 }

@@ -59,7 +59,7 @@ func EWiseAddV[DC, DM any](w *Vector[DC], mask *Vector[DM], accum BinaryOp[DC, D
 	return enqueue(s, func() error {
 		uv, vv := u.vdat(), v.vdat()
 		noteFull(sp, uv.Full() || vv.Full())
-		wb.commit(sparse.VecUnion(uv, vv, add.F))
+		wb.commit(sparse.VecUnion(uv, vv, add.F, add.opcode()))
 		return nil
 	})
 }
@@ -104,7 +104,7 @@ func EWiseMultV[DC, DA, DB, DM any](w *Vector[DC], mask *Vector[DM], accum Binar
 	return enqueue(s, func() error {
 		uv, vv := u.vdat(), v.vdat()
 		noteFull(sp, uv.Full() || vv.Full())
-		wb.commit(sparse.VecIntersect(uv, vv, mul.F))
+		wb.commit(sparse.VecIntersect(uv, vv, mul.F, mul.opcode()))
 		return nil
 	})
 }

@@ -121,7 +121,7 @@ func ReduceVectorToScalar[D any](val D, accum BinaryOp[D, D, D], m Monoid[D], u 
 	}
 	acc, err := runScalarReduce(u.obj.engine(), name, func() D {
 		//grblint:ignore swallowederr stored=false means no entries were folded; the identity the kernel returns is exactly the GraphBLAS empty-reduction value
-		r, _ := sparse.VecReduce(u.vdat(), m.Op.F, m.Identity, m.Terminal)
+		r, _ := sparse.VecReduce(u.vdat(), m.Op.F, m.Op.opcode(), m.Identity, m.Terminal)
 		return r
 	})
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"slices"
-	"sort"
 
 	"graphblas/internal/algorithms"
 	"graphblas/internal/builtins"
@@ -22,7 +21,7 @@ import (
 // error, which the retry layer classifies as transient.
 
 // KHop returns every vertex reachable from src within at most k hops
-// (including src), ascending. It is the BFS frontier loop of the paper's
+// (including src), ascending: the order of the visited vector's tuples. It is the BFS frontier loop of the paper's
 // Figure 3 with a hop budget: frontier ← frontierᵀA per sweep, reached mass
 // accumulated across sweeps.
 func (v View) KHop(ctx context.Context, src, k int) ([]int, error) {
@@ -89,7 +88,6 @@ func (v View) KHop(ctx context.Context, src, k int) ([]int, error) {
 	if err := free(frontier, next, visited); err != nil {
 		return nil, err
 	}
-	sort.Ints(idx)
 	return idx, nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -188,31 +187,43 @@ func TestRetrierDo(t *testing.T) {
 
 // --- query endpoints against oracles ---
 
+// TestServerKHopMatchesOracle: /query/khop answers the oracle's vertex set
+// at one and two shards, in strictly ascending order — the order of the
+// visited vector's tuples, which the query returns without sorting them.
 func TestServerKHopMatchesOracle(t *testing.T) {
 	resetCore(t)
 	g := generate.RMAT(6, 4, 99).Dedup(true)
-	s, _ := newTestServer(t, g, Options{})
 	adj := refalgo.NewAdjacency(g)
-	for _, src := range []int{0, 3, 17, 40} {
-		for _, k := range []int{0, 1, 2, 3} {
-			code, hdr, body := get(t, s, "/query/khop?src="+itoa(src)+"&k="+itoa(k))
-			if code != http.StatusOK {
-				t.Fatalf("khop(%d,%d): status %d", src, k, code)
-			}
-			if hdr.Get("X-Graphblas-Epoch") == "" {
-				t.Fatalf("khop response missing epoch header")
-			}
-			levels := refalgo.BFSLevels(adj, src)
-			var want []int
-			for v, l := range levels {
-				if l >= 0 && l <= k {
-					want = append(want, v)
+	for _, shards := range []int{1, 2} {
+		s, st := newShardedServer(t, g, shards, Options{})
+		if err := st.Compact(); err != nil {
+			t.Fatalf("Compact: %v", err)
+		}
+		for _, src := range []int{0, 3, 17, 40} {
+			for _, k := range []int{0, 1, 2, 3} {
+				code, hdr, body := get(t, s, "/query/khop?src="+itoa(src)+"&k="+itoa(k))
+				if code != http.StatusOK {
+					t.Fatalf("%d shards: khop(%d,%d): status %d", shards, src, k, code)
 				}
-			}
-			got := intsOf(t, body["vertices"])
-			sort.Ints(want)
-			if !equalInts(got, want) {
-				t.Fatalf("khop(%d,%d): got %v want %v", src, k, got, want)
+				if hdr.Get("X-Graphblas-Epoch") == "" {
+					t.Fatalf("khop response missing epoch header")
+				}
+				levels := refalgo.BFSLevels(adj, src)
+				var want []int
+				for v, l := range levels {
+					if l >= 0 && l <= k {
+						want = append(want, v)
+					}
+				}
+				got := intsOf(t, body["vertices"])
+				for i := 1; i < len(got); i++ {
+					if got[i] <= got[i-1] {
+						t.Fatalf("%d shards: khop(%d,%d): vertices not strictly ascending at %d: %v", shards, src, k, i, got)
+					}
+				}
+				if !equalInts(got, want) {
+					t.Fatalf("%d shards: khop(%d,%d): got %v want %v", shards, src, k, got, want)
+				}
 			}
 		}
 	}

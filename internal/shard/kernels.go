@@ -3,6 +3,7 @@ package shard
 import (
 	"sort"
 
+	"graphblas/internal/builtins"
 	"graphblas/internal/core"
 	"graphblas/internal/faults"
 	"graphblas/internal/sparse"
@@ -106,7 +107,15 @@ func gatherMerge(parts []*sparse.Vec[float64]) *sparse.Vec[float64] {
 	faults.GovernAlloc("shard.alloc.partial", bytes)
 	sum := parts[0]
 	for _, p := range parts[1:] {
-		sum = sparse.VecUnion(sum, p, func(x, y float64) float64 { return x + y })
+		next := sparse.VecUnion(sum, p, plus.F, sparse.OpPlus)
+		if sum != parts[0] { // an earlier fold's own result
+			sum.Release()
+		}
+		sum = next
 	}
 	return sum
 }
+
+// plus is the predefined + the gather folds with: its opcode runs the
+// union's compiled loop.
+var plus = builtins.Plus[float64]()

@@ -45,11 +45,11 @@ func TestRecycledOutputsAllocBudget(t *testing.T) {
 		// The Vec; the input's Idx is shared.
 		{"VecApply", 1, func() *Vec[float64] { return VecApply(part, neg) }},
 		// The Vec; the walked side's Idx is shared.
-		{"VecIntersect/full", 1, func() *Vec[float64] { return VecIntersect(part, full, mulF) }},
+		{"VecIntersect/full", 1, func() *Vec[float64] { return VecIntersect(part, full, mulF, OpNone) }},
 		// The Vec; the merged Idx is drawn from the pool.
-		{"VecUnion/partial", 1, func() *Vec[float64] { return VecUnion(part, part, addF) }},
+		{"VecUnion/partial", 1, func() *Vec[float64] { return VecUnion(part, part, addF, OpNone) }},
 		// The Vec; the result is full, its positions the identity list.
-		{"AssignScalarExpandVec/all", 1, func() *Vec[float64] { return AssignScalarExpandVec(part, 2, nil, nil) }},
+		{"AssignScalarExpandVec/all", 1, func() *Vec[float64] { return AssignScalarExpandVec(part, 2, nil, nil, OpNone) }},
 		{"DotMxV/full", 1, func() *Vec[float64] { return r.DotMxV(a, full, nil) }},
 		{"DotMxV/partial", 1, func() *Vec[float64] { return r.DotMxV(a, part, nil) }},
 		// The Vec; the rows that emit are written into a pooled list.
@@ -177,4 +177,66 @@ func TestDotMxVFullVectorAllocBudget(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestElementwiseAllocBudget pins the element-wise kernels' compiled loops
+// (builtin_vec.go) the way TestRecycledOutputsAllocBudget pins the closure
+// loops: one worker, tracer off, the previous result released. A merge
+// writes by position into arrays drawn from the pool at its operands'
+// bound, so what remains is the result's Vec; a merge that appended into
+// arrays it grew would allocate per growth. A reduce allocates nothing. An
+// assign to listed targets copies c's runs around them into pooled arrays
+// and builds no list of entries, so it too leaves the Vec alone — over
+// ascending targets or a shuffled list, whose sorted copy is pooled.
+func TestElementwiseAllocBudget(t *testing.T) {
+	parallel.SetMaxWorkersForTest(t, 1)
+	prev := obs.SetTracer(nil)
+	defer obs.SetTracer(prev)
+
+	const n = 64
+	full, part, other := NewVec[float64](n), NewVec[float64](n), NewVec[float64](n)
+	for i := 0; i < n; i++ {
+		full.Idx, full.Val = append(full.Idx, i), append(full.Val, float64(i)*0.25)
+		if i%3 != 0 {
+			part.Idx, part.Val = append(part.Idx, i), append(part.Val, float64(i))
+		}
+		if i%2 == 0 {
+			other.Idx, other.Val = append(other.Idx, i), append(other.Val, float64(i)+0.5)
+		}
+	}
+	src := NewVec[float64](3)
+	src.Idx, src.Val = []int{0, 2}, []float64{7, 9}
+	one, sorted, shuffled := []int{7}, []int{5, 30, 61}, []int{61, 5, 30}
+	var sink float64
+	cases := []struct {
+		name   string
+		budget float64
+		run    func() *Vec[float64]
+	}{
+		{"VecUnion/partial", 1, func() *Vec[float64] { return VecUnion(part, other, addF, OpPlus) }},
+		{"VecUnion/full", 1, func() *Vec[float64] { return VecUnion(full, other, addF, OpPlus) }},
+		{"VecIntersect/partial", 1, func() *Vec[float64] { return VecIntersect(part, other, mulF, OpTimes) }},
+		{"VecIntersect/full", 1, func() *Vec[float64] { return VecIntersect(other, full, mulF, OpTimes) }},
+		{"VecReduce", 0, func() *Vec[float64] { sink, _ = VecReduce(part, addF, OpPlus, 0, nil); return nil }},
+		{"WriteVec/accum", 1, func() *Vec[float64] { return WriteVec(part, other, nil, addF, OpPlus, false) }},
+		{"AssignScalarExpandVec/all+accum", 1, func() *Vec[float64] { return AssignScalarExpandVec(part, 2, nil, addF, OpPlus) }},
+		{"AssignScalarExpandVec/one+accum", 1, func() *Vec[float64] { return AssignScalarExpandVec(part, 2, one, addF, OpPlus) }},
+		{"AssignScalarExpandVec/shuffled", 1, func() *Vec[float64] { return AssignScalarExpandVec(part, 2, shuffled, nil, OpNone) }},
+		{"AssignExpandVec/sorted+accum", 1, func() *Vec[float64] { return AssignExpandVec(part, src, sorted, addF, OpPlus) }},
+		{"AssignExpandVec/shuffled", 1, func() *Vec[float64] { return AssignExpandVec(part, src, shuffled, nil, OpNone) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			step := func() {
+				if w := tc.run(); w != nil {
+					w.Release()
+				}
+			}
+			step() // warm the pool shelves so steady state is measured
+			if allocs := testing.AllocsPerRun(100, step); allocs != tc.budget {
+				t.Errorf("%s allocates %.1f per call, budget %.0f — a new hot-path allocation needs pooling or a reviewed budget bump", tc.name, allocs, tc.budget)
+			}
+		})
+	}
+	_ = sink
 }

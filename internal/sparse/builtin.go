@@ -44,6 +44,11 @@ type (
 	// same way, so the order shows; × and + give the same value either way.)
 	mulMinR [8]struct{}
 	mulMaxR [9]struct{}
+	// The operators no predefined semiring multiplies with, which only the
+	// element-wise loops compute (odot, builtin_vec.go).
+	mulMinus   [10]struct{}
+	mulDiv     [11]struct{}
+	mulAbsDiff [12]struct{}
 
 	addPlus [1]struct{}
 	addMin  [2]struct{}
@@ -52,7 +57,7 @@ type (
 
 type mulTag interface {
 	mulFirst | mulSecond | mulPair | mulTimes | mulPlus | mulMin | mulMax |
-		mulMinR | mulMaxR
+		mulMinR | mulMaxR | mulMinus | mulDiv | mulAbsDiff
 }
 
 type addTag interface{ addPlus | addMin | addMax }
@@ -644,6 +649,15 @@ type entry[DA, DB, DC any] interface {
 	push(key loopKey, a *CSR[DA], uIdx []int, uVal []DB, allowed *BitSPA, comp bool, val []DC, stamp []int, cur int, nz []int) ([]int, bool)
 	scatter(key loopKey, a *CSR[DA], uIdx []int, uVal []DB, allowed *BitSPA, comp bool, off []int32, vals []DC, lo, hi int) bool
 	fold(add Opcode, colPtr []int, vals []DC, idx []int, out []DC, lo, hi int) (int, bool)
+
+	// The element-wise kernels' entries (builtin_vec.go).
+	union(op Opcode, a, b *Vec[DC], idx []int, val []DC) (int, bool)
+	intersect(op Opcode, a *Vec[DA], b *Vec[DB], idx []int, val []DC) (int, bool)
+	intoLeft(op Opcode, a *Vec[DC], w []DC) bool
+	intoRight(op Opcode, b *Vec[DC], w []DC) bool
+	pickLeft(op Opcode, a *Vec[DA], b *Vec[DB], w []DC) bool
+	pickRight(op Opcode, a *Vec[DA], b *Vec[DB], w []DC) bool
+	reduce(op Opcode, acc DC, vals []DC) (DC, bool)
 }
 
 // entryFor returns the entry for DC, or nil when the ring's operators are
@@ -653,6 +667,12 @@ func entryFor[DA, DB, DC any](key loopKey) entry[DA, DB, DC] {
 	if key.mul == OpNone || key.add == OpNone {
 		return nil
 	}
+	return domainOf[DA, DB, DC]()
+}
+
+// domainOf returns the entry for DC, or nil when DC is a domain no loop is
+// compiled for.
+func domainOf[DA, DB, DC any]() entry[DA, DB, DC] {
 	switch any([]DC(nil)).(type) {
 	case []float64:
 		return &domain[float64, DA, DB, DC]{}

@@ -296,9 +296,10 @@ func runRows[T any, K rowKernel[T]](k K, n int, bounds, at []int, idx []int, val
 
 // Rows is the arena one chunk of a matrix kernel writes its result rows
 // into, in row order: the kernel appends a row's entries to Idx and Val
-// (directly, or through a row merge that appends) and closes the row with
-// End. A row never closed is empty. Rows are only ever appended, so an
-// arena's contents are the chunk's rows back to back.
+// (directly, through a row merge that appends, or through one that writes
+// by position into spare) and closes the row with End. A row never closed
+// is empty. Rows are only ever appended, so an arena's contents are the
+// chunk's rows back to back.
 type Rows[T any] struct {
 	Idx []int
 	Val []T
@@ -315,6 +316,17 @@ type Rows[T any] struct {
 func (r *Rows[T]) Reserve(n int) {
 	r.Idx, r.Val = pool.GetVals[int](n)[:0], pool.GetVals[T](n)[:0]
 	r.pooled = true
+}
+
+// spare is the arena's room past its entries, where a row merge that writes
+// by position writes a row; grow then takes the n entries it wrote. The
+// kernel's Reserve must have bounded the chunk.
+func (r *Rows[T]) spare() ([]int, []T) {
+	return r.Idx[len(r.Idx):cap(r.Idx)], r.Val[len(r.Val):cap(r.Val)]
+}
+
+func (r *Rows[T]) grow(n int) {
+	r.Idx, r.Val = r.Idx[:len(r.Idx)+n], r.Val[:len(r.Val)+n]
 }
 
 // End closes row i: the entries appended since the last row was closed are

@@ -174,13 +174,13 @@ func kernelOutputs(t *testing.T, in kernelInputs) map[string]*Vec[float64] {
 	spec := Ring[float64, float64, float64]{Mul: mulF, Add: addF, MulOp: OpTimes, AddOp: OpPlus}
 	dense, present := part.Dense()
 	outs := map[string]*Vec[float64]{
-		"VecUnion/full+part":         VecUnion(full, part, addF),
-		"VecUnion/part+full":         VecUnion(part, full, addF),
-		"VecUnion/full+full":         VecUnion(full, full, addF),
-		"VecUnion/part+other":        VecUnion(part, other, addF),
-		"VecIntersect/full*part":     VecIntersect(full, part, mulF),
-		"VecIntersect/part*full":     VecIntersect(part, full, mulF),
-		"VecIntersect/part*other":    VecIntersect(part, other, mulF),
+		"VecUnion/full+part":         VecUnion(full, part, addF, OpNone),
+		"VecUnion/part+full":         VecUnion(part, full, addF, OpNone),
+		"VecUnion/full+full":         VecUnion(full, full, addF, OpNone),
+		"VecUnion/part+other":        VecUnion(part, other, addF, OpNone),
+		"VecIntersect/full*part":     VecIntersect(full, part, mulF, OpNone),
+		"VecIntersect/part*full":     VecIntersect(part, full, mulF, OpNone),
+		"VecIntersect/part*other":    VecIntersect(part, other, mulF, OpNone),
 		"VecUnionFill":               VecUnionFill(part, other, mulF, 1, 2),
 		"VecApply/full":              VecApply(full, neg),
 		"VecApply/part":              VecApply(part, neg),
@@ -189,14 +189,14 @@ func kernelOutputs(t *testing.T, in kernelInputs) map[string]*Vec[float64] {
 		"VecSelect/some":             VecSelect(part, func(x float64, _ int) bool { return x > 0 }),
 		"ExtractVec/full":            ExtractVec(full, list),
 		"ExtractVec/part":            ExtractVec(part, list),
-		"AssignExpandVec/all":        AssignExpandVec(part, full, nil, nil),
-		"AssignExpandVec/all+accum":  AssignExpandVec(part, full, nil, addF),
-		"AssignExpandVec/all-part":   AssignExpandVec(other, part, nil, nil),
-		"AssignExpandVec/list+accum": AssignExpandVec(part, other, list, addF),
-		"AssignScalarExpandVec/all":  AssignScalarExpandVec(part, 3, nil, addF),
-		"AssignScalarExpandVec/list": AssignScalarExpandVec(part, 3, list, nil),
+		"AssignExpandVec/all":        AssignExpandVec(part, full, nil, nil, OpNone),
+		"AssignExpandVec/all+accum":  AssignExpandVec(part, full, nil, addF, OpNone),
+		"AssignExpandVec/all-part":   AssignExpandVec(other, part, nil, nil, OpNone),
+		"AssignExpandVec/list+accum": AssignExpandVec(part, other, list, addF, OpNone),
+		"AssignScalarExpandVec/all":  AssignScalarExpandVec(part, 3, nil, addF, OpNone),
+		"AssignScalarExpandVec/list": AssignScalarExpandVec(part, 3, list, nil, OpNone),
 		"MaskMergeVec":               MaskMergeVec(part, other, mask, false),
-		"WriteVec/accum":             WriteVec(part, other, nil, addF, false),
+		"WriteVec/accum":             WriteVec(part, other, nil, addF, OpNone, false),
 		"ApplyVecTuples":             ApplyVecTuples(part, []Tuple[float64]{{I: 1, V: 4}, {I: 2, Del: true}}),
 		"Clone/full":                 full.Clone(),
 		"Clone/part":                 part.Clone(),

@@ -62,6 +62,20 @@ func assignRef(c, u *Vec[float64], x *float64, targets []int, accum func(float64
 	return mergeAssign(c.Idx, c.Val, es, accum)
 }
 
+// unionRef and intersectRef run the closure merges, unionRow and
+// intersectRow, into arrays of their bound and return what they wrote.
+func unionRef(a, b *Vec[float64], add func(float64, float64) float64) ([]int, []float64) {
+	idx, val := make([]int, len(a.Idx)+len(b.Idx)), make([]float64, len(a.Idx)+len(b.Idx))
+	n := unionRow(a.Idx, a.Val, b.Idx, b.Val, add, idx, val)
+	return idx[:n], val[:n]
+}
+
+func intersectRef(a, b *Vec[float64], mul func(float64, float64) float64) ([]int, []float64) {
+	idx, val := make([]int, min(len(a.Idx), len(b.Idx))), make([]float64, min(len(a.Idx), len(b.Idx)))
+	n := intersectRow(a.Idx, a.Val, b.Idx, b.Val, mul, idx, val)
+	return idx[:n], val[:n]
+}
+
 // TestQuickFullVectorPathsBitIdentical runs every full-vector array path
 // against the merge it replaces — unionRow, intersectRow, mergeAssign called
 // directly — and requires the same structure and the same value bits: full,
@@ -95,11 +109,11 @@ func TestQuickFullVectorPathsBitIdentical(t *testing.T) {
 					a, b := fullFixture(rng, n, fa), fullFixture(rng, n, fb)
 					label := fmt.Sprintf("n=%d a=%s b=%s", n, fa, fb)
 
-					idx, val := unionRow(a.Idx, a.Val, b.Idx, b.Val, add, nil, nil)
-					check(label+" VecUnion", sameBits(VecUnion(a, b, add), n, idx, val))
-					check(label+" WriteVec accum", sameBits(WriteVec(a, b, nil, add, false), n, idx, val))
-					idx, val = intersectRow(a.Idx, a.Val, b.Idx, b.Val, mul, nil, nil)
-					check(label+" VecIntersect", sameBits(VecIntersect(a, b, mul), n, idx, val))
+					idx, val := unionRef(a, b, add)
+					check(label+" VecUnion", sameBits(VecUnion(a, b, add, OpNone), n, idx, val))
+					check(label+" WriteVec accum", sameBits(WriteVec(a, b, nil, add, OpNone, false), n, idx, val))
+					idx, val = intersectRef(a, b, mul)
+					check(label+" VecIntersect", sameBits(VecIntersect(a, b, mul, OpNone), n, idx, val))
 
 					// Assign: a is the prior content c, b the source u.
 					x := math.Float64frombits(0x7ff800000000beef)
@@ -111,9 +125,9 @@ func TestQuickFullVectorPathsBitIdentical(t *testing.T) {
 						for an, accum := range accums {
 							l := fmt.Sprintf("%s list=%s accum=%s", label, ln, an)
 							idx, val := assignRef(a, b, nil, targets, accum)
-							check(l+" AssignExpandVec", sameBits(AssignExpandVec(a, b, list, accum), n, idx, val))
+							check(l+" AssignExpandVec", sameBits(AssignExpandVec(a, b, list, accum, OpNone), n, idx, val))
 							idx, val = assignRef(a, nil, &x, targets, accum)
-							check(l+" AssignScalarExpandVec", sameBits(AssignScalarExpandVec(a, x, list, accum), n, idx, val))
+							check(l+" AssignScalarExpandVec", sameBits(AssignScalarExpandVec(a, x, list, accum, OpNone), n, idx, val))
 						}
 					}
 				}
@@ -144,9 +158,9 @@ func TestFullVectorKernelsAllocBudget(t *testing.T) {
 		budget float64
 		run    func()
 	}{
-		{"VecUnion/full+full", 2, func() { VecUnion(full, other, addF) }},
-		{"VecIntersect/full*partial", 2, func() { VecIntersect(full, partial, mulF) }},
-		{"AssignScalarExpandVec/nil", 2, func() { AssignScalarExpandVec(partial, 1.5, nil, addF) }},
+		{"VecUnion/full+full", 2, func() { VecUnion(full, other, addF, OpNone) }},
+		{"VecIntersect/full*partial", 2, func() { VecIntersect(full, partial, mulF, OpNone) }},
+		{"AssignScalarExpandVec/nil", 2, func() { AssignScalarExpandVec(partial, 1.5, nil, addF, OpNone) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

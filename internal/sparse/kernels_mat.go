@@ -38,7 +38,8 @@ func UnionCSR[D any](a, b *CSR[D], add func(D, D) D) *CSR[D] {
 		for i := lo; i < hi; i++ {
 			aIdx, aVal := a.Row(i)
 			bIdx, bVal := b.Row(i)
-			out.Idx, out.Val = unionRow(aIdx, aVal, bIdx, bVal, add, out.Idx, out.Val)
+			idx, val := out.spare()
+			out.grow(unionRow(aIdx, aVal, bIdx, bVal, add, idx, val))
 			out.End(i)
 		}
 	})
@@ -51,7 +52,8 @@ func IntersectCSR[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC) *
 		for i := lo; i < hi; i++ {
 			aIdx, aVal := a.Row(i)
 			bIdx, bVal := b.Row(i)
-			out.Idx, out.Val = intersectRow(aIdx, aVal, bIdx, bVal, mul, out.Idx, out.Val)
+			idx, val := out.spare()
+			out.grow(intersectRow(aIdx, aVal, bIdx, bVal, mul, idx, val))
 			out.End(i)
 		}
 	})

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"slices"
+	"sort"
 
 	"graphblas/internal/faults"
 	"graphblas/internal/obs"
@@ -60,39 +61,48 @@ func (a *MaskCursor) Allows(i int) bool {
 // input's Idx (emit.go); its Val is always its own.
 
 // VecUnion computes the eWiseAdd merge of a and b: positions in both get
-// add(a, b); positions in exactly one keep their value.
-func VecUnion[D any](a, b *Vec[D], add func(D, D) D) *Vec[D] {
+// add(a, b); positions in exactly one keep their value. op names add when
+// it is predefined, and the kernel then runs add's compiled loop
+// (builtin_vec.go); OpNone runs the closure.
+func VecUnion[D any](a, b *Vec[D], add func(D, D) D, op Opcode) *Vec[D] {
 	done := obs.KernelStart("vec.union")
-	w := union(a, b, add)
+	w := union(a, b, add, op)
 	done(w.NVals())
 	return w
 }
 
 // union is VecUnion's body, for the assign that runs it as one step of its
-// own kernel.
-func union[D any](a, b *Vec[D], add func(D, D) D) *Vec[D] {
+// own kernel. Two partial sides merge into storage sized for both; with a
+// full side the result takes that side's positions and a copy of its
+// values, and the other side is folded in at its positions.
+func union[D any](a, b *Vec[D], add func(D, D) D, op Opcode) *Vec[D] {
+	e := opEntry[D, D, D](op)
 	if !a.Full() && !b.Full() {
 		m := len(a.Idx) + len(b.Idx)
-		idx, val := unionRow(a.Idx, a.Val, b.Idx, b.Val, add, pool.Vals[int](m)[:0], pool.Vals[D](m)[:0])
-		return pooledVec(a.N, idx, val)
+		idx, val := pool.Vals[int](m), pool.Vals[D](m)
+		n, ok := 0, false
+		if e != nil {
+			n, ok = e.union(op, a, b, idx, val)
+		}
+		if !ok {
+			n = unionRow(a.Idx, a.Val, b.Idx, b.Val, add, idx, val)
+		}
+		return pooledVec(a.N, idx[:n], val[:n])
 	}
 	w := &Vec[D]{N: a.N}
-	switch {
-	case a.Full() && b.Full():
+	if a.Full() {
 		shareIdx(w, a)
 		w.Val = cloneVals(a.Val)
-		for i, bv := range b.Val[:len(w.Val)] {
-			w.Val[i] = add(w.Val[i], bv)
+		if e == nil || !e.intoRight(op, b, w.Val) {
+			for k, i := range b.Idx {
+				w.Val[i] = add(w.Val[i], b.Val[k])
+			}
 		}
-	case a.Full():
-		shareIdx(w, a)
-		w.Val = cloneVals(a.Val)
-		for k, i := range b.Idx {
-			w.Val[i] = add(w.Val[i], b.Val[k])
-		}
-	default:
-		shareIdx(w, b)
-		w.Val = cloneVals(b.Val)
+		return w
+	}
+	shareIdx(w, b)
+	w.Val = cloneVals(b.Val)
+	if e == nil || !e.intoLeft(op, a, w.Val) {
 		for k, i := range a.Idx {
 			w.Val[i] = add(a.Val[k], w.Val[i])
 		}
@@ -100,31 +110,37 @@ func union[D any](a, b *Vec[D], add func(D, D) D) *Vec[D] {
 	return w
 }
 
-// unionRow is the slice-level eWiseAdd merge, appending to outIdx/outVal.
-func unionRow[D any](aIdx []int, aVal []D, bIdx []int, bVal []D, add func(D, D) D, outIdx []int, outVal []D) ([]int, []D) {
-	pa, pb := 0, 0
+// unionRow is the slice-level eWiseAdd merge under the closure add, written
+// by position into idx and val, which have room for both sides. It returns
+// the merged length.
+func unionRow[D any](aIdx []int, aVal []D, bIdx []int, bVal []D, add func(D, D) D, idx []int, val []D) int {
+	pa, pb, n := 0, 0, 0
 	for pa < len(aIdx) && pb < len(bIdx) {
-		switch {
-		case aIdx[pa] < bIdx[pb]:
-			outIdx = append(outIdx, aIdx[pa])
-			outVal = append(outVal, aVal[pa])
+		switch i, j := aIdx[pa], bIdx[pb]; {
+		case i < j:
+			idx[n], val[n] = i, aVal[pa]
 			pa++
-		case aIdx[pa] > bIdx[pb]:
-			outIdx = append(outIdx, bIdx[pb])
-			outVal = append(outVal, bVal[pb])
+		case j < i:
+			idx[n], val[n] = j, bVal[pb]
 			pb++
 		default:
-			outIdx = append(outIdx, aIdx[pa])
-			outVal = append(outVal, add(aVal[pa], bVal[pb]))
+			idx[n], val[n] = i, add(aVal[pa], bVal[pb])
 			pa++
 			pb++
 		}
+		n++
 	}
-	outIdx = append(outIdx, aIdx[pa:]...)
-	outVal = append(outVal, aVal[pa:]...)
-	outIdx = append(outIdx, bIdx[pb:]...)
-	outVal = append(outVal, bVal[pb:]...)
-	return outIdx, outVal
+	if pa < len(aIdx) {
+		return n + copyRun(aIdx[pa:], aVal[pa:], idx[n:], val[n:])
+	}
+	return n + copyRun(bIdx[pb:], bVal[pb:], idx[n:], val[n:])
+}
+
+// copyRun copies the entries (idx, val) to the front of (toIdx, toVal) and
+// returns their number.
+func copyRun[T any](idx []int, val []T, toIdx []int, toVal []T) int {
+	copy(toVal, val)
+	return copy(toIdx, idx)
 }
 
 // VecIntersect computes the eWiseMult merge of a and b: only positions
@@ -132,50 +148,64 @@ func unionRow[D any](aIdx []int, aVal []D, bIdx []int, bVal []D, add func(D, D) 
 // the paper's set-intersection definition of ⊗. With one side full the
 // other side's structure is the result's, so the kernel walks that side,
 // indexes the full one directly and shares the walked side's Idx. Two
-// partial sides merge into storage sized for the smaller.
-func VecIntersect[DA, DB, DC any](a *Vec[DA], b *Vec[DB], mul func(DA, DB) DC) *Vec[DC] {
+// partial sides merge into storage sized for the smaller. op names mul as
+// VecUnion's op names add.
+func VecIntersect[DA, DB, DC any](a *Vec[DA], b *Vec[DB], mul func(DA, DB) DC, op Opcode) *Vec[DC] {
 	done := obs.KernelStart("vec.intersect")
+	e := opEntry[DA, DB, DC](op)
 	var w *Vec[DC]
 	switch {
 	case b.Full():
 		w = &Vec[DC]{N: a.N, Val: pool.Vals[DC](len(a.Idx))}
 		shareIdx(w, a)
-		for k, i := range a.Idx {
-			w.Val[k] = mul(a.Val[k], b.Val[i])
+		if e == nil || !e.pickRight(op, a, b, w.Val) {
+			for k, i := range a.Idx {
+				w.Val[k] = mul(a.Val[k], b.Val[i])
+			}
 		}
 	case a.Full():
 		w = &Vec[DC]{N: a.N, Val: pool.Vals[DC](len(b.Idx))}
 		shareIdx(w, b)
-		for k, i := range b.Idx {
-			w.Val[k] = mul(a.Val[i], b.Val[k])
+		if e == nil || !e.pickLeft(op, a, b, w.Val) {
+			for k, i := range b.Idx {
+				w.Val[k] = mul(a.Val[i], b.Val[k])
+			}
 		}
 	default:
 		m := min(len(a.Idx), len(b.Idx))
-		idx, val := intersectRow(a.Idx, a.Val, b.Idx, b.Val, mul, pool.Vals[int](m)[:0], pool.Vals[DC](m)[:0])
-		w = pooledVec(a.N, idx, val)
+		idx, val := pool.Vals[int](m), pool.Vals[DC](m)
+		n, ok := 0, false
+		if e != nil {
+			n, ok = e.intersect(op, a, b, idx, val)
+		}
+		if !ok {
+			n = intersectRow(a.Idx, a.Val, b.Idx, b.Val, mul, idx, val)
+		}
+		w = pooledVec(a.N, idx[:n], val[:n])
 	}
 	done(w.NVals())
 	return w
 }
 
-// intersectRow is the slice-level eWiseMult merge, appending to its output
-// slices.
-func intersectRow[DA, DB, DC any](aIdx []int, aVal []DA, bIdx []int, bVal []DB, mul func(DA, DB) DC, outIdx []int, outVal []DC) ([]int, []DC) {
-	pa, pb := 0, 0
+// intersectRow is the slice-level eWiseMult merge under the closure mul,
+// written by position into idx and val, which have room for the smaller
+// side. It returns the merged length.
+func intersectRow[DA, DB, DC any](aIdx []int, aVal []DA, bIdx []int, bVal []DB, mul func(DA, DB) DC, idx []int, val []DC) int {
+	pa, pb, n := 0, 0, 0
 	for pa < len(aIdx) && pb < len(bIdx) {
-		switch {
-		case aIdx[pa] < bIdx[pb]:
+		switch i, j := aIdx[pa], bIdx[pb]; {
+		case i < j:
 			pa++
-		case aIdx[pa] > bIdx[pb]:
+		case j < i:
 			pb++
 		default:
-			outIdx = append(outIdx, aIdx[pa])
-			outVal = append(outVal, mul(aVal[pa], bVal[pb]))
+			idx[n], val[n] = i, mul(aVal[pa], bVal[pb])
+			n++
 			pa++
 			pb++
 		}
 	}
-	return outIdx, outVal
+	return n
 }
 
 // VecApply maps f over the stored values of a, keeping — sharing — its
@@ -240,14 +270,21 @@ func VecSelect[D any](a *Vec[D], pred func(D, int) bool) *Vec[D] {
 // starting from identity. Returns identity for an empty vector, with
 // stored == false so callers can distinguish "no entries". A non-nil term
 // predicate recognizes the monoid's annihilator and stops the fold early.
-func VecReduce[D any](a *Vec[D], add func(D, D) D, identity D, term func(D) bool) (D, bool) {
+// op names add as VecUnion's op does; the compiled fold of min or max stops
+// at the domain's bound instead, which leaves the result as term would.
+func VecReduce[D any](a *Vec[D], add func(D, D) D, op Opcode, identity D, term func(D) bool) (D, bool) {
 	faults.Step("sparse.kernel.reduce.vec")
 	done := obs.KernelStart("reduce.vec")
-	acc := identity
-	for _, v := range a.Val {
-		acc = add(acc, v)
-		if term != nil && term(acc) {
-			break
+	acc, ok := identity, false
+	if e := opEntry[D, D, D](op); e != nil {
+		acc, ok = e.reduce(op, identity, a.Val)
+	}
+	if !ok {
+		for _, v := range a.Val {
+			acc = add(acc, v)
+			if term != nil && term(acc) {
+				break
+			}
 		}
 	}
 	done(len(a.Val))
@@ -316,12 +353,13 @@ func maskMergeRow[D any](cIdx []int, cVal []D, zIdx []int, zVal []D, mask *VecMa
 
 // WriteVec runs the full accumulate-then-mask write pipeline: z is
 // accum==nil ? t : union(c, t, accum), then MaskMergeVec(c, z, mask, replace).
-// An accumulated z the mask merge copies is released on the way.
-func WriteVec[D any](c, t *Vec[D], mask *VecMask, accum func(D, D) D, replace bool) *Vec[D] {
+// An accumulated z the mask merge copies is released on the way. accumOp
+// names accum as VecUnion's op names add.
+func WriteVec[D any](c, t *Vec[D], mask *VecMask, accum func(D, D) D, accumOp Opcode, replace bool) *Vec[D] {
 	if accum == nil {
 		return MaskMergeVec(c, t, mask, replace)
 	}
-	z := VecUnion(c, t, accum)
+	z := VecUnion(c, t, accum, accumOp)
 	w := MaskMergeVec(c, z, mask, replace)
 	if w != z {
 		z.Release()
@@ -450,14 +488,6 @@ func mergeAssign[D any](cIdx []int, cVal []D, es []assignEntry[D], accum func(D,
 	return mergeAssignInto(cIdx, cVal, es, accum, make([]int, 0, n), make([]D, 0, n))
 }
 
-// mergeAssignVec is mergeAssign for the content of a vector of size n,
-// whose positions and values go in arrays from the pool.
-func mergeAssignVec[D any](n int, cIdx []int, cVal []D, es []assignEntry[D], accum func(D, D) D) *Vec[D] {
-	m := len(cIdx) + len(es)
-	idx, val := mergeAssignInto(cIdx, cVal, es, accum, pool.Vals[int](m)[:0], pool.Vals[D](m)[:0])
-	return pooledVec(n, idx, val)
-}
-
 // mergeAssignInto is the merge, appending to outIdx and outVal.
 func mergeAssignInto[D any](cIdx []int, cVal []D, es []assignEntry[D], accum func(D, D) D, outIdx []int, outVal []D) ([]int, []D) {
 	pc, pe := 0, 0
@@ -498,12 +528,14 @@ func mergeAssignInto[D any](cIdx []int, cVal []D, es []assignEntry[D], accum fun
 // positions, entries are replaced by u's entries (deleting positions where u
 // has no entry) or, when accum is non-nil, combined with accum while keeping
 // c entries untouched where u has no entry. Target indices must be unique
-// (validated by the caller); nil is GrB_ALL, the identity list.
+// (validated by the caller); nil is GrB_ALL, the identity list. accumOp
+// names accum as VecUnion's op names add.
 //
 // Over the identity every position is assigned, so Z is a copy of u without
 // an accumulator and the union of c and u with one — the merge's result,
-// run by union's array loop when either is full.
-func AssignExpandVec[D any](c, u *Vec[D], indices []int, accum func(D, D) D) *Vec[D] {
+// run by union's array loop when either is full. A list of targets is
+// merged into c by assignRuns.
+func AssignExpandVec[D any](c, u *Vec[D], indices []int, accum func(D, D) D, accumOp Opcode) *Vec[D] {
 	done := obs.KernelStart("vec.assign")
 	var z *Vec[D]
 	switch {
@@ -511,22 +543,27 @@ func AssignExpandVec[D any](c, u *Vec[D], indices []int, accum func(D, D) D) *Ve
 		z = &Vec[D]{N: c.N, Val: cloneVals(u.Val)}
 		shareIdx(z, u)
 	case indices == nil:
-		z = union(c, u, accum)
+		z = union(c, u, accum, accumOp)
 	default:
-		es := make([]assignEntry[D], len(indices))
+		// The source of target j is u(k) for k = order[j], or k = j when
+		// the targets ascend as listed; a walk finds u's entry at an
+		// ascending k, a search at any other.
+		targets, order := ascendingTargets(indices)
 		pu := 0
-		for k, i := range indices {
-			es[k].target = i
-			for pu < len(u.Idx) && u.Idx[pu] < k {
+		z = assignRuns(c, targets, func(j int) (D, bool) {
+			if order != nil {
+				return u.Get(order[j])
+			}
+			for pu < len(u.Idx) && u.Idx[pu] < j {
 				pu++
 			}
-			if pu < len(u.Idx) && u.Idx[pu] == k {
-				es[k].val = u.Val[pu]
-				es[k].has = true
+			if pu < len(u.Idx) && u.Idx[pu] == j {
+				return u.Val[pu], true
 			}
-		}
-		sortAssign(es)
-		z = mergeAssignVec(c.N, c.Idx, c.Val, es, accum)
+			var zero D
+			return zero, false
+		}, accum)
+		releaseTargets(targets, order)
 	}
 	done(z.NVals())
 	return z
@@ -536,8 +573,10 @@ func AssignExpandVec[D any](c, u *Vec[D], indices []int, accum func(D, D) D) *Ve
 // every assigned position receives the scalar (combined with accum when
 // present and the position already holds a value). Target indices must be
 // unique (validated by the caller); nil is GrB_ALL. Over the identity Z is
-// full: x everywhere, or accum(c(i), x) where c holds an entry.
-func AssignScalarExpandVec[D any](c *Vec[D], x D, indices []int, accum func(D, D) D) *Vec[D] {
+// full: x everywhere, or accum(c(i), x) where c holds an entry — accumOp
+// naming accum as VecUnion's op names add. A list of targets is merged into
+// c by assignRuns.
+func AssignScalarExpandVec[D any](c *Vec[D], x D, indices []int, accum func(D, D) D, accumOp Opcode) *Vec[D] {
 	done := obs.KernelStart("vec.assign")
 	var z *Vec[D]
 	if indices == nil {
@@ -546,18 +585,108 @@ func AssignScalarExpandVec[D any](c *Vec[D], x D, indices []int, accum func(D, D
 			z.Val[i] = x
 		}
 		if accum != nil {
-			for k, i := range c.Idx {
-				z.Val[i] = accum(c.Val[k], x)
+			if e := opEntry[D, D, D](accumOp); e == nil || !e.intoLeft(accumOp, c, z.Val) {
+				for k, i := range c.Idx {
+					z.Val[i] = accum(c.Val[k], z.Val[i])
+				}
 			}
 		}
 	} else {
-		es := make([]assignEntry[D], len(indices))
-		for k, i := range indices {
-			es[k] = assignEntry[D]{target: i, val: x, has: true}
-		}
-		sortAssign(es)
-		z = mergeAssignVec(c.N, c.Idx, c.Val, es, accum)
+		targets, order := ascendingTargets(indices)
+		z = assignRuns(c, targets, func(int) (D, bool) { return x, true }, accum)
+		releaseTargets(targets, order)
 	}
 	done(z.NVals())
 	return z
+}
+
+// FillVec is the vector of size n holding x at the ascending positions at
+// and nowhere else: the Z of a scalar assign over every position under a
+// mask that is not complemented, of which the mask merge keeps only the
+// mask's true positions.
+func FillVec[D any](n int, x D, at []int) *Vec[D] {
+	val := pool.Vals[D](len(at))
+	for k := range val {
+		val[k] = x
+	}
+	var idx []int
+	if len(at) < n {
+		idx = pool.Vals[int](len(at))
+		copy(idx, at)
+	}
+	return pooledVec(n, idx, val)
+}
+
+// ascendingTargets returns an assign's distinct targets in ascending order:
+// indices itself, and a nil order, when they ascend as listed; otherwise a
+// sorted copy from the pool, and order[j], the position in indices of the
+// j-th smallest target. releaseTargets gives the copies back.
+func ascendingTargets(indices []int) (targets, order []int) {
+	if ascending(indices) {
+		return indices, nil
+	}
+	targets, order = pool.GetInts(len(indices)), pool.GetInts(len(indices))
+	for k := range order {
+		order[k] = k
+	}
+	slices.SortFunc(order, func(p, q int) int { return indices[p] - indices[q] })
+	for j, k := range order {
+		targets[j] = indices[k]
+	}
+	return targets, order
+}
+
+// releaseTargets gives back what ascendingTargets drew.
+func releaseTargets(targets, order []int) {
+	if order != nil {
+		pool.PutInts(targets)
+		pool.PutInts(order)
+	}
+}
+
+// assignRuns is the Z of an assign to the ascending, distinct targets: c's
+// content, in which target j takes the value source(j) when source has one
+// (ok) — accumulated into c's entry there when accum is set — and where it
+// has none loses c's entry, or keeps it under accum. Between targets Z is
+// c, copied a run at a time: each target is found in what is left of c by
+// a galloping search (seek), so an assign to a handful of targets costs a
+// copy of c and a few compares, not a merge of every entry.
+func assignRuns[D any](c *Vec[D], targets []int, source func(j int) (D, bool), accum func(D, D) D) *Vec[D] {
+	m := len(c.Idx) + len(targets)
+	idx, val := pool.Vals[int](m), pool.Vals[D](m)
+	n, pc := 0, 0
+	for j, t := range targets {
+		q := pc + seek(c.Idx[pc:], t)
+		n += copyRun(c.Idx[pc:q], c.Val[pc:q], idx[n:], val[n:])
+		pc = q
+		hit := pc < len(c.Idx) && c.Idx[pc] == t
+		x, ok := source(j)
+		switch {
+		case hit && accum != nil && ok:
+			x = accum(c.Val[pc], x)
+		case hit && accum != nil:
+			x, ok = c.Val[pc], true
+		}
+		if hit {
+			pc++
+		}
+		if ok {
+			idx[n], val[n] = t, x
+			n++
+		}
+	}
+	n += copyRun(c.Idx[pc:], c.Val[pc:], idx[n:], val[n:])
+	return pooledVec(c.N, idx[:n], val[:n])
+}
+
+// seek returns the number of entries of the ascending list s below t. It
+// gallops: doubling steps bracket the answer, and a binary search finds it
+// within the bracket, so an answer k costs O(log k) compares.
+func seek(s []int, t int) int {
+	hi := 1
+	for hi <= len(s) && s[hi-1] < t {
+		hi *= 2
+	}
+	lo := hi / 2
+	return lo + sort.SearchInts(s[lo:min(hi, len(s))], t)
 }

@@ -28,16 +28,16 @@ func ApplyVecTuples[D any](v *Vec[D], ts []Tuple[D]) *Vec[D] {
 		perm[i] = i
 	}
 	sort.SliceStable(perm, func(a, b int) bool { return ts[perm[a]].I < ts[perm[b]].I })
-	var es []assignEntry[D]
-	k := 0
-	for k < len(perm) {
-		i := ts[perm[k]].I
-		last := ts[perm[k]]
-		for k < len(perm) && ts[perm[k]].I == i {
-			last = ts[perm[k]]
+	// The last update to each position, at ascending positions.
+	var targets []int
+	var last []Tuple[D]
+	for k := 0; k < len(perm); {
+		t := ts[perm[k]]
+		for k < len(perm) && ts[perm[k]].I == t.I {
+			t = ts[perm[k]]
 			k++
 		}
-		es = append(es, assignEntry[D]{target: i, val: last.V, has: !last.Del})
+		targets, last = append(targets, t.I), append(last, t)
 	}
-	return mergeAssignVec(v.N, v.Idx, v.Val, es, nil)
+	return assignRuns(v, targets, func(j int) (D, bool) { return last[j].V, !last[j].Del }, nil)
 }

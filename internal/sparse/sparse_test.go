@@ -226,8 +226,8 @@ func TestQuickVecUnionCommutes(t *testing.T) {
 		n := 1 + rng.Intn(50)
 		a, am := randVec(rng, n, 0.4)
 		b, bm := randVec(rng, n, 0.4)
-		u1 := VecUnion(a, b, addF)
-		u2 := VecUnion(b, a, addF)
+		u1 := VecUnion(a, b, addF, OpNone)
+		u2 := VecUnion(b, a, addF, OpNone)
 		if !reflect.DeepEqual(u1.Idx, u2.Idx) || !reflect.DeepEqual(u1.Val, u2.Val) {
 			return false
 		}
@@ -260,7 +260,7 @@ func TestQuickVecIntersect(t *testing.T) {
 		n := 1 + rng.Intn(50)
 		a, am := randVec(rng, n, 0.5)
 		b, bm := randVec(rng, n, 0.5)
-		x := VecIntersect(a, b, mulF)
+		x := VecIntersect(a, b, mulF, OpNone)
 		for k, i := range x.Idx {
 			av, aok := am[i]
 			bv, bok := bm[i]
@@ -641,7 +641,7 @@ func TestQuickWriteVecIdentity(t *testing.T) {
 		n := 1 + rng.Intn(40)
 		c, _ := randVec(rng, n, 0.4)
 		tv, _ := randVec(rng, n, 0.4)
-		out := WriteVec(c, tv, nil, nil, false)
+		out := WriteVec(c, tv, nil, nil, OpNone, false)
 		return reflect.DeepEqual(out.Idx, tv.Idx) && reflect.DeepEqual(out.Val, tv.Val)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
