@@ -708,11 +708,18 @@ func BenchmarkAblation_MxVDensity(b *testing.B) {
 // ("all" is every vertex, which the dot kernel reads as a dense array; 1_1
 // is every vertex with an edge, PageRank's share vector). The m4 rows repeat
 // push and pull under a mask admitting a random quarter of the targets,
-// where the rule counts only the admitted rows of Aᵀ as pull work.
+// where the rule counts only the admitted rows of Aᵀ as pull work. The
+// closure rows price a pull that tests u's presence per edge; the sec rows
+// repeat push and pull under the predefined ⟨+, second⟩, whose pull folds a
+// partial u with no presence test (personalized PageRank's product).
 func BenchmarkAblation_MxVCrossover(b *testing.B) {
 	w := benchWorkload(b)
 	mul := func(x, y float64) float64 { return x * y }
 	add := func(x, y float64) float64 { return x + y }
+	sec := sparse.Ring[float64, float64, float64]{
+		Mul: func(_, y float64) float64 { return y }, Add: add, MulOp: sparse.OpSecond, AddOp: sparse.OpPlus,
+	}
+	closure := sparse.Ring[float64, float64, float64]{Mul: mul, Add: add}
 	a := w.csr
 	at := a.Transpose()
 	rng := generate.NewRNG(benchSeed + 11)
@@ -750,11 +757,14 @@ func BenchmarkAblation_MxVCrossover(b *testing.B) {
 		for i := range u.Val {
 			u.Val[i] = 1 + float64(i%7)
 		}
-		b.Logf("%s: PullWins cached=%v uncached=%v masked=%v", name,
-			sparse.PullWins(a.Ptr, u.Idx, at, nil), sparse.PullWins[float64](a.Ptr, u.Idx, nil, nil), sparse.PullWins(a.Ptr, u.Idx, at, mask))
+		b.Logf("%s: PullWins cached=%v uncached=%v masked=%v; ⟨+, second⟩ cached=%v uncached=%v", name,
+			closure.PullWins(a.Ptr, u.Idx, at, nil), closure.PullWins(a.Ptr, u.Idx, nil, nil), closure.PullWins(a.Ptr, u.Idx, at, mask),
+			sec.PullWins(a.Ptr, u.Idx, at, nil), sec.PullWins(a.Ptr, u.Idx, nil, nil))
 		run("push_"+name, func() { _ = sparse.PushMxV(a, u, mul, add, nil) })
 		run("pull_"+name, func() { _ = sparse.DotMxV(at, u, mul, add, nil) })
 		run("pullbuild_"+name, func() { _ = sparse.DotMxV(a.Transpose(), u, mul, add, nil) })
+		run("secpush_"+name, func() { _ = sec.PushMxV(a, u, nil) })
+		run("secpull_"+name, func() { _ = sec.DotMxV(at, u, nil) })
 		if share.den >= 2 {
 			run("m4push_"+name, func() { _ = sparse.PushMxV(a, u, mul, add, mask) })
 			run("m4pull_"+name, func() { _ = sparse.DotMxV(at, u, mul, add, mask) })

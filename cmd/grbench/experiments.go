@@ -531,7 +531,7 @@ func runE8(scale, ef int, seed uint64) {
 		})
 
 	// The same BFS once a transposed read has left Aᵀ cached on the matrix:
-	// the engine then pulls the dense middle levels (sparse.PullWins) where
+	// the engine then pulls the dense middle levels (sparse.Ring.PullWins) where
 	// the row above, with no transpose in hand, pushed every level.
 	abT, err := graphblas.NewMatrix[bool](g.N, g.N)
 	if err == nil {

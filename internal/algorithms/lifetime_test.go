@@ -110,6 +110,10 @@ func TestAlgorithmResultsOutliveTheirWorkVectors(t *testing.T) {
 						if err != nil {
 							t.Fatalf("reference run: %v", err)
 						}
+						// Kernels draw their outputs uncleared (pool.RawVals):
+						// from junk shelves, a position one leaves unwritten
+						// shows against the reference.
+						churnShelves()
 						var read func() (any, error)
 						t.Run("quiescent", func(t *testing.T) {
 							leakcheck.AssertQuiescent(t)

@@ -29,7 +29,8 @@ func TestMain(m *testing.M) {
 // the closure loops. The outputs must be the same bits.
 //
 // The vectors are full (the engine pulls), hold 40 % of the positions (a
-// parallel push at two workers) or 5 % (a serial push), under no mask, a
+// parallel push at two workers, or a pull where the loop folds a partial
+// vector with no presence test) or 5 % (a serial push), under no mask, a
 // mask and a complemented one; unmasked, MxM under ⟨+,×⟩ runs the dense
 // product. The values
 // carry −0, two NaNs that differ in payload alone, ±Inf and the integer
@@ -56,8 +57,9 @@ func TestQuickBuiltinKernelsBitIdentical(t *testing.T) {
 }
 
 type kernelCase struct {
-	name string
-	run  func(t *testing.T, rng *rand.Rand)
+	name    string
+	run     func(t *testing.T, rng *rand.Rand)
+	partial func(t *testing.T, rng *rand.Rand)
 }
 
 // kernelCases is the loop table: the selectors and the arithmetic semirings
@@ -109,7 +111,9 @@ func numericCases[T Number](dom string) []kernelCase {
 // ringCase checks s; arith says + or × combines values in it, so two NaNs
 // may meet and leave either payload.
 func ringCase[X, Y, Z any](name string, s core.Semiring[X, Y, Z], arith bool) kernelCase {
-	return kernelCase{name, func(t *testing.T, rng *rand.Rand) { checkRing(t, rng, s, arith) }}
+	return kernelCase{name,
+		func(t *testing.T, rng *rand.Rand) { checkRing(t, rng, s, arith) },
+		func(t *testing.T, rng *rand.Rand) { checkPartialPull(t, rng, s, arith) }}
 }
 
 // wrapped is s with its functions behind user operators: the closure loops.
@@ -408,4 +412,203 @@ func collect(idx []int, m map[int]float64) []float64 {
 		out[p] = m[i]
 	}
 	return out
+}
+
+// TestQuickPartialPullBitIdentical runs the loop table through the scatter
+// products on a vector holding nine positions in ten — enough edges that
+// the engine pulls it over a cached transpose, whether or not the loop
+// tests u's presence per edge — under no mask, a mask and a complemented
+// one, at one, two and four workers. A loop that absorbs ⊕'s identity
+// folds the absent slots as the identity DotMxV put there; the closure
+// loops skip them. The outputs must be the same bits, and the pull counter
+// must show the partial vectors were pulled.
+//
+// The pattern is symmetric, so a row of A and of Aᵀ hold the same columns,
+// and vertices 0–10 carry rows built for the cases an absent identity could
+// change: row 0's only present term is a signalling NaN (0 + sNaN is a
+// quiet NaN), row 3's present terms are −0 and −0 (−0 + 0 is +0), and row
+// 7's are x and −x. Row 0's result is compared bit for bit even where two
+// NaNs meeting elsewhere may leave either payload.
+func TestQuickPartialPullBitIdentical(t *testing.T) {
+	pulls := obs.MxVDirection.Value("pull")
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			parallel.SetMaxWorkersForTest(t, workers)
+			for _, c := range kernelCases() {
+				t.Run(c.name, func(t *testing.T) { c.partial(t, rand.New(rand.NewSource(int64(workers)))) })
+			}
+		})
+	}
+	if obs.MxVDirection.Value("pull") == pulls {
+		t.Error("no partial vector was pulled")
+	}
+}
+
+// The rows of the symmetric pattern built for the identity's edge cases:
+// row 0 holds columns 1 and 2, row 3 columns 4, 5 and 6, row 7 columns 8,
+// 9 and 10; u stores 1, 4, 5, 8 and 9 and not 2, 6 or 10.
+var (
+	specialEdges  = [][2]int{{0, 1}, {0, 2}, {3, 4}, {3, 5}, {3, 6}, {7, 8}, {7, 9}, {7, 10}}
+	specialAbsent = map[int]bool{2: true, 6: true, 10: true}
+)
+
+const specialRows = 11
+
+func checkPartialPull[X, Y, Z any](t *testing.T, rng *rand.Rand, s core.Semiring[X, Y, Z], arith bool) {
+	t.Helper()
+	const n = 200
+	w := wrapped(t, s)
+	pattern := symmetricPattern(rng, n, 0.15)
+	ax, ay := patternMatrix[X](t, rng, n, pattern), patternMatrix[Y](t, rng, n, pattern)
+	ux, uy := partialVector[X](t, rng, n), partialVector[Y](t, rng, n)
+	mask := randVector[bool](t, rng, n, 0.5)
+	masks := []struct {
+		name string
+		m    *core.Vector[bool]
+		desc func() *core.Descriptor
+	}{
+		{"nomask", core.NoMaskV, core.Desc},
+		{"mask", mask, core.Desc},
+		{"compmask", mask, func() *core.Descriptor { return core.Desc().CompMask() }},
+	}
+	for _, mk := range masks {
+		sameRow0(t, mk.name+"/MxV", n, func(out *core.Vector[Z], s core.Semiring[X, Y, Z]) error {
+			return core.MxV(out, mk.m, core.NoAccum[Z](), s, ax, uy, mk.desc())
+		}, s, w, arith)
+		sameRow0(t, mk.name+"/MxV+TRAN0", n, func(out *core.Vector[Z], s core.Semiring[X, Y, Z]) error {
+			return core.MxV(out, mk.m, core.NoAccum[Z](), s, ax, uy, mk.desc().Transpose0())
+		}, s, w, arith)
+		sameRow0(t, mk.name+"/VxM", n, func(out *core.Vector[Z], s core.Semiring[X, Y, Z]) error {
+			return core.VxM(out, mk.m, core.NoAccum[Z](), s, ux, ay, mk.desc())
+		}, s, w, arith)
+		sameRow0(t, mk.name+"/VxM+TRAN1", n, func(out *core.Vector[Z], s core.Semiring[X, Y, Z]) error {
+			return core.VxM(out, mk.m, core.NoAccum[Z](), s, ux, ay, mk.desc().Transpose1())
+		}, s, w, arith)
+	}
+}
+
+// sameRow0 is sameVec, and row 0's value compared bit for bit whatever
+// arith says: its one term is the signalling NaN, which no second NaN meets.
+func sameRow0[X, Y, Z any](t *testing.T, label string, n int, op func(*core.Vector[Z], core.Semiring[X, Y, Z]) error, s, w core.Semiring[X, Y, Z], arith bool) {
+	t.Helper()
+	sameVec(t, label, n, op, s, w, arith)
+	row0 := func(s core.Semiring[X, Y, Z]) ([]Z, error) {
+		out, err := core.NewVector[Z](n)
+		if err != nil {
+			return nil, err
+		}
+		if err := op(out, s); err != nil {
+			return nil, err
+		}
+		x, err := out.ExtractElement(0)
+		if err != nil {
+			return nil, nil // row 0 masked out or empty: nothing to compare
+		}
+		return []Z{x}, nil
+	}
+	g, err := row0(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wv, err := row0(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(g, wv, false) {
+		t.Fatalf("%s: row 0 = %v predefined, %v wrapped", label, g, wv)
+	}
+}
+
+// symmetricPattern returns the edges of a symmetric pattern on n vertices:
+// the special rows' edges and their mirrors, and each pair of the other
+// vertices joined with probability fill.
+func symmetricPattern(rng *rand.Rand, n int, fill float64) [][2]int {
+	var es [][2]int
+	for _, e := range specialEdges {
+		es = append(es, e, [2]int{e[1], e[0]})
+	}
+	for i := specialRows; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if rng.Float64() < fill {
+				es = append(es, [2]int{i, j}, [2]int{j, i})
+			}
+		}
+	}
+	return es
+}
+
+// patternMatrix builds a matrix of T on the pattern, its values drawn, and
+// leaves its transpose cached, as a transposed read does.
+func patternMatrix[T any](t *testing.T, rng *rand.Rand, n int, pattern [][2]int) *core.Matrix[T] {
+	t.Helper()
+	var is, js []int
+	var vs []T
+	for _, e := range pattern {
+		is, js, vs = append(is, e[0]), append(js, e[1]), append(vs, draw[T](rng))
+	}
+	m, err := core.NewMatrix[T](n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Build(is, js, vs, First[T]()); err != nil {
+		t.Fatal(err)
+	}
+	mt, err := core.NewMatrix[T](n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.Transpose(mt, core.NoMask, core.NoAccum[T](), m, nil); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// partialVector holds nine positions in ten of n, drawn, and the special
+// rows' values: a signalling NaN at 1 (in the float domains; the greatest
+// value elsewhere), −0 at 4 and 5, x and −x at 8 and 9, and nothing at 2,
+// 6 and 10.
+func partialVector[T any](t *testing.T, rng *rand.Rand, n int) *core.Vector[T] {
+	t.Helper()
+	var is []int
+	var vs []T
+	for i := 0; i < n; i++ {
+		if specialAbsent[i] || i >= specialRows && rng.Intn(10) == 0 {
+			continue
+		}
+		is, vs = append(is, i), append(vs, special[T](rng, i))
+	}
+	v, err := core.NewVector[T](n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Build(is, vs, First[T]()); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// special is position i's value in partialVector: drawn past the special
+// rows, their value (0 where unlisted) on them.
+func special[T any](rng *rand.Rand, i int) T {
+	x := draw[T](rng)
+	if i >= specialRows {
+		return x
+	}
+	negZero := math.Copysign(0, -1)
+	var v any
+	switch any(x).(type) {
+	case float64:
+		v = map[int]float64{1: math.Float64frombits(0x7ff0000000000001), 4: negZero, 5: negZero, 8: 1.5, 9: -1.5}[i]
+	case float32:
+		v = map[int]float32{1: math.Float32frombits(0x7f800001), 4: float32(negZero), 5: float32(negZero), 8: 1.5, 9: -1.5}[i]
+	case int64:
+		v = map[int]int64{1: math.MaxInt64, 8: 3, 9: -3}[i]
+	case int32:
+		v = map[int]int32{1: math.MaxInt32, 8: 3, 9: -3}[i]
+	case int:
+		v = map[int]int{1: math.MaxInt, 8: 3, 9: -3}[i]
+	default:
+		return x
+	}
+	return v.(T)
 }

@@ -50,9 +50,10 @@ func runFallible[T any](f func() (T, bool)) (out T, used bool, fault *faults.Fau
 
 // pushOrPull is where the engine picks a direction for w = Aᵀ ⊕.⊗ u on the
 // CSR store. The descriptor says which product is meant, not which kernel
-// runs: sparse.PullWins reads the frontier's edge count, the mask and
-// whether A has a transpose cached, and the call then runs pull over Aᵀ
-// (building and caching it when the rule asked for that) or push over A.
+// runs: Ring.PullWins reads the frontier's edge count, the mask, whether A
+// has a transpose cached and whether r's pull tests presence, and the call
+// then runs pull over Aᵀ (building and caching it when the rule asked for
+// that) or push over A.
 // The two are bit-identical, so nothing downstream can tell. The pull side
 // is the engine's own idea, so it is fallible the way the dense and dot
 // products are: the build passes the allocation governor first,
@@ -60,7 +61,7 @@ func runFallible[T any](f func() (T, bool)) (out T, used bool, fault *faults.Fau
 // counted. vm is the resolved mask.
 func pushOrPull[DC, DA, DU any](a *Matrix[DA], ud *sparse.Vec[DU], r sparse.Ring[DA, DU, DC], vm *sparse.VecMask, sp *obs.Span) *sparse.Vec[DC] {
 	ad, at := a.mdatWithTranspose()
-	if sparse.PullWins(ad.Ptr, ud.Idx, at, vm) {
+	if r.PullWins(ad.Ptr, ud.Idx, at, vm) {
 		w, ok, _ := runFallible(func() (*sparse.Vec[DC], bool) {
 			faults.Step("format.kernel.csr.pull")
 			if at == nil {

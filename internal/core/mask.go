@@ -65,7 +65,7 @@ func truthy[T any](v T) bool {
 // truthyIdx returns the stored indices idx[k] whose values val[k] are
 // truthy, in order, with fast paths for common mask domains. It returns idx
 // itself when every value is truthy, and otherwise a list drawn from the
-// pool (pool.Vals), which the operation gives back once its write-back is
+// pool (pool.RawVals), which the operation gives back once its write-back is
 // in (releaseVecMask, releaseMatMask): a value mask with a false entry is
 // resolved on every operation that reads it, an SSSP frontier's every
 // sweep.
@@ -82,7 +82,7 @@ func truthyIdx[T any](idx []int, val []T) []int {
 		if all {
 			return idx
 		}
-		eff := pool.Vals[int](len(idx))[:0]
+		eff := pool.RawVals[int](len(idx))[:0]
 		for k, b := range vs {
 			if b {
 				eff = append(eff, idx[k])
@@ -108,7 +108,7 @@ func truthyIdx[T any](idx []int, val []T) []int {
 	if all {
 		return idx
 	}
-	eff := pool.Vals[int](len(idx))[:0]
+	eff := pool.RawVals[int](len(idx))[:0]
 	for k, v := range val {
 		if truthy(v) {
 			eff = append(eff, idx[k])
@@ -128,7 +128,7 @@ func truthyIdxNum[T int32 | int64 | float32 | float64](idx []int, val []T) []int
 	if all {
 		return idx
 	}
-	eff := pool.Vals[int](len(idx))[:0]
+	eff := pool.RawVals[int](len(idx))[:0]
 	for k, v := range val {
 		if v != 0 {
 			eff = append(eff, idx[k])

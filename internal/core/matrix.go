@@ -213,7 +213,7 @@ func (m *Matrix[D]) transposed() *sparse.CSR[D] {
 // lock, that content's transpose if an earlier transposed read left it
 // cached (nil otherwise); it never builds one. Every mutation drops the
 // cache, so a non-nil transpose is current. The selection rules
-// (sparse.PullWins, sparse.DotMaskedWins) count from it.
+// (sparse.Ring.PullWins, sparse.DotMaskedWins) count from it.
 func (m *Matrix[D]) mdatWithTranspose() (d, t *sparse.CSR[D]) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -275,6 +275,9 @@ func runRecycleProgram(t *testing.T, watch func(...shelvable), mode Mode, sched 
 	if err := Wait(); err != nil {
 		t.Fatalf("pool Wait: %v", err)
 	}
+	// Kernels draw their outputs uncleared (pool.RawVals): with junk on
+	// every shelf, one that leaves a kept position unwritten fails the model.
+	churnMatShelves()
 	recycledBefore := obs.StoresRecycled.Value()
 
 	faults.Configure(seed, rules...)

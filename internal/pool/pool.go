@@ -33,16 +33,21 @@
 // more live at every collection, which raised every later heap goal and
 // with it peak RSS by more than a tenth on the serving workloads.
 //
-// Contract: Get* and Vals return a zeroed slice of length n; Put* and
-// Recycle hand a buffer to the freelist and the caller must not touch it
-// afterwards. Buffers are shelved by power-of-two capacity class, so a
-// recycled buffer always has capacity for the class it is shelved under;
-// anything larger than the largest class, beyond a class's shelf or beyond
-// the retained-bytes budget is simply dropped for the collector. Every Get
-// must be matched by a Put on every path (or the buffer handed off to an
-// owner who takes over the obligation) — the hotalloc analyzer enforces
-// exactly this for //grblint:hotpath functions, and Outstanding counts the
-// Gets not yet matched, for tests that check a run left none behind.
+// Contract: GetInts, GetInt32s, GetBools and Vals return a zeroed slice of
+// length n. GetVals and RawVals return one whose contents are whatever its
+// last holder left: they serve callers that write every position before
+// they read it, or that keep only the positions they wrote (a merge's
+// output, an exact-size result), and for those the clear was a second
+// write of every element. Put* and Recycle hand a buffer to the freelist
+// and the caller must not touch it afterwards. Buffers are shelved by
+// power-of-two capacity class, so a recycled buffer always has capacity
+// for the class it is shelved under; anything larger than the largest
+// class, beyond a class's shelf or beyond the retained-bytes budget is
+// simply dropped for the collector. Every Get must be matched by a Put on
+// every path (or the buffer handed off to an owner who takes over the
+// obligation) — the hotalloc analyzer enforces exactly this for
+// //grblint:hotpath functions, and Outstanding counts the Gets not yet
+// matched, for tests that check a run left none behind.
 package pool
 
 import (
@@ -216,10 +221,10 @@ type valueList[T any] struct {
 	classes [maxClass + 1][]shelved[T]
 }
 
-// get returns a zeroed slice of length n: the most recently shelved array
-// of n's class the collector has not taken, or a fresh one at the class
-// capacity.
-func (f *valueList[T]) get(n int) []T {
+// get returns a slice of length n: the most recently shelved array of n's
+// class the collector has not taken, cleared when clean is set and as its
+// last holder left it otherwise, or a fresh one at the class capacity.
+func (f *valueList[T]) get(n int, clean bool) []T {
 	c := classFor(n)
 	if c > maxClass {
 		return make([]T, n)
@@ -232,7 +237,9 @@ func (f *valueList[T]) get(n int) []T {
 		if s := e.array(); s != nil {
 			f.mu.Unlock()
 			s = s[:n]
-			clear(s)
+			if clean {
+				clear(s)
+			}
 			return s
 		}
 	}
@@ -290,11 +297,12 @@ func valsFor[T any]() *valueList[T] {
 	return f.(*valueList[T])
 }
 
-// GetVals returns a zeroed scratch value array of length n, drawn from T's
-// shelves when T is a number domain.
+// GetVals returns a scratch value array of length n, drawn from T's shelves
+// when T is a number domain. Its contents are undefined: the caller writes
+// each position before it reads it.
 func GetVals[T any](n int) []T {
 	outstanding.Add(1)
-	return Vals[T](n)
+	return RawVals[T](n)
 }
 
 // PutVals returns a scratch value array drawn by GetVals; the caller must
@@ -310,7 +318,18 @@ func PutVals[T any](s []T) {
 // back through Recycle once that vector's store is superseded.
 func Vals[T any](n int) []T {
 	if f := valsFor[T](); f != nil {
-		return f.get(n)
+		return f.get(n, true)
+	}
+	return make([]T, n)
+}
+
+// RawVals is Vals without the clear: a result array whose contents are
+// whatever its last holder left, for a kernel that writes every position it
+// keeps. One that relies on an unwritten position reading zero — a row
+// pointer whose empty rows are never written — draws with Vals.
+func RawVals[T any](n int) []T {
+	if f := valsFor[T](); f != nil {
+		return f.get(n, false)
 	}
 	return make([]T, n)
 }

@@ -122,6 +122,27 @@ func TestValsRecycleByDomain(t *testing.T) {
 	}
 }
 
+// TestRawValsSkipTheClear: RawVals and GetVals hand the recycled array
+// over as its last holder left it; Vals clears it.
+func TestRawValsSkipTheClear(t *testing.T) {
+	a := Vals[int64](300)
+	a[0], a[299] = 7, 9
+	Recycle(a)
+	b := RawVals[int64](400) // the same class, 512
+	if &b[0] != &a[0] || b[0] != 7 || b[299] != 9 || len(b) != 400 {
+		t.Fatalf("RawVals did not hand the recycled array over as left: b[0] = %d", b[0])
+	}
+	Recycle(b)
+	c := GetVals[int64](260)
+	if &c[0] != &a[0] || c[0] != 7 {
+		t.Fatalf("GetVals did not hand the recycled array over as left: c[0] = %d", c[0])
+	}
+	PutVals(c)
+	if d := Vals[int64](300); &d[0] != &a[0] || d[0] != 0 || d[299] != 0 {
+		t.Fatal("Vals did not clear the recycled array")
+	}
+}
+
 // TestRetainedBudget: whatever scratch comes back, the shelves never hold
 // more than the fixed budget.
 func TestRetainedBudget(t *testing.T) {

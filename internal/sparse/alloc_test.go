@@ -167,7 +167,7 @@ func TestDotMxVFullVectorAllocBudget(t *testing.T) {
 	}{
 		{"DotMxV/full", 2, func() { DotMxV(at, full, mulF, addF, nil) }},
 		{"DotMxV/partial", 2, func() { DotMxV(at, partial, mulF, addF, nil) }},
-		{"PullWins", 0, func() { PullWins(a.Ptr, full.Idx, at, nil) }},
+		{"PullWins", 0, func() { (Ring[float64, float64, float64]{}).PullWins(a.Ptr, full.Idx, at, nil) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -9,7 +9,9 @@ import (
 // This file holds the loops the kernels run when their semiring is
 // predefined. A kernel asks entryFor for its output domain once per call; the
 // entry views the operands as []T, looks up the loops compiled for
-// (MulOp, AddOp) over T once per chunk (lookup), and runs them. Each loop
+// (MulOp, AddOp) over T once per chunk (lookup), and runs them. Operands
+// outside the output domain reach it erased (operand), so the entry is
+// compiled once per domain, not once per kernel instantiation. Each loop
 // folds in the order the kernel's closure loop does — the first term starts
 // the fold, terms follow in ascending position — so the results are the
 // closure loop's, bit for bit, and a (⊗, ⊕, domain) no loop covers simply
@@ -217,6 +219,7 @@ type csrView[T number] struct {
 // loops is one (⊗, ⊕) compiled over T: the inner loop of each kernel.
 type loops[T number] interface {
 	reads() (x, y bool)
+	absorbs() bool
 	dot(a csrView[T], uv []T, present []bool, idx []int, out []T, lo, hi int, mask *VecMask) int
 	dotMasked(a, b csrView[T], mask *MatMask, pos []int, val []T, has []bool, ptr []int, lo, hi int)
 	slot(a, b csrView[T], mask *MatMask, slot []int, val []T, has []bool, ptr []int, lo, hi int)
@@ -230,11 +233,41 @@ type ops[T number, M mulTag, A addTag] struct{}
 
 func (*ops[T, M, A]) reads() (x, y bool) { return readsX[M](), readsY[M]() }
 
+func (*ops[T, M, A]) absorbs() bool { return absorbs[M, A]() }
+
+// absorbs reports whether a slot of u holding ⊕'s identity gives a term the
+// fold cannot tell from no term, so that dot may read a partial u's every
+// slot once DotMxV has filled its absent ones with that identity. ⊗ =
+// second passes the identity on as the term. min under max (∧ under ∨ over
+// bool) turns it into the domain's least value, or into A's NaN, and max
+// keeps acc over either; max under min is the mirror. Over float + an
+// absent 0 still differs in bits from no term in two cases, which dot
+// folds again (dot's refold); min and max have none.
+func absorbs[M mulTag, A addTag]() bool {
+	var m M
+	var a A
+	switch len(m) {
+	case len(mulSecond{}):
+		return true
+	case len(mulMin{}), len(mulMinR{}):
+		return len(a) == len(addMax{})
+	case len(mulMax{}), len(mulMaxR{}):
+		return len(a) == len(addMin{})
+	}
+	return false
+}
+
 // dot is dotCore's chunk [lo, hi): ⊕ A(i, k) ⊗ u(k) over the columns k of
 // row i that u stores (every one when present is nil), folded in ascending k
 // from the first term and stopped once ⊕ saturates, written compactly into
 // idx and out (emitRows; a nil idx says every row emits). It returns the
 // number of rows written.
+//
+// Over a partial u a row's first term is the first column present flags;
+// a row with none emits nothing. Past it, a loop that absorbs ⊕'s identity
+// reads u as a full vector — DotMxV has put the identity in every absent
+// slot — so its fold has no presence test, the branch that mispredicts on
+// a frontier holding half the edges. Other loops keep the test.
 //
 // A fold that can stop runs in a function of its own, foldDense or
 // foldPresent, as shared does for dotMasked: inlined here, its saturation
@@ -246,6 +279,11 @@ func (*ops[T, M, A]) reads() (x, y bool) { return readsX[M](), readsY[M]() }
 func (*ops[T, M, A]) dot(a csrView[T], uv []T, present []bool, idx []int, out []T, lo, hi int, mask *VecMask) int {
 	stop := terminal[A, T]()
 	rx := readsX[M]()
+	dense := present == nil || absorbs[M, A]()
+	// Under float + an absent 0 turns an accumulated −0 into +0 and quiets
+	// a signalling NaN. Either can only end in a ±0 or NaN sum, so a row
+	// whose dense fold ends there is folded again with the presence test.
+	refold := present != nil && dense && !saturates[A]() && T(1)/2 != 0
 	cur := MaskCursor{Mask: mask}
 	n := 0
 	for i := lo; i < hi; i++ {
@@ -265,14 +303,18 @@ func (*ops[T, M, A]) dot(a csrView[T], uv []T, present []bool, idx []int, out []
 		switch p++; {
 		case saturates[A]():
 			cols, av := a.cols[p:end], rowVals(a.val, rx, p, end)
-			if present == nil {
+			if dense {
 				acc = foldDense[T, M, A](acc, cols, av, uv, stop)
 			} else {
 				acc = foldPresent[T, M, A](acc, cols, av, uv, present, stop)
 			}
-		case present == nil:
+		case dense:
 			for ; p < end; p++ {
 				acc = oplus[A](acc, otimes[M](operands[M](a.val, p, uv, a.cols[p])))
+			}
+			if refold && (acc == 0 || acc != acc) {
+				s := a.ptr[i]
+				acc = foldRowPresent[T, M, A](a.cols[s:end], rowVals(a.val, rx, s, end), uv, present)
 			}
 		default:
 			for ; p < end; p++ {
@@ -290,11 +332,30 @@ func (*ops[T, M, A]) dot(a csrView[T], uv []T, present []bool, idx []int, out []
 	return n
 }
 
+// foldRowPresent is a whole row of dot over a partial u, columns cols and
+// values av, folded with the presence test from its first present term —
+// which the row has, having emitted — with no stop: what dot folds a row
+// whose identity fold may differ from it in bits.
+func foldRowPresent[T number, M mulTag, A addTag](cols []int, av, uv []T, present []bool) T {
+	p := 0
+	for !present[cols[p]] {
+		p++
+	}
+	acc := otimes[M](operands[M](av, p, uv, cols[p]))
+	for p++; p < len(cols); p++ {
+		if k := cols[p]; present[k] {
+			acc = oplus[A](acc, otimes[M](operands[M](av, p, uv, k)))
+		}
+	}
+	return acc
+}
+
 // foldDense is the rest of a row of dot over a u that stores every
-// position: the fold acc of its first term continued over the terms of the
-// columns cols and values av that follow, stopped once acc reaches ⊕'s
-// terminal value stop — tested before the next term is read. The row comes
-// as slices so that the call passes its arguments in registers.
+// position, or whose absent slots hold an identity the loop absorbs: the
+// fold acc of its first term continued over the terms of the columns cols
+// and values av that follow, stopped once acc reaches ⊕'s terminal value
+// stop — tested before the next term is read. The row comes as slices so
+// that the call passes its arguments in registers.
 //
 //grblint:hotpath
 func foldDense[T number, M mulTag, A addTag](acc T, cols []int, av, uv []T, stop T) T {
@@ -601,21 +662,75 @@ func lattice(c Opcode) Opcode {
 	return c
 }
 
-// holds reports whether the domain D is T's: D is T, or D is bool and T
-// boolean.
-func holds[T number, D any]() bool {
+// kind names the domain of a []D the loops are compiled for — bool's and
+// boolean's being one — or none.
+type kind uint8
+
+const (
+	noKind kind = iota
+	float64Kind
+	float32Kind
+	int64Kind
+	int32Kind
+	intKind
+	boolKind
+)
+
+// kindOf returns D's kind.
+func kindOf[D any]() kind {
 	switch any([]D(nil)).(type) {
-	case []T:
-		return true
-	case []bool:
-		_, ok := any([]T(nil)).([]boolean)
-		return ok
+	case []float64:
+		return float64Kind
+	case []float32:
+		return float32Kind
+	case []int64:
+		return int64Kind
+	case []int32:
+		return int32Kind
+	case []int:
+		return intKind
+	case []bool, []boolean:
+		return boolKind
 	}
-	return false
+	return noKind
 }
 
-// view returns x, one of a kernel's []D, as []T — a []bool as its own bytes
-// seen as []boolean — and nil when D is not T's domain.
+// operand is one of a kernel's []D with D erased: its array, its length
+// and its kind. It is how an operand outside the output domain reaches an
+// entry, which is compiled per output domain alone.
+type operand struct {
+	p    unsafe.Pointer
+	n    int
+	kind kind
+}
+
+func operandOf[D any](s []D) operand {
+	return operand{unsafe.Pointer(unsafe.SliceData(s)), len(s), kindOf[D]()}
+}
+
+// is reports whether x's domain is T's.
+func is[T number](x operand) bool { return x.kind == kindOf[T]() }
+
+// as returns x as []T, nil when its domain is not T's.
+func as[T number](x operand) []T {
+	if !is[T](x) {
+		return nil
+	}
+	return unsafe.Slice((*T)(x.p), x.n)
+}
+
+// csrOperand is a CSR with its values erased.
+type csrOperand struct {
+	ptr, cols []int
+	val       operand
+}
+
+func csrOf[D any](m *CSR[D]) csrOperand {
+	return csrOperand{m.Ptr, m.ColIdx, operandOf(m.Val)}
+}
+
+// view returns x, one of a kernel's []DC, as []T — a []bool as its own
+// bytes seen as []boolean — and nil when DC is not T's domain.
 func view[T number](x any) []T {
 	if b, ok := x.([]bool); ok {
 		x = unsafe.Slice((*boolean)(unsafe.Pointer(unsafe.SliceData(b))), len(b))
@@ -624,92 +739,84 @@ func view[T number](x any) []T {
 	return v
 }
 
-// scalar returns x, a value of a domain T holds, as T.
-func scalar[T number, D any](x D) T {
-	switch v := any(x).(type) {
-	case T:
-		return v
-	case bool:
-		if v {
-			return 1
-		}
-	}
-	return 0
-}
-
-// entry is where a kernel meets the loops: one implementation per domain T,
-// chosen from the output domain DC by entryFor. Each method views the
+// entry is where a kernel meets the loops: one implementation per output
+// domain DC, domain[T, DC], chosen by entryFor. Each method views the
 // kernel's operands as []T, looks the loops up and runs them, or reports
 // false, having done nothing, when there are none — the kernel then runs
-// its closure loop.
-type entry[DA, DB, DC any] interface {
-	dot(key loopKey, a *CSR[DA], dense []DB, present []bool, idx []int, out []DC, lo, hi int, mask *VecMask) (int, bool)
-	dotMasked(key loopKey, a *CSR[DA], b *CSR[DB], mask *MatMask, pos []int, val []DC, has []bool, ptr []int, lo, hi int) bool
-	slot(key loopKey, a *CSR[DA], b *CSR[DB], mask *MatMask, slot []int, val []DC, has []bool, ptr []int, lo, hi int) bool
-	push(key loopKey, a *CSR[DA], uIdx []int, uVal []DB, allowed *BitSPA, comp bool, val []DC, stamp []int, cur int, nz []int) ([]int, bool)
-	scatter(key loopKey, a *CSR[DA], uIdx []int, uVal []DB, allowed *BitSPA, comp bool, off []int32, vals []DC, lo, hi int) bool
+// its closure loop. Operands in DC come typed; the others come as operands.
+type entry[DC any] interface {
+	dot(key loopKey, a csrOperand, dense operand, present []bool, idx []int, out []DC, lo, hi int, mask *VecMask) (int, bool)
+	dotMasked(key loopKey, a, b csrOperand, mask *MatMask, pos []int, val []DC, has []bool, ptr []int, lo, hi int) bool
+	slot(key loopKey, a, b csrOperand, mask *MatMask, slot []int, val []DC, has []bool, ptr []int, lo, hi int) bool
+	push(key loopKey, a csrOperand, uIdx []int, uVal operand, allowed *BitSPA, comp bool, val []DC, stamp []int, cur int, nz []int) ([]int, bool)
+	scatter(key loopKey, a csrOperand, uIdx []int, uVal operand, allowed *BitSPA, comp bool, off []int32, vals []DC, lo, hi int) bool
 	fold(add Opcode, colPtr []int, vals []DC, idx []int, out []DC, lo, hi int) (int, bool)
+	pullsDense(key loopKey, a, u kind) bool
+	fillIdentity(add Opcode, dense operand)
 
 	// The element-wise kernels' entries (builtin_vec.go).
 	union(op Opcode, a, b *Vec[DC], idx []int, val []DC) (int, bool)
-	intersect(op Opcode, a *Vec[DA], b *Vec[DB], idx []int, val []DC) (int, bool)
+	intersect(op Opcode, aIdx []int, aVal operand, bIdx []int, bVal operand, idx []int, val []DC) (int, bool)
 	intoLeft(op Opcode, a *Vec[DC], w []DC) bool
 	intoRight(op Opcode, b *Vec[DC], w []DC) bool
-	pickLeft(op Opcode, a *Vec[DA], b *Vec[DB], w []DC) bool
-	pickRight(op Opcode, a *Vec[DA], b *Vec[DB], w []DC) bool
+	pickLeft(op Opcode, at []int, x, y operand, w []DC) bool
+	pickRight(op Opcode, at []int, x, y operand, w []DC) bool
 	reduce(op Opcode, acc DC, vals []DC) (DC, bool)
 }
 
 // entryFor returns the entry for DC, or nil when the ring's operators are
 // not both predefined or DC is a domain no loop is compiled for. It is what
 // a kernel asks once per call; a user's semiring costs it two compares.
-func entryFor[DA, DB, DC any](key loopKey) entry[DA, DB, DC] {
+func entryFor[DC any](key loopKey) entry[DC] {
 	if key.mul == OpNone || key.add == OpNone {
 		return nil
 	}
-	return domainOf[DA, DB, DC]()
+	return domainOf[DC]()
 }
 
 // domainOf returns the entry for DC, or nil when DC is a domain no loop is
-// compiled for.
-func domainOf[DA, DB, DC any]() entry[DA, DB, DC] {
+// compiled for. Each case names an instantiation of its own domain, the
+// same whatever the kernel calling, so the entries are compiled six times
+// in all.
+func domainOf[DC any]() entry[DC] {
+	var e any
 	switch any([]DC(nil)).(type) {
 	case []float64:
-		return &domain[float64, DA, DB, DC]{}
+		e = &domain[float64, float64]{}
 	case []float32:
-		return &domain[float32, DA, DB, DC]{}
+		e = &domain[float32, float32]{}
 	case []int64:
-		return &domain[int64, DA, DB, DC]{}
+		e = &domain[int64, int64]{}
 	case []int32:
-		return &domain[int32, DA, DB, DC]{}
+		e = &domain[int32, int32]{}
 	case []int:
-		return &domain[int, DA, DB, DC]{}
+		e = &domain[int, int]{}
 	case []bool:
-		return &domain[boolean, DA, DB, DC]{}
+		e = &domain[boolean, bool]{}
+	default:
+		return nil
 	}
-	return nil
+	return e.(entry[DC])
 }
 
-// domain implements entry for kernels whose output domain DC is T's.
-type domain[T number, DA, DB, DC any] struct{}
+// domain implements entry for the output domain DC, which is T's: T itself,
+// or bool for boolean.
+type domain[T number, DC any] struct{}
 
-func viewCSR[T number, D any](m *CSR[D]) csrView[T] {
-	return csrView[T]{ptr: m.Ptr, cols: m.ColIdx, val: view[T](m.Val)}
+func viewCSR[T number](m csrOperand) csrView[T] {
+	return csrView[T]{ptr: m.ptr, cols: m.cols, val: as[T](m.val)}
 }
 
-// The entry methods below view the output as []T unchecked: entryFor chose T
-// from DC.
-
-func (*domain[T, DA, DB, DC]) dot(key loopKey, a *CSR[DA], dense []DB, present []bool, idx []int, out []DC, lo, hi int, mask *VecMask) (int, bool) {
-	l := lookup[T](key, holds[T, DA](), holds[T, DB]())
+func (*domain[T, DC]) dot(key loopKey, a csrOperand, dense operand, present []bool, idx []int, out []DC, lo, hi int, mask *VecMask) (int, bool) {
+	l := lookup[T](key, is[T](a.val), is[T](dense))
 	if l == nil {
 		return 0, false
 	}
-	return l.dot(viewCSR[T](a), view[T](dense), present, idx, view[T](out), lo, hi, mask), true
+	return l.dot(viewCSR[T](a), as[T](dense), present, idx, view[T](out), lo, hi, mask), true
 }
 
-func (*domain[T, DA, DB, DC]) dotMasked(key loopKey, a *CSR[DA], b *CSR[DB], mask *MatMask, pos []int, val []DC, has []bool, ptr []int, lo, hi int) bool {
-	l := lookup[T](key, holds[T, DA](), holds[T, DB]())
+func (*domain[T, DC]) dotMasked(key loopKey, a, b csrOperand, mask *MatMask, pos []int, val []DC, has []bool, ptr []int, lo, hi int) bool {
+	l := lookup[T](key, is[T](a.val), is[T](b.val))
 	if l == nil {
 		return false
 	}
@@ -717,8 +824,8 @@ func (*domain[T, DA, DB, DC]) dotMasked(key loopKey, a *CSR[DA], b *CSR[DB], mas
 	return true
 }
 
-func (*domain[T, DA, DB, DC]) slot(key loopKey, a *CSR[DA], b *CSR[DB], mask *MatMask, slot []int, val []DC, has []bool, ptr []int, lo, hi int) bool {
-	l := lookup[T](key, holds[T, DA](), holds[T, DB]())
+func (*domain[T, DC]) slot(key loopKey, a, b csrOperand, mask *MatMask, slot []int, val []DC, has []bool, ptr []int, lo, hi int) bool {
+	l := lookup[T](key, is[T](a.val), is[T](b.val))
 	if l == nil {
 		return false
 	}
@@ -730,49 +837,47 @@ func (*domain[T, DA, DB, DC]) slot(key loopKey, a *CSR[DA], b *CSR[DB], mask *Ma
 // over the accumulator itself would move it to the heap) and returns its
 // grown touched list. u's value at a frontier position is read only when ⊗
 // reads it.
-func (*domain[T, DA, DB, DC]) push(key loopKey, a *CSR[DA], uIdx []int, uVal []DB, allowed *BitSPA, comp bool, val []DC, stamp []int, cur int, nz []int) ([]int, bool) {
-	okA := holds[T, DA]()
-	l := lookup[T](key, okA, holds[T, DB]())
+func (*domain[T, DC]) push(key loopKey, a csrOperand, uIdx []int, uVal operand, allowed *BitSPA, comp bool, val []DC, stamp []int, cur int, nz []int) ([]int, bool) {
+	l := lookup[T](key, is[T](a.val), is[T](uVal))
 	if l == nil {
 		return nz, false
 	}
 	_, readsU := l.reads()
-	av, w := view[T](a.Val), view[T](val)
+	av, uv, w := as[T](a.val), as[T](uVal), view[T](val)
 	for pu, k := range uIdx {
 		var y T
 		if readsU {
-			y = scalar[T](uVal[pu])
+			y = uv[pu]
 		}
-		p, end := a.Ptr[k], a.Ptr[k+1]
-		nz = l.pushRow(a.ColIdx[p:end], rowVals(av, okA, p, end), y, allowed, comp, w, stamp, cur, nz)
+		p, end := a.ptr[k], a.ptr[k+1]
+		nz = l.pushRow(a.cols[p:end], rowVals(av, av != nil, p, end), y, allowed, comp, w, stamp, cur, nz)
 	}
 	return nz, true
 }
 
 // scatter runs pushParallel's phase C over frontier positions [lo, hi),
 // reading u's values as push does.
-func (*domain[T, DA, DB, DC]) scatter(key loopKey, a *CSR[DA], uIdx []int, uVal []DB, allowed *BitSPA, comp bool, off []int32, vals []DC, lo, hi int) bool {
-	okA := holds[T, DA]()
-	l := lookup[T](key, okA, holds[T, DB]())
+func (*domain[T, DC]) scatter(key loopKey, a csrOperand, uIdx []int, uVal operand, allowed *BitSPA, comp bool, off []int32, vals []DC, lo, hi int) bool {
+	l := lookup[T](key, is[T](a.val), is[T](uVal))
 	if l == nil {
 		return false
 	}
 	_, readsU := l.reads()
-	av, w := view[T](a.Val), view[T](vals)
+	av, uv, w := as[T](a.val), as[T](uVal), view[T](vals)
 	for k := lo; k < hi; k++ {
 		var y T
 		if readsU {
-			y = scalar[T](uVal[k])
+			y = uv[k]
 		}
-		p, end := a.Ptr[uIdx[k]], a.Ptr[uIdx[k]+1]
-		l.scatterRow(a.ColIdx[p:end], rowVals(av, okA, p, end), y, allowed, comp, off, w)
+		p, end := a.ptr[uIdx[k]], a.ptr[uIdx[k]+1]
+		l.scatterRow(a.cols[p:end], rowVals(av, av != nil, p, end), y, allowed, comp, off, w)
 	}
 	return true
 }
 
 // fold runs pushParallel's phase D over targets [lo, hi). ⊗ has run by
 // then, so only ⊕ picks the loop.
-func (*domain[T, DA, DB, DC]) fold(add Opcode, colPtr []int, vals []DC, idx []int, out []DC, lo, hi int) (int, bool) {
+func (*domain[T, DC]) fold(add Opcode, colPtr []int, vals []DC, idx []int, out []DC, lo, hi int) (int, bool) {
 	vs, w := view[T](vals), view[T](out)
 	switch lattice(add) {
 	case OpPlus:
@@ -783,6 +888,40 @@ func (*domain[T, DA, DB, DC]) fold(add Opcode, colPtr []int, vals []DC, idx []in
 		return foldSlots[addMax](colPtr, vs, idx, w, lo, hi), true
 	}
 	return 0, false
+}
+
+// pullsDense reports whether dot, for a matrix of kind a and a vector of
+// kind u, runs a loop that absorbs ⊕'s identity under + — the loops whose
+// partial pull the crossover table's ⟨+, second⟩ rows price (PullWins). A
+// fold under min or max stops at its terminal value, often at the first
+// term, whether or not it tests presence, so the rule prices those loops
+// as it prices the ones that test.
+func (*domain[T, DC]) pullsDense(key loopKey, a, u kind) bool {
+	k := kindOf[T]()
+	l := lookup[T](key, a == k, u == k)
+	return l != nil && l.absorbs() && key.add == OpPlus
+}
+
+// fillIdentity writes ⊕'s identity into every slot of dense, where ⊕ is
+// one the loops compile — + (0), min (the domain's greatest value), max
+// (its least), ∨ and ∧ as max and min — and dense is of T's domain, which
+// it is whenever a loop that absorbs the identity reads it.
+func (*domain[T, DC]) fillIdentity(add Opcode, dense operand) {
+	var id T
+	lo, hi := bounds[T]()
+	switch lattice(add) {
+	case OpPlus:
+	case OpMin:
+		id = hi
+	case OpMax:
+		id = lo
+	default:
+		return
+	}
+	d := as[T](dense)
+	for k := range d {
+		d[k] = id
+	}
 }
 
 // rowVals is av[p:end], or nil when A's values are not []T.

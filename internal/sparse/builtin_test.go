@@ -2,6 +2,8 @@ package sparse
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"graphblas/internal/obs"
@@ -42,10 +44,10 @@ func TestBuiltinLoopTable(t *testing.T) {
 			t.Errorf("bool %v.%v: not specialized", p[1], p[0])
 		}
 	}
-	if entryFor[float64, float64, float64](loopKey{mul: OpTimes}) != nil || entryFor[float64, float64, float64](loopKey{add: OpPlus}) != nil {
+	if entryFor[float64](loopKey{mul: OpTimes}) != nil || entryFor[float64](loopKey{add: OpPlus}) != nil {
 		t.Error("a ring with a user operator got loops")
 	}
-	if entryFor[uint8, uint8, uint8](loopKey{mul: OpTimes, add: OpPlus}) != nil {
+	if entryFor[uint8](loopKey{mul: OpTimes, add: OpPlus}) != nil {
 		t.Error("uint8 got loops; none are compiled for it")
 	}
 	// An operand ⊗ reads but the kernel cannot hand over as []T (a mixed
@@ -140,6 +142,7 @@ func TestBuiltinKernelsAllocBudget(t *testing.T) {
 	}
 	mask := &MatMask{NCols: a.NCols, EffPtr: a.Ptr, EffIdx: a.ColIdx, StrPtr: a.Ptr, StrIdx: a.ColIdx}
 	r := Ring[float64, float64, float64]{Mul: mulF, Add: addF, MulOp: OpTimes, AddOp: OpPlus}
+	sec := Ring[float64, float64, float64]{Mul: secondF, Add: addF, MulOp: OpSecond, AddOp: OpPlus}
 	cases := []struct {
 		name   string
 		budget float64
@@ -147,6 +150,7 @@ func TestBuiltinKernelsAllocBudget(t *testing.T) {
 	}{
 		{"DotMxV/full", 2, func() { r.DotMxV(at, full, nil) }},
 		{"DotMxV/partial", 2, func() { r.DotMxV(at, partial, nil) }},
+		{"DotMxV/partial ⟨+, second⟩", 2, func() { sec.DotMxV(at, partial, nil) }},
 		{"PushMxV", 2, func() { r.PushMxV(a, partial, nil) }},
 		{"SpGEMM/mask-shaped", 6, func() { r.SpGEMM(a, at, mask) }},
 		{"SpGEMMDotMasked", 6, func() { r.SpGEMMDotMasked(a, a, mask) }},
@@ -159,4 +163,94 @@ func TestBuiltinKernelsAllocBudget(t *testing.T) {
 			}
 		})
 	}
+}
+
+func secondF(_, y float64) float64 { return y }
+
+// The predefined min and max, written out for the closure side of
+// FuzzPartialPull: the second operand wins only when strictly less
+// (greater), so a NaN or a tie keeps the first.
+func minF(x, y float64) float64 {
+	if y < x {
+		return y
+	}
+	return x
+}
+
+func maxF(x, y float64) float64 {
+	if y > x {
+		return y
+	}
+	return x
+}
+
+// FuzzPartialPull pulls a random partial u through a random A under the
+// float64 rings whose loops read a partial u with no presence test —
+// ⟨+, second⟩, ⟨min, second⟩, ⟨max, second⟩, ⟨max, min⟩, ⟨min, max⟩, the
+// last two swapped too — and ⟨+, ×⟩, which keeps it, once with the loops
+// and once with the same functions as closures. The values come from a
+// set that holds ±0, a signalling and two quiet NaNs and ±Inf. Results must
+// match bit for bit, but where both are NaN: a + that meets two NaNs may
+// leave either payload, so there the quiet bit alone must match — which is
+// what an absent 0 added to a lone signalling NaN would flip.
+func FuzzPartialPull(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3} {
+		f.Add(seed, uint8(40), uint8(50), uint8(1))
+	}
+	f.Add(int64(7), uint8(255), uint8(90), uint8(4))
+	f.Add(int64(9), uint8(3), uint8(10), uint8(2))
+	values := []float64{0, math.Copysign(0, -1), 1.5, -1.5, 0.25, 3,
+		math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0x7ff8000000000001),
+		math.Float64frombits(0x7ff8000000000002), math.Inf(1), math.Inf(-1)}
+	rings := []Ring[float64, float64, float64]{
+		{Mul: secondF, Add: addF, MulOp: OpSecond, AddOp: OpPlus},
+		{Mul: secondF, Add: minF, MulOp: OpSecond, AddOp: OpMin},
+		{Mul: secondF, Add: maxF, MulOp: OpSecond, AddOp: OpMax},
+		{Mul: minF, Add: maxF, MulOp: OpMin, AddOp: OpMax},
+		{Mul: maxF, Add: minF, MulOp: OpMax, AddOp: OpMin},
+		{Mul: func(a, u float64) float64 { return minF(u, a) }, Add: maxF, MulOp: OpMin, AddOp: OpMax, Swapped: true},
+		{Mul: func(a, u float64) float64 { return maxF(u, a) }, Add: minF, MulOp: OpMax, AddOp: OpMin, Swapped: true},
+		{Mul: mulF, Add: addF, MulOp: OpTimes, AddOp: OpPlus},
+	}
+	f.Fuzz(func(t *testing.T, seed int64, size, fill, workers uint8) {
+		parallel.SetMaxWorkersForTest(t, 1+int(workers%4))
+		rng := rand.New(rand.NewSource(seed))
+		nr, nc := 1+int(size%48), 1+int(size/3%48)
+		var is, js []int
+		var vs []float64
+		for i := 0; i < nr; i++ {
+			for j := 0; j < nc; j++ {
+				if rng.Intn(3) == 0 {
+					is, js, vs = append(is, i), append(js, j), append(vs, values[rng.Intn(len(values))])
+				}
+			}
+		}
+		a, ok := BuildCSR(nr, nc, is, js, vs, nil)
+		if !ok {
+			t.Fatal("BuildCSR failed")
+		}
+		u := NewVec[float64](nc)
+		for k := 0; k < nc; k++ {
+			if rng.Intn(100) < int(fill%101) {
+				u.Idx, u.Val = append(u.Idx, k), append(u.Val, values[rng.Intn(len(values))])
+			}
+		}
+		for _, r := range rings {
+			got := r.DotMxV(a, u, nil)
+			want := Ring[float64, float64, float64]{Mul: r.Mul, Add: r.Add}.DotMxV(a, u, nil)
+			if !slices.Equal(got.Idx, want.Idx) || len(got.Val) != len(want.Val) {
+				t.Fatalf("%v.%v: entries %v compiled, %v closure", r.AddOp, r.MulOp, got.Idx, want.Idx)
+			}
+			for k, x := range got.Val {
+				y := want.Val[k]
+				if math.IsNaN(x) && math.IsNaN(y) {
+					if quiet := uint64(1) << 51; math.Float64bits(x)&quiet != math.Float64bits(y)&quiet {
+						t.Fatalf("%v.%v: entry %d = %x compiled, %x closure", r.AddOp, r.MulOp, k, math.Float64bits(x), math.Float64bits(y))
+					}
+				} else if math.Float64bits(x) != math.Float64bits(y) {
+					t.Fatalf("%v.%v: entry %d = %v compiled, %v closure", r.AddOp, r.MulOp, k, x, y)
+				}
+			}
+		}
+	})
 }

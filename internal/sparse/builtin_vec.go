@@ -260,18 +260,18 @@ func vecLookup[T number](op Opcode, hasX, hasY bool) vecLoops[T] {
 // opEntry returns the entry of an element-wise kernel whose operator is op
 // and whose output domain is DC, or nil when op is a user's or DC a domain
 // no loop is compiled for.
-func opEntry[DA, DB, DC any](op Opcode) entry[DA, DB, DC] {
+func opEntry[DC any](op Opcode) entry[DC] {
 	if op == OpNone {
 		return nil
 	}
-	return domainOf[DA, DB, DC]()
+	return domainOf[DC]()
 }
 
 // The element-wise entry methods, each reporting false, having done
-// nothing, when no loop covers the call. A kernel whose operands share the
-// output's domain calls them as entry[DC, DC, DC].
+// nothing, when no loop covers the call. Operands in the output domain come
+// typed, the others as operands.
 
-func (*domain[T, DA, DB, DC]) union(op Opcode, a, b *Vec[DC], idx []int, val []DC) (int, bool) {
+func (*domain[T, DC]) union(op Opcode, a, b *Vec[DC], idx []int, val []DC) (int, bool) {
 	l := vecLookup[T](op, true, true)
 	if l == nil {
 		return 0, false
@@ -279,15 +279,15 @@ func (*domain[T, DA, DB, DC]) union(op Opcode, a, b *Vec[DC], idx []int, val []D
 	return l.union(a.Idx, view[T](a.Val), b.Idx, view[T](b.Val), idx, view[T](val)), true
 }
 
-func (*domain[T, DA, DB, DC]) intersect(op Opcode, a *Vec[DA], b *Vec[DB], idx []int, val []DC) (int, bool) {
-	l := vecLookup[T](op, holds[T, DA](), holds[T, DB]())
+func (*domain[T, DC]) intersect(op Opcode, aIdx []int, aVal operand, bIdx []int, bVal operand, idx []int, val []DC) (int, bool) {
+	l := vecLookup[T](op, is[T](aVal), is[T](bVal))
 	if l == nil {
 		return 0, false
 	}
-	return l.intersect(a.Idx, view[T](a.Val), b.Idx, view[T](b.Val), idx, view[T](val)), true
+	return l.intersect(aIdx, as[T](aVal), bIdx, as[T](bVal), idx, view[T](val)), true
 }
 
-func (*domain[T, DA, DB, DC]) intoLeft(op Opcode, a *Vec[DC], w []DC) bool {
+func (*domain[T, DC]) intoLeft(op Opcode, a *Vec[DC], w []DC) bool {
 	l := vecLookup[T](op, true, true)
 	if l == nil {
 		return false
@@ -296,7 +296,7 @@ func (*domain[T, DA, DB, DC]) intoLeft(op Opcode, a *Vec[DC], w []DC) bool {
 	return true
 }
 
-func (*domain[T, DA, DB, DC]) intoRight(op Opcode, b *Vec[DC], w []DC) bool {
+func (*domain[T, DC]) intoRight(op Opcode, b *Vec[DC], w []DC) bool {
 	l := vecLookup[T](op, true, true)
 	if l == nil {
 		return false
@@ -305,27 +305,29 @@ func (*domain[T, DA, DB, DC]) intoRight(op Opcode, b *Vec[DC], w []DC) bool {
 	return true
 }
 
-func (*domain[T, DA, DB, DC]) pickLeft(op Opcode, a *Vec[DA], b *Vec[DB], w []DC) bool {
-	l := vecLookup[T](op, holds[T, DA](), holds[T, DB]())
+// pickLeft is w(k) = x(at[k]) ⊙ y(k), x full; pickRight w(k) = x(k) ⊙
+// y(at[k]), y full.
+func (*domain[T, DC]) pickLeft(op Opcode, at []int, x, y operand, w []DC) bool {
+	l := vecLookup[T](op, is[T](x), is[T](y))
 	if l == nil {
 		return false
 	}
-	l.pickLeft(b.Idx, view[T](a.Val), view[T](b.Val), view[T](w))
+	l.pickLeft(at, as[T](x), as[T](y), view[T](w))
 	return true
 }
 
-func (*domain[T, DA, DB, DC]) pickRight(op Opcode, a *Vec[DA], b *Vec[DB], w []DC) bool {
-	l := vecLookup[T](op, holds[T, DA](), holds[T, DB]())
+func (*domain[T, DC]) pickRight(op Opcode, at []int, x, y operand, w []DC) bool {
+	l := vecLookup[T](op, is[T](x), is[T](y))
 	if l == nil {
 		return false
 	}
-	l.pickRight(a.Idx, view[T](a.Val), view[T](b.Val), view[T](w))
+	l.pickRight(at, as[T](x), as[T](y), view[T](w))
 	return true
 }
 
 // reduce passes acc across as T by its bits: DC is T's domain, so the two
 // lay a value out alike.
-func (*domain[T, DA, DB, DC]) reduce(op Opcode, acc DC, vals []DC) (DC, bool) {
+func (*domain[T, DC]) reduce(op Opcode, acc DC, vals []DC) (DC, bool) {
 	l := vecLookup[T](op, true, true)
 	if l == nil {
 		return acc, false

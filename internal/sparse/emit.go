@@ -31,9 +31,10 @@ import (
 //     row, an imported or deserialized array — carries no count and is
 //     left to the collector.
 //   - A vector's Val is its own: every output draws it from internal/pool
-//     (pool.Vals, an array of its size's class that a superseded store may
-//     have left there), and no two vectors share one — which is what lets
-//     the store that held it recycle it when it dies.
+//     (pool.RawVals, an array of its size's class that a superseded store
+//     may have left there, uncleared: the kernel writes every position it
+//     keeps), and no two vectors share one — which is what lets the store
+//     that held it recycle it when it dies.
 //   - A full vector's Idx is a prefix of one process-wide identity list
 //     (identity), so no kernel writes 0…N−1 out again.
 //   - A kernel that knows its entry count before it runs allocates that
@@ -139,7 +140,7 @@ func compact[T any](s []T) []T {
 	if cap(s) < 2*len(s) || cap(s) <= 1 {
 		return s
 	}
-	c := pool.Vals[T](len(s))
+	c := pool.RawVals[T](len(s))
 	copy(c, s)
 	pool.Recycle(s)
 	return c
@@ -177,7 +178,7 @@ func (v *Vec[T]) Release() bool {
 // cloneVals is a copy of an input's values as an output's own, in an array
 // from the pool.
 func cloneVals[T any](val []T) []T {
-	out := pool.Vals[T](len(val))
+	out := pool.RawVals[T](len(val))
 	copy(out, val)
 	return out
 }
@@ -222,9 +223,9 @@ func emitRows[T any, K rowKernel[T]](n int, cum []int, exact bool, k K) *Vec[T] 
 		most := at[chunks]
 		var idx []int
 		if most < n {
-			idx = pool.Vals[int](most)
+			idx = pool.RawVals[int](most)
 		}
-		val := pool.Vals[T](most)
+		val := pool.RawVals[T](most)
 		runRows(k, n, bounds, at, idx, val)
 		w = pooledVec(n, idx, val)
 	} else {
@@ -245,7 +246,7 @@ func joinRows[T any, K rowKernel[T]](k K, n int, bounds, at []int) *Vec[T] {
 	chunks := len(at) / 2
 	most := at[chunks]
 	scratch := pool.GetInts(most)
-	val := pool.Vals[T](most)
+	val := pool.RawVals[T](most)
 	runRows(k, n, bounds, at, scratch, val)
 	total := 0
 	for _, got := range at[chunks+1:] {
@@ -253,11 +254,11 @@ func joinRows[T any, K rowKernel[T]](k K, n int, bounds, at []int) *Vec[T] {
 	}
 	var idx []int
 	if total < n {
-		idx = pool.Vals[int](total)
+		idx = pool.RawVals[int](total)
 	}
 	out := val
 	if total < most {
-		out = pool.Vals[T](total)
+		out = pool.RawVals[T](total)
 	}
 	d := 0
 	for c, got := range at[chunks+1:] {

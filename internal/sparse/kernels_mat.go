@@ -93,13 +93,15 @@ func ApplyIndexCSR[DA, DC any](a *CSR[DA], f func(DA, int, int) DC) *CSR[DC] {
 // Two row-parallel passes and no per-row storage: the first evaluates pred
 // once per entry into keep flags and counts each row's survivors into the
 // result's Ptr, the second copies the kept entries into ColIdx/Val of the
-// survivors' count. The result's arrays come from the pool (pool.Vals), as
-// a vector kernel's do, so a select whose result is freed or overwritten —
-// a triangle count's tril — computes into the arrays of the last one. The
-// flags are scratch drawn from the value shelves (pool.GetVals), which
-// hold nothing across a collection: a select is often a one-off, and a
-// flag buffer held strongly after it stayed resident — 2.2 MB of peak RSS
-// on shard2-read, measured.
+// survivors' count. The result's arrays come from the pool, as a vector
+// kernel's do, so a select whose result is freed or overwritten — a
+// triangle count's tril — computes into the arrays of the last one: Ptr
+// zeroed (pool.Vals; Ptr[0] is never written), ColIdx and Val as they come
+// (pool.RawVals), every position written. The flags, each one written too,
+// are scratch drawn from the value shelves (pool.GetVals), which hold
+// nothing across a collection: a select is often a one-off, and a flag
+// buffer held strongly after it stayed resident — 2.2 MB of peak RSS on
+// shard2-read, measured.
 //
 //grblint:hotpath
 func SelectCSR[D any](a *CSR[D], pred func(D, int, int) bool) *CSR[D] {
@@ -110,8 +112,9 @@ func SelectCSR[D any](a *CSR[D], pred func(D, int, int) bool) *CSR[D] {
 		for i := lo; i < hi; i++ {
 			kept := 0
 			for p := a.Ptr[i]; p < a.Ptr[i+1]; p++ {
-				if pred(a.Val[p], i, a.ColIdx[p]) {
-					keep[p] = true
+				k := pred(a.Val[p], i, a.ColIdx[p])
+				keep[p] = k
+				if k {
 					kept++
 				}
 			}
@@ -121,8 +124,8 @@ func SelectCSR[D any](a *CSR[D], pred func(D, int, int) bool) *CSR[D] {
 	for i := 0; i < a.NRows; i++ {
 		out.Ptr[i+1] += out.Ptr[i]
 	}
-	out.ColIdx = pool.Vals[int](out.NNZ())
-	out.Val = pool.Vals[D](out.NNZ())
+	out.ColIdx = pool.RawVals[int](out.NNZ())
+	out.Val = pool.RawVals[D](out.NNZ())
 	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
 		w := out.Ptr[lo]
 		for p := a.Ptr[lo]; p < a.Ptr[hi]; p++ {
@@ -173,8 +176,8 @@ func SelectBandCSR[D any](a *CSR[D], band Band, k int) *CSR[D] {
 	for i := 0; i < a.NRows; i++ {
 		out.Ptr[i+1] += out.Ptr[i]
 	}
-	out.ColIdx = pool.Vals[int](out.NNZ())
-	out.Val = pool.Vals[D](out.NNZ())
+	out.ColIdx = pool.RawVals[int](out.NNZ())
+	out.Val = pool.RawVals[D](out.NNZ())
 	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s1, e1, s2, e2 := bandRuns(a, i, split[i], band, k)

@@ -76,10 +76,10 @@ func VecUnion[D any](a, b *Vec[D], add func(D, D) D, op Opcode) *Vec[D] {
 // full side the result takes that side's positions and a copy of its
 // values, and the other side is folded in at its positions.
 func union[D any](a, b *Vec[D], add func(D, D) D, op Opcode) *Vec[D] {
-	e := opEntry[D, D, D](op)
+	e := opEntry[D](op)
 	if !a.Full() && !b.Full() {
 		m := len(a.Idx) + len(b.Idx)
-		idx, val := pool.Vals[int](m), pool.Vals[D](m)
+		idx, val := pool.RawVals[int](m), pool.RawVals[D](m)
 		n, ok := 0, false
 		if e != nil {
 			n, ok = e.union(op, a, b, idx, val)
@@ -152,31 +152,31 @@ func copyRun[T any](idx []int, val []T, toIdx []int, toVal []T) int {
 // VecUnion's op names add.
 func VecIntersect[DA, DB, DC any](a *Vec[DA], b *Vec[DB], mul func(DA, DB) DC, op Opcode) *Vec[DC] {
 	done := obs.KernelStart("vec.intersect")
-	e := opEntry[DA, DB, DC](op)
+	e := opEntry[DC](op)
 	var w *Vec[DC]
 	switch {
 	case b.Full():
-		w = &Vec[DC]{N: a.N, Val: pool.Vals[DC](len(a.Idx))}
+		w = &Vec[DC]{N: a.N, Val: pool.RawVals[DC](len(a.Idx))}
 		shareIdx(w, a)
-		if e == nil || !e.pickRight(op, a, b, w.Val) {
+		if e == nil || !e.pickRight(op, a.Idx, operandOf(a.Val), operandOf(b.Val), w.Val) {
 			for k, i := range a.Idx {
 				w.Val[k] = mul(a.Val[k], b.Val[i])
 			}
 		}
 	case a.Full():
-		w = &Vec[DC]{N: a.N, Val: pool.Vals[DC](len(b.Idx))}
+		w = &Vec[DC]{N: a.N, Val: pool.RawVals[DC](len(b.Idx))}
 		shareIdx(w, b)
-		if e == nil || !e.pickLeft(op, a, b, w.Val) {
+		if e == nil || !e.pickLeft(op, b.Idx, operandOf(a.Val), operandOf(b.Val), w.Val) {
 			for k, i := range b.Idx {
 				w.Val[k] = mul(a.Val[i], b.Val[k])
 			}
 		}
 	default:
 		m := min(len(a.Idx), len(b.Idx))
-		idx, val := pool.Vals[int](m), pool.Vals[DC](m)
+		idx, val := pool.RawVals[int](m), pool.RawVals[DC](m)
 		n, ok := 0, false
 		if e != nil {
-			n, ok = e.intersect(op, a, b, idx, val)
+			n, ok = e.intersect(op, a.Idx, operandOf(a.Val), b.Idx, operandOf(b.Val), idx, val)
 		}
 		if !ok {
 			n = intersectRow(a.Idx, a.Val, b.Idx, b.Val, mul, idx, val)
@@ -211,7 +211,7 @@ func intersectRow[DA, DB, DC any](aIdx []int, aVal []DA, bIdx []int, bVal []DB, 
 // VecApply maps f over the stored values of a, keeping — sharing — its
 // structure.
 func VecApply[DA, DC any](a *Vec[DA], f func(DA) DC) *Vec[DC] {
-	out := &Vec[DC]{N: a.N, Val: pool.Vals[DC](len(a.Val))}
+	out := &Vec[DC]{N: a.N, Val: pool.RawVals[DC](len(a.Val))}
 	shareIdx(out, a)
 	for k, v := range a.Val {
 		out.Val[k] = f(v)
@@ -222,7 +222,7 @@ func VecApply[DA, DC any](a *Vec[DA], f func(DA) DC) *Vec[DC] {
 // VecApplyIndex maps f(value, index) over the stored entries of a, sharing
 // its structure.
 func VecApplyIndex[DA, DC any](a *Vec[DA], f func(DA, int) DC) *Vec[DC] {
-	out := &Vec[DC]{N: a.N, Val: pool.Vals[DC](len(a.Val))}
+	out := &Vec[DC]{N: a.N, Val: pool.RawVals[DC](len(a.Val))}
 	shareIdx(out, a)
 	for k, v := range a.Val {
 		out.Val[k] = f(v, a.Idx[k])
@@ -245,14 +245,14 @@ func VecSelect[D any](a *Vec[D], pred func(D, int) bool) *Vec[D] {
 			kept++
 		}
 	}
-	val := pool.Vals[D](kept)
+	val := pool.RawVals[D](kept)
 	var out *Vec[D]
 	if kept == len(a.Idx) {
 		out = &Vec[D]{N: a.N, Val: val}
 		shareIdx(out, a)
 		copy(out.Val, a.Val)
 	} else {
-		idx := pool.Vals[int](kept)
+		idx := pool.RawVals[int](kept)
 		w := 0
 		for k, ok := range keep {
 			if ok {
@@ -276,7 +276,7 @@ func VecReduce[D any](a *Vec[D], add func(D, D) D, op Opcode, identity D, term f
 	faults.Step("sparse.kernel.reduce.vec")
 	done := obs.KernelStart("reduce.vec")
 	acc, ok := identity, false
-	if e := opEntry[D, D, D](op); e != nil {
+	if e := opEntry[D](op); e != nil {
 		acc, ok = e.reduce(op, identity, a.Val)
 	}
 	if !ok {
@@ -309,7 +309,7 @@ func MaskMergeVec[D any](c, z *Vec[D], mask *VecMask, replace bool) *Vec[D] {
 		return z
 	}
 	m := len(c.Idx) + len(z.Idx)
-	idx, val := maskMergeRow(c.Idx, c.Val, z.Idx, z.Val, mask, replace, pool.Vals[int](m)[:0], pool.Vals[D](m)[:0])
+	idx, val := maskMergeRow(c.Idx, c.Val, z.Idx, z.Val, mask, replace, pool.RawVals[int](m)[:0], pool.RawVals[D](m)[:0])
 	return pooledVec(c.N, idx, val)
 }
 
@@ -384,9 +384,9 @@ func ExtractVec[D any](u *Vec[D], indices []int) *Vec[D] {
 	}
 	var idx []int
 	if hits < len(indices) {
-		idx = pool.Vals[int](hits)
+		idx = pool.RawVals[int](hits)
 	}
-	val := pool.Vals[D](hits)
+	val := pool.RawVals[D](hits)
 	w := 0
 	for k, p := range slot {
 		if p > 0 {
@@ -580,12 +580,12 @@ func AssignScalarExpandVec[D any](c *Vec[D], x D, indices []int, accum func(D, D
 	done := obs.KernelStart("vec.assign")
 	var z *Vec[D]
 	if indices == nil {
-		z = vecOf(c.N, nil, pool.Vals[D](c.N))
+		z = vecOf(c.N, nil, pool.RawVals[D](c.N))
 		for i := range z.Val {
 			z.Val[i] = x
 		}
 		if accum != nil {
-			if e := opEntry[D, D, D](accumOp); e == nil || !e.intoLeft(accumOp, c, z.Val) {
+			if e := opEntry[D](accumOp); e == nil || !e.intoLeft(accumOp, c, z.Val) {
 				for k, i := range c.Idx {
 					z.Val[i] = accum(c.Val[k], z.Val[i])
 				}
@@ -605,13 +605,13 @@ func AssignScalarExpandVec[D any](c *Vec[D], x D, indices []int, accum func(D, D
 // mask that is not complemented, of which the mask merge keeps only the
 // mask's true positions.
 func FillVec[D any](n int, x D, at []int) *Vec[D] {
-	val := pool.Vals[D](len(at))
+	val := pool.RawVals[D](len(at))
 	for k := range val {
 		val[k] = x
 	}
 	var idx []int
 	if len(at) < n {
-		idx = pool.Vals[int](len(at))
+		idx = pool.RawVals[int](len(at))
 		copy(idx, at)
 	}
 	return pooledVec(n, idx, val)
@@ -653,7 +653,7 @@ func releaseTargets(targets, order []int) {
 // copy of c and a few compares, not a merge of every entry.
 func assignRuns[D any](c *Vec[D], targets []int, source func(j int) (D, bool), accum func(D, D) D) *Vec[D] {
 	m := len(c.Idx) + len(targets)
-	idx, val := pool.Vals[int](m), pool.Vals[D](m)
+	idx, val := pool.RawVals[int](m), pool.RawVals[D](m)
 	n, pc := 0, 0
 	for j, t := range targets {
 		q := pc + seek(c.Idx[pc:], t)

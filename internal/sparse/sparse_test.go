@@ -619,8 +619,35 @@ func TestPullWins(t *testing.T) {
 		if tc.cached {
 			t0 = at
 		}
-		if got := PullWins(a.Ptr, tc.u, t0, tc.mask); got != tc.want {
+		if got := (Ring[float64, float64, float64]{}).PullWins(a.Ptr, tc.u, t0, tc.mask); got != tc.want {
 			t.Errorf("%s: PullWins = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	// A predefined ⟨+, second⟩ pulls a partial u with no presence test,
+	// priced 4 : 1, the build still at 3 a step: from 1024 edges up with Aᵀ
+	// in hand, 1536 without (4·push ≥ 4096 + 3·682), so the parallel floor
+	// decides. ⟨min, second⟩ (whose fold stops at its
+	// terminal value either way) and ⟨+, ×⟩ (which tests presence) keep the
+	// closure's 4 : 3.
+	rings := []struct {
+		name string
+		r    Ring[float64, float64, float64]
+		want bool
+	}{
+		{"⟨+, second⟩", Ring[float64, float64, float64]{MulOp: OpSecond, AddOp: OpPlus}, true},
+		{"⟨+, first⟩ swapped", Ring[float64, float64, float64]{MulOp: OpFirst, AddOp: OpPlus, Swapped: true}, true},
+		{"⟨+, first⟩", Ring[float64, float64, float64]{MulOp: OpFirst, AddOp: OpPlus}, false},
+		{"⟨min, second⟩", Ring[float64, float64, float64]{MulOp: OpSecond, AddOp: OpMin}, false},
+		{"⟨+, ×⟩", Ring[float64, float64, float64]{MulOp: OpTimes, AddOp: OpPlus}, false},
+	}
+	for _, rc := range rings {
+		for _, t0 := range []*CSR[float64]{at, nil} {
+			if got := rc.r.PullWins(a.Ptr, seq(0, 4), t0, nil); got != rc.want {
+				t.Errorf("%s, four rows, cached %v: PullWins = %v, want %v", rc.name, t0 != nil, got, rc.want)
+			}
+		}
+		if rc.r.PullWins(a.Ptr, seq(0, 3), at, nil) {
+			t.Errorf("%s, three rows: pulled below the parallel floor", rc.name)
 		}
 	}
 }

@@ -122,7 +122,7 @@ func spgemmMaskShaped[DA, DB, DC any](a *CSR[DA], b *CSR[DB], r Ring[DA, DB, DC]
 	defer pool.PutBools(has)
 	ptr := pool.Vals[int](a.NRows + 1)
 	key := r.key()
-	spec := entryFor[DA, DB, DC](key)
+	spec := entryFor[DC](key)
 	mul, add := r.Mul, r.Add
 	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
 		// slot[j] is 1 + the position of column j in mask.EffIdx. Positions
@@ -131,7 +131,7 @@ func spgemmMaskShaped[DA, DB, DC any](a *CSR[DA], b *CSR[DB], r Ring[DA, DB, DC]
 		// table is never cleared.
 		slot := pool.GetInts(b.NCols)
 		defer pool.PutInts(slot)
-		if spec != nil && spec.slot(key, a, b, mask, slot, val, has, ptr, lo, hi) {
+		if spec != nil && spec.slot(key, csrOf(a), csrOf(b), mask, slot, val, has, ptr, lo, hi) {
 			return
 		}
 		for i := lo; i < hi; i++ {
@@ -193,7 +193,7 @@ func (r Ring[DA, DB, DC]) SpGEMMDotMasked(a *CSR[DA], b *CSR[DB], mask *MatMask)
 	defer pool.PutBools(has)
 	ptr := pool.Vals[int](a.NRows + 1)
 	key := r.key()
-	spec := entryFor[DA, DB, DC](key)
+	spec := entryFor[DC](key)
 	mul, add := r.Mul, r.Add
 	parallel.ForWeighted(a.NRows, mask.EffPtr, func(lo, hi int) {
 		// pos[k] is 1 + the storage position of A(i, k); as with the slot
@@ -201,7 +201,7 @@ func (r Ring[DA, DB, DC]) SpGEMMDotMasked(a *CSR[DA], b *CSR[DB], mask *MatMask)
 		// first position tells current from stale.
 		pos := pool.GetInts(a.NCols)
 		defer pool.PutInts(pos)
-		if spec != nil && spec.dotMasked(key, a, b, mask, pos, val, has, ptr, lo, hi) {
+		if spec != nil && spec.dotMasked(key, csrOf(a), csrOf(b), mask, pos, val, has, ptr, lo, hi) {
 			return
 		}
 		for i := lo; i < hi; i++ {
@@ -284,8 +284,8 @@ func compactSlots[DC any](nrows, ncols int, mask *MatMask, ptr []int, val []DC, 
 		ptr[i+1] += ptr[i]
 	}
 	c := &CSR[DC]{NRows: nrows, NCols: ncols, Ptr: ptr}
-	c.ColIdx = pool.Vals[int](ptr[nrows])
-	c.Val = pool.Vals[DC](ptr[nrows])
+	c.ColIdx = pool.RawVals[int](ptr[nrows])
+	c.Val = pool.RawVals[DC](ptr[nrows])
 	parallel.ForWeighted(nrows, mask.EffPtr, func(lo, hi int) {
 		q := ptr[lo]
 		for p := mask.EffPtr[lo]; p < mask.EffPtr[hi]; p++ {

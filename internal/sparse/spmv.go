@@ -12,7 +12,7 @@ import (
 // product) matrix-vector multiply w = A ⊕.⊗ u. Rows are processed in
 // parallel, nnz-balanced. A full input vector (every position stored) is
 // read as the dense array its Val already is; a partial one is scattered
-// into a pooled dense workspace once.
+// into a pooled dense workspace once, over ⊕'s identity.
 //
 // A non-nil mask is applied inside the kernel: rows the mask disallows are
 // skipped entirely, which is the "pull with mask" optimization — the key
@@ -36,7 +36,13 @@ func (r Ring[DA, DU, DC]) DotMxV(a *CSR[DA], u *Vec[DU], mask *VecMask) *Vec[DC]
 	if u.Full() {
 		w = dotCore(a, u.Val, nil, r, mask)
 	} else {
+		// u's absent slots hold ⊕'s identity, which the loops that absorb
+		// it (builtin.go) fold past. Every other loop tests present and
+		// never reads them.
 		dense := pool.GetVals[DU](u.N)
+		if spec := entryFor[DC](r.key()); spec != nil {
+			spec.fillIdentity(r.AddOp, operandOf(dense))
+		}
 		present := pool.GetBools(u.N)
 		for p, k := range u.Idx {
 			dense[k] = u.Val[p]
@@ -81,8 +87,8 @@ func (d dotRows[DA, DU, DC]) most(lo, hi int) int { return rowsAllowed(d.a.Ptr, 
 //grblint:hotpath
 func (d dotRows[DA, DU, DC]) emit(lo, hi int, idx []int, val []DC) int {
 	key := d.r.key()
-	if spec := entryFor[DA, DU, DC](key); spec != nil {
-		if n, ok := spec.dot(key, d.a, d.dense, d.present, idx, val, lo, hi, d.mask); ok {
+	if spec := entryFor[DC](key); spec != nil {
+		if n, ok := spec.dot(key, csrOf(d.a), operandOf(d.dense), d.present, idx, val, lo, hi, d.mask); ok {
 			return n
 		}
 	}
@@ -169,37 +175,49 @@ const pushParallelMinWork = 2048
 // The ratio is read off the crossover table in EXPERIMENTS.md E8b
 // (BenchmarkAblation_MxVCrossover): with Aᵀ in hand the two kernels break
 // even on a frontier holding between 5/8 and 3/4 of the edges at two
-// workers, between 3/4 and 7/8 at one.
+// workers, between 3/4 and 7/8 at one. denseFlopCost is pullFlopCost for a
+// pull under + with no presence test, a loop that absorbs ⊕'s identity
+// (builtin.go), read off the ⟨+, second⟩ rows of the same table (E25): the
+// predefined push costs about four times the presence-free pull per edge,
+// and the two break even on a frontier holding between 1/8 and 1/4 of the
+// edges.
 //
 // transposeReuse is the number of dense calls a transpose built for one of
 // them is expected to serve. A build costs about one pull over every edge
 // (same table: 215 µs against 200–283), more than any single push it
-// replaces, so it is charged as nnz(A)/transposeReuse pull steps: at six
-// the break-even moves from 3/4 of the edges to 7/8, where the third call
-// has repaid the build (327 µs pushed against 231 pulled) — and the callers
-// that send such frontiers are iterations that send them again: PageRank's
-// ten sweeps, a personalized rank's twelve, a label or distance vector on
-// its way to a fixed point. A single level of a traversal does not get there.
+// replaces, so it is charged as nnz(A)/transposeReuse pull steps at
+// pullFlopCost: at six the break-even moves from 3/4 of the edges to 7/8,
+// where the third call has repaid the build (327 µs pushed against 231
+// pulled) — and the callers that send such frontiers are iterations that
+// send them again: PageRank's ten sweeps, a personalized rank's twelve, a
+// label or distance vector on its way to a fixed point. A single level of a
+// traversal does not get there. A presence-free pull is cheaper, its build
+// is not, so the charge stays at pullFlopCost a step whatever the ring, and
+// moves that pull's break-even from 1/4 of the edges to 3/8.
 const (
 	pushFlopCost   = 4
 	pullFlopCost   = 3
+	denseFlopCost  = 1
 	transposeReuse = 6
 )
 
-// PullWins is the direction rule of the mxv family: for w = Aᵀ ⊕.⊗ u, where
-// aPtr is A's row pointer and uIdx the stored positions of u, it reports
-// whether the dot kernel over Aᵀ (DotMxV) should run instead of the scatter
-// over A (PushMxV). Push work is the edges leaving u's structure,
+// PullWins is the direction rule of the mxv family: for w = Aᵀ ⊕.⊗ u under
+// r, where aPtr is A's row pointer and uIdx the stored positions of u, it
+// reports whether the dot kernel over Aᵀ (DotMxV) should run instead of the
+// scatter over A (PushMxV). Push work is the edges leaving u's structure,
 // Σ_{k∈u}|A(k,:)|; below pushParallelMinWork the scatter is one pass over a
 // handful of edges and always wins. Pull work is nnz(Aᵀ) — cut down to the
 // rows the mask admits when at, the transpose, is in the caller's hands to
-// count them from; plus the amortised build when it is not (at == nil).
+// count them from; plus the amortised build when it is not (at == nil). A
+// pull step is priced at denseFlopCost when r's loop folds a partial u
+// under + with no presence test (r.pullsDense), at pullFlopCost otherwise;
+// the build, whatever the ring, at pullFlopCost a step.
 //
 // O(|u| + |mask|), read from the operands alone. The two kernels give
 // bit-identical results (row j of Aᵀ lists the contributions to w(j) in
 // ascending k, the order push folds them in), so the choice never shows in
 // a result.
-func PullWins[DA any](aPtr []int, uIdx []int, at *CSR[DA], mask *VecMask) bool {
+func (r Ring[DA, DU, DC]) PullWins(aPtr []int, uIdx []int, at *CSR[DA], mask *VecMask) bool {
 	push := 0
 	for _, k := range uIdx {
 		push += aPtr[k+1] - aPtr[k]
@@ -207,10 +225,10 @@ func PullWins[DA any](aPtr []int, uIdx []int, at *CSR[DA], mask *VecMask) bool {
 	if push < pushParallelMinWork {
 		return false
 	}
-	pull := aPtr[len(aPtr)-1]
+	pull, build := aPtr[len(aPtr)-1], 0
 	switch {
 	case at == nil:
-		pull += pull / transposeReuse
+		build = pull / transposeReuse
 	case mask == nil:
 	case mask.Comp:
 		for _, j := range mask.Structure {
@@ -222,7 +240,20 @@ func PullWins[DA any](aPtr []int, uIdx []int, at *CSR[DA], mask *VecMask) bool {
 			pull += at.Ptr[j+1] - at.Ptr[j]
 		}
 	}
-	return pushFlopCost*push >= pullFlopCost*pull
+	step := pullFlopCost
+	if r.pullsDense() {
+		step = denseFlopCost
+	}
+	return pushFlopCost*push >= step*pull+pullFlopCost*build
+}
+
+// pullsDense reports whether DotMxV under r folds a partial u with no
+// presence test at the cost denseFlopCost prices: r's loop absorbs ⊕'s
+// identity, and ⊕ is + (builtin.go, domain.pullsDense).
+func (r Ring[DA, DU, DC]) pullsDense() bool {
+	key := r.key()
+	spec := entryFor[DC](key)
+	return spec != nil && spec.pullsDense(key, kindOf[DA](), kindOf[DU]())
 }
 
 // pushCore is PushMxV's scatter. The frontier is (uIdx, uVal): u's stored
@@ -282,12 +313,12 @@ func pushCore[DA, DU, DC any](a *CSR[DA], uIdx []int, uVal []DU, r Ring[DA, DU, 
 func pushSerial[DA, DU, DC any](a *CSR[DA], uIdx []int, uVal []DU, r Ring[DA, DU, DC], allowed *BitSPA, comp bool) *Vec[DC] {
 	stamp := pool.GetInts(a.NCols)
 	nz := pool.GetInts(a.NCols)
-	spa := SPA[DC]{val: pool.Vals[DC](a.NCols), stamp: stamp, nz: nz[:0]}
+	spa := SPA[DC]{val: pool.RawVals[DC](a.NCols), stamp: stamp, nz: nz[:0]}
 	spa.Reset()
 	done := false
 	key := r.key()
-	if spec := entryFor[DA, DU, DC](key); spec != nil {
-		spa.nz, done = spec.push(key, a, uIdx, uVal, allowed, comp, spa.val, spa.stamp, spa.cur, spa.nz)
+	if spec := entryFor[DC](key); spec != nil {
+		spa.nz, done = spec.push(key, csrOf(a), uIdx, operandOf(uVal), allowed, comp, spa.val, spa.stamp, spa.cur, spa.nz)
 	}
 	if !done {
 		for pu, k := range uIdx {
@@ -307,7 +338,7 @@ func pushSerial[DA, DU, DC any](a *CSR[DA], uIdx []int, uVal []DU, r Ring[DA, DU
 		// call, are the result's in position order.
 		w = vecOf(a.NCols, nil, spa.val)
 	} else {
-		idx, val := spa.Gather(pool.Vals[int](spa.Len())[:0], pool.Vals[DC](spa.Len())[:0])
+		idx, val := spa.Gather(pool.RawVals[int](spa.Len())[:0], pool.RawVals[DC](spa.Len())[:0])
 		w = pooledVec(a.NCols, idx, val)
 		pool.Recycle(spa.val)
 	}
@@ -332,7 +363,7 @@ func pushParallel[DA, DU, DC any](a *CSR[DA], uIdx []int, uVal []DU, r Ring[DA, 
 	nchunks := len(bounds) - 1
 	ncols := a.NCols
 	key := r.key()
-	spec := entryFor[DA, DU, DC](key)
+	spec := entryFor[DC](key)
 	// Phase A: each chunk counts its contributions per target column.
 	counts := make([][]int32, nchunks)
 	parallel.ForRanges(bounds, func(c, lo, hi int) {
@@ -381,7 +412,7 @@ func pushParallel[DA, DU, DC any](a *CSR[DA], uIdx []int, uVal []DU, r Ring[DA, 
 	vals := pool.GetVals[DC](slots)
 	parallel.ForRanges(bounds, func(c, lo, hi int) {
 		off := counts[c]
-		if spec != nil && spec.scatter(key, a, uIdx, uVal, allowed, comp, off, vals, lo, hi) {
+		if spec != nil && spec.scatter(key, csrOf(a), uIdx, operandOf(uVal), allowed, comp, off, vals, lo, hi) {
 			return
 		}
 		for k := lo; k < hi; k++ {
@@ -424,7 +455,7 @@ func (f foldRows[DA, DU, DC]) most(lo, hi int) int { return nonEmpty(f.colPtr, l
 //
 //grblint:hotpath
 func (f foldRows[DA, DU, DC]) emit(lo, hi int, idx []int, val []DC) int {
-	if spec := entryFor[DA, DU, DC](f.r.key()); spec != nil {
+	if spec := entryFor[DC](f.r.key()); spec != nil {
 		if n, ok := spec.fold(f.r.AddOp, f.colPtr, f.vals, idx, val, lo, hi); ok {
 			return n
 		}

@@ -35,7 +35,7 @@ func unionFillRow[DA, DB, DC any](aIdx []int, aVal []DA, bIdx []int, bVal []DB,
 // VecUnionFill computes the filled union of two vectors.
 func VecUnionFill[DA, DB, DC any](a *Vec[DA], b *Vec[DB], op func(DA, DB) DC, alpha DA, beta DB) *Vec[DC] {
 	m := len(a.Idx) + len(b.Idx)
-	idx, val := unionFillRow(a.Idx, a.Val, b.Idx, b.Val, op, alpha, beta, pool.Vals[int](m)[:0], pool.Vals[DC](m)[:0])
+	idx, val := unionFillRow(a.Idx, a.Val, b.Idx, b.Val, op, alpha, beta, pool.RawVals[int](m)[:0], pool.RawVals[DC](m)[:0])
 	return pooledVec(a.N, idx, val)
 }
 

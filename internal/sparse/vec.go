@@ -123,7 +123,7 @@ func BuildVec[T any](n int, idx []int, val []T, dup func(T, T) T) (v *Vec[T], ok
 		}
 		var own []int
 		if len(idx) < n { // otherwise idx is 0…n−1, and the result takes the identity list
-			own = pool.Vals[int](len(idx))
+			own = pool.RawVals[int](len(idx))
 			copy(own, idx)
 		}
 		return pooledVec(n, own, cloneVals(val)), true
@@ -194,7 +194,7 @@ func FromDense[T any](d []T, present []bool) *Vec[T] {
 	if nnz == len(d) {
 		return vecOf(len(d), nil, cloneVals(d))
 	}
-	idx, val := pool.Vals[int](nnz), pool.Vals[T](nnz)
+	idx, val := pool.RawVals[int](nnz), pool.RawVals[T](nnz)
 	k := 0
 	for i := range d {
 		if present[i] {
