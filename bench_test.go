@@ -544,16 +544,6 @@ func BenchmarkAblation_SpGEMM_SPA(b *testing.B) {
 	}
 }
 
-func BenchmarkAblation_SpGEMM_Heap(b *testing.B) {
-	w := benchWorkload(b)
-	mul := func(x, y float64) float64 { return x * y }
-	add := func(x, y float64) float64 { return x + y }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = sparse.SpGEMMHeap(w.csr, w.csr, mul, add)
-	}
-}
-
 func BenchmarkAblation_MaskFusion_InKernel(b *testing.B) {
 	w := benchWorkload(b)
 	mul := func(x, y float64) float64 { return x * y }

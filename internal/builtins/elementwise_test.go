@@ -12,19 +12,23 @@ import (
 
 // TestElementwiseLoopsMatchClosures runs every predefined operator whose
 // domains coincide, over every domain the loops are compiled for, through
-// each vector element-wise kernel twice: once with the operator's opcode,
-// which runs its compiled loop (sparse's builtin_vec.go), and once with
-// OpNone, which runs the closure loop on the same function. The results
-// must be the same bits — or the same panic, for an integer ÷ by zero.
+// each element-wise kernel twice: once with the operator's opcode, which
+// runs its compiled loop (sparse's builtin_vec.go), and once with OpNone,
+// which runs the closure loop on the same function. The results must be
+// the same bits — or the same panic, for an integer ÷ by zero.
 //
-// The kernels are the union and the intersection (index merge and both
-// full-operand array loops), the reduce (from a drawn identity and from the
-// domain's bound, where min and max stop at once), and the accumulating
-// writes: the fill over every position, the assign of a vector over every
-// position, WriteVec's accumulate, and the assign to a handful of targets.
-// The operand pairs are full, partial, empty or a single entry on the
-// left, against full, partial, empty, single, the left's complement
-// (disjoint) and the left's own positions (identical) on the right. The
+// The vector kernels are the union and the intersection (index merge and
+// both full-operand array loops), the reduce (from a drawn identity and
+// from the domain's bound, where min and max stop at once), and the
+// accumulating writes: the fill over every position, the assign of a
+// vector over every position, WriteVec's accumulate, and the assign to a
+// handful of targets. The matrix kernels, which run the same row merges
+// and fold a row at a time, are UnionCSR, IntersectCSR, WriteCSR's
+// accumulate, ReduceRowsCSR and ReduceAllCSR, on matrices whose rows pair
+// the two operands both ways and each against an empty row. The operand
+// pairs are full, partial, empty or a single entry on the left, against
+// full, partial, empty, single, the left's complement (disjoint) and the
+// left's own positions (identical) on the right. The
 // values carry −0, two NaNs that differ in payload alone, ±Inf and the
 // integer extremes, so a swapped operand, a lost sign, a wrong NaN or a
 // fold in another order changes a bit; a second draw maps integer zeros to
@@ -34,9 +38,9 @@ import (
 //
 // The same operators then run through the operations — eWiseAdd,
 // eWiseMult, an accumulating eWiseAdd, the accumulating assigns and, for
-// those that make a monoid, the reduce — predefined and wrapped in a user
-// operator, which checks that core hands each kernel the operator's
-// opcode.
+// those that make a monoid, the reduces, on vectors and on matrices —
+// predefined and wrapped in a user operator, which checks that core hands
+// each kernel the operator's opcode.
 func TestElementwiseLoopsMatchClosures(t *testing.T) {
 	checkElementwise(t, "float64", numericOps[float64]())
 	checkElementwise(t, "float32", numericOps[float32]())
@@ -200,9 +204,19 @@ func checkElementwise[T any](t *testing.T, dom string, ops []ewOp[T]) {
 							targets = targets[:1]
 						}
 						sameOutcome(t, label+" AssignScalarExpandVec/targets", o.arith, func(c sparse.Opcode) *sparse.Vec[T] { return sparse.AssignScalarExpandVec(a, x, targets, f, c) }, code)
+						empty := ewVec[T](rng, n, nil, nonzero)
+						am, bm := stack(n, a, b, empty, a), stack(n, b, a, b, empty)
+						sameOutcome(t, label+" UnionCSR", o.arith, func(c sparse.Opcode) *sparse.Vec[T] { return flat(sparse.UnionCSR(am, bm, f, c)) }, code)
+						sameOutcome(t, label+" IntersectCSR", o.arith, func(c sparse.Opcode) *sparse.Vec[T] { return flat(sparse.IntersectCSR(am, bm, f, c)) }, code)
+						sameOutcome(t, label+" WriteCSR", o.arith, func(c sparse.Opcode) *sparse.Vec[T] { return flat(sparse.WriteCSR(am, bm, nil, f, c, false)) }, code)
+						sameOutcome(t, label+" ReduceRowsCSR", o.arith, func(c sparse.Opcode) *sparse.Vec[T] { return sparse.ReduceRowsCSR(am, f, c, nil) }, code)
 						for _, id := range []T{x, lo, hi} {
 							sameOutcome(t, label+" VecReduce", o.arith, func(c sparse.Opcode) *sparse.Vec[T] {
 								r, _ := sparse.VecReduce(a, f, c, id, nil)
+								return sparse.FillVec(1, r, []int{0})
+							}, code)
+							sameOutcome(t, label+" ReduceAllCSR", o.arith, func(c sparse.Opcode) *sparse.Vec[T] {
+								r, _ := sparse.ReduceAllCSR(am, f, c, id, nil)
 								return sparse.FillVec(1, r, []int{0})
 							}, code)
 						}
@@ -212,6 +226,32 @@ func checkElementwise[T any](t *testing.T, dom string, ops []ewOp[T]) {
 			checkOperations(t, o)
 		})
 	}
+}
+
+// stack is the matrix whose rows are the vectors rows, each of size n.
+func stack[T any](n int, rows ...*sparse.Vec[T]) *sparse.CSR[T] {
+	var is, js []int
+	var vs []T
+	for i, r := range rows {
+		for k, j := range r.Idx {
+			is, js, vs = append(is, i), append(js, j), append(vs, r.Val[k])
+		}
+	}
+	m, ok := sparse.BuildCSR(len(rows), n, is, js, vs, nil)
+	if !ok {
+		panic("BuildCSR")
+	}
+	return m
+}
+
+// flat is m's entries as a vector over its cells, row after row, for
+// sameOutcome.
+func flat[T any](m *sparse.CSR[T]) *sparse.Vec[T] {
+	is, js, vs := m.Tuples()
+	for k := range is {
+		is[k] = is[k]*m.NCols + js[k]
+	}
+	return &sparse.Vec[T]{N: m.NRows * m.NCols, Idx: is, Val: vs}
 }
 
 // minMax is the least and greatest value of a domain the loops cover.
@@ -313,6 +353,107 @@ func checkOperations[T any](t *testing.T, o ewOp[T]) {
 			t.Fatalf("%s: predefined and user operators differ:\n%v %v\n%v %v", name, gi, gv, wi, wv)
 		}
 	}
+	// The matrix operations, on matrices of four such rows; the assigns
+	// write over every position and over shuffled lists.
+	const nr = 4
+	mat := func(shape string) *core.Matrix[T] {
+		rows := make([]*sparse.Vec[T], nr)
+		for i := range rows {
+			rows[i] = ewVec[T](rng, n, shapeIdx(rng, n, shape, nil), true)
+		}
+		s := flat(stack(n, rows...))
+		m, err := core.NewMatrix[T](nr, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		is, js := make([]int, len(s.Idx)), make([]int, len(s.Idx))
+		for k, c := range s.Idx {
+			is[k], js[k] = c/n, c%n
+		}
+		if err := m.Build(is, js, s.Val, First[T]()); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	um, vm := mat("partial"), mat("partial")
+	rows, cols := []int{3, 0, 2, 1}, rng.Perm(n)
+	col := vec("partial")
+	col.Resize(nr)
+	type matRun func(out *core.Matrix[T], op core.BinaryOp[T, T, T]) error
+	seed := func(out *core.Matrix[T]) error {
+		return core.AssignMatrix(out, core.NoMask, core.NoAccum[T](), um, core.All, core.All, nil)
+	}
+	matRuns := map[string]matRun{
+		"EWiseAddM": func(out *core.Matrix[T], op core.BinaryOp[T, T, T]) error {
+			return core.EWiseAddM(out, core.NoMask, core.NoAccum[T](), op, um, vm, nil)
+		},
+		"EWiseMultM": func(out *core.Matrix[T], op core.BinaryOp[T, T, T]) error {
+			return core.EWiseMultM(out, core.NoMask, core.NoAccum[T](), op, um, vm, nil)
+		},
+		"EWiseAddM+accum": func(out *core.Matrix[T], op core.BinaryOp[T, T, T]) error {
+			if err := seed(out); err != nil {
+				return err
+			}
+			return core.EWiseAddM(out, core.NoMask, op, First[T](), vm, vm, nil)
+		},
+		"AssignMatrix+accum": func(out *core.Matrix[T], op core.BinaryOp[T, T, T]) error {
+			if err := seed(out); err != nil {
+				return err
+			}
+			if err := core.AssignMatrix(out, core.NoMask, op, vm, core.All, core.All, nil); err != nil {
+				return err
+			}
+			return core.AssignMatrix(out, core.NoMask, op, um, rows, cols, nil)
+		},
+		"AssignMatrixScalar+accum": func(out *core.Matrix[T], op core.BinaryOp[T, T, T]) error {
+			if err := seed(out); err != nil {
+				return err
+			}
+			if err := core.AssignMatrixScalar(out, core.NoMask, op, x, core.All, core.All, nil); err != nil {
+				return err
+			}
+			return core.AssignMatrixScalar(out, core.NoMask, op, x, rows[:2], cols[:5], nil)
+		},
+		"AssignRow+accum": func(out *core.Matrix[T], op core.BinaryOp[T, T, T]) error {
+			if err := seed(out); err != nil {
+				return err
+			}
+			if err := core.AssignRow(out, core.NoMaskV, op, v, 2, core.All, nil); err != nil {
+				return err
+			}
+			return core.AssignRow(out, core.NoMaskV, op, u, 1, cols, nil)
+		},
+		"AssignCol+accum": func(out *core.Matrix[T], op core.BinaryOp[T, T, T]) error {
+			if err := seed(out); err != nil {
+				return err
+			}
+			if err := core.AssignCol(out, core.NoMaskV, op, col, core.All, 5, nil); err != nil {
+				return err
+			}
+			return core.AssignCol(out, core.NoMaskV, op, col, rows, 40, nil)
+		},
+	}
+	for name, r := range matRuns {
+		result := func(op core.BinaryOp[T, T, T]) ([]int, []int, []T) {
+			out, err := core.NewMatrix[T](nr, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r(out, op); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			is, js, val, err := out.ExtractTuples()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return is, js, val
+		}
+		gi, gj, gv := result(o.op)
+		wi, wj, wv := result(user)
+		if !reflect.DeepEqual(gi, wi) || !reflect.DeepEqual(gj, wj) || !sameBits(gv, wv, o.arith) {
+			t.Fatalf("%s: predefined and user operators differ:\n%v %v %v\n%v %v %v", name, gi, gj, gv, wi, wj, wv)
+		}
+	}
 	// The monoids among the operators, with their identities.
 	lo, hi := minMax[T]()
 	identity := map[string]T{"plus": fromInt[T](0), "times": fromInt[T](1), "min": hi, "max": lo,
@@ -335,6 +476,36 @@ func checkOperations[T any](t *testing.T, o ewOp[T]) {
 	}
 	if g, w := reduce(o.op), reduce(user); !sameBits([]T{g}, []T{w}, o.arith) {
 		t.Fatalf("ReduceVectorToScalar: predefined %v, user %v", g, w)
+	}
+	reduceM := func(op core.BinaryOp[T, T, T]) (T, []int, []T) {
+		m, err := core.NewMonoid(op, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := core.ReduceMatrixToScalar(zero, core.NoAccum[T](), m, um)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := core.NewVector[T](nr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.ReduceMatrixToVector(w, core.NoMaskV, core.NoAccum[T](), m, um, nil); err != nil {
+			t.Fatal(err)
+		}
+		idx, val, err := w.ExtractTuples()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, idx, val
+	}
+	g, gi, gv := reduceM(o.op)
+	w, wi, wv := reduceM(user)
+	if !sameBits([]T{g}, []T{w}, o.arith) {
+		t.Fatalf("ReduceMatrixToScalar: predefined %v, user %v", g, w)
+	}
+	if !reflect.DeepEqual(gi, wi) || !sameBits(gv, wv, o.arith) {
+		t.Fatalf("ReduceMatrixToVector: predefined and user operators differ:\n%v %v\n%v %v", gi, gv, wi, wv)
 	}
 }
 

@@ -90,10 +90,11 @@ func matStoreBits(m *Matrix[float64]) string {
 	return csrBits(m.data) + fmt.Sprint(" pending ", len(m.pending), " delta ", m.delta.NNZ())
 }
 
-// churnMatShelves draws every array the pool's int and float64 shelves hold
-// in each size class a test matrix's arrays occupy, writes junk over it and
-// shelves it again: a store recycled while something still reads it now
-// reads junk. Call it between flushes only.
+// churnMatShelves draws every array the pool's int, float64 and bool
+// shelves hold in each size class a test matrix's arrays occupy, writes
+// junk over it and shelves it again: a store recycled while something still
+// reads it, or scratch drawn uncleared and read before it is written (a
+// select's keep flags), now reads junk. Call it between flushes only.
 func churnMatShelves() {
 	churnClasses(func(s []int) {
 		for i := range s {
@@ -103,6 +104,11 @@ func churnMatShelves() {
 	churnClasses(func(s []float64) {
 		for i := range s {
 			s[i] = math.NaN()
+		}
+	})
+	churnClasses(func(s []bool) {
+		for i := range s {
+			s[i] = true
 		}
 	})
 }

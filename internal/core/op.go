@@ -331,10 +331,14 @@ const (
 
 // matWrite is the commit step for a matrix output: the few words a run
 // closure needs to write T back, small enough to be captured by value.
+// accumOp is the accumulator's opcode, read once when the operation is
+// enqueued, so that a predefined accumulator runs its compiled loop
+// (sparse.Opcode).
 type matWrite[DC, DM any] struct {
 	c             *Matrix[DC]
 	mask          *Matrix[DM]
 	accumF        func(DC, DC) DC
+	accumOp       sparse.Opcode
 	scmp, replace bool
 	mode          writeMode
 	adopt         bool
@@ -344,7 +348,7 @@ type matWrite[DC, DM any] struct {
 func matOp[DC, DM any](s *opSpec, name string, c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, DC, DC], desc *Descriptor, mode writeMode) matWrite[DC, DM] {
 	out := matArg(c, false)
 	s.begin(name, out, matArg(mask, false), out.shape, accum.Defined(), desc)
-	return matWrite[DC, DM]{c: c, mask: mask, accumF: accum.F, scmp: desc.scmp(), replace: s.replace,
+	return matWrite[DC, DM]{c: c, mask: mask, accumF: accum.F, accumOp: accum.opcode(), scmp: desc.scmp(), replace: s.replace,
 		mode: mode, adopt: mode == adoptT && s.overwrites()}
 }
 
@@ -364,7 +368,7 @@ func (b matWrite[DC, DM]) write(t *sparse.CSR[DC], mm *sparse.MatMask) {
 	if b.mode == mergeZ {
 		res = sparse.MaskMergeCSR(b.c.mdat(), t, mm, b.replace)
 	} else {
-		res = sparse.WriteCSR(b.c.mdat(), t, mm, b.accumF, b.replace)
+		res = sparse.WriteCSR(b.c.mdat(), t, mm, b.accumF, b.accumOp, b.replace)
 	}
 	switch {
 	case b.mode == cloneT && res == t:
@@ -382,9 +386,7 @@ func (b matWrite[DC, DM]) commit(t *sparse.CSR[DC]) {
 	releaseMatMask(mm)
 }
 
-// vecWrite is matWrite for a vector output. accumOp is the accumulator's
-// opcode, read once when the operation is enqueued, so that a predefined
-// accumulator runs its compiled loop (sparse.Opcode).
+// vecWrite is matWrite for a vector output.
 type vecWrite[DC, DM any] struct {
 	w             *Vector[DC]
 	mask          *Vector[DM]

@@ -31,7 +31,7 @@ func EWiseAddM[DC, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC, D
 		return err
 	}
 	return enqueue(s, func() error {
-		wb.commit(sparse.UnionCSR(a.oriented(tran0), b.oriented(tran1), add.F))
+		wb.commit(sparse.UnionCSR(a.oriented(tran0), b.oriented(tran1), add.F, add.opcode()))
 		return nil
 	})
 }
@@ -83,7 +83,7 @@ func EWiseMultM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum Binar
 		return err
 	}
 	return enqueue(s, func() error {
-		wb.commit(sparse.IntersectCSR(a.oriented(tran0), b.oriented(tran1), mul.F))
+		wb.commit(sparse.IntersectCSR(a.oriented(tran0), b.oriented(tran1), mul.F, mul.opcode()))
 		return nil
 	})
 }

@@ -68,7 +68,7 @@ func ReduceMatrixToVector[DC, DM any](w *Vector[DC], mask *Vector[DM], accum Bin
 		return err
 	}
 	return enqueue(s, func() error {
-		wb.commit(sparse.ReduceRowsCSR(a.oriented(tran0), m.Op.F, m.Terminal))
+		wb.commit(sparse.ReduceRowsCSR(a.oriented(tran0), m.Op.F, m.Op.opcode(), m.Terminal))
 		return nil
 	})
 }
@@ -93,7 +93,7 @@ func ReduceMatrixToScalar[D any](val D, accum BinaryOp[D, D, D], m Monoid[D], a 
 	}
 	acc, err := runScalarReduce(a.obj.engine(), name, func() D {
 		//grblint:ignore swallowederr stored=false means no entries were folded; the identity the kernel returns is exactly the GraphBLAS empty-reduction value
-		r, _ := sparse.ReduceAllCSR(a.mdat(), m.Op.F, m.Identity, m.Terminal)
+		r, _ := sparse.ReduceAllCSR(a.mdat(), m.Op.F, m.Op.opcode(), m.Identity, m.Terminal)
 		return r
 	})
 	if err != nil {

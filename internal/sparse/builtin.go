@@ -754,14 +754,8 @@ type entry[DC any] interface {
 	pullsDense(key loopKey, a, u kind) bool
 	fillIdentity(add Opcode, dense operand)
 
-	// The element-wise kernels' entries (builtin_vec.go).
-	union(op Opcode, a, b *Vec[DC], idx []int, val []DC) (int, bool)
-	intersect(op Opcode, aIdx []int, aVal operand, bIdx []int, bVal operand, idx []int, val []DC) (int, bool)
-	intoLeft(op Opcode, a *Vec[DC], w []DC) bool
-	intoRight(op Opcode, b *Vec[DC], w []DC) bool
-	pickLeft(op Opcode, at []int, x, y operand, w []DC) bool
-	pickRight(op Opcode, at []int, x, y operand, w []DC) bool
-	reduce(op Opcode, acc DC, vals []DC) (DC, bool)
+	// The element-wise kernels' loops (builtin_vec.go).
+	loops(op Opcode, x, y kind) vecLoops[DC]
 }
 
 // entryFor returns the entry for DC, or nil when the ring's operators are

@@ -2,16 +2,18 @@ package sparse
 
 import "unsafe"
 
-// This file holds the loops the vector element-wise kernels run when their
+// This file holds the loops the element-wise kernels run when their
 // operator is predefined: eWiseAdd's and eWiseMult's index merges and their
 // array loops over a full operand, a reduce's fold, and the scatter of an
-// accumulating fill (kernels_vec.go). As builtin.go does for the products,
-// a kernel asks opEntry once per call; the entry views the operands as []T,
-// looks up the loops compiled for the operator over T and runs them. Each
-// loop applies the operator to the operands its closure loop applies it to,
-// in the same order and with the same argument order, and writes the same
-// positions, so the results are the closure loop's bit for bit; an
-// operator or a domain no loop covers stays on the closure loop.
+// accumulating fill (kernels_vec.go). The merges and the fold serve the
+// matrix kernels too, a row at a time (kernels_mat.go). As builtin.go does
+// for the products, a kernel asks once per call (opLoops) for the loops
+// compiled for the operator over its output domain's T, which view the
+// operands as []T, and runs them. Each loop applies the operator to the
+// operands its closure loop applies it to, in the same order and with the
+// same argument order, and writes the same positions, so the results are
+// the closure loop's bit for bit; an operator or a domain no loop covers
+// stays on the closure loop.
 
 // odot is x ⊙ y as the predefined element-wise operator computes it, but
 // for |x − y|, of which it computes x − y and unsigned the rest: a loop
@@ -73,21 +75,32 @@ func unsigned[M mulTag, T number](v, x, y T) T {
 	return v
 }
 
-// vecLoops is one operator ⊙ compiled over T: the inner loop of each
-// element-wise kernel.
-type vecLoops[T number] interface {
-	union(aIdx []int, aVal []T, bIdx []int, bVal []T, idx []int, val []T) int
-	intersect(aIdx []int, aVal []T, bIdx []int, bVal []T, idx []int, val []T) int
-	intoLeft(at []int, x, w []T)
-	intoRight(at []int, y, w []T)
-	pickLeft(at []int, x, y, w []T)
-	pickRight(at []int, x, y, w []T)
-	reduce(acc T, vals []T) T
+// vecLoops is one operator ⊙ compiled over T, as a kernel whose output
+// domain is DC sees it: the inner loop of each element-wise kernel.
+// Operands in DC come typed; the others come as operands, or, to the merge
+// a matrix kernel runs per row, as the address of the row's first value,
+// which costs no test of the domain per row. A kernel asks for the loops
+// once per call (opLoops) and runs them once per vector or matrix row.
+type vecLoops[DC any] interface {
+	union(aIdx []int, aVal []DC, bIdx []int, bVal []DC, idx []int, val []DC) int
+	intersect(aIdx []int, aVal unsafe.Pointer, bIdx []int, bVal unsafe.Pointer, idx []int, val []DC) int
+	intoLeft(at []int, x, w []DC)
+	intoRight(at []int, y, w []DC)
+	pickLeft(at []int, x, y operand, w []DC)
+	pickRight(at []int, x, y operand, w []DC)
+	reduce(acc DC, vals []DC) DC
 }
 
-// vecOps implements vecLoops for ⊙ = M over T. It has no fields: the
-// operator is in its type.
-type vecOps[T number, M mulTag] struct{}
+// vecOps implements vecLoops for ⊙ = M over T, DC being T's domain (T
+// itself, or bool for boolean). It has no fields: the operator is in its
+// type.
+type vecOps[T number, DC any, M mulTag] struct{}
+
+// cast is s, one of a kernel's []DC, as []T: DC is T's domain, so the two
+// lay a value out alike.
+func cast[T, DC any](s []DC) []T {
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
+}
 
 // union is the eWiseAdd merge of (aIdx, aVal) and (bIdx, bVal), written by
 // position into idx and val, which have room for both: a position in both
@@ -96,7 +109,8 @@ type vecOps[T number, M mulTag] struct{}
 // registers — and returns the merged length.
 //
 //grblint:hotpath
-func (*vecOps[T, M]) union(aIdx []int, aVal []T, bIdx []int, bVal []T, idx []int, val []T) int {
+func (*vecOps[T, DC, M]) union(aIdx []int, aValDC []DC, bIdx []int, bValDC []DC, idx []int, valDC []DC) int {
+	aVal, bVal, val := cast[T](aValDC), cast[T](bValDC), cast[T](valDC)
 	n, pb := 0, 0
 	for pa, i := range aIdx {
 		for pb < len(bIdx) && bIdx[pb] < i {
@@ -116,11 +130,21 @@ func (*vecOps[T, M]) union(aIdx []int, aVal []T, bIdx []int, bVal []T, idx []int
 }
 
 // intersect is the eWiseMult merge: a ⊙ b at the positions both store,
-// written by position into idx and val, walking a as union does. An operand
-// ⊙ does not read may be nil. It returns the merged length.
+// written by position into idx and val, walking a as union does. x and y
+// point at the values of a and b, which are T's where ⊙ reads them (loops
+// checked); an operand ⊙ does not read may be outside T's domain and is
+// not looked at. It returns the merged length.
 //
 //grblint:hotpath
-func (*vecOps[T, M]) intersect(aIdx []int, aVal []T, bIdx []int, bVal []T, idx []int, val []T) int {
+func (*vecOps[T, DC, M]) intersect(aIdx []int, x unsafe.Pointer, bIdx []int, y unsafe.Pointer, idx []int, valDC []DC) int {
+	var aVal, bVal []T
+	if readsX[M]() {
+		aVal = unsafe.Slice((*T)(x), len(aIdx))
+	}
+	if readsY[M]() {
+		bVal = unsafe.Slice((*T)(y), len(bIdx))
+	}
+	val := cast[T](valDC)
 	n, pb := 0, 0
 	for pa, i := range aIdx {
 		for pb < len(bIdx) && bIdx[pb] < i {
@@ -143,8 +167,8 @@ func (*vecOps[T, M]) intersect(aIdx []int, aVal []T, bIdx []int, bVal []T, idx [
 // whose right operand is full, w holding its values.
 //
 //grblint:hotpath
-func (*vecOps[T, M]) intoLeft(at []int, x, w []T) {
-	x = x[:len(at)]
+func (*vecOps[T, DC, M]) intoLeft(at []int, xDC, wDC []DC) {
+	x, w := cast[T](xDC)[:len(at)], cast[T](wDC)
 	for k, i := range at {
 		w[i] = unsigned[M](odot[M](x[k], w[i]), x[k], w[i])
 	}
@@ -154,8 +178,8 @@ func (*vecOps[T, M]) intoLeft(at []int, x, w []T) {
 // whose left operand is full, w holding its values.
 //
 //grblint:hotpath
-func (*vecOps[T, M]) intoRight(at []int, y, w []T) {
-	y = y[:len(at)]
+func (*vecOps[T, DC, M]) intoRight(at []int, yDC, wDC []DC) {
+	y, w := cast[T](yDC)[:len(at)], cast[T](wDC)
 	for k, i := range at {
 		w[i] = unsigned[M](odot[M](w[i], y[k]), w[i], y[k])
 	}
@@ -165,8 +189,8 @@ func (*vecOps[T, M]) intoRight(at []int, y, w []T) {
 // x is full, walking the right one's positions at.
 //
 //grblint:hotpath
-func (*vecOps[T, M]) pickLeft(at []int, x, y, w []T) {
-	w = w[:len(at)]
+func (*vecOps[T, DC, M]) pickLeft(at []int, xo, yo operand, wDC []DC) {
+	x, y, w := as[T](xo), as[T](yo), cast[T](wDC)[:len(at)]
 	for k, i := range at {
 		a, b := operands[M](x, i, y, k)
 		w[k] = unsigned[M](odot[M](a, b), a, b)
@@ -177,20 +201,27 @@ func (*vecOps[T, M]) pickLeft(at []int, x, y, w []T) {
 // y is full, walking the left one's positions at.
 //
 //grblint:hotpath
-func (*vecOps[T, M]) pickRight(at []int, x, y, w []T) {
-	w = w[:len(at)]
+func (*vecOps[T, DC, M]) pickRight(at []int, xo, yo operand, wDC []DC) {
+	x, y, w := as[T](xo), as[T](yo), cast[T](wDC)[:len(at)]
 	for k, i := range at {
 		a, b := operands[M](x, k, y, i)
 		w[k] = unsigned[M](odot[M](a, b), a, b)
 	}
 }
 
-// reduce folds vals into acc from the left. Under min and max (∧ and ∨
-// over bool) the fold stops at the domain's bound, which no later term can
-// move, as the product loops stop at ⊕'s terminal value.
+// reduce folds vals into acc from the left (foldLoop). acc crosses as T by
+// its bits, outside the loop, which keeps acc in a register.
+func (*vecOps[T, DC, M]) reduce(acc DC, vals []DC) DC {
+	r := foldLoop[T, M](*(*T)(unsafe.Pointer(&acc)), cast[T](vals))
+	return *(*DC)(unsafe.Pointer(&r))
+}
+
+// foldLoop is reduce's fold. Under min and max (∧ and ∨ over bool) it
+// stops at the domain's bound, which no later term can move, as the
+// product loops stop at ⊕'s terminal value.
 //
 //grblint:hotpath
-func (*vecOps[T, M]) reduce(acc T, vals []T) T {
+func foldLoop[T number, M mulTag](acc T, vals []T) T {
 	var m M
 	if len(m) == len(mulMin{}) || len(m) == len(mulMax{}) {
 		lo, hi := bounds[T]()
@@ -205,7 +236,7 @@ func (*vecOps[T, M]) reduce(acc T, vals []T) T {
 	return acc
 }
 
-// reduceUntil is reduce's fold that stops once acc is stop, tested before
+// reduceUntil is foldLoop's fold that stops once acc is stop, tested before
 // each term; a function of its own so that the fold keeps its registers.
 //
 //grblint:hotpath
@@ -216,122 +247,58 @@ func reduceUntil[T number, M mulTag](acc T, vals []T, stop T) T {
 	return acc
 }
 
-// vecLookup returns the loops for the operator op over T, or nil when none
-// are compiled. They are compiled for every predefined operator whose
-// domains are T's: first, second, pair, +, −, ×, ÷, min, max and |x − y|,
-// and over bool ∧, ∨ and ⊻ — not for the comparisons, whose result is
-// bool. hasX and hasY say whether the kernel can hand the operands over as
-// []T, as in lookup.
-func vecLookup[T number](op Opcode, hasX, hasY bool) vecLoops[T] {
-	var l vecLoops[T]
-	var x, y bool
-	switch lattice(op) {
-	case OpFirst:
-		l, x = &vecOps[T, mulFirst]{}, true
-	case OpSecond:
-		l, y = &vecOps[T, mulSecond]{}, true
-	case OpPair:
-		l = &vecOps[T, mulPair]{}
-	case OpPlus:
-		l, x, y = &vecOps[T, mulPlus]{}, true, true
-	case OpMinus:
-		l, x, y = &vecOps[T, mulMinus]{}, true, true
-	case OpTimes:
-		l, x, y = &vecOps[T, mulTimes]{}, true, true
-	case OpDiv:
-		l, x, y = &vecOps[T, mulDiv]{}, true, true
-	case OpMin:
-		l, x, y = &vecOps[T, mulMin]{}, true, true
-	case OpMax:
-		l, x, y = &vecOps[T, mulMax]{}, true, true
-	case OpAbsDiff:
-		l, x, y = &vecOps[T, mulAbsDiff]{}, true, true
-	case OpLXor: // over 0 and 1, x ⊻ y is |x − y|
-		l, x, y = &vecOps[T, mulAbsDiff]{}, true, true
-	default:
-		return nil
-	}
-	if x && !hasX || y && !hasY {
-		return nil
-	}
-	return l
-}
-
-// opEntry returns the entry of an element-wise kernel whose operator is op
-// and whose output domain is DC, or nil when op is a user's or DC a domain
-// no loop is compiled for.
-func opEntry[DC any](op Opcode) entry[DC] {
+// opLoops returns the loops for the operator op of a kernel whose operands
+// are in DA and DB and whose output is in DC, or nil when op is a user's,
+// DC a domain no loop is compiled for, or no loop covers the operator and
+// operands. A kernel asks once per call; a user's operator costs it one
+// compare.
+func opLoops[DC, DA, DB any](op Opcode) vecLoops[DC] {
 	if op == OpNone {
 		return nil
 	}
-	return domainOf[DC]()
+	e := domainOf[DC]()
+	if e == nil {
+		return nil
+	}
+	return e.loops(op, kindOf[DA](), kindOf[DB]())
 }
 
-// The element-wise entry methods, each reporting false, having done
-// nothing, when no loop covers the call. Operands in the output domain come
-// typed, the others as operands.
-
-func (*domain[T, DC]) union(op Opcode, a, b *Vec[DC], idx []int, val []DC) (int, bool) {
-	l := vecLookup[T](op, true, true)
-	if l == nil {
-		return 0, false
+// loops returns the loops for op over T. They are compiled for every
+// predefined operator whose domains are T's — first, second, pair, +, −, ×,
+// ÷, min, max and |x − y|, and over bool ∧, ∨ and ⊻ — not for the
+// comparisons, whose result is bool. An operator that reads an operand
+// outside T's domain (x and y are the operands' kinds) has none.
+func (*domain[T, DC]) loops(op Opcode, x, y kind) vecLoops[DC] {
+	var l vecLoops[DC]
+	var needX, needY bool
+	switch lattice(op) {
+	case OpFirst:
+		l, needX = &vecOps[T, DC, mulFirst]{}, true
+	case OpSecond:
+		l, needY = &vecOps[T, DC, mulSecond]{}, true
+	case OpPair:
+		l = &vecOps[T, DC, mulPair]{}
+	case OpPlus:
+		l, needX, needY = &vecOps[T, DC, mulPlus]{}, true, true
+	case OpMinus:
+		l, needX, needY = &vecOps[T, DC, mulMinus]{}, true, true
+	case OpTimes:
+		l, needX, needY = &vecOps[T, DC, mulTimes]{}, true, true
+	case OpDiv:
+		l, needX, needY = &vecOps[T, DC, mulDiv]{}, true, true
+	case OpMin:
+		l, needX, needY = &vecOps[T, DC, mulMin]{}, true, true
+	case OpMax:
+		l, needX, needY = &vecOps[T, DC, mulMax]{}, true, true
+	case OpAbsDiff:
+		l, needX, needY = &vecOps[T, DC, mulAbsDiff]{}, true, true
+	case OpLXor: // over 0 and 1, x ⊻ y is |x − y|
+		l, needX, needY = &vecOps[T, DC, mulAbsDiff]{}, true, true
+	default:
+		return nil
 	}
-	return l.union(a.Idx, view[T](a.Val), b.Idx, view[T](b.Val), idx, view[T](val)), true
-}
-
-func (*domain[T, DC]) intersect(op Opcode, aIdx []int, aVal operand, bIdx []int, bVal operand, idx []int, val []DC) (int, bool) {
-	l := vecLookup[T](op, is[T](aVal), is[T](bVal))
-	if l == nil {
-		return 0, false
+	if needX && x != kindOf[T]() || needY && y != kindOf[T]() {
+		return nil
 	}
-	return l.intersect(aIdx, as[T](aVal), bIdx, as[T](bVal), idx, view[T](val)), true
-}
-
-func (*domain[T, DC]) intoLeft(op Opcode, a *Vec[DC], w []DC) bool {
-	l := vecLookup[T](op, true, true)
-	if l == nil {
-		return false
-	}
-	l.intoLeft(a.Idx, view[T](a.Val), view[T](w))
-	return true
-}
-
-func (*domain[T, DC]) intoRight(op Opcode, b *Vec[DC], w []DC) bool {
-	l := vecLookup[T](op, true, true)
-	if l == nil {
-		return false
-	}
-	l.intoRight(b.Idx, view[T](b.Val), view[T](w))
-	return true
-}
-
-// pickLeft is w(k) = x(at[k]) ⊙ y(k), x full; pickRight w(k) = x(k) ⊙
-// y(at[k]), y full.
-func (*domain[T, DC]) pickLeft(op Opcode, at []int, x, y operand, w []DC) bool {
-	l := vecLookup[T](op, is[T](x), is[T](y))
-	if l == nil {
-		return false
-	}
-	l.pickLeft(at, as[T](x), as[T](y), view[T](w))
-	return true
-}
-
-func (*domain[T, DC]) pickRight(op Opcode, at []int, x, y operand, w []DC) bool {
-	l := vecLookup[T](op, is[T](x), is[T](y))
-	if l == nil {
-		return false
-	}
-	l.pickRight(at, as[T](x), as[T](y), view[T](w))
-	return true
-}
-
-// reduce passes acc across as T by its bits: DC is T's domain, so the two
-// lay a value out alike.
-func (*domain[T, DC]) reduce(op Opcode, acc DC, vals []DC) (DC, bool) {
-	l := vecLookup[T](op, true, true)
-	if l == nil {
-		return acc, false
-	}
-	r := l.reduce(*(*T)(unsafe.Pointer(&acc)), view[T](vals))
-	return *(*DC)(unsafe.Pointer(&r)), true
+	return l
 }

@@ -81,12 +81,6 @@ func (m *CSR[T]) Row(i int) ([]int, []T) {
 	return m.ColIdx[lo:hi], m.Val[lo:hi]
 }
 
-// RowVec returns row i as a sparse vector view (shared storage).
-func (m *CSR[T]) RowVec(i int) Vec[T] {
-	idx, val := m.Row(i)
-	return Vec[T]{N: m.NCols, Idx: idx, Val: val}
-}
-
 // Clone returns a deep copy of m.
 func (m *CSR[T]) Clone() *CSR[T] {
 	c := &CSR[T]{NRows: m.NRows, NCols: m.NCols}

@@ -247,13 +247,12 @@ type csrCase struct {
 // csrCases lists every kernel that writes its rows through EmitCSR, on
 // fixtures of nr rows and nc columns.
 func csrCases(rng *rand.Rand, nr, nc int, p float64) []csrCase {
-	fv, iv := floatVals(rng), intVals(rng)
+	fv := floatVals(rng)
 	a, a2, c := csrFixture(rng, nr, nc, p, fv), csrFixture(rng, nr, nc, p, fv), csrFixture(rng, nr, nc, p, fv)
 	b := csrFixture(rng, nc, nc, p, fv)
-	ai, bi := csrFixture(rng, nr, nc, p, iv), csrFixture(rng, nc, nc, p, iv)
 	// A one-column product's rows all end and start at column 0, where a
 	// row written into the arena after another could run into it.
-	col, coli := csrFixture(rng, nc, 1, p, fv), csrFixture(rng, nc, 1, p, iv)
+	col := csrFixture(rng, nc, 1, p, fv)
 	mask := matMaskOf(csrFixture(rng, nr, nc, 0.5, intVals(rng)), false)
 	comp := &MatMask{NCols: mask.NCols, EffPtr: mask.EffPtr, EffIdx: mask.EffIdx, StrPtr: mask.StrPtr, StrIdx: mask.StrIdx, Comp: true}
 	A, A2, C, B := denseOf(a), denseOf(a2), denseOf(c), denseOf(b)
@@ -283,11 +282,9 @@ func csrCases(rng *rand.Rand, nr, nc int, p float64) []csrCase {
 	cs := []csrCase{
 		{"SpGEMM", func() *CSR[float64] { return r.SpGEMM(a, b, nil) }, productRef(A, B, nil)},
 		{"SpGEMM/comp", func() *CSR[float64] { return r.SpGEMM(a, b, comp) }, productRef(A, B, comp)},
-		{"SpGEMMHeap", func() *CSR[float64] { return SpGEMMHeap(ai, bi, mulF, addF) }, productRef(denseOf(ai), denseOf(bi), nil)},
 		{"SpGEMM/one-col", func() *CSR[float64] { return r.SpGEMM(a, col, nil) }, productRef(A, denseOf(col), nil)},
-		{"SpGEMMHeap/one-col", func() *CSR[float64] { return SpGEMMHeap(ai, coli, mulF, addF) }, productRef(denseOf(ai), denseOf(coli), nil)},
-		{"UnionCSR", func() *CSR[float64] { return UnionCSR(a, a2, addF) }, mergeRef(A, A2, addF, same, same)},
-		{"IntersectCSR", func() *CSR[float64] { return IntersectCSR(a, a2, mulF) }, mergeRef(A, A2, mulF, nil, nil)},
+		{"UnionCSR", func() *CSR[float64] { return UnionCSR(a, a2, addF, OpNone) }, mergeRef(A, A2, addF, same, same)},
+		{"IntersectCSR", func() *CSR[float64] { return IntersectCSR(a, a2, mulF, OpNone) }, mergeRef(A, A2, mulF, nil, nil)},
 		{"UnionFillCSR", func() *CSR[float64] { return UnionFillCSR(a, a2, fill, alpha, beta) },
 			mergeRef(A, A2, fill, func(v float64) float64 { return fill(v, beta) }, func(v float64) float64 { return fill(alpha, v) })},
 		{"ExtractCSR", func() *CSR[float64] { return ExtractCSR(a, xrows, xcols) },
@@ -308,7 +305,7 @@ func csrCases(rng *rand.Rand, nr, nc int, p float64) []csrCase {
 			label := fmt.Sprintf("comp=%v/replace=%v", m.Comp, replace)
 			cs = append(cs,
 				csrCase{"MaskMergeCSR/" + label, func() *CSR[float64] { return MaskMergeCSR(c, a, m, replace) }, maskMergeRef(C, A, m.allowsCell, replace)},
-				csrCase{"WriteCSR/" + label, func() *CSR[float64] { return WriteCSR(c, a, m, addF, replace) },
+				csrCase{"WriteCSR/" + label, func() *CSR[float64] { return WriteCSR(c, a, m, addF, OpNone, replace) },
 					maskMergeRef(C, mergeRef(C, A, addF, same, same), m.allowsCell, replace)})
 		}
 	}
@@ -321,8 +318,6 @@ func csrCases(rng *rand.Rand, nr, nc int, p float64) []csrCase {
 // requires its arrays to be sized for the result. The fixtures mix empty
 // rows, rows storing every column and signed-zero/NaN payloads, on a matrix
 // that splits into chunks, a single row, and a matrix with no entries.
-// SpGEMMHeap's merge order is not ascending k, so it runs on values whose
-// sums are exact in any order.
 func TestQuickCSRKernelsBitIdentical(t *testing.T) {
 	parallel.SetMaxWorkersForTest(t, 1)
 	f := func(seed int64) bool {
@@ -359,10 +354,12 @@ func TestQuickCSRKernelsBitIdentical(t *testing.T) {
 // pool's arenas warm: the same count on a 64-row and a 256-row matrix, so
 // per call, not per row. What remains is six allocations per EmitCSR — the
 // result's CSR, Ptr, ColIdx and Val, the arenas' slice and the kernel's
-// closure — and a kernel's own per-chunk state: the sparse accumulator, the
-// heap, an assign's entry list, the assigned row of an AssignRowCSR. At four
-// workers the count may grow with the chunks (their goroutines), never with
-// the rows.
+// closure — and a kernel's own per-chunk state: the sparse accumulator of a
+// product. An assign sorts its targets and writes its assigned rows (the
+// one row of an AssignRowCSR too) into pooled room, and a compiled merge
+// (OpPlus, OpTimes) allocates no more than the closure's. At four workers
+// the count may grow with the chunks (their goroutines), never with the
+// rows.
 func TestCSRKernelsAllocBudget(t *testing.T) {
 	parallel.SetMaxWorkersForTest(t, 1)
 	prev := obs.SetTracer(nil)
@@ -401,18 +398,19 @@ func TestCSRKernelsAllocBudget(t *testing.T) {
 	}{
 		{"SpGEMM", 9, func(f fixture) *CSR[float64] { return r.SpGEMM(f.a, f.band, nil) }},
 		{"SpGEMM/comp", 10, func(f fixture) *CSR[float64] { return r.SpGEMM(f.a, f.band, comp(f.mask)) }},
-		{"SpGEMMHeap", 7, func(f fixture) *CSR[float64] { return SpGEMMHeap(f.a, f.band, mulF, addF) }},
-		{"UnionCSR", 6, func(f fixture) *CSR[float64] { return UnionCSR(f.a, f.at, addF) }},
-		{"IntersectCSR", 6, func(f fixture) *CSR[float64] { return IntersectCSR(f.a, f.at, mulF) }},
+		{"UnionCSR", 6, func(f fixture) *CSR[float64] { return UnionCSR(f.a, f.at, addF, OpNone) }},
+		{"UnionCSR/plus", 6, func(f fixture) *CSR[float64] { return UnionCSR(f.a, f.at, addF, OpPlus) }},
+		{"IntersectCSR", 6, func(f fixture) *CSR[float64] { return IntersectCSR(f.a, f.at, mulF, OpNone) }},
+		{"IntersectCSR/times", 6, func(f fixture) *CSR[float64] { return IntersectCSR(f.a, f.at, mulF, OpTimes) }},
 		{"UnionFillCSR", 6, func(f fixture) *CSR[float64] { return UnionFillCSR(f.a, f.at, mulF, 1, 2) }},
 		{"MaskMergeCSR", 6, func(f fixture) *CSR[float64] { return MaskMergeCSR(f.a, f.at, f.mask, true) }},
-		{"WriteCSR", 12, func(f fixture) *CSR[float64] { return WriteCSR(f.a, f.at, f.mask, addF, false) }},
+		{"WriteCSR", 12, func(f fixture) *CSR[float64] { return WriteCSR(f.a, f.at, f.mask, addF, OpNone, false) }},
 		{"ExtractCSR", 6, func(f fixture) *CSR[float64] { return ExtractCSR(f.a, f.rows, f.cols) }},
-		{"AssignExpandCSR", 7, func(f fixture) *CSR[float64] {
+		{"AssignExpandCSR", 6, func(f fixture) *CSR[float64] {
 			return AssignExpandCSR(f.a, f.a, f.rows, f.cols, addF)
 		}},
-		{"AssignScalarExpandCSR", 7, func(f fixture) *CSR[float64] { return AssignScalarExpandCSR(f.a, 2, f.rows, f.cols, nil) }},
-		{"AssignRowCSR", 9, func(f fixture) *CSR[float64] { return AssignRowCSR(f.a, f.u, 3, f.cols, nil, f.vm, false) }},
+		{"AssignScalarExpandCSR", 6, func(f fixture) *CSR[float64] { return AssignScalarExpandCSR(f.a, 2, f.rows, f.cols, nil) }},
+		{"AssignRowCSR", 6, func(f fixture) *CSR[float64] { return AssignRowCSR(f.a, f.u, 3, f.cols, nil, f.vm, false) }},
 		{"AssignColCSR", 6, func(f fixture) *CSR[float64] { return AssignColCSR(f.a, f.u, f.rows[:f.u.N], 5, addF, f.vm, true) }},
 	}
 	small, large := fixtureOf(64), fixtureOf(256)

@@ -201,7 +201,7 @@ func kernelOutputs(t *testing.T, in kernelInputs) map[string]*Vec[float64] {
 		"Clone/full":                 full.Clone(),
 		"Clone/part":                 part.Clone(),
 		"FromDense":                  FromDense(dense, present),
-		"ReduceRowsCSR":              ReduceRowsCSR(a, addF, nil),
+		"ReduceRowsCSR":              ReduceRowsCSR(a, addF, OpNone, nil),
 		"ExtractColCSR":              ExtractColCSR(a, list, 4),
 		"DotMxV/full":                spec.DotMxV(a, full, nil),
 		"DotMxV/part":                spec.DotMxV(a, part, nil),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -45,11 +46,16 @@ func sameBits(got *Vec[float64], n int, idx []int, val []float64) string {
 	return ""
 }
 
-// assignRef is the merge an assign kernel replaces: the target list's
-// entries — u's value at list position k, or the scalar x when it is given —
-// sorted and merged into c.
+// assignRef is the merge an assign kernel replaces, written plainly: the
+// target list's entries — u's value at list position k, or the scalar x when
+// it is given — sorted by target and merged into c.
 func assignRef(c, u *Vec[float64], x *float64, targets []int, accum func(float64, float64) float64) ([]int, []float64) {
-	es := make([]assignEntry[float64], len(targets))
+	type assignment struct {
+		target int
+		val    float64
+		has    bool // the source has an entry for this target
+	}
+	es := make([]assignment, len(targets))
 	for k, i := range targets {
 		es[k].target = i
 		if x != nil {
@@ -58,27 +64,54 @@ func assignRef(c, u *Vec[float64], x *float64, targets []int, accum func(float64
 			es[k].val, es[k].has = u.Get(k)
 		}
 	}
-	sortAssign(es)
-	return mergeAssign(c.Idx, c.Val, es, accum)
+	sort.Slice(es, func(p, q int) bool { return es[p].target < es[q].target })
+	var idx []int
+	var val []float64
+	keep := func(i int, v float64) { idx, val = append(idx, i), append(val, v) }
+	pc, pe := 0, 0
+	for pc < len(c.Idx) || pe < len(es) {
+		switch {
+		case pe == len(es) || pc < len(c.Idx) && c.Idx[pc] < es[pe].target:
+			keep(c.Idx[pc], c.Val[pc])
+			pc++
+		case pc == len(c.Idx) || es[pe].target < c.Idx[pc]:
+			if es[pe].has {
+				keep(es[pe].target, es[pe].val)
+			}
+			pe++
+		default: // c and the source both at the target
+			switch e := es[pe]; {
+			case e.has && accum != nil:
+				keep(e.target, accum(c.Val[pc], e.val))
+			case e.has:
+				keep(e.target, e.val)
+			case accum != nil:
+				keep(e.target, c.Val[pc])
+			}
+			pc++
+			pe++
+		}
+	}
+	return idx, val
 }
 
-// unionRef and intersectRef run the closure merges, unionRow and
-// intersectRow, into arrays of their bound and return what they wrote.
+// unionRef and intersectRef run the closure merges of unionRow and
+// intersectRow into arrays of their bound and return what they wrote.
 func unionRef(a, b *Vec[float64], add func(float64, float64) float64) ([]int, []float64) {
 	idx, val := make([]int, len(a.Idx)+len(b.Idx)), make([]float64, len(a.Idx)+len(b.Idx))
-	n := unionRow(a.Idx, a.Val, b.Idx, b.Val, add, idx, val)
+	n := unionRow(nil, a.Idx, a.Val, b.Idx, b.Val, add, idx, val)
 	return idx[:n], val[:n]
 }
 
 func intersectRef(a, b *Vec[float64], mul func(float64, float64) float64) ([]int, []float64) {
 	idx, val := make([]int, min(len(a.Idx), len(b.Idx))), make([]float64, min(len(a.Idx), len(b.Idx)))
-	n := intersectRow(a.Idx, a.Val, b.Idx, b.Val, mul, idx, val)
+	n := intersectRow[float64, float64, float64](nil, a.Idx, a.Val, b.Idx, b.Val, mul, idx, val)
 	return idx[:n], val[:n]
 }
 
 // TestQuickFullVectorPathsBitIdentical runs every full-vector array path
-// against the merge it replaces — unionRow, intersectRow, mergeAssign called
-// directly — and requires the same structure and the same value bits: full,
+// against the merge it replaces — unionRow's and intersectRow's closure
+// loops called directly, and assignRef — and requires the same structure and the same value bits: full,
 // partial and empty operands on either side, n ∈ {0, 1, 4096}, operators
 // that are not commutative (so an operand swapped by an array loop shows),
 // signed zeros and NaN payloads, and assign over nil, an explicit identity

@@ -31,29 +31,33 @@ func (m *MatMask) rowMask(i int) VecMask {
 	return VecMask{N: m.NCols, Idx: m.EffRow(i), Structure: m.StrRow(i), Comp: m.Comp}
 }
 
-// UnionCSR computes the eWiseAdd merge of a and b row-parallel.
-func UnionCSR[D any](a, b *CSR[D], add func(D, D) D) *CSR[D] {
+// UnionCSR computes the eWiseAdd merge of a and b row-parallel, each row
+// by unionRow. op names add as VecUnion's op does.
+func UnionCSR[D any](a, b *CSR[D], add func(D, D) D, op Opcode) *CSR[D] {
+	l := opLoops[D, D, D](op)
 	return EmitCSR(a.NRows, a.NCols, a.Ptr, func(out *Rows[D], lo, hi int) {
 		out.Reserve(a.Ptr[hi] - a.Ptr[lo] + b.Ptr[hi] - b.Ptr[lo])
 		for i := lo; i < hi; i++ {
 			aIdx, aVal := a.Row(i)
 			bIdx, bVal := b.Row(i)
 			idx, val := out.spare()
-			out.grow(unionRow(aIdx, aVal, bIdx, bVal, add, idx, val))
+			out.grow(unionRow(l, aIdx, aVal, bIdx, bVal, add, idx, val))
 			out.End(i)
 		}
 	})
 }
 
-// IntersectCSR computes the eWiseMult merge of a and b row-parallel.
-func IntersectCSR[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC) *CSR[DC] {
+// IntersectCSR computes the eWiseMult merge of a and b row-parallel, each
+// row by intersectRow. op names mul as VecIntersect's op does.
+func IntersectCSR[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC, op Opcode) *CSR[DC] {
+	l := opLoops[DC, DA, DB](op)
 	return EmitCSR(a.NRows, a.NCols, a.Ptr, func(out *Rows[DC], lo, hi int) {
 		out.Reserve(min(a.Ptr[hi]-a.Ptr[lo], b.Ptr[hi]-b.Ptr[lo]))
 		for i := lo; i < hi; i++ {
 			aIdx, aVal := a.Row(i)
 			bIdx, bVal := b.Row(i)
 			idx, val := out.spare()
-			out.grow(intersectRow(aIdx, aVal, bIdx, bVal, mul, idx, val))
+			out.grow(intersectRow(l, aIdx, aVal, bIdx, bVal, mul, idx, val))
 			out.End(i)
 		}
 	})
@@ -246,25 +250,20 @@ func bandRuns[D any](a *CSR[D], i, below int, band Band, k int) (s1, e1, s2, e2 
 
 // ReduceRowsCSR folds each row of a with the monoid operation, producing a
 // sparse vector with entries only for nonempty rows (Table II "reduce").
-// A non-nil term predicate stops each row's fold at the annihilator.
-func ReduceRowsCSR[D any](a *CSR[D], add func(D, D) D, term func(D) bool) *Vec[D] {
+// A row folds from its first value. A non-nil term predicate stops each
+// row's fold at the annihilator; op names add as VecReduce's op does.
+func ReduceRowsCSR[D any](a *CSR[D], add func(D, D) D, op Opcode, term func(D) bool) *Vec[D] {
 	faults.Step("sparse.kernel.reduce.rows")
 	done := obs.KernelStart("reduce.rows")
+	l := opLoops[D, D, D](op)
 	out := &Vec[D]{N: a.NRows}
 	for i := 0; i < a.NRows; i++ {
 		lo, hi := a.Ptr[i], a.Ptr[i+1]
 		if lo == hi {
 			continue
 		}
-		acc := a.Val[lo]
-		for p := lo + 1; p < hi; p++ {
-			if term != nil && term(acc) {
-				break
-			}
-			acc = add(acc, a.Val[p])
-		}
 		out.Idx = append(out.Idx, i)
-		out.Val = append(out.Val, acc)
+		out.Val = append(out.Val, fold(l, a.Val[lo], a.Val[lo+1:hi], add, term))
 	}
 	done(out.NVals())
 	return out
@@ -272,17 +271,12 @@ func ReduceRowsCSR[D any](a *CSR[D], add func(D, D) D, term func(D) bool) *Vec[D
 
 // ReduceAllCSR folds every stored value of a with the monoid operation
 // starting from identity; stored reports whether a had any entries. A
-// non-nil term predicate stops the fold at the annihilator.
-func ReduceAllCSR[D any](a *CSR[D], add func(D, D) D, identity D, term func(D) bool) (D, bool) {
+// non-nil term predicate stops the fold at the annihilator; op names add as
+// VecReduce's op does.
+func ReduceAllCSR[D any](a *CSR[D], add func(D, D) D, op Opcode, identity D, term func(D) bool) (D, bool) {
 	faults.Step("sparse.kernel.reduce.all")
 	done := obs.KernelStart("reduce.all")
-	acc := identity
-	for _, v := range a.Val[:a.NNZ()] {
-		acc = add(acc, v)
-		if term != nil && term(acc) {
-			break
-		}
-	}
+	acc := fold(opLoops[D, D, D](op), identity, a.Val[:a.NNZ()], add, term)
 	done(a.NNZ())
 	return acc, a.NNZ() > 0
 }
@@ -312,10 +306,11 @@ func MaskMergeCSR[D any](c, z *CSR[D], mask *MatMask, replace bool) *CSR[D] {
 }
 
 // WriteCSR runs the full accumulate-then-mask pipeline for matrices.
-func WriteCSR[D any](c, t *CSR[D], mask *MatMask, accum func(D, D) D, replace bool) *CSR[D] {
+// accumOp names accum as UnionCSR's op names add.
+func WriteCSR[D any](c, t *CSR[D], mask *MatMask, accum func(D, D) D, accumOp Opcode, replace bool) *CSR[D] {
 	z := t
 	if accum != nil {
-		z = UnionCSR(c, t, accum)
+		z = UnionCSR(c, t, accum, accumOp)
 	}
 	return MaskMergeCSR(c, z, mask, replace)
 }
@@ -461,6 +456,11 @@ func assignRows[D any](c *CSR[D], rows []int, width int) (slot, cum []int) {
 	return slot, cum
 }
 
+// The matrix assigns write each assigned row by assignRow, the vector
+// assign's row, into the room their arena reserved by cum (Rows.spare), and
+// copy every other row of c as it is. The targets are sorted once per call
+// (ascendingTargets).
+
 // AssignExpandCSR computes the Z content for c(rows, cols) = a per the
 // assign semantics: within the assigned region entries are replaced by a's
 // mapped entries (deleted where a has none, kept where accum is non-nil);
@@ -468,30 +468,20 @@ func assignRows[D any](c *CSR[D], rows []int, width int) (slot, cum []int) {
 // (validated by the caller).
 func AssignExpandCSR[D any](c, a *CSR[D], rows, cols []int, accum func(D, D) D) *CSR[D] {
 	slot, cum := assignRows(c, rows, len(cols))
-	defer pool.PutInts(slot)
-	defer pool.PutInts(cum)
+	targets, order := ascendingTargets(cols)
+	defer releaseAssign(slot, cum, targets, order)
 	return EmitCSR(c.NRows, c.NCols, cum, func(out *Rows[D], lo, hi int) {
 		out.Reserve(cum[hi] - cum[lo])
-		es := make([]assignEntry[D], len(cols))
 		for i := lo; i < hi; i++ {
 			if slot[i] == 0 {
 				out.Copy(c, i, i+1)
 				continue
 			}
-			arow := a.RowVec(slot[i] - 1)
-			pa := 0
-			for l, j := range cols {
-				es[l] = assignEntry[D]{target: j}
-				for pa < len(arow.Idx) && arow.Idx[pa] < l {
-					pa++
-				}
-				if pa < len(arow.Idx) && arow.Idx[pa] == l {
-					es[l].val, es[l].has = arow.Val[pa], true
-				}
-			}
-			sortAssign(es)
+			aIdx, aVal := a.Row(slot[i] - 1)
+			src := listSource[D]{idx: aIdx, val: aVal, order: order}
 			cIdx, cVal := c.Row(i)
-			out.Idx, out.Val = mergeAssignInto(cIdx, cVal, es, accum, out.Idx, out.Val)
+			idx, val := out.spare()
+			out.grow(assignRow(cIdx, cVal, targets, src.at, accum, idx, val))
 			out.End(i)
 		}
 	})
@@ -500,48 +490,49 @@ func AssignExpandCSR[D any](c, a *CSR[D], rows, cols []int, accum func(D, D) D) 
 // AssignScalarExpandCSR computes the Z content for c(rows, cols) = x: every
 // assigned position receives x (combined with accum where an entry exists).
 func AssignScalarExpandCSR[D any](c *CSR[D], x D, rows, cols []int, accum func(D, D) D) *CSR[D] {
-	es := make([]assignEntry[D], len(cols))
-	for l, j := range cols {
-		es[l] = assignEntry[D]{target: j, val: x, has: true}
-	}
-	sortAssign(es)
 	slot, cum := assignRows(c, rows, len(cols))
-	defer pool.PutInts(slot)
-	defer pool.PutInts(cum)
+	targets, order := ascendingTargets(cols)
+	defer releaseAssign(slot, cum, targets, order)
 	return EmitCSR(c.NRows, c.NCols, cum, func(out *Rows[D], lo, hi int) {
 		out.Reserve(cum[hi] - cum[lo])
+		scalar := func(int) (D, bool) { return x, true }
 		for i := lo; i < hi; i++ {
 			if slot[i] == 0 {
 				out.Copy(c, i, i+1)
 				continue
 			}
 			cIdx, cVal := c.Row(i)
-			out.Idx, out.Val = mergeAssignInto(cIdx, cVal, es, accum, out.Idx, out.Val)
+			idx, val := out.spare()
+			out.grow(assignRow(cIdx, cVal, targets, scalar, accum, idx, val))
 			out.End(i)
 		}
 	})
+}
+
+// releaseAssign gives back what assignRows and ascendingTargets drew.
+func releaseAssign(slot, cum, targets, order []int) {
+	pool.PutInts(slot)
+	pool.PutInts(cum)
+	releaseTargets(targets, order)
 }
 
 // AssignRowCSR computes c(i, cols) ⊙= u (GrB_Row_assign): row i becomes
 // c's row with the assigned columns replaced by u's entries (deleted where u
 // has none, kept where accum is non-nil), written under the column-extent
 // mask and replace as MaskMergeVec writes a vector; every other row is c's.
+// The assigned row is written into pooled scratch, which the mask merge
+// reads.
 func AssignRowCSR[D any](c *CSR[D], u *Vec[D], i int, cols []int, accum func(D, D) D, mask *VecMask, replace bool) *CSR[D] {
-	es := make([]assignEntry[D], len(cols))
-	pu := 0
-	for l, j := range cols {
-		es[l].target = j
-		for pu < len(u.Idx) && u.Idx[pu] < l {
-			pu++
-		}
-		if pu < len(u.Idx) && u.Idx[pu] == l {
-			es[l].val = u.Val[pu]
-			es[l].has = true
-		}
-	}
-	sortAssign(es)
 	cIdx, cVal := c.Row(i)
-	zIdx, zVal := mergeAssign(cIdx, cVal, es, accum)
+	targets, order := ascendingTargets(cols)
+	m := len(cIdx) + len(targets)
+	idx, val := pool.GetVals[int](m), pool.GetVals[D](m)
+	defer pool.PutVals(idx)
+	defer pool.PutVals(val)
+	src := listSource[D]{idx: u.Idx, val: u.Val, order: order}
+	n := assignRow(cIdx, cVal, targets, src.at, accum, idx, val)
+	releaseTargets(targets, order)
+	zIdx, zVal := idx[:n], val[:n]
 	return EmitCSR(c.NRows, c.NCols, c.Ptr, func(out *Rows[D], lo, hi int) {
 		out.Reserve(c.Ptr[hi] - c.Ptr[lo] + len(zIdx))
 		if i < lo || i >= hi {
@@ -562,26 +553,24 @@ func AssignRowCSR[D any](c *CSR[D], u *Vec[D], i int, cols []int, accum func(D, 
 // other row is c's.
 func AssignColCSR[D any](c *CSR[D], u *Vec[D], rows []int, j int, accum func(D, D) D, mask *VecMask, replace bool) *CSR[D] {
 	slot, cum := assignRows(c, rows, 1)
-	defer pool.PutInts(slot)
-	defer pool.PutInts(cum)
+	defer releaseAssign(slot, cum, nil, nil)
 	return EmitCSR(c.NRows, c.NCols, cum, func(out *Rows[D], lo, hi int) {
 		out.Reserve(cum[hi] - cum[lo])
 		cur := MaskCursor{Mask: mask}
-		var es [1]assignEntry[D]
+		target := []int{j}
 		for i := lo; i < hi; i++ {
-			acc := accum
+			acc, k := accum, slot[i]-1
 			switch allowed := cur.Allows(i); {
-			case allowed && slot[i] > 0:
-				uv, has := u.Get(slot[i] - 1)
-				es[0] = assignEntry[D]{target: j, val: uv, has: has}
-			case !allowed && replace:
-				es[0], acc = assignEntry[D]{target: j}, nil
+			case allowed && k >= 0: // u(k) at column j, under accum
+			case !allowed && replace: // no source and no accum: j's entry goes
+				acc, k = nil, -1
 			default:
 				out.Copy(c, i, i+1)
 				continue
 			}
 			cIdx, cVal := c.Row(i)
-			out.Idx, out.Val = mergeAssignInto(cIdx, cVal, es[:], acc, out.Idx, out.Val)
+			idx, val := out.spare()
+			out.grow(assignRow(cIdx, cVal, target, func(int) (D, bool) { return u.Get(k) }, acc, idx, val))
 			out.End(i)
 		}
 	})

@@ -18,7 +18,7 @@ func TestQuickUnionCSR(t *testing.T) {
 		nr, nc := 1+rng.Intn(15), 1+rng.Intn(15)
 		a, am := randCSR(rng, nr, nc, 0.35)
 		b, bm := randCSR(rng, nr, nc, 0.35)
-		u := UnionCSR(a, b, addF)
+		u := UnionCSR(a, b, addF, OpNone)
 		want := map[[2]int]float64{}
 		for k, v := range am {
 			want[k] = v
@@ -53,7 +53,7 @@ func TestQuickIntersectCSR(t *testing.T) {
 		nr, nc := 1+rng.Intn(15), 1+rng.Intn(15)
 		a, am := randCSR(rng, nr, nc, 0.45)
 		b, bm := randCSR(rng, nr, nc, 0.45)
-		u := IntersectCSR(a, b, mulF)
+		u := IntersectCSR(a, b, mulF, OpNone)
 		count := 0
 		for k, av := range am {
 			if bv, ok := bm[k]; ok {
@@ -83,7 +83,7 @@ func TestApplyAndWriteCSR(t *testing.T) {
 	}
 	// WriteCSR with accumulator equals union.
 	c, cm := randCSR(rng, 10, 10, 0.3)
-	out := WriteCSR(c, neg, nil, addF, false)
+	out := WriteCSR(c, neg, nil, addF, OpNone, false)
 	checkCSRInvariants(t, out, "write accum")
 	oi, oj, ov := out.Tuples()
 	for k := range oi {

@@ -3,6 +3,7 @@ package sparse
 import (
 	"slices"
 	"sort"
+	"unsafe"
 
 	"graphblas/internal/faults"
 	"graphblas/internal/obs"
@@ -76,33 +77,32 @@ func VecUnion[D any](a, b *Vec[D], add func(D, D) D, op Opcode) *Vec[D] {
 // full side the result takes that side's positions and a copy of its
 // values, and the other side is folded in at its positions.
 func union[D any](a, b *Vec[D], add func(D, D) D, op Opcode) *Vec[D] {
-	e := opEntry[D](op)
+	l := opLoops[D, D, D](op)
 	if !a.Full() && !b.Full() {
 		m := len(a.Idx) + len(b.Idx)
 		idx, val := pool.RawVals[int](m), pool.RawVals[D](m)
-		n, ok := 0, false
-		if e != nil {
-			n, ok = e.union(op, a, b, idx, val)
-		}
-		if !ok {
-			n = unionRow(a.Idx, a.Val, b.Idx, b.Val, add, idx, val)
-		}
+		n := unionRow(l, a.Idx, a.Val, b.Idx, b.Val, add, idx, val)
 		return pooledVec(a.N, idx[:n], val[:n])
 	}
 	w := &Vec[D]{N: a.N}
-	if a.Full() {
+	switch {
+	case a.Full():
 		shareIdx(w, a)
 		w.Val = cloneVals(a.Val)
-		if e == nil || !e.intoRight(op, b, w.Val) {
-			for k, i := range b.Idx {
-				w.Val[i] = add(w.Val[i], b.Val[k])
-			}
+		if l != nil {
+			l.intoRight(b.Idx, b.Val, w.Val)
+			break
 		}
-		return w
-	}
-	shareIdx(w, b)
-	w.Val = cloneVals(b.Val)
-	if e == nil || !e.intoLeft(op, a, w.Val) {
+		for k, i := range b.Idx {
+			w.Val[i] = add(w.Val[i], b.Val[k])
+		}
+	default:
+		shareIdx(w, b)
+		w.Val = cloneVals(b.Val)
+		if l != nil {
+			l.intoLeft(a.Idx, a.Val, w.Val)
+			break
+		}
 		for k, i := range a.Idx {
 			w.Val[i] = add(a.Val[k], w.Val[i])
 		}
@@ -110,10 +110,14 @@ func union[D any](a, b *Vec[D], add func(D, D) D, op Opcode) *Vec[D] {
 	return w
 }
 
-// unionRow is the slice-level eWiseAdd merge under the closure add, written
-// by position into idx and val, which have room for both sides. It returns
-// the merged length.
-func unionRow[D any](aIdx []int, aVal []D, bIdx []int, bVal []D, add func(D, D) D, idx []int, val []D) int {
+// unionRow is the eWiseAdd merge of two rows, the one the vector and the
+// matrix kernels share, written by position into idx and val, which have
+// room for both sides. It runs l, add's compiled loops (opLoops), when
+// there are some, and the closure otherwise. It returns the merged length.
+func unionRow[D any](l vecLoops[D], aIdx []int, aVal []D, bIdx []int, bVal []D, add func(D, D) D, idx []int, val []D) int {
+	if l != nil {
+		return l.union(aIdx, aVal, bIdx, bVal, idx, val)
+	}
 	pa, pb, n := 0, 0, 0
 	for pa < len(aIdx) && pb < len(bIdx) {
 		switch i, j := aIdx[pa], bIdx[pb]; {
@@ -152,45 +156,46 @@ func copyRun[T any](idx []int, val []T, toIdx []int, toVal []T) int {
 // VecUnion's op names add.
 func VecIntersect[DA, DB, DC any](a *Vec[DA], b *Vec[DB], mul func(DA, DB) DC, op Opcode) *Vec[DC] {
 	done := obs.KernelStart("vec.intersect")
-	e := opEntry[DC](op)
+	l := opLoops[DC, DA, DB](op)
 	var w *Vec[DC]
 	switch {
 	case b.Full():
 		w = &Vec[DC]{N: a.N, Val: pool.RawVals[DC](len(a.Idx))}
 		shareIdx(w, a)
-		if e == nil || !e.pickRight(op, a.Idx, operandOf(a.Val), operandOf(b.Val), w.Val) {
-			for k, i := range a.Idx {
-				w.Val[k] = mul(a.Val[k], b.Val[i])
-			}
+		if l != nil {
+			l.pickRight(a.Idx, operandOf(a.Val), operandOf(b.Val), w.Val)
+			break
+		}
+		for k, i := range a.Idx {
+			w.Val[k] = mul(a.Val[k], b.Val[i])
 		}
 	case a.Full():
 		w = &Vec[DC]{N: a.N, Val: pool.RawVals[DC](len(b.Idx))}
 		shareIdx(w, b)
-		if e == nil || !e.pickLeft(op, b.Idx, operandOf(a.Val), operandOf(b.Val), w.Val) {
-			for k, i := range b.Idx {
-				w.Val[k] = mul(a.Val[i], b.Val[k])
-			}
+		if l != nil {
+			l.pickLeft(b.Idx, operandOf(a.Val), operandOf(b.Val), w.Val)
+			break
+		}
+		for k, i := range b.Idx {
+			w.Val[k] = mul(a.Val[i], b.Val[k])
 		}
 	default:
 		m := min(len(a.Idx), len(b.Idx))
 		idx, val := pool.RawVals[int](m), pool.RawVals[DC](m)
-		n, ok := 0, false
-		if e != nil {
-			n, ok = e.intersect(op, a.Idx, operandOf(a.Val), b.Idx, operandOf(b.Val), idx, val)
-		}
-		if !ok {
-			n = intersectRow(a.Idx, a.Val, b.Idx, b.Val, mul, idx, val)
-		}
+		n := intersectRow(l, a.Idx, a.Val, b.Idx, b.Val, mul, idx, val)
 		w = pooledVec(a.N, idx[:n], val[:n])
 	}
 	done(w.NVals())
 	return w
 }
 
-// intersectRow is the slice-level eWiseMult merge under the closure mul,
+// intersectRow is the eWiseMult merge of two rows, shared as unionRow is,
 // written by position into idx and val, which have room for the smaller
 // side. It returns the merged length.
-func intersectRow[DA, DB, DC any](aIdx []int, aVal []DA, bIdx []int, bVal []DB, mul func(DA, DB) DC, idx []int, val []DC) int {
+func intersectRow[DA, DB, DC any](l vecLoops[DC], aIdx []int, aVal []DA, bIdx []int, bVal []DB, mul func(DA, DB) DC, idx []int, val []DC) int {
+	if l != nil {
+		return l.intersect(aIdx, unsafe.Pointer(unsafe.SliceData(aVal)), bIdx, unsafe.Pointer(unsafe.SliceData(bVal)), idx, val)
+	}
 	pa, pb, n := 0, 0, 0
 	for pa < len(aIdx) && pb < len(bIdx) {
 		switch i, j := aIdx[pa], bIdx[pb]; {
@@ -270,25 +275,32 @@ func VecSelect[D any](a *Vec[D], pred func(D, int) bool) *Vec[D] {
 // starting from identity. Returns identity for an empty vector, with
 // stored == false so callers can distinguish "no entries". A non-nil term
 // predicate recognizes the monoid's annihilator and stops the fold early.
-// op names add as VecUnion's op does; the compiled fold of min or max stops
-// at the domain's bound instead, which leaves the result as term would.
+// op names add as VecUnion's op does.
 func VecReduce[D any](a *Vec[D], add func(D, D) D, op Opcode, identity D, term func(D) bool) (D, bool) {
 	faults.Step("sparse.kernel.reduce.vec")
 	done := obs.KernelStart("reduce.vec")
-	acc, ok := identity, false
-	if e := opEntry[D](op); e != nil {
-		acc, ok = e.reduce(op, identity, a.Val)
-	}
-	if !ok {
-		for _, v := range a.Val {
-			acc = add(acc, v)
-			if term != nil && term(acc) {
-				break
-			}
-		}
-	}
+	acc := fold(opLoops[D, D, D](op), identity, a.Val, add, term)
 	done(len(a.Val))
 	return acc, len(a.Val) > 0
+}
+
+// fold folds vals into acc from the left with add, the one fold of the
+// vector reduce, the matrix's and each row of the row reduce. A non-nil
+// term stops it once acc is the annihilator. It runs l, add's compiled
+// loops, when there are some — whose min and max stop at the domain's
+// bound instead, which leaves the result as term would — and the closure
+// otherwise.
+func fold[D any](l vecLoops[D], acc D, vals []D, add func(D, D) D, term func(D) bool) D {
+	if l != nil {
+		return l.reduce(acc, vals)
+	}
+	for _, v := range vals {
+		if term != nil && term(acc) {
+			break
+		}
+		acc = add(acc, v)
+	}
+	return acc
 }
 
 // MaskMergeVec applies the final write stage of the paper's operation
@@ -401,128 +413,6 @@ func ExtractVec[D any](u *Vec[D], indices []int) *Vec[D] {
 	return pooledVec(len(indices), idx, val)
 }
 
-// assignEntry pairs a target position with an optional source value for the
-// single-pass assign merges below.
-type assignEntry[D any] struct {
-	target int
-	val    D
-	has    bool // source has an entry at this position
-}
-
-// sortAssign sorts assignment entries by target position. Target positions
-// are unique (the core layer rejects duplicate assign indices). A list
-// already in order is left as it is after one pass.
-func sortAssign[D any](es []assignEntry[D]) {
-	if slices.IsSortedFunc(es, func(x, y assignEntry[D]) int { return x.target - y.target }) {
-		return
-	}
-	// Insertion sort for short lists, in-place quicksort of the entries
-	// otherwise.
-	if len(es) <= 48 {
-		for i := 1; i < len(es); i++ {
-			x := es[i]
-			j := i - 1
-			for j >= 0 && es[j].target > x.target {
-				es[j+1] = es[j]
-				j--
-			}
-			es[j+1] = x
-		}
-		return
-	}
-	quickSortAssign(es)
-}
-
-func quickSortAssign[D any](es []assignEntry[D]) {
-	for len(es) > 48 {
-		m := len(es) / 2
-		if es[0].target > es[m].target {
-			es[0], es[m] = es[m], es[0]
-		}
-		if es[0].target > es[len(es)-1].target {
-			es[0], es[len(es)-1] = es[len(es)-1], es[0]
-		}
-		if es[m].target > es[len(es)-1].target {
-			es[m], es[len(es)-1] = es[len(es)-1], es[m]
-		}
-		pivot := es[m].target
-		i, j := 0, len(es)-1
-		for i <= j {
-			for es[i].target < pivot {
-				i++
-			}
-			for es[j].target > pivot {
-				j--
-			}
-			if i <= j {
-				es[i], es[j] = es[j], es[i]
-				i++
-				j--
-			}
-		}
-		if j < len(es)-i {
-			quickSortAssign(es[:j+1])
-			es = es[i:]
-		} else {
-			quickSortAssign(es[i:])
-			es = es[:j+1]
-		}
-	}
-	for i := 1; i < len(es); i++ {
-		x := es[i]
-		j := i - 1
-		for j >= 0 && es[j].target > x.target {
-			es[j+1] = es[j]
-			j--
-		}
-		es[j+1] = x
-	}
-}
-
-// mergeAssign merges the old content (idx/val slices) with sorted assignment
-// entries, producing new sorted slices. Within the assigned positions the
-// entry is replaced (or deleted when the source has none and accum is nil,
-// or kept when accum is non-nil); outside them the old entry is kept.
-func mergeAssign[D any](cIdx []int, cVal []D, es []assignEntry[D], accum func(D, D) D) ([]int, []D) {
-	n := len(cIdx) + len(es)
-	return mergeAssignInto(cIdx, cVal, es, accum, make([]int, 0, n), make([]D, 0, n))
-}
-
-// mergeAssignInto is the merge, appending to outIdx and outVal.
-func mergeAssignInto[D any](cIdx []int, cVal []D, es []assignEntry[D], accum func(D, D) D, outIdx []int, outVal []D) ([]int, []D) {
-	pc, pe := 0, 0
-	for pc < len(cIdx) || pe < len(es) {
-		switch {
-		case pe >= len(es) || (pc < len(cIdx) && cIdx[pc] < es[pe].target):
-			outIdx = append(outIdx, cIdx[pc])
-			outVal = append(outVal, cVal[pc])
-			pc++
-		case pc >= len(cIdx) || es[pe].target < cIdx[pc]:
-			if es[pe].has {
-				outIdx = append(outIdx, es[pe].target)
-				outVal = append(outVal, es[pe].val)
-			}
-			pe++
-		default: // both present at the same position
-			switch {
-			case es[pe].has && accum != nil:
-				outIdx = append(outIdx, cIdx[pc])
-				outVal = append(outVal, accum(cVal[pc], es[pe].val))
-			case es[pe].has:
-				outIdx = append(outIdx, es[pe].target)
-				outVal = append(outVal, es[pe].val)
-			case accum != nil: // source empty, accum keeps old value
-				outIdx = append(outIdx, cIdx[pc])
-				outVal = append(outVal, cVal[pc])
-			}
-			// source empty and no accum: position is deleted
-			pc++
-			pe++
-		}
-	}
-	return outIdx, outVal
-}
-
 // AssignExpandVec computes the Z content for w(indices) = u following the
 // assign semantics of the spec: Z starts as a copy of c; within the assigned
 // positions, entries are replaced by u's entries (deleting positions where u
@@ -545,24 +435,9 @@ func AssignExpandVec[D any](c, u *Vec[D], indices []int, accum func(D, D) D, acc
 	case indices == nil:
 		z = union(c, u, accum, accumOp)
 	default:
-		// The source of target j is u(k) for k = order[j], or k = j when
-		// the targets ascend as listed; a walk finds u's entry at an
-		// ascending k, a search at any other.
 		targets, order := ascendingTargets(indices)
-		pu := 0
-		z = assignRuns(c, targets, func(j int) (D, bool) {
-			if order != nil {
-				return u.Get(order[j])
-			}
-			for pu < len(u.Idx) && u.Idx[pu] < j {
-				pu++
-			}
-			if pu < len(u.Idx) && u.Idx[pu] == j {
-				return u.Val[pu], true
-			}
-			var zero D
-			return zero, false
-		}, accum)
+		src := listSource[D]{idx: u.Idx, val: u.Val, order: order}
+		z = assignRuns(c, targets, src.at, accum)
 		releaseTargets(targets, order)
 	}
 	done(z.NVals())
@@ -585,7 +460,9 @@ func AssignScalarExpandVec[D any](c *Vec[D], x D, indices []int, accum func(D, D
 			z.Val[i] = x
 		}
 		if accum != nil {
-			if e := opEntry[D](accumOp); e == nil || !e.intoLeft(accumOp, c, z.Val) {
+			if l := opLoops[D, D, D](accumOp); l != nil {
+				l.intoLeft(c.Idx, c.Val, z.Val)
+			} else {
 				for k, i := range c.Idx {
 					z.Val[i] = accum(c.Val[k], z.Val[i])
 				}
@@ -644,28 +521,39 @@ func releaseTargets(targets, order []int) {
 	}
 }
 
-// assignRuns is the Z of an assign to the ascending, distinct targets: c's
-// content, in which target j takes the value source(j) when source has one
-// (ok) — accumulated into c's entry there when accum is set — and where it
-// has none loses c's entry, or keeps it under accum. Between targets Z is
-// c, copied a run at a time: each target is found in what is left of c by
-// a galloping search (seek), so an assign to a handful of targets costs a
-// copy of c and a few compares, not a merge of every entry.
+// assignRuns is the Z of a vector assign to the ascending, distinct
+// targets: c's entries written by assignRow into storage sized for them and
+// the targets.
 func assignRuns[D any](c *Vec[D], targets []int, source func(j int) (D, bool), accum func(D, D) D) *Vec[D] {
 	m := len(c.Idx) + len(targets)
 	idx, val := pool.RawVals[int](m), pool.RawVals[D](m)
+	n := assignRow(c.Idx, c.Val, targets, source, accum, idx, val)
+	return pooledVec(c.N, idx[:n], val[:n])
+}
+
+// assignRow is the assign of one row, the one the vector and the matrix
+// assigns share: the row (cIdx, cVal) in which target j, of the ascending,
+// distinct targets, takes the value source(j) when source has one (ok) —
+// accumulated into the row's entry there when accum is set — and where it
+// has none loses the row's entry, or keeps it under accum. It writes by
+// position into idx and val, which have room for the row and the targets,
+// and returns the length written. Between targets the row is copied a run
+// at a time: each target is found in what is left of it by a galloping
+// search (seek), so an assign to a handful of targets costs a copy of the
+// row and a few compares, not a merge of every entry.
+func assignRow[D any](cIdx []int, cVal []D, targets []int, source func(j int) (D, bool), accum func(D, D) D, idx []int, val []D) int {
 	n, pc := 0, 0
 	for j, t := range targets {
-		q := pc + seek(c.Idx[pc:], t)
-		n += copyRun(c.Idx[pc:q], c.Val[pc:q], idx[n:], val[n:])
+		q := pc + seek(cIdx[pc:], t)
+		n += copyRun(cIdx[pc:q], cVal[pc:q], idx[n:], val[n:])
 		pc = q
-		hit := pc < len(c.Idx) && c.Idx[pc] == t
+		hit := pc < len(cIdx) && cIdx[pc] == t
 		x, ok := source(j)
 		switch {
 		case hit && accum != nil && ok:
-			x = accum(c.Val[pc], x)
+			x = accum(cVal[pc], x)
 		case hit && accum != nil:
-			x, ok = c.Val[pc], true
+			x, ok = cVal[pc], true
 		}
 		if hit {
 			pc++
@@ -675,8 +563,33 @@ func assignRuns[D any](c *Vec[D], targets []int, source func(j int) (D, bool), a
 			n++
 		}
 	}
-	n += copyRun(c.Idx[pc:], c.Val[pc:], idx[n:], val[n:])
-	return pooledVec(c.N, idx[:n], val[:n])
+	return n + copyRun(cIdx[pc:], cVal[pc:], idx[n:], val[n:])
+}
+
+// listSource is an assign's source read from the sparse list (idx, val)
+// over the source's own positions: target j takes the list's entry at
+// order[j], or at j when the targets ascend as listed (order nil) — found
+// by a walk then, by a search otherwise.
+type listSource[D any] struct {
+	idx   []int
+	val   []D
+	order []int
+	p     int
+}
+
+func (s *listSource[D]) at(j int) (D, bool) {
+	if s.order != nil {
+		j = s.order[j]
+		s.p = sort.SearchInts(s.idx, j)
+	}
+	for s.p < len(s.idx) && s.idx[s.p] < j {
+		s.p++
+	}
+	if s.p < len(s.idx) && s.idx[s.p] == j {
+		return s.val[s.p], true
+	}
+	var zero D
+	return zero, false
 }
 
 // seek returns the number of entries of the ascending list s below t. It

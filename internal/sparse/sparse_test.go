@@ -281,7 +281,7 @@ func TestQuickVecIntersect(t *testing.T) {
 	}
 }
 
-// Property: SpGEMM (SPA) and SpGEMMHeap agree with the naive dense product.
+// Property: SpGEMM (SPA) agrees with the naive dense product.
 func TestQuickSpGEMMAgainstDense(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -302,18 +302,14 @@ func TestQuickSpGEMMAgainstDense(t *testing.T) {
 				}
 			}
 		}
-		for _, c := range []*CSR[float64]{
-			SpGEMM(a, b, mulF, addF, nil),
-			SpGEMMHeap(a, b, mulF, addF),
-		} {
-			if c.NNZ() != len(has) {
+		c := SpGEMM(a, b, mulF, addF, nil)
+		if c.NNZ() != len(has) {
+			return false
+		}
+		is, js, vs := c.Tuples()
+		for k := range is {
+			if want[[2]int{is[k], js[k]}] != vs[k] {
 				return false
-			}
-			is, js, vs := c.Tuples()
-			for k := range is {
-				if want[[2]int{is[k], js[k]}] != vs[k] {
-					return false
-				}
 			}
 		}
 		return true
@@ -836,7 +832,7 @@ func TestKron(t *testing.T) {
 
 func TestReduceRows(t *testing.T) {
 	a, _ := BuildCSR(3, 3, []int{0, 0, 2}, []int{0, 1, 2}, []float64{1, 2, 5}, nil)
-	w := ReduceRowsCSR(a, addF, nil)
+	w := ReduceRowsCSR(a, addF, OpNone, nil)
 	if w.NVals() != 2 {
 		t.Fatalf("nvals %d", w.NVals())
 	}
@@ -846,12 +842,12 @@ func TestReduceRows(t *testing.T) {
 	if _, ok := w.Get(1); ok {
 		t.Fatalf("empty row produced entry")
 	}
-	total, any := ReduceAllCSR(a, addF, 0, nil)
+	total, any := ReduceAllCSR(a, addF, OpNone, 0, nil)
 	if !any || total != 8 {
 		t.Fatalf("reduce all %v %v", total, any)
 	}
 	empty := NewCSR[float64](2, 2)
-	if _, any := ReduceAllCSR(empty, addF, 0, nil); any {
+	if _, any := ReduceAllCSR(empty, addF, OpNone, 0, nil); any {
 		t.Fatalf("empty matrix reported entries")
 	}
 }

@@ -297,90 +297,3 @@ func compactSlots[DC any](nrows, ncols int, mask *MatMask, ptr []int, val []DC, 
 	})
 	return c
 }
-
-// SpGEMMHeap is the heap-merge SpGEMM variant used for the DESIGN.md
-// ablation: instead of a dense accumulator it performs a k-way merge of the
-// B rows selected by each A row. Asymptotically better for hypersparse
-// outputs, usually slower in practice — which is the point of the ablation.
-func SpGEMMHeap[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC, add func(DC, DC) DC) *CSR[DC] {
-	return EmitCSR(a.NRows, b.NCols, a.Ptr, func(out *Rows[DC], lo, hi int) {
-		out.Reserve(ProductBound(a, b.Ptr, b.NCols, lo, hi))
-		longest := 0
-		for i := lo; i < hi; i++ {
-			longest = max(longest, a.Ptr[i+1]-a.Ptr[i])
-		}
-		h := make([]heapEntry[DA], 0, longest)
-		for i := lo; i < hi; i++ {
-			h = spgemmHeapRow(a, b, i, mul, add, h, out)
-			out.End(i)
-		}
-	})
-}
-
-// heapEntry is a cursor into one selected row of B during the k-way merge.
-type heapEntry[DA any] struct {
-	col  int // current column of this cursor
-	pos  int // storage position in b
-	end  int // end of this row's storage
-	aval DA  // the A value scaling this row
-}
-
-// spgemmHeapRow appends row i of a·b to out, merging in the empty heap h,
-// and returns h emptied again for the next row.
-func spgemmHeapRow[DA, DB, DC any](a *CSR[DA], b *CSR[DB], i int, mul func(DA, DB) DC, add func(DC, DC) DC, h []heapEntry[DA], out *Rows[DC]) []heapEntry[DA] {
-	for pa := a.Ptr[i]; pa < a.Ptr[i+1]; pa++ {
-		k := a.ColIdx[pa]
-		if b.Ptr[k] < b.Ptr[k+1] {
-			h = append(h, heapEntry[DA]{col: b.ColIdx[b.Ptr[k]], pos: b.Ptr[k], end: b.Ptr[k+1], aval: a.Val[pa]})
-		}
-	}
-	heapify(h)
-	start := len(out.Idx)
-	for len(h) > 0 {
-		top := h[0]
-		x := mul(top.aval, b.Val[top.pos])
-		if n := len(out.Idx); n > start && out.Idx[n-1] == top.col {
-			out.Val[n-1] = add(out.Val[n-1], x)
-		} else {
-			out.Idx = append(out.Idx, top.col)
-			out.Val = append(out.Val, x)
-		}
-		top.pos++
-		if top.pos < top.end {
-			top.col = b.ColIdx[top.pos]
-			h[0] = top
-			siftDown(h, 0)
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-			if len(h) > 0 {
-				siftDown(h, 0)
-			}
-		}
-	}
-	return h
-}
-
-func heapify[DA any](h []heapEntry[DA]) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-}
-
-func siftDown[DA any](h []heapEntry[DA], i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h) && h[l].col < h[smallest].col {
-			smallest = l
-		}
-		if r < len(h) && h[r].col < h[smallest].col {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-}
