@@ -608,13 +608,16 @@ func BenchmarkAblation_MaskedSpGEMM(b *testing.B) {
 			flops += u.Ptr[k+1] - u.Ptr[k]
 			steps += l.Ptr[k+1] - l.Ptr[k]
 		}
+		scans := sparse.DotScans(l.NRows, l, mask)
 		for _, v := range []struct {
 			name string
 			run  func()
 		}{
 			{"slots", func() { _ = sparse.SpGEMM(l, u, mul, add, mask) }},
 			{"transpose+slots", func() { _ = sparse.SpGEMM(l, l.Transpose(), mul, add, mask) }},
-			{"dot", func() { _ = sparse.Ring[float64, float64, float64]{Mul: mul, Add: add}.SpGEMMDotMasked(l, l, mask) }},
+			{"dot", func() {
+				_ = sparse.Ring[float64, float64, float64]{Mul: mul, Add: add}.SpGEMMDotMasked(l, l, mask, scans)
+			}},
 		} {
 			b.Run(fmt.Sprintf("scale=%d/%s", scale, v.name), func(b *testing.B) {
 				b.ReportAllocs()
@@ -758,6 +761,80 @@ func BenchmarkAblation_MxVCrossover(b *testing.B) {
 		if share.den >= 2 {
 			run("m4push_"+name, func() { _ = sparse.PushMxV(a, u, mul, add, mask) })
 			run("m4pull_"+name, func() { _ = sparse.DotMxV(at, u, mul, add, mask) })
+		}
+	}
+}
+
+// BenchmarkAblation_SplitCrossover is the table behind parallel.SplitWork:
+// four kernel families on RMAT scales 10–17 (edge factor 8, seed 1), each on
+// one worker and on two workers forced to split whatever the size. The
+// families are the pull (DotMxV over a full vector), the push (PushMxV of
+// every vertex), the masked dot (SpGEMMDotMasked under ⟨+, pair⟩, the
+// triangle kernel C⟨L⟩ = L·Lᵀ) and an EmitCSR merge (UnionCSR of A and Aᵀ),
+// every one under its predefined operators. Each row reports the steps its
+// kernel splits by — edges for the pull and the push, scans for the masked
+// dot, entries of A for the merge — so the first size from which two
+// workers beat one on every family can be read off in the floor's unit.
+// Run it at -cpu 2.
+func BenchmarkAblation_SplitCrossover(b *testing.B) {
+	plus := func(x, y float64) float64 { return x + y }
+	ring := sparse.Ring[float64, float64, float64]{
+		Mul: func(x, y float64) float64 { return x * y }, Add: plus, MulOp: sparse.OpTimes, AddOp: sparse.OpPlus,
+	}
+	pair := sparse.Ring[int64, int64, int64]{
+		Mul: func(int64, int64) int64 { return 1 }, Add: func(x, y int64) int64 { return x + y }, MulOp: sparse.OpPair, AddOp: sparse.OpPlus,
+	}
+	for scale := 10; scale <= 17; scale++ {
+		g := generate.RMAT(scale, benchEF, 1).Dedup(true)
+		var is, js, li, lj []int
+		for _, e := range g.Edges {
+			is, js = append(is, e.Src), append(js, e.Dst)
+		}
+		for _, e := range generate.RMAT(scale, benchEF, 1).Symmetrize().Dedup(true).Edges {
+			if e.Dst < e.Src {
+				li, lj = append(li, e.Src), append(lj, e.Dst)
+			}
+		}
+		a, ok := sparse.BuildCSR(g.N, g.N, is, js, make([]float64, len(is)), nil)
+		l, ok2 := sparse.BuildCSR(g.N, g.N, li, lj, make([]int64, len(li)), nil)
+		if !ok || !ok2 {
+			b.Fatal("BuildCSR")
+		}
+		for k := range a.Val {
+			a.Val[k] = 1 + float64(k%7)
+		}
+		at := a.Transpose()
+		full := make([]bool, g.N)
+		for k := range full {
+			full[k] = true
+		}
+		u := sparse.FromDense(make([]float64, g.N), full)
+		for k := range u.Val {
+			u.Val[k] = 1 + float64(k%5)
+		}
+		mask := &sparse.MatMask{NCols: g.N, EffPtr: l.Ptr, EffIdx: l.ColIdx, StrPtr: l.Ptr, StrIdx: l.ColIdx}
+		scans := sparse.DotScans(g.N, l, mask)
+		for _, f := range []struct {
+			name  string
+			steps int
+			run   func()
+		}{
+			{"pull", a.NNZ(), func() { ring.DotMxV(at, u, nil).Release() }},
+			{"push", a.NNZ(), func() { ring.PushMxV(a, u, nil).Release() }},
+			{"dotmasked", scans[g.N], func() { pair.SpGEMMDotMasked(l, l, mask, scans).Release() }},
+			{"merge", a.NNZ(), func() { sparse.UnionCSR(a, at, plus, sparse.OpPlus).Release() }},
+		} {
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/scale=%d/workers=%d", f.name, scale, workers), func(b *testing.B) {
+					parallel.SetMaxWorkersForTest(b, workers)
+					parallel.SetSplitWorkForTest(b, 0)
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						f.run()
+					}
+					b.ReportMetric(float64(f.steps), "steps")
+				})
+			}
 		}
 	}
 }

@@ -43,6 +43,7 @@ func TestMain(m *testing.M) {
 // semiring has neither, payloads must match too.
 func TestQuickBuiltinKernelsBitIdentical(t *testing.T) {
 	parallel.SetMaxWorkersForTest(t, 2)
+	parallel.SetSplitWorkForTest(t, chunkedSplitWork)
 	push, pull := obs.MxVDirection.Value("push"), obs.MxVDirection.Value("pull")
 	for _, c := range kernelCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -434,6 +435,7 @@ func TestQuickPartialPullBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			parallel.SetMaxWorkersForTest(t, workers)
+			parallel.SetSplitWorkForTest(t, chunkedSplitWork)
 			for _, c := range kernelCases() {
 				t.Run(c.name, func(t *testing.T) { c.partial(t, rand.New(rand.NewSource(int64(workers)))) })
 			}
@@ -453,6 +455,12 @@ var (
 )
 
 const specialRows = 11
+
+// chunkedSplitWork is the split floor the kernel comparisons run under. Their
+// 200-vertex operands hold some 6 000 entries, far under parallel.SplitWork;
+// under this floor the specialized loops run in chunks at two and four
+// workers, the same code a larger operand reaches at the real floor.
+const chunkedSplitWork = 1024
 
 func checkPartialPull[X, Y, Z any](t *testing.T, rng *rand.Rand, s core.Semiring[X, Y, Z], arith bool) {
 	t.Helper()

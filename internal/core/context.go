@@ -41,10 +41,12 @@ const (
 	// order — the pre-dataflow behavior, kept for ablation and debugging.
 	SchedSequential Scheduler = iota
 	// SchedDag builds the hazard DAG over the queue (internal/dataflow) and
-	// executes independent operations concurrently on a bounded worker pool,
-	// preserving observable program-order semantics. The default. It engages
-	// only when the worker bound exceeds one and the flush has more than one
-	// runnable operation; otherwise the sequential path runs.
+	// runs it on the flushing goroutine, which starts a helper (at most
+	// worker bound − 1 of them) only for an independent operation left ready
+	// while it is busy, preserving observable program-order semantics. The
+	// default. It engages only when the worker bound exceeds one and the
+	// flush has more than one runnable operation; otherwise the sequential
+	// path runs.
 	SchedDag
 )
 

@@ -4,6 +4,7 @@ import (
 	"graphblas/internal/faults"
 	"graphblas/internal/format"
 	"graphblas/internal/obs"
+	"graphblas/internal/pool"
 	"graphblas/internal/sparse"
 )
 
@@ -73,12 +74,16 @@ func MxM[DC, DA, DB, DM any](c *Matrix[DC], mask *Matrix[DM], accum BinaryOp[DC,
 				commit(prod.(*sparse.CSR[DC]))
 				return struct{}{}, true
 			})
-		} else if tran1 && mm != nil && !mm.Comp && sparse.DotMaskedWins(ad, bd, bt, mm) {
-			_, handled, fault = runFallible(func() (struct{}, bool) {
-				sp.NoteLayout("csr-dot")
-				commit(r.SpGEMMDotMasked(ad, bd, mm))
-				return struct{}{}, true
-			})
+		} else if tran1 && mm != nil && !mm.Comp {
+			scans := sparse.DotScans(ad.NRows, bd, mm)
+			defer pool.PutInts(scans)
+			if sparse.DotMaskedWins(ad, bd, bt, mm, scans) {
+				_, handled, fault = runFallible(func() (struct{}, bool) {
+					sp.NoteLayout("csr-dot")
+					commit(r.SpGEMMDotMasked(ad, bd, mm, scans))
+					return struct{}{}, true
+				})
+			}
 		}
 		if handled {
 			return nil

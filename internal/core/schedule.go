@@ -1,13 +1,16 @@
 package core
 
 // The DAG-parallel flush path: internal/dataflow supplies the hazard-graph
-// construction and the bounded worker pool; this file adapts the pending-op
-// queue to it and folds the concurrent outcomes back into the context's
-// sequential observable state (error log, first error, stats).
+// construction and the ready-node loop, which the flushing goroutine runs
+// itself, starting a helper only for a node left ready while it is busy;
+// this file adapts the pending-op queue to it and folds the concurrent
+// outcomes back into the context's sequential observable state (error log,
+// first error, stats).
 //
 // Concurrency contract. The flushing goroutine holds global.mu for the whole
-// flush, exactly as the sequential drain does; workers never touch the
-// context. Everything a worker does is safe under the hazard edges:
+// flush, exactly as the sequential drain does; an operation, whether the
+// flushing goroutine or a helper runs it, never touches the context.
+// Everything an operation does is safe under the hazard edges:
 //
 //   - object stores and caches are guarded by the per-object mutex
 //     (Matrix.mu / Vector.mu), so a reader and the independent producer of
@@ -114,11 +117,10 @@ func (c *context) runQueueDag(ctx stdctx.Context, nodes []*pendingOp, metas []da
 	results := make([]error, len(nodes))
 	rs := g.RunCancelable(parallel.MaxWorkers(), func(i int) {
 		if obs.ProfilingLabels() {
-			// The pprof label names the op kind while the worker executes it,
-			// so CPU profiles attribute samples to MxM vs Reduce rather than
-			// to an anonymous pool goroutine. Branching here (instead of
-			// always calling obs.Do) keeps the disabled path free of the
-			// label-closure allocation.
+			// The pprof label names the op kind while it executes, so CPU
+			// profiles attribute samples to MxM vs Reduce rather than to the
+			// flush. Branching here (instead of always calling obs.Do) keeps
+			// the disabled path free of the label-closure allocation.
 			obs.Do(nodes[i].name, func() { results[i] = runOpAt(nodes[i], gate, i, serialBody) })
 			return
 		}

@@ -4,8 +4,9 @@
 // agrees with program order; this package supplies the machinery that makes
 // deferral pay: at flush time the deferred sequence is converted into a
 // dependency DAG over the opaque objects each operation reads and writes,
-// and operations with no path between them execute concurrently on a
-// bounded worker pool.
+// and operations with no path between them may execute concurrently: the
+// flushing goroutine runs the graph itself and starts a bounded number of
+// helpers only when independent operations are ready together.
 //
 // Hazard model. Every operation writes exactly one output object and reads a
 // set of input objects (operands and masks; an accumulating or merging
@@ -21,13 +22,14 @@
 // All edges point from an earlier program position to a later one, so the
 // graph is acyclic by construction and the first queued op is always ready.
 //
-// The scheduler dispatches ready operations to workers in ascending
-// program-position order (a min-heap, not a FIFO). That policy is what makes
-// the engine's deterministic fault-injection gate deadlock-free: a worker
-// may block waiting for every earlier op to pass its injection site, and
-// min-position dispatch guarantees the earliest unfinished op is always
-// either running or the next one popped, never stranded behind blocked
-// workers (see internal/faults.Sequencer).
+// The scheduler dispatches ready operations in ascending program-position
+// order (a min-heap, not a FIFO). That policy is what makes the engine's
+// deterministic fault-injection gate deadlock-free: an executor may block
+// waiting for every earlier op to pass its injection site, and min-position
+// dispatch guarantees the earliest unfinished op is always either running
+// or the next one popped — by the executor that made it ready, if no other
+// took it — never stranded behind blocked executors (see
+// internal/faults.Sequencer and DESIGN.md §7).
 //
 // The package is semantics-free: it sees operations only as (out, reads,
 // overwrites) triples plus an opaque executor callback. Program-order error
@@ -281,16 +283,17 @@ func (h *readyQueue) pop() int32 {
 	return x
 }
 
-// Run executes every node on a pool of at most workers goroutines,
-// dispatching a node only after all of its dependencies completed, earliest
-// ready node first. exec is called exactly once per node and must not be nil.
+// Run executes every node, dispatching a node only after all of its
+// dependencies completed, earliest ready node first, on the calling
+// goroutine and at most workers − 1 helpers. exec is called exactly once per
+// node and must not be nil.
 //
 // A panic escaping exec is captured per node (via parallel.Capture) rather
 // than allowed to unwind: the node's dependents are still released — so the
-// pool can never deadlock on a faulty node — and the first captured panic is
-// re-raised, with the worker's stack preserved, after every node has
-// completed. Callers that want per-node error semantics (internal/core does)
-// should convert panics to errors inside exec instead.
+// run can never deadlock on a faulty node — and the first captured panic is
+// re-raised, with the executing goroutine's stack preserved, after every
+// node has completed. Callers that want per-node error semantics
+// (internal/core does) should convert panics to errors inside exec instead.
 func (g *Graph) Run(workers int, exec func(node int)) RunStats {
 	return g.RunCancelable(workers, exec, nil, nil)
 }
@@ -298,102 +301,145 @@ func (g *Graph) Run(workers int, exec func(node int)) RunStats {
 // RunCancelable is Run with cooperative cancellation. When stop is non-nil
 // and returns true at dispatch time, the popped node is not executed:
 // skip(node) is called in its place (outside the scheduler lock, exactly once
-// per skipped node) and the node's dependents are still released, so the pool
+// per skipped node) and the node's dependents are still released, so the run
 // drains without deadlock and every node is observed exactly once — by exec
 // or by skip. Nodes already executing when stop first reports true run to
 // completion; cancellation stops *dispatch*, it does not interrupt kernels.
 // A nil stop (or one that never fires) makes this identical to Run. skip must
 // not panic; exec panics are captured per node as in Run.
+//
+// The caller runs the ready-node loop itself. A helper goroutine starts only
+// when a node is left ready while every executor that could take it is busy,
+// and never more than workers − 1 of them: a line of dependent nodes, or a
+// flush of one, never leaves the calling goroutine, and a wide flush runs
+// its nodes side by side. A helper that finds nothing ready waits for the
+// next node and leaves when the last one completes; the caller returns only
+// after every helper has left.
 func (g *Graph) RunCancelable(workers int, exec func(node int), stop func() bool, skip func(node int)) RunStats {
 	n := g.Nodes()
 	if n == 0 {
 		return RunStats{}
 	}
-	if workers > n {
-		workers = n
+	r := &run{
+		g: g, exec: exec, stop: stop, skip: skip,
+		helpers:   min(max(workers, 1), n) - 1,
+		ready:     readyQueue(pool.GetInt32s(n)[:0]),
+		indeg:     pool.GetInt32s(n),
+		remaining: n,
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		mu        sync.Mutex
-		cond      = sync.NewCond(&mu)
-		ready     = readyQueue(pool.GetInt32s(n)[:0])
-		indeg     = pool.GetInt32s(n)
-		remaining = n
-		running   int
-		maxWidth  int
-		pan       *parallel.Panic
-	)
-	copy(indeg, g.indeg)
+	r.cond.L = &r.mu
+	copy(r.indeg, g.indeg)
 	for i := int32(0); i < int32(n); i++ {
-		if indeg[i] == 0 {
-			ready.push(i)
+		if r.indeg[i] == 0 {
+			r.ready.push(i)
 		}
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mu.Lock()
-			for {
-				for len(ready) == 0 && remaining > 0 {
-					cond.Wait()
-				}
-				if remaining == 0 {
-					mu.Unlock()
-					return
-				}
-				node := int(ready.pop())
-				canceled := stop != nil && stop()
-				if !canceled {
-					running++
-					if running > maxWidth {
-						maxWidth = running
-					}
-				}
-				width := running
-				mu.Unlock()
-				var p *parallel.Panic
-				if canceled {
-					if skip != nil {
-						skip(node)
-					}
-				} else {
-					obs.DagDispatches.Inc()
-					obs.DagWidth.SetMax(int64(width))
-					p = parallel.Capture(func() { exec(node) })
-				}
+	r.mu.Lock()
+	r.loop()
+	r.wg.Wait()
+	pool.PutInt32s(r.indeg)
+	pool.PutInt32s(r.ready)
+	if r.pan != nil {
+		panic(r.pan)
+	}
+	return RunStats{MaxWidth: r.maxWidth}
+}
 
-				mu.Lock()
-				if !canceled {
-					running--
-				}
-				if p != nil && pan == nil {
-					pan = p
-				}
-				if p != nil {
-					obs.DagPoisoned.Inc()
-				}
-				for _, s := range g.Succ(node) {
-					indeg[s]--
-					if indeg[s] == 0 {
-						ready.push(s)
-					}
-				}
-				remaining--
-				// Wake everyone: newly ready nodes may outnumber one waiter,
-				// and the remaining==0 exit must reach all parked workers.
-				cond.Broadcast()
+// run is one RunCancelable's state. mu guards the fields below it; cond
+// wakes an idle executor when a node is left ready and every one when the
+// last node completes.
+type run struct {
+	g    *Graph
+	exec func(node int)
+	stop func() bool
+	skip func(node int)
+	wg   sync.WaitGroup
+
+	mu        sync.Mutex
+	cond      sync.Cond
+	helpers   int // helpers that may still be started
+	idle      int // executors waiting for a ready node
+	ready     readyQueue
+	indeg     []int32
+	remaining int // nodes not yet completed
+	running   int // nodes executing now
+	maxWidth  int
+	pan       *parallel.Panic
+}
+
+// loop is the ready-node loop every executor runs, the caller and each
+// helper alike: pop the earliest ready node, hand what else is ready to an
+// idle executor or a new helper, execute the node, release its dependents.
+// It is entered with mu held and returns with mu released, once the last
+// node has completed.
+func (r *run) loop() {
+	for {
+		for len(r.ready) == 0 && r.remaining > 0 {
+			r.idle++
+			r.cond.Wait()
+			r.idle--
+		}
+		if r.remaining == 0 {
+			r.mu.Unlock()
+			return
+		}
+		node := int(r.ready.pop())
+		if len(r.ready) > 0 {
+			switch {
+			case r.idle > 0:
+				r.cond.Signal()
+			case r.helpers > 0:
+				r.helpers--
+				r.wg.Add(1)
+				go r.help()
 			}
-		}()
+		}
+		canceled := r.stop != nil && r.stop()
+		if !canceled {
+			r.running++
+			r.maxWidth = max(r.maxWidth, r.running)
+		}
+		width := r.running
+		r.mu.Unlock()
+		var p *parallel.Panic
+		if canceled {
+			if r.skip != nil {
+				r.skip(node)
+			}
+		} else {
+			obs.DagDispatches.Inc()
+			obs.DagWidth.SetMax(int64(width))
+			p = parallel.Capture(func() { r.exec(node) })
+		}
+
+		r.mu.Lock()
+		if !canceled {
+			r.running--
+		}
+		if p != nil {
+			obs.DagPoisoned.Inc()
+			if r.pan == nil {
+				r.pan = p
+			}
+		}
+		for _, s := range r.g.Succ(node) {
+			r.indeg[s]--
+			if r.indeg[s] == 0 {
+				r.ready.push(s)
+			}
+		}
+		r.remaining--
+		if r.remaining == 0 {
+			// The exit must reach every waiting helper.
+			r.cond.Broadcast()
+		}
 	}
-	wg.Wait()
-	pool.PutInt32s(indeg)
-	pool.PutInt32s(ready)
-	if pan != nil {
-		panic(pan)
-	}
-	return RunStats{MaxWidth: maxWidth}
+}
+
+// help is a helper goroutine's body: the ready-node loop until the last
+// node completes.
+func (r *run) help() {
+	defer r.wg.Done()
+	r.mu.Lock()
+	r.loop()
 }

@@ -3,6 +3,8 @@ package dataflow
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -397,8 +399,10 @@ func TestBuildMatchesMapReference(t *testing.T) {
 // TestBuildAndRunAllocations: a flush's graph over numbered objects costs
 // the Graph header, and its bookkeeping, arrays and ready queue come from
 // the pool. Building and releasing a 24-op line allocates only the header,
-// and running a graph allocates the scheduler's own synchronization and its
-// one worker — nine objects, as many for a 600-op line as for a 24-op one.
+// and running a graph allocates only the run's own state — its lock, its
+// wait group and the queue's bookkeeping, one object — since a line never
+// starts a helper: one allocation, as many for a 600-op line as for a 24-op
+// one, at one worker or four.
 func TestBuildAndRunAllocations(t *testing.T) {
 	line := func(n int) []OpMeta {
 		var ops []OpMeta
@@ -413,15 +417,130 @@ func TestBuildAndRunAllocations(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, build); allocs > 1 {
 		t.Errorf("Build+Release allocates %.1f per call, want the Graph alone", allocs)
 	}
-	runAllocs := func(ops []OpMeta) float64 {
+	runAllocs := func(ops []OpMeta, workers int) float64 {
 		g := Build(ops)
 		defer g.Release()
-		run := func() { g.Run(1, func(int) {}) }
+		run := func() { g.Run(workers, func(int) {}) }
 		run()
 		return testing.AllocsPerRun(20, run)
 	}
-	const runBudget = 9 // the scheduler's synchronization and its one worker
-	if a, b := runAllocs(short), runAllocs(long); a != runBudget || b != runBudget {
-		t.Errorf("Run allocates %.1f per call on 24 nodes and %.1f on 600, budget %d: the in-degree copy or the ready queue is no longer pooled", a, b, runBudget)
+	const runBudget = 1 // the run's state; no goroutine
+	for _, workers := range []int{1, 4} {
+		if a, b := runAllocs(short, workers), runAllocs(long, workers); a != runBudget || b != runBudget {
+			t.Errorf("Run at %d workers allocates %.1f per call on 24 nodes and %.1f on 600, budget %d: the in-degree copy or the ready queue is no longer pooled, or a line started a helper", workers, a, b, runBudget)
+		}
+	}
+}
+
+// goid is the calling goroutine's id, read from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// TestRunLineStaysOnCaller: a chained flush — every node reading the one
+// before — runs each node on the calling goroutine and starts no other, at
+// any worker count.
+func TestRunLineStaysOnCaller(t *testing.T) {
+	var ops []OpMeta
+	for i := 0; i < 12; i++ {
+		ops = append(ops, OpMeta{Out: uint64(i + 1), Reads: []uint64{uint64(i)}, Overwrites: true})
+	}
+	g := Build(ops)
+	defer g.Release()
+	caller, before := goid(), runtime.NumGoroutine()
+	ran := 0
+	rs := g.Run(4, func(i int) {
+		if id := goid(); id != caller {
+			t.Errorf("node %d ran on goroutine %s, the caller is %s", i, id, caller)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("node %d saw %d goroutines, %d before the run: a helper started", i, n, before)
+		}
+		ran++
+	})
+	if ran != len(ops) || rs.MaxWidth != 1 {
+		t.Fatalf("ran %d of %d nodes at width %d, want all at width 1", ran, len(ops), rs.MaxWidth)
+	}
+}
+
+// TestRunWideFlushReachesTwo: eight independent chains at two workers and
+// GOMAXPROCS 2 run two nodes side by side — the caller and the one helper
+// it may start.
+func TestRunWideFlushReachesTwo(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var ops []OpMeta
+	for c := 0; c < 8; c++ {
+		for k := 0; k < 4; k++ {
+			out := uint64(100*c + k + 1)
+			ops = append(ops, OpMeta{Out: out, Reads: []uint64{out - 1}, Overwrites: true})
+		}
+	}
+	g := Build(ops)
+	defer g.Release()
+	var cur, peak atomic.Int32
+	rs := g.Run(2, func(int) {
+		n := cur.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(200 * time.Microsecond)
+		cur.Add(-1)
+	})
+	if rs.MaxWidth != 2 || peak.Load() != 2 {
+		t.Fatalf("eight chains at two workers ran at width %d (observed %d), want 2", rs.MaxWidth, peak.Load())
+	}
+}
+
+// TestRunCallerPanicWaitsForEveryNode: a panic in a node the caller runs is
+// captured like a helper's, the nodes after it still run, and it reaches the
+// caller as a *parallel.Panic naming the panicking frame only once every
+// node has finished.
+func TestRunCallerPanicWaitsForEveryNode(t *testing.T) {
+	var ops []OpMeta
+	for i := 0; i < 5; i++ {
+		ops = append(ops, OpMeta{Out: uint64(i + 1), Reads: []uint64{uint64(i)}, Overwrites: true})
+	}
+	g := Build(ops)
+	defer g.Release()
+	ran := 0
+	func() {
+		defer func() {
+			p, ok := recover().(*parallel.Panic)
+			if !ok {
+				t.Fatal("the caller-run node's panic did not resurface as a *parallel.Panic")
+			}
+			if !strings.Contains(string(p.Stack), "TestRunCallerPanicWaitsForEveryNode") {
+				t.Errorf("the captured stack does not name the panicking frame:\n%s", p.Stack)
+			}
+		}()
+		g.Run(2, func(i int) {
+			ran++
+			if i == 1 {
+				panic("node 1 exploded")
+			}
+		})
+	}()
+	if ran != len(ops) {
+		t.Fatalf("%d of %d nodes ran before the panic resurfaced", ran, len(ops))
+	}
+}
+
+// TestRunCancelMidLine: once stop fires partway down a line, the node the
+// caller pops next and every one after it are skipped, each exactly once,
+// and none of them executes.
+func TestRunCancelMidLine(t *testing.T) {
+	var ops []OpMeta
+	for i := 0; i < 8; i++ {
+		ops = append(ops, OpMeta{Out: uint64(i + 1), Reads: []uint64{uint64(i)}, Overwrites: true})
+	}
+	g := Build(ops)
+	defer g.Release()
+	var executed, skipped []int
+	g.RunCancelable(2, func(i int) { executed = append(executed, i) },
+		func() bool { return len(executed) == 3 },
+		func(i int) { skipped = append(skipped, i) })
+	if fmt.Sprint(executed) != "[0 1 2]" || fmt.Sprint(skipped) != "[3 4 5 6 7]" {
+		t.Fatalf("executed %v and skipped %v, want [0 1 2] and [3 4 5 6 7]", executed, skipped)
 	}
 }

@@ -99,6 +99,10 @@ func productModel(a, b *sparse.CSR[float64]) map[[2]int]float64 {
 // payloads.
 func TestQuickCSRKernelsBitIdentical(t *testing.T) {
 	parallel.SetMaxWorkersForTest(t, 1)
+	// The chunked shape's 2 450 entries split under a floor of 1 024 steps;
+	// at parallel.SplitWork the dense model would cost seconds a draw, and
+	// the chunked loops are the same code at any floor.
+	parallel.SetSplitWorkForTest(t, 1024)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		for _, sh := range []struct {

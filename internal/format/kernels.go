@@ -5,6 +5,7 @@ import (
 
 	"graphblas/internal/faults"
 	"graphblas/internal/parallel"
+	"graphblas/internal/pool"
 	"graphblas/internal/sparse"
 )
 
@@ -37,7 +38,7 @@ func DotMxVBitmap[DA, DU, DC any](a *Bitmap[DA], u *sparse.Vec[DU], mul func(DA,
 	dense, ubits := denseWithBits(u, a.Words)
 	rowOut := make([]DC, a.NRows)
 	rowHas := make([]bool, a.NRows)
-	parallel.For(a.NRows, 8, func(lo, hi int) {
+	parallel.For(a.NRows, a.NRows*a.Words, func(lo, hi int) {
 		cur := sparse.MaskCursor{Mask: mask}
 		for i := lo; i < hi; i++ {
 			if !cur.Allows(i) {
@@ -93,7 +94,13 @@ type Arith interface {
 func spGEMMBitmapPlusTimes[T Arith](a *sparse.CSR[T], b *Bitmap[T]) *Bitmap[T] {
 	faults.Step("format.kernel.bitmap.mxm.fast")
 	out := NewBitmap[T](a.NRows, b.NCols)
-	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
+	// Each entry of A walks a row of B's words.
+	steps := pool.GetInts(a.NRows + 1)
+	defer pool.PutInts(steps)
+	for i, p := range a.Ptr[:a.NRows+1] {
+		steps[i] = p * b.Words
+	}
+	parallel.ForWeighted(a.NRows, steps, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ob := out.RowBits(i)
 			ov := out.RowVals(i)

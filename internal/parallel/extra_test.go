@@ -5,15 +5,6 @@ import (
 	"testing"
 )
 
-func TestForEachIndex(t *testing.T) {
-	var sum int64
-	ForEachIndex(100, 7, func(i int) { atomic.AddInt64(&sum, int64(i)) })
-	if sum != 4950 {
-		t.Fatalf("sum %d", sum)
-	}
-	ForEachIndex(0, 1, func(int) { t.Fatal("called for empty range") })
-}
-
 func TestForWeightedSmallFallsBackInline(t *testing.T) {
 	// Below the weight threshold everything runs in one call.
 	cum := []int{0, 1, 2, 3}
@@ -30,7 +21,7 @@ func TestForWeightedSmallFallsBackInline(t *testing.T) {
 }
 
 func TestForWeightedPanicPropagation(t *testing.T) {
-	n := 100000
+	n := SplitWork
 	cum := make([]int, n+1)
 	for i := 0; i < n; i++ {
 		cum[i+1] = cum[i] + 1

@@ -23,7 +23,7 @@ func TestPanicCarriesWorkerStack(t *testing.T) {
 			t.Fatalf("stack does not name the panicking frame:\n%s", p.Stack)
 		}
 	}()
-	For(1000, 1, func(lo, hi int) {
+	For(1000, SplitWork, func(lo, hi int) {
 		if lo <= 500 && 500 < hi {
 			panic("worker failure")
 		}
@@ -44,8 +44,8 @@ func TestPanicNotDoubleWrapped(t *testing.T) {
 			t.Fatal("panic wrapped twice")
 		}
 	}()
-	For(100, 1, func(lo, hi int) {
-		For(100, 1, func(lo2, hi2 int) {
+	For(100, SplitWork, func(lo, hi int) {
+		For(100, SplitWork, func(lo2, hi2 int) {
 			if lo2 == 0 && lo <= 50 && 50 < hi {
 				panic("inner")
 			}

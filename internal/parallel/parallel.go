@@ -19,6 +19,7 @@ var maxWorkers atomic.Int64
 
 func init() {
 	maxWorkers.Store(int64(runtime.GOMAXPROCS(0)))
+	splitWork.Store(SplitWork)
 }
 
 // SetMaxWorkers sets the worker bound for subsequent parallel loops and
@@ -43,44 +44,62 @@ func SetMaxWorkersForTest(t interface{ Cleanup(func()) }, n int) {
 	t.Cleanup(func() { SetMaxWorkers(prev) })
 }
 
-// For runs body(lo, hi) over a partition of [0, n) using up to MaxWorkers
-// goroutines. grain is the minimum chunk size per task; if n/grain is less
-// than two the loop runs inline on the calling goroutine. body must be safe
-// to call concurrently for disjoint ranges.
-func For(n, grain int, body func(lo, hi int)) {
+// SplitWork is the least work, in inner-loop steps, that a loop splits
+// across workers for: a loop whose steps total less runs whole on the
+// calling goroutine. It is where two workers first beat one in wall time on
+// every kernel family of BenchmarkAblation_SplitCrossover at -cpu 2
+// (EXPERIMENTS.md E27). Below it, starting and joining a second goroutine,
+// its stack and a chunk's scratch cost more than half the loop saves.
+const SplitWork = 1 << 18
+
+// splitWork is the floor the split rule reads: SplitWork, lowered only by
+// SetSplitWorkForTest.
+var splitWork atomic.Int64
+
+// SetSplitWorkForTest lowers (or raises) the split floor for the duration of
+// a test, so a fixture smaller than SplitWork can reach the chunked paths and
+// an ablation can time a split below the crossover; the cleanup restores the
+// previous floor.
+func SetSplitWorkForTest(t interface{ Cleanup(func()) }, work int) {
+	prev := splitWork.Swap(int64(work))
+	t.Cleanup(func() { splitWork.Store(prev) })
+}
+
+// splits reports whether a loop of work inner-loop steps over n items runs in
+// more than one range: more than one worker, more than one item, and at
+// least the split floor of work.
+func splits(n, work int) bool {
+	return MaxWorkers() > 1 && n > 1 && int64(work) >= splitWork.Load()
+}
+
+// For runs body(lo, hi) over a partition of [0, n) into equal ranges, one
+// per worker, when work — the loop's inner-loop steps, summed over all n
+// items — reaches the split floor; otherwise it calls body(0, n). Range 0
+// runs on the calling goroutine. body must be safe to call concurrently for
+// disjoint ranges.
+func For(n, work int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if grain < 1 {
-		grain = 1
-	}
-	workers := MaxWorkers()
-	chunks := n / grain
-	if chunks > workers {
-		chunks = workers
-	}
-	if chunks <= 1 {
+	if !splits(n, work) {
 		body(0, n)
 		return
 	}
+	chunks := min(MaxWorkers(), n)
+	// Chunk c covers [at(c), at(c+1)).
+	size, rem := n/chunks, n%chunks
+	at := func(c int) int { return c*size + min(c, rem) }
 	var wg sync.WaitGroup
 	var pan panicBox
-	wg.Add(chunks)
-	// Even split; chunk c covers [c*size+min(c,rem), ...).
-	size, rem := n/chunks, n%chunks
-	lo := 0
-	for c := 0; c < chunks; c++ {
-		hi := lo + size
-		if c < rem {
-			hi++
-		}
+	wg.Add(chunks - 1)
+	for c := 1; c < chunks; c++ {
 		go func(lo, hi int) {
 			defer wg.Done()
 			defer pan.capture()
 			body(lo, hi)
-		}(lo, hi)
-		lo = hi
+		}(at(c), at(c+1))
 	}
+	pan.run(func() { body(0, at(1)) })
 	wg.Wait()
 	pan.repanic()
 }
@@ -156,16 +175,6 @@ func Capture(f func()) (p *Panic) {
 	return nil
 }
 
-// ForEachIndex runs body(i) for each i in [0, n) in parallel with automatic
-// chunking. Convenience wrapper over For.
-func ForEachIndex(n, grain int, body func(i int)) {
-	For(n, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
 // PartitionByWeight splits [0, n) into at most parts contiguous ranges with
 // approximately equal total weight, where cum is a cumulative weight array of
 // length n+1 (cum[0] == 0, cum[i] is total weight of the first i items — the
@@ -238,24 +247,25 @@ func ForRanges(bounds []int, body func(k, lo, hi int)) {
 
 // WeightedBounds returns the ranges ForWeighted splits [0, n) into by the
 // cumulative weight array cum, laid out as PartitionByWeight lays them out,
-// or nil when it runs [0, n) as one call: one worker, one item, or less
-// total weight than a second goroutine pays for. A kernel that sizes each
+// or nil when it runs [0, n) as one call: one worker, one item, or a total
+// weight cum[n] under the split floor (SplitWork). cum counts inner-loop
+// steps, the unit the floor is measured in. A kernel that sizes each
 // chunk's output before running it partitions with this and runs the
 // ranges with ForRanges.
 func WeightedBounds(n int, cum []int) []int {
-	workers := MaxWorkers()
-	if workers <= 1 || n <= 1 || cum[n] < 2048 {
+	if !splits(n, cum[n]) {
 		return nil
 	}
-	if bounds := PartitionByWeight(n, workers, cum); len(bounds) > 2 {
+	if bounds := PartitionByWeight(n, MaxWorkers(), cum); len(bounds) > 2 {
 		return bounds
 	}
 	return nil
 }
 
 // ForWeighted runs body over [0, n) partitioned by the cumulative weight
-// array cum (length n+1), balancing total weight rather than index count.
-// Used for nnz-balanced row loops over CSR matrices.
+// array cum (length n+1, counted in inner-loop steps), balancing total
+// weight rather than index count, as WeightedBounds splits it. Used for
+// nnz-balanced row loops over CSR matrices.
 func ForWeighted(n int, cum []int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -265,16 +275,5 @@ func ForWeighted(n int, cum []int, body func(lo, hi int)) {
 		body(0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	var pan panicBox
-	wg.Add(len(bounds) - 1)
-	for k := 0; k+1 < len(bounds); k++ {
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer pan.capture()
-			body(lo, hi)
-		}(bounds[k], bounds[k+1])
-	}
-	wg.Wait()
-	pan.repanic()
+	ForRanges(bounds, func(_, lo, hi int) { body(lo, hi) })
 }

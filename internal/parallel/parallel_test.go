@@ -1,17 +1,19 @@
 package parallel
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
 
 func TestForCoversRangeExactlyOnce(t *testing.T) {
-	f := func(n16 uint16, grain8 uint8) bool {
+	SetMaxWorkersForTest(t, 4)
+	f := func(n16 uint16, work8 uint8) bool {
 		n := int(n16 % 5000)
-		grain := int(grain8)
+		work := int(work8) << 10 // from no work to twice SplitWork
 		hits := make([]int32, n)
-		For(n, grain, func(lo, hi int) {
+		For(n, work, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&hits[i], 1)
 			}
@@ -30,12 +32,12 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 
 func TestForEmptyAndSingle(t *testing.T) {
 	called := false
-	For(0, 1, func(lo, hi int) { called = true })
+	For(0, SplitWork, func(lo, hi int) { called = true })
 	if called {
 		t.Fatal("body called for n=0")
 	}
 	var total int64
-	For(1, 100, func(lo, hi int) { atomic.AddInt64(&total, int64(hi-lo)) })
+	For(1, SplitWork, func(lo, hi int) { atomic.AddInt64(&total, int64(hi-lo)) })
 	if total != 1 {
 		t.Fatalf("total %d", total)
 	}
@@ -64,6 +66,44 @@ func TestForWeightedCoversRange(t *testing.T) {
 	}
 }
 
+// TestSplitFloor: a loop splits across workers only from SplitWork steps
+// up, whatever its item count, and the range it runs on the caller is its
+// first; a floor lowered for a test applies until the test ends.
+func TestSplitFloor(t *testing.T) {
+	SetMaxWorkersForTest(t, 4)
+	ranges := func(n, work int) (got [][2]int) {
+		var mu sync.Mutex
+		For(n, work, func(lo, hi int) {
+			mu.Lock()
+			got = append(got, [2]int{lo, hi})
+			mu.Unlock()
+		})
+		return got
+	}
+	if got := ranges(1000, SplitWork-1); len(got) != 1 {
+		t.Fatalf("For under the floor ran %v, want one range", got)
+	}
+	if got := ranges(1000, SplitWork); len(got) != 4 {
+		t.Fatalf("For at the floor ran %v, want four ranges", got)
+	}
+	cum := make([]int, 1001)
+	for i := range 1000 {
+		cum[i+1] = cum[i] + SplitWork/1000
+	}
+	if b := WeightedBounds(1000, cum); b != nil {
+		t.Fatalf("WeightedBounds split %d steps, under the floor: %v", cum[1000], b)
+	}
+	t.Run("lowered", func(t *testing.T) {
+		SetSplitWorkForTest(t, 64)
+		if b := WeightedBounds(1000, cum); len(b) != 5 {
+			t.Fatalf("WeightedBounds with the floor at 64 gave %v, want four ranges", b)
+		}
+	})
+	if b := WeightedBounds(1000, cum); b != nil {
+		t.Fatal("the lowered floor outlived its test")
+	}
+}
+
 func TestPartitionByWeightBounds(t *testing.T) {
 	cum := []int{0, 10, 20, 30, 40, 50}
 	b := PartitionByWeight(5, 3, cum)
@@ -86,7 +126,7 @@ func TestPanicPropagation(t *testing.T) {
 			t.Fatal("panic not propagated from worker")
 		}
 	}()
-	For(1000, 1, func(lo, hi int) {
+	For(1000, SplitWork, func(lo, hi int) {
 		if lo <= 500 && 500 < hi {
 			panic("worker failure")
 		}
@@ -100,7 +140,7 @@ func TestSetMaxWorkers(t *testing.T) {
 	}
 	// With one worker everything runs inline.
 	ran := 0
-	For(100, 1, func(lo, hi int) { ran += hi - lo })
+	For(100, SplitWork, func(lo, hi int) { ran += hi - lo })
 	if ran != 100 {
 		t.Fatalf("ran %d", ran)
 	}

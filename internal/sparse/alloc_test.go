@@ -5,6 +5,7 @@ import (
 
 	"graphblas/internal/obs"
 	"graphblas/internal/parallel"
+	"graphblas/internal/pool"
 )
 
 // TestRecycledOutputsAllocBudget is the allocation-regression gate of the
@@ -103,7 +104,8 @@ func allocFixtureRows(t *testing.T, n int, keep func(i int) bool) *CSR[float64] 
 // intrinsic output — the CSR header, Ptr, ColIdx, Val — and the two
 // ForWeighted body closures (kernel loop, compaction). The slot and
 // position tables, the presence flags, the nnz(M)-long value slab and
-// DotMaskedWins' column counts come from internal/pool and must not show.
+// DotScans' row counts and DotMaskedWins' column counts come from
+// internal/pool and must not show.
 // A result released before the next call (as a freed or overwritten
 // matrix's store is) gives the next one its Ptr, ColIdx and Val, which
 // leaves the header and the closures.
@@ -115,16 +117,22 @@ func TestMaskedSpGEMMAllocBudget(t *testing.T) {
 	a := allocFixture(t, 64)
 	at := a.Transpose()
 	mask := &MatMask{NCols: a.NCols, EffPtr: a.Ptr, EffIdx: a.ColIdx, StrPtr: a.Ptr, StrIdx: a.ColIdx}
+	scans := DotScans(a.NRows, a, mask)
+	defer pool.PutInts(scans)
 	cases := []struct {
 		name   string
 		budget float64
 		run    func()
 	}{
 		{"SpGEMM/mask-shaped", 6, func() { SpGEMM(a, at, mulF, addF, mask) }},
-		{"SpGEMMDotMasked", 6, func() { ring(mulF, addF).SpGEMMDotMasked(a, a, mask) }},
+		{"SpGEMMDotMasked", 6, func() { ring(mulF, addF).SpGEMMDotMasked(a, a, mask, scans) }},
 		{"SpGEMM/mask-shaped/released", 3, func() { SpGEMM(a, at, mulF, addF, mask).Release() }},
-		{"SpGEMMDotMasked/released", 3, func() { ring(mulF, addF).SpGEMMDotMasked(a, a, mask).Release() }},
-		{"DotMaskedWins", 0, func() { DotMaskedWins(a, a, nil, mask) }},
+		{"SpGEMMDotMasked/released", 3, func() { ring(mulF, addF).SpGEMMDotMasked(a, a, mask, scans).Release() }},
+		{"DotScans+DotMaskedWins", 0, func() {
+			s := DotScans(a.NRows, a, mask)
+			DotMaskedWins(a, a, nil, mask, s)
+			pool.PutInts(s)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 
 	"graphblas/internal/obs"
 	"graphblas/internal/parallel"
+	"graphblas/internal/pool"
 )
 
 // TestBuiltinLoopTable pins which (⊗, ⊕, domain) the kernels specialize:
@@ -141,6 +142,8 @@ func TestBuiltinKernelsAllocBudget(t *testing.T) {
 		}
 	}
 	mask := &MatMask{NCols: a.NCols, EffPtr: a.Ptr, EffIdx: a.ColIdx, StrPtr: a.Ptr, StrIdx: a.ColIdx}
+	scans := DotScans(a.NRows, a, mask)
+	defer pool.PutInts(scans)
 	r := Ring[float64, float64, float64]{Mul: mulF, Add: addF, MulOp: OpTimes, AddOp: OpPlus}
 	sec := Ring[float64, float64, float64]{Mul: secondF, Add: addF, MulOp: OpSecond, AddOp: OpPlus}
 	cases := []struct {
@@ -153,7 +156,7 @@ func TestBuiltinKernelsAllocBudget(t *testing.T) {
 		{"DotMxV/partial ⟨+, second⟩", 2, func() { sec.DotMxV(at, partial, nil) }},
 		{"PushMxV", 2, func() { r.PushMxV(a, partial, nil) }},
 		{"SpGEMM/mask-shaped", 6, func() { r.SpGEMM(a, at, mask) }},
-		{"SpGEMMDotMasked", 6, func() { r.SpGEMMDotMasked(a, a, mask) }},
+		{"SpGEMMDotMasked", 6, func() { r.SpGEMMDotMasked(a, a, mask, scans) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

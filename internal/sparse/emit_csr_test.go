@@ -317,9 +317,11 @@ func csrCases(rng *rand.Rand, nr, nc int, p float64) []csrCase {
 // one, two and four workers — so also to itself across worker counts — and
 // requires its arrays to be sized for the result. The fixtures mix empty
 // rows, rows storing every column and signed-zero/NaN payloads, on a matrix
-// that splits into chunks, a single row, and a matrix with no entries.
+// that splits into chunks under the test's split floor (quickSplitWork), a
+// single row, and a matrix with no entries.
 func TestQuickCSRKernelsBitIdentical(t *testing.T) {
 	parallel.SetMaxWorkersForTest(t, 1)
+	parallel.SetSplitWorkForTest(t, quickSplitWork)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		shapes := []struct {
@@ -357,9 +359,9 @@ func TestQuickCSRKernelsBitIdentical(t *testing.T) {
 // closure — and a kernel's own per-chunk state: the sparse accumulator of a
 // product. An assign sorts its targets and writes its assigned rows (the
 // one row of an AssignRowCSR too) into pooled room, and a compiled merge
-// (OpPlus, OpTimes) allocates no more than the closure's. At four workers
-// the count may grow with the chunks (their goroutines), never with the
-// rows.
+// (OpPlus, OpTimes) allocates no more than the closure's. At four workers,
+// on a fixture sized from the split floor so that it runs in chunks, the
+// count may grow with the chunks (their goroutines), never with the rows.
 func TestCSRKernelsAllocBudget(t *testing.T) {
 	parallel.SetMaxWorkersForTest(t, 1)
 	prev := obs.SetTracer(nil)
@@ -414,6 +416,8 @@ func TestCSRKernelsAllocBudget(t *testing.T) {
 		{"AssignColCSR", 6, func(f fixture) *CSR[float64] { return AssignColCSR(f.a, f.u, f.rows[:f.u.N], 5, addF, f.vm, true) }},
 	}
 	small, large := fixtureOf(64), fixtureOf(256)
+	// 30 % of n² cells stored: 1.5 SplitWork entries.
+	chunked := fixtureOf(int(math.Ceil(math.Sqrt(5 * parallel.SplitWork))))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, f := range []fixture{small, large} {
@@ -424,9 +428,12 @@ func TestCSRKernelsAllocBudget(t *testing.T) {
 			}
 			parallel.SetMaxWorkers(4)
 			defer parallel.SetMaxWorkers(1)
-			chunks := len(parallel.WeightedBounds(large.a.NRows, large.a.Ptr)) - 1
-			tc.run(large)
-			if allocs := testing.AllocsPerRun(10, func() { tc.run(large) }); allocs > tc.budget+float64(12*chunks) {
+			chunks := len(parallel.WeightedBounds(chunked.a.NRows, chunked.a.Ptr)) - 1
+			if chunks < 2 {
+				t.Fatalf("the chunked fixture (%d entries) runs as %d chunk(s)", chunked.a.NNZ(), chunks)
+			}
+			tc.run(chunked)
+			if allocs := testing.AllocsPerRun(3, func() { tc.run(chunked) }); allocs > tc.budget+float64(12*chunks) {
 				t.Errorf("%s at 4 workers (%d chunks) allocates %.1f per call, over %.0f + 12 per chunk", tc.name, chunks, allocs, tc.budget)
 			}
 		})

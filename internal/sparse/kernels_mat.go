@@ -69,7 +69,7 @@ func ApplyCSR[DA, DC any](a *CSR[DA], f func(DA) DC) *CSR[DC] {
 	out.Ptr = append([]int(nil), a.Ptr...)
 	out.ColIdx = append([]int(nil), a.ColIdx...)
 	out.Val = make([]DC, len(a.Val))
-	parallel.For(len(a.Val), 4096, func(lo, hi int) {
+	parallel.For(len(a.Val), len(a.Val), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			out.Val[k] = f(a.Val[k])
 		}
@@ -594,7 +594,7 @@ func KronCSR[DA, DB, DC any](a *CSR[DA], b *CSR[DB], mul func(DA, DB) DC) *CSR[D
 	nnz := out.Ptr[nr]
 	out.ColIdx = make([]int, nnz)
 	out.Val = make([]DC, nnz)
-	parallel.For(a.NRows, 1, func(lo, hi int) {
+	parallel.For(a.NRows, nnz, func(lo, hi int) {
 		for ia := lo; ia < hi; ia++ {
 			for ib := 0; ib < b.NRows; ib++ {
 				r := ia*b.NRows + ib

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"graphblas/internal/parallel"
+	"graphblas/internal/pool"
 )
 
 func addF(x, y float64) float64 { return x + y }
@@ -327,13 +328,16 @@ type maskedCase struct {
 }
 
 // randMaskedCase draws the shapes the masked kernels must agree on. One
-// draw in four is large enough (nnz(A), nnz(M) ≥ 2048) for ForWeighted to
-// split it across workers; the rest are tiny and hit the degenerate rows.
+// draw in four is large: its inner dimension k, from SplitWork/512 up, gives
+// the products some 700 k flops and the dot kernel as many scans, past the
+// split floor, so at two and four workers their rows run in chunks
+// (TestQuickSpGEMMMaskedEqualsFiltered checks that they do). The rest are
+// tiny and hit the degenerate rows.
 func randMaskedCase(rng *rand.Rand) maskedCase {
 	m, k, n := 1+rng.Intn(12), 1+rng.Intn(12), 1+rng.Intn(12)
 	pa, pb, pm := 0.35, 0.35, 0.4
 	if rng.Intn(4) == 0 {
-		m, k, n = 128+rng.Intn(32), 64+rng.Intn(16), 96+rng.Intn(32)
+		m, k, n = 128+rng.Intn(32), parallel.SplitWork>>9+rng.Intn(16), 96+rng.Intn(32)
 		pa, pb, pm = 0.45, 0.3, 0.5
 	}
 	if rng.Intn(8) == 0 {
@@ -429,6 +433,14 @@ func TestQuickSpGEMMMaskedEqualsFiltered(t *testing.T) {
 			f := func(seed int64) bool {
 				mc := randMaskedCase(rand.New(rand.NewSource(seed)))
 				bt := mc.b.Transpose()
+				if mc.a.NRows >= 128 {
+					flops, scans := productSteps(mc.a, bt.Ptr), DotScans(mc.a.NRows, mc.b, mc.resolve(false))
+					if flops[mc.a.NRows] < parallel.SplitWork || mc.mp.NNZ() > 0 && scans[mc.a.NRows] < parallel.SplitWork {
+						t.Fatalf("seed %d: a large draw holds %d flops and %d scans, under the split floor %d", seed, flops[mc.a.NRows], scans[mc.a.NRows], parallel.SplitWork)
+					}
+					pool.PutInts(flops)
+					pool.PutInts(scans)
+				}
 				full := SpGEMM(mc.a, bt, mul, addF, nil)
 				for _, comp := range []bool{false, true} {
 					mask := mc.resolve(comp)
@@ -437,7 +449,13 @@ func TestQuickSpGEMMMaskedEqualsFiltered(t *testing.T) {
 						t.Logf("seed %d comp=%v: SpGEMM differs from the filtered product", seed, comp)
 						return false
 					}
-					if !comp && !sameCSR(ring(mul, addF).SpGEMMDotMasked(mc.a, mc.b, mask), want) {
+					if comp {
+						continue
+					}
+					scans := DotScans(mc.a.NRows, mc.b, mask)
+					dot := ring(mul, addF).SpGEMMDotMasked(mc.a, mc.b, mask, scans)
+					pool.PutInts(scans)
+					if !sameCSR(dot, want) {
 						t.Logf("seed %d: SpGEMMDotMasked differs from the filtered product", seed)
 						return false
 					}
@@ -464,15 +482,20 @@ func TestDotMaskedWins(t *testing.T) {
 	}
 	l, _ := BuildCSR(4, 4, is, js, vs, nil)
 	mask := &MatMask{NCols: 4, EffPtr: l.Ptr, EffIdx: l.ColIdx, StrPtr: l.Ptr, StrIdx: l.ColIdx}
+	wins := func(b, bt *CSR[float64]) bool {
+		scans := DotScans(4, b, mask)
+		defer pool.PutInts(scans)
+		return DotMaskedWins(l, b, bt, mask, scans)
+	}
 	// dot work Σ_{(i,j)} |L(j)| = 0+0+1+0+1+2 = 4; Gustavson flops
 	// Σ_{(i,k)} |Lᵀ(k)| = 3+3+2+3+2+1 = 14; nnz(L) = 6.
-	if !DotMaskedWins(l, l, nil, mask) || !DotMaskedWins(l, l, l.Transpose(), mask) {
+	if !wins(l, nil) || !wins(l, l.Transpose()) {
 		t.Fatal("dot kernel should win on the lower triangle (4 ≤ 14)")
 	}
 	// With B = U = Lᵀ (the product L·L under mask L) the two counts swap:
 	// 14 dot steps against 4 flops, + 6 only while Uᵀ is still to be built.
 	u := l.Transpose()
-	if DotMaskedWins(l, u, nil, mask) || DotMaskedWins(l, u, l, mask) {
+	if wins(u, nil) || wins(u, l) {
 		t.Fatal("Gustavson should win on L·L (14 > 4 + 6)")
 	}
 }
@@ -486,8 +509,9 @@ func TestDotMaskedWins(t *testing.T) {
 // a structural complement. ⊕ = x/2 + y is neither commutative nor
 // associative and the values span sixteen decades, so a target folded in any
 // order but ascending k fails; ⊗ = x − 3y catches swapped operands. One draw
-// in four carries more than pushParallelMinWork edges, so at 2 and 4 workers
-// the parallel scatter and the chunked row loop are what is compared.
+// in four stores more edges than the test's split floor (quickSplitWork),
+// so at 2 and 4 workers the chunked row loop, and under a dense enough
+// frontier the parallel scatter, are what is compared.
 func TestQuickPushPullBitIdentical(t *testing.T) {
 	mul := func(x, y float64) float64 { return x - 3*y }
 	add := func(x, y float64) float64 { return x/2 + y }
@@ -497,6 +521,7 @@ func TestQuickPushPullBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			parallel.SetMaxWorkersForTest(t, workers)
+			parallel.SetSplitWorkForTest(t, quickSplitWork)
 			f := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
 				nr, nc, p := 1+rng.Intn(15), 1+rng.Intn(15), 0.3
@@ -518,6 +543,9 @@ func TestQuickPushPullBitIdentical(t *testing.T) {
 				a, ok := BuildCSR(nr, nc, is, js, vs, nil)
 				if !ok {
 					t.Fatal("BuildCSR failed")
+				}
+				if nr > 15 && a.NNZ() < quickSplitWork {
+					t.Fatalf("seed %d: a large draw stores %d edges, under the test's split floor %d", seed, a.NNZ(), quickSplitWork)
 				}
 				at := a.Transpose()
 				fill := []float64{0, 0.1, 0.5, 0.9, 1}[rng.Intn(5)]
@@ -588,7 +616,7 @@ func TestPullWins(t *testing.T) {
 		mask   *VecMask
 		want   bool
 	}{
-		// 1536 edges: under pushParallelMinWork, whatever else holds.
+		// 1536 edges: under pullMinEdges, whatever else holds.
 		{"three rows, below the parallel floor", seq(0, 3), true, nil, false},
 		{"only empty rows", seq(8, 12), true, nil, false},
 		// Aᵀ in hand: 4·push ≥ 3·4096 from 3072 edges, six rows, up.
@@ -600,7 +628,7 @@ func TestPullWins(t *testing.T) {
 		{"seven rows, nothing cached", seq(0, 7), false, nil, true},
 		{"every edge and an empty row, nothing cached", seq(0, 9), false, nil, true},
 		// The mask admits columns 0..255: pull work 256·8 = 2048, reached by
-		// 4·push from 1536 edges up, so the parallel floor decides.
+		// 4·push from 1536 edges up, so pullMinEdges decides.
 		{"three rows, half the targets admitted", seq(0, 3), true, half, false},
 		{"four rows, half the targets admitted", seq(0, 4), true, half, true},
 		// The complement of a structure 0..127 leaves 384·8 = 3072:
@@ -895,4 +923,19 @@ func TestPartitionByWeight(t *testing.T) {
 	if got.NNZ() != 0 {
 		t.Fatalf("empty B should give empty product")
 	}
+}
+
+// quickSplitWork is the split floor the randomized kernel tests whose
+// reference is dense run under: a fixture past parallel.SplitWork would
+// cost seconds a draw, and the chunked loops are the same code at any
+// floor. The fixed-size tests (TestPushMxV_ParallelMatchesSerial,
+// TestQuickSpGEMMMaskedEqualsFiltered's large draws, the chunk rows of
+// TestCSRKernelsAllocBudget) are sized from SplitWork itself.
+const quickSplitWork = 1024
+
+// largeSide is the side of a square fixture that stores at least 1.25·work
+// entries when a fraction fill of its cells is stored: a fixture sized from
+// the split floor this way splits at two and four workers.
+func largeSide(work int, fill float64) int {
+	return int(math.Ceil(math.Sqrt(1.25 * float64(work) / fill)))
 }

@@ -36,7 +36,9 @@ func (r Ring[DA, DB, DC]) SpGEMM(a *CSR[DA], b *CSR[DB], mask *MatMask) *CSR[DC]
 	mul, add := r.Mul, r.Add
 	faults.Step("sparse.kernel.spgemm")
 	done := obs.KernelStart("spgemm")
-	c := EmitCSR(a.NRows, b.NCols, a.Ptr, func(out *Rows[DC], lo, hi int) {
+	flops := productSteps(a, b.Ptr)
+	defer pool.PutInts(flops)
+	c := EmitCSR(a.NRows, b.NCols, flops, func(out *Rows[DC], lo, hi int) {
 		out.Reserve(ProductBound(a, b.Ptr, b.NCols, lo, hi))
 		spa := NewSPA[DC](b.NCols)
 		if mask == nil {
@@ -85,6 +87,21 @@ func (r Ring[DA, DB, DC]) SpGEMM(a *CSR[DA], b *CSR[DB], mask *MatMask) *CSR[DC]
 	return c
 }
 
+// productSteps is the cumulative flops of a·b by row, b given by its row
+// pointer: row i folds Σ_{k∈A(i)} |B(k)| products, the inner-loop steps a
+// product's rows are split by. The caller puts it back in the pool.
+func productSteps[D any](a *CSR[D], bPtr []int) []int {
+	cum := pool.GetInts(a.NRows + 1)
+	for i := 0; i < a.NRows; i++ {
+		flops := 0
+		for _, k := range a.ColIdx[a.Ptr[i]:a.Ptr[i+1]] {
+			flops += bPtr[k+1] - bPtr[k]
+		}
+		cum[i+1] = cum[i] + flops
+	}
+	return cum
+}
+
 // ProductBound bounds the entries rows [lo, hi) of a·b can hold, b given by
 // its row pointer bPtr and its column count: each row's flops, capped at the
 // column count. It is what a product's chunk reserves its arena by.
@@ -124,7 +141,9 @@ func spgemmMaskShaped[DA, DB, DC any](a *CSR[DA], b *CSR[DB], r Ring[DA, DB, DC]
 	key := r.key()
 	spec := entryFor[DC](key)
 	mul, add := r.Mul, r.Add
-	parallel.ForWeighted(a.NRows, a.Ptr, func(lo, hi int) {
+	flops := productSteps(a, b.Ptr)
+	defer pool.PutInts(flops)
+	parallel.ForWeighted(a.NRows, flops, func(lo, hi int) {
 		// slot[j] is 1 + the position of column j in mask.EffIdx. Positions
 		// only grow along the rows of a chunk, so "stamped by the current
 		// row" is one compare against the row's first position and the
@@ -178,12 +197,13 @@ func spgemmMaskShaped[DA, DB, DC any](a *CSR[DA], b *CSR[DB], r Ring[DA, DB, DC]
 // ⊗'s operands in A-then-B order: the result is bit-identical to
 // SpGEMM(a, b.Transpose(), …, mask). Work is Σ_{(i,j)∈M} |B(j)| against
 // Gustavson's Σ_{(i,k)∈A} |Bᵀ(k)| plus the transpose; DotMaskedWins compares
-// the two. Rows are partitioned by mask entries, which is where the work is.
+// the two. Rows are split by those scans, scans[i+1] − scans[i] for row i
+// (DotScans), which is where the work is.
 // Under a predefined ⟨+, pair⟩ — TriangleCount's — an entry is a count of
 // the columns the two rows share, read from their ColIdx alone.
 //
 //grblint:hotpath
-func (r Ring[DA, DB, DC]) SpGEMMDotMasked(a *CSR[DA], b *CSR[DB], mask *MatMask) *CSR[DC] {
+func (r Ring[DA, DB, DC]) SpGEMMDotMasked(a *CSR[DA], b *CSR[DB], mask *MatMask, scans []int) *CSR[DC] {
 	faults.Step("sparse.kernel.spgemm.dot")
 	done := obs.KernelStart("spgemm.dot")
 	nm := mask.EffPtr[a.NRows]
@@ -195,7 +215,7 @@ func (r Ring[DA, DB, DC]) SpGEMMDotMasked(a *CSR[DA], b *CSR[DB], mask *MatMask)
 	key := r.key()
 	spec := entryFor[DC](key)
 	mul, add := r.Mul, r.Add
-	parallel.ForWeighted(a.NRows, mask.EffPtr, func(lo, hi int) {
+	parallel.ForWeighted(a.NRows, scans, func(lo, hi int) {
 		// pos[k] is 1 + the storage position of A(i, k); as with the slot
 		// table, positions grow along the rows of a chunk and the row's
 		// first position tells current from stale.
@@ -244,17 +264,14 @@ func (r Ring[DA, DB, DC]) SpGEMMDotMasked(a *CSR[DA], b *CSR[DB], mask *MatMask)
 
 // DotMaskedWins is the selection rule between the two ways to compute
 // C⟨M⟩ = A ⊕.⊗ Bᵀ under a non-complemented mask: it reports whether
-// SpGEMMDotMasked's inner-loop steps, Σ_{(i,j)∈M} |B(j)|, are no more than
-// what transposing B and running SpGEMM costs — Gustavson's flops
-// Σ_{(i,k)∈A} |Bᵀ(k)| plus nnz(B) to build Bᵀ. bt is B's transpose when the
-// caller already holds one (its row pointer gives the column counts and the
-// transpose is then free), nil otherwise. Three O(nnz) passes, read from the
-// operands alone.
-func DotMaskedWins[DA, DB any](a *CSR[DA], b, bt *CSR[DB], mask *MatMask) bool {
-	dot := 0
-	for _, j := range mask.EffIdx[:mask.EffPtr[a.NRows]] {
-		dot += b.Ptr[j+1] - b.Ptr[j]
-	}
+// SpGEMMDotMasked's inner-loop steps, Σ_{(i,j)∈M} |B(j)| (the last of
+// scans, DotScans), are no more than what transposing B and running SpGEMM
+// costs — Gustavson's flops Σ_{(i,k)∈A} |Bᵀ(k)| plus nnz(B) to build Bᵀ.
+// bt is B's transpose when the caller already holds one (its row pointer
+// gives the column counts and the transpose is then free), nil otherwise.
+// Two O(nnz) passes, read from the operands alone.
+func DotMaskedWins[DA, DB any](a *CSR[DA], b, bt *CSR[DB], mask *MatMask, scans []int) bool {
+	dot := scans[a.NRows]
 	gustavson := 0
 	if bt != nil {
 		for _, k := range a.ColIdx[:a.NNZ()] {
@@ -271,6 +288,23 @@ func DotMaskedWins[DA, DB any](a *CSR[DA], b, bt *CSR[DB], mask *MatMask) bool {
 	}
 	pool.PutInts(colCount)
 	return dot <= gustavson+b.NNZ()
+}
+
+// DotScans counts SpGEMMDotMasked's inner-loop steps by row over the first
+// nrows rows of mask: each mask entry (i, j) scans row j of B, and
+// scans[i+1] is the steps of rows 0..i. DotMaskedWins compares the total,
+// and the kernel splits its rows by them. The array comes from the pool;
+// the caller puts it back.
+func DotScans[DB any](nrows int, b *CSR[DB], mask *MatMask) []int {
+	scans := pool.GetInts(nrows + 1)
+	for i := 0; i < nrows; i++ {
+		steps := 0
+		for _, j := range mask.EffIdx[mask.EffPtr[i]:mask.EffPtr[i+1]] {
+			steps += b.Ptr[j+1] - b.Ptr[j]
+		}
+		scans[i+1] = scans[i] + steps
+	}
+	return scans
 }
 
 // compactSlots turns the slot form the mask-shaped kernels fill — val[p] and

@@ -163,10 +163,11 @@ func (r Ring[DA, DU, DC]) PushMxV(a *CSR[DA], u *Vec[DU], mask *VecMask) *Vec[DC
 	return w
 }
 
-// pushParallelMinWork is the total-edge threshold below which the push
-// kernel stays serial: the count/scatter/fold scheme touches every
-// contribution twice, so tiny frontiers are cheaper in the single SPA pass.
-const pushParallelMinWork = 2048
+// pullMinEdges is the direction rule's floor: a frontier whose rows hold
+// fewer edges is always pushed, a handful of edges scattered in one pass.
+// It decides push or pull only; whether a kernel splits across workers is
+// parallel.SplitWork's to decide.
+const pullMinEdges = 2048
 
 // pushFlopCost and pullFlopCost price one scattered contribution of the push
 // kernel against one inner-loop step of the dot kernel, in a common unit.
@@ -205,7 +206,7 @@ const (
 // r, where aPtr is A's row pointer and uIdx the stored positions of u, it
 // reports whether the dot kernel over Aᵀ (DotMxV) should run instead of the
 // scatter over A (PushMxV). Push work is the edges leaving u's structure,
-// Σ_{k∈u}|A(k,:)|; below pushParallelMinWork the scatter is one pass over a
+// Σ_{k∈u}|A(k,:)|; below pullMinEdges the scatter is one pass over a
 // handful of edges and always wins. Pull work is nnz(Aᵀ) — cut down to the
 // rows the mask admits when at, the transpose, is in the caller's hands to
 // count them from; plus the amortised build when it is not (at == nil). A
@@ -222,7 +223,7 @@ func (r Ring[DA, DU, DC]) PullWins(aPtr []int, uIdx []int, at *CSR[DA], mask *Ve
 	for _, k := range uIdx {
 		push += aPtr[k+1] - aPtr[k]
 	}
-	if push < pushParallelMinWork {
+	if push < pullMinEdges {
 		return false
 	}
 	pull, build := aPtr[len(aPtr)-1], 0
@@ -283,7 +284,7 @@ func pushCore[DA, DU, DC any](a *CSR[DA], uIdx []int, uVal []DU, r Ring[DA, DU, 
 			allowed.MarkAll(mask.Idx)
 		}
 	}
-	if workers := parallel.MaxWorkers(); workers > 1 && len(uIdx) > 1 {
+	if parallel.MaxWorkers() > 1 && len(uIdx) > 1 {
 		cum := pool.GetInts(len(uIdx) + 1)
 		for k, r := range uIdx {
 			cum[k+1] = cum[k] + (a.Ptr[r+1] - a.Ptr[r])
@@ -291,13 +292,10 @@ func pushCore[DA, DU, DC any](a *CSR[DA], uIdx []int, uVal []DU, r Ring[DA, DU, 
 		// The upper bound keeps every per-chunk per-column count in phase A
 		// within int32 (each is ≤ the total contribution count), so the
 		// counts can never wrap before pushParallel's slot-overflow check.
-		if total := cum[len(uIdx)]; total >= pushParallelMinWork && total <= math.MaxInt32 {
-			bounds := parallel.PartitionByWeight(len(uIdx), workers, cum)
-			if len(bounds) > 2 {
-				if w, ok := pushParallel(a, uIdx, uVal, r, allowed, comp, bounds); ok {
-					pool.PutInts(cum)
-					return w
-				}
+		if bounds := parallel.WeightedBounds(len(uIdx), cum); bounds != nil && cum[len(uIdx)] <= math.MaxInt32 {
+			if w, ok := pushParallel(a, uIdx, uVal, r, allowed, comp, bounds); ok {
+				pool.PutInts(cum)
+				return w
 			}
 		}
 		pool.PutInts(cum)

@@ -87,23 +87,27 @@ func maskVariants(rng *rand.Rand, n int) map[string]*VecMask {
 // make any reassociation visible in the result bits.
 func TestPushMxV_ParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
+	side := largeSide(parallel.SplitWork, 0.95*0.98)
 	cases := []struct {
 		name   string
 		nr, nc int
 		pm, pv float64
 	}{
-		// ~3900 edges of frontier work: well past pushParallelMinWork, so
+		// 1.25 SplitWork edges of frontier work: past the split floor, so
 		// the parallel path really engages at workers > 1.
-		{"large", 64, 64, 0.95, 0.98},
-		// Rectangular, moderate density, still past the threshold.
-		{"rect", 128, 48, 0.6, 0.9},
-		// Tiny: below the threshold everywhere; both settings take the
-		// serial pass and must still agree.
+		{"large", side, side, 0.95, 0.98},
+		// Rectangular, moderate density, still past the floor.
+		{"rect", 4 * side, side / 2, 0.6, 0.9},
+		// Tiny: below the floor everywhere; both settings take the serial
+		// pass and must still agree.
 		{"small", 8, 8, 0.5, 0.5},
 	}
 	for _, tc := range cases {
 		a := randFloatCSR(rng, tc.nr, tc.nc, tc.pm)
 		u := randFloatVec(rng, tc.nr, tc.pv)
+		if edges := frontierEdges(a, u); tc.nr > 8 && edges < parallel.SplitWork {
+			t.Fatalf("%s: %d edges of frontier work, under the split floor %d", tc.name, edges, parallel.SplitWork)
+		}
 		for name, mask := range maskVariants(rng, tc.nc) {
 			t.Run(tc.name+"/"+name, func(t *testing.T) {
 				prev := parallel.SetMaxWorkers(1)
@@ -115,4 +119,13 @@ func TestPushMxV_ParallelMatchesSerial(t *testing.T) {
 			})
 		}
 	}
+}
+
+// frontierEdges is the push kernel's work on u: the edges leaving its rows.
+func frontierEdges(a *CSR[float64], u *Vec[float64]) int {
+	n := 0
+	for _, k := range u.Idx {
+		n += a.Ptr[k+1] - a.Ptr[k]
+	}
+	return n
 }
