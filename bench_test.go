@@ -766,16 +766,19 @@ func BenchmarkAblation_MxVCrossover(b *testing.B) {
 }
 
 // BenchmarkAblation_SplitCrossover is the table behind parallel.SplitWork:
-// four kernel families on RMAT scales 10–17 (edge factor 8, seed 1), each on
-// one worker and on two workers forced to split whatever the size. The
-// families are the pull (DotMxV over a full vector), the push (PushMxV of
-// every vertex), the masked dot (SpGEMMDotMasked under ⟨+, pair⟩, the
-// triangle kernel C⟨L⟩ = L·Lᵀ) and an EmitCSR merge (UnionCSR of A and Aᵀ),
-// every one under its predefined operators. Each row reports the steps its
-// kernel splits by — edges for the pull and the push, scans for the masked
-// dot, entries of A for the merge — so the first size from which two
-// workers beat one on every family can be read off in the floor's unit.
-// Run it at -cpu 2.
+// three kernel families on RMAT scales 10–17 (edge factor 8, seed 1), each
+// on one worker and on two workers forced to split whatever the size. The
+// families are the pull (DotMxV over a full vector), the masked dot
+// (SpGEMMDotMasked under ⟨+, pair⟩, the triangle kernel C⟨L⟩ = L·Lᵀ) and an
+// EmitCSR merge (UnionCSR of A and Aᵀ), every one under its predefined
+// operators. Each row reports the steps its kernel splits by — edges for
+// the pull, scans for the masked dot, entries of A for the merge — so the
+// first size from which two workers beat one on every family can be read
+// off in the floor's unit. The push is not a family: it runs one pass at
+// every size and worker count, because an order-keeping parallel scatter
+// beat that pass by 7 % at most on two workers, at half a million edges
+// and more (EXPERIMENTS.md E27, E28), so it has no split to measure. Run
+// it at -cpu 2.
 func BenchmarkAblation_SplitCrossover(b *testing.B) {
 	plus := func(x, y float64) float64 { return x + y }
 	ring := sparse.Ring[float64, float64, float64]{
@@ -820,7 +823,6 @@ func BenchmarkAblation_SplitCrossover(b *testing.B) {
 			run   func()
 		}{
 			{"pull", a.NNZ(), func() { ring.DotMxV(at, u, nil).Release() }},
-			{"push", a.NNZ(), func() { ring.PushMxV(a, u, nil).Release() }},
 			{"dotmasked", scans[g.N], func() { pair.SpGEMMDotMasked(l, l, mask, scans).Release() }},
 			{"merge", a.NNZ(), func() { sparse.UnionCSR(a, at, plus, sparse.OpPlus).Release() }},
 		} {

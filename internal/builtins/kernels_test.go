@@ -28,15 +28,14 @@ func TestMain(m *testing.M) {
 // same functions wrapped by NewBinaryOp, which carry no opcode and so run
 // the closure loops. The outputs must be the same bits.
 //
-// The vectors are full (the engine pulls), hold 40 % of the positions (a
-// parallel push at two workers, or a pull where the loop folds a partial
-// vector with no presence test) or 5 % (a serial push), under no mask, a
-// mask and a complemented one; unmasked, MxM under ⟨+,×⟩ runs the dense
-// product. The values
-// carry −0, two NaNs that differ in payload alone, ±Inf and the integer
-// extremes on both operands — a flipped first/second in VxM, a min or max
-// whose operands were swapped, a fold that starts from the identity instead
-// of the first term, or a NaN that wins the wrong comparison changes a bit
+// The vectors are full (the engine pulls), hold 40 % of the positions
+// (pushed, or pulled where the loop folds a partial vector with no presence
+// test) or 5 % (pushed), under no mask, a mask and a complemented one;
+// unmasked, MxM under ⟨+,×⟩ runs the dense product. The values carry −0,
+// two NaNs that differ in payload alone, ±Inf and the integer extremes on
+// both operands — a flipped first/second in VxM, a min or max whose
+// operands were swapped, a fold that starts from the identity instead of
+// the first term, or a NaN that wins the wrong comparison changes a bit
 // somewhere. One thing is not compared: which payload survives when + or ×
 // combines two NaNs. Go leaves that to the compiler, which commutes float +
 // and × at will, on the closure loops as on the specialized ones; where a

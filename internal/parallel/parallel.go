@@ -46,10 +46,12 @@ func SetMaxWorkersForTest(t interface{ Cleanup(func()) }, n int) {
 
 // SplitWork is the least work, in inner-loop steps, that a loop splits
 // across workers for: a loop whose steps total less runs whole on the
-// calling goroutine. It is where two workers first beat one in wall time on
-// every kernel family of BenchmarkAblation_SplitCrossover at -cpu 2
-// (EXPERIMENTS.md E27). Below it, starting and joining a second goroutine,
-// its stack and a chunk's scratch cost more than half the loop saves.
+// calling goroutine. It lies just past the size from which two workers beat
+// one in wall time on every kernel family of BenchmarkAblation_SplitCrossover
+// at -cpu 2: the pull, the last to win, lost at 119 958 edges and won from
+// 244 227 (EXPERIMENTS.md E27). Below that, starting and joining a second
+// goroutine, its stack and a chunk's scratch cost more than half the loop
+// saves.
 const SplitWork = 1 << 18
 
 // splitWork is the floor the split rule reads: SplitWork, lowered only by

@@ -224,7 +224,6 @@ type loops[T number] interface {
 	dotMasked(a, b csrView[T], mask *MatMask, pos []int, val []T, has []bool, ptr []int, lo, hi int)
 	slot(a, b csrView[T], mask *MatMask, slot []int, val []T, has []bool, ptr []int, lo, hi int)
 	pushRow(cols []int, av []T, y T, allowed *BitSPA, comp bool, val []T, stamp []int, cur int, nz []int) []int
-	scatterRow(cols []int, av []T, y T, allowed *BitSPA, comp bool, off []int32, vals []T)
 }
 
 // ops implements loops for ⊗ = M and ⊕ = A over T. It has no fields: the
@@ -481,7 +480,7 @@ func (*ops[T, M, A]) slot(a, b csrView[T], mask *MatMask, slot []int, val []T, h
 	}
 }
 
-// pushRow is one frontier entry of pushSerial: y = u(k) scattered through
+// pushRow is one frontier entry of pushCore: y = u(k) scattered through
 // row k of A — its columns and, when ⊗ reads them, its values — into the
 // sparse accumulator (val, stamp, cur) past the targets the mask denies. It
 // returns the touched list with the row's new targets appended.
@@ -505,70 +504,6 @@ func (*ops[T, M, A]) pushRow(cols []int, av []T, y T, allowed *BitSPA, comp bool
 		}
 	}
 	return nz
-}
-
-// scatterRow is one frontier entry of pushParallel's phase C: the products
-// of y = u(k) with row k of A go to the targets' next slots.
-//
-//grblint:hotpath
-func (*ops[T, M, A]) scatterRow(cols []int, av []T, y T, allowed *BitSPA, comp bool, off []int32, vals []T) {
-	rx := readsX[M]()
-	for q, i := range cols {
-		if allowed != nil && allowed.Has(i) == comp {
-			continue
-		}
-		var x T
-		if rx {
-			x = av[q]
-		}
-		vals[off[i]] = otimes[M](x, y)
-		off[i]++
-	}
-}
-
-// foldSlots is pushParallel's phase D over targets [lo, hi): each target's
-// slots folded left to right, stopped once ⊕ saturates, written compactly
-// into idx and out as dot writes its rows. As in dot, a fold that can stop
-// runs in a function of its own (foldRun), one that cannot stays inline.
-// It returns the number written.
-//
-//grblint:hotpath
-func foldSlots[A addTag, T number](colPtr []int, vals []T, idx []int, out []T, lo, hi int) int {
-	stop := terminal[A, T]()
-	n := 0
-	for i := lo; i < hi; i++ {
-		s, e := colPtr[i], colPtr[i+1]
-		if s == e {
-			continue
-		}
-		var acc T
-		if saturates[A]() {
-			acc = foldRun[A](vals[s:e], stop)
-		} else {
-			acc = vals[s]
-			for _, v := range vals[s+1 : e] {
-				acc = oplus[A](acc, v)
-			}
-		}
-		if idx != nil {
-			idx[n] = i
-		}
-		out[n] = acc
-		n++
-	}
-	return n
-}
-
-// foldRun is one target of foldSlots: its nonempty run of slots folded
-// from the first and stopped at ⊕'s terminal value stop.
-//
-//grblint:hotpath
-func foldRun[A addTag, T number](vals []T, stop T) T {
-	acc := vals[0]
-	for p := 1; p < len(vals) && acc != stop; p++ {
-		acc = oplus[A](acc, vals[p])
-	}
-	return acc
 }
 
 // loopKey is what picks a kernel's loop: its ring's opcodes, and whether ⊗
@@ -749,8 +684,6 @@ type entry[DC any] interface {
 	dotMasked(key loopKey, a, b csrOperand, mask *MatMask, pos []int, val []DC, has []bool, ptr []int, lo, hi int) bool
 	slot(key loopKey, a, b csrOperand, mask *MatMask, slot []int, val []DC, has []bool, ptr []int, lo, hi int) bool
 	push(key loopKey, a csrOperand, uIdx []int, uVal operand, allowed *BitSPA, comp bool, val []DC, stamp []int, cur int, nz []int) ([]int, bool)
-	scatter(key loopKey, a csrOperand, uIdx []int, uVal operand, allowed *BitSPA, comp bool, off []int32, vals []DC, lo, hi int) bool
-	fold(add Opcode, colPtr []int, vals []DC, idx []int, out []DC, lo, hi int) (int, bool)
 	pullsDense(key loopKey, a, u kind) bool
 	fillIdentity(add Opcode, dense operand)
 
@@ -827,7 +760,7 @@ func (*domain[T, DC]) slot(key loopKey, a, b csrOperand, mask *MatMask, slot []i
 	return true
 }
 
-// push runs pushSerial's pass into the sparse accumulator's parts (handing
+// push runs pushCore's pass into the sparse accumulator's parts (handing
 // over the accumulator itself would move it to the heap) and returns its
 // grown touched list. u's value at a frontier position is read only when ⊗
 // reads it.
@@ -847,41 +780,6 @@ func (*domain[T, DC]) push(key loopKey, a csrOperand, uIdx []int, uVal operand, 
 		nz = l.pushRow(a.cols[p:end], rowVals(av, av != nil, p, end), y, allowed, comp, w, stamp, cur, nz)
 	}
 	return nz, true
-}
-
-// scatter runs pushParallel's phase C over frontier positions [lo, hi),
-// reading u's values as push does.
-func (*domain[T, DC]) scatter(key loopKey, a csrOperand, uIdx []int, uVal operand, allowed *BitSPA, comp bool, off []int32, vals []DC, lo, hi int) bool {
-	l := lookup[T](key, is[T](a.val), is[T](uVal))
-	if l == nil {
-		return false
-	}
-	_, readsU := l.reads()
-	av, uv, w := as[T](a.val), as[T](uVal), view[T](vals)
-	for k := lo; k < hi; k++ {
-		var y T
-		if readsU {
-			y = uv[k]
-		}
-		p, end := a.ptr[uIdx[k]], a.ptr[uIdx[k]+1]
-		l.scatterRow(a.cols[p:end], rowVals(av, av != nil, p, end), y, allowed, comp, off, w)
-	}
-	return true
-}
-
-// fold runs pushParallel's phase D over targets [lo, hi). ⊗ has run by
-// then, so only ⊕ picks the loop.
-func (*domain[T, DC]) fold(add Opcode, colPtr []int, vals []DC, idx []int, out []DC, lo, hi int) (int, bool) {
-	vs, w := view[T](vals), view[T](out)
-	switch lattice(add) {
-	case OpPlus:
-		return foldSlots[addPlus](colPtr, vs, idx, w, lo, hi), true
-	case OpMin:
-		return foldSlots[addMin](colPtr, vs, idx, w, lo, hi), true
-	case OpMax:
-		return foldSlots[addMax](colPtr, vs, idx, w, lo, hi), true
-	}
-	return 0, false
 }
 
 // pullsDense reports whether dot, for a matrix of kind a and a vector of

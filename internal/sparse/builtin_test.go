@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -166,6 +167,28 @@ func TestBuiltinKernelsAllocBudget(t *testing.T) {
 			}
 		})
 	}
+
+	// A push past the split floor takes at four workers what it takes at
+	// one: the scatter is one pass whatever the worker count. The fixture
+	// stores 1.5 SplitWork edges, all of them pushed. A collection would
+	// drop the shelved accumulator between calls, so none runs meanwhile.
+	t.Run("PushMxV/past SplitWork", func(t *testing.T) {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		big := allocFixture(t, int(math.Ceil(math.Sqrt(5*parallel.SplitWork))))
+		u := NewVec[float64](big.NRows)
+		for i := 0; i < big.NRows; i++ {
+			u.Idx, u.Val = append(u.Idx, i), append(u.Val, float64(i)*0.25)
+		}
+		push := func() { r.PushMxV(big, u, nil) }
+		push()
+		one := testing.AllocsPerRun(10, push)
+		parallel.SetMaxWorkers(4)
+		defer parallel.SetMaxWorkers(1)
+		push()
+		if four := testing.AllocsPerRun(10, push); four != one || one != 2 {
+			t.Errorf("PushMxV over %d edges allocates %.1f per call at one worker and %.1f at four, budget 2 at both", big.NNZ(), one, four)
+		}
+	})
 }
 
 func secondF(_, y float64) float64 { return y }

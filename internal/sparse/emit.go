@@ -184,7 +184,7 @@ func cloneVals[T any](val []T) []T {
 }
 
 // rowKernel is a kernel that emits at most one entry per row, in row order:
-// dotCore's rows of A, pushParallel's fold over target columns.
+// dotCore's rows of A.
 type rowKernel[T any] interface {
 	// most is how many entries rows [lo, hi) can emit.
 	most(lo, hi int) int
@@ -197,9 +197,10 @@ type rowKernel[T any] interface {
 // emitRows runs k over rows [0, n), split as parallel.ForWeighted splits
 // them by the cumulative weights cum, and returns what it emitted as a
 // vector of size n. exact says k emits exactly as many entries as most
-// counts; then each chunk writes straight into the result, starting at the
-// count of the chunks before it. Otherwise the chunks write into scratch
-// regions sized by most and are joined into storage of the total's size.
+// counts, as a pull over a full u does; then each chunk writes straight
+// into the result, starting at the count of the chunks before it.
+// Otherwise (a partial u) the chunks write into scratch regions sized by
+// most and are joined into storage of the total's size.
 //
 //grblint:hotpath
 func emitRows[T any, K rowKernel[T]](n int, cum []int, exact bool, k K) *Vec[T] {

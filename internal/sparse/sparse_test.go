@@ -510,8 +510,8 @@ func TestDotMaskedWins(t *testing.T) {
 // associative and the values span sixteen decades, so a target folded in any
 // order but ascending k fails; ⊗ = x − 3y catches swapped operands. One draw
 // in four stores more edges than the test's split floor (quickSplitWork),
-// so at 2 and 4 workers the chunked row loop, and under a dense enough
-// frontier the parallel scatter, are what is compared.
+// so at 2 and 4 workers the pull's chunked row loop is compared with the
+// push's one pass.
 func TestQuickPushPullBitIdentical(t *testing.T) {
 	mul := func(x, y float64) float64 { return x - 3*y }
 	add := func(x, y float64) float64 { return x/2 + y }
@@ -928,9 +928,10 @@ func TestPartitionByWeight(t *testing.T) {
 // quickSplitWork is the split floor the randomized kernel tests whose
 // reference is dense run under: a fixture past parallel.SplitWork would
 // cost seconds a draw, and the chunked loops are the same code at any
-// floor. The fixed-size tests (TestPushMxV_ParallelMatchesSerial,
+// floor. The fixed-size tests (TestPushMxV_MatchesPull,
 // TestQuickSpGEMMMaskedEqualsFiltered's large draws, the chunk rows of
-// TestCSRKernelsAllocBudget) are sized from SplitWork itself.
+// TestCSRKernelsAllocBudget, the push past the floor in
+// TestBuiltinKernelsAllocBudget) are sized from SplitWork itself.
 const quickSplitWork = 1024
 
 // largeSide is the side of a square fixture that stores at least 1.25·work

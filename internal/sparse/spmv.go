@@ -1,10 +1,7 @@
 package sparse
 
 import (
-	"math"
-
 	"graphblas/internal/obs"
-	"graphblas/internal/parallel"
 	"graphblas/internal/pool"
 )
 
@@ -171,17 +168,17 @@ const pullMinEdges = 2048
 
 // pushFlopCost and pullFlopCost price one scattered contribution of the push
 // kernel against one inner-loop step of the dot kernel, in a common unit.
-// Push touches a contribution three times (count, scatter into its slot,
-// fold) where pull reads an entry of Aᵀ once and tests u's presence flag.
-// The ratio is read off the crossover table in EXPERIMENTS.md E8b
-// (BenchmarkAblation_MxVCrossover): with Aᵀ in hand the two kernels break
-// even on a frontier holding between 5/8 and 3/4 of the edges at two
-// workers, between 3/4 and 7/8 at one. denseFlopCost is pullFlopCost for a
-// pull under + with no presence test, a loop that absorbs ⊕'s identity
-// (builtin.go), read off the ⟨+, second⟩ rows of the same table (E25): the
-// predefined push costs about four times the presence-free pull per edge,
-// and the two break even on a frontier holding between 1/8 and 1/4 of the
-// edges.
+// The ratio is measured, not counted: in the crossover table of
+// EXPERIMENTS.md E8b (BenchmarkAblation_MxVCrossover, the one-worker
+// column) the push's SPA pass, a stamp test and a scattered write per
+// contribution, and the pull over an Aᵀ in hand, which reads an entry once
+// and tests u's presence flag, break even on a frontier holding between
+// 3/4 and 7/8 of the edges; 4 : 3 puts the break-even at 3/4.
+// denseFlopCost is pullFlopCost for a pull under + with no presence test,
+// a loop that absorbs ⊕'s identity (builtin.go), read off the ⟨+, second⟩
+// rows of the same table (E25): the predefined push costs about four times
+// the presence-free pull per edge, and the two break even on a frontier
+// holding between 1/8 and 1/4 of the edges.
 //
 // transposeReuse is the number of dense calls a transpose built for one of
 // them is expected to serve. A build costs about one pull over every edge
@@ -257,17 +254,17 @@ func (r Ring[DA, DU, DC]) pullsDense() bool {
 	return spec != nil && spec.pullsDense(key, kindOf[DA](), kindOf[DU]())
 }
 
-// pushCore is PushMxV's scatter. The frontier is (uIdx, uVal): u's stored
-// row indices in increasing order and their values.
-//
-// The parallel path is bit-exact with the serial SPA pass for any worker
-// count: contributions to each target are laid out in global traversal
-// order (chunks are contiguous frontier ranges, slots within a target are
-// chunk-major) and folded left-to-right in that order — the same fold the
-// serial SPA performs — rather than merging per-worker partial reductions,
-// which would reassociate floating-point ⊕. The serial pass and phases C and
-// D run r's specialized loops when there are some (builtin.go); those read
-// a frontier value only when ⊗ does.
+// pushCore is PushMxV's scatter: one pass of a sparse accumulator over the
+// frontier (uIdx, uVal), u's stored row indices in increasing order and
+// their values, at every frontier size and worker count. Each contribution
+// is folded into its target as it comes, so a target folds its terms in
+// ascending k — the order the pull over Aᵀ folds them in, which keeps the
+// two directions bit-identical — and the targets are gathered in order.
+// The pass runs r's specialized loop when there is one (builtin.go), which
+// reads a frontier value only when ⊗ does. It does not split across
+// workers: a scatter that kept this fold order on two workers beat it by
+// 7 % at most, at half a million edges and more (EXPERIMENTS E27, E28). The
+// accumulator's three arrays and the mask's stamps come from the pool.
 //
 //grblint:hotpath
 func pushCore[DA, DU, DC any](a *CSR[DA], uIdx []int, uVal []DU, r Ring[DA, DU, DC], mask *VecMask) *Vec[DC] {
@@ -284,31 +281,6 @@ func pushCore[DA, DU, DC any](a *CSR[DA], uIdx []int, uVal []DU, r Ring[DA, DU, 
 			allowed.MarkAll(mask.Idx)
 		}
 	}
-	if parallel.MaxWorkers() > 1 && len(uIdx) > 1 {
-		cum := pool.GetInts(len(uIdx) + 1)
-		for k, r := range uIdx {
-			cum[k+1] = cum[k] + (a.Ptr[r+1] - a.Ptr[r])
-		}
-		// The upper bound keeps every per-chunk per-column count in phase A
-		// within int32 (each is ≤ the total contribution count), so the
-		// counts can never wrap before pushParallel's slot-overflow check.
-		if bounds := parallel.WeightedBounds(len(uIdx), cum); bounds != nil && cum[len(uIdx)] <= math.MaxInt32 {
-			if w, ok := pushParallel(a, uIdx, uVal, r, allowed, comp, bounds); ok {
-				pool.PutInts(cum)
-				return w
-			}
-		}
-		pool.PutInts(cum)
-	}
-	return pushSerial(a, uIdx, uVal, r, allowed, comp)
-}
-
-// pushSerial is the single SPA pass: a left fold over contributions in
-// frontier-traversal order, gathered in sorted target order. The
-// accumulator's three arrays come from the pool.
-//
-//grblint:hotpath
-func pushSerial[DA, DU, DC any](a *CSR[DA], uIdx []int, uVal []DU, r Ring[DA, DU, DC], allowed *BitSPA, comp bool) *Vec[DC] {
 	stamp := pool.GetInts(a.NCols)
 	nz := pool.GetInts(a.NCols)
 	spa := SPA[DC]{val: pool.RawVals[DC](a.NCols), stamp: stamp, nz: nz[:0]}
@@ -343,137 +315,4 @@ func pushSerial[DA, DU, DC any](a *CSR[DA], uIdx []int, uVal []DU, r Ring[DA, DU
 	pool.PutInts(nz)
 	pool.PutInts(stamp)
 	return w
-}
-
-// pushParallel runs the four-phase exact-order scheme over the contiguous
-// frontier chunks in bounds: (A) per-chunk dense contribution counts,
-// (B) serial prefix sums into per-target slot ranges and per-(chunk,target)
-// start offsets, (C) parallel scatter of mul products into globally ordered
-// slots, (D) parallel per-target left fold in slot order, written straight
-// into the exact-size result. Returns ok=false when slot offsets would
-// overflow the int32 count arrays (callers fall back to the serial pass);
-// pushCore's total-work bound makes this unreachable today, but the check
-// keeps pushParallel safe standalone. Index scratch (per-chunk counts, the
-// column prefix sums) is pooled; every exit returns it.
-//
-//grblint:hotpath
-func pushParallel[DA, DU, DC any](a *CSR[DA], uIdx []int, uVal []DU, r Ring[DA, DU, DC], allowed *BitSPA, comp bool, bounds []int) (*Vec[DC], bool) {
-	nchunks := len(bounds) - 1
-	ncols := a.NCols
-	key := r.key()
-	spec := entryFor[DC](key)
-	// Phase A: each chunk counts its contributions per target column.
-	counts := make([][]int32, nchunks)
-	parallel.ForRanges(bounds, func(c, lo, hi int) {
-		cnt := pool.GetInt32s(ncols)
-		for k := lo; k < hi; k++ {
-			r := uIdx[k]
-			for p := a.Ptr[r]; p < a.Ptr[r+1]; p++ {
-				i := a.ColIdx[p]
-				if allowed != nil && allowed.Has(i) == comp {
-					continue
-				}
-				cnt[i]++
-			}
-		}
-		counts[c] = cnt
-	})
-	// Phase B: per-target slot ranges; chunk-major order within a target is
-	// exactly global traversal order because chunks are contiguous.
-	colPtr := pool.GetInts(ncols + 1)
-	for i := 0; i < ncols; i++ {
-		total := 0
-		for c := 0; c < nchunks; c++ {
-			total += int(counts[c][i])
-		}
-		colPtr[i+1] = colPtr[i] + total
-	}
-	slots := colPtr[ncols]
-	if slots > math.MaxInt32 {
-		for _, cnt := range counts {
-			pool.PutInt32s(cnt)
-		}
-		pool.PutInts(colPtr)
-		return nil, false
-	}
-	// Rewrite each chunk's counts in place into its start offsets.
-	for i := 0; i < ncols; i++ {
-		off := colPtr[i]
-		for c := 0; c < nchunks; c++ {
-			n := int(counts[c][i])
-			counts[c][i] = int32(off)
-			off += n
-		}
-	}
-	// Phase C: scatter products into the globally ordered slots. Chunks
-	// advance only their own offset cursors and write disjoint slot ranges.
-	vals := pool.GetVals[DC](slots)
-	parallel.ForRanges(bounds, func(c, lo, hi int) {
-		off := counts[c]
-		if spec != nil && spec.scatter(key, csrOf(a), uIdx, operandOf(uVal), allowed, comp, off, vals, lo, hi) {
-			return
-		}
-		for k := lo; k < hi; k++ {
-			row := uIdx[k]
-			uv := uVal[k]
-			for p := a.Ptr[row]; p < a.Ptr[row+1]; p++ {
-				i := a.ColIdx[p]
-				if allowed != nil && allowed.Has(i) == comp {
-					continue
-				}
-				vals[off[i]] = r.Mul(a.Val[p], uv)
-				off[i]++
-			}
-		}
-	})
-	// Phase D: left fold per target in slot order — the serial SPA's fold.
-	// A target emits exactly when it has a slot, so the result is counted
-	// from colPtr and written in place.
-	w := emitRows[DC](ncols, colPtr, true, foldRows[DA, DU, DC]{colPtr, vals, r})
-	for _, cnt := range counts {
-		pool.PutInt32s(cnt)
-	}
-	pool.PutInts(colPtr)
-	pool.PutVals(vals)
-	return w, true
-}
-
-// foldRows is pushParallel's phase D as a row kernel: target i folds its
-// slots [colPtr[i], colPtr[i+1]) of vals left to right.
-type foldRows[DA, DU, DC any] struct {
-	colPtr []int
-	vals   []DC
-	r      Ring[DA, DU, DC]
-}
-
-func (f foldRows[DA, DU, DC]) most(lo, hi int) int { return nonEmpty(f.colPtr, lo, hi) }
-
-// emit folds targets [lo, hi) with ⊕'s specialized loop when there is one
-// (builtin.go), with the closure otherwise.
-//
-//grblint:hotpath
-func (f foldRows[DA, DU, DC]) emit(lo, hi int, idx []int, val []DC) int {
-	if spec := entryFor[DC](f.r.key()); spec != nil {
-		if n, ok := spec.fold(f.r.AddOp, f.colPtr, f.vals, idx, val, lo, hi); ok {
-			return n
-		}
-	}
-	colPtr, vals, add := f.colPtr, f.vals, f.r.Add
-	n := 0
-	for i := lo; i < hi; i++ {
-		s, e := colPtr[i], colPtr[i+1]
-		if s == e {
-			continue
-		}
-		acc := vals[s]
-		for p := s + 1; p < e; p++ {
-			acc = add(acc, vals[p])
-		}
-		if idx != nil {
-			idx[n] = i
-		}
-		val[n] = acc
-		n++
-	}
-	return n
 }

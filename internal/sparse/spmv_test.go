@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -80,12 +81,15 @@ func maskVariants(rng *rand.Rand, n int) map[string]*VecMask {
 	}
 }
 
-// TestPushMxV_ParallelMatchesSerial is the regression test for the
-// parallelized push kernel: the count/scatter/in-order-fold scheme must be
-// bit-exact with the serial SPA pass for any worker count, because fold
-// order is part of the engine's byte-identity bar. Sign-mixed random floats
-// make any reassociation visible in the result bits.
-func TestPushMxV_ParallelMatchesSerial(t *testing.T) {
+// TestPushMxV_MatchesPull holds the push to the pull over Aᵀ bit for bit,
+// at one worker and at several: the engine picks a direction per call
+// (Ring.PullWins), so the choice must not show, and fold order is part of
+// the engine's byte-identity bar. The push folds each target in ascending
+// k, as the pull folds a row of Aᵀ; the pull splits its rows past the
+// floor, the push never does. Sign-mixed random floats make any
+// reassociation visible in the result bits. Both the closures and the
+// predefined ⟨+, ×⟩ loops are compared.
+func TestPushMxV_MatchesPull(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	side := largeSide(parallel.SplitWork, 0.95*0.98)
 	cases := []struct {
@@ -94,29 +98,34 @@ func TestPushMxV_ParallelMatchesSerial(t *testing.T) {
 		pm, pv float64
 	}{
 		// 1.25 SplitWork edges of frontier work: past the split floor, so
-		// the parallel path really engages at workers > 1.
+		// at several workers the pull splits and the push does not.
 		{"large", side, side, 0.95, 0.98},
 		// Rectangular, moderate density, still past the floor.
 		{"rect", 4 * side, side / 2, 0.6, 0.9},
-		// Tiny: below the floor everywhere; both settings take the serial
-		// pass and must still agree.
+		// Tiny: below the floor everywhere.
 		{"small", 8, 8, 0.5, 0.5},
+	}
+	rings := map[string]Ring[float64, float64, float64]{
+		"closure":    ring(mulF, addF),
+		"plus.times": {Mul: mulF, Add: addF, MulOp: OpTimes, AddOp: OpPlus},
 	}
 	for _, tc := range cases {
 		a := randFloatCSR(rng, tc.nr, tc.nc, tc.pm)
+		at := a.Transpose()
 		u := randFloatVec(rng, tc.nr, tc.pv)
 		if edges := frontierEdges(a, u); tc.nr > 8 && edges < parallel.SplitWork {
 			t.Fatalf("%s: %d edges of frontier work, under the split floor %d", tc.name, edges, parallel.SplitWork)
 		}
 		for name, mask := range maskVariants(rng, tc.nc) {
-			t.Run(tc.name+"/"+name, func(t *testing.T) {
-				prev := parallel.SetMaxWorkers(1)
-				serial := PushMxV(a, u, mulF, addF, mask)
-				parallel.SetMaxWorkers(4)
-				wide := PushMxV(a, u, mulF, addF, mask)
-				parallel.SetMaxWorkers(prev)
-				requireBitIdentical(t, "PushMxV workers=4 vs 1", wide, serial)
-			})
+			for rname, r := range rings {
+				t.Run(tc.name+"/"+name+"/"+rname, func(t *testing.T) {
+					for _, workers := range []int{1, 2, 4} {
+						parallel.SetMaxWorkersForTest(t, workers)
+						requireBitIdentical(t, fmt.Sprintf("PushMxV against DotMxV over Aᵀ, workers=%d", workers),
+							r.PushMxV(a, u, mask), r.DotMxV(at, u, mask))
+					}
+				})
+			}
 		}
 	}
 }
