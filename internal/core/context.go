@@ -2,6 +2,7 @@ package core
 
 import (
 	stdctx "context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -126,10 +127,12 @@ func resetEngineStats() {
 	faultBase.Store(faults.InjectedCount())
 }
 
-// pendingOp is one deferred method in a nonblocking sequence.
+// pendingOp is one deferred method in a nonblocking sequence. The context
+// keeps its queue's records and reuses them: a flush zeroes every record it
+// drained, so a record holds nothing of the operation before it.
 type pendingOp struct {
 	out        *obj
-	reads      []*obj
+	reads      readSet
 	overwrites bool // completely determines out's new content without reading its old content
 	run        func() error
 	name       string
@@ -152,7 +155,7 @@ type context struct {
 	mu       sync.Mutex
 	state    contextState
 	mode     Mode
-	queue    []*pendingOp
+	queue    []pendingOp
 	execErr  error
 	lastMsg  string
 	elision  bool      // dead-store elimination enabled (default true)
@@ -169,6 +172,17 @@ type context struct {
 	seqDone []SequenceError
 	seqOpen bool
 	seqPos  int
+
+	// The flush's working buffers, reused from one flush to the next so a
+	// flush allocates nothing of its own: the runnable operations, their
+	// outcomes, their footprints for the DAG build and the DAG run's
+	// executor. Each is emptied (and zeroed where it holds pointers) when
+	// the flush that filled it ends.
+	nodes     []*pendingOp
+	results   []error
+	metas     []dataflow.OpMeta
+	metaReads []uint64
+	dag       dagRun
 }
 
 var global context
@@ -386,7 +400,6 @@ func (c *context) waitContext(ctx stdctx.Context) error {
 // with a Canceled error instead of executing. Caller holds c.mu.
 func (c *context) flushLocked(ctx stdctx.Context) error {
 	queue := c.queue
-	c.queue = nil
 	obs.QueueDepth.Set(0)
 	if len(queue) == 0 {
 		c.closeSeqLocked()
@@ -397,8 +410,9 @@ func (c *context) flushLocked(ctx stdctx.Context) error {
 	elide := markElidable(queue, objs, c.elision)
 	// from[i] is the queue position of node i.
 	from := pool.GetInts(len(queue))[:0]
-	nodes := queue[:0]
-	for k, op := range queue {
+	nodes := c.nodes[:0]
+	for k := range queue {
+		op := &queue[k]
 		if elide[k] {
 			obs.OpsElided.Inc()
 			op.span.Finish(obs.OutcomeElided, nil)
@@ -412,15 +426,14 @@ func (c *context) flushLocked(ctx stdctx.Context) error {
 	var metas []dataflow.OpMeta
 	dag := c.sched == SchedDag && len(nodes) > 1 && parallel.MaxWorkers() > 1
 	if dag {
-		metas = opMetas(nodes, from, objs)
+		metas = c.opMetas(nodes, from, objs)
 	}
 	pool.PutInts(from)
 	objs.release()
-	var results []error
+	results := slices.Grow(c.results[:0], len(nodes))[:len(nodes)]
 	if dag {
-		results = c.runQueueDag(ctx, nodes, metas)
+		c.runQueueDag(ctx, nodes, metas, results)
 	} else {
-		results = make([]error, len(nodes))
 		for i, op := range nodes {
 			if ctx != nil && ctx.Err() != nil {
 				results[i] = cancelOp(op, nil, 0, ctx.Err())
@@ -441,6 +454,14 @@ func (c *context) flushLocked(ctx stdctx.Context) error {
 			}
 		}
 	}
+	// Empty the buffers for the next flush, dropping every reference the
+	// drained records held.
+	clear(queue)
+	c.queue = queue[:0]
+	clear(nodes)
+	c.nodes = nodes[:0]
+	clear(results)
+	c.results = results[:0]
 	if c.execErr == nil {
 		// A clean flush supersedes any stale GrB_error string.
 		c.lastMsg = ""
@@ -507,7 +528,7 @@ func (c *context) takeExecErrLocked() error {
 // later operations do with its output. objs numbers the queue's objects;
 // the returned flags, one per queue position, come from the pool and the
 // caller puts them back.
-func markElidable(queue []*pendingOp, objs flushObjects, enabled bool) []bool {
+func markElidable(queue []pendingOp, objs flushObjects, enabled bool) []bool {
 	elide := pool.GetBools(len(queue))
 	if !enabled {
 		return elide
@@ -516,7 +537,7 @@ func markElidable(queue []*pendingOp, objs flushObjects, enabled bool) []bool {
 	// in between reads it.
 	dead := pool.GetBools(objs.count)
 	for k := len(queue) - 1; k >= 0; k-- {
-		op := queue[k]
+		op := &queue[k]
 		out, reads := objs.ids[objs.at[k]], objs.ids[objs.at[k]+1:objs.at[k+1]]
 		if dead[out] {
 			elide[k] = true
@@ -557,7 +578,7 @@ func runOp(op *pendingOp) error {
 // restorable* — it holds exactly its prior committed contents, never a
 // half-written result, and a later full overwrite rehabilitates it. If it
 // succeeds, the snapshot is the last reference to the superseded store, and
-// dropping it recycles the store's values (Vector.snapshotState).
+// settling it recycles the store's values (Vector.settle).
 //
 // gate (nil when no fault plan is installed) orders fault-plan draws from
 // concurrently executing operations by program position idx, keeping the
@@ -574,7 +595,7 @@ func runOpAt(op *pendingOp, gate *faults.Sequencer, idx int, serialBody bool) er
 	}
 	// Idempotent: a no-op on the paths that already released.
 	defer gate.Release(idx)
-	for _, r := range op.reads {
+	for _, r := range op.reads.list() {
 		if r.err != nil {
 			err := errf(InvalidObject, op.name, "input object invalid from a previous execution error: %v", r.err)
 			op.out.err = err
@@ -587,22 +608,22 @@ func runOpAt(op *pendingOp, gate *faults.Sequencer, idx int, serialBody bool) er
 		err := errf(InvalidObject, op.name, "output object invalid from a previous execution error: %v", op.out.err)
 		return failOp(op, obs.OutcomeShortCircuit, err)
 	}
-	var settle func(bool)
-	if op.out.snapshot != nil {
-		settle = op.out.snapshot()
+	tx := op.out.tx
+	if tx != nil {
+		tx.snapshot()
 	}
 	op.span.MarkKernel()
 	if err := runGuardedAt(op, gate, idx, serialBody); err != nil {
-		if settle != nil {
-			settle(false)
+		if tx != nil {
+			tx.settle(false)
 			execRollbacks.Add(1)
 			op.span.NoteRollback()
 		}
 		op.out.err = err
 		return failOp(op, obs.OutcomeError, err)
 	}
-	if settle != nil {
-		settle(true)
+	if tx != nil {
+		tx.settle(true)
 	}
 	op.out.err = nil
 	obs.OpsExecuted.With(op.name).Inc()
@@ -658,7 +679,7 @@ func runGuardedAt(op *pendingOp, gate *faults.Sequencer, idx int, serialBody boo
 // overwrite flag and the span — derives from the spec; run is the one
 // closure the operation supplies.
 func enqueue(s opSpec, run func() error) error {
-	op := &pendingOp{out: s.out, reads: s.footprint(), overwrites: s.overwrites(), run: run, name: s.name, span: s.span}
+	op := pendingOp{out: s.out, reads: s.footprint(), overwrites: s.overwrites(), run: run, name: s.name, span: s.span}
 	if op.span == nil {
 		op.span = obs.Begin(s.name)
 	}
@@ -675,7 +696,7 @@ func enqueue(s opSpec, run func() error) error {
 		// sequences in distinct threads (sharing only read-only objects),
 		// and blocking-mode execution must not serialize them globally.
 		c.mu.Unlock()
-		err := runOp(op)
+		err := runOp(&op)
 		c.mu.Lock()
 		if err != nil {
 			c.errLog = append(c.errLog, SequenceError{Pos: op.pos, Op: s.name, Err: err})
@@ -688,6 +709,8 @@ func enqueue(s opSpec, run func() error) error {
 		c.mu.Unlock()
 		return err
 	}
+	// The record is copied into the queue's reused storage, which the
+	// last flush zeroed; appending allocates only past its high-water mark.
 	c.queue = append(c.queue, op)
 	obs.OpsEnqueued.With(s.name).Inc()
 	obs.QueueDepth.Set(int64(len(c.queue)))

@@ -44,6 +44,20 @@ type Matrix[D any] struct {
 	deltaAge int
 	epochID  uint64
 	spolicy  stream.Policy
+
+	// saved is the rollback slot of the operation writing the matrix now
+	// (transactional): the stores it found, empty between operations.
+	saved matStore[D]
+}
+
+// matStore is a matrix's committed store: the CSR, the buffered updates and
+// the derived stores, every one immutable once installed.
+type matStore[D any] struct {
+	data, tcache, mcache *sparse.CSR[D]
+	delta                *format.HyperDelta[D]
+	deltaAge             int
+	epochID              uint64
+	pending              []sparse.Tuple[D]
 }
 
 // NewMatrix creates an nrows-by-ncols matrix (GrB_Matrix_new). Both
@@ -61,49 +75,56 @@ func NewMatrix[D any](nrows, ncols int) (*Matrix[D], error) {
 }
 
 // initMatrix stamps a fresh identity and registers the transactional
-// snapshot hook the executor uses to roll back a failed kernel. Every
-// Matrix constructor funnels through here.
+// store the executor uses to roll back a failed kernel. Every Matrix
+// constructor funnels through here.
 func (m *Matrix[D]) initMatrix() {
 	m.initObj()
-	m.snapshot = m.snapshotState
+	m.tx = m
 	m.spolicy = stream.DefaultPolicy()
 }
 
-// snapshotState captures the committed store — the pointers to the CSR,
-// buffered updates, and derived stores; all immutable once installed — and
-// returns the closure settling the operation that writes it: a failed one
-// gets the stores back, a committed one releases those it superseded
-// (releaseLocked). The pending list is kept, not copied: it is only ever
-// appended to, and clipping it to its length makes the next append after a
-// restore reallocate, so the entries it holds never change. O(1), so taking
-// one per operation — every SetElement takes one — is cheap.
+// snapshot captures the committed store — the pointers to the CSR,
+// buffered updates, and derived stores; all immutable once installed — for
+// the operation about to write the matrix (transactional). The pending
+// list is kept, not copied: it is only ever appended to, and clipping it
+// to its length makes the next append after a restore reallocate, so the
+// entries it holds never change. O(1), so taking one per operation — every
+// SetElement takes one — is cheap.
+func (m *Matrix[D]) snapshot() {
+	m.mu.Lock()
+	m.saved = matStore[D]{
+		data: m.data, tcache: m.tcache, mcache: m.mcache,
+		delta: m.delta, deltaAge: m.deltaAge, epochID: m.epochID,
+		pending: m.pending[:len(m.pending):len(m.pending)],
+	}
+	m.mu.Unlock()
+}
+
+// settle ends the operation writing the matrix: a failed one gets the
+// stores back, a committed one releases those it superseded
+// (releaseLocked).
 //
 // Store lifetimes. Once the operation has committed, a captured CSR — the
 // main store, the transpose, the merged view — is unreachable unless the
 // matrix still holds it or a reader pinned it (PinEpoch, MatrixIterate):
-// the rollback this closure held is the only other reference the engine
-// keeps, operations ordered after this one read the new stores, an
-// operation's mask view of the store ends with that operation, and no two
-// stores share a matrix array (every kernel writes arrays of its own, and
-// Transpose clones an input's store before C takes it). Such a dead store's
-// Ptr, ColIdx and Val go back to the pool.
-func (m *Matrix[D]) snapshotState() func(bool) {
+// the rollback slot is the only other reference the engine keeps,
+// operations ordered after this one read the new stores, an operation's
+// mask view of the store ends with that operation, and no two stores share
+// a matrix array (every kernel writes arrays of its own, and Transpose
+// clones an input's store before C takes it). Such a dead store's Ptr,
+// ColIdx and Val go back to the pool.
+func (m *Matrix[D]) settle(committed bool) {
 	m.mu.Lock()
-	data, tcache := m.data, m.tcache
-	delta, mcache, deltaAge, epochID := m.delta, m.mcache, m.deltaAge, m.epochID
-	pending := m.pending[:len(m.pending):len(m.pending)]
-	m.mu.Unlock()
-	return func(committed bool) {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if committed {
-			m.releaseLocked(data, tcache, mcache)
-			return
-		}
-		m.data, m.tcache = data, tcache
-		m.delta, m.mcache, m.deltaAge, m.epochID = delta, mcache, deltaAge, epochID
-		m.pending = pending
+	defer m.mu.Unlock()
+	old := m.saved
+	m.saved = matStore[D]{}
+	if committed {
+		m.releaseLocked(old.data, old.tcache, old.mcache)
+		return
 	}
+	m.data, m.tcache = old.data, old.tcache
+	m.delta, m.mcache, m.deltaAge, m.epochID = old.delta, old.mcache, old.deltaAge, old.epochID
+	m.pending = old.pending
 }
 
 // releaseLocked releases each of the stores old that the matrix no longer
@@ -462,7 +483,7 @@ func (m *Matrix[D]) ExtractTuples() ([]int, []int, []D, error) {
 }
 
 // Free destroys the matrix (GrB_free). Pending operations complete first.
-// Its stores are released like superseded ones (snapshotState), except
+// Its stores are released like superseded ones (settle), except
 // those a reader pinned.
 func (m *Matrix[D]) Free() error {
 	if m == nil || !m.initialized {

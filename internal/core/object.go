@@ -13,17 +13,28 @@ type obj struct {
 	// route through their output object's context, so instance-bound work
 	// never serializes against the global queue.
 	ctx *context
-	// snapshot captures the object's committed store (pointers, not
-	// payloads — stores are immutable once committed) and returns the
-	// closure that settles the operation about to write it: settle(false)
-	// restores the captured store, settle(true) releases it. The executor
-	// takes a snapshot before each kernel and settles after it, so an output
-	// object is never observed half-written: it holds its prior committed
-	// contents (invalid but restorable, Section V) or the new result — and a
-	// vector's superseded store, which nothing reaches once the new one is
-	// in, gives its value array back to the pool. Registered by the typed
-	// constructors; nil for objects with no transactional store.
-	snapshot func() (settle func(committed bool))
+	// tx is the object's transactional store, nil for objects with no
+	// store. The executor takes a snapshot before each kernel that writes
+	// the object and settles after it, so an output object is never
+	// observed half-written: it holds its prior committed contents (invalid
+	// but restorable, Section V) or the new result — and a superseded
+	// store, which nothing reaches once the new one is in, gives its arrays
+	// back to the pool. Registered by the typed constructors.
+	tx transactional
+}
+
+// transactional is an object whose committed store an operation writing it
+// can roll back. snapshot captures the committed store (pointers, not
+// payloads — stores are immutable once committed) into the object's
+// rollback slot; settle(false) restores it, settle(true) releases what the
+// new store superseded, and either empties the slot. One slot is enough: an
+// object has one writer at a time, since the hazard DAG orders every two
+// operations writing it (WAW) and a blocking-mode writer owns its output.
+// The slot lives in the object, so the executor allocates nothing to take
+// or settle a snapshot.
+type transactional interface {
+	snapshot()
+	settle(committed bool)
 }
 
 // engine returns the execution context the object is bound to.

@@ -296,17 +296,22 @@ func (s *opSpec) overwrites() bool {
 	return !s.accum && !s.keeps && (s.mask == nil || s.replace)
 }
 
+// readSet is an operation's read footprint, held inline in its pending
+// record: at most two inputs and a mask.
+type readSet struct {
+	objs [3]*obj
+	n    int
+}
+
+// list returns the objects read, inputs first, then the mask.
+func (r *readSet) list() []*obj { return r.objs[:r.n] }
+
 // footprint is the read set the hazard DAG sees: every input the skeleton
 // was handed, then the mask.
-func (s *opSpec) footprint() []*obj {
-	n := s.nin
-	if s.mask != nil {
-		n++
-	}
-	if n == 0 {
-		return nil
-	}
-	return maskReads(append(make([]*obj, 0, n), s.in[:s.nin]...), s.mask)
+func (s *opSpec) footprint() readSet {
+	var r readSet
+	r.n = len(maskReads(append(r.objs[:0], s.in[:s.nin]...), s.mask))
+	return r
 }
 
 // writeMode selects how commit installs the compute step's result.

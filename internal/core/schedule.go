@@ -24,6 +24,7 @@ package core
 
 import (
 	stdctx "context"
+	"slices"
 
 	"graphblas/internal/dataflow"
 	"graphblas/internal/faults"
@@ -42,19 +43,20 @@ type flushObjects struct {
 	count   int
 }
 
-func numberObjects(queue []*pendingOp) flushObjects {
+func numberObjects(queue []pendingOp) flushObjects {
 	refs := 0
-	for _, op := range queue {
-		refs += 1 + len(op.reads)
+	for k := range queue {
+		refs += 1 + queue[k].reads.n
 	}
 	f := flushObjects{ids: pool.GetInts(refs), at: pool.GetInts(len(queue) + 1)}
-	for k, op := range queue {
+	for k := range queue {
+		op := &queue[k]
 		p := f.at[k]
 		f.ids[p] = int(op.out.id)
-		for j, r := range op.reads {
+		for j, r := range op.reads.list() {
 			f.ids[p+1+j] = int(r.id)
 		}
-		f.at[k+1] = p + 1 + len(op.reads)
+		f.at[k+1] = p + 1 + op.reads.n
 	}
 	f.count = dataflow.Number(f.ids)
 	return f
@@ -67,15 +69,17 @@ func (f flushObjects) release() {
 
 // opMetas projects the runnable operations onto the dataflow package's
 // semantics-free footprint triples, preserving order: node i is nodes[i],
-// queue position from[i] in the numbering objs. Every node's reads share
-// one backing array.
-func opMetas(nodes []*pendingOp, from []int, objs flushObjects) []dataflow.OpMeta {
+// queue position from[i] in the numbering objs. The triples and their
+// reads are the context's buffers, reused from flush to flush; every
+// node's reads are a window of one array.
+func (c *context) opMetas(nodes []*pendingOp, from []int, objs flushObjects) []dataflow.OpMeta {
 	reads := 0
 	for _, k := range from {
 		reads += objs.at[k+1] - objs.at[k] - 1
 	}
-	metas := make([]dataflow.OpMeta, len(nodes))
-	backing := make([]uint64, reads)
+	metas := slices.Grow(c.metas[:0], len(nodes))[:len(nodes)]
+	backing := slices.Grow(c.metaReads[:0], reads)[:reads]
+	c.metas, c.metaReads = metas, backing
 	for i, op := range nodes {
 		ids := objs.ids[objs.at[from[i]]:objs.at[from[i]+1]]
 		r := backing[: len(ids)-1 : len(ids)-1]
@@ -88,51 +92,64 @@ func opMetas(nodes []*pendingOp, from []int, objs flushObjects) []dataflow.OpMet
 	return metas
 }
 
+// dagRun is one DAG flush's executor (dataflow.Executor): what the
+// scheduler's callbacks read. The context keeps one and fills it per
+// flush, so handing it to the scheduler allocates nothing.
+type dagRun struct {
+	ctx        stdctx.Context
+	nodes      []*pendingOp
+	results    []error
+	gate       *faults.Sequencer
+	serialBody bool
+}
+
+// Exec runs node i.
+func (d *dagRun) Exec(i int) {
+	if obs.ProfilingLabels() {
+		// The pprof label names the op kind while it executes, so CPU
+		// profiles attribute samples to MxM vs Reduce rather than to the
+		// flush. Branching here (instead of always calling obs.Do) keeps
+		// the disabled path free of the label-closure allocation.
+		obs.Do(d.nodes[i].name, func() { d.results[i] = runOpAt(d.nodes[i], d.gate, i, d.serialBody) })
+		return
+	}
+	d.results[i] = runOpAt(d.nodes[i], d.gate, i, d.serialBody)
+}
+
+// Stop reports whether the flush's context was canceled.
+func (d *dagRun) Stop() bool { return d.ctx != nil && d.ctx.Err() != nil }
+
+// Skip abandons node i, not dispatched because the flush was canceled.
+func (d *dagRun) Skip(i int) { d.results[i] = cancelOp(d.nodes[i], d.gate, i, d.ctx.Err()) }
+
 // runQueueDag executes the runnable operations of one flush on the dataflow
-// scheduler and returns their outcomes indexed like nodes (program order).
-// Caller holds c.mu and folds the results into the error log itself, so
-// the observable state — SequenceErrors order, first-error selection, the
-// GrB_error string — is byte-identical to a sequential drain. A non-nil ctx
-// stops DAG dispatch once it is canceled: undispatched nodes are abandoned
-// via cancelOp while running kernels complete. Caller guarantees
-// len(nodes) > 1.
-func (c *context) runQueueDag(ctx stdctx.Context, nodes []*pendingOp, metas []dataflow.OpMeta) []error {
+// scheduler and stores their outcomes in results, indexed like nodes
+// (program order). Caller holds c.mu and folds the results into the error
+// log itself, so the observable state — SequenceErrors order, first-error
+// selection, the GrB_error string — is byte-identical to a sequential
+// drain. A non-nil ctx stops DAG dispatch once it is canceled: undispatched
+// nodes are abandoned via cancelOp while running kernels complete. Caller
+// guarantees len(nodes) > 1.
+func (c *context) runQueueDag(ctx stdctx.Context, nodes []*pendingOp, metas []dataflow.OpMeta, results []error) {
 	g := dataflow.Build(metas)
 	defer g.Release()
-	var gate *faults.Sequencer
-	serialBody := false
+	d := &c.dag
+	*d = dagRun{ctx: ctx, nodes: nodes, results: results}
+	defer func() { *d = dagRun{} }()
 	if faults.Enabled() {
 		// A fault plan consumes per-site counters and a shared seeded RNG;
 		// draws must happen in program order for the schedule to replay
 		// identically to sequential mode. Plans that can reach inside kernel
 		// bodies (dotted sites, globs) additionally force the bodies
 		// themselves to run one at a time.
-		gate = faults.NewSequencer(len(nodes))
-		serialBody = faults.PlanCoversKernelSites()
+		d.gate = faults.NewSequencer(len(nodes))
+		d.serialBody = faults.PlanCoversKernelSites()
 	}
-	var stop func() bool
-	if ctx != nil && ctx.Done() != nil {
-		stop = func() bool { return ctx.Err() != nil }
-	}
-	results := make([]error, len(nodes))
-	rs := g.RunCancelable(parallel.MaxWorkers(), func(i int) {
-		if obs.ProfilingLabels() {
-			// The pprof label names the op kind while it executes, so CPU
-			// profiles attribute samples to MxM vs Reduce rather than to the
-			// flush. Branching here (instead of always calling obs.Do) keeps
-			// the disabled path free of the label-closure allocation.
-			obs.Do(nodes[i].name, func() { results[i] = runOpAt(nodes[i], gate, i, serialBody) })
-			return
-		}
-		results[i] = runOpAt(nodes[i], gate, i, serialBody)
-	}, stop, func(i int) {
-		results[i] = cancelOp(nodes[i], gate, i, ctx.Err())
-	})
+	rs := g.RunCancelable(parallel.MaxWorkers(), d)
 	obs.ParallelFlushes.Inc()
 	obs.DagNodes.Add(int64(g.Nodes()))
 	obs.DagEdges.Add(int64(g.Edges()))
 	obs.DagWidth.SetMax(int64(rs.MaxWidth))
-	return results
 }
 
 // cancelOp abandons an operation whose flush context was canceled before the

@@ -127,7 +127,7 @@ func (m *Matrix[D]) SetMergePolicy(p stream.Policy) (stream.Policy, error) {
 // (main, delta) pair, pinned. Later batches, merges, and point updates
 // publish fresh stores and never mutate pinned ones, so the epoch keeps
 // serving exactly this content without copying; the main store is marked
-// so that superseding it never releases its arrays (snapshotState). Forces
+// so that superseding it never releases its arrays (Matrix.settle). Forces
 // completion so the snapshot reflects the whole enqueued sequence.
 func (m *Matrix[D]) PinEpoch() (*stream.Epoch[D], error) {
 	const op = "Matrix.PinEpoch"

@@ -27,7 +27,17 @@ type Vector[D any] struct {
 	// pinned is the last store handed to a reader that keeps it beyond the
 	// operation that read it (an iterator). It is never recycled.
 	pinned *sparse.Vec[D]
-	mu     sync.Mutex
+	// saved is the rollback slot of the operation writing the vector now
+	// (transactional): the store it found, empty between operations.
+	saved vecStore[D]
+	mu    sync.Mutex
+}
+
+// vecStore is a vector's committed store: its values and its buffered
+// point updates.
+type vecStore[D any] struct {
+	data    *sparse.Vec[D]
+	pending []sparse.Tuple[D]
 }
 
 // setVData replaces the storage and drops buffered updates.
@@ -64,41 +74,43 @@ func (v *Vector[D]) pin() *sparse.Vec[D] {
 }
 
 // initVector stamps a fresh identity and registers the transactional
-// snapshot hook; see Matrix.initMatrix.
+// store; see Matrix.initMatrix.
 func (v *Vector[D]) initVector() {
 	v.initObj()
-	v.snapshot = v.snapshotState
+	v.tx = v
 }
 
-// snapshotState captures the vector's committed store and returns the
-// closure settling the operation that writes it: a failed one gets the
-// store back (see Matrix.snapshotState); a committed one recycles it.
+// snapshot captures the vector's committed store for the operation about
+// to write it (transactional). The pending list is kept, as
+// Matrix.snapshot keeps it.
+func (v *Vector[D]) snapshot() {
+	v.mu.Lock()
+	v.saved = vecStore[D]{v.data, v.pending[:len(v.pending):len(v.pending)]}
+	v.mu.Unlock()
+}
+
+// settle ends the operation writing the vector: a failed one gets the
+// store back (see Matrix.settle); a committed one recycles it.
 //
 // Store lifetimes. When the operation has committed, the captured store is
 // unreachable unless it is still the vector's own (the operation kept it)
-// or pinned by an iterator: the rollback this closure held is the only
-// other reference the engine keeps, operations ordered after this one read
-// the new store, and every kernel writes a Val of its own — no two stores
-// share one. Such a dead store is released: its Val goes back to the pool,
-// and its hold on its Idx, which other stores may share, is dropped — the
-// list goes back once the last store holding it is released (sparse
-// emit.go).
-func (v *Vector[D]) snapshotState() func(bool) {
+// or pinned by an iterator: the rollback slot is the only other reference
+// the engine keeps, operations ordered after this one read the new store,
+// and every kernel writes a Val of its own — no two stores share one. Such
+// a dead store is released: its Val goes back to the pool, and its hold on
+// its Idx, which other stores may share, is dropped — the list goes back
+// once the last store holding it is released (sparse emit.go).
+func (v *Vector[D]) settle(committed bool) {
 	v.mu.Lock()
-	data := v.data
-	pending := v.pending[:len(v.pending):len(v.pending)] // kept, as Matrix.snapshotState keeps it
-	v.mu.Unlock()
-	return func(committed bool) {
-		v.mu.Lock()
-		defer v.mu.Unlock()
-		if !committed {
-			v.data = data
-			v.pending = pending
-			return
-		}
-		if data != v.data && data != v.pinned && data.Release() {
-			storesRecycled.Inc()
-		}
+	defer v.mu.Unlock()
+	old := v.saved
+	v.saved = vecStore[D]{}
+	if !committed {
+		v.data, v.pending = old.data, old.pending
+		return
+	}
+	if old.data != v.data && old.data != v.pinned && old.data.Release() {
+		storesRecycled.Inc()
 	}
 }
 
@@ -319,7 +331,7 @@ func (v *Vector[D]) ExtractTuples() ([]int, []D, error) {
 
 // Free destroys the vector (GrB_free). Pending operations involving it
 // complete first; afterwards any use returns UninitializedObject. Its store
-// is released like a superseded one (snapshotState) unless an iterator
+// is released like a superseded one (settle) unless an iterator
 // pinned it.
 func (v *Vector[D]) Free() error {
 	if v == nil || !v.initialized {

@@ -68,6 +68,39 @@ type Graph struct {
 	// Per-hazard edge counts, after deduplication assigns each edge the
 	// strongest classification in RAW > WAW > WAR order.
 	raw, waw, war int
+	// r is the state of a run of the graph (RunCancelable), kept with it so
+	// that running a graph allocates nothing. help is r's helper body, bound
+	// once for the graph's lifetime: a go statement with no arguments
+	// starts it without allocating a closure.
+	r    run
+	help func()
+}
+
+// released holds graphs handed back by Release for the next Build, so a
+// flush's graph, its run state included, is allocated once and reused. It is
+// a free list, as internal/pool's are, not a sync.Pool: that one drops what
+// it holds at every collection, and at random under the race detector.
+var released struct {
+	sync.Mutex
+	graphs []*Graph
+}
+
+// maxReleased bounds the graphs kept for reuse: one per flush running at
+// once, which the engine's contexts bound.
+const maxReleased = 64
+
+// newGraph returns a released graph, or a new one when none is left.
+func newGraph() *Graph {
+	released.Lock()
+	defer released.Unlock()
+	n := len(released.graphs)
+	if n == 0 {
+		return &Graph{}
+	}
+	g := released.graphs[n-1]
+	released.graphs[n-1] = nil
+	released.graphs = released.graphs[:n-1]
+	return g
 }
 
 // Number rewrites ids — the object identities a flush refers to, in any
@@ -92,7 +125,8 @@ func Number(ids []int) int {
 // connected once. Object ids may be anything; ids already numbered densely
 // (Number) are used as they are. O(total reads + writes) time, plus a sort
 // of the ids when they are not dense; the bookkeeping is drawn from the
-// pool, and the graph's arrays too (Release hands them back).
+// pool, and the graph's arrays too, and the graph itself is one an earlier
+// Release handed back (Release hands them all back).
 func Build(ops []OpMeta) *Graph {
 	refs, maxID := 0, uint64(0)
 	for k := range ops {
@@ -140,7 +174,7 @@ func build(ops []OpMeta, ids, at []int, objects int) *Graph {
 	seen := pool.GetInts(n)
 	from := pool.GetInt32s(len(ids) + n)[:0] // the edges, in insertion order
 	to := pool.GetInt32s(len(ids) + n)[:0]
-	g := &Graph{}
+	g := newGraph()
 	for k := 0; k < n; k++ {
 		op := &ops[k]
 		addDep := func(j int, kind *int) {
@@ -212,11 +246,16 @@ func build(ops []OpMeta, ids, at []int, objects int) *Graph {
 	return g
 }
 
-// Release hands the graph's arrays back to the pool; the graph must not be
-// used afterwards.
+// Release hands the graph's arrays back to the pool and the graph to the
+// next Build, zeroed; the graph must not be used afterwards.
 func (g *Graph) Release() {
 	pool.Recycle(g.store)
-	*g = Graph{}
+	*g = Graph{help: g.help}
+	released.Lock()
+	if len(released.graphs) < maxReleased {
+		released.graphs = append(released.graphs, g)
+	}
+	released.Unlock()
 }
 
 // Nodes reports the number of operations in the graph.
@@ -283,6 +322,22 @@ func (h *readyQueue) pop() int32 {
 	return x
 }
 
+// Executor is what a run calls for the nodes of a graph. Exec executes a
+// node. Stop is asked at each dispatch whether the run was canceled, and
+// Skip is called in place of Exec for a node not dispatched because it was.
+type Executor interface {
+	Exec(node int)
+	Stop() bool
+	Skip(node int)
+}
+
+// execFunc is the Executor of Run: exec alone, never canceled.
+type execFunc func(node int)
+
+func (f execFunc) Exec(node int) { f(node) }
+func (execFunc) Stop() bool      { return false }
+func (execFunc) Skip(int)        {}
+
 // Run executes every node, dispatching a node only after all of its
 // dependencies completed, earliest ready node first, on the calling
 // goroutine and at most workers − 1 helpers. exec is called exactly once per
@@ -295,18 +350,18 @@ func (h *readyQueue) pop() int32 {
 // node has completed. Callers that want per-node error semantics
 // (internal/core does) should convert panics to errors inside exec instead.
 func (g *Graph) Run(workers int, exec func(node int)) RunStats {
-	return g.RunCancelable(workers, exec, nil, nil)
+	return g.RunCancelable(workers, execFunc(exec))
 }
 
-// RunCancelable is Run with cooperative cancellation. When stop is non-nil
-// and returns true at dispatch time, the popped node is not executed:
-// skip(node) is called in its place (outside the scheduler lock, exactly once
-// per skipped node) and the node's dependents are still released, so the run
-// drains without deadlock and every node is observed exactly once — by exec
-// or by skip. Nodes already executing when stop first reports true run to
-// completion; cancellation stops *dispatch*, it does not interrupt kernels.
-// A nil stop (or one that never fires) makes this identical to Run. skip must
-// not panic; exec panics are captured per node as in Run.
+// RunCancelable is Run with cooperative cancellation through x. When
+// x.Stop returns true at dispatch time, the popped node is not executed:
+// x.Skip(node) is called in its place (outside the scheduler lock, exactly
+// once per skipped node) and the node's dependents are still released, so
+// the run drains without deadlock and every node is observed exactly once
+// — by Exec or by Skip. Nodes already executing when Stop first reports
+// true run to completion; cancellation stops *dispatch*, it does not
+// interrupt kernels. A Stop that never fires makes this identical to Run.
+// Skip must not panic; Exec panics are captured per node as in Run.
 //
 // The caller runs the ready-node loop itself. A helper goroutine starts only
 // when a node is left ready while every executor that could take it is busy,
@@ -314,14 +369,19 @@ func (g *Graph) Run(workers int, exec func(node int)) RunStats {
 // flush of one, never leaves the calling goroutine, and a wide flush runs
 // its nodes side by side. A helper that finds nothing ready waits for the
 // next node and leaves when the last one completes; the caller returns only
-// after every helper has left.
-func (g *Graph) RunCancelable(workers int, exec func(node int), stop func() bool, skip func(node int)) RunStats {
+// after every helper has left. The run's state is the graph's own, so one
+// graph runs once at a time.
+func (g *Graph) RunCancelable(workers int, x Executor) RunStats {
 	n := g.Nodes()
 	if n == 0 {
 		return RunStats{}
 	}
-	r := &run{
-		g: g, exec: exec, stop: stop, skip: skip,
+	if g.help == nil {
+		g.help = g.r.help
+	}
+	r := &g.r
+	*r = run{
+		g: g, x: x,
 		helpers:   min(max(workers, 1), n) - 1,
 		ready:     readyQueue(pool.GetInt32s(n)[:0]),
 		indeg:     pool.GetInt32s(n),
@@ -339,21 +399,21 @@ func (g *Graph) RunCancelable(workers int, exec func(node int), stop func() bool
 	r.wg.Wait()
 	pool.PutInt32s(r.indeg)
 	pool.PutInt32s(r.ready)
-	if r.pan != nil {
-		panic(r.pan)
+	pan, width := r.pan, r.maxWidth
+	*r = run{}
+	if pan != nil {
+		panic(pan)
 	}
-	return RunStats{MaxWidth: r.maxWidth}
+	return RunStats{MaxWidth: width}
 }
 
 // run is one RunCancelable's state. mu guards the fields below it; cond
 // wakes an idle executor when a node is left ready and every one when the
 // last node completes.
 type run struct {
-	g    *Graph
-	exec func(node int)
-	stop func() bool
-	skip func(node int)
-	wg   sync.WaitGroup
+	g  *Graph
+	x  Executor
+	wg sync.WaitGroup
 
 	mu        sync.Mutex
 	cond      sync.Cond
@@ -391,10 +451,10 @@ func (r *run) loop() {
 			case r.helpers > 0:
 				r.helpers--
 				r.wg.Add(1)
-				go r.help()
+				go r.g.help()
 			}
 		}
-		canceled := r.stop != nil && r.stop()
+		canceled := r.x.Stop()
 		if !canceled {
 			r.running++
 			r.maxWidth = max(r.maxWidth, r.running)
@@ -403,13 +463,11 @@ func (r *run) loop() {
 		r.mu.Unlock()
 		var p *parallel.Panic
 		if canceled {
-			if r.skip != nil {
-				r.skip(node)
-			}
+			r.x.Skip(node)
 		} else {
 			obs.DagDispatches.Inc()
 			obs.DagWidth.SetMax(int64(width))
-			p = parallel.Capture(func() { r.exec(node) })
+			p = parallel.Capture(func() { r.x.Exec(node) })
 		}
 
 		r.mu.Lock()

@@ -396,13 +396,12 @@ func TestBuildMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestBuildAndRunAllocations: a flush's graph over numbered objects costs
-// the Graph header, and its bookkeeping, arrays and ready queue come from
-// the pool. Building and releasing a 24-op line allocates only the header,
-// and running a graph allocates only the run's own state — its lock, its
-// wait group and the queue's bookkeeping, one object — since a line never
-// starts a helper: one allocation, as many for a 600-op line as for a 24-op
-// one, at one worker or four.
+// TestBuildAndRunAllocations: a flush's graph over numbered objects is one
+// an earlier Release handed back, its run state is the graph's own, and its
+// bookkeeping, arrays and ready queue come from the pool. Building and
+// releasing a 24-op line allocates nothing, and neither does running a
+// graph, since a line never starts a helper: no allocation, on a 600-op
+// line as on a 24-op one, at one worker or four.
 func TestBuildAndRunAllocations(t *testing.T) {
 	line := func(n int) []OpMeta {
 		var ops []OpMeta
@@ -414,8 +413,8 @@ func TestBuildAndRunAllocations(t *testing.T) {
 	short, long := line(24), line(600)
 	build := func() { Build(short).Release() }
 	build()
-	if allocs := testing.AllocsPerRun(50, build); allocs > 1 {
-		t.Errorf("Build+Release allocates %.1f per call, want the Graph alone", allocs)
+	if allocs := testing.AllocsPerRun(50, build); allocs > 0 {
+		t.Errorf("Build+Release allocates %.1f per call, want none: the released graph was not reused", allocs)
 	}
 	runAllocs := func(ops []OpMeta, workers int) float64 {
 		g := Build(ops)
@@ -424,10 +423,10 @@ func TestBuildAndRunAllocations(t *testing.T) {
 		run()
 		return testing.AllocsPerRun(20, run)
 	}
-	const runBudget = 1 // the run's state; no goroutine
+	const runBudget = 0 // the run's state is the graph's; no goroutine
 	for _, workers := range []int{1, 4} {
 		if a, b := runAllocs(short, workers), runAllocs(long, workers); a != runBudget || b != runBudget {
-			t.Errorf("Run at %d workers allocates %.1f per call on 24 nodes and %.1f on 600, budget %d: the in-degree copy or the ready queue is no longer pooled, or a line started a helper", workers, a, b, runBudget)
+			t.Errorf("Run at %d workers allocates %.1f per call on 24 nodes and %.1f on 600, budget %d: the run's state, the in-degree copy or the ready queue is no longer reused, or a line started a helper", workers, a, b, runBudget)
 		}
 	}
 }
@@ -526,6 +525,13 @@ func TestRunCallerPanicWaitsForEveryNode(t *testing.T) {
 	}
 }
 
+// lineCancel executes nodes until three have run, then skips the rest.
+type lineCancel struct{ executed, skipped []int }
+
+func (x *lineCancel) Exec(i int) { x.executed = append(x.executed, i) }
+func (x *lineCancel) Stop() bool { return len(x.executed) == 3 }
+func (x *lineCancel) Skip(i int) { x.skipped = append(x.skipped, i) }
+
 // TestRunCancelMidLine: once stop fires partway down a line, the node the
 // caller pops next and every one after it are skipped, each exactly once,
 // and none of them executes.
@@ -536,11 +542,9 @@ func TestRunCancelMidLine(t *testing.T) {
 	}
 	g := Build(ops)
 	defer g.Release()
-	var executed, skipped []int
-	g.RunCancelable(2, func(i int) { executed = append(executed, i) },
-		func() bool { return len(executed) == 3 },
-		func(i int) { skipped = append(skipped, i) })
-	if fmt.Sprint(executed) != "[0 1 2]" || fmt.Sprint(skipped) != "[3 4 5 6 7]" {
+	var x lineCancel
+	g.RunCancelable(2, &x)
+	if executed, skipped := x.executed, x.skipped; fmt.Sprint(executed) != "[0 1 2]" || fmt.Sprint(skipped) != "[3 4 5 6 7]" {
 		t.Fatalf("executed %v and skipped %v, want [0 1 2] and [3 4 5 6 7]", executed, skipped)
 	}
 }

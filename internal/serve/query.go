@@ -131,18 +131,24 @@ func (v View) PPRTopK(ctx context.Context, src, k int, damping, tol float64, max
 	if err != nil {
 		return nil, 0, err
 	}
-	idx, vals, err := rank.ExtractTuples()
+	// The entries stream from the rank vector's store into the selection,
+	// so only the k winners are ever copied out of it.
+	n, err := rank.NVals()
 	if err != nil {
 		return nil, 0, err
+	}
+	it, err := core.VectorIterate(rank)
+	if err != nil {
+		return nil, 0, err
+	}
+	top := newTopK(k, n)
+	for i, x, ok := it.Next(); ok; i, x, ok = it.Next() {
+		top.offer(Ranked{Vertex: i, Score: x})
 	}
 	if err := rank.Free(); err != nil {
 		return nil, 0, err
 	}
-	ranked := make([]Ranked, len(idx))
-	for i := range idx {
-		ranked[i] = Ranked{Vertex: idx[i], Score: vals[i]}
-	}
-	return topK(ranked, k), iters, nil
+	return top.ranking(), iters, nil
 }
 
 // rankedBefore orders a ranking: score descending, then vertex ascending.
@@ -158,27 +164,44 @@ func rankedBefore(a, b Ranked) int {
 	return cmp.Compare(a.Vertex, b.Vertex)
 }
 
-// topK returns the first k entries of ranked in rankedBefore's order, all of
-// them when k <= 0 or k >= len(ranked), reordering ranked in place. A bounded
-// k is selected with a heap of k entries whose root is the last of them, so
-// only the k winners are sorted.
-func topK(ranked []Ranked, k int) []Ranked {
-	if k <= 0 || k >= len(ranked) {
-		slices.SortFunc(ranked, rankedBefore)
-		return ranked
+// topK selects the first k entries of a ranking in rankedBefore's order
+// as they are offered, all of them when k <= 0. A bounded k is selected
+// with a heap of k entries whose root is the last of them, so only the k
+// winners are held and sorted.
+type topK struct {
+	k int
+	h []Ranked
+}
+
+// newTopK starts a selection of k entries from n offered ones.
+func newTopK(k, n int) topK {
+	if k > 0 {
+		n = min(n, k)
 	}
-	h := ranked[:k]
-	for i := k/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	for _, r := range ranked[k:] {
-		if rankedBefore(r, h[0]) < 0 {
-			h[0] = r
-			siftDown(h, 0)
+	return topK{k: k, h: make([]Ranked, 0, n)}
+}
+
+// offer hands the selection the next entry of the ranking.
+func (t *topK) offer(r Ranked) {
+	if t.k <= 0 || len(t.h) < t.k {
+		t.h = append(t.h, r)
+		if len(t.h) == t.k {
+			for i := t.k/2 - 1; i >= 0; i-- {
+				siftDown(t.h, i)
+			}
 		}
+		return
 	}
-	slices.SortFunc(h, rankedBefore)
-	return h
+	if rankedBefore(r, t.h[0]) < 0 {
+		t.h[0] = r
+		siftDown(t.h, 0)
+	}
+}
+
+// ranking returns the entries selected, in rankedBefore's order.
+func (t *topK) ranking() []Ranked {
+	slices.SortFunc(t.h, rankedBefore)
+	return t.h
 }
 
 // siftDown restores the heap below i in h, a heap whose every parent comes

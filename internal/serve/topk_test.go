@@ -32,7 +32,11 @@ func TestPPRTopKMatchesFullSort(t *testing.T) {
 				if k > 0 && k < n {
 					w = want[:k]
 				}
-				got := topK(append([]Ranked(nil), ranked...), k)
+				top := newTopK(k, n)
+				for _, r := range ranked {
+					top.offer(r)
+				}
+				got := top.ranking()
 				if len(got) != len(w) || len(w) > 0 && !reflect.DeepEqual(got, w) {
 					t.Fatalf("n=%d k=%d: got %v, want %v", n, k, got, w)
 				}

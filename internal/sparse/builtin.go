@@ -701,29 +701,26 @@ func entryFor[DC any](key loopKey) entry[DC] {
 	return domainOf[DC]()
 }
 
+// domains holds the one entry of each domain a loop is compiled for,
+// indexed by kind. The entries are compiled once, here: a kernel reaches
+// them through a type assertion at run time, so a package instantiating a
+// kernel does not compile every domain's loops again, as naming them in a
+// generic function would make it do.
+var domains = [...]any{
+	float64Kind: &domain[float64, float64]{},
+	float32Kind: &domain[float32, float32]{},
+	int64Kind:   &domain[int64, int64]{},
+	int32Kind:   &domain[int32, int32]{},
+	intKind:     &domain[int, int]{},
+	boolKind:    &domain[boolean, bool]{},
+}
+
 // domainOf returns the entry for DC, or nil when DC is a domain no loop is
-// compiled for. Each case names an instantiation of its own domain, the
-// same whatever the kernel calling, so the entries are compiled six times
-// in all.
+// compiled for. boolean shares bool's kind, and its entry is bool's, so it
+// gets nil, as an unknown domain does.
 func domainOf[DC any]() entry[DC] {
-	var e any
-	switch any([]DC(nil)).(type) {
-	case []float64:
-		e = &domain[float64, float64]{}
-	case []float32:
-		e = &domain[float32, float32]{}
-	case []int64:
-		e = &domain[int64, int64]{}
-	case []int32:
-		e = &domain[int32, int32]{}
-	case []int:
-		e = &domain[int, int]{}
-	case []bool:
-		e = &domain[boolean, bool]{}
-	default:
-		return nil
-	}
-	return e.(entry[DC])
+	e, _ := domains[kindOf[DC]()].(entry[DC])
+	return e
 }
 
 // domain implements entry for the output domain DC, which is T's: T itself,
