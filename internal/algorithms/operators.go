@@ -1,6 +1,8 @@
 package algorithms
 
 import (
+	"cmp"
+
 	"graphblas/internal/builtins"
 	"graphblas/internal/core"
 	"graphblas/internal/setalg"
@@ -31,12 +33,12 @@ var (
 // freeAll frees an algorithm's work objects before it returns, so their
 // stores — vectors' and matrices' — go back to the pool instead of to the
 // collector. Free forces pending work: call it after the last forced read,
-// where it adds no flush. A nil object is skipped.
+// where it adds no flush. A nil object is skipped. Every object is freed
+// even when one fails; the first error is returned.
 func freeAll(vs ...interface{ Free() error }) error {
+	var first error
 	for _, v := range vs {
-		if err := v.Free(); err != nil {
-			return err
-		}
+		first = cmp.Or(first, v.Free())
 	}
-	return nil
+	return first
 }

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"cmp"
 	"context"
 
 	"graphblas/internal/builtins"
@@ -94,11 +95,20 @@ func PageRankFrom(a *core.Matrix[float64], start *core.Vector[float64], damping,
 // teleport set — core.All for PageRank, {src} for personalized PageRank —
 // and product(out, in) replaces out with inᵀA under ⟨+, first⟩. It takes
 // over rank: it returns rank or one of its own work vectors and frees the
-// other. A sweep's one deadline point is WaitContext(ctx) just before its
+// other, and on an error it frees both, and every work vector, before it
+// returns. A sweep's one deadline point is WaitContext(ctx) just before its
 // first reduce, after the product is enqueued, so ctx bounds the flush that
 // runs the product. At tol ≤ 0 only maxIter can end the loop, and the L1
 // change is not computed.
-func PowerIterate(ctx context.Context, rank, outdeg *core.Vector[float64], teleport []int, product func(out, in *core.Vector[float64]) error, damping, tol float64, maxIter int) (*core.Vector[float64], int, error) {
+func PowerIterate(ctx context.Context, rank, outdeg *core.Vector[float64], teleport []int, product func(out, in *core.Vector[float64]) error, damping, tol float64, maxIter int) (_ *core.Vector[float64], _ int, err error) {
+	// Work vectors, fully overwritten every sweep; next and rank trade places
+	// at the end of one.
+	var share, next, withEdges, diffV *core.Vector[float64]
+	defer func() {
+		if err != nil {
+			err = cmp.Or(err, freeAll(rank, share, next, withEdges, diffV))
+		}
+	}()
 	n, err := rank.Size()
 	if err != nil {
 		return nil, 0, err
@@ -113,15 +123,11 @@ func PowerIterate(ctx context.Context, rank, outdeg *core.Vector[float64], telep
 	plus := builtins.Plus[float64]()
 	scale := core.UnaryOp[float64, float64]{Name: "damp", F: func(x float64) float64 { return damping * x }}
 
-	// Work vectors, fully overwritten every sweep; next and rank trade places
-	// at the end of one.
-	var work [4]*core.Vector[float64]
-	for i := range work {
-		if work[i], err = core.NewVector[float64](n); err != nil {
+	for _, w := range []**core.Vector[float64]{&share, &next, &withEdges, &diffV} {
+		if *w, err = core.NewVector[float64](n); err != nil {
 			return nil, 0, err
 		}
 	}
-	share, next, withEdges, diffV := work[0], work[1], work[2], work[3]
 
 	iters := 0
 	for ; iters < maxIter; iters++ {

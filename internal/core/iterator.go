@@ -57,8 +57,11 @@ func (it *MatrixIterator[D]) Seek(row int) error {
 	return nil
 }
 
-// VectorIterator streams vector entries in index order.
+// VectorIterator streams vector entries in index order. It holds the
+// store it was opened on until it has reported its end, and then hands it
+// back to the vector, which recycles it if it no longer holds it itself.
 type VectorIterator[D any] struct {
+	v    *Vector[D]
 	data *sparse.Vec[D]
 	pos  int
 }
@@ -75,18 +78,28 @@ func VectorIterate[D any](v *Vector[D]) (*VectorIterator[D], error) {
 	if err := invalidMark(&v.obj, op); err != nil {
 		return nil, err
 	}
-	return &VectorIterator[D]{data: v.pin()}, nil
+	return &VectorIterator[D]{v: v, data: v.pin()}, nil
 }
 
-// Next returns the next entry; ok is false when iteration is complete.
+// Next returns the next entry; ok is false when iteration is complete, and
+// from then on the iterator holds nothing.
 func (it *VectorIterator[D]) Next() (i int, v D, ok bool) {
-	if it.pos >= len(it.data.Idx) {
+	if it.data == nil || it.pos >= len(it.data.Idx) {
+		it.release()
 		var zero D
 		return 0, zero, false
 	}
 	i, v = it.data.Idx[it.pos], it.data.Val[it.pos]
 	it.pos++
 	return i, v, true
+}
+
+// release hands the iterator's store back to its vector, once.
+func (it *VectorIterator[D]) release() {
+	if it.data != nil {
+		it.v.unpin(it.data)
+		it.data = nil
+	}
 }
 
 // MatrixForEach calls f for every stored entry of m in row-major order; a
@@ -120,6 +133,7 @@ func VectorForEach[D any](v *Vector[D], f func(i int, x D) bool) error {
 			return nil
 		}
 		if !f(i, x) {
+			it.release()
 			return nil
 		}
 	}

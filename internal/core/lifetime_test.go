@@ -62,7 +62,10 @@ func overwrite(t *testing.T, w, u *Vector[float64], c float64) {
 
 // TestIteratorKeepsItsStore: an iterator opened on a vector keeps the
 // content it was opened on while the vector is overwritten again and again
-// and the pool hands the superseded arrays out to other kernels.
+// and the pool hands the superseded arrays out to other kernels. Two
+// iterators open on one store both keep it: the one that ends first hands
+// its hold back, the other still reads what it was opened on, and the
+// store, superseded meanwhile, goes back to the pool when the last ends.
 func TestIteratorKeepsItsStore(t *testing.T) {
 	lifetimeModes(t, func(t *testing.T) {
 		watch := assertQuiescent(t)
@@ -81,7 +84,14 @@ func TestIteratorKeepsItsStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		first, err := VectorIterate(w) // a second hold on the same store
+		if err != nil {
+			t.Fatal(err)
+		}
 		for r := 2; r < 20; r++ {
+			if r == 10 { // the first iterator ends half way through the churn
+				drain(t, first, wantIdx, wantVal)
+			}
 			overwrite(t, w, u, float64(r))
 			overwrite(t, scratch, w, -1)
 			// Supersede the list's owner and every other sharer: only the
@@ -89,21 +99,35 @@ func TestIteratorKeepsItsStore(t *testing.T) {
 			overwrite(t, u, other, float64(r))
 			churnIdx()
 		}
-		k := 0
-		for i, x, ok := it.Next(); ok; i, x, ok = it.Next() {
-			if k >= len(wantIdx) || i != wantIdx[k] || math.Float64bits(x) != math.Float64bits(wantVal[k]) {
-				t.Fatalf("iterator entry %d = (%d, %v), opened on %v %v", k, i, x, wantIdx, wantVal)
-			}
-			k++
+		recycled := obs.StoresRecycled.Value()
+		drain(t, it, wantIdx, wantVal)
+		if obs.StoresRecycled.Value() != recycled+1 {
+			t.Fatal("the store the last iterator handed back did not go back to the pool")
 		}
-		if k != len(wantIdx) {
-			t.Fatalf("iterator yielded %d entries, opened on %d", k, len(wantIdx))
+		if _, _, ok := it.Next(); ok {
+			t.Fatal("an iterator yielded an entry after its end")
 		}
 		if obs.StoresRecycled.Value() == 0 {
 			t.Fatal("no store was recycled: the overwrites did not exercise the free list")
 		}
 		watch(u, other, w, scratch)
 	})
+}
+
+// drain reads an iterator to its end and checks that it yields exactly the
+// entries it was opened on.
+func drain(t *testing.T, it *VectorIterator[float64], wantIdx []int, wantVal []float64) {
+	t.Helper()
+	k := 0
+	for i, x, ok := it.Next(); ok; i, x, ok = it.Next() {
+		if k >= len(wantIdx) || i != wantIdx[k] || math.Float64bits(x) != math.Float64bits(wantVal[k]) {
+			t.Fatalf("iterator entry %d = (%d, %v), opened on %v %v", k, i, x, wantIdx, wantVal)
+		}
+		k++
+	}
+	if k != len(wantIdx) {
+		t.Fatalf("iterator yielded %d entries, opened on %d", k, len(wantIdx))
+	}
 }
 
 // TestFailedOverwriteRestoresRecycledVector: once w has been overwritten

@@ -24,9 +24,11 @@ type Vector[D any] struct {
 
 	// pending buffers single-element updates; see Matrix.pending.
 	pending []sparse.Tuple[D]
-	// pinned is the last store handed to a reader that keeps it beyond the
-	// operation that read it (an iterator). It is never recycled.
+	// pinned is the last store handed to readers that keep it beyond the
+	// operation that read it (an iterator, a scatter), and pins how many of
+	// them still hold it: it is not recycled before the last lets go.
 	pinned *sparse.Vec[D]
+	pins   int
 	// saved is the rollback slot of the operation writing the vector now
 	// (transactional): the store it found, empty between operations.
 	saved vecStore[D]
@@ -65,12 +67,116 @@ func (v *Vector[D]) vdatLocked() *sparse.Vec[D] {
 }
 
 // pin is vdat for a reader that keeps the store past the read: the store
-// is marked so that superseding it never recycles its values.
+// is held, so that superseding it does not recycle it before the reader
+// hands it back (unpin). A store pinned earlier that readers still hold
+// and the vector no longer does is left to the collector.
 func (v *Vector[D]) pin() *sparse.Vec[D] {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.pinned = v.vdatLocked()
-	return v.pinned
+	d := v.vdatLocked()
+	if d != v.pinned {
+		v.pinned, v.pins = d, 0
+	}
+	v.pins++
+	return d
+}
+
+// unpin hands back a store pin returned. The last reader to let go of a
+// store the vector no longer holds releases it.
+func (v *Vector[D]) unpin(d *sparse.Vec[D]) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if d != v.pinned {
+		return // a later pin took its place: the collector's
+	}
+	if v.pins--; v.pins > 0 {
+		return
+	}
+	v.pinned = nil
+	v.retireLocked(d)
+}
+
+// retireLocked releases d, a store the vector has let go of, unless
+// something still reaches it: the vector itself, a reader (pinned), or the
+// operation writing the vector, which may restore it (saved). Caller holds
+// v.mu.
+func (v *Vector[D]) retireLocked(d *sparse.Vec[D]) {
+	if d != nil && d != v.data && d != v.pinned && d != v.saved.data && d.Release() {
+		storesRecycled.Inc()
+	}
+}
+
+// Moving stores. Inside the library a store may pass from one vector to
+// another without the copies of Build and ExtractTuples, the user-level
+// boundary (§III): the sharded product deals an input's entries into
+// stores of its own, moves each into a shard's vector, and moves the
+// shards' results out again. The primitives force the vector first, and a
+// store keeps one owner: a moved store is the receiver's alone, and no two
+// stores share a value array.
+
+// readStore runs the checks of a method that reads v's store: v is
+// initialized, its engine forced, and v valid.
+func readStore(o *obj, op string) error {
+	if err := objOK(o, op, "v"); err != nil {
+		return err
+	}
+	if err := o.engine().force(op); err != nil {
+		return err
+	}
+	return invalidMark(o, op)
+}
+
+// HoldStore returns v's store, forced, under a hold: until ReleaseHold
+// hands it back, no operation superseding it recycles it. For code that
+// reads a store in place and keeps nothing of it.
+func HoldStore[D any](v *Vector[D]) (*sparse.Vec[D], error) {
+	if err := readStore(&v.obj, "HoldStore"); err != nil {
+		return nil, err
+	}
+	return v.pin(), nil
+}
+
+// ReleaseHold hands back a store HoldStore returned.
+func ReleaseHold[D any](v *Vector[D], d *sparse.Vec[D]) { v.unpin(d) }
+
+// TakeStore moves v's store out, forced, and leaves v empty: the caller
+// owns it from then on, and releases it or has a vector adopt it. A store
+// a reader holds or an operation may restore stays with v, and the caller
+// gets a copy of it.
+func TakeStore[D any](v *Vector[D]) (*sparse.Vec[D], error) {
+	if err := readStore(&v.obj, "TakeStore"); err != nil {
+		return nil, err
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	d := v.vdatLocked()
+	if d == v.pinned || d == v.saved.data {
+		return d.Clone(), nil
+	}
+	v.data = sparse.NewVec[D](v.n)
+	return d, nil
+}
+
+// AdoptStore makes d v's store, forced first, in place of the store v
+// held, which is released unless something still reaches it. The caller
+// gives d up: no other store may hold its values, and its positions must
+// be ascending, unique and below v's size — nothing checks them, since
+// they come from the library's own kernels. On an error the caller keeps
+// d.
+func AdoptStore[D any](v *Vector[D], d *sparse.Vec[D]) error {
+	const op = "AdoptStore"
+	if err := readStore(&v.obj, op); err != nil {
+		return err
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if d.N != v.n {
+		return errf(DimensionMismatch, op, "store of size %d, vector of size %d", d.N, v.n)
+	}
+	old := v.data
+	v.data, v.pending = d, nil
+	v.retireLocked(old)
+	return nil
 }
 
 // initVector stamps a fresh identity and registers the transactional
@@ -94,7 +200,7 @@ func (v *Vector[D]) snapshot() {
 //
 // Store lifetimes. When the operation has committed, the captured store is
 // unreachable unless it is still the vector's own (the operation kept it)
-// or pinned by an iterator: the rollback slot is the only other reference
+// or held by a reader (pin): the rollback slot is the only other reference
 // the engine keeps, operations ordered after this one read the new store,
 // and every kernel writes a Val of its own — no two stores share one. Such
 // a dead store is released: its Val goes back to the pool, and its hold on
@@ -109,9 +215,7 @@ func (v *Vector[D]) settle(committed bool) {
 		v.data, v.pending = old.data, old.pending
 		return
 	}
-	if old.data != v.data && old.data != v.pinned && old.data.Release() {
-		storesRecycled.Inc()
-	}
+	v.retireLocked(old.data)
 }
 
 // NewVector creates a vector of size n (GrB_Vector_new). n must be
@@ -342,10 +446,9 @@ func (v *Vector[D]) Free() error {
 	}
 	v.initialized = false
 	v.mu.Lock()
-	if v.data != v.pinned && v.data.Release() {
-		storesRecycled.Inc()
-	}
+	d := v.data
 	v.data, v.pending = nil, nil
+	v.retireLocked(d)
 	v.mu.Unlock()
 	return nil
 }

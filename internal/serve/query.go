@@ -24,23 +24,23 @@ import (
 // (including src), ascending: the order of the visited vector's tuples. It is the BFS frontier loop of the paper's
 // Figure 3 with a hop budget: frontier ← frontierᵀA per sweep, reached mass
 // accumulated across sweeps.
-func (v View) KHop(ctx context.Context, src, k int) ([]int, error) {
+func (v View) KHop(ctx context.Context, src, k int) (_ []int, err error) {
 	n := v.g.N
-	frontier, err := core.NewVector[float64](n)
-	if err != nil {
+	// next is overwritten every hop, then becomes the frontier: the two
+	// handles trade places instead of a new one per hop. Every return frees
+	// the three, so a failed or canceled query leaves no store behind.
+	var frontier, next, visited *core.Vector[float64]
+	defer func() { err = freeAfter(err, frontier, next, visited) }()
+	if frontier, err = core.NewVector[float64](n); err != nil {
 		return nil, err
 	}
 	if err := frontier.SetElement(1, src); err != nil {
 		return nil, err
 	}
-	// next is overwritten every hop, then becomes the frontier: the two
-	// handles trade places instead of a new one per hop.
-	next, err := core.NewVector[float64](n)
-	if err != nil {
+	if next, err = core.NewVector[float64](n); err != nil {
 		return nil, err
 	}
-	visited, err := core.NewVector[float64](n)
-	if err != nil {
+	if visited, err = core.NewVector[float64](n); err != nil {
 		return nil, err
 	}
 	if err := visited.SetElement(1, src); err != nil {
@@ -85,21 +85,18 @@ func (v View) KHop(ctx context.Context, src, k int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := free(frontier, next, visited); err != nil {
-		return nil, err
-	}
 	return idx, nil
 }
 
-// free hands a query's work vectors back once its answer is out of them:
-// their storage goes to the next query instead of to the collector.
-func free(vs ...*core.Vector[float64]) error {
+// freeAfter hands a query's work vectors back on its way out, whether it
+// answered or failed: their storage goes to the next query instead of to
+// the collector. It returns err, or the first error freeing them when err
+// is nil.
+func freeAfter(err error, vs ...*core.Vector[float64]) error {
 	for _, v := range vs {
-		if err := v.Free(); err != nil {
-			return err
-		}
+		err = cmp.Or(err, v.Free())
 	}
-	return nil
+	return err
 }
 
 // Ranked is one entry of a top-k ranking.
@@ -114,7 +111,7 @@ type Ranked struct {
 // passes a reduced bound under load, trading rank precision for latency.
 // The achieved sweep count is returned so responses can report how degraded
 // they are.
-func (v View) PPRTopK(ctx context.Context, src, k int, damping, tol float64, maxIter int) ([]Ranked, int, error) {
+func (v View) PPRTopK(ctx context.Context, src, k int, damping, tol float64, maxIter int) (_ []Ranked, _ int, err error) {
 	outdeg, err := v.g.OutDegrees(ctx)
 	if err != nil {
 		return nil, 0, err
@@ -124,15 +121,18 @@ func (v View) PPRTopK(ctx context.Context, src, k int, damping, tol float64, max
 		return nil, 0, err
 	}
 	if err := rank.SetElement(1, src); err != nil {
-		return nil, 0, err
+		return nil, 0, freeAfter(err, rank)
 	}
 	product := func(out, in *core.Vector[float64]) error { return v.g.VxM(ctx, out, in) }
+	// PowerIterate takes rank over, and frees it when it fails.
 	rank, iters, err := algorithms.PowerIterate(ctx, rank, outdeg, []int{src}, product, damping, tol, maxIter)
 	if err != nil {
 		return nil, 0, err
 	}
+	defer func() { err = freeAfter(err, rank) }()
 	// The entries stream from the rank vector's store into the selection,
-	// so only the k winners are ever copied out of it.
+	// so only the k winners are ever copied out of it. The iterator hands
+	// the store back at its end, and freeing rank then recycles it.
 	n, err := rank.NVals()
 	if err != nil {
 		return nil, 0, err
@@ -144,9 +144,6 @@ func (v View) PPRTopK(ctx context.Context, src, k int, damping, tol float64, max
 	top := newTopK(k, n)
 	for i, x, ok := it.Next(); ok; i, x, ok = it.Next() {
 		top.offer(Ranked{Vertex: i, Score: x})
-	}
-	if err := rank.Free(); err != nil {
-		return nil, 0, err
 	}
 	return top.ranking(), iters, nil
 }

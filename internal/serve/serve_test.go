@@ -8,8 +8,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,7 +278,10 @@ func TestServerPPRRanksRestartVertexFirst(t *testing.T) {
 // surfaces as a Canceled-class engine error — the flush checkpoint inside
 // the sweep loop saw the expired context and stopped dispatch — at one
 // shard, where the checkpoint runs the product, and at two, where the
-// scatter-gather flushes under the same deadline.
+// scatter-gather flushes under the same deadline. A k-hop query whose
+// deadline passes at each of its checkpoints in turn either answers in
+// full or fails Canceled-class, and either way leaves nothing drawn behind:
+// every early return frees its work vectors.
 func TestQueryDeadlineCancelsSweeps(t *testing.T) {
 	leakcheck.AssertQuiescent(t)
 	g := generate.RMAT(7, 8, 5).Dedup(true)
@@ -294,8 +299,57 @@ func TestQueryDeadlineCancelsSweeps(t *testing.T) {
 		if core.InfoOf(err) != core.Canceled {
 			t.Fatalf("%d shards: deadline mid-iteration: got %v want Canceled-class error", shards, err)
 		}
+
+		want, err := View{snap}.KHop(context.Background(), 0, 6)
+		if err != nil {
+			t.Fatalf("%d shards: KHop: %v", shards, err)
+		}
+		canceled := 0
+		for looks := int32(0); ; looks++ {
+			got, err := View{snap}.KHop(expireAfter(looks), 0, 6)
+			if err == nil {
+				if !slices.Equal(got, want) {
+					t.Fatalf("%d shards: KHop with %d looks at the deadline = %v, want %v", shards, looks, got, want)
+				}
+				break
+			}
+			if core.InfoOf(err) != core.Canceled {
+				t.Fatalf("%d shards: KHop past its deadline at look %d: got %v want Canceled-class error", shards, looks, err)
+			}
+			canceled++
+		}
+		if canceled < 3 {
+			t.Fatalf("%d shards: KHop was canceled at %d checkpoints, want a deadline mid-sweep too", shards, canceled)
+		}
 	}
 }
+
+// expiring is a context whose deadline passes at its look-th look: Err
+// reports nothing before it and DeadlineExceeded from then on, and Done is
+// closed once it has.
+type expiring struct {
+	context.Context
+	left atomic.Int32
+	once sync.Once
+	done chan struct{}
+}
+
+// expireAfter returns a context whose deadline passes after looks looks.
+func expireAfter(looks int32) *expiring {
+	c := &expiring{Context: context.Background(), done: make(chan struct{})}
+	c.left.Store(looks)
+	return c
+}
+
+func (c *expiring) Err() error {
+	if c.left.Add(-1) >= 0 {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.DeadlineExceeded
+}
+
+func (c *expiring) Done() <-chan struct{} { return c.done }
 
 // TestServerPPRMatchesOracle: /query/ppr's scores agree with the dense
 // power iteration of refalgo to 1e-9 per score, over the same support and

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime/debug"
 	"sort"
 	"testing"
 	"time"
@@ -23,6 +24,7 @@ import (
 	"graphblas/internal/core"
 	"graphblas/internal/faults"
 	"graphblas/internal/generate"
+	"graphblas/internal/pool"
 	"graphblas/internal/serve"
 	"graphblas/internal/shard"
 	"graphblas/internal/stream"
@@ -166,9 +168,46 @@ func TestShardedIngestTupleEquivalence(t *testing.T) {
 	}
 }
 
+// poisonShelves turns the collector off for the test — the value shelves
+// are weak, and a collection would empty them — and returns churn, which
+// draws every array the pool's int and float64 shelves hold in the size
+// classes of the test graph's stores, writes junk over it (−1, NaN) and
+// shelves it again. Run between queries, it makes a store read after it was
+// moved out of a vector or released show as a wrong answer, and so does a
+// position a kernel drew uncleared and left unwritten.
+func poisonShelves(t *testing.T) (churn func()) {
+	t.Helper()
+	prev := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(prev) })
+	return func() {
+		junk(-1)
+		junk(math.NaN())
+	}
+}
+
+// junk overwrites every shelved array of T's classes up to 2⁹ with x.
+func junk[T int | float64](x T) {
+	const shelf = 64 // at least the pool's per-class shelf capacity
+	for class := 0; class <= 9; class++ {
+		drawn := make([][]T, 0, shelf)
+		for k := 0; k < shelf; k++ {
+			s := pool.Vals[T](1 << class)
+			for i := range s {
+				s[i] = x
+			}
+			drawn = append(drawn, s)
+		}
+		for _, s := range drawn {
+			pool.Recycle(s)
+		}
+	}
+}
+
 // TestShardedKHopEquivalence: k-hop vertex sets are tuple-exact against the
-// one-shard BFS for a sweep of sources and hop budgets.
+// one-shard BFS for a sweep of sources and hop budgets, with junk on the
+// pool's shelves before every query.
 func TestShardedKHopEquivalence(t *testing.T) {
+	churn := poisonShelves(t)
 	g := testGraph()
 	oracle := viewOf(t, serve.NewShardedBackend(newOracle(t, g.N, edgeBatch(g))))
 	ctx := context.Background()
@@ -178,10 +217,12 @@ func TestShardedKHopEquivalence(t *testing.T) {
 	eachSharding(t, g, func(name string, v serve.View) {
 		for _, src := range srcs {
 			for _, k := range hops {
+				churn()
 				want, err := oracle.KHop(ctx, src, k)
 				if err != nil {
 					t.Fatalf("oracle KHop(%d,%d): %v", src, k, err)
 				}
+				churn()
 				got, err := v.KHop(ctx, src, k)
 				if err != nil {
 					t.Fatalf("%s KHop(%d,%d): %v", name, src, k, err)
@@ -292,13 +333,16 @@ func TestStatsComputedOncePerSnapshot(t *testing.T) {
 // TestShardedPPREquivalence: personalized PageRank agrees with one shard
 // to summation tolerance (1e-9 per score) with identical sweep
 // counts — the only sharded query where exactness is relaxed, and only
-// because the coordinator's gather regroups cross-shard float additions.
+// because the coordinator's gather regroups cross-shard float additions —
+// with junk on the pool's shelves before every query.
 func TestShardedPPREquivalence(t *testing.T) {
+	churn := poisonShelves(t)
 	g := testGraph()
 	oracle := viewOf(t, serve.NewShardedBackend(newOracle(t, g.N, edgeBatch(g))))
 	ctx := context.Background()
 
 	for _, src := range []int{0, 3, g.N / 2} {
+		churn()
 		want, wantIters, err := oracle.PPRTopK(ctx, src, 0, 0.85, 1e-6, 50)
 		if err != nil {
 			t.Fatalf("oracle PPR(%d): %v", src, err)
@@ -308,6 +352,7 @@ func TestShardedPPREquivalence(t *testing.T) {
 			wantScores[r.Vertex] = r.Score
 		}
 		eachSharding(t, g, func(name string, v serve.View) {
+			churn()
 			got, iters, err := v.PPRTopK(ctx, src, 0, 0.85, 1e-6, 50)
 			if err != nil {
 				t.Fatalf("%s PPR(%d): %v", name, src, err)
@@ -333,7 +378,8 @@ func TestShardedPPREquivalence(t *testing.T) {
 }
 
 // TestShardedPPROpsPerSweepBounded: a sharded sweep hands each owning shard
-// its slice of the share vector as one Build, so the ops a PPR defers grow
+// its slice of the share vector as one moved store, which the shard's
+// vector adopts without an operation, so the ops a PPR defers grow
 // with sweeps × shards and not with the vector's entries (hundreds per sweep
 // when the slice went in one SetElement per entry). One shard takes the
 // direct path: the whole PPR runs under a plan faulting every draw of the

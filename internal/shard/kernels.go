@@ -6,6 +6,7 @@ import (
 	"graphblas/internal/builtins"
 	"graphblas/internal/core"
 	"graphblas/internal/faults"
+	"graphblas/internal/pool"
 	"graphblas/internal/sparse"
 	"graphblas/internal/stream"
 )
@@ -61,61 +62,128 @@ func routeBatch(p Plan, b *stream.Batch[float64]) []*stream.Batch[float64] {
 	return subs
 }
 
-// scatterTuples deals a global vector's ascending tuples to the owning
-// shards, indices translated to shard-local rows (both strategies keep them
-// ascending) — the scatter half of the sharded VxM. Under a Block plan each
-// shard owns one contiguous run of the tuples, cut at its exact size; its
-// values are the run of vals itself.
-func scatterTuples(p Plan, idx []int, vals []float64) []*sparse.Vec[float64] {
+// scatter deals a global vector's entries to the owning shards, in one
+// pass, into stores of their own drawn from the pool: indices translated
+// to shard-local rows (both strategies keep them ascending), values copied
+// once, never aliased, so a part shares no array with v and the shard's
+// vector can adopt it. A shard that owns no entry gets nil, and one that
+// owns an entry at each of its rows gets a full part, whose positions are
+// the shared identity list. It is the scatter half of the sharded VxM.
+func scatter(p Plan, v *sparse.Vec[float64]) []*sparse.Vec[float64] {
 	faults.Step("shard.kernel.scatter")
 	parts := make([]*sparse.Vec[float64], p.Shards)
-	for s := range parts {
-		parts[s] = sparse.NewVec[float64](p.LocalRows(s))
-	}
 	if p.Strategy == Block {
+		// Each shard owns one contiguous run of v's entries.
 		lo := 0
-		for s, part := range parts {
-			hi := lo + sort.SearchInts(idx[lo:], p.bounds[s+1])
-			part.Idx = make([]int, hi-lo)
-			for t, v := range idx[lo:hi] {
-				part.Idx[t] = v - p.bounds[s]
+		for s := range parts {
+			hi := lo + sort.SearchInts(v.Idx[lo:], p.bounds[s+1])
+			if hi > lo {
+				n, idx := p.LocalRows(s), []int(nil)
+				if hi-lo < n {
+					idx = pool.RawVals[int](hi - lo)
+					for t, g := range v.Idx[lo:hi] {
+						idx[t] = g - p.bounds[s]
+					}
+				}
+				val := pool.RawVals[float64](hi - lo)
+				copy(val, v.Val[lo:hi])
+				parts[s] = sparse.PooledVec(n, idx, val)
 			}
-			part.Val = vals[lo:hi:hi]
 			lo = hi
 		}
 		return parts
 	}
-	for t, v := range idx {
-		part := parts[p.Owner(v)]
-		part.Idx = append(part.Idx, p.Local(v))
-		part.Val = append(part.Val, vals[t])
+	// Hash: shard s owns the entries whose index is s modulo the width.
+	k := p.Shards
+	at := pool.GetInts(k)
+	for _, g := range v.Idx {
+		at[g%k]++
 	}
+	idxs, vals := make([][]int, k), make([][]float64, k)
+	for s, c := range at {
+		if c == 0 {
+			continue
+		}
+		if c < p.LocalRows(s) {
+			idxs[s] = pool.RawVals[int](c)
+		}
+		vals[s] = pool.RawVals[float64](c)
+		at[s] = 0
+	}
+	for t, g := range v.Idx {
+		s := g % k
+		if idxs[s] != nil {
+			idxs[s][at[s]] = g / k
+		}
+		vals[s][at[s]] = v.Val[t]
+		at[s]++
+	}
+	for s, c := range at {
+		if c > 0 {
+			parts[s] = sparse.PooledVec(p.LocalRows(s), idxs[s], vals[s])
+		}
+	}
+	pool.PutInts(at)
 	return parts
 }
 
-// gatherMerge adds per-shard partial result vectors, in ascending shard order
-// — the fixed combine order that makes cross-shard float summation
-// deterministic run to run. The governor is charged for the partials being
-// folded, so an oversized gather fails with OOM before the accumulation, like
-// any engine allocation.
-func gatherMerge(parts []*sparse.Vec[float64]) *sparse.Vec[float64] {
+// gatherMerge adds the shards' partial results, nil for a shard that ran
+// nothing, in ascending shard order — the fixed combine order that makes
+// cross-shard float summation deterministic run to run — into a store of
+// size n. The governor is charged for the partials being folded, so an
+// oversized gather fails with OOM before the accumulation, like any engine
+// allocation. The sum is one of the partials or a store of its own; every
+// other partial, and every intermediate fold, is released. A fault leaves
+// the partials to the caller; otherwise none is left in parts.
+func gatherMerge(n int, parts []*sparse.Vec[float64]) *sparse.Vec[float64] {
 	faults.Step("shard.kernel.gather")
 	var bytes int64
 	for _, p := range parts {
-		bytes += int64(p.NVals()) * 16
+		if p != nil {
+			bytes += int64(p.NVals()) * 16
+		}
 	}
 	faults.GovernAlloc("shard.alloc.partial", bytes)
-	sum := parts[0]
-	for _, p := range parts[1:] {
-		next := sparse.VecUnion(sum, p, plus.F, sparse.OpPlus)
-		if sum != parts[0] { // an earlier fold's own result
-			sum.Release()
+	var sum *sparse.Vec[float64]
+	folded := false // sum is a fold's own result, not a partial
+	for _, p := range parts {
+		switch {
+		case p == nil:
+		case sum == nil:
+			sum = p
+		default:
+			next := sparse.VecUnion(sum, p, plus.F, sparse.OpPlus)
+			if folded {
+				sum.Release()
+			}
+			sum, folded = next, true
 		}
-		sum = next
 	}
+	if sum == nil {
+		return sparse.NewVec[float64](n)
+	}
+	if folded {
+		release(parts)
+	}
+	clear(parts) // each is the sum or released
 	return sum
 }
 
-// plus is the predefined + the gather folds with: its opcode runs the
-// union's compiled loop.
-var plus = builtins.Plus[float64]()
+// release gives back every partial store in parts.
+func release(parts []*sparse.Vec[float64]) {
+	for s, p := range parts {
+		if p != nil {
+			p.Release()
+			parts[s] = nil
+		}
+	}
+}
+
+// The predefined operators of the sharded product, built once: a generic
+// constructor allocates its closures on every call. plus is the + the
+// gather folds with (its opcode runs the union's compiled loop), plusFirst
+// the structural semiring every VxM runs.
+var (
+	plus      = builtins.Plus[float64]()
+	plusFirst = builtins.PlusFirst[float64]()
+)

@@ -1,6 +1,11 @@
 package shard
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+
+	"graphblas/internal/sparse"
+)
 
 // TestPlanPartitionInvariants checks, for both strategies over a grid of
 // (n, shards) shapes, that the routing arithmetic is a true partition:
@@ -103,40 +108,68 @@ func TestPlanValidation(t *testing.T) {
 	}
 }
 
-// TestScatterTuplesDealsEachOwner: for both strategies, every tuple of an
-// ascending vector lands with its owner at its local row, in ascending
-// order, and a Block plan's parts are cut at their exact size.
-func TestScatterTuplesDealsEachOwner(t *testing.T) {
+// TestScatterDealsEachOwner: for both strategies, every entry of a sparse
+// and of a full vector lands with its owner at its local row, in ascending
+// order, in a store of its own: no part shares its values with the input,
+// nor its positions unless both are the identity list of a full vector. A
+// shard that owns no entry gets no part.
+func TestScatterDealsEachOwner(t *testing.T) {
 	const n = 103
-	var idx []int
-	var vals []float64
-	for v := 0; v < n; v += 1 + v%4 {
-		idx, vals = append(idx, v), append(vals, float64(v)+0.5)
+	sparseIn := sparse.NewVec[float64](n)
+	for v := 0; v < n/2; v += 1 + v%4 {
+		sparseIn.Idx, sparseIn.Val = append(sparseIn.Idx, v), append(sparseIn.Val, float64(v)+0.5)
 	}
-	for _, st := range []Strategy{Block, Hash} {
-		p, err := NewPlan(n, 4, st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts := scatterTuples(p, idx, vals)
-		got := 0
-		for s, part := range parts {
-			if part.N != p.LocalRows(s) {
-				t.Fatalf("%v shard %d: part size %d, want %d", st, s, part.N, p.LocalRows(s))
+	full, present := make([]float64, n), make([]bool, n)
+	for v := range full {
+		full[v], present[v] = float64(v)+0.5, true
+	}
+	fullIn := sparse.FromDense(full, present)
+	for _, in := range []*sparse.Vec[float64]{sparseIn, fullIn} {
+		for _, st := range []Strategy{Block, Hash} {
+			p, err := NewPlan(n, 4, st)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if st == Block && (cap(part.Idx) != len(part.Idx) || cap(part.Val) != len(part.Val)) {
-				t.Fatalf("%v shard %d: part not cut at its exact size", st, s)
-			}
-			for k, lr := range part.Idx {
-				v := p.Global(s, lr)
-				if p.Owner(v) != s || part.Val[k] != float64(v)+0.5 || k > 0 && lr <= part.Idx[k-1] {
-					t.Fatalf("%v shard %d: tuple %d (local %d, global %d) misplaced", st, s, k, lr, v)
+			parts := scatter(p, in)
+			got := 0
+			for s, part := range parts {
+				if part == nil {
+					for _, v := range in.Idx {
+						if p.Owner(v) == s {
+							t.Fatalf("%v shard %d owns %d but got no part", st, s, v)
+						}
+					}
+					continue
 				}
+				if part.N != p.LocalRows(s) {
+					t.Fatalf("%v shard %d: part size %d, want %d", st, s, part.N, p.LocalRows(s))
+				}
+				if overlaps(part.Val, in.Val) || !(part.Full() && in.Full()) && overlaps(part.Idx, in.Idx) {
+					t.Fatalf("%v shard %d: part shares an array with the input", st, s)
+				}
+				for k, lr := range part.Idx {
+					v := p.Global(s, lr)
+					if p.Owner(v) != s || part.Val[k] != float64(v)+0.5 || k > 0 && lr <= part.Idx[k-1] {
+						t.Fatalf("%v shard %d: entry %d (local %d, global %d) misplaced", st, s, k, lr, v)
+					}
+				}
+				got += part.NVals()
 			}
-			got += part.NVals()
-		}
-		if got != len(idx) {
-			t.Fatalf("%v: dealt %d tuples, want %d", st, got, len(idx))
+			if got != in.NVals() {
+				t.Fatalf("%v: dealt %d entries, want %d", st, got, in.NVals())
+			}
+			release(parts)
 		}
 	}
+}
+
+// overlaps reports whether two slices share any element of their arrays.
+func overlaps[T any](a, b []T) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	size := unsafe.Sizeof(a[:1][0])
+	alo := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
+	blo := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return alo < blo+uintptr(cap(b))*size && blo < alo+uintptr(cap(a))*size
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"sort"
 	"sync"
@@ -59,12 +60,16 @@ type triangleStats struct {
 // Epoch returns the token a response names its consistent state by.
 func (snap *Snapshot) Epoch() uint64 { return snap.Version }
 
-// eachShard runs f once per shard, concurrently, and returns the first error
-// in shard order.
-func eachShard(shards int, f func(s int) error) error {
+// eachShard runs f once per shard that busy reports work for (every shard
+// when busy is nil), concurrently, and returns the first error in shard
+// order. An idle shard starts no goroutine.
+func eachShard(shards int, busy func(s int) bool, f func(s int) error) error {
 	errs := make([]error, shards)
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
+		if busy != nil && !busy(s) {
+			continue
+		}
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
@@ -147,7 +152,7 @@ func (st *Store) materialize() (*Snapshot, error) {
 		insts:  make([]*core.Instance, k),
 	}
 	nvals := make([]int, k)
-	err := eachShard(k, func(i int) error {
+	err := eachShard(k, nil, func(i int) error {
 		sh := st.shards[i]
 		ep, err := sh.m.PinEpoch()
 		if err != nil {
@@ -289,87 +294,103 @@ func (snap *Snapshot) symLocked(ctx context.Context) (*core.Matrix[bool], error)
 // structural, ⟨+, first⟩: stored weights do not scale it. It is the one step
 // of a query that depends on the shard count, and on nothing else. With one
 // shard nothing crosses engines: the product is the engine's own deferred
-// VxM, run at the caller's next flush. With more, the input's tuples scatter
-// to their owning shards, each owner runs its slice of the product inside
-// its own engine with the request deadline threaded into that engine's
-// flush, and the partials fold in fixed shard order. Row partitioning never
-// splits a per-row product, so a structural query is tuple-exact against one
-// shard; only the cross-shard float additions of the fold are regrouped.
+// VxM, run at the caller's next flush. With more, stores move instead of
+// tuples: the input's entries are dealt into one store per owning shard
+// (scatter), each owner's vector adopts its store and runs its slice of the
+// product inside its own engine with the request deadline threaded into
+// that engine's flush, the results are moved out of the shards' vectors,
+// and out adopts their sum, folded in fixed shard order. Row partitioning
+// never splits a per-row product, so a structural query is tuple-exact
+// against one shard; only the cross-shard float additions of the fold are
+// regrouped. Every store drawn or moved is given back on every error path.
 func (snap *Snapshot) VxM(ctx context.Context, out, in *core.Vector[float64]) error {
 	if len(snap.mats) == 1 {
-		return core.VxM(out, core.NoMaskV, core.NoAccum[float64](), builtins.PlusFirst[float64](), in, snap.mats[0], nil)
+		return core.VxM(out, core.NoMaskV, core.NoAccum[float64](), plusFirst, in, snap.mats[0], nil)
 	}
-	// Flush the coordinator under the deadline, so the non-opaque read below
+	// Flush the coordinator under the deadline, so that reading in's store
 	// has nothing left to force.
 	if err := core.WaitContext(ctx); err != nil {
 		return err
 	}
-	idx, vals, err := in.ExtractTuples()
+	parts, err := snap.scatterStore(in)
 	if err != nil {
-		return err
-	}
-	var parts []*sparse.Vec[float64]
-	if err := runKernel("shard.VxM", func() { parts = scatterTuples(snap.plan, idx, vals) }); err != nil {
 		return err
 	}
 	partials := make([]*sparse.Vec[float64], len(parts))
-	err = eachShard(len(parts), func(s int) (err error) {
-		partials[s] = sparse.NewVec[float64](snap.N)
-		if parts[s].NVals() > 0 {
-			partials[s].Idx, partials[s].Val, err = snap.shardVxM(ctx, s, parts[s])
-		}
+	err = eachShard(len(parts), func(s int) bool { return parts[s] != nil }, func(s int) (err error) {
+		partials[s], err = snap.shardVxM(ctx, s, parts[s])
 		return err
 	})
 	if err != nil {
+		release(partials)
 		return err
 	}
 	var sum *sparse.Vec[float64]
-	if err := runKernel("shard.VxM", func() { sum = gatherMerge(partials) }); err != nil {
+	if err := runKernel("shard.VxM", func() { sum = gatherMerge(snap.N, partials) }); err != nil {
+		release(partials)
 		return err
 	}
-	if err := out.Clear(); err != nil {
-		return err
-	}
-	if err := out.Build(sum.Idx, sum.Val, core.NoAccum[float64]()); err != nil {
-		return err
-	}
-	if sum != partials[0] { // a fold's own result, copied into out
+	if err := core.AdoptStore(out, sum); err != nil {
 		sum.Release()
+		return err
 	}
 	return nil
 }
 
-// shardVxM runs one shard's slice of inᵀA inside that shard's engine: one
-// Build of the scattered tuples, one VxM, one flush.
-func (snap *Snapshot) shardVxM(ctx context.Context, s int, in *sparse.Vec[float64]) ([]int, []float64, error) {
+// scatterStore deals in's store, read under a hold, to the owning shards.
+func (snap *Snapshot) scatterStore(in *core.Vector[float64]) ([]*sparse.Vec[float64], error) {
+	src, err := core.HoldStore(in)
+	if err != nil {
+		return nil, err
+	}
+	defer core.ReleaseHold(in, src)
+	var parts []*sparse.Vec[float64]
+	err = runKernel("shard.VxM", func() { parts = scatter(snap.plan, src) })
+	return parts, err
+}
+
+// shardVxM runs one shard's slice of inᵀA inside that shard's engine: its
+// input vector adopts the dealt store in, one VxM, one flush, and the
+// result's store moves out to the caller. It owns in from the call on.
+func (snap *Snapshot) shardVxM(ctx context.Context, s int, in *sparse.Vec[float64]) (*sparse.Vec[float64], error) {
 	inst := snap.insts[s]
 	f, err := core.NewVectorIn[float64](inst, in.N)
 	if err != nil {
-		return nil, nil, err
+		in.Release()
+		return nil, err
 	}
-	if err := f.Build(in.Idx, in.Val, core.NoAccum[float64]()); err != nil {
-		return nil, nil, err
+	if err := core.AdoptStore(f, in); err != nil {
+		in.Release()
+		return nil, freeAfter(err, f)
 	}
 	part, err := core.NewVectorIn[float64](inst, snap.N)
 	if err != nil {
-		return nil, nil, err
+		return nil, freeAfter(err, f)
 	}
-	if err := core.VxM(part, core.NoMaskV, core.NoAccum[float64](), builtins.PlusFirst[float64](), f, snap.mats[s], nil); err != nil {
-		return nil, nil, err
+	if err := core.VxM(part, core.NoMaskV, core.NoAccum[float64](), plusFirst, f, snap.mats[s], nil); err != nil {
+		return nil, freeAfter(err, f, part)
 	}
 	if err := inst.WaitContext(ctx); err != nil {
-		return nil, nil, err
+		return nil, freeAfter(err, f, part)
 	}
-	idx, vals, err := part.ExtractTuples()
+	out, err := core.TakeStore(part)
 	if err != nil {
-		return nil, nil, err
+		return nil, freeAfter(err, f, part)
 	}
-	for _, v := range []*core.Vector[float64]{f, part} {
-		if err := v.Free(); err != nil {
-			return nil, nil, err
-		}
+	if err := freeAfter(nil, f, part); err != nil {
+		out.Release()
+		return nil, err
 	}
-	return idx, vals, nil
+	return out, nil
+}
+
+// freeAfter frees the vectors a failed step leaves behind and returns err,
+// or the first error freeing them when err is nil.
+func freeAfter(err error, vs ...*core.Vector[float64]) error {
+	for _, v := range vs {
+		err = cmp.Or(err, v.Free())
+	}
+	return err
 }
 
 // OutDegrees returns the global out-degree vector in the coordinator's

@@ -133,6 +133,12 @@ func pooledVec[T any](n int, list []int, val []T) *Vec[T] {
 	return w
 }
 
+// PooledVec is pooledVec for code outside the package that deals entries
+// into fresh storage (the sharded product's scatter): idx and val were
+// drawn from the pool for the vector (pool.RawVals), which owns them from
+// then on; idx may be nil when val holds n values.
+func PooledVec[T any](n int, idx []int, val []T) *Vec[T] { return pooledVec(n, idx, val) }
+
 // compact returns s in an array of its length's pool class: s itself when
 // its capacity is below twice its length, a copy otherwise, s going back
 // to the pool.
