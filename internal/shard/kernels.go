@@ -62,11 +62,11 @@ func routeBatch(p Plan, b *stream.Batch[float64]) []*stream.Batch[float64] {
 	return subs
 }
 
-// scatter deals a global vector's entries to the owning shards, in one
-// pass, into stores of their own drawn from the pool: indices translated
-// to shard-local rows (both strategies keep them ascending), values copied
-// once, never aliased, so a part shares no array with v and the shard's
-// vector can adopt it. A shard that owns no entry gets nil, and one that
+// scatter deals a global vector's entries to the owning shards into stores
+// of their own drawn from the pool at their exact size (a Hash plan counts
+// each owner's entries first): indices translated to shard-local rows (both
+// strategies keep them ascending), values copied once, never aliased, so a
+// part shares no array with v and the shard's vector can adopt it. A shard that owns no entry gets nil, and one that
 // owns an entry at each of its rows gets a full part, whose positions are
 // the shared identity list. It is the scatter half of the sharded VxM.
 func scatter(p Plan, v *sparse.Vec[float64]) []*sparse.Vec[float64] {
