@@ -53,7 +53,7 @@ func Jaccard(a *core.Matrix[bool]) (*core.Matrix[float64], error) {
 		return nil, err
 	}
 	// The extract forced the sequence: freeing ones adds no flush.
-	if err := freeAll(ones, deg); err != nil {
+	if err := core.FreeAll(ones, deg); err != nil {
 		return nil, err
 	}
 	dense := make([]float64, n)

@@ -188,7 +188,7 @@ func BCUpdate(a *core.Matrix[int32], s []int) (*core.Vector[float32], error) {
 			return nil, err
 		}
 	}
-	if err := freeAll(numsp, frontier, nspinv, bcu, w); err != nil {
+	if err := core.FreeAll(numsp, frontier, nspinv, bcu, w); err != nil {
 		return nil, err
 	}
 	return delta, nil

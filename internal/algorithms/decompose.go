@@ -175,7 +175,7 @@ func KTruss(a *core.Matrix[bool], k int) (*core.Matrix[int64], error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := freeAll(s, prev); err != nil {
+		if err := core.FreeAll(s, prev); err != nil {
 			return nil, err
 		}
 		if nv == last || nv == 0 {
@@ -269,7 +269,7 @@ func ClusteringCoefficients(a *core.Matrix[bool]) (*core.Vector[float64], error)
 	}
 	// Free completes the sequence, cc's assign included, and gives the two
 	// matrices' stores back to the pool.
-	if err := freeAll(ones, wedges); err != nil {
+	if err := core.FreeAll(ones, wedges); err != nil {
 		return nil, err
 	}
 	return cc, nil

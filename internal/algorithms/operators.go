@@ -1,8 +1,6 @@
 package algorithms
 
 import (
-	"cmp"
-
 	"graphblas/internal/builtins"
 	"graphblas/internal/core"
 	"graphblas/internal/setalg"
@@ -29,16 +27,3 @@ var (
 	// differs from itself.
 	relaxes = core.BinaryOp[float64, float64, bool]{Name: "relaxes", F: func(r, d float64) bool { return r < d || d != d }}
 )
-
-// freeAll frees an algorithm's work objects before it returns, so their
-// stores — vectors' and matrices' — go back to the pool instead of to the
-// collector. Free forces pending work: call it after the last forced read,
-// where it adds no flush. A nil object is skipped. Every object is freed
-// even when one fails; the first error is returned.
-func freeAll(vs ...interface{ Free() error }) error {
-	var first error
-	for _, v := range vs {
-		first = cmp.Or(first, v.Free())
-	}
-	return first
-}

@@ -106,7 +106,7 @@ func PowerIterate(ctx context.Context, rank, outdeg *core.Vector[float64], telep
 	var share, next, withEdges, diffV *core.Vector[float64]
 	defer func() {
 		if err != nil {
-			err = cmp.Or(err, freeAll(rank, share, next, withEdges, diffV))
+			err = cmp.Or(err, core.FreeAll(rank, share, next, withEdges, diffV))
 		}
 	}()
 	n, err := rank.Size()
@@ -183,7 +183,7 @@ func PowerIterate(ctx context.Context, rank, outdeg *core.Vector[float64], telep
 	}
 	// Freeing forces the last sweep's pending ops, unless the loop ended on
 	// the L1 test's forced read.
-	if err := freeAll(share, next, withEdges, diffV); err != nil {
+	if err := core.FreeAll(share, next, withEdges, diffV); err != nil {
 		return nil, 0, err
 	}
 	return rank, iters, nil

@@ -251,7 +251,7 @@ func APSP(a *core.Matrix[float64]) (*core.Matrix[float64], error) {
 	}
 	// Free completes the sequence, the squarings included, and gives the
 	// diagonal's store and the zero vector's back to the pool.
-	if err := freeAll(diag, zeros); err != nil {
+	if err := core.FreeAll(diag, zeros); err != nil {
 		return nil, err
 	}
 	return d, nil

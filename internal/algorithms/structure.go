@@ -48,7 +48,7 @@ func TriangleCount(a *core.Matrix[bool]) (int64, error) {
 	}
 	// The reduce forced the sequence, so freeing adds no flush: L and C go
 	// back to the pool for the next count's select and product.
-	if err := freeAll(l, c); err != nil {
+	if err := core.FreeAll(l, c); err != nil {
 		return 0, err
 	}
 	return count, nil
@@ -274,7 +274,7 @@ func GreedyColor(a *core.Matrix[bool], seed uint64) (*core.Vector[int64], int, e
 		if err != nil {
 			return nil, 0, err
 		}
-		if err := freeAll(dropped[0], dropped[1]); err != nil {
+		if err := core.FreeAll(dropped[0], dropped[1]); err != nil {
 			return nil, 0, err
 		}
 		if nr == 0 {

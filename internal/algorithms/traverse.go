@@ -199,7 +199,7 @@ func SSSP(a *core.Matrix[float64], source int) (*core.Vector[float64], error) {
 			break
 		}
 	}
-	if err := freeAll(frontier, relaxed, changed); err != nil {
+	if err := core.FreeAll(frontier, relaxed, changed); err != nil {
 		return nil, err
 	}
 	return dist, nil
@@ -271,7 +271,7 @@ func Reach(a *core.Matrix[bool], sources []int) (*core.Vector[setalg.Set], error
 		}
 		mass = next
 	}
-	if err := freeAll(sizes, setA); err != nil {
+	if err := core.FreeAll(sizes, setA); err != nil {
 		return nil, err
 	}
 	return labels, nil

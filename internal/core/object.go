@@ -1,5 +1,7 @@
 package core
 
+import "cmp"
+
 // obj is the non-generic base embedded in every opaque GraphBLAS object. It
 // carries the identity used by the nonblocking engine's dependence tracking
 // and the invalid-object state of the error model (Section V).
@@ -77,6 +79,19 @@ func invalidMark(o *obj, op string) error {
 		return errf(InvalidObject, op, "%v", err)
 	}
 	return nil
+}
+
+// FreeAll frees objects a caller is done with, so their stores go back to
+// the pool instead of to the collector. Every object is freed even when one
+// fails, and the first error is returned; a nil object is skipped. Free
+// forces pending work: call it after the last forced read, where it adds
+// no flush.
+func FreeAll(objs ...interface{ Free() error }) error {
+	var first error
+	for _, o := range objs {
+		first = cmp.Or(first, o.Free())
+	}
+	return first
 }
 
 // Wait completes all pending computations involving the object (the

@@ -25,8 +25,8 @@ type Vector[D any] struct {
 	// pending buffers single-element updates; see Matrix.pending.
 	pending []sparse.Tuple[D]
 	// pinned is the last store handed to readers that keep it beyond the
-	// operation that read it (an iterator, a scatter), and pins how many of
-	// them still hold it: it is not recycled before the last lets go.
+	// operation that read it (iterators), and pins how many of them still
+	// hold it: it is not recycled before the last lets go.
 	pinned *sparse.Vec[D]
 	pins   int
 	// saved is the rollback slot of the operation writing the vector now
@@ -114,9 +114,9 @@ func (v *Vector[D]) retireLocked(d *sparse.Vec[D]) {
 // store keeps one owner: a moved store is the receiver's alone, and no two
 // stores share a value array.
 
-// readStore runs the checks of a method that reads v's store: v is
+// forceRead runs the checks of a method that reads v's store: v is
 // initialized, its engine forced, and v valid.
-func readStore(o *obj, op string) error {
+func forceRead(o *obj, op string) error {
 	if err := objOK(o, op, "v"); err != nil {
 		return err
 	}
@@ -126,25 +126,22 @@ func readStore(o *obj, op string) error {
 	return invalidMark(o, op)
 }
 
-// HoldStore returns v's store, forced, under a hold: until ReleaseHold
-// hands it back, no operation superseding it recycles it. For code that
-// reads a store in place and keeps nothing of it.
-func HoldStore[D any](v *Vector[D]) (*sparse.Vec[D], error) {
-	if err := readStore(&v.obj, "HoldStore"); err != nil {
+// ReadStore returns v's store, forced, for code that reads it in place
+// and keeps nothing of it: the store stays v's, and the caller must be
+// done with it before anything writes v again.
+func ReadStore[D any](v *Vector[D]) (*sparse.Vec[D], error) {
+	if err := forceRead(&v.obj, "ReadStore"); err != nil {
 		return nil, err
 	}
-	return v.pin(), nil
+	return v.vdat(), nil
 }
-
-// ReleaseHold hands back a store HoldStore returned.
-func ReleaseHold[D any](v *Vector[D], d *sparse.Vec[D]) { v.unpin(d) }
 
 // TakeStore moves v's store out, forced, and leaves v empty: the caller
 // owns it from then on, and releases it or has a vector adopt it. A store
 // a reader holds or an operation may restore stays with v, and the caller
 // gets a copy of it.
 func TakeStore[D any](v *Vector[D]) (*sparse.Vec[D], error) {
-	if err := readStore(&v.obj, "TakeStore"); err != nil {
+	if err := forceRead(&v.obj, "TakeStore"); err != nil {
 		return nil, err
 	}
 	v.mu.Lock()
@@ -165,7 +162,7 @@ func TakeStore[D any](v *Vector[D]) (*sparse.Vec[D], error) {
 // d.
 func AdoptStore[D any](v *Vector[D], d *sparse.Vec[D]) error {
 	const op = "AdoptStore"
-	if err := readStore(&v.obj, op); err != nil {
+	if err := forceRead(&v.obj, op); err != nil {
 		return err
 	}
 	v.mu.Lock()

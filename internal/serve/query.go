@@ -30,7 +30,7 @@ func (v View) KHop(ctx context.Context, src, k int) (_ []int, err error) {
 	// handles trade places instead of a new one per hop. Every return frees
 	// the three, so a failed or canceled query leaves no store behind.
 	var frontier, next, visited *core.Vector[float64]
-	defer func() { err = freeAfter(err, frontier, next, visited) }()
+	defer func() { err = cmp.Or(err, core.FreeAll(frontier, next, visited)) }()
 	if frontier, err = core.NewVector[float64](n); err != nil {
 		return nil, err
 	}
@@ -88,17 +88,6 @@ func (v View) KHop(ctx context.Context, src, k int) (_ []int, err error) {
 	return idx, nil
 }
 
-// freeAfter hands a query's work vectors back on its way out, whether it
-// answered or failed: their storage goes to the next query instead of to
-// the collector. It returns err, or the first error freeing them when err
-// is nil.
-func freeAfter(err error, vs ...*core.Vector[float64]) error {
-	for _, v := range vs {
-		err = cmp.Or(err, v.Free())
-	}
-	return err
-}
-
 // Ranked is one entry of a top-k ranking.
 type Ranked struct {
 	Vertex int     `json:"vertex"`
@@ -121,7 +110,7 @@ func (v View) PPRTopK(ctx context.Context, src, k int, damping, tol float64, max
 		return nil, 0, err
 	}
 	if err := rank.SetElement(1, src); err != nil {
-		return nil, 0, freeAfter(err, rank)
+		return nil, 0, cmp.Or(err, core.FreeAll(rank))
 	}
 	product := func(out, in *core.Vector[float64]) error { return v.g.VxM(ctx, out, in) }
 	// PowerIterate takes rank over, and frees it when it fails.
@@ -129,7 +118,7 @@ func (v View) PPRTopK(ctx context.Context, src, k int, damping, tol float64, max
 	if err != nil {
 		return nil, 0, err
 	}
-	defer func() { err = freeAfter(err, rank) }()
+	defer func() { err = cmp.Or(err, core.FreeAll(rank)) }()
 	// The entries stream from the rank vector's store into the selection,
 	// so only the k winners are ever copied out of it. The iterator hands
 	// the store back at its end, and freeing rank then recycles it.

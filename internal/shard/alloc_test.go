@@ -63,7 +63,7 @@ func TestShardedVxMAllocBudget(t *testing.T) {
 				if limit := float64(512 + 1536*shards); bytes > limit {
 					t.Errorf("a sharded VxM allocates %.0f bytes per call over %d entries, budget %.0f — an allocation per entry needs pooling", bytes, g.N, limit)
 				}
-				if err := free(in, out); err != nil {
+				if err := core.FreeAll(in, out); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -86,14 +86,4 @@ func fullVector(t *testing.T, n int) *core.Vector[float64] {
 		t.Fatal(err)
 	}
 	return v
-}
-
-// free frees the vectors a test made.
-func free(vs ...*core.Vector[float64]) error {
-	for _, v := range vs {
-		if err := v.Free(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -93,11 +93,11 @@ func scatter(p Plan, v *sparse.Vec[float64]) []*sparse.Vec[float64] {
 		}
 		return parts
 	}
-	// Hash: shard s owns the entries whose index is s modulo the width.
+	// Hash: each owner's entries are counted first.
 	k := p.Shards
 	at := pool.GetInts(k)
 	for _, g := range v.Idx {
-		at[g%k]++
+		at[p.Owner(g)]++
 	}
 	idxs, vals := make([][]int, k), make([][]float64, k)
 	for s, c := range at {
@@ -111,9 +111,9 @@ func scatter(p Plan, v *sparse.Vec[float64]) []*sparse.Vec[float64] {
 		at[s] = 0
 	}
 	for t, g := range v.Idx {
-		s := g % k
+		s := p.Owner(g)
 		if idxs[s] != nil {
-			idxs[s][at[s]] = g / k
+			idxs[s][at[s]] = p.Local(g)
 		}
 		vals[s][at[s]] = v.Val[t]
 		at[s]++

@@ -337,13 +337,12 @@ func (snap *Snapshot) VxM(ctx context.Context, out, in *core.Vector[float64]) er
 	return nil
 }
 
-// scatterStore deals in's store, read under a hold, to the owning shards.
+// scatterStore deals in's store, read in place, to the owning shards.
 func (snap *Snapshot) scatterStore(in *core.Vector[float64]) ([]*sparse.Vec[float64], error) {
-	src, err := core.HoldStore(in)
+	src, err := core.ReadStore(in)
 	if err != nil {
 		return nil, err
 	}
-	defer core.ReleaseHold(in, src)
 	var parts []*sparse.Vec[float64]
 	err = runKernel("shard.VxM", func() { parts = scatter(snap.plan, src) })
 	return parts, err
@@ -361,36 +360,27 @@ func (snap *Snapshot) shardVxM(ctx context.Context, s int, in *sparse.Vec[float6
 	}
 	if err := core.AdoptStore(f, in); err != nil {
 		in.Release()
-		return nil, freeAfter(err, f)
+		return nil, cmp.Or(err, core.FreeAll(f))
 	}
 	part, err := core.NewVectorIn[float64](inst, snap.N)
 	if err != nil {
-		return nil, freeAfter(err, f)
+		return nil, cmp.Or(err, core.FreeAll(f))
 	}
 	if err := core.VxM(part, core.NoMaskV, core.NoAccum[float64](), plusFirst, f, snap.mats[s], nil); err != nil {
-		return nil, freeAfter(err, f, part)
+		return nil, cmp.Or(err, core.FreeAll(f, part))
 	}
 	if err := inst.WaitContext(ctx); err != nil {
-		return nil, freeAfter(err, f, part)
+		return nil, cmp.Or(err, core.FreeAll(f, part))
 	}
 	out, err := core.TakeStore(part)
 	if err != nil {
-		return nil, freeAfter(err, f, part)
+		return nil, cmp.Or(err, core.FreeAll(f, part))
 	}
-	if err := freeAfter(nil, f, part); err != nil {
+	if err := core.FreeAll(f, part); err != nil {
 		out.Release()
 		return nil, err
 	}
 	return out, nil
-}
-
-// freeAfter frees the vectors a failed step leaves behind and returns err,
-// or the first error freeing them when err is nil.
-func freeAfter(err error, vs ...*core.Vector[float64]) error {
-	for _, v := range vs {
-		err = cmp.Or(err, v.Free())
-	}
-	return err
 }
 
 // OutDegrees returns the global out-degree vector in the coordinator's
