@@ -72,7 +72,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("store: %d shards (%s partition)", st.ShardCount(), st.Plan().Strategy)
+	log.Printf("store: %d shards (row blocks)", st.ShardCount())
 	if preload != nil {
 		if err := st.Ingest(preload); err != nil {
 			log.Fatal(err)

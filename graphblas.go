@@ -213,9 +213,6 @@ func CurrentMode() Mode { return core.CurrentMode() }
 // counters; the sanctioned way to read them once flushes run in parallel.
 func StatsSnapshot() Stats { return core.StatsSnapshot() }
 
-// GetStats is an alias for StatsSnapshot, kept for source compatibility.
-func GetStats() Stats { return core.StatsSnapshot() }
-
 // LastError returns the most recent execution-error detail (GrB_error).
 func LastError() string { return core.LastError() }
 

@@ -330,9 +330,6 @@ func StatsSnapshot() Stats {
 	return s
 }
 
-// GetStats is an alias for StatsSnapshot, kept for source compatibility.
-func GetStats() Stats { return StatsSnapshot() }
-
 // LastError returns the additional error information of the most recent
 // execution error (the GrB_error() string), or "" if none.
 func LastError() string {

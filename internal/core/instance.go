@@ -54,23 +54,6 @@ func (in *Instance) Wait() error { return in.c.waitContext(nil) }
 // untouched.
 func (in *Instance) WaitContext(ctx stdctx.Context) error { return in.c.waitContext(ctx) }
 
-// SetScheduler selects the instance's nonblocking flush strategy and returns
-// the previous one.
-func (in *Instance) SetScheduler(s Scheduler) Scheduler {
-	in.c.mu.Lock()
-	defer in.c.mu.Unlock()
-	prev := in.c.sched
-	in.c.sched = s
-	return prev
-}
-
-// CurrentScheduler reports the instance's flush strategy.
-func (in *Instance) CurrentScheduler() Scheduler {
-	in.c.mu.Lock()
-	defer in.c.mu.Unlock()
-	return in.c.sched
-}
-
 // SequenceErrors returns the instance's per-sequence execution error log;
 // see the package-level SequenceErrors.
 func (in *Instance) SequenceErrors() []SequenceError {

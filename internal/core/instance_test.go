@@ -170,9 +170,9 @@ func TestInstanceScopedCancellation(t *testing.T) {
 	})
 }
 
-// TestInstanceSchedulerInheritanceAndOverride: instances snapshot the global
-// scheduler at creation and can be re-pointed independently.
-func TestInstanceSchedulerInheritanceAndOverride(t *testing.T) {
+// TestInstanceSchedulerInheritance: instances snapshot the global scheduler
+// at creation, and work on one flushes under it.
+func TestInstanceSchedulerInheritance(t *testing.T) {
 	withMode(t, NonBlocking, func() {
 		prev := SetScheduler(SchedSequential)
 		defer SetScheduler(prev)
@@ -180,19 +180,9 @@ func TestInstanceSchedulerInheritanceAndOverride(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := in.CurrentScheduler(); got != SchedSequential {
+		if got := in.c.sched; got != SchedSequential {
 			t.Fatalf("inherited scheduler = %v, want SchedSequential", got)
 		}
-		if old := in.SetScheduler(SchedDag); old != SchedSequential {
-			t.Fatalf("SetScheduler returned %v, want SchedSequential", old)
-		}
-		if got := in.CurrentScheduler(); got != SchedDag {
-			t.Fatalf("overridden scheduler = %v, want SchedDag", got)
-		}
-		if got := CurrentScheduler(); got != SchedSequential {
-			t.Fatalf("instance override leaked to global scheduler: %v", got)
-		}
-		// Work still flushes under the overridden scheduler.
 		m, _ := NewMatrixIn[float64](in, 4, 4)
 		if err := m.SetElement(1, 0, 0); err != nil {
 			t.Fatal(err)

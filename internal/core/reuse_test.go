@@ -210,7 +210,7 @@ func runReuseProgram(t *testing.T, mode Mode, prog []reuseFlush, seed int64) (ou
 			}
 			out = append(out, sb.String())
 		}
-		elided = GetStats().OpsElided
+		elided = StatsSnapshot().OpsElided
 	})
 	return out, elided
 }

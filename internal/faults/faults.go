@@ -203,9 +203,6 @@ func SetAllocBudget(n int64) int64 {
 	return allocBudget.Swap(n)
 }
 
-// AllocBudget reports the governor's current per-allocation byte cap.
-func AllocBudget() int64 { return allocBudget.Load() }
-
 // evaluate bumps the site's call count and returns the fault the plan
 // injects at this call, if any.
 func evaluate(site string) *Fault {

@@ -112,7 +112,7 @@ func TestChaosNeverWrong(t *testing.T) {
 		numWorkers = 6
 		perWorker  = 50
 	)
-	st, err := shard.NewStore(shard.Config{N: n, Shards: 1, CompactAfter: 120, ShedDelta: 2048})
+	st, err := shard.NewStore(shard.Config{N: n, Shards: 1, CompactAfter: 120})
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
@@ -325,8 +325,8 @@ func TestChaosNeverWrong(t *testing.T) {
 		t.Fatalf("post-chaos khop diverged from final state: got %v want %v", out.Vertices, want)
 	}
 
-	t.Logf("chaos: %d recorded 200s over %d acknowledged prefixes; status counts %v; stale=%d retried=%d shed=%d recovered=%d breakerOpens=%d",
+	t.Logf("chaos: %d recorded 200s over %d acknowledged prefixes; status counts %v; stale=%d retried=%d shed=%d throttled=%d recovered=%d breakerOpens=%d",
 		len(responses), len(history), status,
 		int(StaleServed.Value()), int(Retried.Value()), int(Shed.Value()),
-		int(shard.StoreRecovered.Value()), int(shard.BreakerOpens.Value()))
+		int(shard.IngestThrottled.Value()), int(shard.StoreRecovered.Value()), int(shard.BreakerOpens.Value()))
 }

@@ -42,6 +42,8 @@ import (
 )
 
 // Options configures a Server. Zero values get serving-sensible defaults.
+// The retry count, the PPR sweep budgets and the queue pressure that
+// degrades a query are the package constants below.
 type Options struct {
 	// Backend is the graph store the server answers from (required).
 	Backend Backend
@@ -55,20 +57,24 @@ type Options struct {
 	// (default 2s). Clients may lower it with ?timeout=150ms.
 	DefaultTimeout time.Duration
 
-	// RetrySeed seeds backoff jitter; RetryAttempts (default 3) bounds tries.
-	RetrySeed     uint64
-	RetryAttempts int
-	RetryBase     time.Duration // default 2ms
-	RetryMax      time.Duration // default 50ms
-
-	// PPRMaxIter is the full-quality power-iteration budget (default 50);
-	// PPRDegradedIter the capped budget under load (default 8).
-	PPRMaxIter      int
-	PPRDegradedIter int
-	// DegradePressure is the admission-queue fraction above which quality is
-	// reduced (default 0.5).
-	DegradePressure float64
+	// RetrySeed seeds backoff jitter; RetryBase and RetryMax bound the
+	// backoff between the retryAttempts tries.
+	RetrySeed uint64
+	RetryBase time.Duration // default 2ms
+	RetryMax  time.Duration // default 50ms
 }
+
+const (
+	// retryAttempts bounds the tries of one retried query.
+	retryAttempts = 3
+	// pprMaxIter is the full-quality power-iteration budget, pprDegradedIter
+	// the capped budget served under load.
+	pprMaxIter      = 50
+	pprDegradedIter = 8
+	// degradePressure is the admission-queue fraction from which quality is
+	// reduced.
+	degradePressure = 0.5
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxConcurrent <= 0 {
@@ -80,23 +86,11 @@ func (o Options) withDefaults() Options {
 	if o.DefaultTimeout <= 0 {
 		o.DefaultTimeout = 2 * time.Second
 	}
-	if o.RetryAttempts <= 0 {
-		o.RetryAttempts = 3
-	}
 	if o.RetryBase <= 0 {
 		o.RetryBase = 2 * time.Millisecond
 	}
 	if o.RetryMax <= 0 {
 		o.RetryMax = 50 * time.Millisecond
-	}
-	if o.PPRMaxIter <= 0 {
-		o.PPRMaxIter = 50
-	}
-	if o.PPRDegradedIter <= 0 {
-		o.PPRDegradedIter = 8
-	}
-	if o.DegradePressure <= 0 {
-		o.DegradePressure = 0.5
 	}
 	return o
 }
@@ -119,7 +113,7 @@ func NewServer(opt Options) *Server {
 		opt:     opt,
 		be:      opt.Backend,
 		adm:     NewAdmission(opt.MaxConcurrent, opt.MaxQueue),
-		retrier: NewRetrier(opt.RetrySeed, opt.RetryAttempts, opt.RetryBase, opt.RetryMax),
+		retrier: NewRetrier(opt.RetrySeed, retryAttempts, opt.RetryBase, opt.RetryMax),
 		mux:     http.NewServeMux(),
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -261,7 +255,7 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, route string,
 	defer release()
 	sp.MarkScheduled()
 
-	degraded := s.adm.Pressure() >= s.opt.DegradePressure
+	degraded := s.adm.Pressure() >= degradePressure
 	if degraded {
 		DegradedServed.Inc()
 	}
@@ -370,9 +364,9 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.runQuery(w, r, "ppr", func(ctx context.Context, v View, degraded bool) (any, error) {
-		maxIter := s.opt.PPRMaxIter
+		maxIter := pprMaxIter
 		if degraded {
-			maxIter = s.opt.PPRDegradedIter
+			maxIter = pprDegradedIter
 		}
 		ranks, iters, err := v.PPRTopK(ctx, src, k, 0.85, 1e-6, maxIter)
 		if err != nil {

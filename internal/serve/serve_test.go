@@ -361,7 +361,7 @@ func TestServerPPRMatchesOracle(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		s, _ := newShardedServer(t, g, shards, Options{})
 		for _, src := range []int{0, 3, g.N / 2} {
-			want, wantIters := refalgo.PersonalizedPageRank(adj, src, 0.85, 1e-6, s.opt.PPRMaxIter)
+			want, wantIters := refalgo.PersonalizedPageRank(adj, src, 0.85, 1e-6, pprMaxIter)
 			code, _, body := get(t, s, "/query/ppr?k=0&src="+itoa(src))
 			if code != http.StatusOK {
 				t.Fatalf("%d shards: ppr(%d): status %d body %v", shards, src, code, body)
@@ -386,6 +386,39 @@ func TestServerPPRMatchesOracle(t *testing.T) {
 					t.Fatalf("%d shards: ppr(%d): score[%d] = %.15g, oracle %.15g (|Δ| > 1e-9)", shards, src, v, score, want[v])
 				}
 			}
+		}
+	}
+}
+
+// TestPPRDegradesAtHalfQueue: /query/ppr runs its full budget while fewer
+// than half of the admission queue's places are taken, and from half on
+// reports itself degraded and stops at 8 sweeps, on a source whose full
+// answer takes more. The waiters are counted in, not started, so the
+// request still takes a free slot at once.
+func TestPPRDegradesAtHalfQueue(t *testing.T) {
+	resetCore(t)
+	g := generate.RMAT(7, 8, 5).Dedup(true)
+	_, full := refalgo.PersonalizedPageRank(refalgo.NewAdjacency(g), 0, 0.85, 1e-6, 50)
+	if full <= 8 {
+		t.Fatalf("the full PPR takes %d sweeps; the test needs more than 8", full)
+	}
+	s, _ := newTestServer(t, g, Options{MaxQueue: 8})
+	for _, c := range []struct {
+		waiting  int64
+		degraded bool
+		sweeps   int
+	}{{0, false, full}, {3, false, full}, {4, true, 8}, {8, true, 8}} {
+		s.adm.waiting.Store(c.waiting)
+		code, hdr, body := get(t, s, "/query/ppr?src=0&k=3")
+		s.adm.waiting.Store(0)
+		if code != http.StatusOK {
+			t.Fatalf("%d waiting: status %d body %v", c.waiting, code, body)
+		}
+		if body["degraded"] != c.degraded || (hdr.Get("X-Graphblas-Degraded") == "true") != c.degraded {
+			t.Fatalf("%d of 8 waiting: degraded %v (header %q), want %v", c.waiting, body["degraded"], hdr.Get("X-Graphblas-Degraded"), c.degraded)
+		}
+		if got := int(body["iterations"].(float64)); got != c.sweeps {
+			t.Fatalf("%d of 8 waiting: %d sweeps, want %d", c.waiting, got, c.sweeps)
 		}
 	}
 }
@@ -436,12 +469,15 @@ func TestPPRIgnoresEdgeWeights(t *testing.T) {
 
 // TestIngestBackpressure: with the compactor jammed — every compaction
 // faults, so after three in a row the breaker opens and skips the rest — the
-// delta overlay only grows, and past the shed watermark ingest answers 503 +
-// Retry-After and counts the rejection, at any shard count.
+// delta overlay only grows, and past the shed watermark (four times
+// CompactAfter) ingest answers 503 + Retry-After and counts the rejection,
+// at any shard count. Every batch writes a quarter of its edges into each
+// quarter of the rows, so every shard's overlay reaches the watermark.
 func TestIngestBackpressure(t *testing.T) {
+	const compactAfter = 4
 	for _, shards := range []int{1, 2} {
 		resetCore(t)
-		st, err := shard.NewStore(shard.Config{N: 32, Shards: shards, CompactAfter: 4, ShedDelta: 8})
+		st, err := shard.NewStore(shard.Config{N: 32, Shards: shards, CompactAfter: compactAfter})
 		if err != nil {
 			t.Fatalf("NewStore: %v", err)
 		}
@@ -449,13 +485,13 @@ func TestIngestBackpressure(t *testing.T) {
 		faults.Configure(1, faults.Rule{Site: "Matrix.Compact", Kind: faults.KernelErr})
 		throttled, opens := shard.IngestThrottled.Value(), shard.BreakerOpens.Value()
 		var shed int64
-		for i := 0; i < 12; i++ {
+		for i := 0; i < 16; i++ {
 			b := `{"inserts":[`
 			for e := 0; e < 4; e++ {
 				if e > 0 {
 					b += ","
 				}
-				b += "[" + itoa((i*4+e)%32) + "," + itoa((i*7+e+1)%32) + ",1]"
+				b += "[" + itoa(8*e+i%8) + "," + itoa((i*7+e+1)%32) + ",1]"
 			}
 			b += `]}`
 			code, hdr := post(t, s, "/ingest", b)
@@ -473,6 +509,11 @@ func TestIngestBackpressure(t *testing.T) {
 		faults.Disable()
 		if shed == 0 {
 			t.Fatalf("%d shards: overlay never hit the shed watermark", shards)
+		}
+		for _, ss := range st.Status() {
+			if ss.Delta < 4*compactAfter {
+				t.Fatalf("%d shards: shard %d's overlay stopped at %d entries, under the watermark %d", shards, ss.Shard, ss.Delta, 4*compactAfter)
+			}
 		}
 		if got := shard.IngestThrottled.Value() - throttled; got != shed {
 			t.Fatalf("%d shards: throttled counter moved by %v over %v 503s", shards, got, shed)

@@ -158,11 +158,8 @@ func UnionOp(universe int) core.BinaryOp[Set, Set, Set] {
 	return core.BinaryOp[Set, Set, Set]{Name: "union", F: Set.Union}
 }
 
-// IntersectOp returns the ∩ binary operator.
-func IntersectOp(universe int) core.BinaryOp[Set, Set, Set] {
-	_ = universe
-	return core.BinaryOp[Set, Set, Set]{Name: "intersect", F: Set.Intersect}
-}
+// intersect is the ∩ binary operator, universe-free like Set.Intersect.
+var intersect = core.BinaryOp[Set, Set, Set]{Name: "intersect", F: Set.Intersect}
 
 // UnionMonoid returns ⟨P(Z), ∪, ∅⟩.
 func UnionMonoid(universe int) core.Monoid[Set] {
@@ -175,7 +172,7 @@ func UnionMonoid(universe int) core.Monoid[Set] {
 
 // IntersectMonoid returns ⟨P(Z), ∩, U⟩.
 func IntersectMonoid(universe int) core.Monoid[Set] {
-	m, err := core.NewMonoid(IntersectOp(universe), FullSet(universe))
+	m, err := core.NewMonoid(intersect, FullSet(universe))
 	if err != nil {
 		panic(err)
 	}
@@ -186,7 +183,7 @@ func IntersectMonoid(universe int) core.Monoid[Set] {
 // is union (identity ∅), multiplication is intersection (identity U, with ∅
 // as its annihilator).
 func UnionIntersect(universe int) core.Semiring[Set, Set, Set] {
-	s, err := core.NewSemiring(UnionMonoid(universe), IntersectOp(universe))
+	s, err := core.NewSemiring(UnionMonoid(universe), intersect)
 	if err != nil {
 		panic(err)
 	}

@@ -28,46 +28,44 @@ func TestShardedVxMAllocBudget(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	g := generate.RMAT(12, 8, 42).Dedup(true)
 	ctx := context.Background()
-	for _, strat := range strategies {
-		for _, shards := range shardCounts {
-			t.Run(fmt.Sprintf("%v/%d", strat, shards), func(t *testing.T) {
-				store := newSharded(t, g.N, shards, strat, edgeBatch(g))
-				snap, _, _, _ := snapshotTuples(t, store)
-				in := fullVector(t, g.N)
-				out, err := core.NewVector[float64](g.N)
-				if err != nil {
+	for _, shards := range shardCounts {
+		t.Run(fmt.Sprintf("%d", shards), func(t *testing.T) {
+			store := newSharded(t, g.N, shards, edgeBatch(g))
+			snap, _, _, _ := snapshotTuples(t, store)
+			in := fullVector(t, g.N)
+			out, err := core.NewVector[float64](g.N)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func() {
+				if err := snap.VxM(ctx, out, in); err != nil {
 					t.Fatal(err)
 				}
-				run := func() {
-					if err := snap.VxM(ctx, out, in); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for k := 0; k < 3; k++ {
-					run()
-				}
-				const calls = 16
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				for k := 0; k < calls; k++ {
-					run()
-				}
-				runtime.ReadMemStats(&after)
-				allocs := float64(after.Mallocs-before.Mallocs) / calls
-				bytes := float64(after.TotalAlloc-before.TotalAlloc) / calls
-				t.Logf("%.1f allocations, %.0f bytes per call over %d entries", allocs, bytes, g.N)
-				// Measured: 4 + 12 allocations and about 1.1 kB per shard.
-				if limit := float64(8 + 14*shards); allocs > limit {
-					t.Errorf("a sharded VxM makes %.1f allocations, budget %.0f", allocs, limit)
-				}
-				if limit := float64(512 + 1536*shards); bytes > limit {
-					t.Errorf("a sharded VxM allocates %.0f bytes per call over %d entries, budget %.0f — an allocation per entry needs pooling", bytes, g.N, limit)
-				}
-				if err := core.FreeAll(in, out); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
+			}
+			for k := 0; k < 3; k++ {
+				run()
+			}
+			const calls = 16
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for k := 0; k < calls; k++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			allocs := float64(after.Mallocs-before.Mallocs) / calls
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / calls
+			t.Logf("%.1f allocations, %.0f bytes per call over %d entries", allocs, bytes, g.N)
+			// Measured: 4 + 12 allocations and about 1.1 kB per shard.
+			if limit := float64(8 + 14*shards); allocs > limit {
+				t.Errorf("a sharded VxM makes %.1f allocations, budget %.0f", allocs, limit)
+			}
+			if limit := float64(512 + 1536*shards); bytes > limit {
+				t.Errorf("a sharded VxM allocates %.0f bytes per call over %d entries, budget %.0f — an allocation per entry needs pooling", bytes, g.N, limit)
+			}
+			if err := core.FreeAll(in, out); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -2,11 +2,11 @@
 // counts. The one-shard store — whose VxM is the engine's own, and which the
 // serving tests hold to refalgo — is the oracle; tuple-level state, k-hop
 // sets, stats, degrees, and NVals are required to be exactly equal to it at
-// shards {2,4} under both strategies; PPR scores may differ only by
-// cross-shard float regrouping (1e-9) with equal sweep counts. Both sides
-// answer through serve.Backend.View — the one query path — so what is
-// compared is the scatter-gather VxM against the engine's. The external test
-// package lets the serving layer in without an import cycle.
+// shards {2,4}; PPR scores may differ only by cross-shard float regrouping
+// (1e-9) with equal sweep counts. Both sides answer through
+// serve.Backend.View — the one query path — so what is compared is the
+// scatter-gather VxM against the engine's. The external test package lets
+// the serving layer in without an import cycle.
 package shard_test
 
 import (
@@ -42,9 +42,6 @@ func TestMain(m *testing.M) {
 // against the one-shard oracle.
 var shardCounts = []int{2, 4}
 
-// strategies under test; Block is the deployment default.
-var strategies = []shard.Strategy{shard.Block, shard.Hash}
-
 // testGraph is the shared RMAT workload.
 func testGraph() *generate.Graph {
 	return generate.RMAT(7, 8, 42).Dedup(true)
@@ -62,7 +59,7 @@ func edgeBatch(g *generate.Graph) *stream.Batch[float64] {
 // newOracle builds the one-shard reference store.
 func newOracle(t *testing.T, n int, batches ...*stream.Batch[float64]) *shard.Store {
 	t.Helper()
-	return newSharded(t, n, 1, shard.Block, batches...)
+	return newSharded(t, n, 1, batches...)
 }
 
 // snapshotTuples pins a fresh snapshot and gathers its row-major tuples.
@@ -80,9 +77,9 @@ func snapshotTuples(t *testing.T, store *shard.Store) (*shard.Snapshot, []int, [
 }
 
 // newSharded builds a store of the given width with the same batches.
-func newSharded(t *testing.T, n, shards int, st shard.Strategy, batches ...*stream.Batch[float64]) *shard.Store {
+func newSharded(t *testing.T, n, shards int, batches ...*stream.Batch[float64]) *shard.Store {
 	t.Helper()
-	store, err := shard.NewStore(shard.Config{N: n, Shards: shards, Strategy: st})
+	store, err := shard.NewStore(shard.Config{N: n, Shards: shards})
 	if err != nil {
 		t.Fatalf("NewStore(%d shards): %v", shards, err)
 	}
@@ -104,22 +101,20 @@ func viewOf(t *testing.T, be serve.Backend) serve.View {
 	return v
 }
 
-// eachSharding runs f against a view of the graph at every shard count and
-// strategy of the equivalence matrix.
+// eachSharding runs f against a view of the graph at every shard count of
+// the equivalence matrix.
 func eachSharding(t *testing.T, g *generate.Graph, f func(name string, v serve.View)) {
 	t.Helper()
-	for _, strat := range strategies {
-		for _, sc := range shardCounts {
-			store := newSharded(t, g.N, sc, strat, edgeBatch(g))
-			f(fmt.Sprintf("%v/%d shards", strat, sc), viewOf(t, serve.NewShardedBackend(store)))
-		}
+	for _, sc := range shardCounts {
+		store := newSharded(t, g.N, sc, edgeBatch(g))
+		f(fmt.Sprintf("%d shards", sc), viewOf(t, serve.NewShardedBackend(store)))
 	}
 }
 
 // TestShardedIngestTupleEquivalence: after the same streamed batch sequence —
 // inserts, overwrites, deletes, never compacted — the composed state at shard
-// counts 1, 2, 4 under both partition strategies is tuple-identical to what
-// the update stream itself defines: the last write per edge wins.
+// counts 1, 2, 4 is tuple-identical to what the update stream itself
+// defines: the last write per edge wins.
 func TestShardedIngestTupleEquivalence(t *testing.T) {
 	const n = 96
 	rng := rand.New(rand.NewSource(7))
@@ -152,17 +147,15 @@ func TestShardedIngestTupleEquivalence(t *testing.T) {
 		return want[a][1] < want[b][1]
 	})
 
-	for _, strat := range strategies {
-		for _, sc := range []int{1, 2, 4} {
-			snap, sr, scc, sv := snapshotTuples(t, newSharded(t, n, sc, strat, batches...))
-			if len(sr) != len(want) || snap.NVals != len(want) {
-				t.Fatalf("%v/%d shards: %d tuples, NVals %d, model has %d", strat, sc, len(sr), snap.NVals, len(want))
-			}
-			for k, e := range want {
-				if sr[k] != e[0] || scc[k] != e[1] || sv[k] != model[e] {
-					t.Fatalf("%v/%d shards: tuple %d = (%d,%d,%g), model (%d,%d,%g)",
-						strat, sc, k, sr[k], scc[k], sv[k], e[0], e[1], model[e])
-				}
+	for _, sc := range []int{1, 2, 4} {
+		snap, sr, scc, sv := snapshotTuples(t, newSharded(t, n, sc, batches...))
+		if len(sr) != len(want) || snap.NVals != len(want) {
+			t.Fatalf("%d shards: %d tuples, NVals %d, model has %d", sc, len(sr), snap.NVals, len(want))
+		}
+		for k, e := range want {
+			if sr[k] != e[0] || scc[k] != e[1] || sv[k] != model[e] {
+				t.Fatalf("%d shards: tuple %d = (%d,%d,%g), model (%d,%d,%g)",
+					sc, k, sr[k], scc[k], sv[k], e[0], e[1], model[e])
 			}
 		}
 	}
@@ -243,7 +236,7 @@ func TestKHopStopsAtClosure(t *testing.T) {
 	g := generate.Cycle(48)
 	views := map[string]serve.View{
 		"1 shard":  viewOf(t, serve.NewShardedBackend(newOracle(t, g.N, edgeBatch(g)))),
-		"2 shards": viewOf(t, serve.NewShardedBackend(newSharded(t, g.N, 2, shard.Block, edgeBatch(g)))),
+		"2 shards": viewOf(t, serve.NewShardedBackend(newSharded(t, g.N, 2, edgeBatch(g)))),
 	}
 	for name, v := range views {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -306,7 +299,7 @@ func TestShardedStatsAndDegreeEquivalence(t *testing.T) {
 func TestStatsComputedOncePerSnapshot(t *testing.T) {
 	g := testGraph()
 	for _, shards := range []int{1, 2} {
-		store := newSharded(t, g.N, shards, shard.Block, edgeBatch(g))
+		store := newSharded(t, g.N, shards, edgeBatch(g))
 		snap, _, _, _ := snapshotTuples(t, store)
 		canceled, cancel := context.WithCancel(context.Background())
 		cancel()
@@ -389,7 +382,7 @@ func TestShardedPPREquivalence(t *testing.T) {
 func TestShardedPPROpsPerSweepBounded(t *testing.T) {
 	g := testGraph()
 	for _, shards := range []int{1, 2} {
-		v := viewOf(t, serve.NewShardedBackend(newSharded(t, g.N, shards, shard.Block, edgeBatch(g))))
+		v := viewOf(t, serve.NewShardedBackend(newSharded(t, g.N, shards, edgeBatch(g))))
 		if shards == 1 {
 			faults.Configure(1, faults.Rule{Site: "shard.kernel.*", Kind: faults.KernelErr})
 		}
@@ -421,7 +414,7 @@ func TestShardedPPROpsPerSweepBounded(t *testing.T) {
 // advances per acknowledged commit and epochs compose per shard.
 func TestShardedSnapshotConsistency(t *testing.T) {
 	const n = 32
-	store := newSharded(t, n, 4, shard.Block)
+	store := newSharded(t, n, 4)
 	b1 := stream.NewBatch[float64]()
 	b1.Insert(0, 1, 1)
 	b1.Insert(31, 2, 1)

@@ -26,7 +26,7 @@ import (
 // redo debt — and the same batch applies cleanly once the fault passes.
 func TestShardRouteFaultCleanReject(t *testing.T) {
 	leakcheck.AssertQuiescent(t)
-	store := newSharded(t, 32, 4, shard.Block)
+	store := newSharded(t, 32, 4)
 	v0 := store.Version()
 
 	faults.Configure(1, faults.Rule{Site: "shard.kernel.route", Kind: faults.KernelErr, Times: 1})
@@ -71,7 +71,7 @@ func TestShardGatherFaultTransient(t *testing.T) {
 	b.Insert(0, 1, 1)
 	b.Insert(1, 2, 1)
 	b.Insert(2, 3, 1)
-	v := viewOf(t, serve.NewShardedBackend(newSharded(t, 16, 4, shard.Block, b)))
+	v := viewOf(t, serve.NewShardedBackend(newSharded(t, 16, 4, b)))
 
 	faults.Configure(2, faults.Rule{Site: "shard.kernel.gather", Kind: faults.KernelErr, Times: 1})
 	defer faults.Disable()
@@ -99,7 +99,7 @@ func TestShardGatherGovernorOOM(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		b.Insert(i, i+1, 1)
 	}
-	v := viewOf(t, serve.NewShardedBackend(newSharded(t, 16, 2, shard.Block, b)))
+	v := viewOf(t, serve.NewShardedBackend(newSharded(t, 16, 2, b)))
 
 	prev := faults.SetAllocBudget(8)
 	defer faults.SetAllocBudget(prev)
@@ -121,7 +121,7 @@ func TestShardGatherGovernorOOM(t *testing.T) {
 func TestShardTotalFailureCleanReject(t *testing.T) {
 	leakcheck.AssertQuiescent(t)
 	for _, shards := range []int{1, 2} {
-		store := newSharded(t, 32, shards, shard.Block)
+		store := newSharded(t, 32, shards)
 		v0 := store.Version()
 		b := stream.NewBatch[float64]()
 		b.Insert(1, 2, 1)
@@ -155,7 +155,7 @@ func TestShardTotalFailureCleanReject(t *testing.T) {
 func TestShardPartialFailureRedoConvergence(t *testing.T) {
 	leakcheck.AssertQuiescent(t)
 	const n = 48
-	store := newSharded(t, n, 4, shard.Block)
+	store := newSharded(t, n, 4)
 
 	// Seed state + a baseline snapshot for the frozen-reads check.
 	seed := stream.NewBatch[float64]()

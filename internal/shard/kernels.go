@@ -63,67 +63,33 @@ func routeBatch(p Plan, b *stream.Batch[float64]) []*stream.Batch[float64] {
 }
 
 // scatter deals a global vector's entries to the owning shards into stores
-// of their own drawn from the pool at their exact size (a Hash plan counts
-// each owner's entries first): indices translated to shard-local rows (both
-// strategies keep them ascending), values copied once, never aliased, so a
-// part shares no array with v and the shard's vector can adopt it. A shard that owns no entry gets nil, and one that
-// owns an entry at each of its rows gets a full part, whose positions are
-// the shared identity list. It is the scatter half of the sharded VxM.
+// of their own drawn from the pool at their exact size: each shard owns one
+// contiguous run of v's entries, its indices translated to shard-local rows
+// (still ascending), its values copied once, never aliased, so a part shares
+// no array with v and the shard's vector can adopt it. A shard that owns no
+// entry gets nil, and one that owns an entry at each of its rows gets a full
+// part, whose positions are the shared identity list. It is the scatter half
+// of the sharded VxM.
 func scatter(p Plan, v *sparse.Vec[float64]) []*sparse.Vec[float64] {
 	faults.Step("shard.kernel.scatter")
 	parts := make([]*sparse.Vec[float64], p.Shards)
-	if p.Strategy == Block {
-		// Each shard owns one contiguous run of v's entries.
-		lo := 0
-		for s := range parts {
-			hi := lo + sort.SearchInts(v.Idx[lo:], p.bounds[s+1])
-			if hi > lo {
-				n, idx := p.LocalRows(s), []int(nil)
-				if hi-lo < n {
-					idx = pool.RawVals[int](hi - lo)
-					for t, g := range v.Idx[lo:hi] {
-						idx[t] = g - p.bounds[s]
-					}
+	lo := 0
+	for s := range parts {
+		hi := lo + sort.SearchInts(v.Idx[lo:], p.bounds[s+1])
+		if hi > lo {
+			n, idx := p.LocalRows(s), []int(nil)
+			if hi-lo < n {
+				idx = pool.RawVals[int](hi - lo)
+				for t, g := range v.Idx[lo:hi] {
+					idx[t] = g - p.bounds[s]
 				}
-				val := pool.RawVals[float64](hi - lo)
-				copy(val, v.Val[lo:hi])
-				parts[s] = sparse.PooledVec(n, idx, val)
 			}
-			lo = hi
+			val := pool.RawVals[float64](hi - lo)
+			copy(val, v.Val[lo:hi])
+			parts[s] = sparse.PooledVec(n, idx, val)
 		}
-		return parts
+		lo = hi
 	}
-	// Hash: each owner's entries are counted first.
-	k := p.Shards
-	at := pool.GetInts(k)
-	for _, g := range v.Idx {
-		at[p.Owner(g)]++
-	}
-	idxs, vals := make([][]int, k), make([][]float64, k)
-	for s, c := range at {
-		if c == 0 {
-			continue
-		}
-		if c < p.LocalRows(s) {
-			idxs[s] = pool.RawVals[int](c)
-		}
-		vals[s] = pool.RawVals[float64](c)
-		at[s] = 0
-	}
-	for t, g := range v.Idx {
-		s := p.Owner(g)
-		if idxs[s] != nil {
-			idxs[s][at[s]] = p.Local(g)
-		}
-		vals[s][at[s]] = v.Val[t]
-		at[s]++
-	}
-	for s, c := range at {
-		if c > 0 {
-			parts[s] = sparse.PooledVec(p.LocalRows(s), idxs[s], vals[s])
-		}
-	}
-	pool.PutInts(at)
 	return parts
 }
 

@@ -28,77 +28,46 @@ package shard
 
 import "fmt"
 
-// Strategy selects how global rows map to shards.
-type Strategy uint8
-
-const (
-	// Block assigns contiguous row ranges: shard s owns rows
-	// [bounds[s], bounds[s+1]). Preserves row locality, the right default
-	// for RMAT-like graphs ingested in row order.
-	Block Strategy = iota
-	// Hash stripes rows across shards: shard s owns rows ≡ s (mod Shards).
-	// Spreads skewed row distributions at the cost of locality.
-	Hash
-)
-
-// String returns the strategy name.
-func (s Strategy) String() string {
-	switch s {
-	case Block:
-		return "block"
-	case Hash:
-		return "hash"
-	}
-	return fmt.Sprintf("Strategy(%d)", uint8(s))
-}
-
 // Plan is the vertex→shard routing table of one partitioned deployment: the
 // pure arithmetic every layer (ingest routing, query scatter, result gather)
-// shares, fixed at store creation. Plans are value types and safe to copy.
+// shares, fixed at store creation. Shard s owns the contiguous row block
+// [bounds[s], bounds[s+1]), which preserves row locality: the right layout
+// for RMAT-like graphs ingested in row order, and the one that keeps the
+// shards' rows, taken in shard order, row-major. Plans are value types and
+// safe to copy.
 type Plan struct {
 	// N is the global vertex-space dimension; Shards the partition width.
 	N, Shards int
-	// Strategy is the row→shard assignment rule.
-	Strategy Strategy
 
-	// bounds, for Block plans, holds the first global row of each shard,
-	// with bounds[Shards] == N. Nil for Hash plans.
+	// bounds holds the first global row of each shard, with
+	// bounds[Shards] == N.
 	bounds []int
 }
 
 // NewPlan builds the routing table for an n-row graph over the given number
-// of shards. Block plans spread the remainder over the leading shards, so
-// shard sizes differ by at most one row.
-func NewPlan(n, shards int, st Strategy) (Plan, error) {
+// of shards. It spreads the remainder over the leading shards, so shard
+// sizes differ by at most one row.
+func NewPlan(n, shards int) (Plan, error) {
 	if n <= 0 {
 		return Plan{}, fmt.Errorf("shard: vertex space must be positive, got %d", n)
 	}
 	if shards < 1 || shards > n {
 		return Plan{}, fmt.Errorf("shard: shard count %d outside [1, %d]", shards, n)
 	}
-	if st != Block && st != Hash {
-		return Plan{}, fmt.Errorf("shard: unknown strategy %d", uint8(st))
-	}
-	p := Plan{N: n, Shards: shards, Strategy: st}
-	if st == Block {
-		p.bounds = make([]int, shards+1)
-		base, rem := n/shards, n%shards
-		for s := 0; s < shards; s++ {
-			size := base
-			if s < rem {
-				size++
-			}
-			p.bounds[s+1] = p.bounds[s] + size
+	p := Plan{N: n, Shards: shards, bounds: make([]int, shards+1)}
+	base, rem := n/shards, n%shards
+	for s := 0; s < shards; s++ {
+		size := base
+		if s < rem {
+			size++
 		}
+		p.bounds[s+1] = p.bounds[s] + size
 	}
 	return p, nil
 }
 
 // Owner returns the shard owning global row v.
 func (p Plan) Owner(v int) int {
-	if p.Strategy == Hash {
-		return v % p.Shards
-	}
 	base, rem := p.N/p.Shards, p.N%p.Shards
 	if v < (base+1)*rem {
 		return v / (base + 1)
@@ -107,26 +76,10 @@ func (p Plan) Owner(v int) int {
 }
 
 // Local translates global row v to its index within Owner(v)'s row block.
-func (p Plan) Local(v int) int {
-	if p.Strategy == Hash {
-		return v / p.Shards
-	}
-	return v - p.bounds[p.Owner(v)]
-}
+func (p Plan) Local(v int) int { return v - p.bounds[p.Owner(v)] }
 
 // Global translates shard s's local row index back to the global row.
-func (p Plan) Global(s, local int) int {
-	if p.Strategy == Hash {
-		return local*p.Shards + s
-	}
-	return p.bounds[s] + local
-}
+func (p Plan) Global(s, local int) int { return p.bounds[s] + local }
 
 // LocalRows returns the number of global rows shard s owns.
-func (p Plan) LocalRows(s int) int {
-	if p.Strategy == Hash {
-		// Rows s, s+Shards, s+2·Shards, … below N.
-		return (p.N - s + p.Shards - 1) / p.Shards
-	}
-	return p.bounds[s+1] - p.bounds[s]
-}
+func (p Plan) LocalRows(s int) int { return p.bounds[s+1] - p.bounds[s] }

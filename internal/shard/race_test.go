@@ -37,7 +37,7 @@ func TestShardedIngestDuringQueryRace(t *testing.T) {
 			defer core.SetScheduler(prevSched)
 
 			const n = 64
-			store := newSharded(t, n, 4, shard.Block)
+			store := newSharded(t, n, 4)
 			seed := stream.NewBatch[float64]()
 			for i := 0; i < n-1; i++ {
 				seed.Insert(i, i+1, 1)

@@ -3,7 +3,6 @@ package shard
 import (
 	"cmp"
 	"context"
-	"sort"
 	"sync"
 
 	"graphblas/internal/algorithms"
@@ -210,9 +209,11 @@ func (snap *Snapshot) eachShardTuples(f func(rows, cols []int, vals []float64)) 
 }
 
 // Tuples gathers the composed snapshot's global (row, col, value) triples in
-// row-major order — the store's analogue of Matrix.ExtractTuples. The
-// differential suite uses it to hold every shard count to tuple-level
-// equivalence with one shard.
+// row-major order — the store's analogue of Matrix.ExtractTuples. Each
+// shard's tuples are row-major and the shards own ascending row blocks, so
+// concatenating them in shard order is the global order. The differential
+// suite uses it to hold every shard count to tuple-level equivalence with
+// one shard.
 func (snap *Snapshot) Tuples() ([]int, []int, []float64, error) {
 	ri := make([]int, 0, snap.NVals)
 	ci := make([]int, 0, snap.NVals)
@@ -225,23 +226,7 @@ func (snap *Snapshot) Tuples() ([]int, []int, []float64, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ord := make([]int, len(ri))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		if ri[ord[a]] != ri[ord[b]] {
-			return ri[ord[a]] < ri[ord[b]]
-		}
-		return ci[ord[a]] < ci[ord[b]]
-	})
-	sr := make([]int, len(ord))
-	sc := make([]int, len(ord))
-	sv := make([]float64, len(ord))
-	for i, o := range ord {
-		sr[i], sc[i], sv[i] = ri[o], ci[o], vv[o]
-	}
-	return sr, sc, sv, nil
+	return ri, ci, vv, nil
 }
 
 // Sym returns the snapshot's global symmetrized, loop-free boolean pattern,

@@ -48,27 +48,24 @@ var ErrRedoBlocked = errors.New("shard: redo backlog not drained; batch rejected
 type Config struct {
 	// N is the global vertex-space dimension; Shards the partition width.
 	N, Shards int
-	// Strategy is the row→shard assignment (default Block).
-	Strategy Strategy
 	// CompactAfter is the per-shard delta watermark that triggers compaction
-	// on the ingest path (0: the streaming DefaultPolicy watermark).
+	// on the ingest path (0: the streaming DefaultPolicy watermark). Ingest
+	// is rejected with ErrBackpressure once a shard's delta count reaches
+	// four times CompactAfter (shedFactor).
 	CompactAfter int
-	// ShedDelta is the per-shard delta count beyond which ingest is rejected
-	// with ErrBackpressure (0: 4× CompactAfter).
-	ShedDelta int
 }
 
 func (c Config) withDefaults() Config {
 	if c.CompactAfter <= 0 {
 		c.CompactAfter = stream.DefaultPolicy().MaxDeltaNNZ
 	}
-	if c.ShedDelta <= 0 {
-		c.ShedDelta = 4 * c.CompactAfter
-	}
 	return c
 }
 
 const (
+	// shedFactor scales CompactAfter to the per-shard delta count at which
+	// ingest sheds.
+	shedFactor = 4
 	// ingestAttempts bounds the per-shard at-least-once re-apply loop.
 	ingestAttempts = 3
 	// snapshotAttempts bounds the optimistic torn-composition retry loop.
@@ -134,7 +131,7 @@ func NewStore(cfg Config) (*Store, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = 1
 	}
-	plan, err := NewPlan(cfg.N, cfg.Shards, cfg.Strategy)
+	plan, err := NewPlan(cfg.N, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -270,19 +267,20 @@ func (st *Store) Ingest(b *stream.Batch[float64]) error {
 	}
 
 	// Backpressure and watermark compaction, per shard.
+	shed := shedFactor * st.cfg.CompactAfter
 	for _, sh := range st.shards {
 		delta, err := sh.deltaNVals()
 		if err != nil {
 			return err
 		}
-		if delta >= st.cfg.ShedDelta {
+		if delta >= shed {
 			// One last attempt before rejecting: the breaker may have cooled
 			// down since the overlay crossed the lower watermark.
 			st.compactShardLocked(sh)
 			if delta, err = sh.deltaNVals(); err != nil {
 				return err
 			}
-			if delta >= st.cfg.ShedDelta {
+			if delta >= shed {
 				IngestThrottled.Inc()
 				return ErrBackpressure
 			}
